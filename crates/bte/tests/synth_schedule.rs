@@ -3,16 +3,13 @@
 //! Across the full verification sweep (both scenarios, both temperature
 //! strategies, all seven targets, all four kernel tiers, all three
 //! integrators) the synthesized transfer schedule must be
-//! certificate-clean, diff-clean against the legacy hand-built schedule,
-//! and never schedule *more* transfers than the legacy analysis did. On
-//! top of the static properties, swapping the executors between the
-//! synthesized and the legacy schedule (`use_legacy_schedule`) must leave
-//! every target's trajectory bit-identical — the schedules move the same
-//! data, so the arithmetic cannot notice which one drove the copies.
+//! certificate-clean. On top of the static property, every target driven
+//! by the synthesized schedule must reproduce the sequential trajectory —
+//! bit for bit where the arithmetic is the same — so a schedule that
+//! dropped a needed copy cannot hide.
 
 use pbte_bte::scenario::{elongated, hotspot_2d, BteConfig, BteProblem};
 use pbte_bte::temperature::TemperatureStrategy;
-use pbte_dsl::dataflow::Policy;
 use pbte_dsl::exec::ExecTarget;
 use pbte_dsl::problem::{Integrator, KernelTier};
 use pbte_dsl::{analysis, GpuStrategy};
@@ -56,26 +53,8 @@ fn targets(ranks: usize) -> Vec<(String, ExecTarget)> {
     ]
 }
 
-fn target_strategy(target: &ExecTarget) -> Option<GpuStrategy> {
-    match target {
-        ExecTarget::GpuHybrid { strategy, .. } | ExecTarget::DistBandsGpu { strategy, .. } => {
-            Some(*strategy)
-        }
-        _ => None,
-    }
-}
-
-fn live_transfers(schedule: &pbte_dsl::dataflow::TransferSchedule) -> usize {
-    schedule
-        .transfers
-        .iter()
-        .filter(|t| t.policy != Policy::Never)
-        .count()
-}
-
 /// The full 336-combo sweep: every GPU-lineage plan synthesizes a
-/// certificate-clean schedule that is never larger than the legacy one,
-/// and any legacy-only transfer is explained by a liveness omission.
+/// certificate-clean schedule.
 #[test]
 fn synthesis_is_certified_and_minimal_across_the_sweep() {
     type Scenario = fn(&BteConfig) -> BteProblem;
@@ -116,28 +95,15 @@ fn synthesis_is_certified_and_minimal_across_the_sweep() {
                         });
                         let cp = &solver.compiled;
                         let mut diags = Vec::new();
-                        let Some(rep) = analysis::verify_synthesis(cp, &solver.target, &mut diags)
-                        else {
+                        if analysis::verify_synthesis(cp, &solver.target, &mut diags).is_none() {
                             assert!(diags.is_empty(), "CPU-only targets add nothing: {diags:?}");
                             continue;
-                        };
+                        }
                         synthesized += 1;
                         assert!(
                             diags.is_empty(),
                             "{sname}/{stname}/{tname}/{kname}/{iname}: {:?}",
                             diags.iter().map(|d| d.render()).collect::<Vec<_>>()
-                        );
-                        let gpu_strategy = target_strategy(&solver.target).unwrap();
-                        let legacy = cp.transfer_schedule_legacy(gpu_strategy);
-                        assert!(
-                            live_transfers(&rep.schedule) <= live_transfers(&legacy),
-                            "{sname}/{stname}/{tname}/{kname}/{iname}: synthesis may only \
-                             shrink the schedule"
-                        );
-                        assert!(
-                            rep.identical_to_legacy || !rep.explained.is_empty(),
-                            "{sname}/{stname}/{tname}/{kname}/{iname}: a smaller schedule \
-                             must explain the transfers it dropped"
                         );
                     }
                 }
@@ -149,27 +115,36 @@ fn synthesis_is_certified_and_minimal_across_the_sweep() {
     assert_eq!(synthesized, 144, "every GPU-lineage plan synthesizes");
 }
 
-/// Solving with the synthesized schedule (the default) and with the
-/// legacy hand-built one must produce bit-identical final states on
-/// every target.
+/// Every target, moving exactly what the synthesized schedule says,
+/// must land on the sequential trajectory: bit for bit on the targets
+/// that run the same arithmetic in the same order (threads, cells, GPU
+/// precompute), to rounding where a reduction reassociates or the async
+/// strategy adds the boundary contribution on the host.
 #[test]
 fn synthesized_schedule_preserves_trajectories_bit_for_bit() {
+    let run = |target: ExecTarget| -> Vec<f64> {
+        let cfg = BteConfig::small(8, 8, 4, 3);
+        let bte = hotspot_2d(&cfg);
+        let mut solver = bte.problem.build(target).expect("valid scenario");
+        solver.solve().expect("solve succeeds");
+        let fields = solver.fields();
+        (0..fields.n_vars())
+            .flat_map(|v| fields.slice(v).iter().copied())
+            .collect()
+    };
+    let seq = run(ExecTarget::CpuSeq);
     for (tname, target) in targets(2) {
-        let run = |legacy: bool| -> Vec<u64> {
-            let cfg = BteConfig::small(8, 8, 4, 3);
-            let mut bte = hotspot_2d(&cfg);
-            bte.problem.use_legacy_schedule(legacy);
-            let mut solver = bte.problem.build(target.clone()).expect("valid scenario");
-            solver.solve().expect("solve succeeds");
-            let fields = solver.fields();
-            (0..fields.n_vars())
-                .flat_map(|v| fields.slice(v).iter().map(|x| x.to_bits()))
-                .collect()
-        };
-        assert_eq!(
-            run(false),
-            run(true),
-            "{tname}: synthesized vs legacy schedule changed the trajectory"
-        );
+        let got = run(target);
+        let exact = matches!(tname.as_str(), "seq" | "par" | "cells:2" | "gpu:precompute");
+        for (i, (a, b)) in seq.iter().zip(&got).enumerate() {
+            if exact {
+                assert_eq!(a.to_bits(), b.to_bits(), "{tname}: value {i}: {a} vs {b}");
+            } else {
+                assert!(
+                    (a - b).abs() <= 1e-10 * a.abs().max(1.0),
+                    "{tname}: value {i}: {a} vs {b}"
+                );
+            }
+        }
     }
 }

@@ -275,7 +275,7 @@ pub fn estimate_cost(cp: &CompiledProblem, target: &ExecTarget) -> CostModel {
     let implicit = cp.problem.integrator.is_implicit();
     // The implicit device backend re-uploads the active plan's read set
     // plus its ghost array before every sweep and downloads the result
-    // rows after (see `GpuImplicitBackend::rhs`); the schedule's per-step
+    // rows after (see `GpuBackend::rhs`); the schedule's per-step
     // model doesn't apply because sweeps, not steps, drive the traffic.
     let gpu = matches!(
         target,
@@ -314,7 +314,7 @@ pub fn estimate_cost(cp: &CompiledProblem, target: &ExecTarget) -> CostModel {
 
 /// Upload bytes of one implicit sweep for `plan`: every variable in the
 /// plan's read set (full slice) plus the plan's ghost array — exactly the
-/// copies `GpuImplicitBackend::rhs` issues.
+/// copies `GpuBackend::rhs` issues.
 fn implicit_sweep_h2d_bytes(plan: &CompiledProblem) -> u64 {
     let registry = &plan.problem.registry;
     let n_cells = plan.mesh().n_cells();

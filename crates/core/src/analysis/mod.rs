@@ -43,8 +43,8 @@
 //!    linearization and the scenario `dt` checked against it.
 //! 6. **Schedule synthesis + cost** (`synth`, `cost`): the GPU transfer
 //!    schedule is re-derived from the access facts under a proof-carrying
-//!    certificate and diffed against the legacy hand-built one; the
-//!    static cost model is checked against recorded telemetry.
+//!    certificate that is independently re-discharged; the static cost
+//!    model is checked against recorded telemetry.
 //! 7. **Dimensional consistency** (`units`): the discretized equation is
 //!    abstractly interpreted over the SI dimension domain, seeded from
 //!    the units declared on entities, proving every sum/comparison
@@ -75,9 +75,9 @@ pub use intervals::{cfl_bound, check_intervals, CflBound};
 pub use intervals::{recommend_dt, DtRecommendation, ACCURACY_COURANT};
 pub use races::{check_disjoint_writes, check_divided_slices, WriteRegion};
 pub use synth::{
-    band_owned_flats, check_certificate, diff_against_legacy, synthesize_partition,
-    synthesize_schedule, thread_chunk_len, LivenessArg, Omission, ReadSite, ScheduleCertificate,
-    ScheduleDiff, SynthesizedPartition, TransferCert, WriteSite,
+    band_owned_flats, check_certificate, rank_scopes, synthesize_partition, synthesize_schedule,
+    thread_chunk_len, LivenessArg, Omission, RankScope, ReadSite, ScheduleCertificate,
+    SynthesizedPartition, TransferCert, WriteSite,
 };
 pub use transfers::check_schedule;
 pub use units::check_units;
@@ -162,9 +162,6 @@ pub mod rules {
     /// A scheduled transfer whose certificate is absent or whose cited
     /// read/write site does not hold against the plan's facts.
     pub const SCHEDULE_UNJUSTIFIED: &str = "schedule/unjustified-transfer";
-    /// The synthesized schedule disagrees with the legacy hand-built one
-    /// beyond what its omission certificates explain.
-    pub const SCHEDULE_SYNTH_MISMATCH: &str = "schedule/synth-mismatch";
     /// A static cost-model prediction diverged from recorded telemetry
     /// beyond tolerance.
     pub const COST_MODEL_DRIFT: &str = "cost/model-drift";
@@ -302,23 +299,16 @@ pub fn verify_plan(cp: &CompiledProblem, target: &ExecTarget) -> Vec<Diagnostic>
 
 /// Result of the synthesis pass on one plan (`pbte-verify --synth`).
 pub struct SynthReport {
-    /// The synthesized schedule (what the executors consume by default).
+    /// The synthesized schedule (what the executors consume).
     pub schedule: crate::dataflow::TransferSchedule,
     /// Its proof-carrying certificate.
     pub certificate: ScheduleCertificate,
-    /// Legacy-only transfers proven unnecessary by omission certificates.
-    pub explained: Vec<String>,
-    /// True when synthesized and legacy schedules carry identical
-    /// `(name, direction, policy)` triples.
-    pub identical_to_legacy: bool,
 }
 
-/// Synthesize the schedule for every GPU strategy the target carries,
-/// re-discharge its certificate, and diff it against the legacy
-/// hand-built schedule. Non-GPU targets have no transfer obligations and
-/// return `None`. Diagnostics (`schedule/unsound`,
-/// `schedule/unjustified-transfer`, `schedule/synth-mismatch`) append to
-/// `out`.
+/// Synthesize the schedule for the GPU strategy the target carries and
+/// re-discharge its certificate. Non-GPU targets have no transfer
+/// obligations and return `None`. Diagnostics (`schedule/unsound`,
+/// `schedule/unjustified-transfer`) append to `out`.
 pub fn verify_synthesis(
     cp: &CompiledProblem,
     target: &ExecTarget,
@@ -327,13 +317,8 @@ pub fn verify_synthesis(
     let strategy = target_strategy(target)?;
     let (schedule, certificate) = synth::synthesize_schedule(cp, strategy);
     out.extend(synth::check_certificate(cp, &schedule, &certificate));
-    let legacy = cp.transfer_schedule_legacy(strategy);
-    let diff = synth::diff_against_legacy(cp, &legacy, &schedule, &certificate);
-    out.extend(diff.diagnostics);
     Some(SynthReport {
         schedule,
         certificate,
-        explained: diff.explained,
-        identical_to_legacy: diff.identical,
     })
 }

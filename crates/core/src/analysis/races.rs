@@ -12,7 +12,6 @@
 
 use super::{rules, Diagnostic, Severity};
 use crate::exec::{CompiledProblem, ExecTarget};
-use pbte_mesh::partition::{Partition, PartitionMethod};
 
 /// One parallel worker's write footprint over an entity's dof grid: the
 /// cross product of `flats` and `cells`.
@@ -109,11 +108,6 @@ pub fn check_divided_slices(entity: &str, n_cells: usize, ranks: usize) -> Vec<D
     check_disjoint_writes(entity, 1, n_cells, &regions)
 }
 
-/// All flats / all cells of the unknown, shared by several targets.
-fn all(n: usize) -> Vec<usize> {
-    (0..n).collect()
-}
-
 /// Prove the write split `target` uses for the unknown disjoint; for
 /// band-distributed targets additionally prove the divided-Newton cell
 /// slices of declared-writing post-step callbacks. The region family
@@ -161,44 +155,20 @@ pub(super) fn check_target(cp: &CompiledProblem, target: &ExecTarget, out: &mut 
 fn check_krylov_vectors(cp: &CompiledProblem, target: &ExecTarget, out: &mut Vec<Diagnostic>) {
     let n_cells = cp.mesh().n_cells();
     let n_flat = cp.n_flat;
-    let regions: Vec<WriteRegion> = match target {
-        ExecTarget::CpuSeq | ExecTarget::CpuParallel | ExecTarget::GpuHybrid { .. } => {
-            // Single-rank drivers: one sequential scope over the whole
-            // grid (only RHS/JVP sweeps are parallel, never vector ops).
-            vec![WriteRegion {
-                label: "local Krylov scope".into(),
-                flats: all(n_flat),
-                cells: all(n_cells),
-            }]
-        }
-        ExecTarget::DistCells { ranks } => {
-            if *ranks > n_cells {
-                return;
-            }
-            let partition = Partition::build(cp.mesh(), *ranks, PartitionMethod::Rcb);
-            (0..*ranks)
-                .map(|r| WriteRegion {
-                    label: format!("rank {r} Krylov scope (RCB cells)"),
-                    flats: all(n_flat),
-                    cells: partition.cells_of(r),
-                })
-                .collect()
-        }
-        ExecTarget::DistBands { ranks, index } | ExecTarget::DistBandsGpu { ranks, index, .. } => {
-            let Some(owned) = super::synth::band_owned_flats(cp, *ranks, index) else {
-                return;
-            };
-            owned
-                .into_iter()
-                .enumerate()
-                .map(|(r, flats)| WriteRegion {
-                    label: format!("rank {r} Krylov scope (bands of `{index}`)"),
-                    flats,
-                    cells: all(n_cells),
-                })
-                .collect()
-        }
+    // The scopes the driver hands each rank's Krylov loop (only RHS/JVP
+    // sweeps are parallel within a rank, never vector ops).
+    let Ok(scopes) = super::synth::rank_scopes(cp, target) else {
+        return;
     };
+    let regions: Vec<WriteRegion> = scopes
+        .into_iter()
+        .enumerate()
+        .map(|(r, (cells, flats))| WriteRegion {
+            label: format!("rank {r} Krylov scope"),
+            flats,
+            cells,
+        })
+        .collect();
     for vec_name in ["r", "r0", "p", "v", "s", "t", "hat"] {
         let mut diags =
             check_disjoint_writes(&format!("krylov.{vec_name}"), n_flat, n_cells, &regions);

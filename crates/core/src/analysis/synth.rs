@@ -1,13 +1,9 @@
 //! Schedule and partition **synthesis** with proof-carrying certificates.
 //!
-//! Until PR 7 the transfer schedule was hand-built by `crate::dataflow`
-//! and only *checked* after the fact by [`super::transfers`] — so a
-//! "builder forgot a case" gap (the callback-read D2H miss PR 7 fixed)
-//! survived until an identity test happened to trip it. This module
-//! closes that loop in the spirit of translation validation: the
-//! [`TransferSchedule`] and the parallel [`WriteRegion`] partitioning are
-//! *derived* from the access/dataflow facts the verifier already
-//! computes, and every derivation ships a machine-checkable certificate:
+//! In the spirit of translation validation, the [`TransferSchedule`] and
+//! the parallel [`WriteRegion`] partitioning are *derived* from the
+//! access/dataflow facts the verifier already computes, and every
+//! derivation ships a machine-checkable certificate:
 //!
 //! * each scheduled transfer is justified by a **concrete read site** on
 //!   the receiving side (a bytecode instruction for device reads, a named
@@ -23,10 +19,6 @@
 //! justification does not hold is `schedule/unjustified-transfer`
 //! (minimality), an obligation with neither a transfer nor a valid
 //! liveness argument is `schedule/unsound` (stale-freedom).
-//! [`diff_against_legacy`] compares the synthesized schedule against the
-//! retired hand-built one (`schedule/synth-mismatch`), accepting
-//! legacy-only entries exactly when a certificate omission proves them
-//! unnecessary.
 
 use super::access::{kernel_read_sites, site_loads_entity, KernelReadSite};
 use super::races::WriteRegion;
@@ -34,7 +26,7 @@ use super::transfers::{build_sides, Sides, GHOSTS};
 use super::{rules, Diagnostic, Severity};
 use crate::dataflow::{Policy, Transfer, TransferSchedule};
 use crate::exec::{CompiledProblem, ExecTarget};
-use crate::problem::GpuStrategy;
+use crate::problem::{DslError, GpuStrategy};
 use pbte_mesh::partition::{partition_bands, Partition, PartitionMethod};
 use std::collections::BTreeSet;
 
@@ -387,9 +379,7 @@ fn entity_universe(cp: &CompiledProblem) -> Vec<String> {
 // ---------------------------------------------------------------------------
 
 /// Derive the transfer schedule for `strategy` from the access facts,
-/// together with its certificate. This replaces the hand-built
-/// `dataflow::analyze_transfers` as the source of truth (the legacy
-/// builder is retained only as the diff baseline).
+/// together with its certificate.
 ///
 /// Derivation rules, in schedule order:
 ///
@@ -405,11 +395,11 @@ fn entity_universe(cp: &CompiledProblem) -> Vec<String> {
 /// 5. every other kernel-read variable → `EveryStep` H2D iff some host
 ///    site rewrites it between steps, else `Once`.
 ///
-/// Rules 3 and 5 are where synthesis is *finer* than the legacy builder,
-/// which keyed both on the mere existence of a post-step callback: a
-/// declared callback that provably never reads the unknown (or never
-/// writes a given variable) now yields an omission instead of a
-/// transfer, certified by the corresponding liveness argument.
+/// Rules 3 and 5 key on the callbacks' declared accesses, not on the mere
+/// existence of a post-step callback: a declared callback that provably
+/// never reads the unknown (or never writes a given variable) yields an
+/// omission instead of a transfer, certified by the corresponding
+/// liveness argument.
 pub fn synthesize_schedule(
     cp: &CompiledProblem,
     strategy: GpuStrategy,
@@ -807,104 +797,15 @@ pub fn check_certificate(
 }
 
 // ---------------------------------------------------------------------------
-// Legacy diff
-// ---------------------------------------------------------------------------
-
-/// Outcome of diffing the synthesized schedule against the hand-built
-/// legacy one.
-#[derive(Debug, Clone)]
-pub struct ScheduleDiff {
-    /// `schedule/synth-mismatch` findings: synthesis-only transfers, or
-    /// legacy-only transfers not covered by a valid omission.
-    pub diagnostics: Vec<Diagnostic>,
-    /// Legacy-only transfers the certificate proves unnecessary — the
-    /// explained part of a strictly-smaller synthesized schedule.
-    pub explained: Vec<String>,
-    /// True when both schedules contain exactly the same
-    /// `(name, direction, policy)` triples.
-    pub identical: bool,
-}
-
-/// Compare the synthesized schedule against the legacy hand-built one.
-/// Transfers are compared as `(name, direction, policy)` triples (reason
-/// strings are informational). A legacy-only triple is accepted — and
-/// reported in `explained` — exactly when the certificate carries an
-/// omission for it whose liveness argument holds; anything else is a
-/// `schedule/synth-mismatch` error.
-pub fn diff_against_legacy(
-    cp: &CompiledProblem,
-    legacy: &TransferSchedule,
-    synth: &TransferSchedule,
-    cert: &ScheduleCertificate,
-) -> ScheduleDiff {
-    let sides = build_sides(cp, synth.strategy);
-    let triple = |t: &Transfer| (t.name.clone(), t.to_device, t.policy);
-    let mut legacy_only: Vec<(String, bool, Policy)> =
-        legacy.transfers.iter().map(triple).collect();
-    let mut synth_only = Vec::new();
-    for t in &synth.transfers {
-        let key = triple(t);
-        match legacy_only.iter().position(|k| *k == key) {
-            Some(at) => {
-                legacy_only.remove(at);
-            }
-            None => synth_only.push(key),
-        }
-    }
-    let identical = legacy_only.is_empty() && synth_only.is_empty();
-
-    let mut diagnostics = Vec::new();
-    let mut explained = Vec::new();
-    for (name, to_device, policy) in synth_only {
-        diagnostics.push(Diagnostic {
-            severity: Severity::Error,
-            rule: rules::SCHEDULE_SYNTH_MISMATCH,
-            entity: name.clone(),
-            location: format!("{} ({policy:?})", if to_device { "H2D" } else { "D2H" }),
-            message: "synthesis scheduled a transfer the hand-built schedule never had".into(),
-        });
-    }
-    for (name, to_device, policy) in legacy_only {
-        let covered = cert
-            .omissions
-            .iter()
-            .find(|o| o.name == name && o.to_device == to_device)
-            .filter(|o| liveness_holds(&sides, &name, o.liveness));
-        match covered {
-            Some(o) => explained.push(format!(
-                "{} {} ({:?}) dropped: {}",
-                if to_device { "H2D" } else { "D2H" },
-                name,
-                policy,
-                o.liveness.describe()
-            )),
-            None => diagnostics.push(Diagnostic {
-                severity: Severity::Error,
-                rule: rules::SCHEDULE_SYNTH_MISMATCH,
-                entity: name.clone(),
-                location: format!("{} ({policy:?})", if to_device { "H2D" } else { "D2H" }),
-                message: "hand-built schedule contains a transfer synthesis dropped \
-                          without a valid liveness argument"
-                    .into(),
-            }),
-        }
-    }
-    ScheduleDiff {
-        diagnostics,
-        explained,
-        identical,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Partition synthesis
 // ---------------------------------------------------------------------------
 
 /// The parallel write split synthesized for a target over the unknown's
 /// `(flat, cell)` dof grid, with the derivation rule that produced it.
-/// This is the *same* family the executors run (they call the shared
-/// helpers below), so the disjointness proof in the races pass covers
-/// the executed split, not a reconstruction of it.
+/// This is the *same* family the step driver runs (it consumes
+/// [`rank_scopes`] and the shared helpers below), so the disjointness
+/// proof in the races pass covers the executed split, not a
+/// reconstruction of it.
 #[derive(Debug)]
 pub struct SynthesizedPartition {
     pub entity: String,
@@ -922,8 +823,8 @@ pub fn thread_chunk_len(n_cells: usize, threads: usize) -> usize {
     n_cells.div_ceil(threads.max(1)).max(1)
 }
 
-/// Owned flats per rank under band partitioning of `index` — shared by
-/// `exec::dist` (the executed ownership) and the partition synthesis.
+/// Owned flats per rank under band partitioning of `index` (the band
+/// half of [`rank_scopes`]).
 /// `None` when `index` is not an index of the unknown (build rejects such
 /// targets before solving).
 pub fn band_owned_flats(
@@ -955,6 +856,46 @@ fn all(n: usize) -> Vec<usize> {
     (0..n).collect()
 }
 
+/// The `(cells, flats)` cross product of the dof grid one rank owns.
+pub type RankScope = (Vec<usize>, Vec<usize>);
+
+/// The [`RankScope`] every rank of `target` owns — the one split
+/// the step driver executes, the partition synthesis proves disjoint and
+/// the Krylov-vector check proves covering. Single-rank targets own the
+/// whole grid; cell distribution divides the cells by RCB, band
+/// distribution the flats by [`band_owned_flats`]. Errors name the
+/// configuration `build()` would have to reject (more ranks than cells, an
+/// unpartitionable index).
+pub fn rank_scopes(cp: &CompiledProblem, target: &ExecTarget) -> Result<Vec<RankScope>, DslError> {
+    let n_cells = cp.mesh().n_cells();
+    let n_flat = cp.n_flat;
+    match target {
+        ExecTarget::CpuSeq | ExecTarget::CpuParallel | ExecTarget::GpuHybrid { .. } => {
+            Ok(vec![(all(n_cells), all(n_flat))])
+        }
+        ExecTarget::DistCells { ranks } => {
+            if *ranks > n_cells {
+                return Err(DslError::Invalid(format!(
+                    "{ranks} ranks for {n_cells} cells"
+                )));
+            }
+            let partition = Partition::build(cp.mesh(), *ranks, PartitionMethod::Rcb);
+            Ok((0..*ranks)
+                .map(|r| (partition.cells_of(r), all(n_flat)))
+                .collect())
+        }
+        ExecTarget::DistBands { ranks, index } | ExecTarget::DistBandsGpu { ranks, index, .. } => {
+            let owned = band_owned_flats(cp, *ranks, index).ok_or_else(|| {
+                DslError::Invalid(format!("`{index}` is not an index of the unknown"))
+            })?;
+            Ok(owned
+                .into_iter()
+                .map(|flats| (all(n_cells), flats))
+                .collect())
+        }
+    }
+}
+
 /// Synthesize the write split `target` uses for the unknown. `None` when
 /// the target configuration is one `build()` rejects before solving
 /// (more ranks than cells, an unpartitionable index).
@@ -964,33 +905,23 @@ pub fn synthesize_partition(
 ) -> Option<SynthesizedPartition> {
     let n_cells = cp.mesh().n_cells();
     let n_flat = cp.n_flat;
+    let scopes = rank_scopes(cp, target).ok()?;
+    let ranks = scopes.len();
     let (regions, derivation): (Vec<WriteRegion>, String) = match target {
-        ExecTarget::CpuSeq => (
-            vec![WriteRegion {
-                label: "sequential".into(),
-                flats: all(n_flat),
-                cells: all(n_cells),
-            }],
-            "single sequential worker owns the whole dof grid".into(),
-        ),
         ExecTarget::CpuParallel => {
             // The rayon split: per-flat blocks, each cell range divided
             // into contiguous chunks of the shared chunk length.
             let threads = rayon::current_num_threads().max(1);
             let chunk = thread_chunk_len(n_cells, threads);
-            let mut regions = Vec::new();
-            let mut start = 0usize;
-            let mut ci = 0usize;
-            while start < n_cells {
-                let end = (start + chunk).min(n_cells);
-                regions.push(WriteRegion {
+            let regions = (0..n_cells)
+                .step_by(chunk)
+                .enumerate()
+                .map(|(ci, start)| WriteRegion {
                     label: format!("thread chunk {ci}"),
                     flats: all(n_flat),
-                    cells: (start..end).collect(),
-                });
-                start = end;
-                ci += 1;
-            }
+                    cells: (start..(start + chunk).min(n_cells)).collect(),
+                })
+                .collect();
             (
                 regions,
                 format!(
@@ -999,69 +930,34 @@ pub fn synthesize_partition(
                 ),
             )
         }
-        ExecTarget::DistCells { ranks } => {
-            if *ranks > n_cells {
-                return None;
-            }
-            let partition = Partition::build(cp.mesh(), *ranks, PartitionMethod::Rcb);
-            (
-                (0..*ranks)
-                    .map(|r| WriteRegion {
-                        label: format!("rank {r} (RCB cells)"),
-                        flats: all(n_flat),
-                        cells: partition.cells_of(r),
-                    })
-                    .collect(),
-                format!("RCB mesh partition over {ranks} ranks"),
-            )
-        }
-        ExecTarget::DistBands { ranks, index } => {
-            let owned = band_owned_flats(cp, *ranks, index)?;
-            (
-                owned
-                    .into_iter()
-                    .enumerate()
-                    .map(|(r, flats)| WriteRegion {
-                        label: format!("rank {r} (bands of `{index}`)"),
-                        flats,
-                        cells: all(n_cells),
-                    })
-                    .collect(),
-                format!("band partition of index `{index}` over {ranks} ranks"),
-            )
-        }
-        ExecTarget::GpuHybrid { .. } => (
-            // launch_rows: one device row kernel per flat, each writing
-            // its contiguous n_cells-long block of the unknown.
-            (0..n_flat)
-                .map(|flat| WriteRegion {
-                    label: format!("device row {flat}"),
-                    flats: vec![flat],
-                    cells: all(n_cells),
-                })
-                .collect(),
-            "one device row kernel per flat (launch_rows)".into(),
-        ),
-        ExecTarget::DistBandsGpu { ranks, index, .. } => {
-            let owned = band_owned_flats(cp, *ranks, index)?;
-            let mut regions = Vec::new();
-            for (r, flats) in owned.into_iter().enumerate() {
-                for flat in flats {
-                    regions.push(WriteRegion {
+        ExecTarget::GpuHybrid { .. } | ExecTarget::DistBandsGpu { .. } => (
+            // launch_rows: one device row kernel per owned flat, each
+            // writing its contiguous n_cells-long block of the unknown.
+            scopes
+                .into_iter()
+                .enumerate()
+                .flat_map(|(r, (cells, flats))| {
+                    flats.into_iter().map(move |flat| WriteRegion {
                         label: format!("rank {r} device row {flat}"),
                         flats: vec![flat],
-                        cells: all(n_cells),
-                    });
-                }
-            }
-            (
-                regions,
-                format!(
-                    "band partition of `{index}` over {ranks} ranks, one device row \
-                     kernel per owned flat"
-                ),
-            )
-        }
+                        cells: cells.clone(),
+                    })
+                })
+                .collect(),
+            format!("rank_scopes over {ranks} rank(s), one device row kernel per owned flat"),
+        ),
+        _ => (
+            scopes
+                .into_iter()
+                .enumerate()
+                .map(|(r, (cells, flats))| WriteRegion {
+                    label: format!("rank {r}"),
+                    flats,
+                    cells,
+                })
+                .collect(),
+            format!("rank_scopes over {ranks} rank(s)"),
+        ),
     };
     Some(SynthesizedPartition {
         entity: cp.system.unknown_name.clone(),

@@ -1,26 +1,25 @@
-//! Automatic host↔device data-movement analysis.
+//! Automatic host↔device data-movement schedule.
 //!
 //! The paper: *"Given the sensitivity of communication, Finch will
 //! automatically determine what variables need to be updated and
 //! communicated during each step. Other values will either only be sent
-//! once, or not at all."* This module is that determination. It derives
-//! reader/writer sets from the equation structure alone:
+//! once, or not at all."* The determination itself is
+//! [`crate::analysis::synthesize_schedule`], which derives reader/writer
+//! sets from the compiled kernels and the callback catalog and ships a
+//! certificate with every schedule; this module holds the schedule it
+//! produces:
 //!
-//! * the **kernel** reads every variable and coefficient appearing in the
-//!   conservation form and writes the unknown;
-//! * **post-step callbacks** (when present) read the unknown and may write
-//!   any other mutable variable — mutable-but-not-kernel-written variables
-//!   (`Io`, `beta`) are conservatively treated as rewritten each step;
 //! * **coefficients** are immutable: device copies are made once;
-//! * the **unknown** returns to the host each step whenever a post-step
-//!   exists, and returns *and* re-uploads each step under the
+//! * the **unknown** returns to the host each step whenever some host
+//!   site reads it, and returns *and* re-uploads each step under the
 //!   async-boundary strategy (the host combines the boundary
 //!   contribution into it);
+//! * other kernel-read variables (`Io`, `beta`) re-upload each step only
+//!   when a host callback rewrites them;
 //! * the **ghost array** uploads each step only under the
 //!   precompute-boundary strategy.
 
-use crate::pipeline::DiscreteSystem;
-use crate::problem::{GpuStrategy, Problem};
+use crate::problem::GpuStrategy;
 
 /// When a piece of data moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,116 +96,17 @@ impl TransferSchedule {
     }
 }
 
-/// Derive the schedule for a problem/strategy pair.
-pub fn analyze_transfers(
-    problem: &Problem,
-    system: &DiscreteSystem,
-    strategy: GpuStrategy,
-) -> TransferSchedule {
-    let registry = &problem.registry;
-    let unknown = system.unknown;
-    let has_post_step = !problem.post_steps.is_empty();
-    let mut transfers = Vec::new();
-
-    // Coefficients referenced by the kernel: immutable, device copy once.
-    for &c in &system.read_coefficients {
-        transfers.push(Transfer {
-            name: registry.coefficients[c].name.clone(),
-            to_device: true,
-            policy: Policy::Once,
-            reason: "coefficient: immutable, cached on device".into(),
-        });
-    }
-
-    // The unknown.
-    let unknown_name = registry.variables[unknown].name.clone();
-    transfers.push(Transfer {
-        name: unknown_name.clone(),
-        to_device: true,
-        policy: Policy::Once,
-        reason: "unknown: initial condition upload".into(),
-    });
-    // The host needs the fresh unknown back each step when a post-step
-    // callback reads it — and also when a boundary callback does (e.g. a
-    // reflection ghost reads the unknown; an opaque callback may): the
-    // next step's host-side ghost evaluation works from the host copy.
-    let boundary_reads_unknown = problem.boundary_conditions.iter().any(|(_, _, bc)| {
-        bc.declared_reads()
-            .map(|reads| reads.contains(&unknown_name))
-            .unwrap_or(true)
-    });
-    if has_post_step {
-        transfers.push(Transfer {
-            name: unknown_name.clone(),
-            to_device: false,
-            policy: Policy::EveryStep,
-            reason: "unknown: post-step callback reads it on the host".into(),
-        });
-    } else if boundary_reads_unknown {
-        transfers.push(Transfer {
-            name: unknown_name.clone(),
-            to_device: false,
-            policy: Policy::EveryStep,
-            reason: "unknown: boundary callbacks read it on the host".into(),
-        });
-    }
-    match strategy {
-        GpuStrategy::AsyncBoundary => {
-            transfers.push(Transfer {
-                name: registry.variables[unknown].name.clone(),
-                to_device: true,
-                policy: Policy::EveryStep,
-                reason: "unknown: host combines the boundary contribution".into(),
-            });
-        }
-        GpuStrategy::PrecomputeBoundary => {
-            transfers.push(Transfer {
-                name: "ghosts".into(),
-                to_device: true,
-                policy: Policy::EveryStep,
-                reason: "boundary ghost values computed by CPU callbacks".into(),
-            });
-        }
-    }
-
-    // Other variables the kernel reads: written by post-step callbacks on
-    // the host (conservatively every step), otherwise static after init.
-    for &v in &system.read_variables {
-        if v == unknown {
-            continue;
-        }
-        let name = registry.variables[v].name.clone();
-        if has_post_step {
-            transfers.push(Transfer {
-                name,
-                to_device: true,
-                policy: Policy::EveryStep,
-                reason: "mutable variable: rewritten by post-step callback".into(),
-            });
-        } else {
-            transfers.push(Transfer {
-                name,
-                to_device: true,
-                policy: Policy::Once,
-                reason: "variable never written after initialization".into(),
-            });
-        }
-    }
-
-    TransferSchedule {
-        strategy,
-        transfers,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::Problem;
+    use crate::analysis::synthesize_schedule;
+    use crate::exec::CompiledProblem;
+    use crate::problem::{BoundaryCondition, Problem};
 
-    fn bte_like(with_post_step: bool) -> Problem {
+    fn bte_like(with_post_step: bool, strategy: GpuStrategy) -> TransferSchedule {
         let mut p = Problem::new("bte");
         p.domain(2);
+        p.mesh(pbte_mesh::grid::UniformGrid::new_2d(2, 2, 1.0, 1.0).build());
         let d = p.index("d", 2);
         let b = p.index("b", 2);
         let i = p.variable("I", &[d, b]);
@@ -219,17 +119,19 @@ mod tests {
             i,
             "(Io[b] - I[d,b]) * beta[b] + surface(vg[b]*upwind([Sx[d];Sy[d]], I[d,b]))",
         );
+        for region in ["left", "right", "top", "bottom"] {
+            p.boundary(i, region, BoundaryCondition::Value(0.0));
+        }
         if with_post_step {
             p.post_step(|_| {});
         }
-        p
+        let (cp, _) = CompiledProblem::compile(p).unwrap();
+        synthesize_schedule(&cp, strategy).0
     }
 
     #[test]
     fn bte_async_schedule_matches_the_paper() {
-        let p = bte_like(true);
-        let sys = p.analyze().unwrap();
-        let s = analyze_transfers(&p, &sys, GpuStrategy::AsyncBoundary);
+        let s = bte_like(true, GpuStrategy::AsyncBoundary);
         // Every step: I moves both ways; Io and beta move to the device.
         let h2d = s.each_step_h2d();
         assert!(h2d.contains(&"I"));
@@ -246,9 +148,7 @@ mod tests {
 
     #[test]
     fn precompute_keeps_unknown_device_resident() {
-        let p = bte_like(true);
-        let sys = p.analyze().unwrap();
-        let s = analyze_transfers(&p, &sys, GpuStrategy::PrecomputeBoundary);
+        let s = bte_like(true, GpuStrategy::PrecomputeBoundary);
         let h2d = s.each_step_h2d();
         assert!(!h2d.contains(&"I"), "unknown must stay on the device");
         assert!(h2d.contains(&"ghosts"));
@@ -257,9 +157,7 @@ mod tests {
 
     #[test]
     fn no_post_step_means_static_variables() {
-        let p = bte_like(false);
-        let sys = p.analyze().unwrap();
-        let s = analyze_transfers(&p, &sys, GpuStrategy::PrecomputeBoundary);
+        let s = bte_like(false, GpuStrategy::PrecomputeBoundary);
         assert!(s.each_step_h2d().iter().all(|&n| n == "ghosts"));
         assert!(s.each_step_d2h().is_empty());
         let once = s.once();
@@ -269,9 +167,7 @@ mod tests {
 
     #[test]
     fn render_mentions_every_transfer() {
-        let p = bte_like(true);
-        let sys = p.analyze().unwrap();
-        let s = analyze_transfers(&p, &sys, GpuStrategy::AsyncBoundary);
+        let s = bte_like(true, GpuStrategy::AsyncBoundary);
         let text = s.render();
         for t in &s.transfers {
             assert!(text.contains(&t.name));

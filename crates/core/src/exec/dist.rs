@@ -1,31 +1,33 @@
 //! Distributed execution: the paper's two partitioning strategies with
-//! real message passing over `pbte-runtime` ranks.
+//! real message passing over `pbte-runtime` ranks. Every rank runs the
+//! one step driver ([`super::driver::drive`]) on its scope from
+//! [`crate::analysis::rank_scopes`]; what this module adds is the
+//! [`RankLinks`] between ranks and the merge of their results.
 //!
-//! **Cell partitioning** (`solve_cells`): the mesh is divided among ranks
-//! (RCB, the METIS stand-in). Before every stage each rank exchanges the
-//! unknown's values for its interface cells — *all* directions and bands,
-//! which is exactly the communication volume Fig 3 (top) illustrates —
-//! then updates its owned cells and runs the post-step callbacks on them.
-//! Results are bit-identical to the sequential target (each dof's update
-//! reads the same values in the same order).
+//! **Cell partitioning**: the mesh is divided among ranks (RCB, the METIS
+//! stand-in). Before every stage each rank exchanges the unknown's values
+//! for its interface cells — *all* directions and bands, which is exactly
+//! the communication volume Fig 3 (top) illustrates — then updates its
+//! owned cells and runs the post-step callbacks on them. Results are
+//! bit-identical to the sequential target (each dof's update reads the
+//! same values in the same order).
 //!
-//! **Band / equation partitioning** (`solve_bands`): one index of the
-//! unknown (the spectral band `b` in the BTE) is divided among ranks; every
-//! rank holds all cells. No halo exchange exists at all — the only
-//! communication is the reduction inside the temperature update, performed
-//! through the [`crate::problem::Reducer`] the user callback is handed
-//! (Fig 3, bottom). Because a cross-rank sum reassociates additions,
-//! results match the sequential target to rounding (≈1 ulp per reduced
-//! value), not bit-for-bit. Each rank may optionally drive its own
-//! simulated GPU (`gpu_cfg`) — the configuration of the paper's Fig 7.
+//! **Band / equation partitioning**: one index of the unknown (the
+//! spectral band `b` in the BTE) is divided among ranks; every rank holds
+//! all cells. No halo exchange exists at all — the only communication is
+//! the reduction inside the temperature update, performed through the
+//! [`crate::problem::Reducer`] the user callback is handed (Fig 3,
+//! bottom). Because a cross-rank sum reassociates additions, results match
+//! the sequential target to rounding (≈1 ulp per reduced value), not
+//! bit-for-bit. Each rank may drive its own simulated GPU — the
+//! configuration of the paper's Fig 7.
 
-use super::gpu::GpuWorker;
-use super::seq::{self, Scope};
-use super::{phases, CompiledProblem, SolveReport, StepLinks, WorkCounters};
+use super::driver::{run_scope, Dofs, Owned};
+use super::{CompiledProblem, ExecTarget, SolveReport, StepLinks, WorkCounters};
+use crate::analysis::RankScope;
 use crate::entities::Fields;
-use crate::problem::{DslError, GpuStrategy, Reducer, TimeStepper};
-use pbte_gpu::DeviceSpec;
-use pbte_mesh::partition::{partition_bands, Partition, PartitionMethod};
+use crate::problem::Reducer;
+use pbte_mesh::partition::partition_bands;
 use pbte_runtime::telemetry::{Recorder, SpanKind, TraceConfig, Track};
 use pbte_runtime::timer::PhaseTimer;
 use pbte_runtime::world::{CommStats, RankCtx, World};
@@ -34,9 +36,20 @@ use std::time::Instant;
 /// Tag for halo messages: `HALO_TAG + sender`.
 const HALO_TAG: u32 = 100;
 
-/// Links for a band-partitioned rank: reductions only, no halo.
-struct BandLinks<'a> {
+/// `(peer rank, my interface cells it needs)`, sorted by peer.
+type SendList = Vec<(usize, Vec<usize>)>;
+
+/// One rank's links to the others: reductions always; a halo exchange of
+/// the unknown when the rank has interface cells (cell partitioning — a
+/// band-partitioned rank has none, the defining property of equation
+/// partitioning).
+struct RankLinks<'a> {
     ctx: &'a mut RankCtx,
+    /// Every rank's send list (a rank unpacks a peer's message by the
+    /// peer's list for it).
+    send_lists: &'a [SendList],
+    unknown: usize,
+    n_flat: usize,
     comm_seconds: f64,
     /// Trace epoch shared with the rank's recorder; closed comm intervals
     /// are buffered here and drained into the recorder after each step
@@ -45,16 +58,23 @@ struct BandLinks<'a> {
     comm_spans: Vec<(SpanKind, f64, f64)>,
 }
 
-impl Reducer for BandLinks<'_> {
-    fn allreduce_sum(&mut self, buf: &mut [f64]) {
+impl RankLinks<'_> {
+    /// Run `comm`, adding its wall-clock to the rank's communication
+    /// seconds and buffering a trace interval of `kind`.
+    fn timed(&mut self, kind: SpanKind, comm: impl FnOnce(&mut Self)) {
         let s0 = self.cfg.now();
         let t = Instant::now();
-        self.ctx.allreduce_sum(buf);
+        comm(self);
         self.comm_seconds += t.elapsed().as_secs_f64();
         if self.cfg.is_enabled() {
-            self.comm_spans
-                .push((SpanKind::Allreduce, s0, self.cfg.now() - s0));
+            self.comm_spans.push((kind, s0, self.cfg.now() - s0));
         }
+    }
+}
+
+impl Reducer for RankLinks<'_> {
+    fn allreduce_sum(&mut self, buf: &mut [f64]) {
+        self.timed(SpanKind::Allreduce, |l| l.ctx.allreduce_sum(buf));
     }
     fn rank(&self) -> usize {
         self.ctx.rank
@@ -64,9 +84,39 @@ impl Reducer for BandLinks<'_> {
     }
 }
 
-impl StepLinks for BandLinks<'_> {
-    fn halo_exchange(&mut self, _fields: &mut Fields) -> f64 {
-        0.0 // the defining property of equation partitioning
+impl StepLinks for RankLinks<'_> {
+    fn halo_exchange(&mut self, fields: &mut Fields) {
+        let rank = self.ctx.rank;
+        let send_lists = self.send_lists;
+        if send_lists[rank].is_empty() {
+            return;
+        }
+        let (unknown, n_flat) = (self.unknown, self.n_flat);
+        self.timed(SpanKind::HaloExchange, |l| {
+            for (peer, cells) in &send_lists[rank] {
+                let mut buf = Vec::with_capacity(cells.len() * n_flat);
+                for flat in 0..n_flat {
+                    for &c in cells {
+                        buf.push(fields.value(unknown, c, flat));
+                    }
+                }
+                l.ctx.send(*peer, HALO_TAG + rank as u32, buf);
+            }
+            for (peer, _) in &send_lists[rank] {
+                let data = l.ctx.recv(*peer, HALO_TAG + *peer as u32);
+                let their_cells = send_lists[*peer]
+                    .iter()
+                    .find(|(p, _)| *p == rank)
+                    .map(|(_, cs)| cs)
+                    .expect("symmetric interface lists");
+                let mut it = data.into_iter();
+                for flat in 0..n_flat {
+                    for &c in their_cells {
+                        fields.set(unknown, c, flat, it.next().expect("packed size"));
+                    }
+                }
+            }
+        });
     }
     fn comm_seconds(&self) -> f64 {
         self.comm_seconds
@@ -75,634 +125,228 @@ impl StepLinks for BandLinks<'_> {
         self.ctx.stats.bytes
     }
     fn drain_comm_spans(&mut self, rec: &mut Recorder, step: usize) {
-        drain_comm_spans(rec, &mut self.comm_spans, step);
-    }
-}
-
-/// Links for a cell-partitioned rank: halo exchange + reductions.
-struct CellLinks<'a> {
-    ctx: &'a mut RankCtx,
-    /// `(peer rank, my interface cells it needs)`, sorted by peer.
-    send_lists: &'a [Vec<(usize, Vec<usize>)>],
-    rank: usize,
-    unknown: usize,
-    n_flat: usize,
-    comm_seconds: f64,
-    cfg: TraceConfig,
-    comm_spans: Vec<(SpanKind, f64, f64)>,
-}
-
-impl Reducer for CellLinks<'_> {
-    fn allreduce_sum(&mut self, buf: &mut [f64]) {
-        let s0 = self.cfg.now();
-        let t = Instant::now();
-        self.ctx.allreduce_sum(buf);
-        self.comm_seconds += t.elapsed().as_secs_f64();
-        if self.cfg.is_enabled() {
-            self.comm_spans
-                .push((SpanKind::Allreduce, s0, self.cfg.now() - s0));
+        for (kind, t0, dur) in self.comm_spans.drain(..) {
+            let name = match kind {
+                SpanKind::HaloExchange => "halo exchange",
+                _ => "allreduce",
+            };
+            rec.span(
+                kind,
+                name,
+                t0,
+                dur,
+                Track::Host,
+                vec![("step", step.to_string())],
+            );
         }
     }
-    fn rank(&self) -> usize {
-        self.ctx.rank
-    }
-    fn n_ranks(&self) -> usize {
-        self.ctx.n_ranks
-    }
 }
 
-impl StepLinks for CellLinks<'_> {
-    fn halo_exchange(&mut self, fields: &mut Fields) -> f64 {
-        let s0 = self.cfg.now();
-        let t0 = Instant::now();
-        let rank = self.rank;
-        for (peer, cells) in &self.send_lists[rank] {
-            let mut buf = Vec::with_capacity(cells.len() * self.n_flat);
-            for flat in 0..self.n_flat {
-                for &c in cells {
-                    buf.push(fields.value(self.unknown, c, flat));
-                }
+/// Interface send lists of a cell partition, derived from the rank
+/// scopes: for every interior face whose two cells live on different
+/// ranks, each side sends its cell to the other. Sorted and deduplicated
+/// for a deterministic packing order shared by sender and receiver.
+fn interface_send_lists(cp: &CompiledProblem, scopes: &[RankScope]) -> Vec<SendList> {
+    let mesh = cp.mesh();
+    let mut part = vec![0usize; mesh.n_cells()];
+    for (r, (cells, _)) in scopes.iter().enumerate() {
+        for &c in cells {
+            part[c] = r;
+        }
+    }
+    let mut lists: Vec<std::collections::BTreeMap<usize, Vec<usize>>> =
+        vec![Default::default(); scopes.len()];
+    for f in &mesh.faces {
+        let Some(nb) = f.neighbor else { continue };
+        let (a, b) = (part[f.owner], part[nb]);
+        if a != b {
+            lists[a].entry(b).or_default().push(f.owner);
+            lists[b].entry(a).or_default().push(nb);
+        }
+    }
+    lists
+        .into_iter()
+        .map(|per_peer| {
+            per_peer
+                .into_iter()
+                .map(|(peer, mut cells)| {
+                    cells.sort_unstable();
+                    cells.dedup();
+                    (peer, cells)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The band partition of a band-distributed target: the partitioned
+/// index and each rank's range of it.
+struct Bands {
+    index: String,
+    index_id: usize,
+    ranges: Vec<std::ops::Range<usize>>,
+}
+
+impl Bands {
+    /// The `(variable, flat)` rows rank `rank` ships back: its owned flats
+    /// of the unknown, the rows of variables carrying the partitioned
+    /// index that fall in its range, and (from rank 0 only) variables
+    /// without that index — identical on all ranks after the reduction.
+    fn owned_rows(
+        &self,
+        cp: &CompiledProblem,
+        local: &Fields,
+        rank: usize,
+        flats: &[usize],
+    ) -> Vec<(usize, usize)> {
+        let registry = &cp.problem.registry;
+        let range = &self.ranges[rank];
+        let mut rows = Vec::new();
+        for v in 0..local.n_vars() {
+            let v_indices = &registry.variables[v].indices;
+            if v == cp.system.unknown {
+                rows.extend(flats.iter().map(|&flat| (v, flat)));
+            } else if let Some(pos) = v_indices.iter().position(|&i| i == self.index_id) {
+                // Decode against the variable's own strides.
+                let stride = registry.strides(v_indices)[pos];
+                let extent = registry.indices[self.index_id].len;
+                rows.extend(
+                    (0..local.flat_len(v))
+                        .filter(|flat| range.contains(&((flat / stride) % extent)))
+                        .map(|flat| (v, flat)),
+                );
+            } else if rank == 0 {
+                rows.extend((0..local.flat_len(v)).map(|flat| (v, flat)));
             }
-            self.ctx.send(*peer, HALO_TAG + rank as u32, buf);
         }
-        for (peer, _) in &self.send_lists[rank] {
-            let data = self.ctx.recv(*peer, HALO_TAG + *peer as u32);
-            let their_cells = self.send_lists[*peer]
-                .iter()
-                .find(|(p, _)| *p == rank)
-                .map(|(_, cs)| cs)
-                .expect("symmetric interface lists");
-            let mut it = data.into_iter();
-            for flat in 0..self.n_flat {
-                for &c in their_cells {
-                    fields.set(self.unknown, c, flat, it.next().expect("packed size"));
-                }
-            }
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        self.comm_seconds += secs;
-        if self.cfg.is_enabled() {
-            self.comm_spans
-                .push((SpanKind::HaloExchange, s0, self.cfg.now() - s0));
-        }
-        secs
-    }
-    fn comm_seconds(&self) -> f64 {
-        self.comm_seconds
-    }
-    fn comm_bytes(&self) -> u64 {
-        self.ctx.stats.bytes
-    }
-    fn drain_comm_spans(&mut self, rec: &mut Recorder, step: usize) {
-        drain_comm_spans(rec, &mut self.comm_spans, step);
-    }
-}
-
-/// Drain comm intervals a links object buffered into the rank recorder.
-fn drain_comm_spans(rec: &mut Recorder, spans: &mut Vec<(SpanKind, f64, f64)>, step: usize) {
-    for (kind, t0, dur) in spans.drain(..) {
-        let name = match kind {
-            SpanKind::HaloExchange => "halo exchange",
-            _ => "allreduce",
-        };
-        rec.span(
-            kind,
-            name,
-            t0,
-            dur,
-            Track::Host,
-            vec![("step", step.to_string())],
-        );
+        rows
     }
 }
 
 /// Per-rank result carried back to the caller.
 struct RankResult {
-    rank: usize,
     /// The rank's recorder: phase seconds, work counters, and (when
     /// buffering) the rank's spans/events/step records.
     rec: Recorder,
-    stats: CommStats,
-    /// Per-rank device profile (band+GPU target).
-    device: Option<pbte_gpu::ProfileReport>,
-    /// `(variable id, flat, values over all cells or owned cells)`.
+    report: SolveReport,
+    /// `(variable id, flat, values over the rank's cells)`.
     payload: Vec<(usize, usize, Vec<f64>)>,
-    /// Steps actually taken (pseudo-transient steady stops early; the
-    /// exact-reduction SER controller makes this identical on all ranks).
-    steps: usize,
 }
 
-/// Cell-partitioned solve.
-pub fn solve_cells(
+/// Solve on message-passing ranks, one per scope.
+pub(crate) fn solve(
     cp: &CompiledProblem,
     fields: &mut Fields,
-    ranks: usize,
+    target: &ExecTarget,
+    scopes: &[RankScope],
     rec: &mut Recorder,
-) -> Result<SolveReport, DslError> {
-    cp.debug_verify(&super::ExecTarget::DistCells { ranks });
-    let mesh = cp.mesh();
-    if ranks > mesh.n_cells() {
-        return Err(DslError::Invalid(format!(
-            "{ranks} ranks for {} cells",
-            mesh.n_cells()
-        )));
-    }
-    let partition = Partition::build(mesh, ranks, PartitionMethod::Rcb);
-    let n_flat = cp.n_flat;
-    let unknown = cp.system.unknown;
-    let init_fields: &Fields = fields;
-
-    // Per-rank owned cells and interface send lists (sorted for a
-    // deterministic packing order shared by sender and receiver).
-    let mut owned: Vec<Vec<usize>> = Vec::with_capacity(ranks);
-    let mut send_lists: Vec<Vec<(usize, Vec<usize>)>> = Vec::with_capacity(ranks);
-    for r in 0..ranks {
-        owned.push(partition.cells_of(r));
-        let mut per_peer: Vec<(usize, Vec<usize>)> = Vec::new();
-        for &fid in &partition.interface_faces(mesh, r) {
-            let f = &mesh.faces[fid];
-            let nb = f.neighbor.expect("interface faces are interior");
-            let (mine, theirs) = if partition.cell_part[f.owner] as usize == r {
-                (f.owner, nb)
-            } else {
-                (nb, f.owner)
+) -> SolveReport {
+    let ranks = scopes.len();
+    let registry = &cp.problem.registry;
+    let (bands, send_lists) = match target {
+        ExecTarget::DistBands { index, .. } | ExecTarget::DistBandsGpu { index, .. } => {
+            let index_id = registry.index_id(index).expect("checked by rank_scopes");
+            let bands = Bands {
+                index: index.clone(),
+                index_id,
+                ranges: partition_bands(registry.indices[index_id].len, ranks),
             };
-            let peer = partition.cell_part[theirs] as usize;
-            match per_peer.iter_mut().find(|(p, _)| *p == peer) {
-                Some((_, cells)) => cells.push(mine),
-                None => per_peer.push((peer, vec![mine])),
-            }
+            (Some(bands), vec![SendList::new(); ranks])
         }
-        for (_, cells) in &mut per_peer {
-            cells.sort_unstable();
-            cells.dedup();
-        }
-        per_peer.sort_by_key(|(p, _)| *p);
-        send_lists.push(per_peer);
-    }
-
-    if cp.problem.integrator.is_implicit() && cp.jvp.is_none() {
-        return Err(DslError::Invalid(
-            "implicit integrator requires a compiled JVP plan".into(),
-        ));
-    }
+        _ => (None, interface_send_lists(cp, scopes)),
+    };
+    let init_fields: &Fields = fields;
     let cfg = rec.config();
     let seed = rec.seed();
     // One cost estimate for the whole job; each rank narrows it to its
     // owned scope (transfer-byte terms are dropped — they only apply to
     // the single-device target where the full-problem schedule is exact).
-    let base_cost = rec
-        .enabled()
-        .then(|| super::live_cost(cp, &super::ExecTarget::DistCells { ranks }));
+    let base_cost = rec.enabled().then(|| super::live_cost(cp, target));
     let results: Vec<RankResult> = World::run(ranks, |ctx| {
         let rank = ctx.rank;
+        let (cells, flats) = &scopes[rank];
         let mut local = init_fields.clone();
-        let my_cells = &owned[rank];
-        let all_flats: Vec<usize> = (0..n_flat).collect();
         let mut r = seed.recorder(rank as u32);
         if let Some(base) = base_cost {
-            r.set_cost_expectation(super::scope_cost(base, cp, my_cells, &all_flats));
+            r.set_cost_expectation(super::scope_cost(base, cp, cells, flats));
         }
-        let mut links = CellLinks {
+        let d = Dofs {
+            cells,
+            flats,
+            n_cells: local.n_cells,
+        };
+        let owned = match &bands {
+            Some(b) => Owned {
+                index_range: Some((b.index.clone(), b.ranges[rank].clone())),
+                cells: None,
+            },
+            None => Owned {
+                index_range: None,
+                cells: Some(cells),
+            },
+        };
+        let mut links = RankLinks {
             ctx,
             send_lists: &send_lists,
-            rank,
-            unknown,
-            n_flat,
+            unknown: cp.system.unknown,
+            n_flat: cp.n_flat,
             comm_seconds: 0.0,
             cfg,
             comm_spans: Vec::new(),
         };
+        // Halos and exact-dot limb reductions flow through the links, so
+        // the implicit integrators' Krylov iteration sees global scalars
+        // and stays rank-count-independent.
+        let mut report = run_scope(cp, &mut local, d, target, &owned, &mut links, &mut r);
+        report.comm = links.ctx.stats;
 
-        let steps = if cp.problem.integrator.is_implicit() {
-            // Implicit / steady: the generic driver runs the θ-step with
-            // this rank's owned-cell scope; halos and exact-dot limb
-            // reductions flow through the links, so the Krylov iteration
-            // sees global scalars and stays rank-count-independent.
-            let jcp = cp.jvp.as_deref().expect("validated before World::run");
-            let d = super::implicit::Dofs {
-                cells: my_cells,
-                flats: &all_flats,
-                n_cells: local.n_cells,
-            };
-            let mut backend =
-                super::implicit::CpuBackend::new(cp, jcp, my_cells, &all_flats, false);
-            super::implicit::drive(
-                cp,
-                &mut backend,
-                &mut local,
-                d,
-                None,
-                Some(my_cells),
-                &mut links,
-                &mut r,
-                1,
-            )
-            .expect("integrator validated before World::run")
-        } else {
-            let scope = Scope {
-                cells: my_cells,
-                flats: &all_flats,
-            };
-            let mut ghosts = vec![0.0; cp.boundary.len() * n_flat];
-            let mut rhs = vec![0.0; n_flat * local.n_cells];
-            let mut rhs2 = if cp.problem.stepper == TimeStepper::Rk2 {
-                vec![0.0; n_flat * local.n_cells]
-            } else {
-                Vec::new()
-            };
-            let mut kernels = super::rows::IntensityKernels::for_scope(cp, &all_flats);
-            let mut time = 0.0;
-            let mut prev_bytes = 0u64;
-            for step in 0..cp.problem.n_steps {
-                links.comm_seconds = 0.0;
-                let (ti, tt, tc) = seq::step_scope(
-                    cp,
-                    &mut local,
-                    &scope,
-                    &mut ghosts,
-                    &mut rhs,
-                    &mut rhs2,
-                    time,
-                    step,
-                    None,
-                    Some(my_cells),
-                    &mut links,
-                    &mut r,
-                    1,
-                    &mut kernels,
-                );
-                drain_comm_spans(&mut r, &mut links.comm_spans, step);
-                r.phase(phases::INTENSITY, ti);
-                // Reduction time inside callbacks is also communication.
-                let extra = (links.comm_seconds - tc).max(0.0);
-                let t_temp = (tt - extra).max(0.0);
-                r.phase(phases::TEMPERATURE, t_temp);
-                r.phase(phases::COMMUNICATION, links.comm_seconds);
-                let bytes = links.ctx.stats.bytes - prev_bytes;
-                prev_bytes = links.ctx.stats.bytes;
-                r.step_done(
-                    step,
-                    &[
-                        (phases::INTENSITY, ti),
-                        (phases::TEMPERATURE, t_temp),
-                        (phases::COMMUNICATION, links.comm_seconds),
-                    ],
-                    bytes,
-                );
-                time += cp.problem.dt;
-            }
-            cp.problem.n_steps
+        // Ship the rank's owned rows (restricted to its cells) back.
+        let rows = match &bands {
+            Some(b) => b.owned_rows(cp, &local, rank, flats),
+            None => (0..local.n_vars())
+                .flat_map(|v| (0..local.flat_len(v)).map(move |flat| (v, flat)))
+                .collect(),
         };
-
-        // Ship every variable's values on owned cells back to rank 0.
-        let mut payload = Vec::new();
-        for v in 0..local.n_vars() {
-            for flat in 0..local.flat_len(v) {
-                let values: Vec<f64> = my_cells.iter().map(|&c| local.value(v, c, flat)).collect();
-                payload.push((v, flat, values));
-            }
-        }
-        let stats = links.ctx.stats;
+        let payload = rows
+            .into_iter()
+            .map(|(v, flat)| {
+                let values = cells.iter().map(|&c| local.value(v, c, flat)).collect();
+                (v, flat, values)
+            })
+            .collect();
         RankResult {
-            rank,
             rec: r,
-            stats,
-            device: None,
+            report,
             payload,
-            steps,
         }
     });
 
-    // Assemble the global solution.
-    for res in &results {
-        let cells = &owned[res.rank];
+    // Assemble the global solution from the owner of every row.
+    for (res, (cells, _)) in results.iter().zip(scopes) {
         for (v, flat, values) in &res.payload {
-            for (k, &c) in cells.iter().enumerate() {
-                fields.set(*v, c, *flat, values[k]);
-            }
-        }
-    }
-    Ok(reduce_reports(cp, results, rec))
-}
-
-/// Band-partitioned solve (optionally GPU-accelerated per rank).
-pub fn solve_bands(
-    cp: &CompiledProblem,
-    fields: &mut Fields,
-    ranks: usize,
-    index: &str,
-    gpu_cfg: Option<(DeviceSpec, GpuStrategy)>,
-    rec: &mut Recorder,
-) -> Result<SolveReport, DslError> {
-    let target = match &gpu_cfg {
-        Some((spec, strategy)) => super::ExecTarget::DistBandsGpu {
-            ranks,
-            index: index.to_string(),
-            spec: spec.clone(),
-            strategy: *strategy,
-        },
-        None => super::ExecTarget::DistBands {
-            ranks,
-            index: index.to_string(),
-        },
-    };
-    cp.debug_verify(&target);
-    let registry = &cp.problem.registry;
-    let index_id = registry
-        .index_id(index)
-        .ok_or_else(|| DslError::Invalid(format!("no index `{index}`")))?;
-    let unknown = cp.system.unknown;
-    let slot = registry.variables[unknown]
-        .indices
-        .iter()
-        .position(|&i| i == index_id)
-        .ok_or_else(|| DslError::Invalid(format!("`{index}` is not an index of the unknown")))?;
-    let len = registry.indices[index_id].len;
-    if gpu_cfg.is_some() && cp.problem.stepper == TimeStepper::Rk2 {
-        return Err(DslError::Invalid(
-            "the GPU target supports the Euler stepper only".into(),
-        ));
-    }
-    if cp.problem.integrator.is_implicit() && cp.jvp.is_none() {
-        return Err(DslError::Invalid(
-            "implicit integrator requires a compiled JVP plan".into(),
-        ));
-    }
-    let _ = slot; // ownership derivation shared with the race analysis below
-    let ranges = partition_bands(len, ranks);
-    let n_flat = cp.n_flat;
-    let init_fields: &Fields = fields;
-
-    // Owned flats per rank: the same synthesized band partition the
-    // static analysis proves disjoint — executor and proof cannot drift.
-    let owned_flats: Vec<Vec<usize>> =
-        crate::analysis::band_owned_flats(cp, ranks, index).expect("index validated above");
-
-    let cfg = rec.config();
-    let seed = rec.seed();
-    let base_cost = rec.enabled().then(|| super::live_cost(cp, &target));
-    let results: Vec<RankResult> = World::run(ranks, |ctx| {
-        let rank = ctx.rank;
-        let mut local = init_fields.clone();
-        let my_flats = &owned_flats[rank];
-        let all_cells: Vec<usize> = (0..local.n_cells).collect();
-        let mut r = seed.recorder(rank as u32);
-        if let Some(base) = base_cost {
-            r.set_cost_expectation(super::scope_cost(base, cp, &all_cells, my_flats));
-        }
-        let mut device = None;
-        let mut time = 0.0;
-        let range = ranges[rank].clone();
-        let mut links = BandLinks {
-            ctx,
-            comm_seconds: 0.0,
-            cfg,
-            comm_spans: Vec::new(),
-        };
-
-        let mut steps = cp.problem.n_steps;
-        let mut prev_bytes = 0u64;
-        if cp.problem.integrator.is_implicit() {
-            // Implicit / steady over the band partition: every rank sweeps
-            // its owned flats over all cells (no halo, by construction);
-            // the Krylov scalars are global through the links' exact limb
-            // reduction, so all ranks take identical trajectories.
-            let jcp = cp.jvp.as_deref().expect("validated before World::run");
-            let d = super::implicit::Dofs {
-                cells: &all_cells,
-                flats: my_flats,
-                n_cells: local.n_cells,
-            };
-            let owned = Some((index.to_string(), range.clone()));
-            steps = if let Some((spec, _strategy)) = &gpu_cfg {
-                let mut backend =
-                    super::gpu::GpuImplicitBackend::new(cp, jcp, &local, my_flats, spec.clone());
-                let steps = super::implicit::drive(
-                    cp,
-                    &mut backend,
-                    &mut local,
-                    d,
-                    owned,
-                    None,
-                    &mut links,
-                    &mut r,
-                    rayon::current_num_threads(),
-                )
-                .expect("integrator validated before World::run");
-                let prof = backend.finish();
-                r.phase(phases::INTENSITY_GPU, prof.kernel_time());
-                r.phase(phases::COMM_GPU, prof.transfer_time());
-                r.device_summary(super::gpu::device_summary_from(&prof, rank as u32));
-                device = Some(prof);
-                steps
-            } else {
-                let mut backend =
-                    super::implicit::CpuBackend::new(cp, jcp, &all_cells, my_flats, false);
-                super::implicit::drive(
-                    cp,
-                    &mut backend,
-                    &mut local,
-                    d,
-                    owned,
-                    None,
-                    &mut links,
-                    &mut r,
-                    1,
-                )
-                .expect("integrator validated before World::run")
-            };
-        } else if let Some((spec, strategy)) = &gpu_cfg {
-            // GPU path: one simulated device per rank.
-            let mut worker = GpuWorker::new(cp, &local, my_flats, spec.clone(), *strategy);
-            for step in 0..cp.problem.n_steps {
-                links.comm_seconds = 0.0;
-                let times = worker.step(
-                    cp,
-                    &mut local,
-                    time,
-                    step,
-                    Some((index.to_string(), range.clone())),
-                    &mut links,
-                    &mut r,
-                    rayon::current_num_threads(),
-                );
-                drain_comm_spans(&mut r, &mut links.comm_spans, step);
-                r.phase(phases::INTENSITY_GPU, times.kernel);
-                r.phase(phases::COMM_GPU, times.transfer);
-                let t_temp = (times.host - links.comm_seconds).max(0.0);
-                r.phase(phases::TEMPERATURE_CPU, t_temp);
-                r.phase(phases::COMMUNICATION, links.comm_seconds);
-                let bytes = links.ctx.stats.bytes - prev_bytes;
-                prev_bytes = links.ctx.stats.bytes;
-                r.step_done(
-                    step,
-                    &[
-                        (phases::INTENSITY_GPU, times.kernel),
-                        (phases::COMM_GPU, times.transfer),
-                        (phases::TEMPERATURE_CPU, t_temp),
-                        (phases::COMMUNICATION, links.comm_seconds),
-                    ],
-                    bytes,
-                );
-                time += cp.problem.dt;
-            }
-            worker.flush(cp, &mut local);
-            let prof = worker.finish();
-            r.device_summary(super::gpu::device_summary_from(&prof, rank as u32));
-            device = Some(prof);
-        } else {
-            // CPU path.
-            let scope = Scope {
-                cells: &all_cells,
-                flats: my_flats,
-            };
-            let mut ghosts = vec![0.0; cp.boundary.len() * n_flat];
-            let mut rhs = vec![0.0; n_flat * local.n_cells];
-            let mut rhs2 = if cp.problem.stepper == TimeStepper::Rk2 {
-                vec![0.0; n_flat * local.n_cells]
-            } else {
-                Vec::new()
-            };
-            let mut kernels = super::rows::IntensityKernels::for_scope(cp, my_flats);
-            for step in 0..cp.problem.n_steps {
-                links.comm_seconds = 0.0;
-                let (ti, tt, _tc) = seq::step_scope(
-                    cp,
-                    &mut local,
-                    &scope,
-                    &mut ghosts,
-                    &mut rhs,
-                    &mut rhs2,
-                    time,
-                    step,
-                    Some((index.to_string(), range.clone())),
-                    None,
-                    &mut links,
-                    &mut r,
-                    1,
-                    &mut kernels,
-                );
-                drain_comm_spans(&mut r, &mut links.comm_spans, step);
-                r.phase(phases::INTENSITY, ti);
-                let t_temp = (tt - links.comm_seconds).max(0.0);
-                r.phase(phases::TEMPERATURE, t_temp);
-                r.phase(phases::COMMUNICATION, links.comm_seconds);
-                let bytes = links.ctx.stats.bytes - prev_bytes;
-                prev_bytes = links.ctx.stats.bytes;
-                r.step_done(
-                    step,
-                    &[
-                        (phases::INTENSITY, ti),
-                        (phases::TEMPERATURE, t_temp),
-                        (phases::COMMUNICATION, links.comm_seconds),
-                    ],
-                    bytes,
-                );
-                time += cp.problem.dt;
-            }
-        }
-        let mut payload = Vec::new();
-        collect_band_payload(cp, &local, my_flats, slot, &range, &mut payload);
-        let stats = links.ctx.stats;
-        RankResult {
-            rank,
-            rec: r,
-            stats,
-            device,
-            payload,
-            steps,
-        }
-    });
-
-    // Assemble: variables carrying the partitioned index come from their
-    // owner rank; everything else is identical on all ranks (the reduction
-    // makes the redundant temperature solve agree), taken from rank 0.
-    for res in &results {
-        for (v, flat, values) in &res.payload {
-            debug_assert_eq!(values.len(), fields.n_cells);
-            for (c, &val) in values.iter().enumerate() {
+            for (&c, &val) in cells.iter().zip(values) {
                 fields.set(*v, c, *flat, val);
             }
         }
     }
-    Ok(reduce_reports(cp, results, rec))
-}
-
-/// Pack a band-partitioned rank's owned data: owned flats of the unknown,
-/// owned rows of variables carrying the partitioned index, and (from rank 0
-/// only) variables without that index.
-fn collect_band_payload(
-    cp: &CompiledProblem,
-    local: &Fields,
-    my_flats: &[usize],
-    slot: usize,
-    range: &std::ops::Range<usize>,
-    payload: &mut Vec<(usize, usize, Vec<f64>)>,
-) {
-    let registry = &cp.problem.registry;
-    let unknown = cp.system.unknown;
-    let index_id = registry.variables[unknown].indices[slot];
-    let n_cells = local.n_cells;
-    for v in 0..local.n_vars() {
-        let carries = registry.variables[v].indices.contains(&index_id);
-        if v == unknown {
-            for &flat in my_flats {
-                payload.push((
-                    v,
-                    flat,
-                    local.slice(v)[flat * n_cells..(flat + 1) * n_cells].to_vec(),
-                ));
-            }
-        } else if carries {
-            // Which flats of this variable fall in the owned range of the
-            // partitioned index? Decode against the variable's own strides.
-            let v_indices = registry.variables[v].indices.clone();
-            let pos = v_indices
-                .iter()
-                .position(|&i| i == index_id)
-                .expect("carries the index");
-            let strides = registry.strides(&v_indices);
-            let extent = registry.indices[v_indices[pos]].len;
-            for flat in 0..local.flat_len(v) {
-                let val = (flat / strides[pos]) % extent;
-                if range.contains(&val) {
-                    payload.push((
-                        v,
-                        flat,
-                        local.slice(v)[flat * n_cells..(flat + 1) * n_cells].to_vec(),
-                    ));
-                }
-            }
-        } else if range.start == 0 {
-            // Rank 0 ships index-free variables (identical everywhere
-            // after the reduction).
-            for flat in 0..local.flat_len(v) {
-                payload.push((
-                    v,
-                    flat,
-                    local.slice(v)[flat * n_cells..(flat + 1) * n_cells].to_vec(),
-                ));
-            }
-        }
-    }
+    reduce_reports(results, rec)
 }
 
 /// Merge per-rank reports: phase times take the max over ranks (wall-clock
 /// semantics), work and bytes sum, device profiles merge, and each rank's
 /// telemetry buffers are absorbed into the caller's recorder (preserving
 /// rank attribution on every span).
-fn reduce_reports(
-    cp: &CompiledProblem,
-    results: Vec<RankResult>,
-    rec: &mut Recorder,
-) -> SolveReport {
-    let mut timer = PhaseTimer::new();
-    let mut comm = CommStats::default();
-    let mut work = WorkCounters::default();
+fn reduce_reports(results: Vec<RankResult>, rec: &mut Recorder) -> SolveReport {
+    let mut merged = SolveReport {
+        steps: 0,
+        timer: PhaseTimer::new(),
+        comm: CommStats::default(),
+        work: WorkCounters::default(),
+        device: None,
+    };
     let mut names: Vec<String> = Vec::new();
     for r in &results {
-        for (name, _) in r.rec.phases.phases() {
+        for (name, _) in r.report.timer.phases() {
             if !names.iter().any(|n| n == name) {
                 names.push(name.to_string());
             }
@@ -711,36 +355,27 @@ fn reduce_reports(
     for name in &names {
         let max = results
             .iter()
-            .map(|r| r.rec.phases.get(name))
+            .map(|r| r.report.timer.get(name))
             .fold(0.0f64, f64::max);
-        timer.add(name, max);
+        merged.timer.add(name, max);
     }
-    let mut device: Option<pbte_gpu::ProfileReport> = None;
-    let steps = results
-        .iter()
-        .map(|r| r.steps)
-        .max()
-        .unwrap_or(cp.problem.n_steps);
     for r in results {
-        comm.messages += r.stats.messages;
-        comm.bytes += r.stats.bytes;
-        work.merge(&r.rec.work);
-        if let Some(p) = r.device {
-            match &mut device {
+        // Pseudo-transient steady stops early; the exact-reduction SER
+        // controller makes the count identical on all ranks.
+        merged.steps = merged.steps.max(r.report.steps);
+        merged.comm.messages += r.report.comm.messages;
+        merged.comm.bytes += r.report.comm.bytes;
+        merged.work.merge(&r.report.work);
+        if let Some(p) = r.report.device {
+            match &mut merged.device {
                 Some(d) => d.merge(&p),
-                None => device = Some(p),
+                None => merged.device = Some(p),
             }
         }
         rec.absorb_rank(r.rec);
     }
     // The job-level phase account uses the max-over-ranks semantics, not
     // the per-rank sum, so merge the reduced timer rather than each rank's.
-    rec.phases.merge(&timer);
-    SolveReport {
-        steps,
-        timer,
-        comm,
-        work,
-        device,
-    }
+    rec.phases.merge(&merged.timer);
+    merged
 }

@@ -1,0 +1,612 @@
+//! The one step driver.
+//!
+//! Every target and every integrator runs the same time loop, [`drive`]:
+//!
+//! ```text
+//! for step = 1:Nsteps
+//!   (pre-step callbacks)                                } temperature phase
+//!   stage: explicit Euler/RK2, or one θ-scheme Newton   } intensity phase
+//!     halo exchange → ghosts → RHS sweep → update       }
+//!   (post-step callbacks: temperature update)           } temperature phase
+//!   account phases, communication, spans; time += dt
+//! ```
+//!
+//! What differs between targets is confined to three values the caller
+//! hands in: a [`Backend`] (how one RHS sweep and one update run over the
+//! rank's dofs — serial, rayon, or on the simulated device), a
+//! [`StepLinks`] (halo exchange and reductions — none, or message
+//! passing), and the rank's [`Dofs`] scope from
+//! [`crate::analysis::rank_scopes`]. [`solve`] picks them per
+//! [`ExecTarget`].
+
+use super::gpu::GpuBackend;
+use super::implicit::{theta_step, ImplicitWorkspace};
+use super::rows::IntensityKernels;
+use super::{
+    dist, gpu, live_cost, par, phases, seq, CompiledProblem, ExecTarget, LocalLinks, SolveReport,
+    StepLinks,
+};
+use crate::entities::Fields;
+use crate::problem::{DslError, Integrator, KernelTier, TimeStepper};
+use pbte_runtime::telemetry::{Recorder, SpanKind, Track, WorkCounters};
+use std::time::Instant;
+
+/// Which compiled plan a backend RHS sweep evaluates.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Plan {
+    /// The primal RHS `f(u)`.
+    Main,
+    /// The linearization `J·v` (the JVP plan under `CompiledProblem::jvp`).
+    Jvp,
+}
+
+/// The dof set a rank owns, in the global `flat * n_cells + cell` layout.
+#[derive(Clone, Copy)]
+pub(crate) struct Dofs<'a> {
+    /// Owned cells (global ids).
+    pub cells: &'a [usize],
+    /// Owned flattened index values.
+    pub flats: &'a [usize],
+    pub n_cells: usize,
+}
+
+impl Dofs<'_> {
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.flats
+            .iter()
+            .flat_map(move |&f| self.cells.iter().map(move |&c| f * self.n_cells + c))
+    }
+}
+
+/// What a rank's step callbacks are told they own.
+#[derive(Default)]
+pub(crate) struct Owned<'a> {
+    /// Band partitioning: the partitioned index and this rank's range.
+    pub index_range: Option<(String, std::ops::Range<usize>)>,
+    /// Cell partitioning: this rank's cells.
+    pub cells: Option<&'a [usize]>,
+}
+
+/// What a device backend reports for one explicit stage. Its presence
+/// switches the step's phase names to the GPU lineage's.
+pub(crate) struct StepTimes {
+    /// Simulated device seconds in the intensity kernel.
+    pub kernel: f64,
+    /// Simulated host↔device transfer seconds.
+    pub transfer: f64,
+    /// Host wall-clock seconds inside the stage (boundary ghosts and the
+    /// async strategy's boundary contribution), reported with the
+    /// callbacks as `temperature update(CPU)`.
+    pub host: f64,
+}
+
+/// The per-target evaluation engine the driver runs on. All
+/// implementations are bit-identical per dof: every sweep bottoms out in
+/// [`super::rows::rhs_block`].
+pub(crate) trait Backend {
+    /// The kernel tier the sweeps run at (span attribution).
+    fn tier(&self) -> KernelTier;
+
+    /// Boundary ghosts, then one RHS sweep of `plan` over the backend's
+    /// scope into `out[flat * n_cells + cell]`.
+    fn rhs(
+        &mut self,
+        plan: &CompiledProblem,
+        which: Plan,
+        fields: &Fields,
+        time: f64,
+        out: &mut [f64],
+        work: &mut WorkCounters,
+    );
+
+    /// `u += coeff * rhs` over the scope.
+    fn update(&mut self, fields: &mut Fields, unknown: usize, d: Dofs, coeff: f64, rhs: &[f64]) {
+        axpy(fields, unknown, d, coeff, rhs);
+    }
+
+    /// One forward-Euler stage `u += dt·f(u, time)`, leaving `f` in `k`.
+    /// The device backend overrides this with its fused transfer → kernel
+    /// → transfer sequence and returns the simulated times.
+    #[allow(clippy::too_many_arguments)]
+    fn explicit_stage(
+        &mut self,
+        cp: &CompiledProblem,
+        fields: &mut Fields,
+        d: Dofs,
+        time: f64,
+        step: usize,
+        k: &mut [f64],
+        rec: &mut Recorder,
+    ) -> Option<StepTimes> {
+        traced_rhs(self, cp, fields, d, time, step, k, rec);
+        self.update(fields, cp.system.unknown, d, cp.problem.dt, k);
+        None
+    }
+
+    /// Close the run: reconcile any device-resident state into `fields`
+    /// and hand back the device profile (device backends only).
+    fn finish(
+        &mut self,
+        _cp: &CompiledProblem,
+        _fields: &mut Fields,
+    ) -> Option<pbte_gpu::ProfileReport> {
+        None
+    }
+}
+
+/// Serial `u += coeff * rhs` over a scope.
+fn axpy(fields: &mut Fields, unknown: usize, d: Dofs, coeff: f64, rhs: &[f64]) {
+    let u = fields.slice_mut(unknown);
+    for &flat in d.flats {
+        for &cell in d.cells {
+            u[flat * d.n_cells + cell] += coeff * rhs[flat * d.n_cells + cell];
+        }
+    }
+}
+
+/// A primal RHS sweep wrapped in a `Kernel` span with tier attribution,
+/// so traces show which tier actually ran (the resolved tier may differ
+/// from the requested one after clamping or native fallback).
+#[allow(clippy::too_many_arguments)]
+fn traced_rhs<B: Backend + ?Sized>(
+    backend: &mut B,
+    cp: &CompiledProblem,
+    fields: &Fields,
+    d: Dofs,
+    time: f64,
+    step: usize,
+    out: &mut [f64],
+    rec: &mut Recorder,
+) {
+    let k0 = rec.now();
+    backend.rhs(cp, Plan::Main, fields, time, out, &mut rec.work);
+    if rec.enabled() {
+        let dur = rec.now() - k0;
+        rec.span(
+            SpanKind::Kernel,
+            "intensity_rhs",
+            k0,
+            dur,
+            Track::Host,
+            vec![
+                ("step", step.to_string()),
+                ("tier", backend.tier().name().to_string()),
+                ("dofs", (d.flats.len() * d.cells.len()).to_string()),
+            ],
+        );
+    }
+}
+
+/// Per-plan CPU sweep state.
+struct CpuPlan {
+    kernels: IntensityKernels,
+    ghosts: Vec<f64>,
+}
+
+impl CpuPlan {
+    fn new(plan: &CompiledProblem, flats: &[usize]) -> CpuPlan {
+        CpuPlan {
+            kernels: IntensityKernels::for_scope(plan, flats),
+            ghosts: vec![0.0; plan.boundary.len() * plan.n_flat],
+        }
+    }
+}
+
+/// CPU engine: a serial sweep over any scope, or (full scope only) the
+/// rayon split.
+pub(crate) struct CpuBackend<'a> {
+    d: Dofs<'a>,
+    parallel: bool,
+    main: CpuPlan,
+    jvp: Option<CpuPlan>,
+}
+
+impl<'a> CpuBackend<'a> {
+    pub fn new(cp: &CompiledProblem, d: Dofs<'a>, parallel: bool) -> CpuBackend<'a> {
+        CpuBackend {
+            d,
+            parallel,
+            main: CpuPlan::new(cp, d.flats),
+            jvp: cp.jvp.as_deref().map(|jcp| CpuPlan::new(jcp, d.flats)),
+        }
+    }
+}
+
+impl Backend for CpuBackend<'_> {
+    fn tier(&self) -> KernelTier {
+        self.main.kernels.tier
+    }
+
+    fn rhs(
+        &mut self,
+        plan: &CompiledProblem,
+        which: Plan,
+        fields: &Fields,
+        time: f64,
+        out: &mut [f64],
+        work: &mut WorkCounters,
+    ) {
+        let CpuPlan { kernels, ghosts } = match which {
+            Plan::Main => &mut self.main,
+            Plan::Jvp => self.jvp.as_mut().expect("JVP sweep without a JVP plan"),
+        };
+        if self.parallel {
+            par::compute_ghosts_par(plan, fields, time, ghosts, work);
+            par::compute_rhs_par(plan, fields, ghosts, time, out, work, kernels);
+        } else {
+            seq::compute_ghosts(plan, fields, self.d.flats, time, ghosts, work);
+            seq::compute_rhs_into(plan, fields, self.d, ghosts, time, out, work, kernels);
+        }
+    }
+
+    fn update(&mut self, fields: &mut Fields, unknown: usize, d: Dofs, coeff: f64, rhs: &[f64]) {
+        if self.parallel {
+            par::axpy_par(fields, unknown, coeff, rhs);
+        } else {
+            axpy(fields, unknown, d, coeff, rhs);
+        }
+    }
+}
+
+/// The backend and callback thread count `target` runs one rank's scope
+/// `d` on.
+pub(crate) fn backend_for<'a>(
+    cp: &CompiledProblem,
+    fields: &Fields,
+    d: Dofs<'a>,
+    target: &ExecTarget,
+) -> (Box<dyn Backend + 'a>, usize) {
+    match target {
+        ExecTarget::CpuSeq | ExecTarget::DistCells { .. } | ExecTarget::DistBands { .. } => {
+            (Box::new(CpuBackend::new(cp, d, false)), 1)
+        }
+        ExecTarget::CpuParallel => (
+            Box::new(CpuBackend::new(cp, d, true)),
+            rayon::current_num_threads(),
+        ),
+        // The device is idle while callbacks run, so the host thread pool
+        // is fully available to them.
+        ExecTarget::GpuHybrid { spec, strategy }
+        | ExecTarget::DistBandsGpu { spec, strategy, .. } => (
+            Box::new(GpuBackend::new(
+                cp,
+                fields,
+                d.flats,
+                spec.clone(),
+                *strategy,
+            )),
+            rayon::current_num_threads(),
+        ),
+    }
+}
+
+/// One explicit step, written once for every backend: forward Euler, or
+/// Heun's RK2 `u* = u + dt k1; u' = u + dt/2 (k1 + k2(u*))`. The halo is
+/// exchanged before **every** stage — RK2 reads neighbor values of the
+/// intermediate state, so one exchange per step would silently
+/// desynchronize ranks.
+#[allow(clippy::too_many_arguments)]
+fn explicit_step(
+    cp: &CompiledProblem,
+    backend: &mut dyn Backend,
+    fields: &mut Fields,
+    d: Dofs,
+    k1: &mut [f64],
+    k2: &mut [f64],
+    time: f64,
+    step: usize,
+    links: &mut dyn StepLinks,
+    rec: &mut Recorder,
+) -> Option<StepTimes> {
+    let dt = cp.problem.dt;
+    let unknown = cp.system.unknown;
+    links.halo_exchange(fields);
+    let device = backend.explicit_stage(cp, fields, d, time, step, k1, rec);
+    if cp.problem.stepper == TimeStepper::Rk2 {
+        links.halo_exchange(fields);
+        traced_rhs(backend, cp, fields, d, time + dt, step, k2, rec);
+        // u' = u* − dt k1 + dt/2 (k1 + k2) = u* − dt/2 k1 + dt/2 k2.
+        backend.update(fields, unknown, d, -0.5 * dt, k1);
+        backend.update(fields, unknown, d, 0.5 * dt, k2);
+    }
+    device
+}
+
+/// Per-integrator state of the time loop.
+enum Scheme<'a> {
+    /// Stage buffers (`k2` empty under Euler).
+    Explicit { k1: Vec<f64>, k2: Vec<f64> },
+    /// θ-scheme Newton–Krylov; `steady` carries `(tol, growth)` of the
+    /// pseudo-transient SER continuation.
+    Theta {
+        jcp: &'a CompiledProblem,
+        ws: Box<ImplicitWorkspace>,
+        theta: f64,
+        steady: Option<(f64, f64)>,
+    },
+}
+
+/// The time loop shared by every target and integrator: pre/post
+/// callbacks around one stage function (`explicit_step` or
+/// [`theta_step`]), with phase, communication and span accounting.
+/// Returns the number of steps actually taken (steady may stop early).
+///
+/// Implicit integrators require `cp.jvp` ([`solve`] checks before any
+/// rank starts).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive(
+    cp: &CompiledProblem,
+    backend: &mut dyn Backend,
+    fields: &mut Fields,
+    d: Dofs,
+    owned: &Owned,
+    links: &mut dyn StepLinks,
+    rec: &mut Recorder,
+    threads: usize,
+) -> usize {
+    let n = cp.n_flat * d.n_cells;
+    let cfg = cp.problem.krylov;
+    let theta_scheme = |theta, steady| Scheme::Theta {
+        jcp: cp.jvp.as_deref().expect("validated by exec::driver::solve"),
+        ws: Box::new(ImplicitWorkspace::new(fields, n)),
+        theta,
+        steady,
+    };
+    let mut scheme = match cp.problem.integrator {
+        Integrator::Explicit => Scheme::Explicit {
+            k1: vec![0.0; n],
+            k2: match cp.problem.stepper {
+                TimeStepper::Rk2 => vec![0.0; n],
+                TimeStepper::EulerExplicit => Vec::new(),
+            },
+        },
+        Integrator::Implicit { theta } => theta_scheme(theta, None),
+        Integrator::Steady { tol, growth } => theta_scheme(1.0, Some((tol, growth))),
+    };
+    let mut dt = cp.problem.dt;
+    let mut time = 0.0;
+    let mut steps_taken = 0usize;
+    // SER state: reference residual and the previous step's, both from
+    // the exact ‖G(u_n)‖ = dt·‖f(u_n)‖ the θ-step measures anyway.
+    let mut f0_norm: Option<f64> = None;
+    let mut f_prev: Option<f64> = None;
+
+    for step in 0..cp.problem.n_steps {
+        // Communication accounting windows: halos, Krylov dot reductions
+        // and callback reductions all show up in the links' cumulative
+        // counters, so each window is measured by deltas.
+        let comm0 = links.comm_seconds();
+        let bytes0 = links.comm_bytes();
+        let s0 = rec.now();
+        let t0 = Instant::now();
+        seq::run_callbacks(
+            cp,
+            fields,
+            true,
+            time,
+            step,
+            owned.index_range.clone(),
+            owned.cells,
+            links,
+            threads,
+            rec,
+        );
+        let comm_pre = links.comm_seconds();
+        let mut t_temperature = (t0.elapsed().as_secs_f64() - (comm_pre - comm0)).max(0.0);
+
+        let i0 = rec.now();
+        let t1 = Instant::now();
+        let (device, g0_norm) = match &mut scheme {
+            Scheme::Explicit { k1, k2 } => (
+                explicit_step(cp, backend, fields, d, k1, k2, time, step, links, rec),
+                0.0,
+            ),
+            Scheme::Theta {
+                jcp,
+                ws,
+                theta,
+                steady,
+            } => {
+                let forcing = steady.map(|_| cfg.steady_forcing);
+                let outcome = theta_step(
+                    cp, jcp, backend, fields, ws, *theta, dt, time, step, d, &cfg, forcing, links,
+                    rec,
+                );
+                (None, outcome.g0_norm)
+            }
+        };
+        let comm_mid = links.comm_seconds();
+        let t_intensity = (t1.elapsed().as_secs_f64() - (comm_mid - comm_pre)).max(0.0);
+
+        let p0 = rec.now();
+        let t2 = Instant::now();
+        seq::run_callbacks(
+            cp,
+            fields,
+            false,
+            time + dt,
+            step,
+            owned.index_range.clone(),
+            owned.cells,
+            links,
+            threads,
+            rec,
+        );
+        let t_comm = (links.comm_seconds() - comm0).max(0.0);
+        t_temperature += (t2.elapsed().as_secs_f64() - (links.comm_seconds() - comm_mid)).max(0.0);
+        links.drain_comm_spans(rec, step);
+
+        if rec.enabled() {
+            rec.span(
+                SpanKind::Phase,
+                phases::INTENSITY,
+                i0,
+                p0 - i0,
+                Track::Host,
+                vec![
+                    ("step", step.to_string()),
+                    ("comm_seconds", format!("{:.3e}", comm_mid - comm_pre)),
+                ],
+            );
+            let end = rec.now();
+            rec.span(
+                SpanKind::Step,
+                "step",
+                s0,
+                end - s0,
+                Track::Host,
+                vec![("step", step.to_string())],
+            );
+        }
+        let mut step_phases = match device {
+            Some(t) => vec![
+                (phases::INTENSITY_GPU, t.kernel),
+                (phases::COMM_GPU, t.transfer),
+                (phases::TEMPERATURE_CPU, t_temperature + t.host),
+            ],
+            None => vec![
+                (phases::INTENSITY, t_intensity),
+                (phases::TEMPERATURE, t_temperature),
+            ],
+        };
+        if links.n_ranks() > 1 {
+            step_phases.push((phases::COMMUNICATION, t_comm));
+        }
+        for &(name, seconds) in &step_phases {
+            rec.phase(name, seconds);
+        }
+        rec.step_done(step, &step_phases, links.comm_bytes() - bytes0);
+        time += dt;
+        steps_taken = step + 1;
+
+        if let Scheme::Theta {
+            ws,
+            steady: Some((tol, growth)),
+            ..
+        } = &mut scheme
+        {
+            // SER controller on the pseudo-transient residual
+            // ‖f(u_n)‖ = ‖G(u_n)‖/dt (exact, so every rank and target
+            // takes identical dt trajectories and stops identically).
+            let fnorm = g0_norm / dt;
+            rec.sample("steady_residual", step, fnorm);
+            let f0 = *f0_norm.get_or_insert(fnorm);
+            if fnorm <= *tol * f0 {
+                break;
+            }
+            if let Some(prev) = f_prev {
+                if fnorm > 0.0 {
+                    // SER with a geometric ramp through plateaus: any
+                    // step that didn't blow the residual up earns the
+                    // full growth factor (as dt → ∞ the BE step becomes
+                    // a Newton iterate on f = 0, and the outer loop a
+                    // Picard iteration on the callback coupling); only a
+                    // genuinely diverging step (residual ×1.5+) backs dt
+                    // off proportionally. Without the tolerance band the
+                    // few-percent wobble the temperature rewrite injects
+                    // cancels the ramp and pins dt at the seed value.
+                    let ratio = if fnorm <= 1.5 * prev {
+                        *growth
+                    } else {
+                        (prev / fnorm).clamp(0.1, *growth)
+                    };
+                    dt *= ratio;
+                    ws.diag_dt_theta = None; // dt changed: refresh Jacobi
+                }
+            }
+            f_prev = Some(fnorm);
+        }
+    }
+    steps_taken
+}
+
+/// Run one rank's share of the solve in its recorder `r` and close it
+/// into a report (`comm` is left for distributed callers to fill).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_scope(
+    cp: &CompiledProblem,
+    fields: &mut Fields,
+    d: Dofs,
+    target: &ExecTarget,
+    owned: &Owned,
+    links: &mut dyn StepLinks,
+    r: &mut Recorder,
+) -> SolveReport {
+    let (mut backend, threads) = backend_for(cp, fields, d, target);
+    let steps = drive(cp, &mut *backend, fields, d, owned, links, r, threads);
+    let device = backend.finish(cp, fields);
+    if let Some(prof) = &device {
+        if cp.problem.integrator.is_implicit() {
+            // The driver accounts implicit sweeps in host wall-clock
+            // phases; the simulated device clock is layered on top.
+            r.phase(phases::INTENSITY_GPU, prof.kernel_time());
+            r.phase(phases::COMM_GPU, prof.transfer_time());
+        }
+        r.device_summary(gpu::device_summary_from(prof, r.rank()));
+    }
+    SolveReport {
+        steps,
+        timer: r.phases.clone(),
+        comm: Default::default(),
+        work: r.work,
+        device,
+    }
+}
+
+/// Solve `cp` on `target`: validate the configuration, derive the rank
+/// scopes, and run [`drive`] on each — in this process for the
+/// single-rank targets, over message-passing ranks otherwise.
+pub(crate) fn solve(
+    cp: &CompiledProblem,
+    fields: &mut Fields,
+    target: &ExecTarget,
+    rec: &mut Recorder,
+) -> Result<SolveReport, DslError> {
+    let device = matches!(
+        target,
+        ExecTarget::GpuHybrid { .. } | ExecTarget::DistBandsGpu { .. }
+    );
+    if device && cp.problem.stepper != TimeStepper::EulerExplicit {
+        return Err(DslError::Invalid(
+            "the GPU target supports the Euler stepper only".into(),
+        ));
+    }
+    if cp.problem.integrator.is_implicit() && cp.jvp.is_none() {
+        return Err(DslError::Invalid(
+            "implicit integrator requires a compiled JVP plan".into(),
+        ));
+    }
+    let scopes = crate::analysis::rank_scopes(cp, target)?;
+    cp.debug_verify(target);
+    if !matches!(
+        target,
+        ExecTarget::CpuSeq | ExecTarget::CpuParallel | ExecTarget::GpuHybrid { .. }
+    ) {
+        return Ok(dist::solve(cp, fields, target, &scopes, rec));
+    }
+    let (cells, flats) = &scopes[0];
+    let d = Dofs {
+        cells,
+        flats,
+        n_cells: fields.n_cells,
+    };
+    // Solve into a child recorder so the report covers exactly this run
+    // even when the caller's recorder spans several solves. The child
+    // shares the caller's stream/metrics sinks, so frames flow out live.
+    let mut r = rec.child();
+    if r.enabled() {
+        r.set_cost_expectation(live_cost(cp, target));
+    }
+    let report = run_scope(
+        cp,
+        fields,
+        d,
+        target,
+        &Owned::default(),
+        &mut LocalLinks,
+        &mut r,
+    );
+    rec.absorb(r);
+    Ok(report)
+}

@@ -34,123 +34,13 @@
 //! iteration turns into an approximate Newton solve of `f(u) = 0` and
 //! reaches steady state in a handful of sweeps.
 
-use super::rows::IntensityKernels;
-use super::seq::{self, Scope};
-use super::{par, phases, CompiledProblem, SolveReport, StepLinks};
+use super::driver::{Backend, Dofs, Plan};
+use super::{CompiledProblem, StepLinks};
 use crate::bytecode::VmCtx;
 use crate::entities::Fields;
-use crate::problem::{DslError, Integrator, KrylovConfig, Reducer};
+use crate::problem::{KrylovConfig, Reducer};
 use pbte_runtime::exact::{ExactAcc, TRANSPORT_LEN};
 use pbte_runtime::telemetry::{Recorder, SpanKind, Track, WorkCounters};
-use std::time::Instant;
-
-/// Which compiled plan a backend RHS sweep evaluates.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Plan {
-    /// The primal RHS `f(u)`.
-    Main,
-    /// The linearization `J·v` (the JVP plan under `CompiledProblem::jvp`).
-    Jvp,
-}
-
-/// The per-target evaluation engine the implicit drivers are generic
-/// over. One implementation exists per executor family (sequential /
-/// rayon CPU here, a device-resident one in `gpu`); each computes
-/// boundary ghosts then a full RHS sweep of the requested plan over its
-/// scope. All implementations must be bit-identical per dof — they reuse
-/// the explicit path's kernels, so this falls out of the existing
-/// cross-target identity guarantees.
-pub(crate) trait ImplicitBackend {
-    fn rhs(
-        &mut self,
-        plan: &CompiledProblem,
-        which: Plan,
-        fields: &Fields,
-        time: f64,
-        out: &mut [f64],
-        work: &mut WorkCounters,
-    );
-}
-
-/// CPU engine: sequential or rayon, selected at construction.
-pub(crate) struct CpuBackend<'a> {
-    cells: &'a [usize],
-    flats: &'a [usize],
-    parallel: bool,
-    kernels: IntensityKernels,
-    jkernels: IntensityKernels,
-    ghosts: Vec<f64>,
-    jghosts: Vec<f64>,
-    callback_faces: usize,
-    jcallback_faces: usize,
-}
-
-impl<'a> CpuBackend<'a> {
-    pub fn new(
-        cp: &CompiledProblem,
-        jcp: &CompiledProblem,
-        cells: &'a [usize],
-        flats: &'a [usize],
-        parallel: bool,
-    ) -> CpuBackend<'a> {
-        CpuBackend {
-            cells,
-            flats,
-            parallel,
-            kernels: IntensityKernels::for_scope(cp, flats),
-            jkernels: IntensityKernels::for_scope(jcp, flats),
-            ghosts: vec![0.0; cp.boundary.len() * cp.n_flat],
-            jghosts: vec![0.0; jcp.boundary.len() * jcp.n_flat],
-            callback_faces: seq::callback_face_count(cp),
-            jcallback_faces: seq::callback_face_count(jcp),
-        }
-    }
-}
-
-impl ImplicitBackend for CpuBackend<'_> {
-    fn rhs(
-        &mut self,
-        plan: &CompiledProblem,
-        which: Plan,
-        fields: &Fields,
-        time: f64,
-        out: &mut [f64],
-        work: &mut WorkCounters,
-    ) {
-        let (kernels, ghosts, cb_faces) = match which {
-            Plan::Main => (&mut self.kernels, &mut self.ghosts, self.callback_faces),
-            Plan::Jvp => (&mut self.jkernels, &mut self.jghosts, self.jcallback_faces),
-        };
-        if self.parallel {
-            par::compute_ghosts_par(plan, fields, time, ghosts, cb_faces, work);
-            par::compute_rhs_par(plan, fields, ghosts, time, out, work, kernels);
-        } else {
-            seq::compute_ghosts(plan, fields, self.flats, time, ghosts, work);
-            let scope = Scope {
-                cells: self.cells,
-                flats: self.flats,
-            };
-            seq::compute_rhs_into(plan, fields, &scope, ghosts, time, out, work, kernels);
-        }
-    }
-}
-
-/// The dof set a rank owns, in the global `flat * n_cells + cell` layout.
-#[derive(Clone, Copy)]
-pub(crate) struct Dofs<'a> {
-    pub cells: &'a [usize],
-    pub flats: &'a [usize],
-    pub n_cells: usize,
-}
-
-impl Dofs<'_> {
-    #[inline]
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.flats
-            .iter()
-            .flat_map(move |&f| self.cells.iter().map(move |&c| f * self.n_cells + c))
-    }
-}
 
 /// Exact global dot product over the owned dofs: a superaccumulator per
 /// rank, limb transport through the reducer (each limb stays well under
@@ -184,11 +74,10 @@ fn finish_matvec(out: &mut [f64], w: &[f64], dt_theta: f64, d: Dofs) {
 
 /// One application of `A = I − dtθJ`: install `w` in the JVP fields'
 /// unknown slot, halo-exchange it (interface neighbours need direction
-/// values too), sweep the JVP plan, combine. Returns communication
-/// seconds.
+/// values too), sweep the JVP plan, combine.
 #[allow(clippy::too_many_arguments)]
-fn apply_a<B: ImplicitBackend>(
-    backend: &mut B,
+fn apply_a(
+    backend: &mut dyn Backend,
     jcp: &CompiledProblem,
     jfields: &mut Fields,
     unknown: usize,
@@ -199,13 +88,12 @@ fn apply_a<B: ImplicitBackend>(
     links: &mut dyn StepLinks,
     out: &mut [f64],
     work: &mut WorkCounters,
-) -> f64 {
+) {
     jfields.slice_mut(unknown).copy_from_slice(w);
-    let comm = links.halo_exchange(jfields);
+    links.halo_exchange(jfields);
     backend.rhs(jcp, Plan::Jvp, jfields, time, out, work);
     work.jvp_evals += 1;
     finish_matvec(out, w, dt_theta, d);
-    comm
 }
 
 /// Jacobi diagonal of `A = I − dtθJ`, from the symbolic linearization:
@@ -296,7 +184,6 @@ pub(crate) struct KrylovStats {
     pub converged: bool,
     pub rnorm: f64,
     pub bnorm: f64,
-    pub comm_seconds: f64,
 }
 
 /// Jacobi-right-preconditioned BiCGStab for `A x = b`,
@@ -305,8 +192,8 @@ pub(crate) struct KrylovStats {
 /// and the iteration emits a `krylov_residual` sample per iteration plus
 /// one `krylov_solve` kernel span.
 #[allow(clippy::too_many_arguments)]
-fn bicgstab<B: ImplicitBackend>(
-    backend: &mut B,
+fn bicgstab(
+    backend: &mut dyn Backend,
     jcp: &CompiledProblem,
     jfields: &mut Fields,
     unknown: usize,
@@ -323,13 +210,11 @@ fn bicgstab<B: ImplicitBackend>(
     step: usize,
 ) -> KrylovStats {
     let k0 = rec.now();
-    let mut comm = 0.0;
     let mut stats = KrylovStats {
         iters: 0,
         converged: false,
         rnorm: 0.0,
         bnorm: 0.0,
-        comm_seconds: 0.0,
     };
     let bnorm = exact_norm(b, d, links);
     stats.bnorm = bnorm;
@@ -367,7 +252,7 @@ fn bicgstab<B: ImplicitBackend>(
         for i in d.iter() {
             kv.hat[i] = kv.inv_diag[i] * kv.p[i];
         }
-        comm += apply_a(
+        apply_a(
             backend,
             jcp,
             jfields,
@@ -401,7 +286,7 @@ fn bicgstab<B: ImplicitBackend>(
         for i in d.iter() {
             kv.hat[i] = kv.inv_diag[i] * kv.s[i];
         }
-        comm += apply_a(
+        apply_a(
             backend,
             jcp,
             jfields,
@@ -435,7 +320,6 @@ fn bicgstab<B: ImplicitBackend>(
         }
     }
     stats.rnorm = rnorm;
-    stats.comm_seconds = comm;
     if rec.enabled() {
         let dur = rec.now() - k0;
         rec.span(
@@ -466,8 +350,9 @@ pub(crate) struct ImplicitWorkspace {
     pub g: Vec<f64>,
     pub delta: Vec<f64>,
     pub kv: KrylovVecs,
-    /// The `dtθ` the cached diagonal was built for (bits compared).
-    diag_dt_theta: Option<u64>,
+    /// The `dtθ` the cached diagonal was built for (bits compared); the
+    /// steady driver clears it when SER changes `dt`.
+    pub diag_dt_theta: Option<u64>,
 }
 
 impl ImplicitWorkspace {
@@ -490,7 +375,6 @@ pub(crate) struct StepOutcome {
     pub newton_iters: u64,
     pub krylov_iters: u64,
     pub converged: bool,
-    pub comm_seconds: f64,
     /// ‖G‖ at entry — for the steady driver's SER controller this is
     /// `dt·‖f(u_n)‖`, measured exactly.
     pub g0_norm: f64,
@@ -510,10 +394,10 @@ pub(crate) struct StepOutcome {
 /// Krylov solve to relative residual `η`, no verification pass (the next
 /// pseudo-step's entry residual is the verification).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn theta_step<B: ImplicitBackend>(
+pub(crate) fn theta_step(
     cp: &CompiledProblem,
     jcp: &CompiledProblem,
-    backend: &mut B,
+    backend: &mut dyn Backend,
     fields: &mut Fields,
     ws: &mut ImplicitWorkspace,
     theta: f64,
@@ -532,7 +416,6 @@ pub(crate) fn theta_step<B: ImplicitBackend>(
         newton_iters: 0,
         krylov_iters: 0,
         converged: false,
-        comm_seconds: 0.0,
         g0_norm: 0.0,
     };
     let dt_theta = dt * theta;
@@ -546,7 +429,7 @@ pub(crate) fn theta_step<B: ImplicitBackend>(
 
     // The explicit part of the θ combination, evaluated once at u_n.
     if c_n != 0.0 {
-        out.comm_seconds += links.halo_exchange(fields);
+        links.halo_exchange(fields);
         backend.rhs(cp, Plan::Main, fields, time, &mut ws.f_n, &mut rec.work);
         rec.work.rhs_evals += 1;
     }
@@ -574,7 +457,7 @@ pub(crate) fn theta_step<B: ImplicitBackend>(
     };
     let mut g0 = 0.0f64;
     for newton in 0..max_newton {
-        out.comm_seconds += links.halo_exchange(fields);
+        links.halo_exchange(fields);
         backend.rhs(cp, Plan::Main, fields, t_np, &mut ws.f_np, &mut rec.work);
         rec.work.rhs_evals += 1;
         {
@@ -624,7 +507,6 @@ pub(crate) fn theta_step<B: ImplicitBackend>(
             out.converged = stats.converged;
         }
         out.krylov_iters += stats.iters;
-        out.comm_seconds += stats.comm_seconds;
         {
             let u = fields.slice_mut(unknown);
             for i in d.iter() {
@@ -649,238 +531,4 @@ pub(crate) fn theta_step<B: ImplicitBackend>(
         );
     }
     out
-}
-
-/// The generic implicit solve loop shared by every executor: runs
-/// pre/post callbacks around [`theta_step`] for `Integrator::Implicit`,
-/// or drives pseudo-transient SER continuation for `Integrator::Steady`.
-/// Returns the number of steps actually taken (steady may stop early).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive<B: ImplicitBackend>(
-    cp: &CompiledProblem,
-    backend: &mut B,
-    fields: &mut Fields,
-    d: Dofs,
-    owned_index_range: Option<(String, std::ops::Range<usize>)>,
-    owned_cells_for_callbacks: Option<&[usize]>,
-    links: &mut dyn StepLinks,
-    rec: &mut Recorder,
-    threads: usize,
-) -> Result<usize, DslError> {
-    let jcp = cp.jvp.as_deref().ok_or_else(|| {
-        DslError::Invalid("implicit integrator requires a compiled JVP plan".into())
-    })?;
-    let n = cp.n_flat * d.n_cells;
-    let mut ws = ImplicitWorkspace::new(fields, n);
-    let cfg = cp.problem.krylov;
-    let (theta, steady) = match cp.problem.integrator {
-        Integrator::Implicit { theta } => (theta, None),
-        Integrator::Steady { tol, growth } => (1.0, Some((tol, growth))),
-        Integrator::Explicit => {
-            return Err(DslError::Invalid(
-                "implicit driver invoked with the explicit integrator".into(),
-            ))
-        }
-    };
-    let mut dt = cp.problem.dt;
-    let mut time = 0.0;
-    let mut steps_taken = 0usize;
-    // SER state: reference residual and the previous step's, both from
-    // the exact ‖G(u_n)‖ = dt·‖f(u_n)‖ the θ-step measures anyway.
-    let mut f0_norm: Option<f64> = None;
-    let mut f_prev: Option<f64> = None;
-
-    for step in 0..cp.problem.n_steps {
-        // Communication accounting windows: halo seconds inside the
-        // θ-step are reported by the step itself, but Krylov dot
-        // reductions and callback reductions only show up in the links'
-        // cumulative counters, so each window is measured by deltas.
-        let comm0 = links.comm_seconds();
-        let bytes0 = links.comm_bytes();
-        let s0 = rec.now();
-        let t0 = Instant::now();
-        seq::run_callbacks(
-            cp,
-            fields,
-            true,
-            time,
-            step,
-            owned_index_range.clone(),
-            owned_cells_for_callbacks,
-            links,
-            threads,
-            rec,
-        );
-        let comm_pre = links.comm_seconds();
-        let mut t_temperature = (t0.elapsed().as_secs_f64() - (comm_pre - comm0)).max(0.0);
-
-        let i0 = rec.now();
-        let t1 = Instant::now();
-        let forcing = steady.map(|_| cfg.steady_forcing);
-        let outcome = theta_step(
-            cp, jcp, backend, fields, &mut ws, theta, dt, time, step, d, &cfg, forcing, links, rec,
-        );
-        let comm_mid = links.comm_seconds();
-        let t_intensity = (t1.elapsed().as_secs_f64() - (comm_mid - comm_pre)).max(0.0);
-
-        let p0 = rec.now();
-        let t2 = Instant::now();
-        seq::run_callbacks(
-            cp,
-            fields,
-            false,
-            time + dt,
-            step,
-            owned_index_range.clone(),
-            owned_cells_for_callbacks,
-            links,
-            threads,
-            rec,
-        );
-        let t_comm = (links.comm_seconds() - comm0).max(0.0);
-        t_temperature += (t2.elapsed().as_secs_f64() - (links.comm_seconds() - comm_mid)).max(0.0);
-        links.drain_comm_spans(rec, step);
-
-        if rec.enabled() {
-            rec.span(
-                SpanKind::Phase,
-                phases::INTENSITY,
-                i0,
-                p0 - i0,
-                Track::Host,
-                vec![
-                    ("step", step.to_string()),
-                    ("comm_seconds", format!("{:.3e}", outcome.comm_seconds)),
-                ],
-            );
-            let end = rec.now();
-            rec.span(
-                SpanKind::Step,
-                "step",
-                s0,
-                end - s0,
-                Track::Host,
-                vec![("step", step.to_string())],
-            );
-        }
-        rec.phase(phases::INTENSITY, t_intensity);
-        rec.phase(phases::TEMPERATURE, t_temperature);
-        let bytes = links.comm_bytes() - bytes0;
-        if links.n_ranks() > 1 {
-            rec.phase(phases::COMMUNICATION, t_comm);
-            rec.step_done(
-                step,
-                &[
-                    (phases::INTENSITY, t_intensity),
-                    (phases::TEMPERATURE, t_temperature),
-                    (phases::COMMUNICATION, t_comm),
-                ],
-                bytes,
-            );
-        } else {
-            rec.step_done(
-                step,
-                &[
-                    (phases::INTENSITY, t_intensity),
-                    (phases::TEMPERATURE, t_temperature),
-                ],
-                bytes,
-            );
-        }
-        time += dt;
-        steps_taken = step + 1;
-
-        if let Some((tol, growth)) = steady {
-            // SER controller on the pseudo-transient residual
-            // ‖f(u_n)‖ = ‖G(u_n)‖/dt (exact, so every rank and target
-            // takes identical dt trajectories and stops identically).
-            let fnorm = outcome.g0_norm / dt;
-            rec.sample("steady_residual", step, fnorm);
-            let f0 = *f0_norm.get_or_insert(fnorm);
-            if fnorm <= tol * f0 {
-                break;
-            }
-            if let Some(prev) = f_prev {
-                if fnorm > 0.0 {
-                    // SER with a geometric ramp through plateaus: any
-                    // step that didn't blow the residual up earns the
-                    // full growth factor (as dt → ∞ the BE step becomes
-                    // a Newton iterate on f = 0, and the outer loop a
-                    // Picard iteration on the callback coupling); only a
-                    // genuinely diverging step (residual ×1.5+) backs dt
-                    // off proportionally. Without the tolerance band the
-                    // few-percent wobble the temperature rewrite injects
-                    // cancels the ramp and pins dt at the seed value.
-                    let ratio = if fnorm <= 1.5 * prev {
-                        growth
-                    } else {
-                        (prev / fnorm).clamp(0.1, growth)
-                    };
-                    dt *= ratio;
-                    ws.diag_dt_theta = None; // dt changed: refresh Jacobi
-                }
-            }
-            f_prev = Some(fnorm);
-        }
-    }
-    Ok(steps_taken)
-}
-
-/// Entry point for the single-process CPU targets (`CpuSeq`,
-/// `CpuParallel`): full-domain scope, local links.
-pub(crate) fn solve_cpu(
-    cp: &CompiledProblem,
-    fields: &mut Fields,
-    rec: &mut Recorder,
-    parallel: bool,
-) -> Result<SolveReport, DslError> {
-    let jcp = cp.jvp.as_deref().ok_or_else(|| {
-        DslError::Invalid("implicit integrator requires a compiled JVP plan".into())
-    })?;
-    let n_cells = fields.n_cells;
-    let all_cells: Vec<usize> = (0..n_cells).collect();
-    let all_flats: Vec<usize> = (0..cp.n_flat).collect();
-    let d = Dofs {
-        cells: &all_cells,
-        flats: &all_flats,
-        n_cells,
-    };
-    let threads = if parallel {
-        rayon::current_num_threads()
-    } else {
-        1
-    };
-    let mut backend = CpuBackend::new(cp, jcp, &all_cells, &all_flats, parallel);
-    let mut r = rec.child();
-    if r.enabled() {
-        let target = if parallel {
-            super::ExecTarget::CpuParallel
-        } else {
-            super::ExecTarget::CpuSeq
-        };
-        // Implicit per-step work is data-dependent; this annotates kernel
-        // spans with predicted sweep flops without per-step drift checks.
-        r.set_cost_expectation(super::live_cost(cp, &target));
-    }
-    let mut links = super::LocalLinks;
-    let steps = drive(
-        cp,
-        &mut backend,
-        fields,
-        d,
-        None,
-        None,
-        &mut links,
-        &mut r,
-        threads,
-    )?;
-    let report = SolveReport {
-        steps,
-        timer: r.phases.clone(),
-        comm: Default::default(),
-        work: r.work,
-        device: None,
-    };
-    rec.absorb(r);
-    Ok(report)
 }

@@ -2,31 +2,35 @@
 //!
 //! `build` lowers a [`Problem`] into a [`CompiledProblem`] (compiled volume
 //! and flux kernels, resolved boundary conditions, index geometry) shared
-//! by every target, then `solve` dispatches to one of:
+//! by every target. `solve` then runs the one time loop,
+//! `driver::drive` — pre-step callbacks → stage (halo → ghosts → RHS →
+//! update, explicit or θ-scheme Newton–Krylov) → post-step callbacks →
+//! accounting — on every target. A target contributes three things:
 //!
-//! * [`seq`] — sequential CPU loops (the reference semantics);
-//! * [`par`] — shared-memory thread parallelism over the partitioned
-//!   dimension (rayon);
-//! * [`dist`] — distributed ranks with real message passing: the paper's
-//!   cell-partitioned (halo exchange) and band-partitioned (energy
-//!   reduction) strategies;
-//! * [`gpu`] — the hybrid target: generated kernels on the simulated
-//!   device, user callbacks on the host, with the automatic transfer
-//!   schedule from [`crate::dataflow`].
+//! * a `Backend` — how one RHS sweep and one update run over a rank's
+//!   dofs: `CpuBackend` (the serial span walk of `seq`, or the rayon
+//!   split of `par`) or the simulated device's `GpuBackend` ([`gpu`]),
+//!   all evaluating the same `rows::rhs_block`;
+//! * a [`StepLinks`] — halo exchange and reductions: [`LocalLinks`]
+//!   (none) or `dist`'s message-passing `RankLinks`;
+//! * its rank scopes from [`crate::analysis::rank_scopes`] — the same
+//!   (cells × flats) split the race analysis proves disjoint.
 //!
 //! Agreement guarantees (asserted by integration tests): the CPU targets
-//! (sequential, threaded, cell-distributed) are bit-identical to each
-//! other; band distribution matches to rounding (cross-rank reduction
-//! reassociation); the GPU targets match the CPU targets to rounding
-//! (the CPU generator hoists flux coefficients, the GPU kernel keeps the
-//! straight-line form — same arithmetic content, different association).
+//! (sequential, threaded, cell-distributed) and the GPU precompute
+//! strategy are bit-identical to each other on every kernel tier — they
+//! run the same per-dof arithmetic in the same face order; band
+//! distribution matches to rounding (cross-rank reduction reassociation);
+//! the GPU async strategy matches to rounding (the host adds the
+//! boundary-face contribution separately, from the un-linearized flux).
 
-pub mod dist;
+pub(crate) mod dist;
+pub(crate) mod driver;
 pub mod gpu;
 pub(crate) mod implicit;
-pub mod par;
+pub(crate) mod par;
 pub(crate) mod rows;
-pub mod seq;
+pub(crate) mod seq;
 
 use crate::bytecode::{Compiler, KernelKind, Program};
 use crate::dataflow::TransferSchedule;
@@ -82,14 +86,12 @@ pub enum ExecTarget {
 /// state, so one exchange per step would silently desynchronize ranks).
 pub trait StepLinks: crate::problem::Reducer {
     /// Refresh remote neighbor values of the unknown in `fields`.
-    /// Returns the seconds spent communicating.
-    fn halo_exchange(&mut self, fields: &mut Fields) -> f64;
+    fn halo_exchange(&mut self, fields: &mut Fields);
 
     /// Cumulative seconds spent communicating (halos *and* reductions)
-    /// since this links object was built. The implicit driver reads this
-    /// around each step to attribute Krylov dot-product reductions — which
-    /// flow through the `Reducer` interface, invisible to the
-    /// `halo_exchange` return value — to the communication phase.
+    /// since this links object was built. The driver reads this around
+    /// each window of a step to attribute halos, Krylov dot-product
+    /// reductions and callback reductions to the communication phase.
     fn comm_seconds(&self) -> f64 {
         0.0
     }
@@ -119,9 +121,7 @@ impl crate::problem::Reducer for LocalLinks {
 }
 
 impl StepLinks for LocalLinks {
-    fn halo_exchange(&mut self, _fields: &mut Fields) -> f64 {
-        0.0
-    }
+    fn halo_exchange(&mut self, _fields: &mut Fields) {}
 }
 
 /// Work executed, counted exactly (feeds the performance model).
@@ -142,8 +142,8 @@ pub use pbte_runtime::telemetry::WorkCounters;
 pub use pbte_runtime::telemetry::{CostExpectation, Recorder, RecorderSeed, TraceConfig};
 
 /// The live cost expectation for a full-problem solve on `target`: the
-/// static cost model's per-step predictions (PR 8) packaged for mid-run
-/// annotation and drift detection. Executors attach this to their child
+/// static cost model's per-step predictions packaged for mid-run
+/// annotation and drift detection. The driver attaches this to its child
 /// recorders when a trace sink is active, so kernel/transfer span frames
 /// carry `pred_flops`/`pred_bytes` and [`Recorder::step_done`] can emit
 /// `cost/live-drift` events the moment observed work diverges — without
@@ -231,18 +231,16 @@ pub(crate) struct BoundaryFace {
     pub bc: BoundaryCondition,
 }
 
-/// CPU-target flux specialization.
+/// Flux specialization shared by every target's sweep.
 ///
 /// When the flux integrand is affine in the `CELL1`/`CELL2` values with
 /// coefficients that depend only on the flat index and the face normal
 /// (true for every upwind-form flux the `upwind` operator generates), the
-/// CPU code generator hoists the coefficients out of the hot loop:
+/// code generator hoists the coefficients out of the hot loop:
 /// `flux = γ + α·u₁ + β·u₂` with `(α, β, γ)` precomputed per
-/// (flat index, oriented-normal class). This is the kind of
-/// target-specific strategy the paper's IR design anticipates ("different
-/// targets may perform calculations in different ways"); the GPU
-/// generator keeps the straight-line conditional form, whose arithmetic
-/// the device profile in §III-D reflects.
+/// (flat index, oriented-normal class). The emitted GPU source and the
+/// device cost model (§III-D profile) keep the straight-line conditional
+/// form; the simulated device evaluates the hoisted one, like the CPU.
 pub struct FluxLinearization {
     /// Number of distinct oriented normals.
     pub n_classes: usize,
@@ -433,7 +431,7 @@ pub struct CompiledProblem {
     pub(crate) boundary: Vec<BoundaryFace>,
     /// face id → position in `boundary` (usize::MAX for interior faces).
     pub(crate) bface_slot: Vec<usize>,
-    /// CPU-target flux specialization (None → VM fallback).
+    /// Flux specialization (None → VM fallback).
     pub flux_lin: Option<FluxLinearization>,
     /// Compact structure-of-arrays face geometry for the CPU hot loop.
     pub(crate) hot: HotGeometry,
@@ -723,7 +721,7 @@ impl CompiledProblem {
         crate::analysis::verify_plan(self, target)
     }
 
-    /// Debug-build guard every executor calls on entry: panics when the
+    /// Debug-build guard every solve runs on entry: panics when the
     /// verifier finds an `Error`-severity diagnostic. Warnings (which stem
     /// from conservative assumptions about opaque callbacks) pass.
     #[cfg(debug_assertions)]
@@ -788,24 +786,11 @@ impl CompiledProblem {
         }
     }
 
-    /// Automatic host↔device transfer schedule for a GPU strategy.
-    ///
-    /// Source of truth is the certificate-backed synthesis pass
-    /// ([`crate::analysis::synthesize_schedule`]); the legacy hand-built
-    /// analyzer is kept only as the diff baseline and behind the
-    /// [`Problem::use_legacy_schedule`](crate::problem::Problem) escape
-    /// hatch.
+    /// Automatic host↔device transfer schedule for a GPU strategy: the
+    /// certificate-backed synthesis pass
+    /// ([`crate::analysis::synthesize_schedule`]).
     pub fn transfer_schedule(&self, strategy: GpuStrategy) -> TransferSchedule {
-        if self.problem.use_legacy_schedule {
-            return self.transfer_schedule_legacy(strategy);
-        }
         crate::analysis::synthesize_schedule(self, strategy).0
-    }
-
-    /// The legacy hand-built schedule (`crate::dataflow`), retained as
-    /// the baseline `pbte-verify --synth` diffs the synthesis against.
-    pub fn transfer_schedule_legacy(&self, strategy: GpuStrategy) -> TransferSchedule {
-        crate::dataflow::analyze_transfers(&self.problem, &self.system, strategy)
     }
 
     /// Memory footprint report. The paper calls the BTE "a challenging
@@ -863,15 +848,16 @@ impl IntensityBench<'_> {
 
     /// Evaluate the RHS for every (cell, flat) pair into `rhs`.
     pub fn run(&mut self, fields: &Fields, rhs: &mut [f64]) {
-        let scope = seq::Scope {
+        let d = driver::Dofs {
             cells: &self.cells,
             flats: &self.flats,
+            n_cells: fields.n_cells,
         };
         let mut work = WorkCounters::default();
         seq::compute_rhs_into(
             self.cp,
             fields,
-            &scope,
+            d,
             &self.ghosts,
             0.0,
             rhs,
@@ -955,43 +941,14 @@ impl Solver {
 
     /// Run the configured number of time steps, recording structured
     /// telemetry (spans, events, per-step records, histograms) into
-    /// `rec`. The executors run the solve in a child recorder sharing
-    /// `rec`'s epoch and merge it back, so one recorder can collect
+    /// `rec`. The driver runs the solve in a child recorder sharing
+    /// `rec`'s epoch and merges it back, so one recorder can collect
     /// several solves on a common timeline.
     pub fn solve_traced(
         &mut self,
         rec: &mut pbte_runtime::telemetry::Recorder,
     ) -> Result<SolveReport, DslError> {
-        match &self.target.clone() {
-            ExecTarget::CpuSeq => seq::solve(&self.compiled, &mut self.fields, rec),
-            ExecTarget::CpuParallel => par::solve(&self.compiled, &mut self.fields, rec),
-            ExecTarget::DistCells { ranks } => {
-                dist::solve_cells(&self.compiled, &mut self.fields, *ranks, rec)
-            }
-            ExecTarget::DistBands { ranks, index } => {
-                dist::solve_bands(&self.compiled, &mut self.fields, *ranks, index, None, rec)
-            }
-            ExecTarget::GpuHybrid { spec, strategy } => gpu::solve(
-                &self.compiled,
-                &mut self.fields,
-                spec.clone(),
-                *strategy,
-                rec,
-            ),
-            ExecTarget::DistBandsGpu {
-                ranks,
-                index,
-                spec,
-                strategy,
-            } => dist::solve_bands(
-                &self.compiled,
-                &mut self.fields,
-                *ranks,
-                index,
-                Some((spec.clone(), *strategy)),
-                rec,
-            ),
-        }
+        driver::solve(&self.compiled, &mut self.fields, &self.target, rec)
     }
 
     /// Current field values.

@@ -19,7 +19,7 @@
 //! failures degrade to the row tier with a [`Diagnostic`] instead of
 //! erroring.
 
-use super::{CompiledProblem, HotGeometry};
+use super::{seq, CompiledProblem, HotGeometry};
 use crate::analysis::{rules, Diagnostic, Severity};
 use crate::bytecode::{BoundProgram, RegProgram, ROW_CHUNK};
 use crate::nativegen::{self, NativeArgs, NativeLib};
@@ -27,10 +27,10 @@ use crate::problem::KernelTier;
 use pbte_mesh::Point;
 use std::sync::Arc;
 
-/// How a span evaluation treats boundary faces.
+/// How a flux sum treats boundary faces.
 #[derive(Clone, Copy)]
 pub(crate) enum FluxBoundary<'a> {
-    /// Read ghost values at `slot * n_flat + flat` (the CPU executors).
+    /// Read ghost values at `slot * n_flat + flat`.
     Ghosts(&'a [f64]),
     /// Skip boundary faces entirely — the GPU `AsyncBoundary` strategy
     /// adds the host-computed boundary contribution separately.
@@ -159,6 +159,11 @@ impl IntensityKernels {
         self.rebinds += 1;
     }
 
+    /// The scope's `k`-th flat.
+    pub fn flat(&self, k: usize) -> usize {
+        self.flats[k]
+    }
+
     /// Bound program for the scope's `k`-th flat.
     pub fn bound(&self, k: usize) -> &BoundProgram {
         &self.bound[k]
@@ -226,7 +231,7 @@ pub(crate) fn spans(cells: &[usize]) -> impl Iterator<Item = (usize, usize)> + '
 /// exactly (same face order, same operations) so results are bit-identical
 /// to the per-DOF tiers.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn flux_combine(
+fn flux_combine(
     cp: &CompiledProblem,
     u_row: &[f64],
     flat: usize,
@@ -272,7 +277,7 @@ pub(crate) fn flux_combine(
 /// `cell0 .. cell0 + out.len()`; `regs` is scratch from
 /// [`IntensityKernels::scratch`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn rhs_span(
+fn rhs_span(
     reg: &RegProgram,
     cp: &CompiledProblem,
     vars: &[&[f64]],
@@ -296,7 +301,7 @@ pub(crate) fn rhs_span(
 /// (the emitted code performs the same scalar operations in the same
 /// order; see `crate::nativegen`).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn rhs_span_native(
+fn rhs_span_native(
     lib: &NativeLib,
     cp: &CompiledProblem,
     vars: &[&[f64]],
@@ -333,6 +338,78 @@ pub(crate) fn rhs_span_native(
     // same contract `rhs_span` relies on, and all pointers outlive the
     // call.
     unsafe { (lib.kernel(flat))(&args) };
+}
+
+/// Evaluate the RHS of the scope's `k`-th flat over the contiguous cells
+/// `cell0 .. cell0 + out.len()` at the kernels' tier. This is the one tier
+/// dispatch of the intensity phase: the serial span walk, the rayon chunk
+/// walk and the device row launch all call it, so every executor runs the
+/// same per-dof arithmetic. With `fused_dt` the explicit update is folded
+/// in (`out = u + dt·rhs`). `regs` is scratch from
+/// [`IntensityKernels::scratch`]; [`IntensityKernels::ensure`] must have
+/// been called for `time`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn rhs_block(
+    kernels: &IntensityKernels,
+    cp: &CompiledProblem,
+    vars: &[&[f64]],
+    k: usize,
+    cell0: usize,
+    out: &mut [f64],
+    boundary: FluxBoundary,
+    time: f64,
+    fused_dt: Option<f64>,
+    regs: &mut [[f64; ROW_CHUNK]],
+) {
+    let flat = kernels.flat(k);
+    let n_cells = cp.hot.inv_volume.len();
+    // The per-dof tiers evaluate one (cell, flat) pair at a time.
+    let u_row = &vars[cp.system.unknown][flat * n_cells..(flat + 1) * n_cells];
+    let per_dof = |out: &mut [f64], rhs: f64, i: usize| {
+        out[i] = match fused_dt {
+            Some(dt) => u_row[cell0 + i] + dt * rhs,
+            None => rhs,
+        };
+    };
+    match kernels.tier {
+        KernelTier::Row => rhs_span(
+            kernels.reg(k),
+            cp,
+            vars,
+            n_cells,
+            flat,
+            boundary,
+            cell0,
+            out,
+            &cp.mesh().cell_centroids,
+            time,
+            fused_dt,
+            regs,
+        ),
+        KernelTier::Native => rhs_span_native(
+            kernels.native(),
+            cp,
+            vars,
+            flat,
+            boundary,
+            cell0,
+            out,
+            fused_dt,
+        ),
+        KernelTier::Bound => {
+            let bound = kernels.bound(k);
+            for i in 0..out.len() {
+                let rhs = seq::eval_rhs_dof_bound(cp, vars, boundary, cell0 + i, flat, time, bound);
+                per_dof(out, rhs, i);
+            }
+        }
+        KernelTier::Vm => {
+            for i in 0..out.len() {
+                let rhs = seq::eval_rhs_dof_vm(cp, vars, boundary, cell0 + i, flat, time);
+                per_dof(out, rhs, i);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -461,12 +461,6 @@ pub struct Problem {
     /// (`crate::analysis::check_units`). Like `ranges`, purely
     /// declarative.
     pub units: Vec<(String, Dim)>,
-    /// Escape hatch: consume the legacy hand-built transfer schedule
-    /// (`crate::dataflow::analyze_transfers`) instead of the synthesized,
-    /// certificate-backed one. The synthesis pass diffs against the
-    /// legacy schedule on every verified plan, so this should only ever
-    /// be needed to bisect a synthesis regression.
-    pub use_legacy_schedule: bool,
 }
 
 impl Problem {
@@ -495,15 +489,7 @@ impl Problem {
             rebind_per_step: false,
             ranges: Vec::new(),
             units: Vec::new(),
-            use_legacy_schedule: false,
         }
-    }
-
-    /// Opt back into the legacy hand-built transfer schedule (see the
-    /// field doc on [`Problem::use_legacy_schedule`]).
-    pub fn use_legacy_schedule(&mut self, on: bool) -> &mut Self {
-        self.use_legacy_schedule = on;
-        self
     }
 
     /// Declare the physical range of an entity (variable or function

@@ -217,10 +217,10 @@ fn tampered_jvp_is_rejected_by_translation_validation() {
     );
 
     // A dropped JVP under an implicit integrator is caught at solve time
-    // by the executors, not silently explicit-stepped.
+    // by the driver, not silently explicit-stepped.
     solver.compiled.jvp = None;
-    let mut fields = solver.fields().clone();
+    solver.target = ExecTarget::DistCells { ranks: 2 };
     let mut rec = pbte_runtime::telemetry::Recorder::null();
-    let err = pbte_dsl::exec::dist::solve_cells(&solver.compiled, &mut fields, 2, &mut rec);
+    let err = solver.solve_traced(&mut rec);
     assert!(err.is_err(), "implicit solve without a JVP plan must fail");
 }

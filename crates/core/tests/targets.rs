@@ -311,6 +311,48 @@ fn rk2_matches_across_cpu_targets() {
     assert_identical(&seq, &par, "rk2 cpu-parallel");
     let dist = run(ExecTarget::DistCells { ranks: 3 }, 5, 4, TimeStepper::Rk2);
     assert_identical(&seq, &dist, "rk2 dist-cells");
+    // Band distribution reassociates the callback's reduction.
+    let bands = run(
+        ExecTarget::DistBands {
+            ranks: 2,
+            index: "b".into(),
+        },
+        5,
+        4,
+        TimeStepper::Rk2,
+    );
+    for v in 0..seq.n_vars() {
+        let d = max_abs_diff(&seq, &bands, v);
+        assert!(d < 1e-12, "rk2 dist-bands variable {v}: {d}");
+    }
+    // The device's explicit stage is Euler-only; pin it across its two
+    // link types (local, band ranks) under the precompute strategy.
+    let spec = DeviceSpec::a6000;
+    let strategy = GpuStrategy::PrecomputeBoundary;
+    let gpu = run(
+        ExecTarget::GpuHybrid {
+            spec: spec(),
+            strategy,
+        },
+        5,
+        4,
+        TimeStepper::EulerExplicit,
+    );
+    let bands_gpu = run(
+        ExecTarget::DistBandsGpu {
+            ranks: 2,
+            index: "b".into(),
+            spec: spec(),
+            strategy,
+        },
+        5,
+        4,
+        TimeStepper::EulerExplicit,
+    );
+    for v in 0..gpu.n_vars() {
+        let d = max_abs_diff(&gpu, &bands_gpu, v);
+        assert!(d < 1e-12, "euler dist-bands-gpu vs gpu variable {v}: {d}");
+    }
 }
 
 #[test]

@@ -15,7 +15,7 @@
 use pbte_bte::health::{rules, HealthProbes};
 use pbte_bte::scenario::{hotspot_2d, BteConfig, BteProblem};
 use pbte_bte::temperature::TemperatureStrategy;
-use pbte_dsl::exec::{CompiledProblem, CostExpectation, Recorder, TraceConfig};
+use pbte_dsl::exec::{phases, CompiledProblem, CostExpectation, Recorder, TraceConfig};
 use pbte_dsl::problem::{Integrator, LocalReducer, StepContext};
 use pbte_dsl::{ExecTarget, GpuStrategy, KernelTier, Severity, SolveReport, Solver, WorkCounters};
 use pbte_gpu::DeviceSpec;
@@ -404,6 +404,64 @@ fn chrome_trace_covers_every_span_kind() {
             .any(|s| s.name == "krylov_residual"),
         "krylov_residual samples present"
     );
+}
+
+/// One driver draws the step lane on every target: per rank, exactly one
+/// `Step` span and one intensity `Phase` span per step taken, explicit or
+/// implicit.
+#[test]
+fn every_target_traces_each_step_and_its_intensity_phase() {
+    let ranks = 2;
+    let gpu = |strategy| ExecTarget::GpuHybrid {
+        spec: DeviceSpec::a6000(),
+        strategy,
+    };
+    let targets = [
+        (1, ExecTarget::CpuSeq),
+        (1, ExecTarget::CpuParallel),
+        (ranks, ExecTarget::DistCells { ranks }),
+        (
+            ranks,
+            ExecTarget::DistBands {
+                ranks,
+                index: "b".into(),
+            },
+        ),
+        (1, gpu(GpuStrategy::AsyncBoundary)),
+        (1, gpu(GpuStrategy::PrecomputeBoundary)),
+        (
+            ranks,
+            ExecTarget::DistBandsGpu {
+                ranks,
+                index: "b".into(),
+                spec: DeviceSpec::a6000(),
+                strategy: GpuStrategy::AsyncBoundary,
+            },
+        ),
+    ];
+    for (n_ranks, target) in targets {
+        for integrator in [Integrator::Explicit, Integrator::Implicit { theta: 1.0 }] {
+            let mut rec = Recorder::buffered();
+            let report = run_custom(target.clone(), &mut rec, |bte| {
+                bte.problem.integrator(integrator);
+            });
+            assert!(report.steps > 0);
+            for rank in 0..n_ranks as u32 {
+                for kind in ["step", "phase"] {
+                    let n = rec
+                        .spans()
+                        .iter()
+                        .filter(|s| s.rank == rank && s.kind.category() == kind)
+                        .filter(|s| kind == "step" || s.name == phases::INTENSITY)
+                        .count();
+                    assert_eq!(
+                        n, report.steps,
+                        "{target:?} {integrator:?} rank {rank}: `{kind}` spans"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
