@@ -21,7 +21,8 @@
 //! file is untrusted input, the compiled plan is run through the
 //! verification gate (plan obligations, dimensional analysis, interval
 //! analysis) first — any error-severity finding refuses the run with
-//! exit status 1 before a single step executes.
+//! exit status 1 before a single step executes. `--parity` takes a file
+//! too; the strategy the counter contract scales by is then the file's.
 //!
 //! **Default mode** runs one scenario on one target with the buffered
 //! sink and the physics health probes installed, writes `DIR/trace.json`
@@ -62,8 +63,10 @@
 //!   reported but not asserted.
 //!
 //! * kernel-span **tier attribution**: every `Kernel` span a target
-//!   records must carry one uniform `tier` attribute, and *every* target
-//!   — CPU and GPU lineage alike — must attribute the same tier as seq:
+//!   records must carry one uniform `tier` attribute and one uniform
+//!   `flux` attribute (`table`, `compiled` or `vm` — how that tier
+//!   evaluated the face flux), and *every* target — CPU and GPU lineage
+//!   alike — must attribute the same pair as seq:
 //!   with `tier=native`, that proves the AOT kernels (or their documented
 //!   row fallback) actually ran everywhere. The device path evaluates the
 //!   bound tier's specialized programs in place of the generic stack VM,
@@ -136,7 +139,9 @@ fn target_by_name(name: &str, ranks: usize) -> Option<ExecTarget> {
 }
 
 /// Build the scenario, optionally install the health probes, solve under
-/// `rec`, and return the report plus any health diagnostics.
+/// `rec`, and return the report plus any health diagnostics. `on_built`
+/// sees the compiled solver before the first step (the stream's
+/// `run_start` frame names what the plan resolved to).
 fn run_one(
     source: &ScenarioSource,
     cfg: &BteConfig,
@@ -144,6 +149,7 @@ fn run_one(
     tier: Option<KernelTier>,
     health: bool,
     rec: &mut Recorder,
+    on_built: impl FnOnce(&Solver, &Recorder),
 ) -> (SolveReport, Vec<pbte_dsl::Diagnostic>) {
     let mut bte = match source {
         ScenarioSource::Builtin(scenario) => scenario(cfg),
@@ -183,6 +189,7 @@ fn run_one(
             }
         }
     }
+    on_built(&solver, rec);
     let report = match solver.solve_traced(rec) {
         Ok(r) => r,
         Err(e) => {
@@ -293,18 +300,20 @@ fn expectations(
     ex
 }
 
-/// Distinct `tier` attribute values across a recording's `Kernel` spans.
+/// Distinct `tier/flux` attribute pairs across a recording's `Kernel`
+/// spans: which kernel tier ran, and how it evaluated the face flux.
 fn kernel_tiers(rec: &Recorder) -> Vec<String> {
+    let attr = |s: &pbte_runtime::telemetry::Span, key: &str| {
+        s.attrs
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+    };
     let mut tiers: Vec<String> = rec
         .spans()
         .iter()
         .filter(|s| matches!(s.kind, SpanKind::Kernel))
-        .filter_map(|s| {
-            s.attrs
-                .iter()
-                .find(|(k, _)| *k == "tier")
-                .map(|(_, v)| v.clone())
-        })
+        .filter_map(|s| Some(format!("{}/{}", attr(s, "tier")?, attr(s, "flux")?)))
         .collect();
     tiers.sort();
     tiers.dedup();
@@ -312,7 +321,7 @@ fn kernel_tiers(rec: &Recorder) -> Vec<String> {
 }
 
 fn run_parity(
-    scenario: Scenario,
+    source: &ScenarioSource,
     cfg: &BteConfig,
     ranks: usize,
     strategy: TemperatureStrategy,
@@ -328,8 +337,15 @@ fn run_parity(
         "bands-gpu",
     ];
     let mut rec = Recorder::buffered();
-    let source = ScenarioSource::Builtin(scenario);
-    let (seq_report, _) = run_one(&source, cfg, ExecTarget::CpuSeq, tier, false, &mut rec);
+    let (seq_report, _) = run_one(
+        source,
+        cfg,
+        ExecTarget::CpuSeq,
+        tier,
+        false,
+        &mut rec,
+        |_, _| {},
+    );
     print_report("seq", &seq_report);
     let seq = seq_report.work;
     let seq_tiers = kernel_tiers(&rec);
@@ -343,7 +359,7 @@ fn run_parity(
     for tname in names.into_iter().skip(1) {
         let target = target_by_name(tname, ranks).unwrap();
         let mut rec = Recorder::buffered();
-        let (report, _) = run_one(&source, cfg, target, tier, false, &mut rec);
+        let (report, _) = run_one(source, cfg, target, tier, false, &mut rec, |_, _| {});
         print_report(tname, &report);
         let tiers = kernel_tiers(&rec);
         println!("  kernel tier attribution: {tiers:?}");
@@ -444,6 +460,8 @@ fn cost_annotation(cat: &str, attrs: &[(&str, &str)]) -> Option<String> {
 #[derive(Default)]
 struct StreamAgg {
     label: String,
+    /// `tier=… flux=…` of the `run_start` frame.
+    ran: String,
     steps: u64,
     last_step_time: f64,
     /// Cumulative seconds per phase, insertion-ordered.
@@ -472,6 +490,7 @@ impl StreamAgg {
         match jstr(frame, "frame") {
             "run_start" => {
                 self.label = jstr(frame, "label").to_string();
+                self.ran = format!("tier={} flux={}", jstr(frame, "tier"), jstr(frame, "flux"));
                 None
             }
             "step" => {
@@ -607,7 +626,7 @@ fn follow(file: &str, wait_s: u64) -> ! {
                 annotations.push(a);
             }
             if !agg.label.is_empty() && agg.steps == 0 && jstr(&frame, "frame") == "run_start" {
-                println!("run: {}", agg.label);
+                println!("run: {} {}", agg.label, agg.ran);
             }
         }
         for a in annotations {
@@ -696,7 +715,7 @@ fn top(file: &str) -> ! {
         agg.ingest(&frame);
     }
     if !agg.label.is_empty() {
-        println!("run: {}", agg.label);
+        println!("run: {} {}", agg.label, agg.ran);
     }
     println!(
         "{} frame(s), {} step(s), {} event(s), {} metrics snapshot(s)",
@@ -794,12 +813,13 @@ fn main() {
     let cfg = BteConfig::small(n, 8, 4, steps).with_temperature_strategy(strategy);
 
     if parity {
-        let ScenarioSource::Builtin(scenario) = source else {
-            eprintln!("--parity drives every target shape from the n=/ranks= knobs; use a built-in scenario");
-            std::process::exit(2);
+        // A file's own strategy decides how the banded counters scale.
+        let strategy = match &source {
+            ScenarioSource::Builtin(_) => strategy,
+            ScenarioSource::Pbte(spec) => spec.strategy,
         };
         println!("parity check: scenario={sname} n={n} steps={steps} ranks={ranks}");
-        if run_parity(scenario, &cfg, ranks, strategy, tier) {
+        if run_parity(&source, &cfg, ranks, strategy, tier) {
             println!("parity OK: all targets agree");
         } else {
             std::process::exit(1);
@@ -831,13 +851,26 @@ fn main() {
             });
         rec.attach_stream(w.sink());
         rec.attach_metrics(&registry);
-        w.sink().push(StreamFrame::RunStart {
-            time: rec.now(),
-            label: format!("{sname}/{tname}"),
-        });
         Some(w)
     };
-    let (report, diags) = run_one(&source, &cfg, target, tier, health, &mut rec);
+    let run_start = |solver: &Solver, rec: &Recorder| {
+        let tier = solver.compiled.resolved_tier();
+        let flux = solver.compiled.flux_path(tier);
+        println!(
+            "run: {sname}/{tname} tier={} flux={}",
+            tier.name(),
+            flux.name()
+        );
+        if let Some(w) = &writer {
+            w.sink().push(StreamFrame::RunStart {
+                time: rec.now(),
+                label: format!("{sname}/{tname}"),
+                tier: tier.name().into(),
+                flux: flux.name().into(),
+            });
+        }
+    };
+    let (report, diags) = run_one(&source, &cfg, target, tier, health, &mut rec, run_start);
     if let Some(w) = writer {
         let stats = w.finish().unwrap_or_else(|e| {
             eprintln!("stream writer failed: {e}");

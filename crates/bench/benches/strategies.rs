@@ -106,45 +106,5 @@ fn bench_distributed(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation: the §III-C loop-ordering knob. At this bench's small size
-/// the cell-outermost order tends to win (consecutive cells revisit the
-/// same ~n_flat cache lines); at real BTE shapes the band-outermost
-/// ordering is ~1.6x faster (each (band, direction) plane streams in the
-/// index-major layout). Which one wins is exactly the size- and
-/// machine-dependent question the paper exposes `assemblyLoops` for.
-fn bench_loop_order(c: &mut Criterion) {
-    let mut group = c.benchmark_group("assembly_loop_order_5steps");
-    group.sample_size(10);
-    group.bench_function("cells_outermost_default", |b| {
-        b.iter_batched(
-            || {
-                let bte = hotspot_2d(&cfg(5));
-                let mut p = bte.problem;
-                p.assembly_loops(&["cells", "d", "b"]);
-                p.build(ExecTarget::CpuSeq).unwrap()
-            },
-            |mut s| {
-                black_box(s.solve().unwrap());
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("band_outermost_paper", |b| {
-        b.iter_batched(
-            || {
-                let bte = hotspot_2d(&cfg(5));
-                let mut p = bte.problem;
-                p.assembly_loops(&["b", "cells", "d"]);
-                p.build(ExecTarget::CpuSeq).unwrap()
-            },
-            |mut s| {
-                black_box(s.solve().unwrap());
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_solvers, bench_distributed, bench_loop_order);
+criterion_group!(benches, bench_solvers, bench_distributed);
 criterion_main!(benches);

@@ -272,13 +272,9 @@ pub(crate) fn build_custom(
 
     if band_outer_loops {
         // §III-C's band-outermost ordering
-        // (`assemblyLoops([band, "cells", direction])`): each (band,
-        // direction) plane is then walked contiguously in the index-major
-        // storage, which measures ~1.6x faster than the appendix's
-        // cells-outer ordering at real BTE shapes on this host. At small
-        // problem sizes the ranking flips — the `assembly_loop_order`
-        // ablation bench shows both regimes, which is exactly why the DSL
-        // exposes the knob.
+        // (`assemblyLoops([band, "cells", direction])`). It orders the
+        // loops of the generated source and the IR; every executed tier
+        // walks flat-major spans whatever the order.
         p.assembly_loops(&["b", "cells", "d"]);
     }
 

@@ -3,9 +3,13 @@
 //! 1. Caching time-independent bound programs across steps (the default)
 //!    is bit-identical to forcing a rebind every step, over ≥10 steps of
 //!    the fig-4 hot-spot scenario, on all four target families.
-//! 2. The three kernel tiers (generic VM → bound program → fused row
-//!    kernel) produce bit-identical trajectories.
+//! 2. The kernel tiers (generic VM → bound program → fused row kernel →
+//!    native) produce bit-identical trajectories — on structured grids,
+//!    where the flux runs from its coefficient table, and on a jittered
+//!    mesh with too many face orientations for one, where the row and
+//!    native tiers run the compiled flux.
 
+use pbte_bte::pbte::ScenarioSpec;
 use pbte_bte::scenario::{hotspot_2d, BteConfig};
 use pbte_dsl::exec::ExecTarget;
 use pbte_dsl::{GpuStrategy, KernelTier};
@@ -91,4 +95,52 @@ fn kernel_tiers_are_bit_identical_on_gpu_precompute() {
     assert_bits_eq(&bound, &row, "gpu bound vs row");
     let cpu_row = run_tier(ExecTarget::CpuSeq, &cfg, KernelTier::Row);
     assert_bits_eq(&row, &cpu_row, "gpu row vs cpu row");
+}
+
+/// `examples/scenarios/jittered_array.pbte`: 2 400 face orientations, so
+/// no flux table. Every tier must resolve to itself (no clamp) and agree
+/// with the stack VM bit for bit: on `CpuSeq` for all four tiers, and for
+/// the row tier on the rayon split (spans that start mid-mesh) and on the
+/// device under both boundary strategies (`AsyncBoundary` is the
+/// `FluxBoundary::Skip` walk; its host combine differs from `CpuSeq` by
+/// rounding, so it is compared against the VM on the same target).
+#[test]
+fn kernel_tiers_are_bit_identical_on_an_unstructured_mesh() {
+    let file = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/scenarios/jittered_array.pbte"
+    );
+    let spec = ScenarioSpec::from_file(std::path::Path::new(file)).unwrap();
+    assert!(spec.n_steps >= 12);
+    let run = |target: ExecTarget, tier: KernelTier| {
+        let mut bte = spec.build().unwrap();
+        bte.problem.kernel_tier(tier);
+        let vars = bte.vars;
+        let mut solver = bte.solver(target).unwrap();
+        assert!(solver.compiled.flux_lin.is_none(), "mesh must not classify");
+        assert_eq!(solver.compiled.resolved_tier(), tier);
+        let fields = solver.fields().clone();
+        let bench = solver.compiled.intensity_bench(&fields, tier);
+        assert_eq!(bench.tier(), tier, "{:?}", bench.native_fallback());
+        drop(bench);
+        solver.solve().unwrap();
+        solver.fields().slice(vars.i).to_vec()
+    };
+    let gpu = |strategy| ExecTarget::GpuHybrid {
+        spec: DeviceSpec::a6000(),
+        strategy,
+    };
+
+    let vm = run(ExecTarget::CpuSeq, KernelTier::Vm);
+    for tier in [KernelTier::Bound, KernelTier::Row, KernelTier::Native] {
+        let got = run(ExecTarget::CpuSeq, tier);
+        assert_bits_eq(&vm, &got, &format!("seq vm vs {tier:?}"));
+    }
+    let par = run(ExecTarget::CpuParallel, KernelTier::Row);
+    assert_bits_eq(&vm, &par, "seq vm vs par row");
+    let precompute = run(gpu(GpuStrategy::PrecomputeBoundary), KernelTier::Row);
+    assert_bits_eq(&vm, &precompute, "seq vm vs gpu precompute row");
+    let async_vm = run(gpu(GpuStrategy::AsyncBoundary), KernelTier::Vm);
+    let async_row = run(gpu(GpuStrategy::AsyncBoundary), KernelTier::Row);
+    assert_bits_eq(&async_vm, &async_row, "gpu async vm vs row");
 }

@@ -16,7 +16,9 @@
 //! [`DiscreteSystem`](crate::pipeline::DiscreteSystem).
 
 use super::{rules, Diagnostic, Severity};
-use crate::bytecode::{BoundOp, Op, Pattern, Program, RegOp, RegProgram, MAX_STACK};
+use crate::bytecode::{
+    BoundOp, Op, Pattern, Program, RegOp, RegProgram, FACE_INPUTS, FACE_NORMAL, MAX_STACK,
+};
 use crate::entities::CoefficientValue;
 use crate::exec::CompiledProblem;
 use std::collections::BTreeSet;
@@ -246,7 +248,10 @@ fn check_vm_program(
 }
 
 /// Bounds check for a bound-tier load: `vars[var][offset + cell]` over
-/// `cell in 0..n_cells` against the variable's storage extent.
+/// `cell in 0..n_cells` against the variable's storage extent. A
+/// face-input pseudo-variable (ids from the flux program's `face_base`)
+/// must name one of the inputs at offset 0; `CELL1`/`CELL2` read the
+/// unknown.
 fn check_bound_load(
     cp: &CompiledProblem,
     var: u16,
@@ -257,6 +262,21 @@ fn check_bound_load(
     out: &mut Vec<Diagnostic>,
 ) {
     let registry = &cp.problem.registry;
+    if let Some(input) = var.checked_sub(cp.flux.face_base) {
+        if input < FACE_NORMAL {
+            acc.var_reads.insert(cp.system.unknown);
+        }
+        if input as usize >= FACE_INPUTS || offset != 0 {
+            out.push(Diagnostic {
+                severity: Severity::Error,
+                rule: rules::OOB_LOAD,
+                entity: String::new(),
+                location: location.to_string(),
+                message: format!("load of face input {input} at offset {offset} names no input"),
+            });
+        }
+        return;
+    }
     let v = var as usize;
     acc.var_reads.insert(v);
     let extent = registry.flat_len(&registry.variables[v].indices) * n_cells;
@@ -364,38 +384,35 @@ pub(super) fn check_kernels(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) -> 
     check_vm_program(cp, &cp.flux, "flux kernel (vm)", &mut acc, out);
 
     // Tiers 2 and 3: the per-flat bound programs and their register
-    // lowerings. Stop after the first offending flat per tier so one
+    // lowerings — the volume program, and the flux when Row/Native run it
+    // compiled. Stop after the first offending flat per tier so one
     // systematic bug doesn't produce n_flat copies of itself.
-    let mut bound_clean = true;
-    let mut row_clean = true;
-    for flat in 0..cp.n_flat {
-        let bound = cp.volume.bind(
-            &cp.idx_of_flat[flat],
-            n_cells,
-            cp.problem.dt,
-            0.0,
-            &registry.coefficients,
-        );
-        if bound_clean {
-            let before = out.len();
-            let loc = format!("volume kernel (bound, flat {flat})");
-            walk_stack(bound.ops(), bound_effect, &loc, out);
-            for op in bound.ops() {
-                if let BoundOp::Load { var, offset } = op {
-                    check_bound_load(cp, *var, *offset, n_cells, &loc, &mut acc, out);
+    for (kind, name, _) in cp.lowered_kernels() {
+        let mut bound_clean = true;
+        let mut row_clean = true;
+        for flat in 0..cp.n_flat {
+            let bound = cp.bind(kind, flat, 0.0);
+            if bound_clean {
+                let before = out.len();
+                let loc = format!("{name} kernel (bound, flat {flat})");
+                walk_stack(bound.ops(), bound_effect, &loc, out);
+                for op in bound.ops() {
+                    if let BoundOp::Load { var, offset } = op {
+                        check_bound_load(cp, *var, *offset, n_cells, &loc, &mut acc, out);
+                    }
                 }
+                bound_clean = out.len() == before;
             }
-            bound_clean = out.len() == before;
-        }
-        if row_clean {
-            let before = out.len();
-            let reg = RegProgram::compile(&bound);
-            let loc = format!("volume kernel (row, flat {flat})");
-            check_reg_program(cp, &reg, n_cells, &loc, &mut acc, out);
-            row_clean = out.len() == before;
-        }
-        if !bound_clean && !row_clean {
-            break;
+            if row_clean {
+                let before = out.len();
+                let reg = RegProgram::compile(&bound);
+                let loc = format!("{name} kernel (row, flat {flat})");
+                check_reg_program(cp, &reg, n_cells, &loc, &mut acc, out);
+                row_clean = out.len() == before;
+            }
+            if !bound_clean && !row_clean {
+                break;
+            }
         }
     }
 
@@ -497,6 +514,26 @@ pub(super) fn check_geometry(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
             .find(|(_, &c)| c as usize >= lin.n_classes)
         {
             fail(format!("class[{k}] = {c} ≥ n_classes {}", lin.n_classes));
+        }
+    } else if cp.compiled_flux() {
+        // The compiled flux reads `normals[(class >> 1) * dim ..][..dim]`.
+        let n_faces = cp.mesh().n_faces();
+        if hot.normals.len() != n_faces * hot.dim {
+            fail(format!(
+                "normals has {} entries for {n_faces} faces of dimension {}",
+                hot.normals.len(),
+                hot.dim
+            ));
+        } else if let Some((k, &s)) = hot
+            .class
+            .iter()
+            .enumerate()
+            .find(|(_, &s)| (s >> 1) as usize >= n_faces)
+        {
+            fail(format!(
+                "class[{k}] = {s} addresses face {} ≥ {n_faces}",
+                s >> 1
+            ));
         }
     }
     if hot.inv_volume.len() != n_cells {

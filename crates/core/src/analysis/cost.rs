@@ -14,9 +14,9 @@
 
 use super::transfers::GHOSTS;
 use super::{rules, Diagnostic, Severity};
-use crate::bytecode::{BoundOp, Op, RegOp, RegProgram};
+use crate::bytecode::{BoundOp, KernelKind, Op, Program, RegOp, RegProgram};
 use crate::dataflow::{Policy, TransferSchedule};
-use crate::exec::{CompiledProblem, ExecTarget, SolveReport};
+use crate::exec::{CompiledProblem, ExecTarget, FluxPath, SolveReport};
 use crate::problem::{KernelTier, TimeStepper};
 
 /// Relative error above which a prediction counts as model drift.
@@ -27,6 +27,9 @@ pub const DRIFT_TOLERANCE: f64 = 0.15;
 pub struct CostModel {
     /// The tier the executor will actually run (after clamping).
     pub tier: KernelTier,
+    /// The flux evaluation that tier runs — two plans' costs are
+    /// comparable only when this agrees too.
+    pub flux: FluxPath,
     /// Dof updates per RHS sweep: `n_flat × n_cells`.
     pub dof_per_sweep: u64,
     /// Upwind flux evaluations per sweep: `n_flat ×` total face visits.
@@ -91,8 +94,9 @@ impl CostModel {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "  tier {:<7} {} dof/sweep, {} flux/sweep, {} ghost/sweep, {} stage(s)/step",
+            "  tier {:<7} flux {:<9} {} dof/sweep, {} flux/sweep, {} ghost/sweep, {} stage(s)/step",
             self.tier.name(),
+            self.flux.name(),
             self.dof_per_sweep,
             self.flux_per_sweep,
             self.ghost_per_sweep,
@@ -145,6 +149,50 @@ fn entity_bytes(cp: &CompiledProblem, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
+/// Array loads of a generic stack program.
+fn vm_loads(program: &Program) -> f64 {
+    let is_load = |op: &&Op| {
+        matches!(
+            op,
+            Op::LoadVar { .. } | Op::LoadU1 | Op::LoadU2 | Op::LoadCoef { .. }
+        )
+    };
+    program.ops.iter().filter(is_load).count() as f64
+}
+
+/// `(flops, loads)` of the per-flat lowered streams of one kernel at
+/// `tier` (`Bound`, or the register form `Row`/`Native` run), averaged
+/// over flats. Face inputs of a flux program count as loads.
+fn lowered_costs(cp: &CompiledProblem, kind: KernelKind, tier: KernelTier) -> (f64, f64) {
+    let (mut flops, mut loads) = (0usize, 0usize);
+    for flat in 0..cp.n_flat {
+        let b = cp.bind(kind, flat, 0.0);
+        if tier == KernelTier::Bound {
+            for op in b.ops() {
+                match op {
+                    BoundOp::Load { .. } => loads += 1,
+                    BoundOp::Const(_) | BoundOp::CoefFn(_) => {}
+                    _ => flops += 1,
+                }
+            }
+            continue;
+        }
+        for op in RegProgram::compile(&b).ops() {
+            match op {
+                RegOp::Load { .. } => loads += 1,
+                RegOp::Const { .. } | RegOp::CoefFn { .. } => {}
+                RegOp::LoadMul { .. } | RegOp::LoadMulConst { .. } => {
+                    loads += 1;
+                    flops += 1;
+                }
+                _ => flops += 1,
+            }
+        }
+    }
+    let n = cp.n_flat.max(1) as f64;
+    (flops as f64 / n, loads as f64 / n)
+}
+
 /// Per-dof FLOP and load counts for the tier's actual instruction
 /// streams: the generic programs for the VM tier, the per-flat bound or
 /// fused register programs otherwise (the native tier compiles the same
@@ -153,92 +201,21 @@ fn entity_bytes(cp: &CompiledProblem, name: &str) -> u64 {
 fn kernel_op_costs(cp: &CompiledProblem, tier: KernelTier) -> (f64, f64) {
     let n_cells = cp.mesh().n_cells();
     let faces_per_cell = cp.hot.nbr.len() as f64 / n_cells.max(1) as f64;
-    // Flux side: the linearized hot loop does an αβγ FMA pair plus the
-    // area multiply per face (~6 flops, 1 neighbor load); the VM fallback
-    // replays the generic flux program per face.
-    let (flux_flops, flux_loads) = if cp.flux_lin.is_some() {
-        (6.0, 1.0)
-    } else {
-        let loads = cp
-            .flux
-            .ops
-            .iter()
-            .filter(|op| {
-                matches!(
-                    op,
-                    Op::LoadVar { .. } | Op::LoadU1 | Op::LoadU2 | Op::LoadCoef { .. }
-                )
-            })
-            .count() as f64;
-        (cp.flux.flops as f64 + 4.0, loads)
+    // Flux side, per face: the table loop does an αβγ FMA pair plus the
+    // area multiply (~6 flops, 1 neighbor load); the compiled flux is
+    // priced from its register stream plus the area multiply-accumulate;
+    // the per-dof tiers without a table replay the generic flux program.
+    let (flux_flops, flux_loads) = match cp.flux_path(tier) {
+        FluxPath::Table => (6.0, 1.0),
+        FluxPath::Compiled => {
+            let (flops, loads) = lowered_costs(cp, KernelKind::Flux, tier);
+            (flops + 2.0, loads)
+        }
+        FluxPath::Vm => (cp.flux.flops as f64 + 4.0, vm_loads(&cp.flux)),
     };
-
     let (volume_flops, volume_loads) = match tier {
-        KernelTier::Vm => {
-            let loads = cp
-                .volume
-                .ops
-                .iter()
-                .filter(|op| {
-                    matches!(
-                        op,
-                        Op::LoadVar { .. } | Op::LoadU1 | Op::LoadU2 | Op::LoadCoef { .. }
-                    )
-                })
-                .count() as f64;
-            (cp.volume.flops as f64, loads)
-        }
-        KernelTier::Bound => {
-            let (mut flops, mut loads) = (0usize, 0usize);
-            for flat in 0..cp.n_flat {
-                let b = cp.volume.bind(
-                    &cp.idx_of_flat[flat],
-                    n_cells,
-                    cp.problem.dt,
-                    0.0,
-                    &cp.problem.registry.coefficients,
-                );
-                for op in b.ops() {
-                    match op {
-                        BoundOp::Load { .. } => loads += 1,
-                        BoundOp::Const(_) | BoundOp::CoefFn(_) => {}
-                        _ => flops += 1,
-                    }
-                }
-            }
-            let n = cp.n_flat.max(1) as f64;
-            (flops as f64 / n, loads as f64 / n)
-        }
-        KernelTier::Row | KernelTier::Native => {
-            let (mut flops, mut loads) = (0usize, 0usize);
-            for flat in 0..cp.n_flat {
-                let b = cp.volume.bind(
-                    &cp.idx_of_flat[flat],
-                    n_cells,
-                    cp.problem.dt,
-                    0.0,
-                    &cp.problem.registry.coefficients,
-                );
-                let r = RegProgram::compile(&b);
-                for op in r.ops() {
-                    match op {
-                        RegOp::Load { .. } => loads += 1,
-                        RegOp::Const { .. } | RegOp::CoefFn { .. } => {}
-                        RegOp::LoadMul { .. } => {
-                            loads += 1;
-                            flops += 1;
-                        }
-                        RegOp::LoadMulConst { .. } => {
-                            loads += 1;
-                            flops += 1;
-                        }
-                        _ => flops += 1,
-                    }
-                }
-            }
-            let n = cp.n_flat.max(1) as f64;
-            (flops as f64 / n, loads as f64 / n)
-        }
+        KernelTier::Vm => (cp.volume.flops as f64, vm_loads(&cp.volume)),
+        _ => lowered_costs(cp, KernelKind::Volume, tier),
     };
     // Per dof: one volume evaluation, one flux evaluation per face, the
     // inv-volume multiply-subtract, and the unknown's own load.
@@ -294,6 +271,7 @@ pub fn estimate_cost(cp: &CompiledProblem, target: &ExecTarget) -> CostModel {
     let sweep_flops = flops_per_dof * dof_per_sweep as f64;
     CostModel {
         tier,
+        flux: cp.flux_path(tier),
         dof_per_sweep,
         flux_per_sweep,
         ghost_per_sweep,

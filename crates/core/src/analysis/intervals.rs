@@ -56,39 +56,34 @@ pub fn check_intervals(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
     // seeds; re-running them when the vm tier already failed would only
     // duplicate the finding. When the vm tier is clean they prove the
     // *lowered* streams (bind-time folding, fused superinstructions) safe
-    // too.
+    // too: the volume program's, and the flux's when Row/Native run it
+    // compiled.
     if out.len() == before {
-        let n_cells = cp.mesh().n_cells();
-        // Occurrence-order ids of function coefficients, shared by the
-        // bound and row streams (bind maps ops 1:1, fusion never touches
-        // CoefFn).
-        let fn_coefs: Vec<usize> = cp
-            .volume
-            .ops
-            .iter()
-            .filter_map(|op| match op {
-                Op::LoadCoefFn { coef } => Some(*coef as usize),
-                _ => None,
-            })
-            .collect();
-        for flat in 0..cp.n_flat {
-            let bound = cp.volume.bind(
-                &cp.idx_of_flat[flat],
-                n_cells,
-                cp.problem.dt,
-                0.0,
-                &cp.problem.registry.coefficients,
-            );
-            let loc = format!("volume kernel (bound, flat {flat})");
-            if let Err(d) = run_bound(cp, &env, bound.ops(), &fn_coefs, &loc) {
-                out.push(d);
-                break;
-            }
-            let reg = RegProgram::compile(&bound);
-            let loc = format!("volume kernel (row, flat {flat})");
-            if let Err(d) = run_reg(cp, &env, &reg, &fn_coefs, &loc) {
-                out.push(d);
-                break;
+        'kernels: for (kind, name, program) in cp.lowered_kernels() {
+            // Occurrence-order ids of function coefficients, shared by the
+            // bound and row streams (bind maps ops 1:1, fusion never
+            // touches CoefFn).
+            let fn_coefs: Vec<usize> = program
+                .ops
+                .iter()
+                .filter_map(|op| match op {
+                    Op::LoadCoefFn { coef } => Some(*coef as usize),
+                    _ => None,
+                })
+                .collect();
+            for flat in 0..cp.n_flat {
+                let bound = cp.bind(kind, flat, 0.0);
+                let loc = format!("{name} kernel (bound, flat {flat})");
+                if let Err(d) = run_bound(&env, bound.ops(), &fn_coefs, &loc) {
+                    out.push(d);
+                    break 'kernels;
+                }
+                let reg = RegProgram::compile(&bound);
+                let loc = format!("{name} kernel (row, flat {flat})");
+                if let Err(d) = run_reg(&env, &reg, &fn_coefs, &loc) {
+                    out.push(d);
+                    break 'kernels;
+                }
             }
         }
     }
@@ -100,7 +95,9 @@ pub fn check_intervals(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
 // ---------------------------------------------------------------------------
 
 struct Env {
-    /// Range per variable id.
+    /// Range per variable id, then per face-input pseudo-variable of a
+    /// bound flux program (`CELL1`/`CELL2` range over the unknown, the
+    /// unit normal's components over `[-1, 1]`).
     vars: Vec<Interval>,
     /// Range per coefficient id (function coefficients; others are exact).
     fn_coefs: HashMap<usize, Interval>,
@@ -155,7 +152,7 @@ impl Env {
         if !complete {
             return None;
         }
-        let vars = registry
+        let mut vars: Vec<Interval> = registry
             .variables
             .iter()
             .map(|v| {
@@ -167,6 +164,9 @@ impl Env {
                     .unwrap_or(Interval::point(0.0))
             })
             .collect();
+        let unknown = vars[cp.system.unknown];
+        vars.extend([unknown, unknown]);
+        vars.extend([Interval::new(-1.0, 1.0); 3]);
         let fn_coefs = registry
             .coefficients
             .iter()
@@ -327,7 +327,6 @@ fn run_vm(
 
 /// Abstractly execute a bound program.
 fn run_bound(
-    cp: &CompiledProblem,
     env: &Env,
     ops: &[BoundOp],
     fn_coefs: &[usize],
@@ -336,7 +335,6 @@ fn run_bound(
     let mut stack: Vec<Interval> = Vec::new();
     let pop = |stack: &mut Vec<Interval>| stack.pop().unwrap_or(Interval::point(0.0));
     let mut seen_fns = 0usize;
-    let _ = cp;
     for (pc, op) in ops.iter().enumerate() {
         let pushed = match op {
             BoundOp::Const(v) => Interval::point(*v),
@@ -386,13 +384,11 @@ fn run_bound(
 
 /// Abstractly execute a fused register program.
 fn run_reg(
-    cp: &CompiledProblem,
     env: &Env,
     reg: &RegProgram,
     fn_coefs: &[usize],
     location: &str,
 ) -> Result<(), Diagnostic> {
-    let _ = cp;
     let mut regs: Vec<Interval> = vec![Interval::point(0.0); reg.n_regs()];
     let mut seen_fns = 0usize;
     for (pc, op) in reg.ops().iter().enumerate() {

@@ -82,8 +82,8 @@ pub use synth::{
 pub use transfers::check_schedule;
 pub use units::check_units;
 pub use validate::{
-    check_bound, check_ir, check_jvp, check_native_against_bound, check_reg_against_bound,
-    check_translation, check_vm,
+    check_bound, check_ir, check_jvp, check_lowered, check_native_against_bound,
+    check_reg_against_bound, check_translation, check_vm,
 };
 
 use crate::exec::{CompiledProblem, ExecTarget};

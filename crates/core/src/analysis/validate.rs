@@ -41,6 +41,12 @@
 //!   The native tier also runs this check itself before compiling
 //!   anything, so a corrupted emission is rejected, never executed.
 //!
+//! The three instruction-level links cover every program the executors run
+//! lowered: the volume program always, and the flux program on plans whose
+//! Row/Native tiers run it compiled (no αβγ table). A bound flux program
+//! loads its face inputs as pseudo-variables, so the same functions prove
+//! it with three more symbols.
+//!
 //! Failures are structured [`Diagnostic`]s with stable rule ids
 //! (`translation/ir-mismatch`, `translation/vm-mismatch`,
 //! `translation/bound-mismatch`, `translation/reg-mismatch`,
@@ -48,7 +54,9 @@
 //! instruction stream exists, the instruction.
 
 use super::{rules, Diagnostic, Severity};
-use crate::bytecode::{BoundOp, BoundProgram, Op, Program, RegOp, RegProgram};
+use crate::bytecode::{
+    BoundOp, BoundProgram, Op, Program, RegOp, RegProgram, FACE_NORMAL, FACE_U1, FACE_U2,
+};
 use crate::entities::{CoefficientValue, Registry};
 use crate::exec::{CompiledProblem, ExecTarget};
 use crate::ir::{self, IrNode};
@@ -65,8 +73,7 @@ pub fn check_translation(cp: &CompiledProblem, target: &ExecTarget, out: &mut Ve
     check_ir(cp, &ir, out);
     check_vm(cp, out);
     check_bound(cp, out);
-    check_reg(cp, out);
-    check_native(cp, out);
+    check_lowered(cp, &RegProgram::compile, out);
     check_jvp(cp, target, out);
 }
 
@@ -335,6 +342,17 @@ impl<'a> VmExec<'a> {
                     VmMode::BindFolded { n_cells, .. } => load_sym(*var, flat * n_cells),
                 }
             }
+            Op::LoadU1 | Op::LoadU2 | Op::LoadNormal(_)
+                if matches!(self.mode, VmMode::BindFolded { .. }) =>
+            {
+                let input = match op {
+                    Op::LoadU1 => FACE_U1,
+                    Op::LoadU2 => FACE_U2,
+                    Op::LoadNormal(axis) => FACE_NORMAL + *axis as u16,
+                    _ => unreachable!(),
+                };
+                load_sym(self.cp.flux.face_base + input, 0)
+            }
             Op::LoadU1 | Op::LoadU2 => {
                 let u = &registry.variables[self.cp.system.unknown];
                 let subs: Vec<ExprRef> = self
@@ -511,32 +529,24 @@ fn vm_mismatch(location: &str, message: String) -> Diagnostic {
 // VM ≡ Bound
 // ---------------------------------------------------------------------------
 
-/// Prove every bound volume program agrees with the generic program it was
+/// Prove every bound program agrees with the generic program it was
 /// specialized from, instruction by instruction.
 pub fn check_bound(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
-    let n_cells = cp.mesh().n_cells();
-    for flat in 0..cp.n_flat {
-        let idx = &cp.idx_of_flat[flat];
-        let bound = cp.volume.bind(
-            idx,
-            n_cells,
-            cp.problem.dt,
-            0.0,
-            &cp.problem.registry.coefficients,
-        );
-        let location = format!("volume kernel (bound, flat {flat})");
-        if !lockstep_bound(cp, idx, n_cells, &cp.volume, &bound, &location, out) {
-            break;
+    for (kind, name, program) in cp.lowered_kernels() {
+        for flat in 0..cp.n_flat {
+            let bound = cp.bind(kind, flat, 0.0);
+            let location = format!("{name} kernel (bound, flat {flat})");
+            if !lockstep_bound(cp, &cp.idx_of_flat[flat], program, &bound, &location, out) {
+                break;
+            }
         }
     }
 }
 
 /// Returns false when a diagnostic was emitted (stop after first flat).
-#[allow(clippy::too_many_arguments)]
 fn lockstep_bound(
     cp: &CompiledProblem,
     idx: &[usize],
-    n_cells: usize,
     program: &Program,
     bound: &BoundProgram,
     location: &str,
@@ -554,6 +564,7 @@ fn lockstep_bound(
         ));
         return false;
     }
+    let n_cells = cp.mesh().n_cells();
     let mut vm = VmExec::new(cp, idx, VmMode::BindFolded { n_cells, time: 0.0 });
     let mut vm_stack: Vec<ExprRef> = Vec::new();
     let mut bound_stack: Vec<ExprRef> = Vec::new();
@@ -644,24 +655,37 @@ fn bound_mismatch(location: &str, message: String) -> Diagnostic {
 // Bound ≡ Reg
 // ---------------------------------------------------------------------------
 
-/// Prove every fused row program agrees with the bound program it was
-/// lowered from.
-fn check_reg(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
-    let n_cells = cp.mesh().n_cells();
-    for flat in 0..cp.n_flat {
-        let bound = cp.volume.bind(
-            &cp.idx_of_flat[flat],
-            n_cells,
-            cp.problem.dt,
-            0.0,
-            &cp.problem.registry.coefficients,
-        );
-        let reg = RegProgram::compile(&bound);
-        let location = format!("volume kernel (row, flat {flat})");
-        let before = out.len();
-        check_reg_against_bound(&bound, &reg, &location, out);
-        if out.len() > before {
-            break;
+/// Prove the row and native lowerings of every lowered kernel against its
+/// bound program, per flat: `Bound ≡ Reg` on the register program `lower`
+/// produces, `Bound ≡ Native` on the statement list emitted from it.
+/// Production passes [`RegProgram::compile`]; negative tests pass a
+/// lowering that tampers with its result, to prove each loop is
+/// load-bearing. Stops at the first offending flat per kernel and tier.
+pub fn check_lowered(
+    cp: &CompiledProblem,
+    lower: &dyn Fn(&BoundProgram) -> RegProgram,
+    out: &mut Vec<Diagnostic>,
+) {
+    for (kind, name, _) in cp.lowered_kernels() {
+        let (mut row_clean, mut native_clean) = (true, true);
+        for flat in 0..cp.n_flat {
+            let bound = cp.bind(kind, flat, 0.0);
+            let reg = lower(&bound);
+            let before = out.len();
+            if row_clean {
+                let location = format!("{name} kernel (row, flat {flat})");
+                check_reg_against_bound(&bound, &reg, &location, out);
+                row_clean = out.len() == before;
+            }
+            let before = out.len();
+            if native_clean {
+                let location = format!("{name} kernel (native, flat {flat})");
+                check_native_against_bound(&bound, &reg, &location, out);
+                native_clean = out.len() == before;
+            }
+            if !row_clean && !native_clean {
+                break;
+            }
         }
     }
 }
@@ -865,36 +889,14 @@ fn reg_mismatch(location: &str, message: String) -> Diagnostic {
 // Bound ≡ Native
 // ---------------------------------------------------------------------------
 
-/// Prove every native-tier statement list agrees with the bound program
-/// it was lowered from. Skipped silently when the lowering itself refuses
-/// the plan (function coefficients) — the native tier then falls back and
-/// there is no emission to validate.
-fn check_native(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
-    let n_cells = cp.mesh().n_cells();
-    for flat in 0..cp.n_flat {
-        let bound = cp.volume.bind(
-            &cp.idx_of_flat[flat],
-            n_cells,
-            cp.problem.dt,
-            0.0,
-            &cp.problem.registry.coefficients,
-        );
-        let reg = RegProgram::compile(&bound);
-        let location = format!("volume kernel (native, flat {flat})");
-        let before = out.len();
-        check_native_against_bound(&bound, &reg, &location, out);
-        if out.len() > before {
-            break;
-        }
-    }
-}
-
 /// Prove the native tier's emitted expression tree — the statement list
 /// `crate::nativegen::lower_stmts` produces, which is exactly what the
 /// text renderer prints and `rustc` compiles — raw-structurally equal to
-/// the bound program. Public so negative tests can seed a tampered
-/// `RegProgram` (via `RegProgram::from_raw_parts`) and prove the check
-/// rejects a corrupted emission before it could reach the compiler.
+/// the bound program. A lowering refusal (function coefficients) is an
+/// ineligible plan, not a mismatch: the native tier then falls back and
+/// there is no emission to validate. Public so negative tests can seed a
+/// tampered `RegProgram` (via `RegProgram::from_raw_parts`) and prove the
+/// check rejects a corrupted emission before it could reach the compiler.
 pub fn check_native_against_bound(
     bound: &BoundProgram,
     reg: &RegProgram,

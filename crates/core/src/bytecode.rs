@@ -149,10 +149,26 @@ pub enum Op {
     Select,
 }
 
+/// Face inputs of a bound flux program. [`Program::bind`] presents them as
+/// pseudo-variables `face_base + FACE_*` read by the ordinary
+/// [`BoundOp::Load`] at offset 0, so the register lowering, its peephole
+/// fusions, the row evaluator and the translation validators treat a flux
+/// program exactly like a volume program.
+pub const FACE_U1: u16 = 0;
+/// Unknown across the face (neighbor value or boundary ghost).
+pub const FACE_U2: u16 = 1;
+/// First component of the oriented normal; axis `a` is `FACE_NORMAL + a`.
+pub const FACE_NORMAL: u16 = 2;
+/// Number of face inputs.
+pub const FACE_INPUTS: usize = 5;
+
 /// A compiled kernel expression.
 #[derive(Debug, Clone)]
 pub struct Program {
     pub ops: Vec<Op>,
+    /// Pseudo-variable id of the first face input: the registry's variable
+    /// count, so face inputs never collide with a real variable id.
+    pub face_base: u16,
     /// Static flop count per evaluation.
     pub flops: usize,
     /// Static bytes loaded from field/coefficient arrays per evaluation.
@@ -291,11 +307,12 @@ impl Program {
     }
 }
 
-/// A volume program specialized to one flat-index value: patterns are
-/// resolved to direct storage offsets, array coefficients and index values
-/// fold to constants, and `dt`/`t` are baked in. This is the
-/// loop-invariant hoisting the generated CPU code performs — the inner
-/// cell loop touches only `Load { offset + cell }` and arithmetic.
+/// A program specialized to one flat-index value: patterns are resolved
+/// to direct storage offsets, array coefficients and index values fold to
+/// constants, and `dt`/`t` are baked in. This is the loop-invariant
+/// hoisting the generated CPU code performs — the inner cell loop touches
+/// only `Load { offset + cell }` and arithmetic. A bound flux program
+/// additionally loads its face inputs (see [`FACE_U1`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum BoundOp {
     Const(f64),
@@ -406,8 +423,9 @@ impl BoundProgram {
 }
 
 impl Program {
-    /// Specialize a **volume** program to a flat-index value (no
-    /// `NORMAL`/`CELL1`/`CELL2` ops allowed — those are flux-only).
+    /// Specialize a program to a flat-index value. The flux-only ops
+    /// (`CELL1`/`CELL2`/`NORMAL_i`) bind to loads of the face-input
+    /// pseudo-variables (see [`FACE_U1`]).
     pub fn bind(
         &self,
         idx: &[usize],
@@ -452,12 +470,19 @@ impl Program {
                 Op::Call(f) => BoundOp::Call(*f),
                 Op::Cmp(c) => BoundOp::Cmp(*c),
                 Op::Select => BoundOp::Select,
-                Op::LoadU1 | Op::LoadU2 | Op::LoadNormal(_) => {
-                    panic!("bind() is for volume programs; flux ops present")
-                }
+                Op::LoadU1 => self.face_input(FACE_U1),
+                Op::LoadU2 => self.face_input(FACE_U2),
+                Op::LoadNormal(axis) => self.face_input(FACE_NORMAL + *axis as u16),
             })
             .collect();
         BoundProgram { ops }
+    }
+
+    fn face_input(&self, input: u16) -> BoundOp {
+        BoundOp::Load {
+            var: self.face_base + input,
+            offset: 0,
+        }
     }
 }
 
@@ -798,12 +823,6 @@ impl RegProgram {
     /// stack discipline guarantees write-before-read). Results are
     /// bit-identical to [`Program::eval`] / [`BoundProgram::eval`] per
     /// cell, independent of how a cell range is split into calls.
-    //
-    // The `const_first`/`load_first` branches look commutatively identical
-    // to clippy, but operand order is preserved on purpose (NaN-payload
-    // propagation picks an operand); the indexed lane loops are the form
-    // LLVM auto-vectorizes and often alias (`regs[d]` vs `regs[a]`).
-    #[allow(clippy::if_same_then_else, clippy::needless_range_loop)]
     pub fn eval_row(
         &self,
         vars: &[&[f64]],
@@ -813,152 +832,182 @@ impl RegProgram {
         time: f64,
         regs: &mut [[f64; ROW_CHUNK]],
     ) {
-        debug_assert!(regs.len() >= self.n_regs());
         let n = out.len();
         let mut start = 0usize;
         while start < n {
             let len = (n - start).min(ROW_CHUNK);
             let base = cell0 + start;
-            for op in &self.ops {
-                match op {
-                    RegOp::Const { dst, k } => regs[*dst as usize][..len].fill(*k),
-                    RegOp::Load { dst, var, offset } => {
-                        regs[*dst as usize][..len].copy_from_slice(
-                            &vars[*var as usize][offset + base..offset + base + len],
-                        );
+            self.eval_chunk(
+                len,
+                |var, offset| &vars[var as usize][offset + base..offset + base + len],
+                centroids,
+                base,
+                time,
+                regs,
+            );
+            out[start..start + len].copy_from_slice(&regs[0][..len]);
+            start += len;
+        }
+    }
+
+    /// One chunk of `len ≤ ROW_CHUNK` lanes, result left in
+    /// `regs[0][..len]`. `load(var, offset)` resolves a load to its `len`
+    /// lane values: consecutive cells of a variable row for a volume
+    /// program ([`RegProgram::eval_row`]), gathered face inputs for a flux
+    /// program. Lane `l` evaluates function coefficients at
+    /// `positions[pos0 + l]`.
+    //
+    // The `const_first`/`load_first` branches look commutatively identical
+    // to clippy, but operand order is preserved on purpose (NaN-payload
+    // propagation picks an operand); the indexed lane loops are the form
+    // LLVM auto-vectorizes and often alias (`regs[d]` vs `regs[a]`).
+    #[allow(clippy::if_same_then_else, clippy::needless_range_loop)]
+    #[inline]
+    pub(crate) fn eval_chunk<'a>(
+        &self,
+        len: usize,
+        load: impl Fn(u16, usize) -> &'a [f64],
+        positions: &[Point],
+        pos0: usize,
+        time: f64,
+        regs: &mut [[f64; ROW_CHUNK]],
+    ) {
+        debug_assert!(regs.len() >= self.n_regs() && len <= ROW_CHUNK);
+        for op in &self.ops {
+            match op {
+                RegOp::Const { dst, k } => regs[*dst as usize][..len].fill(*k),
+                RegOp::Load { dst, var, offset } => {
+                    regs[*dst as usize][..len].copy_from_slice(load(*var, *offset));
+                }
+                RegOp::CoefFn { dst, f } => {
+                    let r = *dst as usize;
+                    for l in 0..len {
+                        regs[r][l] = (f.0)(positions[pos0 + l], time);
                     }
-                    RegOp::CoefFn { dst, f } => {
-                        let r = *dst as usize;
-                        for l in 0..len {
-                            regs[r][l] = (f.0)(centroids[base + l], time);
-                        }
+                }
+                RegOp::Add { dst, a, b } => {
+                    let (d, a, b) = (*dst as usize, *a as usize, *b as usize);
+                    for l in 0..len {
+                        regs[d][l] = regs[a][l] + regs[b][l];
                     }
-                    RegOp::Add { dst, a, b } => {
-                        let (d, a, b) = (*dst as usize, *a as usize, *b as usize);
-                        for l in 0..len {
-                            regs[d][l] = regs[a][l] + regs[b][l];
-                        }
+                }
+                RegOp::Mul { dst, a, b } => {
+                    let (d, a, b) = (*dst as usize, *a as usize, *b as usize);
+                    for l in 0..len {
+                        regs[d][l] = regs[a][l] * regs[b][l];
                     }
-                    RegOp::Mul { dst, a, b } => {
-                        let (d, a, b) = (*dst as usize, *a as usize, *b as usize);
-                        for l in 0..len {
-                            regs[d][l] = regs[a][l] * regs[b][l];
-                        }
+                }
+                RegOp::Pow { dst, a, b } => {
+                    let (d, a, b) = (*dst as usize, *a as usize, *b as usize);
+                    for l in 0..len {
+                        regs[d][l] = regs[a][l].powf(regs[b][l]);
                     }
-                    RegOp::Pow { dst, a, b } => {
-                        let (d, a, b) = (*dst as usize, *a as usize, *b as usize);
-                        for l in 0..len {
-                            regs[d][l] = regs[a][l].powf(regs[b][l]);
-                        }
+                }
+                RegOp::Recip { dst, a } => {
+                    let (d, a) = (*dst as usize, *a as usize);
+                    for l in 0..len {
+                        regs[d][l] = 1.0 / regs[a][l];
                     }
-                    RegOp::Recip { dst, a } => {
-                        let (d, a) = (*dst as usize, *a as usize);
-                        for l in 0..len {
-                            regs[d][l] = 1.0 / regs[a][l];
-                        }
+                }
+                RegOp::Call { dst, a, f } => {
+                    let (d, a) = (*dst as usize, *a as usize);
+                    for l in 0..len {
+                        regs[d][l] = f.apply(regs[a][l]);
                     }
-                    RegOp::Call { dst, a, f } => {
-                        let (d, a) = (*dst as usize, *a as usize);
-                        for l in 0..len {
-                            regs[d][l] = f.apply(regs[a][l]);
-                        }
-                    }
-                    RegOp::Cmp { dst, a, b, op } => {
-                        let (d, a, b) = (*dst as usize, *a as usize, *b as usize);
-                        for l in 0..len {
-                            regs[d][l] = if op.apply(regs[a][l], regs[b][l]) {
-                                1.0
-                            } else {
-                                0.0
-                            };
-                        }
-                    }
-                    RegOp::Select { dst, t, a, b } => {
-                        let (d, t, a, b) = (*dst as usize, *t as usize, *a as usize, *b as usize);
-                        for l in 0..len {
-                            regs[d][l] = if regs[t][l] != 0.0 {
-                                regs[a][l]
-                            } else {
-                                regs[b][l]
-                            };
-                        }
-                    }
-                    RegOp::AddConst {
-                        dst,
-                        a,
-                        k,
-                        const_first,
-                    } => {
-                        let (d, a, k) = (*dst as usize, *a as usize, *k);
-                        if *const_first {
-                            for l in 0..len {
-                                regs[d][l] = k + regs[a][l];
-                            }
+                }
+                RegOp::Cmp { dst, a, b, op } => {
+                    let (d, a, b) = (*dst as usize, *a as usize, *b as usize);
+                    for l in 0..len {
+                        regs[d][l] = if op.apply(regs[a][l], regs[b][l]) {
+                            1.0
                         } else {
-                            for l in 0..len {
-                                regs[d][l] = regs[a][l] + k;
-                            }
+                            0.0
+                        };
+                    }
+                }
+                RegOp::Select { dst, t, a, b } => {
+                    let (d, t, a, b) = (*dst as usize, *t as usize, *a as usize, *b as usize);
+                    for l in 0..len {
+                        regs[d][l] = if regs[t][l] != 0.0 {
+                            regs[a][l]
+                        } else {
+                            regs[b][l]
+                        };
+                    }
+                }
+                RegOp::AddConst {
+                    dst,
+                    a,
+                    k,
+                    const_first,
+                } => {
+                    let (d, a, k) = (*dst as usize, *a as usize, *k);
+                    if *const_first {
+                        for l in 0..len {
+                            regs[d][l] = k + regs[a][l];
+                        }
+                    } else {
+                        for l in 0..len {
+                            regs[d][l] = regs[a][l] + k;
                         }
                     }
-                    RegOp::MulConst {
-                        dst,
-                        a,
-                        k,
-                        const_first,
-                    } => {
-                        let (d, a, k) = (*dst as usize, *a as usize, *k);
-                        if *const_first {
-                            for l in 0..len {
-                                regs[d][l] = k * regs[a][l];
-                            }
-                        } else {
-                            for l in 0..len {
-                                regs[d][l] = regs[a][l] * k;
-                            }
+                }
+                RegOp::MulConst {
+                    dst,
+                    a,
+                    k,
+                    const_first,
+                } => {
+                    let (d, a, k) = (*dst as usize, *a as usize, *k);
+                    if *const_first {
+                        for l in 0..len {
+                            regs[d][l] = k * regs[a][l];
+                        }
+                    } else {
+                        for l in 0..len {
+                            regs[d][l] = regs[a][l] * k;
                         }
                     }
-                    RegOp::LoadMul {
-                        dst,
-                        a,
-                        var,
-                        offset,
-                        load_first,
-                    } => {
-                        let (d, a) = (*dst as usize, *a as usize);
-                        let src = &vars[*var as usize][offset + base..offset + base + len];
-                        if *load_first {
-                            for l in 0..len {
-                                regs[d][l] = src[l] * regs[a][l];
-                            }
-                        } else {
-                            for l in 0..len {
-                                regs[d][l] = regs[a][l] * src[l];
-                            }
+                }
+                RegOp::LoadMul {
+                    dst,
+                    a,
+                    var,
+                    offset,
+                    load_first,
+                } => {
+                    let (d, a) = (*dst as usize, *a as usize);
+                    let src = &load(*var, *offset)[..len];
+                    if *load_first {
+                        for l in 0..len {
+                            regs[d][l] = src[l] * regs[a][l];
+                        }
+                    } else {
+                        for l in 0..len {
+                            regs[d][l] = regs[a][l] * src[l];
                         }
                     }
-                    RegOp::LoadMulConst {
-                        dst,
-                        var,
-                        offset,
-                        k,
-                        const_first,
-                    } => {
-                        let (d, k) = (*dst as usize, *k);
-                        let src = &vars[*var as usize][offset + base..offset + base + len];
-                        if *const_first {
-                            for l in 0..len {
-                                regs[d][l] = k * src[l];
-                            }
-                        } else {
-                            for l in 0..len {
-                                regs[d][l] = src[l] * k;
-                            }
+                }
+                RegOp::LoadMulConst {
+                    dst,
+                    var,
+                    offset,
+                    k,
+                    const_first,
+                } => {
+                    let (d, k) = (*dst as usize, *k);
+                    let src = &load(*var, *offset)[..len];
+                    if *const_first {
+                        for l in 0..len {
+                            regs[d][l] = k * src[l];
+                        }
+                    } else {
+                        for l in 0..len {
+                            regs[d][l] = src[l] * k;
                         }
                     }
                 }
             }
-            out[start..start + len].copy_from_slice(&regs[0][..len]);
-            start += len;
         }
     }
 }
@@ -991,6 +1040,7 @@ impl<'a> Compiler<'a> {
         let (flops, bytes_read, max_stack) = analyze_ops(&ops)?;
         Ok(Program {
             ops,
+            face_base: self.registry.variables.len() as u16,
             flops,
             bytes_read,
             max_stack,

@@ -145,9 +145,11 @@ fn axpy(fields: &mut Fields, unknown: usize, d: Dofs, coeff: f64, rhs: &[f64]) {
     }
 }
 
-/// A primal RHS sweep wrapped in a `Kernel` span with tier attribution,
-/// so traces show which tier actually ran (the resolved tier may differ
-/// from the requested one after clamping or native fallback).
+/// A primal RHS sweep wrapped in a `Kernel` span with tier and flux-path
+/// attribution, so traces show what actually ran (the resolved tier may
+/// differ from the requested one after clamping or native fallback, and
+/// the same tier evaluates the flux from a table on one mesh and from its
+/// compiled program on another).
 #[allow(clippy::too_many_arguments)]
 fn traced_rhs<B: Backend + ?Sized>(
     backend: &mut B,
@@ -172,6 +174,7 @@ fn traced_rhs<B: Backend + ?Sized>(
             vec![
                 ("step", step.to_string()),
                 ("tier", backend.tier().name().to_string()),
+                ("flux", cp.flux_path(backend.tier()).name().to_string()),
                 ("dofs", (d.flats.len() * d.cells.len()).to_string()),
             ],
         );

@@ -264,7 +264,7 @@ fn launch_sweep(
     skip_boundary: bool,
     fused_dt: Option<f64>,
 ) -> f64 {
-    ps.kernels.ensure(plan, n_cells, time);
+    ps.kernels.ensure(plan, time);
     let kernels = &ps.kernels;
     let n_vars = var_devs.len();
     let mut inputs: Vec<&DeviceBuffer> = var_devs.iter().collect();
@@ -450,6 +450,10 @@ impl Backend for GpuBackend {
                     ("step", step.to_string()),
                     ("threads", n_threads.to_string()),
                     ("tier", self.main.kernels.tier.name().to_string()),
+                    (
+                        "flux",
+                        cp.flux_path(self.main.kernels.tier).name().to_string(),
+                    ),
                     (
                         "obs_flops",
                         format!("{:.4e}", self.main.cost.total_flops(n_threads)),

@@ -32,7 +32,7 @@ pub(crate) mod par;
 pub(crate) mod rows;
 pub(crate) mod seq;
 
-use crate::bytecode::{Compiler, KernelKind, Program};
+use crate::bytecode::{BoundProgram, Compiler, KernelKind, Program};
 use crate::dataflow::TransferSchedule;
 use crate::entities::Fields;
 use crate::pipeline::DiscreteSystem;
@@ -254,6 +254,31 @@ pub struct FluxLinearization {
     pub gamma: Vec<f64>,
 }
 
+/// How a kernel tier evaluates the face flux — run attribution beside the
+/// tier: the same tier is an order of magnitude apart between `Vm` and the
+/// other two.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FluxPath {
+    /// The αβγ lookup of a [`FluxLinearization`], on every tier.
+    Table,
+    /// The flux program lowered like the volume program (Row/Native on a
+    /// mesh without a table).
+    Compiled,
+    /// The stack VM per face (the per-dof tiers without a table).
+    Vm,
+}
+
+impl FluxPath {
+    /// Stable lowercase name, used in telemetry attributes.
+    pub fn name(self) -> &'static str {
+        match self {
+            FluxPath::Table => "table",
+            FluxPath::Compiled => "compiled",
+            FluxPath::Vm => "vm",
+        }
+    }
+}
+
 impl FluxLinearization {
     /// Evaluate the linearized flux.
     #[inline]
@@ -263,10 +288,16 @@ impl FluxLinearization {
     }
 }
 
-/// Attempt the flux linearization. Returns `None` (VM fallback) when the
-/// flux reads mutable variables, function coefficients, or time; when a
-/// conditional branches on the unknown; when the mesh has too many
-/// distinct normals; or when the numeric affinity probe fails.
+/// Orientation classes above which the αβγ table (`n_flat × classes × 3`
+/// doubles) would outgrow the mesh itself; such meshes take the compiled
+/// flux instead.
+const MAX_CLASSES: usize = 1024;
+
+/// Attempt the flux linearization. Returns `None` (the compiled flux on
+/// the Row/Native tiers, the VM on the per-dof tiers) when the flux reads
+/// mutable variables, function coefficients, or time; when a conditional
+/// branches on the unknown; when the mesh has more than [`MAX_CLASSES`]
+/// distinct oriented normals; or when the numeric affinity probe fails.
 fn linearize_flux(cp: &CompiledProblem) -> Option<FluxLinearization> {
     use crate::bytecode::{Op, VmCtx};
     // Static eligibility: only face-constant inputs besides CELL1/CELL2.
@@ -291,22 +322,21 @@ fn linearize_flux(cp: &CompiledProblem) -> Option<FluxLinearization> {
     }
 
     // Classify oriented normals by exact bit pattern (normals of identical
-    // geometry are computed identically).
-    const MAX_CLASSES: usize = 1024;
+    // geometry are computed identically); classes number in face order.
     let mesh = cp.mesh();
-    let mut classes: Vec<[u64; 3]> = Vec::new();
+    let mut class_ids: std::collections::HashMap<[u64; 3], u32> = Default::default();
     let mut normals: Vec<[f64; 3]> = Vec::new();
     let mut class_of = |n: pbte_mesh::Point| -> Option<u32> {
         let key = [n.x.to_bits(), n.y.to_bits(), n.z.to_bits()];
-        if let Some(i) = classes.iter().position(|k| *k == key) {
-            return Some(i as u32);
+        if let Some(&class) = class_ids.get(&key) {
+            return Some(class);
         }
-        if classes.len() >= MAX_CLASSES {
+        if normals.len() >= MAX_CLASSES {
             return None;
         }
-        classes.push(key);
+        class_ids.insert(key, normals.len() as u32);
         normals.push([n.x, n.y, n.z]);
-        Some((classes.len() - 1) as u32)
+        Some(normals.len() as u32 - 1)
     };
     let mut face_class_pos = Vec::with_capacity(mesh.n_faces());
     let mut face_class_neg = Vec::with_capacity(mesh.n_faces());
@@ -314,7 +344,7 @@ fn linearize_flux(cp: &CompiledProblem) -> Option<FluxLinearization> {
         face_class_pos.push(class_of(f.normal)?);
         face_class_neg.push(class_of(-f.normal)?);
     }
-    let n_classes = classes.len();
+    let n_classes = normals.len();
 
     // Probe the program per (flat, class) and validate affinity exactly
     // at two extra points.
@@ -431,7 +461,8 @@ pub struct CompiledProblem {
     pub(crate) boundary: Vec<BoundaryFace>,
     /// face id → position in `boundary` (usize::MAX for interior faces).
     pub(crate) bface_slot: Vec<usize>,
-    /// Flux specialization (None → VM fallback).
+    /// The αβγ flux table, for meshes with few face orientations (None →
+    /// the compiled flux on Row/Native, the VM on the per-dof tiers).
     pub flux_lin: Option<FluxLinearization>,
     /// Compact structure-of-arrays face geometry for the CPU hot loop.
     pub(crate) hot: HotGeometry,
@@ -517,8 +548,17 @@ pub(crate) struct HotGeometry {
     pub offsets: Vec<u32>,
     pub nbr: Vec<i64>,
     pub area: Vec<f64>,
-    /// Oriented normal class as seen from the cell (for `FluxLinearization`).
+    /// With a [`FluxLinearization`]: the oriented normal class as seen
+    /// from the cell. Without one: the signed face index
+    /// `face << 1 | flipped` into `normals`, `flipped` when the cell is not
+    /// the face's owner.
     pub class: Vec<u32>,
+    /// Owner-side unit normals, `dim` components per *face*, for the
+    /// compiled flux; empty otherwise. Negation is exact, so `±normals`
+    /// reproduces `Face::normal_from` bit for bit.
+    pub normals: Vec<f64>,
+    /// Components per face in `normals` (the mesh dimension).
+    pub dim: usize,
     /// 1 / cell volume.
     pub inv_volume: Vec<f64>,
 }
@@ -528,6 +568,7 @@ impl HotGeometry {
         mesh: &pbte_mesh::Mesh,
         bface_slot: &[usize],
         lin: Option<&FluxLinearization>,
+        compiled_flux: bool,
     ) -> HotGeometry {
         let n = mesh.n_cells();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -544,25 +585,49 @@ impl HotGeometry {
                 });
                 area.push(f.area);
                 class.push(match lin {
-                    Some(l) => {
-                        if f.owner == cell {
-                            l.face_class_pos[fid]
-                        } else {
-                            l.face_class_neg[fid]
-                        }
-                    }
-                    None => 0,
+                    Some(l) if f.owner == cell => l.face_class_pos[fid],
+                    Some(l) => l.face_class_neg[fid],
+                    None => (fid as u32) << 1 | (f.owner != cell) as u32,
                 });
             }
             offsets.push(nbr.len() as u32);
         }
+        let normals = if compiled_flux {
+            mesh.faces
+                .iter()
+                .flat_map(|f| {
+                    [f.normal.x, f.normal.y, f.normal.z]
+                        .into_iter()
+                        .take(mesh.dim)
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         HotGeometry {
             offsets,
             nbr,
             area,
             class,
+            normals,
+            dim: mesh.dim,
             inv_volume: mesh.cell_volumes.iter().map(|v| 1.0 / v).collect(),
         }
+    }
+
+    /// Oriented normal of face slot `k` as the compiled flux reads it:
+    /// components past the mesh dimension are `±0.0`, like the `z` of a
+    /// 2-D `Face::normal_from`.
+    #[inline]
+    pub fn normal(&self, k: usize) -> [f64; 3] {
+        let signed = self.class[k];
+        let at = (signed >> 1) as usize * self.dim;
+        let mut n = [0.0; 3];
+        n[..self.dim].copy_from_slice(&self.normals[at..at + self.dim]);
+        if signed & 1 != 0 {
+            n = [-n[0], -n[1], -n[2]];
+        }
+        n
     }
 }
 
@@ -703,6 +768,8 @@ impl CompiledProblem {
                 nbr: Vec::new(),
                 area: Vec::new(),
                 class: Vec::new(),
+                normals: Vec::new(),
+                dim: 0,
                 inv_volume: Vec::new(),
             },
             catalog: CallbackCatalog::default(),
@@ -710,7 +777,12 @@ impl CompiledProblem {
         };
         cp.catalog = CallbackCatalog::build(&cp.problem, &cp.boundary);
         cp.flux_lin = linearize_flux(&cp);
-        cp.hot = HotGeometry::build(cp.mesh(), &cp.bface_slot, cp.flux_lin.as_ref());
+        cp.hot = HotGeometry::build(
+            cp.mesh(),
+            &cp.bface_slot,
+            cp.flux_lin.as_ref(),
+            cp.compiled_flux(),
+        );
         Ok((cp, fields))
     }
 
@@ -751,17 +823,80 @@ impl CompiledProblem {
         self.problem.mesh.as_ref().expect("checked in compile")
     }
 
+    /// Why the Row/Native tiers cannot evaluate this flux through its
+    /// lowered program, if they cannot: the row evaluator runs the flux
+    /// over face slots, where neither a per-face host callback nor a
+    /// cell-indexed variable row is available. Such a flux never
+    /// linearizes either, so the plan runs on the `Bound` tier.
+    pub(crate) fn flux_blocker(&self) -> Option<&'static str> {
+        use crate::bytecode::Op;
+        self.flux.ops.iter().find_map(|op| match op {
+            Op::LoadCoefFn { .. } => {
+                Some("the flux evaluates a function coefficient (a host callback per face)")
+            }
+            Op::LoadVar { .. } => Some("the flux reads a cell variable per face"),
+            _ => None,
+        })
+    }
+
+    /// True when the Row/Native tiers evaluate the flux through its lowered
+    /// program: no αβγ table (see [`FluxLinearization`]) and nothing that
+    /// blocks the lowering.
+    pub(crate) fn compiled_flux(&self) -> bool {
+        self.flux_lin.is_none() && self.flux_blocker().is_none()
+    }
+
+    /// Which flux evaluation `tier` runs.
+    pub fn flux_path(&self, tier: KernelTier) -> FluxPath {
+        match tier {
+            _ if self.flux_lin.is_some() => FluxPath::Table,
+            KernelTier::Row | KernelTier::Native => FluxPath::Compiled,
+            KernelTier::Vm | KernelTier::Bound => FluxPath::Vm,
+        }
+    }
+
+    /// The kernels the executors run in lowered (bound / row / native)
+    /// form, with their diagnostic names: the volume program, and the flux
+    /// when Row/Native run it compiled. The static passes walk exactly
+    /// these.
+    pub(crate) fn lowered_kernels(&self) -> Vec<(KernelKind, &'static str, &Program)> {
+        let mut kernels = vec![(KernelKind::Volume, "volume", &self.volume)];
+        if self.compiled_flux() {
+            kernels.push((KernelKind::Flux, "flux", &self.flux));
+        }
+        kernels
+    }
+
+    /// The volume or flux program specialized to `flat` at `time`.
+    pub(crate) fn bind(&self, kind: KernelKind, flat: usize, time: f64) -> BoundProgram {
+        let program = match kind {
+            KernelKind::Volume => &self.volume,
+            KernelKind::Flux => &self.flux,
+        };
+        program.bind(
+            &self.idx_of_flat[flat],
+            self.mesh().n_cells(),
+            self.problem.dt,
+            time,
+            &self.problem.registry.coefficients,
+        )
+    }
+
     /// The kernel tier the executors will actually use: the problem's
-    /// explicit choice, defaulting to `Row`, clamped to `Bound` when the
-    /// flux didn't linearize (the row and native flux loops need the αβγ
-    /// tables). A `Native` request may additionally degrade to `Row` at
-    /// scope construction if AOT preparation fails (missing `rustc`,
-    /// failed compilation, ineligible plan) — that late fallback is
-    /// recorded as a `native/fallback` diagnostic on the kernels.
+    /// explicit choice, defaulting to `Row`. It depends on the plan, never
+    /// on the mesh: only a flux the row evaluator cannot lower (one that
+    /// calls a function coefficient or reads a cell variable per face)
+    /// clamps `Row`/`Native` to `Bound`.
+    /// A `Native` request may additionally degrade to `Row` at scope
+    /// construction if AOT preparation fails (missing `rustc`, failed
+    /// compilation, ineligible plan) — that late fallback is recorded as a
+    /// `native/fallback` diagnostic on the kernels.
     pub fn resolved_tier(&self) -> KernelTier {
         let requested = self.problem.kernel_tier.unwrap_or(KernelTier::Row);
         match requested {
-            KernelTier::Row | KernelTier::Native if self.flux_lin.is_none() => KernelTier::Bound,
+            KernelTier::Row | KernelTier::Native if self.flux_blocker().is_some() => {
+                KernelTier::Bound
+            }
             t => t,
         }
     }
@@ -833,8 +968,8 @@ pub struct IntensityBench<'a> {
 }
 
 impl IntensityBench<'_> {
-    /// The tier actually selected (Row may have clamped to Bound, and
-    /// Native may have degraded to Row — see [`Self::native_fallback`]).
+    /// The tier actually selected (Native may have degraded to Row — see
+    /// [`Self::native_fallback`]).
     pub fn tier(&self) -> KernelTier {
         self.kernels.tier
     }

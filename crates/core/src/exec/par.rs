@@ -59,7 +59,7 @@ pub(crate) fn compute_rhs_par(
 ) {
     let vars = fields.as_slices();
     let n_cells = fields.n_cells;
-    kernels.ensure(cp, n_cells, time);
+    kernels.ensure(cp, time);
     let kernels = &*kernels;
     let threads = rayon::current_num_threads().max(1);
     // Shared with the partition synthesis (`analysis::thread_chunk_len`)

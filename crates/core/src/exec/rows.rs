@@ -3,28 +3,31 @@
 //! Four execution tiers evaluate the RHS (see DESIGN.md §"Kernel
 //! tiers"): the generic stack VM, the per-flat bound program, the fused
 //! row kernel this module implements — a [`RegProgram`] for the source
-//! term plus a straight-line flux loop over the `hot` SoA geometry,
-//! evaluated over a whole contiguous cell span per call — and the native
-//! tier, which AOT-compiles the same per-flat row programs to machine
-//! code through [`crate::nativegen`]. All tiers are bit-identical per
+//! term plus a flux loop over the `hot` SoA geometry (the αβγ table
+//! lookup on meshes with few face orientations, the flux's own
+//! [`RegProgram`] batched over face slots otherwise), evaluated over a
+//! whole contiguous cell span per call — and the native tier, which
+//! AOT-compiles the same per-flat row programs to machine code through
+//! [`crate::nativegen`]. All tiers are bit-identical per
 //! DOF, independent of how a cell range is split into spans, so every
 //! executor (sequential, threaded, distributed, GPU) can route through
 //! the same kernels without disturbing the cross-target identity tests.
 //!
 //! [`IntensityKernels`] also owns the cross-step bind cache: when the
-//! volume program provably never reads `t`, the per-flat specialization is
+//! programs provably never read `t`, the per-flat specialization is
 //! reused for the whole run instead of being rebuilt every step. The
 //! native tier extends that story to machine code: preparation (lowering,
 //! validation, `rustc`, `dlopen`) happens once at scope construction, and
 //! failures degrade to the row tier with a [`Diagnostic`] instead of
 //! erroring.
 
-use super::{seq, CompiledProblem, HotGeometry};
+use super::{seq, CompiledProblem, FluxLinearization, HotGeometry};
 use crate::analysis::{rules, Diagnostic, Severity};
-use crate::bytecode::{BoundProgram, RegProgram, ROW_CHUNK};
+use crate::bytecode::{
+    BoundProgram, KernelKind, RegProgram, FACE_INPUTS, FACE_NORMAL, FACE_U1, FACE_U2, ROW_CHUNK,
+};
 use crate::nativegen::{self, NativeArgs, NativeLib};
 use crate::problem::KernelTier;
-use pbte_mesh::Point;
 use std::sync::Arc;
 
 /// How a flux sum treats boundary faces.
@@ -43,9 +46,12 @@ pub(crate) struct IntensityKernels {
     flats: Vec<usize>,
     bound: Vec<BoundProgram>,
     reg: Vec<RegProgram>,
+    /// Row programs of the flux, per flat (Row tier with a compiled flux
+    /// only — the table path and the other tiers leave it empty).
+    flux_reg: Vec<RegProgram>,
     /// Time the cached programs were bound at (bit pattern compared).
     bound_time: f64,
-    /// Whether the volume program reads `t` (forces per-stage rebinds).
+    /// Whether a bound program reads `t` (forces per-stage rebinds).
     time_dependent: bool,
     rebind_per_step: bool,
     max_regs: usize,
@@ -61,31 +67,34 @@ pub(crate) struct IntensityKernels {
 }
 
 impl IntensityKernels {
-    /// Kernels for a scope using the problem's resolved tier.
+    /// Kernels for a scope at the tier the problem requests (clamped and
+    /// degraded as [`IntensityKernels::with_tier`] describes).
     pub fn for_scope(cp: &CompiledProblem, flats: &[usize]) -> IntensityKernels {
-        Self::with_tier(cp, flats, cp.resolved_tier())
+        let requested = cp.problem.kernel_tier.unwrap_or(KernelTier::Row);
+        Self::with_tier(cp, flats, requested)
     }
 
-    /// Kernels pinned to a tier (`Row` falls back to `Bound` when the
-    /// flux didn't linearize — the row flux loop needs the αβγ tables —
-    /// and `Native` falls back to `Row` when preparation fails, with a
-    /// structured [`Diagnostic`] recording why).
+    /// Kernels pinned to a tier. `Row` runs on every mesh; it (and a
+    /// failed `Native`) clamps to `Bound` only for a flux the row
+    /// evaluator cannot lower ([`CompiledProblem::flux_blocker`]). `Native`
+    /// falls back when preparation fails, with a structured
+    /// [`Diagnostic`] recording why.
     pub fn with_tier(cp: &CompiledProblem, flats: &[usize], tier: KernelTier) -> IntensityKernels {
+        let row = match cp.flux_blocker() {
+            Some(_) => KernelTier::Bound,
+            None => KernelTier::Row,
+        };
         let mut tier = match tier {
-            KernelTier::Row if cp.flux_lin.is_none() => KernelTier::Bound,
+            KernelTier::Row => row,
             t => t,
         };
         let mut native = None;
         let mut native_fallback = None;
         if tier == KernelTier::Native {
-            match nativegen::prepare(cp, cp.mesh().n_cells()) {
+            match nativegen::prepare(cp) {
                 Ok(lib) => native = Some(lib),
                 Err(reason) => {
-                    tier = if cp.flux_lin.is_some() {
-                        KernelTier::Row
-                    } else {
-                        KernelTier::Bound
-                    };
+                    tier = row;
                     let diag = Diagnostic {
                         severity: Severity::Warning,
                         rule: rules::NATIVE_FALLBACK,
@@ -104,13 +113,18 @@ impl IntensityKernels {
                 }
             }
         }
+        // On the Row tier a compiled flux is bound (and re-bound) with the
+        // volume program.
+        let binds_flux = tier == KernelTier::Row && cp.compiled_flux();
         IntensityKernels {
             tier,
             flats: flats.to_vec(),
             bound: Vec::new(),
             reg: Vec::new(),
+            flux_reg: Vec::new(),
             bound_time: f64::NAN,
-            time_dependent: cp.volume.references_time(),
+            time_dependent: cp.volume.references_time()
+                || (binds_flux && cp.flux.references_time()),
             rebind_per_step: cp.problem.rebind_per_step,
             max_regs: 0,
             faces_in_scope: None,
@@ -121,9 +135,9 @@ impl IntensityKernels {
     }
 
     /// Make the cached per-flat programs valid for `time`. A no-op unless
-    /// this is the first call, the program reads `t` and `time` changed,
+    /// this is the first call, a program reads `t` and `time` changed,
     /// or per-step rebinding was forced.
-    pub fn ensure(&mut self, cp: &CompiledProblem, n_cells: usize, time: f64) {
+    pub fn ensure(&mut self, cp: &CompiledProblem, time: f64) {
         // The VM tier binds nothing; the native tier was fully prepared
         // at construction (it is only reachable for time-independent,
         // cache-friendly plans, so there is never anything to re-bind).
@@ -136,25 +150,30 @@ impl IntensityKernels {
         if !stale {
             return;
         }
-        let dt = cp.problem.dt;
-        let coefficients = &cp.problem.registry.coefficients;
         let mut bound = Vec::with_capacity(self.flats.len());
         let mut reg = Vec::with_capacity(self.flats.len());
-        let mut max_regs = 0usize;
+        let mut flux_reg = Vec::new();
+        let row = self.tier == KernelTier::Row;
+        let compiled_flux = row && cp.compiled_flux();
         for &flat in &self.flats {
-            let b = cp
-                .volume
-                .bind(&cp.idx_of_flat[flat], n_cells, dt, time, coefficients);
-            if self.tier == KernelTier::Row {
-                let r = RegProgram::compile(&b);
-                max_regs = max_regs.max(r.n_regs());
-                reg.push(r);
+            let b = cp.bind(KernelKind::Volume, flat, time);
+            if row {
+                reg.push(RegProgram::compile(&b));
+            }
+            if compiled_flux {
+                flux_reg.push(RegProgram::compile(&cp.bind(KernelKind::Flux, flat, time)));
             }
             bound.push(b);
         }
+        self.max_regs = reg
+            .iter()
+            .chain(&flux_reg)
+            .map(RegProgram::n_regs)
+            .max()
+            .unwrap_or(0);
         self.bound = bound;
         self.reg = reg;
-        self.max_regs = max_regs;
+        self.flux_reg = flux_reg;
         self.bound_time = time;
         self.rebinds += 1;
     }
@@ -167,11 +186,6 @@ impl IntensityKernels {
     /// Bound program for the scope's `k`-th flat.
     pub fn bound(&self, k: usize) -> &BoundProgram {
         &self.bound[k]
-    }
-
-    /// Row program for the scope's `k`-th flat (Row tier only).
-    pub fn reg(&self, k: usize) -> &RegProgram {
-        &self.reg[k]
     }
 
     /// The loaded native plan (Native tier only).
@@ -222,10 +236,27 @@ pub(crate) fn spans(cells: &[usize]) -> impl Iterator<Item = (usize, usize)> + '
     })
 }
 
+/// `source − flux·invV`, or the fused update `u + dt·(source − flux·invV)`
+/// when `fused_dt` is set — the last step of every span kernel.
+#[inline(always)]
+fn finish_dof(
+    source: f64,
+    flux_sum: f64,
+    inv_volume: f64,
+    u_here: f64,
+    fused_dt: Option<f64>,
+) -> f64 {
+    let rhs = source - flux_sum * inv_volume;
+    match fused_dt {
+        Some(dt) => u_here + dt * rhs,
+        None => rhs,
+    }
+}
+
 /// Combine precomputed source values with the face-flux sum over a
-/// contiguous cell span. On entry `out[i]` holds the source for cell
-/// `cell0 + i`; on exit it holds the RHS `source − flux·invV`, or the
-/// fused update `u + dt·(source − flux·invV)` when `fused_dt` is set.
+/// contiguous cell span, through the αβγ table. On entry `out[i]` holds
+/// the source for cell `cell0 + i`; on exit it holds the RHS or the fused
+/// update (see [`finish_dof`]).
 ///
 /// The flux loop replicates `seq::flux_sum_dof`'s linearized fast path
 /// exactly (same face order, same operations) so results are bit-identical
@@ -233,6 +264,7 @@ pub(crate) fn spans(cells: &[usize]) -> impl Iterator<Item = (usize, usize)> + '
 #[allow(clippy::too_many_arguments)]
 fn flux_combine(
     cp: &CompiledProblem,
+    lin: &FluxLinearization,
     u_row: &[f64],
     flat: usize,
     boundary: FluxBoundary,
@@ -241,10 +273,6 @@ fn flux_combine(
     fused_dt: Option<f64>,
 ) {
     let hot = &cp.hot;
-    let lin = cp
-        .flux_lin
-        .as_ref()
-        .expect("row tier requires a linearized flux");
     let n_flat = cp.n_flat;
     for (i, o) in out.iter_mut().enumerate() {
         let cell = cell0 + i;
@@ -264,36 +292,137 @@ fn flux_combine(
             };
             flux_sum += hot.area[k] * lin.eval(flat, hot.class[k], u_here, u2);
         }
-        let rhs = *o - flux_sum * hot.inv_volume[cell];
-        *o = match fused_dt {
-            Some(dt) => u_here + dt * rhs,
-            None => rhs,
-        };
+        *o = finish_dof(*o, flux_sum, hot.inv_volume[cell], u_here, fused_dt);
     }
 }
 
-/// Evaluate a full row-kernel span: batched source via [`RegProgram`],
-/// then the fused flux/update combine. `out` covers cells
-/// `cell0 .. cell0 + out.len()`; `regs` is scratch from
-/// [`IntensityKernels::scratch`].
+/// The general sibling of [`flux_combine`] for meshes without an αβγ
+/// table: the flux's own row program, batched over the span's face slots.
+///
+/// The CSR slots `offsets[cell0] .. offsets[cell0 + out.len()]` are walked
+/// in `ROW_CHUNK` lanes: gather the face inputs (owner value, neighbor or
+/// ghost value, oriented normal), evaluate `flux` once per chunk, then per
+/// cell accumulate `flux_sum += area[k] * f[k]` from 0.0 in slot order —
+/// the operation sequence of `seq::flux_sum_dof`'s VM branch, so results
+/// are bit-identical to the per-DOF tiers however the span is split.
+/// A cell's sum carries across chunk boundaries; boundary slots are
+/// evaluated but left out of the sum under [`FluxBoundary::Skip`].
 #[allow(clippy::too_many_arguments)]
-fn rhs_span(
-    reg: &RegProgram,
+fn flux_combine_compiled(
+    flux: &RegProgram,
     cp: &CompiledProblem,
-    vars: &[&[f64]],
-    n_cells: usize,
+    u_row: &[f64],
     flat: usize,
     boundary: FluxBoundary,
     cell0: usize,
     out: &mut [f64],
-    centroids: &[Point],
     time: f64,
     fused_dt: Option<f64>,
     regs: &mut [[f64; ROW_CHUNK]],
 ) {
-    reg.eval_row(vars, cell0, out, centroids, time, regs);
+    let hot = &cp.hot;
+    let n_flat = cp.n_flat;
+    let face_base = cp.flux.face_base;
+    let skip = matches!(boundary, FluxBoundary::Skip);
+    let mut lanes = [[0.0f64; ROW_CHUNK]; FACE_INPUTS];
+    let cell_end = cell0 + out.len();
+    let end = hot.offsets[cell_end] as usize;
+    let mut k0 = hot.offsets[cell0] as usize;
+    // `cell` is the cell whose sum is open; cells before it are finished.
+    let mut cell = cell0;
+    let mut flux_sum = 0.0;
+    let mut finish = |cell: usize, flux_sum: f64| {
+        let o = &mut out[cell - cell0];
+        *o = finish_dof(*o, flux_sum, hot.inv_volume[cell], u_row[cell], fused_dt);
+    };
+    while k0 < end {
+        let len = (end - k0).min(ROW_CHUNK);
+        let mut owner = cell;
+        for (l, k) in (k0..k0 + len).enumerate() {
+            while k >= hot.offsets[owner + 1] as usize {
+                owner += 1;
+            }
+            let nb = hot.nbr[k];
+            lanes[FACE_U1 as usize][l] = u_row[owner];
+            lanes[FACE_U2 as usize][l] = if nb >= 0 {
+                u_row[nb as usize]
+            } else {
+                match boundary {
+                    FluxBoundary::Ghosts(g) => g[(-(nb + 1)) as usize * n_flat + flat],
+                    // Evaluated, never summed.
+                    FluxBoundary::Skip => 0.0,
+                }
+            };
+            let n = hot.normal(k);
+            for (axis, &component) in n.iter().enumerate() {
+                lanes[FACE_NORMAL as usize + axis][l] = component;
+            }
+        }
+        flux.eval_chunk(
+            len,
+            |var, _| &lanes[(var - face_base) as usize][..len],
+            &[],
+            0,
+            time,
+            regs,
+        );
+        for (k, f) in (k0..).zip(&regs[0][..len]) {
+            while k >= hot.offsets[cell + 1] as usize {
+                finish(cell, flux_sum);
+                cell += 1;
+                flux_sum = 0.0;
+            }
+            if !(skip && hot.nbr[k] < 0) {
+                flux_sum += hot.area[k] * f;
+            }
+        }
+        k0 += len;
+    }
+    // The open cell, and any trailing cells without faces.
+    while cell < cell_end {
+        finish(cell, flux_sum);
+        cell += 1;
+        flux_sum = 0.0;
+    }
+}
+
+/// Evaluate a full row-kernel span: batched source via [`RegProgram`],
+/// then the fused flux/update combine (table or compiled). `out` covers
+/// cells `cell0 .. cell0 + out.len()`; `regs` is scratch from
+/// [`IntensityKernels::scratch`].
+#[allow(clippy::too_many_arguments)]
+fn rhs_span(
+    kernels: &IntensityKernels,
+    k: usize,
+    cp: &CompiledProblem,
+    vars: &[&[f64]],
+    n_cells: usize,
+    boundary: FluxBoundary,
+    cell0: usize,
+    out: &mut [f64],
+    time: f64,
+    fused_dt: Option<f64>,
+    regs: &mut [[f64; ROW_CHUNK]],
+) {
+    let flat = kernels.flat(k);
+    let centroids = &cp.mesh().cell_centroids;
+    kernels.reg[k].eval_row(vars, cell0, out, centroids, time, regs);
     let u_row = &vars[cp.system.unknown][flat * n_cells..(flat + 1) * n_cells];
-    flux_combine(cp, u_row, flat, boundary, cell0, out, fused_dt);
+    match &cp.flux_lin {
+        Some(lin) => flux_combine(cp, lin, u_row, flat, boundary, cell0, out, fused_dt),
+        None => flux_combine_compiled(
+            &kernels.flux_reg[k],
+            cp,
+            u_row,
+            flat,
+            boundary,
+            cell0,
+            out,
+            time,
+            fused_dt,
+            regs,
+        ),
+    }
 }
 
 /// Evaluate a full span through the AOT-compiled native kernel — the
@@ -331,6 +460,7 @@ fn rhs_span_native(
         fused_dt: fused_dt.unwrap_or(0.0),
         fused: fused_dt.is_some() as u8,
         skip_boundary,
+        normals: hot.normals.as_ptr(),
     };
     // SAFETY: the kernel was generated for this exact plan (same variable
     // layout, same geometry arrays, same n_cells baked into the load
@@ -373,18 +503,7 @@ pub(crate) fn rhs_block(
     };
     match kernels.tier {
         KernelTier::Row => rhs_span(
-            kernels.reg(k),
-            cp,
-            vars,
-            n_cells,
-            flat,
-            boundary,
-            cell0,
-            out,
-            &cp.mesh().cell_centroids,
-            time,
-            fused_dt,
-            regs,
+            kernels, k, cp, vars, n_cells, boundary, cell0, out, time, fused_dt, regs,
         ),
         KernelTier::Native => rhs_span_native(
             kernels.native(),
@@ -414,7 +533,132 @@ pub(crate) fn rhs_block(
 
 #[cfg(test)]
 mod tests {
-    use super::spans;
+    use super::*;
+    use crate::entities::Fields;
+    use crate::problem::{BoundaryCondition, Problem};
+    use pbte_mesh::{Mesh, Point, UniformGrid};
+
+    /// 16×16 quads with jittered interior vertices, each cut into two
+    /// triangles: ~1 500 face orientations (no αβγ table), and three faces
+    /// per cell, so `ROW_CHUNK` lanes never end on a cell boundary.
+    fn jittered_triangles() -> Mesh {
+        let n = 16;
+        let base = UniformGrid::new_2d(n, n, 1.0, 1.0).build();
+        let mut verts: Vec<Point> = base.vertices.clone();
+        for (i, v) in verts.iter_mut().enumerate() {
+            if v.x > 1e-9 && v.x < 1.0 - 1e-9 && v.y > 1e-9 && v.y < 1.0 - 1e-9 {
+                let wobble = |k: u64| {
+                    let mut x = (2 * i as u64 + k).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    x = (x ^ x >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    (x >> 40) as f64 / (1u64 << 24) as f64 - 0.5
+                };
+                v.x += wobble(0) * 0.2 / n as f64;
+                v.y += wobble(1) * 0.2 / n as f64;
+            }
+        }
+        let cells: Vec<Vec<usize>> = (0..base.n_cells())
+            .flat_map(|c| {
+                let q = base.cell_vertices(c);
+                [vec![q[0], q[1], q[2]], vec![q[0], q[2], q[3]]]
+            })
+            .collect();
+        let mut mesh = Mesh::from_cells(2, verts, &cells);
+        mesh.add_boundary_region("wall", |_| true);
+        mesh
+    }
+
+    fn triangle_plan() -> (CompiledProblem, Fields) {
+        let mut p = Problem::new("rows-compiled-flux");
+        p.domain(2);
+        p.mesh(jittered_triangles());
+        p.set_steps(1e-3, 1);
+        let d = p.index("d", 4);
+        let i_var = p.variable("I", &[d]);
+        p.coefficient_array("Sx", &[d], vec![1.0, 0.0, -0.6, 0.28]);
+        p.coefficient_array("Sy", &[d], vec![0.0, 1.0, 0.8, -0.96]);
+        p.initial(i_var, |x, idx| {
+            (17.0 * x.x + 5.0 * x.y + idx[0] as f64).sin()
+        });
+        p.boundary(i_var, "wall", BoundaryCondition::Value(0.25));
+        p.conservation_form(i_var, "-I[d] + surface(upwind([Sx[d];Sy[d]], I[d]))");
+        CompiledProblem::compile(p).unwrap()
+    }
+
+    /// One sweep over all dofs at `tier`, every flat's cell range cut into
+    /// spans of `span` cells.
+    fn sweep(
+        cp: &CompiledProblem,
+        fields: &Fields,
+        tier: KernelTier,
+        span: usize,
+        skip: bool,
+        fused_dt: Option<f64>,
+    ) -> Vec<f64> {
+        let n_cells = fields.n_cells;
+        let flats: Vec<usize> = (0..cp.n_flat).collect();
+        let mut ghosts = vec![0.0; cp.boundary.len() * cp.n_flat];
+        seq::compute_ghosts(
+            cp,
+            fields,
+            &flats,
+            0.0,
+            &mut ghosts,
+            &mut Default::default(),
+        );
+        let boundary = match skip {
+            true => FluxBoundary::Skip,
+            false => FluxBoundary::Ghosts(&ghosts),
+        };
+        let mut kernels = IntensityKernels::with_tier(cp, &flats, tier);
+        assert_eq!(kernels.tier, tier);
+        kernels.ensure(cp, 0.0);
+        let mut regs = kernels.scratch();
+        let vars = fields.as_slices();
+        let mut out = vec![0.0; cp.n_flat * n_cells];
+        for k in 0..cp.n_flat {
+            for cell0 in (0..n_cells).step_by(span) {
+                let len = span.min(n_cells - cell0);
+                let at = k * n_cells + cell0;
+                rhs_block(
+                    &kernels,
+                    cp,
+                    &vars,
+                    k,
+                    cell0,
+                    &mut out[at..at + len],
+                    boundary,
+                    0.0,
+                    fused_dt,
+                    &mut regs,
+                );
+            }
+        }
+        out
+    }
+
+    /// The compiled flux carries a cell's partial sum across lane chunks
+    /// and across nothing else: however the cell range is cut, with and
+    /// without boundary faces and the fused update, every dof equals the
+    /// `Bound` tier's, whose flux is the stack VM face by face.
+    #[test]
+    fn compiled_flux_is_bit_identical_to_the_vm_flux_for_any_span_split() {
+        let (cp, fields) = triangle_plan();
+        assert!(cp.compiled_flux());
+        for (skip, fused_dt) in [(false, None), (true, None), (false, Some(1e-3))] {
+            let n_cells = fields.n_cells;
+            let reference = sweep(&cp, &fields, KernelTier::Bound, n_cells, skip, fused_dt);
+            for span in [1, 7, ROW_CHUNK, ROW_CHUNK + 1, n_cells] {
+                let row = sweep(&cp, &fields, KernelTier::Row, span, skip, fused_dt);
+                for (i, (a, b)) in row.iter().zip(&reference).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "skip {skip} fused {fused_dt:?} span {span} dof {i}: {a} vs {b}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn spans_merges_contiguous_runs() {

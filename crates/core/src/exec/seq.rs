@@ -44,9 +44,11 @@ pub(crate) fn compute_ghosts(
     work.ghost_evals += (cp.catalog.callback_faces * flats.len()) as u64;
 }
 
-/// Face-flux sum for one (cell, flat) pair: the hoisted-coefficient fast
-/// path when the generator linearized the flux, the VM otherwise.
-/// Boundary faces read their ghost value or are skipped, per `boundary`.
+/// Face-flux sum for one (cell, flat) pair on the per-dof tiers: the αβγ
+/// table when the plan has one, the stack VM face by face otherwise — the
+/// reference semantics the compiled flux of the Row/Native tiers
+/// (`rows::flux_combine_compiled`) reproduces bit for bit. Boundary faces
+/// read their ghost value or are skipped, per `boundary`.
 #[inline]
 pub(crate) fn flux_sum_dof(
     cp: &CompiledProblem,
@@ -182,7 +184,7 @@ pub(crate) fn compute_rhs_into(
     let vars = fields.as_slices();
     // Loop-invariant hoisting: per-flat specialized programs, cached
     // across steps when the volume program never reads `t`.
-    kernels.ensure(cp, d.n_cells, time);
+    kernels.ensure(cp, time);
     // Exact per-scope face count (summed once, not sampled from cells[0]).
     let faces_in_scope = kernels.faces_for_cells(&cp.hot, d.cells);
     let mut regs = kernels.scratch();

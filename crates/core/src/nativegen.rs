@@ -7,22 +7,24 @@
 //! (the fused superinstructions expanded honoring their
 //! `const_first`/`load_first` orientation flags so results stay
 //! bit-identical to the row tier), wrapped in a per-flat `extern "C"`
-//! kernel that also inlines the linearized flux loop and the fused Euler
-//! update, and compiled out-of-process by `rustc` into a `cdylib`.
+//! kernel that also inlines the flux loop — the αβγ table lookup, or on
+//! meshes with too many face orientations for a table the flux's own
+//! lowered statements — and the fused Euler update, and compiled
+//! out-of-process by `rustc` into a `cdylib`.
 //!
 //! Three properties keep this sound and cheap:
 //!
 //! * **Bit identity.** The emitted expressions perform exactly the
 //!   per-lane operations of `RegProgram::eval_row` in exactly the same
 //!   order, and the emitted flux loop replicates `rows::flux_combine`
-//!   face-for-face. Rust f64 arithmetic is strict IEEE-754 (no
+//!   (or `rows::flux_combine_compiled`) face-for-face. Rust f64 arithmetic is strict IEEE-754 (no
 //!   fast-math, no implicit FMA contraction), so the compiled kernel is
 //!   bitwise-equal to the interpreted tiers — the differential tests
 //!   assert this.
-//! * **Validation before compilation.** The lowered statement list — the
-//!   exact tree the text renderer prints — is abstractly executed over
-//!   symbolic values and proven raw-structurally equal to the bound
-//!   program (`analysis::check_native_against_bound`, rule
+//! * **Validation before compilation.** Every lowered statement list —
+//!   the exact tree the text renderer prints, for the volume program and
+//!   for a compiled flux — is abstractly executed over symbolic values and
+//!   proven raw-structurally equal to its bound program (`analysis::check_native_against_bound`, rule
 //!   `translation/native-mismatch`) *before* any source reaches `rustc`.
 //!   A corrupted emission is rejected, never executed.
 //! * **Content-addressed caching.** The full generated source is hashed
@@ -34,12 +36,15 @@
 //!   failures, so a broken toolchain is probed once, not per scope.
 //!
 //! If `rustc` is missing (override with `PBTE_NATIVE_RUSTC`), compilation
-//! fails, or the plan is ineligible (no flux linearization, time-dependent
-//! sources, per-step rebinding, function coefficients), `prepare`
-//! returns `Err` and the caller falls back to the row tier with a
-//! structured diagnostic (`native/fallback`) instead of erroring.
+//! fails, or the plan is ineligible (a program reading `t`, per-step
+//! rebinding, function coefficients, a flux reading a cell variable),
+//! `prepare` returns `Err` and the caller falls back to the row tier (the
+//! bound tier when the flux itself cannot be lowered) with a structured
+//! diagnostic (`native/fallback`) instead of erroring.
 
-use crate::bytecode::{Func, RegOp, RegProgram};
+use crate::bytecode::{
+    BoundProgram, Func, KernelKind, RegOp, RegProgram, FACE_NORMAL, FACE_U1, FACE_U2,
+};
 use crate::exec::CompiledProblem;
 use pbte_symbolic::expr::CmpOp;
 use std::collections::HashMap;
@@ -177,8 +182,9 @@ pub(crate) fn lower_stmts(reg: &RegProgram) -> Result<Vec<NStmt>, String> {
 // ---------------------------------------------------------------------------
 
 /// Argument block passed to a generated kernel. The generated source
-/// contains a textually identical `#[repr(C)]` definition, so both sides
-/// agree on layout by construction (same field order, same target).
+/// contains the same `#[repr(C)]` definition (same field order, same
+/// target; see `normals` for the one optional trailing field), so both
+/// sides agree on layout by construction.
 #[repr(C)]
 pub(crate) struct NativeArgs {
     /// Per-variable base pointers, indexed by registry variable id.
@@ -202,6 +208,10 @@ pub(crate) struct NativeArgs {
     pub fused: u8,
     /// 1 → skip boundary faces (GPU async-boundary semantics).
     pub skip_boundary: u8,
+    /// Per-face owner-side normals for the compiled flux. Kernels of a
+    /// table plan declare the struct without this trailing field and never
+    /// read it.
+    pub normals: *const f64,
 }
 
 /// Signature of every generated per-flat kernel.
@@ -232,16 +242,24 @@ fn lit(k: f64) -> String {
 }
 
 /// Render one operand, fully parenthesized. Loads in particular must be
-/// wrapped: `*p.add(i).powf(y)` parses as `*(p.add(i).powf(y))`.
-fn operand(o: &NOperand) -> String {
+/// wrapped: `*p.add(i).powf(y)` parses as `*(p.add(i).powf(y))`. Loads of
+/// the face-input pseudo-variables (ids from `face_base`) name the locals
+/// of the emitted per-face loop.
+fn operand(o: &NOperand, face_base: u16) -> String {
     match o {
         NOperand::Reg(r) => format!("r{r}"),
         NOperand::K(k) => format!("({})", lit(*k)),
+        NOperand::Load { var, .. } if *var >= face_base => match *var - face_base {
+            FACE_U1 => "u_here".into(),
+            FACE_U2 => "u2".into(),
+            axis => format!("n{}", axis - FACE_NORMAL),
+        },
         NOperand::Load { var, offset } => format!("(*p{var}.add({offset} + cell))"),
     }
 }
 
-fn stmt_line(s: &NStmt) -> String {
+fn stmt_line(s: &NStmt, face_base: u16) -> String {
+    let operand = |o| operand(o, face_base);
     let rhs = match &s.expr {
         NExpr::Copy(a) => operand(a),
         NExpr::Add(a, b) => format!("{} + {}", operand(a), operand(b)),
@@ -265,12 +283,12 @@ fn stmt_line(s: &NStmt) -> String {
     format!("        let r{} = {};", s.dst, rhs)
 }
 
-/// Variable ids a statement list loads from.
-fn vars_used(stmts: &[NStmt]) -> Vec<u16> {
+/// Real variable ids (below `face_base`) a statement list loads from.
+fn vars_used(stmts: &[NStmt], face_base: u16) -> Vec<u16> {
     let mut vs: Vec<u16> = Vec::new();
     let mut note = |o: &NOperand| {
         if let NOperand::Load { var, .. } = o {
-            if !vs.contains(var) {
+            if *var < face_base && !vs.contains(var) {
                 vs.push(*var);
             }
         }
@@ -293,10 +311,6 @@ fn vars_used(stmts: &[NStmt]) -> Vec<u16> {
     vs
 }
 
-/// Emit the complete source for one compiled plan: one kernel per flat,
-/// each fusing the unrolled source expression, the linearized flux loop
-/// over the CSR geometry, and the optional Euler update — the exact
-/// operation sequence of `rows::rhs_span`.
 /// Codegen options for the emitted plan crate. `codegen-units=1` keeps
 /// the whole plan in one LLVM module; `panic=abort` drops unwinding
 /// landing pads (the kernels are straight-line code with no panic paths).
@@ -310,18 +324,26 @@ const RUSTC_CODEGEN_FLAGS: &[&str] = &[
     "-Cpanic=abort",
 ];
 
-pub(crate) fn emit_source(
-    cp: &CompiledProblem,
-    n_cells: usize,
-    per_flat: &[Vec<NStmt>],
-) -> Result<String, String> {
-    let lin = cp
-        .flux_lin
-        .as_ref()
-        .ok_or_else(|| "flux did not linearize".to_string())?;
+/// The lowered programs of one flat: the source term, and the flux when
+/// the plan has no αβγ table.
+pub(crate) struct FlatStmts {
+    pub volume: Vec<NStmt>,
+    pub flux: Option<Vec<NStmt>>,
+}
+
+/// The emitted `Args` fields shared by every plan, in `NativeArgs` order.
+const ARGS_FIELDS: &str = "    vars: *const *const f64,\n    ghosts: *const f64,\n    offsets: *const u32,\n    nbr: *const i64,\n    area: *const f64,\n    class: *const u32,\n    inv_volume: *const f64,\n    out: *mut f64,\n    cell0: usize,\n    len: usize,\n    fused_dt: f64,\n    fused: u8,\n    skip_boundary: u8,\n";
+
+/// Emit the complete source for one compiled plan: one kernel per flat,
+/// each fusing the unrolled source expression, the flux loop over the CSR
+/// geometry (the αβγ lookup of `rows::flux_combine`, or the lowered flux
+/// statements of `rows::flux_combine_compiled`), and the optional Euler
+/// update — the exact operation sequence of `rows::rhs_span`.
+pub(crate) fn emit_source(cp: &CompiledProblem, n_cells: usize, per_flat: &[FlatStmts]) -> String {
     let n_flat = cp.n_flat;
-    let nc = lin.n_classes;
     let unknown = cp.system.unknown;
+    let face_base = cp.flux.face_base;
+    let dim = cp.hot.dim;
     let mut src = String::with_capacity(4096 + n_flat * 2048);
     src.push_str("// Generated by pbte-dsl nativegen; do not edit.\n");
     // The flag set is part of the emitted header so the content hash (the
@@ -331,18 +353,24 @@ pub(crate) fn emit_source(
         RUSTC_CODEGEN_FLAGS.join(" ")
     ));
     src.push_str("#![allow(warnings)]\n#![crate_type = \"cdylib\"]\n\n");
-    src.push_str(
-        "#[repr(C)]\npub struct Args {\n    vars: *const *const f64,\n    ghosts: *const f64,\n    offsets: *const u32,\n    nbr: *const i64,\n    area: *const f64,\n    class: *const u32,\n    inv_volume: *const f64,\n    out: *mut f64,\n    cell0: usize,\n    len: usize,\n    fused_dt: f64,\n    fused: u8,\n    skip_boundary: u8,\n}\n\n",
-    );
-    for flat in 0..n_flat {
-        let at = flat * nc;
-        for (name, table) in [("AL", &lin.alpha), ("BE", &lin.beta), ("GA", &lin.gamma)] {
-            src.push_str(&format!("static {name}{flat}: [f64; {nc}] = ["));
-            for c in 0..nc {
-                src.push_str(&lit(table[at + c]));
-                src.push(',');
+    src.push_str("#[repr(C)]\npub struct Args {\n");
+    src.push_str(ARGS_FIELDS);
+    if cp.flux_lin.is_none() {
+        src.push_str("    normals: *const f64,\n");
+    }
+    src.push_str("}\n\n");
+    if let Some(lin) = &cp.flux_lin {
+        let nc = lin.n_classes;
+        for flat in 0..n_flat {
+            let at = flat * nc;
+            for (name, table) in [("AL", &lin.alpha), ("BE", &lin.beta), ("GA", &lin.gamma)] {
+                src.push_str(&format!("static {name}{flat}: [f64; {nc}] = ["));
+                for c in 0..nc {
+                    src.push_str(&lit(table[at + c]));
+                    src.push(',');
+                }
+                src.push_str("];\n");
             }
-            src.push_str("];\n");
         }
     }
     src.push('\n');
@@ -350,7 +378,7 @@ pub(crate) fn emit_source(
         src.push_str(&format!(
             "#[no_mangle]\npub unsafe extern \"C\" fn pbte_flat_{flat}(ap: *const Args) {{\n    let a = &*ap;\n"
         ));
-        for v in vars_used(stmts) {
+        for v in vars_used(&stmts.volume, face_base) {
             src.push_str(&format!("    let p{v}: *const f64 = *a.vars.add({v});\n"));
         }
         src.push_str(&format!(
@@ -364,16 +392,16 @@ pub(crate) fn emit_source(
         src.push_str(
             "    let ghosts = a.ghosts;\n    let offsets = a.offsets;\n    let nbr = a.nbr;\n    let area = a.area;\n    let class = a.class;\n    let inv_volume = a.inv_volume;\n    let out = a.out;\n    let cell0 = a.cell0;\n    let len = a.len;\n    let fused_dt = a.fused_dt;\n    let fused = a.fused != 0;\n    let skip_boundary = a.skip_boundary != 0;\n",
         );
+        if stmts.flux.is_some() {
+            src.push_str("    let normals = a.normals;\n");
+        }
         src.push_str(
             "    let mut i = 0usize;\n    while i < len {\n        let cell = cell0 + i;\n",
         );
-        for s in stmts {
-            src.push_str(&stmt_line(s));
+        for s in &stmts.volume {
+            src.push_str(&stmt_line(s, face_base));
             src.push('\n');
         }
-        // The class tables are indexed through raw pointers so the three
-        // per-face lookups carry no bounds checks (`c` comes from the
-        // verified plan geometry, always < n_classes).
         src.push_str(&format!(
             r#"        let src = r0;
         let u_here = *u_row.add(cell);
@@ -390,22 +418,57 @@ pub(crate) fn emit_source(
             }} else {{
                 *ghosts.add(((-(nb + 1)) as usize) * {n_flat} + {flat})
             }};
-            let c = *class.add(k) as usize;
+"#
+        ));
+        match &stmts.flux {
+            // The class tables are indexed through raw pointers so the
+            // three per-face lookups carry no bounds checks (`c` comes
+            // from the verified plan geometry, always < n_classes).
+            None => src.push_str(&format!(
+                r#"            let c = *class.add(k) as usize;
             flux += *area.add(k)
                 * (*GA{flat}.as_ptr().add(c)
                     + *AL{flat}.as_ptr().add(c) * u_here
                     + *BE{flat}.as_ptr().add(c) * u2);
-            k += 1;
-        }}
-        let rhs = src - flux * *inv_volume.add(cell);
-        *out.add(i) = if fused {{ u_here + fused_dt * rhs }} else {{ rhs }};
-        i += 1;
-    }}
-}}
 "#
-        ));
+            )),
+            // `class` holds the signed face index: the owner-side normal
+            // of face `signed >> 1`, negated (exactly) when bit 0 is set.
+            // Components past the mesh dimension are ±0.0.
+            Some(flux) => {
+                src.push_str(&format!(
+                    "            let signed = *class.add(k) as usize;\n            let at = (signed >> 1) * {dim};\n            let flip = signed & 1 != 0;\n"
+                ));
+                for axis in 0..3 {
+                    let load = if axis < dim {
+                        format!("*normals.add(at + {axis})")
+                    } else {
+                        "0.0f64".to_string()
+                    };
+                    src.push_str(&format!(
+                        "            let n{axis} = if flip {{ -({load}) }} else {{ {load} }};\n"
+                    ));
+                }
+                for s in flux {
+                    src.push_str("    ");
+                    src.push_str(&stmt_line(s, face_base));
+                    src.push('\n');
+                }
+                src.push_str("            flux += *area.add(k) * r0;\n");
+            }
+        }
+        src.push_str(
+            r#"            k += 1;
+        }
+        let rhs = src - flux * *inv_volume.add(cell);
+        *out.add(i) = if fused { u_here + fused_dt * rhs } else { rhs };
+        i += 1;
     }
-    Ok(src)
+}
+"#,
+        );
+    }
+    src
 }
 
 // ---------------------------------------------------------------------------
@@ -691,46 +754,58 @@ fn compile_and_load(_source: &str, _n_flat: usize, _hash: u64) -> Result<Arc<Nat
 // Entry point
 // ---------------------------------------------------------------------------
 
+/// Lower one bound program to the statements the kernel emits, proving
+/// the list (the exact tree the renderer prints) equal to the bound
+/// program before it ever reaches rustc.
+fn lower_checked(bound: &BoundProgram, reg: &RegProgram, what: &str) -> Result<Vec<NStmt>, String> {
+    let stmts = lower_stmts(reg).map_err(|e| format!("{what}: {e}"))?;
+    let mut diags = Vec::new();
+    crate::analysis::check_native_against_bound(bound, reg, what, &mut diags);
+    match diags.first() {
+        Some(d) => Err(format!(
+            "emitted expression failed validation: {}",
+            d.render()
+        )),
+        None => Ok(stmts),
+    }
+}
+
 /// Lower, validate, compile, and load the native kernels for a plan.
 /// `Err` is the structured fallback reason — the caller degrades to the
 /// row tier and records a `native/fallback` diagnostic.
-pub(crate) fn prepare(cp: &CompiledProblem, n_cells: usize) -> Result<Arc<NativeLib>, String> {
-    if cp.flux_lin.is_none() {
-        return Err("flux did not linearize (row flux loop unavailable)".into());
+pub(crate) fn prepare(cp: &CompiledProblem) -> Result<Arc<NativeLib>, String> {
+    if let Some(why) = cp.flux_blocker() {
+        return Err(why.into());
     }
     if cp.volume.references_time() {
         return Err("volume program reads `t` (per-step rebinding defeats AOT caching)".into());
     }
+    if cp.flux.references_time() {
+        return Err("flux program reads `t` (per-step rebinding defeats AOT caching)".into());
+    }
     if cp.problem.rebind_per_step {
         return Err("per-step rebinding is forced".into());
     }
-    let dt = cp.problem.dt;
-    let coefficients = &cp.problem.registry.coefficients;
-    let mut per_flat = Vec::with_capacity(cp.n_flat);
-    for flat in 0..cp.n_flat {
-        let bound = cp
-            .volume
-            .bind(&cp.idx_of_flat[flat], n_cells, dt, 0.0, coefficients);
+    let lower = |kind: KernelKind, flat: usize, what: &str| {
+        let bound = cp.bind(kind, flat, 0.0);
         let reg = RegProgram::compile(&bound);
-        let stmts = lower_stmts(&reg).map_err(|e| format!("flat {flat}: {e}"))?;
-        // Prove the statement list (the exact tree the renderer prints)
-        // equal to the bound program before it ever reaches rustc.
-        let mut diags = Vec::new();
-        crate::analysis::check_native_against_bound(
+        lower_checked(
             &bound,
             &reg,
-            &format!("volume kernel (native, flat {flat})"),
-            &mut diags,
-        );
-        if let Some(d) = diags.first() {
-            return Err(format!(
-                "emitted expression failed validation: {}",
-                d.render()
-            ));
-        }
-        per_flat.push(stmts);
+            &format!("{what} kernel (native, flat {flat})"),
+        )
+    };
+    let compiled_flux = cp.compiled_flux();
+    let mut per_flat = Vec::with_capacity(cp.n_flat);
+    for flat in 0..cp.n_flat {
+        per_flat.push(FlatStmts {
+            volume: lower(KernelKind::Volume, flat, "volume")?,
+            flux: compiled_flux
+                .then(|| lower(KernelKind::Flux, flat, "flux"))
+                .transpose()?,
+        });
     }
-    let source = emit_source(cp, n_cells, &per_flat)?;
+    let source = emit_source(cp, cp.mesh().n_cells(), &per_flat);
     let hash = fnv1a(source.as_bytes());
     let mut cache = load_cache().lock().unwrap();
     if let Some(hit) = cache.get(&hash) {
@@ -870,6 +945,45 @@ mod tests {
             stmts[3].expr,
             NExpr::Mul(NOperand::Load { var: 1, offset: 4 }, NOperand::Reg(0))
         );
+    }
+
+    /// `prepare`'s gate: a flux statement list that does not prove equal
+    /// to its bound program is refused before any source is emitted.
+    #[test]
+    fn misfused_flux_lowering_is_refused_before_compilation() {
+        use crate::bytecode::{Compiler, KernelKind};
+        let mut p = crate::problem::Problem::new("flux-gate");
+        p.domain(2);
+        let d = p.index("d", 2);
+        let i_var = p.variable("I", &[d]);
+        p.coefficient_array("Sx", &[d], vec![0.6, -0.8]);
+        p.coefficient_array("Sy", &[d], vec![0.8, 0.6]);
+        p.conservation_form(i_var, "surface(upwind([Sx[d];Sy[d]], I[d]))");
+        let sys = p.analyze().unwrap();
+        let flux = Compiler::new(&p.registry, i_var, KernelKind::Flux)
+            .compile(&sys.flux_expr)
+            .unwrap();
+        let bound = flux.bind(&[1], 9, 0.1, 0.0, &p.registry.coefficients);
+        let reg = RegProgram::compile(&bound);
+        let stmts = lower_checked(&bound, &reg, "flux kernel").unwrap();
+        // The face inputs render as the locals of the per-face loop.
+        let text: Vec<String> = stmts.iter().map(|s| stmt_line(s, flux.face_base)).collect();
+        assert!(text.iter().any(|l| l.contains("n0")) && text.iter().any(|l| l.contains("u2")));
+        assert!(vars_used(&stmts, flux.face_base).is_empty());
+
+        let mut ops = reg.ops().to_vec();
+        let flag =
+            ops.iter_mut()
+                .find_map(|op| match op {
+                    RegOp::LoadMulConst { const_first, .. }
+                    | RegOp::MulConst { const_first, .. } => Some(const_first),
+                    _ => None,
+                })
+                .expect("the upwind flux fuses a constant multiply");
+        *flag = !*flag;
+        let tampered = RegProgram::from_raw_parts(ops, reg.n_regs());
+        let refusal = lower_checked(&bound, &tampered, "flux kernel").unwrap_err();
+        assert!(refusal.contains("translation/native-mismatch"), "{refusal}");
     }
 
     #[test]

@@ -357,11 +357,15 @@ pub enum LoopDim {
 /// `Native` lowers the row programs to Rust source, compiles them
 /// out-of-process with `rustc` into a `cdylib`, and calls the machine-code
 /// kernels through a content-hashed on-disk plan cache.
-/// All tiers produce bit-identical results; `Row` requires the flux to be
-/// linearizable and silently falls back to `Bound` otherwise, and `Native`
-/// falls back to `Row` (with a structured diagnostic) when `rustc` is
-/// unavailable, compilation fails, or the plan is ineligible (per-step
-/// rebinding, time-dependent sources, function coefficients).
+/// All tiers produce bit-identical results, on every mesh: `Row` and
+/// `Native` evaluate the face flux from a per-orientation coefficient
+/// table where the mesh has few orientations and from the flux's own
+/// lowered program otherwise. Only a flux that cannot be lowered (it calls
+/// a function coefficient or reads a cell variable per face) runs them on
+/// `Bound`; `Native` falls back to `Row` (with a structured diagnostic)
+/// when `rustc` is unavailable, compilation fails, or the plan is
+/// ineligible (per-step rebinding, a program reading `t`, function
+/// coefficients).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelTier {
     /// Generic stack-bytecode VM, per-DOF dispatch.
@@ -444,7 +448,7 @@ pub struct Problem {
     /// before the built-in `upwind`.
     pub custom_operators: Vec<(String, OperatorFn)>,
     /// Which kernel tier evaluates the intensity phase; `None` selects
-    /// automatically (`Row` when the flux linearizes, else `Bound`).
+    /// `Row`.
     pub kernel_tier: Option<KernelTier>,
     /// Force re-binding per-flat programs every step even when the
     /// program provably doesn't reference `t` (diagnostic knob; the

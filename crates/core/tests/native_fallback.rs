@@ -1,6 +1,8 @@
 //! Degradation seam for the native tier: when `rustc` is unavailable the
 //! intensity phase must fall back to the row tier, record a structured
 //! `native/fallback` diagnostic, and complete the solve — never error.
+//! Likewise for a plan the tier cannot lower at all (a flux calling a
+//! function coefficient per face), which falls back to the bound tier.
 //!
 //! This lives in its own integration-test binary because the simulated
 //! missing compiler is communicated through process-wide environment
@@ -15,6 +17,11 @@ use pbte_dsl::BoundaryCondition;
 use pbte_mesh::grid::UniformGrid;
 
 fn mini_bte(tier: KernelTier) -> Problem {
+    mini_bte_with_speed(tier, "vg[b]")
+}
+
+/// `speed` multiplies the upwind flux.
+fn mini_bte_with_speed(tier: KernelTier, speed: &str) -> Problem {
     let mut p = Problem::new("fallback-mini");
     p.domain(2);
     p.mesh(UniformGrid::new_2d(6, 6, 1.0, 1.0).build());
@@ -27,6 +34,7 @@ fn mini_bte(tier: KernelTier) -> Problem {
     p.coefficient_array("Sy", &[d], vec![0.0, 1.0, 0.0, -1.0]);
     p.coefficient_array("vg", &[b], vec![1.0, 0.5]);
     p.coefficient_scalar("tau", 2.0);
+    p.coefficient_fn("ramp", |x, _| 1.0 + x.x);
     p.initial(i_var, |_, _| 1.0);
     p.initial(io, |_, _| 1.0);
     for side in ["left", "right", "top", "bottom"] {
@@ -34,7 +42,7 @@ fn mini_bte(tier: KernelTier) -> Problem {
     }
     p.conservation_form(
         i_var,
-        "(Io[b] - I[d,b]) / tau + surface(vg[b]*upwind([Sx[d];Sy[d]], I[d,b]))",
+        &format!("(Io[b] - I[d,b]) / tau + surface({speed}*upwind([Sx[d];Sy[d]], I[d,b]))"),
     );
     p.kernel_tier(tier);
     p
@@ -81,4 +89,34 @@ fn missing_rustc_degrades_to_row_tier_with_a_diagnostic() {
     assert_eq!(report.steps, 2);
 
     let _ = std::fs::remove_dir_all(&cache);
+}
+
+/// A flux that calls a function coefficient needs a host callback per
+/// face: neither the row evaluator nor the native emitter lowers it. The
+/// requested tier degrades to `Bound`, whose per-face VM makes the call,
+/// with a diagnostic that names the reason, and the solve runs.
+#[test]
+fn function_coefficient_in_the_flux_degrades_with_a_named_reason() {
+    for requested in [KernelTier::Native, KernelTier::Row] {
+        let mut solver = mini_bte_with_speed(requested, "ramp")
+            .build(ExecTarget::CpuSeq)
+            .unwrap();
+        assert_eq!(solver.compiled.resolved_tier(), KernelTier::Bound);
+        let fields = solver.fields().clone();
+        let bench = solver.compiled.intensity_bench(&fields, requested);
+        assert_eq!(bench.tier(), KernelTier::Bound);
+        if requested == KernelTier::Native {
+            let diag = bench
+                .native_fallback()
+                .expect("fallback must record a diagnostic");
+            assert_eq!(diag.rule, rules::NATIVE_FALLBACK);
+            assert!(
+                diag.message.contains("bound") && diag.message.contains("function coefficient"),
+                "diagnostic should name the tier and the reason: {}",
+                diag.render()
+            );
+        }
+        drop(bench);
+        assert_eq!(solver.solve().unwrap().steps, 2);
+    }
 }

@@ -3,17 +3,18 @@
 //! must prove clean on every target and tier (no false positives), and
 //! each deliberately broken lowering must produce exactly the diagnostic
 //! that seam exists to catch — a mis-fused register program (flipped
-//! orientation flag), a dropped IR term, and a zero-width
-//! relaxation-time range.
+//! orientation flag) of the volume kernel and of a compiled flux kernel,
+//! a dropped IR term, and a zero-width relaxation-time range.
 
 use pbte_dsl::analysis::{self, rules};
-use pbte_dsl::bytecode::{RegOp, RegProgram};
+use pbte_dsl::bytecode::{BoundOp, BoundProgram, RegOp, RegProgram};
 use pbte_dsl::exec::ExecTarget;
 use pbte_dsl::ir::{self, IrNode};
 use pbte_dsl::problem::{KernelTier, Problem, StepContext};
 use pbte_dsl::{BoundaryCondition, GpuStrategy};
 use pbte_gpu::DeviceSpec;
 use pbte_mesh::grid::UniformGrid;
+use pbte_mesh::Mesh;
 
 const NDIRS: usize = 4;
 const NBANDS: usize = 3;
@@ -21,9 +22,23 @@ const NBANDS: usize = 3;
 /// The verifier seam's mini BTE problem, extended with the physical
 /// ranges the interval pass seeds from.
 fn declared_problem(n: usize, steps: usize) -> Problem {
+    declared_problem_on(UniformGrid::new_2d(n, n, 1.0, 1.0).build(), steps)
+}
+
+/// The committed 24×24 jittered die: more face orientations than the flux
+/// coefficient table holds, so the row and native tiers compile the flux.
+fn jittered_mesh() -> Mesh {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/meshes/jittered_array.msh"
+    );
+    pbte_mesh::gmsh::parse_msh(&std::fs::read_to_string(path).unwrap()).unwrap()
+}
+
+fn declared_problem_on(mesh: Mesh, steps: usize) -> Problem {
     let mut p = Problem::new("declared-mini-bte");
     p.domain(2);
-    p.mesh(UniformGrid::new_2d(n, n, 1.0, 1.0).build());
+    p.mesh(mesh);
     p.set_steps(0.01, steps);
     let d = p.index("d", NDIRS);
     let b = p.index("b", NBANDS);
@@ -141,21 +156,8 @@ fn translation_and_intervals_prove_clean_on_every_target_and_tier() {
     }
 }
 
-/// Flip the orientation flag of the first fused instruction found —
-/// exactly the bug the raw (non-canonicalized) Bound ≡ Reg proof exists
-/// to catch, because the commuted product is *algebraically* equal.
-#[test]
-fn misfused_reg_program_fires_exactly_the_reg_rule() {
-    let solver = declared_problem(6, 2).build(ExecTarget::CpuSeq).unwrap();
-    let cp = &solver.compiled;
-    let bound = cp.volume.bind(
-        &cp.idx_of_flat[0],
-        cp.mesh().n_cells(),
-        cp.problem.dt,
-        0.0,
-        &cp.problem.registry.coefficients,
-    );
-    let reg = RegProgram::compile(&bound);
+/// `reg` with the orientation flag of its first fused instruction flipped.
+fn flip_first_orientation_flag(reg: &RegProgram) -> RegProgram {
     let mut ops = reg.ops().to_vec();
     let flipped = ops.iter_mut().find_map(|op| match op {
         RegOp::AddConst { const_first, .. }
@@ -174,7 +176,25 @@ fn misfused_reg_program_fires_exactly_the_reg_rule() {
         flipped.is_some(),
         "expected the fused row program to contain at least one superinstruction"
     );
-    let tampered = RegProgram::from_raw_parts(ops, reg.n_regs());
+    RegProgram::from_raw_parts(ops, reg.n_regs())
+}
+
+/// Flip the orientation flag of the first fused instruction found —
+/// exactly the bug the raw (non-canonicalized) Bound ≡ Reg proof exists
+/// to catch, because the commuted product is *algebraically* equal.
+#[test]
+fn misfused_reg_program_fires_exactly_the_reg_rule() {
+    let solver = declared_problem(6, 2).build(ExecTarget::CpuSeq).unwrap();
+    let cp = &solver.compiled;
+    let bound = cp.volume.bind(
+        &cp.idx_of_flat[0],
+        cp.mesh().n_cells(),
+        cp.problem.dt,
+        0.0,
+        &cp.problem.registry.coefficients,
+    );
+    let reg = RegProgram::compile(&bound);
+    let tampered = flip_first_orientation_flag(&reg);
 
     let mut clean = Vec::new();
     analysis::check_reg_against_bound(&bound, &reg, "volume kernel (row, flat 0)", &mut clean);
@@ -208,25 +228,7 @@ fn misfused_native_lowering_fires_exactly_the_native_rule() {
         &cp.problem.registry.coefficients,
     );
     let reg = RegProgram::compile(&bound);
-    let mut ops = reg.ops().to_vec();
-    let flipped = ops.iter_mut().find_map(|op| match op {
-        RegOp::AddConst { const_first, .. }
-        | RegOp::MulConst { const_first, .. }
-        | RegOp::LoadMulConst { const_first, .. } => {
-            *const_first = !*const_first;
-            Some(())
-        }
-        RegOp::LoadMul { load_first, .. } => {
-            *load_first = !*load_first;
-            Some(())
-        }
-        _ => None,
-    });
-    assert!(
-        flipped.is_some(),
-        "expected the fused row program to contain at least one superinstruction"
-    );
-    let tampered = RegProgram::from_raw_parts(ops, reg.n_regs());
+    let tampered = flip_first_orientation_flag(&reg);
 
     let mut clean = Vec::new();
     analysis::check_native_against_bound(
@@ -251,6 +253,55 @@ fn misfused_native_lowering_fires_exactly_the_native_rule() {
         diags.iter().map(|d| d.render()).collect::<Vec<_>>()
     );
     assert_eq!(diags[0].rule, rules::TRANSLATION_NATIVE);
+}
+
+/// The same corruption in a *flux* program. On the jittered mesh the row
+/// and native tiers run the flux through its own register program, so
+/// `check_translation` proves that lowering too; a register lowering that
+/// mis-fuses flux programs only (volume programs pass through untouched)
+/// must fire the row rule and the native rule, each on a flux kernel.
+/// The native tier refuses such a list before compiling it: `prepare`
+/// runs the very check that fires here.
+#[test]
+fn misfused_flux_program_fires_the_reg_and_native_rules() {
+    let solver = declared_problem_on(jittered_mesh(), 2)
+        .build(ExecTarget::CpuSeq)
+        .unwrap();
+    let cp = &solver.compiled;
+    assert!(cp.flux_lin.is_none(), "the mesh must not fit the table");
+
+    let mut clean = Vec::new();
+    analysis::check_translation(cp, &solver.target, &mut clean);
+    analysis::check_intervals(cp, &mut clean);
+    assert!(
+        clean.is_empty(),
+        "untampered plan must prove clean, got: {:?}",
+        clean.iter().map(|d| d.render()).collect::<Vec<_>>()
+    );
+
+    let face_base = cp.flux.face_base;
+    let misfuse_flux = |bound: &BoundProgram| {
+        let reg = RegProgram::compile(bound);
+        let is_flux = bound
+            .ops()
+            .iter()
+            .any(|op| matches!(op, BoundOp::Load { var, .. } if *var >= face_base));
+        if is_flux {
+            flip_first_orientation_flag(&reg)
+        } else {
+            reg
+        }
+    };
+    let mut diags = Vec::new();
+    analysis::check_lowered(cp, &misfuse_flux, &mut diags);
+    let found: Vec<_> = diags.iter().map(|d| (d.rule, &d.location)).collect();
+    assert_eq!(diags.len(), 2, "{found:?}");
+    assert_eq!(diags[0].rule, rules::TRANSLATION_REG, "{found:?}");
+    assert_eq!(diags[1].rule, rules::TRANSLATION_NATIVE, "{found:?}");
+    assert!(
+        diags.iter().all(|d| d.location.starts_with("flux kernel")),
+        "{found:?}"
+    );
 }
 
 /// Replace the IR's source statement with one that dropped its terms; the

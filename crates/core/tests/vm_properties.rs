@@ -8,11 +8,16 @@
 //!    a step equals the net boundary exchange — interior fluxes cancel in
 //!    pairs by construction of the owner/neighbor evaluation.
 //! 4. The RK2 transform is second-order accurate (Euler is first-order).
+//! 5. A flux program lowered like a volume program (bind → register form →
+//!    row evaluation over face inputs) is bit-identical to the stack VM on
+//!    every face, special values and the upwind branch edge included.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-use pbte_dsl::bytecode::{Compiler, KernelKind, RegProgram, VmCtx, ROW_CHUNK};
+use pbte_dsl::bytecode::{
+    Compiler, KernelKind, RegProgram, VmCtx, FACE_INPUTS, FACE_NORMAL, FACE_U1, FACE_U2, ROW_CHUNK,
+};
 use pbte_dsl::entities::Fields;
 use pbte_dsl::exec::ExecTarget;
 use pbte_dsl::problem::{BoundaryCondition, Problem, TimeStepper};
@@ -316,4 +321,105 @@ fn rk2_is_second_order_on_exponential_decay() {
         (1.8..2.3).contains(&rk2_order),
         "RK2 must be second order, got {rk2_order}"
     );
+}
+
+/// Property 5. The upwind flux of the BTE, `vg·cond(v·n > 0, (v·n)·u1,
+/// (v·n)·u2)`, compiled as the pipeline expands it. Faces carry random
+/// normals and unknowns salted with `±0.0`, `NaN`, `±inf`, and normals
+/// exactly perpendicular to a direction (`v·n == 0`, the branch edge, where
+/// `0 · inf` must come out as the same NaN). The face inputs are the
+/// pseudo-variables a bound flux program loads, so evaluating the row
+/// program over a lane range is evaluating it over face slots; the result
+/// must not depend on where a span of faces is cut.
+#[test]
+fn compiled_flux_matches_the_vm_bitwise_for_any_span_split() {
+    const N: usize = 2 * ROW_CHUNK + 9;
+    let mut p = Problem::new("flux-props");
+    p.domain(2);
+    let d = p.index("d", 4);
+    let b = p.index("b", 2);
+    let i_var = p.variable("I", &[d, b]);
+    p.coefficient_array("Sx", &[d], vec![1.0, 0.0, -0.6, 0.28]);
+    p.coefficient_array("Sy", &[d], vec![0.0, 1.0, 0.8, -0.96]);
+    p.coefficient_array("vg", &[b], vec![1.5, 0.25]);
+    p.conservation_form(i_var, "surface(vg[b]*upwind([Sx[d];Sy[d]], I[d,b]))");
+    let sys = p.analyze().unwrap();
+    let program = Compiler::new(&p.registry, i_var, KernelKind::Flux)
+        .compile(&sys.flux_expr)
+        .unwrap();
+    let face_base = program.face_base as usize;
+    assert_eq!(face_base, p.registry.variables.len());
+
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+    };
+    let special = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.0];
+    let mut lanes = vec![vec![0.0f64; N]; FACE_INPUTS];
+    for l in 0..N {
+        let theta = std::f64::consts::PI * next();
+        let mut normal = [theta.cos(), theta.sin(), 0.0];
+        if l % 5 == 0 {
+            // Perpendicular to direction 0 or 1, flipped every other time.
+            normal = [[0.0, 1.0, 0.0], [-1.0, 0.0, -0.0]][(l / 5) % 2];
+        }
+        lanes[FACE_U1 as usize][l] = if l % 3 == 0 {
+            special[(l / 3) % 6]
+        } else {
+            next()
+        };
+        lanes[FACE_U2 as usize][l] = if l % 7 == 0 {
+            special[(l / 7) % 6]
+        } else {
+            next()
+        };
+        for (axis, component) in normal.into_iter().enumerate() {
+            lanes[FACE_NORMAL as usize + axis][l] = component;
+        }
+    }
+    // Real variables first (a compiled flux reads none), face inputs after.
+    let mut vars: Vec<&[f64]> = vec![&[]; face_base];
+    vars.extend(lanes.iter().map(|lane| lane.as_slice()));
+
+    for flat in 0..8 {
+        let idx = [flat / 2, flat % 2];
+        let bound = program.bind(&idx, 1, 0.1, 0.0, &p.registry.coefficients);
+        let reg = RegProgram::compile(&bound);
+        let mut regs = vec![[0.0; ROW_CHUNK]; reg.n_regs()];
+        let reference: Vec<f64> = (0..N)
+            .map(|l| {
+                program.eval(&VmCtx {
+                    vars: &[],
+                    n_cells: 1,
+                    coefficients: &p.registry.coefficients,
+                    idx: &idx,
+                    cell: 0,
+                    u1: lanes[FACE_U1 as usize][l],
+                    u2: lanes[FACE_U2 as usize][l],
+                    normal: [0, 1, 2].map(|axis| lanes[FACE_NORMAL as usize + axis][l]),
+                    position: pbte_mesh::Point::zero(),
+                    dt: 0.1,
+                    time: 0.0,
+                })
+            })
+            .collect();
+        assert!(reference.iter().any(|v| v.is_nan()) && reference.contains(&0.0));
+        for span in [1, 7, ROW_CHUNK, ROW_CHUNK + 1, N] {
+            let mut out = vec![0.0; N];
+            for start in (0..N).step_by(span) {
+                let end = (start + span).min(N);
+                reg.eval_row(&vars, start, &mut out[start..end], &[], 0.0, &mut regs);
+            }
+            for l in 0..N {
+                assert_eq!(
+                    out[l].to_bits(),
+                    reference[l].to_bits(),
+                    "flat {flat} span {span} face {l}: row {} vs vm {}",
+                    out[l],
+                    reference[l]
+                );
+            }
+        }
+    }
 }

@@ -2,7 +2,9 @@
 //!
 //! The fixtures are the committed meshes the `.pbte` scenario library
 //! references (`examples/meshes/`): a perturbed-quad 2-D die for the
-//! hot-spot array scenario and a 6×6×3 hex die for the 3-D scenario.
+//! hot-spot array scenario, a finer one with more face orientations than
+//! the flux table holds for the jittered-array scenario, and a 6×6×3 hex
+//! die for the 3-D scenario.
 //! They were produced by `regenerate_fixtures` (run with
 //! `cargo test -p pbte-mesh --test importers -- --ignored` after changing
 //! the writers) so the on-disk bytes pin the writer format: geometry
@@ -31,13 +33,12 @@ fn read_fixture(name: &str) -> String {
     })
 }
 
-/// The hot-spot-array die: a 12×12 quad mesh over 525 µm × 525 µm with
-/// every interior vertex displaced by a deterministic pseudo-random
-/// offset (≤ ⅛ cell width per axis), so the mesh is genuinely
-/// unstructured — no two interior faces share an orientation — while the
-/// quads stay convex and the boundary stays a perfect square.
-fn perturbed_hotspot_mesh() -> Mesh {
-    let n = 12;
+/// An `n`×`n` quad mesh over 525 µm × 525 µm with every interior vertex
+/// displaced by a deterministic pseudo-random offset (≤ ⅛ cell width per
+/// axis), so the mesh is genuinely unstructured — no two interior faces
+/// share an orientation — while the quads stay convex and the boundary
+/// stays a perfect square.
+fn perturbed_mesh(n: usize, seed: u64) -> Mesh {
     let h = LX / n as f64;
     let base = UniformGrid::new_2d(n, n, LX, LY).build();
     let mut verts: Vec<Point> = base.vertices.clone();
@@ -58,8 +59,8 @@ fn perturbed_hotspot_mesh() -> Mesh {
             x ^= x >> 27;
             ((x >> 40) as f64) / ((1u64 << 23) as f64) - 1.0
         };
-        v.x += unit(1) * 0.125 * h;
-        v.y += unit(2) * 0.125 * h;
+        v.x += unit(seed + 1) * 0.125 * h;
+        v.y += unit(seed + 2) * 0.125 * h;
     }
     let cells: Vec<Vec<usize>> = (0..base.n_cells())
         .map(|c| base.cell_vertices(c).to_vec())
@@ -71,6 +72,18 @@ fn perturbed_hotspot_mesh() -> Mesh {
     mesh.add_boundary_region("bottom", move |c| c.y < eps);
     mesh.add_boundary_region("top", move |c| c.y > LY - eps);
     mesh
+}
+
+/// The hot-spot-array die: 12×12, few enough orientations (≈ 600) for
+/// the flux's per-orientation coefficient table.
+fn perturbed_hotspot_mesh() -> Mesh {
+    perturbed_mesh(12, 0)
+}
+
+/// The jittered-array die: 24×24, ≈ 2 400 orientations — past the
+/// 1 024-class table, so the solver compiles the flux instead.
+fn jittered_array_mesh() -> Mesh {
+    perturbed_mesh(24, 24)
 }
 
 /// The elongated 3-D die: 300 µm × 300 µm × 100 µm hex grid. MEDIT has
@@ -92,7 +105,27 @@ fn regenerate_fixtures() {
         gmsh::write_msh(&perturbed_hotspot_mesh()),
     )
     .unwrap();
+    std::fs::write(
+        fixture_path("jittered_array.msh"),
+        gmsh::write_msh(&jittered_array_mesh()),
+    )
+    .unwrap();
     std::fs::write(fixture_path("die3d.mesh"), medit::write_mesh(&die3d_mesh())).unwrap();
+}
+
+/// The property the jittered-array scenario exists for.
+#[test]
+fn jittered_fixture_has_more_orientations_than_the_flux_table() {
+    let m = gmsh::parse_msh(&read_fixture("jittered_array.msh")).unwrap();
+    assert_eq!(m.n_cells(), 24 * 24);
+    assert!(m.validate().is_empty(), "{:?}", m.validate());
+    let orientations: std::collections::BTreeSet<[u64; 2]> = m
+        .faces
+        .iter()
+        .flat_map(|f| [f.normal, -f.normal])
+        .map(|n| [n.x.to_bits(), n.y.to_bits()])
+        .collect();
+    assert!(orientations.len() > 1024, "{}", orientations.len());
 }
 
 #[test]

@@ -165,6 +165,11 @@ pub enum StreamFrame {
         time: f64,
         /// Free-form run label (scenario / target).
         label: String,
+        /// Kernel tier the run resolved to (`vm`, `bound`, `row`,
+        /// `native`).
+        tier: String,
+        /// Flux evaluation that tier runs (`table`, `compiled`, `vm`).
+        flux: String,
     },
     /// Per-step summary, the streaming twin of
     /// [`StepRecord`](super::StepRecord).
@@ -205,10 +210,17 @@ impl StreamFrame {
     /// Serialize to one JSON object. Called on the writer thread only.
     pub fn to_json(&self) -> String {
         match self {
-            StreamFrame::RunStart { time, label } => format!(
-                "{{\"frame\":\"run_start\",\"time\":{},\"label\":{}}}",
+            StreamFrame::RunStart {
+                time,
+                label,
+                tier,
+                flux,
+            } => format!(
+                "{{\"frame\":\"run_start\",\"time\":{},\"label\":{},\"tier\":{},\"flux\":{}}}",
                 json_f64(*time),
-                json_str(label)
+                json_str(label),
+                json_str(tier),
+                json_str(flux)
             ),
             StreamFrame::Step {
                 step,
@@ -614,6 +626,8 @@ mod tests {
             sink.push(StreamFrame::RunStart {
                 time: i as f64,
                 label: "x".into(),
+                tier: "row".into(),
+                flux: "table".into(),
             });
         }
         assert_eq!(sink.pushed(), 8);
@@ -629,6 +643,8 @@ mod tests {
         sink.push(StreamFrame::RunStart {
             time: 0.0,
             label: "unit".into(),
+            tier: "row".into(),
+            flux: "table".into(),
         });
         sink.push(StreamFrame::Event(Event {
             severity: EventSeverity::Info,

@@ -246,6 +246,7 @@ fn stream_frame_schema() {
         match kind {
             "run_start" => {
                 assert!(is_str(&v, "label") && v.get("time").and_then(Value::as_f64).is_some());
+                assert!(is_str(&v, "tier") && is_str(&v, "flux"), "what ran");
             }
             "step" => {
                 saw_step = true;
