@@ -5,8 +5,8 @@
 //!
 //! ```text
 //! pbte-trace [scenario=hotspot|elongated|FILE.pbte]
-//!            [target=seq|par|cells|bands|
-//!            gpu:async|gpu:precompute|bands-gpu] [n=12] [steps=3]
+//!            [target=seq|par|cells[:<r>]|bands[:<r>]|
+//!            gpu[:async|:precompute]|bands-gpu[:<r>]] [n=12] [steps=3]
 //!            [ranks=2] [strategy=redundant|divided]
 //!            [tier=vm|bound|row|native] [out=DIR] [stream=FILE]
 //!            [--no-health] [--parity]
@@ -28,10 +28,10 @@
 //! sink and the physics health probes installed, writes `DIR/trace.json`
 //! (load it at <https://ui.perfetto.dev>) and `DIR/summary.jsonl`, prints
 //! the phase/work/device summary, and exits 1 if any health probe fired.
-//! With `stream=FILE` the run *also* attaches the streaming sink and a
-//! live metrics registry: every span, per-step summary, event and metrics
-//! snapshot is pushed through the bounded ring onto `FILE` as
-//! length-prefixed JSONL frames while the solve runs.
+//! With `stream=FILE` the run *also* attaches the stream: every frame the
+//! recorder emits — the ones `summary.jsonl` and `trace.json` are
+//! rendered from — is pushed through the bounded ring onto `FILE` as
+//! length-prefixed JSONL while the solve runs.
 //!
 //! **`--follow` mode** tails a stream file — typically one being written
 //! by a concurrent `stream=` run — and renders rolling per-phase rates,
@@ -41,7 +41,8 @@
 //!
 //! **`top` mode** reads a (complete or in-progress) stream file once and
 //! prints the aggregate view: total seconds per phase, the hottest spans
-//! by cumulative duration, total work counters and drop accounting.
+//! by cumulative duration, total work counters, the `device` and
+//! `histogram` frames as recorded, and drop accounting.
 //!
 //! **`--parity` mode** runs the scenario on *every* target shape and
 //! asserts the tiered counter-equality contract (see `DESIGN.md`):
@@ -75,17 +76,15 @@
 //! Any violated assertion prints a `PARITY MISMATCH` line and the exit
 //! status is 1.
 
-use pbte_apps::{arg_str, arg_usize};
+use pbte_apps::{arg_str, arg_usize, parse_target};
 use pbte_bte::health::HealthProbes;
 use pbte_bte::pbte::ScenarioSpec;
 use pbte_bte::scenario::{elongated, hotspot_2d, BteConfig, BteProblem};
 use pbte_bte::temperature::TemperatureStrategy;
 use pbte_dsl::exec::{Recorder, SolveReport};
 use pbte_dsl::problem::KernelTier;
-use pbte_dsl::{ExecTarget, GpuStrategy, Solver, WorkCounters};
-use pbte_gpu::DeviceSpec;
-use pbte_runtime::telemetry::metrics::MetricsRegistry;
-use pbte_runtime::telemetry::stream::{StreamConfig, StreamFrame, StreamReader, StreamWriter};
+use pbte_dsl::{ExecTarget, Solver, WorkCounters};
+use pbte_runtime::telemetry::stream::{StreamConfig, StreamReader, StreamWriter};
 use pbte_runtime::telemetry::SpanKind;
 use serde::Value;
 use std::path::Path;
@@ -111,37 +110,8 @@ enum ScenarioSource {
     Pbte(Box<ScenarioSpec>),
 }
 
-fn target_by_name(name: &str, ranks: usize) -> Option<ExecTarget> {
-    Some(match name {
-        "seq" => ExecTarget::CpuSeq,
-        "par" => ExecTarget::CpuParallel,
-        "cells" => ExecTarget::DistCells { ranks },
-        "bands" => ExecTarget::DistBands {
-            ranks,
-            index: "b".into(),
-        },
-        "gpu:async" => ExecTarget::GpuHybrid {
-            spec: DeviceSpec::a6000(),
-            strategy: GpuStrategy::AsyncBoundary,
-        },
-        "gpu:precompute" => ExecTarget::GpuHybrid {
-            spec: DeviceSpec::a6000(),
-            strategy: GpuStrategy::PrecomputeBoundary,
-        },
-        "bands-gpu" => ExecTarget::DistBandsGpu {
-            ranks,
-            index: "b".into(),
-            spec: DeviceSpec::a6000(),
-            strategy: GpuStrategy::AsyncBoundary,
-        },
-        _ => return None,
-    })
-}
-
 /// Build the scenario, optionally install the health probes, solve under
-/// `rec`, and return the report plus any health diagnostics. `on_built`
-/// sees the compiled solver before the first step (the stream's
-/// `run_start` frame names what the plan resolved to).
+/// `rec`, and return the report plus any health diagnostics.
 fn run_one(
     source: &ScenarioSource,
     cfg: &BteConfig,
@@ -149,7 +119,6 @@ fn run_one(
     tier: Option<KernelTier>,
     health: bool,
     rec: &mut Recorder,
-    on_built: impl FnOnce(&Solver, &Recorder),
 ) -> (SolveReport, Vec<pbte_dsl::Diagnostic>) {
     let mut bte = match source {
         ScenarioSource::Builtin(scenario) => scenario(cfg),
@@ -189,7 +158,6 @@ fn run_one(
             }
         }
     }
-    on_built(&solver, rec);
     let report = match solver.solve_traced(rec) {
         Ok(r) => r,
         Err(e) => {
@@ -337,15 +305,7 @@ fn run_parity(
         "bands-gpu",
     ];
     let mut rec = Recorder::buffered();
-    let (seq_report, _) = run_one(
-        source,
-        cfg,
-        ExecTarget::CpuSeq,
-        tier,
-        false,
-        &mut rec,
-        |_, _| {},
-    );
+    let (seq_report, _) = run_one(source, cfg, ExecTarget::CpuSeq, tier, false, &mut rec);
     print_report("seq", &seq_report);
     let seq = seq_report.work;
     let seq_tiers = kernel_tiers(&rec);
@@ -357,9 +317,9 @@ fn run_parity(
         ok = false;
     }
     for tname in names.into_iter().skip(1) {
-        let target = target_by_name(tname, ranks).unwrap();
+        let target = parse_target(tname, ranks).expect("parity names are target spellings");
         let mut rec = Recorder::buffered();
-        let (report, _) = run_one(source, cfg, target, tier, false, &mut rec, |_, _| {});
+        let (report, _) = run_one(source, cfg, target, tier, false, &mut rec);
         print_report(tname, &report);
         let tiers = kernel_tiers(&rec);
         println!("  kernel tier attribution: {tiers:?}");
@@ -472,7 +432,6 @@ struct StreamAgg {
     flux: u64,
     comm_bytes: u64,
     events: u64,
-    snapshots: u64,
     run_end: Option<(u64, u64)>,
 }
 
@@ -529,10 +488,6 @@ impl StreamAgg {
             }
             "event" => {
                 self.events += 1;
-                None
-            }
-            "metrics" => {
-                self.snapshots += 1;
                 None
             }
             "run_end" => {
@@ -625,7 +580,7 @@ fn follow(file: &str, wait_s: u64) -> ! {
             if let Some(a) = agg.ingest(&frame) {
                 annotations.push(a);
             }
-            if !agg.label.is_empty() && agg.steps == 0 && jstr(&frame, "frame") == "run_start" {
+            if jstr(&frame, "frame") == "run_start" {
                 println!("run: {} {}", agg.label, agg.ran);
             }
         }
@@ -700,10 +655,15 @@ fn top(file: &str) -> ! {
     };
     let mut agg = StreamAgg::default();
     let mut warned: Vec<String> = Vec::new();
+    // The run-level `device` and `histogram` frames, printed as recorded.
+    let mut summaries: Vec<&str> = Vec::new();
     for json in &frames {
         let Ok(frame) = serde_json::from_str::<Value>(json) else {
             continue;
         };
+        if matches!(jstr(&frame, "frame"), "device" | "histogram") {
+            summaries.push(json);
+        }
         if jstr(&frame, "frame") == "event" && jstr(&frame, "severity") != "info" {
             warned.push(format!(
                 "[{}] {}: {}",
@@ -718,11 +678,10 @@ fn top(file: &str) -> ! {
         println!("run: {} {}", agg.label, agg.ran);
     }
     println!(
-        "{} frame(s), {} step(s), {} event(s), {} metrics snapshot(s)",
+        "{} frame(s), {} step(s), {} event(s)",
         frames.len(),
         agg.steps,
-        agg.events,
-        agg.snapshots
+        agg.events
     );
     let busy: f64 = agg.phase_total.iter().map(|(_, t)| t).sum();
     println!("phases:");
@@ -744,6 +703,9 @@ fn top(file: &str) -> ! {
         "work: {} dof update(s), {} flux eval(s), {} comm byte(s)",
         agg.dof, agg.flux, agg.comm_bytes
     );
+    for line in summaries {
+        println!("{line}");
+    }
     match agg.run_end {
         Some((f, d)) => println!("run_end: {f} frame(s) written, {d} dropped"),
         None => println!("no run_end frame: stream truncated or still in progress"),
@@ -787,14 +749,10 @@ fn main() {
     };
     let tier = match arg_str(&args, "tier", "") {
         "" => None,
-        "vm" => Some(KernelTier::Vm),
-        "bound" => Some(KernelTier::Bound),
-        "row" => Some(KernelTier::Row),
-        "native" => Some(KernelTier::Native),
-        other => {
-            eprintln!("unknown tier `{other}` (use vm, bound, row or native)");
+        name => Some(KernelTier::from_name(name).unwrap_or_else(|| {
+            eprintln!("unknown tier `{name}` (use vm, bound, row or native)");
             std::process::exit(2);
-        }
+        })),
     };
 
     let source = if sname.ends_with(".pbte") {
@@ -827,17 +785,13 @@ fn main() {
         return;
     }
 
-    let Some(target) = target_by_name(tname, ranks) else {
-        eprintln!(
-            "unknown target `{tname}` (use seq, par, cells, bands, gpu:async, \
-             gpu:precompute or bands-gpu)"
-        );
+    let target = parse_target(tname, ranks).unwrap_or_else(|e| {
+        eprintln!("{e}");
         std::process::exit(2);
-    };
+    });
 
     let stream_path = arg_str(&args, "stream", "").to_string();
     let mut rec = Recorder::buffered();
-    let registry = MetricsRegistry::new();
     let writer = if stream_path.is_empty() {
         None
     } else {
@@ -850,27 +804,20 @@ fn main() {
                 std::process::exit(2);
             });
         rec.attach_stream(w.sink());
-        rec.attach_metrics(&registry);
         Some(w)
     };
-    let run_start = |solver: &Solver, rec: &Recorder| {
-        let tier = solver.compiled.resolved_tier();
-        let flux = solver.compiled.flux_path(tier);
+    let (report, diags) = run_one(&source, &cfg, target, tier, health, &mut rec);
+    // What the driver recorded it ran (the summary's first line), not what
+    // was asked for.
+    let summary = rec.summary_jsonl();
+    if let Some(Ok(start)) = summary.lines().next().map(serde_json::from_str::<Value>) {
         println!(
-            "run: {sname}/{tname} tier={} flux={}",
-            tier.name(),
-            flux.name()
+            "run: {} tier={} flux={}",
+            jstr(&start, "label"),
+            jstr(&start, "tier"),
+            jstr(&start, "flux")
         );
-        if let Some(w) = &writer {
-            w.sink().push(StreamFrame::RunStart {
-                time: rec.now(),
-                label: format!("{sname}/{tname}"),
-                tier: tier.name().into(),
-                flux: flux.name().into(),
-            });
-        }
-    };
-    let (report, diags) = run_one(&source, &cfg, target, tier, health, &mut rec, run_start);
+    }
     if let Some(w) = writer {
         let stats = w.finish().unwrap_or_else(|e| {
             eprintln!("stream writer failed: {e}");
@@ -894,7 +841,7 @@ fn main() {
     let trace_path = format!("{out}/trace.json");
     let summary_path = format!("{out}/summary.jsonl");
     std::fs::write(&trace_path, rec.chrome_trace()).expect("write trace.json");
-    std::fs::write(&summary_path, rec.summary_jsonl()).expect("write summary.jsonl");
+    std::fs::write(&summary_path, summary).expect("write summary.jsonl");
     println!("wrote {trace_path} (open at https://ui.perfetto.dev) and {summary_path}");
 
     // Telemetry self-diagnostics (nonmonotonic timers, truncated

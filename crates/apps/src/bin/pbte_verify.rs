@@ -59,53 +59,33 @@
 //! scenario/strategy/target/tier) and per-plan pass timings in
 //! milliseconds.
 
-use pbte_apps::arg_usize;
+use pbte_apps::{arg_usize, parse_target};
 use pbte_bte::pbte::ScenarioSpec;
 use pbte_bte::scenario::{elongated, hotspot_2d, BteConfig, BteProblem};
 use pbte_bte::temperature::TemperatureStrategy;
+use pbte_dsl::analysis;
 use pbte_dsl::exec::{ExecTarget, Solver};
 use pbte_dsl::problem::{Integrator, KernelTier};
-use pbte_dsl::{analysis, GpuStrategy};
-use pbte_gpu::DeviceSpec;
 use std::path::Path;
 use std::time::Instant;
 
+/// The seven target shapes, tagged by their canonical `target=` spelling.
 fn targets(ranks: usize) -> Vec<(String, ExecTarget)> {
-    vec![
-        ("seq".into(), ExecTarget::CpuSeq),
-        ("par".into(), ExecTarget::CpuParallel),
-        (format!("cells:{ranks}"), ExecTarget::DistCells { ranks }),
-        (
-            format!("bands:{ranks}"),
-            ExecTarget::DistBands {
-                ranks,
-                index: "b".into(),
-            },
-        ),
-        (
-            "gpu:async".into(),
-            ExecTarget::GpuHybrid {
-                spec: DeviceSpec::a6000(),
-                strategy: GpuStrategy::AsyncBoundary,
-            },
-        ),
-        (
-            "gpu:precompute".into(),
-            ExecTarget::GpuHybrid {
-                spec: DeviceSpec::a6000(),
-                strategy: GpuStrategy::PrecomputeBoundary,
-            },
-        ),
-        (
-            format!("bands-gpu:{ranks}"),
-            ExecTarget::DistBandsGpu {
-                ranks,
-                index: "b".into(),
-                spec: DeviceSpec::a6000(),
-                strategy: GpuStrategy::AsyncBoundary,
-            },
-        ),
+    [
+        "seq",
+        "par",
+        "cells",
+        "bands",
+        "gpu:async",
+        "gpu:precompute",
+        "bands-gpu",
     ]
+    .into_iter()
+    .map(|spec| {
+        let target = parse_target(spec, ranks).expect("a target spelling");
+        (target.label(), target)
+    })
+    .collect()
 }
 
 /// Timing of the passes run on one plan, milliseconds.
@@ -277,12 +257,7 @@ fn main() {
         ("redundant", TemperatureStrategy::RedundantNewton),
         ("divided", TemperatureStrategy::DividedNewton),
     ];
-    let tiers = [
-        ("vm", KernelTier::Vm),
-        ("bound", KernelTier::Bound),
-        ("row", KernelTier::Row),
-        ("native", KernelTier::Native),
-    ];
+    let tiers = KernelTier::ALL.map(|tier| (tier.name(), tier));
     let integrators = [
         ("explicit", Integrator::Explicit),
         ("implicit", Integrator::Implicit { theta: 1.0 }),

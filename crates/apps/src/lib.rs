@@ -1,9 +1,10 @@
 //! Workspace-level examples and integration tests.
 //!
-//! This crate carries no library code of its own — it exists to host the
-//! runnable examples in the repository-root `examples/` directory and the
-//! cross-crate integration tests in the root `tests/` directory as cargo
-//! targets:
+//! Besides the `key=value` argument helpers the three binaries share
+//! (one CLI vocabulary: [`parse_target`] here, `KernelTier::from_name` in
+//! `pbte-dsl`), this crate exists to host the runnable examples in the
+//! repository-root `examples/` directory and the cross-crate integration
+//! tests in the root `tests/` directory as cargo targets:
 //!
 //! ```text
 //! cargo run --release -p pbte-apps --example quickstart
@@ -14,6 +15,9 @@
 //! cargo run --release -p pbte-apps --example bte_3d
 //! cargo test -p pbte-apps
 //! ```
+
+use pbte_dsl::{ExecTarget, GpuStrategy};
+use pbte_gpu::DeviceSpec;
 
 /// Parse a `KEY=value`-style override from the command line, e.g.
 /// `cargo run --example hotspot_2d -- n=64 steps=2000`.
@@ -34,9 +38,89 @@ pub fn arg_str<'a>(args: &'a [String], key: &str, default: &'a str) -> &'a str {
         .unwrap_or(default)
 }
 
+/// Parse a `target=` value — the one spelling table of `pbte`,
+/// `pbte-trace` and `pbte-verify`: `seq`, `par`, `gpu` (= `gpu:async`),
+/// `gpu:precompute`, and `cells`, `bands`, `bands-gpu` with an optional
+/// `:<ranks>` suffix (`default_ranks` without one). Distributed band
+/// targets partition the BTE's band index `b`.
+pub fn parse_target(spec: &str, default_ranks: usize) -> Result<ExecTarget, String> {
+    let (name, ranks) = match spec.split_once(':') {
+        Some((name @ ("cells" | "bands" | "bands-gpu"), r)) => match r.parse() {
+            Ok(ranks) if ranks > 0 => (name, ranks),
+            _ => return Err(format!("bad rank count in target `{spec}`")),
+        },
+        _ => (spec, default_ranks),
+    };
+    let index = "b".to_string();
+    let spec_a6000 = DeviceSpec::a6000();
+    Ok(match name {
+        "seq" => ExecTarget::CpuSeq,
+        "par" => ExecTarget::CpuParallel,
+        "cells" => ExecTarget::DistCells { ranks },
+        "bands" => ExecTarget::DistBands { ranks, index },
+        "gpu" | "gpu:async" => ExecTarget::GpuHybrid {
+            spec: spec_a6000,
+            strategy: GpuStrategy::AsyncBoundary,
+        },
+        "gpu:precompute" => ExecTarget::GpuHybrid {
+            spec: spec_a6000,
+            strategy: GpuStrategy::PrecomputeBoundary,
+        },
+        "bands-gpu" => ExecTarget::DistBandsGpu {
+            ranks,
+            index,
+            spec: spec_a6000,
+            strategy: GpuStrategy::AsyncBoundary,
+        },
+        _ => {
+            return Err(format!(
+                "unknown target `{spec}` (use seq, par, gpu[:async|:precompute], \
+                 cells[:<ranks>], bands[:<ranks>] or bands-gpu[:<ranks>])"
+            ))
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbte_dsl::KernelTier;
+
+    #[test]
+    fn every_target_spelling_round_trips_and_unknown_is_an_error() {
+        // (spelling, the canonical label it must parse to)
+        for (spec, label) in [
+            ("seq", "seq"),
+            ("par", "par"),
+            ("gpu", "gpu:async"),
+            ("gpu:async", "gpu:async"),
+            ("gpu:precompute", "gpu:precompute"),
+            ("cells", "cells:2"),
+            ("cells:3", "cells:3"),
+            ("bands", "bands:2"),
+            ("bands:4", "bands:4"),
+            ("bands-gpu", "bands-gpu:2"),
+            ("bands-gpu:3", "bands-gpu:3"),
+        ] {
+            let target = parse_target(spec, 2).unwrap_or_else(|e| panic!("{spec}: {e}"));
+            assert_eq!(target.label(), label, "{spec}");
+            // The label is itself an accepted spelling of the same target.
+            assert_eq!(parse_target(label, 7).unwrap().label(), label);
+        }
+        for bad in [
+            "bogus", "", "cells:", "cells:0", "bands:x", "seq:2", "gpu:sync",
+        ] {
+            assert!(parse_target(bad, 2).is_err(), "`{bad}` must be refused");
+        }
+    }
+
+    #[test]
+    fn every_tier_name_round_trips() {
+        for tier in KernelTier::ALL {
+            assert_eq!(KernelTier::from_name(tier.name()), Some(tier));
+        }
+        assert_eq!(KernelTier::from_name("bogus"), None);
+    }
 
     #[test]
     fn arg_parsing() {

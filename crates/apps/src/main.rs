@@ -7,12 +7,15 @@
 //! pbte elongated [n=24] [steps=3000] [target=par] [tier=row] [dt=auto|<seconds>]
 //!                [integrator=explicit|implicit|steady]
 //! pbte bte3d     [n=8]  [steps=400]
-//! pbte codegen   [target=seq|par|gpu|cells:<ranks>|bands:<ranks>]
+//! pbte codegen   [target=seq|par|gpu[:async|:precompute]|cells:<r>|bands:<r>|bands-gpu:<r>]
 //! pbte info
 //! ```
 //!
 //! `target` values: `seq`, `par` (threads), `gpu` (hybrid, simulated
-//! A6000), `cells:<r>` / `bands:<r>` (distributed ranks).
+//! A6000; `gpu:async` / `gpu:precompute` pick the boundary strategy),
+//! `cells:<r>` / `bands:<r>` / `bands-gpu:<r>` (distributed ranks) — the
+//! spellings `pbte-trace` takes. An unknown `target`, `tier`, `strategy`
+//! or `integrator` value is a usage error (exit status 2).
 //! `strategy` values (2-D scenarios, effective under `bands:<r>`):
 //! `redundant` (every rank solves all cells, the paper's behaviour) or
 //! `divided` (per-rank cell slices plus a second T-allreduce).
@@ -30,58 +33,33 @@
 //! at the default θ=1), `steady` / `steady:<tol>:<growth>`
 //! (pseudo-transient continuation to steady state).
 
-use pbte_apps::arg_usize;
+use pbte_apps::{arg_str, arg_usize};
 use pbte_bte::output::{render_ascii, summary, temperature_grid};
 use pbte_bte::scenario::{coarse_3d, elongated, hotspot_2d, BteConfig, BteProblem};
 use pbte_bte::temperature::TemperatureStrategy;
 use pbte_dsl::exec::{ExecTarget, Solver};
 use pbte_dsl::problem::{Integrator, KernelTier};
-use pbte_dsl::GpuStrategy;
-use pbte_gpu::DeviceSpec;
 use pbte_runtime::telemetry::Recorder;
 
+/// A `key=value` the CLI does not know: say so and exit with the usage
+/// status, like `pbte-trace`.
+fn usage_error(message: String) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
 fn parse_target(args: &[String]) -> ExecTarget {
-    let spec = args
-        .iter()
-        .find_map(|a| a.strip_prefix("target="))
-        .unwrap_or("par");
-    match spec {
-        "seq" => ExecTarget::CpuSeq,
-        "par" => ExecTarget::CpuParallel,
-        "gpu" => ExecTarget::GpuHybrid {
-            spec: DeviceSpec::a6000(),
-            strategy: GpuStrategy::AsyncBoundary,
-        },
-        other => {
-            if let Some(r) = other.strip_prefix("cells:") {
-                ExecTarget::DistCells {
-                    ranks: r.parse().expect("cells:<ranks>"),
-                }
-            } else if let Some(r) = other.strip_prefix("bands:") {
-                ExecTarget::DistBands {
-                    ranks: r.parse().expect("bands:<ranks>"),
-                    index: "b".into(),
-                }
-            } else {
-                eprintln!("unknown target `{other}`; using par");
-                ExecTarget::CpuParallel
-            }
-        }
-    }
+    pbte_apps::parse_target(arg_str(args, "target", "par"), arg_usize(args, "ranks", 2))
+        .unwrap_or_else(|e| usage_error(e))
 }
 
 fn parse_strategy(args: &[String]) -> TemperatureStrategy {
-    match args
-        .iter()
-        .find_map(|a| a.strip_prefix("strategy="))
-        .unwrap_or("redundant")
-    {
+    match arg_str(args, "strategy", "redundant") {
         "redundant" => TemperatureStrategy::RedundantNewton,
         "divided" => TemperatureStrategy::DividedNewton,
-        other => {
-            eprintln!("unknown strategy `{other}`; using redundant");
-            TemperatureStrategy::RedundantNewton
-        }
+        other => usage_error(format!(
+            "unknown strategy `{other}` (use redundant or divided)"
+        )),
     }
 }
 
@@ -108,24 +86,20 @@ fn parse_integrator(args: &[String]) -> Integrator {
                 .map(|g| g.parse().expect("integrator=steady:<tol>:<growth>"))
                 .unwrap_or(2.0),
         },
-        other => {
-            eprintln!("unknown integrator `{other}`; using explicit");
-            Integrator::Explicit
-        }
+        other => usage_error(format!(
+            "unknown integrator `{other}` (use explicit, implicit[:<theta>] or \
+             steady[:<tol>:<growth>])"
+        )),
     }
 }
 
 fn parse_tier(args: &[String]) -> Option<KernelTier> {
-    match args.iter().find_map(|a| a.strip_prefix("tier="))? {
-        "vm" => Some(KernelTier::Vm),
-        "bound" => Some(KernelTier::Bound),
-        "row" => Some(KernelTier::Row),
-        "native" => Some(KernelTier::Native),
-        other => {
-            eprintln!("unknown tier `{other}`; using the plan default");
-            None
-        }
-    }
+    let name = args.iter().find_map(|a| a.strip_prefix("tier="))?;
+    Some(KernelTier::from_name(name).unwrap_or_else(|| {
+        usage_error(format!(
+            "unknown tier `{name}` (use vm, bound, row or native)"
+        ))
+    }))
 }
 
 /// Resolve the `dt=` key. A literal value is used verbatim; `auto`
@@ -332,13 +306,17 @@ fn main() {
                 "  memory        : ~{:.2} GiB device at headline scale",
                 report.device_bytes as f64 * scale / (1u64 << 30) as f64
             );
-            println!("\ntargets: seq | par | gpu | cells:<ranks> | bands:<ranks>");
+            println!(
+                "\ntargets: seq | par | gpu[:async|:precompute] | cells:<ranks> | \
+                 bands:<ranks> | bands-gpu:<ranks>"
+            );
         }
         _ => {
             println!(
                 "usage: pbte <hotspot|elongated|bte3d|codegen|info> [key=value ...]\n\
                  keys: n, steps, dirs, bands, target, strategy, tier, dt, integrator\n\
-                 targets: seq | par | gpu | cells:<ranks> | bands:<ranks>\n\
+                 targets: seq | par | gpu[:async|:precompute] | cells:<ranks> | bands:<ranks> |\n\
+                 \x20        bands-gpu:<ranks>\n\
                  strategies (temperature Newton under bands:<ranks>): redundant | divided\n\
                  tiers: vm | bound | row | native (AOT; falls back to row without rustc)\n\
                  dt: <seconds> | auto (interval-pass recommendation: CFL bound when\n\

@@ -5,9 +5,8 @@
 //! (cell, flat) pair) per tier:
 //!
 //! * `vm` — generic stack VM, per-DOF dispatch;
-//! * `bound_rebind` — per-flat bound programs re-bound every call (the
-//!   pre-PR-2 default path, the "interpreter" baseline);
-//! * `bound_cached` — bound programs cached across calls;
+//! * `bound_cached` — per-flat bound programs, bound once and cached
+//!   across calls (the "interpreter" baseline of the printed speed-up);
 //! * `row` — the fused, batched row kernel;
 //! * `native` — the AOT tier: the row programs lowered to Rust source,
 //!   compiled out-of-process by `rustc`, and loaded as a `cdylib`. The
@@ -18,8 +17,9 @@
 //! -minor) rather than one tier at a time: with per-tier blocks, slow
 //! drift over the run — frequency scaling, competing load — lands
 //! entirely on whichever tiers run later and can invert close pairs
-//! (`bound_cached` was once recorded slower than `bound_rebind` this
-//! way; see EXPERIMENTS.md). Interleaving spreads drift evenly.
+//! (`bound_cached` was once recorded slower than a since-retired
+//! rebind-every-call lane this way; see EXPERIMENTS.md). Interleaving
+//! spreads drift evenly.
 //!
 //! Set `INTENSITY_BENCH_QUICK=1` (CI short mode) to shrink the scenario
 //! and the sample count so the run finishes in a few seconds.
@@ -63,30 +63,21 @@ fn main() {
     );
     let reps = if quick() { 5 } else { 30 };
 
-    let specs: [(&'static str, KernelTier, bool); 5] = [
-        ("vm", KernelTier::Vm, true),
-        ("bound_rebind", KernelTier::Bound, true),
-        ("bound_cached", KernelTier::Bound, false),
-        ("row", KernelTier::Row, false),
-        ("native", KernelTier::Native, false),
+    let (cp, fields) = CompiledProblem::compile(hotspot_2d(&cfg).problem).expect("compiles");
+    let specs = [
+        ("vm", KernelTier::Vm),
+        ("bound_cached", KernelTier::Bound),
+        ("row", KernelTier::Row),
+        ("native", KernelTier::Native),
     ];
-    let compiled: Vec<(&'static str, KernelTier, CompiledProblem, Fields)> = specs
-        .iter()
-        .map(|&(name, tier, rebind)| {
-            let mut bte = hotspot_2d(&cfg);
-            bte.problem.rebind_per_step(rebind);
-            let (cp, fields) = CompiledProblem::compile(bte.problem).expect("compiles");
-            (name, tier, cp, fields)
-        })
-        .collect();
 
     let mut lanes: Vec<Lane> = Vec::new();
-    for (name, tier, cp, fields) in &compiled {
-        let mut bench = cp.intensity_bench(fields, *tier);
-        if bench.tier() != *tier {
+    for (name, tier) in specs {
+        let mut bench = cp.intensity_bench(&fields, tier);
+        if bench.tier() != tier {
             // Only the native tier degrades by design; anything else
             // clamping here is a bench misconfiguration.
-            assert_eq!(*tier, KernelTier::Native, "tier clamped unexpectedly");
+            assert_eq!(tier, KernelTier::Native, "tier clamped unexpectedly");
             let why = bench
                 .native_fallback()
                 .map(|d| d.render())
@@ -96,12 +87,12 @@ fn main() {
         }
         let mut rhs = vec![0.0; cp.n_flat * fields.n_cells];
         for _ in 0..2 {
-            bench.run(fields, &mut rhs);
+            bench.run(&fields, &mut rhs);
         }
         lanes.push(Lane {
             name,
             bench,
-            fields,
+            fields: &fields,
             rhs,
             samples: Vec::with_capacity(reps),
             n_dof: (cp.n_flat * fields.n_cells) as f64,
@@ -141,7 +132,7 @@ fn main() {
             .find(|r| r.name == name)
             .map(|r| r.min_ns_per_dof)
     };
-    let interp = min_of("bound_rebind").unwrap();
+    let interp = min_of("bound_cached").unwrap();
     let row = min_of("row").unwrap();
     let speedup = interp / row;
     println!("row-kernel speedup over interpreter path: {speedup:.2}x");

@@ -257,16 +257,16 @@ pub(crate) fn solve(
     };
     let init_fields: &Fields = fields;
     let cfg = rec.config();
-    let seed = rec.seed();
+    let parent: &Recorder = rec;
     // One cost estimate for the whole job; each rank narrows it to its
     // owned scope (transfer-byte terms are dropped — they only apply to
     // the single-device target where the full-problem schedule is exact).
-    let base_cost = rec.enabled().then(|| super::live_cost(cp, target));
+    let base_cost = parent.enabled().then(|| super::live_cost(cp, target));
     let results: Vec<RankResult> = World::run(ranks, |ctx| {
         let rank = ctx.rank;
         let (cells, flats) = &scopes[rank];
         let mut local = init_fields.clone();
-        let mut r = seed.recorder(rank as u32);
+        let mut r = parent.child(rank as u32);
         if let Some(base) = base_cost {
             r.set_cost_expectation(super::scope_cost(base, cp, cells, flats));
         }

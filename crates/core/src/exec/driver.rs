@@ -525,7 +525,9 @@ pub(crate) fn drive(
 }
 
 /// Run one rank's share of the solve in its recorder `r` and close it
-/// into a report (`comm` is left for distributed callers to fill).
+/// into a report (`comm` is left for distributed callers to fill). Rank 0
+/// opens the run's record: it is the rank that knows what its kernels
+/// resolved to.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_scope(
     cp: &CompiledProblem,
@@ -537,6 +539,14 @@ pub(crate) fn run_scope(
     r: &mut Recorder,
 ) -> SolveReport {
     let (mut backend, threads) = backend_for(cp, fields, d, target);
+    if r.enabled() && r.rank() == 0 {
+        let tier = backend.tier();
+        r.run_start(
+            format!("{}/{}", cp.problem.name, target.label()),
+            tier.name(),
+            cp.flux_path(tier).name(),
+        );
+    }
     let steps = drive(cp, &mut *backend, fields, d, owned, links, r, threads);
     let device = backend.finish(cp, fields);
     if let Some(prof) = &device {
@@ -559,7 +569,10 @@ pub(crate) fn run_scope(
 
 /// Solve `cp` on `target`: validate the configuration, derive the rank
 /// scopes, and run [`drive`] on each — in this process for the
-/// single-rank targets, over message-passing ranks otherwise.
+/// single-rank targets, over message-passing ranks otherwise. The run is
+/// bracketed in the telemetry record here, for every target: `run_start`
+/// before step 0 ([`run_scope`]), the accumulated histograms and `total`
+/// after the last.
 pub(crate) fn solve(
     cp: &CompiledProblem,
     fields: &mut Fields,
@@ -582,34 +595,37 @@ pub(crate) fn solve(
     }
     let scopes = crate::analysis::rank_scopes(cp, target)?;
     cp.debug_verify(target);
-    if !matches!(
+    // Solve into a child recorder so the report and the closing frames
+    // cover exactly this run even when the caller's recorder spans
+    // several solves. The child shares the caller's stream, so frames
+    // flow out live.
+    let mut r = rec.child(rec.rank());
+    let report = if matches!(
         target,
         ExecTarget::CpuSeq | ExecTarget::CpuParallel | ExecTarget::GpuHybrid { .. }
     ) {
-        return Ok(dist::solve(cp, fields, target, &scopes, rec));
-    }
-    let (cells, flats) = &scopes[0];
-    let d = Dofs {
-        cells,
-        flats,
-        n_cells: fields.n_cells,
+        let (cells, flats) = &scopes[0];
+        let d = Dofs {
+            cells,
+            flats,
+            n_cells: fields.n_cells,
+        };
+        if r.enabled() {
+            r.set_cost_expectation(live_cost(cp, target));
+        }
+        run_scope(
+            cp,
+            fields,
+            d,
+            target,
+            &Owned::default(),
+            &mut LocalLinks,
+            &mut r,
+        )
+    } else {
+        dist::solve(cp, fields, target, &scopes, &mut r)
     };
-    // Solve into a child recorder so the report covers exactly this run
-    // even when the caller's recorder spans several solves. The child
-    // shares the caller's stream/metrics sinks, so frames flow out live.
-    let mut r = rec.child();
-    if r.enabled() {
-        r.set_cost_expectation(live_cost(cp, target));
-    }
-    let report = run_scope(
-        cp,
-        fields,
-        d,
-        target,
-        &Owned::default(),
-        &mut LocalLinks,
-        &mut r,
-    );
+    r.close_run();
     rec.absorb(r);
     Ok(report)
 }

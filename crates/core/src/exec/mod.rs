@@ -80,6 +80,24 @@ pub enum ExecTarget {
     },
 }
 
+impl ExecTarget {
+    /// Short stable name — the CLI's `target=` spelling — used to label
+    /// a run in its telemetry record.
+    pub fn label(&self) -> String {
+        match self {
+            ExecTarget::CpuSeq => "seq".into(),
+            ExecTarget::CpuParallel => "par".into(),
+            ExecTarget::DistCells { ranks } => format!("cells:{ranks}"),
+            ExecTarget::DistBands { ranks, .. } => format!("bands:{ranks}"),
+            ExecTarget::GpuHybrid { strategy, .. } => match strategy {
+                GpuStrategy::AsyncBoundary => "gpu:async".into(),
+                GpuStrategy::PrecomputeBoundary => "gpu:precompute".into(),
+            },
+            ExecTarget::DistBandsGpu { ranks, .. } => format!("bands-gpu:{ranks}"),
+        }
+    }
+}
+
 /// Per-stage distributed services a step needs: the reduction interface
 /// callbacks use, plus the halo exchange multi-stage steppers must repeat
 /// before *every* stage (RK2 reads neighbor values of the intermediate
@@ -139,7 +157,7 @@ pub use pbte_runtime::telemetry::WorkCounters;
 /// The unified telemetry sink and its `Copy` configuration, re-exported
 /// so downstream crates (benches, inspectors) can drive
 /// [`Solver::solve_traced`] without a direct `pbte-runtime` dependency.
-pub use pbte_runtime::telemetry::{CostExpectation, Recorder, RecorderSeed, TraceConfig};
+pub use pbte_runtime::telemetry::{CostExpectation, Recorder, TraceConfig};
 
 /// The live cost expectation for a full-problem solve on `target`: the
 /// static cost model's per-step predictions packaged for mid-run

@@ -53,7 +53,6 @@ pub(crate) struct IntensityKernels {
     bound_time: f64,
     /// Whether a bound program reads `t` (forces per-stage rebinds).
     time_dependent: bool,
-    rebind_per_step: bool,
     max_regs: usize,
     /// Total face count over the scope's cells, summed once (fixes the
     /// old `faces_per_cell_hint` sampling of `cells[0]` only).
@@ -125,7 +124,6 @@ impl IntensityKernels {
             bound_time: f64::NAN,
             time_dependent: cp.volume.references_time()
                 || (binds_flux && cp.flux.references_time()),
-            rebind_per_step: cp.problem.rebind_per_step,
             max_regs: 0,
             faces_in_scope: None,
             rebinds: 0,
@@ -135,8 +133,7 @@ impl IntensityKernels {
     }
 
     /// Make the cached per-flat programs valid for `time`. A no-op unless
-    /// this is the first call, a program reads `t` and `time` changed,
-    /// or per-step rebinding was forced.
+    /// this is the first call, or a program reads `t` and `time` changed.
     pub fn ensure(&mut self, cp: &CompiledProblem, time: f64) {
         // The VM tier binds nothing; the native tier was fully prepared
         // at construction (it is only reachable for time-independent,
@@ -145,7 +142,6 @@ impl IntensityKernels {
             return;
         }
         let stale = self.bound.is_empty()
-            || self.rebind_per_step
             || (self.time_dependent && self.bound_time.to_bits() != time.to_bits());
         if !stale {
             return;

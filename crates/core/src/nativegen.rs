@@ -36,8 +36,8 @@
 //!   failures, so a broken toolchain is probed once, not per scope.
 //!
 //! If `rustc` is missing (override with `PBTE_NATIVE_RUSTC`), compilation
-//! fails, or the plan is ineligible (a program reading `t`, per-step
-//! rebinding, function coefficients, a flux reading a cell variable),
+//! fails, or the plan is ineligible (a program reading `t`, function
+//! coefficients, a flux reading a cell variable),
 //! `prepare` returns `Err` and the caller falls back to the row tier (the
 //! bound tier when the flux itself cannot be lowered) with a structured
 //! diagnostic (`native/fallback`) instead of erroring.
@@ -782,9 +782,6 @@ pub(crate) fn prepare(cp: &CompiledProblem) -> Result<Arc<NativeLib>, String> {
     }
     if cp.flux.references_time() {
         return Err("flux program reads `t` (per-step rebinding defeats AOT caching)".into());
-    }
-    if cp.problem.rebind_per_step {
-        return Err("per-step rebinding is forced".into());
     }
     let lower = |kind: KernelKind, flat: usize, what: &str| {
         let bound = cp.bind(kind, flat, 0.0);

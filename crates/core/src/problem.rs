@@ -364,8 +364,7 @@ pub enum LoopDim {
 /// a function coefficient or reads a cell variable per face) runs them on
 /// `Bound`; `Native` falls back to `Row` (with a structured diagnostic)
 /// when `rustc` is unavailable, compilation fails, or the plan is
-/// ineligible (per-step rebinding, a program reading `t`, function
-/// coefficients).
+/// ineligible (a program reading `t`, function coefficients).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelTier {
     /// Generic stack-bytecode VM, per-DOF dispatch.
@@ -379,6 +378,14 @@ pub enum KernelTier {
 }
 
 impl KernelTier {
+    /// Every tier, slowest first.
+    pub const ALL: [KernelTier; 4] = [
+        KernelTier::Vm,
+        KernelTier::Bound,
+        KernelTier::Row,
+        KernelTier::Native,
+    ];
+
     /// Stable lowercase name, used for CLI flags and telemetry span
     /// attribution.
     pub fn name(&self) -> &'static str {
@@ -388,6 +395,11 @@ impl KernelTier {
             KernelTier::Row => "row",
             KernelTier::Native => "native",
         }
+    }
+
+    /// Inverse of [`KernelTier::name`]: the one parser of `tier=` values.
+    pub fn from_name(name: &str) -> Option<KernelTier> {
+        KernelTier::ALL.into_iter().find(|t| t.name() == name)
     }
 }
 
@@ -450,10 +462,6 @@ pub struct Problem {
     /// Which kernel tier evaluates the intensity phase; `None` selects
     /// `Row`.
     pub kernel_tier: Option<KernelTier>,
-    /// Force re-binding per-flat programs every step even when the
-    /// program provably doesn't reference `t` (diagnostic knob; the
-    /// default caches bound programs across steps).
-    pub rebind_per_step: bool,
     /// Declared physical ranges `(entity name, lo, hi)` for variables and
     /// function coefficients, consumed by the interval-domain safety pass
     /// (`crate::analysis::check_intervals`). Purely declarative: nothing
@@ -490,7 +498,6 @@ impl Problem {
             assembly_loops: Vec::new(),
             custom_operators: Vec::new(),
             kernel_tier: None,
-            rebind_per_step: false,
             ranges: Vec::new(),
             units: Vec::new(),
         }
@@ -528,12 +535,6 @@ impl Problem {
     /// Pin the intensity phase to a specific kernel tier (default: auto).
     pub fn kernel_tier(&mut self, tier: KernelTier) -> &mut Self {
         self.kernel_tier = Some(tier);
-        self
-    }
-
-    /// Re-bind per-flat programs every step even when time-independent.
-    pub fn rebind_per_step(&mut self, on: bool) -> &mut Self {
-        self.rebind_per_step = on;
         self
     }
 

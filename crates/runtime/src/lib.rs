@@ -31,6 +31,6 @@ pub mod world;
 
 pub use comm::{CommModel, CommParams};
 pub use machine::MachineSpec;
-pub use telemetry::{CostExpectation, Recorder, RecorderSeed, TraceConfig, WorkCounters};
+pub use telemetry::{CostExpectation, Recorder, TraceConfig, WorkCounters};
 pub use timer::{Breakdown, PhaseTimer};
 pub use world::{RankCtx, World};

@@ -1,53 +1,51 @@
-//! Unified telemetry: one recorder, one accounting path, many sinks.
+//! Unified telemetry: one recorder, one frame model, several renderings.
 //!
 //! The paper's evaluation (§III-D, Figs 5 and 8) attributes execution time
 //! to "solve for intensity", "temperature update" and "communication" per
 //! rank and per device. This module is the single layer every executor
-//! feeds: structured [`Span`]s (step, phase, kernel launch, transfer,
-//! callback, allreduce, Newton solve) and [`Event`]s tagged with
-//! rank/track attribution, plus the [`WorkCounters`] that validate
-//! cross-target parity.
+//! feeds, and it has **one record type**: every record call on a
+//! [`Recorder`] builds a [`Frame`] — `run_start`, `span`, `event`, `step`,
+//! `sample`, `histogram`, `device`, `total` — and hands it to one private
+//! `emit`, which stores it when buffering and pushes it on the ring when
+//! streaming. A buffered run and a streamed run therefore carry the same
+//! frames by construction, and every artifact is a rendering of them
+//! through the one [`Frame::to_json`] (or, for the trace, of the span and
+//! event frames through [`Recorder::chrome_trace`]).
 //!
 //! Design contract:
 //!
 //! * The **null sink is free**: a [`Recorder`] built from
 //!   [`TraceConfig::disabled`] still accumulates [`WorkCounters`] and
 //!   [`PhaseTimer`] seconds — executors need both for their
-//!   `SolveReport` regardless — but every span/event/histogram/step
-//!   record call returns before allocating anything.
-//! * The **buffered sink** retains everything in memory, bounded by the
-//!   [`TraceConfig`] span/event caps (overflow increments drop counters
-//!   and surfaces one [`rules::BUFFER_TRUNCATED`] warning); exporters
-//!   ([`Recorder::chrome_trace`], [`Recorder::summary_jsonl`]) render it
-//!   after the run. Nothing is written during the solve loop.
-//! * The **streaming sink** ([`stream::StreamSink`], attached with
-//!   [`Recorder::attach_stream`]) forwards every span/event/step frame
-//!   to a bounded lock-free ring drained by a background writer thread;
-//!   the hot path never blocks on I/O — a full ring drops the frame and
-//!   counts it. Both sinks can be active at once.
-//! * A [`metrics::MetricsRegistry`] attached with
-//!   [`Recorder::attach_metrics`] maintains live counters/gauges/
-//!   histograms fed by the same span hooks, snapshotted periodically
-//!   into the stream as delta frames.
+//!   `SolveReport` regardless — but every record call returns before
+//!   building a frame.
+//! * The **buffer** retains frames in emission order, bounded by the
+//!   [`TraceConfig`] span cap (overflow increments a drop counter and
+//!   surfaces one [`rules::BUFFER_TRUNCATED`] warning). After the run,
+//!   [`Recorder::summary_jsonl`] renders the non-span frames and
+//!   [`Recorder::chrome_trace`] the span and event frames. Nothing is
+//!   written during the solve loop.
+//! * The **stream** ([`stream::StreamSink`], attached with
+//!   [`Recorder::attach_stream`]) carries the same frames to a bounded
+//!   lock-free ring drained by a background writer thread; the hot path
+//!   never blocks on I/O — a full ring drops the frame and counts it.
+//!   Both consumers can be live at once.
 //! * A [`CostExpectation`] (derived from the static cost model) makes
 //!   the recorder annotate kernel/transfer spans with predicted
 //!   flops/bytes and emit a [`rules::COST_LIVE_DRIFT`] warning when
 //!   observed per-step work drifts from the prediction mid-run.
 //! * Ranks record into **child recorders** sharing the parent's epoch
-//!   and sinks ([`Recorder::seed`] / [`RecorderSeed::recorder`] carry
-//!   them across the `World::run` closure), merged afterwards with
+//!   and stream ([`Recorder::child`], callable from inside the
+//!   `World::run` closure), merged afterwards with
 //!   [`Recorder::absorb_rank`].
 
-pub mod metrics;
 pub mod stream;
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::timer::PhaseTimer;
-use metrics::{LogHistogram, MetricsRegistry};
-use stream::{StreamFrame, StreamSink};
+use stream::StreamSink;
 
 /// Stable rule identifiers for telemetry-originated diagnostics, so
 /// downstream tooling (`pbte-trace`, CI asserts) can match on them.
@@ -138,7 +136,7 @@ pub enum SpanKind {
     HaloExchange,
 }
 
-/// Every span kind, in metric-index order.
+/// Every span kind.
 pub const SPAN_KINDS: [SpanKind; 8] = [
     SpanKind::Step,
     SpanKind::Phase,
@@ -164,19 +162,6 @@ impl SpanKind {
             SpanKind::HaloExchange => "halo",
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            SpanKind::Step => 0,
-            SpanKind::Phase => 1,
-            SpanKind::Kernel => 2,
-            SpanKind::Transfer => 3,
-            SpanKind::Callback => 4,
-            SpanKind::Allreduce => 5,
-            SpanKind::NewtonSolve => 6,
-            SpanKind::HaloExchange => 7,
-        }
-    }
 }
 
 /// Timeline a span is drawn on. Each rank gets a host track plus one
@@ -191,7 +176,7 @@ pub enum Track {
 }
 
 impl Track {
-    pub(crate) fn tid(self) -> u64 {
+    fn tid(self) -> u64 {
         match self {
             Track::Host => 0,
             Track::Device(d) => 1 + d as u64,
@@ -235,7 +220,7 @@ pub enum EventSeverity {
 }
 
 impl EventSeverity {
-    pub(crate) fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             EventSeverity::Info => "info",
             EventSeverity::Warning => "warning",
@@ -259,16 +244,19 @@ pub struct Event {
     pub rank: u32,
 }
 
-/// Per-step record feeding the JSONL summary.
+/// One closed step — the payload of the `step` frame.
 #[derive(Debug, Clone)]
 pub struct StepRecord {
     /// Step index (0-based).
     pub step: usize,
     /// Recording rank.
     pub rank: u32,
+    /// Seconds from the epoch at which the step closed.
+    pub time: f64,
     /// Phase seconds spent in this step, `(phase name, seconds)`.
     pub phases: Vec<(String, f64)>,
-    /// Cumulative work counters at the end of this step.
+    /// Work performed during this step (the delta; the run sum is the
+    /// `total` frame).
     pub work: WorkCounters,
     /// Message-passing bytes sent during this step (0 where untracked).
     pub comm_bytes: u64,
@@ -311,12 +299,158 @@ pub struct Sample {
     pub value: f64,
 }
 
+/// The one telemetry record. Everything a [`Recorder`] emits — to the
+/// buffer, the stream, or both — is a `Frame`; serialized to a single JSON
+/// object whose `"frame"` key discriminates the variant.
+#[derive(Debug, Clone)]
+pub enum Frame {
+    /// Opens a run: what is about to execute.
+    RunStart {
+        /// Seconds from the trace epoch.
+        time: f64,
+        /// `problem name/target`.
+        label: String,
+        /// Kernel tier the sweeps run at, after any clamp or native
+        /// fallback (`vm`, `bound`, `row`, `native`).
+        tier: String,
+        /// Flux evaluation that tier runs (`table`, `compiled`, `vm`).
+        flux: String,
+    },
+    /// A closed span, including any cost-model annotation attrs
+    /// (`pred_flops`, `pred_bytes`).
+    Span(Span),
+    /// A health / diagnostic event.
+    Event(Event),
+    /// A closed step.
+    Step(StepRecord),
+    /// One entry of a per-step sample series.
+    Sample(Sample),
+    /// An iteration histogram accumulated over the run.
+    Histogram {
+        /// Histogram name.
+        name: &'static str,
+        /// [`HIST_BUCKETS`] counts; the last bucket is overflow.
+        buckets: Vec<u64>,
+    },
+    /// End-of-run summary of one simulated device.
+    Device(DeviceSummary),
+    /// Closes a run: its phase seconds (max over ranks) and summed work.
+    Total {
+        /// `(phase name, seconds)`.
+        phases: Vec<(String, f64)>,
+        /// Work summed over steps and ranks.
+        work: WorkCounters,
+    },
+    /// Last frame of a stream file, written by the writer thread after
+    /// the ring drains; never droppable, never buffered.
+    RunEnd {
+        /// Seconds from the epoch at shutdown.
+        time: f64,
+        /// Frames written to the file (excluding this one).
+        frames: u64,
+        /// Frames dropped under backpressure.
+        dropped: u64,
+    },
+}
+
+impl Frame {
+    /// Serialize to one JSON object — the only serializer of the model:
+    /// the stream writer calls it per frame, `summary.jsonl` is its output
+    /// over the buffered non-span frames.
+    pub fn to_json(&self) -> String {
+        match self {
+            Frame::RunStart {
+                time,
+                label,
+                tier,
+                flux,
+            } => format!(
+                "{{\"frame\":\"run_start\",\"time\":{},\"label\":{},\"tier\":{},\"flux\":{}}}",
+                json_f64(*time),
+                json_str(label),
+                json_str(tier),
+                json_str(flux)
+            ),
+            Frame::Span(s) => format!(
+                "{{\"frame\":\"span\",\"cat\":\"{}\",\"name\":{},\"t0\":{},\"dur\":{},\
+                 \"rank\":{},\"tid\":{},\"attrs\":{{{}}}}}",
+                s.kind.category(),
+                json_str(&s.name),
+                json_f64(s.t0),
+                json_f64(s.dur),
+                s.rank,
+                s.track.tid(),
+                json_members(&s.attrs, |v| json_str(v))
+            ),
+            Frame::Event(e) => format!(
+                "{{\"frame\":\"event\",\"severity\":\"{}\",\"name\":{},\"message\":{},\
+                 \"time\":{},\"rank\":{}}}",
+                e.severity.label(),
+                json_str(&e.name),
+                json_str(&e.message),
+                json_f64(e.time),
+                e.rank
+            ),
+            Frame::Step(s) => format!(
+                "{{\"frame\":\"step\",\"step\":{},\"rank\":{},\"time\":{},\
+                 \"phases\":{{{}}},\"work\":{},\"comm_bytes\":{}}}",
+                s.step,
+                s.rank,
+                json_f64(s.time),
+                json_members(&s.phases, |v| json_f64(*v)),
+                work_json(&s.work),
+                s.comm_bytes
+            ),
+            Frame::Sample(s) => format!(
+                "{{\"frame\":\"sample\",\"name\":{},\"step\":{},\"rank\":{},\"value\":{}}}",
+                json_str(s.name),
+                s.step,
+                s.rank,
+                json_f64(s.value)
+            ),
+            Frame::Histogram { name, buckets } => {
+                let counts: Vec<String> = buckets.iter().map(|c| c.to_string()).collect();
+                format!(
+                    "{{\"frame\":\"histogram\",\"name\":{},\"buckets\":[{}]}}",
+                    json_str(name),
+                    counts.join(",")
+                )
+            }
+            Frame::Device(d) => format!(
+                "{{\"frame\":\"device\",\"device\":{},\"rank\":{},\"sm_utilization\":{},\
+                 \"memory_fraction\":{},\"flop_fraction\":{},\"kernel_seconds\":{},\
+                 \"transfer_seconds\":{},\"h2d_bytes\":{},\"d2h_bytes\":{}}}",
+                json_str(&d.device),
+                d.rank,
+                json_f64(d.sm_utilization),
+                json_f64(d.memory_fraction),
+                json_f64(d.flop_fraction),
+                json_f64(d.kernel_seconds),
+                json_f64(d.transfer_seconds),
+                d.h2d_bytes,
+                d.d2h_bytes
+            ),
+            Frame::Total { phases, work } => format!(
+                "{{\"frame\":\"total\",\"phases\":{{{}}},\"work\":{}}}",
+                json_members(phases, |v| json_f64(*v)),
+                work_json(work)
+            ),
+            Frame::RunEnd {
+                time,
+                frames,
+                dropped,
+            } => format!(
+                "{{\"frame\":\"run_end\",\"time\":{},\"frames\":{frames},\"dropped\":{dropped}}}",
+                json_f64(*time)
+            ),
+        }
+    }
+}
+
 /// Default in-memory retention cap for spans (per recorder tree).
 pub const DEFAULT_SPAN_CAP: usize = 1 << 20;
-/// Default in-memory retention cap for events.
+/// In-memory retention cap for events.
 pub const DEFAULT_EVENT_CAP: usize = 1 << 16;
-/// Default period (in steps) between streamed metrics snapshots.
-pub const DEFAULT_SNAPSHOT_EVERY: usize = 16;
 /// At most this many `cost/live-drift` warnings per recorder, so a
 /// systematically wrong prediction cannot flood the event buffer.
 const MAX_DRIFT_WARNS: u32 = 8;
@@ -325,13 +459,12 @@ const MAX_DRIFT_WARNS: u32 = 8;
 /// every rank's child recorder uses the same epoch.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceConfig {
-    /// Spans/events/histograms are recorded at all (to memory and/or a
-    /// stream); `buffer` additionally retains them in memory.
+    /// Frames are recorded at all (to memory and/or a stream); `buffer`
+    /// additionally retains them in memory.
     enabled: bool,
     buffer: bool,
     epoch: Instant,
     max_spans: usize,
-    max_events: usize,
 }
 
 impl TraceConfig {
@@ -342,11 +475,10 @@ impl TraceConfig {
             buffer: false,
             epoch: Instant::now(),
             max_spans: DEFAULT_SPAN_CAP,
-            max_events: DEFAULT_EVENT_CAP,
         }
     }
 
-    /// Buffered-sink configuration with the epoch set to now.
+    /// Buffered configuration with the epoch set to now.
     pub fn enabled_now() -> TraceConfig {
         TraceConfig {
             enabled: true,
@@ -362,13 +494,7 @@ impl TraceConfig {
         self
     }
 
-    /// Cap the number of events retained in memory.
-    pub fn with_event_cap(mut self, cap: usize) -> TraceConfig {
-        self.max_events = cap;
-        self
-    }
-
-    /// Whether spans/events/histograms are recorded at all.
+    /// Whether frames are recorded at all.
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
@@ -416,120 +542,38 @@ pub struct CostExpectation {
     pub tolerance: f64,
 }
 
-/// Pre-registered metric handles the recorder updates on the hot path
-/// (registration takes a lock; recording is a relaxed atomic op).
-#[derive(Debug, Clone)]
-pub struct MetricsHandles {
-    registry: MetricsRegistry,
-    spans: [metrics::Counter; SPAN_KINDS.len()],
-    span_ns: Arc<LogHistogram>,
-    steps: metrics::Counter,
-    events: metrics::Counter,
-    comm_bytes: metrics::Counter,
-    dof_updates: metrics::Counter,
-    flux_evals: metrics::Counter,
-    newton_iters: metrics::Counter,
-    rhs_evals: metrics::Counter,
-    krylov_iters: metrics::Counter,
-}
-
-impl MetricsHandles {
-    fn build(registry: &MetricsRegistry) -> MetricsHandles {
-        MetricsHandles {
-            registry: registry.clone(),
-            spans: std::array::from_fn(|i| {
-                registry.counter(&format!("spans/{}", SPAN_KINDS[i].category()))
-            }),
-            span_ns: registry.histogram("span_ns"),
-            steps: registry.counter("steps"),
-            events: registry.counter("events"),
-            comm_bytes: registry.counter("comm_bytes"),
-            dof_updates: registry.counter("work/dof_updates"),
-            flux_evals: registry.counter("work/flux_evals"),
-            newton_iters: registry.counter("work/newton_iters"),
-            rhs_evals: registry.counter("work/rhs_evals"),
-            krylov_iters: registry.counter("work/krylov_iters"),
-        }
-    }
-
-    /// The registry these handles publish into.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-}
-
-/// Everything needed to build per-rank child recorders that share the
-/// parent's epoch *and* sinks: `Copy` config plus cloned stream/metrics
-/// handles. `Clone + Send + Sync`, so `World::run` closures can capture
-/// one by reference.
-#[derive(Debug, Clone)]
-pub struct RecorderSeed {
-    cfg: TraceConfig,
-    stream: Option<StreamSink>,
-    metrics: Option<MetricsRegistry>,
-    cost: Option<CostExpectation>,
-    snapshot_every: usize,
-}
-
-impl RecorderSeed {
-    /// Build the child recorder for `rank`.
-    pub fn recorder(&self, rank: u32) -> Recorder {
-        let mut r = Recorder::from_config(self.cfg, rank);
-        if let Some(s) = &self.stream {
-            r.attach_stream(s.clone());
-        }
-        if let Some(m) = &self.metrics {
-            r.attach_metrics(m);
-        }
-        r.cost = self.cost;
-        r.snapshot_every = self.snapshot_every;
-        r
-    }
-
-    /// Shared config (epoch, caps, sink mode).
-    pub fn config(&self) -> TraceConfig {
-        self.cfg
-    }
-}
-
-/// Number of buckets in iteration histograms ([`Recorder::observe`]
-/// clamps values to `0..=HIST_BUCKETS-1`; the last bucket is overflow).
+/// Number of buckets in iteration histograms (callers clamp values to
+/// `0..=HIST_BUCKETS-1`; the last bucket is overflow).
 pub const HIST_BUCKETS: usize = 32;
 
 /// The telemetry recorder: the one sink every executor and callback
 /// writes through.
 ///
 /// `work` and `phases` are always live (they are the `SolveReport`
-/// inputs); everything else is recorded only when a sink (buffered
-/// and/or streaming) is active.
+/// inputs); frames are built only when a consumer (buffer and/or stream)
+/// is live.
 #[derive(Debug, Clone)]
 pub struct Recorder {
-    enabled: bool,
-    buffer: bool,
-    epoch: Instant,
+    cfg: TraceConfig,
     rank: u32,
     /// Work counters — the single accounting path for all executors and
     /// callbacks (callbacks write through `StepContext::rec`).
     pub work: WorkCounters,
     /// Per-phase seconds, same semantics as the old standalone timer.
     pub phases: PhaseTimer,
-    spans: Vec<Span>,
-    events: Vec<Event>,
-    steps: Vec<StepRecord>,
-    samples: Vec<Sample>,
-    hists: BTreeMap<&'static str, [u64; HIST_BUCKETS]>,
-    devices: Vec<DeviceSummary>,
-    max_spans: usize,
-    max_events: usize,
+    /// Buffered frames, in emission order.
+    frames: Vec<Frame>,
+    n_spans: usize,
+    n_events: usize,
     dropped_spans: u64,
     dropped_events: u64,
     truncate_warned: bool,
+    /// Histograms accumulate here and become frames at [`Self::close_run`].
+    hists: BTreeMap<&'static str, [u64; HIST_BUCKETS]>,
     stream: Option<StreamSink>,
-    metrics: Option<MetricsHandles>,
     cost: Option<CostExpectation>,
     drift_warns: u32,
     last_step_work: WorkCounters,
-    snapshot_every: usize,
 }
 
 impl Default for Recorder {
@@ -549,97 +593,54 @@ impl Recorder {
         Recorder::from_config(TraceConfig::enabled_now(), 0)
     }
 
-    /// Child recorder for `rank`, sharing `cfg`'s epoch (no sinks — use
-    /// [`RecorderSeed::recorder`] to inherit stream/metrics handles).
+    /// Recorder for `rank` on `cfg`'s epoch (no stream, no cost
+    /// expectation — [`Recorder::child`] inherits both).
     pub fn from_config(cfg: TraceConfig, rank: u32) -> Recorder {
         Recorder {
-            enabled: cfg.enabled,
-            buffer: cfg.buffer,
-            epoch: cfg.epoch,
+            cfg,
             rank,
             work: WorkCounters::default(),
             phases: PhaseTimer::new(),
-            spans: Vec::new(),
-            events: Vec::new(),
-            steps: Vec::new(),
-            samples: Vec::new(),
-            hists: BTreeMap::new(),
-            devices: Vec::new(),
-            max_spans: cfg.max_spans,
-            max_events: cfg.max_events,
+            frames: Vec::new(),
+            n_spans: 0,
+            n_events: 0,
             dropped_spans: 0,
             dropped_events: 0,
             truncate_warned: false,
+            hists: BTreeMap::new(),
             stream: None,
-            metrics: None,
             cost: None,
             drift_warns: 0,
             last_step_work: WorkCounters::default(),
-            snapshot_every: DEFAULT_SNAPSHOT_EVERY,
         }
     }
 
-    /// Config to hand to per-rank children (same epoch, same sink mode).
+    /// This recorder's config (epoch, cap, sink mode).
     pub fn config(&self) -> TraceConfig {
-        TraceConfig {
-            enabled: self.enabled,
-            buffer: self.buffer,
-            epoch: self.epoch,
-            max_spans: self.max_spans,
-            max_events: self.max_events,
-        }
+        self.cfg
     }
 
-    /// Seed carrying config *and* sink handles, for building per-rank
-    /// children across thread boundaries.
-    pub fn seed(&self) -> RecorderSeed {
-        RecorderSeed {
-            cfg: self.config(),
-            stream: self.stream.clone(),
-            metrics: self.metrics.as_ref().map(|m| m.registry.clone()),
-            cost: self.cost,
-            snapshot_every: self.snapshot_every,
-        }
+    /// Child recorder for `rank`: this recorder's config, stream and cost
+    /// expectation, empty buffers. Takes `&self`, so `World::run` closures
+    /// can build their rank's child from a shared parent.
+    pub fn child(&self, rank: u32) -> Recorder {
+        let mut r = Recorder::from_config(self.cfg, rank);
+        r.stream = self.stream.clone();
+        r.cost = self.cost;
+        r
     }
 
-    /// Child recorder with this recorder's rank, config and sinks.
-    pub fn child(&self) -> Recorder {
-        self.seed().recorder(self.rank)
-    }
-
-    /// Attach a streaming sink: spans/events/steps are forwarded as
-    /// frames from now on. Enables recording even if buffering is off.
+    /// Attach a streaming sink: every frame is pushed onto its ring from
+    /// now on. Enables recording even if buffering is off.
     pub fn attach_stream(&mut self, sink: StreamSink) {
         self.stream = Some(sink);
-        self.enabled = true;
-    }
-
-    /// Attach a live metrics registry: span/step/event hooks update
-    /// pre-registered counters from now on.
-    pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
-        self.metrics = Some(MetricsHandles::build(registry));
+        self.cfg.enabled = true;
     }
 
     /// Set per-step cost expectations (span annotation + live drift
     /// detection).
     pub fn set_cost_expectation(&mut self, cost: CostExpectation) {
         self.cost = Some(cost);
-    }
-
-    /// Emit a streamed metrics snapshot every `every` steps (rank 0
-    /// only; default [`DEFAULT_SNAPSHOT_EVERY`]).
-    pub fn set_snapshot_every(&mut self, every: usize) {
-        self.snapshot_every = every.max(1);
-    }
-
-    /// The attached streaming sink, if any.
-    pub fn stream(&self) -> Option<&StreamSink> {
-        self.stream.as_ref()
-    }
-
-    /// The attached metric handles, if any.
-    pub fn metrics(&self) -> Option<&MetricsHandles> {
-        self.metrics.as_ref()
     }
 
     /// Spans dropped by the in-memory cap (not counting stream drops,
@@ -653,10 +654,9 @@ impl Recorder {
         self.dropped_events
     }
 
-    /// Whether spans/events/histograms are being recorded (buffered
-    /// and/or streamed).
+    /// Whether frames are being recorded (buffered and/or streamed).
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.cfg.enabled
     }
 
     /// Recording rank.
@@ -667,11 +667,51 @@ impl Recorder {
     /// Seconds since the trace epoch. Returns 0 when disabled so hot
     /// loops can call it unconditionally.
     pub fn now(&self) -> f64 {
-        if self.enabled {
-            self.epoch.elapsed().as_secs_f64()
-        } else {
-            0.0
+        self.cfg.now()
+    }
+
+    /// Hand one frame to every live consumer: moved when one is live,
+    /// cloned only when both are. Callers have checked `enabled`, so at
+    /// least one is.
+    fn emit(&mut self, frame: Frame) {
+        match (&self.stream, self.cfg.buffer) {
+            (Some(s), true) => {
+                s.push(frame.clone());
+                self.store(frame);
+            }
+            (Some(s), false) => s.push(frame),
+            (None, _) => self.store(frame),
         }
+    }
+
+    /// Retain a frame in memory, applying the span and event caps.
+    fn store(&mut self, frame: Frame) {
+        match &frame {
+            Frame::Span(_) if self.n_spans < self.cfg.max_spans => self.n_spans += 1,
+            Frame::Span(_) => {
+                self.dropped_spans += 1;
+                if !self.truncate_warned {
+                    self.truncate_warned = true;
+                    self.warn(
+                        rules::BUFFER_TRUNCATED,
+                        format!(
+                            "in-memory span buffer reached its cap of {}; further spans \
+                             are dropped from the buffered sink (streamed frames and \
+                             counters are unaffected)",
+                            self.cfg.max_spans
+                        ),
+                    );
+                }
+                return;
+            }
+            Frame::Event(_) if self.n_events < DEFAULT_EVENT_CAP => self.n_events += 1,
+            Frame::Event(_) => {
+                self.dropped_events += 1;
+                return;
+            }
+            _ => {}
+        }
+        self.frames.push(frame);
     }
 
     /// Add `seconds` to `phase`. Negative durations (simulated-clock
@@ -690,6 +730,19 @@ impl Recorder {
         self.phases.add(phase, secs);
     }
 
+    /// Open a run: what is about to execute. No-op under the null sink.
+    pub fn run_start(&mut self, label: String, tier: &str, flux: &str) {
+        if !self.cfg.enabled {
+            return;
+        }
+        self.emit(Frame::RunStart {
+            time: self.now(),
+            label,
+            tier: tier.to_string(),
+            flux: flux.to_string(),
+        });
+    }
+
     /// Record a closed span. No-op under the null sink; negative
     /// durations clamp to zero. Kernel and `h2d`/`d2h` transfer spans
     /// are annotated with the cost model's predictions when a
@@ -703,7 +756,7 @@ impl Recorder {
         track: Track,
         mut attrs: Vec<(&'static str, String)>,
     ) {
-        if !self.enabled {
+        if !self.cfg.enabled {
             return;
         }
         if let Some(c) = &self.cost {
@@ -725,7 +778,7 @@ impl Recorder {
                 _ => {}
             }
         }
-        let span = Span {
+        self.emit(Frame::Span(Span {
             kind,
             name: name.to_string(),
             t0,
@@ -733,95 +786,28 @@ impl Recorder {
             rank: self.rank,
             track,
             attrs,
-        };
-        if let Some(m) = &self.metrics {
-            m.spans[kind.index()].inc();
-            m.span_ns.record((span.dur * 1e9) as u64);
-        }
-        match (&self.stream, self.buffer) {
-            (Some(s), true) => {
-                s.push(StreamFrame::Span(span.clone()));
-                self.push_span_buffered(span);
-            }
-            (Some(s), false) => s.push(StreamFrame::Span(span)),
-            (None, _) => self.push_span_buffered(span),
-        }
-    }
-
-    fn push_span_buffered(&mut self, span: Span) {
-        if !self.buffer {
-            return;
-        }
-        if self.spans.len() < self.max_spans {
-            self.spans.push(span);
-        } else {
-            self.dropped_spans += 1;
-            if !self.truncate_warned {
-                self.truncate_warned = true;
-                self.warn(
-                    rules::BUFFER_TRUNCATED,
-                    format!(
-                        "in-memory span buffer reached its cap of {}; further spans \
-                         are dropped from the buffered sink (streamed frames and \
-                         counters are unaffected)",
-                        self.max_spans
-                    ),
-                );
-            }
-        }
-    }
-
-    /// Record an instantaneous informational event.
-    pub fn info(&mut self, name: &str, message: String) {
-        self.event(EventSeverity::Info, name, message);
+        }));
     }
 
     /// Record an instantaneous warning event.
     pub fn warn(&mut self, name: &str, message: String) {
-        self.event(EventSeverity::Warning, name, message);
-    }
-
-    fn event(&mut self, severity: EventSeverity, name: &str, message: String) {
-        if !self.enabled {
+        if !self.cfg.enabled {
             return;
         }
-        let time = self.now();
-        let ev = Event {
-            severity,
+        self.emit(Frame::Event(Event {
+            severity: EventSeverity::Warning,
             name: name.to_string(),
             message,
-            time,
+            time: self.now(),
             rank: self.rank,
-        };
-        if let Some(m) = &self.metrics {
-            m.events.inc();
-        }
-        if let Some(s) = &self.stream {
-            s.push(StreamFrame::Event(ev.clone()));
-        }
-        if self.buffer {
-            if self.events.len() < self.max_events {
-                self.events.push(ev);
-            } else {
-                self.dropped_events += 1;
-            }
-        }
+        }));
     }
 
-    /// Count one observation of `value` into the named histogram
-    /// (clamped to the last bucket).
-    pub fn observe(&mut self, hist: &'static str, value: u64) {
-        if !self.enabled {
-            return;
-        }
-        let b = (value as usize).min(HIST_BUCKETS - 1);
-        self.hists.entry(hist).or_insert([0; HIST_BUCKETS])[b] += 1;
-    }
-
-    /// Merge pre-aggregated buckets into the named histogram (used by
-    /// thread-parallel callbacks that accumulate locally first).
+    /// Merge pre-aggregated buckets into the named histogram (callbacks
+    /// bucket locally first). It becomes a `histogram` frame when the run
+    /// closes.
     pub fn observe_buckets(&mut self, hist: &'static str, buckets: &[u64]) {
-        if !self.enabled {
+        if !self.cfg.enabled {
             return;
         }
         let h = self.hists.entry(hist).or_insert([0; HIST_BUCKETS]);
@@ -837,72 +823,65 @@ impl Recorder {
 
     /// Record a floating-point sample for a per-step series.
     pub fn sample(&mut self, name: &'static str, step: usize, value: f64) {
-        if !self.enabled {
+        if !self.cfg.enabled {
             return;
         }
-        self.samples.push(Sample {
+        self.emit(Frame::Sample(Sample {
             name,
             step,
             rank: self.rank,
             value,
-        });
+        }));
     }
 
-    /// Attach an end-of-run device summary.
+    /// Record an end-of-run device summary.
     pub fn device_summary(&mut self, summary: DeviceSummary) {
-        if !self.enabled {
+        if !self.cfg.enabled {
             return;
         }
-        self.devices.push(summary);
+        self.emit(Frame::Device(summary));
     }
 
-    /// Close a step: snapshot cumulative counters plus this step's phase
-    /// seconds into a [`StepRecord`], stream a `step` frame (with the
-    /// per-step work *delta*), update live metrics, and check the cost
-    /// expectation.
+    /// Close a step: emit its [`StepRecord`] (this step's phase seconds
+    /// and work delta) and check the cost expectation.
     pub fn step_done(&mut self, step: usize, phases: &[(&str, f64)], comm_bytes: u64) {
-        if !self.enabled {
+        if !self.cfg.enabled {
             return;
         }
         let delta = self.work.since(&self.last_step_work);
         self.last_step_work = self.work;
-        if let Some(m) = &self.metrics {
-            m.steps.inc();
-            m.comm_bytes.add(comm_bytes);
-            m.dof_updates.add(delta.dof_updates);
-            m.flux_evals.add(delta.flux_evals);
-            m.newton_iters.add(delta.newton_iters);
-            m.rhs_evals.add(delta.rhs_evals);
-            m.krylov_iters.add(delta.krylov_iters);
-        }
-        if let Some(s) = &self.stream {
-            s.push(StreamFrame::Step {
-                step,
-                rank: self.rank,
-                time: self.epoch.elapsed().as_secs_f64(),
-                phases: phases.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-                work: delta,
-                comm_bytes,
-            });
-            if self.rank == 0 && (step + 1) % self.snapshot_every == 0 {
-                if let Some(m) = &self.metrics {
-                    let snap = m
-                        .registry
-                        .snapshot_delta(self.epoch.elapsed().as_secs_f64(), self.rank);
-                    s.push(StreamFrame::Metrics(snap));
-                }
-            }
-        }
+        self.emit(Frame::Step(StepRecord {
+            step,
+            rank: self.rank,
+            time: self.now(),
+            phases: phases.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+            work: delta,
+            comm_bytes,
+        }));
         self.check_step_cost(step, &delta);
-        if self.buffer {
-            self.steps.push(StepRecord {
-                step,
-                rank: self.rank,
-                phases: phases.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-                work: self.work,
-                comm_bytes,
+    }
+
+    /// Close a run recorded into this recorder: emit one `histogram`
+    /// frame per accumulated histogram, then the `total` frame with the
+    /// run's phase seconds and work.
+    pub fn close_run(&mut self) {
+        if !self.cfg.enabled {
+            return;
+        }
+        for (name, buckets) in self.hists.clone() {
+            self.emit(Frame::Histogram {
+                name,
+                buckets: buckets.to_vec(),
             });
         }
+        self.emit(Frame::Total {
+            phases: self
+                .phases
+                .phases()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+            work: self.work,
+        });
     }
 
     fn check_step_cost(&mut self, step: usize, delta: &WorkCounters) {
@@ -990,53 +969,67 @@ impl Recorder {
         self.dropped_spans += child.dropped_spans;
         self.dropped_events += child.dropped_events;
         self.drift_warns += child.drift_warns;
-        if !self.buffer {
-            return;
+        for f in child.frames {
+            self.store(f);
         }
-        for s in child.spans {
-            self.push_span_buffered(s);
-        }
-        for e in child.events {
-            if self.events.len() < self.max_events {
-                self.events.push(e);
-            } else {
-                self.dropped_events += 1;
-            }
-        }
-        self.steps.extend(child.steps);
-        self.samples.extend(child.samples);
-        self.devices.extend(child.devices);
         for (name, buckets) in child.hists {
-            let h = self.hists.entry(name).or_insert([0; HIST_BUCKETS]);
-            for (i, c) in buckets.iter().enumerate() {
-                h[i] += c;
-            }
+            self.observe_buckets(name, &buckets);
         }
     }
 
-    /// Recorded spans (empty under the null sink).
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
+    /// Buffered spans (empty under the null sink).
+    pub fn spans(&self) -> Vec<&Span> {
+        self.frames
+            .iter()
+            .filter_map(|f| match f {
+                Frame::Span(s) => Some(s),
+                _ => None,
+            })
+            .collect()
     }
 
-    /// Recorded events (empty under the null sink).
-    pub fn events(&self) -> &[Event] {
-        &self.events
+    /// Buffered events (empty under the null sink).
+    pub fn events(&self) -> Vec<&Event> {
+        self.frames
+            .iter()
+            .filter_map(|f| match f {
+                Frame::Event(e) => Some(e),
+                _ => None,
+            })
+            .collect()
     }
 
-    /// Recorded per-step records (empty under the null sink).
-    pub fn step_records(&self) -> &[StepRecord] {
-        &self.steps
+    /// Buffered per-step records (empty under the null sink).
+    pub fn step_records(&self) -> Vec<&StepRecord> {
+        self.frames
+            .iter()
+            .filter_map(|f| match f {
+                Frame::Step(s) => Some(s),
+                _ => None,
+            })
+            .collect()
     }
 
-    /// Recorded device summaries (empty under the null sink).
-    pub fn device_summaries(&self) -> &[DeviceSummary] {
-        &self.devices
+    /// Buffered device summaries (empty under the null sink).
+    pub fn device_summaries(&self) -> Vec<&DeviceSummary> {
+        self.frames
+            .iter()
+            .filter_map(|f| match f {
+                Frame::Device(d) => Some(d),
+                _ => None,
+            })
+            .collect()
     }
 
-    /// Recorded samples (empty under the null sink).
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
+    /// Buffered samples (empty under the null sink).
+    pub fn samples(&self) -> Vec<&Sample> {
+        self.frames
+            .iter()
+            .filter_map(|f| match f {
+                Frame::Sample(s) => Some(s),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Render the Chrome-trace-event JSON object (Perfetto-loadable):
@@ -1054,11 +1047,12 @@ impl Recorder {
             out.push_str(&s);
         };
 
-        let mut ranks: Vec<u32> = self.spans.iter().map(|s| s.rank).collect();
-        ranks.extend(self.events.iter().map(|e| e.rank));
+        let (spans, events) = (self.spans(), self.events());
+        let mut ranks: Vec<u32> = spans.iter().map(|s| s.rank).collect();
+        ranks.extend(events.iter().map(|e| e.rank));
         ranks.sort_unstable();
         ranks.dedup();
-        let mut tracks: Vec<(u32, Track)> = self.spans.iter().map(|s| (s.rank, s.track)).collect();
+        let mut tracks: Vec<(u32, Track)> = spans.iter().map(|s| (s.rank, s.track)).collect();
         tracks.sort();
         tracks.dedup();
 
@@ -1082,29 +1076,23 @@ impl Recorder {
                 &mut first,
             );
         }
-        for s in &self.spans {
-            let mut args = String::new();
-            for (k, v) in &s.attrs {
-                if !args.is_empty() {
-                    args.push(',');
-                }
-                args.push_str(&format!("{}:{}", json_str(k), json_str(v)));
-            }
+        for s in spans {
             push(
                 format!(
                     "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                     \"pid\":{},\"tid\":{},\"args\":{{{args}}}}}",
+                     \"pid\":{},\"tid\":{},\"args\":{{{}}}}}",
                     json_str(&s.name),
                     s.kind.category(),
                     json_f64(s.t0 * 1e6),
                     json_f64(s.dur * 1e6),
                     s.rank,
                     s.track.tid(),
+                    json_members(&s.attrs, |v| json_str(v)),
                 ),
                 &mut first,
             );
         }
-        for e in &self.events {
+        for e in events {
             push(
                 format!(
                     "{{\"name\":{},\"cat\":\"event\",\"ph\":\"i\",\"ts\":{},\"pid\":{},\
@@ -1122,77 +1110,32 @@ impl Recorder {
         out
     }
 
-    /// Render per-step JSONL: one line per [`StepRecord`], then one per
-    /// sample, one per device summary, one per histogram, and a final
-    /// `total` line with job-level phase seconds and counters.
+    /// Render `summary.jsonl`: the buffered non-span frames, one
+    /// [`Frame::to_json`] line each, in emission order — per run a
+    /// `run_start` line, the `step` / `sample` / `event` lines as they
+    /// happened, the `device` and `histogram` lines, and a closing `total`.
     pub fn summary_jsonl(&self) -> String {
         let mut out = String::new();
-        for s in &self.steps {
-            let mut phases = String::new();
-            for (k, v) in &s.phases {
-                if !phases.is_empty() {
-                    phases.push(',');
-                }
-                phases.push_str(&format!("{}:{}", json_str(k), json_f64(*v)));
+        for f in &self.frames {
+            if !matches!(f, Frame::Span(_)) {
+                out.push_str(&f.to_json());
+                out.push('\n');
             }
-            out.push_str(&format!(
-                "{{\"step\":{},\"rank\":{},\"phases\":{{{phases}}},\"work\":{},\
-                 \"comm_bytes\":{}}}\n",
-                s.step,
-                s.rank,
-                work_json(&s.work),
-                s.comm_bytes
-            ));
         }
-        for s in &self.samples {
-            out.push_str(&format!(
-                "{{\"sample\":{},\"step\":{},\"rank\":{},\"value\":{}}}\n",
-                json_str(s.name),
-                s.step,
-                s.rank,
-                json_f64(s.value)
-            ));
-        }
-        for d in &self.devices {
-            out.push_str(&format!(
-                "{{\"device\":{},\"rank\":{},\"sm_utilization\":{},\"memory_fraction\":{},\
-                 \"flop_fraction\":{},\"kernel_seconds\":{},\"transfer_seconds\":{},\
-                 \"h2d_bytes\":{},\"d2h_bytes\":{}}}\n",
-                json_str(&d.device),
-                d.rank,
-                json_f64(d.sm_utilization),
-                json_f64(d.memory_fraction),
-                json_f64(d.flop_fraction),
-                json_f64(d.kernel_seconds),
-                json_f64(d.transfer_seconds),
-                d.h2d_bytes,
-                d.d2h_bytes
-            ));
-        }
-        for (name, buckets) in &self.hists {
-            let counts: Vec<String> = buckets.iter().map(|c| c.to_string()).collect();
-            out.push_str(&format!(
-                "{{\"histogram\":{},\"buckets\":[{}]}}\n",
-                json_str(name),
-                counts.join(",")
-            ));
-        }
-        let mut phases = String::new();
-        for (k, v) in self.phases.phases() {
-            if !phases.is_empty() {
-                phases.push(',');
-            }
-            phases.push_str(&format!("{}:{}", json_str(k), json_f64(v)));
-        }
-        out.push_str(&format!(
-            "{{\"total\":{{\"phases\":{{{phases}}},\"work\":{}}}}}\n",
-            work_json(&self.work)
-        ));
         out
     }
 }
 
-pub(crate) fn work_json(w: &WorkCounters) -> String {
+/// `"key":value` members of a JSON object, comma-joined.
+fn json_members<K: AsRef<str>, V>(items: &[(K, V)], value: impl Fn(&V) -> String) -> String {
+    let members: Vec<String> = items
+        .iter()
+        .map(|(k, v)| format!("{}:{}", json_str(k.as_ref()), value(v)))
+        .collect();
+    members.join(",")
+}
+
+fn work_json(w: &WorkCounters) -> String {
     format!(
         "{{\"dof_updates\":{},\"flux_evals\":{},\"ghost_evals\":{},\"newton_iters\":{},\
          \"temperature_solves\":{},\"rhs_evals\":{},\"jvp_evals\":{},\"krylov_iters\":{}}}",
@@ -1207,7 +1150,7 @@ pub(crate) fn work_json(w: &WorkCounters) -> String {
     )
 }
 
-pub(crate) fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -1225,7 +1168,7 @@ pub(crate) fn json_str(s: &str) -> String {
     out
 }
 
-pub(crate) fn json_f64(v: f64) -> String {
+fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -1244,14 +1187,17 @@ mod tests {
         r.phase("solve for intensity", 1.5);
         r.span(SpanKind::Step, "step", 0.0, 1.0, Track::Host, vec![]);
         r.warn("oops", "msg".into());
-        r.observe("newton_iters", 3);
+        r.observe_buckets("newton_iters", &[0, 0, 0, 1]);
+        r.sample("energy_residual", 0, 1e-12);
         r.step_done(0, &[("a", 1.0)], 0);
+        r.close_run();
         assert_eq!(r.work.dof_updates, 7);
         assert_eq!(r.phases.get("solve for intensity"), 1.5);
         assert!(r.spans().is_empty());
         assert!(r.events().is_empty());
         assert!(r.step_records().is_empty());
         assert!(r.histogram("newton_iters").is_none());
+        assert!(r.summary_jsonl().is_empty(), "no frame was built");
     }
 
     #[test]
@@ -1268,25 +1214,13 @@ mod tests {
     }
 
     #[test]
-    fn histogram_clamps_to_last_bucket() {
-        let mut r = Recorder::buffered();
-        r.observe("h", 0);
-        r.observe("h", 5);
-        r.observe("h", 10_000);
-        let h = r.histogram("h").unwrap();
-        assert_eq!(h[0], 1);
-        assert_eq!(h[5], 1);
-        assert_eq!(h[HIST_BUCKETS - 1], 1);
-    }
-
-    #[test]
     fn absorb_rank_merges_work_and_buffers_not_phases() {
         let mut parent = Recorder::buffered();
         let mut child = Recorder::from_config(parent.config(), 3);
         child.work.flux_evals = 11;
         child.phases.add("x", 4.0);
         child.span(SpanKind::Phase, "p", 0.0, 1.0, Track::Host, vec![]);
-        child.observe("h", 2);
+        child.observe_buckets("h", &[0, 0, 1]);
         parent.absorb_rank(child);
         assert_eq!(parent.work.flux_evals, 11);
         assert_eq!(parent.phases.get("x"), 0.0);
@@ -1315,7 +1249,7 @@ mod tests {
             Track::Device(0),
             vec![("tier", "row".into())],
         );
-        r.info("marker", "hello \"world\"".into());
+        r.warn("marker", "hello \"world\"".into());
         let json = r.chrome_trace();
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""));
@@ -1332,15 +1266,17 @@ mod tests {
         let mut r = Recorder::buffered();
         r.work.dof_updates = 5;
         r.phase("a", 1.0);
+        r.span(SpanKind::Step, "step", 0.0, 1.0, Track::Host, vec![]);
         r.step_done(0, &[("a", 1.0)], 128);
         r.sample("energy_residual", 0, 1e-12);
+        r.close_run();
         let s = r.summary_jsonl();
         let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"step\":0"));
+        assert_eq!(lines.len(), 3, "spans are the trace's, not the summary's");
+        assert!(lines[0].contains("\"frame\":\"step\",\"step\":0"));
         assert!(lines[0].contains("\"comm_bytes\":128"));
-        assert!(lines[1].contains("\"sample\":\"energy_residual\""));
-        assert!(lines[2].contains("\"total\""));
+        assert!(lines[1].contains("\"frame\":\"sample\",\"name\":\"energy_residual\""));
+        assert!(lines[2].contains("\"frame\":\"total\""));
         assert!(lines[2].contains("\"dof_updates\":5"));
     }
 
@@ -1369,7 +1305,7 @@ mod tests {
         assert_eq!(r.dropped_spans(), 2);
         let truncations: Vec<_> = r
             .events()
-            .iter()
+            .into_iter()
             .filter(|e| e.name == rules::BUFFER_TRUNCATED)
             .collect();
         assert_eq!(truncations.len(), 1, "warned exactly once");
@@ -1404,14 +1340,11 @@ mod tests {
     }
 
     #[test]
-    fn child_seed_carries_stream_and_metrics() {
+    fn child_recorder_carries_stream() {
         let sink = stream::StreamSink::bounded(16);
-        let registry = MetricsRegistry::new();
         let mut parent = Recorder::buffered();
         parent.attach_stream(sink.clone());
-        parent.attach_metrics(&registry);
-        let seed = parent.seed();
-        let mut child = seed.recorder(3);
+        let mut child = parent.child(3);
         child.span(
             SpanKind::HaloExchange,
             "halo exchange",
@@ -1421,7 +1354,7 @@ mod tests {
             vec![],
         );
         assert_eq!(sink.pushed(), 1);
-        assert_eq!(registry.counter("spans/halo").get(), 1);
+        assert_eq!(child.spans()[0].rank, 3, "and buffers like its parent");
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! Streaming telemetry sink: a bounded lock-free ring buffer drained by a
-//! background writer thread into length-prefixed JSONL frames.
+//! The stream: the second consumer of the frame model. A bounded
+//! lock-free ring carries the [`Frame`]s a [`Recorder`](super::Recorder)
+//! emits to a background writer thread, which renders each through
+//! [`Frame::to_json`] into a length-prefixed JSONL file.
 //!
 //! Design contract (DESIGN.md §6):
 //!
@@ -9,17 +11,17 @@
 //!   relaxed atomic drop counter incremented — the solve loop proceeds
 //!   at full speed regardless of disk stalls.
 //! * Serialization and I/O happen **only on the writer thread**. The
-//!   producer side moves already-owned values (the same `Span`/`Event`
-//!   structs the buffered sink would retain) into the ring.
+//!   producer side moves already-owned frames (the same values the
+//!   buffer retains) into the ring.
 //! * Each frame on disk is `XXXXXXXX <json>\n` where `XXXXXXXX` is the
 //!   lowercase-hex byte length of `<json>`. A tail reader
 //!   ([`StreamReader`]) uses the prefix to detect torn writes and only
 //!   yields complete frames, so `pbte-trace --follow` can tail the file
 //!   while the solve is still running.
-//! * The final [`StreamFrame::RunEnd`] frame is written by the writer
-//!   thread itself after the ring drains on shutdown — it is never
-//!   droppable and carries the total frame/drop accounting, so readers
-//!   have an unambiguous end-of-stream marker.
+//! * The final [`Frame::RunEnd`] frame is written by the writer thread
+//!   itself after the ring drains on shutdown — it is never droppable
+//!   and carries the total frame/drop accounting, so readers have an
+//!   unambiguous end-of-stream marker.
 
 use std::cell::UnsafeCell;
 use std::fs::File;
@@ -31,8 +33,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use super::metrics::MetricsSnapshot;
-use super::{json_f64, json_str, work_json, Event, Span, WorkCounters};
+use super::Frame;
 
 // ---------------------------------------------------------------------------
 // Bounded lock-free MPMC ring (Vyukov queue on std atomics).
@@ -152,145 +153,11 @@ impl<T> Drop for Ring<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Frames
-// ---------------------------------------------------------------------------
-
-/// One frame of the telemetry stream. Serialized to a single JSON object
-/// per line; the `"frame"` key discriminates the variant.
-#[derive(Debug, Clone)]
-pub enum StreamFrame {
-    /// First frame of a stream: identifies the run.
-    RunStart {
-        /// Seconds from the trace epoch at which the stream was opened.
-        time: f64,
-        /// Free-form run label (scenario / target).
-        label: String,
-        /// Kernel tier the run resolved to (`vm`, `bound`, `row`,
-        /// `native`).
-        tier: String,
-        /// Flux evaluation that tier runs (`table`, `compiled`, `vm`).
-        flux: String,
-    },
-    /// Per-step summary, the streaming twin of
-    /// [`StepRecord`](super::StepRecord).
-    Step {
-        /// Step index (0-based).
-        step: usize,
-        /// Recording rank.
-        rank: u32,
-        /// Seconds from the epoch at which the step closed.
-        time: f64,
-        /// Phase seconds spent in this step.
-        phases: Vec<(String, f64)>,
-        /// Work performed during this step (delta, not cumulative).
-        work: WorkCounters,
-        /// Message-passing bytes sent during this step.
-        comm_bytes: u64,
-    },
-    /// A closed span, including any cost-model annotation attrs
-    /// (`pred_flops`, `pred_bytes`).
-    Span(Span),
-    /// A health / diagnostic event.
-    Event(Event),
-    /// Periodic delta snapshot of the live metrics registry.
-    Metrics(MetricsSnapshot),
-    /// Final frame, written by the writer thread after the ring drains;
-    /// never droppable.
-    RunEnd {
-        /// Seconds from the epoch at shutdown.
-        time: f64,
-        /// Frames written to the file (excluding this one).
-        frames: u64,
-        /// Frames dropped under backpressure.
-        dropped: u64,
-    },
-}
-
-impl StreamFrame {
-    /// Serialize to one JSON object. Called on the writer thread only.
-    pub fn to_json(&self) -> String {
-        match self {
-            StreamFrame::RunStart {
-                time,
-                label,
-                tier,
-                flux,
-            } => format!(
-                "{{\"frame\":\"run_start\",\"time\":{},\"label\":{},\"tier\":{},\"flux\":{}}}",
-                json_f64(*time),
-                json_str(label),
-                json_str(tier),
-                json_str(flux)
-            ),
-            StreamFrame::Step {
-                step,
-                rank,
-                time,
-                phases,
-                work,
-                comm_bytes,
-            } => {
-                let mut ph = String::new();
-                for (k, v) in phases {
-                    if !ph.is_empty() {
-                        ph.push(',');
-                    }
-                    ph.push_str(&format!("{}:{}", json_str(k), json_f64(*v)));
-                }
-                format!(
-                    "{{\"frame\":\"step\",\"step\":{step},\"rank\":{rank},\"time\":{},\
-                     \"phases\":{{{ph}}},\"work\":{},\"comm_bytes\":{comm_bytes}}}",
-                    json_f64(*time),
-                    work_json(work)
-                )
-            }
-            StreamFrame::Span(s) => {
-                let mut attrs = String::new();
-                for (k, v) in &s.attrs {
-                    if !attrs.is_empty() {
-                        attrs.push(',');
-                    }
-                    attrs.push_str(&format!("{}:{}", json_str(k), json_str(v)));
-                }
-                format!(
-                    "{{\"frame\":\"span\",\"cat\":\"{}\",\"name\":{},\"t0\":{},\"dur\":{},\
-                     \"rank\":{},\"tid\":{},\"attrs\":{{{attrs}}}}}",
-                    s.kind.category(),
-                    json_str(&s.name),
-                    json_f64(s.t0),
-                    json_f64(s.dur),
-                    s.rank,
-                    s.track.tid(),
-                )
-            }
-            StreamFrame::Event(e) => format!(
-                "{{\"frame\":\"event\",\"severity\":\"{}\",\"name\":{},\"message\":{},\
-                 \"time\":{},\"rank\":{}}}",
-                e.severity.label(),
-                json_str(&e.name),
-                json_str(&e.message),
-                json_f64(e.time),
-                e.rank
-            ),
-            StreamFrame::Metrics(m) => m.to_json(),
-            StreamFrame::RunEnd {
-                time,
-                frames,
-                dropped,
-            } => format!(
-                "{{\"frame\":\"run_end\",\"time\":{},\"frames\":{frames},\"dropped\":{dropped}}}",
-                json_f64(*time)
-            ),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Sink / writer
 // ---------------------------------------------------------------------------
 
 struct StreamShared {
-    ring: Ring<StreamFrame>,
+    ring: Ring<Frame>,
     dropped: AtomicU64,
     pushed: AtomicU64,
     closed: AtomicBool,
@@ -329,7 +196,7 @@ impl StreamSink {
 
     /// Enqueue a frame. Never blocks: a full ring drops the frame and
     /// increments the drop counter.
-    pub fn push(&self, frame: StreamFrame) {
+    pub fn push(&self, frame: Frame) {
         match self.shared.ring.try_push(frame) {
             Ok(()) => {
                 self.shared.pushed.fetch_add(1, Ordering::Relaxed);
@@ -351,7 +218,7 @@ impl StreamSink {
     }
 
     /// Pop one frame (test/drain use).
-    pub fn pop(&self) -> Option<StreamFrame> {
+    pub fn pop(&self) -> Option<Frame> {
         self.shared.ring.try_pop()
     }
 }
@@ -361,16 +228,11 @@ impl StreamSink {
 pub struct StreamConfig {
     /// Ring capacity in frames (rounded up to a power of two).
     pub capacity: usize,
-    /// Emit a metrics delta snapshot every this many steps.
-    pub snapshot_every: usize,
 }
 
 impl Default for StreamConfig {
     fn default() -> StreamConfig {
-        StreamConfig {
-            capacity: 4096,
-            snapshot_every: 16,
-        }
+        StreamConfig { capacity: 4096 }
     }
 }
 
@@ -496,7 +358,7 @@ fn writer_loop(shared: Arc<StreamShared>, file: File) -> std::io::Result<StreamS
         std::thread::park_timeout(Duration::from_millis(1));
     }
     let dropped = shared.dropped.load(Ordering::Relaxed);
-    let end = StreamFrame::RunEnd {
+    let end = Frame::RunEnd {
         time: 0.0,
         frames,
         dropped,
@@ -576,7 +438,7 @@ impl StreamReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::EventSeverity;
+    use crate::telemetry::{Event, EventSeverity};
 
     #[test]
     fn ring_push_pop_fifo() {
@@ -623,7 +485,7 @@ mod tests {
         // No writer thread: the ring fills, then every push drops.
         let sink = StreamSink::bounded(8);
         for i in 0..30 {
-            sink.push(StreamFrame::RunStart {
+            sink.push(Frame::RunStart {
                 time: i as f64,
                 label: "x".into(),
                 tier: "row".into(),
@@ -640,13 +502,13 @@ mod tests {
         let path = dir.join(format!("pbte-stream-test-{}.pbts", std::process::id()));
         let writer = StreamWriter::create(&path, StreamConfig::default()).unwrap();
         let sink = writer.sink();
-        sink.push(StreamFrame::RunStart {
+        sink.push(Frame::RunStart {
             time: 0.0,
             label: "unit".into(),
             tier: "row".into(),
             flux: "table".into(),
         });
-        sink.push(StreamFrame::Event(Event {
+        sink.push(Frame::Event(Event {
             severity: EventSeverity::Info,
             name: "marker".into(),
             message: "hello \"stream\"".into(),

@@ -12,9 +12,11 @@ use serde::Value;
 use std::path::Path;
 
 use pbte_bench::sentinel::{compare, SentinelPolicy};
+use pbte_bte::health::HealthProbes;
 use pbte_bte::scenario::{hotspot_2d, BteConfig};
 use pbte_dsl::exec::Recorder;
-use pbte_dsl::{ExecTarget, Solver};
+use pbte_dsl::{ExecTarget, GpuStrategy, Solver};
+use pbte_gpu::DeviceSpec;
 use pbte_runtime::telemetry::stream::{StreamConfig, StreamReader, StreamWriter};
 
 fn load(name: &str) -> Value {
@@ -61,7 +63,7 @@ fn bench_intensity_schema() {
 
     let tiers = v.get("tiers").expect("tiers object");
     assert!(matches!(tiers, Value::Obj(_)), "tiers is an object");
-    for tier in ["vm", "bound_rebind", "bound_cached", "row", "native"] {
+    for tier in ["vm", "bound_cached", "row", "native"] {
         let t = tiers
             .get(tier)
             .unwrap_or_else(|| panic!("tier `{tier}` present"));
@@ -216,60 +218,59 @@ fn sentinel_verdict_schema() {
 fn stream_frame_schema() {
     let path = std::env::temp_dir().join(format!("pbte-frame-schema-{}.pbts", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let writer = StreamWriter::create(
-        &path,
-        StreamConfig {
-            capacity: 4096,
-            snapshot_every: 16,
-        },
-    )
-    .expect("stream file created");
+    let writer =
+        StreamWriter::create(&path, StreamConfig { capacity: 4096 }).expect("stream file created");
     let mut rec = Recorder::buffered();
     rec.attach_stream(writer.sink());
-    let bte = hotspot_2d(&BteConfig::small(10, 8, 4, 3));
-    let mut solver = Solver::build(bte.problem, ExecTarget::CpuSeq).expect("builds");
+    // The device target with the health probes installed emits every
+    // frame kind of the model.
+    let mut bte = hotspot_2d(&BteConfig::small(10, 8, 4, 3));
+    HealthProbes::new(bte.material.clone(), bte.vars).install(&mut bte.problem);
+    let target = ExecTarget::GpuHybrid {
+        spec: DeviceSpec::a6000(),
+        strategy: GpuStrategy::AsyncBoundary,
+    };
+    let mut solver = Solver::build(bte.problem, target).expect("builds");
     solver.solve_traced(&mut rec).expect("solves");
     writer.finish().expect("writer finishes");
 
     let mut reader = StreamReader::open(&path).expect("reader opens");
     let frames = reader.poll().expect("poll");
     assert!(!frames.is_empty(), "frames written");
-    let mut saw_step = false;
-    let mut saw_span = false;
-    let mut saw_run_end = false;
+    let work_keys = [
+        "dof_updates",
+        "flux_evals",
+        "ghost_evals",
+        "newton_iters",
+        "temperature_solves",
+        "rhs_evals",
+        "jvp_evals",
+        "krylov_iters",
+    ];
+    let mut seen: Vec<String> = Vec::new();
     for f in &frames {
         let v: Value = serde_json::from_str(f).expect("frame parses");
         let kind = match v.get("frame") {
             Some(Value::Str(k)) => k.as_str(),
             other => panic!("frame discriminator must be a string, got {other:?}"),
         };
+        seen.push(kind.to_string());
         match kind {
             "run_start" => {
                 assert!(is_str(&v, "label") && v.get("time").and_then(Value::as_f64).is_some());
                 assert!(is_str(&v, "tier") && is_str(&v, "flux"), "what ran");
             }
             "step" => {
-                saw_step = true;
                 nonneg_u64(&v, "step", "step frame");
                 nonneg_u64(&v, "rank", "step frame");
                 nonneg_u64(&v, "comm_bytes", "step frame");
                 assert!(matches!(v.get("phases"), Some(Value::Obj(_))));
                 let work = v.get("work").expect("work object");
-                for key in [
-                    "dof_updates",
-                    "flux_evals",
-                    "ghost_evals",
-                    "newton_iters",
-                    "temperature_solves",
-                    "rhs_evals",
-                    "jvp_evals",
-                    "krylov_iters",
-                ] {
+                for key in work_keys {
                     nonneg_u64(work, key, "step work");
                 }
             }
             "span" => {
-                saw_span = true;
                 assert!(is_str(&v, "cat") && is_str(&v, "name"));
                 assert!(v.get("t0").and_then(Value::as_f64).is_some());
                 assert!(v.get("dur").and_then(Value::as_f64).is_some());
@@ -280,19 +281,62 @@ fn stream_frame_schema() {
             "event" => {
                 assert!(is_str(&v, "severity") && is_str(&v, "name") && is_str(&v, "message"));
             }
-            "metrics" => {
-                assert!(matches!(v.get("counters"), Some(Value::Obj(_))));
-                assert!(matches!(v.get("gauges"), Some(Value::Obj(_))));
-                assert!(matches!(v.get("hists"), Some(Value::Obj(_))));
+            "sample" => {
+                assert!(is_str(&v, "name"));
+                nonneg_u64(&v, "step", "sample frame");
+                nonneg_u64(&v, "rank", "sample frame");
+                assert!(v.get("value").and_then(Value::as_f64).is_some());
+            }
+            "histogram" => {
+                assert!(is_str(&v, "name"));
+                let Some(Value::Arr(buckets)) = v.get("buckets") else {
+                    panic!("histogram frame without a buckets array: {f}");
+                };
+                assert!(buckets.iter().all(|b| b.as_u64().is_some()));
+            }
+            "device" => {
+                assert!(is_str(&v, "device"));
+                nonneg_u64(&v, "rank", "device frame");
+                nonneg_u64(&v, "h2d_bytes", "device frame");
+                nonneg_u64(&v, "d2h_bytes", "device frame");
+                for key in [
+                    "sm_utilization",
+                    "memory_fraction",
+                    "flop_fraction",
+                    "kernel_seconds",
+                    "transfer_seconds",
+                ] {
+                    assert!(v.get(key).and_then(Value::as_f64).is_some(), "{key}");
+                }
+            }
+            "total" => {
+                assert!(matches!(v.get("phases"), Some(Value::Obj(_))));
+                let work = v.get("work").expect("work object");
+                for key in work_keys {
+                    nonneg_u64(work, key, "total work");
+                }
             }
             "run_end" => {
-                saw_run_end = true;
                 nonneg_u64(&v, "frames", "run_end");
                 nonneg_u64(&v, "dropped", "run_end");
             }
             other => panic!("unknown frame discriminator `{other}`"),
         }
     }
-    assert!(saw_step && saw_span && saw_run_end, "core frames present");
+    for kind in [
+        "run_start",
+        "step",
+        "span",
+        "sample",
+        "histogram",
+        "device",
+        "total",
+        "run_end",
+    ] {
+        assert!(
+            seen.iter().any(|k| k == kind),
+            "no `{kind}` frame in the stream"
+        );
+    }
     let _ = std::fs::remove_file(&path);
 }

@@ -11,6 +11,8 @@
 //! 3. **Health probes** — seeded NaN intensity and a violated energy
 //!    budget each yield exactly their diagnostic rule id, and a clean
 //!    solve with the probes installed yields nothing.
+//! 4. **One frame model** — the buffer and the stream of one run carry
+//!    the same frames in the same order.
 
 use pbte_bte::health::{rules, HealthProbes};
 use pbte_bte::scenario::{hotspot_2d, BteConfig, BteProblem};
@@ -20,7 +22,7 @@ use pbte_dsl::problem::{Integrator, LocalReducer, StepContext};
 use pbte_dsl::{ExecTarget, GpuStrategy, KernelTier, Severity, SolveReport, Solver, WorkCounters};
 use pbte_gpu::DeviceSpec;
 use pbte_runtime::telemetry::stream::{StreamConfig, StreamReader, StreamSink, StreamWriter};
-use pbte_runtime::telemetry::{metrics::MetricsRegistry, rules as trules, SPAN_KINDS};
+use pbte_runtime::telemetry::{rules as trules, SPAN_KINDS};
 use serde::Value;
 
 fn config() -> BteConfig {
@@ -175,8 +177,8 @@ fn summary_jsonl_lines_parse_and_total_matches_report() {
     let mut total_flux = None;
     for line in &lines {
         let v: Value = serde_json::from_str(line).expect("JSONL line parses");
-        if let Some(total) = v.get("total") {
-            total_flux = total
+        if v.get("frame") == Some(&Value::Str("total".into())) {
+            total_flux = v
                 .get("work")
                 .and_then(|w| w.get("flux_evals"))
                 .and_then(Value::as_u64);
@@ -278,7 +280,7 @@ fn installed_probes_stay_clean_over_a_full_solve() {
     // The probes feed the telemetry sample series too.
     let samples: Vec<_> = rec
         .samples()
-        .iter()
+        .into_iter()
         .filter(|s| s.name == "energy_residual")
         .collect();
     assert_eq!(samples.len(), config().n_steps, "one residual per step");
@@ -472,7 +474,7 @@ fn native_tier_kernel_spans_carry_tier_and_cost_attribution() {
     });
     let kernels: Vec<_> = rec
         .spans()
-        .iter()
+        .into_iter()
         .filter(|s| s.kind.category() == "kernel")
         .collect();
     assert!(!kernels.is_empty(), "kernel spans recorded");
@@ -491,6 +493,15 @@ fn native_tier_kernel_spans_carry_tier_and_cost_attribution() {
         tiered.attrs.iter().any(|(k, _)| *k == "pred_flops"),
         "cost expectation annotates the kernel with predicted flops"
     );
+    // Every artifact says what ran: `summary.jsonl` opens with the
+    // `run_start` frame, naming the tier and flux the kernel spans do.
+    let jsonl = rec.summary_jsonl();
+    let first: Value = serde_json::from_str(jsonl.lines().next().expect("non-empty")).unwrap();
+    assert_eq!(frame_kind(&first), "run_start");
+    for key in ["tier", "flux"] {
+        let ran = &tiered.attrs.iter().find(|(k, _)| *k == key).expect(key).1;
+        assert_eq!(first.get(key), Some(&Value::Str(ran.clone())), "{key}");
+    }
 }
 
 #[test]
@@ -501,14 +512,8 @@ fn stream_file_round_trips_under_a_concurrent_reader() {
     let path =
         std::env::temp_dir().join(format!("pbte-telemetry-stream-{}.pbts", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let writer = StreamWriter::create(
-        &path,
-        StreamConfig {
-            capacity: 4096,
-            snapshot_every: 4,
-        },
-    )
-    .expect("stream file created");
+    let writer =
+        StreamWriter::create(&path, StreamConfig { capacity: 4096 }).expect("stream file created");
 
     // A live consumer tails the file while the solve is still writing
     // it — exactly the `pbte-trace --follow` situation.
@@ -530,11 +535,8 @@ fn stream_file_round_trips_under_a_concurrent_reader() {
         })
     };
 
-    let registry = MetricsRegistry::new();
     let mut rec = Recorder::buffered();
     rec.attach_stream(writer.sink());
-    rec.attach_metrics(&registry);
-    rec.set_snapshot_every(1);
     run(ExecTarget::CpuSeq, &mut rec);
     let stats = writer.finish().expect("writer finishes");
     done.store(true, Ordering::Release);
@@ -545,14 +547,10 @@ fn stream_file_round_trips_under_a_concurrent_reader() {
 
     let mut steps = 0u64;
     let mut spans = 0u64;
-    let mut snapshots = 0u64;
     let mut run_end = None;
     for f in &frames {
         let v: Value = serde_json::from_str(f).expect("frame is valid JSON");
-        let Some(Value::Str(kind)) = v.get("frame") else {
-            panic!("frame discriminator missing: {f}");
-        };
-        match kind.as_str() {
+        match frame_kind(&v) {
             "step" => {
                 steps += 1;
                 assert!(v.get("work").is_some() && v.get("phases").is_some());
@@ -564,7 +562,6 @@ fn stream_file_round_trips_under_a_concurrent_reader() {
                         && v.get("dur").and_then(Value::as_f64).is_some()
                 );
             }
-            "metrics" => snapshots += 1,
             "run_end" => {
                 run_end = v.get("frames").and_then(Value::as_u64);
             }
@@ -573,7 +570,6 @@ fn stream_file_round_trips_under_a_concurrent_reader() {
     }
     assert_eq!(steps, config().n_steps as u64, "one step frame per step");
     assert!(spans > 0, "span frames streamed");
-    assert!(snapshots > 0, "periodic metrics snapshots streamed");
     assert_eq!(
         run_end,
         Some(stats.frames_written),
@@ -599,6 +595,108 @@ fn stalled_writer_drops_frames_without_blocking_the_solve() {
     );
     // The buffered twin of the same recorder kept the full record.
     assert!(!rec.spans().is_empty());
+}
+
+/// Solve the hot spot (health probes installed, so `energy_residual`
+/// samples flow; one warning up front, so an event does) on `target` with
+/// the buffer *and* a stream attached; return the recorder and the stream
+/// file's frames.
+fn run_both_consumers(target: ExecTarget, tag: &str) -> (Recorder, Vec<Value>) {
+    let path = std::env::temp_dir().join(format!(
+        "pbte-telemetry-one-model-{tag}-{}.pbts",
+        std::process::id()
+    ));
+    let writer =
+        StreamWriter::create(&path, StreamConfig { capacity: 1 << 14 }).expect("stream created");
+    let mut rec = Recorder::buffered();
+    rec.attach_stream(writer.sink());
+    rec.warn("test/marker", "an event frame for both consumers".into());
+    run_custom(target, &mut rec, |bte| {
+        HealthProbes::new(bte.material.clone(), bte.vars).install(&mut bte.problem);
+    });
+    let stats = writer.finish().expect("writer finishes");
+    assert_eq!(stats.dropped, 0, "ample ring: the stream is complete");
+    let frames = StreamReader::open(&path)
+        .and_then(|mut r| r.poll())
+        .expect("stream reads back")
+        .iter()
+        .map(|f| serde_json::from_str(f).expect("frame parses"))
+        .collect();
+    let _ = std::fs::remove_file(&path);
+    (rec, frames)
+}
+
+fn frame_kind(v: &Value) -> &str {
+    match v.get("frame") {
+        Some(Value::Str(k)) => k,
+        other => panic!("frame discriminator must be a string, got {other:?}"),
+    }
+}
+
+/// The buffer and the stream are two consumers of one `emit`: the stream
+/// file's frames, spans and the writer's own `run_end` aside, are exactly
+/// the lines of `summary.jsonl`, in order. Ranks push concurrently, so on
+/// a multi-rank target the order is compared per emitting rank.
+#[test]
+fn buffer_and_stream_carry_the_same_frames() {
+    let targets = [
+        (1, "seq", ExecTarget::CpuSeq),
+        (
+            2,
+            "bands",
+            ExecTarget::DistBands {
+                ranks: 2,
+                index: "b".into(),
+            },
+        ),
+        (
+            1,
+            "gpu",
+            ExecTarget::GpuHybrid {
+                spec: DeviceSpec::a6000(),
+                strategy: GpuStrategy::AsyncBoundary,
+            },
+        ),
+    ];
+    for (n_ranks, tag, target) in targets {
+        let (rec, stream) = run_both_consumers(target, tag);
+        let streamed: Vec<Value> = stream
+            .into_iter()
+            .filter(|f| !matches!(frame_kind(f), "span" | "run_end"))
+            .collect();
+        let summary: Vec<Value> = rec
+            .summary_jsonl()
+            .lines()
+            .map(|l| serde_json::from_str(l).expect("summary line parses"))
+            .collect();
+        for kind in ["event", "run_start", "step", "sample", "histogram", "total"] {
+            assert!(
+                summary.iter().any(|f| frame_kind(f) == kind),
+                "{tag}: no `{kind}` frame recorded"
+            );
+        }
+        if n_ranks == 1 {
+            assert_eq!(streamed, summary, "{tag}: stream vs summary.jsonl");
+            continue;
+        }
+        assert_eq!(streamed.len(), summary.len(), "{tag}: frame count");
+        // Lane `None` holds the run-level frames (run_start, histogram,
+        // total), which carry no rank.
+        let lane = |frames: &[Value], rank: Option<u64>| -> Vec<Value> {
+            frames
+                .iter()
+                .filter(|f| f.get("rank").and_then(Value::as_u64) == rank)
+                .cloned()
+                .collect()
+        };
+        for rank in [None, Some(0), Some(1)] {
+            assert_eq!(
+                lane(&streamed, rank),
+                lane(&summary, rank),
+                "{tag}: frames of rank {rank:?}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -663,7 +761,7 @@ fn cost_drift_fires_beyond_tolerance_and_stays_quiet_within() {
     loud.step_done(0, &[("solve for intensity", 1e-3)], 0);
     let drift: Vec<_> = loud
         .events()
-        .iter()
+        .into_iter()
         .filter(|e| e.name == trules::COST_LIVE_DRIFT)
         .collect();
     assert_eq!(drift.len(), 1, "exactly one drift warning: {drift:?}");
