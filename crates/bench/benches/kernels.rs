@@ -155,9 +155,41 @@ fn bench_device(c: &mut Criterion) {
     });
 }
 
+/// The Krylov reduction layer at the `die3d_implicit` problem size
+/// (276 480 dofs): the exact dot and norm the implicit drivers run
+/// between sweeps, against a plain (inexact, order-dependent) dot as the
+/// memory-and-multiply floor.
+fn bench_reductions(c: &mut Criterion) {
+    const N: usize = 276_480;
+    let a: Vec<f64> = (0..N).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
+    let b: Vec<f64> = (0..N).map(|i| (i as f64 * 0.11).cos() * 1e-2).collect();
+    let mut group = c.benchmark_group("reductions");
+    group.bench_function("exact_dot_276k", |bch| {
+        bch.iter(|| pbte_runtime::exact::exact_dot(black_box(&a), black_box(&b)))
+    });
+    // One operand, the way the fused passes accumulate a norm.
+    group.bench_function("exact_norm_276k", |bch| {
+        bch.iter(|| {
+            let mut acc = pbte_runtime::exact::ExactAcc::new();
+            for &x in black_box(&a) {
+                acc.add_prod(x, x);
+            }
+            acc.value().sqrt()
+        })
+    });
+    group.bench_function("plain_dot_276k", |bch| {
+        bch.iter(|| {
+            let (a, b) = (black_box(&a), black_box(&b));
+            a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_pipeline, bench_kernel_eval, bench_temperature, bench_partitioners, bench_device
+    targets = bench_pipeline, bench_kernel_eval, bench_temperature, bench_partitioners, bench_device,
+        bench_reductions
 );
 criterion_main!(benches);

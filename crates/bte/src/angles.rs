@@ -85,14 +85,35 @@ impl AngularGrid {
     /// reflected direction is not in the set (within tolerance) — the
     /// symmetry boundary requires closure under reflection.
     pub fn reflect(&self, d: usize, normal: Point) -> usize {
-        let s = self.directions[d];
-        let reflected = s - normal * (2.0 * s.dot(normal));
-        self.find(reflected).unwrap_or_else(|| {
+        self.try_reflect(d, normal).unwrap_or_else(|| {
             panic!(
                 "reflection of direction {d} across {normal:?} leaves the set; \
                  use axis-aligned symmetry walls with this grid"
             )
         })
+    }
+
+    fn try_reflect(&self, d: usize, normal: Point) -> Option<usize> {
+        let s = self.directions[d];
+        self.find(s - normal * (2.0 * s.dot(normal)))
+    }
+
+    /// [`Self::reflect`] tabulated for the three coordinate-axis normals:
+    /// entry `axis * len() + d` is the reflection of direction `d` across
+    /// a wall whose normal is `±e_axis` (both signs reflect identically),
+    /// or `usize::MAX` where the reflection leaves the set. The symmetry
+    /// boundary looks its ghosts up here instead of searching per query.
+    pub fn axis_reflections(&self) -> Vec<usize> {
+        let axes = [
+            Point::new(1.0, 0.0, 0.0),
+            Point::new(0.0, 1.0, 0.0),
+            Point::new(0.0, 0.0, 1.0),
+        ];
+        axes.iter()
+            .flat_map(|&normal| {
+                (0..self.len()).map(move |d| self.try_reflect(d, normal).unwrap_or(usize::MAX))
+            })
+            .collect()
     }
 
     /// Find a direction matching `v` within 1e-9.
@@ -174,6 +195,45 @@ mod tests {
                 assert_eq!(g.reflect(r, normal), d);
             }
         }
+    }
+
+    #[test]
+    fn axis_reflection_table_matches_reflect() {
+        for g in [AngularGrid::new_2d(20), AngularGrid::new_3d(4, 8)] {
+            let table = g.axis_reflections();
+            assert_eq!(table.len(), 3 * g.len());
+            for (axis, e) in [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+                .into_iter()
+                .enumerate()
+            {
+                for sign in [1.0, -1.0] {
+                    let normal = Point::new(sign * e[0], sign * e[1], sign * e[2]);
+                    for d in 0..g.len() {
+                        assert_eq!(table[axis * g.len() + d], g.reflect(d, normal));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn axis_reflection_table_marks_directions_that_leave_the_set() {
+        // Three directions 120° apart: mirroring x maps none onto another.
+        let third = 2.0 * std::f64::consts::PI / 3.0;
+        let g = AngularGrid {
+            directions: (0..3)
+                .map(|k| {
+                    Point::xy(
+                        (0.3 + third * k as f64).cos(),
+                        (0.3 + third * k as f64).sin(),
+                    )
+                })
+                .collect(),
+            weights: vec![FOUR_PI / 3.0; 3],
+        };
+        let table = g.axis_reflections();
+        assert!(table[..3].iter().all(|&r| r == usize::MAX));
+        assert_eq!(&table[6..], &[0, 1, 2], "z mirror fixes planar directions");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::material::Material;
 use pbte_dsl::problem::{BoundaryCondition, BoundaryQuery};
 use pbte_mesh::Point;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Isothermal wall with a (possibly position-dependent) temperature.
 /// Declared as reading no fields — the ghost depends only on the wall
@@ -47,17 +47,45 @@ pub fn gaussian_wall(
 /// interior intensity of the reflected direction. Declares its read of
 /// the intensity `I`, which the transfer verifier turns into the proof
 /// obligation that the unknown returns to the host every step.
+///
+/// The callback runs once per boundary face and flat index in every
+/// sweep, so it searches for nothing: reflections across axis-aligned
+/// walls come from [`AngularGrid::axis_reflections`], built here, and
+/// `I`'s variable id is resolved by the first query (a condition belongs
+/// to one problem). Any other normal — or a table entry that left the set
+/// — goes through [`AngularGrid::reflect`], panic included.
+///
+/// [`AngularGrid::axis_reflections`]: crate::angles::AngularGrid::axis_reflections
+/// [`AngularGrid::reflect`]: crate::angles::AngularGrid::reflect
 pub fn symmetry(material: Arc<Material>) -> BoundaryCondition {
+    let reflections = material.angles.axis_reflections();
+    let i_var = OnceLock::new();
     BoundaryCondition::callback_reading(&["I"], move |q: &BoundaryQuery| {
         let d = q.idx[0];
         let b = q.idx[1];
-        let r = material.angles.reflect(d, q.normal);
-        let i_var = q
-            .fields
-            .var_id("I")
-            .expect("the BTE unknown is registered as `I`");
+        let tabulated = wall_axis(q.normal).map(|axis| reflections[axis * material.n_dirs() + d]);
+        let r = match tabulated {
+            Some(r) if r != usize::MAX => r,
+            _ => material.angles.reflect(d, q.normal),
+        };
+        let i_var = *i_var.get_or_init(|| {
+            q.fields
+                .var_id("I")
+                .expect("the BTE unknown is registered as `I`")
+        });
         let n_bands = material.n_bands();
         q.fields.value(i_var, q.owner_cell, r * n_bands + b)
+    })
+}
+
+/// The coordinate axis a unit normal is aligned with (either sign), to
+/// within 1e-12 per component.
+fn wall_axis(normal: Point) -> Option<usize> {
+    let c = [normal.x, normal.y, normal.z];
+    (0..3).find(|&k| {
+        (c[k].abs() - 1.0).abs() <= 1e-12
+            && c[(k + 1) % 3].abs() <= 1e-12
+            && c[(k + 2) % 3].abs() <= 1e-12
     })
 }
 
@@ -102,17 +130,23 @@ mod tests {
     #[test]
     fn symmetry_ghost_reads_reflected_direction() {
         let m = Arc::new(Material::silicon_2d(4, 8, 250.0, 400.0));
+        let bc = symmetry(m);
+        assert_eq!(bc.declared_reads(), Some(&["I".to_string()][..]));
+        assert_ghosts_follow_reflect(4, Point::xy(0.0, 1.0));
+    }
+
+    /// Ghost of every direction at cell 2 for `normal`, against the value
+    /// `reflect` names (fields tagged `100·d + b`).
+    fn assert_ghosts_follow_reflect(n_dirs: usize, normal: Point) {
+        let m = Arc::new(Material::silicon_2d(n_dirs, 8, 250.0, 400.0));
         let mut fields = dummy_fields(&m);
         let n_bands = m.n_bands();
-        // Tag every (d, b) with a distinct value at cell 2.
         for d in 0..m.n_dirs() {
             for b in 0..n_bands {
                 fields.set(0, 2, d * n_bands + b, (100 * d + b) as f64);
             }
         }
         let bc = symmetry(m.clone());
-        assert_eq!(bc.declared_reads(), Some(&["I".to_string()][..]));
-        let normal = Point::xy(0.0, 1.0);
         for d in 0..m.n_dirs() {
             let q = BoundaryQuery {
                 position: Point::xy(0.5, 1.0),
@@ -122,10 +156,40 @@ mod tests {
                 time: 0.0,
                 fields: &fields,
             };
-            let ghost = bc.ghost_value(&q);
             let r = m.angles.reflect(d, normal);
-            assert_eq!(ghost, (100 * r + 1) as f64);
+            assert_eq!(bc.ghost_value(&q), (100 * r + 1) as f64);
         }
+    }
+
+    #[test]
+    fn symmetry_axis_walls_use_the_table_and_agree_with_reflect() {
+        for normal in [
+            Point::xy(1.0, 0.0),
+            Point::xy(-1.0, 0.0),
+            Point::xy(0.0, -1.0),
+            // Within the 1e-12 alignment tolerance of −x.
+            Point::xy(-1.0, 5e-13),
+        ] {
+            assert!(wall_axis(normal).is_some());
+            assert_ghosts_follow_reflect(8, normal);
+        }
+    }
+
+    #[test]
+    fn symmetry_oblique_wall_falls_back_to_reflect() {
+        // A 45° wall: four diagonal directions are closed under its
+        // reflection, but no axis table can serve it.
+        let h = std::f64::consts::FRAC_1_SQRT_2;
+        let normal = Point::xy(h, h);
+        assert_eq!(wall_axis(normal), None);
+        assert_eq!(wall_axis(Point::xy(1.0, 1e-9)), None, "outside tolerance");
+        assert_ghosts_follow_reflect(4, normal);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves the set")]
+    fn symmetry_oblique_wall_outside_the_set_panics_like_reflect() {
+        assert_ghosts_follow_reflect(8, Point::xy(0.6, 0.8));
     }
 
     /// Fields with the unknown `I` laid out like the scenario builder does.

@@ -139,3 +139,41 @@ fn implicit_dist_cells_bit_identical_with_live_coupling() {
     assert_bits_eq(&i_seq, &i_dist, "live-coupling cells: intensity");
     assert_bits_eq(&t_seq, &t_dist, "live-coupling cells: temperature");
 }
+
+/// The Newton and Krylov residual series of a 2-step backward-Euler run,
+/// pinned to the bits the two_prod accumulator and the unfused BiCGStab
+/// produced before the integer-product accumulator and the fused passes
+/// replaced them. An exact sum has one answer: any drift here means a
+/// reduction stopped being exact or a fused pass changed an update.
+#[test]
+fn residual_series_bits_are_pinned() {
+    const KRYLOV: [(usize, u64); 6] = [
+        (0, 0x401f2afaed8944b7), // 7.791972838881683e0
+        (0, 0x3f4705ee71acabd6), // 7.026113774818387e-4
+        (0, 0x3e75b849e8b3013d), // 8.091284990890682e-8
+        (1, 0x401c15eebc02392c), // 7.021418511996938e0
+        (1, 0x3f44fc4a2f075c92), // 6.40426847946867e-4
+        (1, 0x3e74193cf95e6f59), // 7.487306982609499e-8
+    ];
+    const NEWTON: [(usize, u64); 4] = [
+        (0, 0x40fd4964f4c999ef), // 1.1995830976257448e5
+        (0, 0x3ecea7b99e9bdb95), // 3.65438176152693e-6
+        (1, 0x40fa4e25a2b68428), // 1.077463522248423e5
+        (1, 0x3edb47b12df965f2), // 6.504070114121586e-6
+    ];
+    let mut bp = hotspot_2d(&BteConfig::small(6, 4, 4, 2));
+    bp.problem.integrator(Integrator::Implicit { theta: 1.0 });
+    let mut s = bp.solver(ExecTarget::CpuSeq).unwrap();
+    let mut rec = pbte_runtime::telemetry::Recorder::buffered();
+    let report = s.solve_traced(&mut rec).unwrap();
+    assert_eq!((report.steps, report.work.krylov_iters), (2, 4));
+    let series = |name: &str| -> Vec<(usize, u64)> {
+        rec.samples()
+            .iter()
+            .filter(|smp| smp.name == name)
+            .map(|smp| (smp.step, smp.value.to_bits()))
+            .collect()
+    };
+    assert_eq!(series("krylov_residual"), KRYLOV, "krylov_residual");
+    assert_eq!(series("newton_residual"), NEWTON, "newton_residual");
+}

@@ -146,9 +146,11 @@ pub(super) fn check_target(cp: &CompiledProblem, target: &ExecTarget, out: &mut 
 }
 
 /// Prove the implicit driver's Krylov work-vector scopes tile the dof
-/// grid. Each rank updates its Krylov vectors (`r`, `r0`, `p`, `v`, `s`,
-/// `t`, `hat`) sequentially over its own dof scope and contributes an
-/// exact-dot partial over exactly that scope, so the per-rank scopes must
+/// grid. Each rank updates its Krylov vectors (the right-hand side `b`,
+/// which doubles as the shadow residual, `r`, `p`, `v`, `s`, `t`, and the
+/// preconditioned direction `y` in the JVP fields' unknown slot)
+/// sequentially over its own dof scope and contributes an exact-dot
+/// partial over exactly that scope, so the per-rank scopes must
 /// be pairwise disjoint *and* covering: an overlap would double-count a
 /// dot partial, a gap would drop one — either silently changes every
 /// Krylov scalar on every rank.
@@ -169,7 +171,7 @@ fn check_krylov_vectors(cp: &CompiledProblem, target: &ExecTarget, out: &mut Vec
             cells,
         })
         .collect();
-    for vec_name in ["r", "r0", "p", "v", "s", "t", "hat"] {
+    for vec_name in ["b", "r", "p", "v", "s", "t", "y"] {
         let mut diags =
             check_disjoint_writes(&format!("krylov.{vec_name}"), n_flat, n_cells, &regions);
         // A gap is a hard error here (it corrupts exact dots), unlike the

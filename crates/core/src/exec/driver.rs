@@ -21,7 +21,7 @@
 
 use super::gpu::GpuBackend;
 use super::implicit::{theta_step, ImplicitWorkspace};
-use super::rows::IntensityKernels;
+use super::rows::{self, IntensityKernels};
 use super::{
     dist, gpu, live_cost, par, phases, seq, CompiledProblem, ExecTarget, LocalLinks, SolveReport,
     StepLinks,
@@ -29,6 +29,7 @@ use super::{
 use crate::entities::Fields;
 use crate::problem::{DslError, Integrator, KernelTier, TimeStepper};
 use pbte_runtime::telemetry::{Recorder, SpanKind, Track, WorkCounters};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Which compiled plan a backend RHS sweep evaluates.
@@ -50,12 +51,17 @@ pub(crate) struct Dofs<'a> {
     pub n_cells: usize,
 }
 
-impl Dofs<'_> {
-    #[inline]
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.flats
-            .iter()
-            .flat_map(move |&f| self.cells.iter().map(move |&c| f * self.n_cells + c))
+impl<'a> Dofs<'a> {
+    /// The owned dofs as maximal contiguous index ranges, flat-major —
+    /// the same walk as the sweeps ([`rows::spans`] per flat). Vector
+    /// passes slice their operands by these instead of indexing per dof.
+    pub fn spans(self) -> impl Iterator<Item = Range<usize>> + 'a {
+        self.flats.iter().flat_map(move |&flat| {
+            rows::spans(self.cells).map(move |(start, len)| {
+                let at = flat * self.n_cells + start;
+                at..at + len
+            })
+        })
     }
 }
 
@@ -119,7 +125,7 @@ pub(crate) trait Backend {
         k: &mut [f64],
         rec: &mut Recorder,
     ) -> Option<StepTimes> {
-        traced_rhs(self, cp, fields, d, time, step, k, rec);
+        traced_rhs(self, cp, Plan::Main, fields, d, time, step, k, rec);
         self.update(fields, cp.system.unknown, d, cp.problem.dt, k);
         None
     }
@@ -145,15 +151,18 @@ fn axpy(fields: &mut Fields, unknown: usize, d: Dofs, coeff: f64, rhs: &[f64]) {
     }
 }
 
-/// A primal RHS sweep wrapped in a `Kernel` span with tier and flux-path
-/// attribution, so traces show what actually ran (the resolved tier may
-/// differ from the requested one after clamping or native fallback, and
-/// the same tier evaluates the flux from a table on one mesh and from its
-/// compiled program on another).
+/// An RHS sweep of `which` plan wrapped in a `Kernel` span (`intensity_rhs`
+/// for the primal, `jvp_rhs` for the linearization) with tier and
+/// flux-path attribution, so traces show what actually ran (the resolved
+/// tier may differ from the requested one after clamping or native
+/// fallback, and the same tier evaluates the flux from a table on one mesh
+/// and from its compiled program on another). `plan` is the compiled
+/// problem `which` names.
 #[allow(clippy::too_many_arguments)]
-fn traced_rhs<B: Backend + ?Sized>(
+pub(crate) fn traced_rhs<B: Backend + ?Sized>(
     backend: &mut B,
-    cp: &CompiledProblem,
+    plan: &CompiledProblem,
+    which: Plan,
     fields: &Fields,
     d: Dofs,
     time: f64,
@@ -162,19 +171,22 @@ fn traced_rhs<B: Backend + ?Sized>(
     rec: &mut Recorder,
 ) {
     let k0 = rec.now();
-    backend.rhs(cp, Plan::Main, fields, time, out, &mut rec.work);
+    backend.rhs(plan, which, fields, time, out, &mut rec.work);
     if rec.enabled() {
         let dur = rec.now() - k0;
         rec.span(
             SpanKind::Kernel,
-            "intensity_rhs",
+            match which {
+                Plan::Main => "intensity_rhs",
+                Plan::Jvp => "jvp_rhs",
+            },
             k0,
             dur,
             Track::Host,
             vec![
                 ("step", step.to_string()),
                 ("tier", backend.tier().name().to_string()),
-                ("flux", cp.flux_path(backend.tier()).name().to_string()),
+                ("flux", plan.flux_path(backend.tier()).name().to_string()),
                 ("dofs", (d.flats.len() * d.cells.len()).to_string()),
             ],
         );
@@ -308,7 +320,7 @@ fn explicit_step(
     let device = backend.explicit_stage(cp, fields, d, time, step, k1, rec);
     if cp.problem.stepper == TimeStepper::Rk2 {
         links.halo_exchange(fields);
-        traced_rhs(backend, cp, fields, d, time + dt, step, k2, rec);
+        traced_rhs(backend, cp, Plan::Main, fields, d, time + dt, step, k2, rec);
         // u' = u* − dt k1 + dt/2 (k1 + k2) = u* − dt/2 k1 + dt/2 k2.
         backend.update(fields, unknown, d, -0.5 * dt, k1);
         backend.update(fields, unknown, d, 0.5 * dt, k2);

@@ -34,66 +34,212 @@
 //! iteration turns into an approximate Newton solve of `f(u) = 0` and
 //! reaches steady state in a handful of sweeps.
 
-use super::driver::{Backend, Dofs, Plan};
+use super::driver::{traced_rhs, Backend, Dofs, Plan};
 use super::{CompiledProblem, StepLinks};
 use crate::bytecode::VmCtx;
 use crate::entities::Fields;
 use crate::problem::{KrylovConfig, Reducer};
 use pbte_runtime::exact::{ExactAcc, TRANSPORT_LEN};
-use pbte_runtime::telemetry::{Recorder, SpanKind, Track, WorkCounters};
+use pbte_runtime::telemetry::{Recorder, SpanKind, Track};
 
-/// Exact global dot product over the owned dofs: a superaccumulator per
-/// rank, limb transport through the reducer (each limb stays well under
-/// 2^53 so the f64 allreduce adds them exactly in any association), one
-/// rounding at the very end. Order- and partition-independent by
-/// construction — the backbone of cross-target bit identity.
-pub(crate) fn exact_dot(a: &[f64], b: &[f64], d: Dofs, reducer: &mut dyn Reducer) -> f64 {
-    let mut acc = ExactAcc::new();
-    for i in d.iter() {
-        acc.add_prod(a[i], b[i]);
+/// Close rank-local exact accumulations into their global values: limb
+/// transport through the reducer (each limb stays well under 2^53 so the
+/// f64 allreduce adds them exactly in any association), one rounding per
+/// sum at the very end. Order- and partition-independent by construction
+/// — the backbone of cross-target bit identity. Sums that are known at
+/// the same point of the iteration travel in one message.
+fn reduce<const K: usize>(mut accs: [ExactAcc; K], reducer: &mut dyn Reducer) -> [f64; K] {
+    let mut buf = [0.0f64; 2 * TRANSPORT_LEN];
+    let buf = &mut buf[..K * TRANSPORT_LEN];
+    for (acc, image) in accs.iter_mut().zip(buf.chunks_exact_mut(TRANSPORT_LEN)) {
+        acc.to_transport(image);
     }
-    let mut buf = [0.0f64; TRANSPORT_LEN];
-    acc.to_transport(&mut buf);
     if reducer.n_ranks() > 1 {
-        reducer.allreduce_sum(&mut buf);
+        reducer.allreduce_sum(buf);
     }
-    ExactAcc::from_transport(&buf).value()
-}
-
-fn exact_norm(a: &[f64], d: Dofs, reducer: &mut dyn Reducer) -> f64 {
-    exact_dot(a, a, d, reducer).sqrt()
-}
-
-/// `out[i] = w[i] − dt_theta·out[i]` over the owned dofs, turning a JVP
-/// sweep into the implicit operator `A·w = w − dtθ(J·w)`.
-fn finish_matvec(out: &mut [f64], w: &[f64], dt_theta: f64, d: Dofs) {
-    for i in d.iter() {
-        out[i] = w[i] - dt_theta * out[i];
+    let mut sums = [0.0; K];
+    for (sum, image) in sums.iter_mut().zip(buf.chunks_exact(TRANSPORT_LEN)) {
+        *sum = ExactAcc::from_transport(image).value();
     }
+    sums
 }
 
-/// One application of `A = I − dtθJ`: install `w` in the JVP fields'
-/// unknown slot, halo-exchange it (interface neighbours need direction
-/// values too), sweep the JVP plan, combine.
+// The vector passes below walk the owned dofs span by span
+// (`Dofs::spans`), each operand sliced once per span. Every update that
+// feeds a Krylov scalar accumulates it in the same walk, so a BiCGStab
+// stage reads its vectors once.
+
+/// Newton residual pass: `b = −G(u)` with
+/// `G = u − u_n − c_n·f_n − dtθ·f_np`, `δ = 0`, and the local part of
+/// `‖G‖²` (= `‖b‖²`: negation is exact).
 #[allow(clippy::too_many_arguments)]
-fn apply_a(
+fn residual_pass(
+    u: &[f64],
+    u_n: &[f64],
+    f_n: &[f64],
+    f_np: &[f64],
+    c_n: f64,
+    dt_theta: f64,
+    b: &mut [f64],
+    delta: &mut [f64],
+    d: Dofs,
+) -> ExactAcc {
+    let mut gg = ExactAcc::new();
+    for span in d.spans() {
+        let (u, u_n) = (&u[span.clone()], &u_n[span.clone()]);
+        let (f_n, f_np) = (&f_n[span.clone()], &f_np[span.clone()]);
+        let b = &mut b[span.clone()];
+        delta[span].fill(0.0);
+        for (i, b) in b.iter_mut().enumerate() {
+            let expl = if c_n != 0.0 { c_n * f_n[i] } else { 0.0 };
+            let g = u[i] - u_n[i] - expl - dt_theta * f_np[i];
+            gg.add_prod(g, g);
+            *b = -g;
+        }
+    }
+    gg
+}
+
+/// BiCGStab start: `r = p = b` and the first preconditioned direction
+/// `y = M⁻¹p`.
+fn start_pass(b: &[f64], inv_diag: &[f64], r: &mut [f64], p: &mut [f64], y: &mut [f64], d: Dofs) {
+    for span in d.spans() {
+        let (b, inv_diag) = (&b[span.clone()], &inv_diag[span.clone()]);
+        r[span.clone()].copy_from_slice(b);
+        p[span.clone()].copy_from_slice(b);
+        for ((y, &m), &b) in y[span].iter_mut().zip(inv_diag).zip(b) {
+            *y = m * b;
+        }
+    }
+}
+
+/// Search direction: `p = r + β(p − ωv)`, `y = M⁻¹p`.
+#[allow(clippy::too_many_arguments)]
+fn direction_pass(
+    r: &[f64],
+    v: &[f64],
+    inv_diag: &[f64],
+    beta: f64,
+    omega: f64,
+    p: &mut [f64],
+    y: &mut [f64],
+    d: Dofs,
+) {
+    for span in d.spans() {
+        let (r, v, inv_diag) = (&r[span.clone()], &v[span.clone()], &inv_diag[span.clone()]);
+        let (p, y) = (&mut p[span.clone()], &mut y[span]);
+        for (i, (p, y)) in p.iter_mut().zip(y).enumerate() {
+            *p = r[i] + beta * (*p - omega * v[i]);
+            *y = inv_diag[i] * *p;
+        }
+    }
+}
+
+/// First half-step matvec: `v = y − dtθ·v` (turning the JVP sweep `J·y`
+/// left in `v` into `A·y`) with the local part of `r̂₀·v`.
+fn matvec_pass(v: &mut [f64], y: &[f64], r0: &[f64], dt_theta: f64, d: Dofs) -> ExactAcc {
+    let mut r0v = ExactAcc::new();
+    for span in d.spans() {
+        let (y, r0) = (&y[span.clone()], &r0[span.clone()]);
+        for ((v, &y), &r0) in v[span].iter_mut().zip(y).zip(r0) {
+            *v = y - dt_theta * *v;
+            r0v.add_prod(r0, *v);
+        }
+    }
+    r0v
+}
+
+/// First half-step update: `s = r − αv`, `x += αy`, the next direction
+/// `y = M⁻¹s` (harmless when the half-step converges), and the local
+/// part of `‖s‖²`.
+#[allow(clippy::too_many_arguments)]
+fn half_step_pass(
+    r: &[f64],
+    v: &[f64],
+    inv_diag: &[f64],
+    alpha: f64,
+    s: &mut [f64],
+    x: &mut [f64],
+    y: &mut [f64],
+    d: Dofs,
+) -> ExactAcc {
+    let mut ss = ExactAcc::new();
+    for span in d.spans() {
+        let (r, v, inv_diag) = (&r[span.clone()], &v[span.clone()], &inv_diag[span.clone()]);
+        let (s, x, y) = (&mut s[span.clone()], &mut x[span.clone()], &mut y[span]);
+        for (i, ((s, x), y)) in s.iter_mut().zip(x).zip(y).enumerate() {
+            *s = r[i] - alpha * v[i];
+            *x += alpha * *y;
+            *y = inv_diag[i] * *s;
+            ss.add_prod(*s, *s);
+        }
+    }
+    ss
+}
+
+/// Second half-step matvec: `t = y − dtθ·t` with the local parts of
+/// `t·t` and `t·s`.
+fn stabilizer_pass(t: &mut [f64], y: &[f64], s: &[f64], dt_theta: f64, d: Dofs) -> [ExactAcc; 2] {
+    let mut tt = ExactAcc::new();
+    let mut ts = ExactAcc::new();
+    for span in d.spans() {
+        let (y, s) = (&y[span.clone()], &s[span.clone()]);
+        for ((t, &y), &s) in t[span].iter_mut().zip(y).zip(s) {
+            *t = y - dt_theta * *t;
+            tt.add_prod(*t, *t);
+            ts.add_prod(*t, s);
+        }
+    }
+    [tt, ts]
+}
+
+/// Second half-step update: `x += ωy`, `r = s − ωt`, with the local
+/// parts of `‖r‖²` and the next iteration's `ρ = r̂₀·r`.
+#[allow(clippy::too_many_arguments)]
+fn full_step_pass(
+    s: &[f64],
+    t: &[f64],
+    y: &[f64],
+    r0: &[f64],
+    omega: f64,
+    x: &mut [f64],
+    r: &mut [f64],
+    d: Dofs,
+) -> [ExactAcc; 2] {
+    let mut rr = ExactAcc::new();
+    let mut r0r = ExactAcc::new();
+    for span in d.spans() {
+        let (s, t) = (&s[span.clone()], &t[span.clone()]);
+        let (y, r0) = (&y[span.clone()], &r0[span.clone()]);
+        let (x, r) = (&mut x[span.clone()], &mut r[span]);
+        for (i, (x, r)) in x.iter_mut().zip(r).enumerate() {
+            *x += omega * y[i];
+            *r = s[i] - omega * t[i];
+            rr.add_prod(*r, *r);
+            r0r.add_prod(r0[i], *r);
+        }
+    }
+    [rr, r0r]
+}
+
+/// One JVP sweep `out = J·y` for the direction `y` sitting in the JVP
+/// fields' unknown slot: halo-exchange it (interface neighbours need
+/// direction values too), then sweep the JVP plan.
+#[allow(clippy::too_many_arguments)]
+fn jvp_sweep(
     backend: &mut dyn Backend,
     jcp: &CompiledProblem,
     jfields: &mut Fields,
-    unknown: usize,
-    w: &[f64],
-    dt_theta: f64,
     time: f64,
+    step: usize,
     d: Dofs,
     links: &mut dyn StepLinks,
     out: &mut [f64],
-    work: &mut WorkCounters,
+    rec: &mut Recorder,
 ) {
-    jfields.slice_mut(unknown).copy_from_slice(w);
     links.halo_exchange(jfields);
-    backend.rhs(jcp, Plan::Jvp, jfields, time, out, work);
-    work.jvp_evals += 1;
-    finish_matvec(out, w, dt_theta, d);
+    traced_rhs(backend, jcp, Plan::Jvp, jfields, d, time, step, out, rec);
+    rec.work.jvp_evals += 1;
 }
 
 /// Jacobi diagonal of `A = I − dtθJ`, from the symbolic linearization:
@@ -150,16 +296,15 @@ fn build_diag(
 }
 
 /// Krylov work vectors, allocated once per solve and reused every step.
+/// The shadow residual `r̂₀` is the right-hand side itself, and the
+/// preconditioned directions `M⁻¹p` / `M⁻¹s` live in the JVP fields'
+/// unknown slot, where the sweep reads them.
 pub(crate) struct KrylovVecs {
     r: Vec<f64>,
-    r0: Vec<f64>,
     p: Vec<f64>,
     v: Vec<f64>,
     s: Vec<f64>,
     t: Vec<f64>,
-    /// Shared scratch for the right-preconditioned directions `M⁻¹p` and
-    /// `M⁻¹s` (their live ranges never overlap).
-    hat: Vec<f64>,
     pub inv_diag: Vec<f64>,
 }
 
@@ -167,12 +312,10 @@ impl KrylovVecs {
     pub fn new(n: usize) -> KrylovVecs {
         KrylovVecs {
             r: vec![0.0; n],
-            r0: vec![0.0; n],
             p: vec![0.0; n],
             v: vec![0.0; n],
             s: vec![0.0; n],
             t: vec![0.0; n],
-            hat: vec![0.0; n],
             inv_diag: vec![1.0; n],
         }
     }
@@ -183,14 +326,20 @@ pub(crate) struct KrylovStats {
     pub iters: u64,
     pub converged: bool,
     pub rnorm: f64,
-    pub bnorm: f64,
 }
 
 /// Jacobi-right-preconditioned BiCGStab for `A x = b`,
-/// `A = I − dtθJ`. `x` must come in zeroed. Deterministic: all scalars
-/// are exact global dots, breakdown tests compare against exact zero,
-/// and the iteration emits a `krylov_residual` sample per iteration plus
-/// one `krylov_solve` kernel span.
+/// `A = I − dtθJ`. `x` must come in zeroed, `bb` is the exact `b·b` (the
+/// caller has it from the Newton residual norm), and the owned part of
+/// `jfields`' unknown slot is scratch. Deterministic: all scalars are
+/// exact global dots, breakdown tests compare against exact zero, and the
+/// iteration emits a `krylov_residual` sample per half-step plus one
+/// `krylov_solve` kernel span.
+///
+/// One pass over the vectors per stage, each carrying the reductions
+/// that read its output: `v = A·y` with `r̂₀·v`; `s`, `x` and the next
+/// direction with `‖s‖²`; `t = A·y` with `t·t` and `t·s`; `r`, `x` with
+/// `‖r‖²` and the next `ρ = r̂₀·r`. The first `ρ = r̂₀·r = b·b` is `bb`.
 #[allow(clippy::too_many_arguments)]
 fn bicgstab(
     backend: &mut dyn Backend,
@@ -198,6 +347,7 @@ fn bicgstab(
     jfields: &mut Fields,
     unknown: usize,
     b: &[f64],
+    bb: f64,
     x: &mut [f64],
     kv: &mut KrylovVecs,
     dt_theta: f64,
@@ -210,108 +360,64 @@ fn bicgstab(
     step: usize,
 ) -> KrylovStats {
     let k0 = rec.now();
+    let bnorm = bb.sqrt();
     let mut stats = KrylovStats {
         iters: 0,
-        converged: false,
-        rnorm: 0.0,
-        bnorm: 0.0,
+        // b = 0: x = 0 solves exactly; nothing to do.
+        converged: bnorm == 0.0,
+        rnorm: bnorm,
     };
-    let bnorm = exact_norm(b, d, links);
-    stats.bnorm = bnorm;
-    if bnorm == 0.0 {
-        // x = 0 solves exactly; nothing to do.
-        stats.converged = true;
-        return stats;
-    }
     let tol_abs = tol * bnorm;
-    for i in d.iter() {
-        kv.r[i] = b[i];
-        kv.r0[i] = b[i];
-        kv.p[i] = 0.0;
-        kv.v[i] = 0.0;
-    }
     let mut rho = 1.0f64;
+    let mut rho_new = bb;
     let mut alpha = 1.0f64;
     let mut omega = 1.0f64;
-    let mut rnorm = bnorm;
-    while stats.iters < max_iters as u64 {
-        let rho_new = exact_dot(&kv.r0, &kv.r, d, links);
+    while !stats.converged && stats.iters < max_iters as u64 {
         if rho_new == 0.0 {
             break; // breakdown: return the best iterate found so far
         }
+        let y = jfields.slice_mut(unknown);
         if stats.iters == 0 {
-            for i in d.iter() {
-                kv.p[i] = kv.r[i];
-            }
+            start_pass(b, &kv.inv_diag, &mut kv.r, &mut kv.p, y, d);
         } else {
             let beta = (rho_new / rho) * (alpha / omega);
-            for i in d.iter() {
-                kv.p[i] = kv.r[i] + beta * (kv.p[i] - omega * kv.v[i]);
-            }
+            direction_pass(&kv.r, &kv.v, &kv.inv_diag, beta, omega, &mut kv.p, y, d);
         }
-        for i in d.iter() {
-            kv.hat[i] = kv.inv_diag[i] * kv.p[i];
-        }
-        apply_a(
-            backend,
-            jcp,
-            jfields,
-            unknown,
-            &kv.hat,
-            dt_theta,
-            time,
-            d,
-            links,
-            &mut kv.v,
-            &mut rec.work,
-        );
-        let r0v = exact_dot(&kv.r0, &kv.v, d, links);
+        jvp_sweep(backend, jcp, jfields, time, step, d, links, &mut kv.v, rec);
+        let r0v = matvec_pass(&mut kv.v, jfields.slice(unknown), b, dt_theta, d);
+        let [r0v] = reduce([r0v], links);
         if r0v == 0.0 {
             break;
         }
         alpha = rho_new / r0v;
-        for i in d.iter() {
-            kv.s[i] = kv.r[i] - alpha * kv.v[i];
-            x[i] += alpha * kv.hat[i];
-        }
+        let y = jfields.slice_mut(unknown);
+        let ss = half_step_pass(&kv.r, &kv.v, &kv.inv_diag, alpha, &mut kv.s, x, y, d);
         stats.iters += 1;
         rec.work.krylov_iters += 1;
-        let snorm = exact_norm(&kv.s, d, links);
+        let [ss] = reduce([ss], links);
+        let snorm = ss.sqrt();
         rec.sample("krylov_residual", step, snorm);
         if snorm <= tol_abs {
-            rnorm = snorm;
+            stats.rnorm = snorm;
             stats.converged = true;
             break;
         }
-        for i in d.iter() {
-            kv.hat[i] = kv.inv_diag[i] * kv.s[i];
-        }
-        apply_a(
-            backend,
-            jcp,
-            jfields,
-            unknown,
-            &kv.hat,
-            dt_theta,
-            time,
-            d,
-            links,
-            &mut kv.t,
-            &mut rec.work,
-        );
-        let tt = exact_dot(&kv.t, &kv.t, d, links);
+        jvp_sweep(backend, jcp, jfields, time, step, d, links, &mut kv.t, rec);
+        let y = jfields.slice(unknown);
+        let [tt, ts] = reduce(stabilizer_pass(&mut kv.t, y, &kv.s, dt_theta, d), links);
         if tt == 0.0 {
             break;
         }
-        omega = exact_dot(&kv.t, &kv.s, d, links) / tt;
-        for i in d.iter() {
-            x[i] += omega * kv.hat[i];
-            kv.r[i] = kv.s[i] - omega * kv.t[i];
-        }
+        omega = ts / tt;
+        let [rr, r0r] = reduce(
+            full_step_pass(&kv.s, &kv.t, y, b, omega, x, &mut kv.r, d),
+            links,
+        );
         rho = rho_new;
-        rnorm = exact_norm(&kv.r, d, links);
-        rec.sample("krylov_residual", step, rnorm);
-        if rnorm <= tol_abs {
+        rho_new = r0r;
+        stats.rnorm = rr.sqrt();
+        rec.sample("krylov_residual", step, stats.rnorm);
+        if stats.rnorm <= tol_abs {
             stats.converged = true;
             break;
         }
@@ -319,7 +425,6 @@ fn bicgstab(
             break;
         }
     }
-    stats.rnorm = rnorm;
     if rec.enabled() {
         let dur = rec.now() - k0;
         rec.span(
@@ -347,6 +452,8 @@ pub(crate) struct ImplicitWorkspace {
     pub u_n: Vec<f64>,
     pub f_n: Vec<f64>,
     pub f_np: Vec<f64>,
+    /// The Newton residual, stored negated: `−G` is the Krylov right-hand
+    /// side.
     pub g: Vec<f64>,
     pub delta: Vec<f64>,
     pub kv: KrylovVecs,
@@ -430,7 +537,8 @@ pub(crate) fn theta_step(
     // The explicit part of the θ combination, evaluated once at u_n.
     if c_n != 0.0 {
         links.halo_exchange(fields);
-        backend.rhs(cp, Plan::Main, fields, time, &mut ws.f_n, &mut rec.work);
+        let f_n = &mut ws.f_n;
+        traced_rhs(backend, cp, Plan::Main, fields, d, time, step, f_n, rec);
         rec.work.rhs_evals += 1;
     }
 
@@ -448,6 +556,10 @@ pub(crate) fn theta_step(
         );
         ws.diag_dt_theta = Some(bits);
     }
+    // The unknown slot carries the Krylov directions from here on: owned
+    // entries are rewritten per matvec, halo entries by the exchange, and
+    // everything else reads as zero.
+    ws.jfields.slice_mut(unknown).fill(0.0);
 
     let lin_tol = forcing.unwrap_or(cfg.tol);
     let max_newton = if forcing.is_some() {
@@ -458,16 +570,22 @@ pub(crate) fn theta_step(
     let mut g0 = 0.0f64;
     for newton in 0..max_newton {
         links.halo_exchange(fields);
-        backend.rhs(cp, Plan::Main, fields, t_np, &mut ws.f_np, &mut rec.work);
+        let f_np = &mut ws.f_np;
+        traced_rhs(backend, cp, Plan::Main, fields, d, t_np, step, f_np, rec);
         rec.work.rhs_evals += 1;
-        {
-            let u = fields.slice(unknown);
-            for i in d.iter() {
-                let expl = if c_n != 0.0 { c_n * ws.f_n[i] } else { 0.0 };
-                ws.g[i] = u[i] - ws.u_n[i] - expl - dt_theta * ws.f_np[i];
-            }
-        }
-        let gnorm = exact_norm(&ws.g, d, links);
+        let gg = residual_pass(
+            fields.slice(unknown),
+            &ws.u_n,
+            &ws.f_n,
+            &ws.f_np,
+            c_n,
+            dt_theta,
+            &mut ws.g,
+            &mut ws.delta,
+            d,
+        );
+        let [gg] = reduce([gg], links);
+        let gnorm = gg.sqrt();
         rec.sample("newton_residual", step, gnorm);
         if newton == 0 {
             g0 = gnorm;
@@ -481,17 +599,15 @@ pub(crate) fn theta_step(
             break;
         }
         out.newton_iters += 1;
-        // Solve (I − dtθJ) δ = −G.
-        for i in d.iter() {
-            ws.g[i] = -ws.g[i];
-            ws.delta[i] = 0.0;
-        }
+        // Solve (I − dtθJ) δ = −G; `ws.g` holds −G and `gg` its exact
+        // squared norm.
         let stats = bicgstab(
             backend,
             jcp,
             &mut ws.jfields,
             unknown,
             &ws.g,
+            gg,
             &mut ws.delta,
             &mut ws.kv,
             dt_theta,
@@ -507,10 +623,10 @@ pub(crate) fn theta_step(
             out.converged = stats.converged;
         }
         out.krylov_iters += stats.iters;
-        {
-            let u = fields.slice_mut(unknown);
-            for i in d.iter() {
-                u[i] += ws.delta[i];
+        let u = fields.slice_mut(unknown);
+        for span in d.spans() {
+            for (u, &delta) in u[span.clone()].iter_mut().zip(&ws.delta[span]) {
+                *u += delta;
             }
         }
     }
@@ -531,4 +647,211 @@ pub(crate) fn theta_step(
         );
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::LocalLinks;
+    use super::*;
+
+    const N_CELLS: usize = 24;
+    const N_FLAT: usize = 5;
+    const N: usize = N_CELLS * N_FLAT;
+
+    /// A gapped cell scope (an RCB-style partition) over every flat, and
+    /// every cell over a flat subset (a band partition).
+    fn scopes() -> [(Vec<usize>, Vec<usize>); 2] {
+        [
+            (vec![0, 1, 2, 7, 8, 20], (0..N_FLAT).collect()),
+            ((0..N_CELLS).collect(), vec![1, 3]),
+        ]
+    }
+
+    /// The owned indices the way the unfused loops walked them.
+    fn indices(d: Dofs) -> Vec<usize> {
+        let mut out = Vec::new();
+        for &flat in d.flats {
+            for &cell in d.cells {
+                out.push(flat * d.n_cells + cell);
+            }
+        }
+        out
+    }
+
+    fn vector(seed: u64) -> Vec<f64> {
+        let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        (0..N)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                ((s >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2f64.powi((s % 41) as i32 - 20)
+            })
+            .collect()
+    }
+
+    /// The unfused reference: an exact dot over the scope, on its own.
+    fn exact_dot(a: &[f64], b: &[f64], d: Dofs) -> f64 {
+        let mut acc = ExactAcc::new();
+        for i in indices(d) {
+            acc.add_prod(a[i], b[i]);
+        }
+        let [dot] = reduce([acc], &mut LocalLinks);
+        dot
+    }
+
+    fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i}]: {g:e} vs {w:e}");
+        }
+    }
+
+    fn for_each_scope(check: impl Fn(Dofs)) {
+        for (cells, flats) in scopes() {
+            check(Dofs {
+                cells: &cells,
+                flats: &flats,
+                n_cells: N_CELLS,
+            });
+        }
+    }
+
+    #[test]
+    fn spans_cover_each_owned_dof_exactly_once() {
+        for_each_scope(|d| {
+            let mut walked: Vec<usize> = d.spans().flatten().collect();
+            assert_eq!(walked, indices(d), "flat-major, ascending within a flat");
+            walked.sort_unstable();
+            walked.dedup();
+            assert_eq!(walked.len(), d.flats.len() * d.cells.len());
+        });
+        // The gapped scope walks three runs per flat.
+        let (cells, flats) = &scopes()[0];
+        let d = Dofs {
+            cells,
+            flats,
+            n_cells: N_CELLS,
+        };
+        assert_eq!(d.spans().count(), 3 * N_FLAT);
+        assert_eq!(d.spans().next(), Some(0..3));
+    }
+
+    #[test]
+    fn residual_pass_matches_unfused_update_and_dot() {
+        for_each_scope(|d| {
+            for c_n in [0.0, 0.25] {
+                let (u, u_n, f_n, f_np) = (vector(1), vector(2), vector(3), vector(4));
+                let (mut b, mut delta) = (vector(5), vector(6));
+                let (mut b_ref, mut delta_ref) = (b.clone(), delta.clone());
+                let gg = residual_pass(&u, &u_n, &f_n, &f_np, c_n, 0.5, &mut b, &mut delta, d);
+                let [gg] = reduce([gg], &mut LocalLinks);
+                let mut g = vec![0.0; N];
+                for i in indices(d) {
+                    let expl = if c_n != 0.0 { c_n * f_n[i] } else { 0.0 };
+                    g[i] = u[i] - u_n[i] - expl - 0.5 * f_np[i];
+                    b_ref[i] = -g[i];
+                    delta_ref[i] = 0.0;
+                }
+                assert_eq!(gg.to_bits(), exact_dot(&g, &g, d).to_bits());
+                assert_eq!(gg.to_bits(), exact_dot(&b, &b, d).to_bits(), "‖−G‖ = ‖G‖");
+                assert_bits(&b, &b_ref, "b");
+                assert_bits(&delta, &delta_ref, "delta");
+            }
+        });
+    }
+
+    #[test]
+    fn direction_passes_match_unfused_updates() {
+        for_each_scope(|d| {
+            let (b, inv_diag, v) = (vector(1), vector(2), vector(3));
+            let (mut r, mut p, mut y) = (vector(4), vector(5), vector(6));
+            let (mut r_ref, mut p_ref, mut y_ref) = (r.clone(), p.clone(), y.clone());
+            start_pass(&b, &inv_diag, &mut r, &mut p, &mut y, d);
+            for i in indices(d) {
+                r_ref[i] = b[i];
+                p_ref[i] = r_ref[i];
+                y_ref[i] = inv_diag[i] * p_ref[i];
+            }
+            assert_bits(&r, &r_ref, "r");
+            assert_bits(&p, &p_ref, "p");
+            assert_bits(&y, &y_ref, "y");
+
+            let (beta, omega) = (0.375, -1.75);
+            direction_pass(&r, &v, &inv_diag, beta, omega, &mut p, &mut y, d);
+            for i in indices(d) {
+                p_ref[i] = r[i] + beta * (p_ref[i] - omega * v[i]);
+                y_ref[i] = inv_diag[i] * p_ref[i];
+            }
+            assert_bits(&p, &p_ref, "p");
+            assert_bits(&y, &y_ref, "y");
+        });
+    }
+
+    #[test]
+    fn matvec_passes_match_unfused_update_and_dots() {
+        for_each_scope(|d| {
+            let (y, r0, s) = (vector(1), vector(2), vector(3));
+            let dt_theta = 0.625;
+            let unfused = |out: &mut [f64]| {
+                for i in indices(d) {
+                    out[i] = y[i] - dt_theta * out[i];
+                }
+            };
+
+            let mut v = vector(4);
+            let mut v_ref = v.clone();
+            let [r0v] = reduce([matvec_pass(&mut v, &y, &r0, dt_theta, d)], &mut LocalLinks);
+            unfused(&mut v_ref);
+            assert_bits(&v, &v_ref, "v");
+            assert_eq!(r0v.to_bits(), exact_dot(&r0, &v_ref, d).to_bits());
+
+            let mut t = vector(5);
+            let mut t_ref = t.clone();
+            let [tt, ts] = reduce(
+                stabilizer_pass(&mut t, &y, &s, dt_theta, d),
+                &mut LocalLinks,
+            );
+            unfused(&mut t_ref);
+            assert_bits(&t, &t_ref, "t");
+            assert_eq!(tt.to_bits(), exact_dot(&t_ref, &t_ref, d).to_bits());
+            assert_eq!(ts.to_bits(), exact_dot(&t_ref, &s, d).to_bits());
+        });
+    }
+
+    #[test]
+    fn step_passes_match_unfused_updates_and_dots() {
+        for_each_scope(|d| {
+            let (r, v, inv_diag, t, r0) = (vector(1), vector(2), vector(3), vector(4), vector(5));
+            let (alpha, omega) = (1.5, -0.3125);
+
+            let (mut s, mut x, mut y) = (vector(6), vector(7), vector(8));
+            let (mut s_ref, mut x_ref, mut y_ref) = (s.clone(), x.clone(), y.clone());
+            let ss = half_step_pass(&r, &v, &inv_diag, alpha, &mut s, &mut x, &mut y, d);
+            let [ss] = reduce([ss], &mut LocalLinks);
+            for i in indices(d) {
+                s_ref[i] = r[i] - alpha * v[i];
+                x_ref[i] += alpha * y_ref[i];
+            }
+            for i in indices(d) {
+                y_ref[i] = inv_diag[i] * s_ref[i];
+            }
+            assert_bits(&s, &s_ref, "s");
+            assert_bits(&x, &x_ref, "x");
+            assert_bits(&y, &y_ref, "y");
+            assert_eq!(ss.to_bits(), exact_dot(&s_ref, &s_ref, d).to_bits());
+
+            let mut r_new = r.clone();
+            let mut r_ref = r.clone();
+            let sums = full_step_pass(&s, &t, &y, &r0, omega, &mut x, &mut r_new, d);
+            let [rr, r0r] = reduce(sums, &mut LocalLinks);
+            for i in indices(d) {
+                x_ref[i] += omega * y[i];
+                r_ref[i] = s[i] - omega * t[i];
+            }
+            assert_bits(&x, &x_ref, "x");
+            assert_bits(&r_new, &r_ref, "r");
+            assert_eq!(rr.to_bits(), exact_dot(&r_ref, &r_ref, d).to_bits());
+            assert_eq!(r0r.to_bits(), exact_dot(&r0, &r_ref, d).to_bits());
+        });
+    }
 }

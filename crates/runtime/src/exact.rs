@@ -8,22 +8,31 @@
 //! its result still depends on the visit order — so this module keeps a
 //! *complete* fixed-point image of the running sum instead:
 //!
-//! * every addend is split exactly into `hi + lo` with one `mul_add`
-//!   (two_prod), so products lose nothing;
 //! * each double is decomposed via its bit pattern into an integer
 //!   mantissa times a power of two and added into an array of signed
 //!   base-2³² limbs spanning the entire double range (a small
 //!   superaccumulator in the style of exact-BLAS reductions);
+//! * a product is the integer product of the two mantissas — 106 bits,
+//!   exact in a `u128` — added the same way, so products lose nothing
+//!   (the two_prod split `hi + fma(a, b, −hi)` remains for products with
+//!   bits below 2⁻¹⁰⁷⁴, which no double can hold);
 //! * limb arrays are order-independent by construction (integer adds
 //!   commute), and after [`ExactAcc::renorm`] every limb fits in
-//!   (−2³¹, 2³¹), so the limbs survive a round-trip through `f64` and
+//!   [−2³¹, 2³¹), so the limbs survive a round-trip through `f64` and
 //!   an element-wise `allreduce_sum` across ≤ 2²⁰ ranks *exactly*
 //!   (partial sums stay below 2⁵³);
 //! * [`ExactAcc::value`] rounds the canonical fixed-point image to the
 //!   nearest double (ties to even) — one rounding for the whole sum.
 //!
-//! The cost is ~70 i64 adds per addend, which is irrelevant next to the
-//! RHS evaluations the dots sit between.
+//! The cost is what exactness leaves: one multiply, one 128-bit shift and
+//! five limb adds per product — 5.3 ns per element for a 276 480-element
+//! dot on the 2-core development guest (`reductions` group of the
+//! `kernels` bench), against 0.7 ns for a plain dot and 15 ns for the
+//! two_prod form this replaced. That is not negligible next to a native
+//! RHS sweep (~10 ns per dof), which is why the implicit driver fuses
+//! each reduction into the vector pass that produces its operand and
+//! never computes a sum it already knows (EXPERIMENTS.md, "Exact Krylov
+//! reductions").
 
 /// Weight of limb `i` is `2^(LIMB_BASE + 32·i)`. The smallest magnitude
 /// an addend can contribute is 2⁻¹⁰⁷⁴ (a subnormal `lo` term), so the
@@ -39,8 +48,13 @@ pub const N_LIMBS: usize = 70;
 /// counts non-finite addends (so NaN/∞ poisoning survives reduction).
 pub const TRANSPORT_LEN: usize = N_LIMBS + 1;
 
-/// Renormalize after this many raw limb additions: each add contributes
-/// < 2³² per limb, so limbs stay below 2³¹ + 2²⁴·2³² < 2⁵⁷ ≪ i64::MAX.
+/// Renormalize after this many raw limb additions. `pending` counts
+/// them: an `add` puts < 2³² on each of three limbs, an `add_prod` < 2³² on
+/// each of five, and a `merge` is charged everything the other
+/// accumulator had pending plus one for its balanced residue. Starting
+/// from a transport image (≤ 2²⁰ ranks · 2³¹ = 2⁵¹ per limb), a limb holds
+/// less than 2⁵¹ + 2·2²⁴·2³² < 2⁵⁸ ≪ i64::MAX even at the moment a merge
+/// of two nearly-full accumulators triggers the renormalization.
 const RENORM_EVERY: u32 = 1 << 24;
 
 /// An exact superaccumulator for `f64` sums and dot products.
@@ -73,14 +87,97 @@ impl ExactAcc {
         self.add_double(x);
     }
 
-    /// Add the product `a·b` exactly (two_prod splitting: `hi` is the
-    /// rounded product, `lo = fma(a, b, −hi)` the exact residual).
+    /// Add the product `a·b` exactly.
+    ///
+    /// Both operands are decoded to integer mantissas (< 2⁵³) and
+    /// exponents; one `u64×u64→u128` multiply is the exact 106-bit product
+    /// `m·2^e2`, which lands on five limbs after a shift by
+    /// `offset % 32`. A product whose exponent sum lies below −1074 has
+    /// bits below 2⁻¹⁰⁷⁴, the smallest a double can hold: there the
+    /// two_prod residual `fma(a, b, −hi)` itself rounds and that rounding
+    /// defines the sum, so those products (and only those) keep the
+    /// two_prod form, `add_two_prod`.
+    #[inline]
     pub fn add_prod(&mut self, a: f64, b: f64) {
         let hi = a * b;
         if !hi.is_finite() {
             self.nonfinite += 1;
             return;
         }
+        // `hi` finite ⇒ both operands finite: no all-ones exponent below.
+        let (bits_a, bits_b) = (a.to_bits(), b.to_bits());
+        let (xa, xb) = (exponent_field(bits_a), exponent_field(bits_b));
+        // Two normal operands (mantissa = fraction | 2⁵², exponent =
+        // field − 1075) whose exponent sum xa + xb − 2150 is at least
+        // −1074; zeros, subnormals and tiny products go the long way.
+        if xa == 0 || xb == 0 || xa + xb < 1076 {
+            self.add_prod_rare(a, b, hi);
+            return;
+        }
+        let p =
+            (bits_a & FRACTION | IMPLICIT_BIT) as u128 * (bits_b & FRACTION | IMPLICIT_BIT) as u128;
+        let offset = xa + xb - (2150 + LIMB_BASE) as u32;
+        self.add_shifted(p, offset, (bits_a ^ bits_b) as i64 >> 63);
+    }
+
+    /// [`Self::add_prod`] for a zero or subnormal operand or an exponent
+    /// sum below −1074; `hi` is the finite rounded product.
+    #[cold]
+    fn add_prod_rare(&mut self, a: f64, b: f64, hi: f64) {
+        if hi == 0.0 {
+            // A zero operand contributes nothing; a product that rounds
+            // to zero has a residual that rounds to zero as well.
+            return;
+        }
+        let (ma, ea) = decode(a.to_bits());
+        let (mb, eb) = decode(b.to_bits());
+        let e2 = ea + eb;
+        if e2 < -1074 {
+            self.add_two_prod(a, b, hi);
+        } else {
+            let sign = (a.to_bits() ^ b.to_bits()) as i64 >> 63;
+            self.add_shifted(ma as u128 * mb as u128, (e2 - LIMB_BASE) as u32, sign);
+        }
+    }
+
+    /// Add `±p · 2^(offset + LIMB_BASE)` for a mantissa product
+    /// `p < 2¹⁰⁶`; `sign` is 0 or −1.
+    #[inline(always)]
+    fn add_shifted(&mut self, p: u128, offset: u32, sign: i64) {
+        let q = (offset / 32) as usize;
+        let r = offset % 32;
+        // The rounded product is finite, so |a·b| < 2¹⁰²⁴: with normal
+        // mantissas ≥ 2⁵² that is 2¹⁰⁴·2^e2 < 2¹⁰²⁴, e2 ≤ 919 (a
+        // subnormal operand pins its exponent at −1074 and e2 far lower),
+        // so offset = e2 + 1088 ≤ 2007 and q ≤ 62.
+        debug_assert!(q + 5 <= N_LIMBS);
+        // `p << r` is up to 137 bits wide: the low 128 come from one
+        // wrapping shift, the nine that fall off the top from
+        // `p >> (128 − r)`, spelled so the shift count stays in 1..=32.
+        let v = p << r;
+        let (v_lo, v_hi) = (v as u64, (v >> 64) as u64);
+        let digits = [
+            v_lo & 0xffff_ffff,
+            v_lo >> 32,
+            v_hi & 0xffff_ffff,
+            v_hi >> 32,
+            ((p >> 96) as u64) >> (32 - r),
+        ];
+        // Branch-free conditional negation of each digit.
+        for (limb, &d) in self.limbs[q..q + 5].iter_mut().zip(&digits) {
+            *limb += (d as i64 ^ sign) - sign;
+        }
+        self.pending += 1;
+        if self.pending >= RENORM_EVERY {
+            self.renorm();
+        }
+    }
+
+    /// two_prod form of a product: `hi` is the rounded product and
+    /// `lo = fma(a, b, −hi)` the residual, exact whenever it is
+    /// representable. `add_prod` takes this form only below the −1074
+    /// exponent sum; the tests use it as the oracle everywhere.
+    fn add_two_prod(&mut self, a: f64, b: f64, hi: f64) {
         let lo = a.mul_add(b, -hi);
         self.add_double(hi);
         self.add_double(lo);
@@ -95,14 +192,7 @@ impl ExactAcc {
             return;
         }
         let bits = x.to_bits();
-        let exp_bits = ((bits >> 52) & 0x7ff) as i32;
-        let frac = bits & 0x000f_ffff_ffff_ffff;
-        // value = m · 2^e2 with m an integer < 2⁵³.
-        let (m, e2) = if exp_bits == 0 {
-            (frac, -1074)
-        } else {
-            (frac | (1u64 << 52), exp_bits - 1075)
-        };
+        let (m, e2) = decode(bits);
         let offset = (e2 - LIMB_BASE) as u32; // ≥ 0 by construction
         let q = (offset / 32) as usize;
         let r = offset % 32;
@@ -120,34 +210,15 @@ impl ExactAcc {
     }
 
     /// Balanced carry propagation: afterwards every limb lies in
-    /// (−2³¹, 2³¹), the canonical transportable form.
+    /// [−2³¹, 2³¹), the canonical transportable form.
     pub fn renorm(&mut self) {
-        let mut carry: i64 = 0;
-        for limb in self.limbs.iter_mut() {
-            let x = *limb + carry;
-            let mut r = x.rem_euclid(1 << 32);
-            if r >= 1 << 31 {
-                r -= 1 << 32;
-            }
-            carry = (x - r) >> 32;
-            *limb = r;
-        }
-        // A nonzero final carry means the true sum overflows 2¹⁰⁸⁸ —
-        // far beyond f64 range — so saturate the top limb; `value()`
-        // then rounds to ±∞ as an ordinary overflow would.
-        if carry != 0 {
-            self.limbs[N_LIMBS - 1] = if carry > 0 {
-                i64::MAX / 2
-            } else {
-                i64::MIN / 2
-            };
-        }
+        balance(&mut self.limbs);
         self.pending = 0;
     }
 
     /// Write the balanced limb image into an `f64` buffer suitable for an
     /// element-wise deterministic `allreduce_sum`: every limb is an
-    /// integer below 2³¹ in magnitude, so cross-rank sums (≤ 2²⁰ ranks)
+    /// integer at most 2³¹ in magnitude, so cross-rank sums (≤ 2²⁰ ranks)
     /// stay below 2⁵³ and add exactly in any association.
     pub fn to_transport(&mut self, out: &mut [f64]) {
         assert_eq!(out.len(), TRANSPORT_LEN);
@@ -175,7 +246,8 @@ impl ExactAcc {
             *a += b;
         }
         self.nonfinite += other.nonfinite;
-        self.pending += 1;
+        // `other`'s limbs are raw: they carry all of its pending adds.
+        self.pending = self.pending.saturating_add(other.pending).saturating_add(1);
         if self.pending >= RENORM_EVERY {
             self.renorm();
         }
@@ -247,7 +319,28 @@ impl ExactAcc {
     }
 }
 
-/// Balanced carry propagation on a raw limb array.
+const FRACTION: u64 = 0x000f_ffff_ffff_ffff;
+const IMPLICIT_BIT: u64 = 1 << 52;
+
+/// The biased 11-bit exponent field of a double's bit pattern.
+#[inline]
+fn exponent_field(bits: u64) -> u32 {
+    (bits >> 52) as u32 & 0x7ff
+}
+
+/// `|x| = m · 2^e` with `m` an integer below 2⁵³, from the bit pattern of
+/// a finite double: a subnormal has no implicit bit and the exponent of
+/// the smallest normal.
+fn decode(bits: u64) -> (u64, i32) {
+    let x = exponent_field(bits);
+    let implicit = if x == 0 { 0 } else { IMPLICIT_BIT };
+    (bits & FRACTION | implicit, x.max(1) as i32 - 1075)
+}
+
+/// Balanced carry propagation on a raw limb array. A nonzero final carry
+/// means the true sum overflows 2¹⁰⁸⁸ — far beyond f64 range — so the top
+/// limb saturates; `value()` then rounds to ±∞ as an ordinary overflow
+/// would.
 fn balance(limbs: &mut [i64; N_LIMBS]) {
     let mut carry: i64 = 0;
     for limb in limbs.iter_mut() {
@@ -476,5 +569,154 @@ mod tests {
         }
         left.merge(&right);
         assert_eq!(whole.to_bits(), left.value().to_bits());
+    }
+
+    /// The parent implementation of `add_prod`, kept as the oracle:
+    /// two_prod splitting for every product.
+    fn add_prod_oracle(acc: &mut ExactAcc, a: f64, b: f64) {
+        let hi = a * b;
+        if hi.is_finite() {
+            acc.add_two_prod(a, b, hi);
+        } else {
+            acc.nonfinite += 1;
+        }
+    }
+
+    fn transport(acc: &mut ExactAcc) -> Vec<f64> {
+        let mut img = vec![0.0; TRANSPORT_LEN];
+        acc.to_transport(&mut img);
+        img
+    }
+
+    /// A double with a random 52-bit fraction, random sign and the given
+    /// biased exponent field (0 = subnormal).
+    fn with_exponent(state: &mut u64, exp_bits: u64) -> f64 {
+        let u = splitmix64(state);
+        f64::from_bits((u & (1 << 63)) | (exp_bits << 52) | (u >> 12))
+    }
+
+    #[test]
+    fn integer_product_matches_two_prod_limb_for_limb() {
+        let mut s = 0x5eed_u64;
+        let mut fast = ExactAcc::new();
+        let mut oracle = ExactAcc::new();
+        let mut pairs = 0u32;
+        let check = |fast: &mut ExactAcc, oracle: &mut ExactAcc, what: &str| {
+            let (f, o) = (transport(fast), transport(oracle));
+            for (k, (x, y)) in f.iter().zip(&o).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}: transport slot {k}");
+            }
+        };
+        let mut feed = |fast: &mut ExactAcc, oracle: &mut ExactAcc, a: f64, b: f64| {
+            fast.add_prod(a, b);
+            add_prod_oracle(oracle, a, b);
+            pairs += 1;
+            if pairs % 1000 == 0 {
+                check(
+                    fast,
+                    oracle,
+                    &format!("after {pairs} pairs (last {a:e} * {b:e})"),
+                );
+            }
+        };
+        // Magnitudes 2^±0 … 2^±1000, subnormals included, paired so that
+        // most products are finite and some overflow or underflow.
+        for scale in [0u64, 10, 100, 300, 520, 1000] {
+            for _ in 0..15_000 {
+                let ea = 1023 + scale - splitmix64(&mut s) % (2 * scale + 1);
+                let eb = 1023 + scale - splitmix64(&mut s) % (2 * scale + 1);
+                let a = with_exponent(&mut s, ea.min(2046));
+                let b = with_exponent(&mut s, eb.min(2046));
+                feed(&mut fast, &mut oracle, a, b);
+            }
+        }
+        // Subnormal operands against everything, and signed zeros.
+        for _ in 0..10_000 {
+            let a = with_exponent(&mut s, 0);
+            let eb = splitmix64(&mut s) % 2047;
+            let b = with_exponent(&mut s, eb);
+            feed(&mut fast, &mut oracle, a, b);
+            feed(&mut fast, &mut oracle, b, a);
+        }
+        for z in [0.0, -0.0] {
+            for _ in 0..500 {
+                let eb = splitmix64(&mut s) % 2047;
+                let b = with_exponent(&mut s, eb);
+                feed(&mut fast, &mut oracle, z, b);
+                feed(&mut fast, &mut oracle, b, z);
+            }
+        }
+        // Exponent sums straddling the −1074 boundary by ±2: with
+        // a = m_a·2^(xa−1075) and b likewise, ea + eb = xa + xb − 2150.
+        for delta in -2i64..=2 {
+            for _ in 0..2_000 {
+                let xa = 1 + splitmix64(&mut s) % 1074;
+                let xb = (1076 + delta - xa as i64) as u64;
+                let a = with_exponent(&mut s, xa);
+                let b = with_exponent(&mut s, xb);
+                feed(&mut fast, &mut oracle, a, b);
+            }
+        }
+        assert!(pairs >= 100_000, "only {pairs} pairs");
+        assert!(fast.nonfinite > 0, "no product overflowed");
+        check(&mut fast, &mut oracle, "final");
+        // Poisoning aside, the finite parts agree as values too.
+        fast.nonfinite = 0;
+        oracle.nonfinite = 0;
+        assert_eq!(fast.value().to_bits(), oracle.value().to_bits());
+    }
+
+    #[test]
+    fn merge_charges_the_other_sides_pending_adds() {
+        for k in [0u32, 1, 77, 5000] {
+            let mut a = ExactAcc::new();
+            let mut b = ExactAcc::new();
+            a.add_prod(3.0, 5.0);
+            for i in 0..k {
+                b.add(1.0 + i as f64);
+            }
+            assert_eq!(b.pending, k);
+            let before = a.pending;
+            a.merge(&b);
+            assert!(a.pending > before + k, "k = {k}: {} pending", a.pending);
+        }
+        // At the threshold the merge renormalizes instead.
+        let mut a = ExactAcc::new();
+        let mut b = ExactAcc::new();
+        a.add(f64::MAX);
+        b.add(f64::MAX);
+        a.pending = RENORM_EVERY / 2;
+        b.pending = RENORM_EVERY / 2;
+        a.merge(&b);
+        assert_eq!(a.pending, 0, "renorm ran");
+        assert!(a.limbs.iter().all(|&l| (-(1 << 31)..1 << 31).contains(&l)));
+        // 2·MAX rounds as an overflow.
+        assert_eq!(a.value(), f64::INFINITY);
+        // Saturating: a pathological pending count cannot wrap.
+        let mut a = ExactAcc::new();
+        a.pending = RENORM_EVERY - 1;
+        b.pending = u32::MAX;
+        a.merge(&b);
+        assert_eq!(a.pending, 0);
+    }
+
+    #[test]
+    fn merging_unnormalized_accumulators_matches_one_accumulator() {
+        let mut s = 21u64;
+        let mut whole = ExactAcc::new();
+        let mut merged = ExactAcc::new();
+        for _ in 0..4096 {
+            let mut part = ExactAcc::new();
+            for _ in 0..8 {
+                let (a, b) = (rand_f64(&mut s, 300), rand_f64(&mut s, 300));
+                whole.add_prod(a, b);
+                part.add_prod(a, b);
+            }
+            assert!(part.pending > 0, "parts are merged raw");
+            merged.merge(&part);
+        }
+        let (w, m) = (transport(&mut whole), transport(&mut merged));
+        assert_eq!(w, m);
+        assert_eq!(whole.value().to_bits(), merged.value().to_bits());
     }
 }

@@ -7,6 +7,11 @@
 //! reporting min/mean/max to stdout. No statistics, no HTML reports, no
 //! comparison to saved baselines — the numbers are for eyeballing
 //! relative cost on one machine in one run.
+//!
+//! Like the real crate, positional command-line arguments are substring
+//! filters on the benchmark name (`cargo bench --bench kernels --
+//! reductions`) and `--quick` shortens the run (three samples); other
+//! flags, such as the `--bench` cargo passes, are ignored.
 
 use std::time::{Duration, Instant};
 
@@ -49,6 +54,37 @@ impl Bencher {
     }
 }
 
+/// Does `name` pass the command line's positional substring filters?
+fn selected(name: &str) -> bool {
+    let mut filters = std::env::args()
+        .skip(1)
+        .filter(|a| !a.starts_with('-'))
+        .peekable();
+    filters.peek().is_none() || filters.any(|f| name.contains(&f))
+}
+
+/// The sample count after `--quick`.
+fn effective(sample_size: usize) -> usize {
+    if std::env::args().any(|a| a == "--quick") {
+        sample_size.min(3)
+    } else {
+        sample_size
+    }
+}
+
+/// Run and report one named benchmark, unless filtered out.
+fn run_one(name: &str, sample_size: usize, f: impl FnOnce(&mut Bencher)) {
+    if !selected(name) {
+        return;
+    }
+    let mut bencher = Bencher {
+        samples: Vec::new(),
+        target: effective(sample_size),
+    };
+    f(&mut bencher);
+    report(name, &bencher.samples);
+}
+
 fn report(name: &str, samples: &[Duration]) {
     if samples.is_empty() {
         println!("{name:<50} (no samples)");
@@ -81,12 +117,7 @@ impl Criterion {
     }
 
     pub fn bench_function(&mut self, name: &str, f: impl FnOnce(&mut Bencher)) -> &mut Self {
-        let mut bencher = Bencher {
-            samples: Vec::new(),
-            target: self.sample_size,
-        };
-        f(&mut bencher);
-        report(name, &bencher.samples);
+        run_one(name, self.sample_size, f);
         self
     }
 
@@ -116,12 +147,7 @@ impl BenchmarkGroup<'_> {
     }
 
     pub fn bench_function(&mut self, name: &str, f: impl FnOnce(&mut Bencher)) -> &mut Self {
-        let mut bencher = Bencher {
-            samples: Vec::new(),
-            target: self.sample_size,
-        };
-        f(&mut bencher);
-        report(&format!("{}/{name}", self.group), &bencher.samples);
+        run_one(&format!("{}/{name}", self.group), self.sample_size, f);
         self
     }
 
