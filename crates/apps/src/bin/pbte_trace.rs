@@ -73,6 +73,13 @@
 //!   bound tier's specialized programs in place of the generic stack VM,
 //!   so the attribution names the code that ran, not a lineage alias.
 //!
+//! * kernel-span **stencil attribution**: every such span carries
+//!   `run_cells`, the cells of its sweep that lie inside stencil runs
+//!   (0 = the whole sweep walked CSR), printed per target as
+//!   `kernel run_cells: Some([..])`; every target but the cell
+//!   partition (`cells:<r>`) sweeps the whole mesh per rank and must
+//!   report the sequential run's value.
+//!
 //! Any violated assertion prints a `PARITY MISMATCH` line and the exit
 //! status is 1.
 
@@ -268,24 +275,47 @@ fn expectations(
     ex
 }
 
+/// A recorded span's attribute by key.
+fn recorded_attr<'a>(s: &'a pbte_runtime::telemetry::Span, key: &str) -> Option<&'a str> {
+    s.attrs
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map(|(_, v)| v.as_str())
+}
+
 /// Distinct `tier/flux` attribute pairs across a recording's `Kernel`
 /// spans: which kernel tier ran, and how it evaluated the face flux.
 fn kernel_tiers(rec: &Recorder) -> Vec<String> {
-    let attr = |s: &pbte_runtime::telemetry::Span, key: &str| {
-        s.attrs
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.clone())
-    };
     let mut tiers: Vec<String> = rec
         .spans()
         .iter()
         .filter(|s| matches!(s.kind, SpanKind::Kernel))
-        .filter_map(|s| Some(format!("{}/{}", attr(s, "tier")?, attr(s, "flux")?)))
+        .filter_map(|s| {
+            Some(format!(
+                "{}/{}",
+                recorded_attr(s, "tier")?,
+                recorded_attr(s, "flux")?
+            ))
+        })
         .collect();
     tiers.sort();
     tiers.dedup();
     tiers
+}
+
+/// Distinct `run_cells` attributes across a recording's tier-attributed
+/// `Kernel` spans — how many of the sweep's cells took the stencil runs
+/// (0: the whole sweep walked CSR). `None` when a span lacks it.
+fn kernel_run_cells(rec: &Recorder) -> Option<Vec<u64>> {
+    let mut cells = rec
+        .spans()
+        .iter()
+        .filter(|s| matches!(s.kind, SpanKind::Kernel) && recorded_attr(s, "tier").is_some())
+        .map(|s| recorded_attr(s, "run_cells")?.parse().ok())
+        .collect::<Option<Vec<u64>>>()?;
+    cells.sort_unstable();
+    cells.dedup();
+    Some(cells)
 }
 
 fn run_parity(
@@ -310,14 +340,22 @@ fn run_parity(
     let seq = seq_report.work;
     let seq_tiers = kernel_tiers(&rec);
     println!("  kernel tier attribution: {seq_tiers:?}");
+    let seq_run_cells = kernel_run_cells(&rec);
+    println!("  kernel run_cells: {seq_run_cells:?}");
 
     let mut ok = true;
+    if seq_run_cells.is_none() {
+        println!("PARITY MISMATCH: a seq kernel span carries no run_cells attribute");
+        ok = false;
+    }
     if seq_tiers.len() != 1 {
         println!("PARITY MISMATCH: seq kernel spans attribute mixed tiers {seq_tiers:?}");
         ok = false;
     }
     for tname in names.into_iter().skip(1) {
         let target = parse_target(tname, ranks).expect("parity names are target spellings");
+        // Only a cell partition changes which cells a rank sweeps.
+        let sweeps_all_cells = !matches!(target, ExecTarget::DistCells { .. });
         let mut rec = Recorder::buffered();
         let (report, _) = run_one(source, cfg, target, tier, false, &mut rec);
         print_report(tname, &report);
@@ -344,6 +382,16 @@ fn run_parity(
         if tiers != seq_tiers {
             println!(
                 "PARITY MISMATCH: {tname} kernel tier attribution {tiers:?} != seq {seq_tiers:?}"
+            );
+            ok = false;
+        }
+        // Every sweep says how many of its cells took the stencil runs; a
+        // rank that sweeps the whole mesh must say what seq said.
+        let run_cells = kernel_run_cells(&rec);
+        println!("  kernel run_cells: {run_cells:?}");
+        if run_cells.is_none() || (sweeps_all_cells && run_cells != seq_run_cells) {
+            println!(
+                "PARITY MISMATCH: {tname} kernel run_cells {run_cells:?}, seq {seq_run_cells:?}"
             );
             ok = false;
         }

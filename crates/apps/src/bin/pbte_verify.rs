@@ -12,7 +12,9 @@
 //! and each time integrator (explicit, implicit θ=1, steady), the
 //! problem is compiled and `verify_plan` checks:
 //!
-//! 1. bytecode well-formedness and derived read sets vs the declared ones;
+//! 1. bytecode well-formedness and derived read sets vs the declared
+//!    ones, the CSR face geometry (`geometry/csr-invariant`) and the
+//!    stencil run table re-derived from it (`geometry/run-mismatch`);
 //! 2. pairwise-disjoint write regions for the parallel split of the target
 //!    (under an implicit integrator, additionally that the per-rank Krylov
 //!    work-vector scopes tile the dof grid exactly);

@@ -186,10 +186,63 @@ fn bench_reductions(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fig-4 hot-spot problem on its grid, or on the same grid with each
+/// pair of neighboring cells `2i`, `2i + 1` swapped: no two consecutive
+/// cells share their neighbor offsets, so the plan has no stencil run,
+/// while memory locality stays what it was.
+fn fig4_plan(cfg: &BteConfig, pair_swapped: bool) -> (CompiledProblem, pbte_dsl::Fields) {
+    let mut problem = hotspot_2d(cfg).problem;
+    if pair_swapped {
+        let base = problem.mesh.take().expect("the scenario attaches its grid");
+        let cells: Vec<Vec<usize>> = (0..base.n_cells())
+            .map(|c| base.cell_vertices(c ^ 1).to_vec())
+            .collect();
+        let mut mesh = pbte_mesh::Mesh::from_cells(2, base.vertices.clone(), &cells);
+        let (lx, ly) = (cfg.lx, cfg.ly);
+        mesh.add_boundary_region("left", move |c| c.x < 1e-9 * lx);
+        mesh.add_boundary_region("right", move |c| c.x > lx - 1e-9 * lx);
+        mesh.add_boundary_region("bottom", move |c| c.y < 1e-9 * ly);
+        mesh.add_boundary_region("top", move |c| c.y > ly - 1e-9 * ly);
+        problem.mesh(mesh);
+    }
+    CompiledProblem::compile(problem).expect("compiles")
+}
+
+/// One full intensity sweep of the fig-4 problem (48×48 cells × 96
+/// flats) on the span tiers: over the grid, where 92 % of the cells sit
+/// in stencil runs, and over the pair-swapped numbering, where every
+/// cell takes the CSR walk — the floor a regression back to CSR would
+/// land on.
+fn bench_flux_runs(c: &mut Criterion) {
+    use pbte_dsl::problem::KernelTier;
+    let cfg = BteConfig::small(48, 12, 8, 1);
+    let mut group = c.benchmark_group("flux_runs");
+    for (numbering, pair_swapped) in [("runs", false), ("csr", true)] {
+        let (cp, fields) = fig4_plan(&cfg, pair_swapped);
+        for (name, tier) in [("row", KernelTier::Row), ("native", KernelTier::Native)] {
+            let mut bench = cp.intensity_bench(&fields, tier);
+            if bench.tier() != tier {
+                eprintln!("flux_runs/{name}_{numbering}: tier unavailable, skipped");
+                continue;
+            }
+            let interior = (cfg.nx - 2) * (cfg.ny - 2);
+            assert_eq!(bench.run_cells(), if pair_swapped { 0 } else { interior });
+            let mut rhs = vec![0.0; fields.slice(cp.system.unknown).len()];
+            group.bench_function(&format!("{name}_{numbering}"), |b| {
+                b.iter(|| {
+                    bench.run(black_box(&fields), &mut rhs);
+                    black_box(rhs[rhs.len() / 2])
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_pipeline, bench_kernel_eval, bench_temperature, bench_partitioners, bench_device,
-        bench_reductions
+        bench_reductions, bench_flux_runs
 );
 criterion_main!(benches);

@@ -20,7 +20,7 @@ use crate::bytecode::{
     BoundOp, Op, Pattern, Program, RegOp, RegProgram, FACE_INPUTS, FACE_NORMAL, MAX_STACK,
 };
 use crate::entities::CoefficientValue;
-use crate::exec::CompiledProblem;
+use crate::exec::{CompiledProblem, MAX_RUN_FACES, MIN_RUN};
 use std::collections::BTreeSet;
 
 /// Read sets derived from bytecode (entity ids into the registry).
@@ -456,8 +456,87 @@ pub(super) fn check_kernels(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) -> 
 }
 
 /// Structural invariants of the CSR face geometry the fused
-/// superinstructions index without further checks at run time.
+/// superinstructions index without further checks at run time, then the
+/// stencil run table against those arrays ([`check_runs`]).
 pub(super) fn check_geometry(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
+    let before = out.len();
+    check_csr(cp, out);
+    // The run proof reads the CSR arrays, so it needs them sound.
+    if out.len() == before {
+        check_runs(cp, out);
+    }
+}
+
+/// The stencil run table is proved, not trusted: every run is re-derived
+/// from the CSR arrays it summarises. Runs are sorted, disjoint, inside
+/// `0..n_cells` and at least `MIN_RUN` long; every cell `c` of a run has
+/// exactly `nf` faces, and its slot `s` has `nbr == c + delta[s]` (an
+/// interior cell, so in `0..n_cells`) and `class == class[s]`.
+///
+/// That is all the stencil path needs: inside a proven run it reads
+/// exactly the `u_row` entries, areas and αβγ rows the CSR walk reads for
+/// the same cells, and writes the same `out` entries, so the access, race
+/// and halo proofs — stated over the CSR walk — hold for it unchanged.
+fn check_runs(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
+    let hot = &cp.hot;
+    let n_cells = cp.mesh().n_cells();
+    let mut fail = |message: String| {
+        out.push(Diagnostic {
+            severity: Severity::Error,
+            rule: rules::RUN_MISMATCH,
+            entity: String::new(),
+            location: "stencil run table".into(),
+            message,
+        });
+    };
+    let mut covered = 0usize;
+    for (r, run) in hot.runs.iter().enumerate() {
+        let (first, end, nf) = (run.first as usize, run.end(), run.nf as usize);
+        if first < covered || end > n_cells {
+            fail(format!(
+                "run {r} covers cells {first}..{end}: not after the previous run (ends {covered}) inside 0..{n_cells}"
+            ));
+            return;
+        }
+        covered = end;
+        if (run.len as usize) < MIN_RUN || !(3..=MAX_RUN_FACES).contains(&nf) {
+            fail(format!(
+                "run {r} has {} cell(s) of {nf} face(s): below {MIN_RUN} cells or outside 3..={MAX_RUN_FACES} faces",
+                run.len
+            ));
+            return;
+        }
+        for c in first..end {
+            let start = hot.offsets[c] as usize;
+            if hot.offsets[c + 1] as usize - start != nf {
+                fail(format!(
+                    "run {r}: cell {c} has {} faces, the run says {nf}",
+                    hot.offsets[c + 1] as usize - start
+                ));
+                return;
+            }
+            for s in 0..nf {
+                let k = start + s;
+                if hot.nbr[k] < 0 || hot.nbr[k] != c as i64 + run.delta[s] as i64 {
+                    fail(format!(
+                        "run {r}: cell {c} slot {s} has neighbor {}, the run says {c} + {}",
+                        hot.nbr[k], run.delta[s]
+                    ));
+                    return;
+                }
+                if hot.class[k] != run.class[s] {
+                    fail(format!(
+                        "run {r}: cell {c} slot {s} has class {}, the run says {}",
+                        hot.class[k], run.class[s]
+                    ));
+                    return;
+                }
+            }
+        }
+    }
+}
+
+fn check_csr(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
     let hot = &cp.hot;
     let n_cells = cp.mesh().n_cells();
     let n_bslots = cp.boundary.len();
@@ -577,6 +656,63 @@ pub(super) fn check_catalog(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
         }
         if let Some(writes) = &step.writes {
             check(writes, loc.clone(), out);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::ExecTarget;
+    use crate::problem::{BoundaryCondition, Problem};
+    use pbte_mesh::UniformGrid;
+
+    /// A table plan on a 12×4 grid: two interior rows, each one stencil
+    /// run of 10 cells.
+    fn grid_plan() -> CompiledProblem {
+        let mut p = Problem::new("run-table-seam");
+        p.domain(2);
+        p.mesh(UniformGrid::new_2d(12, 4, 1.0, 1.0).build());
+        p.set_steps(1e-3, 1);
+        let d = p.index("d", 2);
+        let i_var = p.variable("I", &[d]);
+        p.coefficient_array("Sx", &[d], vec![0.6, -0.8]);
+        p.coefficient_array("Sy", &[d], vec![0.8, 0.6]);
+        for side in ["left", "right", "top", "bottom"] {
+            p.boundary(i_var, side, BoundaryCondition::Value(0.0));
+        }
+        p.conservation_form(i_var, "surface(upwind([Sx[d];Sy[d]], I[d]))");
+        CompiledProblem::compile(p).unwrap().0
+    }
+
+    /// The run table is proved, not trusted: a wrong neighbor offset, a
+    /// wrong class, a run stretched over a boundary cell and overlapping
+    /// runs are each refused by `verify_plan` under `geometry/run-mismatch`.
+    #[test]
+    fn a_tampered_run_table_is_refused() {
+        let clean = grid_plan();
+        assert_eq!(clean.hot.runs.len(), 2);
+        assert!(clean.verify_plan(&ExecTarget::CpuSeq).is_empty());
+
+        type Tamper = fn(&mut CompiledProblem);
+        let tampers: [(&str, Tamper); 4] = [
+            ("delta", |cp| cp.hot.runs[0].delta[1] += 1),
+            ("class", |cp| cp.hot.runs[1].class[2] ^= 1),
+            ("boundary cell", |cp| cp.hot.runs[0].len += 1),
+            ("overlap", |cp| {
+                cp.hot.runs[1].first = cp.hot.runs[0].first + 4
+            }),
+        ];
+        for (what, tamper) in tampers {
+            let mut cp = grid_plan();
+            tamper(&mut cp);
+            let diags = cp.verify_plan(&ExecTarget::CpuSeq);
+            assert!(
+                diags
+                    .iter()
+                    .any(|d| d.rule == rules::RUN_MISMATCH && d.severity == Severity::Error),
+                "{what}: {diags:?}"
+            );
         }
     }
 }

@@ -13,7 +13,8 @@
 //!    depth, register def-before-use, and load-offset bounds fall out as
 //!    byproducts — and cross-checked against the equation-level
 //!    declaration. The CSR face geometry the fused superinstructions
-//!    index is bounds-checked too.
+//!    index is bounds-checked too, and the stencil run table the span
+//!    kernels walk is re-derived from it (`geometry/run-mismatch`).
 //! 2. **Write disjointness** (`races`): the threaded cell-span split,
 //!    the distributed rank partitions (cells and bands), the
 //!    divided-Newton cell slices, and the GPU `launch_rows` flattening
@@ -102,6 +103,10 @@ pub mod rules {
     pub const UNDECLARED_ACCESS: &str = "bytecode/undeclared-access";
     /// The CSR face geometry violates a structural invariant.
     pub const CSR_INVARIANT: &str = "geometry/csr-invariant";
+    /// The stencil run table disagrees with the CSR face geometry it
+    /// summarises (a run's face count, neighbor offset or class does not
+    /// hold for one of its cells, or runs overlap or leave the mesh).
+    pub const RUN_MISMATCH: &str = "geometry/run-mismatch";
     /// Two parallel write regions claim the same dof.
     pub const OVERLAPPING_WRITE: &str = "race/overlapping-write";
     /// A write region addresses dofs outside the entity.

@@ -272,6 +272,7 @@ pub(crate) fn solve(
         }
         let d = Dofs {
             cells,
+            cell_spans: &super::rows::cell_spans(cells),
             flats,
             n_cells: local.n_cells,
         };

@@ -46,22 +46,33 @@ pub(crate) enum Plan {
 pub(crate) struct Dofs<'a> {
     /// Owned cells (global ids).
     pub cells: &'a [usize],
+    /// `cells` as `(first cell, length)` spans — [`rows::cell_spans`],
+    /// computed once per scope; every sweep and vector pass walks these.
+    pub cell_spans: &'a [(usize, usize)],
     /// Owned flattened index values.
     pub flats: &'a [usize],
     pub n_cells: usize,
 }
 
 impl<'a> Dofs<'a> {
-    /// The owned dofs as maximal contiguous index ranges, flat-major —
-    /// the same walk as the sweeps ([`rows::spans`] per flat). Vector
-    /// passes slice their operands by these instead of indexing per dof.
+    /// The owned dofs as contiguous index ranges, flat-major — the same
+    /// walk as the sweeps. Vector passes slice their operands by these
+    /// instead of indexing per dof.
     pub fn spans(self) -> impl Iterator<Item = Range<usize>> + 'a {
         self.flats.iter().flat_map(move |&flat| {
-            rows::spans(self.cells).map(move |(start, len)| {
+            self.cell_spans.iter().map(move |&(start, len)| {
                 let at = flat * self.n_cells + start;
                 at..at + len
             })
         })
+    }
+
+    /// How many owned cells lie inside stencil runs of `hot`.
+    fn run_cells(self, hot: &super::HotGeometry) -> usize {
+        self.cell_spans
+            .iter()
+            .map(|&(start, len)| hot.run_cells_in(start, len))
+            .sum()
     }
 }
 
@@ -144,9 +155,9 @@ pub(crate) trait Backend {
 /// Serial `u += coeff * rhs` over a scope.
 fn axpy(fields: &mut Fields, unknown: usize, d: Dofs, coeff: f64, rhs: &[f64]) {
     let u = fields.slice_mut(unknown);
-    for &flat in d.flats {
-        for &cell in d.cells {
-            u[flat * d.n_cells + cell] += coeff * rhs[flat * d.n_cells + cell];
+    for span in d.spans() {
+        for (u, r) in u[span.clone()].iter_mut().zip(&rhs[span]) {
+            *u += coeff * r;
         }
     }
 }
@@ -156,8 +167,9 @@ fn axpy(fields: &mut Fields, unknown: usize, d: Dofs, coeff: f64, rhs: &[f64]) {
 /// flux-path attribution, so traces show what actually ran (the resolved
 /// tier may differ from the requested one after clamping or native
 /// fallback, and the same tier evaluates the flux from a table on one mesh
-/// and from its compiled program on another). `plan` is the compiled
-/// problem `which` names.
+/// and from its compiled program on another), and with `run_cells`, the
+/// scope's cells inside stencil runs (0: the whole sweep took the CSR
+/// walk). `plan` is the compiled problem `which` names.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn traced_rhs<B: Backend + ?Sized>(
     backend: &mut B,
@@ -188,6 +200,7 @@ pub(crate) fn traced_rhs<B: Backend + ?Sized>(
                 ("tier", backend.tier().name().to_string()),
                 ("flux", plan.flux_path(backend.tier()).name().to_string()),
                 ("dofs", (d.flats.len() * d.cells.len()).to_string()),
+                ("run_cells", d.run_cells(&plan.hot).to_string()),
             ],
         );
     }
@@ -619,6 +632,7 @@ pub(crate) fn solve(
         let (cells, flats) = &scopes[0];
         let d = Dofs {
             cells,
+            cell_spans: &rows::cell_spans(cells),
             flats,
             n_cells: fields.n_cells,
         };

@@ -449,6 +449,7 @@ impl Backend for GpuBackend {
                 vec![
                     ("step", step.to_string()),
                     ("threads", n_threads.to_string()),
+                    ("run_cells", cp.hot.run_cells_in(0, n_cells).to_string()),
                     ("tier", self.main.kernels.tier.name().to_string()),
                     (
                         "flux",

@@ -651,6 +651,7 @@ pub(crate) fn theta_step(
 
 #[cfg(test)]
 mod tests {
+    use super::super::rows::cell_spans;
     use super::super::LocalLinks;
     use super::*;
 
@@ -710,6 +711,7 @@ mod tests {
         for (cells, flats) in scopes() {
             check(Dofs {
                 cells: &cells,
+                cell_spans: &cell_spans(&cells),
                 flats: &flats,
                 n_cells: N_CELLS,
             });
@@ -729,6 +731,7 @@ mod tests {
         let (cells, flats) = &scopes()[0];
         let d = Dofs {
             cells,
+            cell_spans: &cell_spans(cells),
             flats,
             n_cells: N_CELLS,
         };

@@ -40,6 +40,7 @@ use crate::problem::{BoundaryCondition, DslError, GpuStrategy, KernelTier, Probl
 use pbte_gpu::DeviceSpec;
 use pbte_runtime::timer::PhaseTimer;
 use pbte_runtime::world::CommStats;
+use std::sync::{Arc, OnceLock};
 
 /// Phase names shared by the executors and the figure harness (the
 /// paper's Figs 5 and 8 categories).
@@ -496,6 +497,10 @@ pub struct CompiledProblem {
     /// through the identical pipeline, so every kernel tier and the whole
     /// translation-validation chain apply to it unchanged.
     pub jvp: Option<Box<CompiledProblem>>,
+    /// The plan's loaded native kernels (or why there are none), prepared
+    /// on first use by [`crate::nativegen`] and shared by every scope of
+    /// every solve. The JVP plan carries its own.
+    pub(crate) native: OnceLock<Result<Arc<crate::nativegen::NativeLib>, String>>,
 }
 
 /// Declared accesses of one pre/post-step callback (`None` = opaque,
@@ -557,6 +562,105 @@ impl CallbackCatalog {
     }
 }
 
+/// Most faces a cell of a [`StencilRun`] has (the per-slot arrays of a run
+/// are this long): hexahedra. Runs are recorded for `3..=MAX_RUN_FACES`
+/// faces — triangles to hexahedra, the counts the span kernels have a
+/// straight-line loop for; any other cell takes the CSR walk.
+pub(crate) const MAX_RUN_FACES: usize = 6;
+
+/// Shortest stencil run worth recording: below two 4-lane vectors the
+/// per-segment setup (hoisting `3·nf` coefficients) outweighs what the
+/// straight-line loop saves over the CSR walk.
+pub(crate) const MIN_RUN: usize = 8;
+
+/// A maximal run of consecutive all-interior cells `first .. first + len`
+/// that share one face count, one neighbor offset per face slot
+/// (`nbr[k] − cell`) and one orientation class per face slot — what a
+/// structured grid is between its walls. Inside a run the flux sum needs
+/// no CSR walk: slot `s` of cell `c` reads `u_row[c + delta[s]]` with the
+/// αβγ of `class[s]`, and its area sits at face slot
+/// `offsets[first] + nf·(c − first) + s`. Areas are deliberately *not*
+/// part of the shape: on a uniform grid the edge lengths of consecutive
+/// cells differ in the last bit, so they stay a per-face load.
+///
+/// `#[repr(C)]`: the emitted native source declares the same struct and
+/// reads the table through `NativeArgs::runs`.
+#[repr(C)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StencilRun {
+    pub first: u32,
+    pub len: u32,
+    /// Faces per cell, `≤ MAX_RUN_FACES`; slots past it are zero.
+    pub nf: u32,
+    pub delta: [i32; MAX_RUN_FACES],
+    pub class: [u32; MAX_RUN_FACES],
+}
+
+impl StencilRun {
+    /// One past the run's last cell.
+    #[inline]
+    pub fn end(&self) -> usize {
+        self.first as usize + self.len as usize
+    }
+
+    /// The run a lone `cell` would start, if it has `3..=MAX_RUN_FACES`
+    /// faces, all interior and within `i32` of it.
+    fn of_cell(cell: usize, offsets: &[u32], nbr: &[i64], class: &[u32]) -> Option<StencilRun> {
+        let (start, end) = (offsets[cell] as usize, offsets[cell + 1] as usize);
+        let nf = end - start;
+        if !(3..=MAX_RUN_FACES).contains(&nf) {
+            return None;
+        }
+        let mut run = StencilRun {
+            first: cell as u32,
+            len: 1,
+            nf: nf as u32,
+            delta: [0; MAX_RUN_FACES],
+            class: [0; MAX_RUN_FACES],
+        };
+        for (s, k) in (start..end).enumerate() {
+            if nbr[k] < 0 {
+                return None;
+            }
+            run.delta[s] = i32::try_from(nbr[k] - cell as i64).ok()?;
+            run.class[s] = class[k];
+        }
+        Some(run)
+    }
+
+    /// Whether two runs have the same shape (face count, deltas, classes).
+    pub fn same_shape(&self, other: &StencilRun) -> bool {
+        (self.nf, self.delta, self.class) == (other.nf, other.delta, other.class)
+    }
+
+    /// The stencil runs of a CSR face geometry, sorted by `first`: one
+    /// pass over the cells, a run kept when it reaches [`MIN_RUN`] cells.
+    /// [`crate::analysis::verify_plan`] re-derives every recorded run
+    /// from the same arrays (`geometry/run-mismatch`).
+    pub(crate) fn detect(offsets: &[u32], nbr: &[i64], class: &[u32]) -> Vec<StencilRun> {
+        let mut runs = Vec::new();
+        let mut open: Option<StencilRun> = None;
+        let mut close = |run: Option<StencilRun>| {
+            runs.extend(run.filter(|r| r.len as usize >= MIN_RUN));
+        };
+        for cell in 0..offsets.len().saturating_sub(1) {
+            let here = StencilRun::of_cell(cell, offsets, nbr, class);
+            open = match (open, here) {
+                (Some(mut run), Some(here)) if run.same_shape(&here) => {
+                    run.len += 1;
+                    Some(run)
+                }
+                (run, here) => {
+                    close(run);
+                    here
+                }
+            };
+        }
+        close(open);
+        runs
+    }
+}
+
 /// Structure-of-arrays face connectivity the generated CPU code indexes
 /// directly (the `Face` objects of the mesh are too pointer-heavy for the
 /// inner loop). `nbr[k] ≥ 0` is the neighbor cell; `-(slot+1)` points into
@@ -579,6 +683,10 @@ pub(crate) struct HotGeometry {
     pub dim: usize,
     /// 1 / cell volume.
     pub inv_volume: Vec<f64>,
+    /// Stencil runs over the cells, sorted and disjoint (table plans only;
+    /// empty without a [`FluxLinearization`]). The span kernels walk a
+    /// span as run segments and CSR remainders.
+    pub runs: Vec<StencilRun>,
 }
 
 impl HotGeometry {
@@ -622,6 +730,10 @@ impl HotGeometry {
         } else {
             Vec::new()
         };
+        let runs = match lin {
+            Some(_) => StencilRun::detect(&offsets, &nbr, &class),
+            None => Vec::new(),
+        };
         HotGeometry {
             offsets,
             nbr,
@@ -630,7 +742,20 @@ impl HotGeometry {
             normals,
             dim: mesh.dim,
             inv_volume: mesh.cell_volumes.iter().map(|v| 1.0 / v).collect(),
+            runs,
         }
+    }
+
+    /// How many of the cells `start .. start + len` lie inside stencil
+    /// runs.
+    pub fn run_cells_in(&self, start: usize, len: usize) -> usize {
+        let end = start + len;
+        let from = self.runs.partition_point(|r| r.end() <= start);
+        self.runs[from..]
+            .iter()
+            .take_while(|r| (r.first as usize) < end)
+            .map(|r| r.end().min(end) - (r.first as usize).max(start))
+            .sum()
     }
 
     /// Oriented normal of face slot `k` as the compiled flux reads it:
@@ -789,9 +914,11 @@ impl CompiledProblem {
                 normals: Vec::new(),
                 dim: 0,
                 inv_volume: Vec::new(),
+                runs: Vec::new(),
             },
             catalog: CallbackCatalog::default(),
             jvp: None,
+            native: OnceLock::new(),
         };
         cp.catalog = CallbackCatalog::build(&cp.problem, &cp.boundary);
         cp.flux_lin = linearize_flux(&cp);
@@ -932,6 +1059,7 @@ impl CompiledProblem {
         let kernels = rows::IntensityKernels::with_tier(self, &all_flats, tier);
         IntensityBench {
             cp: self,
+            cell_spans: vec![(0, all_cells.len())],
             cells: all_cells,
             flats: all_flats,
             ghosts,
@@ -980,6 +1108,9 @@ impl CompiledProblem {
 pub struct IntensityBench<'a> {
     cp: &'a CompiledProblem,
     cells: Vec<usize>,
+    /// The spans each flat's cell range is swept in: one, unless
+    /// [`Self::split`] cut it.
+    cell_spans: Vec<(usize, usize)>,
     flats: Vec<usize>,
     ghosts: Vec<f64>,
     kernels: rows::IntensityKernels,
@@ -999,10 +1130,29 @@ impl IntensityBench<'_> {
         self.kernels.native_fallback()
     }
 
+    /// Sweep each flat's cell range in spans of `span` cells instead of
+    /// one — the way the threaded and distributed executors cut it. The
+    /// result must not depend on the cut.
+    pub fn split(mut self, span: usize) -> Self {
+        let n = self.cells.len();
+        self.cell_spans = (0..n)
+            .step_by(span.max(1))
+            .map(|start| (start, span.max(1).min(n - start)))
+            .collect();
+        self
+    }
+
+    /// Cells inside stencil runs of the plan's geometry (0 when the whole
+    /// sweep takes the CSR walk).
+    pub fn run_cells(&self) -> usize {
+        self.cp.hot.run_cells_in(0, self.cells.len())
+    }
+
     /// Evaluate the RHS for every (cell, flat) pair into `rhs`.
     pub fn run(&mut self, fields: &Fields, rhs: &mut [f64]) {
         let d = driver::Dofs {
             cells: &self.cells,
+            cell_spans: &self.cell_spans,
             flats: &self.flats,
             n_cells: fields.n_cells,
         };

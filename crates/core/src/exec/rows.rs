@@ -3,11 +3,12 @@
 //! Four execution tiers evaluate the RHS (see DESIGN.md §"Kernel
 //! tiers"): the generic stack VM, the per-flat bound program, the fused
 //! row kernel this module implements — a [`RegProgram`] for the source
-//! term plus a flux loop over the `hot` SoA geometry (the αβγ table
-//! lookup on meshes with few face orientations, the flux's own
-//! [`RegProgram`] batched over face slots otherwise), evaluated over a
-//! whole contiguous cell span per call — and the native tier, which
-//! AOT-compiles the same per-flat row programs to machine code through
+//! term, then a flux pass over the `hot` SoA geometry (on meshes with few
+//! face orientations the αβγ table, walked as straight-line stencil-run
+//! segments where the mesh is regular and as CSR remainders elsewhere;
+//! the flux's own [`RegProgram`] batched over face slots otherwise),
+//! evaluated over a whole contiguous cell span per call — and the native
+//! tier, which AOT-compiles the same two passes to machine code through
 //! [`crate::nativegen`]. All tiers are bit-identical per
 //! DOF, independent of how a cell range is split into spans, so every
 //! executor (sequential, threaded, distributed, GPU) can route through
@@ -17,11 +18,11 @@
 //! programs provably never read `t`, the per-flat specialization is
 //! reused for the whole run instead of being rebuilt every step. The
 //! native tier extends that story to machine code: preparation (lowering,
-//! validation, `rustc`, `dlopen`) happens once at scope construction, and
+//! validation, `rustc`, `dlopen`) happens once per compiled problem, and
 //! failures degrade to the row tier with a [`Diagnostic`] instead of
 //! erroring.
 
-use super::{seq, CompiledProblem, FluxLinearization, HotGeometry};
+use super::{seq, CompiledProblem, FluxLinearization, HotGeometry, StencilRun};
 use crate::analysis::{rules, Diagnostic, Severity};
 use crate::bytecode::{
     BoundProgram, KernelKind, RegProgram, FACE_INPUTS, FACE_NORMAL, FACE_U1, FACE_U2, ROW_CHUNK,
@@ -213,23 +214,19 @@ impl IntensityKernels {
     }
 }
 
-/// Iterator over maximal contiguous ascending runs `(first_cell, len)` of
-/// a cell list. Distributed scopes (RCB partitions) may be non-contiguous;
-/// any list is handled — non-consecutive cells just yield length-1 spans.
-pub(crate) fn spans(cells: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
-    let mut pos = 0usize;
-    std::iter::from_fn(move || {
-        if pos >= cells.len() {
-            return None;
+/// The maximal contiguous ascending spans `(first_cell, len)` of a cell
+/// list, in list order. Distributed scopes (RCB partitions) may be
+/// non-contiguous; any list is handled — non-consecutive cells just yield
+/// length-1 spans. Computed once per scope (`Dofs::cell_spans`).
+pub(crate) fn cell_spans(cells: &[usize]) -> Vec<(usize, usize)> {
+    let mut spans: Vec<(usize, usize)> = Vec::new();
+    for &cell in cells {
+        match spans.last_mut() {
+            Some((start, len)) if *start + *len == cell => *len += 1,
+            _ => spans.push((cell, 1)),
         }
-        let start = cells[pos];
-        let mut len = 1usize;
-        while pos + len < cells.len() && cells[pos + len] == start + len {
-            len += 1;
-        }
-        pos += len;
-        Some((start, len))
-    })
+    }
+    spans
 }
 
 /// `source − flux·invV`, or the fused update `u + dt·(source − flux·invV)`
@@ -249,16 +246,12 @@ fn finish_dof(
     }
 }
 
-/// Combine precomputed source values with the face-flux sum over a
-/// contiguous cell span, through the αβγ table. On entry `out[i]` holds
-/// the source for cell `cell0 + i`; on exit it holds the RHS or the fused
-/// update (see [`finish_dof`]).
-///
-/// The flux loop replicates `seq::flux_sum_dof`'s linearized fast path
-/// exactly (same face order, same operations) so results are bit-identical
-/// to the per-DOF tiers.
+/// The table flux over the cells `cell0 .. cell0 + out.len()` by the CSR
+/// walk: `seq::flux_sum_dof`'s linearized fast path face for face (same
+/// order, same operations), so results are bit-identical to the per-DOF
+/// tiers. Handles boundary faces (ghosts or skip) and any face count.
 #[allow(clippy::too_many_arguments)]
-fn flux_combine(
+fn flux_csr(
     cp: &CompiledProblem,
     lin: &FluxLinearization,
     u_row: &[f64],
@@ -289,6 +282,121 @@ fn flux_combine(
             flux_sum += hot.area[k] * lin.eval(flat, hot.class[k], u_here, u2);
         }
         *o = finish_dof(*o, flux_sum, hot.inv_volume[cell], u_here, fused_dt);
+    }
+}
+
+/// The table flux over cells `cell0 .. cell0 + out.len()` lying inside
+/// the stencil run `run` of `NF`-face cells: per slot, the αβγ of the
+/// run's class and the neighbor row at the run's delta are hoisted out of
+/// the loop, leaving `flux += area · (γ + α·u + β·u_nbr)` for slots
+/// `0..NF` in order — per dof the operation sequence of [`flux_csr`], so
+/// the same bits. Runs are all-interior, so there is no boundary case.
+#[allow(clippy::too_many_arguments)]
+fn flux_stencil<const NF: usize>(
+    hot: &HotGeometry,
+    lin: &FluxLinearization,
+    run: &StencilRun,
+    u_row: &[f64],
+    flat: usize,
+    cell0: usize,
+    out: &mut [f64],
+    fused_dt: Option<f64>,
+) {
+    let len = out.len();
+    let coef: [[f64; 3]; NF] = std::array::from_fn(|s| {
+        let at = flat * lin.n_classes + run.class[s] as usize;
+        [lin.gamma[at], lin.alpha[at], lin.beta[at]]
+    });
+    let nbr: [&[f64]; NF] = std::array::from_fn(|s| {
+        let at = (cell0 as i64 + run.delta[s] as i64) as usize;
+        &u_row[at..at + len]
+    });
+    let k0 = hot.offsets[cell0] as usize;
+    let area = hot.area[k0..k0 + NF * len].chunks_exact(NF);
+    let u = &u_row[cell0..cell0 + len];
+    let inv_volume = &hot.inv_volume[cell0..cell0 + len];
+    for (j, (o, area)) in out.iter_mut().zip(area).enumerate() {
+        let u_here = u[j];
+        let mut flux_sum = 0.0;
+        for s in 0..NF {
+            let [gamma, alpha, beta] = coef[s];
+            flux_sum += area[s] * (gamma + alpha * u_here + beta * nbr[s][j]);
+        }
+        *o = finish_dof(*o, flux_sum, inv_volume[j], u_here, fused_dt);
+    }
+}
+
+type StencilFn = fn(
+    &HotGeometry,
+    &FluxLinearization,
+    &StencilRun,
+    &[f64],
+    usize,
+    usize,
+    &mut [f64],
+    Option<f64>,
+);
+
+/// [`flux_stencil`] unrolled for a run's face count (triangles to
+/// hexahedra); `None` sends any other count through the CSR walk.
+fn stencil_kernel(nf: u32) -> Option<StencilFn> {
+    match nf {
+        3 => Some(flux_stencil::<3>),
+        4 => Some(flux_stencil::<4>),
+        5 => Some(flux_stencil::<5>),
+        6 => Some(flux_stencil::<6>),
+        _ => None,
+    }
+}
+
+/// Combine precomputed source values with the face-flux sum over a
+/// contiguous cell span, through the αβγ table. On entry `out[i]` holds
+/// the source for cell `cell0 + i`; on exit it holds the RHS or the fused
+/// update (see [`finish_dof`]).
+///
+/// The span is walked as *run segments and CSR remainders*: where it
+/// overlaps a [`StencilRun`] of the plan's geometry the straight-line
+/// [`flux_stencil`] runs, elsewhere (boundary cells, irregular cells, a
+/// mesh without runs) the CSR walk of [`flux_csr`]. A span may start or
+/// end anywhere inside a run; both paths produce the same bits per dof,
+/// so the split never shows in the result.
+#[allow(clippy::too_many_arguments)]
+fn flux_combine(
+    cp: &CompiledProblem,
+    lin: &FluxLinearization,
+    u_row: &[f64],
+    flat: usize,
+    boundary: FluxBoundary,
+    cell0: usize,
+    out: &mut [f64],
+    fused_dt: Option<f64>,
+) {
+    let hot = &cp.hot;
+    let end = cell0 + out.len();
+    // The first run ending after `cell0` (runs are sorted and disjoint).
+    let mut next = hot.runs.partition_point(|r| r.end() <= cell0);
+    let mut cell = cell0;
+    while cell < end {
+        // Inside the next run: a stencil segment to its end. Before it (or
+        // past the last): a CSR segment up to it.
+        let (seg_end, stencil) = match hot.runs.get(next) {
+            Some(run) if run.first as usize <= cell => {
+                next += 1;
+                (
+                    run.end(),
+                    stencil_kernel(run.nf).map(|kernel| (run, kernel)),
+                )
+            }
+            Some(run) => (run.first as usize, None),
+            None => (end, None),
+        };
+        let seg_end = seg_end.min(end);
+        let seg = &mut out[cell - cell0..seg_end - cell0];
+        match stencil {
+            Some((run, kernel)) => kernel(hot, lin, run, u_row, flat, cell, seg, fused_dt),
+            None => flux_csr(cp, lin, u_row, flat, boundary, cell, seg, fused_dt),
+        }
+        cell = seg_end;
     }
 }
 
@@ -457,6 +565,8 @@ fn rhs_span_native(
         fused: fused_dt.is_some() as u8,
         skip_boundary,
         normals: hot.normals.as_ptr(),
+        runs: hot.runs.as_ptr(),
+        n_runs: hot.runs.len(),
     };
     // SAFETY: the kernel was generated for this exact plan (same variable
     // layout, same geometry arrays, same n_cells baked into the load
@@ -529,6 +639,7 @@ pub(crate) fn rhs_block(
 
 #[cfg(test)]
 mod tests {
+    use super::super::MIN_RUN;
     use super::*;
     use crate::entities::Fields;
     use crate::problem::{BoundaryCondition, Problem};
@@ -563,21 +674,58 @@ mod tests {
         mesh
     }
 
-    fn triangle_plan() -> (CompiledProblem, Fields) {
-        let mut p = Problem::new("rows-compiled-flux");
-        p.domain(2);
-        p.mesh(jittered_triangles());
+    /// Four-direction upwind transport with decay on `mesh`, whose whole
+    /// boundary is the region `wall`.
+    fn upwind_plan(mesh: Mesh) -> (CompiledProblem, Fields) {
+        let dim = mesh.dim;
+        let mut p = Problem::new("rows-upwind");
+        p.domain(dim);
+        p.mesh(mesh);
         p.set_steps(1e-3, 1);
         let d = p.index("d", 4);
         let i_var = p.variable("I", &[d]);
         p.coefficient_array("Sx", &[d], vec![1.0, 0.0, -0.6, 0.28]);
         p.coefficient_array("Sy", &[d], vec![0.0, 1.0, 0.8, -0.96]);
         p.initial(i_var, |x, idx| {
-            (17.0 * x.x + 5.0 * x.y + idx[0] as f64).sin()
+            (17.0 * x.x + 5.0 * x.y + 3.0 * x.z + idx[0] as f64).sin()
         });
         p.boundary(i_var, "wall", BoundaryCondition::Value(0.25));
-        p.conservation_form(i_var, "-I[d] + surface(upwind([Sx[d];Sy[d]], I[d]))");
+        if dim == 3 {
+            p.coefficient_array("Sz", &[d], vec![0.0, 0.0, 0.0, 0.0]);
+            p.conservation_form(i_var, "-I[d] + surface(upwind([Sx[d];Sy[d];Sz[d]], I[d]))");
+        } else {
+            p.conservation_form(i_var, "-I[d] + surface(upwind([Sx[d];Sy[d]], I[d]))");
+        }
         CompiledProblem::compile(p).unwrap()
+    }
+
+    fn triangle_plan() -> (CompiledProblem, Fields) {
+        upwind_plan(jittered_triangles())
+    }
+
+    /// `grid` with `swaps` seeded transpositions applied to its cell
+    /// numbering (0: the grid's own order) — same geometry, same answer
+    /// per cell, but every swapped cell cuts a stencil run in two.
+    fn renumbered(grid: &UniformGrid, seed: u64, swaps: usize) -> Mesh {
+        let base = grid.build();
+        let mut order: Vec<usize> = (0..base.n_cells()).collect();
+        let mut x = seed;
+        let mut draw = || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (x ^ x >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            ((z ^ z >> 27) >> 16) as usize % base.n_cells()
+        };
+        for _ in 0..swaps {
+            let (a, b) = (draw(), draw());
+            order.swap(a, b);
+        }
+        let cells: Vec<Vec<usize>> = order
+            .iter()
+            .map(|&c| base.cell_vertices(c).to_vec())
+            .collect();
+        let mut mesh = Mesh::from_cells(base.dim, base.vertices.clone(), &cells);
+        mesh.add_boundary_region("wall", |_| true);
+        mesh
     }
 
     /// One sweep over all dofs at `tier`, every flat's cell range cut into
@@ -656,23 +804,132 @@ mod tests {
         }
     }
 
+    /// Whether `tier` resolves on this host (Native needs a `rustc`).
+    fn available(cp: &CompiledProblem, tier: KernelTier) -> bool {
+        IntensityKernels::with_tier(cp, &[0], tier).tier == tier
+    }
+
+    /// Row and Native against `Bound` (the per-dof CSR walk), bit for bit,
+    /// with the cell range cut so that spans start, end and straddle
+    /// inside stencil runs, with and without boundary faces and the fused
+    /// update.
+    fn assert_runs_match_the_csr_walk(cp: &CompiledProblem, fields: &Fields, nx: usize) {
+        assert!(cp.flux_lin.is_some(), "a table plan");
+        let n_cells = fields.n_cells;
+        let spans = [
+            1,
+            7,
+            MIN_RUN - 1,
+            MIN_RUN,
+            ROW_CHUNK,
+            nx - 2,
+            nx - 1,
+            nx,
+            n_cells,
+        ];
+        for (skip, fused_dt) in [(false, None), (true, None), (false, Some(1e-3))] {
+            let reference = sweep(cp, fields, KernelTier::Bound, n_cells, skip, fused_dt);
+            for tier in [KernelTier::Row, KernelTier::Native] {
+                if !available(cp, tier) {
+                    continue;
+                }
+                for span in spans {
+                    let got = sweep(cp, fields, tier, span, skip, fused_dt);
+                    for (i, (a, b)) in got.iter().zip(&reference).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{tier:?} skip {skip} fused {fused_dt:?} span {span} dof {i}: {a} vs {b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// (cells in runs, run count, distinct shapes) of a plan's run table.
+    fn run_census(cp: &CompiledProblem) -> (usize, usize, usize) {
+        let runs = &cp.hot.runs;
+        let mut shapes: Vec<&StencilRun> = Vec::new();
+        for r in runs {
+            if !shapes.iter().any(|s| s.same_shape(r)) {
+                shapes.push(r);
+            }
+        }
+        let cells = runs.iter().map(|r| r.len as usize).sum();
+        (cells, runs.len(), shapes.len())
+    }
+
+    #[test]
+    fn stencil_runs_are_bit_identical_to_the_csr_walk_for_any_span_split() {
+        // Interior rows of 18 and 10 cells, both ≥ MIN_RUN.
+        let quads = UniformGrid::new_2d(20, 12, 1.0, 0.6);
+        let hexes = UniformGrid::new_3d(12, 5, 4, 1.2, 0.5, 0.4);
+        for (grid, rows, faces, swaps) in [(&quads, 10, 4, 6), (&hexes, 3 * 2, 6, 1)] {
+            let (cp, fields) = upwind_plan(renumbered(grid, 0, 0));
+            let (cells, runs, shapes) = run_census(&cp);
+            assert_eq!((cells, runs, shapes), ((grid.nx - 2) * rows, rows, 1));
+            assert!(cp.hot.runs.iter().all(|r| r.nf == faces));
+            assert_runs_match_the_csr_walk(&cp, &fields, grid.nx);
+
+            // Renumbered: runs cut short or lost, same bits.
+            let (shuffled, fields) = upwind_plan(renumbered(grid, 0x5EED, swaps));
+            let (cut_cells, _, _) = run_census(&shuffled);
+            assert!(0 < cut_cells && cut_cells < cells, "{cut_cells} of {cells}");
+            assert_runs_match_the_csr_walk(&shuffled, &fields, grid.nx);
+        }
+    }
+
+    #[test]
+    fn run_table_covers_the_interior_of_a_grid_and_nothing_of_a_jittered_mesh() {
+        let (cp, _) = upwind_plan(renumbered(&UniformGrid::new_2d(64, 64, 1.0, 1.0), 0, 0));
+        assert_eq!(run_census(&cp), (62 * 62, 62, 1));
+        assert_eq!(cp.hot.run_cells_in(0, 64 * 64), 62 * 62);
+        // Row 1 holds cells 64..128, its run 65..127.
+        assert_eq!(cp.hot.run_cells_in(60, 10), 5);
+        assert_eq!(cp.hot.run_cells_in(120, 80), 7 + 62 + 7);
+        // No flux table (too many orientations): no run table either.
+        let (cp, _) = triangle_plan();
+        assert!(cp.hot.runs.is_empty());
+    }
+
+    /// The compiled-flux emission is the parent commit's, byte for byte:
+    /// its cached `.so` files stay valid and the lane that bypasses the
+    /// stencil runs cannot have moved. The hash was taken from the build
+    /// before stencil runs existed.
+    #[test]
+    fn compiled_flux_source_is_byte_identical_to_the_pre_run_emission() {
+        let (cp, fields) = triangle_plan();
+        let per_flat = nativegen::lower_plan(&cp).unwrap();
+        assert_eq!(
+            nativegen::source_hash(&cp, &per_flat),
+            0xcd6c_c2f0_2fa0_e9c1
+        );
+        // The streamed hash is the hash of the text a compile would write.
+        let mut text = String::new();
+        nativegen::emit_source(&cp, fields.n_cells, &per_flat, &mut text).unwrap();
+        assert_eq!(text.len(), 11_508);
+        let mut hash = nativegen::Fnv1a::new();
+        std::fmt::Write::write_str(&mut hash, &text).unwrap();
+        assert_eq!(hash.0, 0xcd6c_c2f0_2fa0_e9c1);
+    }
+
     #[test]
     fn spans_merges_contiguous_runs() {
         let cells = [0usize, 1, 2, 5, 6, 9];
-        let got: Vec<_> = spans(&cells).collect();
-        assert_eq!(got, vec![(0, 3), (5, 2), (9, 1)]);
+        assert_eq!(cell_spans(&cells), vec![(0, 3), (5, 2), (9, 1)]);
     }
 
     #[test]
     fn spans_handles_unsorted_lists() {
         let cells = [4usize, 2, 3, 1];
-        let got: Vec<_> = spans(&cells).collect();
+        let got = cell_spans(&cells);
         assert_eq!(got, vec![(4, 1), (2, 2), (1, 1)]);
         assert_eq!(got.iter().map(|&(_, l)| l).sum::<usize>(), cells.len());
     }
 
     #[test]
     fn spans_empty() {
-        assert_eq!(spans(&[]).count(), 0);
+        assert!(cell_spans(&[]).is_empty());
     }
 }

@@ -166,7 +166,7 @@ pub(crate) fn eval_rhs_dof_vm(
 
 /// Compute the RHS for every (cell, flat) in scope into
 /// `rhs[flat * n_cells + cell]`: a serial walk over each owned flat's
-/// maximal contiguous cell spans, one [`rows::rhs_block`] call per span.
+/// cell spans, one [`rows::rhs_block`] call per span.
 /// The walk is flat-major on every tier; each dof is independent within a
 /// sweep, so the `assemblyLoops` preference (paper §III-C) shows in the
 /// generated source but cannot change results.
@@ -189,7 +189,7 @@ pub(crate) fn compute_rhs_into(
     let faces_in_scope = kernels.faces_for_cells(&cp.hot, d.cells);
     let mut regs = kernels.scratch();
     for (k, &flat) in d.flats.iter().enumerate() {
-        for (start, len) in rows::spans(d.cells) {
+        for &(start, len) in d.cell_spans {
             let at = flat * d.n_cells + start;
             rows::rhs_block(
                 kernels,

@@ -7,20 +7,32 @@
 //! (the fused superinstructions expanded honoring their
 //! `const_first`/`load_first` orientation flags so results stay
 //! bit-identical to the row tier), wrapped in a per-flat `extern "C"`
-//! kernel that also inlines the flux loop — the αβγ table lookup, or on
-//! meshes with too many face orientations for a table the flux's own
-//! lowered statements — and the fused Euler update, and compiled
-//! out-of-process by `rustc` into a `cdylib`.
+//! kernel, and compiled out-of-process by `rustc` into a `cdylib`.
+//!
+//! The emitted plan is organised like the Row tier (`eval_row`, then
+//! `flux_combine`). On a **table plan** each per-flat kernel is its source
+//! statements written to `out` followed by one call of `flux_span`, the
+//! flux loop emitted *once per plan*: it walks the span as stencil-run
+//! segments (a straight-line `flux += area·(γ + α·u + β·u_nbr)` per face
+//! slot, face count baked, neighbor deltas and classes read from the run
+//! table in `NativeArgs::runs`) and CSR remainders, with the αβγ rows of
+//! the calling flat passed as pointers, and folds in the fused Euler
+//! update. Emitting that loop per flat instead would cost 132 copies on
+//! the hot-spot file — 3.7× the cold compile time for no run-time gain.
+//! On meshes with too many face orientations for a table (a
+//! **compiled-flux plan**) each per-flat kernel fuses the source, the
+//! flux's own lowered statements per face and the update in one loop.
 //!
 //! Three properties keep this sound and cheap:
 //!
 //! * **Bit identity.** The emitted expressions perform exactly the
 //!   per-lane operations of `RegProgram::eval_row` in exactly the same
 //!   order, and the emitted flux loop replicates `rows::flux_combine`
-//!   (or `rows::flux_combine_compiled`) face-for-face. Rust f64 arithmetic is strict IEEE-754 (no
-//!   fast-math, no implicit FMA contraction), so the compiled kernel is
-//!   bitwise-equal to the interpreted tiers — the differential tests
-//!   assert this.
+//!   (run segments and CSR remainders alike) or
+//!   `rows::flux_combine_compiled` face-for-face. Rust f64 arithmetic is
+//!   strict IEEE-754 (no fast-math, no implicit FMA contraction), so the
+//!   compiled kernel is bitwise-equal to the interpreted tiers — the
+//!   differential tests assert this.
 //! * **Validation before compilation.** Every lowered statement list —
 //!   the exact tree the text renderer prints, for the volume program and
 //!   for a compiled flux — is abstractly executed over symbolic values and
@@ -28,12 +40,15 @@
 //!   `translation/native-mismatch`) *before* any source reaches `rustc`.
 //!   A corrupted emission is rejected, never executed.
 //! * **Content-addressed caching.** The full generated source is hashed
-//!   (FNV-1a 64) and the compiled library stored as
+//!   (FNV-1a 64) as it is emitted — the text itself is materialised only
+//!   when a compile needs it — and the compiled library stored as
 //!   `target/pbte-native-cache/<hash>.so` (override with
 //!   `PBTE_NATIVE_CACHE_DIR`); recompiles are amortized across runs,
 //!   steps, and processes, extending the bind-caching story to machine
 //!   code. An in-process map additionally caches loaded handles — and
-//!   failures, so a broken toolchain is probed once, not per scope.
+//!   failures, so a broken toolchain is probed once — and each
+//!   `CompiledProblem` keeps its prepared plan, so a plan is lowered and
+//!   hashed once, not per scope or per solve.
 //!
 //! If `rustc` is missing (override with `PBTE_NATIVE_RUSTC`), compilation
 //! fails, or the plan is ineligible (a program reading `t`, function
@@ -45,9 +60,10 @@
 use crate::bytecode::{
     BoundProgram, Func, KernelKind, RegOp, RegProgram, FACE_NORMAL, FACE_U1, FACE_U2,
 };
-use crate::exec::CompiledProblem;
+use crate::exec::{CompiledProblem, StencilRun, MAX_RUN_FACES};
 use pbte_symbolic::expr::CmpOp;
 use std::collections::HashMap;
+use std::fmt::{self, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -183,8 +199,8 @@ pub(crate) fn lower_stmts(reg: &RegProgram) -> Result<Vec<NStmt>, String> {
 
 /// Argument block passed to a generated kernel. The generated source
 /// contains the same `#[repr(C)]` definition (same field order, same
-/// target; see `normals` for the one optional trailing field), so both
-/// sides agree on layout by construction.
+/// target; see `runs` for the optional trailing fields), so both sides
+/// agree on layout by construction.
 #[repr(C)]
 pub(crate) struct NativeArgs {
     /// Per-variable base pointers, indexed by registry variable id.
@@ -208,10 +224,14 @@ pub(crate) struct NativeArgs {
     pub fused: u8,
     /// 1 → skip boundary faces (GPU async-boundary semantics).
     pub skip_boundary: u8,
-    /// Per-face owner-side normals for the compiled flux. Kernels of a
-    /// table plan declare the struct without this trailing field and never
-    /// read it.
+    /// Per-face owner-side normals for the compiled flux (never read by
+    /// the kernels of a table plan).
     pub normals: *const f64,
+    /// The plan's stencil runs, sorted by first cell, and their count.
+    /// Kernels of a compiled-flux plan declare the struct without these
+    /// two trailing fields and never read them.
+    pub runs: *const StencilRun,
+    pub n_runs: usize,
 }
 
 /// Signature of every generated per-flat kernel.
@@ -334,76 +354,241 @@ pub(crate) struct FlatStmts {
 /// The emitted `Args` fields shared by every plan, in `NativeArgs` order.
 const ARGS_FIELDS: &str = "    vars: *const *const f64,\n    ghosts: *const f64,\n    offsets: *const u32,\n    nbr: *const i64,\n    area: *const f64,\n    class: *const u32,\n    inv_volume: *const f64,\n    out: *mut f64,\n    cell0: usize,\n    len: usize,\n    fused_dt: f64,\n    fused: u8,\n    skip_boundary: u8,\n";
 
-/// Emit the complete source for one compiled plan: one kernel per flat,
-/// each fusing the unrolled source expression, the flux loop over the CSR
-/// geometry (the αβγ lookup of `rows::flux_combine`, or the lowered flux
-/// statements of `rows::flux_combine_compiled`), and the optional Euler
-/// update — the exact operation sequence of `rows::rhs_span`.
-pub(crate) fn emit_source(cp: &CompiledProblem, n_cells: usize, per_flat: &[FlatStmts]) -> String {
+/// The `Args` locals a flux loop hoists before it starts: the `out`
+/// stores go through a raw pointer, so without the copies LLVM must
+/// assume they may alias the Args struct itself and reload each field on
+/// every iteration.
+const HOISTED_ARGS: &str = "    let ghosts = a.ghosts;\n    let offsets = a.offsets;\n    let nbr = a.nbr;\n    let area = a.area;\n    let class = a.class;\n    let inv_volume = a.inv_volume;\n    let out = a.out;\n    let cell0 = a.cell0;\n    let len = a.len;\n    let fused_dt = a.fused_dt;\n    let fused = a.fused != 0;\n    let skip_boundary = a.skip_boundary != 0;\n";
+
+/// Emit the complete source for one compiled plan into `w`: one
+/// `pbte_flat_N` kernel per flat computing `rows::rhs_span`'s operation
+/// sequence over a cell span.
+///
+/// * A **table plan** is organised like the Row tier: each per-flat
+///   kernel is its unrolled source statements written to `out` followed
+///   by one call of `flux_span`, the run walk of `rows::flux_combine`
+///   emitted *once per plan* (see [`emit_flux_span`]).
+/// * A **compiled-flux plan** fuses source, the per-face lowered flux
+///   statements of `rows::flux_combine_compiled` and the Euler update in
+///   each per-flat kernel.
+///
+/// `w` is a `String` when the text is needed (a compile) and a hashing
+/// sink when only the cache key is.
+pub(crate) fn emit_source(
+    cp: &CompiledProblem,
+    n_cells: usize,
+    per_flat: &[FlatStmts],
+    w: &mut impl Write,
+) -> fmt::Result {
     let n_flat = cp.n_flat;
-    let unknown = cp.system.unknown;
-    let face_base = cp.flux.face_base;
-    let dim = cp.hot.dim;
-    let mut src = String::with_capacity(4096 + n_flat * 2048);
-    src.push_str("// Generated by pbte-dsl nativegen; do not edit.\n");
+    w.write_str("// Generated by pbte-dsl nativegen; do not edit.\n")?;
     // The flag set is part of the emitted header so the content hash (the
     // plan-cache key) changes whenever the codegen options do.
-    src.push_str(&format!(
-        "// rustc flags: {}\n",
-        RUSTC_CODEGEN_FLAGS.join(" ")
-    ));
-    src.push_str("#![allow(warnings)]\n#![crate_type = \"cdylib\"]\n\n");
-    src.push_str("#[repr(C)]\npub struct Args {\n");
-    src.push_str(ARGS_FIELDS);
-    if cp.flux_lin.is_none() {
-        src.push_str("    normals: *const f64,\n");
-    }
-    src.push_str("}\n\n");
+    writeln!(w, "// rustc flags: {}", RUSTC_CODEGEN_FLAGS.join(" "))?;
+    w.write_str("#![allow(warnings)]\n#![crate_type = \"cdylib\"]\n\n")?;
+    w.write_str("#[repr(C)]\npub struct Args {\n")?;
+    w.write_str(ARGS_FIELDS)?;
+    w.write_str("    normals: *const f64,\n")?;
     if let Some(lin) = &cp.flux_lin {
+        w.write_str("    runs: *const Run,\n    n_runs: usize,\n}\n\n")?;
         let nc = lin.n_classes;
         for flat in 0..n_flat {
             let at = flat * nc;
             for (name, table) in [("AL", &lin.alpha), ("BE", &lin.beta), ("GA", &lin.gamma)] {
-                src.push_str(&format!("static {name}{flat}: [f64; {nc}] = ["));
+                write!(w, "static {name}{flat}: [f64; {nc}] = [")?;
                 for c in 0..nc {
-                    src.push_str(&lit(table[at + c]));
-                    src.push(',');
+                    write!(w, "{},", lit(table[at + c]))?;
                 }
-                src.push_str("];\n");
+                w.write_str("];\n")?;
             }
         }
+        w.write_str("\n")?;
+        emit_flux_span(cp, w)?;
+    } else {
+        w.write_str("}\n\n\n")?;
     }
-    src.push('\n');
     for (flat, stmts) in per_flat.iter().enumerate() {
-        src.push_str(&format!(
-            "#[no_mangle]\npub unsafe extern \"C\" fn pbte_flat_{flat}(ap: *const Args) {{\n    let a = &*ap;\n"
-        ));
-        for v in vars_used(&stmts.volume, face_base) {
-            src.push_str(&format!("    let p{v}: *const f64 = *a.vars.add({v});\n"));
+        emit_flat_kernel(cp, n_cells, flat, stmts, w)?;
+    }
+    Ok(())
+}
+
+/// The table plan's one flux loop: `flux_span` walks the span as run
+/// segments and CSR remainders exactly like `rows::flux_combine`, over
+/// the run table passed through `Args::runs`. One straight-line
+/// `stencil_N` is emitted per face count the plan's table holds (`N`
+/// baked, deltas and classes read from the run); a run of any other count
+/// falls to the CSR loop, which is correct for every cell. The αβγ rows
+/// of the calling flat arrive as pointers.
+fn emit_flux_span(cp: &CompiledProblem, w: &mut impl Write) -> fmt::Result {
+    let n_flat = cp.n_flat;
+    write!(
+        w,
+        "#[repr(C)]\npub struct Run {{\n    first: u32,\n    len: u32,\n    nf: u32,\n    delta: [i32; {MAX_RUN_FACES}],\n    class: [u32; {MAX_RUN_FACES}],\n}}\n\n"
+    )?;
+    let mut face_counts: Vec<u32> = cp.hot.runs.iter().map(|r| r.nf).collect();
+    face_counts.sort_unstable();
+    face_counts.dedup();
+    for &nf in &face_counts {
+        write!(
+            w,
+            "#[inline(always)]\nunsafe fn stencil_{nf}(a: &Args, run: &Run, al: *const f64, be: *const f64, ga: *const f64, u_row: *const f64, cell: usize, seg_end: usize) {{\n"
+        )?;
+        for s in 0..nf {
+            write!(
+                w,
+                "    let c{s} = run.class[{s}] as usize;\n    let (g{s}, a{s}, b{s}) = (*ga.add(c{s}), *al.add(c{s}), *be.add(c{s}));\n    let d{s} = run.delta[{s}] as isize;\n"
+            )?;
         }
-        src.push_str(&format!(
-            "    let u_row: *const f64 = (*a.vars.add({unknown})).add({});\n",
-            flat * n_cells
-        ));
-        // Hoist every Args field into a local before the loop: the `out`
-        // stores go through a raw pointer, so without the copies LLVM
-        // must assume they may alias the Args struct itself and reload
-        // each field on every iteration.
-        src.push_str(
-            "    let ghosts = a.ghosts;\n    let offsets = a.offsets;\n    let nbr = a.nbr;\n    let area = a.area;\n    let class = a.class;\n    let inv_volume = a.inv_volume;\n    let out = a.out;\n    let cell0 = a.cell0;\n    let len = a.len;\n    let fused_dt = a.fused_dt;\n    let fused = a.fused != 0;\n    let skip_boundary = a.skip_boundary != 0;\n",
-        );
-        if stmts.flux.is_some() {
-            src.push_str("    let normals = a.normals;\n");
+        w.write_str(
+            "    let area = a.area;\n    let inv_volume = a.inv_volume;\n    let out = a.out;\n    let cell0 = a.cell0;\n    let fused_dt = a.fused_dt;\n    let fused = a.fused != 0;\n    let mut k = *a.offsets.add(cell) as usize;\n    let mut c = cell;\n    while c < seg_end {\n        let u_here = *u_row.add(c);\n        let mut flux = 0.0f64;\n",
+        )?;
+        for s in 0..nf {
+            writeln!(
+                w,
+                "        flux += *area.add(k + {s}) * (g{s} + a{s} * u_here + b{s} * *u_row.offset(c as isize + d{s}));"
+            )?;
         }
-        src.push_str(
-            "    let mut i = 0usize;\n    while i < len {\n        let cell = cell0 + i;\n",
-        );
+        write!(
+            w,
+            "        let o = out.add(c - cell0);\n        let rhs = *o - flux * *inv_volume.add(c);\n        *o = if fused {{ u_here + fused_dt * rhs }} else {{ rhs }};\n        c += 1;\n        k += {nf};\n    }}\n}}\n\n"
+        )?;
+    }
+    w.write_str(
+        "#[inline(never)]\nunsafe fn flux_span(a: &Args, al: *const f64, be: *const f64, ga: *const f64, flat: usize, u_row: *const f64) {\n",
+    )?;
+    w.write_str(HOISTED_ARGS)?;
+    w.write_str(
+        r#"    let runs = a.runs;
+    let n_runs = a.n_runs;
+    let end_cell = cell0 + len;
+    // The first run ending after `cell0` (runs are sorted and disjoint).
+    let mut next = 0usize;
+    let mut hi = n_runs;
+    while next < hi {
+        let mid = (next + hi) / 2;
+        let r = &*runs.add(mid);
+        if r.first as usize + r.len as usize <= cell0 {
+            next = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    let mut cell = cell0;
+    while cell < end_cell {
+        let mut seg_end = end_cell;
+        if next < n_runs {
+            let run = &*runs.add(next);
+            let first = run.first as usize;
+            if first <= cell {
+                next += 1;
+                let run_end = first + run.len as usize;
+                if run_end < seg_end {
+                    seg_end = run_end;
+                }
+                let stencil = match run.nf {
+"#,
+    )?;
+    for &nf in &face_counts {
+        writeln!(
+            w,
+            "                    {nf} => {{ stencil_{nf}(a, run, al, be, ga, u_row, cell, seg_end); true }}"
+        )?;
+    }
+    // The class tables are indexed through raw pointers so the three
+    // per-face lookups carry no bounds checks (`c` comes from the
+    // verified plan geometry, always < n_classes).
+    write!(
+        w,
+        r#"                    _ => false,
+                }};
+                if stencil {{
+                    cell = seg_end;
+                    continue;
+                }}
+            }} else if first < seg_end {{
+                seg_end = first;
+            }}
+        }}
+        while cell < seg_end {{
+            let u_here = *u_row.add(cell);
+            let mut flux = 0.0f64;
+            let mut k = *offsets.add(cell) as usize;
+            let end = *offsets.add(cell + 1) as usize;
+            while k < end {{
+                let nb = *nbr.add(k);
+                let u2 = if nb >= 0 {{
+                    *u_row.add(nb as usize)
+                }} else if skip_boundary {{
+                    k += 1;
+                    continue;
+                }} else {{
+                    *ghosts.add(((-(nb + 1)) as usize) * {n_flat} + flat)
+                }};
+                let c = *class.add(k) as usize;
+                flux += *area.add(k) * (*ga.add(c) + *al.add(c) * u_here + *be.add(c) * u2);
+                k += 1;
+            }}
+            let o = out.add(cell - cell0);
+            let rhs = *o - flux * *inv_volume.add(cell);
+            *o = if fused {{ u_here + fused_dt * rhs }} else {{ rhs }};
+            cell += 1;
+        }}
+    }}
+}}
+
+"#
+    )
+}
+
+/// One per-flat kernel: the unrolled source expression per cell, then the
+/// flux — a call of the plan's `flux_span` (table plan), or the per-face
+/// lowered flux statements and the Euler update fused into the same loop
+/// (compiled flux).
+fn emit_flat_kernel(
+    cp: &CompiledProblem,
+    n_cells: usize,
+    flat: usize,
+    stmts: &FlatStmts,
+    w: &mut impl Write,
+) -> fmt::Result {
+    let n_flat = cp.n_flat;
+    let unknown = cp.system.unknown;
+    let face_base = cp.flux.face_base;
+    let dim = cp.hot.dim;
+    write!(
+        w,
+        "#[no_mangle]\npub unsafe extern \"C\" fn pbte_flat_{flat}(ap: *const Args) {{\n    let a = &*ap;\n"
+    )?;
+    for v in vars_used(&stmts.volume, face_base) {
+        writeln!(w, "    let p{v}: *const f64 = *a.vars.add({v});")?;
+    }
+    writeln!(
+        w,
+        "    let u_row: *const f64 = (*a.vars.add({unknown})).add({});",
+        flat * n_cells
+    )?;
+    let Some(flux) = &stmts.flux else {
+        w.write_str(
+            "    let out = a.out;\n    let cell0 = a.cell0;\n    let len = a.len;\n    let mut i = 0usize;\n    while i < len {\n        let cell = cell0 + i;\n",
+        )?;
         for s in &stmts.volume {
-            src.push_str(&stmt_line(s, face_base));
-            src.push('\n');
+            writeln!(w, "{}", stmt_line(s, face_base))?;
         }
-        src.push_str(&format!(
-            r#"        let src = r0;
+        return write!(
+            w,
+            "        *out.add(i) = r0;\n        i += 1;\n    }}\n    flux_span(a, AL{flat}.as_ptr(), BE{flat}.as_ptr(), GA{flat}.as_ptr(), {flat}, u_row);\n}}\n"
+        );
+    };
+    w.write_str(HOISTED_ARGS)?;
+    w.write_str("    let normals = a.normals;\n")?;
+    w.write_str("    let mut i = 0usize;\n    while i < len {\n        let cell = cell0 + i;\n")?;
+    for s in &stmts.volume {
+        writeln!(w, "{}", stmt_line(s, face_base))?;
+    }
+    write!(
+        w,
+        r#"        let src = r0;
         let u_here = *u_row.add(cell);
         let mut flux = 0.0f64;
         let mut k = *offsets.add(cell) as usize;
@@ -419,46 +604,31 @@ pub(crate) fn emit_source(cp: &CompiledProblem, n_cells: usize, per_flat: &[Flat
                 *ghosts.add(((-(nb + 1)) as usize) * {n_flat} + {flat})
             }};
 "#
-        ));
-        match &stmts.flux {
-            // The class tables are indexed through raw pointers so the
-            // three per-face lookups carry no bounds checks (`c` comes
-            // from the verified plan geometry, always < n_classes).
-            None => src.push_str(&format!(
-                r#"            let c = *class.add(k) as usize;
-            flux += *area.add(k)
-                * (*GA{flat}.as_ptr().add(c)
-                    + *AL{flat}.as_ptr().add(c) * u_here
-                    + *BE{flat}.as_ptr().add(c) * u2);
-"#
-            )),
-            // `class` holds the signed face index: the owner-side normal
-            // of face `signed >> 1`, negated (exactly) when bit 0 is set.
-            // Components past the mesh dimension are ±0.0.
-            Some(flux) => {
-                src.push_str(&format!(
-                    "            let signed = *class.add(k) as usize;\n            let at = (signed >> 1) * {dim};\n            let flip = signed & 1 != 0;\n"
-                ));
-                for axis in 0..3 {
-                    let load = if axis < dim {
-                        format!("*normals.add(at + {axis})")
-                    } else {
-                        "0.0f64".to_string()
-                    };
-                    src.push_str(&format!(
-                        "            let n{axis} = if flip {{ -({load}) }} else {{ {load} }};\n"
-                    ));
-                }
-                for s in flux {
-                    src.push_str("    ");
-                    src.push_str(&stmt_line(s, face_base));
-                    src.push('\n');
-                }
-                src.push_str("            flux += *area.add(k) * r0;\n");
-            }
-        }
-        src.push_str(
-            r#"            k += 1;
+    )?;
+    // `class` holds the signed face index: the owner-side normal of face
+    // `signed >> 1`, negated (exactly) when bit 0 is set. Components past
+    // the mesh dimension are ±0.0.
+    write!(
+        w,
+        "            let signed = *class.add(k) as usize;\n            let at = (signed >> 1) * {dim};\n            let flip = signed & 1 != 0;\n"
+    )?;
+    for axis in 0..3 {
+        let load = if axis < dim {
+            format!("*normals.add(at + {axis})")
+        } else {
+            "0.0f64".to_string()
+        };
+        writeln!(
+            w,
+            "            let n{axis} = if flip {{ -({load}) }} else {{ {load} }};"
+        )?;
+    }
+    for s in flux {
+        writeln!(w, "    {}", stmt_line(s, face_base))?;
+    }
+    w.write_str(
+        r#"            flux += *area.add(k) * r0;
+            k += 1;
         }
         let rhs = src - flux * *inv_volume.add(cell);
         *out.add(i) = if fused { u_here + fused_dt * rhs } else { rhs };
@@ -466,9 +636,7 @@ pub(crate) fn emit_source(cp: &CompiledProblem, n_cells: usize, per_flat: &[Flat
     }
 }
 "#,
-        );
-    }
-    src
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -494,14 +662,25 @@ impl NativeLib {
     }
 }
 
-/// FNV-1a 64-bit hash of the generated source — the plan cache key.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a 64-bit hash of the generated source — the plan cache key —
+/// folded over the text as [`emit_source`] streams it, so the warm path
+/// never materialises the source.
+pub(crate) struct Fnv1a(pub u64);
+
+impl Fnv1a {
+    pub fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
 }
 
 /// The on-disk plan cache directory: `PBTE_NATIVE_CACHE_DIR` if set, else
@@ -699,8 +878,14 @@ fn load_cache() -> &'static LoadCache {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
+/// Load the plan `hash` from the disk cache, compiling it first — the
+/// only case that calls `source` for the text — when it is not there.
 #[cfg(all(unix, not(miri)))]
-fn compile_and_load(source: &str, n_flat: usize, hash: u64) -> Result<Arc<NativeLib>, String> {
+fn compile_and_load(
+    source: impl FnOnce() -> String,
+    n_flat: usize,
+    hash: u64,
+) -> Result<Arc<NativeLib>, String> {
     use std::process::Command;
     let dir = cache_dir();
     std::fs::create_dir_all(&dir).map_err(|e| format!("cache dir {}: {e}", dir.display()))?;
@@ -712,7 +897,7 @@ fn compile_and_load(source: &str, n_flat: usize, hash: u64) -> Result<Arc<Native
         touch(&dir.join(format!("{hash:016x}.rs")));
     } else {
         let src_path = dir.join(format!("{hash:016x}.rs"));
-        std::fs::write(&src_path, source)
+        std::fs::write(&src_path, source())
             .map_err(|e| format!("write {}: {e}", src_path.display()))?;
         // Compile to a process-unique temp name, then rename: concurrent
         // processes racing on the same plan both succeed.
@@ -746,7 +931,11 @@ fn compile_and_load(source: &str, n_flat: usize, hash: u64) -> Result<Arc<Native
 }
 
 #[cfg(not(all(unix, not(miri))))]
-fn compile_and_load(_source: &str, _n_flat: usize, _hash: u64) -> Result<Arc<NativeLib>, String> {
+fn compile_and_load(
+    _source: impl FnOnce() -> String,
+    _n_flat: usize,
+    _hash: u64,
+) -> Result<Arc<NativeLib>, String> {
     Err("native tier requires a unix host (and is disabled under miri)".into())
 }
 
@@ -770,10 +959,10 @@ fn lower_checked(bound: &BoundProgram, reg: &RegProgram, what: &str) -> Result<V
     }
 }
 
-/// Lower, validate, compile, and load the native kernels for a plan.
-/// `Err` is the structured fallback reason — the caller degrades to the
-/// row tier and records a `native/fallback` diagnostic.
-pub(crate) fn prepare(cp: &CompiledProblem) -> Result<Arc<NativeLib>, String> {
+/// The validated statement lists of every flat of a plan. `Err` when the
+/// plan is ineligible for native compilation or a lowering fails its
+/// proof.
+pub(crate) fn lower_plan(cp: &CompiledProblem) -> Result<Vec<FlatStmts>, String> {
     if let Some(why) = cp.flux_blocker() {
         return Err(why.into());
     }
@@ -793,22 +982,50 @@ pub(crate) fn prepare(cp: &CompiledProblem) -> Result<Arc<NativeLib>, String> {
         )
     };
     let compiled_flux = cp.compiled_flux();
-    let mut per_flat = Vec::with_capacity(cp.n_flat);
-    for flat in 0..cp.n_flat {
-        per_flat.push(FlatStmts {
-            volume: lower(KernelKind::Volume, flat, "volume")?,
-            flux: compiled_flux
-                .then(|| lower(KernelKind::Flux, flat, "flux"))
-                .transpose()?,
-        });
-    }
-    let source = emit_source(cp, cp.mesh().n_cells(), &per_flat);
-    let hash = fnv1a(source.as_bytes());
+    (0..cp.n_flat)
+        .map(|flat| {
+            Ok(FlatStmts {
+                volume: lower(KernelKind::Volume, flat, "volume")?,
+                flux: compiled_flux
+                    .then(|| lower(KernelKind::Flux, flat, "flux"))
+                    .transpose()?,
+            })
+        })
+        .collect()
+}
+
+/// The plan cache key: the FNV-1a hash of the source [`emit_source`]
+/// would produce, without producing it.
+pub(crate) fn source_hash(cp: &CompiledProblem, per_flat: &[FlatStmts]) -> u64 {
+    let mut hash = Fnv1a::new();
+    emit_source(cp, cp.mesh().n_cells(), per_flat, &mut hash).expect("hashing never fails");
+    hash.0
+}
+
+/// The native kernels of a plan, prepared once per [`CompiledProblem`]:
+/// every scope of every solve shares the result (or the failure). `Err`
+/// is the structured fallback reason — the caller degrades to the row
+/// tier and records a `native/fallback` diagnostic.
+pub(crate) fn prepare(cp: &CompiledProblem) -> Result<Arc<NativeLib>, String> {
+    cp.native.get_or_init(|| prepare_plan(cp)).clone()
+}
+
+/// Lower, validate, hash, and load (compiling on a cache miss) the native
+/// kernels for a plan.
+fn prepare_plan(cp: &CompiledProblem) -> Result<Arc<NativeLib>, String> {
+    let per_flat = lower_plan(cp)?;
+    let hash = source_hash(cp, &per_flat);
     let mut cache = load_cache().lock().unwrap();
     if let Some(hit) = cache.get(&hash) {
         return hit.clone();
     }
-    let loaded = compile_and_load(&source, cp.n_flat, hash);
+    let source = || {
+        let mut text = String::new();
+        emit_source(cp, cp.mesh().n_cells(), &per_flat, &mut text)
+            .expect("writing to a String never fails");
+        text
+    };
+    let loaded = compile_and_load(source, cp.n_flat, hash);
     cache.insert(hash, loaded.clone());
     if loaded.is_ok() {
         sweep_after_load();
@@ -882,8 +1099,14 @@ mod tests {
     fn fnv1a_is_stable() {
         // The FNV-1a offset basis; a change here silently invalidates
         // every on-disk cache entry.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_ne!(fnv1a(b"pbte"), fnv1a(b"ptbe"));
+        let fnv1a = |text: &str| {
+            let mut h = Fnv1a::new();
+            h.write_str(text).unwrap();
+            h.0
+        };
+        assert_eq!(fnv1a(""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a("a"), 0xaf63dc4c8601ec8c);
+        assert_ne!(fnv1a("pbte"), fnv1a("ptbe"));
     }
 
     #[test]
