@@ -59,9 +59,19 @@
 //!   the full solve, so their count is exactly `ranks ×` the sequential
 //!   one, like `temperature_solves`.
 //! * `ghost_evals` is exactly equal on every target except cells:
-//!   cell-partitioned ranks each evaluate every boundary face (faces are
-//!   not partitioned), so that total inflates by the rank count and is
+//!   cell-partitioned ranks each evaluate every callback wall face (faces
+//!   are not partitioned), so that total inflates by the rank count and is
 //!   reported but not asserted.
+//!
+//! * **walls**: every run's `run_start` frame says how its boundary walls
+//!   ran, `fixed:<n> gather:<n> callback:<n>` in boundary faces (lowered
+//!   to the plan's ghost image, lowered to a same-cell gather, or left to
+//!   a host closure called every sweep), printed per target as
+//!   `walls: …`. Every target must report the sequential run's value — the
+//!   lowering is a property of the plan, not of the target — and a run
+//!   counts ghost evaluations exactly when it has callback walls. The two
+//!   built-in scenarios (axis-aligned isothermal and symmetry walls) must
+//!   report `callback:0`.
 //!
 //! * kernel-span **tier attribution**: every `Kernel` span a target
 //!   records must carry one uniform `tier` attribute and one uniform
@@ -262,8 +272,8 @@ fn expectations(
         expected: newton,
         actual: got.newton_iters,
     });
-    // Boundary faces are evaluated once per owned flat everywhere except
-    // cell partitioning (faces are replicated across cell ranks).
+    // Callback wall faces are evaluated once per owned flat everywhere
+    // except cell partitioning (faces are replicated across cell ranks).
     if tname != "cells" {
         ex.push(Expect {
             target: tname,
@@ -342,8 +352,27 @@ fn run_parity(
     println!("  kernel tier attribution: {seq_tiers:?}");
     let seq_run_cells = kernel_run_cells(&rec);
     println!("  kernel run_cells: {seq_run_cells:?}");
+    let seq_walls = rec.walls().map(str::to_string);
+    println!("  walls: {}", seq_walls.as_deref().unwrap_or("(none)"));
 
     let mut ok = true;
+    // A wall left to a closure is the only thing that evaluates a ghost.
+    let walls_ok = |tname: &str, walls: Option<&str>, work: &WorkCounters| {
+        let lowered = walls.is_some_and(|w| w.ends_with("callback:0"));
+        let consistent = walls.is_some() && lowered == (work.ghost_evals == 0);
+        if !consistent {
+            println!(
+                "PARITY MISMATCH: {tname} walls {walls:?} with {} ghost_evals",
+                work.ghost_evals
+            );
+        }
+        if matches!(source, ScenarioSource::Builtin(_)) && !lowered {
+            println!("PARITY MISMATCH: {tname} walls {walls:?}, expected callback:0");
+            return false;
+        }
+        consistent
+    };
+    ok &= walls_ok("seq", seq_walls.as_deref(), &seq);
     if seq_run_cells.is_none() {
         println!("PARITY MISMATCH: a seq kernel span carries no run_cells attribute");
         ok = false;
@@ -387,6 +416,13 @@ fn run_parity(
         }
         // Every sweep says how many of its cells took the stencil runs; a
         // rank that sweeps the whole mesh must say what seq said.
+        let walls = rec.walls();
+        println!("  walls: {}", walls.unwrap_or("(none)"));
+        ok &= walls_ok(tname, walls, &report.work);
+        if walls != seq_walls.as_deref() {
+            println!("PARITY MISMATCH: {tname} walls {walls:?}, seq {seq_walls:?}");
+            ok = false;
+        }
         let run_cells = kernel_run_cells(&rec);
         println!("  kernel run_cells: {run_cells:?}");
         if run_cells.is_none() || (sweeps_all_cells && run_cells != seq_run_cells) {
@@ -468,7 +504,7 @@ fn cost_annotation(cat: &str, attrs: &[(&str, &str)]) -> Option<String> {
 #[derive(Default)]
 struct StreamAgg {
     label: String,
-    /// `tier=… flux=…` of the `run_start` frame.
+    /// `tier=… flux=… walls=…` of the `run_start` frame.
     ran: String,
     steps: u64,
     last_step_time: f64,
@@ -497,7 +533,12 @@ impl StreamAgg {
         match jstr(frame, "frame") {
             "run_start" => {
                 self.label = jstr(frame, "label").to_string();
-                self.ran = format!("tier={} flux={}", jstr(frame, "tier"), jstr(frame, "flux"));
+                self.ran = format!(
+                    "tier={} flux={} walls=[{}]",
+                    jstr(frame, "tier"),
+                    jstr(frame, "flux"),
+                    jstr(frame, "walls")
+                );
                 None
             }
             "step" => {

@@ -13,8 +13,12 @@
 //! problem is compiled and `verify_plan` checks:
 //!
 //! 1. bytecode well-formedness and derived read sets vs the declared
-//!    ones, the CSR face geometry (`geometry/csr-invariant`) and the
-//!    stencil run table re-derived from it (`geometry/run-mismatch`);
+//!    ones, the CSR face geometry (`geometry/csr-invariant`), the
+//!    stencil run table re-derived from it (`geometry/run-mismatch`), and
+//!    the lowered wall tables re-derived from the declared boundary forms
+//!    and spot-checked against the closures they replace
+//!    (`boundary/form-mismatch`; `--validate` makes that comparison
+//!    exhaustive, every (face, flat) of the plan and its JVP plan);
 //! 2. pairwise-disjoint write regions for the parallel split of the target
 //!    (under an implicit integrator, additionally that the per-rank Krylov
 //!    work-vector scopes tile the dof grid exactly);
@@ -397,6 +401,10 @@ fn main() {
             timing_items.join(",")
         );
     } else {
+        println!(
+            "rules checked on every plan: {}",
+            analysis::rules::VERIFY_PLAN.join(", ")
+        );
         if sw.all.is_empty() {
             println!("verified {} plans: no diagnostics", sw.plans);
         } else {

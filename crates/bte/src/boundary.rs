@@ -8,6 +8,19 @@
 //!   distribution: `ghost = I⁰_b(T_wall(x))`;
 //! * **symmetry** — specular reflection: `ghost(d) = I(r(d))` at the same
 //!   cell, where `r` reflects the direction across the wall normal.
+//!
+//! Neither is opaque, and both say so: an isothermal wall declares its
+//! ghost [`BoundaryForm::Fixed`] (a function of the face and the band),
+//! a symmetry wall declares it a [`BoundaryForm::Gather`] (a permutation
+//! of the intensity's own directions at the owner cell). The plan lowers a
+//! declared form once into the tables its kernels read, so on these walls
+//! the closures below never run during a sweep — they remain the
+//! definition the verifier proves the tables against
+//! (`boundary/form-mismatch`), and the host fallback for a symmetry wall
+//! that is not axis-aligned.
+//!
+//! [`BoundaryForm::Fixed`]: pbte_dsl::problem::BoundaryForm::Fixed
+//! [`BoundaryForm::Gather`]: pbte_dsl::problem::BoundaryForm::Gather
 
 use crate::material::Material;
 use pbte_dsl::problem::{BoundaryCondition, BoundaryQuery};
@@ -15,14 +28,14 @@ use pbte_mesh::Point;
 use std::sync::{Arc, OnceLock};
 
 /// Isothermal wall with a (possibly position-dependent) temperature.
-/// Declared as reading no fields — the ghost depends only on the wall
-/// temperature and the band, so the static plan verifier knows it imposes
-/// no host-side transfer obligations.
+/// Declared Fixed — the ghost depends only on the wall temperature at the
+/// face and the band, never on time or a field — so the plan evaluates it
+/// once per (face, band) and it imposes no host-side work or transfer.
 pub fn isothermal(
     material: Arc<Material>,
     wall_temperature: impl Fn(Point) -> f64 + Send + Sync + 'static,
 ) -> BoundaryCondition {
-    BoundaryCondition::callback_reading(&[], move |q: &BoundaryQuery| {
+    BoundaryCondition::fixed(move |q: &BoundaryQuery| {
         let b = q.idx[1];
         material.table.io(b, wall_temperature(q.position))
     })
@@ -44,38 +57,50 @@ pub fn gaussian_wall(
 }
 
 /// Specular symmetry wall: the ghost intensity for direction `d` is the
-/// interior intensity of the reflected direction. Declares its read of
-/// the intensity `I`, which the transfer verifier turns into the proof
-/// obligation that the unknown returns to the host every step.
+/// interior intensity of the reflected direction, at the same cell and
+/// band. Declared a Gather of `I` whose source is
+/// [`AngularGrid::axis_reflections`], built here: on an axis-aligned wall
+/// whose reflection stays in the direction set the plan lowers the wall to
+/// a source-flat table, and nothing below runs during a sweep — no name
+/// lookup, no normal tested against an axis.
 ///
-/// The callback runs once per boundary face and flat index in every
-/// sweep, so it searches for nothing: reflections across axis-aligned
-/// walls come from [`AngularGrid::axis_reflections`], built here, and
-/// `I`'s variable id is resolved by the first query (a condition belongs
-/// to one problem). Any other normal — or a table entry that left the set
-/// — goes through [`AngularGrid::reflect`], panic included.
+/// Any other wall — an oblique normal, or a reflection that leaves the set
+/// — stays a callback: it declares its read of `I` (the transfer verifier
+/// turns that into the obligation that the unknown returns to the host
+/// every step), runs once per boundary face and flat index in every sweep,
+/// resolves `I`'s variable id on the first query (a condition belongs to
+/// one problem), and goes through [`AngularGrid::reflect`], panic
+/// included.
 ///
 /// [`AngularGrid::axis_reflections`]: crate::angles::AngularGrid::axis_reflections
 /// [`AngularGrid::reflect`]: crate::angles::AngularGrid::reflect
 pub fn symmetry(material: Arc<Material>) -> BoundaryCondition {
     let reflections = material.angles.axis_reflections();
+    let (n_dirs, n_bands) = (material.n_dirs(), material.n_bands());
+    // The reflection of direction `d` across an axis-aligned wall, where
+    // the table has one.
+    let tabulated = move |normal: Point, d: usize| {
+        wall_axis(normal)
+            .map(|axis| reflections[axis * n_dirs + d])
+            .filter(|&r| r != usize::MAX)
+    };
+    let source = tabulated.clone();
     let i_var = OnceLock::new();
-    BoundaryCondition::callback_reading(&["I"], move |q: &BoundaryQuery| {
-        let d = q.idx[0];
-        let b = q.idx[1];
-        let tabulated = wall_axis(q.normal).map(|axis| reflections[axis * material.n_dirs() + d]);
-        let r = match tabulated {
-            Some(r) if r != usize::MAX => r,
-            _ => material.angles.reflect(d, q.normal),
-        };
-        let i_var = *i_var.get_or_init(|| {
-            q.fields
-                .var_id("I")
-                .expect("the BTE unknown is registered as `I`")
-        });
-        let n_bands = material.n_bands();
-        q.fields.value(i_var, q.owner_cell, r * n_bands + b)
-    })
+    BoundaryCondition::gather(
+        &["I"],
+        move |q: &BoundaryQuery| {
+            let d = q.idx[0];
+            let b = q.idx[1];
+            let r = tabulated(q.normal, d).unwrap_or_else(|| material.angles.reflect(d, q.normal));
+            let i_var = *i_var.get_or_init(|| {
+                q.fields
+                    .var_id("I")
+                    .expect("the BTE unknown is registered as `I`")
+            });
+            q.fields.value(i_var, q.owner_cell, r * n_bands + b)
+        },
+        move |normal, idx| source(normal, idx[0]).map(|r| r * n_bands + idx[1]),
+    )
 }
 
 /// The coordinate axis a unit normal is aligned with (either sign), to

@@ -163,7 +163,12 @@ fn residual_series_bits_are_pinned() {
     ];
     let mut bp = hotspot_2d(&BteConfig::small(6, 4, 4, 2));
     bp.problem.integrator(Integrator::Implicit { theta: 1.0 });
-    let mut s = bp.solver(ExecTarget::CpuSeq).unwrap();
+    let s = bp.solver(ExecTarget::CpuSeq).unwrap();
+    assert_series(s, &KRYLOV, &NEWTON);
+}
+
+/// Solve on the recorder and hold the two residual series to their pins.
+fn assert_series(mut s: pbte_dsl::Solver, krylov: &[(usize, u64)], newton: &[(usize, u64)]) {
     let mut rec = pbte_runtime::telemetry::Recorder::buffered();
     let report = s.solve_traced(&mut rec).unwrap();
     assert_eq!((report.steps, report.work.krylov_iters), (2, 4));
@@ -174,6 +179,39 @@ fn residual_series_bits_are_pinned() {
             .map(|smp| (smp.step, smp.value.to_bits()))
             .collect()
     };
-    assert_eq!(series("krylov_residual"), KRYLOV, "krylov_residual");
-    assert_eq!(series("newton_residual"), NEWTON, "newton_residual");
+    assert_eq!(series("krylov_residual"), krylov, "krylov_residual");
+    assert_eq!(series("newton_residual"), newton, "newton_residual");
+}
+
+/// The same series on the committed 3-D die (`examples/scenarios/
+/// die3d.pbte`: an isothermal wall, a hot-spot wall and four symmetry
+/// walls around a MEDIT mesh), pinned to the bits it produced while every
+/// one of those walls was a closure called per (face, flat) of every RHS
+/// and JVP sweep. Lowering them into the plan's image and gather columns —
+/// the JVP plan reads a zero image and the same gather — may not move a
+/// bit of either residual.
+#[test]
+fn die3d_residual_series_bits_are_pinned() {
+    const KRYLOV: [(usize, u64); 6] = [
+        (0, 0x4075bc52cdeef0a2), // 3.477702159246056e2
+        (0, 0x3fba0e352c4b7c51), // 1.0177929240625018e-1
+        (0, 0x3f03529b808c73d2), // 3.685509734039468e-5
+        (1, 0x4072d969bb781f18), // 3.015883135502095e2
+        (1, 0x3fb725ec7d45576c), // 9.042242105837567e-2
+        (1, 0x3f01e8d79b6a125d), // 3.4159736448412184e-5
+    ];
+    const NEWTON: [(usize, u64); 4] = [
+        (0, 0x41376d9e556e3f6e), // 1.5353903337134975e6
+        (0, 0x3f0af6538e233acf), // 5.1426339057072266e-5
+        (1, 0x413457b0a1950f18), // 1.3331686311807092e6
+        (1, 0x3f0bdcc7b5bd8ea9), // 5.3143353141019596e-5
+    ];
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples/scenarios/die3d.pbte");
+    let spec = pbte_bte::pbte::ScenarioSpec::from_file(&path).unwrap();
+    let s = spec.build().unwrap().solver(ExecTarget::CpuSeq).unwrap();
+    assert!(s.compiled.walls.lowered(), "{}", s.compiled.walls.label());
+    let jvp = s.compiled.jvp.as_deref().expect("an implicit scenario");
+    assert!(jvp.walls.lowered() && jvp.walls.gather_faces == s.compiled.walls.gather_faces);
+    assert_series(s, &KRYLOV, &NEWTON);
 }

@@ -10,7 +10,7 @@
 //! mean the observed counts *equal* the schedule's prediction:
 //!
 //! ```text
-//! h2d.count == |Once H2D variables| + steps · |EveryStep H2D|
+//! h2d.count == |Once H2D variables and ghost image| + steps · |EveryStep H2D|
 //! d2h.count == steps · |EveryStep D2H|
 //! ```
 //!
@@ -18,6 +18,12 @@
 //! simulated kernels close over the coefficient tables (the codegen bakes
 //! them into the kernel, the analogue of `__constant__` memory), so no
 //! runtime copy corresponds to those schedule lines.
+//!
+//! Both hot-spot walls are lowered into the plan (an isothermal image, a
+//! specular gather), so no host code reads or writes a wall and the
+//! synthesizer proves the per-step uploads dead: under **both** strategies
+//! the log holds exactly one upload of the unknown and one of the ghost
+//! image, and the byte total is what the schedule prices.
 
 use pbte_bte::scenario::{hotspot_2d, BteConfig};
 use pbte_dsl::dataflow::Policy;
@@ -43,18 +49,23 @@ fn observed_matches_schedule(strategy: GpuStrategy) {
     assert!(diags.is_empty(), "static schedule must be clean: {diags:?}");
 
     let report = solver.solve().expect("solve succeeds");
-    let profile = report.device.expect("gpu target profiles the device");
+    let profile = report
+        .device
+        .as_ref()
+        .expect("gpu target profiles the device");
 
     // Once-H2D entries that correspond to a runtime copy: registered
-    // variables only (coefficients are baked into the kernel closures).
+    // variables and the ghost image (coefficients are baked into the
+    // kernel closures).
     let fields = solver.fields();
-    let once_h2d_vars = schedule
+    let once_h2d: Vec<&str> = schedule
         .transfers
         .iter()
         .filter(|t| t.to_device && t.policy == Policy::Once)
-        .filter(|t| fields.var_id(&t.name).is_some())
-        .count();
-    let expected_h2d = once_h2d_vars + steps * schedule.each_step_h2d().len();
+        .map(|t| t.name.as_str())
+        .filter(|name| fields.var_id(name).is_some() || *name == "ghosts")
+        .collect();
+    let expected_h2d = once_h2d.len() + steps * schedule.each_step_h2d().len();
     let expected_d2h = steps * schedule.each_step_d2h().len();
 
     assert_eq!(
@@ -68,7 +79,72 @@ fn observed_matches_schedule(strategy: GpuStrategy) {
         "{strategy:?}: observed D2H copies must exactly match the schedule"
     );
     assert!(profile.h2d.bytes > 0 && profile.d2h.bytes > 0);
+
+    // The unknown and the ghost image go up exactly once, and each
+    // omission of their per-step upload is certified.
+    assert!(once_h2d.contains(&"I") && once_h2d.contains(&"ghosts"));
+    let each_step = schedule.each_step_h2d();
+    assert!(!each_step.contains(&"I") && !each_step.contains(&"ghosts"));
+    let (_, cert) = analysis::synthesize_schedule(&solver.compiled, strategy);
+    for name in ["I", "ghosts"] {
+        assert!(
+            cert.omissions.iter().any(|o| o.name == name
+                && o.to_device
+                && o.liveness == analysis::LivenessArg::HostNeverRewrites),
+            "{strategy:?}: per-step upload of {name} omitted under HostNeverRewrites"
+        );
+    }
+    // Counts and bytes together pin every copy: the total is the
+    // schedule's price, which is what the cost model predicts.
+    let (checks, drift) = analysis::check_cost_drift(&solver.compiled, &solver.target, &report);
+    assert!(drift.is_empty(), "{drift:?}");
+    for c in checks.iter().filter(|c| c.counter.ends_with("_bytes")) {
+        assert_eq!(c.predicted, c.observed, "{strategy:?}: {}", c.counter);
+    }
 }
+
+/// With every wall lowered the two strategies are one plan: the same
+/// schedule, the same copies, and — the host combine gone — the same bits
+/// as the sequential target.
+#[test]
+fn both_strategies_run_the_same_stage_bit_identical_to_seq() {
+    let run = |target: ExecTarget| {
+        let cfg = BteConfig::small(8, 8, 4, 5);
+        let bte = hotspot_2d(&cfg);
+        let (i_var, t_var) = (bte.vars.i, bte.vars.t);
+        let mut solver = bte.solver(target).expect("valid scenario");
+        let report = solver.solve().expect("solve succeeds");
+        let fields = solver.fields();
+        let hash = fields
+            .slice(i_var)
+            .iter()
+            .chain(fields.slice(t_var))
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        (hash, report)
+    };
+    let gpu = |strategy| ExecTarget::GpuHybrid {
+        spec: DeviceSpec::a6000(),
+        strategy,
+    };
+    let (seq, seq_report) = run(ExecTarget::CpuSeq);
+    assert_eq!(seq_report.work.ghost_evals, 0, "no wall is a callback");
+    let (asynchronous, a) = run(gpu(GpuStrategy::AsyncBoundary));
+    let (precompute, p) = run(gpu(GpuStrategy::PrecomputeBoundary));
+    assert_eq!(asynchronous, seq, "gpu:async is bit-identical to seq");
+    assert_eq!(precompute, seq, "gpu:precompute is bit-identical to seq");
+    // Pinned: the value both had to reach (gpu:async was 2-3e-13 K off
+    // while the host combine existed).
+    assert_eq!(seq, PINNED_FIELD_HASH, "{seq:#x}");
+    let (a, p) = (a.device.unwrap(), p.device.unwrap());
+    assert_eq!((a.h2d.count, a.h2d.bytes), (p.h2d.count, p.h2d.bytes));
+    assert_eq!((a.d2h.count, a.d2h.bytes), (p.d2h.count, p.d2h.bytes));
+}
+
+/// FNV-style fold of the final `I` and `T` bits of the 8×8 hot spot after
+/// five steps, taken from the sequential target of the parent commit.
+const PINNED_FIELD_HASH: u64 = 0x0b61_53a6_e65c_dca0;
 
 #[test]
 fn async_boundary_schedule_covers_observed_transfers() {

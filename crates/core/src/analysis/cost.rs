@@ -34,7 +34,8 @@ pub struct CostModel {
     pub dof_per_sweep: u64,
     /// Upwind flux evaluations per sweep: `n_flat ×` total face visits.
     pub flux_per_sweep: u64,
-    /// Ghost evaluations per sweep: callback faces `× n_flat`.
+    /// Ghost evaluations per sweep: callback faces (walls the plan could
+    /// not lower) `× n_flat`.
     pub ghost_per_sweep: u64,
     /// Explicit stages per time step (Euler 1, RK2/Heun 2).
     pub stages_per_step: u64,
@@ -43,11 +44,13 @@ pub struct CostModel {
     pub flops_per_dof: f64,
     /// Array loads per dof update, same averaging.
     pub loads_per_dof: f64,
-    /// One-time upload bytes (GPU targets): `Once` H2D slices.
+    /// One-time upload bytes (GPU targets): `Once` H2D slices of an
+    /// explicit plan's schedule; the resident ghost images of an implicit
+    /// plan's lowered walls.
     pub setup_h2d_bytes: u64,
-    /// Per-step upload bytes: `EveryStep` H2D slices.
+    /// Per-step upload bytes: `EveryStep` H2D slices (explicit plans).
     pub step_h2d_bytes: u64,
-    /// Per-step download bytes: `EveryStep` D2H slices.
+    /// Per-step download bytes: `EveryStep` D2H slices (explicit plans).
     pub step_d2h_bytes: u64,
     /// True for implicit / pseudo-transient integrators.
     pub implicit: bool,
@@ -57,8 +60,9 @@ pub struct CostModel {
     /// FLOPs of one Krylov iteration's JVP work (2 sweeps).
     pub flops_per_krylov_iter: f64,
     /// Implicit GPU targets: upload bytes of one main RHS sweep (the
-    /// plan's read variables plus its ghost array — re-uploaded every
-    /// sweep because host callbacks may rewrite them between sweeps).
+    /// plan's read variables — re-uploaded every sweep because host
+    /// callbacks may rewrite them between sweeps — plus its ghost array
+    /// while it has callback walls).
     pub sweep_h2d_bytes: u64,
     /// Implicit GPU targets: upload bytes of one JVP sweep (the JVP
     /// plan's read set; the unknown slot carries the Krylov direction).
@@ -139,7 +143,7 @@ impl CostModel {
 fn entity_bytes(cp: &CompiledProblem, name: &str) -> u64 {
     let registry = &cp.problem.registry;
     if name == GHOSTS {
-        return (cp.boundary.len() * cp.n_flat * 8) as u64;
+        return ghost_bytes(cp);
     }
     registry
         .variables
@@ -234,32 +238,38 @@ pub fn estimate_cost(cp: &CompiledProblem, target: &ExecTarget) -> CostModel {
     let tier = cp.resolved_tier();
     let dof_per_sweep = (cp.n_flat * n_cells) as u64;
     let flux_per_sweep = (cp.n_flat * cp.hot.nbr.len()) as u64;
-    let ghost_per_sweep = (cp.catalog.callback_faces * cp.n_flat) as u64;
+    let ghost_per_sweep = (cp.walls.callback_faces() * cp.n_flat) as u64;
     let stages_per_step = match cp.problem.stepper {
         TimeStepper::EulerExplicit => 1,
         TimeStepper::Rk2 => 2,
     };
     let (flops_per_dof, loads_per_dof) = kernel_op_costs(cp, tier);
 
+    let implicit = cp.problem.integrator.is_implicit();
+    let gpu = matches!(
+        target,
+        ExecTarget::GpuHybrid { .. } | ExecTarget::DistBandsGpu { .. }
+    );
+    // Explicit device plans move what the synthesized schedule says. The
+    // implicit device backend re-uploads the active plan's read set (plus
+    // the ghosts of callback walls) before every sweep and downloads the
+    // result rows after (see `GpuBackend::rhs`): sweeps, not steps, drive
+    // that traffic, and the only one-time copies are the ghost images of
+    // lowered plans.
+    let jvp_plan = cp.jvp.as_deref().unwrap_or(cp);
     let (setup_h2d, step_h2d, step_d2h) = match target {
+        _ if implicit && gpu => (
+            resident_image_bytes(cp) + cp.jvp.as_deref().map_or(0, resident_image_bytes),
+            0,
+            0,
+        ),
         ExecTarget::GpuHybrid { strategy, .. } | ExecTarget::DistBandsGpu { strategy, .. } => {
             let schedule = cp.transfer_schedule(*strategy);
             sum_schedule_bytes(cp, &schedule)
         }
         _ => (0, 0, 0),
     };
-
-    let implicit = cp.problem.integrator.is_implicit();
-    // The implicit device backend re-uploads the active plan's read set
-    // plus its ghost array before every sweep and downloads the result
-    // rows after (see `GpuBackend::rhs`); the schedule's per-step
-    // model doesn't apply because sweeps, not steps, drive the traffic.
-    let gpu = matches!(
-        target,
-        ExecTarget::GpuHybrid { .. } | ExecTarget::DistBandsGpu { .. }
-    );
     let (sweep_h2d, jvp_sweep_h2d, sweep_d2h) = if implicit && gpu {
-        let jvp_plan = cp.jvp.as_deref().unwrap_or(cp);
         (
             implicit_sweep_h2d_bytes(cp),
             implicit_sweep_h2d_bytes(jvp_plan),
@@ -290,9 +300,24 @@ pub fn estimate_cost(cp: &CompiledProblem, target: &ExecTarget) -> CostModel {
     }
 }
 
+/// Bytes of a plan's ghost array.
+fn ghost_bytes(plan: &CompiledProblem) -> u64 {
+    (plan.walls.image.len() * 8) as u64
+}
+
+/// One-time upload of a lowered plan's ghost image (what `PlanState::new`
+/// copies); a plan with callback walls ships its ghosts per sweep instead.
+fn resident_image_bytes(plan: &CompiledProblem) -> u64 {
+    if plan.walls.lowered() {
+        ghost_bytes(plan)
+    } else {
+        0
+    }
+}
+
 /// Upload bytes of one implicit sweep for `plan`: every variable in the
-/// plan's read set (full slice) plus the plan's ghost array — exactly the
-/// copies `GpuBackend::rhs` issues.
+/// plan's read set (full slice), plus the plan's ghost array while it has
+/// callback walls — exactly the copies `GpuBackend::rhs` issues.
 fn implicit_sweep_h2d_bytes(plan: &CompiledProblem) -> u64 {
     let registry = &plan.problem.registry;
     let n_cells = plan.mesh().n_cells();
@@ -302,7 +327,7 @@ fn implicit_sweep_h2d_bytes(plan: &CompiledProblem) -> u64 {
         .iter()
         .map(|&v| (registry.flat_len(&registry.variables[v].indices) * n_cells * 8) as u64)
         .sum();
-    vars + (plan.boundary.len() * plan.n_flat * 8) as u64
+    vars + ghost_bytes(plan) - resident_image_bytes(plan)
 }
 
 fn sum_schedule_bytes(cp: &CompiledProblem, schedule: &TransferSchedule) -> (u64, u64, u64) {
@@ -361,8 +386,8 @@ impl CostCheck {
 /// implicit sweep predictions divide by the rank count; the cells
 /// partition computes the ghost array redundantly on every rank, so its
 /// ghost prediction multiplies by it. GPU byte totals come from the
-/// synthesized schedule (explicit) or the per-sweep upload/download sets
-/// of the implicit backend.
+/// synthesized schedule (explicit) or the one-time ghost images and the
+/// per-sweep upload/download sets of the implicit backend.
 pub fn check_cost_drift(
     cp: &CompiledProblem,
     target: &ExecTarget,
@@ -441,7 +466,9 @@ pub fn check_cost_drift(
             let rhs = report.work.rhs_evals as f64;
             let jvp = report.work.jvp_evals as f64;
             (
-                rhs * model.sweep_h2d_bytes as f64 + jvp * model.jvp_sweep_h2d_bytes as f64,
+                model.setup_h2d_bytes as f64
+                    + rhs * model.sweep_h2d_bytes as f64
+                    + jvp * model.jvp_sweep_h2d_bytes as f64,
                 (rhs + jvp) * model.sweep_d2h_bytes as f64,
             )
         } else {

@@ -14,12 +14,16 @@
 //!    byproducts — and cross-checked against the equation-level
 //!    declaration. The CSR face geometry the fused superinstructions
 //!    index is bounds-checked too, and the stencil run table the span
-//!    kernels walk is re-derived from it (`geometry/run-mismatch`).
+//!    kernels walk is re-derived from it (`geometry/run-mismatch`). The
+//!    lowered wall tables those kernels read boundary faces through are
+//!    re-derived from the declared boundary forms and held to the closures
+//!    they replace (`boundary`, `boundary/form-mismatch`).
 //! 2. **Write disjointness** (`races`): the threaded cell-span split,
 //!    the distributed rank partitions (cells and bands), the
 //!    divided-Newton cell slices, and the GPU `launch_rows` flattening
 //!    are proven to have pairwise-disjoint write sets over the
-//!    `(flat, cell)` dof grid of the written entity.
+//!    `(flat, cell)` dof grid of the written entity; a gather wall must
+//!    read only flats its rank owns.
 //! 3. **Transfer correctness** (`transfers`): the automatic
 //!    [`TransferSchedule`](crate::dataflow::TransferSchedule) is checked
 //!    against the derived device-side sets and the declared host-side
@@ -62,6 +66,7 @@
 //! [`Severity::Warning`].
 
 mod access;
+mod boundary;
 mod cost;
 mod intervals;
 mod races;
@@ -71,6 +76,7 @@ mod units;
 mod validate;
 
 pub use access::KernelReadSite;
+pub use boundary::check_boundary_forms;
 pub use cost::{check_cost_drift, estimate_cost, CostCheck, CostModel, DRIFT_TOLERANCE};
 pub use intervals::{cfl_bound, check_intervals, CflBound};
 pub use intervals::{recommend_dt, DtRecommendation, ACCURACY_COURANT};
@@ -107,6 +113,13 @@ pub mod rules {
     /// summarises (a run's face count, neighbor offset or class does not
     /// hold for one of its cells, or runs overlap or leave the mesh).
     pub const RUN_MISMATCH: &str = "geometry/run-mismatch";
+    /// A lowered wall table disagrees with the boundary condition it
+    /// replaces: a gather entry is not what the declared source names, an
+    /// image entry is not what the closure returns, a "Fixed" closure
+    /// reads time or a field, a slot is on the wrong side of the
+    /// lowered / callback split — or a gather reads a flat its rank does
+    /// not own.
+    pub const BOUNDARY_FORM_MISMATCH: &str = "boundary/form-mismatch";
     /// Two parallel write regions claim the same dof.
     pub const OVERLAPPING_WRITE: &str = "race/overlapping-write";
     /// A write region addresses dofs outside the entity.
@@ -181,6 +194,25 @@ pub mod rules {
     /// The equation mentions a symbol (or calls a function) with no
     /// declared unit; the dimensional proof is skipped.
     pub const UNITS_UNDECLARED: &str = "units/undeclared-symbol";
+
+    /// Every rule [`verify_plan`](super::verify_plan) checks, in pass
+    /// order — what a clean plan has been proved free of.
+    pub const VERIFY_PLAN: &[&str] = &[
+        STACK_DEPTH,
+        OOB_LOAD,
+        USE_BEFORE_DEF,
+        UNDECLARED_ACCESS,
+        CSR_INVARIANT,
+        RUN_MISMATCH,
+        BOUNDARY_FORM_MISMATCH,
+        UNKNOWN_ENTITY,
+        OVERLAPPING_WRITE,
+        OOB_WRITE,
+        INCOMPLETE_COVER,
+        STALE_READ,
+        REDUNDANT_TRANSFER,
+        IR_TRANSFER_MISMATCH,
+    ];
 }
 
 /// How bad a finding is.
@@ -292,6 +324,7 @@ pub fn verify_plan(cp: &CompiledProblem, target: &ExecTarget) -> Vec<Diagnostic>
     let mut out = Vec::new();
     access::check_kernels(cp, &mut out);
     access::check_geometry(cp, &mut out);
+    boundary::check_boundary_forms(cp, false, &mut out);
     access::check_catalog(cp, &mut out);
     races::check_target(cp, target, &mut out);
     if let Some(strategy) = target_strategy(target) {

@@ -143,6 +143,58 @@ pub(super) fn check_target(cp: &CompiledProblem, target: &ExecTarget, out: &mut 
     if cp.problem.integrator.is_implicit() {
         check_krylov_vectors(cp, target, out);
     }
+    check_gather_sources(cp, target, out);
+}
+
+/// The halo obligation of a lowered gather wall: on every rank, the source
+/// flat of an owned flat is owned. A rank only ever updates its own rows
+/// of the unknown — a band-partitioned rank never receives the others — so
+/// a gather across the partition would read a row frozen at its initial
+/// value. Specular reflections satisfy it by construction (they permute
+/// directions within a band, and bands are what is partitioned); cell
+/// partitions own every flat. Lowering is target-independent, so a wall
+/// that fails the obligation on some target does not fall back to its
+/// closure there (which would read the same stale row): the plan is
+/// **refused** under `boundary/form-mismatch`.
+fn check_gather_sources(cp: &CompiledProblem, target: &ExecTarget, out: &mut Vec<Diagnostic>) {
+    let (ExecTarget::DistBands { ranks, index } | ExecTarget::DistBandsGpu { ranks, index, .. }) =
+        target
+    else {
+        return; // every other rank scope owns every flat
+    };
+    if cp.walls.gather_faces == 0 {
+        return;
+    }
+    let Some(owned_flats) = super::synth::band_owned_flats(cp, *ranks, index) else {
+        return; // build() rejects this configuration before solving
+    };
+    let n_flat = cp.n_flat;
+    let n_columns = cp.walls.columns.len() / n_flat.max(1);
+    for (rank, flats) in owned_flats.iter().enumerate() {
+        let mut owned = vec![false; n_flat];
+        for &flat in flats {
+            owned[flat] = true;
+        }
+        // Every gather column, at every owned flat.
+        let foreign = (0..n_columns).find_map(|column| {
+            let sources = cp.walls.column(column);
+            let flat = *flats.iter().find(|&&flat| !owned[sources[flat] as usize])?;
+            Some((column, flat, sources[flat]))
+        });
+        if let Some((column, flat, source)) = foreign {
+            out.push(Diagnostic {
+                severity: Severity::Error,
+                rule: rules::BOUNDARY_FORM_MISMATCH,
+                entity: cp.system.unknown_name.clone(),
+                location: format!("rank {rank}, gather column {column}"),
+                message: format!(
+                    "the gather of owned flat {flat} reads flat {source}, which rank {rank} \
+                     does not own and never updates"
+                ),
+            });
+            return;
+        }
+    }
 }
 
 /// Prove the implicit driver's Krylov work-vector scopes tile the dof

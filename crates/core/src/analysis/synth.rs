@@ -41,7 +41,8 @@ pub enum ReadSite {
     /// Device: instruction `site.pc` of kernel `site.kernel` loads it.
     Kernel(KernelReadSite),
     /// Device: the flux kernel's boundary-face path indexes the ghost
-    /// array (precompute strategy).
+    /// array (the precompute strategy, and either strategy on a plan whose
+    /// walls are all lowered).
     GhostLookup,
     /// Host: the named pre/post-step callback reads it. `conservative`
     /// marks an opaque callback (no declared read set — assumed to read
@@ -60,7 +61,8 @@ pub enum ReadSite {
 /// between steps, invalidating the receiver's copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WriteSite {
-    /// Host initial conditions, before step 0 (justifies `Once` H2D).
+    /// Host initialization before step 0 — initial conditions, or the
+    /// one-time lowering of the ghost image (justifies `Once` H2D).
     Initialization,
     /// The named host step callback rewrites it each step.
     StepCallback { name: String, conservative: bool },
@@ -272,7 +274,9 @@ fn read_site_holds(
         // Device-side consumers justify uploads only.
         ReadSite::Kernel(s) => to_device && site_loads_entity(cp, s, entity),
         ReadSite::GhostLookup => {
-            to_device && entity == GHOSTS && strategy == GpuStrategy::PrecomputeBoundary
+            to_device
+                && entity == GHOSTS
+                && (strategy == GpuStrategy::PrecomputeBoundary || cp.walls.lowered())
         }
         ReadSite::Declared => {
             let registry = &cp.problem.registry;
@@ -334,17 +338,20 @@ fn write_site_holds(
                         }
                 })
         }
+        // Both exist only while a callback wall does.
         WriteSite::AsyncCombine => {
             to_device
                 && policy == Policy::EveryStep
                 && entity == unknown
                 && strategy == GpuStrategy::AsyncBoundary
+                && !cp.walls.lowered()
         }
         WriteSite::GhostEval => {
             to_device
                 && policy == Policy::EveryStep
                 && entity == GHOSTS
                 && strategy == GpuStrategy::PrecomputeBoundary
+                && !cp.walls.lowered()
         }
         WriteSite::DeviceKernel => !to_device && entity == unknown,
     }
@@ -390,8 +397,12 @@ fn entity_universe(cp: &CompiledProblem) -> Vec<String> {
 /// 3. the unknown → `EveryStep` D2H iff some host site reads it between
 ///    steps (a step callback or a boundary callback — declared, or
 ///    assumed for opaque ones);
-/// 4. strategy-structural transfers: async re-uploads the host-combined
-///    unknown, precompute uploads the host-evaluated ghost array;
+/// 4. the boundary: while a callback wall keeps the host in the loop, the
+///    strategy-structural transfers — async re-uploads the host-combined
+///    unknown, precompute uploads the host-evaluated ghost array; on a
+///    plan whose walls are all lowered, the ghost image → `Once` H2D under
+///    either strategy, and the liveness arguments do the rest (no host
+///    site rewrites the unknown or the image, so neither moves again);
 /// 5. every other kernel-read variable → `EveryStep` H2D iff some host
 ///    site rewrites it between steps, else `Once`.
 ///
@@ -475,8 +486,21 @@ pub fn synthesize_schedule(
         );
     }
 
-    // 4. Strategy-structural transfers.
+    // 4. The boundary: the lowered image once, or the strategy-structural
+    //    transfers of a plan with callback walls.
     match strategy {
+        _ if cp.walls.lowered() => {
+            push(
+                Transfer {
+                    name: GHOSTS.into(),
+                    to_device: true,
+                    policy: Policy::Once,
+                    reason: "boundary ghost image: every wall lowered, evaluated once".into(),
+                },
+                ReadSite::GhostLookup,
+                WriteSite::Initialization,
+            );
+        }
         GpuStrategy::AsyncBoundary => {
             push(
                 Transfer {

@@ -15,7 +15,11 @@
 //!   writer and no transfer refreshes the reader's copy. The async
 //!   strategy's host combine of the unknown is structural (the executor
 //!   performs it as part of the strategy, outside the schedule), so it
-//!   imposes no schedule obligation of its own.
+//!   imposes no schedule obligation of its own. Both strategies' host
+//!   boundary work exists only while a callback wall does: on a plan whose
+//!   walls are all lowered the host neither combines nor evaluates ghosts,
+//!   the kernel reads the ghost image under either strategy, and the two
+//!   derive the same sets.
 //! * **redundant transfer** — `e` is moved although the receiving side
 //!   never reads it before it is next overwritten (or the sending side
 //!   never even writes it).
@@ -50,9 +54,12 @@ pub(super) fn build_sides(cp: &CompiledProblem, strategy: GpuStrategy) -> Sides 
     let (var_reads, coef_reads, unknown) = cp.system.access_summary(registry);
     let all_vars: BTreeSet<String> = registry.variables.iter().map(|v| v.name.clone()).collect();
 
+    // A lowered plan's kernel computes the full flux under either
+    // strategy, reading the ghost image on its boundary faces.
+    let lowered = cp.walls.lowered();
     let mut device_reads: BTreeSet<String> = var_reads.into_iter().collect();
     device_reads.extend(coef_reads);
-    if strategy == GpuStrategy::PrecomputeBoundary {
+    if strategy == GpuStrategy::PrecomputeBoundary || lowered {
         device_reads.insert(GHOSTS.into());
     }
     let device_writes: BTreeSet<String> = [unknown.clone()].into();
@@ -75,11 +82,13 @@ pub(super) fn build_sides(cp: &CompiledProblem, strategy: GpuStrategy) -> Sides 
             None => writes_conservative = true,
         }
     }
-    // Structural host accesses of the strategies themselves: under
-    // async-boundary the host combines the boundary contribution into the
-    // unknown (a write the kernel's next step reads); under precompute
-    // the host produces the ghost array the kernel consumes.
+    // Structural host accesses of the strategies themselves, which exist
+    // only while a callback wall keeps the host in the boundary loop:
+    // under async-boundary the host combines the boundary contribution
+    // into the unknown (a write the kernel's next step reads); under
+    // precompute the host produces the ghost array the kernel consumes.
     match strategy {
+        _ if lowered => {}
         GpuStrategy::AsyncBoundary => {
             host_writes_declared.insert(unknown.clone());
         }

@@ -75,6 +75,9 @@ pub fn check_translation(cp: &CompiledProblem, target: &ExecTarget, out: &mut Ve
     check_bound(cp, out);
     check_lowered(cp, &RegProgram::compile, out);
     check_jvp(cp, target, out);
+    // The wall lowering, exhaustively: every (face, flat) of both plans
+    // against its closure (`verify_plan` probes one face per wall normal).
+    super::check_boundary_forms(cp, true, out);
 }
 
 /// Translation validation of the derived Jacobian-vector-product plan.

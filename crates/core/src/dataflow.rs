@@ -12,12 +12,14 @@
 //! * **coefficients** are immutable: device copies are made once;
 //! * the **unknown** returns to the host each step whenever some host
 //!   site reads it, and returns *and* re-uploads each step under the
-//!   async-boundary strategy (the host combines the boundary
-//!   contribution into it);
+//!   async-boundary strategy while a callback wall exists (the host
+//!   combines the boundary contribution into it);
 //! * other kernel-read variables (`Io`, `beta`) re-upload each step only
 //!   when a host callback rewrites them;
 //! * the **ghost array** uploads each step only under the
-//!   precompute-boundary strategy.
+//!   precompute-boundary strategy with a callback wall; when every wall
+//!   is lowered into the plan it uploads once, under either strategy, and
+//!   the unknown stays device-resident.
 
 use crate::problem::GpuStrategy;
 
@@ -103,7 +105,13 @@ mod tests {
     use crate::exec::CompiledProblem;
     use crate::problem::{BoundaryCondition, Problem};
 
-    fn bte_like(with_post_step: bool, strategy: GpuStrategy) -> TransferSchedule {
+    /// `callback_walls`: the paper's configuration, boundary conditions as
+    /// user callbacks; otherwise constants, which the plan lowers.
+    fn bte_like(
+        with_post_step: bool,
+        callback_walls: bool,
+        strategy: GpuStrategy,
+    ) -> TransferSchedule {
         let mut p = Problem::new("bte");
         p.domain(2);
         p.mesh(pbte_mesh::grid::UniformGrid::new_2d(2, 2, 1.0, 1.0).build());
@@ -120,7 +128,15 @@ mod tests {
             "(Io[b] - I[d,b]) * beta[b] + surface(vg[b]*upwind([Sx[d];Sy[d]], I[d,b]))",
         );
         for region in ["left", "right", "top", "bottom"] {
-            p.boundary(i, region, BoundaryCondition::Value(0.0));
+            p.boundary(
+                i,
+                region,
+                if callback_walls {
+                    BoundaryCondition::callback_reading(&[], |_| 0.0)
+                } else {
+                    BoundaryCondition::Value(0.0)
+                },
+            );
         }
         if with_post_step {
             p.post_step(|_| {});
@@ -131,7 +147,7 @@ mod tests {
 
     #[test]
     fn bte_async_schedule_matches_the_paper() {
-        let s = bte_like(true, GpuStrategy::AsyncBoundary);
+        let s = bte_like(true, true, GpuStrategy::AsyncBoundary);
         // Every step: I moves both ways; Io and beta move to the device.
         let h2d = s.each_step_h2d();
         assert!(h2d.contains(&"I"));
@@ -148,7 +164,7 @@ mod tests {
 
     #[test]
     fn precompute_keeps_unknown_device_resident() {
-        let s = bte_like(true, GpuStrategy::PrecomputeBoundary);
+        let s = bte_like(true, true, GpuStrategy::PrecomputeBoundary);
         let h2d = s.each_step_h2d();
         assert!(!h2d.contains(&"I"), "unknown must stay on the device");
         assert!(h2d.contains(&"ghosts"));
@@ -157,7 +173,7 @@ mod tests {
 
     #[test]
     fn no_post_step_means_static_variables() {
-        let s = bte_like(false, GpuStrategy::PrecomputeBoundary);
+        let s = bte_like(false, true, GpuStrategy::PrecomputeBoundary);
         assert!(s.each_step_h2d().iter().all(|&n| n == "ghosts"));
         assert!(s.each_step_d2h().is_empty());
         let once = s.once();
@@ -165,9 +181,24 @@ mod tests {
         assert!(once.contains(&"beta"));
     }
 
+    /// With every wall lowered no host code touches the boundary: both
+    /// strategies derive the same schedule, the unknown and the ghost
+    /// image go up once.
+    #[test]
+    fn lowered_walls_leave_both_strategies_one_schedule() {
+        let a = bte_like(true, false, GpuStrategy::AsyncBoundary);
+        let p = bte_like(true, false, GpuStrategy::PrecomputeBoundary);
+        assert_eq!(a.transfers, p.transfers);
+        let h2d = a.each_step_h2d();
+        assert!(!h2d.contains(&"I") && !h2d.contains(&"ghosts"));
+        assert!(h2d.contains(&"Io") && h2d.contains(&"beta"));
+        assert!(a.once().contains(&"I") && a.once().contains(&"ghosts"));
+        assert_eq!(a.each_step_d2h(), vec!["I"]);
+    }
+
     #[test]
     fn render_mentions_every_transfer() {
-        let s = bte_like(true, GpuStrategy::AsyncBoundary);
+        let s = bte_like(true, true, GpuStrategy::AsyncBoundary);
         let text = s.render();
         for t in &s.transfers {
             assert!(text.contains(&t.name));

@@ -198,6 +198,13 @@ impl Fields {
         self.data[var] = values;
     }
 
+    /// Exchange a variable's storage with `values` — how a stage buffer
+    /// holding the updated variable becomes the variable without a copy.
+    pub fn swap_storage(&mut self, var: usize, values: &mut Vec<f64>) {
+        assert_eq!(values.len(), self.data[var].len());
+        std::mem::swap(&mut self.data[var], values);
+    }
+
     /// Number of variables.
     pub fn n_vars(&self) -> usize {
         self.data.len()

@@ -6,7 +6,8 @@
 //! for step = 1:Nsteps
 //!   (pre-step callbacks)                                } temperature phase
 //!   stage: explicit Euler/RK2, or one θ-scheme Newton   } intensity phase
-//!     halo exchange → ghosts → RHS sweep → update       }
+//!     halo exchange → callback-wall ghosts → RHS sweep  }
+//!     → update (fused into the sweep under Euler)       }
 //!   (post-step callbacks: temperature update)           } temperature phase
 //!   account phases, communication, spans; time += dt
 //! ```
@@ -22,6 +23,7 @@
 use super::gpu::GpuBackend;
 use super::implicit::{theta_step, ImplicitWorkspace};
 use super::rows::{self, IntensityKernels};
+use super::walls::Ghosts;
 use super::{
     dist, gpu, live_cost, par, phases, seq, CompiledProblem, ExecTarget, LocalLinks, SolveReport,
     StepLinks,
@@ -92,9 +94,10 @@ pub(crate) struct StepTimes {
     pub kernel: f64,
     /// Simulated host↔device transfer seconds.
     pub transfer: f64,
-    /// Host wall-clock seconds inside the stage (boundary ghosts and the
-    /// async strategy's boundary contribution), reported with the
-    /// callbacks as `temperature update(CPU)`.
+    /// Host wall-clock seconds inside the stage (the ghosts of callback
+    /// walls and the async strategy's boundary contribution; zero on a
+    /// lowered plan), reported with the callbacks as
+    /// `temperature update(CPU)`.
     pub host: f64,
 }
 
@@ -105,8 +108,8 @@ pub(crate) trait Backend {
     /// The kernel tier the sweeps run at (span attribution).
     fn tier(&self) -> KernelTier;
 
-    /// Boundary ghosts, then one RHS sweep of `plan` over the backend's
-    /// scope into `out[flat * n_cells + cell]`.
+    /// The ghosts of any callback walls, then one RHS sweep of `plan` over
+    /// the backend's scope into `out[flat * n_cells + cell]`.
     fn rhs(
         &mut self,
         plan: &CompiledProblem,
@@ -122,9 +125,12 @@ pub(crate) trait Backend {
         axpy(fields, unknown, d, coeff, rhs);
     }
 
-    /// One forward-Euler stage `u += dt·f(u, time)`, leaving `f` in `k`.
-    /// The device backend overrides this with its fused transfer → kernel
-    /// → transfer sequence and returns the simulated times.
+    /// One forward-Euler stage `u += dt·f(u, time)` with `k` as its stage
+    /// buffer. Under RK2 it leaves `f` in `k` (the second stage reads it);
+    /// under Euler a backend may fuse the update into the sweep and leave
+    /// anything there. The device backend overrides this with its fused
+    /// transfer → kernel → transfer sequence and returns the simulated
+    /// times.
     #[allow(clippy::too_many_arguments)]
     fn explicit_stage(
         &mut self,
@@ -133,11 +139,10 @@ pub(crate) trait Backend {
         d: Dofs,
         time: f64,
         step: usize,
-        k: &mut [f64],
+        k: &mut Vec<f64>,
         rec: &mut Recorder,
     ) -> Option<StepTimes> {
-        traced_rhs(self, cp, Plan::Main, fields, d, time, step, k, rec);
-        self.update(fields, cp.system.unknown, d, cp.problem.dt, k);
+        two_pass_stage(self, cp, fields, d, time, step, k, rec);
         None
     }
 
@@ -152,6 +157,22 @@ pub(crate) trait Backend {
     }
 }
 
+/// The unfused Euler stage: `k = f(u, time)`, then `u += dt·k`.
+#[allow(clippy::too_many_arguments)]
+fn two_pass_stage<B: Backend + ?Sized>(
+    backend: &mut B,
+    cp: &CompiledProblem,
+    fields: &mut Fields,
+    d: Dofs,
+    time: f64,
+    step: usize,
+    k: &mut [f64],
+    rec: &mut Recorder,
+) {
+    traced_rhs(backend, cp, Plan::Main, fields, d, time, step, k, rec);
+    backend.update(fields, cp.system.unknown, d, cp.problem.dt, k);
+}
+
 /// Serial `u += coeff * rhs` over a scope.
 fn axpy(fields: &mut Fields, unknown: usize, d: Dofs, coeff: f64, rhs: &[f64]) {
     let u = fields.slice_mut(unknown);
@@ -162,14 +183,47 @@ fn axpy(fields: &mut Fields, unknown: usize, d: Dofs, coeff: f64, rhs: &[f64]) {
     }
 }
 
-/// An RHS sweep of `which` plan wrapped in a `Kernel` span (`intensity_rhs`
-/// for the primal, `jvp_rhs` for the linearization) with tier and
-/// flux-path attribution, so traces show what actually ran (the resolved
-/// tier may differ from the requested one after clamping or native
-/// fallback, and the same tier evaluates the flux from a table on one mesh
-/// and from its compiled program on another), and with `run_cells`, the
-/// scope's cells inside stencil runs (0: the whole sweep took the CSR
-/// walk). `plan` is the compiled problem `which` names.
+/// The `Kernel` span of one host sweep of `which` plan begun at `k0`
+/// (`intensity_rhs` for the primal, `jvp_rhs` for the linearization), with
+/// tier and flux-path attribution, so traces show what actually ran (the
+/// resolved tier may differ from the requested one after clamping or
+/// native fallback, and the same tier evaluates the flux from a table on
+/// one mesh and from its compiled program on another), and with
+/// `run_cells`, the scope's cells inside stencil runs (0: the whole sweep
+/// took the CSR walk). `plan` is the compiled problem `which` names.
+fn sweep_span(
+    rec: &mut Recorder,
+    tier: KernelTier,
+    plan: &CompiledProblem,
+    which: Plan,
+    d: Dofs,
+    step: usize,
+    k0: f64,
+) {
+    if !rec.enabled() {
+        return;
+    }
+    let dur = rec.now() - k0;
+    rec.span(
+        SpanKind::Kernel,
+        match which {
+            Plan::Main => "intensity_rhs",
+            Plan::Jvp => "jvp_rhs",
+        },
+        k0,
+        dur,
+        Track::Host,
+        vec![
+            ("step", step.to_string()),
+            ("tier", tier.name().to_string()),
+            ("flux", plan.flux_path(tier).name().to_string()),
+            ("dofs", (d.flats.len() * d.cells.len()).to_string()),
+            ("run_cells", d.run_cells(&plan.hot).to_string()),
+        ],
+    );
+}
+
+/// An RHS sweep of `which` plan wrapped in its [`sweep_span`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn traced_rhs<B: Backend + ?Sized>(
     backend: &mut B,
@@ -184,39 +238,20 @@ pub(crate) fn traced_rhs<B: Backend + ?Sized>(
 ) {
     let k0 = rec.now();
     backend.rhs(plan, which, fields, time, out, &mut rec.work);
-    if rec.enabled() {
-        let dur = rec.now() - k0;
-        rec.span(
-            SpanKind::Kernel,
-            match which {
-                Plan::Main => "intensity_rhs",
-                Plan::Jvp => "jvp_rhs",
-            },
-            k0,
-            dur,
-            Track::Host,
-            vec![
-                ("step", step.to_string()),
-                ("tier", backend.tier().name().to_string()),
-                ("flux", plan.flux_path(backend.tier()).name().to_string()),
-                ("dofs", (d.flats.len() * d.cells.len()).to_string()),
-                ("run_cells", d.run_cells(&plan.hot).to_string()),
-            ],
-        );
-    }
+    sweep_span(rec, backend.tier(), plan, which, d, step, k0);
 }
 
 /// Per-plan CPU sweep state.
 struct CpuPlan {
     kernels: IntensityKernels,
-    ghosts: Vec<f64>,
+    ghosts: Ghosts,
 }
 
 impl CpuPlan {
     fn new(plan: &CompiledProblem, flats: &[usize]) -> CpuPlan {
         CpuPlan {
             kernels: IntensityKernels::for_scope(plan, flats),
-            ghosts: vec![0.0; plan.boundary.len() * plan.n_flat],
+            ghosts: Ghosts::for_plan(plan),
         }
     }
 }
@@ -239,6 +274,33 @@ impl<'a> CpuBackend<'a> {
             jvp: cp.jvp.as_deref().map(|jcp| CpuPlan::new(jcp, d.flats)),
         }
     }
+
+    /// One sweep of `which` plan over the scope: the RHS, or with
+    /// `fused_dt` the Euler update `u + dt·rhs`, into `out`.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep(
+        &mut self,
+        plan: &CompiledProblem,
+        which: Plan,
+        fields: &Fields,
+        time: f64,
+        fused_dt: Option<f64>,
+        out: &mut [f64],
+        work: &mut WorkCounters,
+    ) {
+        let CpuPlan { kernels, ghosts } = match which {
+            Plan::Main => &mut self.main,
+            Plan::Jvp => self.jvp.as_mut().expect("JVP sweep without a JVP plan"),
+        };
+        let ghosts = ghosts.refresh(plan, fields, self.d.flats, time, work, self.parallel);
+        if self.parallel {
+            par::compute_rhs_par(plan, fields, ghosts, time, fused_dt, out, work, kernels);
+        } else {
+            seq::compute_rhs_into(
+                plan, fields, self.d, ghosts, time, fused_dt, out, work, kernels,
+            );
+        }
+    }
 }
 
 impl Backend for CpuBackend<'_> {
@@ -255,17 +317,7 @@ impl Backend for CpuBackend<'_> {
         out: &mut [f64],
         work: &mut WorkCounters,
     ) {
-        let CpuPlan { kernels, ghosts } = match which {
-            Plan::Main => &mut self.main,
-            Plan::Jvp => self.jvp.as_mut().expect("JVP sweep without a JVP plan"),
-        };
-        if self.parallel {
-            par::compute_ghosts_par(plan, fields, time, ghosts, work);
-            par::compute_rhs_par(plan, fields, ghosts, time, out, work, kernels);
-        } else {
-            seq::compute_ghosts(plan, fields, self.d.flats, time, ghosts, work);
-            seq::compute_rhs_into(plan, fields, self.d, ghosts, time, out, work, kernels);
-        }
+        self.sweep(plan, which, fields, time, None, out, work);
     }
 
     fn update(&mut self, fields: &mut Fields, unknown: usize, d: Dofs, coeff: f64, rhs: &[f64]) {
@@ -274,6 +326,42 @@ impl Backend for CpuBackend<'_> {
         } else {
             axpy(fields, unknown, d, coeff, rhs);
         }
+    }
+
+    /// Under Euler, one pass: the sweep writes `u + dt·rhs` — the
+    /// expression [`axpy`] evaluates, so the same bits — into the stage
+    /// buffer, which then *becomes* the unknown (a storage swap) when the
+    /// scope covers the whole variable, or is copied back over the owned
+    /// spans when it does not (distributed ranks). RK2's first stage needs
+    /// `f` itself and keeps the two-pass default.
+    fn explicit_stage(
+        &mut self,
+        cp: &CompiledProblem,
+        fields: &mut Fields,
+        d: Dofs,
+        time: f64,
+        step: usize,
+        k: &mut Vec<f64>,
+        rec: &mut Recorder,
+    ) -> Option<StepTimes> {
+        if cp.problem.stepper != TimeStepper::EulerExplicit {
+            two_pass_stage(self, cp, fields, d, time, step, k, rec);
+            return None;
+        }
+        let unknown = cp.system.unknown;
+        let k0 = rec.now();
+        let fused_dt = Some(cp.problem.dt);
+        self.sweep(cp, Plan::Main, fields, time, fused_dt, k, &mut rec.work);
+        sweep_span(rec, self.tier(), cp, Plan::Main, d, step, k0);
+        if d.cells.len() == d.n_cells && d.flats.len() == cp.n_flat {
+            fields.swap_storage(unknown, k);
+        } else {
+            let u = fields.slice_mut(unknown);
+            for span in d.spans() {
+                u[span.clone()].copy_from_slice(&k[span]);
+            }
+        }
+        None
     }
 }
 
@@ -320,7 +408,7 @@ fn explicit_step(
     backend: &mut dyn Backend,
     fields: &mut Fields,
     d: Dofs,
-    k1: &mut [f64],
+    k1: &mut Vec<f64>,
     k2: &mut [f64],
     time: f64,
     step: usize,
@@ -570,6 +658,7 @@ pub(crate) fn run_scope(
             format!("{}/{}", cp.problem.name, target.label()),
             tier.name(),
             cp.flux_path(tier).name(),
+            &cp.walls.label(),
         );
     }
     let steps = drive(cp, &mut *backend, fields, d, owned, links, r, threads);

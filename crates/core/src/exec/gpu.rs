@@ -2,9 +2,16 @@
 //!
 //! The generated kernel flattens all loops and assigns one thread per
 //! degree of freedom; it runs on the simulated device (`pbte-gpu`). User
-//! callbacks — boundary conditions and the post-step temperature update —
-//! stay on the host, exactly as the paper argues they must. Two strategies
-//! connect the halves of an explicit step:
+//! callbacks — the post-step temperature update, and any boundary
+//! condition the plan could not lower — stay on the host, exactly as the
+//! paper argues they must. Walls the plan *did* lower
+//! ([`super::Walls`]: constants, Fixed images, same-cell gathers) are
+//! tables the kernel reads like the face geometry; when every wall is
+//! lowered there is no host boundary work at all, the synthesized schedule
+//! proves the per-step upload of the unknown dead, and both strategies run
+//! the same stage: full-flux kernel on the device-resident unknown, ghost
+//! image uploaded once. With callback walls left, two strategies connect
+//! the halves of an explicit step:
 //!
 //! * [`GpuStrategy::AsyncBoundary`] — the kernel updates interior-face
 //!   fluxes only while the CPU computes boundary-face contributions from
@@ -12,20 +19,21 @@
 //!   combines `u = u_new + u_bdry`, runs the post-step, and sends the
 //!   state back (`u`, `Io`, `beta` move every step — the "substantial
 //!   communication" configuration the paper shows is still profitable).
-//! * [`GpuStrategy::PrecomputeBoundary`] — the CPU evaluates ghost values,
-//!   ships the (small) ghost array, and the kernel computes the complete
-//!   flux; the unknown stays device-resident between steps. This variant
-//!   is bit-identical to the sequential CPU target because the per-face
-//!   accumulation order is unchanged.
+//! * [`GpuStrategy::PrecomputeBoundary`] — the CPU evaluates the callback
+//!   walls' ghost values, ships the (small) ghost array, and the kernel
+//!   computes the complete flux; the unknown stays device-resident between
+//!   steps. This variant is bit-identical to the sequential CPU target
+//!   because the per-face accumulation order is unchanged.
 //!
 //! Which variables move when is decided by the synthesized transfer
 //! schedule ([`crate::analysis::synthesize_schedule`]), not here. The
 //! implicit integrators use the device as a plain RHS engine: every
-//! RHS/JVP sweep uploads the plan's read set, launches, and downloads.
+//! RHS/JVP sweep uploads the plan's read set (and the ghosts of callback
+//! walls), launches, and downloads.
 
 use super::driver::{Backend, Dofs, Plan, StepTimes};
 use super::rows::{self, FluxBoundary, IntensityKernels};
-use super::seq;
+use super::walls::Ghosts;
 use super::CompiledProblem;
 use crate::bytecode::VmCtx;
 use crate::entities::Fields;
@@ -102,30 +110,38 @@ struct PlanState {
     kernels: IntensityKernels,
     cost: KernelCost,
     ghost_dev: DeviceBuffer,
-    /// Host-side ghost scratch.
-    ghosts: Vec<f64>,
+    /// Host-side ghost values.
+    ghosts: Ghosts,
     name: &'static str,
 }
 
 impl PlanState {
+    /// A lowered plan's ghost image never changes: it is uploaded here,
+    /// once. A plan with callback walls uploads its ghosts per sweep (or
+    /// never, under the async strategy's interior-only kernel).
     fn new(
         device: &mut Device,
         plan: &CompiledProblem,
         owned_flats: &[usize],
         name: &'static str,
     ) -> PlanState {
+        let mut ghost_dev = device.alloc("ghosts", plan.walls.image.len());
+        if plan.walls.lowered() {
+            device.h2d(&plan.walls.image, &mut ghost_dev);
+        }
         PlanState {
             kernels: IntensityKernels::for_scope(plan, owned_flats),
             cost: estimate_kernel_cost(plan),
-            ghost_dev: device.alloc("ghosts", plan.boundary.len().max(1) * plan.n_flat),
-            ghosts: vec![0.0; plan.boundary.len() * plan.n_flat],
+            ghost_dev,
+            ghosts: Ghosts::for_plan(plan),
             name,
         }
     }
 }
 
 /// A single simulated device executing one rank's share of the problem:
-/// boundary ghosts and callbacks stay on the host, and every sweep is one
+/// callback-wall ghosts and step callbacks stay on the host, and every
+/// sweep is one
 /// batched row kernel (`Device::launch_rows`, one block per owned flat
 /// covering the cell span — the grid shape the host-side kernel compiler
 /// emits) evaluating [`rows::rhs_block`], the same tier entry point as
@@ -133,6 +149,9 @@ impl PlanState {
 pub(crate) struct GpuBackend {
     device: Device,
     strategy: GpuStrategy,
+    /// The explicit kernel skips boundary faces and the host adds their
+    /// contribution: the async strategy on a plan with callback walls.
+    skip_boundary: bool,
     owned_flats: Vec<usize>,
     /// Per-variable device buffers, id order; `var_devs[unknown]` is the
     /// state.
@@ -189,19 +208,27 @@ impl GpuBackend {
             .filter(|t| t.to_device && t.policy == crate::dataflow::Policy::Once)
             .filter_map(|t| var_id(&t.name))
             .collect();
-        // The strategy-structural movements must be present: the async
-        // combine rewrites the unknown on the host, precompute evaluates
-        // ghosts there. A schedule violating this would fail
-        // `schedule/unsound` before ever reaching an executor.
+        // The strategy-structural movements must be present exactly while
+        // a callback wall keeps the host in the boundary loop: the async
+        // combine rewrites the unknown there, precompute evaluates ghosts
+        // there; a lowered plan uploads its ghost image once instead. A
+        // schedule violating this would fail `schedule/unsound` before
+        // ever reaching an executor.
+        let lowered = cp.walls.lowered();
         debug_assert_eq!(
             h2d_unknown_each_step,
-            strategy == GpuStrategy::AsyncBoundary,
+            strategy == GpuStrategy::AsyncBoundary && !lowered,
             "synthesized schedule disagrees with the async strategy's structural re-upload"
         );
         debug_assert_eq!(
             h2d_ghosts_each_step,
-            strategy == GpuStrategy::PrecomputeBoundary,
+            strategy == GpuStrategy::PrecomputeBoundary && !lowered,
             "synthesized schedule disagrees with the precompute strategy's ghost upload"
+        );
+        debug_assert_eq!(
+            schedule.once().contains(&"ghosts"),
+            lowered,
+            "synthesized schedule disagrees with the one-time upload of a lowered ghost image"
         );
 
         // One buffer per variable; under explicit stepping only
@@ -234,6 +261,7 @@ impl GpuBackend {
         GpuBackend {
             device,
             strategy,
+            skip_boundary: strategy == GpuStrategy::AsyncBoundary && !lowered,
             owned_flats: owned_flats.to_vec(),
             var_devs,
             out_dev,
@@ -282,7 +310,7 @@ fn launch_sweep(
             } else {
                 FluxBoundary::Ghosts(bufs[n_vars])
             };
-            let mut regs = kernels.scratch();
+            let mut scratch = kernels.scratch(&bufs[..n_vars]);
             rows::rhs_block(
                 kernels,
                 plan,
@@ -293,7 +321,7 @@ fn launch_sweep(
                 boundary,
                 time,
                 fused_dt,
-                &mut regs,
+                &mut scratch,
             );
         },
     )
@@ -333,17 +361,21 @@ impl Backend for GpuBackend {
         };
         let n_cells = fields.n_cells;
 
-        // Host: boundary ghosts from the sweep's state (for the JVP plan
-        // these are the *linearized* boundary conditions).
-        seq::compute_ghosts(plan, fields, owned_flats, time, &mut ps.ghosts, work);
-
-        // H2D: the plan's read set and the ghosts. The unknown slot moves
-        // every sweep (it carries the Krylov direction); coefficient
-        // fields move too because callbacks rewrite them between sweeps.
+        // H2D: the plan's read set. The unknown slot moves every sweep (it
+        // carries the Krylov direction); coefficient fields move too
+        // because callbacks rewrite them between sweeps.
         for &v in &plan.system.read_variables {
             device.h2d(fields.slice(v), &mut var_devs[v]);
         }
-        device.h2d(&ps.ghosts, &mut ps.ghost_dev);
+        // Host: the ghosts of callback walls from the sweep's state (for
+        // the JVP plan these are the *linearized* boundary conditions),
+        // shipped with it. A lowered plan's image is already resident.
+        if !plan.walls.lowered() {
+            let ghosts = ps
+                .ghosts
+                .refresh(plan, fields, owned_flats, time, work, false);
+            device.h2d(ghosts, &mut ps.ghost_dev);
+        }
 
         launch_sweep(
             device,
@@ -371,7 +403,8 @@ impl Backend for GpuBackend {
 
     /// One hybrid Euler stage: H2D per the schedule → fused row kernel
     /// (`u + dt·rhs`, the same reciprocal-volume arithmetic as the CPU
-    /// targets) → async boundary combine or device-side scatter → D2H.
+    /// targets) → async boundary combine (callback walls under the async
+    /// strategy only) or device-side scatter → D2H.
     fn explicit_stage(
         &mut self,
         cp: &CompiledProblem,
@@ -379,26 +412,22 @@ impl Backend for GpuBackend {
         _d: Dofs,
         time: f64,
         step: usize,
-        _k: &mut [f64],
+        _k: &mut Vec<f64>,
         rec: &mut Recorder,
     ) -> Option<StepTimes> {
         let n_cells = fields.n_cells;
-        let n_flat = cp.n_flat;
         let unknown = cp.system.unknown;
         let dt = cp.problem.dt;
         let dev_t0 = self.device.elapsed();
         let h2d0 = self.device.h2d_bytes();
 
-        // Host: boundary ghosts from the old state.
+        // Host: the ghosts of callback walls from the old state (nothing
+        // on a lowered plan).
         let host_t0 = Instant::now();
-        seq::compute_ghosts(
-            cp,
-            fields,
-            &self.owned_flats,
-            time,
-            &mut self.main.ghosts,
-            &mut rec.work,
-        );
+        let ghosts =
+            self.main
+                .ghosts
+                .refresh(cp, fields, &self.owned_flats, time, &mut rec.work, false);
         let mut t_host = host_t0.elapsed().as_secs_f64();
 
         // H2D per the transfer schedule: CPU-written variables move every
@@ -416,14 +445,14 @@ impl Backend for GpuBackend {
             );
         }
         if self.h2d_ghosts_each_step {
-            self.device.h2d(&self.main.ghosts, &mut self.main.ghost_dev);
+            self.device.h2d(ghosts, &mut self.main.ghost_dev);
         }
         let t_after_h2d = self.device.elapsed();
         let h2d_obs = self.device.h2d_bytes() - h2d0;
 
         // Kernel launch: one thread per owned dof.
         let n_threads = self.owned_flats.len() * n_cells;
-        let skip_boundary = self.strategy == GpuStrategy::AsyncBoundary;
+        let skip_boundary = self.skip_boundary;
         let t_kernel = launch_sweep(
             &mut self.device,
             &mut self.main,
@@ -471,13 +500,17 @@ impl Backend for GpuBackend {
             let host_t1 = Instant::now();
             let mesh = cp.mesh();
             let vars = fields.as_slices();
+            let ghosts = self.main.ghosts.current(cp);
             for bf in &cp.boundary {
                 let face = &mesh.faces[bf.face];
                 let cell = face.owner;
                 let fid = bf.face;
                 for &flat in &self.owned_flats {
                     let u1 = fields.value(unknown, cell, flat);
-                    let u2 = self.main.ghosts[cp.bface_slot[fid] * n_flat + flat];
+                    let slot = cp.bface_slot[fid];
+                    let u2 = cp
+                        .walls
+                        .ghost_read(ghosts, vars[unknown], n_cells, slot, flat, cell);
                     let n = face.normal;
                     let vm = VmCtx {
                         vars: &vars,
@@ -498,7 +531,7 @@ impl Backend for GpuBackend {
             }
             t_host += host_t1.elapsed().as_secs_f64();
         } else {
-            // Precompute strategy: reconcile the device state — scatter the
+            // Full-flux kernel: reconcile the device state — scatter the
             // new rows back into the resident unknown buffer.
             self.device.scatter_rows(
                 &self.out_dev,
@@ -508,37 +541,32 @@ impl Backend for GpuBackend {
             );
         }
 
-        // D2H: the updated unknown returns to the host. Under the async
-        // strategy the download is structural — the host combine *is* the
+        // D2H: the updated unknown returns to the host. With the host
+        // combine the download is structural — the combine *is* the
         // strategy and needs the kernel's interior result regardless of
-        // whether any callback reads the unknown afterwards. Under
-        // precompute it is purely schedule-driven; when the schedule
-        // omits it (no host reader), `finish` reconciles the host copy
-        // after the final step instead.
+        // whether any callback reads the unknown afterwards. Otherwise it
+        // is purely schedule-driven; when the schedule omits it (no host
+        // reader), `finish` reconciles the host copy after the final step
+        // instead.
         let d2h0 = self.device.d2h_bytes();
-        match self.strategy {
-            GpuStrategy::AsyncBoundary => {
-                self.device.d2h(&self.out_dev, &mut self.out_host);
-                // Combine interior result + boundary contribution.
-                let u = fields.slice_mut(unknown);
-                for (k, &flat) in self.owned_flats.iter().enumerate() {
-                    u[flat * n_cells..(flat + 1) * n_cells]
-                        .copy_from_slice(&self.out_host[k * n_cells..(k + 1) * n_cells]);
-                }
-                for (cell, flat, add) in boundary_add {
-                    u[flat * n_cells + cell] += add;
-                }
+        if skip_boundary {
+            self.device.d2h(&self.out_dev, &mut self.out_host);
+            // Combine interior result + boundary contribution.
+            let u = fields.slice_mut(unknown);
+            for (k, &flat) in self.owned_flats.iter().enumerate() {
+                u[flat * n_cells..(flat + 1) * n_cells]
+                    .copy_from_slice(&self.out_host[k * n_cells..(k + 1) * n_cells]);
             }
-            GpuStrategy::PrecomputeBoundary => {
-                if self.d2h_unknown_each_step {
-                    self.device.d2h_rows(
-                        &self.var_devs[unknown],
-                        fields.slice_mut(unknown),
-                        n_cells,
-                        &self.owned_flats,
-                    );
-                }
+            for (cell, flat, add) in boundary_add {
+                u[flat * n_cells + cell] += add;
             }
+        } else if self.d2h_unknown_each_step {
+            self.device.d2h_rows(
+                &self.var_devs[unknown],
+                fields.slice_mut(unknown),
+                n_cells,
+                &self.owned_flats,
+            );
         }
         let d2h_obs = self.device.d2h_bytes() - d2h0;
         let t_transfer = (t_after_h2d - dev_t0) + (self.device.elapsed() - t_after_h2d - t_kernel);
@@ -593,7 +621,7 @@ impl Backend for GpuBackend {
         fields: &mut Fields,
     ) -> Option<pbte_gpu::ProfileReport> {
         if !cp.problem.integrator.is_implicit()
-            && self.strategy == GpuStrategy::PrecomputeBoundary
+            && !self.skip_boundary
             && !self.d2h_unknown_each_step
         {
             let unknown = cp.system.unknown;

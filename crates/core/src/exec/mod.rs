@@ -16,13 +16,18 @@
 //! * its rank scopes from [`crate::analysis::rank_scopes`] — the same
 //!   (cells × flats) split the race analysis proves disjoint.
 //!
+//! Boundary conditions the plan could lower ([`Walls`]) are tables the
+//! kernels read; only walls left to a closure run on the host.
+//!
 //! Agreement guarantees (asserted by integration tests): the CPU targets
 //! (sequential, threaded, cell-distributed) and the GPU precompute
 //! strategy are bit-identical to each other on every kernel tier — they
-//! run the same per-dof arithmetic in the same face order; band
-//! distribution matches to rounding (cross-rank reduction reassociation);
-//! the GPU async strategy matches to rounding (the host adds the
-//! boundary-face contribution separately, from the un-linearized flux).
+//! run the same per-dof arithmetic in the same face order — and so is the
+//! GPU async strategy on a plan whose walls are all lowered (it then runs
+//! the same stage as precompute); band distribution matches to rounding
+//! (cross-rank reduction reassociation); on a plan with callback walls the
+//! GPU async strategy matches to rounding (the host adds the boundary-face
+//! contribution separately, from the un-linearized flux).
 
 pub(crate) mod dist;
 pub(crate) mod driver;
@@ -31,6 +36,9 @@ pub(crate) mod implicit;
 pub(crate) mod par;
 pub(crate) mod rows;
 pub(crate) mod seq;
+pub(crate) mod walls;
+
+pub use walls::Walls;
 
 use crate::bytecode::{BoundProgram, Compiler, KernelKind, Program};
 use crate::dataflow::TransferSchedule;
@@ -174,7 +182,7 @@ pub fn live_cost(cp: &CompiledProblem, target: &ExecTarget) -> CostExpectation {
 /// Scope a full-problem cost expectation to one rank's (cells × flats)
 /// share. Dof and flux sweeps shrink to the owned sets; ghost
 /// evaluations scale with the owned flats (the ghost loop covers every
-/// callback face for each flat in scope, on every rank). Per-step
+/// callback slot for each flat in scope, on every rank). Per-step
 /// transfer-byte predictions are zeroed: the synthesized schedule prices
 /// the whole problem and per-rank shares are not proportional (full
 /// coefficient slices move beside owned unknown rows), so only the
@@ -191,7 +199,7 @@ pub(crate) fn scope_cost(
         .sum();
     c.dof_per_sweep = (cells.len() * flats.len()) as u64;
     c.flux_per_sweep = flats.len() as u64 * faces;
-    c.ghost_per_sweep = (cp.catalog.callback_faces * flats.len()) as u64;
+    c.ghost_per_sweep = (cp.walls.callback_faces() * flats.len()) as u64;
     c.step_h2d_bytes = 0;
     c.step_d2h_bytes = 0;
     c
@@ -425,11 +433,13 @@ fn linearize_flux(cp: &CompiledProblem) -> Option<FluxLinearization> {
 /// vector `v`):
 /// * a constant ghost (`Value`, or a declared callback reading no fields —
 ///   e.g. an isothermal wall whose ghost depends only on wall temperature
-///   and time) is affine in the unknown with zero slope → ghost 0;
+///   and time) is affine in the unknown with zero slope → ghost 0, which
+///   lowers to a zero image without a closure call;
 /// * a declared callback reading the unknown (e.g. a specular symmetry
-///   wall reflecting `I`) is kept verbatim: such conditions are linear
-///   and homogeneous in the unknown, so evaluating them with `v` in the
-///   unknown's slot *is* the directional derivative;
+///   wall reflecting `I`) is kept verbatim, declared form included: such
+///   conditions are linear and homogeneous in the unknown, so evaluating
+///   them with `v` in the unknown's slot *is* the directional derivative
+///   (and a Gather wall lowers to the same gather columns in both plans);
 /// * an opaque `Callback` cannot be linearized — building an implicit
 ///   plan over one is an error (declare its reads instead).
 fn linearized_problem(problem: &Problem) -> Result<Problem, DslError> {
@@ -480,6 +490,9 @@ pub struct CompiledProblem {
     pub(crate) boundary: Vec<BoundaryFace>,
     /// face id → position in `boundary` (usize::MAX for interior faces).
     pub(crate) bface_slot: Vec<usize>,
+    /// The boundary faces lowered into the tables the kernels read, and
+    /// the slots still left to their closures.
+    pub walls: Walls,
     /// The αβγ flux table, for meshes with few face orientations (None →
     /// the compiled flux on Row/Native, the VM on the per-dof tiers).
     pub flux_lin: Option<FluxLinearization>,
@@ -519,26 +532,23 @@ pub struct StepAccess {
 /// declared field accesses where available.
 #[derive(Debug, Clone, Default)]
 pub struct CallbackCatalog {
-    /// Boundary faces whose condition is a callback (either form) — the
-    /// per-step ghost-eval accounting unit.
+    /// Boundary faces whose closure still runs on the host every sweep
+    /// (the walls the plan could not lower) — the per-sweep ghost-eval
+    /// accounting unit.
     pub callback_faces: usize,
-    /// Union of variables the boundary callbacks read; `None` when any
-    /// boundary callback is opaque.
+    /// Union of variables those closures read; `None` when one of them is
+    /// opaque. Lowered walls run no host code and declare nothing here.
     pub boundary_reads: Option<Vec<String>>,
     /// Pre/post-step callbacks in registration order (pre first).
     pub steps: Vec<StepAccess>,
 }
 
 impl CallbackCatalog {
-    fn build(problem: &Problem, boundary: &[BoundaryFace]) -> CallbackCatalog {
-        let mut callback_faces = 0usize;
+    fn build(problem: &Problem, boundary: &[BoundaryFace], walls: &Walls) -> CallbackCatalog {
         let mut reads: std::collections::BTreeSet<String> = Default::default();
         let mut opaque = false;
-        for bf in boundary {
-            if bf.bc.is_callback() {
-                callback_faces += 1;
-            }
-            match bf.bc.declared_reads() {
+        for &slot in &walls.callback_slots {
+            match boundary[slot].bc.declared_reads() {
                 Some(r) => reads.extend(r.iter().cloned()),
                 None => opaque = true,
             }
@@ -555,7 +565,7 @@ impl CallbackCatalog {
             }
         }
         CallbackCatalog {
-            callback_faces,
+            callback_faces: walls.callback_faces(),
             boundary_reads: (!opaque).then(|| reads.into_iter().collect()),
             steps,
         }
@@ -905,6 +915,7 @@ impl CompiledProblem {
             idx_of_flat,
             boundary,
             bface_slot,
+            walls: Walls::default(),
             flux_lin: None,
             hot: HotGeometry {
                 offsets: Vec::new(),
@@ -920,7 +931,8 @@ impl CompiledProblem {
             jvp: None,
             native: OnceLock::new(),
         };
-        cp.catalog = CallbackCatalog::build(&cp.problem, &cp.boundary);
+        cp.walls = Walls::lower(cp.mesh(), &cp.boundary, &cp.idx_of_flat, &fields);
+        cp.catalog = CallbackCatalog::build(&cp.problem, &cp.boundary, &cp.walls);
         cp.flux_lin = linearize_flux(&cp);
         cp.hot = HotGeometry::build(
             cp.mesh(),
@@ -940,11 +952,14 @@ impl CompiledProblem {
 
     /// Debug-build guard every solve runs on entry: panics when the
     /// verifier finds an `Error`-severity diagnostic. Warnings (which stem
-    /// from conservative assumptions about opaque callbacks) pass.
+    /// from conservative assumptions about opaque callbacks) pass. The
+    /// lowered walls are compared with their closures exhaustively here,
+    /// not on the release gate's one face per (wall, normal).
     #[cfg(debug_assertions)]
     pub(crate) fn debug_verify(&self, target: &ExecTarget) {
-        let errors: Vec<_> = self
-            .verify_plan(target)
+        let mut diags = self.verify_plan(target);
+        crate::analysis::check_boundary_forms(self, true, &mut diags);
+        let errors: Vec<_> = diags
             .into_iter()
             .filter(|d| d.severity == crate::analysis::Severity::Error)
             .collect();
@@ -1047,15 +1062,16 @@ impl CompiledProblem {
     }
 
     /// Benchmark harness for the intensity phase in isolation: RHS
-    /// evaluation over all (cell, flat) pairs at a pinned tier, with
-    /// ghosts precomputed once. Used by the `intensity_phase` bench to
-    /// compare tiers on identical state without stepping.
+    /// evaluation over all (cell, flat) pairs at a pinned tier. Lowered
+    /// walls are read from the plan's tables; the ghosts of any callback
+    /// walls are evaluated once, here. Used by the `intensity_phase` bench
+    /// to compare tiers on identical state without stepping.
     pub fn intensity_bench(&self, fields: &Fields, tier: KernelTier) -> IntensityBench<'_> {
         let all_cells: Vec<usize> = (0..fields.n_cells).collect();
         let all_flats: Vec<usize> = (0..self.n_flat).collect();
-        let mut ghosts = vec![0.0; self.boundary.len() * self.n_flat];
+        let mut ghosts = walls::Ghosts::for_plan(self);
         let mut work = WorkCounters::default();
-        seq::compute_ghosts(self, fields, &all_flats, 0.0, &mut ghosts, &mut work);
+        ghosts.refresh(self, fields, &all_flats, 0.0, &mut work, false);
         let kernels = rows::IntensityKernels::with_tier(self, &all_flats, tier);
         IntensityBench {
             cp: self,
@@ -1065,6 +1081,27 @@ impl CompiledProblem {
             ghosts,
             kernels,
         }
+    }
+
+    /// The ghost the sweeps read outside boundary face `face` for `flat` on
+    /// `fields` — the plan's image entry, or the unknown at the owner cell
+    /// and the gather column's source flat. `None` when the face is
+    /// interior, or its wall is left to its closure (evaluated on the host
+    /// every sweep). What the lowering tests compare with
+    /// [`BoundaryCondition::ghost_value`].
+    pub fn lowered_ghost(&self, fields: &Fields, face: usize, flat: usize) -> Option<f64> {
+        let slot = *self.bface_slot.get(face).filter(|&&s| s != usize::MAX)?;
+        if self.walls.callback_slots.binary_search(&slot).is_ok() {
+            return None;
+        }
+        Some(self.walls.ghost_read(
+            &self.walls.image,
+            fields.slice(self.system.unknown),
+            fields.n_cells,
+            slot,
+            flat,
+            self.mesh().faces[face].owner,
+        ))
     }
 
     /// Automatic host↔device transfer schedule for a GPU strategy: the
@@ -1091,8 +1128,7 @@ impl CompiledProblem {
             registry.flat_len(&registry.variables[self.system.unknown].indices) * n_cells * 8;
         // The hybrid target mirrors every variable plus the double buffer
         // and the ghost array on the device.
-        let device_bytes =
-            fields_bytes + unknown_bytes + self.boundary.len().max(1) * self.n_flat * 8;
+        let device_bytes = fields_bytes + unknown_bytes + self.walls.image.len() * 8;
         MemoryReport {
             n_cells,
             n_dof: self.n_flat * n_cells,
@@ -1112,7 +1148,7 @@ pub struct IntensityBench<'a> {
     /// [`Self::split`] cut it.
     cell_spans: Vec<(usize, usize)>,
     flats: Vec<usize>,
-    ghosts: Vec<f64>,
+    ghosts: walls::Ghosts,
     kernels: rows::IntensityKernels,
 }
 
@@ -1161,8 +1197,9 @@ impl IntensityBench<'_> {
             self.cp,
             fields,
             d,
-            &self.ghosts,
+            self.ghosts.current(self.cp),
             0.0,
+            None,
             rhs,
             &mut work,
             &mut self.kernels,

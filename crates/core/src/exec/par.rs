@@ -10,49 +10,21 @@
 use super::rows::{self, FluxBoundary, IntensityKernels};
 use super::{CompiledProblem, WorkCounters};
 use crate::entities::Fields;
-use crate::problem::BoundaryQuery;
 use rayon::prelude::*;
 
-/// Parallel ghost computation: one task per boundary face, all flats.
-pub(crate) fn compute_ghosts_par(
-    cp: &CompiledProblem,
-    fields: &Fields,
-    time: f64,
-    ghosts: &mut [f64],
-    work: &mut WorkCounters,
-) {
-    let mesh = cp.mesh();
-    let n_flat = cp.n_flat;
-    ghosts
-        .par_chunks_mut(n_flat)
-        .enumerate()
-        .for_each(|(slot, chunk)| {
-            let bf = &cp.boundary[slot];
-            let face = &mesh.faces[bf.face];
-            for (flat, out) in chunk.iter_mut().enumerate() {
-                *out = bf.bc.ghost_value(&BoundaryQuery {
-                    position: face.centroid,
-                    normal: face.normal,
-                    owner_cell: face.owner,
-                    idx: &cp.idx_of_flat[flat],
-                    time,
-                    fields,
-                });
-            }
-        });
-    work.ghost_evals += (cp.catalog.callback_faces * n_flat) as u64;
-}
-
-/// Parallel RHS over the whole dof grid: the flat dimension maps to tasks
-/// (one contiguous block of `rhs` each) and, within a flat, the cell range
-/// is rayon-split into per-thread sub-spans, one [`rows::rhs_block`] call
-/// each. Chunk boundaries don't change per-cell arithmetic, so results
-/// stay bit-identical to the sequential target.
+/// Parallel RHS (or, with `fused_dt`, Euler update) over the whole dof
+/// grid: the flat dimension maps to tasks (one contiguous block of `rhs`
+/// each) and, within a flat, the cell range is rayon-split into per-thread
+/// sub-spans, one [`rows::rhs_block`] call each. Chunk boundaries don't
+/// change per-cell arithmetic, so results stay bit-identical to the
+/// sequential target.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn compute_rhs_par(
     cp: &CompiledProblem,
     fields: &Fields,
     ghosts: &[f64],
     time: f64,
+    fused_dt: Option<f64>,
     rhs: &mut [f64],
     work: &mut WorkCounters,
     kernels: &mut IntensityKernels,
@@ -72,7 +44,7 @@ pub(crate) fn compute_rhs_par(
                 .par_chunks_mut(chunk)
                 .enumerate()
                 .for_each(|(ci, out)| {
-                    let mut regs = kernels.scratch();
+                    let mut scratch = kernels.scratch(&vars);
                     rows::rhs_block(
                         kernels,
                         cp,
@@ -82,8 +54,8 @@ pub(crate) fn compute_rhs_par(
                         out,
                         FluxBoundary::Ghosts(ghosts),
                         time,
-                        None,
-                        &mut regs,
+                        fused_dt,
+                        &mut scratch,
                     );
                 });
         });

@@ -34,11 +34,20 @@ use std::sync::Arc;
 /// How a flux sum treats boundary faces.
 #[derive(Clone, Copy)]
 pub(crate) enum FluxBoundary<'a> {
-    /// Read ghost values at `slot * n_flat + flat`.
+    /// Read them through `Walls::ghost_read`: a gather through the plan's
+    /// columns, or a row of these ghost values (laid out by `Walls::at`).
     Ghosts(&'a [f64]),
     /// Skip boundary faces entirely — the GPU `AsyncBoundary` strategy
     /// adds the host-computed boundary contribution separately.
     Skip,
+}
+
+/// Per-sweep scratch of one worker: the register file of the row
+/// evaluator and the variable base pointers the native call passes —
+/// built once per sweep ([`IntensityKernels::scratch`]), not per span.
+pub(crate) struct Scratch {
+    regs: Vec<[f64; ROW_CHUNK]>,
+    ptrs: Vec<*const f64>,
 }
 
 /// Per-flat compiled kernels for one worker's scope, plus the bind cache.
@@ -197,9 +206,13 @@ impl IntensityKernels {
         self.native_fallback.as_ref()
     }
 
-    /// Fresh register scratch sized for the widest kernel in the scope.
-    pub fn scratch(&self) -> Vec<[f64; ROW_CHUNK]> {
-        vec![[0.0; ROW_CHUNK]; self.max_regs.max(1)]
+    /// Fresh scratch for sweeps over `vars`: registers sized for the
+    /// widest kernel in the scope, and the base pointer of every variable.
+    pub fn scratch(&self, vars: &[&[f64]]) -> Scratch {
+        Scratch {
+            regs: vec![[0.0; ROW_CHUNK]; self.max_regs.max(1)],
+            ptrs: vars.iter().map(|s| s.as_ptr()).collect(),
+        }
     }
 
     /// Exact face count over the scope's cells, summed once per scope and
@@ -249,11 +262,13 @@ fn finish_dof(
 /// The table flux over the cells `cell0 .. cell0 + out.len()` by the CSR
 /// walk: `seq::flux_sum_dof`'s linearized fast path face for face (same
 /// order, same operations), so results are bit-identical to the per-DOF
-/// tiers. Handles boundary faces (ghosts or skip) and any face count.
+/// tiers. Handles boundary faces (ghosts or skip) and any face count. `u`
+/// is the whole unknown, `u_row` its row `flat`.
 #[allow(clippy::too_many_arguments)]
 fn flux_csr(
     cp: &CompiledProblem,
     lin: &FluxLinearization,
+    u: &[f64],
     u_row: &[f64],
     flat: usize,
     boundary: FluxBoundary,
@@ -262,7 +277,8 @@ fn flux_csr(
     fused_dt: Option<f64>,
 ) {
     let hot = &cp.hot;
-    let n_flat = cp.n_flat;
+    let n_cells = u_row.len();
+    let walls = &cp.walls;
     for (i, o) in out.iter_mut().enumerate() {
         let cell = cell0 + i;
         let u_here = u_row[cell];
@@ -275,7 +291,9 @@ fn flux_csr(
                 u_row[nb as usize]
             } else {
                 match boundary {
-                    FluxBoundary::Ghosts(g) => g[(-(nb + 1)) as usize * n_flat + flat],
+                    FluxBoundary::Ghosts(g) => {
+                        walls.ghost_read(g, u, n_cells, (-(nb + 1)) as usize, flat, cell)
+                    }
                     FluxBoundary::Skip => continue,
                 }
             };
@@ -364,6 +382,7 @@ fn stencil_kernel(nf: u32) -> Option<StencilFn> {
 fn flux_combine(
     cp: &CompiledProblem,
     lin: &FluxLinearization,
+    u: &[f64],
     u_row: &[f64],
     flat: usize,
     boundary: FluxBoundary,
@@ -394,7 +413,7 @@ fn flux_combine(
         let seg = &mut out[cell - cell0..seg_end - cell0];
         match stencil {
             Some((run, kernel)) => kernel(hot, lin, run, u_row, flat, cell, seg, fused_dt),
-            None => flux_csr(cp, lin, u_row, flat, boundary, cell, seg, fused_dt),
+            None => flux_csr(cp, lin, u, u_row, flat, boundary, cell, seg, fused_dt),
         }
         cell = seg_end;
     }
@@ -405,7 +424,7 @@ fn flux_combine(
 ///
 /// The CSR slots `offsets[cell0] .. offsets[cell0 + out.len()]` are walked
 /// in `ROW_CHUNK` lanes: gather the face inputs (owner value, neighbor or
-/// ghost value, oriented normal), evaluate `flux` once per chunk, then per
+/// `Walls::ghost_read` value, oriented normal), evaluate `flux` once per chunk, then per
 /// cell accumulate `flux_sum += area[k] * f[k]` from 0.0 in slot order —
 /// the operation sequence of `seq::flux_sum_dof`'s VM branch, so results
 /// are bit-identical to the per-DOF tiers however the span is split.
@@ -415,6 +434,7 @@ fn flux_combine(
 fn flux_combine_compiled(
     flux: &RegProgram,
     cp: &CompiledProblem,
+    u: &[f64],
     u_row: &[f64],
     flat: usize,
     boundary: FluxBoundary,
@@ -425,7 +445,8 @@ fn flux_combine_compiled(
     regs: &mut [[f64; ROW_CHUNK]],
 ) {
     let hot = &cp.hot;
-    let n_flat = cp.n_flat;
+    let n_cells = u_row.len();
+    let walls = &cp.walls;
     let face_base = cp.flux.face_base;
     let skip = matches!(boundary, FluxBoundary::Skip);
     let mut lanes = [[0.0f64; ROW_CHUNK]; FACE_INPUTS];
@@ -452,7 +473,9 @@ fn flux_combine_compiled(
                 u_row[nb as usize]
             } else {
                 match boundary {
-                    FluxBoundary::Ghosts(g) => g[(-(nb + 1)) as usize * n_flat + flat],
+                    FluxBoundary::Ghosts(g) => {
+                        walls.ghost_read(g, u, n_cells, (-(nb + 1)) as usize, flat, owner)
+                    }
                     // Evaluated, never summed.
                     FluxBoundary::Skip => 0.0,
                 }
@@ -492,8 +515,8 @@ fn flux_combine_compiled(
 
 /// Evaluate a full row-kernel span: batched source via [`RegProgram`],
 /// then the fused flux/update combine (table or compiled). `out` covers
-/// cells `cell0 .. cell0 + out.len()`; `regs` is scratch from
-/// [`IntensityKernels::scratch`].
+/// cells `cell0 .. cell0 + out.len()`; `regs` is the register file of the
+/// caller's [`Scratch`].
 #[allow(clippy::too_many_arguments)]
 fn rhs_span(
     kernels: &IntensityKernels,
@@ -511,12 +534,14 @@ fn rhs_span(
     let flat = kernels.flat(k);
     let centroids = &cp.mesh().cell_centroids;
     kernels.reg[k].eval_row(vars, cell0, out, centroids, time, regs);
-    let u_row = &vars[cp.system.unknown][flat * n_cells..(flat + 1) * n_cells];
+    let u = vars[cp.system.unknown];
+    let u_row = &u[flat * n_cells..(flat + 1) * n_cells];
     match &cp.flux_lin {
-        Some(lin) => flux_combine(cp, lin, u_row, flat, boundary, cell0, out, fused_dt),
+        Some(lin) => flux_combine(cp, lin, u, u_row, flat, boundary, cell0, out, fused_dt),
         None => flux_combine_compiled(
             &kernels.flux_reg[k],
             cp,
+            u,
             u_row,
             flat,
             boundary,
@@ -538,6 +563,7 @@ fn rhs_span_native(
     lib: &NativeLib,
     cp: &CompiledProblem,
     vars: &[&[f64]],
+    ptrs: &[*const f64],
     flat: usize,
     boundary: FluxBoundary,
     cell0: usize,
@@ -545,7 +571,10 @@ fn rhs_span_native(
     fused_dt: Option<f64>,
 ) {
     let hot = &cp.hot;
-    let ptrs: Vec<*const f64> = vars.iter().map(|s| s.as_ptr()).collect();
+    debug_assert!(
+        vars.iter().map(|s| s.as_ptr()).eq(ptrs.iter().copied()),
+        "scratch was built for other variables"
+    );
     let (ghosts, skip_boundary) = match boundary {
         FluxBoundary::Ghosts(g) => (g.as_ptr(), 0u8),
         FluxBoundary::Skip => (std::ptr::null(), 1u8),
@@ -553,6 +582,8 @@ fn rhs_span_native(
     let args = NativeArgs {
         vars: ptrs.as_ptr(),
         ghosts,
+        wall_read: cp.walls.read.as_ptr(),
+        wall_columns: cp.walls.columns.as_ptr(),
         offsets: hot.offsets.as_ptr(),
         nbr: hot.nbr.as_ptr(),
         area: hot.area.as_ptr(),
@@ -569,8 +600,8 @@ fn rhs_span_native(
         n_runs: hot.runs.len(),
     };
     // SAFETY: the kernel was generated for this exact plan (same variable
-    // layout, same geometry arrays, same n_cells baked into the load
-    // offsets), the span `cell0 .. cell0 + out.len()` is in bounds by the
+    // layout, same geometry arrays and wall tables, same n_cells baked
+    // into the load offsets), the span `cell0 .. cell0 + out.len()` is in bounds by the
     // same contract `rhs_span` relies on, and all pointers outlive the
     // call.
     unsafe { (lib.kernel(flat))(&args) };
@@ -581,9 +612,9 @@ fn rhs_span_native(
 /// dispatch of the intensity phase: the serial span walk, the rayon chunk
 /// walk and the device row launch all call it, so every executor runs the
 /// same per-dof arithmetic. With `fused_dt` the explicit update is folded
-/// in (`out = u + dt·rhs`). `regs` is scratch from
-/// [`IntensityKernels::scratch`]; [`IntensityKernels::ensure`] must have
-/// been called for `time`.
+/// in (`out = u + dt·rhs`). `scratch` is [`IntensityKernels::scratch`] of
+/// these `vars`; [`IntensityKernels::ensure`] must have been called for
+/// `time`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rhs_block(
     kernels: &IntensityKernels,
@@ -595,7 +626,7 @@ pub(crate) fn rhs_block(
     boundary: FluxBoundary,
     time: f64,
     fused_dt: Option<f64>,
-    regs: &mut [[f64; ROW_CHUNK]],
+    scratch: &mut Scratch,
 ) {
     let flat = kernels.flat(k);
     let n_cells = cp.hot.inv_volume.len();
@@ -609,12 +640,23 @@ pub(crate) fn rhs_block(
     };
     match kernels.tier {
         KernelTier::Row => rhs_span(
-            kernels, k, cp, vars, n_cells, boundary, cell0, out, time, fused_dt, regs,
+            kernels,
+            k,
+            cp,
+            vars,
+            n_cells,
+            boundary,
+            cell0,
+            out,
+            time,
+            fused_dt,
+            &mut scratch.regs,
         ),
         KernelTier::Native => rhs_span_native(
             kernels.native(),
             cp,
             vars,
+            &scratch.ptrs,
             flat,
             boundary,
             cell0,
@@ -740,24 +782,17 @@ mod tests {
     ) -> Vec<f64> {
         let n_cells = fields.n_cells;
         let flats: Vec<usize> = (0..cp.n_flat).collect();
-        let mut ghosts = vec![0.0; cp.boundary.len() * cp.n_flat];
-        seq::compute_ghosts(
-            cp,
-            fields,
-            &flats,
-            0.0,
-            &mut ghosts,
-            &mut Default::default(),
-        );
+        let mut ghosts = super::super::walls::Ghosts::for_plan(cp);
+        let ghosts = ghosts.refresh(cp, fields, &flats, 0.0, &mut Default::default(), false);
         let boundary = match skip {
             true => FluxBoundary::Skip,
-            false => FluxBoundary::Ghosts(&ghosts),
+            false => FluxBoundary::Ghosts(ghosts),
         };
         let mut kernels = IntensityKernels::with_tier(cp, &flats, tier);
         assert_eq!(kernels.tier, tier);
         kernels.ensure(cp, 0.0);
-        let mut regs = kernels.scratch();
         let vars = fields.as_slices();
+        let mut scratch = kernels.scratch(&vars);
         let mut out = vec![0.0; cp.n_flat * n_cells];
         for k in 0..cp.n_flat {
             for cell0 in (0..n_cells).step_by(span) {
@@ -773,7 +808,7 @@ mod tests {
                     boundary,
                     0.0,
                     fused_dt,
-                    &mut regs,
+                    &mut scratch,
                 );
             }
         }
@@ -893,25 +928,25 @@ mod tests {
         assert!(cp.hot.runs.is_empty());
     }
 
-    /// The compiled-flux emission is the parent commit's, byte for byte:
-    /// its cached `.so` files stay valid and the lane that bypasses the
-    /// stencil runs cannot have moved. The hash was taken from the build
-    /// before stencil runs existed.
+    /// The compiled-flux emission is pinned: it changes only on purpose (a
+    /// changed source is a changed cache key, so every cached `.so` is
+    /// recompiled), and the streamed hash is the hash of the text a compile
+    /// would write. Last moved when the `Args` block gained the wall tables
+    /// and the boundary branch the ghost-read rule.
     #[test]
-    fn compiled_flux_source_is_byte_identical_to_the_pre_run_emission() {
+    fn compiled_flux_source_is_pinned() {
         let (cp, fields) = triangle_plan();
         let per_flat = nativegen::lower_plan(&cp).unwrap();
         assert_eq!(
             nativegen::source_hash(&cp, &per_flat),
-            0xcd6c_c2f0_2fa0_e9c1
+            0x351c_fda1_9ca9_c73a
         );
-        // The streamed hash is the hash of the text a compile would write.
         let mut text = String::new();
         nativegen::emit_source(&cp, fields.n_cells, &per_flat, &mut text).unwrap();
-        assert_eq!(text.len(), 11_508);
+        assert_eq!(text.len(), 12_710);
         let mut hash = nativegen::Fnv1a::new();
         std::fmt::Write::write_str(&mut hash, &text).unwrap();
-        assert_eq!(hash.0, 0xcd6c_c2f0_2fa0_e9c1);
+        assert_eq!(hash.0, 0x351c_fda1_9ca9_c73a);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Sequential building blocks of a step — the reference semantics every
 //! other target must reproduce (bit-for-bit for the CPU targets, to
-//! rounding for the reduction- and GPU-based ones; see `exec`'s module
-//! docs): boundary ghosts, the per-dof RHS evaluators behind
-//! [`rows::rhs_block`], the serial scope sweep, and the callback runner.
+//! rounding for the reduction-based ones; see `exec`'s module docs): the
+//! per-dof RHS evaluators behind [`rows::rhs_block`], the serial scope
+//! sweep, and the step-callback runner. Boundary faces are read through
+//! the plan's lowered walls ([`super::walls`]); only walls left to a
+//! closure are evaluated on the host, by `walls::compute_ghosts`.
 //! The time loop that composes them is [`super::driver::drive`].
 
 use super::driver::Dofs;
@@ -10,45 +12,15 @@ use super::rows::{self, FluxBoundary, IntensityKernels};
 use super::{CompiledProblem, WorkCounters};
 use crate::bytecode::VmCtx;
 use crate::entities::Fields;
-use crate::problem::{BoundaryQuery, Reducer, StepContext};
+use crate::problem::{Reducer, StepContext};
 use pbte_runtime::telemetry::{Recorder, SpanKind, Track};
-
-/// Evaluate boundary callbacks for every owned flat on every boundary face,
-/// writing ghosts at `[bface_slot * n_flat + flat]`. One ghost evaluation
-/// is counted per (callback face, flat) pair; the face count comes from
-/// the compile-time callback catalog — the same source the static analyzer
-/// uses for its declared access sets.
-pub(crate) fn compute_ghosts(
-    cp: &CompiledProblem,
-    fields: &Fields,
-    flats: &[usize],
-    time: f64,
-    ghosts: &mut [f64],
-    work: &mut WorkCounters,
-) {
-    let mesh = cp.mesh();
-    for (slot, bf) in cp.boundary.iter().enumerate() {
-        let face = &mesh.faces[bf.face];
-        for &flat in flats {
-            let value = bf.bc.ghost_value(&BoundaryQuery {
-                position: face.centroid,
-                normal: face.normal,
-                owner_cell: face.owner,
-                idx: &cp.idx_of_flat[flat],
-                time,
-                fields,
-            });
-            ghosts[slot * cp.n_flat + flat] = value;
-        }
-    }
-    work.ghost_evals += (cp.catalog.callback_faces * flats.len()) as u64;
-}
 
 /// Face-flux sum for one (cell, flat) pair on the per-dof tiers: the αβγ
 /// table when the plan has one, the stack VM face by face otherwise — the
 /// reference semantics the compiled flux of the Row/Native tiers
 /// (`rows::flux_combine_compiled`) reproduces bit for bit. Boundary faces
-/// read their ghost value or are skipped, per `boundary`.
+/// are read through [`Walls::ghost_read`](super::Walls) or skipped, per
+/// `boundary`.
 #[inline]
 pub(crate) fn flux_sum_dof(
     cp: &CompiledProblem,
@@ -75,7 +47,11 @@ pub(crate) fn flux_sum_dof(
                 u_row[nb as usize]
             } else {
                 match boundary {
-                    FluxBoundary::Ghosts(g) => g[(-(nb + 1)) as usize * cp.n_flat + flat],
+                    FluxBoundary::Ghosts(g) => {
+                        let slot = (-(nb + 1)) as usize;
+                        cp.walls
+                            .ghost_read(g, vars[unknown], n_cells, slot, flat, cell)
+                    }
                     FluxBoundary::Skip => continue,
                 }
             };
@@ -99,7 +75,11 @@ pub(crate) fn flux_sum_dof(
             let face = &mesh.faces[fid];
             let u2 = match (face.other_cell(cell), boundary) {
                 (Some(nb), _) => vars[unknown][flat * n_cells + nb],
-                (None, FluxBoundary::Ghosts(g)) => g[cp.bface_slot[fid] * cp.n_flat + flat],
+                (None, FluxBoundary::Ghosts(g)) => {
+                    let slot = cp.bface_slot[fid];
+                    cp.walls
+                        .ghost_read(g, vars[unknown], n_cells, slot, flat, cell)
+                }
                 (None, FluxBoundary::Skip) => continue,
             };
             let n = face.normal_from(cell);
@@ -165,8 +145,9 @@ pub(crate) fn eval_rhs_dof_vm(
 }
 
 /// Compute the RHS for every (cell, flat) in scope into
-/// `rhs[flat * n_cells + cell]`: a serial walk over each owned flat's
-/// cell spans, one [`rows::rhs_block`] call per span.
+/// `rhs[flat * n_cells + cell]` — or, with `fused_dt`, the Euler update
+/// `u + dt·rhs` — by a serial walk over each owned flat's cell spans, one
+/// [`rows::rhs_block`] call per span.
 /// The walk is flat-major on every tier; each dof is independent within a
 /// sweep, so the `assemblyLoops` preference (paper §III-C) shows in the
 /// generated source but cannot change results.
@@ -177,6 +158,7 @@ pub(crate) fn compute_rhs_into(
     d: Dofs,
     ghosts: &[f64],
     time: f64,
+    fused_dt: Option<f64>,
     rhs: &mut [f64],
     work: &mut WorkCounters,
     kernels: &mut IntensityKernels,
@@ -187,7 +169,7 @@ pub(crate) fn compute_rhs_into(
     kernels.ensure(cp, time);
     // Exact per-scope face count (summed once, not sampled from cells[0]).
     let faces_in_scope = kernels.faces_for_cells(&cp.hot, d.cells);
-    let mut regs = kernels.scratch();
+    let mut scratch = kernels.scratch(&vars);
     for (k, &flat) in d.flats.iter().enumerate() {
         for &(start, len) in d.cell_spans {
             let at = flat * d.n_cells + start;
@@ -200,8 +182,8 @@ pub(crate) fn compute_rhs_into(
                 &mut rhs[at..at + len],
                 FluxBoundary::Ghosts(ghosts),
                 time,
-                None,
-                &mut regs,
+                fused_dt,
+                &mut scratch,
             );
         }
     }

@@ -124,6 +124,21 @@ fn update_body(cp: &CompiledProblem) -> Vec<IrNode> {
     ]
 }
 
+/// What the lowered walls look like from inside a sweep.
+const LOWERED_WALLS: &str =
+    "boundary faces read the lowered wall tables (ghost image, same-cell gather)";
+
+/// The boundary node that opens a host step: the callback that evaluates
+/// the ghosts of the walls left to closures — or, on a plan whose walls
+/// are all lowered, a comment: no host code runs for the boundary.
+fn boundary_node(cp: &CompiledProblem, callback: &str) -> IrNode {
+    if cp.walls.lowered() {
+        IrNode::Comment(format!("{LOWERED_WALLS}; no host boundary work"))
+    } else {
+        IrNode::Callback(callback.into())
+    }
+}
+
 fn stepper_comment(cp: &CompiledProblem) -> IrNode {
     IrNode::Comment(match cp.problem.stepper {
         TimeStepper::EulerExplicit => "time integration: forward Euler".to_string(),
@@ -141,8 +156,9 @@ fn cpu_ir(cp: &CompiledProblem, target: &ExecTarget) -> IrNode {
             body,
         }];
     }
-    let mut step = vec![IrNode::Callback(
-        "compute boundary ghost values (user callbacks)".into(),
+    let mut step = vec![boundary_node(
+        cp,
+        "compute boundary ghost values (user callbacks)",
     )];
     step.append(&mut body);
     step.push(IrNode::Callback(
@@ -165,7 +181,7 @@ fn dist_cells_ir(cp: &CompiledProblem, ranks: usize) -> IrNode {
             "halo exchange: interface-cell {}[*] with partition neighbors",
             cp.system.unknown_name
         )),
-        IrNode::Callback("compute boundary ghost values (user callbacks)".into()),
+        boundary_node(cp, "compute boundary ghost values (user callbacks)"),
         IrNode::Loop {
             dim: LoopDim::Cells,
             body: {
@@ -189,7 +205,7 @@ fn dist_cells_ir(cp: &CompiledProblem, ranks: usize) -> IrNode {
 
 fn dist_bands_ir(cp: &CompiledProblem, ranks: usize, index: &str) -> IrNode {
     let step = vec![
-        IrNode::Callback("compute boundary ghost values for owned bands".into()),
+        boundary_node(cp, "compute boundary ghost values for owned bands"),
         IrNode::Loop {
             dim: LoopDim::Index(index.to_string()),
             body: vec![
@@ -217,18 +233,22 @@ fn dist_bands_ir(cp: &CompiledProblem, ranks: usize, index: &str) -> IrNode {
 fn gpu_ir(cp: &CompiledProblem, strategy: GpuStrategy, dist: Option<(usize, String)>) -> IrNode {
     let order = cp.problem.effective_loop_order(cp.system.unknown);
     let schedule = cp.transfer_schedule(strategy);
+    // The host stays in the boundary loop only while a callback wall
+    // does; on a lowered plan both strategies are the same full-flux
+    // kernel.
+    let lowered = cp.walls.lowered();
+    let host_combine = strategy == GpuStrategy::AsyncBoundary && !lowered;
     let mut kernel_body = update_body(cp);
-    if strategy == GpuStrategy::AsyncBoundary {
-        kernel_body.insert(
-            0,
-            IrNode::Comment("interior faces only; boundary handled on the host".into()),
-        );
-    } else {
-        kernel_body.insert(
-            0,
-            IrNode::Comment("boundary faces read pre-computed ghost values".into()),
-        );
-    }
+    kernel_body.insert(
+        0,
+        IrNode::Comment(if host_combine {
+            "interior faces only; boundary handled on the host".into()
+        } else if lowered {
+            LOWERED_WALLS.into()
+        } else {
+            "boundary faces read pre-computed ghost values".into()
+        }),
+    );
     let kernel = IrNode::Kernel {
         name: "intensity_update".into(),
         flattened: order,
@@ -247,11 +267,11 @@ fn gpu_ir(cp: &CompiledProblem, strategy: GpuStrategy, dist: Option<(usize, Stri
     }
     step.push(IrNode::Stmt("(launch GPU_kernel asynchronously)".into()));
     step.push(kernel);
-    if strategy == GpuStrategy::AsyncBoundary {
+    if host_combine {
         step.push(IrNode::Callback(
             "compute_boundary_contribution(u_bdry) on CPU, overlapped".into(),
         ));
-    } else {
+    } else if !lowered {
         step.push(IrNode::Callback(
             "ghost values were pre-computed by CPU callbacks".into(),
         ));
@@ -266,7 +286,7 @@ fn gpu_ir(cp: &CompiledProblem, strategy: GpuStrategy, dist: Option<(usize, Stri
             });
         }
     }
-    if strategy == GpuStrategy::AsyncBoundary {
+    if host_combine {
         step.push(IrNode::Stmt("u = u_new + u_bdry".into()));
     }
     step.push(IrNode::Callback(

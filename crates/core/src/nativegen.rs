@@ -22,6 +22,11 @@
 //! On meshes with too many face orientations for a table (a
 //! **compiled-flux plan**) each per-flat kernel fuses the source, the
 //! flux's own lowered statements per face and the update in one loop.
+//! Both loops read a boundary face through the one ghost-read rule,
+//! `Walls::ghost_read`: the slot's row of the ghost values inline, a gather
+//! through its column by the plan's one out-of-line `ghost_gather`. The
+//! branch sits in the CSR remainder and the compiled-flux loop only —
+//! stencil runs are all-interior.
 //!
 //! Three properties keep this sound and cheap:
 //!
@@ -60,6 +65,7 @@
 use crate::bytecode::{
     BoundProgram, Func, KernelKind, RegOp, RegProgram, FACE_NORMAL, FACE_U1, FACE_U2,
 };
+use crate::exec::walls::GATHER;
 use crate::exec::{CompiledProblem, StencilRun, MAX_RUN_FACES};
 use pbte_symbolic::expr::CmpOp;
 use std::collections::HashMap;
@@ -205,9 +211,15 @@ pub(crate) fn lower_stmts(reg: &RegProgram) -> Result<Vec<NStmt>, String> {
 pub(crate) struct NativeArgs {
     /// Per-variable base pointers, indexed by registry variable id.
     pub vars: *const *const f64,
-    /// Ghost values at `slot * n_flat + flat`; null when boundary faces
-    /// are skipped.
+    /// Ghost values at `flat * n_rows + row` (`Walls::at`); null when
+    /// boundary faces are skipped.
     pub ghosts: *const f64,
+    /// Per boundary slot, what it reads (`Walls::read`): its row of
+    /// `ghosts`, or — bit 31 set — its column of `wall_columns`.
+    pub wall_read: *const u32,
+    /// The plan's gather columns (`Walls::columns`), `column * n_flat +
+    /// flat`: the source flat of the unknown read at the owner cell.
+    pub wall_columns: *const u32,
     /// CSR row offsets of the face geometry (`n_cells + 1` entries).
     pub offsets: *const u32,
     /// Neighbor cell per face entry; `-(slot+1)` encodes a ghost slot.
@@ -352,13 +364,43 @@ pub(crate) struct FlatStmts {
 }
 
 /// The emitted `Args` fields shared by every plan, in `NativeArgs` order.
-const ARGS_FIELDS: &str = "    vars: *const *const f64,\n    ghosts: *const f64,\n    offsets: *const u32,\n    nbr: *const i64,\n    area: *const f64,\n    class: *const u32,\n    inv_volume: *const f64,\n    out: *mut f64,\n    cell0: usize,\n    len: usize,\n    fused_dt: f64,\n    fused: u8,\n    skip_boundary: u8,\n";
+const ARGS_FIELDS: &str = "    vars: *const *const f64,\n    ghosts: *const f64,\n    wall_read: *const u32,\n    wall_columns: *const u32,\n    offsets: *const u32,\n    nbr: *const i64,\n    area: *const f64,\n    class: *const u32,\n    inv_volume: *const f64,\n    out: *mut f64,\n    cell0: usize,\n    len: usize,\n    fused_dt: f64,\n    fused: u8,\n    skip_boundary: u8,\n";
+
+/// The gather half of `Walls::ghost_read`, emitted once per plan as
+/// `ghost_gather(a, read, flat, cell)`: the unknown at the owner cell
+/// `cell` and the source flat the slot's gather column (`read` without its
+/// `GATHER` bit) names for `flat`. Out of line and cold on purpose: a
+/// gathering face is the rare case and its load usually leaves the cache
+/// either way, while inline its three extra live values (the column table,
+/// the unknown's base, the cell count) cost the flux loops — the stencil
+/// segments included — more registers than they have. The row half stays
+/// inline ([`ghost_read`]).
+fn emit_ghost_gather(cp: &CompiledProblem, w: &mut impl Write) -> fmt::Result {
+    write!(
+        w,
+        "#[cold]\n#[inline(never)]\nunsafe fn ghost_gather(a: &Args, read: u32, flat: usize, cell: usize) -> f64 {{\n    let s = *a.wall_columns.add((read ^ {GATHER}) as usize * {} + flat);\n    *(*a.vars.add({})).add(s as usize * {} + cell)\n}}\n\n",
+        cp.walls.n_flat,
+        cp.system.unknown,
+        cp.mesh().n_cells()
+    )
+}
+
+/// `Walls::ghost_read` as both flux loops emit it for the boundary slot
+/// `-(nb + 1)` of the face owned by `cell`, with `{column}` the start of
+/// the flat's column of the ghost values (`flat · n_rows`): the slot's row
+/// of that column, or [`emit_ghost_gather`]'s call — the same `f64` the
+/// interpreted tiers load.
+fn ghost_read(column: &str, flat: &str, indent: &str) -> String {
+    format!(
+        "{indent}let read = *wall_read.add((-(nb + 1)) as usize);\n{indent}if read & {GATHER} == 0 {{\n{indent}    *ghosts.add({column} + read as usize)\n{indent}}} else {{\n{indent}    ghost_gather(a, read, {flat}, cell)\n{indent}}}"
+    )
+}
 
 /// The `Args` locals a flux loop hoists before it starts: the `out`
 /// stores go through a raw pointer, so without the copies LLVM must
 /// assume they may alias the Args struct itself and reload each field on
 /// every iteration.
-const HOISTED_ARGS: &str = "    let ghosts = a.ghosts;\n    let offsets = a.offsets;\n    let nbr = a.nbr;\n    let area = a.area;\n    let class = a.class;\n    let inv_volume = a.inv_volume;\n    let out = a.out;\n    let cell0 = a.cell0;\n    let len = a.len;\n    let fused_dt = a.fused_dt;\n    let fused = a.fused != 0;\n    let skip_boundary = a.skip_boundary != 0;\n";
+const HOISTED_ARGS: &str = "    let ghosts = a.ghosts;\n    let wall_read = a.wall_read;\n    let offsets = a.offsets;\n    let nbr = a.nbr;\n    let area = a.area;\n    let class = a.class;\n    let inv_volume = a.inv_volume;\n    let out = a.out;\n    let cell0 = a.cell0;\n    let len = a.len;\n    let fused_dt = a.fused_dt;\n    let fused = a.fused != 0;\n    let skip_boundary = a.skip_boundary != 0;\n";
 
 /// Emit the complete source for one compiled plan into `w`: one
 /// `pbte_flat_N` kernel per flat computing `rows::rhs_span`'s operation
@@ -403,9 +445,11 @@ pub(crate) fn emit_source(
             }
         }
         w.write_str("\n")?;
+        emit_ghost_gather(cp, w)?;
         emit_flux_span(cp, w)?;
     } else {
         w.write_str("}\n\n\n")?;
+        emit_ghost_gather(cp, w)?;
     }
     for (flat, stmts) in per_flat.iter().enumerate() {
         emit_flat_kernel(cp, n_cells, flat, stmts, w)?;
@@ -421,7 +465,11 @@ pub(crate) fn emit_source(
 /// falls to the CSR loop, which is correct for every cell. The αβγ rows
 /// of the calling flat arrive as pointers.
 fn emit_flux_span(cp: &CompiledProblem, w: &mut impl Write) -> fmt::Result {
-    let n_flat = cp.n_flat;
+    let ghost_read = ghost_read(
+        &format!("flat * {}", cp.walls.n_rows),
+        "flat",
+        "                    ",
+    );
     write!(
         w,
         "#[repr(C)]\npub struct Run {{\n    first: u32,\n    len: u32,\n    nf: u32,\n    delta: [i32; {MAX_RUN_FACES}],\n    class: [u32; {MAX_RUN_FACES}],\n}}\n\n"
@@ -523,7 +571,7 @@ fn emit_flux_span(cp: &CompiledProblem, w: &mut impl Write) -> fmt::Result {
                     k += 1;
                     continue;
                 }} else {{
-                    *ghosts.add(((-(nb + 1)) as usize) * {n_flat} + flat)
+{ghost_read}
                 }};
                 let c = *class.add(k) as usize;
                 flux += *area.add(k) * (*ga.add(c) + *al.add(c) * u_here + *be.add(c) * u2);
@@ -552,7 +600,6 @@ fn emit_flat_kernel(
     stmts: &FlatStmts,
     w: &mut impl Write,
 ) -> fmt::Result {
-    let n_flat = cp.n_flat;
     let unknown = cp.system.unknown;
     let face_base = cp.flux.face_base;
     let dim = cp.hot.dim;
@@ -580,6 +627,11 @@ fn emit_flat_kernel(
             "        *out.add(i) = r0;\n        i += 1;\n    }}\n    flux_span(a, AL{flat}.as_ptr(), BE{flat}.as_ptr(), GA{flat}.as_ptr(), {flat}, u_row);\n}}\n"
         );
     };
+    let ghost_read = ghost_read(
+        &(flat * cp.walls.n_rows).to_string(),
+        &flat.to_string(),
+        "                ",
+    );
     w.write_str(HOISTED_ARGS)?;
     w.write_str("    let normals = a.normals;\n")?;
     w.write_str("    let mut i = 0usize;\n    while i < len {\n        let cell = cell0 + i;\n")?;
@@ -601,7 +653,7 @@ fn emit_flat_kernel(
                 k += 1;
                 continue;
             }} else {{
-                *ghosts.add(((-(nb + 1)) as usize) * {n_flat} + {flat})
+{ghost_read}
             }};
 "#
     )?;

@@ -152,6 +152,31 @@ pub struct BoundaryQuery<'a> {
 /// (Eq. 6: ghost = I⁰(T_wall) or the reflected direction's value).
 pub type BoundaryFn = Arc<dyn Fn(&BoundaryQuery) -> f64 + Send + Sync>;
 
+/// The source of a [`BoundaryForm::Gather`] wall: for a face with outward
+/// unit `normal` and the unknown's 0-based index tuple `idx`, the flat
+/// index of the unknown whose owner-cell value *is* the ghost — or `None`
+/// for a face this table cannot serve (the wall then stays a callback).
+pub type GatherFn = Arc<dyn Fn(Point, &[usize]) -> Option<usize> + Send + Sync>;
+
+/// What a declared callback's ghost is a function of, when that is less
+/// than "anything": a form the plan lowers once, at compile time, into the
+/// tables the span kernels read (`exec::Walls`), so the closure is never
+/// called during a sweep. The closure stays the definition — the verifier
+/// proves the lowered tables against it (`boundary/form-mismatch`) — and
+/// the fallback for faces a form cannot serve.
+#[derive(Clone)]
+pub enum BoundaryForm {
+    /// The ghost depends on the face and the index tuple only — never on
+    /// time or any field (an isothermal wall). Lowered to one evaluation
+    /// per (face, flat).
+    Fixed,
+    /// `ghost(face, idx) = unknown[owner cell, source(normal, idx)]` — a
+    /// permutation of the unknown's own flats at the owner cell (a
+    /// specular wall). Lowered to a source-flat table; a face whose
+    /// `source` returns `None` for some flat stays a callback.
+    Gather(GatherFn),
+}
+
 /// A boundary condition attached to one region.
 #[derive(Clone)]
 pub enum BoundaryCondition {
@@ -163,13 +188,19 @@ pub enum BoundaryCondition {
     Callback(BoundaryFn),
     /// A callback that declares which variables it reads through
     /// `BoundaryQuery::fields`, letting [`crate::analysis`] reason about
-    /// it precisely instead of conservatively.
-    DeclaredCallback { reads: Vec<String>, f: BoundaryFn },
+    /// it precisely instead of conservatively — and, optionally, the
+    /// [`BoundaryForm`] of its ghost, letting the plan lower it.
+    DeclaredCallback {
+        reads: Vec<String>,
+        f: BoundaryFn,
+        form: Option<BoundaryForm>,
+    },
 }
 
 impl BoundaryCondition {
     /// A callback declaring its field reads by variable name (empty slice
-    /// = touches no fields, e.g. an isothermal wall).
+    /// = touches no fields). No form is declared: the closure runs on the
+    /// host for every (face, flat) of every sweep.
     pub fn callback_reading(
         reads: &[&str],
         f: impl Fn(&BoundaryQuery) -> f64 + Send + Sync + 'static,
@@ -177,6 +208,32 @@ impl BoundaryCondition {
         BoundaryCondition::DeclaredCallback {
             reads: reads.iter().map(|s| s.to_string()).collect(),
             f: Arc::new(f),
+            form: None,
+        }
+    }
+
+    /// A callback declared [`BoundaryForm::Fixed`]: it reads no field and
+    /// no time, so the plan evaluates it once per (face, flat).
+    pub fn fixed(f: impl Fn(&BoundaryQuery) -> f64 + Send + Sync + 'static) -> BoundaryCondition {
+        BoundaryCondition::DeclaredCallback {
+            reads: Vec::new(),
+            f: Arc::new(f),
+            form: Some(BoundaryForm::Fixed),
+        }
+    }
+
+    /// A callback declared [`BoundaryForm::Gather`]: `f` returns the
+    /// unknown (named in `reads`) at the owner cell and flat
+    /// `source(normal, idx)` wherever `source` is `Some`.
+    pub fn gather(
+        reads: &[&str],
+        f: impl Fn(&BoundaryQuery) -> f64 + Send + Sync + 'static,
+        source: impl Fn(Point, &[usize]) -> Option<usize> + Send + Sync + 'static,
+    ) -> BoundaryCondition {
+        BoundaryCondition::DeclaredCallback {
+            reads: reads.iter().map(|s| s.to_string()).collect(),
+            f: Arc::new(f),
+            form: Some(BoundaryForm::Gather(Arc::new(source))),
         }
     }
 
@@ -190,10 +247,12 @@ impl BoundaryCondition {
         }
     }
 
-    /// True for either callback form (the work-accounting rule: callback
-    /// ghosts are counted, constant ghosts are free).
-    pub fn is_callback(&self) -> bool {
-        !matches!(self, BoundaryCondition::Value(_))
+    /// The declared form of the ghost, if any.
+    pub fn form(&self) -> Option<&BoundaryForm> {
+        match self {
+            BoundaryCondition::DeclaredCallback { form, .. } => form.as_ref(),
+            _ => None,
+        }
     }
 
     /// Variables this condition reads, by name. `None` means unknown
@@ -213,8 +272,13 @@ impl fmt::Debug for BoundaryCondition {
         match self {
             BoundaryCondition::Value(v) => write!(f, "Value({v})"),
             BoundaryCondition::Callback(_) => write!(f, "Callback(..)"),
-            BoundaryCondition::DeclaredCallback { reads, .. } => {
-                write!(f, "DeclaredCallback(reads {reads:?})")
+            BoundaryCondition::DeclaredCallback { reads, form, .. } => {
+                let form = match form {
+                    None => "",
+                    Some(BoundaryForm::Fixed) => ", fixed",
+                    Some(BoundaryForm::Gather(_)) => ", gather",
+                };
+                write!(f, "DeclaredCallback(reads {reads:?}{form})")
             }
         }
     }

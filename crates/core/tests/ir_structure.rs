@@ -21,7 +21,14 @@ fn compiled() -> CompiledProblem {
     p.coefficient_array("Sx", &[d], vec![1.0, -1.0]);
     p.coefficient_array("Sy", &[d], vec![0.5, -0.5]);
     p.coefficient_array("vg", &[b], vec![1.0, 2.0, 3.0]);
-    for region in ["left", "right", "top", "bottom"] {
+    // One wall stays a user callback (the host evaluates its ghosts every
+    // sweep); the constants are lowered into the plan.
+    p.boundary(
+        i,
+        "left",
+        BoundaryCondition::callback_reading(&[], |q| q.time),
+    );
+    for region in ["right", "top", "bottom"] {
         p.boundary(i, region, BoundaryCondition::Value(0.0));
     }
     p.post_step(|_| {});

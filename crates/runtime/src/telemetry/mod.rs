@@ -315,6 +315,11 @@ pub enum Frame {
         tier: String,
         /// Flux evaluation that tier runs (`table`, `compiled`, `vm`).
         flux: String,
+        /// How the boundary walls run, in boundary faces:
+        /// `fixed:<n> gather:<n> callback:<n>` — lowered to the ghost
+        /// image, lowered to a same-cell gather, or a host closure called
+        /// every sweep.
+        walls: String,
     },
     /// A closed span, including any cost-model annotation attrs
     /// (`pred_flops`, `pred_bytes`).
@@ -364,12 +369,15 @@ impl Frame {
                 label,
                 tier,
                 flux,
+                walls,
             } => format!(
-                "{{\"frame\":\"run_start\",\"time\":{},\"label\":{},\"tier\":{},\"flux\":{}}}",
+                "{{\"frame\":\"run_start\",\"time\":{},\"label\":{},\"tier\":{},\"flux\":{},\
+                 \"walls\":{}}}",
                 json_f64(*time),
                 json_str(label),
                 json_str(tier),
-                json_str(flux)
+                json_str(flux),
+                json_str(walls)
             ),
             Frame::Span(s) => format!(
                 "{{\"frame\":\"span\",\"cat\":\"{}\",\"name\":{},\"t0\":{},\"dur\":{},\
@@ -731,7 +739,7 @@ impl Recorder {
     }
 
     /// Open a run: what is about to execute. No-op under the null sink.
-    pub fn run_start(&mut self, label: String, tier: &str, flux: &str) {
+    pub fn run_start(&mut self, label: String, tier: &str, flux: &str, walls: &str) {
         if !self.cfg.enabled {
             return;
         }
@@ -740,6 +748,7 @@ impl Recorder {
             label,
             tier: tier.to_string(),
             flux: flux.to_string(),
+            walls: walls.to_string(),
         });
     }
 
@@ -1092,6 +1101,31 @@ impl Recorder {
                 &mut first,
             );
         }
+        // What ran, as a marker at the head of each run (rank 0 opens it).
+        for f in &self.frames {
+            if let Frame::RunStart {
+                time,
+                label,
+                tier,
+                flux,
+                walls,
+            } = f
+            {
+                push(
+                    format!(
+                        "{{\"name\":\"run_start\",\"cat\":\"run\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\
+                         \"tid\":0,\"s\":\"p\",\"args\":{{\"label\":{},\"tier\":{},\"flux\":{},\
+                         \"walls\":{}}}}}",
+                        json_f64(time * 1e6),
+                        json_str(label),
+                        json_str(tier),
+                        json_str(flux),
+                        json_str(walls)
+                    ),
+                    &mut first,
+                );
+            }
+        }
         for e in events {
             push(
                 format!(
@@ -1108,6 +1142,15 @@ impl Recorder {
         }
         out.push_str("]}");
         out
+    }
+
+    /// The `walls` attribute of the most recent buffered `run_start` frame
+    /// (`fixed:<n> gather:<n> callback:<n>`), if a run was recorded.
+    pub fn walls(&self) -> Option<&str> {
+        self.frames.iter().rev().find_map(|f| match f {
+            Frame::RunStart { walls, .. } => Some(walls.as_str()),
+            _ => None,
+        })
     }
 
     /// Render `summary.jsonl`: the buffered non-span frames, one

@@ -490,6 +490,7 @@ mod tests {
                 label: "x".into(),
                 tier: "row".into(),
                 flux: "table".into(),
+                walls: "fixed:0 gather:0 callback:0".into(),
             });
         }
         assert_eq!(sink.pushed(), 8);
@@ -507,6 +508,7 @@ mod tests {
             label: "unit".into(),
             tier: "row".into(),
             flux: "table".into(),
+            walls: "fixed:0 gather:0 callback:0".into(),
         });
         sink.push(Frame::Event(Event {
             severity: EventSeverity::Info,

@@ -197,13 +197,20 @@ fn codegen_artifacts_are_complete() {
         "__global__ intensity_update",
         "transfer: H2D",
         "transfer: D2H",
-        "u = u_new + u_bdry",
+        // Both hot-spot walls are lowered: the kernel reads them from the
+        // plan's tables and the host does no boundary work.
+        "boundary faces read the lowered wall tables",
+        "transfer: H2D ghosts",
     ] {
         assert!(gpu_src.contains(needle), "GPU source lacks `{needle}`");
     }
+    for gone in ["u = u_new + u_bdry", "compute boundary ghost values"] {
+        assert!(!gpu_src.contains(gone) && !src.contains(gone), "`{gone}`");
+    }
     let schedule = gpu.compiled.transfer_schedule(GpuStrategy::AsyncBoundary);
     assert!(schedule.each_step_d2h().contains(&"I"));
-    assert!(schedule.once().contains(&"vg"));
+    assert!(!schedule.each_step_h2d().contains(&"I"), "device-resident");
+    assert!(schedule.once().contains(&"vg") && schedule.once().contains(&"ghosts"));
 }
 
 /// The appendix script's loop permutation works end to end.
