@@ -512,6 +512,9 @@ struct StreamAgg {
     phase_total: Vec<(String, f64)>,
     /// Cumulative span (count, seconds) per (category, name).
     span_total: Vec<(String, String, u64, f64)>,
+    /// Where the temperature update's time went: the `energy_s`,
+    /// `newton_s`, `rewrite_s` attributes of its spans, summed.
+    temperature_split: [f64; 3],
     dof: u64,
     flux: u64,
     comm_bytes: u64,
@@ -573,6 +576,14 @@ impl StreamAgg {
                         .push((cat.to_string(), name.to_string(), 1, dur)),
                 }
                 let attrs = span_attrs(frame);
+                if cat == "newton" {
+                    let keys = ["energy_s", "newton_s", "rewrite_s"];
+                    for (sum, key) in self.temperature_split.iter_mut().zip(keys) {
+                        *sum += attr(&attrs, key)
+                            .and_then(|v| v.parse().ok())
+                            .unwrap_or(0.0);
+                    }
+                }
                 cost_annotation(cat, &attrs).map(|a| format!("{cat} {name}: {a}"))
             }
             "event" => {
@@ -781,6 +792,10 @@ fn top(file: &str) -> ! {
             "  {name:<28} {secs:>10.6}s  {:>5.1}%",
             100.0 * secs / busy.max(1e-12)
         );
+        let [energy, newton, rewrite] = agg.temperature_split;
+        if name.starts_with("temperature update") && energy + newton + rewrite > 0.0 {
+            println!("    energy {energy:.6}s  newton {newton:.6}s  rewrite {rewrite:.6}s");
+        }
     }
     let mut spans = agg.span_total.clone();
     spans.sort_by(|a, b| b.3.total_cmp(&a.3));

@@ -117,13 +117,13 @@ fn bench_temperature(c: &mut Criterion) {
     material.beta_all(312.0, &mut beta);
     let four_pi = 4.0 * std::f64::consts::PI;
     let target: f64 = (0..n)
-        .map(|b| beta[b] * four_pi * material.table.io(b, 312.0))
+        .map(|b| beta[b] * four_pi * material.table().io(b, 312.0))
         .sum();
     c.bench_function("temperature_newton_solve", |b| {
         b.iter(|| black_box(upd.solve(&beta, black_box(target), 300.0)))
     });
     c.bench_function("equilibrium_table_lookup", |b| {
-        b.iter(|| black_box(material.table.io(black_box(27), black_box(317.3))))
+        b.iter(|| black_box(material.table().io(black_box(27), black_box(317.3))))
     });
     c.bench_function("equilibrium_direct_quadrature", |b| {
         b.iter(|| black_box(material.io_exact(black_box(27), black_box(317.3))))

@@ -1,20 +1,29 @@
-//! Scaling behaviour of the post-step temperature update.
-//!
-//! Two questions, matching the two halves of the parallel-temperature
-//! work:
+//! Scaling behaviour of the post-step temperature update — one lane per
+//! ownership scope of the block kernel (`pbte_bte::temperature`).
 //!
 //! 1. **Threading** — the same full update at 1, 2, and 4 rayon threads
-//!    (`serial` is the `threads == 1` fast path, no pool involved). On a
-//!    multi-core host the threaded rows shrink with the thread count; on
-//!    a single-core host (like CI containers) they measure only the
-//!    chunking overhead. No timing assertions are made anywhere — the
-//!    numbers are for eyeballing; correctness (bit-identity to serial)
-//!    is covered by `tests/integration.rs`.
-//! 2. **Newton strategy** — per-rank work of one band-partitioned rank
+//!    (`serial` is one chunk, no pool involved; threaded, the cells are
+//!    cut into block-aligned chunks inside one parallel region). The
+//!    mesh is 64 × 64 — eight 512-cell blocks, so one, two and four
+//!    threads all get whole blocks. On a multi-core host the threaded
+//!    rows shrink with the thread count; on a single-core host (like CI
+//!    containers) they measure only the chunking overhead. `serial_die`
+//!    is the serial update on the benchmark's own hot-spot die (64 × 64
+//!    cells, 12 directions × 11 band groups) — what `hotspot_seq` pays
+//!    48 times per run.
+//! 2. **Cell ownership** — `owned_cells_gapped` updates every cell except
+//!    each 37th: an owned-cell list whose runs the kernel must cut into
+//!    blocks without crossing a gap, as a cell-partitioned rank does.
+//! 3. **Newton strategy** — per-rank work of one band-partitioned rank
 //!    out of 4 under `RedundantNewton` (solves all cells, the paper's
 //!    behaviour) vs `DividedNewton` (solves `n_cells/4`). The reducer is
 //!    a no-op stand-in, so this isolates compute; the communication side
 //!    of the trade lives in the α–β model (`FigureModel`).
+//!
+//! No timing assertions are made anywhere — the numbers are for
+//! eyeballing; correctness (every scope, block length and thread count
+//! bit-identical to a cells-outer oracle) is covered by
+//! `crates/bte/tests/temperature_blocks.rs`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pbte_bte::scenario::{hotspot_2d, BteConfig};
@@ -47,8 +56,7 @@ struct Setup {
     upd: TemperatureUpdate,
 }
 
-fn setup() -> Setup {
-    let cfg = BteConfig::small(24, 8, 10, 1);
+fn setup(cfg: BteConfig) -> Setup {
     let bte = hotspot_2d(&cfg);
     let material = bte.material.clone();
     let vars = bte.vars;
@@ -68,6 +76,7 @@ fn run_update(
     fields: &mut Fields,
     threads: usize,
     owned_bands: Option<std::ops::Range<usize>>,
+    owned_cells: Option<&[usize]>,
     reducer: &mut dyn Reducer,
     strategy: TemperatureStrategy,
 ) {
@@ -79,7 +88,7 @@ fn run_update(
         time: 0.0,
         step: 0,
         owned_index_range: owned_bands.map(|r| ("b".to_string(), r)),
-        owned_cells: None,
+        owned_cells,
         reducer,
         threads,
         rec: &mut rec,
@@ -89,17 +98,26 @@ fn run_update(
 }
 
 fn bench_threading(c: &mut Criterion) {
-    let s = setup();
+    let s = setup(BteConfig::small(64, 8, 10, 1));
+    let die = setup(BteConfig::small(64, 12, 8, 1));
+    let gapped: Vec<usize> = (0..s.fields.n_cells).filter(|c| c % 37 != 36).collect();
     let mut group = c.benchmark_group("temperature_update");
     group.sample_size(20);
-    group.bench_function("serial", |b| {
-        let mut reducer = pbte_dsl::problem::LocalReducer;
-        b.iter_batched(
-            || s.fields.clone(),
-            |mut f| run_update(&s, &mut f, 1, None, &mut reducer, Default::default()),
-            BatchSize::LargeInput,
-        )
-    });
+    let lanes: [(&str, &Setup, Option<&[usize]>); 3] = [
+        ("serial", &s, None),
+        ("serial_die", &die, None),
+        ("owned_cells_gapped", &s, Some(&gapped)),
+    ];
+    for (name, s, owned) in lanes {
+        group.bench_function(name, |b| {
+            let mut reducer = pbte_dsl::problem::LocalReducer;
+            b.iter_batched(
+                || s.fields.clone(),
+                |mut f| run_update(s, &mut f, 1, None, owned, &mut reducer, Default::default()),
+                BatchSize::LargeInput,
+            )
+        });
+    }
     for threads in [1usize, 2, 4] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -115,7 +133,7 @@ fn bench_threading(c: &mut Criterion) {
                         // for the x1 row, so x1 vs serial shows the pure
                         // chunking overhead.
                         let t = threads.max(2).min(pool.current_num_threads().max(2));
-                        run_update(&s, &mut f, t, None, &mut reducer, Default::default())
+                        run_update(&s, &mut f, t, None, None, &mut reducer, Default::default())
                     })
                 },
                 BatchSize::LargeInput,
@@ -126,7 +144,7 @@ fn bench_threading(c: &mut Criterion) {
 }
 
 fn bench_newton_strategy(c: &mut Criterion) {
-    let s = setup();
+    let s = setup(BteConfig::small(24, 8, 10, 1));
     let n_bands = s.upd.material.n_bands();
     let p = 4;
     let owned = 0..n_bands.div_ceil(p);
@@ -144,7 +162,10 @@ fn bench_newton_strategy(c: &mut Criterion) {
             };
             b.iter_batched(
                 || s.fields.clone(),
-                |mut f| run_update(&s, &mut f, 1, Some(owned.clone()), &mut reducer, strategy),
+                |mut f| {
+                    let bands = Some(owned.clone());
+                    run_update(&s, &mut f, 1, bands, None, &mut reducer, strategy)
+                },
                 BatchSize::LargeInput,
             )
         });

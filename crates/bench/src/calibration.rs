@@ -72,7 +72,7 @@ impl Calibration {
             let mut acc = 0.0;
             for k in 0..evals {
                 let t_wall = 300.0 + 50.0 * (-((k % 97) as f64) * 1e-2).exp();
-                acc += material.table.io(k as usize % n_bands, t_wall);
+                acc += material.table().io(k as usize % n_bands, t_wall);
             }
             std::hint::black_box(acc);
         }) / evals as f64;

@@ -37,7 +37,7 @@ pub fn isothermal(
 ) -> BoundaryCondition {
     BoundaryCondition::fixed(move |q: &BoundaryQuery| {
         let b = q.idx[1];
-        material.table.io(b, wall_temperature(q.position))
+        material.table().io(b, wall_temperature(q.position))
     })
 }
 
@@ -148,7 +148,7 @@ mod tests {
                 fields: &fields,
             };
             let ghost = bc.ghost_value(&q);
-            assert!((ghost - m.table.io(b, 320.0)).abs() < 1e-15);
+            assert!((ghost - m.table().io(b, 320.0)).abs() < 1e-15);
         }
     }
 

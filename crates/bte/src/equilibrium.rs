@@ -88,15 +88,110 @@ pub fn heat_capacity(bands: &[Band], t: f64) -> f64 {
         .sum()
 }
 
+/// The uniform temperature grid a material's tables are sampled on. One
+/// grid serves `I⁰`, `dI⁰/dT` and `β` ([`Material`](crate::material::Material)
+/// builds all three from the same value), so a temperature is located
+/// once and looked up in any of them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TemperatureGrid {
+    pub t_min: f64,
+    pub t_max: f64,
+    dt: f64,
+    n_points: usize,
+}
+
+/// A temperature located on a [`TemperatureGrid`]: the row at or below it
+/// and the fraction of the way to the next row. Depends on the
+/// temperature only, not on the band or the table.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Located {
+    row: usize,
+    frac: f64,
+}
+
+impl TemperatureGrid {
+    /// `n_points` rows evenly spaced over `[t_min, t_max]`.
+    pub fn new(t_min: f64, t_max: f64, n_points: usize) -> TemperatureGrid {
+        assert!(t_min > 0.0 && t_max > t_min && n_points >= 2);
+        TemperatureGrid {
+            t_min,
+            t_max,
+            dt: (t_max - t_min) / (n_points - 1) as f64,
+            n_points,
+        }
+    }
+
+    /// Number of rows.
+    pub fn n_points(&self) -> usize {
+        self.n_points
+    }
+
+    /// Temperature of row `i`.
+    pub fn temperature(&self, i: usize) -> f64 {
+        self.t_min + i as f64 * self.dt
+    }
+
+    /// Locate `t`, clamped to the grid range (a NaN locates to row 0 with
+    /// a NaN fraction, so every lookup of it is NaN).
+    #[inline]
+    pub fn locate(&self, t: f64) -> Located {
+        let clamped = t.clamp(self.t_min, self.t_max);
+        let pos = (clamped - self.t_min) / self.dt;
+        let row = (pos as usize).min(self.n_points - 2);
+        Located {
+            row,
+            frac: pos - row as f64,
+        }
+    }
+}
+
+/// Linear interpolation of `values[row * n_bands + band]` at `at`.
+#[inline]
+fn interpolate(values: &[f64], n_bands: usize, band: usize, at: Located) -> f64 {
+    let a = values[at.row * n_bands + band];
+    let b = values[(at.row + 1) * n_bands + band];
+    a + at.frac * (b - a)
+}
+
+/// The temperature-independent half of a band's quadrature, hoisted out
+/// of the table build: per Gauss–Legendre node its weight, `ħω` and
+/// `ħω·D(ω)` (a `sqrt` and a group velocity each), plus the band's
+/// prefactors.
+struct BandNodes {
+    half: f64,
+    /// `v_g · g`, the leading factor of `io_band` / `dio_band_dt`.
+    vg_g: f64,
+    /// `(weight, ħω, ħω·D(ω))` per node.
+    nodes: [(f64, f64, f64); 8],
+}
+
+impl BandNodes {
+    fn new(band: &Band) -> BandNodes {
+        let branch = band.branch();
+        let half = 0.5 * (band.omega_hi - band.omega_lo);
+        let mid = 0.5 * (band.omega_hi + band.omega_lo);
+        BandNodes {
+            half,
+            vg_g: band.vg * band.degeneracy,
+            nodes: std::array::from_fn(|k| {
+                let omega = mid + half * GL_NODES[k];
+                (
+                    GL_WEIGHTS[k],
+                    HBAR * omega,
+                    HBAR * omega * branch.dos(omega),
+                )
+            }),
+        }
+    }
+}
+
 /// Precomputed `I⁰_b(T)` and `dI⁰_b/dT` on a uniform temperature grid with
 /// linear interpolation — the production path for the per-cell Newton
 /// solve (direct quadrature in the inner loop would dominate the
 /// temperature update).
 #[derive(Debug, Clone)]
 pub struct EquilibriumTable {
-    pub t_min: f64,
-    pub t_max: f64,
-    dt: f64,
+    grid: TemperatureGrid,
     n_bands: usize,
     /// `io[t_idx * n_bands + b]`.
     io: Vec<f64>,
@@ -104,54 +199,66 @@ pub struct EquilibriumTable {
 }
 
 impl EquilibriumTable {
-    /// Tabulate for all bands over `[t_min, t_max]` with `n_points` rows.
-    pub fn build(bands: &[Band], t_min: f64, t_max: f64, n_points: usize) -> EquilibriumTable {
-        assert!(t_min > 0.0 && t_max > t_min && n_points >= 2);
+    /// Tabulate for all bands on `grid`. Every entry equals [`io_band`] /
+    /// [`dio_band_dt`] at its node bit for bit: the same products in the
+    /// same association, with the `exp_m1` the two share evaluated once
+    /// per (temperature, band, node).
+    pub fn build(bands: &[Band], grid: TemperatureGrid) -> EquilibriumTable {
         let n_bands = bands.len();
-        let mut io = Vec::with_capacity(n_points * n_bands);
-        let mut dio = Vec::with_capacity(n_points * n_bands);
-        let dt = (t_max - t_min) / (n_points - 1) as f64;
-        for i in 0..n_points {
-            let t = t_min + i as f64 * dt;
-            for band in bands {
-                io.push(io_band(band, t));
-                dio.push(dio_band_dt(band, t));
+        let nodes: Vec<BandNodes> = bands.iter().map(BandNodes::new).collect();
+        let four_pi = 4.0 * std::f64::consts::PI;
+        let mut io = Vec::with_capacity(grid.n_points * n_bands);
+        let mut dio = Vec::with_capacity(grid.n_points * n_bands);
+        for i in 0..grid.n_points {
+            let t = grid.temperature(i);
+            let kt = KB * t;
+            for band in &nodes {
+                let (mut acc, mut acc_dt) = (0.0, 0.0);
+                for &(weight, hw, hw_dos) in &band.nodes {
+                    let x = hw / kt;
+                    let em1 = x.exp_m1();
+                    acc += weight * (hw_dos * (1.0 / em1));
+                    acc_dt += weight * (hw_dos * ((x / t) * (em1 + 1.0) / (em1 * em1)));
+                }
+                io.push(band.vg_g * (acc * band.half) / four_pi);
+                dio.push(band.vg_g * (acc_dt * band.half) / four_pi);
             }
         }
         EquilibriumTable {
-            t_min,
-            t_max,
-            dt,
+            grid,
             n_bands,
             io,
             dio,
         }
     }
 
+    /// The grid the table is sampled on.
+    pub fn grid(&self) -> &TemperatureGrid {
+        &self.grid
+    }
+
+    /// `I⁰_b` at a located temperature.
     #[inline]
-    fn locate(&self, t: f64) -> (usize, f64) {
-        let clamped = t.clamp(self.t_min, self.t_max);
-        let pos = (clamped - self.t_min) / self.dt;
-        let i = (pos as usize).min(self.io.len() / self.n_bands - 2);
-        (i, pos - i as f64)
+    pub fn io_at(&self, band: usize, at: Located) -> f64 {
+        interpolate(&self.io, self.n_bands, band, at)
+    }
+
+    /// `dI⁰_b/dT` at a located temperature.
+    #[inline]
+    pub fn dio_at(&self, band: usize, at: Located) -> f64 {
+        interpolate(&self.dio, self.n_bands, band, at)
     }
 
     /// Interpolated `I⁰_b(T)`.
     #[inline]
     pub fn io(&self, band: usize, t: f64) -> f64 {
-        let (i, frac) = self.locate(t);
-        let a = self.io[i * self.n_bands + band];
-        let b = self.io[(i + 1) * self.n_bands + band];
-        a + frac * (b - a)
+        self.io_at(band, self.grid.locate(t))
     }
 
     /// Interpolated `dI⁰_b/dT`.
     #[inline]
     pub fn dio(&self, band: usize, t: f64) -> f64 {
-        let (i, frac) = self.locate(t);
-        let a = self.dio[i * self.n_bands + band];
-        let b = self.dio[(i + 1) * self.n_bands + band];
-        a + frac * (b - a)
+        self.dio_at(band, self.grid.locate(t))
     }
 
     /// Number of bands tabulated.
@@ -166,50 +273,42 @@ impl EquilibriumTable {
 /// would otherwise dominate the temperature-update callback).
 #[derive(Debug, Clone)]
 pub struct BandTable {
-    pub t_min: f64,
-    pub t_max: f64,
-    dt: f64,
+    grid: TemperatureGrid,
     n_bands: usize,
     values: Vec<f64>,
 }
 
 impl BandTable {
-    /// Tabulate `f(band, T)` for `band < n_bands` over `[t_min, t_max]`.
+    /// Tabulate `f(band, T)` for `band < n_bands` on `grid`.
     pub fn build(
         n_bands: usize,
-        t_min: f64,
-        t_max: f64,
-        n_points: usize,
+        grid: TemperatureGrid,
         f: impl Fn(usize, f64) -> f64,
     ) -> BandTable {
-        assert!(t_min > 0.0 && t_max > t_min && n_points >= 2);
-        let dt = (t_max - t_min) / (n_points - 1) as f64;
-        let mut values = Vec::with_capacity(n_points * n_bands);
-        for i in 0..n_points {
-            let t = t_min + i as f64 * dt;
+        let mut values = Vec::with_capacity(grid.n_points * n_bands);
+        for i in 0..grid.n_points {
+            let t = grid.temperature(i);
             for b in 0..n_bands {
                 values.push(f(b, t));
             }
         }
         BandTable {
-            t_min,
-            t_max,
-            dt,
+            grid,
             n_bands,
             values,
         }
     }
 
+    /// Value at a located temperature.
+    #[inline]
+    pub fn at(&self, band: usize, at: Located) -> f64 {
+        interpolate(&self.values, self.n_bands, band, at)
+    }
+
     /// Interpolated value (clamped to the table range).
     #[inline]
     pub fn get(&self, band: usize, t: f64) -> f64 {
-        let clamped = t.clamp(self.t_min, self.t_max);
-        let pos = (clamped - self.t_min) / self.dt;
-        let i = (pos as usize).min(self.values.len() / self.n_bands - 2);
-        let frac = pos - i as f64;
-        let a = self.values[i * self.n_bands + band];
-        let b = self.values[(i + 1) * self.n_bands + band];
-        a + frac * (b - a)
+        self.at(band, self.grid.locate(t))
     }
 }
 
@@ -220,7 +319,9 @@ mod tests {
 
     #[test]
     fn band_table_interpolates_a_known_function() {
-        let t = BandTable::build(3, 100.0, 200.0, 101, |b, temp| (b + 1) as f64 * temp);
+        let t = BandTable::build(3, TemperatureGrid::new(100.0, 200.0, 101), |b, temp| {
+            (b + 1) as f64 * temp
+        });
         for (b, temp) in [(0usize, 100.0), (1, 150.5), (2, 199.9)] {
             let expected = (b + 1) as f64 * temp;
             assert!((t.get(b, temp) - expected).abs() < 1e-9);
@@ -288,7 +389,7 @@ mod tests {
     #[test]
     fn table_matches_direct_quadrature() {
         let bands = make_bands(8);
-        let table = EquilibriumTable::build(&bands, 250.0, 400.0, 601);
+        let table = EquilibriumTable::build(&bands, TemperatureGrid::new(250.0, 400.0, 601));
         for (bi, band) in bands.iter().enumerate() {
             for t in [250.0, 287.3, 300.0, 333.33, 399.9] {
                 let direct = io_band(band, t);
@@ -304,10 +405,38 @@ mod tests {
         }
     }
 
+    /// The hoisted build (node data per band, one `exp_m1` per
+    /// (temperature, band, node)) keeps every entry's bits: each equals
+    /// the reference quadrature at its grid node.
+    #[test]
+    fn every_table_entry_equals_the_reference_quadrature() {
+        use crate::material::Material;
+        for m in [
+            Material::silicon_2d(6, 8, 250.0, 400.0),
+            Material::silicon_3d(5, 2, 4, 240.0, 360.5),
+        ] {
+            let table = m.table();
+            let n_bands = m.n_bands();
+            assert_eq!(table.io.len(), table.grid.n_points() * n_bands);
+            for i in 0..table.grid.n_points() {
+                let t = table.grid.temperature(i);
+                for (b, band) in m.bands.iter().enumerate() {
+                    let (io, dio) = (table.io[i * n_bands + b], table.dio[i * n_bands + b]);
+                    assert_eq!(io.to_bits(), io_band(band, t).to_bits(), "io[{i}][{b}]");
+                    assert_eq!(
+                        dio.to_bits(),
+                        dio_band_dt(band, t).to_bits(),
+                        "dio[{i}][{b}]"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn table_clamps_out_of_range() {
         let bands = make_bands(4);
-        let table = EquilibriumTable::build(&bands, 250.0, 400.0, 101);
+        let table = EquilibriumTable::build(&bands, TemperatureGrid::new(250.0, 400.0, 101));
         assert_eq!(table.io(0, 100.0), table.io(0, 250.0));
         assert_eq!(table.io(0, 900.0), table.io(0, 400.0));
     }

@@ -2,37 +2,31 @@
 
 use crate::angles::AngularGrid;
 use crate::bands::{make_bands, Band};
-use crate::equilibrium::{io_band, BandTable, EquilibriumTable};
+use crate::equilibrium::{io_band, BandTable, EquilibriumTable, Located, TemperatureGrid};
 use crate::scattering::scattering_rate;
 
 /// Everything the BTE solver needs about the phonon gas.
+///
+/// The tables are private because they share one [`TemperatureGrid`]:
+/// [`Material::locate`] finds a temperature's row and fraction once and
+/// [`io_at`](Material::io_at) / [`dio_at`](Material::dio_at) /
+/// [`beta_at`](Material::beta_at) look it up in any of the three.
 #[derive(Debug, Clone)]
 pub struct Material {
     pub bands: Vec<Band>,
     pub angles: AngularGrid,
-    pub table: EquilibriumTable,
+    table: EquilibriumTable,
     /// Tabulated Holland scattering rates β_b(T) (the direct evaluation's
     /// sinh/powers would dominate the temperature update; interpolation on
     /// a 0.25 K grid is accurate to ~1e-6 relative for these smooth fits).
-    pub beta_table: BandTable,
+    beta_table: BandTable,
 }
 
 impl Material {
     /// Silicon with an `n_freq_bands` spectral and `ndirs`-direction 2-D
-    /// angular discretization; the equilibrium table covers
-    /// `[t_min, t_max]`.
+    /// angular discretization; the tables cover `[t_min, t_max]`.
     pub fn silicon_2d(n_freq_bands: usize, ndirs: usize, t_min: f64, t_max: f64) -> Material {
-        let bands = make_bands(n_freq_bands);
-        // 0.25 K table resolution is ~1e-6 relative interpolation error.
-        let n_points = ((t_max - t_min).ceil() as usize).max(2) * 4 + 1;
-        let table = EquilibriumTable::build(&bands, t_min, t_max, n_points);
-        let beta_table = beta_table(&bands, t_min, t_max, n_points);
-        Material {
-            bands,
-            angles: AngularGrid::new_2d(ndirs),
-            table,
-            beta_table,
-        }
+        Material::silicon(n_freq_bands, AngularGrid::new_2d(ndirs), t_min, t_max)
     }
 
     /// Silicon with a 3-D angular grid.
@@ -43,16 +37,64 @@ impl Material {
         t_min: f64,
         t_max: f64,
     ) -> Material {
+        let angles = AngularGrid::new_3d(n_polar, n_azimuthal);
+        Material::silicon(n_freq_bands, angles, t_min, t_max)
+    }
+
+    fn silicon(n_freq_bands: usize, angles: AngularGrid, t_min: f64, t_max: f64) -> Material {
         let bands = make_bands(n_freq_bands);
+        // 0.25 K table resolution is ~1e-6 relative interpolation error.
         let n_points = ((t_max - t_min).ceil() as usize).max(2) * 4 + 1;
-        let table = EquilibriumTable::build(&bands, t_min, t_max, n_points);
-        let beta_table = beta_table(&bands, t_min, t_max, n_points);
+        let grid = TemperatureGrid::new(t_min, t_max, n_points);
+        let table = EquilibriumTable::build(&bands, grid);
+        let beta_table = BandTable::build(bands.len(), grid, |b, t| {
+            scattering_rate(&bands[b].branch(), bands[b].omega_center, t)
+        });
         Material {
             bands,
-            angles: AngularGrid::new_3d(n_polar, n_azimuthal),
+            angles,
             table,
             beta_table,
         }
+    }
+
+    /// The temperature grid all three tables are sampled on.
+    pub fn grid(&self) -> &TemperatureGrid {
+        self.table.grid()
+    }
+
+    /// The `I⁰` / `dI⁰/dT` table.
+    pub fn table(&self) -> &EquilibriumTable {
+        &self.table
+    }
+
+    /// The scattering-rate table.
+    pub fn beta_table(&self) -> &BandTable {
+        &self.beta_table
+    }
+
+    /// Locate `t` on the grid, once for any number of lookups.
+    #[inline]
+    pub fn locate(&self, t: f64) -> Located {
+        self.grid().locate(t)
+    }
+
+    /// `I⁰_b` at a located temperature.
+    #[inline]
+    pub fn io_at(&self, band: usize, at: Located) -> f64 {
+        self.table.io_at(band, at)
+    }
+
+    /// `dI⁰_b/dT` at a located temperature.
+    #[inline]
+    pub fn dio_at(&self, band: usize, at: Located) -> f64 {
+        self.table.dio_at(band, at)
+    }
+
+    /// `β_b` at a located temperature.
+    #[inline]
+    pub fn beta_at(&self, band: usize, at: Located) -> f64 {
+        self.beta_table.at(band, at)
     }
 
     /// Number of (band, polarization) groups.
@@ -84,8 +126,9 @@ impl Material {
     /// Holland evaluation).
     pub fn beta_all(&self, t: f64, out: &mut [f64]) {
         debug_assert_eq!(out.len(), self.bands.len());
+        let at = self.locate(t);
         for (b, o) in out.iter_mut().enumerate() {
-            *o = self.beta_table.get(b, t);
+            *o = self.beta_at(b, at);
         }
     }
 
@@ -98,8 +141,9 @@ impl Material {
     /// Equilibrium intensities `I⁰_b(T)` from the table.
     pub fn io_all(&self, t: f64, out: &mut [f64]) {
         debug_assert_eq!(out.len(), self.bands.len());
+        let at = self.locate(t);
         for (b, o) in out.iter_mut().enumerate() {
-            *o = self.table.io(b, t);
+            *o = self.io_at(b, at);
         }
     }
 
@@ -121,13 +165,6 @@ impl Material {
         let relax = 0.9 / beta_max;
         cfl.min(relax)
     }
-}
-
-/// Build the scattering-rate table for a band set.
-fn beta_table(bands: &[Band], t_min: f64, t_max: f64, n_points: usize) -> BandTable {
-    BandTable::build(bands.len(), t_min, t_max, n_points, |b, t| {
-        scattering_rate(&bands[b].branch(), bands[b].omega_center, t)
-    })
 }
 
 #[cfg(test)]

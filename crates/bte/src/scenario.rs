@@ -127,8 +127,8 @@ fn declare_ranges(p: &mut Problem, material: &Material, t_min: f64, t_max: f64) 
     let mut io_max = 0.0f64;
     for band in 0..material.n_bands() {
         io_max = io_max
-            .max(material.table.io(band, t_min))
-            .max(material.table.io(band, t_max));
+            .max(material.table().io(band, t_min))
+            .max(material.table().io(band, t_max));
     }
     let mut beta_lo = f64::INFINITY;
     let mut beta_hi = 0.0f64;
@@ -254,10 +254,10 @@ pub(crate) fn build_custom(
         init_t.unwrap_or_else(|| Arc::new(move |_| t_ref));
     let m = material.clone();
     let f = t0.clone();
-    p.initial(i_var, move |pt, idx| m.table.io(idx[1], f(pt)));
+    p.initial(i_var, move |pt, idx| m.table().io(idx[1], f(pt)));
     let m = material.clone();
     let f = t0.clone();
-    p.initial(io_var, move |pt, idx| m.table.io(idx[0], f(pt)));
+    p.initial(io_var, move |pt, idx| m.table().io(idx[0], f(pt)));
     let m = material.clone();
     let f = t0.clone();
     p.initial(beta_var, move |pt, idx| {

@@ -12,33 +12,47 @@
 //! converges in a few steps. Then `Io[b] ← I⁰_b(T)` and
 //! `beta[b] ← β_b(T)` are rewritten for the next step.
 //!
+//! **Blocks.** The update is one kernel over blocks of at most [`BLOCK`]
+//! consecutive cells, three phases per block: *energy*
+//! (`s = Σ_b β_b(T_old) Σ_d w_d I`: the intensity planes streamed once,
+//! directions then bands ascending from `0.0`), *newton* (the per-cell
+//! solve) and *rewrite* (`Io`, `beta` at `T_new`). A temperature is
+//! located on the material's one grid once per value (`T_old`, `T_new`)
+//! and every table lookup of the block reuses that `(row, fraction)`;
+//! between phases a block lives in ~16 KB of stack scratch, so there is
+//! no `n_bands × n_cells` energy matrix. Block edges, thread chunks and
+//! gaps in an owned-cell list decide which cells share a loop, never a
+//! cell's arithmetic, so every scope, block length and thread count gives
+//! the same bits (`tests/temperature_blocks.rs` holds the cells-outer
+//! oracle). What stays expensive is the energy phase: it reads the whole
+//! intensity array at memory bandwidth, and only accumulating inside the
+//! intensity sweep (a declared reduction) would remove that.
+//!
 //! **Distribution.** All degrees of freedom of a cell couple here — this
 //! is why the paper calls the bands "loosely coupled". Under band
-//! partitioning every rank computes the partial energy
-//! `S_part = Σ_{b owned} β_b Σ_d w_d I` for every cell and a single
-//! per-cell allreduce produces the full sum (the *only* communication of
-//! the band-parallel strategy, Fig 3 bottom). What happens next is the
-//! [`TemperatureStrategy`] choice: the paper-faithful
-//! [`RedundantNewton`](TemperatureStrategy::RedundantNewton) mode solves
-//! the identical Newton problem on every rank, while
-//! [`DividedNewton`](TemperatureStrategy::DividedNewton) divides the cells
-//! over ranks and shares `T` with a second allreduce. Under cell
-//! partitioning each rank updates its owned cells and no reduction is
-//! needed.
+//! partitioning every rank sums the energy over its bands and a single
+//! per-cell allreduce completes it (the *only* communication of the
+//! band-parallel strategy, Fig 3 bottom); the [`TemperatureStrategy`]
+//! decides who solves which cells next. Under cell partitioning each rank
+//! updates the cells it owns and no reduction is needed.
 //!
-//! **Threading.** The update reads `ctx.threads` — the parallelism the
-//! executor makes available to callbacks. With more than one thread every
-//! phase parallelizes with rayon over disjoint regions (band rows of the
-//! energy accumulator, cell chunks of the Newton solves, band rows of the
-//! `Io`/`beta` rewrites), with per-item arithmetic identical to the serial
-//! loops, so the result is bit-identical at any thread count.
+//! **Threading.** With `ctx.threads > 1` and nothing partitioned the
+//! update enters one rayon region: the cells are cut into block-aligned
+//! chunks and each task runs the three phases on its own cells of `T`,
+//! `Io` and `beta`. Band-partitioned ranks run serially — the ranks are
+//! the parallelism, and the allreduce separates the phases.
 
+use crate::equilibrium::Located;
 use crate::material::Material;
 use pbte_dsl::problem::{Problem, StepContext};
-use pbte_runtime::telemetry::{SpanKind, Track, HIST_BUCKETS};
+use pbte_runtime::telemetry::{rules, SpanKind, TraceConfig, Track, HIST_BUCKETS};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
 use std::sync::Arc;
+
+/// Cells per block of the update: the three phases hand a block to each
+/// other through stack scratch, so it must stay cache-resident.
+pub const BLOCK: usize = 512;
 
 /// Handle to the BTE variables inside the DSL problem.
 #[derive(Debug, Clone, Copy)]
@@ -109,13 +123,8 @@ impl TemperatureUpdate {
     /// the previous temperature (Newton initial guess), and writes the
     /// temperature plus the equilibrium intensity and scattering rate.
     pub fn install(self, problem: &mut Problem) {
-        let name = |v: usize| problem.registry.variables[v].name.clone();
-        let (i, t, io, beta) = (
-            name(self.vars.i),
-            name(self.vars.t),
-            name(self.vars.io),
-            name(self.vars.beta),
-        );
+        let [i, t, io, beta] = [self.vars.i, self.vars.t, self.vars.io, self.vars.beta]
+            .map(|v| problem.registry.variables[v].name.clone());
         problem.post_step_declared(
             "temperature_update",
             &[&i, &t],
@@ -126,294 +135,156 @@ impl TemperatureUpdate {
 
     /// Execute the update for one step.
     pub fn run(&self, ctx: &mut StepContext) {
-        let material = &self.material;
-        let n_bands = material.n_bands();
-        let n_dirs = material.n_dirs();
-        let n_cells = ctx.fields.n_cells;
-        let weights = &material.angles.weights;
-        let threads = ctx.threads.max(1);
+        self.run_blocked(ctx, BLOCK)
+    }
 
+    /// [`run`](Self::run) with blocks of `block ≤ BLOCK` cells. The block
+    /// length cannot change a bit of the result; it is a parameter so the
+    /// tests can put block edges anywhere.
+    pub fn run_blocked(&self, ctx: &mut StepContext, block: usize) {
+        assert!((1..=BLOCK).contains(&block), "block length {block}");
+        let material = &*self.material;
+        let n_cells = ctx.fields.n_cells;
         // Ownership: a band range under band partitioning, a cell list
         // under cell partitioning, everything otherwise.
-        let owned_b: std::ops::Range<usize> = match &ctx.owned_index_range {
-            Some((name, range)) => {
-                debug_assert_eq!(name, "b");
-                range.clone()
-            }
-            None => 0..n_bands,
-        };
         let banded = ctx.owned_index_range.is_some();
+        let bands = match &ctx.owned_index_range {
+            Some((_, range)) => range.clone(),
+            None => 0..material.n_bands(),
+        };
+        let owned = match ctx.owned_cells {
+            Some(cells) => owned_blocks(cells, block),
+            None => blocks(0..n_cells, block),
+        };
+        let clock = ctx.rec.config();
+        let vars = self.vars;
+        let [i, t, io, beta] = ctx.fields.slices_mut([vars.i, vars.t, vars.io, vars.beta]);
+        let owned_rows = bands.start * n_cells..bands.end * n_cells;
+        let (io, beta) = (&mut io[owned_rows.clone()], &mut beta[owned_rows]);
+        let pass = Pass {
+            upd: self,
+            i,
+            n_cells,
+            bands,
+            clock,
+        };
+        // With threads and nothing partitioned each task owns a
+        // block-aligned chunk of the cells; otherwise there is one chunk.
+        let tasks = match ctx.owned_cells {
+            None if !banded => ctx.threads.max(1),
+            _ => 1,
+        };
+        let chunk_len = n_cells.div_ceil(tasks).next_multiple_of(block);
+        let mut chunks = carve(t, io, beta, n_cells, chunk_len);
+        let (mut solved, mut span_t0) = (owned.clone(), clock.now());
+        let span_dur;
 
-        // Phase 1: partial energy-weighted intensity sums. Swept
-        // plane-by-plane (fixed (d, b), streaming over cells) so the big
-        // intensity array is read sequentially; the per-band energy
-        // accumulator E is the only strided structure and it stays
-        // cache-resident. A cells-outer gather here would cache-miss once
-        // per (d, b) per cell and dominate the whole update. Threaded:
-        // band rows of E are disjoint, cell chunks of `s` are disjoint.
-        let mut s = vec![0.0; n_cells];
-        if let Some(owned) = ctx.owned_cells {
-            // Cell-partitioned: full-grid sweeps would do p times the
-            // work; gather per owned cell instead. Per-rank distributed
-            // targets are serial (threads == 1), so this stays a plain
-            // loop.
-            let mut beta_all = vec![0.0; n_bands];
-            for &cell in owned {
-                let t_old = ctx.fields.value(self.vars.t, cell, 0);
-                material.beta_all(t_old, &mut beta_all);
-                let mut acc = 0.0;
-                for b in owned_b.clone() {
-                    let mut e_b = 0.0;
-                    #[allow(clippy::needless_range_loop)] // d drives a strided offset too
-                    for d in 0..n_dirs {
-                        e_b += weights[d] * ctx.fields.value(self.vars.i, cell, d * n_bands + b);
-                    }
-                    acc += beta_all[b] * e_b;
+        if !banded {
+            // One pass: each block goes energy → newton → rewrite while
+            // it is in cache.
+            let task = |chunk: &mut Chunk| {
+                let mut scratch = Scratch::new(material.n_bands());
+                let mine = chunk.cell0..chunk.cell0 + chunk.t.len();
+                for cells in owned.iter().filter(|cells| mine.contains(&cells.start)) {
+                    pass.fused(chunk, cells.clone(), &mut scratch);
                 }
-                s[cell] = acc;
+            };
+            match &mut chunks[..] {
+                [whole] => task(whole),
+                many => many.par_iter_mut().for_each(task),
             }
+            span_dur = clock.now() - span_t0;
         } else {
-            // All cells owned: sweep plane-by-plane into E[b][cell].
-            let n_owned = owned_b.len();
-            let mut energy = vec![0.0; n_owned * n_cells];
-            let i_slice = ctx.fields.slice(self.vars.i);
-            let accumulate_row = |k: usize, e_row: &mut [f64]| {
-                let b = owned_b.start + k;
-                for d in 0..n_dirs {
-                    let w = weights[d];
-                    let plane = &i_slice[(d * n_bands + b) * n_cells..][..n_cells];
-                    for (e, &v) in e_row.iter_mut().zip(plane) {
-                        *e += w * v;
-                    }
-                }
-            };
-            if threads > 1 {
-                energy
-                    .par_chunks_mut(n_cells)
-                    .enumerate()
-                    .for_each(|(k, e_row)| accumulate_row(k, e_row));
-            } else {
-                for (k, e_row) in energy.chunks_mut(n_cells).enumerate() {
-                    accumulate_row(k, e_row);
-                }
+            // Band-partitioned: the energy sum needs every rank's bands,
+            // so the phases run one after the other with the reduction
+            // between them (Fig 3, bottom).
+            let Chunk {
+                t, io, beta, tally, ..
+            } = &mut chunks[0];
+            let mut scratch = Scratch::new(material.n_bands());
+            let mut s = vec![0.0; n_cells];
+            for cells in &owned {
+                let at = locate(material, &t[cells.clone()], &mut scratch.at);
+                pass.energy(cells.start, at, &mut scratch.e, &mut s[cells.clone()]);
             }
-            let t_slice = ctx.fields.slice(self.vars.t);
-            let gather_s = |base: usize, s_chunk: &mut [f64], beta_all: &mut [f64]| {
-                for (off, sv) in s_chunk.iter_mut().enumerate() {
-                    let cell = base + off;
-                    material.beta_all(t_slice[cell], beta_all);
-                    let mut acc = 0.0;
-                    for (k, b) in owned_b.clone().enumerate() {
-                        acc += beta_all[b] * energy[k * n_cells + cell];
-                    }
-                    *sv = acc;
-                }
-            };
-            if threads > 1 {
-                let chunk = n_cells.div_ceil(threads).max(1);
-                s.par_chunks_mut(chunk)
-                    .enumerate()
-                    .for_each(|(ci, s_chunk)| {
-                        let mut beta_all = vec![0.0; n_bands];
-                        gather_s(ci * chunk, s_chunk, &mut beta_all);
-                    });
-            } else {
-                let mut beta_all = vec![0.0; n_bands];
-                gather_s(0, &mut s, &mut beta_all);
-            }
-        }
-
-        // Phase 2: the band-parallel reduction (Fig 3, bottom).
-        if banded {
+            tally.phase_s[0] = clock.now() - span_t0;
             ctx.reducer.allreduce_sum(&mut s);
-        }
 
-        // Phase 3: per-cell Newton solve and rewrite of Io/beta. Under
-        // band partitioning the energy accumulation above divided over
-        // bands (the scalable part); what the Newton solves do is the
-        // strategy choice:
-        //
-        // * `RedundantNewton` — every rank solves all cells. This is the
-        //   paper's configuration and the cause of Fig 5's growing
-        //   temperature share: per-rank Newton work is constant in the
-        //   rank count.
-        // * `DividedNewton` — each rank solves its contiguous slice of
-        //   cells into an otherwise-zero `T` buffer, and one extra
-        //   allreduce reassembles the full field exactly (each slot is
-        //   `t + 0 + … + 0`; the runtime's reduce-then-broadcast hands all
-        //   ranks identical bytes). Per-rank solves drop to
-        //   `~n_cells/ranks`; the α–β model's `band_temp_step_divided`
-        //   (crates/bench) prices the trade against the doubled reduction.
-        let divided = self.strategy == TemperatureStrategy::DividedNewton
-            && banded
-            && ctx.owned_cells.is_none();
-        let mut t_new_of = vec![0.0; n_cells];
-        let mut newton_iters: u64 = 0;
-        let mut solves: u64 = 0;
-        // Per-solve iteration counts bucketed locally (one clamp + add per
-        // cell), merged into the recorder's histogram afterwards — a no-op
-        // under the null sink.
-        let mut buckets = [0u64; HIST_BUCKETS];
-        let newton_t0 = ctx.rec.now();
+            // `DividedNewton`: this rank solves its slice of the cells into
+            // an otherwise-zero buffer and one more allreduce reassembles
+            // the field exactly (`t + 0 + … + 0` per slot). Otherwise
+            // every rank solves all its cells in place.
+            span_t0 = clock.now();
+            let mut shared_t = None;
+            if self.strategy == TemperatureStrategy::DividedNewton && ctx.owned_cells.is_none() {
+                let (r, p) = (ctx.reducer.rank(), ctx.reducer.n_ranks().max(1));
+                let slice = n_cells * r / p..n_cells * (r + 1) / p;
+                let mut shared = vec![0.0; n_cells];
+                shared[slice.clone()].copy_from_slice(&t[slice.clone()]);
+                (solved, shared_t) = (blocks(slice, block), Some(shared));
+            }
+            let t_solve = shared_t.as_deref_mut().unwrap_or(t);
+            for cells in &solved {
+                let at = locate(material, &t_solve[cells.clone()], &mut scratch.at);
+                let (s, t) = (&s[cells.clone()], &mut t_solve[cells.clone()]);
+                pass.newton(at, s, t, &mut scratch.beta_row, tally);
+            }
+            if let Some(shared) = &mut shared_t {
+                ctx.reducer.allreduce_sum(shared);
+                t.copy_from_slice(shared);
+            }
+            span_dur = clock.now() - span_t0;
 
-        if let Some(owned) = ctx.owned_cells {
-            // Cell-partitioned: only owned cells are solved; no strategy
-            // choice applies (each cell already lives on one rank).
-            let mut beta_all = vec![0.0; n_bands];
-            for &cell in owned {
-                let t_old = ctx.fields.value(self.vars.t, cell, 0);
-                material.beta_all(t_old, &mut beta_all);
-                let (t_new, it) = self.solve_counted(&beta_all, s[cell], t_old);
-                newton_iters += it as u64;
-                buckets[(it as usize).min(HIST_BUCKETS - 1)] += 1;
-                t_new_of[cell] = t_new;
-                ctx.fields.set(self.vars.t, cell, 0, t_new);
+            let t0 = clock.now();
+            for cells in &owned {
+                let at = locate(material, &t[cells.clone()], &mut scratch.at);
+                pass.rewrite(at, cells.start, io, beta);
             }
-            solves += owned.len() as u64;
-        } else {
-            let (solve_start, solve_end) = if divided {
-                let r = ctx.reducer.rank();
-                let p = ctx.reducer.n_ranks().max(1);
-                (n_cells * r / p, n_cells * (r + 1) / p)
-            } else {
-                (0, n_cells)
-            };
-            let t_slice = ctx.fields.slice(self.vars.t);
-            let solve_chunk = |base: usize,
-                               out: &mut [f64],
-                               beta_all: &mut [f64],
-                               hist: &mut [u64; HIST_BUCKETS]|
-             -> u64 {
-                let mut iters = 0u64;
-                for (off, tv) in out.iter_mut().enumerate() {
-                    let cell = base + off;
-                    let t_old = t_slice[cell];
-                    material.beta_all(t_old, beta_all);
-                    let (t_new, it) = self.solve_counted(beta_all, s[cell], t_old);
-                    iters += it as u64;
-                    hist[(it as usize).min(HIST_BUCKETS - 1)] += 1;
-                    *tv = t_new;
-                }
-                iters
-            };
-            let span = solve_end - solve_start;
-            if threads > 1 && span > 0 {
-                let total_iters = AtomicU64::new(0);
-                // Shared histogram merged via atomics: chunks bucket
-                // locally and publish once, so bucket counts stay exact
-                // at any thread count.
-                let shared_hist: [AtomicU64; HIST_BUCKETS] =
-                    std::array::from_fn(|_| AtomicU64::new(0));
-                let chunk = span.div_ceil(threads).max(1);
-                t_new_of[solve_start..solve_end]
-                    .par_chunks_mut(chunk)
-                    .enumerate()
-                    .for_each(|(ci, out)| {
-                        let mut beta_all = vec![0.0; n_bands];
-                        let mut hist = [0u64; HIST_BUCKETS];
-                        let iters =
-                            solve_chunk(solve_start + ci * chunk, out, &mut beta_all, &mut hist);
-                        total_iters.fetch_add(iters, Ordering::Relaxed);
-                        for (slot, count) in shared_hist.iter().zip(hist) {
-                            if count > 0 {
-                                slot.fetch_add(count, Ordering::Relaxed);
-                            }
-                        }
-                    });
-                newton_iters += total_iters.into_inner();
-                for (b, slot) in buckets.iter_mut().zip(shared_hist) {
-                    *b += slot.into_inner();
-                }
-            } else {
-                let mut beta_all = vec![0.0; n_bands];
-                newton_iters += solve_chunk(
-                    solve_start,
-                    &mut t_new_of[solve_start..solve_end],
-                    &mut beta_all,
-                    &mut buckets,
-                );
-            }
-            solves += span as u64;
-            if divided {
-                // Reassemble the full T field: t + 0 + … + 0 per slot.
-                ctx.reducer.allreduce_sum(&mut t_new_of);
-            }
-            ctx.fields.slice_mut(self.vars.t).copy_from_slice(&t_new_of);
+            (tally.phase_s[1], tally.phase_s[2]) = (span_dur, clock.now() - t0);
         }
+        let mut tally = Tally::default();
+        chunks.iter().for_each(|chunk| tally.merge(&chunk.tally));
+        let solves = solved.iter().map(|cells| cells.len() as u64).sum::<u64>();
+
         // The recorder lent through `ctx.rec` is the one accounting path:
-        // counters, the iteration histogram and the Newton span all land
-        // in the same sink the executor reports from.
-        ctx.rec.work.newton_iters += newton_iters;
+        // counters, the iteration histogram, the span and the warnings all
+        // land in the same sink the executor reports from.
+        ctx.rec.work.newton_iters += tally.iters;
         ctx.rec.work.temperature_solves += solves;
-        ctx.rec.observe_buckets("newton_iters", &buckets);
-        if ctx.rec.enabled() {
-            let newton_t1 = ctx.rec.now();
-            ctx.rec.span(
-                SpanKind::NewtonSolve,
-                "newton solve",
-                newton_t0,
-                newton_t1 - newton_t0,
-                Track::Host,
-                vec![
-                    ("step", ctx.step.to_string()),
-                    ("solves", solves.to_string()),
-                    ("iters", newton_iters.to_string()),
-                ],
-            );
+        ctx.rec.observe_buckets("newton_iters", &tally.hist);
+        if !ctx.rec.enabled() {
+            return;
         }
-
-        // Io/beta rewrites band-by-band so the stores stream (the
-        // cells-inner order writes each (b, cell) slot exactly once,
-        // sequentially). Threaded: one task per owned band row, on two
-        // disjoint variables at once (`slice2_mut`).
-        match ctx.owned_cells {
-            None => {
-                if threads > 1 {
-                    let (io, beta) = ctx.fields.slice2_mut(self.vars.io, self.vars.beta);
-                    let io_owned = &mut io[owned_b.start * n_cells..owned_b.end * n_cells];
-                    let beta_owned = &mut beta[owned_b.start * n_cells..owned_b.end * n_cells];
-                    io_owned
-                        .par_chunks_mut(n_cells)
-                        .zip(beta_owned.par_chunks_mut(n_cells))
-                        .enumerate()
-                        .for_each(|(k, (io_row, beta_row))| {
-                            let b = owned_b.start + k;
-                            for cell in 0..n_cells {
-                                let t_new = t_new_of[cell];
-                                io_row[cell] = material.table.io(b, t_new);
-                                beta_row[cell] = material.beta_table.get(b, t_new);
-                            }
-                        });
-                } else {
-                    for b in owned_b.clone() {
-                        #[allow(clippy::needless_range_loop)] // cell feeds two setters
-                        for cell in 0..n_cells {
-                            let t_new = t_new_of[cell];
-                            ctx.fields
-                                .set(self.vars.io, cell, b, material.table.io(b, t_new));
-                            ctx.fields.set(
-                                self.vars.beta,
-                                cell,
-                                b,
-                                material.beta_table.get(b, t_new),
-                            );
-                        }
-                    }
-                }
+        let [energy_s, newton_s, rewrite_s] = tally.phase_s.map(|s| format!("{s:.9}"));
+        let attrs = vec![
+            ("step", ctx.step.to_string()),
+            ("solves", solves.to_string()),
+            ("iters", tally.iters.to_string()),
+            ("energy_s", energy_s),
+            ("newton_s", newton_s),
+            ("rewrite_s", rewrite_s),
+        ];
+        ctx.rec.span(
+            SpanKind::NewtonSolve,
+            "newton solve",
+            span_t0,
+            span_dur,
+            Track::Host,
+            attrs,
+        );
+        let step = ctx.step;
+        let mut warn = |rule, n: u64, what: &str| {
+            if n > 0 {
+                let message = format!("step {step}: {n} of {solves} temperature solves {what}");
+                ctx.rec.warn_capped(rule, message);
             }
-            Some(owned) => {
-                // Cell-partitioned: only owned cells were solved.
-                for b in owned_b.clone() {
-                    for &cell in owned {
-                        let t_new = t_new_of[cell];
-                        ctx.fields
-                            .set(self.vars.io, cell, b, material.table.io(b, t_new));
-                        ctx.fields
-                            .set(self.vars.beta, cell, b, material.beta_table.get(b, t_new));
-                    }
-                }
-            }
-        }
+        };
+        warn(rules::NEWTON_STALLED, tally.stalled, "returned at max_iter");
+        warn(
+            rules::NON_FINITE_ENERGY,
+            tally.non_finite,
+            "had a non-finite energy sum",
+        );
     }
 
     /// Solve `Σ_b β_b 4π I⁰_b(T) = target` for `T`, starting from
@@ -428,13 +299,14 @@ impl TemperatureUpdate {
     pub fn solve_counted(&self, beta: &[f64], target: f64, t_guess: f64) -> (f64, u32) {
         let material = &self.material;
         let four_pi = 4.0 * std::f64::consts::PI;
-        let (mut lo, mut hi) = (material.table.t_min, material.table.t_max);
+        let (mut lo, mut hi) = (material.grid().t_min, material.grid().t_max);
         let residual = |t: f64| -> (f64, f64) {
+            let at = material.locate(t);
             let mut r = -target;
             let mut dr = 0.0;
             for (b, &bb) in beta.iter().enumerate() {
-                r += bb * four_pi * material.table.io(b, t);
-                dr += bb * four_pi * material.table.dio(b, t);
+                r += bb * four_pi * material.io_at(b, at);
+                dr += bb * four_pi * material.dio_at(b, at);
             }
             (r, dr)
         };
@@ -459,6 +331,209 @@ impl TemperatureUpdate {
             t = t_next;
         }
         (t, self.max_iter as u32)
+    }
+}
+
+/// `span` cut into blocks of at most `block` cells.
+fn blocks(span: Range<usize>, block: usize) -> Vec<Range<usize>> {
+    let cut = |start: usize| start..(start + block).min(span.end);
+    span.clone().step_by(block).map(cut).collect()
+}
+
+/// An owned-cell list as blocks of at most `block` consecutive cells: a
+/// gap in the list ends a block.
+fn owned_blocks(owned: &[usize], block: usize) -> Vec<Range<usize>> {
+    let mut out: Vec<Range<usize>> = Vec::new();
+    for &cell in owned {
+        match out.last_mut() {
+            Some(last) if last.end == cell && last.len() < block => last.end += 1,
+            _ => out.push(cell..cell + 1),
+        }
+    }
+    out
+}
+
+/// What a pass over some cells counted. Chunks tally privately and the
+/// driver merges, so every count is exact at any thread count.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    iters: u64,
+    hist: [u64; HIST_BUCKETS],
+    /// Solves that returned at `max_iter`.
+    stalled: u64,
+    /// Solved cells whose energy sum was NaN or infinite.
+    non_finite: u64,
+    /// Seconds in energy, newton, rewrite (zero under the null sink).
+    phase_s: [f64; 3],
+}
+
+impl Tally {
+    fn merge(&mut self, other: &Tally) {
+        self.iters += other.iters;
+        self.stalled += other.stalled;
+        self.non_finite += other.non_finite;
+        (self.hist.iter_mut().zip(other.hist)).for_each(|(a, b)| *a += b);
+        (self.phase_s.iter_mut().zip(other.phase_s)).for_each(|(a, b)| *a += b);
+    }
+}
+
+/// One block between its phases.
+struct Scratch {
+    at: [Located; BLOCK],
+    e: [f64; BLOCK],
+    s: [f64; BLOCK],
+    beta_row: Vec<f64>,
+}
+
+impl Scratch {
+    fn new(n_bands: usize) -> Scratch {
+        Scratch {
+            at: [Located::default(); BLOCK],
+            e: [0.0; BLOCK],
+            s: [0.0; BLOCK],
+            beta_row: vec![0.0; n_bands],
+        }
+    }
+}
+
+/// Locate a block's temperatures: once per cell and value, for every
+/// table lookup of the phase that follows.
+fn locate<'a>(material: &Material, t: &[f64], at: &'a mut [Located; BLOCK]) -> &'a [Located] {
+    (at.iter_mut().zip(t)).for_each(|(at, &t)| *at = material.locate(t));
+    &at[..t.len()]
+}
+
+/// The cells `cell0 .. cell0 + t.len()` of `T` and of every owned band row
+/// of `Io` and `beta` — what one task of the parallel region writes.
+struct Chunk<'a> {
+    cell0: usize,
+    t: &'a mut [f64],
+    io: Vec<&'a mut [f64]>,
+    beta: Vec<&'a mut [f64]>,
+    tally: Tally,
+}
+
+/// Cut `T` and the owned band rows of `Io` / `beta` into chunks of
+/// `chunk_len` cells: band rows, then cell chunks, regrouped per chunk.
+/// The chunks are disjoint borrows, which is the whole race argument.
+fn carve<'a>(
+    t: &'a mut [f64],
+    io: &'a mut [f64],
+    beta: &'a mut [f64],
+    n_cells: usize,
+    chunk_len: usize,
+) -> Vec<Chunk<'a>> {
+    let (n_cells, chunk_len) = (n_cells.max(1), chunk_len.max(1));
+    let mut chunks: Vec<Chunk> = (t.chunks_mut(chunk_len).enumerate())
+        .map(|(c, t)| Chunk {
+            cell0: c * chunk_len,
+            t,
+            io: Vec::new(),
+            beta: Vec::new(),
+            tally: Tally::default(),
+        })
+        .collect();
+    for (io_row, beta_row) in io.chunks_mut(n_cells).zip(beta.chunks_mut(n_cells)) {
+        let segments = io_row
+            .chunks_mut(chunk_len)
+            .zip(beta_row.chunks_mut(chunk_len));
+        for (chunk, (io, beta)) in chunks.iter_mut().zip(segments) {
+            chunk.io.push(io);
+            chunk.beta.push(beta);
+        }
+    }
+    chunks
+}
+
+/// What every block of one update shares.
+struct Pass<'a> {
+    upd: &'a TemperatureUpdate,
+    /// The intensity, `I[(d·n_bands + b)·n_cells + cell]`.
+    i: &'a [f64],
+    n_cells: usize,
+    /// Owned bands.
+    bands: Range<usize>,
+    clock: TraceConfig,
+}
+
+impl Pass<'_> {
+    /// The three phases back to back on one block, `cells` of the chunk.
+    fn fused(&self, chunk: &mut Chunk, cells: Range<usize>, scratch: &mut Scratch) {
+        let material = &self.upd.material;
+        let local = cells.start - chunk.cell0..cells.end - chunk.cell0;
+        let t0 = self.clock.now();
+        let at = locate(material, &chunk.t[local.clone()], &mut scratch.at);
+        let s = &mut scratch.s[..cells.len()];
+        self.energy(cells.start, at, &mut scratch.e, s);
+        let t1 = self.clock.now();
+        let (t, beta_row) = (&mut chunk.t[local.clone()], &mut scratch.beta_row);
+        self.newton(at, s, t, beta_row, &mut chunk.tally);
+        let t2 = self.clock.now();
+        let at = locate(material, &chunk.t[local.clone()], &mut scratch.at);
+        self.rewrite(at, local.start, &mut chunk.io, &mut chunk.beta);
+        let (t3, sum) = (self.clock.now(), &mut chunk.tally.phase_s);
+        (sum[0], sum[1], sum[2]) = (sum[0] + (t1 - t0), sum[1] + (t2 - t1), sum[2] + (t3 - t2));
+    }
+
+    /// The energy phase of the block starting at cell `cell0`:
+    /// `s = Σ_b β_b(T_old) · Σ_d w_d I_{d,b}` over the owned bands. Swept
+    /// plane-by-plane (fixed (d, b), streaming over the block's cells) so
+    /// the big intensity array is read sequentially, once.
+    fn energy(&self, cell0: usize, at: &[Located], e: &mut [f64], s: &mut [f64]) {
+        let material = &self.upd.material;
+        let e = &mut e[..s.len()];
+        s.fill(0.0);
+        for b in self.bands.clone() {
+            e.fill(0.0);
+            for (d, &w) in material.angles.weights.iter().enumerate() {
+                let plane = (d * material.n_bands() + b) * self.n_cells + cell0;
+                for (e, &v) in e.iter_mut().zip(&self.i[plane..][..s.len()]) {
+                    *e += w * v;
+                }
+            }
+            for ((s, &e), &at) in s.iter_mut().zip(&*e).zip(at) {
+                *s += material.beta_at(b, at) * e;
+            }
+        }
+    }
+
+    /// The newton phase of a block: per cell the β row at its located
+    /// `T_old`, the solve, the counts; `t` goes from `T_old` to `T_new`.
+    fn newton(
+        &self,
+        at: &[Located],
+        s: &[f64],
+        t: &mut [f64],
+        beta_row: &mut [f64],
+        tally: &mut Tally,
+    ) {
+        let upd = self.upd;
+        for ((t, &s), &at) in t.iter_mut().zip(s).zip(at) {
+            for (b, beta) in beta_row.iter_mut().enumerate() {
+                *beta = upd.material.beta_at(b, at);
+            }
+            let (t_new, it) = upd.solve_counted(beta_row, s, *t);
+            tally.iters += it as u64;
+            tally.hist[(it as usize).min(HIST_BUCKETS - 1)] += 1;
+            tally.stalled += (it as usize >= upd.max_iter) as u64;
+            tally.non_finite += !s.is_finite() as u64;
+            *t = t_new;
+        }
+    }
+
+    /// The rewrite phase: `Io` and `beta` of the owned bands at the
+    /// block's located `T_new`, band by band so the stores stream. The
+    /// block starts `off` cells into each row segment.
+    fn rewrite(&self, at: &[Located], off: usize, io: &mut [&mut [f64]], beta: &mut [&mut [f64]]) {
+        let material = &self.upd.material;
+        for (b, (io_row, beta_row)) in self.bands.clone().zip(io.iter_mut().zip(beta)) {
+            let cells = off..off + at.len();
+            let rows = io_row[cells.clone()].iter_mut().zip(&mut beta_row[cells]);
+            for ((io, beta), &at) in rows.zip(at) {
+                *io = material.io_at(b, at);
+                *beta = material.beta_at(b, at);
+            }
+        }
     }
 }
 
@@ -491,7 +566,7 @@ mod tests {
             // Target constructed from the exact equilibrium at t_true.
             let four_pi = 4.0 * std::f64::consts::PI;
             let target: f64 = (0..n)
-                .map(|b| beta[b] * four_pi * m.table.io(b, t_true))
+                .map(|b| beta[b] * four_pi * m.table().io(b, t_true))
                 .sum();
             for guess in [255.0, 300.0, 399.0] {
                 let t = upd.solve(&beta, target, guess);
@@ -511,7 +586,7 @@ mod tests {
         m.beta_all(300.0, &mut beta);
         let four_pi = 4.0 * std::f64::consts::PI;
         let base: f64 = (0..n)
-            .map(|b| beta[b] * four_pi * m.table.io(b, 300.0))
+            .map(|b| beta[b] * four_pi * m.table().io(b, 300.0))
             .sum();
         let t1 = upd.solve(&beta, base * 0.9, 300.0);
         let t2 = upd.solve(&beta, base, 300.0);
@@ -526,9 +601,9 @@ mod tests {
         let mut beta = vec![0.0; n];
         m.beta_all(300.0, &mut beta);
         let t = upd.solve(&beta, 1e30, 300.0);
-        assert!((t - m.table.t_max).abs() < 1.0);
+        assert!((t - m.grid().t_max).abs() < 1.0);
         let t = upd.solve(&beta, 0.0, 300.0);
-        assert!((t - m.table.t_min).abs() < 1.0);
+        assert!((t - m.grid().t_min).abs() < 1.0);
     }
 
     #[test]
@@ -539,7 +614,7 @@ mod tests {
         m.beta_all(300.0, &mut beta);
         let four_pi = 4.0 * std::f64::consts::PI;
         let target: f64 = (0..n)
-            .map(|b| beta[b] * four_pi * m.table.io(b, 310.0))
+            .map(|b| beta[b] * four_pi * m.table().io(b, 310.0))
             .sum();
         let (t, iters) = upd.solve_counted(&beta, target, 300.0);
         assert!((t - upd.solve(&beta, target, 300.0)).abs() == 0.0);

@@ -204,7 +204,7 @@ fn mixed(tier: KernelTier) -> BteProblem {
         i_var,
         "bottom",
         BoundaryCondition::callback_reading(&[], move |q| {
-            material.table.io(q.idx[1], 300.0 + 5.0 * q.time / dt)
+            material.table().io(q.idx[1], 300.0 + 5.0 * q.time / dt)
         }),
     );
     bte.problem.kernel_tier(tier);

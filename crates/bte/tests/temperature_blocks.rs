@@ -1,0 +1,528 @@
+//! The blocked temperature kernel against a cells-outer oracle.
+//!
+//! `TemperatureUpdate::run_blocked` cuts the cells into blocks, thread
+//! chunks and owned-cell runs; none of that may change a cell's
+//! arithmetic. The oracle below is the naive per-cell reference — written
+//! from `table().io`, `beta_table().get` and `solve_counted` only, one
+//! cell at a time, with whole-grid buffers — and the kernel must match it
+//! bit for bit on `T`, `Io` and `beta`, with equal Newton iteration
+//! count, solve count and iteration histogram, in every ownership scope:
+//!
+//! 1. everything owned, at 1, 2 and 3 threads;
+//! 2. a band range (one rank of a band-partitioned world) under both
+//!    Newton strategies, with a recording reducer that must see the same
+//!    allreduce calls — order, lengths, contents — from both;
+//! 3. an owned-cell list with gaps and single-cell runs.
+//!
+//! Temperatures are drawn inside, at and outside the table range with an
+//! occasional NaN; the block length goes through the kernel's parameter,
+//! so block edges fall everywhere relative to the mesh, the thread chunks
+//! and the owned runs.
+
+use pbte_bte::material::Material;
+use pbte_bte::temperature::{BteVars, TemperatureStrategy, TemperatureUpdate, BLOCK};
+use pbte_dsl::entities::{Index, Location, Registry, Variable};
+use pbte_dsl::exec::Recorder;
+use pbte_dsl::problem::{LocalReducer, Reducer, StepContext};
+use pbte_dsl::Fields;
+use pbte_mesh::grid::UniformGrid;
+use pbte_mesh::Mesh;
+use pbte_runtime::telemetry::{rules, HIST_BUCKETS};
+use proptest::prelude::*;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
+
+const VARS: BteVars = BteVars {
+    i: 0,
+    io: 1,
+    beta: 2,
+    t: 3,
+};
+
+/// A 2-D and a 3-D material, built once (the tables are the slow part).
+fn material(three_d: bool) -> Arc<Material> {
+    static MATERIALS: OnceLock<[Arc<Material>; 2]> = OnceLock::new();
+    MATERIALS.get_or_init(|| {
+        [
+            Arc::new(Material::silicon_2d(4, 8, 250.0, 400.0)),
+            Arc::new(Material::silicon_3d(3, 2, 4, 250.0, 400.0)),
+        ]
+    })[three_d as usize]
+        .clone()
+}
+
+/// Any mesh will do: the update never looks at it.
+fn mesh() -> &'static Mesh {
+    static MESH: OnceLock<Mesh> = OnceLock::new();
+    MESH.get_or_init(|| UniformGrid::new_2d(1, 1, 1.0, 1.0).build())
+}
+
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (self.0 ^ self.0 >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ z >> 27).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ z >> 31
+    }
+
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// A temperature inside, at or outside the `[250, 400]` table.
+    fn temperature(&mut self) -> f64 {
+        match self.next() % 8 {
+            0 => 250.0,
+            1 => 400.0,
+            2 => 180.0 + 60.0 * self.unit(),
+            3 => 405.0 + 200.0 * self.unit(),
+            _ => 250.0 + 150.0 * self.unit(),
+        }
+    }
+}
+
+/// `I[d, b]`, `Io[b]`, `beta[b]`, `T` over `n_cells` cells: intensities
+/// scattered around the equilibrium of a random temperature per cell,
+/// temperatures all over (and beyond) the table, `Io` / `beta` holding a
+/// sentinel so a slot the update must not touch shows if it does.
+fn fields(material: &Material, n_cells: usize, rng: &mut Rng, poison: bool) -> Fields {
+    let (n_dirs, n_bands) = (material.n_dirs(), material.n_bands());
+    let registry = Registry {
+        indices: vec![
+            Index {
+                name: "d".into(),
+                len: n_dirs,
+            },
+            Index {
+                name: "b".into(),
+                len: n_bands,
+            },
+        ],
+        variables: [
+            ("I", vec![0, 1]),
+            ("Io", vec![1]),
+            ("beta", vec![1]),
+            ("T", vec![]),
+        ]
+        .into_iter()
+        .map(|(name, indices)| Variable {
+            name: name.into(),
+            location: Location::Cell,
+            indices,
+        })
+        .collect(),
+        coefficients: Vec::new(),
+    };
+    let mut f = Fields::new(&registry, n_cells);
+    for cell in 0..n_cells {
+        let around = 260.0 + 130.0 * rng.unit();
+        for d in 0..n_dirs {
+            for b in 0..n_bands {
+                let v = material.table().io(b, around) * (0.5 + rng.unit());
+                f.set(VARS.i, cell, d * n_bands + b, v);
+            }
+        }
+        f.set(VARS.t, cell, 0, rng.temperature());
+    }
+    f.slice_mut(VARS.io).fill(-1.0);
+    f.slice_mut(VARS.beta).fill(-2.0);
+    if poison {
+        // One NaN temperature and one non-finite intensity.
+        let cell = rng.next() as usize % n_cells;
+        f.set(VARS.t, cell, 0, f64::NAN);
+        let (cell, flat) = (
+            rng.next() as usize % n_cells,
+            rng.next() as usize % (n_dirs * n_bands),
+        );
+        let bad = [f64::NAN, f64::INFINITY][rng.next() as usize % 2];
+        f.set(VARS.i, cell, flat, bad);
+    }
+    f
+}
+
+/// Stands in for the other ranks of a band-partitioned world: call `k`
+/// adds `others[k]` (what the rest of the world would contribute) and
+/// records the bits it was handed.
+struct RecordingReducer {
+    rank: usize,
+    n_ranks: usize,
+    others: Vec<Vec<f64>>,
+    seen: Vec<Vec<u64>>,
+}
+
+impl RecordingReducer {
+    /// Rank `rank` of `n_ranks` over `n_cells` cells: the first call is
+    /// the energy sum (the others add positive energies), the second —
+    /// under `DividedNewton` only — shares `T` (the others fill every slot
+    /// outside this rank's slice and add zero inside it).
+    fn new(rank: usize, n_ranks: usize, n_cells: usize, rng: &mut Rng) -> RecordingReducer {
+        let energy = (0..n_cells).map(|_| 1e9 * rng.unit()).collect();
+        let slice = n_cells * rank / n_ranks..n_cells * (rank + 1) / n_ranks;
+        let t = (0..n_cells)
+            .map(|c| match slice.contains(&c) {
+                true => 0.0,
+                false => 255.0 + 140.0 * rng.unit(),
+            })
+            .collect();
+        RecordingReducer {
+            rank,
+            n_ranks,
+            others: vec![energy, t],
+            seen: Vec::new(),
+        }
+    }
+}
+
+impl Reducer for RecordingReducer {
+    fn allreduce_sum(&mut self, buf: &mut [f64]) {
+        let others = &self.others[self.seen.len()];
+        // NaN payloads are not pinned (see `assert_same_bits`).
+        let bits = |v: &f64| if v.is_nan() { u64::MAX } else { v.to_bits() };
+        self.seen.push(buf.iter().map(bits).collect());
+        for (v, o) in buf.iter_mut().zip(others) {
+            *v += o;
+        }
+    }
+    fn rank(&self) -> usize {
+        self.rank
+    }
+    fn n_ranks(&self) -> usize {
+        self.n_ranks
+    }
+}
+
+/// What an update counted.
+#[derive(Debug, PartialEq)]
+struct Counts {
+    newton_iters: u64,
+    solves: u64,
+    hist: [u64; HIST_BUCKETS],
+}
+
+/// The naive cells-outer reference: the update as its definition reads,
+/// one cell at a time, every lookup through the public table methods.
+fn oracle(
+    upd: &TemperatureUpdate,
+    f: &mut Fields,
+    bands: Option<Range<usize>>,
+    owned_cells: Option<&[usize]>,
+    reducer: &mut dyn Reducer,
+) -> Counts {
+    let m = &upd.material;
+    let (n_dirs, n_bands, n_cells) = (m.n_dirs(), m.n_bands(), f.n_cells);
+    let banded = bands.is_some();
+    let bands = bands.unwrap_or(0..n_bands);
+    let all: Vec<usize> = (0..n_cells).collect();
+    let owned = owned_cells.unwrap_or(&all);
+
+    let mut s = vec![0.0; n_cells];
+    for &cell in owned {
+        let t_old = f.value(VARS.t, cell, 0);
+        let mut acc = 0.0;
+        for b in bands.clone() {
+            let mut e = 0.0;
+            for d in 0..n_dirs {
+                e += m.angles.weights[d] * f.value(VARS.i, cell, d * n_bands + b);
+            }
+            acc += m.beta_table().get(b, t_old) * e;
+        }
+        s[cell] = acc;
+    }
+    if banded {
+        reducer.allreduce_sum(&mut s);
+    }
+
+    let divided =
+        banded && owned_cells.is_none() && upd.strategy == TemperatureStrategy::DividedNewton;
+    let solved: Vec<usize> = match divided {
+        true => {
+            let (r, p) = (reducer.rank(), reducer.n_ranks());
+            (n_cells * r / p..n_cells * (r + 1) / p).collect()
+        }
+        false => owned.to_vec(),
+    };
+    let mut counts = Counts {
+        newton_iters: 0,
+        solves: solved.len() as u64,
+        hist: [0; HIST_BUCKETS],
+    };
+    let mut t_new = vec![0.0; n_cells];
+    for &cell in &solved {
+        let t_old = f.value(VARS.t, cell, 0);
+        let beta: Vec<f64> = (0..n_bands).map(|b| m.beta_table().get(b, t_old)).collect();
+        let (t, it) = upd.solve_counted(&beta, s[cell], t_old);
+        counts.newton_iters += it as u64;
+        counts.hist[(it as usize).min(HIST_BUCKETS - 1)] += 1;
+        t_new[cell] = t;
+    }
+    if divided {
+        reducer.allreduce_sum(&mut t_new);
+        f.slice_mut(VARS.t).copy_from_slice(&t_new);
+    } else {
+        for &cell in &solved {
+            f.set(VARS.t, cell, 0, t_new[cell]);
+        }
+    }
+
+    for &cell in owned {
+        let t = f.value(VARS.t, cell, 0);
+        for b in bands.clone() {
+            f.set(VARS.io, cell, b, m.table().io(b, t));
+            f.set(VARS.beta, cell, b, m.beta_table().get(b, t));
+        }
+    }
+    counts
+}
+
+/// One kernel update on `f` with a buffered recorder.
+fn kernel(
+    upd: &TemperatureUpdate,
+    f: &mut Fields,
+    bands: Option<Range<usize>>,
+    owned_cells: Option<&[usize]>,
+    reducer: &mut dyn Reducer,
+    threads: usize,
+    block: usize,
+) -> (Counts, Recorder) {
+    let mut rec = Recorder::buffered();
+    let mut ctx = StepContext {
+        fields: f,
+        mesh: mesh(),
+        time: 0.0,
+        step: 7,
+        owned_index_range: bands.map(|r| ("b".to_string(), r)),
+        owned_cells,
+        reducer,
+        threads,
+        rec: &mut rec,
+    };
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap();
+    pool.install(|| upd.run_blocked(&mut ctx, block));
+    let counts = Counts {
+        newton_iters: rec.work.newton_iters,
+        solves: rec.work.temperature_solves,
+        hist: *rec.histogram("newton_iters").expect("histogram observed"),
+    };
+    (counts, rec)
+}
+
+/// Bitwise equality, with any NaN equal to any NaN (a NaN's payload may
+/// legitimately depend on operand order the compiler is free to pick).
+fn assert_same_bits(what: &str, a: &Fields, b: &Fields) -> Result<(), TestCaseError> {
+    for (var, name) in [(VARS.t, "T"), (VARS.io, "Io"), (VARS.beta, "beta")] {
+        for (k, (x, y)) in a.slice(var).iter().zip(b.slice(var)).enumerate() {
+            prop_assert!(
+                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                "{what}: {name}[{k}] kernel {x:e} vs oracle {y:e}"
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The mesh sizes that put a block edge everywhere it can go.
+fn n_cells_for(block: usize, which: usize) -> usize {
+    [1, block - 1, block, block + 1, 3 * block + 7][which % 5].max(1)
+}
+
+/// Small blocks, and the shipped one.
+fn block_for(which: usize) -> usize {
+    [1, 2, 3, 5, 8, 16, BLOCK][which % 7]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(70))]
+
+    #[test]
+    fn everything_owned_matches_the_oracle_at_any_thread_count(
+        seed in any::<u64>(),
+        shape in (0usize..7, 0usize..5, any::<bool>(), any::<bool>()),
+    ) {
+        let (block, size, three_d, poison) = shape;
+        let (block, mut rng) = (block_for(block), Rng(seed));
+        let material = material(three_d);
+        let upd = TemperatureUpdate::new(material.clone(), VARS);
+        let start = fields(&material, n_cells_for(block, size), &mut rng, poison);
+        let mut expected = start.clone();
+        let want = oracle(&upd, &mut expected, None, None, &mut LocalReducer);
+        for threads in [1, 2, 3] {
+            let mut got = start.clone();
+            let (counts, _) = kernel(&upd, &mut got, None, None, &mut LocalReducer, threads, block);
+            assert_same_bits(&format!("threads {threads} block {block}"), &got, &expected)?;
+            prop_assert_eq!(&counts, &want);
+        }
+    }
+
+    #[test]
+    fn a_band_range_matches_the_oracle_under_both_strategies(
+        seed in any::<u64>(),
+        shape in (0usize..7, 0usize..5, any::<bool>(), any::<bool>()),
+        rank in 0usize..3,
+        divided in any::<bool>(),
+    ) {
+        let (block, size, three_d, poison) = shape;
+        let (block, mut rng) = (block_for(block), Rng(seed));
+        let material = material(three_d);
+        let strategy = match divided {
+            true => TemperatureStrategy::DividedNewton,
+            false => TemperatureStrategy::RedundantNewton,
+        };
+        let upd = TemperatureUpdate::new(material.clone(), VARS).with_strategy(strategy);
+        let n_cells = n_cells_for(block, size);
+        let start = fields(&material, n_cells, &mut rng, poison);
+        // Rank `rank` of 3 owns a third of the bands.
+        let n_bands = material.n_bands();
+        let bands = n_bands * rank / 3..n_bands * (rank + 1) / 3;
+        let mut world = RecordingReducer::new(rank, 3, n_cells, &mut rng);
+        let mut expected = start.clone();
+        let want = oracle(&upd, &mut expected, Some(bands.clone()), None, &mut world);
+        let oracle_calls = std::mem::take(&mut world.seen);
+
+        let mut got = start.clone();
+        let (counts, _) = kernel(&upd, &mut got, Some(bands), None, &mut world, 1, block);
+        assert_same_bits(&format!("rank {rank} {strategy:?} block {block}"), &got, &expected)?;
+        prop_assert_eq!(&counts, &want);
+        // Same allreduce calls: count, lengths, contents, order.
+        prop_assert_eq!(world.seen.len(), 1 + divided as usize);
+        prop_assert_eq!(&world.seen, &oracle_calls);
+    }
+
+    #[test]
+    fn an_owned_cell_list_with_gaps_matches_the_oracle(
+        seed in any::<u64>(),
+        shape in (0usize..7, 0usize..5, any::<bool>(), any::<bool>()),
+    ) {
+        let (block, size, three_d, poison) = shape;
+        let (block, mut rng) = (block_for(block), Rng(seed));
+        let material = material(three_d);
+        let upd = TemperatureUpdate::new(material.clone(), VARS);
+        let n_cells = n_cells_for(block, size);
+        let start = fields(&material, n_cells, &mut rng, poison);
+        // Runs of 1..=2·block+1 owned cells separated by gaps of 1..=3.
+        let mut owned = Vec::new();
+        let mut cell = rng.next() as usize % 2;
+        while cell < n_cells {
+            let run = 1 + rng.next() as usize % (2 * block + 1);
+            owned.extend(cell..(cell + run).min(n_cells));
+            cell += run + 1 + rng.next() as usize % 3;
+        }
+        let mut expected = start.clone();
+        let want = oracle(&upd, &mut expected, None, Some(&owned), &mut LocalReducer);
+        let mut got = start.clone();
+        // Threads are offered; a cell-partitioned rank must not use them.
+        let (counts, _) = kernel(&upd, &mut got, None, Some(&owned), &mut LocalReducer, 2, block);
+        assert_same_bits(&format!("{} owned block {block}", owned.len()), &got, &expected)?;
+        prop_assert_eq!(&counts, &want);
+    }
+}
+
+/// A located lookup is the plain lookup: `x_at(b, locate(t))` equals
+/// `io` / `dio` / `get` bit for bit, on the grid nodes, between them, at
+/// both clamps and beyond them.
+#[test]
+fn located_lookups_equal_the_plain_ones() {
+    for three_d in [false, true] {
+        let m = material(three_d);
+        let (t_min, t_max) = (m.grid().t_min, m.grid().t_max);
+        let mut temperatures = vec![t_min, t_max, t_min - 40.0, t_max + 40.0, 0.0, f64::MAX];
+        temperatures.extend((0..=1200).map(|k| t_min + 0.125 * k as f64));
+        temperatures.extend((0..40).map(|k| m.grid().temperature(7 * k)));
+        for &t in &temperatures {
+            let at = m.locate(t);
+            for b in 0..m.n_bands() {
+                assert_eq!(m.io_at(b, at).to_bits(), m.table().io(b, t).to_bits());
+                assert_eq!(m.dio_at(b, at).to_bits(), m.table().dio(b, t).to_bits());
+                assert_eq!(
+                    m.beta_at(b, at).to_bits(),
+                    m.beta_table().get(b, t).to_bits()
+                );
+            }
+        }
+        // Out-of-range temperatures clamp to the edge rows.
+        for b in 0..m.n_bands() {
+            assert_eq!(m.io_at(b, m.locate(10.0)), m.table().io(b, t_min));
+            assert_eq!(m.beta_at(b, m.locate(1e4)), m.beta_table().get(b, t_max));
+        }
+    }
+}
+
+/// A solve that cannot meet its tolerance is counted and reported once
+/// per update under `temperature/newton-stalled`; the values it returns
+/// are used as before.
+#[test]
+fn a_stalled_newton_solve_is_reported() {
+    let material = material(false);
+    let mut upd = TemperatureUpdate::new(material.clone(), VARS);
+    upd.tol = 0.0; // |ΔT| < 0 never holds: every solve runs to max_iter
+    let mut f = fields(&material, 37, &mut Rng(11), false);
+    let (counts, rec) = kernel(&upd, &mut f, None, None, &mut LocalReducer, 1, BLOCK);
+    assert_eq!(counts.newton_iters, 37 * upd.max_iter as u64);
+    let stalled: Vec<_> = rec.events().into_iter().collect();
+    assert_eq!(stalled.len(), 1, "one event per update: {stalled:?}");
+    assert_eq!(stalled[0].name, rules::NEWTON_STALLED);
+    assert!(
+        stalled[0].message.contains("37 of 37"),
+        "{}",
+        stalled[0].message
+    );
+    let diags = pbte_dsl::exec::telemetry_diagnostics(&rec);
+    assert_eq!(diags.len(), 1);
+    assert_eq!(diags[0].rule, rules::NEWTON_STALLED);
+}
+
+/// A non-finite energy sum is bisected to a table edge by the solve — a
+/// plausible temperature — so the update says so under
+/// `temperature/non-finite-energy`.
+#[test]
+fn a_non_finite_energy_sum_is_reported() {
+    let material = material(true);
+    let upd = TemperatureUpdate::new(material.clone(), VARS);
+    let mut f = fields(&material, 20, &mut Rng(5), false);
+    f.set(VARS.i, 3, 2, f64::NAN);
+    f.set(VARS.i, 11, 0, f64::INFINITY);
+    let (_, rec) = kernel(&upd, &mut f, None, None, &mut LocalReducer, 1, 8);
+    let events = rec.events();
+    assert_eq!(events.len(), 1, "{events:?}");
+    assert_eq!(events[0].name, rules::NON_FINITE_ENERGY);
+    assert!(
+        events[0].message.contains("2 of 20"),
+        "{}",
+        events[0].message
+    );
+    // The laundering the warning is about: both cells hold a finite T.
+    assert!(f.slice(VARS.t).iter().all(|t| t.is_finite()));
+    let diags = pbte_dsl::exec::telemetry_diagnostics(&rec);
+    assert_eq!(diags[0].rule, rules::NON_FINITE_ENERGY);
+}
+
+/// A healthy update raises neither warning, and its span carries the
+/// three phase times.
+#[test]
+fn a_healthy_update_is_quiet_and_its_span_is_split_by_phase() {
+    let material = material(false);
+    let upd = TemperatureUpdate::new(material.clone(), VARS);
+    let mut f = fields(&material, 50, &mut Rng(3), false);
+    let (_, rec) = kernel(&upd, &mut f, None, None, &mut LocalReducer, 2, 16);
+    assert!(rec.events().is_empty(), "{:?}", rec.events());
+    let spans = rec.spans();
+    assert_eq!(spans.len(), 1, "one NewtonSolve span per update");
+    for key in [
+        "energy_s",
+        "newton_s",
+        "rewrite_s",
+        "solves",
+        "iters",
+        "step",
+    ] {
+        assert!(
+            spans[0].attrs.iter().any(|(k, _)| *k == key),
+            "span lacks `{key}`: {:?}",
+            spans[0].attrs
+        );
+    }
+}

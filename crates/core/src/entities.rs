@@ -178,18 +178,16 @@ impl Fields {
         &mut self.data[var]
     }
 
-    /// Mutable slices of two *distinct* variables at once (the threaded
-    /// temperature update rewrites `Io` and `beta` in one fused pass).
-    pub fn slice2_mut(&mut self, a: usize, b: usize) -> (&mut [f64], &mut [f64]) {
-        assert_ne!(a, b, "slice2_mut needs two distinct variables");
-        if a < b {
-            let (lo, hi) = self.data.split_at_mut(b);
-            (&mut lo[a], &mut hi[0])
-        } else {
-            let (lo, hi) = self.data.split_at_mut(a);
-            let (sb, sa) = (&mut lo[b], &mut hi[0]);
-            (sa, sb)
+    /// Mutable slices of `N` *distinct* variables at once (the temperature
+    /// update reads `I` and writes `T`, `Io` and `beta` in one pass).
+    pub fn slices_mut<const N: usize>(&mut self, vars: [usize; N]) -> [&mut [f64]; N] {
+        let mut found: [Option<&mut [f64]>; N] = std::array::from_fn(|_| None);
+        for (var, data) in self.data.iter_mut().enumerate() {
+            if let Some(k) = vars.iter().position(|&v| v == var) {
+                found[k] = Some(data);
+            }
         }
+        found.map(|slice| slice.expect("slices_mut needs distinct, existing variables"))
     }
 
     /// Replace a variable's storage (e.g. after a device read-back).

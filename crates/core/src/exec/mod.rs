@@ -221,6 +221,8 @@ pub fn telemetry_diagnostics(rec: &Recorder) -> Vec<crate::analysis::Diagnostic>
                 rules::NONMONOTONIC_TIMER => rules::NONMONOTONIC_TIMER,
                 rules::BUFFER_TRUNCATED => rules::BUFFER_TRUNCATED,
                 rules::COST_LIVE_DRIFT => rules::COST_LIVE_DRIFT,
+                rules::NEWTON_STALLED => rules::NEWTON_STALLED,
+                rules::NON_FINITE_ENERGY => rules::NON_FINITE_ENERGY,
                 _ => return None,
             };
             Some(crate::analysis::Diagnostic {
@@ -884,23 +886,20 @@ impl CompiledProblem {
         let mut fields = Fields::new(&problem.registry, mesh.n_cells());
         for (var, init) in &problem.initials {
             let v = *var;
-            let var_slots = problem.registry.variables[v].indices.clone();
-            let var_lens: Vec<usize> = var_slots
-                .iter()
-                .map(|&i| problem.registry.indices[i].len)
-                .collect();
-            let var_strides = problem.registry.strides(&var_slots);
-            let flat_len = fields.flat_len(v);
-            for cell in 0..mesh.n_cells() {
-                let centroid = mesh.cell_centroids[cell];
-                for flat in 0..flat_len {
-                    let mut idx = vec![0usize; var_lens.len()];
-                    let mut rem = flat;
-                    for (k, &s) in var_strides.iter().enumerate() {
-                        idx[k] = rem / s;
-                        rem %= s;
-                    }
-                    fields.set(v, cell, flat, init(centroid, &idx));
+            let var_slots = &problem.registry.variables[v].indices;
+            let var_strides = problem.registry.strides(var_slots);
+            // Flat-major like the storage: the index tuple is decoded once
+            // per flat and each flat's row is filled over the centroids.
+            let mut idx = vec![0usize; var_slots.len()];
+            let rows = fields.slice_mut(v).chunks_mut(mesh.n_cells().max(1));
+            for (flat, row) in rows.enumerate() {
+                let mut rem = flat;
+                for (k, &s) in var_strides.iter().enumerate() {
+                    idx[k] = rem / s;
+                    rem %= s;
+                }
+                for (value, &centroid) in row.iter_mut().zip(&mesh.cell_centroids) {
+                    *value = init(centroid, &idx);
                 }
             }
         }

@@ -157,6 +157,37 @@ fn assert_identical(a: &Fields, b: &Fields, what: &str) {
     }
 }
 
+/// The initial fill walks flat-major (the index tuple decoded once per
+/// flat, each flat's row filled over the centroids), but every closure
+/// still sees each (cell, flat) exactly once, with the cell's centroid and
+/// the flat's index tuple, and its value lands in that slot.
+#[test]
+fn initial_fill_calls_each_cell_and_flat_once_with_its_tuple() {
+    use std::sync::{Arc, Mutex};
+    let mut p = build_problem(3, 1, TimeStepper::EulerExplicit);
+    let i_var = p.registry.variable_id("I").unwrap();
+    let calls = Arc::new(Mutex::new(Vec::new()));
+    let log = calls.clone();
+    p.initial(i_var, move |pt, idx| {
+        log.lock().unwrap().push((pt, idx.to_vec()));
+        1000.0 * pt.x + 100.0 * pt.y + 10.0 * idx[0] as f64 + idx[1] as f64
+    });
+    let (cp, fields) = pbte_dsl::exec::CompiledProblem::compile(p).unwrap();
+    let centroids = &cp.mesh().cell_centroids;
+    let calls = calls.lock().unwrap();
+    assert_eq!(calls.len(), centroids.len() * NDIRS * NBANDS);
+    for (cell, &pt) in centroids.iter().enumerate() {
+        for d in 0..NDIRS {
+            for b in 0..NBANDS {
+                let seen = calls.iter().filter(|c| **c == (pt, vec![d, b])).count();
+                assert_eq!(seen, 1, "cell {cell} idx [{d}, {b}]");
+                let expect = 1000.0 * pt.x + 100.0 * pt.y + 10.0 * d as f64 + b as f64;
+                assert_eq!(fields.value(i_var, cell, d * NBANDS + b), expect);
+            }
+        }
+    }
+}
+
 #[test]
 fn threaded_matches_sequential_exactly() {
     let seq = run(ExecTarget::CpuSeq, 6, 5, TimeStepper::EulerExplicit);

@@ -59,6 +59,12 @@ pub mod rules {
     /// Observed per-step work or transfer bytes drifted from the static
     /// cost model's prediction beyond tolerance, mid-run.
     pub const COST_LIVE_DRIFT: &str = "cost/live-drift";
+    /// Temperature solves returned at the iteration cap without meeting
+    /// the tolerance (the returned temperature is used regardless).
+    pub const NEWTON_STALLED: &str = "temperature/newton-stalled";
+    /// Cells whose energy sum was NaN or infinite: the Newton solve
+    /// bisects such a target to a table edge, hiding it from the field.
+    pub const NON_FINITE_ENERGY: &str = "temperature/non-finite-energy";
 }
 
 /// Work counters validating that every execution target performs the same
@@ -459,9 +465,10 @@ impl Frame {
 pub const DEFAULT_SPAN_CAP: usize = 1 << 20;
 /// In-memory retention cap for events.
 pub const DEFAULT_EVENT_CAP: usize = 1 << 16;
-/// At most this many `cost/live-drift` warnings per recorder, so a
-/// systematically wrong prediction cannot flood the event buffer.
-const MAX_DRIFT_WARNS: u32 = 8;
+/// At most this many [`Recorder::warn_capped`] warnings per rule and
+/// recorder, so a condition that holds on every step (a systematically
+/// wrong prediction, a stalled solve) cannot flood the event buffer.
+const MAX_WARNS_PER_RULE: u32 = 8;
 
 /// `Copy` recorder configuration, shared across `World::run` closures so
 /// every rank's child recorder uses the same epoch.
@@ -580,7 +587,8 @@ pub struct Recorder {
     hists: BTreeMap<&'static str, [u64; HIST_BUCKETS]>,
     stream: Option<StreamSink>,
     cost: Option<CostExpectation>,
-    drift_warns: u32,
+    /// Warnings taken so far per capped rule.
+    capped_warns: BTreeMap<&'static str, u32>,
     last_step_work: WorkCounters,
 }
 
@@ -618,7 +626,7 @@ impl Recorder {
             hists: BTreeMap::new(),
             stream: None,
             cost: None,
-            drift_warns: 0,
+            capped_warns: BTreeMap::new(),
             last_step_work: WorkCounters::default(),
         }
     }
@@ -812,6 +820,20 @@ impl Recorder {
         }));
     }
 
+    /// [`warn`](Self::warn) for a condition that can hold on every step:
+    /// the first few per rule are recorded, the rest dropped.
+    pub fn warn_capped(&mut self, rule: &'static str, message: String) {
+        if !self.cfg.enabled || self.capped(rule) {
+            return;
+        }
+        *self.capped_warns.entry(rule).or_insert(0) += 1;
+        self.warn(rule, message);
+    }
+
+    fn capped(&self, rule: &str) -> bool {
+        self.capped_warns.get(rule).copied().unwrap_or(0) >= MAX_WARNS_PER_RULE
+    }
+
     /// Merge pre-aggregated buckets into the named histogram (callbacks
     /// bucket locally first). It becomes a `histogram` frame when the run
     /// closes.
@@ -895,7 +917,7 @@ impl Recorder {
 
     fn check_step_cost(&mut self, step: usize, delta: &WorkCounters) {
         let Some(c) = self.cost else { return };
-        if !c.per_step_check || self.drift_warns >= MAX_DRIFT_WARNS {
+        if !c.per_step_check || self.capped(rules::COST_LIVE_DRIFT) {
             return;
         }
         let stages = c.stages_per_step as u64;
@@ -910,8 +932,7 @@ impl Recorder {
             }
             let drift = (observed as f64 - predicted as f64).abs() / predicted as f64;
             if drift > c.tolerance {
-                self.drift_warns += 1;
-                self.warn(
+                self.warn_capped(
                     rules::COST_LIVE_DRIFT,
                     format!(
                         "step {step}: observed {observed} {label} vs predicted \
@@ -920,9 +941,6 @@ impl Recorder {
                         c.tolerance * 100.0
                     ),
                 );
-                if self.drift_warns >= MAX_DRIFT_WARNS {
-                    break;
-                }
             }
         }
     }
@@ -932,7 +950,7 @@ impl Recorder {
     /// [`rules::COST_LIVE_DRIFT`] beyond tolerance.
     pub fn transfer_drift(&mut self, step: usize, dir: &str, observed_bytes: u64) {
         let Some(c) = self.cost else { return };
-        if self.drift_warns >= MAX_DRIFT_WARNS {
+        if self.capped(rules::COST_LIVE_DRIFT) {
             return;
         }
         let predicted = match dir {
@@ -944,8 +962,7 @@ impl Recorder {
         }
         let drift = (observed_bytes as f64 - predicted as f64).abs() / predicted as f64;
         if drift > c.tolerance {
-            self.drift_warns += 1;
-            self.warn(
+            self.warn_capped(
                 rules::COST_LIVE_DRIFT,
                 format!(
                     "step {step}: observed {observed_bytes} {dir} bytes vs predicted \
@@ -977,7 +994,9 @@ impl Recorder {
     fn absorb_buffers(&mut self, child: Recorder) {
         self.dropped_spans += child.dropped_spans;
         self.dropped_events += child.dropped_events;
-        self.drift_warns += child.drift_warns;
+        for (rule, n) in child.capped_warns {
+            *self.capped_warns.entry(rule).or_insert(0) += n;
+        }
         for f in child.frames {
             self.store(f);
         }
