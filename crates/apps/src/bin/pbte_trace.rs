@@ -90,6 +90,12 @@
 //!   partition (`cells:<r>`) sweeps the whole mesh per rank and must
 //!   report the sequential run's value.
 //!
+//! * kernel-span **cut attribution**: every such span carries `tiles` and
+//!   `workers` — how many pieces its sweep visited and how many threads
+//!   they fanned out to — printed per target as `<target> sweep cut:
+//!   tiles=<n> workers=<n>`; a target that fans out (`par`) must have at
+//!   least one tile per worker.
+//!
 //! Any violated assertion prints a `PARITY MISMATCH` line and the exit
 //! status is 1.
 
@@ -328,6 +334,43 @@ fn kernel_run_cells(rec: &Recorder) -> Option<Vec<u64>> {
     Some(cells)
 }
 
+/// Distinct `tiles=<n> workers=<n>` attribute pairs across a recording's
+/// tier-attributed `Kernel` spans — how each sweep was cut and fanned out.
+/// `None` when a span lacks either.
+fn kernel_cuts(rec: &Recorder) -> Option<Vec<(u64, u64)>> {
+    let attr = |s, key| recorded_attr(s, key)?.parse().ok();
+    let mut cuts = rec
+        .spans()
+        .iter()
+        .filter(|s| matches!(s.kind, SpanKind::Kernel) && recorded_attr(s, "tier").is_some())
+        .map(|s| Some((attr(s, "tiles")?, attr(s, "workers")?)))
+        .collect::<Option<Vec<(u64, u64)>>>()?;
+    cuts.sort_unstable();
+    cuts.dedup();
+    Some(cuts)
+}
+
+/// Print `tname`'s sweep cut and check it: every sweep says how it was
+/// cut, and a fanned-out sweep has at least one tile per worker.
+fn cuts_ok(tname: &str, rec: &Recorder) -> bool {
+    let Some(cuts) = kernel_cuts(rec) else {
+        println!("PARITY MISMATCH: a {tname} kernel span carries no tiles/workers attribute");
+        return false;
+    };
+    let shown: Vec<String> = cuts
+        .iter()
+        .map(|(tiles, workers)| format!("tiles={tiles} workers={workers}"))
+        .collect();
+    println!("  {tname} sweep cut: {}", shown.join("; "));
+    let starved = cuts
+        .iter()
+        .any(|&(tiles, workers)| workers > 1 && tiles < workers);
+    if starved {
+        println!("PARITY MISMATCH: {tname} fans out to more workers than it has tiles");
+    }
+    !starved
+}
+
 fn run_parity(
     source: &ScenarioSource,
     cfg: &BteConfig,
@@ -352,10 +395,10 @@ fn run_parity(
     println!("  kernel tier attribution: {seq_tiers:?}");
     let seq_run_cells = kernel_run_cells(&rec);
     println!("  kernel run_cells: {seq_run_cells:?}");
+    let mut ok = cuts_ok("seq", &rec);
     let seq_walls = rec.walls().map(str::to_string);
     println!("  walls: {}", seq_walls.as_deref().unwrap_or("(none)"));
 
-    let mut ok = true;
     // A wall left to a closure is the only thing that evaluates a ghost.
     let walls_ok = |tname: &str, walls: Option<&str>, work: &WorkCounters| {
         let lowered = walls.is_some_and(|w| w.ends_with("callback:0"));
@@ -431,6 +474,7 @@ fn run_parity(
             );
             ok = false;
         }
+        ok &= cuts_ok(tname, &rec);
     }
     ok
 }

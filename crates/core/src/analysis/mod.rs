@@ -18,12 +18,13 @@
 //!    lowered wall tables those kernels read boundary faces through are
 //!    re-derived from the declared boundary forms and held to the closures
 //!    they replace (`boundary`, `boundary/form-mismatch`).
-//! 2. **Write disjointness** (`races`): the threaded cell-span split,
-//!    the distributed rank partitions (cells and bands), the
-//!    divided-Newton cell slices, and the GPU `launch_rows` flattening
-//!    are proven to have pairwise-disjoint write sets over the
-//!    `(flat, cell)` dof grid of the written entity; a gather wall must
-//!    read only flats its rank owns.
+//! 2. **Write disjointness** (`races`): the tiles of every rank's
+//!    [`Scope`] — the one value that is the threaded cell-span split, the
+//!    distributed rank partitions (cells and bands) and the GPU
+//!    `launch_rows` rows — and the divided-Newton cell slices are proven
+//!    to have pairwise-disjoint write sets over the `(flat, cell)` dof
+//!    grid of the written entity; a gather wall must read only flats its
+//!    rank owns.
 //! 3. **Transfer correctness** (`transfers`): the automatic
 //!    [`TransferSchedule`](crate::dataflow::TransferSchedule) is checked
 //!    against the derived device-side sets and the declared host-side
@@ -82,9 +83,8 @@ pub use intervals::{cfl_bound, check_intervals, CflBound};
 pub use intervals::{recommend_dt, DtRecommendation, ACCURACY_COURANT};
 pub use races::{check_disjoint_writes, check_divided_slices, WriteRegion};
 pub use synth::{
-    band_owned_flats, check_certificate, rank_scopes, synthesize_partition, synthesize_schedule,
-    thread_chunk_len, LivenessArg, Omission, RankScope, ReadSite, ScheduleCertificate,
-    SynthesizedPartition, TransferCert, WriteSite,
+    check_certificate, rank_scopes, synthesize_partition, synthesize_schedule, LivenessArg,
+    Omission, ReadSite, ScheduleCertificate, Scope, Tile, TransferCert, WriteSite,
 };
 pub use transfers::check_schedule;
 pub use units::check_units;
@@ -319,14 +319,29 @@ fn target_strategy(target: &ExecTarget) -> Option<GpuStrategy> {
 
 /// Run every check that applies to `target`. Empty result = the plan is
 /// proven clean (up to the conservative treatment of opaque callbacks,
-/// which can only produce warnings, never silence).
+/// which can only produce warnings, never silence). A target
+/// configuration `build()` rejects before solving (more ranks than cells,
+/// an unpartitionable index) has no scopes and skips the race pass.
 pub fn verify_plan(cp: &CompiledProblem, target: &ExecTarget) -> Vec<Diagnostic> {
+    let scopes = rank_scopes(cp, target).unwrap_or_default();
+    verify_scopes(cp, target, &scopes)
+}
+
+/// [`verify_plan`] with the race pass reading `scopes` — what the driver
+/// passes so that the split it proves is the value it then runs.
+pub(crate) fn verify_scopes(
+    cp: &CompiledProblem,
+    target: &ExecTarget,
+    scopes: &[Scope],
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     access::check_kernels(cp, &mut out);
     access::check_geometry(cp, &mut out);
     boundary::check_boundary_forms(cp, false, &mut out);
     access::check_catalog(cp, &mut out);
-    races::check_target(cp, target, &mut out);
+    if !scopes.is_empty() {
+        races::check_target(cp, target, scopes, &mut out);
+    }
     if let Some(strategy) = target_strategy(target) {
         let schedule = cp.transfer_schedule(strategy);
         out.extend(transfers::check_schedule(cp, &schedule));

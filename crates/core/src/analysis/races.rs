@@ -1,23 +1,25 @@
 //! Parallel-write disjointness proofs.
 //!
-//! Every parallel split an executor performs — the threaded cell-span
-//! chunks, the cell-distributed RCB partition, the band-distributed flat
-//! ownership, the divided-Newton cell slices, and the GPU `launch_rows`
-//! row flattening — is rebuilt here as an explicit family of
+//! Every parallel split an executor performs — the tiles of each rank's
+//! [`Scope`] (the threaded cell-span pieces, the cell-distributed RCB
+//! partition, the band-distributed flat ownership, the GPU `launch_rows`
+//! rows: all read off the value the driver runs, never rebuilt) and the
+//! divided-Newton cell slices — becomes an explicit family of
 //! [`WriteRegion`]s over the `(flat, cell)` dof grid of the written
 //! entity, then proven pairwise disjoint with an owner array. Overlap is
 //! a hard error naming both regions and the first offending dof;
 //! uncovered dofs are a warning (a split may legitimately under-cover
 //! when another rank owns the rest, but a *local* family must cover).
 
-use super::{rules, Diagnostic, Severity};
+use super::{rules, Diagnostic, Scope, Severity};
 use crate::exec::{CompiledProblem, ExecTarget};
+use std::borrow::Borrow;
 
 /// One parallel worker's write footprint over an entity's dof grid: the
 /// cross product of `flats` and `cells`.
 #[derive(Debug, Clone)]
 pub struct WriteRegion {
-    /// Diagnostic label ("thread chunk 3", "rank 1", "device row 7").
+    /// Diagnostic label ("rank 1 tile 3 (flat 0, cells 8..16)").
     pub label: String,
     pub flats: Vec<usize>,
     pub cells: Vec<usize>,
@@ -25,17 +27,21 @@ pub struct WriteRegion {
 
 /// Prove a family of write regions pairwise disjoint over an
 /// `n_flat × n_cells` dof grid. Overlaps are errors; unclaimed dofs a
-/// warning; out-of-grid indices an error.
+/// warning; out-of-grid indices an error. Regions are consumed one at a
+/// time (a lazily built family never exists in memory at once).
 pub fn check_disjoint_writes(
     entity: &str,
     n_flat: usize,
     n_cells: usize,
-    regions: &[WriteRegion],
+    regions: impl IntoIterator<Item = impl Borrow<WriteRegion>>,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut owner = vec![u32::MAX; n_flat * n_cells];
+    let mut labels: Vec<String> = Vec::new();
     let mut reported: Vec<(u32, u32)> = Vec::new();
-    for (i, region) in regions.iter().enumerate() {
+    for (i, region) in regions.into_iter().enumerate() {
+        let region = region.borrow();
+        labels.push(region.label.clone());
         let mut oob = false;
         for &flat in &region.flats {
             for &cell in &region.cells {
@@ -64,10 +70,7 @@ pub fn check_disjoint_writes(
                             severity: Severity::Error,
                             rule: rules::OVERLAPPING_WRITE,
                             entity: entity.to_string(),
-                            location: format!(
-                                "{} ∩ {}",
-                                regions[prev as usize].label, region.label
-                            ),
+                            location: format!("{} ∩ {}", labels[prev as usize], region.label),
                             message: format!("both regions write (flat {flat}, cell {cell})"),
                         });
                         reported.push(pair);
@@ -108,22 +111,23 @@ pub fn check_divided_slices(entity: &str, n_cells: usize, ranks: usize) -> Vec<D
     check_disjoint_writes(entity, 1, n_cells, &regions)
 }
 
-/// Prove the write split `target` uses for the unknown disjoint; for
-/// band-distributed targets additionally prove the divided-Newton cell
-/// slices of declared-writing post-step callbacks. The region family
-/// itself is derived by [`super::synth::synthesize_partition`] from the
-/// same helpers the executors call, so the proof covers the executed
-/// split rather than a reconstruction of it.
-pub(super) fn check_target(cp: &CompiledProblem, target: &ExecTarget, out: &mut Vec<Diagnostic>) {
+/// Prove the write split of `scopes` — the value the step driver runs
+/// `target` on — disjoint over the unknown, one region per tile
+/// ([`super::synth::synthesize_partition`]); for band-distributed targets
+/// additionally prove the divided-Newton cell slices of declared-writing
+/// post-step callbacks.
+pub(super) fn check_target(
+    cp: &CompiledProblem,
+    target: &ExecTarget,
+    scopes: &[Scope],
+    out: &mut Vec<Diagnostic>,
+) {
     let n_cells = cp.mesh().n_cells();
-    let Some(partition) = super::synth::synthesize_partition(cp, target) else {
-        return; // build() rejects this configuration before solving
-    };
     out.extend(check_disjoint_writes(
-        &partition.entity,
-        partition.n_flat,
-        partition.n_cells,
-        &partition.regions,
+        &cp.system.unknown_name,
+        cp.n_flat,
+        n_cells,
+        super::synth::synthesize_partition(scopes),
     ));
 
     // Divided-Newton slices: any post-step callback on a band-distributed
@@ -141,9 +145,9 @@ pub(super) fn check_target(cp: &CompiledProblem, target: &ExecTarget, out: &mut 
     }
 
     if cp.problem.integrator.is_implicit() {
-        check_krylov_vectors(cp, target, out);
+        check_krylov_vectors(cp, scopes, out);
     }
-    check_gather_sources(cp, target, out);
+    check_gather_sources(cp, scopes, out);
 }
 
 /// The halo obligation of a lowered gather wall: on every rank, the source
@@ -156,21 +160,16 @@ pub(super) fn check_target(cp: &CompiledProblem, target: &ExecTarget, out: &mut 
 /// that fails the obligation on some target does not fall back to its
 /// closure there (which would read the same stale row): the plan is
 /// **refused** under `boundary/form-mismatch`.
-fn check_gather_sources(cp: &CompiledProblem, target: &ExecTarget, out: &mut Vec<Diagnostic>) {
-    let (ExecTarget::DistBands { ranks, index } | ExecTarget::DistBandsGpu { ranks, index, .. }) =
-        target
-    else {
-        return; // every other rank scope owns every flat
-    };
+fn check_gather_sources(cp: &CompiledProblem, scopes: &[Scope], out: &mut Vec<Diagnostic>) {
     if cp.walls.gather_faces == 0 {
         return;
     }
-    let Some(owned_flats) = super::synth::band_owned_flats(cp, *ranks, index) else {
-        return; // build() rejects this configuration before solving
-    };
     let n_flat = cp.n_flat;
     let n_columns = cp.walls.columns.len() / n_flat.max(1);
-    for (rank, flats) in owned_flats.iter().enumerate() {
+    for (rank, flats) in scopes.iter().map(|s| &s.flats).enumerate() {
+        if flats.len() == n_flat {
+            continue; // owns every flat (the boundary pass bounds the sources)
+        }
         let mut owned = vec![false; n_flat];
         for &flat in flats {
             owned[flat] = true;
@@ -206,21 +205,18 @@ fn check_gather_sources(cp: &CompiledProblem, target: &ExecTarget, out: &mut Vec
 /// be pairwise disjoint *and* covering: an overlap would double-count a
 /// dot partial, a gap would drop one — either silently changes every
 /// Krylov scalar on every rank.
-fn check_krylov_vectors(cp: &CompiledProblem, target: &ExecTarget, out: &mut Vec<Diagnostic>) {
+fn check_krylov_vectors(cp: &CompiledProblem, scopes: &[Scope], out: &mut Vec<Diagnostic>) {
     let n_cells = cp.mesh().n_cells();
     let n_flat = cp.n_flat;
     // The scopes the driver hands each rank's Krylov loop (only RHS/JVP
     // sweeps are parallel within a rank, never vector ops).
-    let Ok(scopes) = super::synth::rank_scopes(cp, target) else {
-        return;
-    };
     let regions: Vec<WriteRegion> = scopes
-        .into_iter()
+        .iter()
         .enumerate()
-        .map(|(r, (cells, flats))| WriteRegion {
+        .map(|(r, scope)| WriteRegion {
             label: format!("rank {r} Krylov scope"),
-            flats,
-            cells,
+            flats: scope.flats.clone(),
+            cells: scope.cells.clone(),
         })
         .collect();
     for vec_name in ["b", "r", "p", "v", "s", "t", "y"] {

@@ -824,38 +824,128 @@ pub fn check_certificate(
 // Partition synthesis
 // ---------------------------------------------------------------------------
 
-/// The parallel write split synthesized for a target over the unknown's
-/// `(flat, cell)` dof grid, with the derivation rule that produced it.
-/// This is the *same* family the step driver runs (it consumes
-/// [`rank_scopes`] and the shared helpers below), so the disjointness
-/// proof in the races pass covers the executed split, not a
-/// reconstruction of it.
-#[derive(Debug)]
-pub struct SynthesizedPartition {
-    pub entity: String,
-    pub n_flat: usize,
-    pub n_cells: usize,
-    pub regions: Vec<WriteRegion>,
-    /// The rule by which the regions were derived from the plan facts.
-    pub derivation: String,
+/// One piece of a sweep: the scope's `k`-th flat over the contiguous cells
+/// `cell0 .. cell0 + len` — one `rows::rhs_block` call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tile {
+    /// Position of the flat in [`Scope::flats`].
+    pub k: usize,
+    pub cell0: usize,
+    pub len: usize,
 }
 
-/// Contiguous-chunk length the threaded executor divides each flat's cell
-/// range into. Shared by `exec::par` (the executed split) and the
-/// partition synthesis (the proven split) so the two cannot drift.
-pub fn thread_chunk_len(n_cells: usize, threads: usize) -> usize {
-    n_cells.div_ceil(threads.max(1)).max(1)
+/// The iteration space of one rank: the `(cells × flats)` cross product of
+/// the dof grid it owns, and the [`Tile`]s that space is swept in. One
+/// value per rank, built by [`rank_scopes`], is what the step driver
+/// walks, the device launches, the cost model scopes and the race pass
+/// proves — so "the proven split is the executed split" holds by identity.
+#[derive(Debug, Clone)]
+pub struct Scope {
+    /// Owned cells (global ids).
+    pub cells: Vec<usize>,
+    /// Owned flattened index values.
+    pub flats: Vec<usize>,
+    /// Cells of the whole mesh (the row length of the dof layout
+    /// `flat * n_cells + cell`).
+    pub n_cells: usize,
+    /// Each flat's maximal contiguous cell spans, each cut into near-equal
+    /// pieces, flat-major.
+    pub tiles: Vec<Tile>,
+    /// Threads one sweep fans its tiles out to; 1 sweeps them in order on
+    /// the calling thread.
+    pub workers: usize,
+    /// Exact face count over the owned cells (every flat walks each once
+    /// per sweep).
+    pub faces: u64,
+}
+
+impl Scope {
+    /// The scope `cells × flats` of a mesh with CSR face `offsets`, every
+    /// span cut into `workers` pieces.
+    pub(crate) fn new(
+        offsets: &[u32],
+        cells: Vec<usize>,
+        flats: Vec<usize>,
+        workers: usize,
+    ) -> Scope {
+        Scope {
+            tiles: Scope::tile(&cells, flats.len(), workers),
+            faces: cells
+                .iter()
+                .map(|&c| (offsets[c + 1] - offsets[c]) as u64)
+                .sum(),
+            n_cells: offsets.len() - 1,
+            cells,
+            flats,
+            workers: workers.max(1),
+        }
+    }
+
+    /// The tile list of `cells` under `n_flats` flats: the maximal
+    /// contiguous ascending spans of the list, in list order (any list is
+    /// handled — non-consecutive cells just yield length-1 spans), each cut
+    /// into `parts` near-equal non-empty pieces, repeated per flat.
+    pub(crate) fn tile(cells: &[usize], n_flats: usize, parts: usize) -> Vec<Tile> {
+        let parts = parts.max(1);
+        let mut spans: Vec<(usize, usize)> = Vec::new();
+        for &cell in cells {
+            match spans.last_mut() {
+                Some((start, len)) if *start + *len == cell => *len += 1,
+                _ => spans.push((cell, 1)),
+            }
+        }
+        let row: Vec<(usize, usize)> = spans
+            .iter()
+            .flat_map(|&(start, len)| {
+                (0..parts).filter_map(move |i| {
+                    let (a, b) = (len * i / parts, len * (i + 1) / parts);
+                    (b > a).then_some((start + a, b - a))
+                })
+            })
+            .collect();
+        (0..n_flats)
+            .flat_map(|k| row.iter().map(move |&(cell0, len)| Tile { k, cell0, len }))
+            .collect()
+    }
+
+    /// Where `tile` starts in the global `flat * n_cells + cell` layout.
+    #[inline]
+    pub fn at(&self, tile: &Tile) -> usize {
+        self.flats[tile.k] * self.n_cells + tile.cell0
+    }
+
+    /// The owned dofs as contiguous index ranges, tile by tile — the same
+    /// walk as the sweeps. Vector passes slice their operands by these
+    /// instead of indexing per dof.
+    pub fn spans(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        self.tiles.iter().map(|t| {
+            let at = self.at(t);
+            at..at + t.len
+        })
+    }
+
+    /// Owned dofs.
+    pub fn dofs(&self) -> usize {
+        self.flats.len() * self.cells.len()
+    }
+
+    /// Whether the scope is the whole `n_flat × n_cells` grid.
+    pub(crate) fn is_full(&self, n_flat: usize) -> bool {
+        self.cells.len() == self.n_cells && self.flats.len() == n_flat
+    }
+
+    /// Count one sweep over the scope.
+    pub(crate) fn account(&self, work: &mut pbte_runtime::telemetry::WorkCounters) {
+        work.dof_updates += self.dofs() as u64;
+        work.flux_evals += self.flats.len() as u64 * self.faces;
+    }
 }
 
 /// Owned flats per rank under band partitioning of `index` (the band
 /// half of [`rank_scopes`]).
 /// `None` when `index` is not an index of the unknown (build rejects such
 /// targets before solving).
-pub fn band_owned_flats(
-    cp: &CompiledProblem,
-    ranks: usize,
-    index: &str,
-) -> Option<Vec<Vec<usize>>> {
+fn band_owned_flats(cp: &CompiledProblem, ranks: usize, index: &str) -> Option<Vec<Vec<usize>>> {
     let registry = &cp.problem.registry;
     let index_id = registry.index_id(index)?;
     let slot = registry.variables[cp.system.unknown]
@@ -875,27 +965,25 @@ pub fn band_owned_flats(
     )
 }
 
-/// All flats / all cells of an extent.
-fn all(n: usize) -> Vec<usize> {
-    (0..n).collect()
-}
-
-/// The `(cells, flats)` cross product of the dof grid one rank owns.
-pub type RankScope = (Vec<usize>, Vec<usize>);
-
-/// The [`RankScope`] every rank of `target` owns — the one split
-/// the step driver executes, the partition synthesis proves disjoint and
-/// the Krylov-vector check proves covering. Single-rank targets own the
+/// The [`Scope`] every rank of `target` owns. Single-rank targets own the
 /// whole grid; cell distribution divides the cells by RCB, band
-/// distribution the flats by [`band_owned_flats`]. Errors name the
-/// configuration `build()` would have to reject (more ranks than cells, an
-/// unpartitionable index).
-pub fn rank_scopes(cp: &CompiledProblem, target: &ExecTarget) -> Result<Vec<RankScope>, DslError> {
+/// distribution the flats by band range. Only the threaded
+/// target fans a sweep out: its spans are cut into
+/// `rayon::current_num_threads()` pieces — the one place the sweep split
+/// reads the thread count, once per solve.
+/// Errors name the configuration `build()` would have to reject (more
+/// ranks than cells, an unpartitionable index).
+pub fn rank_scopes(cp: &CompiledProblem, target: &ExecTarget) -> Result<Vec<Scope>, DslError> {
     let n_cells = cp.mesh().n_cells();
-    let n_flat = cp.n_flat;
-    match target {
+    let all = |n: usize| (0..n).collect::<Vec<usize>>();
+    let workers = match target {
+        ExecTarget::CpuParallel => rayon::current_num_threads(),
+        _ => 1,
+    };
+    let scope = |cells, flats| Scope::new(&cp.hot.offsets, cells, flats, workers);
+    Ok(match target {
         ExecTarget::CpuSeq | ExecTarget::CpuParallel | ExecTarget::GpuHybrid { .. } => {
-            Ok(vec![(all(n_cells), all(n_flat))])
+            vec![scope(all(n_cells), all(cp.n_flat))]
         }
         ExecTarget::DistCells { ranks } => {
             if *ranks > n_cells {
@@ -904,90 +992,35 @@ pub fn rank_scopes(cp: &CompiledProblem, target: &ExecTarget) -> Result<Vec<Rank
                 )));
             }
             let partition = Partition::build(cp.mesh(), *ranks, PartitionMethod::Rcb);
-            Ok((0..*ranks)
-                .map(|r| (partition.cells_of(r), all(n_flat)))
-                .collect())
+            (0..*ranks)
+                .map(|r| scope(partition.cells_of(r), all(cp.n_flat)))
+                .collect()
         }
         ExecTarget::DistBands { ranks, index } | ExecTarget::DistBandsGpu { ranks, index, .. } => {
-            let owned = band_owned_flats(cp, *ranks, index).ok_or_else(|| {
-                DslError::Invalid(format!("`{index}` is not an index of the unknown"))
-            })?;
-            Ok(owned
+            band_owned_flats(cp, *ranks, index)
+                .ok_or_else(|| {
+                    DslError::Invalid(format!("`{index}` is not an index of the unknown"))
+                })?
                 .into_iter()
-                .map(|flats| (all(n_cells), flats))
-                .collect())
+                .map(|flats| scope(all(n_cells), flats))
+                .collect()
         }
-    }
+    })
 }
 
-/// Synthesize the write split `target` uses for the unknown. `None` when
-/// the target configuration is one `build()` rejects before solving
-/// (more ranks than cells, an unpartitionable index).
-pub fn synthesize_partition(
-    cp: &CompiledProblem,
-    target: &ExecTarget,
-) -> Option<SynthesizedPartition> {
-    let n_cells = cp.mesh().n_cells();
-    let n_flat = cp.n_flat;
-    let scopes = rank_scopes(cp, target).ok()?;
-    let ranks = scopes.len();
-    let (regions, derivation): (Vec<WriteRegion>, String) = match target {
-        ExecTarget::CpuParallel => {
-            // The rayon split: per-flat blocks, each cell range divided
-            // into contiguous chunks of the shared chunk length.
-            let threads = rayon::current_num_threads().max(1);
-            let chunk = thread_chunk_len(n_cells, threads);
-            let regions = (0..n_cells)
-                .step_by(chunk)
-                .enumerate()
-                .map(|(ci, start)| WriteRegion {
-                    label: format!("thread chunk {ci}"),
-                    flats: all(n_flat),
-                    cells: (start..(start + chunk).min(n_cells)).collect(),
-                })
-                .collect();
-            (
-                regions,
-                format!(
-                    "cell range divided into ⌈{n_cells}/{threads}⌉-cell contiguous \
-                     chunks (thread_chunk_len)"
-                ),
-            )
-        }
-        ExecTarget::GpuHybrid { .. } | ExecTarget::DistBandsGpu { .. } => (
-            // launch_rows: one device row kernel per owned flat, each
-            // writing its contiguous n_cells-long block of the unknown.
-            scopes
-                .into_iter()
-                .enumerate()
-                .flat_map(|(r, (cells, flats))| {
-                    flats.into_iter().map(move |flat| WriteRegion {
-                        label: format!("rank {r} device row {flat}"),
-                        flats: vec![flat],
-                        cells: cells.clone(),
-                    })
-                })
-                .collect(),
-            format!("rank_scopes over {ranks} rank(s), one device row kernel per owned flat"),
-        ),
-        _ => (
-            scopes
-                .into_iter()
-                .enumerate()
-                .map(|(r, (cells, flats))| WriteRegion {
-                    label: format!("rank {r}"),
-                    flats,
-                    cells,
-                })
-                .collect(),
-            format!("rank_scopes over {ranks} rank(s)"),
-        ),
-    };
-    Some(SynthesizedPartition {
-        entity: cp.system.unknown_name.clone(),
-        n_flat,
-        n_cells,
-        regions,
-        derivation,
+/// The write split of the unknown that `scopes` describes: one region per
+/// tile, read straight off the value the driver executes, in execution
+/// order.
+pub fn synthesize_partition(scopes: &[Scope]) -> impl Iterator<Item = WriteRegion> + '_ {
+    scopes.iter().enumerate().flat_map(|(r, scope)| {
+        scope.tiles.iter().enumerate().map(move |(i, t)| {
+            let flat = scope.flats[t.k];
+            let cells = t.cell0..t.cell0 + t.len;
+            WriteRegion {
+                label: format!("rank {r} tile {i} (flat {flat}, cells {cells:?})"),
+                flats: vec![flat],
+                cells: cells.collect(),
+            }
+        })
     })
 }

@@ -22,9 +22,9 @@
 //! bit-for-bit. Each rank may drive its own simulated GPU — the
 //! configuration of the paper's Fig 7.
 
-use super::driver::{run_scope, Dofs, Owned};
+use super::driver::{run_scope, Owned};
 use super::{CompiledProblem, ExecTarget, SolveReport, StepLinks, WorkCounters};
-use crate::analysis::RankScope;
+use crate::analysis::Scope;
 use crate::entities::Fields;
 use crate::problem::Reducer;
 use pbte_mesh::partition::partition_bands;
@@ -146,11 +146,11 @@ impl StepLinks for RankLinks<'_> {
 /// scopes: for every interior face whose two cells live on different
 /// ranks, each side sends its cell to the other. Sorted and deduplicated
 /// for a deterministic packing order shared by sender and receiver.
-fn interface_send_lists(cp: &CompiledProblem, scopes: &[RankScope]) -> Vec<SendList> {
+fn interface_send_lists(cp: &CompiledProblem, scopes: &[Scope]) -> Vec<SendList> {
     let mesh = cp.mesh();
     let mut part = vec![0usize; mesh.n_cells()];
-    for (r, (cells, _)) in scopes.iter().enumerate() {
-        for &c in cells {
+    for (r, scope) in scopes.iter().enumerate() {
+        for &c in &scope.cells {
             part[c] = r;
         }
     }
@@ -238,7 +238,7 @@ pub(crate) fn solve(
     cp: &CompiledProblem,
     fields: &mut Fields,
     target: &ExecTarget,
-    scopes: &[RankScope],
+    scopes: &[Scope],
     rec: &mut Recorder,
 ) -> SolveReport {
     let ranks = scopes.len();
@@ -264,18 +264,13 @@ pub(crate) fn solve(
     let base_cost = parent.enabled().then(|| super::live_cost(cp, target));
     let results: Vec<RankResult> = World::run(ranks, |ctx| {
         let rank = ctx.rank;
-        let (cells, flats) = &scopes[rank];
+        let d = &scopes[rank];
+        let (cells, flats) = (&d.cells, &d.flats);
         let mut local = init_fields.clone();
         let mut r = parent.child(rank as u32);
         if let Some(base) = base_cost {
-            r.set_cost_expectation(super::scope_cost(base, cp, cells, flats));
+            r.set_cost_expectation(super::scope_cost(base, cp, d));
         }
-        let d = Dofs {
-            cells,
-            cell_spans: &super::rows::cell_spans(cells),
-            flats,
-            n_cells: local.n_cells,
-        };
         let owned = match &bands {
             Some(b) => Owned {
                 index_range: Some((b.index.clone(), b.ranges[rank].clone())),
@@ -323,9 +318,9 @@ pub(crate) fn solve(
     });
 
     // Assemble the global solution from the owner of every row.
-    for (res, (cells, _)) in results.iter().zip(scopes) {
+    for (res, scope) in results.iter().zip(scopes) {
         for (v, flat, values) in &res.payload {
-            for (&c, &val) in cells.iter().zip(values) {
+            for (&c, &val) in scope.cells.iter().zip(values) {
                 fields.set(*v, c, *flat, val);
             }
         }

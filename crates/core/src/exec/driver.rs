@@ -13,25 +13,25 @@
 //! ```
 //!
 //! What differs between targets is confined to three values the caller
-//! hands in: a [`Backend`] (how one RHS sweep and one update run over the
-//! rank's dofs — serial, rayon, or on the simulated device), a
-//! [`StepLinks`] (halo exchange and reductions — none, or message
-//! passing), and the rank's [`Dofs`] scope from
-//! [`crate::analysis::rank_scopes`]. [`solve`] picks them per
-//! [`ExecTarget`].
+//! hands in: a [`Backend`] (where one RHS sweep runs — on the host, or on
+//! the simulated device), a [`StepLinks`] (halo exchange and reductions —
+//! none, or message passing), and the rank's [`Scope`] from
+//! [`crate::analysis::rank_scopes`]: the owned dofs and the tiles they are
+//! swept in, on one worker or fanned out. [`solve`] builds the scopes
+//! once, has them proved (`debug_verify`) and hands the same values on.
 
 use super::gpu::GpuBackend;
 use super::implicit::{theta_step, ImplicitWorkspace};
 use super::rows::{self, IntensityKernels};
 use super::walls::Ghosts;
 use super::{
-    dist, gpu, live_cost, par, phases, seq, CompiledProblem, ExecTarget, LocalLinks, SolveReport,
+    dist, gpu, live_cost, phases, seq, CompiledProblem, ExecTarget, LocalLinks, SolveReport,
     StepLinks,
 };
+use crate::analysis::Scope;
 use crate::entities::Fields;
 use crate::problem::{DslError, Integrator, KernelTier, TimeStepper};
 use pbte_runtime::telemetry::{Recorder, SpanKind, Track, WorkCounters};
-use std::ops::Range;
 use std::time::Instant;
 
 /// Which compiled plan a backend RHS sweep evaluates.
@@ -41,41 +41,6 @@ pub(crate) enum Plan {
     Main,
     /// The linearization `J·v` (the JVP plan under `CompiledProblem::jvp`).
     Jvp,
-}
-
-/// The dof set a rank owns, in the global `flat * n_cells + cell` layout.
-#[derive(Clone, Copy)]
-pub(crate) struct Dofs<'a> {
-    /// Owned cells (global ids).
-    pub cells: &'a [usize],
-    /// `cells` as `(first cell, length)` spans — [`rows::cell_spans`],
-    /// computed once per scope; every sweep and vector pass walks these.
-    pub cell_spans: &'a [(usize, usize)],
-    /// Owned flattened index values.
-    pub flats: &'a [usize],
-    pub n_cells: usize,
-}
-
-impl<'a> Dofs<'a> {
-    /// The owned dofs as contiguous index ranges, flat-major — the same
-    /// walk as the sweeps. Vector passes slice their operands by these
-    /// instead of indexing per dof.
-    pub fn spans(self) -> impl Iterator<Item = Range<usize>> + 'a {
-        self.flats.iter().flat_map(move |&flat| {
-            self.cell_spans.iter().map(move |&(start, len)| {
-                let at = flat * self.n_cells + start;
-                at..at + len
-            })
-        })
-    }
-
-    /// How many owned cells lie inside stencil runs of `hot`.
-    fn run_cells(self, hot: &super::HotGeometry) -> usize {
-        self.cell_spans
-            .iter()
-            .map(|&(start, len)| hot.run_cells_in(start, len))
-            .sum()
-    }
 }
 
 /// What a rank's step callbacks are told they own.
@@ -120,11 +85,6 @@ pub(crate) trait Backend {
         work: &mut WorkCounters,
     );
 
-    /// `u += coeff * rhs` over the scope.
-    fn update(&mut self, fields: &mut Fields, unknown: usize, d: Dofs, coeff: f64, rhs: &[f64]) {
-        axpy(fields, unknown, d, coeff, rhs);
-    }
-
     /// One forward-Euler stage `u += dt·f(u, time)` with `k` as its stage
     /// buffer. Under RK2 it leaves `f` in `k` (the second stage reads it);
     /// under Euler a backend may fuse the update into the sweep and leave
@@ -136,7 +96,7 @@ pub(crate) trait Backend {
         &mut self,
         cp: &CompiledProblem,
         fields: &mut Fields,
-        d: Dofs,
+        d: &Scope,
         time: f64,
         step: usize,
         k: &mut Vec<f64>,
@@ -163,24 +123,29 @@ fn two_pass_stage<B: Backend + ?Sized>(
     backend: &mut B,
     cp: &CompiledProblem,
     fields: &mut Fields,
-    d: Dofs,
+    d: &Scope,
     time: f64,
     step: usize,
     k: &mut [f64],
     rec: &mut Recorder,
 ) {
     traced_rhs(backend, cp, Plan::Main, fields, d, time, step, k, rec);
-    backend.update(fields, cp.system.unknown, d, cp.problem.dt, k);
+    axpy(fields, cp.system.unknown, d, cp.problem.dt, k);
 }
 
-/// Serial `u += coeff * rhs` over a scope.
-fn axpy(fields: &mut Fields, unknown: usize, d: Dofs, coeff: f64, rhs: &[f64]) {
-    let u = fields.slice_mut(unknown);
-    for span in d.spans() {
-        for (u, r) in u[span.clone()].iter_mut().zip(&rhs[span]) {
-            *u += coeff * r;
-        }
-    }
+/// `u += coeff * rhs` over a scope, tile by tile like the sweeps.
+fn axpy(fields: &mut Fields, unknown: usize, d: &Scope, coeff: f64, rhs: &[f64]) {
+    rows::for_each_tile(
+        d,
+        fields.slice_mut(unknown),
+        || (),
+        |_, tile, u| {
+            let at = d.at(tile);
+            for (u, r) in u.iter_mut().zip(&rhs[at..at + tile.len]) {
+                *u += coeff * r;
+            }
+        },
+    );
 }
 
 /// The `Kernel` span of one host sweep of `which` plan begun at `k0`
@@ -188,15 +153,16 @@ fn axpy(fields: &mut Fields, unknown: usize, d: Dofs, coeff: f64, rhs: &[f64]) {
 /// tier and flux-path attribution, so traces show what actually ran (the
 /// resolved tier may differ from the requested one after clamping or
 /// native fallback, and the same tier evaluates the flux from a table on
-/// one mesh and from its compiled program on another), and with
-/// `run_cells`, the scope's cells inside stencil runs (0: the whole sweep
-/// took the CSR walk). `plan` is the compiled problem `which` names.
+/// one mesh and from its compiled program on another), with `run_cells`,
+/// the scope's cells inside stencil runs (0: the whole sweep took the CSR
+/// walk), and with how the sweep was cut: `tiles` pieces over `workers`
+/// threads. `plan` is the compiled problem `which` names.
 fn sweep_span(
     rec: &mut Recorder,
     tier: KernelTier,
     plan: &CompiledProblem,
     which: Plan,
-    d: Dofs,
+    d: &Scope,
     step: usize,
     k0: f64,
 ) {
@@ -217,8 +183,10 @@ fn sweep_span(
             ("step", step.to_string()),
             ("tier", tier.name().to_string()),
             ("flux", plan.flux_path(tier).name().to_string()),
-            ("dofs", (d.flats.len() * d.cells.len()).to_string()),
-            ("run_cells", d.run_cells(&plan.hot).to_string()),
+            ("dofs", d.dofs().to_string()),
+            ("run_cells", plan.hot.run_cells_of(d).to_string()),
+            ("tiles", d.tiles.len().to_string()),
+            ("workers", d.workers.to_string()),
         ],
     );
 }
@@ -230,7 +198,7 @@ pub(crate) fn traced_rhs<B: Backend + ?Sized>(
     plan: &CompiledProblem,
     which: Plan,
     fields: &Fields,
-    d: Dofs,
+    d: &Scope,
     time: f64,
     step: usize,
     out: &mut [f64],
@@ -256,22 +224,20 @@ impl CpuPlan {
     }
 }
 
-/// CPU engine: a serial sweep over any scope, or (full scope only) the
-/// rayon split.
+/// CPU engine: [`rows::sweep`] over the scope's tiles, on as many workers
+/// as the scope says.
 pub(crate) struct CpuBackend<'a> {
-    d: Dofs<'a>,
-    parallel: bool,
+    d: &'a Scope,
     main: CpuPlan,
     jvp: Option<CpuPlan>,
 }
 
 impl<'a> CpuBackend<'a> {
-    pub fn new(cp: &CompiledProblem, d: Dofs<'a>, parallel: bool) -> CpuBackend<'a> {
+    pub fn new(cp: &CompiledProblem, d: &'a Scope) -> CpuBackend<'a> {
         CpuBackend {
             d,
-            parallel,
-            main: CpuPlan::new(cp, d.flats),
-            jvp: cp.jvp.as_deref().map(|jcp| CpuPlan::new(jcp, d.flats)),
+            main: CpuPlan::new(cp, &d.flats),
+            jvp: cp.jvp.as_deref().map(|jcp| CpuPlan::new(jcp, &d.flats)),
         }
     }
 
@@ -292,14 +258,11 @@ impl<'a> CpuBackend<'a> {
             Plan::Main => &mut self.main,
             Plan::Jvp => self.jvp.as_mut().expect("JVP sweep without a JVP plan"),
         };
-        let ghosts = ghosts.refresh(plan, fields, self.d.flats, time, work, self.parallel);
-        if self.parallel {
-            par::compute_rhs_par(plan, fields, ghosts, time, fused_dt, out, work, kernels);
-        } else {
-            seq::compute_rhs_into(
-                plan, fields, self.d, ghosts, time, fused_dt, out, work, kernels,
-            );
-        }
+        let parallel = self.d.workers > 1;
+        let ghosts = ghosts.refresh(plan, fields, &self.d.flats, time, work, parallel);
+        rows::sweep(
+            kernels, plan, fields, self.d, ghosts, time, fused_dt, out, work,
+        );
     }
 }
 
@@ -320,14 +283,6 @@ impl Backend for CpuBackend<'_> {
         self.sweep(plan, which, fields, time, None, out, work);
     }
 
-    fn update(&mut self, fields: &mut Fields, unknown: usize, d: Dofs, coeff: f64, rhs: &[f64]) {
-        if self.parallel {
-            par::axpy_par(fields, unknown, coeff, rhs);
-        } else {
-            axpy(fields, unknown, d, coeff, rhs);
-        }
-    }
-
     /// Under Euler, one pass: the sweep writes `u + dt·rhs` — the
     /// expression [`axpy`] evaluates, so the same bits — into the stage
     /// buffer, which then *becomes* the unknown (a storage swap) when the
@@ -338,7 +293,7 @@ impl Backend for CpuBackend<'_> {
         &mut self,
         cp: &CompiledProblem,
         fields: &mut Fields,
-        d: Dofs,
+        d: &Scope,
         time: f64,
         step: usize,
         k: &mut Vec<f64>,
@@ -353,7 +308,7 @@ impl Backend for CpuBackend<'_> {
         let fused_dt = Some(cp.problem.dt);
         self.sweep(cp, Plan::Main, fields, time, fused_dt, k, &mut rec.work);
         sweep_span(rec, self.tier(), cp, Plan::Main, d, step, k0);
-        if d.cells.len() == d.n_cells && d.flats.len() == cp.n_flat {
+        if d.is_full(cp.n_flat) {
             fields.swap_storage(unknown, k);
         } else {
             let u = fields.slice_mut(unknown);
@@ -370,28 +325,20 @@ impl Backend for CpuBackend<'_> {
 pub(crate) fn backend_for<'a>(
     cp: &CompiledProblem,
     fields: &Fields,
-    d: Dofs<'a>,
+    d: &'a Scope,
     target: &ExecTarget,
 ) -> (Box<dyn Backend + 'a>, usize) {
     match target {
-        ExecTarget::CpuSeq | ExecTarget::DistCells { .. } | ExecTarget::DistBands { .. } => {
-            (Box::new(CpuBackend::new(cp, d, false)), 1)
-        }
-        ExecTarget::CpuParallel => (
-            Box::new(CpuBackend::new(cp, d, true)),
-            rayon::current_num_threads(),
-        ),
+        // Callbacks get the workers the sweeps have.
+        ExecTarget::CpuSeq
+        | ExecTarget::CpuParallel
+        | ExecTarget::DistCells { .. }
+        | ExecTarget::DistBands { .. } => (Box::new(CpuBackend::new(cp, d)), d.workers),
         // The device is idle while callbacks run, so the host thread pool
         // is fully available to them.
         ExecTarget::GpuHybrid { spec, strategy }
         | ExecTarget::DistBandsGpu { spec, strategy, .. } => (
-            Box::new(GpuBackend::new(
-                cp,
-                fields,
-                d.flats,
-                spec.clone(),
-                *strategy,
-            )),
+            Box::new(GpuBackend::new(cp, fields, d, spec.clone(), *strategy)),
             rayon::current_num_threads(),
         ),
     }
@@ -407,7 +354,7 @@ fn explicit_step(
     cp: &CompiledProblem,
     backend: &mut dyn Backend,
     fields: &mut Fields,
-    d: Dofs,
+    d: &Scope,
     k1: &mut Vec<f64>,
     k2: &mut [f64],
     time: f64,
@@ -423,8 +370,8 @@ fn explicit_step(
         links.halo_exchange(fields);
         traced_rhs(backend, cp, Plan::Main, fields, d, time + dt, step, k2, rec);
         // u' = u* − dt k1 + dt/2 (k1 + k2) = u* − dt/2 k1 + dt/2 k2.
-        backend.update(fields, unknown, d, -0.5 * dt, k1);
-        backend.update(fields, unknown, d, 0.5 * dt, k2);
+        axpy(fields, unknown, d, -0.5 * dt, k1);
+        axpy(fields, unknown, d, 0.5 * dt, k2);
     }
     device
 }
@@ -455,7 +402,7 @@ pub(crate) fn drive(
     cp: &CompiledProblem,
     backend: &mut dyn Backend,
     fields: &mut Fields,
-    d: Dofs,
+    d: &Scope,
     owned: &Owned,
     links: &mut dyn StepLinks,
     rec: &mut Recorder,
@@ -645,7 +592,7 @@ pub(crate) fn drive(
 pub(crate) fn run_scope(
     cp: &CompiledProblem,
     fields: &mut Fields,
-    d: Dofs,
+    d: &Scope,
     target: &ExecTarget,
     owned: &Owned,
     links: &mut dyn StepLinks,
@@ -708,7 +655,7 @@ pub(crate) fn solve(
         ));
     }
     let scopes = crate::analysis::rank_scopes(cp, target)?;
-    cp.debug_verify(target);
+    cp.debug_verify(target, &scopes);
     // Solve into a child recorder so the report and the closing frames
     // cover exactly this run even when the caller's recorder spans
     // several solves. The child shares the caller's stream, so frames
@@ -718,20 +665,13 @@ pub(crate) fn solve(
         target,
         ExecTarget::CpuSeq | ExecTarget::CpuParallel | ExecTarget::GpuHybrid { .. }
     ) {
-        let (cells, flats) = &scopes[0];
-        let d = Dofs {
-            cells,
-            cell_spans: &rows::cell_spans(cells),
-            flats,
-            n_cells: fields.n_cells,
-        };
         if r.enabled() {
             r.set_cost_expectation(live_cost(cp, target));
         }
         run_scope(
             cp,
             fields,
-            d,
+            &scopes[0],
             target,
             &Owned::default(),
             &mut LocalLinks,

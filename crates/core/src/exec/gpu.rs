@@ -31,10 +31,11 @@
 //! RHS/JVP sweep uploads the plan's read set (and the ghosts of callback
 //! walls), launches, and downloads.
 
-use super::driver::{Backend, Dofs, Plan, StepTimes};
+use super::driver::{Backend, Plan, StepTimes};
 use super::rows::{self, FluxBoundary, IntensityKernels};
 use super::walls::Ghosts;
 use super::CompiledProblem;
+use crate::analysis::Scope;
 use crate::bytecode::VmCtx;
 use crate::entities::Fields;
 use crate::problem::{GpuStrategy, KernelTier};
@@ -142,17 +143,19 @@ impl PlanState {
 /// A single simulated device executing one rank's share of the problem:
 /// callback-wall ghosts and step callbacks stay on the host, and every
 /// sweep is one
-/// batched row kernel (`Device::launch_rows`, one block per owned flat
-/// covering the cell span — the grid shape the host-side kernel compiler
-/// emits) evaluating [`rows::rhs_block`], the same tier entry point as
-/// the CPU targets.
-pub(crate) struct GpuBackend {
+/// batched row kernel (`Device::launch_rows`, one block per tile of the
+/// rank's scope — a device rank owns every cell, so a tile is one owned
+/// flat's whole row: the grid shape the host-side kernel compiler emits)
+/// evaluating [`rows::rhs_block`], the same tier entry point as the CPU
+/// targets.
+pub(crate) struct GpuBackend<'a> {
     device: Device,
     strategy: GpuStrategy,
     /// The explicit kernel skips boundary faces and the host adds their
     /// contribution: the async strategy on a plan with callback walls.
     skip_boundary: bool,
-    owned_flats: Vec<usize>,
+    /// The rank's scope; its tiles are the launch rows.
+    scope: &'a Scope,
     /// Per-variable device buffers, id order; `var_devs[unknown]` is the
     /// state.
     var_devs: Vec<DeviceBuffer>,
@@ -173,16 +176,21 @@ pub(crate) struct GpuBackend {
     d2h_unknown_each_step: bool,
 }
 
-impl GpuBackend {
+impl<'a> GpuBackend<'a> {
     pub(crate) fn new(
         cp: &CompiledProblem,
         fields: &Fields,
-        owned_flats: &[usize],
+        scope: &'a Scope,
         spec: DeviceSpec,
         strategy: GpuStrategy,
-    ) -> GpuBackend {
+    ) -> GpuBackend<'a> {
         let mut device = Device::new(spec);
         let n_cells = fields.n_cells;
+        let owned_flats = &scope.flats;
+        assert!(
+            scope.tiles.len() == owned_flats.len() && scope.cells.len() == n_cells,
+            "a device rank launches one whole-row tile per owned flat"
+        );
         let explicit = !cp.problem.integrator.is_implicit();
 
         // The movement sets come straight from the synthesized,
@@ -262,7 +270,7 @@ impl GpuBackend {
             device,
             strategy,
             skip_boundary: strategy == GpuStrategy::AsyncBoundary && !lowered,
-            owned_flats: owned_flats.to_vec(),
+            scope,
             var_devs,
             out_dev,
             out_host: vec![0.0; owned_flats.len() * n_cells],
@@ -276,9 +284,10 @@ impl GpuBackend {
     }
 }
 
-/// Launch one row kernel of `ps`'s plan over the owned flats into
-/// `out_dev`: inputs are every variable buffer (id order) then the ghost
-/// buffer. Returns the simulated kernel seconds.
+/// Launch one row kernel of `ps`'s plan over `scope`'s tiles into the
+/// compact `out_dev` (row `k` is the scope's `k`-th flat): inputs are
+/// every variable buffer (id order) then the ghost buffer. Counts the
+/// sweep in `work` and returns the simulated kernel seconds.
 #[allow(clippy::too_many_arguments)]
 fn launch_sweep(
     device: &mut Device,
@@ -286,8 +295,8 @@ fn launch_sweep(
     plan: &CompiledProblem,
     var_devs: &[DeviceBuffer],
     out_dev: &mut DeviceBuffer,
-    n_rows: usize,
-    n_cells: usize,
+    scope: &Scope,
+    work: &mut WorkCounters,
     time: f64,
     skip_boundary: bool,
     fused_dt: Option<f64>,
@@ -297,14 +306,16 @@ fn launch_sweep(
     let n_vars = var_devs.len();
     let mut inputs: Vec<&DeviceBuffer> = var_devs.iter().collect();
     inputs.push(&ps.ghost_dev);
+    scope.account(work);
     device.launch_rows(
         ps.name,
-        n_rows,
-        n_cells,
+        scope.tiles.len(),
+        scope.n_cells,
         ps.cost,
         &inputs,
         out_dev,
-        |k, bufs, row| {
+        |row, bufs, out| {
+            let tile = &scope.tiles[row];
             let boundary = if skip_boundary {
                 FluxBoundary::Skip
             } else {
@@ -315,9 +326,9 @@ fn launch_sweep(
                 kernels,
                 plan,
                 &bufs[..n_vars],
-                k,
-                0,
-                row,
+                tile.k,
+                tile.cell0,
+                out,
                 boundary,
                 time,
                 fused_dt,
@@ -327,7 +338,7 @@ fn launch_sweep(
     )
 }
 
-impl Backend for GpuBackend {
+impl Backend for GpuBackend<'_> {
     fn tier(&self) -> KernelTier {
         self.main.kernels.tier
     }
@@ -347,7 +358,7 @@ impl Backend for GpuBackend {
     ) {
         let GpuBackend {
             device,
-            owned_flats,
+            scope,
             var_devs,
             out_dev,
             out_host,
@@ -360,6 +371,7 @@ impl Backend for GpuBackend {
             Plan::Jvp => jvp.as_mut().expect("JVP sweep without a JVP plan"),
         };
         let n_cells = fields.n_cells;
+        let owned_flats = &scope.flats;
 
         // H2D: the plan's read set. The unknown slot moves every sweep (it
         // carries the Krylov direction); coefficient fields move too
@@ -378,19 +390,8 @@ impl Backend for GpuBackend {
         }
 
         launch_sweep(
-            device,
-            ps,
-            plan,
-            var_devs,
-            out_dev,
-            owned_flats.len(),
-            n_cells,
-            time,
-            false,
-            None,
+            device, ps, plan, var_devs, out_dev, scope, work, time, false, None,
         );
-        work.dof_updates += (owned_flats.len() * n_cells) as u64;
-        work.flux_evals += owned_flats.len() as u64 * plan.hot.nbr.len() as u64;
 
         // D2H: scatter the compact row block into the caller's
         // full-layout output.
@@ -409,7 +410,7 @@ impl Backend for GpuBackend {
         &mut self,
         cp: &CompiledProblem,
         fields: &mut Fields,
-        _d: Dofs,
+        _d: &Scope,
         time: f64,
         step: usize,
         _k: &mut Vec<f64>,
@@ -418,16 +419,18 @@ impl Backend for GpuBackend {
         let n_cells = fields.n_cells;
         let unknown = cp.system.unknown;
         let dt = cp.problem.dt;
+        let scope = self.scope;
+        let owned_flats = &scope.flats;
         let dev_t0 = self.device.elapsed();
         let h2d0 = self.device.h2d_bytes();
 
         // Host: the ghosts of callback walls from the old state (nothing
         // on a lowered plan).
         let host_t0 = Instant::now();
-        let ghosts =
-            self.main
-                .ghosts
-                .refresh(cp, fields, &self.owned_flats, time, &mut rec.work, false);
+        let ghosts = self
+            .main
+            .ghosts
+            .refresh(cp, fields, owned_flats, time, &mut rec.work, false);
         let mut t_host = host_t0.elapsed().as_secs_f64();
 
         // H2D per the transfer schedule: CPU-written variables move every
@@ -441,7 +444,7 @@ impl Backend for GpuBackend {
                 fields.slice(unknown),
                 &mut self.var_devs[unknown],
                 n_cells,
-                &self.owned_flats,
+                owned_flats,
             );
         }
         if self.h2d_ghosts_each_step {
@@ -451,7 +454,7 @@ impl Backend for GpuBackend {
         let h2d_obs = self.device.h2d_bytes() - h2d0;
 
         // Kernel launch: one thread per owned dof.
-        let n_threads = self.owned_flats.len() * n_cells;
+        let n_threads = scope.dofs();
         let skip_boundary = self.skip_boundary;
         let t_kernel = launch_sweep(
             &mut self.device,
@@ -459,15 +462,12 @@ impl Backend for GpuBackend {
             cp,
             &self.var_devs,
             &mut self.out_dev,
-            self.owned_flats.len(),
-            n_cells,
+            scope,
+            &mut rec.work,
             time,
             skip_boundary,
             Some(dt),
         );
-        rec.work.dof_updates += n_threads as u64;
-        // Exact face total per owned flat (every cell's true face count).
-        rec.work.flux_evals += self.owned_flats.len() as u64 * cp.hot.nbr.len() as u64;
         if rec.enabled() {
             rec.span(
                 SpanKind::Kernel,
@@ -478,7 +478,9 @@ impl Backend for GpuBackend {
                 vec![
                     ("step", step.to_string()),
                     ("threads", n_threads.to_string()),
-                    ("run_cells", cp.hot.run_cells_in(0, n_cells).to_string()),
+                    ("run_cells", cp.hot.run_cells_of(scope).to_string()),
+                    ("tiles", scope.tiles.len().to_string()),
+                    ("workers", scope.workers.to_string()),
                     ("tier", self.main.kernels.tier.name().to_string()),
                     (
                         "flux",
@@ -505,7 +507,7 @@ impl Backend for GpuBackend {
                 let face = &mesh.faces[bf.face];
                 let cell = face.owner;
                 let fid = bf.face;
-                for &flat in &self.owned_flats {
+                for &flat in owned_flats {
                     let u1 = fields.value(unknown, cell, flat);
                     let slot = cp.bface_slot[fid];
                     let u2 = cp
@@ -537,7 +539,7 @@ impl Backend for GpuBackend {
                 &self.out_dev,
                 &mut self.var_devs[unknown],
                 n_cells,
-                &self.owned_flats,
+                owned_flats,
             );
         }
 
@@ -553,7 +555,7 @@ impl Backend for GpuBackend {
             self.device.d2h(&self.out_dev, &mut self.out_host);
             // Combine interior result + boundary contribution.
             let u = fields.slice_mut(unknown);
-            for (k, &flat) in self.owned_flats.iter().enumerate() {
+            for (k, &flat) in owned_flats.iter().enumerate() {
                 u[flat * n_cells..(flat + 1) * n_cells]
                     .copy_from_slice(&self.out_host[k * n_cells..(k + 1) * n_cells]);
             }
@@ -565,7 +567,7 @@ impl Backend for GpuBackend {
                 &self.var_devs[unknown],
                 fields.slice_mut(unknown),
                 n_cells,
-                &self.owned_flats,
+                owned_flats,
             );
         }
         let d2h_obs = self.device.d2h_bytes() - d2h0;
@@ -630,7 +632,7 @@ impl Backend for GpuBackend {
                 &self.var_devs[unknown],
                 fields.slice_mut(unknown),
                 n_cells,
-                &self.owned_flats,
+                &self.scope.flats,
             );
         }
         Some(self.device.profile())

@@ -34,8 +34,9 @@
 //! iteration turns into an approximate Newton solve of `f(u) = 0` and
 //! reaches steady state in a handful of sweeps.
 
-use super::driver::{traced_rhs, Backend, Dofs, Plan};
+use super::driver::{traced_rhs, Backend, Plan};
 use super::{CompiledProblem, StepLinks};
+use crate::analysis::Scope;
 use crate::bytecode::VmCtx;
 use crate::entities::Fields;
 use crate::problem::{KrylovConfig, Reducer};
@@ -65,7 +66,7 @@ fn reduce<const K: usize>(mut accs: [ExactAcc; K], reducer: &mut dyn Reducer) ->
 }
 
 // The vector passes below walk the owned dofs span by span
-// (`Dofs::spans`), each operand sliced once per span. Every update that
+// (`Scope::spans`), each operand sliced once per span. Every update that
 // feeds a Krylov scalar accumulates it in the same walk, so a BiCGStab
 // stage reads its vectors once.
 
@@ -82,7 +83,7 @@ fn residual_pass(
     dt_theta: f64,
     b: &mut [f64],
     delta: &mut [f64],
-    d: Dofs,
+    d: &Scope,
 ) -> ExactAcc {
     let mut gg = ExactAcc::new();
     for span in d.spans() {
@@ -102,7 +103,7 @@ fn residual_pass(
 
 /// BiCGStab start: `r = p = b` and the first preconditioned direction
 /// `y = M⁻¹p`.
-fn start_pass(b: &[f64], inv_diag: &[f64], r: &mut [f64], p: &mut [f64], y: &mut [f64], d: Dofs) {
+fn start_pass(b: &[f64], inv_diag: &[f64], r: &mut [f64], p: &mut [f64], y: &mut [f64], d: &Scope) {
     for span in d.spans() {
         let (b, inv_diag) = (&b[span.clone()], &inv_diag[span.clone()]);
         r[span.clone()].copy_from_slice(b);
@@ -123,7 +124,7 @@ fn direction_pass(
     omega: f64,
     p: &mut [f64],
     y: &mut [f64],
-    d: Dofs,
+    d: &Scope,
 ) {
     for span in d.spans() {
         let (r, v, inv_diag) = (&r[span.clone()], &v[span.clone()], &inv_diag[span.clone()]);
@@ -137,7 +138,7 @@ fn direction_pass(
 
 /// First half-step matvec: `v = y − dtθ·v` (turning the JVP sweep `J·y`
 /// left in `v` into `A·y`) with the local part of `r̂₀·v`.
-fn matvec_pass(v: &mut [f64], y: &[f64], r0: &[f64], dt_theta: f64, d: Dofs) -> ExactAcc {
+fn matvec_pass(v: &mut [f64], y: &[f64], r0: &[f64], dt_theta: f64, d: &Scope) -> ExactAcc {
     let mut r0v = ExactAcc::new();
     for span in d.spans() {
         let (y, r0) = (&y[span.clone()], &r0[span.clone()]);
@@ -161,7 +162,7 @@ fn half_step_pass(
     s: &mut [f64],
     x: &mut [f64],
     y: &mut [f64],
-    d: Dofs,
+    d: &Scope,
 ) -> ExactAcc {
     let mut ss = ExactAcc::new();
     for span in d.spans() {
@@ -179,7 +180,7 @@ fn half_step_pass(
 
 /// Second half-step matvec: `t = y − dtθ·t` with the local parts of
 /// `t·t` and `t·s`.
-fn stabilizer_pass(t: &mut [f64], y: &[f64], s: &[f64], dt_theta: f64, d: Dofs) -> [ExactAcc; 2] {
+fn stabilizer_pass(t: &mut [f64], y: &[f64], s: &[f64], dt_theta: f64, d: &Scope) -> [ExactAcc; 2] {
     let mut tt = ExactAcc::new();
     let mut ts = ExactAcc::new();
     for span in d.spans() {
@@ -204,7 +205,7 @@ fn full_step_pass(
     omega: f64,
     x: &mut [f64],
     r: &mut [f64],
-    d: Dofs,
+    d: &Scope,
 ) -> [ExactAcc; 2] {
     let mut rr = ExactAcc::new();
     let mut r0r = ExactAcc::new();
@@ -232,7 +233,7 @@ fn jvp_sweep(
     jfields: &mut Fields,
     time: f64,
     step: usize,
-    d: Dofs,
+    d: &Scope,
     links: &mut dyn StepLinks,
     out: &mut [f64],
     rec: &mut Recorder,
@@ -254,7 +255,7 @@ fn build_diag(
     jcp: &CompiledProblem,
     jfields: &mut Fields,
     unknown: usize,
-    d: Dofs,
+    d: &Scope,
     dt_theta: f64,
     time: f64,
     inv_diag: &mut [f64],
@@ -263,8 +264,8 @@ fn build_diag(
     let vars = jfields.as_slices();
     let mesh = jcp.mesh();
     let hot = &jcp.hot;
-    for &flat in d.flats {
-        for &cell in d.cells {
+    for &flat in &d.flats {
+        for &cell in &d.cells {
             let vm = VmCtx {
                 vars: &vars,
                 n_cells: d.n_cells,
@@ -352,7 +353,7 @@ fn bicgstab(
     kv: &mut KrylovVecs,
     dt_theta: f64,
     time: f64,
-    d: Dofs,
+    d: &Scope,
     tol: f64,
     max_iters: usize,
     links: &mut dyn StepLinks,
@@ -511,7 +512,7 @@ pub(crate) fn theta_step(
     dt: f64,
     time: f64,
     step: usize,
-    d: Dofs,
+    d: &Scope,
     cfg: &KrylovConfig,
     forcing: Option<f64>,
     links: &mut dyn StepLinks,
@@ -651,7 +652,6 @@ pub(crate) fn theta_step(
 
 #[cfg(test)]
 mod tests {
-    use super::super::rows::cell_spans;
     use super::super::LocalLinks;
     use super::*;
 
@@ -669,10 +669,10 @@ mod tests {
     }
 
     /// The owned indices the way the unfused loops walked them.
-    fn indices(d: Dofs) -> Vec<usize> {
+    fn indices(d: &Scope) -> Vec<usize> {
         let mut out = Vec::new();
-        for &flat in d.flats {
-            for &cell in d.cells {
+        for &flat in &d.flats {
+            for &cell in &d.cells {
                 out.push(flat * d.n_cells + cell);
             }
         }
@@ -692,7 +692,7 @@ mod tests {
     }
 
     /// The unfused reference: an exact dot over the scope, on its own.
-    fn exact_dot(a: &[f64], b: &[f64], d: Dofs) -> f64 {
+    fn exact_dot(a: &[f64], b: &[f64], d: &Scope) -> f64 {
         let mut acc = ExactAcc::new();
         for i in indices(d) {
             acc.add_prod(a[i], b[i]);
@@ -707,14 +707,14 @@ mod tests {
         }
     }
 
-    fn for_each_scope(check: impl Fn(Dofs)) {
+    /// `cells × flats` on a mesh of `N_CELLS` (face-less) cells.
+    fn scope(cells: Vec<usize>, flats: Vec<usize>) -> Scope {
+        Scope::new(&[0; N_CELLS + 1], cells, flats, 1)
+    }
+
+    fn for_each_scope(check: impl Fn(&Scope)) {
         for (cells, flats) in scopes() {
-            check(Dofs {
-                cells: &cells,
-                cell_spans: &cell_spans(&cells),
-                flats: &flats,
-                n_cells: N_CELLS,
-            });
+            check(&scope(cells, flats));
         }
     }
 
@@ -728,13 +728,8 @@ mod tests {
             assert_eq!(walked.len(), d.flats.len() * d.cells.len());
         });
         // The gapped scope walks three runs per flat.
-        let (cells, flats) = &scopes()[0];
-        let d = Dofs {
-            cells,
-            cell_spans: &cell_spans(cells),
-            flats,
-            n_cells: N_CELLS,
-        };
+        let [(cells, flats), _] = scopes();
+        let d = scope(cells, flats);
         assert_eq!(d.spans().count(), 3 * N_FLAT);
         assert_eq!(d.spans().next(), Some(0..3));
     }

@@ -7,14 +7,17 @@
 //! update, explicit or θ-scheme Newton–Krylov) → post-step callbacks →
 //! accounting — on every target. A target contributes three things:
 //!
-//! * a `Backend` — how one RHS sweep and one update run over a rank's
-//!   dofs: `CpuBackend` (the serial span walk of `seq`, or the rayon
-//!   split of `par`) or the simulated device's `GpuBackend` ([`gpu`]),
-//!   all evaluating the same `rows::rhs_block`;
+//! * a `Backend` — where one RHS sweep runs: `CpuBackend` (the tile walk
+//!   `rows::sweep`) or the simulated device's `GpuBackend` ([`gpu`]), both
+//!   evaluating the same `rows::rhs_block` once per tile;
 //! * a [`StepLinks`] — halo exchange and reductions: [`LocalLinks`]
 //!   (none) or `dist`'s message-passing `RankLinks`;
-//! * its rank scopes from [`crate::analysis::rank_scopes`] — the same
-//!   (cells × flats) split the race analysis proves disjoint.
+//! * its rank scopes from [`crate::analysis::rank_scopes`] — per rank one
+//!   [`Scope`] value: the owned (cells × flats),
+//!   the tiles they are swept in and the workers the tiles fan out to
+//!   (one everywhere but `CpuParallel`). The driver walks it, the device
+//!   launches it, the cost model scopes by it and the race analysis
+//!   proves *that value* disjoint and covering.
 //!
 //! Boundary conditions the plan could lower ([`Walls`]) are tables the
 //! kernels read; only walls left to a closure run on the host.
@@ -33,13 +36,13 @@ pub(crate) mod dist;
 pub(crate) mod driver;
 pub mod gpu;
 pub(crate) mod implicit;
-pub(crate) mod par;
 pub(crate) mod rows;
 pub(crate) mod seq;
 pub(crate) mod walls;
 
 pub use walls::Walls;
 
+use crate::analysis::Scope;
 use crate::bytecode::{BoundProgram, Compiler, KernelKind, Program};
 use crate::dataflow::TransferSchedule;
 use crate::entities::Fields;
@@ -66,7 +69,8 @@ pub mod phases {
 pub enum ExecTarget {
     /// Plain sequential loops.
     CpuSeq,
-    /// Shared-memory threads (rayon) over the outermost assembly dimension.
+    /// Shared-memory threads (rayon): each sweep is one parallel region
+    /// over the scope's tiles (every flat's cell range cut per thread).
     CpuParallel,
     /// Distributed ranks, mesh partitioned among them (halo exchange of the
     /// unknown each step).
@@ -190,16 +194,11 @@ pub fn live_cost(cp: &CompiledProblem, target: &ExecTarget) -> CostExpectation {
 pub(crate) fn scope_cost(
     mut c: CostExpectation,
     cp: &CompiledProblem,
-    cells: &[usize],
-    flats: &[usize],
+    scope: &Scope,
 ) -> CostExpectation {
-    let faces: u64 = cells
-        .iter()
-        .map(|&cell| (cp.hot.offsets[cell + 1] - cp.hot.offsets[cell]) as u64)
-        .sum();
-    c.dof_per_sweep = (cells.len() * flats.len()) as u64;
-    c.flux_per_sweep = flats.len() as u64 * faces;
-    c.ghost_per_sweep = (cp.walls.callback_faces() * flats.len()) as u64;
+    c.dof_per_sweep = scope.dofs() as u64;
+    c.flux_per_sweep = scope.flats.len() as u64 * scope.faces;
+    c.ghost_per_sweep = (cp.walls.callback_faces() * scope.flats.len()) as u64;
     c.step_h2d_bytes = 0;
     c.step_d2h_bytes = 0;
     c
@@ -770,6 +769,12 @@ impl HotGeometry {
             .sum()
     }
 
+    /// How many of `scope`'s owned cells lie inside stencil runs.
+    pub fn run_cells_of(&self, scope: &Scope) -> usize {
+        let first_flat = scope.tiles.iter().take_while(|t| t.k == 0);
+        first_flat.map(|t| self.run_cells_in(t.cell0, t.len)).sum()
+    }
+
     /// Oriented normal of face slot `k` as the compiled flux reads it:
     /// components past the mesh dimension are `±0.0`, like the `z` of a
     /// 2-D `Face::normal_from`.
@@ -953,10 +958,11 @@ impl CompiledProblem {
     /// verifier finds an `Error`-severity diagnostic. Warnings (which stem
     /// from conservative assumptions about opaque callbacks) pass. The
     /// lowered walls are compared with their closures exhaustively here,
-    /// not on the release gate's one face per (wall, normal).
+    /// not on the release gate's one face per (wall, normal). The race
+    /// pass reads `scopes`, the values the solve then runs.
     #[cfg(debug_assertions)]
-    pub(crate) fn debug_verify(&self, target: &ExecTarget) {
-        let mut diags = self.verify_plan(target);
+    pub(crate) fn debug_verify(&self, target: &ExecTarget, scopes: &[Scope]) {
+        let mut diags = crate::analysis::verify_scopes(self, target, scopes);
         crate::analysis::check_boundary_forms(self, true, &mut diags);
         let errors: Vec<_> = diags
             .into_iter()
@@ -975,7 +981,7 @@ impl CompiledProblem {
 
     #[cfg(not(debug_assertions))]
     #[inline(always)]
-    pub(crate) fn debug_verify(&self, _target: &ExecTarget) {}
+    pub(crate) fn debug_verify(&self, _target: &ExecTarget, _scopes: &[Scope]) {}
 
     /// The mesh (guaranteed present after compile).
     pub fn mesh(&self) -> &pbte_mesh::Mesh {
@@ -1066,17 +1072,16 @@ impl CompiledProblem {
     /// walls are evaluated once, here. Used by the `intensity_phase` bench
     /// to compare tiers on identical state without stepping.
     pub fn intensity_bench(&self, fields: &Fields, tier: KernelTier) -> IntensityBench<'_> {
-        let all_cells: Vec<usize> = (0..fields.n_cells).collect();
-        let all_flats: Vec<usize> = (0..self.n_flat).collect();
+        let scope = crate::analysis::rank_scopes(self, &ExecTarget::CpuSeq)
+            .expect("the sequential target owns every dof")
+            .remove(0);
         let mut ghosts = walls::Ghosts::for_plan(self);
         let mut work = WorkCounters::default();
-        ghosts.refresh(self, fields, &all_flats, 0.0, &mut work, false);
-        let kernels = rows::IntensityKernels::with_tier(self, &all_flats, tier);
+        ghosts.refresh(self, fields, &scope.flats, 0.0, &mut work, false);
+        let kernels = rows::IntensityKernels::with_tier(self, &scope.flats, tier);
         IntensityBench {
             cp: self,
-            cell_spans: vec![(0, all_cells.len())],
-            cells: all_cells,
-            flats: all_flats,
+            scope,
             ghosts,
             kernels,
         }
@@ -1142,11 +1147,9 @@ impl CompiledProblem {
 /// repetitions (see [`CompiledProblem::intensity_bench`]).
 pub struct IntensityBench<'a> {
     cp: &'a CompiledProblem,
-    cells: Vec<usize>,
-    /// The spans each flat's cell range is swept in: one, unless
+    /// The sequential target's scope: one tile per flat, unless
     /// [`Self::split`] cut it.
-    cell_spans: Vec<(usize, usize)>,
-    flats: Vec<usize>,
+    scope: Scope,
     ghosts: walls::Ghosts,
     kernels: rows::IntensityKernels,
 }
@@ -1165,43 +1168,34 @@ impl IntensityBench<'_> {
         self.kernels.native_fallback()
     }
 
-    /// Sweep each flat's cell range in spans of `span` cells instead of
-    /// one — the way the threaded and distributed executors cut it. The
-    /// result must not depend on the cut.
+    /// Sweep each flat's cell range in tiles of at most `span` cells
+    /// instead of one — the way the threaded executor cuts it. The result
+    /// must not depend on the cut.
     pub fn split(mut self, span: usize) -> Self {
-        let n = self.cells.len();
-        self.cell_spans = (0..n)
-            .step_by(span.max(1))
-            .map(|start| (start, span.max(1).min(n - start)))
-            .collect();
+        let Scope { cells, flats, .. } = &self.scope;
+        let parts = cells.len().div_ceil(span.max(1));
+        self.scope.tiles = Scope::tile(cells, flats.len(), parts);
         self
     }
 
     /// Cells inside stencil runs of the plan's geometry (0 when the whole
     /// sweep takes the CSR walk).
     pub fn run_cells(&self) -> usize {
-        self.cp.hot.run_cells_in(0, self.cells.len())
+        self.cp.hot.run_cells_of(&self.scope)
     }
 
     /// Evaluate the RHS for every (cell, flat) pair into `rhs`.
     pub fn run(&mut self, fields: &Fields, rhs: &mut [f64]) {
-        let d = driver::Dofs {
-            cells: &self.cells,
-            cell_spans: &self.cell_spans,
-            flats: &self.flats,
-            n_cells: fields.n_cells,
-        };
-        let mut work = WorkCounters::default();
-        seq::compute_rhs_into(
+        rows::sweep(
+            &mut self.kernels,
             self.cp,
             fields,
-            d,
+            &self.scope,
             self.ghosts.current(self.cp),
             0.0,
             None,
             rhs,
-            &mut work,
-            &mut self.kernels,
+            &mut WorkCounters::default(),
         );
     }
 }

@@ -14,6 +14,14 @@
 //! executor (sequential, threaded, distributed, GPU) can route through
 //! the same kernels without disturbing the cross-target identity tests.
 //!
+//! This module is also where a sweep is *walked*: [`sweep`] visits every
+//! tile of a rank's [`Scope`] once through [`rhs_block`], by
+//! [`for_each_tile`] — in order on the calling thread when the scope has
+//! one worker (the sequential target, every distributed rank), carved
+//! into per-tile `&mut` slices under one parallel region when it has more
+//! (the threaded target). There is no other walker: `driver::axpy` goes
+//! through the same helper and the device launch reads the same tiles.
+//!
 //! [`IntensityKernels`] also owns the cross-step bind cache: when the
 //! programs provably never read `t`, the per-flat specialization is
 //! reused for the whole run instead of being rebuilt every step. The
@@ -22,13 +30,15 @@
 //! failures degrade to the row tier with a [`Diagnostic`] instead of
 //! erroring.
 
-use super::{seq, CompiledProblem, FluxLinearization, HotGeometry, StencilRun};
-use crate::analysis::{rules, Diagnostic, Severity};
+use super::{seq, CompiledProblem, FluxLinearization, HotGeometry, StencilRun, WorkCounters};
+use crate::analysis::{rules, Diagnostic, Scope, Severity, Tile};
 use crate::bytecode::{
     BoundProgram, KernelKind, RegProgram, FACE_INPUTS, FACE_NORMAL, FACE_U1, FACE_U2, ROW_CHUNK,
 };
+use crate::entities::Fields;
 use crate::nativegen::{self, NativeArgs, NativeLib};
 use crate::problem::KernelTier;
+use rayon::prelude::*;
 use std::sync::Arc;
 
 /// How a flux sum treats boundary faces.
@@ -64,9 +74,6 @@ pub(crate) struct IntensityKernels {
     /// Whether a bound program reads `t` (forces per-stage rebinds).
     time_dependent: bool,
     max_regs: usize,
-    /// Total face count over the scope's cells, summed once (fixes the
-    /// old `faces_per_cell_hint` sampling of `cells[0]` only).
-    faces_in_scope: Option<u64>,
     /// How many times `ensure` actually re-bound (diagnostics/tests).
     pub rebinds: u64,
     /// Loaded native plan (Native tier only).
@@ -135,7 +142,6 @@ impl IntensityKernels {
             time_dependent: cp.volume.references_time()
                 || (binds_flux && cp.flux.references_time()),
             max_regs: 0,
-            faces_in_scope: None,
             rebinds: 0,
             native,
             native_fallback,
@@ -214,32 +220,81 @@ impl IntensityKernels {
             ptrs: vars.iter().map(|s| s.as_ptr()).collect(),
         }
     }
-
-    /// Exact face count over the scope's cells, summed once per scope and
-    /// cached (the scope's cell set never changes between steps).
-    pub fn faces_for_cells(&mut self, hot: &HotGeometry, cells: &[usize]) -> u64 {
-        *self.faces_in_scope.get_or_insert_with(|| {
-            cells
-                .iter()
-                .map(|&c| (hot.offsets[c + 1] - hot.offsets[c]) as u64)
-                .sum()
-        })
-    }
 }
 
-/// The maximal contiguous ascending spans `(first_cell, len)` of a cell
-/// list, in list order. Distributed scopes (RCB partitions) may be
-/// non-contiguous; any list is handled — non-consecutive cells just yield
-/// length-1 spans. Computed once per scope (`Dofs::cell_spans`).
-pub(crate) fn cell_spans(cells: &[usize]) -> Vec<(usize, usize)> {
-    let mut spans: Vec<(usize, usize)> = Vec::new();
-    for &cell in cells {
-        match spans.last_mut() {
-            Some((start, len)) if *start + *len == cell => *len += 1,
-            _ => spans.push((cell, 1)),
+/// Visit every tile of `scope` once with its slice of `out` (the global
+/// `flat * n_cells + cell` layout) — the one walk of the sweeps and the
+/// updates. With one worker it is an in-order loop on the calling thread
+/// over one `init()` state: the sequential target and every distributed
+/// rank. With more, `out` is carved into per-tile slices (tiles must
+/// ascend through `out`, as they do on the full scope the threaded target
+/// owns) and ONE parallel region visits them, each task writing only its
+/// own tile — so the split cannot change what a dof reads or computes.
+pub(crate) fn for_each_tile<S>(
+    scope: &Scope,
+    out: &mut [f64],
+    init: impl Fn() -> S + Sync,
+    visit: impl Fn(&mut S, &Tile, &mut [f64]) + Sync,
+) {
+    if scope.workers <= 1 {
+        let mut state = init();
+        for tile in &scope.tiles {
+            let at = scope.at(tile);
+            visit(&mut state, tile, &mut out[at..at + tile.len]);
         }
+        return;
     }
-    spans
+    let mut pieces = Vec::with_capacity(scope.tiles.len());
+    let (mut rest, mut base) = (out, 0);
+    for tile in &scope.tiles {
+        let skip = scope
+            .at(tile)
+            .checked_sub(base)
+            .expect("a fanned-out scope lists its tiles in ascending order");
+        let (piece, tail) = rest[skip..].split_at_mut(tile.len);
+        pieces.push((tile, piece));
+        (rest, base) = (tail, base + skip + tile.len);
+    }
+    pieces
+        .par_iter_mut()
+        .for_each(|(tile, piece)| visit(&mut init(), tile, piece));
+}
+
+/// One sweep of `cp` over `scope`: the RHS of every owned dof into
+/// `out[flat * n_cells + cell]` — or, with `fused_dt`, the Euler update
+/// `u + dt·rhs` — one [`rhs_block`] call per tile through
+/// [`for_each_tile`]. Each dof is independent within a sweep, so neither
+/// the tile cut nor the `assemblyLoops` preference (paper §III-C, visible
+/// in the generated source) can change results.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sweep(
+    kernels: &mut IntensityKernels,
+    cp: &CompiledProblem,
+    fields: &Fields,
+    scope: &Scope,
+    ghosts: &[f64],
+    time: f64,
+    fused_dt: Option<f64>,
+    out: &mut [f64],
+    work: &mut WorkCounters,
+) {
+    let vars = fields.as_slices();
+    // Loop-invariant hoisting: per-flat specialized programs, cached
+    // across steps when the volume program never reads `t`.
+    kernels.ensure(cp, time);
+    let kernels = &*kernels;
+    let boundary = FluxBoundary::Ghosts(ghosts);
+    for_each_tile(
+        scope,
+        out,
+        || kernels.scratch(&vars),
+        |scratch, tile, out| {
+            rhs_block(
+                kernels, cp, &vars, tile.k, tile.cell0, out, boundary, time, fused_dt, scratch,
+            )
+        },
+    );
+    scope.account(work);
 }
 
 /// `source − flux·invV`, or the fused update `u + dt·(source − flux·invV)`
@@ -609,9 +664,9 @@ fn rhs_span_native(
 
 /// Evaluate the RHS of the scope's `k`-th flat over the contiguous cells
 /// `cell0 .. cell0 + out.len()` at the kernels' tier. This is the one tier
-/// dispatch of the intensity phase: the serial span walk, the rayon chunk
-/// walk and the device row launch all call it, so every executor runs the
-/// same per-dof arithmetic. With `fused_dt` the explicit update is folded
+/// dispatch of the intensity phase: the tile walk ([`sweep`], on one worker
+/// or many) and the device row launch both call it, so every executor runs
+/// the same per-dof arithmetic. With `fused_dt` the explicit update is folded
 /// in (`out = u + dt·rhs`). `scratch` is [`IntensityKernels::scratch`] of
 /// these `vars`; [`IntensityKernels::ensure`] must have been called for
 /// `time`.
@@ -949,22 +1004,93 @@ mod tests {
         assert_eq!(hash.0, 0x351c_fda1_9ca9_c73a);
     }
 
+    /// `(cell0, len)` of every tile of the first flat.
+    fn first_row(tiles: &[Tile]) -> Vec<(usize, usize)> {
+        let row = tiles.iter().filter(|t| t.k == 0);
+        row.map(|t| (t.cell0, t.len)).collect()
+    }
+
     #[test]
     fn spans_merges_contiguous_runs() {
         let cells = [0usize, 1, 2, 5, 6, 9];
-        assert_eq!(cell_spans(&cells), vec![(0, 3), (5, 2), (9, 1)]);
+        let tiles = Scope::tile(&cells, 2, 1);
+        assert_eq!(first_row(&tiles), vec![(0, 3), (5, 2), (9, 1)]);
+        // Flat-major: the same row again for the second flat.
+        assert_eq!(tiles.len(), 6);
+        assert!(tiles[3..].iter().all(|t| t.k == 1));
+        // Cut in two: near-equal pieces, empty ones dropped.
+        assert_eq!(
+            first_row(&Scope::tile(&cells, 1, 2)),
+            vec![(0, 1), (1, 2), (5, 1), (6, 1), (9, 1)]
+        );
     }
 
     #[test]
     fn spans_handles_unsorted_lists() {
         let cells = [4usize, 2, 3, 1];
-        let got = cell_spans(&cells);
+        let got = first_row(&Scope::tile(&cells, 1, 1));
         assert_eq!(got, vec![(4, 1), (2, 2), (1, 1)]);
         assert_eq!(got.iter().map(|&(_, l)| l).sum::<usize>(), cells.len());
     }
 
     #[test]
     fn spans_empty() {
-        assert!(cell_spans(&[]).is_empty());
+        assert!(Scope::tile(&[], 3, 2).is_empty());
+        assert!(Scope::tile(&[1, 2], 0, 2).is_empty());
+    }
+
+    /// Satellite (a): whatever the owned-cell list (contiguous, gapped,
+    /// unsorted, length-1 runs), the flat subset and the cut, the tiles
+    /// cover every owned dof exactly once, nothing else, flat-major.
+    #[test]
+    fn tiles_cover_every_owned_dof_exactly_once() {
+        const N_CELLS: usize = 41;
+        const N_FLAT: usize = 6;
+        let mut x = 0x0071_17E5_u64;
+        let mut draw = |n: usize| {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (x ^ x >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            ((z ^ z >> 27) >> 16) as usize % n
+        };
+        for case in 0..400 {
+            // Keep each cell with a per-case density (1 in 1 .. 1 in 4), then
+            // sometimes scramble the order.
+            let density = 1 + draw(4);
+            let mut cells: Vec<usize> = (0..N_CELLS).filter(|_| draw(density) == 0).collect();
+            if case % 3 == 0 {
+                for _ in 0..cells.len() {
+                    let (a, b) = (draw(cells.len()), draw(cells.len()));
+                    cells.swap(a, b);
+                }
+            }
+            let flats: Vec<usize> = (0..N_FLAT).filter(|_| draw(2) == 0).collect();
+            for parts in [1, 2, 3, 7, N_CELLS + 5] {
+                let offsets: Vec<u32> = (0..=N_CELLS as u32).map(|c| 3 * c).collect();
+                let scope = Scope::new(&offsets, cells.clone(), flats.clone(), parts);
+                assert_eq!(scope.faces, 3 * cells.len() as u64);
+                let mut hits = vec![0u32; N_FLAT * N_CELLS];
+                let mut last_k = 0;
+                for (tile, span) in scope.tiles.iter().zip(scope.spans()) {
+                    assert!(
+                        tile.len > 0 && tile.k >= last_k,
+                        "flat-major, no empty tile"
+                    );
+                    last_k = tile.k;
+                    assert_eq!(span.len(), tile.len);
+                    for dof in span {
+                        hits[dof] += 1;
+                    }
+                }
+                for (dof, &n) in hits.iter().enumerate() {
+                    let owned =
+                        flats.contains(&(dof / N_CELLS)) && cells.contains(&(dof % N_CELLS));
+                    assert_eq!(n, owned as u32, "case {case} parts {parts} dof {dof}");
+                }
+                // A maximal span is cut into min(parts, its length) pieces.
+                let spans = first_row(&Scope::tile(&cells, 1, 1));
+                let pieces: usize = spans.iter().map(|&(_, len)| len.min(parts)).sum();
+                assert_eq!(scope.tiles.len(), pieces * flats.len());
+            }
+        }
     }
 }

@@ -1,15 +1,14 @@
-//! Sequential building blocks of a step — the reference semantics every
-//! other target must reproduce (bit-for-bit for the CPU targets, to
-//! rounding for the reduction-based ones; see `exec`'s module docs): the
-//! per-dof RHS evaluators behind [`rows::rhs_block`], the serial scope
-//! sweep, and the step-callback runner. Boundary faces are read through
+//! Per-dof building blocks of a step — the reference semantics every
+//! span kernel must reproduce bit for bit: the per-dof RHS evaluators
+//! behind [`super::rows::rhs_block`] (the `Vm` and `Bound` tiers), and the
+//! step-callback runner. There is no sequential sweep here: serial is
+//! `rows::sweep` with one worker. Boundary faces are read through
 //! the plan's lowered walls ([`super::walls`]); only walls left to a
 //! closure are evaluated on the host, by `walls::compute_ghosts`.
 //! The time loop that composes them is [`super::driver::drive`].
 
-use super::driver::Dofs;
-use super::rows::{self, FluxBoundary, IntensityKernels};
-use super::{CompiledProblem, WorkCounters};
+use super::rows::FluxBoundary;
+use super::CompiledProblem;
 use crate::bytecode::VmCtx;
 use crate::entities::Fields;
 use crate::problem::{Reducer, StepContext};
@@ -142,53 +141,6 @@ pub(crate) fn eval_rhs_dof_vm(
     let u_here = vars[cp.system.unknown][flat * n_cells + cell];
     let flux = flux_sum_dof(cp, vars, boundary, cell, flat, time, u_here);
     source - flux * cp.hot.inv_volume[cell]
-}
-
-/// Compute the RHS for every (cell, flat) in scope into
-/// `rhs[flat * n_cells + cell]` — or, with `fused_dt`, the Euler update
-/// `u + dt·rhs` — by a serial walk over each owned flat's cell spans, one
-/// [`rows::rhs_block`] call per span.
-/// The walk is flat-major on every tier; each dof is independent within a
-/// sweep, so the `assemblyLoops` preference (paper §III-C) shows in the
-/// generated source but cannot change results.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compute_rhs_into(
-    cp: &CompiledProblem,
-    fields: &Fields,
-    d: Dofs,
-    ghosts: &[f64],
-    time: f64,
-    fused_dt: Option<f64>,
-    rhs: &mut [f64],
-    work: &mut WorkCounters,
-    kernels: &mut IntensityKernels,
-) {
-    let vars = fields.as_slices();
-    // Loop-invariant hoisting: per-flat specialized programs, cached
-    // across steps when the volume program never reads `t`.
-    kernels.ensure(cp, time);
-    // Exact per-scope face count (summed once, not sampled from cells[0]).
-    let faces_in_scope = kernels.faces_for_cells(&cp.hot, d.cells);
-    let mut scratch = kernels.scratch(&vars);
-    for (k, &flat) in d.flats.iter().enumerate() {
-        for &(start, len) in d.cell_spans {
-            let at = flat * d.n_cells + start;
-            rows::rhs_block(
-                kernels,
-                cp,
-                &vars,
-                k,
-                start,
-                &mut rhs[at..at + len],
-                FluxBoundary::Ghosts(ghosts),
-                time,
-                fused_dt,
-                &mut scratch,
-            );
-        }
-    }
-    work.dof_updates += (d.flats.len() * d.cells.len()) as u64;
-    work.flux_evals += d.flats.len() as u64 * faces_in_scope;
 }
 
 /// Run pre- or post-step callbacks with a given reducer and ownership info.

@@ -179,6 +179,53 @@ fn overlapping_write_split_reports_the_race() {
     assert!(analysis::check_disjoint_writes("I", 2, 10, &clean).is_empty());
 }
 
+/// The race pass proves the value the driver runs: tamper with the tile
+/// list of a scope `rank_scopes` built — on a sequential rank and on a
+/// fanned-out one — and the partition synthesized from *that scope* fires
+/// exactly the rule for what was broken.
+#[test]
+fn tampered_tile_list_fires_through_the_synthesized_partition() {
+    let solver = declared_problem(6, 1).build(ExecTarget::CpuSeq).unwrap();
+    let cp = &solver.compiled;
+    let (n_flat, n_cells) = (NDIRS * NBANDS, 36);
+    let rules_of = |scopes: &[analysis::Scope]| -> Vec<&'static str> {
+        let regions = analysis::synthesize_partition(scopes);
+        let diags = analysis::check_disjoint_writes("I", n_flat, n_cells, regions);
+        diags.iter().map(|d| d.rule).collect()
+    };
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(3)
+        .build()
+        .unwrap();
+    for target in [ExecTarget::CpuSeq, ExecTarget::CpuParallel] {
+        let scopes = pool.install(|| analysis::rank_scopes(cp, &target).unwrap());
+        let parts = scopes[0].workers;
+        assert_eq!(parts == 3, matches!(target, ExecTarget::CpuParallel));
+        assert_eq!(scopes[0].tiles.len(), n_flat * parts);
+        assert!(rules_of(&scopes).is_empty(), "the untouched scope is clean");
+
+        // Two tiles overlapping by one cell: an extra tile on the last
+        // cell of the first.
+        let mut overlapping = scopes.clone();
+        let first = overlapping[0].tiles[0];
+        let extra = analysis::Tile {
+            cell0: first.cell0 + first.len - 1,
+            len: 1,
+            ..first
+        };
+        overlapping[0].tiles.insert(1, extra);
+        assert_eq!(
+            rules_of(&overlapping),
+            [rules::OVERLAPPING_WRITE],
+            "{target:?}"
+        );
+
+        let mut dropped = scopes.clone();
+        dropped[0].tiles.remove(parts);
+        assert_eq!(rules_of(&dropped), [rules::INCOMPLETE_COVER], "{target:?}");
+    }
+}
+
 #[test]
 fn schedule_missing_a_d2h_is_a_stale_read() {
     let solver = declared_problem(6, 2).build(gpu_target()).unwrap();

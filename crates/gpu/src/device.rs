@@ -18,8 +18,6 @@ pub struct Device {
     elapsed: f64,
     allocated: usize,
     profiler: Profiler,
-    /// Per-stream clocks (see [`crate::stream`]).
-    pub(crate) streams: Vec<f64>,
 }
 
 impl Device {
@@ -30,19 +28,12 @@ impl Device {
             elapsed: 0.0,
             allocated: 0,
             profiler: Profiler::default(),
-            streams: Vec::new(),
         }
     }
 
-    /// Simulated seconds spent so far (kernels + transfers) on the
-    /// default stream; work on other streams joins in at
-    /// `Device::synchronize` (see [`crate::stream`]).
+    /// Simulated seconds spent so far (kernels + transfers).
     pub fn elapsed(&self) -> f64 {
         self.elapsed
-    }
-
-    pub(crate) fn set_elapsed(&mut self, t: f64) {
-        self.elapsed = t;
     }
 
     /// Bytes of device memory currently allocated.
@@ -184,25 +175,6 @@ impl Device {
     where
         F: Fn(usize, &[&[f64]], &mut f64) + Sync,
     {
-        let t = self.launch_for_stream(name, n_threads, cost, inputs, output, body);
-        self.elapsed += t;
-        t
-    }
-
-    /// Kernel execution + profiling without advancing the default clock
-    /// (the stream API owns the timing).
-    pub(crate) fn launch_for_stream<F>(
-        &mut self,
-        name: &str,
-        n_threads: usize,
-        cost: KernelCost,
-        inputs: &[&DeviceBuffer],
-        output: &mut DeviceBuffer,
-        body: F,
-    ) -> f64
-    where
-        F: Fn(usize, &[&[f64]], &mut f64) + Sync,
-    {
         assert_eq!(
             output.len(),
             n_threads,
@@ -217,6 +189,7 @@ impl Device {
         let t = self.kernel_time(n_threads, &cost);
         self.profiler
             .record_kernel(name, n_threads, &cost, t, &self.spec);
+        self.elapsed += t;
         t
     }
 
@@ -256,39 +229,6 @@ impl Device {
         self.profiler
             .record_kernel(name, n_threads, &cost, t, &self.spec);
         self.elapsed += t;
-        t
-    }
-
-    /// In-place variant: the kernel updates `state[tid]` reading the whole
-    /// previous state (double-buffered internally, as the generated code
-    /// uses `u` and `u_new` arrays).
-    pub fn launch_inplace<F>(
-        &mut self,
-        name: &str,
-        cost: KernelCost,
-        inputs: &[&DeviceBuffer],
-        state: &mut DeviceBuffer,
-        scratch: &mut Vec<f64>,
-        body: F,
-    ) -> f64
-    where
-        F: Fn(usize, &[f64], &[&[f64]], &mut f64) + Sync,
-    {
-        let n_threads = state.len();
-        scratch.resize(n_threads, 0.0);
-        let input_slices: Vec<&[f64]> = inputs.iter().map(|b| b.slice()).collect();
-        {
-            let prev = state.slice();
-            scratch
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(tid, out)| body(tid, prev, &input_slices, out));
-        }
-        state.slice_mut().copy_from_slice(scratch);
-        let t = self.kernel_time(n_threads, &cost);
-        self.elapsed += t;
-        self.profiler
-            .record_kernel(name, n_threads, &cost, t, &self.spec);
         t
     }
 
@@ -430,29 +370,5 @@ mod tests {
         assert_eq!(dev.allocated_bytes(), 8000);
         dev.free(b);
         assert_eq!(dev.allocated_bytes(), 0);
-    }
-
-    #[test]
-    fn launch_inplace_double_buffers() {
-        let mut dev = device();
-        let mut state = dev.alloc("u", 5);
-        dev.h2d(&[1.0, 2.0, 3.0, 4.0, 5.0], &mut state);
-        let mut scratch = Vec::new();
-        // Each element becomes the sum of its neighbors (periodic): must
-        // read the *previous* state, not partially updated values.
-        dev.launch_inplace(
-            "nbrsum",
-            KernelCost::stencil(2.0, 24.0, 8.0),
-            &[],
-            &mut state,
-            &mut scratch,
-            |tid, prev, _inputs, out| {
-                let n = prev.len();
-                *out = prev[(tid + n - 1) % n] + prev[(tid + 1) % n];
-            },
-        );
-        let mut result = vec![0.0; 5];
-        dev.d2h(&state, &mut result);
-        assert_eq!(result, vec![7.0, 4.0, 6.0, 8.0, 5.0]);
     }
 }

@@ -25,11 +25,9 @@ pub mod device;
 pub mod kernel;
 pub mod profiler;
 pub mod spec;
-pub mod stream;
 
 pub use buffer::DeviceBuffer;
 pub use device::Device;
 pub use kernel::KernelCost;
 pub use profiler::{KernelProfile, ProfileReport};
 pub use spec::DeviceSpec;
-pub use stream::{Event, StreamId};

@@ -177,7 +177,11 @@ pub fn parse_msh(text: &str) -> Result<Mesh, GmshError> {
         }
     }
 
-    let mut mesh = Mesh::from_cells(dim, vertices, &cells);
+    let mut mesh = Mesh::try_from_cells(dim, vertices, &cells).map_err(|e| {
+        GmshError::Format(format!(
+            "{e}; cells are the volume elements in file order, from 0"
+        ))
+    })?;
 
     // Attach boundary regions by matching element vertex sets to faces.
     let mut face_by_key: HashMap<Vec<usize>, usize> = HashMap::new();

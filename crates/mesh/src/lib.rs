@@ -26,5 +26,5 @@ pub mod partition;
 
 pub use geometry::Point;
 pub use grid::UniformGrid;
-pub use mesh::{Face, Mesh};
+pub use mesh::{Face, Mesh, MeshError};
 pub use partition::{partition_bands, Partition, PartitionMethod};

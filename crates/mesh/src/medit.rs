@@ -183,7 +183,11 @@ pub fn parse_mesh(text: &str) -> Result<Mesh, MeditError> {
         }
     }
 
-    let mut mesh = Mesh::from_cells(dim, vertices, &cells);
+    let mut mesh = Mesh::try_from_cells(dim, vertices, &cells).map_err(|e| {
+        err(format!(
+            "{e}; cells are the volume elements in file order, from 0"
+        ))
+    })?;
 
     // Boundary regions from referenced lower-dimensional elements.
     let mut face_by_key: HashMap<Vec<usize>, usize> = HashMap::new();

@@ -86,15 +86,59 @@ pub struct Mesh {
     pub boundary_regions: Vec<BoundaryRegion>,
 }
 
+/// Why a cell list is not a finite-volume mesh ([`Mesh::try_from_cells`]).
+/// `cell` indexes the list the mesh was built from.
+#[derive(Debug, Clone, PartialEq)]
+pub enum MeshError {
+    /// A face of `cell` already separates two other cells (a duplicated
+    /// or overlapping element).
+    SharedFace { cell: usize },
+    /// The area (2-D) or volume (3-D) of `cell` is not positive: a
+    /// clockwise or inverted vertex order, a degenerate cell, or a
+    /// non-finite coordinate.
+    BadMeasure { cell: usize, measure: f64 },
+}
+
+impl std::fmt::Display for MeshError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MeshError::SharedFace { cell } => {
+                write!(f, "cell {cell}: a face is shared by more than two cells")
+            }
+            MeshError::BadMeasure { cell, measure } => write!(
+                f,
+                "cell {cell}: measure {measure} is not positive (clockwise or inverted \
+                 vertex order, degenerate cell, or non-finite coordinate)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for MeshError {}
+
 impl Mesh {
+    /// [`Mesh::try_from_cells`] for cell lists built by the program itself.
+    ///
+    /// # Panics
+    /// If the cells do not form a mesh.
+    pub fn from_cells(dim: usize, vertices: Vec<Point>, cells: &[Vec<usize>]) -> Mesh {
+        Mesh::try_from_cells(dim, vertices, cells)
+            .unwrap_or_else(|e| panic!("cells do not form a mesh: {e}"))
+    }
+
     /// Build a mesh from cells given as vertex lists.
     ///
     /// 2-D cells are polygons with vertices in counter-clockwise order.
     /// 3-D cells are hexahedra in the Gmsh vertex ordering (bottom quad
     /// `0,1,2,3` counter-clockwise seen from below, then the top quad
     /// `4,5,6,7` above them) or tetrahedra (`0,1,2` counter-clockwise seen
-    /// from outside opposite vertex `3`).
-    pub fn from_cells(dim: usize, vertices: Vec<Point>, cells: &[Vec<usize>]) -> Mesh {
+    /// from outside opposite vertex `3`). A cell list that breaks these
+    /// rules — as one read from a file may — is an error naming the cell.
+    pub fn try_from_cells(
+        dim: usize,
+        vertices: Vec<Point>,
+        cells: &[Vec<usize>],
+    ) -> Result<Mesh, MeshError> {
         assert!(dim == 2 || dim == 3, "only 2-D and 3-D meshes supported");
         let mut cell_vertex_offsets = Vec::with_capacity(cells.len() + 1);
         let mut cell_vertex_ids = Vec::new();
@@ -128,10 +172,9 @@ impl Mesh {
             key.sort_unstable();
             match by_key.get(&key) {
                 Some(&fid) => {
-                    assert!(
-                        faces[fid].neighbor.is_none(),
-                        "face shared by more than two cells"
-                    );
+                    if faces[fid].neighbor.is_some() {
+                        return Err(MeshError::SharedFace { cell: ci });
+                    }
                     faces[fid].neighbor = Some(ci);
                     cell_faces[ci].push(fid);
                 }
@@ -173,21 +216,22 @@ impl Mesh {
         // Cell measures.
         let mut cell_volumes = Vec::with_capacity(cells.len());
         let mut cell_centroids = Vec::with_capacity(cells.len());
-        for cell in cells {
+        // `!(m > 0.0)`, not `m <= 0.0`: a NaN measure is an error too.
+        let positive = |cell: usize, measure: f64| match measure > 0.0 {
+            true => Ok(measure),
+            false => Err(MeshError::BadMeasure { cell, measure }),
+        };
+        for (ci, cell) in cells.iter().enumerate() {
             let pts: Vec<Point> = cell.iter().map(|&v| vertices[v]).collect();
             if dim == 2 {
-                let area = polygon_signed_area(&pts);
-                assert!(area > 0.0, "2-D cells must be counter-clockwise");
-                cell_volumes.push(area);
+                cell_volumes.push(positive(ci, polygon_signed_area(&pts))?);
                 cell_centroids.push(polygon_centroid(&pts));
             } else {
                 let face_loops: Vec<Vec<Point>> = hex_or_tet_faces(cell)
                     .into_iter()
                     .map(|l| l.iter().map(|&v| vertices[v]).collect())
                     .collect();
-                let vol = polyhedron_volume(&face_loops);
-                assert!(vol > 0.0, "3-D cell has non-positive volume");
-                cell_volumes.push(vol);
+                cell_volumes.push(positive(ci, polyhedron_volume(&face_loops))?);
                 let mut c = Point::zero();
                 for p in &pts {
                     c = c + *p;
@@ -205,7 +249,7 @@ impl Mesh {
             cell_face_offsets.push(cell_face_ids.len());
         }
 
-        Mesh {
+        Ok(Mesh {
             dim,
             vertices,
             cell_vertex_offsets,
@@ -216,7 +260,7 @@ impl Mesh {
             cell_volumes,
             cell_centroids,
             boundary_regions: Vec::new(),
-        }
+        })
     }
 
     /// Number of cells.
@@ -439,7 +483,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "counter-clockwise")]
+    #[should_panic(expected = "cell 0: measure -1 is not positive (clockwise")]
     fn clockwise_cells_are_rejected() {
         let vs = vec![
             Point::xy(0.0, 0.0),
@@ -448,6 +492,14 @@ mod tests {
             Point::xy(0.0, 1.0),
         ];
         let cells = vec![vec![0, 3, 2, 1]]; // clockwise
+        let err = Mesh::try_from_cells(2, vs.clone(), &cells).unwrap_err();
+        assert_eq!(
+            err,
+            MeshError::BadMeasure {
+                cell: 0,
+                measure: -1.0
+            }
+        );
         let _ = Mesh::from_cells(2, vs, &cells);
     }
 

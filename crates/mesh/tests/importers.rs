@@ -220,3 +220,61 @@ fn fixtures_partition_across_two_ranks() {
         }
     }
 }
+
+/// A mesh file is outside input: a cell list that is not a mesh must come
+/// back as an `Err` naming the cell, never as a panic (ROADMAP item 2(a),
+/// its smallest slice — no auto-fix, no fuzzing).
+#[test]
+fn bad_cells_in_a_mesh_file_are_errors_naming_the_cell() {
+    let msh = read_fixture("hotspot_array.msh");
+    let medit_text = read_fixture("die3d.mesh");
+    let names = |text: &str, cell: usize| text.contains(&format!("cell {cell}:"));
+
+    // One quad of the Gmsh fixture with two adjacent nodes swapped, file
+    // element 50 = cell 1: a bow-tie whose net area stays positive, so it
+    // builds — and `validate` (which the `.pbte` loader turns into its
+    // error) names the cell that no longer closes.
+    let swapped = msh.replace("50 3 2 0 0 2 3 16 15", "50 3 2 0 0 2 16 3 15");
+    assert_ne!(swapped, msh);
+    let problems = gmsh::parse_msh(&swapped).unwrap().validate();
+    assert!(
+        problems
+            .iter()
+            .any(|p| p.starts_with("cell 1 is not closed")),
+        "{problems:?}"
+    );
+    // Two opposite nodes swapped make it clockwise: an error at once.
+    let good = gmsh::parse_msh(&msh).unwrap();
+    let mut cells: Vec<Vec<usize>> = (0..good.n_cells())
+        .map(|c| good.cell_vertices(c).to_vec())
+        .collect();
+    cells[7].swap(0, 2);
+    let err = Mesh::try_from_cells(2, good.vertices.clone(), &cells).unwrap_err();
+    assert!(
+        matches!(err, pbte_mesh::MeshError::BadMeasure { cell: 7, measure } if measure < 0.0),
+        "{err}"
+    );
+
+    // One duplicated element: its faces would separate three cells.
+    let duplicated = msh
+        .replace("$Elements\n192\n", "$Elements\n193\n")
+        .replace("$EndElements", "193 3 2 0 0 2 3 16 15\n$EndElements");
+    let e = gmsh::parse_msh(&duplicated).unwrap_err().to_string();
+    assert!(names(&e, 144) && e.contains("more than two cells"), "{e}");
+
+    // One `nan` coordinate (node 15, a corner of cells 0, 1, 12, 13).
+    let nan = msh.replace(
+        "15 0.000038991111144423485 0.000038437034189701076 0",
+        "15 nan 0.000038437034189701076 0",
+    );
+    assert_ne!(nan, msh);
+    let e = gmsh::parse_msh(&nan).unwrap_err().to_string();
+    assert!(names(&e, 0) && e.contains("NaN"), "{e}");
+
+    // One inverted hex of the MEDIT fixture (top and bottom quads
+    // exchanged), its first: cell 0.
+    let inverted = medit_text.replace("1 2 9 8 50 51 58 57 0", "50 51 58 57 1 2 9 8 0");
+    assert_ne!(inverted, medit_text);
+    let e = medit::parse_mesh(&inverted).unwrap_err().to_string();
+    assert!(names(&e, 0) && e.contains("not positive"), "{e}");
+}

@@ -12,15 +12,36 @@
 //! Work items are distributed round-robin over `current_num_threads()`
 //! scoped OS threads (no work stealing, no persistent pool). That is a
 //! much simpler execution model than real rayon's, but it preserves the
-//! two properties the solver code relies on: disjoint mutable chunks are
-//! processed concurrently, and the set of per-item side effects is
-//! identical to a serial loop (only ordering across items differs).
+//! three properties the solver code relies on: disjoint mutable chunks are
+//! processed concurrently, the set of per-item side effects is identical
+//! to a serial loop (only ordering across items differs), and — as in a
+//! real pool — a region opened from inside a region adds no threads: the
+//! workers of a region inherit its thread count, and a nested region runs
+//! its items inline on the worker that opened it.
 
 use std::cell::Cell;
 
 thread_local! {
-    /// Thread-count override installed by [`ThreadPool::install`]; 0 = unset.
+    /// Thread-count override installed by [`ThreadPool::install`] (or
+    /// inherited from the region that spawned this thread); 0 = unset.
     static POOL_THREADS: Cell<usize> = const { Cell::new(0) };
+    /// Whether this thread is currently running items of a region.
+    static IN_REGION: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Sets a thread-local cell for a scope and restores it on drop.
+struct Restore<T: Copy + 'static>(&'static std::thread::LocalKey<Cell<T>>, T);
+
+impl<T: Copy + 'static> Restore<T> {
+    fn set(key: &'static std::thread::LocalKey<Cell<T>>, value: T) -> Self {
+        Restore(key, key.with(|c| c.replace(value)))
+    }
+}
+
+impl<T: Copy + 'static> Drop for Restore<T> {
+    fn drop(&mut self) {
+        self.0.with(|c| c.set(self.1));
+    }
 }
 
 /// Number of threads parallel iterators fan out to on this thread: the
@@ -49,7 +70,7 @@ impl std::fmt::Display for ThreadPoolBuildError {
 impl std::error::Error for ThreadPoolBuildError {}
 
 /// A "pool" is just a requested thread count; threads are spawned per
-/// parallel call (scoped), not kept alive.
+/// outermost parallel call (scoped), not kept alive.
 pub struct ThreadPool {
     n: usize,
 }
@@ -58,14 +79,7 @@ impl ThreadPool {
     /// Run `f` with parallel iterators on this thread fanning out to
     /// `self.n` threads.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        let prev = POOL_THREADS.with(|c| c.replace(self.n));
-        struct Restore(usize);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                POOL_THREADS.with(|c| c.set(self.0));
-            }
-        }
-        let _restore = Restore(prev);
+        let _restore = Restore::set(&POOL_THREADS, self.n);
         f()
     }
 
@@ -101,10 +115,13 @@ impl ThreadPoolBuilder {
 }
 
 /// Distribute `items` round-robin over the current thread count. Group 0
-/// runs on the calling thread so a single-thread "pool" never spawns.
+/// runs on the calling thread so a single-thread "pool" never spawns, and
+/// a region opened while this thread is already running one (on a spawned
+/// worker or on the caller's own group) runs serially in place.
 fn drive<I: Send>(items: Vec<I>, f: &(impl Fn(I) + Sync)) {
-    let n = current_num_threads().max(1).min(items.len().max(1));
-    if n <= 1 {
+    let pool = current_num_threads().max(1);
+    let n = pool.min(items.len().max(1));
+    if n <= 1 || IN_REGION.with(|c| c.get()) {
         for item in items {
             f(item);
         }
@@ -114,19 +131,20 @@ fn drive<I: Send>(items: Vec<I>, f: &(impl Fn(I) + Sync)) {
     for (i, item) in items.into_iter().enumerate() {
         groups[i % n].push(item);
     }
+    let run = move |group: Vec<I>| {
+        let _threads = Restore::set(&POOL_THREADS, pool);
+        let _region = Restore::set(&IN_REGION, true);
+        for item in group {
+            f(item);
+        }
+    };
     std::thread::scope(|scope| {
         let mut groups = groups.into_iter();
         let local = groups.next().expect("n >= 1 group");
         for group in groups {
-            scope.spawn(move || {
-                for item in group {
-                    f(item);
-                }
-            });
+            scope.spawn(move || run(group));
         }
-        for item in local {
-            f(item);
-        }
+        run(local);
     });
 }
 
@@ -284,5 +302,36 @@ mod tests {
             });
         });
         assert_eq!(v[63], 63.0);
+    }
+
+    #[test]
+    fn workers_inherit_the_installed_thread_count() {
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let seen = std::sync::Mutex::new(Vec::new());
+        pool.install(|| {
+            [(); 9].par_iter().for_each(|_| {
+                seen.lock().unwrap().push(current_num_threads());
+            });
+        });
+        assert_eq!(seen.into_inner().unwrap(), vec![3; 9]);
+    }
+
+    #[test]
+    fn nested_region_adds_no_threads() {
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let ids = std::sync::Mutex::new(std::collections::HashSet::new());
+        let mut outer = [[0u32; 8]; 4];
+        pool.install(|| {
+            outer.par_iter_mut().for_each(|inner| {
+                inner.par_iter_mut().for_each(|x| {
+                    *x += 1;
+                    ids.lock().unwrap().insert(std::thread::current().id());
+                });
+            });
+        });
+        assert_eq!(outer, [[1; 8]; 4]);
+        assert_eq!(ids.into_inner().unwrap().len(), 2);
+        // The caller is no longer inside a region afterwards.
+        assert!(!IN_REGION.with(|c| c.get()));
     }
 }
