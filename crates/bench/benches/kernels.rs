@@ -239,10 +239,77 @@ fn bench_flux_runs(c: &mut Criterion) {
     group.finish();
 }
 
+/// The benchmark's 3-D lane as a `.pbte` text: 24 × 24 × 12 hexes × 40
+/// flats under the implicit integrator.
+const DIE3D: &str = "[scenario]\nname = die3d\nstrategy = redundant\nintegrator = implicit:1.0\n\
+    t_ref = 300\nt_hot = 330\n[mesh]\nkind = grid\nnx = 24\nny = 24\nnz = 12\n\
+    lx = 300e-6\nly = 300e-6\nlz = 100e-6\n[material]\nmodel = silicon\nn_freq_bands = 4\n\
+    n_polar = 2\nn_azimuthal = 4\n[time]\ndt = auto\nsteps = 1\n[boundary]\n\
+    front = isothermal 300\nback = hotspots 300 330 50e-6 @ 150e-6,150e-6,100e-6\n\
+    left = symmetry\nright = symmetry\nbottom = symmetry\ntop = symmetry\n";
+
+/// What a run pays before step 0, at the benchmark's sizes: the mesh built
+/// from its cell list (64 × 64 quads, 24 × 24 × 12 hexes), the initial
+/// state of the hot-spot die (64² cells × 132 flats: `I` filled by rows
+/// from `Io`), and the race proof of the sequential scope of the hot-spot
+/// and of the implicit 3-D plan (one tile per flat).
+fn bench_setup(c: &mut Criterion) {
+    use pbte_dsl::analysis::{check_disjoint_writes, rank_scopes, synthesize_partition};
+    use pbte_dsl::exec::ExecTarget;
+    let mut group = c.benchmark_group("setup");
+    let quads = UniformGrid::new_2d(64, 64, 1.0, 1.0).build();
+    let hexes = UniformGrid::new_3d(24, 24, 12, 3.0, 3.0, 1.0).build();
+    for (name, mesh) in [
+        ("mesh_from_cells_quads_4096", &quads),
+        ("mesh_from_cells_hexes_6912", &hexes),
+    ] {
+        let cells: Vec<Vec<usize>> = (0..mesh.n_cells())
+            .map(|c| mesh.cell_vertices(c).to_vec())
+            .collect();
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || mesh.vertices.clone(),
+                |vertices| pbte_mesh::Mesh::from_cells(mesh.dim, vertices, black_box(&cells)),
+                BatchSize::LargeInput,
+            )
+        });
+    }
+
+    let hotspot = hotspot_2d(&BteConfig::small(64, 12, 8, 1)).problem;
+    group.bench_function("initial_fill_hotspot", |b| {
+        b.iter(|| {
+            pbte_dsl::exec::initial_state(black_box(&hotspot))
+                .unwrap()
+                .0
+        })
+    });
+
+    let die3d = pbte_bte::pbte::parse_pbte(DIE3D)
+        .and_then(|spec| spec.build())
+        .expect("the die3d text builds")
+        .problem;
+    for (name, problem) in [
+        ("race_proof_hotspot", hotspot),
+        ("race_proof_die3d_implicit", die3d),
+    ] {
+        let cp = CompiledProblem::compile(problem).expect("compiles").0;
+        let scopes = rank_scopes(&cp, &ExecTarget::CpuSeq).expect("one scope");
+        let n_cells = cp.problem.mesh.as_ref().map_or(0, |m| m.n_cells());
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let tiles = synthesize_partition(black_box(&scopes));
+                let diags = check_disjoint_writes("I", cp.n_flat, n_cells, tiles);
+                assert!(diags.is_empty());
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_pipeline, bench_kernel_eval, bench_temperature, bench_partitioners, bench_device,
-        bench_reductions, bench_flux_runs
+        bench_reductions, bench_flux_runs, bench_setup
 );
 criterion_main!(benches);

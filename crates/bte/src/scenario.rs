@@ -249,12 +249,13 @@ pub(crate) fn build_custom(
 
     // Initial condition: local equilibrium at the initial temperature
     // field (uniform `t_ref` unless the scenario supplies one — e.g. the
-    // `.pbte` pulse-train relaxation).
+    // `.pbte` pulse-train relaxation). Every direction of a band starts at
+    // the band's equilibrium intensity, so `I` is the rows of `Io` — the
+    // paper script's `initial(I, "Io[b]")` — and only `Io`, `beta` and `T`
+    // interpolate the tables, once per (band, cell).
     let t0: Arc<dyn Fn(Point) -> f64 + Send + Sync> =
         init_t.unwrap_or_else(|| Arc::new(move |_| t_ref));
-    let m = material.clone();
-    let f = t0.clone();
-    p.initial(i_var, move |pt, idx| m.table().io(idx[1], f(pt)));
+    p.initial_expr(i_var, "Io[b]");
     let m = material.clone();
     let f = t0.clone();
     p.initial(io_var, move |pt, idx| m.table().io(idx[0], f(pt)));

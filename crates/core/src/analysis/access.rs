@@ -21,6 +21,7 @@ use crate::bytecode::{
 };
 use crate::entities::CoefficientValue;
 use crate::exec::{CompiledProblem, MAX_RUN_FACES, MIN_RUN};
+use crate::problem::Initial;
 use std::collections::BTreeSet;
 
 /// Read sets derived from bytecode (entity ids into the registry).
@@ -630,6 +631,43 @@ fn check_csr(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// An expression initial reads only what is initialised before it fills:
+/// a variable with a closure initial (those all fill first) or with an
+/// expression initial earlier in the fill order — and never its own
+/// variable, whose rows it is still writing.
+pub(super) fn check_initials(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
+    let registry = &cp.problem.registry;
+    let closures = cp.problem.initials.iter();
+    let mut filled: BTreeSet<usize> = closures
+        .filter(|(_, init)| matches!(init, Initial::Fn(_)))
+        .map(|(var, _)| *var)
+        .collect();
+    for (var, program) in &cp.initials {
+        for (pc, op) in program.ops.iter().enumerate() {
+            let read = match op {
+                Op::LoadVar { var: read, .. } => *read as usize,
+                _ => continue,
+            };
+            if read == *var || !filled.contains(&read) {
+                out.push(Diagnostic {
+                    severity: Severity::Error,
+                    rule: rules::UNINITIALISED_READ,
+                    entity: registry.variables[*var].name.clone(),
+                    location: format!("initial expression, op {pc}"),
+                    message: match read == *var {
+                        true => "the expression reads the variable it initialises".into(),
+                        false => format!(
+                            "the expression reads `{}`, which nothing has initialised yet",
+                            registry.variables[read].name
+                        ),
+                    },
+                });
+            }
+        }
+        filled.insert(*var);
+    }
+}
+
 /// Every entity name a callback declares must resolve in the registry.
 pub(super) fn check_catalog(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
     let registry = &cp.problem.registry;
@@ -695,12 +733,15 @@ mod tests {
         assert!(clean.verify_plan(&ExecTarget::CpuSeq).is_empty());
 
         type Tamper = fn(&mut CompiledProblem);
+        fn hot(cp: &mut CompiledProblem) -> &mut crate::exec::HotGeometry {
+            std::sync::Arc::make_mut(&mut cp.hot)
+        }
         let tampers: [(&str, Tamper); 4] = [
-            ("delta", |cp| cp.hot.runs[0].delta[1] += 1),
-            ("class", |cp| cp.hot.runs[1].class[2] ^= 1),
-            ("boundary cell", |cp| cp.hot.runs[0].len += 1),
+            ("delta", |cp| hot(cp).runs[0].delta[1] += 1),
+            ("class", |cp| hot(cp).runs[1].class[2] ^= 1),
+            ("boundary cell", |cp| hot(cp).runs[0].len += 1),
             ("overlap", |cp| {
-                cp.hot.runs[1].first = cp.hot.runs[0].first + 4
+                hot(cp).runs[1].first = cp.hot.runs[0].first + 4
             }),
         ];
         for (what, tamper) in tampers {

@@ -12,8 +12,10 @@
 //!    `BoundProgram`, `RegProgram`) by abstract interpretation — stack
 //!    depth, register def-before-use, and load-offset bounds fall out as
 //!    byproducts — and cross-checked against the equation-level
-//!    declaration. The CSR face geometry the fused superinstructions
-//!    index is bounds-checked too, and the stencil run table the span
+//!    declaration. An expression initial must read only variables
+//!    initialised before it fills (`initial/uninitialised-read`). The CSR
+//!    face geometry the fused superinstructions index is bounds-checked
+//!    too, and the stencil run table the span
 //!    kernels walk is re-derived from it (`geometry/run-mismatch`). The
 //!    lowered wall tables those kernels read boundary faces through are
 //!    re-derived from the declared boundary forms and held to the closures
@@ -84,7 +86,7 @@ pub use intervals::{recommend_dt, DtRecommendation, ACCURACY_COURANT};
 pub use races::{check_disjoint_writes, check_divided_slices, WriteRegion};
 pub use synth::{
     check_certificate, rank_scopes, synthesize_partition, synthesize_schedule, LivenessArg,
-    Omission, ReadSite, ScheduleCertificate, Scope, Tile, TransferCert, WriteSite,
+    Omission, ReadSite, ScheduleCertificate, Scope, Tile, TileLabel, TransferCert, WriteSite,
 };
 pub use transfers::check_schedule;
 pub use units::check_units;
@@ -107,6 +109,9 @@ pub mod rules {
     /// Bytecode reads an entity the equation analysis didn't declare
     /// (error), or declares one no tier actually reads (warning).
     pub const UNDECLARED_ACCESS: &str = "bytecode/undeclared-access";
+    /// An expression initial reads its own variable, or one that nothing
+    /// has initialised when it fills.
+    pub const UNINITIALISED_READ: &str = "initial/uninitialised-read";
     /// The CSR face geometry violates a structural invariant.
     pub const CSR_INVARIANT: &str = "geometry/csr-invariant";
     /// The stencil run table disagrees with the CSR face geometry it
@@ -202,6 +207,7 @@ pub mod rules {
         OOB_LOAD,
         USE_BEFORE_DEF,
         UNDECLARED_ACCESS,
+        UNINITIALISED_READ,
         CSR_INVARIANT,
         RUN_MISMATCH,
         BOUNDARY_FORM_MISMATCH,
@@ -336,7 +342,14 @@ pub(crate) fn verify_scopes(
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     access::check_kernels(cp, &mut out);
+    access::check_initials(cp, &mut out);
     access::check_geometry(cp, &mut out);
+    // A JVP twin sweeps the primal's geometry — the value just proved —
+    // unless its flux path differs and it built its own.
+    let own_geometry = |jcp: &&CompiledProblem| !std::sync::Arc::ptr_eq(&jcp.hot, &cp.hot);
+    if let Some(jcp) = cp.jvp.as_deref().filter(own_geometry) {
+        access::check_geometry(jcp, &mut out);
+    }
     boundary::check_boundary_forms(cp, false, &mut out);
     access::check_catalog(cp, &mut out);
     if !scopes.is_empty() {

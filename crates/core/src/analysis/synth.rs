@@ -1008,18 +1008,40 @@ pub fn rank_scopes(cp: &CompiledProblem, target: &ExecTarget) -> Result<Vec<Scop
     })
 }
 
+/// Names a tile in a race diagnostic, formatted only when one fires.
+#[derive(Debug, Clone)]
+pub struct TileLabel {
+    rank: usize,
+    tile: usize,
+    flat: usize,
+    cells: std::ops::Range<usize>,
+}
+
+impl std::fmt::Display for TileLabel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (rank, tile, flat, cells) = (self.rank, self.tile, self.flat, &self.cells);
+        write!(f, "rank {rank} tile {tile} (flat {flat}, cells {cells:?})")
+    }
+}
+
 /// The write split of the unknown that `scopes` describes: one region per
 /// tile, read straight off the value the driver executes, in execution
-/// order.
-pub fn synthesize_partition(scopes: &[Scope]) -> impl Iterator<Item = WriteRegion> + '_ {
-    scopes.iter().enumerate().flat_map(|(r, scope)| {
-        scope.tiles.iter().enumerate().map(move |(i, t)| {
-            let flat = scope.flats[t.k];
+/// order — a borrowed flat and a cell range each, nothing expanded.
+pub fn synthesize_partition(
+    scopes: &[Scope],
+) -> impl Iterator<Item = WriteRegion<'_, TileLabel>> + '_ {
+    scopes.iter().enumerate().flat_map(|(rank, scope)| {
+        scope.tiles.iter().enumerate().map(move |(tile, t)| {
             let cells = t.cell0..t.cell0 + t.len;
             WriteRegion {
-                label: format!("rank {r} tile {i} (flat {flat}, cells {cells:?})"),
-                flats: vec![flat],
-                cells: cells.collect(),
+                label: TileLabel {
+                    rank,
+                    tile,
+                    flat: scope.flats[t.k],
+                    cells: cells.clone(),
+                },
+                flats: &scope.flats[t.k..=t.k],
+                cells,
             }
         })
     })

@@ -47,7 +47,7 @@ use crate::bytecode::{BoundProgram, Compiler, KernelKind, Program};
 use crate::dataflow::TransferSchedule;
 use crate::entities::Fields;
 use crate::pipeline::DiscreteSystem;
-use crate::problem::{BoundaryCondition, DslError, GpuStrategy, KernelTier, Problem};
+use crate::problem::{BoundaryCondition, DslError, GpuStrategy, Initial, KernelTier, Problem};
 use pbte_gpu::DeviceSpec;
 use pbte_runtime::timer::PhaseTimer;
 use pbte_runtime::world::CommStats;
@@ -272,10 +272,11 @@ pub(crate) struct BoundaryFace {
 pub struct FluxLinearization {
     /// Number of distinct oriented normals.
     pub n_classes: usize,
-    /// Class of each face's owner-side normal.
-    pub face_class_pos: Vec<u32>,
+    /// Class of each face's owner-side normal. The classes are a fact of
+    /// the mesh alone, so a plan's JVP twin shares them.
+    pub face_class_pos: Arc<[u32]>,
     /// Class of each face's neighbor-side (flipped) normal.
-    pub face_class_neg: Vec<u32>,
+    pub face_class_neg: Arc<[u32]>,
     /// Coefficients, indexed `flat * n_classes + class`.
     pub alpha: Vec<f64>,
     pub beta: Vec<f64>,
@@ -326,7 +327,10 @@ const MAX_CLASSES: usize = 1024;
 /// mutable variables, function coefficients, or time; when a conditional
 /// branches on the unknown; when the mesh has more than [`MAX_CLASSES`]
 /// distinct oriented normals; or when the numeric affinity probe fails.
-fn linearize_flux(cp: &CompiledProblem) -> Option<FluxLinearization> {
+fn linearize_flux(
+    cp: &CompiledProblem,
+    primal: Option<&FluxLinearization>,
+) -> Option<FluxLinearization> {
     use crate::bytecode::{Op, VmCtx};
     // Static eligibility: only face-constant inputs besides CELL1/CELL2.
     for op in &cp.flux.ops {
@@ -351,28 +355,45 @@ fn linearize_flux(cp: &CompiledProblem) -> Option<FluxLinearization> {
 
     // Classify oriented normals by exact bit pattern (normals of identical
     // geometry are computed identically); classes number in face order.
+    // The primal plan of a JVP twin already did, on the same mesh.
     let mesh = cp.mesh();
-    let mut class_ids: std::collections::HashMap<[u64; 3], u32> = Default::default();
-    let mut normals: Vec<[f64; 3]> = Vec::new();
-    let mut class_of = |n: pbte_mesh::Point| -> Option<u32> {
-        let key = [n.x.to_bits(), n.y.to_bits(), n.z.to_bits()];
-        if let Some(&class) = class_ids.get(&key) {
-            return Some(class);
+    let (face_class_pos, face_class_neg) = match primal {
+        Some(lin) => (lin.face_class_pos.clone(), lin.face_class_neg.clone()),
+        None => {
+            let mut class_ids: std::collections::HashMap<[u64; 3], u32> = Default::default();
+            let mut class_of = |n: pbte_mesh::Point| -> Option<u32> {
+                let key = [n.x.to_bits(), n.y.to_bits(), n.z.to_bits()];
+                if let Some(&class) = class_ids.get(&key) {
+                    return Some(class);
+                }
+                if class_ids.len() >= MAX_CLASSES {
+                    return None;
+                }
+                class_ids.insert(key, class_ids.len() as u32);
+                Some(class_ids.len() as u32 - 1)
+            };
+            let mut pos = Vec::with_capacity(mesh.n_faces());
+            let mut neg = Vec::with_capacity(mesh.n_faces());
+            for f in &mesh.faces {
+                pos.push(class_of(f.normal)?);
+                neg.push(class_of(-f.normal)?);
+            }
+            (pos.into(), neg.into())
         }
-        if normals.len() >= MAX_CLASSES {
-            return None;
-        }
-        class_ids.insert(key, normals.len() as u32);
-        normals.push([n.x, n.y, n.z]);
-        Some(normals.len() as u32 - 1)
     };
-    let mut face_class_pos = Vec::with_capacity(mesh.n_faces());
-    let mut face_class_neg = Vec::with_capacity(mesh.n_faces());
-    for f in &mesh.faces {
-        face_class_pos.push(class_of(f.normal)?);
-        face_class_neg.push(class_of(-f.normal)?);
+    // Each class's normal, read back off a face that has it.
+    let n_classes = (face_class_pos.iter().chain(face_class_neg.iter()))
+        .map(|&c| c as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut normals = vec![[0.0; 3]; n_classes];
+    for (f, (&pos, &neg)) in
+        (mesh.faces.iter()).zip(face_class_pos.iter().zip(face_class_neg.iter()))
+    {
+        let n = f.normal;
+        normals[pos as usize] = [n.x, n.y, n.z];
+        normals[neg as usize] = [-n.x, -n.y, -n.z];
     }
-    let n_classes = normals.len();
 
     // Probe the program per (flat, class) and validate affinity exactly
     // at two extra points.
@@ -475,6 +496,83 @@ fn linearized_problem(problem: &Problem) -> Result<Problem, DslError> {
     Ok(jp)
 }
 
+/// The index tuple of a flat index value under row-major `strides`.
+fn decode_flat(mut flat: usize, strides: &[usize]) -> Vec<usize> {
+    let idx = strides.iter().map(|&s| {
+        let i = flat / s;
+        flat %= s;
+        i
+    });
+    idx.collect()
+}
+
+/// The fields of `problem` before step 0, and the compiled expression
+/// initials that filled them: the closure initials fill first, then the
+/// expressions in declaration order (each may read what is filled before
+/// it).
+pub fn initial_state(problem: &Problem) -> Result<(Fields, Vec<(usize, Program)>), DslError> {
+    let mesh = problem
+        .mesh
+        .as_ref()
+        .ok_or_else(|| DslError::Invalid("no mesh attached".into()))?;
+    let mut fields = Fields::new(&problem.registry, mesh.n_cells());
+    let mut programs = Vec::new();
+    for (var, init) in &problem.initials {
+        let Initial::Fn(init) = init else { continue };
+        // Flat-major like the storage: the index tuple is decoded once per
+        // flat and each flat's row is filled over the centroids.
+        let strides = problem
+            .registry
+            .strides(&problem.registry.variables[*var].indices);
+        let rows = fields.slice_mut(*var).chunks_mut(mesh.n_cells().max(1));
+        for (flat, row) in rows.enumerate() {
+            let idx = decode_flat(flat, &strides);
+            for (value, &centroid) in row.iter_mut().zip(&mesh.cell_centroids) {
+                *value = init(centroid, &idx);
+            }
+        }
+    }
+    for (var, init) in &problem.initials {
+        if let Initial::Expr(src) = init {
+            let program = Compiler::new(&problem.registry, *var, KernelKind::Volume)
+                .compile(&pbte_symbolic::parse(src)?)?;
+            fill_from_program(problem, mesh, *var, &program, &mut fields);
+            programs.push((*var, program));
+        }
+    }
+    Ok((fields, programs))
+}
+
+/// Fill `var` from a compiled expression initial, one flat row at a time:
+/// the program is bound to the flat's index tuple (at `t = 0`), lowered to
+/// registers and evaluated over all cells against the fields filled so
+/// far. The row is evaluated into scratch and copied in, so an expression
+/// the verifier will refuse for reading `var` itself still only reads
+/// defined values.
+fn fill_from_program(
+    problem: &Problem,
+    mesh: &pbte_mesh::Mesh,
+    var: usize,
+    program: &Program,
+    fields: &mut Fields,
+) {
+    use crate::bytecode::{RegProgram, ROW_CHUNK};
+    let registry = &problem.registry;
+    let strides = registry.strides(&registry.variables[var].indices);
+    let n_cells = mesh.n_cells();
+    let mut row = vec![0.0; n_cells];
+    let mut regs = Vec::new();
+    for flat in 0..fields.flat_len(var) {
+        let idx = decode_flat(flat, &strides);
+        let bound = program.bind(&idx, n_cells, problem.dt, 0.0, &registry.coefficients);
+        let reg = RegProgram::compile(&bound);
+        regs.resize(reg.n_regs(), [0.0; ROW_CHUNK]);
+        let vars = fields.as_slices();
+        reg.eval_row(&vars, 0, &mut row, &mesh.cell_centroids, 0.0, &mut regs);
+        fields.slice_mut(var)[flat * n_cells..][..n_cells].copy_from_slice(&row);
+    }
+}
+
 /// The compiled, target-independent form of a problem.
 pub struct CompiledProblem {
     pub problem: Problem,
@@ -490,15 +588,19 @@ pub struct CompiledProblem {
     /// Boundary faces in mesh order, each with its condition.
     pub(crate) boundary: Vec<BoundaryFace>,
     /// face id → position in `boundary` (usize::MAX for interior faces).
-    pub(crate) bface_slot: Vec<usize>,
+    pub(crate) bface_slot: Arc<[usize]>,
+    /// The compiled expression initials `(variable, program)`, in the
+    /// order they filled the fields (after every closure initial).
+    pub initials: Vec<(usize, Program)>,
     /// The boundary faces lowered into the tables the kernels read, and
     /// the slots still left to their closures.
     pub walls: Walls,
     /// The αβγ flux table, for meshes with few face orientations (None →
     /// the compiled flux on Row/Native, the VM on the per-dof tiers).
     pub flux_lin: Option<FluxLinearization>,
-    /// Compact structure-of-arrays face geometry for the CPU hot loop.
-    pub(crate) hot: HotGeometry,
+    /// Compact structure-of-arrays face geometry for the CPU hot loop
+    /// (one value for a plan and its JVP twin on the same flux path).
+    pub(crate) hot: Arc<HotGeometry>,
     /// Callback access summary derived once at compile time: the single
     /// source for both the executors' work accounting and the static
     /// analyzer's host-side read/write sets.
@@ -676,6 +778,7 @@ impl StencilRun {
 /// directly (the `Face` objects of the mesh are too pointer-heavy for the
 /// inner loop). `nbr[k] ≥ 0` is the neighbor cell; `-(slot+1)` points into
 /// the boundary-ghost array.
+#[derive(Clone, Default)]
 pub(crate) struct HotGeometry {
     /// CSR offsets: faces of `cell` are `offsets[cell]..offsets[cell+1]`.
     pub offsets: Vec<u32>,
@@ -803,10 +906,10 @@ impl CompiledProblem {
         } else {
             None
         };
-        let (mut cp, fields) = Self::compile_with_system(problem, system)?;
+        let (mut cp, fields) = Self::lower(problem, system, None)?;
         if let Some(js) = jvp_sys {
             let jp = linearized_problem(&cp.problem)?;
-            let (jcp, _) = Self::compile_with_system(jp, js)?;
+            let (jcp, _) = Self::lower(jp, js, Some(&cp))?;
             cp.jvp = Some(Box::new(jcp));
         }
         Ok((cp, fields))
@@ -815,9 +918,15 @@ impl CompiledProblem {
     /// Lower an already-analyzed system (the shared back half of
     /// [`CompiledProblem::compile`], also used for the JVP plan, whose
     /// [`DiscreteSystem`] is derived symbolically rather than parsed).
-    pub fn compile_with_system(
+    /// `primal` is the plan a JVP twin is derived from: the same mesh with
+    /// the same boundary regions, so what depends on those alone — which
+    /// faces are boundary slots, the orientation classes and, when both
+    /// plans take the same flux path, the whole hot face geometry — is
+    /// shared with it instead of rebuilt.
+    fn lower(
         problem: Problem,
         system: DiscreteSystem,
+        primal: Option<&CompiledProblem>,
     ) -> Result<(CompiledProblem, Fields), DslError> {
         let mesh = problem
             .mesh
@@ -844,16 +953,9 @@ impl CompiledProblem {
             .collect();
         let n_flat: usize = idx_lens.iter().product();
         let strides = problem.registry.strides(&slots);
-        let mut idx_of_flat = Vec::with_capacity(n_flat);
-        for flat in 0..n_flat {
-            let mut idx = vec![0usize; slots.len()];
-            let mut rem = flat;
-            for (k, &s) in strides.iter().enumerate() {
-                idx[k] = rem / s;
-                rem %= s;
-            }
-            idx_of_flat.push(idx);
-        }
+        let idx_of_flat: Vec<Vec<usize>> = (0..n_flat)
+            .map(|flat| decode_flat(flat, &strides))
+            .collect();
 
         // Resolve boundary conditions: every boundary face needs one.
         let mut region_bc: Vec<Option<BoundaryCondition>> = vec![None; mesh.boundary_regions.len()];
@@ -869,45 +971,34 @@ impl CompiledProblem {
             })?;
             region_bc[rid] = Some(bc.clone());
         }
-        let mut boundary = Vec::new();
-        let mut bface_slot = vec![usize::MAX; mesh.n_faces()];
-        #[allow(clippy::needless_range_loop)] // fid is both key and slot value
-        for fid in 0..mesh.n_faces() {
+        // The boundary faces in mesh order (the primal's, for a JVP twin).
+        let boundary_faces: Vec<usize> = match primal {
+            Some(primal) => primal.boundary.iter().map(|b| b.face).collect(),
+            None => mesh.boundary_faces().collect(),
+        };
+        let mut boundary = Vec::with_capacity(boundary_faces.len());
+        for fid in boundary_faces {
             let f = &mesh.faces[fid];
-            if !f.is_boundary() {
-                continue;
-            }
             let bc = f.region.and_then(|r| region_bc[r].clone()).ok_or_else(|| {
                 DslError::Invalid(format!(
                     "boundary face {fid} (centroid {:?}) has no boundary condition",
                     f.centroid
                 ))
             })?;
-            bface_slot[fid] = boundary.len();
             boundary.push(BoundaryFace { face: fid, bc });
         }
-
-        // Initial conditions.
-        let mut fields = Fields::new(&problem.registry, mesh.n_cells());
-        for (var, init) in &problem.initials {
-            let v = *var;
-            let var_slots = &problem.registry.variables[v].indices;
-            let var_strides = problem.registry.strides(var_slots);
-            // Flat-major like the storage: the index tuple is decoded once
-            // per flat and each flat's row is filled over the centroids.
-            let mut idx = vec![0usize; var_slots.len()];
-            let rows = fields.slice_mut(v).chunks_mut(mesh.n_cells().max(1));
-            for (flat, row) in rows.enumerate() {
-                let mut rem = flat;
-                for (k, &s) in var_strides.iter().enumerate() {
-                    idx[k] = rem / s;
-                    rem %= s;
+        let bface_slot: Arc<[usize]> = match primal {
+            Some(primal) => primal.bface_slot.clone(),
+            None => {
+                let mut slots = vec![usize::MAX; mesh.n_faces()];
+                for (slot, b) in boundary.iter().enumerate() {
+                    slots[b.face] = slot;
                 }
-                for (value, &centroid) in row.iter_mut().zip(&mesh.cell_centroids) {
-                    *value = init(centroid, &idx);
-                }
+                slots.into()
             }
-        }
+        };
+
+        let (fields, initials) = initial_state(&problem)?;
 
         let mut cp = CompiledProblem {
             problem,
@@ -919,31 +1010,31 @@ impl CompiledProblem {
             idx_of_flat,
             boundary,
             bface_slot,
+            initials,
             walls: Walls::default(),
             flux_lin: None,
-            hot: HotGeometry {
-                offsets: Vec::new(),
-                nbr: Vec::new(),
-                area: Vec::new(),
-                class: Vec::new(),
-                normals: Vec::new(),
-                dim: 0,
-                inv_volume: Vec::new(),
-                runs: Vec::new(),
-            },
+            hot: Arc::default(),
             catalog: CallbackCatalog::default(),
             jvp: None,
             native: OnceLock::new(),
         };
         cp.walls = Walls::lower(cp.mesh(), &cp.boundary, &cp.idx_of_flat, &fields);
         cp.catalog = CallbackCatalog::build(&cp.problem, &cp.boundary, &cp.walls);
-        cp.flux_lin = linearize_flux(&cp);
-        cp.hot = HotGeometry::build(
-            cp.mesh(),
-            &cp.bface_slot,
-            cp.flux_lin.as_ref(),
-            cp.compiled_flux(),
-        );
+        cp.flux_lin = linearize_flux(&cp, primal.and_then(|p| p.flux_lin.as_ref()));
+        // The hot geometry is a function of the mesh, the boundary slots,
+        // the face classes and which flux path reads it.
+        let same_flux_path = |p: &&CompiledProblem| {
+            p.flux_lin.is_some() == cp.flux_lin.is_some() && p.compiled_flux() == cp.compiled_flux()
+        };
+        cp.hot = match primal.filter(same_flux_path) {
+            Some(primal) => primal.hot.clone(),
+            None => Arc::new(HotGeometry::build(
+                cp.mesh(),
+                &cp.bface_slot,
+                cp.flux_lin.as_ref(),
+                cp.compiled_flux(),
+            )),
+        };
         Ok((cp, fields))
     }
 

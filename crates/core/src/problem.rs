@@ -376,6 +376,18 @@ impl fmt::Debug for StepCallback {
 /// Initial-condition function: value at `(cell centroid, idx)`.
 pub type InitFn = Arc<dyn Fn(Point, &[usize]) -> f64 + Send + Sync>;
 
+/// How a variable gets its value before step 0.
+#[derive(Clone)]
+pub enum Initial {
+    /// A host closure, called once per (index tuple, cell)
+    /// ([`Problem::initial`]).
+    Fn(InitFn),
+    /// The source of an expression over variables that already have an
+    /// initial value, evaluated one flat row at a time
+    /// ([`Problem::initial_expr`]).
+    Expr(String),
+}
+
 /// Context handed to a custom-operator expander.
 pub struct OperatorContext {
     /// Spatial dimension of the problem.
@@ -515,8 +527,9 @@ pub struct Problem {
     pub equation: Option<(usize, String)>,
     /// (variable, region name, condition).
     pub boundary_conditions: Vec<(usize, String, BoundaryCondition)>,
-    /// (variable, init function).
-    pub initials: Vec<(usize, InitFn)>,
+    /// (variable, how it is initialised), in declaration order. The
+    /// closures fill first, then the expressions in this order.
+    pub initials: Vec<(usize, Initial)>,
     pub pre_steps: Vec<StepCallback>,
     pub post_steps: Vec<StepCallback>,
     pub assembly_loops: Vec<LoopDim>,
@@ -828,7 +841,20 @@ impl Problem {
         var: usize,
         f: impl Fn(Point, &[usize]) -> f64 + Send + Sync + 'static,
     ) -> &mut Self {
-        self.initials.push((var, Arc::new(f)));
+        self.initials.push((var, Initial::Fn(Arc::new(f))));
+        self
+    }
+
+    /// `initial(I, "Io[b]")` — the paper DSL's own form: an expression over
+    /// the indices of `var`, coefficients, and variables that already have
+    /// an initial value (every closure initial, and the expression
+    /// initials declared before this one). It compiles like the
+    /// conservation form's volume term — `var`'s indices are the loop
+    /// slots, `t` is 0 — and fills `var` one flat row at a time. The plan
+    /// verifier refuses (`initial/uninitialised-read`) an expression that
+    /// reads `var` itself or a variable nothing has initialised yet.
+    pub fn initial_expr(&mut self, var: usize, rhs: &str) -> &mut Self {
+        self.initials.push((var, Initial::Expr(rhs.to_string())));
         self
     }
 

@@ -139,17 +139,17 @@ fn overlapping_write_split_reports_the_race() {
     // disjointness prover exists to rule out in the cell-span split.
     let regions = vec![
         WriteRegion {
-            label: "thread 0".into(),
-            flats: vec![0, 1],
-            cells: (0..6).collect(),
+            label: "thread 0",
+            flats: &[0, 1],
+            cells: 0..6,
         },
         WriteRegion {
-            label: "thread 1".into(),
-            flats: vec![0, 1],
-            cells: (5..10).collect(),
+            label: "thread 1",
+            flats: &[0, 1],
+            cells: 5..10,
         },
     ];
-    let diags = analysis::check_disjoint_writes("I", 2, 10, &regions);
+    let diags = analysis::check_disjoint_writes("I", 2, 10, regions);
     let races: Vec<_> = diags
         .iter()
         .filter(|d| d.rule == rules::OVERLAPPING_WRITE)
@@ -166,17 +166,17 @@ fn overlapping_write_split_reports_the_race() {
     // Disjoint regions covering everything: no diagnostics at all.
     let clean = vec![
         WriteRegion {
-            label: "thread 0".into(),
-            flats: vec![0, 1],
-            cells: (0..5).collect(),
+            label: "thread 0",
+            flats: &[0, 1],
+            cells: 0..5,
         },
         WriteRegion {
-            label: "thread 1".into(),
-            flats: vec![0, 1],
-            cells: (5..10).collect(),
+            label: "thread 1",
+            flats: &[0, 1],
+            cells: 5..10,
         },
     ];
-    assert!(analysis::check_disjoint_writes("I", 2, 10, &clean).is_empty());
+    assert!(analysis::check_disjoint_writes("I", 2, 10, clean).is_empty());
 }
 
 /// The race pass proves the value the driver runs: tamper with the tile
@@ -224,6 +224,64 @@ fn tampered_tile_list_fires_through_the_synthesized_partition() {
         dropped[0].tiles.remove(parts);
         assert_eq!(rules_of(&dropped), [rules::INCOMPLETE_COVER], "{target:?}");
     }
+}
+
+/// An expression initial fills after every closure initial, in declaration
+/// order, and may read only what is filled by then. Reading a variable
+/// with a closure initial (wherever it was declared) or an earlier
+/// expression initial is clean; reading the variable being initialised, a
+/// later expression initial's variable, or one with no initial at all is
+/// refused by the access pass, naming the variable and what it read.
+#[test]
+fn expression_initial_reading_uninitialised_data_is_refused() {
+    let build = |initials: &[(&str, &str)], drop_closure_of: Option<&str>| {
+        let mut p = declared_problem(4, 1);
+        if let Some(name) = drop_closure_of {
+            let var = p.registry.variable_id(name).unwrap();
+            p.initials.retain(|(v, _)| *v != var);
+        }
+        for (name, rhs) in initials {
+            let var = p.registry.variable_id(name).unwrap();
+            p.initial_expr(var, rhs);
+        }
+        let solver = p.build(ExecTarget::CpuSeq).unwrap();
+        let findings: Vec<(String, String)> = (solver.compiled.verify_plan(&solver.target).iter())
+            .map(|d| {
+                assert_eq!(
+                    (d.rule, d.severity),
+                    (rules::UNINITIALISED_READ, Severity::Error)
+                );
+                (d.entity.clone(), d.message.clone())
+            })
+            .collect();
+        (findings, solver)
+    };
+
+    // Clean: `I` from `Io` (a closure initial), `beta` from the `I` just
+    // filled; the rows are the values read.
+    let (findings, solver) = build(&[("I", "Io[b] + d"), ("beta", "0.5 * I[1,b]")], None);
+    assert!(findings.is_empty(), "{findings:?}");
+    let (i_var, beta) = (0, 2);
+    for flat in 0..NDIRS * NBANDS {
+        let d = (flat / NBANDS + 1) as f64;
+        assert_eq!(solver.fields().value(i_var, 3, flat), 1.0 + d);
+    }
+    assert_eq!(solver.fields().value(beta, 3, 1), 0.5 * 2.0);
+
+    let (findings, _) = build(&[("I", "0.5 * I[d,b]")], None);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].0, "I");
+    assert!(findings[0].1.contains("the variable it initialises"));
+
+    // `T` keeps no initial at all; and `Io` is only filled by the
+    // expression declared after the one that reads it.
+    let (findings, _) = build(&[("I", "Io[b] * T")], Some("T"));
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(findings[0].1.contains("reads `T`"), "{findings:?}");
+    let (findings, _) = build(&[("I", "Io[b]"), ("Io", "2.0")], Some("Io"));
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].0, "I");
+    assert!(findings[0].1.contains("reads `Io`"), "{findings:?}");
 }
 
 #[test]
@@ -368,17 +426,17 @@ fn tampered_certificate_is_unjustified() {
 fn diagnostics_render_as_json() {
     let regions = vec![
         WriteRegion {
-            label: "a".into(),
-            flats: vec![0],
-            cells: vec![0, 1],
+            label: "a",
+            flats: &[0],
+            cells: 0..2,
         },
         WriteRegion {
-            label: "b".into(),
-            flats: vec![0],
-            cells: vec![1],
+            label: "b",
+            flats: &[0],
+            cells: 1..2,
         },
     ];
-    let diags = analysis::check_disjoint_writes("I", 1, 2, &regions);
+    let diags = analysis::check_disjoint_writes("I", 1, 2, regions);
     let json = analysis::render_json(&diags);
     assert!(json.starts_with('['), "array output: {json}");
     assert!(json.contains("\"rule\""), "rule field present: {json}");

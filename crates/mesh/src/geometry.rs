@@ -128,11 +128,7 @@ pub fn polygon_centroid(vertices: &[Point]) -> Point {
     let area = polygon_signed_area(vertices);
     if area.abs() < 1e-300 {
         // Degenerate: fall back to the vertex mean.
-        let mut c = Point::zero();
-        for v in vertices {
-            c = c + *v;
-        }
-        return c / vertices.len() as f64;
+        return mean(vertices);
     }
     let n = vertices.len();
     let mut cx = 0.0;
@@ -165,17 +161,32 @@ pub fn face_area_normal(vertices: &[Point]) -> (f64, Point) {
     (area, normal)
 }
 
+/// Mean of `points`, summed in order.
+pub fn mean(points: &[Point]) -> Point {
+    points.iter().fold(Point::zero(), |c, &p| c + p) / points.len() as f64
+}
+
+/// Area, unit normal and vertex-mean centroid of a face from the points of
+/// its vertex loop. Two points are an edge `a → b` of a counter-clockwise
+/// polygon: its length, its tangent rotated clockwise by 90 degrees (the
+/// outward normal) and its midpoint. More are a face of a 3-D cell
+/// ([`face_area_normal`]).
+pub fn face_measures(vertices: &[Point]) -> (f64, Point, Point) {
+    if let &[a, b] = vertices {
+        let t = b - a;
+        let len = t.norm();
+        return (len, Point::xy(t.y / len, -t.x / len), (a + b) * 0.5);
+    }
+    let (area, normal) = face_area_normal(vertices);
+    (area, normal, mean(vertices))
+}
+
 /// Volume of a polyhedron from its faces (each a vertex loop, outward
 /// oriented), via the divergence theorem: `V = (1/3) Σ_f c_f · A_f n_f`.
 pub fn polyhedron_volume(faces: &[Vec<Point>]) -> f64 {
     let mut acc = 0.0;
     for face in faces {
-        let (area, normal) = face_area_normal(face);
-        let mut centroid = Point::zero();
-        for v in face {
-            centroid = centroid + *v;
-        }
-        centroid = centroid / face.len() as f64;
+        let (area, normal, centroid) = face_measures(face);
         acc += centroid.dot(normal) * area;
     }
     acc / 3.0

@@ -7,6 +7,7 @@
 //! physical group become named boundary regions.
 
 use crate::geometry::Point;
+use crate::import::mesh_from_elements;
 use crate::mesh::Mesh;
 use std::collections::HashMap;
 use std::fmt;
@@ -136,15 +137,13 @@ pub fn parse_msh(text: &str) -> Result<Mesh, GmshError> {
         id_map.insert(*id, vertices.len());
         vertices.push(*p);
     }
-    let remap = |ids: &[usize]| -> Result<Vec<usize>, GmshError> {
-        ids.iter()
-            .map(|i| {
-                id_map
-                    .get(i)
-                    .copied()
-                    .ok_or_else(|| GmshError::Format(format!("element references node {i}")))
-            })
-            .collect()
+    let remap = |mut ids: Vec<usize>| -> Result<Vec<usize>, GmshError> {
+        for id in &mut ids {
+            *id = *id_map
+                .get(id)
+                .ok_or_else(|| GmshError::Format(format!("element references node {id}")))?;
+        }
+        Ok(ids)
     };
 
     // Decide mesh dimension from the highest-dimensional element present.
@@ -153,7 +152,7 @@ pub fn parse_msh(text: &str) -> Result<Mesh, GmshError> {
 
     let mut cells: Vec<Vec<usize>> = Vec::new();
     let mut boundary_elems: Vec<(i64, Vec<usize>)> = Vec::new();
-    for (etype, tags, node_ids) in &elements {
+    for (etype, tags, node_ids) in elements {
         let phys = tags.first().copied().unwrap_or(0);
         match (dim, etype) {
             (2, 2) | (2, 3) => cells.push(remap(node_ids)?), // tri/quad
@@ -167,54 +166,21 @@ pub fn parse_msh(text: &str) -> Result<Mesh, GmshError> {
         return Err(GmshError::Format("no volume elements".into()));
     }
 
-    // In 2-D Gmsh does not guarantee CCW ordering; fix orientation here.
-    if dim == 2 {
-        for c in &mut cells {
-            let pts: Vec<Point> = c.iter().map(|&v| vertices[v]).collect();
-            if crate::geometry::polygon_signed_area(&pts) < 0.0 {
-                c.reverse();
-            }
-        }
-    }
-
-    let mut mesh = Mesh::try_from_cells(dim, vertices, &cells).map_err(|e| {
-        GmshError::Format(format!(
-            "{e}; cells are the volume elements in file order, from 0"
-        ))
-    })?;
-
-    // Attach boundary regions by matching element vertex sets to faces.
-    let mut face_by_key: HashMap<Vec<usize>, usize> = HashMap::new();
-    for (fid, f) in mesh.faces.iter().enumerate() {
-        if f.is_boundary() {
-            let mut key = f.vertices.clone();
-            key.sort_unstable();
-            face_by_key.insert(key, fid);
-        }
-    }
-    let mut region_of_tag: HashMap<i64, usize> = HashMap::new();
-    for (tag, verts) in &boundary_elems {
-        let mut key = verts.clone();
-        key.sort_unstable();
-        let Some(&fid) = face_by_key.get(&key) else {
-            continue; // element does not match any boundary face
-        };
-        let region = *region_of_tag.entry(*tag).or_insert_with(|| {
-            let name = physical_names
-                .get(tag)
-                .cloned()
-                .unwrap_or_else(|| format!("region_{tag}"));
-            mesh.boundary_regions.push(crate::mesh::BoundaryRegion {
-                name,
-                faces: Vec::new(),
-            });
-            mesh.boundary_regions.len() - 1
-        });
-        mesh.faces[fid].region = Some(region);
-        mesh.boundary_regions[region].faces.push(fid);
-    }
-
-    Ok(mesh)
+    // Orient, build, and attach boundary regions by matching element
+    // vertex sets to faces.
+    mesh_from_elements(
+        dim,
+        vertices,
+        cells,
+        boundary_elems
+            .iter()
+            .map(|(tag, ids)| (*tag, ids.as_slice())),
+        |tag| match physical_names.get(&tag) {
+            Some(name) => name.clone(),
+            None => format!("region_{tag}"),
+        },
+    )
+    .map_err(GmshError::Format)
 }
 
 fn skip_until<'a>(lines: &mut impl Iterator<Item = &'a str>, end: &str) -> Result<(), GmshError> {
@@ -255,13 +221,13 @@ pub fn write_msh(mesh: &Mesh) -> String {
     for (ri, r) in mesh.boundary_regions.iter().enumerate() {
         for &fid in &r.faces {
             let f = &mesh.faces[fid];
-            let etype = match (mesh.dim, f.vertices.len()) {
+            let etype = match (mesh.dim, f.vertices().len()) {
                 (2, 2) => 1, // line
                 (3, 3) => 2, // triangle
                 (3, 4) => 3, // quad
                 _ => continue,
             };
-            let ids: Vec<String> = f.vertices.iter().map(|v| (v + 1).to_string()).collect();
+            let ids: Vec<String> = f.vertices().map(|v| (v + 1).to_string()).collect();
             let _ = writeln!(
                 out,
                 "{eid} {etype} 2 {} {} {}",

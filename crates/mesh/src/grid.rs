@@ -100,12 +100,7 @@ impl UniformGrid {
         for j in 0..ny {
             for i in 0..nx {
                 // Counter-clockwise quad.
-                cells.push(vec![
-                    vid(i, j),
-                    vid(i + 1, j),
-                    vid(i + 1, j + 1),
-                    vid(i, j + 1),
-                ]);
+                cells.push([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]);
             }
         }
         Mesh::from_cells(2, vertices, &cells)
@@ -129,7 +124,7 @@ impl UniformGrid {
         for k in 0..nz {
             for j in 0..ny {
                 for i in 0..nx {
-                    cells.push(vec![
+                    cells.push([
                         vid(i, j, k),
                         vid(i + 1, j, k),
                         vid(i + 1, j + 1, k),

@@ -20,6 +20,7 @@
 pub mod geometry;
 pub mod gmsh;
 pub mod grid;
+mod import;
 pub mod medit;
 pub mod mesh;
 pub mod partition;

@@ -24,7 +24,8 @@
 //! `ref_<n>`.
 
 use crate::geometry::Point;
-use crate::mesh::{BoundaryRegion, Mesh};
+use crate::import::mesh_from_elements;
+use crate::mesh::Mesh;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -164,64 +165,23 @@ pub fn parse_mesh(text: &str) -> Result<Mesh, MeditError> {
     };
     let mut cells: Vec<Vec<usize>> = Vec::new();
     for key in cell_keys {
-        if let Some(list) = elements.get(key) {
-            for (ids, _) in list {
-                cells.push(ids.clone());
-            }
+        for (ids, _) in elements.remove(key).unwrap_or_default() {
+            cells.push(ids);
         }
     }
     if cells.is_empty() {
         return Err(err("no volume elements"));
     }
-    // Fix 2-D orientation (MEDIT does not guarantee CCW).
-    if dim == 2 {
-        for c in &mut cells {
-            let pts: Vec<Point> = c.iter().map(|&v| vertices[v]).collect();
-            if crate::geometry::polygon_signed_area(&pts) < 0.0 {
-                c.reverse();
-            }
-        }
-    }
 
-    let mut mesh = Mesh::try_from_cells(dim, vertices, &cells).map_err(|e| {
-        err(format!(
-            "{e}; cells are the volume elements in file order, from 0"
-        ))
-    })?;
-
-    // Boundary regions from referenced lower-dimensional elements.
-    let mut face_by_key: HashMap<Vec<usize>, usize> = HashMap::new();
-    for (fid, f) in mesh.faces.iter().enumerate() {
-        if f.is_boundary() {
-            let mut key = f.vertices.clone();
-            key.sort_unstable();
-            face_by_key.insert(key, fid);
-        }
-    }
-    let mut region_of_ref: HashMap<i64, usize> = HashMap::new();
-    for boundary_key in boundary_keys {
-        let Some(list) = elements.get(boundary_key) else {
-            continue;
-        };
-        for (ids, reference) in list {
-            let mut key = ids.clone();
-            key.sort_unstable();
-            let Some(&fid) = face_by_key.get(&key) else {
-                continue;
-            };
-            let region = *region_of_ref.entry(*reference).or_insert_with(|| {
-                mesh.boundary_regions.push(BoundaryRegion {
-                    name: format!("ref_{reference}"),
-                    faces: Vec::new(),
-                });
-                mesh.boundary_regions.len() - 1
-            });
-            mesh.faces[fid].region = Some(region);
-            mesh.boundary_regions[region].faces.push(fid);
-        }
-    }
-
-    Ok(mesh)
+    // Orient (MEDIT does not guarantee CCW), build, and make boundary
+    // regions from the referenced lower-dimensional elements.
+    let boundary = (boundary_keys.iter())
+        .flat_map(|key| elements.get(key).into_iter().flatten())
+        .map(|(ids, reference)| (*reference, ids.as_slice()));
+    mesh_from_elements(dim, vertices, cells, boundary, |reference| {
+        format!("ref_{reference}")
+    })
+    .map_err(MeditError)
 }
 
 /// Serialize a mesh to ASCII MEDIT. Regions are written as referenced
@@ -280,7 +240,7 @@ pub fn write_mesh(mesh: &Mesh) -> String {
     let mut by_keyword: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
     for (ri, r) in mesh.boundary_regions.iter().enumerate() {
         for &fid in &r.faces {
-            let keyword = match (mesh.dim, mesh.faces[fid].vertices.len()) {
+            let keyword = match (mesh.dim, mesh.faces[fid].vertices().len()) {
                 (2, 2) => "Edges",
                 (3, 3) => "Triangles",
                 (3, 4) => "Quadrilaterals",
@@ -293,8 +253,7 @@ pub fn write_mesh(mesh: &Mesh) -> String {
         let _ = writeln!(out, "{keyword}\n{}", faces.len());
         for &(fid, ri) in faces {
             let ids: Vec<String> = mesh.faces[fid]
-                .vertices
-                .iter()
+                .vertices()
                 .map(|v| (v + 1).to_string())
                 .collect();
             let _ = writeln!(out, "{} {}", ids.join(" "), ri + 1);

@@ -7,16 +7,13 @@
 //! and centroids. Boundary faces carry an optional named region id, matching
 //! Finch's `boundary(var, region, ...)` interface.
 
-use crate::geometry::{
-    face_area_normal, polygon_centroid, polygon_signed_area, polyhedron_volume, Point,
-};
-use std::collections::HashMap;
+use crate::geometry::{face_measures, mean, polygon_centroid, polygon_signed_area, Point};
 
 /// A mesh face: an edge in 2-D, a polygon in 3-D.
 #[derive(Debug, Clone)]
 pub struct Face {
-    /// Vertex ids in order around the face.
-    pub vertices: Vec<usize>,
+    /// Vertex ids in order around the face, padded with [`NONE`].
+    vertices: [u32; 4],
     /// The cell on the normal's negative-to-positive side (always present).
     pub owner: usize,
     /// The cell across the face, absent on the boundary.
@@ -32,6 +29,13 @@ pub struct Face {
 }
 
 impl Face {
+    /// Vertex ids in order around the face: two in 2-D, three or four in
+    /// 3-D.
+    pub fn vertices(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        let n = self.vertices.iter().position(|&v| v == NONE);
+        self.vertices[..n.unwrap_or(4)].iter().map(|&v| v as usize)
+    }
+
     /// Is this a boundary face?
     pub fn is_boundary(&self) -> bool {
         self.neighbor.is_none()
@@ -90,6 +94,9 @@ pub struct Mesh {
 /// `cell` indexes the list the mesh was built from.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MeshError {
+    /// A 3-D `cell` of `nodes` vertices: neither a tetrahedron (4) nor a
+    /// hexahedron (8).
+    UnsupportedCell { cell: usize, nodes: usize },
     /// A face of `cell` already separates two other cells (a duplicated
     /// or overlapping element).
     SharedFace { cell: usize },
@@ -102,6 +109,11 @@ pub enum MeshError {
 impl std::fmt::Display for MeshError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            MeshError::UnsupportedCell { cell, nodes } => write!(
+                f,
+                "cell {cell}: a 3-D cell of {nodes} vertices is neither a tetrahedron (4) \
+                 nor a hexahedron (8)"
+            ),
             MeshError::SharedFace { cell } => {
                 write!(f, "cell {cell}: a face is shared by more than two cells")
             }
@@ -116,12 +128,30 @@ impl std::fmt::Display for MeshError {
 
 impl std::error::Error for MeshError {}
 
+/// Local vertex numbers of a hexahedron's faces, outward oriented for the
+/// ordering documented on [`Mesh::try_from_cells`]: bottom, top, front,
+/// right, back, left.
+const HEX_FACES: [[usize; 4]; 6] = [
+    [0, 3, 2, 1],
+    [4, 5, 6, 7],
+    [0, 1, 5, 4],
+    [1, 2, 6, 5],
+    [2, 3, 7, 6],
+    [3, 0, 4, 7],
+];
+
+/// The same for a tetrahedron.
+const TET_FACES: [[usize; 3]; 4] = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [2, 0, 3]];
+
+/// Pads a vertex loop of fewer than four ids; sorts after every id.
+const NONE: u32 = u32::MAX;
+
 impl Mesh {
     /// [`Mesh::try_from_cells`] for cell lists built by the program itself.
     ///
     /// # Panics
     /// If the cells do not form a mesh.
-    pub fn from_cells(dim: usize, vertices: Vec<Point>, cells: &[Vec<usize>]) -> Mesh {
+    pub fn from_cells<C: AsRef<[usize]>>(dim: usize, vertices: Vec<Point>, cells: &[C]) -> Mesh {
         Mesh::try_from_cells(dim, vertices, cells)
             .unwrap_or_else(|e| panic!("cells do not form a mesh: {e}"))
     }
@@ -134,133 +164,140 @@ impl Mesh {
     /// `4,5,6,7` above them) or tetrahedra (`0,1,2` counter-clockwise seen
     /// from outside opposite vertex `3`). A cell list that breaks these
     /// rules — as one read from a file may — is an error naming the cell.
-    pub fn try_from_cells(
+    ///
+    /// Faces number in first-encounter order over the cells' local faces,
+    /// and a cell lists its faces in local order.
+    pub fn try_from_cells<C: AsRef<[usize]>>(
         dim: usize,
         vertices: Vec<Point>,
-        cells: &[Vec<usize>],
+        cells: &[C],
     ) -> Result<Mesh, MeshError> {
         assert!(dim == 2 || dim == 3, "only 2-D and 3-D meshes supported");
-        let mut cell_vertex_offsets = Vec::with_capacity(cells.len() + 1);
+        let id = |v: usize| u32::try_from(v).expect("a vertex id indexes `vertices`");
+        // One record per (cell, local face), in that order: the face's
+        // vertex loop.
+        let mut cell_vertex_offsets = vec![0];
         let mut cell_vertex_ids = Vec::new();
-        cell_vertex_offsets.push(0);
-        for c in cells {
-            cell_vertex_ids.extend_from_slice(c);
+        let mut cell_face_offsets = vec![0];
+        let mut loops: Vec<[u32; 4]> = Vec::new();
+        for (ci, cell) in cells.iter().enumerate() {
+            let cell = cell.as_ref();
+            cell_vertex_ids.extend_from_slice(cell);
             cell_vertex_offsets.push(cell_vertex_ids.len());
-        }
-
-        // Collect (cell, oriented face-vertex loop) pairs.
-        let mut raw_faces: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (ci, cell) in cells.iter().enumerate() {
-            if dim == 2 {
-                let n = cell.len();
-                for i in 0..n {
-                    raw_faces.push((ci, vec![cell[i], cell[(i + 1) % n]]));
+            match (dim, cell.len()) {
+                (2, n) => {
+                    loops.extend((0..n).map(|i| [id(cell[i]), id(cell[(i + 1) % n]), NONE, NONE]))
                 }
-            } else {
-                for loop_ in hex_or_tet_faces(cell) {
-                    raw_faces.push((ci, loop_));
-                }
+                (_, 8) => loops.extend(HEX_FACES.map(|f| f.map(|l| id(cell[l])))),
+                (_, 4) => loops.extend(
+                    TET_FACES.map(|[a, b, c]| [id(cell[a]), id(cell[b]), id(cell[c]), NONE]),
+                ),
+                (_, nodes) => return Err(MeshError::UnsupportedCell { cell: ci, nodes }),
             }
+            cell_face_offsets.push(loops.len());
         }
+        let n_records = u32::try_from(loops.len()).expect("fewer than 2^32 cell faces");
 
-        // Unique faces keyed by the sorted vertex set.
-        let mut by_key: HashMap<Vec<usize>, usize> = HashMap::with_capacity(raw_faces.len());
-        let mut faces: Vec<Face> = Vec::with_capacity(raw_faces.len());
-        let mut cell_faces: Vec<Vec<usize>> = vec![Vec::new(); cells.len()];
-        for (ci, loop_) in raw_faces {
-            let mut key = loop_.clone();
+        // Match the sides of every face without hashing: a counting sort
+        // buckets the records by smallest vertex, each (short) bucket is
+        // sorted by (other vertices, record), and the sides of one face end
+        // up adjacent, first encounter first. `earlier[r]` is then the
+        // record that first met the face of record `r`.
+        let mut ends = vec![0u32; vertices.len()];
+        for ids in &loops {
+            ends[ids[0].min(ids[1]).min(ids[2]).min(ids[3]) as usize] += 1;
+        }
+        let mut total = 0;
+        for end in &mut ends {
+            total += std::mem::replace(end, total);
+        }
+        let mut slots = vec![0u128; loops.len()];
+        for (ids, record) in loops.iter().zip(0..n_records) {
+            let mut key = *ids;
             key.sort_unstable();
-            match by_key.get(&key) {
-                Some(&fid) => {
-                    if faces[fid].neighbor.is_some() {
-                        return Err(MeshError::SharedFace { cell: ci });
-                    }
-                    faces[fid].neighbor = Some(ci);
-                    cell_faces[ci].push(fid);
-                }
-                None => {
-                    let pts: Vec<Point> = loop_.iter().map(|&v| vertices[v]).collect();
-                    let (area, normal, centroid) = if dim == 2 {
-                        let a = pts[0];
-                        let b = pts[1];
-                        let t = b - a;
-                        let len = t.norm();
-                        // Outward normal of a CCW polygon edge: rotate the
-                        // tangent clockwise by 90 degrees.
-                        let n = Point::xy(t.y / len, -t.x / len);
-                        (len, n, (a + b) * 0.5)
-                    } else {
-                        let (a, n) = face_area_normal(&pts);
-                        let mut c = Point::zero();
-                        for p in &pts {
-                            c = c + *p;
-                        }
-                        (a, n, c / pts.len() as f64)
-                    };
-                    let fid = faces.len();
-                    faces.push(Face {
-                        vertices: loop_,
-                        owner: ci,
-                        neighbor: None,
-                        area,
-                        normal,
-                        centroid,
-                        region: None,
-                    });
-                    by_key.insert(key, fid);
-                    cell_faces[ci].push(fid);
+            let at = &mut ends[key[0] as usize];
+            slots[*at as usize] = (key[1] as u128) << 96
+                | (key[2] as u128) << 64
+                | (key[3] as u128) << 32
+                | record as u128;
+            *at += 1; // leaves `ends[v]` one past bucket `v`
+        }
+        let mut earlier = vec![NONE; loops.len()];
+        let mut start = 0;
+        for &end in &ends {
+            let bucket = &mut slots[start..end as usize];
+            start = end as usize;
+            bucket.sort_unstable();
+            for sides in bucket.chunk_by(|a, b| a >> 32 == b >> 32) {
+                for later in &sides[1..] {
+                    earlier[*later as u32 as usize] = sides[0] as u32;
                 }
             }
         }
 
-        // Cell measures.
-        let mut cell_volumes = Vec::with_capacity(cells.len());
-        let mut cell_centroids = Vec::with_capacity(cells.len());
-        // `!(m > 0.0)`, not `m <= 0.0`: a NaN measure is an error too.
-        let positive = |cell: usize, measure: f64| match measure > 0.0 {
-            true => Ok(measure),
-            false => Err(MeshError::BadMeasure { cell, measure }),
-        };
-        for (ci, cell) in cells.iter().enumerate() {
-            let pts: Vec<Point> = cell.iter().map(|&v| vertices[v]).collect();
-            if dim == 2 {
-                cell_volumes.push(positive(ci, polygon_signed_area(&pts))?);
-                cell_centroids.push(polygon_centroid(&pts));
-            } else {
-                let face_loops: Vec<Vec<Point>> = hex_or_tet_faces(cell)
-                    .into_iter()
-                    .map(|l| l.iter().map(|&v| vertices[v]).collect())
-                    .collect();
-                cell_volumes.push(positive(ci, polyhedron_volume(&face_loops))?);
-                let mut c = Point::zero();
-                for p in &pts {
-                    c = c + *p;
-                }
-                cell_centroids.push(c / pts.len() as f64);
-            }
-        }
-
-        // Flatten cell→face lists into CSR.
-        let mut cell_face_offsets = Vec::with_capacity(cells.len() + 1);
-        let mut cell_face_ids = Vec::new();
-        cell_face_offsets.push(0);
-        for fs in &cell_faces {
-            cell_face_ids.extend_from_slice(fs);
-            cell_face_offsets.push(cell_face_ids.len());
-        }
-
-        Ok(Mesh {
+        // Faces and cell measures, one cell at a time with its points on
+        // the stack. A 3-D volume is `polyhedron_volume`'s sum over the
+        // cell's own outward loops, `(1/3) Σ_f c_f · A_f n_f`, so the
+        // loop of a face the cell owns serves both the face and the sum.
+        let mut mesh = Mesh {
             dim,
             vertices,
             cell_vertex_offsets,
             cell_vertex_ids,
-            faces,
+            faces: Vec::with_capacity(earlier.iter().filter(|&&r| r == NONE).count()),
             cell_face_offsets,
-            cell_face_ids,
-            cell_volumes,
-            cell_centroids,
+            cell_face_ids: Vec::with_capacity(loops.len()),
+            cell_volumes: Vec::with_capacity(cells.len()),
+            cell_centroids: Vec::with_capacity(cells.len()),
             boundary_regions: Vec::new(),
-        })
+        };
+        let mut corners: Vec<Point> = Vec::new();
+        for (ci, cell) in cells.iter().enumerate() {
+            let mut flux = 0.0;
+            for record in mesh.cell_face_offsets[ci]..mesh.cell_face_offsets[ci + 1] {
+                let ids = loops[record];
+                let n = ids.iter().position(|&v| v == NONE).unwrap_or(ids.len());
+                let pts = ids.map(|v| match v {
+                    NONE => Point::zero(),
+                    v => mesh.vertices[v as usize],
+                });
+                let (area, normal, centroid) = face_measures(&pts[..n]);
+                flux += centroid.dot(normal) * area;
+                mesh.cell_face_ids.push(match earlier[record] {
+                    NONE => {
+                        mesh.faces.push(Face {
+                            vertices: ids,
+                            owner: ci,
+                            neighbor: None,
+                            area,
+                            normal,
+                            centroid,
+                            region: None,
+                        });
+                        mesh.faces.len() - 1
+                    }
+                    first => {
+                        let fid = mesh.cell_face_ids[first as usize];
+                        if mesh.faces[fid].neighbor.replace(ci).is_some() {
+                            return Err(MeshError::SharedFace { cell: ci });
+                        }
+                        fid
+                    }
+                });
+            }
+            corners.clear();
+            corners.extend(cell.as_ref().iter().map(|&v| mesh.vertices[v]));
+            let (measure, centroid) = match dim {
+                2 => (polygon_signed_area(&corners), polygon_centroid(&corners)),
+                _ => (flux / 3.0, mean(&corners)),
+            };
+            if measure.is_nan() || measure <= 0.0 {
+                return Err(MeshError::BadMeasure { cell: ci, measure });
+            }
+            mesh.cell_volumes.push(measure);
+            mesh.cell_centroids.push(centroid);
+        }
+        Ok(mesh)
     }
 
     /// Number of cells.
@@ -391,34 +428,6 @@ impl Mesh {
             }
         }
         problems
-    }
-}
-
-/// Face loops of a hexahedron (8 vertices) or tetrahedron (4), outward
-/// oriented for the standard orderings documented on [`Mesh::from_cells`].
-fn hex_or_tet_faces(cell: &[usize]) -> Vec<Vec<usize>> {
-    match cell.len() {
-        8 => {
-            let v = cell;
-            vec![
-                vec![v[0], v[3], v[2], v[1]], // bottom (outward -z for axis-aligned)
-                vec![v[4], v[5], v[6], v[7]], // top
-                vec![v[0], v[1], v[5], v[4]], // front
-                vec![v[1], v[2], v[6], v[5]], // right
-                vec![v[2], v[3], v[7], v[6]], // back
-                vec![v[3], v[0], v[4], v[7]], // left
-            ]
-        }
-        4 => {
-            let v = cell;
-            vec![
-                vec![v[0], v[2], v[1]],
-                vec![v[0], v[1], v[3]],
-                vec![v[1], v[2], v[3]],
-                vec![v[2], v[0], v[3]],
-            ]
-        }
-        n => panic!("unsupported 3-D cell with {n} vertices"),
     }
 }
 

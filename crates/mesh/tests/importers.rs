@@ -277,4 +277,155 @@ fn bad_cells_in_a_mesh_file_are_errors_naming_the_cell() {
     assert_ne!(inverted, medit_text);
     let e = medit::parse_mesh(&inverted).unwrap_err().to_string();
     assert!(names(&e, 0) && e.contains("not positive"), "{e}");
+
+    // A 3-D element that is neither a tetrahedron nor a hexahedron. Gmsh
+    // can reach the builder with one: the hex die with its second hex line
+    // cut to six nodes (a prism's worth, still typed as a hexahedron).
+    let hexes = gmsh::write_msh(&die3d_mesh());
+    let is_hex = |l: &&str| {
+        l.split_whitespace().nth(1) == Some("5") && l.split_whitespace().count() == 5 + 8
+    };
+    let line = hexes.lines().filter(is_hex).nth(1).unwrap();
+    let cut: Vec<&str> = line.split_whitespace().take(5 + 6).collect();
+    let prism = hexes.replace(line, &cut.join(" "));
+    let e = gmsh::parse_msh(&prism).unwrap_err().to_string();
+    assert!(names(&e, 1) && e.contains("6 vertices"), "{e}");
+    // MEDIT cannot: an element section reads exactly its arity, and a
+    // `Prisms` section is refused as unsupported before any cell exists —
+    // so the builder's error is pinned on the cell list itself.
+    let prisms = medit_text.replace("Hexahedra", "Prisms");
+    let e = medit::parse_mesh(&prisms).unwrap_err().to_string();
+    assert!(e.contains("unsupported section `Prisms`"), "{e}");
+    let die = die3d_mesh();
+    let mut cells: Vec<Vec<usize>> = (0..die.n_cells())
+        .map(|c| die.cell_vertices(c).to_vec())
+        .collect();
+    cells[5].truncate(6);
+    let err = Mesh::try_from_cells(3, die.vertices.clone(), &cells).unwrap_err();
+    assert_eq!(
+        err,
+        pbte_mesh::MeshError::UnsupportedCell { cell: 5, nodes: 6 }
+    );
+}
+
+/// FNV-1a over everything downstream hangs off: face order, vertex loops,
+/// owner/neighbor, the bits of every area, normal, centroid and volume,
+/// the cell→face lists and the region face lists.
+fn topology_digest(m: &Mesh) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut word = |w: u64| {
+        for b in w.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let point = |p: Point| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()];
+    for w in [m.dim, m.vertices.len(), m.n_cells(), m.n_faces()] {
+        word(w as u64);
+    }
+    for f in &m.faces {
+        word(f.vertices().len() as u64);
+        f.vertices().for_each(|v| word(v as u64));
+        word(f.owner as u64);
+        word(f.neighbor.map_or(u64::MAX, |c| c as u64));
+        word(f.area.to_bits());
+        point(f.normal).into_iter().for_each(&mut word);
+        point(f.centroid).into_iter().for_each(&mut word);
+        word(f.region.map_or(u64::MAX, |r| r as u64));
+    }
+    for c in 0..m.n_cells() {
+        word(m.cell_faces(c).len() as u64);
+        m.cell_faces(c).iter().for_each(|&f| word(f as u64));
+        word(m.cell_volumes[c].to_bits());
+        point(m.cell_centroids[c]).into_iter().for_each(&mut word);
+    }
+    for r in &m.boundary_regions {
+        r.name.bytes().for_each(|b| word(b as u64));
+        word(r.faces.len() as u64);
+        r.faces.iter().for_each(|&f| word(f as u64));
+    }
+    h
+}
+
+/// Every quad `(i + j)` odd of an `nx × ny` grid cut into two triangles:
+/// cells of two arities in one list.
+fn tri_quad_mesh() -> Mesh {
+    let (nx, ny) = (5, 4);
+    let base = UniformGrid::new_2d(nx, ny, 2.0, 1.0).build();
+    let mut cells: Vec<Vec<usize>> = Vec::new();
+    for c in 0..base.n_cells() {
+        let q = base.cell_vertices(c);
+        if (c % nx + c / nx) % 2 == 1 {
+            cells.push(vec![q[0], q[1], q[2]]);
+            cells.push(vec![q[0], q[2], q[3]]);
+        } else {
+            cells.push(q.to_vec());
+        }
+    }
+    Mesh::from_cells(2, base.vertices.clone(), &cells)
+}
+
+/// Every hex of a 3 × 2 × 2 grid cut into six tetrahedra around its main
+/// diagonal (triangular faces, matched across hexes).
+fn tet_mesh() -> Mesh {
+    let base = UniformGrid::new_3d(3, 2, 2, 1.5, 1.0, 0.8).build();
+    let mut cells: Vec<Vec<usize>> = Vec::new();
+    for c in 0..base.n_cells() {
+        let h = base.cell_vertices(c);
+        // The six paths 0 → 6 along cube edges, one tetrahedron each.
+        for path in [[1, 2], [1, 5], [3, 2], [3, 7], [4, 5], [4, 7]] {
+            let mut tet = vec![h[0], h[path[0]], h[path[1]], h[6]];
+            let p = |k: usize| base.vertices[tet[k]];
+            if (p(1) - p(0)).cross(p(2) - p(0)).dot(p(3) - p(0)) < 0.0 {
+                tet.swap(1, 2);
+            }
+            cells.push(tet);
+        }
+    }
+    Mesh::from_cells(3, base.vertices.clone(), &cells)
+}
+
+/// The topology every downstream table hangs off — face ids, cell-face
+/// order, region face order and the bits of every measure — is what the
+/// builder before the flat pass produced (digests pinned from it).
+#[test]
+fn topology_and_measures_are_the_pinned_bits() {
+    let cases: [(&str, Mesh, u64); 8] = [
+        (
+            "grid 2-D",
+            UniformGrid::new_2d(7, 5, 2.0, 1.5).build(),
+            0x1953ac602a55f606,
+        ),
+        (
+            "grid 3-D",
+            UniformGrid::new_3d(4, 3, 2, 2.0, 1.5, 1.0).build(),
+            0x9860e60d40478995,
+        ),
+        (
+            "hotspot_array.msh",
+            gmsh::parse_msh(&read_fixture("hotspot_array.msh")).unwrap(),
+            0x1722cea6f0614847,
+        ),
+        (
+            "jittered_array.msh",
+            gmsh::parse_msh(&read_fixture("jittered_array.msh")).unwrap(),
+            0x1f055234c3235306,
+        ),
+        (
+            "die3d.mesh",
+            medit::parse_mesh(&read_fixture("die3d.mesh")).unwrap(),
+            0xd78e32b0c7f2ea21,
+        ),
+        (
+            "jittered generator",
+            perturbed_mesh(12, 0),
+            0x1722cea6f0614847,
+        ),
+        ("triangles and quads", tri_quad_mesh(), 0x5a97f065452da0a8),
+        ("tetrahedra", tet_mesh(), 0x37e72fb10aa4a2f4),
+    ];
+    for (name, mesh, pinned) in &cases {
+        assert!(mesh.validate().is_empty(), "{name}: {:?}", mesh.validate());
+        let digest = topology_digest(mesh);
+        assert_eq!(digest, *pinned, "{name}: 0x{digest:016x}");
+    }
 }
