@@ -186,54 +186,92 @@ fn bench_reductions(c: &mut Criterion) {
     group.finish();
 }
 
-/// The fig-4 hot-spot problem on its grid, or on the same grid with each
-/// pair of neighboring cells `2i`, `2i + 1` swapped: no two consecutive
-/// cells share their neighbor offsets, so the plan has no stencil run,
-/// while memory locality stays what it was.
-fn fig4_plan(cfg: &BteConfig, pair_swapped: bool) -> (CompiledProblem, pbte_dsl::Fields) {
+/// The fig-4 hot-spot problem on its grid, optionally `jittered` (every
+/// interior vertex displaced by up to an eighth of a cell, so no two faces
+/// share an orientation and the flux is compiled, not tabulated) and
+/// optionally with each pair of neighboring cells `2i`, `2i + 1` swapped:
+/// then no two consecutive cells share their neighbor offsets, so the plan
+/// has no stencil run, while memory locality stays what it was.
+fn fig4_plan(
+    cfg: &BteConfig,
+    jittered: bool,
+    pair_swapped: bool,
+) -> (CompiledProblem, pbte_dsl::Fields) {
     let mut problem = hotspot_2d(cfg).problem;
-    if pair_swapped {
+    if jittered || pair_swapped {
         let base = problem.mesh.take().expect("the scenario attaches its grid");
-        let cells: Vec<Vec<usize>> = (0..base.n_cells())
-            .map(|c| base.cell_vertices(c ^ 1).to_vec())
-            .collect();
-        let mut mesh = pbte_mesh::Mesh::from_cells(2, base.vertices.clone(), &cells);
         let (lx, ly) = (cfg.lx, cfg.ly);
-        mesh.add_boundary_region("left", move |c| c.x < 1e-9 * lx);
-        mesh.add_boundary_region("right", move |c| c.x > lx - 1e-9 * lx);
-        mesh.add_boundary_region("bottom", move |c| c.y < 1e-9 * ly);
-        mesh.add_boundary_region("top", move |c| c.y > ly - 1e-9 * ly);
+        let mut vertices = base.vertices.clone();
+        for (i, v) in vertices.iter_mut().enumerate().filter(|_| jittered) {
+            let inside = |x: f64, l: f64| x > 1e-9 * l && x < l - 1e-9 * l;
+            if inside(v.x, lx) && inside(v.y, ly) {
+                let unit = |axis: u64| {
+                    let x = (2 * i as u64 + axis + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let x = (x ^ x >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    (x >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+                };
+                v.x += unit(0) * 0.125 * lx / cfg.nx as f64;
+                v.y += unit(1) * 0.125 * ly / cfg.ny as f64;
+            }
+        }
+        let cells: Vec<Vec<usize>> = (0..base.n_cells())
+            .map(|c| base.cell_vertices(c ^ pair_swapped as usize).to_vec())
+            .collect();
+        let mut mesh = pbte_mesh::Mesh::from_cells(2, vertices, &cells);
+        let (ex, ey) = (0.1 * lx / cfg.nx as f64, 0.1 * ly / cfg.ny as f64);
+        mesh.add_boundary_region("left", move |c| c.x < ex);
+        mesh.add_boundary_region("right", move |c| c.x > lx - ex);
+        mesh.add_boundary_region("bottom", move |c| c.y < ey);
+        mesh.add_boundary_region("top", move |c| c.y > ly - ey);
         problem.mesh(mesh);
     }
     CompiledProblem::compile(problem).expect("compiles")
 }
 
-/// One full intensity sweep of the fig-4 problem (48×48 cells × 96
-/// flats) on the span tiers: over the grid, where 92 % of the cells sit
-/// in stencil runs, and over the pair-swapped numbering, where every
-/// cell takes the CSR walk — the floor a regression back to CSR would
-/// land on.
+/// One full intensity sweep on the span tiers, with the property and
+/// without it. Table flux: the fig-4 problem (48×48 cells × 96 flats) over
+/// the grid, where 92 % of the cells sit in stencil runs, and over the
+/// pair-swapped numbering, where every cell takes the CSR walk — the floor
+/// a regression back to CSR would land on. Compiled flux
+/// (`native_compiled_*`): the benchmark's `array_unstructured` shape, 96×96
+/// jittered quads × 16 flats, 8 836 of 9 216 cells in runs, and its
+/// pair-swapped twin with none.
 fn bench_flux_runs(c: &mut Criterion) {
     use pbte_dsl::problem::KernelTier;
-    let cfg = BteConfig::small(48, 12, 8, 1);
+    let grid = BteConfig::small(48, 12, 8, 1);
+    let array = BteConfig::small(96, 8, 2, 1);
     let mut group = c.benchmark_group("flux_runs");
-    for (numbering, pair_swapped) in [("runs", false), ("csr", true)] {
-        let (cp, fields) = fig4_plan(&cfg, pair_swapped);
-        for (name, tier) in [("row", KernelTier::Row), ("native", KernelTier::Native)] {
-            let mut bench = cp.intensity_bench(&fields, tier);
-            if bench.tier() != tier {
-                eprintln!("flux_runs/{name}_{numbering}: tier unavailable, skipped");
-                continue;
+    for (cfg, jittered, lanes) in [
+        (
+            &grid,
+            false,
+            &[("row", KernelTier::Row), ("native", KernelTier::Native)][..],
+        ),
+        (&array, true, &[("native_compiled", KernelTier::Native)][..]),
+    ] {
+        for (numbering, pair_swapped) in [("runs", false), ("csr", true)] {
+            let (cp, fields) = fig4_plan(cfg, jittered, pair_swapped);
+            for &(name, tier) in lanes {
+                let mut bench = cp.intensity_bench(&fields, tier);
+                if bench.tier() != tier {
+                    eprintln!("flux_runs/{name}_{numbering}: tier unavailable, skipped");
+                    continue;
+                }
+                let compiled = cp.flux_path(tier) == pbte_dsl::exec::FluxPath::Compiled;
+                assert_eq!(
+                    compiled, jittered,
+                    "{name}: the flux path the lane is named for"
+                );
+                let interior = (cfg.nx - 2) * (cfg.ny - 2);
+                assert_eq!(bench.run_cells(), if pair_swapped { 0 } else { interior });
+                let mut rhs = vec![0.0; fields.slice(cp.system.unknown).len()];
+                group.bench_function(&format!("{name}_{numbering}"), |b| {
+                    b.iter(|| {
+                        bench.run(black_box(&fields), &mut rhs);
+                        black_box(rhs[rhs.len() / 2])
+                    })
+                });
             }
-            let interior = (cfg.nx - 2) * (cfg.ny - 2);
-            assert_eq!(bench.run_cells(), if pair_swapped { 0 } else { interior });
-            let mut rhs = vec![0.0; fields.slice(cp.system.unknown).len()];
-            group.bench_function(&format!("{name}_{numbering}"), |b| {
-                b.iter(|| {
-                    bench.run(black_box(&fields), &mut rhs);
-                    black_box(rhs[rhs.len() / 2])
-                })
-            });
         }
     }
     group.finish();

@@ -5,7 +5,10 @@
 //! target, so the fields agree bit for bit — on a grid (stencil runs), on
 //! a jittered mesh (compiled flux), and in 3-D under the implicit
 //! integrator (RHS and JVP sweeps) and under RK2 (the unfused stage and
-//! the tile-walked `axpy`), at the row and native tiers.
+//! the tile-walked `axpy`), at the row and native tiers. The jittered
+//! lane is also where the compiled flux walks stencil runs: every sweep
+//! reports the 22 × 22 interior cells of its mesh as run cells, whatever
+//! the cut.
 
 use pbte_bte::pbte::ScenarioSpec;
 use pbte_bte::scenario::{hotspot_2d, BteConfig, BteProblem};
@@ -52,13 +55,16 @@ fn lanes() -> Vec<(&'static str, Build)> {
     ]
 }
 
+/// How a kernel span says its sweep went: `(tiles, workers, run_cells)`.
+type Cut = (usize, usize, usize);
+
 /// Solve on `target`; the unknown and the temperature, and the distinct
-/// `(tiles, workers)` of the run's kernel spans.
+/// cuts of the run's kernel spans.
 fn solve(
     build: &dyn Fn() -> BteProblem,
     tier: KernelTier,
     target: ExecTarget,
-) -> (Vec<f64>, Vec<f64>, Vec<(usize, usize)>) {
+) -> (Vec<f64>, Vec<f64>, Vec<Cut>) {
     let mut bp = build();
     bp.problem.kernel_tier(tier);
     let vars = bp.vars;
@@ -73,12 +79,12 @@ fn solve(
             .parse()
             .unwrap()
     };
-    let mut cuts: Vec<(usize, usize)> = rec
+    let mut cuts: Vec<Cut> = rec
         .spans()
         .iter()
         .filter(|s| matches!(s.kind, SpanKind::Kernel))
         .filter(|s| s.name == "intensity_rhs" || s.name == "jvp_rhs")
-        .map(|s| (attr(s, "tiles"), attr(s, "workers")))
+        .map(|s| (attr(s, "tiles"), attr(s, "workers"), attr(s, "run_cells")))
         .collect();
     cuts.sort_unstable();
     cuts.dedup();
@@ -95,9 +101,12 @@ fn par_under_any_thread_count_is_bit_identical_to_seq() {
     for (lane, build) in lanes() {
         for tier in [KernelTier::Row, KernelTier::Native] {
             let (i_seq, t_seq, cut_seq) = solve(&*build, tier, ExecTarget::CpuSeq);
-            let [(flats, 1)] = cut_seq[..] else {
+            let [(flats, 1, run_cells)] = cut_seq[..] else {
                 panic!("{lane}: seq sweeps one tile per flat on one worker, got {cut_seq:?}");
             };
+            if lane == "jittered" {
+                assert_eq!(run_cells, 22 * 22, "{tier:?}: the compiled flux walks runs");
+            }
             for n in [1, 2, 3, 5] {
                 let pool = rayon::ThreadPoolBuilder::new()
                     .num_threads(n)
@@ -105,7 +114,11 @@ fn par_under_any_thread_count_is_bit_identical_to_seq() {
                     .unwrap();
                 let (i_par, t_par, cut) =
                     pool.install(|| solve(&*build, tier, ExecTarget::CpuParallel));
-                assert_eq!(cut, [(flats * n, n)], "{lane} {tier:?} install({n})");
+                assert_eq!(
+                    cut,
+                    [(flats * n, n, run_cells)],
+                    "{lane} {tier:?} install({n})"
+                );
                 for (what, a, b) in [("I", &i_seq, &i_par), ("T", &t_seq, &t_par)] {
                     let same = a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
                     assert!(

@@ -472,12 +472,16 @@ pub(super) fn check_geometry(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
 /// from the CSR arrays it summarises. Runs are sorted, disjoint, inside
 /// `0..n_cells` and at least `MIN_RUN` long; every cell `c` of a run has
 /// exactly `nf` faces, and its slot `s` has `nbr == c + delta[s]` (an
-/// interior cell, so in `0..n_cells`) and `class == class[s]`.
+/// interior cell, so in `0..n_cells`) and, on a table plan, `class ==
+/// class[s]` (a compiled-flux plan has no classes; its runs are the
+/// connectivity alone).
 ///
 /// That is all the stencil path needs: inside a proven run it reads
-/// exactly the `u_row` entries, areas and αβγ rows the CSR walk reads for
-/// the same cells, and writes the same `out` entries, so the access, race
-/// and halo proofs — stated over the CSR walk — hold for it unchanged.
+/// exactly the `u_row` entries, areas and αβγ rows (or, for the compiled
+/// flux, the normals of face slots `offsets[c] .. offsets[c] + nf`) the CSR
+/// walk reads for the same cells, and writes the same `out` entries, so
+/// the access, race and halo proofs — stated over the CSR walk — hold for
+/// it unchanged.
 fn check_runs(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
     let hot = &cp.hot;
     let n_cells = cp.mesh().n_cells();
@@ -525,7 +529,7 @@ fn check_runs(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
                     ));
                     return;
                 }
-                if hot.class[k] != run.class[s] {
+                if cp.flux_lin.is_some() && hot.class[k] != run.class[s] {
                     fail(format!(
                         "run {r}: cell {c} slot {s} has class {}, the run says {}",
                         hot.class[k], run.class[s]
@@ -564,12 +568,25 @@ fn check_csr(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
         fail("offsets must be monotone non-decreasing".into());
     }
     let total = *hot.offsets.last().unwrap() as usize;
-    if total != hot.nbr.len() || total != hot.area.len() || total != hot.class.len() {
+    // One class per face slot on a table plan, `dim` normal components per
+    // face slot for the compiled flux; neither array otherwise.
+    let classes = cp.flux_lin.as_ref().map_or(0, |_| total);
+    let normals = if cp.compiled_flux() {
+        total * hot.dim
+    } else {
+        0
+    };
+    if [hot.nbr.len(), hot.area.len()] != [total; 2]
+        || hot.class.len() != classes
+        || hot.normals.len() != normals
+    {
         fail(format!(
-            "offsets claim {total} face slots but nbr/area/class have {}/{}/{}",
+            "offsets claim {total} face slots but nbr/area have {}/{}, class {} (expected {classes}), normals {} (expected {normals}: dimension {})",
             hot.nbr.len(),
             hot.area.len(),
-            hot.class.len()
+            hot.class.len(),
+            hot.normals.len(),
+            hot.dim
         ));
         return;
     }
@@ -594,26 +611,6 @@ fn check_csr(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
             .find(|(_, &c)| c as usize >= lin.n_classes)
         {
             fail(format!("class[{k}] = {c} ≥ n_classes {}", lin.n_classes));
-        }
-    } else if cp.compiled_flux() {
-        // The compiled flux reads `normals[(class >> 1) * dim ..][..dim]`.
-        let n_faces = cp.mesh().n_faces();
-        if hot.normals.len() != n_faces * hot.dim {
-            fail(format!(
-                "normals has {} entries for {n_faces} faces of dimension {}",
-                hot.normals.len(),
-                hot.dim
-            ));
-        } else if let Some((k, &s)) = hot
-            .class
-            .iter()
-            .enumerate()
-            .find(|(_, &s)| (s >> 1) as usize >= n_faces)
-        {
-            fail(format!(
-                "class[{k}] = {s} addresses face {} ≥ {n_faces}",
-                s >> 1
-            ));
         }
     }
     if hot.inv_volume.len() != n_cells {
@@ -705,12 +702,11 @@ mod tests {
     use crate::problem::{BoundaryCondition, Problem};
     use pbte_mesh::UniformGrid;
 
-    /// A table plan on a 12×4 grid: two interior rows, each one stencil
-    /// run of 10 cells.
-    fn grid_plan() -> CompiledProblem {
+    /// Two-direction upwind transport on `mesh`, every side a fixed wall.
+    fn upwind_plan(mesh: pbte_mesh::Mesh) -> CompiledProblem {
         let mut p = Problem::new("run-table-seam");
         p.domain(2);
-        p.mesh(UniformGrid::new_2d(12, 4, 1.0, 1.0).build());
+        p.mesh(mesh);
         p.set_steps(1e-3, 1);
         let d = p.index("d", 2);
         let i_var = p.variable("I", &[d]);
@@ -723,37 +719,66 @@ mod tests {
         CompiledProblem::compile(p).unwrap().0
     }
 
-    /// The run table is proved, not trusted: a wrong neighbor offset, a
-    /// wrong class, a run stretched over a boundary cell and overlapping
-    /// runs are each refused by `verify_plan` under `geometry/run-mismatch`.
+    /// A table plan on a 12×4 grid: two interior rows, each one stencil
+    /// run of 10 cells.
+    fn grid_plan() -> CompiledProblem {
+        upwind_plan(UniformGrid::new_2d(12, 4, 1.0, 1.0).build())
+    }
+
+    /// A compiled-flux plan on the mesh of `jittered_array.pbte` (24×24
+    /// jittered quads, no flux table): 22 interior rows, each one run of 22
+    /// cells found from the connectivity alone.
+    fn jittered_plan() -> CompiledProblem {
+        let msh = include_str!("../../../../examples/meshes/jittered_array.msh");
+        upwind_plan(pbte_mesh::gmsh::parse_msh(msh).unwrap())
+    }
+
+    /// The run table is proved, not trusted, on both flux paths: a wrong
+    /// neighbor offset, a wrong class (table plans have them), a run
+    /// stretched over a boundary cell and overlapping or shifted runs are
+    /// each refused by `verify_plan` under `geometry/run-mismatch` and
+    /// nothing else, on the sequential and on the fanned-out scope.
     #[test]
     fn a_tampered_run_table_is_refused() {
-        let clean = grid_plan();
-        assert_eq!(clean.hot.runs.len(), 2);
-        assert!(clean.verify_plan(&ExecTarget::CpuSeq).is_empty());
+        let (table, compiled) = (grid_plan(), jittered_plan());
+        assert!(table.flux_lin.is_some() && compiled.compiled_flux());
+        assert_eq!(table.hot.runs.len(), 2);
+        assert_eq!(compiled.hot.run_cells_in(0, 24 * 24), 22 * 22);
+        assert!(compiled.hot.class.is_empty());
 
         type Tamper = fn(&mut CompiledProblem);
         fn hot(cp: &mut CompiledProblem) -> &mut crate::exec::HotGeometry {
             std::sync::Arc::make_mut(&mut cp.hot)
         }
-        let tampers: [(&str, Tamper); 4] = [
+        let shape: [(&str, Tamper); 4] = [
             ("delta", |cp| hot(cp).runs[0].delta[1] += 1),
-            ("class", |cp| hot(cp).runs[1].class[2] ^= 1),
-            ("boundary cell", |cp| hot(cp).runs[0].len += 1),
+            ("boundary cell (len)", |cp| hot(cp).runs[0].len += 1),
+            ("shifted (first)", |cp| hot(cp).runs[1].first += 1),
             ("overlap", |cp| {
                 hot(cp).runs[1].first = cp.hot.runs[0].first + 4
             }),
         ];
-        for (what, tamper) in tampers {
-            let mut cp = grid_plan();
-            tamper(&mut cp);
-            let diags = cp.verify_plan(&ExecTarget::CpuSeq);
-            assert!(
-                diags
-                    .iter()
-                    .any(|d| d.rule == rules::RUN_MISMATCH && d.severity == Severity::Error),
-                "{what}: {diags:?}"
-            );
+        let class: (&str, Tamper) = ("class", |cp| hot(cp).runs[1].class[2] ^= 1);
+        type Plan = fn() -> CompiledProblem;
+        let plans: [(Plan, Vec<(&str, Tamper)>); 2] = [
+            (grid_plan, shape.iter().copied().chain([class]).collect()),
+            (jittered_plan, shape.to_vec()),
+        ];
+        for (plan, tampers) in plans {
+            for target in [ExecTarget::CpuSeq, ExecTarget::CpuParallel] {
+                assert!(plan().verify_plan(&target).is_empty());
+                for &(what, tamper) in &tampers {
+                    let mut cp = plan();
+                    tamper(&mut cp);
+                    let diags = cp.verify_plan(&target);
+                    let fired: Vec<_> = diags.iter().map(|d| (d.rule, d.severity)).collect();
+                    assert_eq!(
+                        fired,
+                        [(rules::RUN_MISMATCH, Severity::Error)],
+                        "{what} on {target:?}: {diags:?}"
+                    );
+                }
+            }
         }
     }
 }

@@ -687,14 +687,17 @@ pub(crate) const MAX_RUN_FACES: usize = 6;
 pub(crate) const MIN_RUN: usize = 8;
 
 /// A maximal run of consecutive all-interior cells `first .. first + len`
-/// that share one face count, one neighbor offset per face slot
-/// (`nbr[k] − cell`) and one orientation class per face slot — what a
-/// structured grid is between its walls. Inside a run the flux sum needs
-/// no CSR walk: slot `s` of cell `c` reads `u_row[c + delta[s]]` with the
-/// αβγ of `class[s]`, and its area sits at face slot
-/// `offsets[first] + nf·(c − first) + s`. Areas are deliberately *not*
-/// part of the shape: on a uniform grid the edge lengths of consecutive
-/// cells differ in the last bit, so they stay a per-face load.
+/// that share one face count and one neighbor offset per face slot
+/// (`nbr[k] − cell`) — a shape of the mesh connectivity, what any mesh
+/// numbered row by row is between its walls — and, on a table plan, one
+/// orientation class per face slot as well (what a structured grid adds).
+/// Inside a run the flux sum needs no CSR walk: slot `s` of cell `c` reads
+/// `u_row[c + delta[s]]`, and its area (and, for the compiled flux, its
+/// oriented normal) sits at face slot `offsets[first] + nf·(c − first) + s`;
+/// the table path takes the αβγ of `class[s]`. Areas and normals are
+/// deliberately *not* part of the shape: on a uniform grid the edge lengths
+/// of consecutive cells differ in the last bit, and on a jittered mesh every
+/// face has its own normal, so both stay per-slot loads.
 ///
 /// `#[repr(C)]`: the emitted native source declares the same struct and
 /// reads the table through `NativeArgs::runs`.
@@ -706,6 +709,8 @@ pub(crate) struct StencilRun {
     /// Faces per cell, `≤ MAX_RUN_FACES`; slots past it are zero.
     pub nf: u32,
     pub delta: [i32; MAX_RUN_FACES],
+    /// Orientation class per slot on a table plan; zero on a plan without
+    /// a [`FluxLinearization`], whose geometry has no classes.
     pub class: [u32; MAX_RUN_FACES],
 }
 
@@ -717,7 +722,8 @@ impl StencilRun {
     }
 
     /// The run a lone `cell` would start, if it has `3..=MAX_RUN_FACES`
-    /// faces, all interior and within `i32` of it.
+    /// faces, all interior and within `i32` of it. `class` is per face slot,
+    /// or empty when the plan has no classes.
     fn of_cell(cell: usize, offsets: &[u32], nbr: &[i64], class: &[u32]) -> Option<StencilRun> {
         let (start, end) = (offsets[cell] as usize, offsets[cell + 1] as usize);
         let nf = end - start;
@@ -736,7 +742,7 @@ impl StencilRun {
                 return None;
             }
             run.delta[s] = i32::try_from(nbr[k] - cell as i64).ok()?;
-            run.class[s] = class[k];
+            run.class[s] = class.get(k).copied().unwrap_or(0);
         }
         Some(run)
     }
@@ -748,6 +754,7 @@ impl StencilRun {
 
     /// The stencil runs of a CSR face geometry, sorted by `first`: one
     /// pass over the cells, a run kept when it reaches [`MIN_RUN`] cells.
+    /// With an empty `class` the shape is the connectivity alone.
     /// [`crate::analysis::verify_plan`] re-derives every recorded run
     /// from the same arrays (`geometry/run-mismatch`).
     pub(crate) fn detect(offsets: &[u32], nbr: &[i64], class: &[u32]) -> Vec<StencilRun> {
@@ -784,22 +791,20 @@ pub(crate) struct HotGeometry {
     pub offsets: Vec<u32>,
     pub nbr: Vec<i64>,
     pub area: Vec<f64>,
-    /// With a [`FluxLinearization`]: the oriented normal class as seen
-    /// from the cell. Without one: the signed face index
-    /// `face << 1 | flipped` into `normals`, `flipped` when the cell is not
-    /// the face's owner.
+    /// The oriented normal class per face slot as seen from the cell, on a
+    /// table plan (a [`FluxLinearization`] exists); empty otherwise.
     pub class: Vec<u32>,
-    /// Owner-side unit normals, `dim` components per *face*, for the
-    /// compiled flux; empty otherwise. Negation is exact, so `±normals`
-    /// reproduces `Face::normal_from` bit for bit.
+    /// The oriented unit normal per face *slot* for the compiled flux:
+    /// `dim` components at `k · dim`, already negated (exactly) where the
+    /// cell is not the face's owner, so a slot's normal is a plain read and
+    /// a stencil run's are a contiguous column. Empty otherwise.
     pub normals: Vec<f64>,
-    /// Components per face in `normals` (the mesh dimension).
+    /// Components per face slot in `normals` (the mesh dimension).
     pub dim: usize,
     /// 1 / cell volume.
     pub inv_volume: Vec<f64>,
-    /// Stencil runs over the cells, sorted and disjoint (table plans only;
-    /// empty without a [`FluxLinearization`]). The span kernels walk a
-    /// span as run segments and CSR remainders.
+    /// Stencil runs over the cells, sorted and disjoint. The span kernels
+    /// of both flux paths walk a span as run segments and CSR remainders.
     pub runs: Vec<StencilRun>,
 }
 
@@ -815,6 +820,10 @@ impl HotGeometry {
         let mut nbr = Vec::new();
         let mut area = Vec::new();
         let mut class = Vec::new();
+        // The widest array, so sized once: grown by doubling it would leave
+        // as much freed heap behind as it holds.
+        let n_slots: usize = (0..n).map(|c| mesh.cell_faces(c).len()).sum();
+        let mut normals = Vec::with_capacity(if compiled_flux { n_slots * mesh.dim } else { 0 });
         offsets.push(0u32);
         for cell in 0..n {
             for &fid in mesh.cell_faces(cell) {
@@ -824,30 +833,20 @@ impl HotGeometry {
                     None => -((bface_slot[fid] + 1) as i64),
                 });
                 area.push(f.area);
-                class.push(match lin {
-                    Some(l) if f.owner == cell => l.face_class_pos[fid],
-                    Some(l) => l.face_class_neg[fid],
-                    None => (fid as u32) << 1 | (f.owner != cell) as u32,
-                });
+                if let Some(l) = lin {
+                    class.push(match f.owner == cell {
+                        true => l.face_class_pos[fid],
+                        false => l.face_class_neg[fid],
+                    });
+                }
+                if compiled_flux {
+                    let n = f.normal_from(cell);
+                    normals.extend([n.x, n.y, n.z].into_iter().take(mesh.dim));
+                }
             }
             offsets.push(nbr.len() as u32);
         }
-        let normals = if compiled_flux {
-            mesh.faces
-                .iter()
-                .flat_map(|f| {
-                    [f.normal.x, f.normal.y, f.normal.z]
-                        .into_iter()
-                        .take(mesh.dim)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let runs = match lin {
-            Some(_) => StencilRun::detect(&offsets, &nbr, &class),
-            None => Vec::new(),
-        };
+        let runs = StencilRun::detect(&offsets, &nbr, &class);
         HotGeometry {
             offsets,
             nbr,
@@ -878,18 +877,12 @@ impl HotGeometry {
         first_flat.map(|t| self.run_cells_in(t.cell0, t.len)).sum()
     }
 
-    /// Oriented normal of face slot `k` as the compiled flux reads it:
-    /// components past the mesh dimension are `±0.0`, like the `z` of a
-    /// 2-D `Face::normal_from`.
+    /// Oriented normal of face slot `k` as the compiled flux reads it;
+    /// components past the mesh dimension are `0.0`.
     #[inline]
     pub fn normal(&self, k: usize) -> [f64; 3] {
-        let signed = self.class[k];
-        let at = (signed >> 1) as usize * self.dim;
         let mut n = [0.0; 3];
-        n[..self.dim].copy_from_slice(&self.normals[at..at + self.dim]);
-        if signed & 1 != 0 {
-            n = [-n[0], -n[1], -n[2]];
-        }
+        n[..self.dim].copy_from_slice(&self.normals[k * self.dim..][..self.dim]);
         n
     }
 }

@@ -6,7 +6,8 @@
 //! term, then a flux pass over the `hot` SoA geometry (on meshes with few
 //! face orientations the αβγ table, walked as straight-line stencil-run
 //! segments where the mesh is regular and as CSR remainders elsewhere;
-//! the flux's own [`RegProgram`] batched over face slots otherwise),
+//! the flux's own [`RegProgram`] batched over face slots otherwise — the
+//! native tier walks runs on that path too, this one's lane walk does not),
 //! evaluated over a whole contiguous cell span per call — and the native
 //! tier, which AOT-compiles the same two passes to machine code through
 //! [`crate::nativegen`]. All tiers are bit-identical per
@@ -978,30 +979,33 @@ mod tests {
         // Row 1 holds cells 64..128, its run 65..127.
         assert_eq!(cp.hot.run_cells_in(60, 10), 5);
         assert_eq!(cp.hot.run_cells_in(120, 80), 7 + 62 + 7);
-        // No flux table (too many orientations): no run table either.
+        // A run is a shape of the connectivity, not of the flux path: the
+        // jittered triangles have no flux table and no run either, because
+        // the two halves of a quad alternate neighbor offsets.
         let (cp, _) = triangle_plan();
-        assert!(cp.hot.runs.is_empty());
+        assert!(cp.compiled_flux() && cp.hot.runs.is_empty());
     }
 
     /// The compiled-flux emission is pinned: it changes only on purpose (a
     /// changed source is a changed cache key, so every cached `.so` is
     /// recompiled), and the streamed hash is the hash of the text a compile
-    /// would write. Last moved when the `Args` block gained the wall tables
-    /// and the boundary branch the ghost-read rule.
+    /// would write. Last moved when the kernel became a span walk (run
+    /// segments and CSR remainders over `Args::runs`) reading its normals
+    /// from the per-slot oriented column.
     #[test]
     fn compiled_flux_source_is_pinned() {
         let (cp, fields) = triangle_plan();
         let per_flat = nativegen::lower_plan(&cp).unwrap();
         assert_eq!(
             nativegen::source_hash(&cp, &per_flat),
-            0x351c_fda1_9ca9_c73a
+            0xbbf9_1f69_ff4e_b7cd
         );
         let mut text = String::new();
         nativegen::emit_source(&cp, fields.n_cells, &per_flat, &mut text).unwrap();
-        assert_eq!(text.len(), 12_710);
+        assert_eq!(text.len(), 17_278);
         let mut hash = nativegen::Fnv1a::new();
         std::fmt::Write::write_str(&mut hash, &text).unwrap();
-        assert_eq!(hash.0, 0x351c_fda1_9ca9_c73a);
+        assert_eq!(hash.0, 0xbbf9_1f69_ff4e_b7cd);
     }
 
     /// `(cell0, len)` of every tile of the first flat.

@@ -84,6 +84,9 @@ pub(crate) fn flux_sum_dof(
             let n = face.normal_from(cell);
             vm.u2 = u2;
             vm.normal = [n.x, n.y, n.z];
+            // Past the mesh dimension every tier reads +0.0 (the negated
+            // side of a 2-D face would otherwise carry a −0.0 `z`).
+            vm.normal[mesh.dim..].fill(0.0);
             vm.position = face.centroid;
             flux_sum += face.area * cp.flux.eval(&vm);
         }

@@ -21,12 +21,15 @@
 //! the hot-spot file — 3.7× the cold compile time for no run-time gain.
 //! On meshes with too many face orientations for a table (a
 //! **compiled-flux plan**) each per-flat kernel fuses the source, the
-//! flux's own lowered statements per face and the update in one loop.
+//! flux's own lowered statements per face and the update, and walks its
+//! span the same way: inside a stencil run the flux statements are emitted
+//! once per face slot, straight-line (`u2 = u_row[c + delta[s]]`, the
+//! oriented normal read from the per-slot column `Args::normals`), and the
+//! CSR remainder keeps the per-face loop.
 //! Both loops read a boundary face through the one ghost-read rule,
 //! `Walls::ghost_read`: the slot's row of the ghost values inline, a gather
 //! through its column by the plan's one out-of-line `ghost_gather`. The
-//! branch sits in the CSR remainder and the compiled-flux loop only —
-//! stencil runs are all-interior.
+//! branch sits in the CSR remainders only — stencil runs are all-interior.
 //!
 //! Three properties keep this sound and cheap:
 //!
@@ -34,10 +37,11 @@
 //!   per-lane operations of `RegProgram::eval_row` in exactly the same
 //!   order, and the emitted flux loop replicates `rows::flux_combine`
 //!   (run segments and CSR remainders alike) or
-//!   `rows::flux_combine_compiled` face-for-face. Rust f64 arithmetic is
-//!   strict IEEE-754 (no fast-math, no implicit FMA contraction), so the
-//!   compiled kernel is bitwise-equal to the interpreted tiers — the
-//!   differential tests assert this.
+//!   `rows::flux_combine_compiled` face-for-face (a run segment is the
+//!   same faces in the same order, its neighbor found by offset). Rust
+//!   f64 arithmetic is strict IEEE-754 (no fast-math, no implicit FMA
+//!   contraction), so the compiled kernel is bitwise-equal to the
+//!   interpreted tiers — the differential tests assert this.
 //! * **Validation before compilation.** Every lowered statement list —
 //!   the exact tree the text renderer prints, for the volume program and
 //!   for a compiled flux — is abstractly executed over symbolic values and
@@ -205,8 +209,7 @@ pub(crate) fn lower_stmts(reg: &RegProgram) -> Result<Vec<NStmt>, String> {
 
 /// Argument block passed to a generated kernel. The generated source
 /// contains the same `#[repr(C)]` definition (same field order, same
-/// target; see `runs` for the optional trailing fields), so both sides
-/// agree on layout by construction.
+/// target), so both sides agree on layout by construction.
 #[repr(C)]
 pub(crate) struct NativeArgs {
     /// Per-variable base pointers, indexed by registry variable id.
@@ -225,6 +228,8 @@ pub(crate) struct NativeArgs {
     /// Neighbor cell per face entry; `-(slot+1)` encodes a ghost slot.
     pub nbr: *const i64,
     pub area: *const f64,
+    /// Orientation class per face slot (table plans; never read by the
+    /// kernels of a compiled-flux plan, whose geometry has none).
     pub class: *const u32,
     pub inv_volume: *const f64,
     /// Output span covering cells `cell0 .. cell0 + len`.
@@ -236,12 +241,10 @@ pub(crate) struct NativeArgs {
     pub fused: u8,
     /// 1 → skip boundary faces (GPU async-boundary semantics).
     pub skip_boundary: u8,
-    /// Per-face owner-side normals for the compiled flux (never read by
-    /// the kernels of a table plan).
+    /// Oriented normals of the compiled flux, `dim` per face slot (never
+    /// read by the kernels of a table plan).
     pub normals: *const f64,
     /// The plan's stencil runs, sorted by first cell, and their count.
-    /// Kernels of a compiled-flux plan declare the struct without these
-    /// two trailing fields and never read them.
     pub runs: *const StencilRun,
     pub n_runs: usize,
 }
@@ -412,7 +415,8 @@ const HOISTED_ARGS: &str = "    let ghosts = a.ghosts;\n    let wall_read = a.wa
 ///   emitted *once per plan* (see [`emit_flux_span`]).
 /// * A **compiled-flux plan** fuses source, the per-face lowered flux
 ///   statements of `rows::flux_combine_compiled` and the Euler update in
-///   each per-flat kernel.
+///   each per-flat kernel, over the same span walk (see
+///   [`emit_flat_kernel`]).
 ///
 /// `w` is a `String` when the text is needed (a compile) and a hashing
 /// sink when only the cache key is.
@@ -430,9 +434,8 @@ pub(crate) fn emit_source(
     w.write_str("#![allow(warnings)]\n#![crate_type = \"cdylib\"]\n\n")?;
     w.write_str("#[repr(C)]\npub struct Args {\n")?;
     w.write_str(ARGS_FIELDS)?;
-    w.write_str("    normals: *const f64,\n")?;
+    w.write_str("    normals: *const f64,\n    runs: *const Run,\n    n_runs: usize,\n}\n\n")?;
     if let Some(lin) = &cp.flux_lin {
-        w.write_str("    runs: *const Run,\n    n_runs: usize,\n}\n\n")?;
         let nc = lin.n_classes;
         for flat in 0..n_flat {
             let at = flat * nc;
@@ -445,17 +448,78 @@ pub(crate) fn emit_source(
             }
         }
         w.write_str("\n")?;
-        emit_ghost_gather(cp, w)?;
+    }
+    emit_ghost_gather(cp, w)?;
+    write!(
+        w,
+        "#[repr(C)]\npub struct Run {{\n    first: u32,\n    len: u32,\n    nf: u32,\n    delta: [i32; {MAX_RUN_FACES}],\n    class: [u32; {MAX_RUN_FACES}],\n}}\n\n"
+    )?;
+    if cp.flux_lin.is_some() {
         emit_flux_span(cp, w)?;
-    } else {
-        w.write_str("}\n\n\n")?;
-        emit_ghost_gather(cp, w)?;
     }
     for (flat, stmts) in per_flat.iter().enumerate() {
         emit_flat_kernel(cp, n_cells, flat, stmts, w)?;
     }
     Ok(())
 }
+
+/// The face counts the plan's run table holds, ascending: one
+/// straight-line loop is emitted per count.
+fn run_face_counts(cp: &CompiledProblem) -> Vec<u32> {
+    let mut face_counts: Vec<u32> = cp.hot.runs.iter().map(|r| r.nf).collect();
+    face_counts.sort_unstable();
+    face_counts.dedup();
+    face_counts
+}
+
+/// The span walk of both flux loops (`rows::flux_combine`'s), up to the
+/// dispatch on a run's face count: find the first run ending after `cell0`,
+/// then per segment either enter the run at `cell` (the `match` arms the
+/// caller emits next evaluate to whether they handled `cell .. seg_end`) or
+/// stop the CSR remainder at the next run's first cell.
+const SPAN_WALK_HEAD: &str = r#"    let runs = a.runs;
+    let n_runs = a.n_runs;
+    let end_cell = cell0 + len;
+    // The first run ending after `cell0` (runs are sorted and disjoint).
+    let mut next = 0usize;
+    let mut hi = n_runs;
+    while next < hi {
+        let mid = (next + hi) / 2;
+        let r = &*runs.add(mid);
+        if r.first as usize + r.len as usize <= cell0 {
+            next = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    let mut cell = cell0;
+    while cell < end_cell {
+        let mut seg_end = end_cell;
+        if next < n_runs {
+            let run = &*runs.add(next);
+            let first = run.first as usize;
+            if first <= cell {
+                next += 1;
+                let run_end = first + run.len as usize;
+                if run_end < seg_end {
+                    seg_end = run_end;
+                }
+                let stencil = match run.nf {
+"#;
+
+/// [`SPAN_WALK_HEAD`]'s continuation after the `match` arms; the caller
+/// emits the CSR loop over `cell .. seg_end` and closes the walk next.
+const SPAN_WALK_MID: &str = r#"                    _ => false,
+                };
+                if stencil {
+                    cell = seg_end;
+                    continue;
+                }
+            } else if first < seg_end {
+                seg_end = first;
+            }
+        }
+"#;
 
 /// The table plan's one flux loop: `flux_span` walks the span as run
 /// segments and CSR remainders exactly like `rows::flux_combine`, over
@@ -470,13 +534,7 @@ fn emit_flux_span(cp: &CompiledProblem, w: &mut impl Write) -> fmt::Result {
         "flat",
         "                    ",
     );
-    write!(
-        w,
-        "#[repr(C)]\npub struct Run {{\n    first: u32,\n    len: u32,\n    nf: u32,\n    delta: [i32; {MAX_RUN_FACES}],\n    class: [u32; {MAX_RUN_FACES}],\n}}\n\n"
-    )?;
-    let mut face_counts: Vec<u32> = cp.hot.runs.iter().map(|r| r.nf).collect();
-    face_counts.sort_unstable();
-    face_counts.dedup();
+    let face_counts = run_face_counts(cp);
     for &nf in &face_counts {
         write!(
             w,
@@ -506,59 +564,20 @@ fn emit_flux_span(cp: &CompiledProblem, w: &mut impl Write) -> fmt::Result {
         "#[inline(never)]\nunsafe fn flux_span(a: &Args, al: *const f64, be: *const f64, ga: *const f64, flat: usize, u_row: *const f64) {\n",
     )?;
     w.write_str(HOISTED_ARGS)?;
-    w.write_str(
-        r#"    let runs = a.runs;
-    let n_runs = a.n_runs;
-    let end_cell = cell0 + len;
-    // The first run ending after `cell0` (runs are sorted and disjoint).
-    let mut next = 0usize;
-    let mut hi = n_runs;
-    while next < hi {
-        let mid = (next + hi) / 2;
-        let r = &*runs.add(mid);
-        if r.first as usize + r.len as usize <= cell0 {
-            next = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    let mut cell = cell0;
-    while cell < end_cell {
-        let mut seg_end = end_cell;
-        if next < n_runs {
-            let run = &*runs.add(next);
-            let first = run.first as usize;
-            if first <= cell {
-                next += 1;
-                let run_end = first + run.len as usize;
-                if run_end < seg_end {
-                    seg_end = run_end;
-                }
-                let stencil = match run.nf {
-"#,
-    )?;
+    w.write_str(SPAN_WALK_HEAD)?;
     for &nf in &face_counts {
         writeln!(
             w,
             "                    {nf} => {{ stencil_{nf}(a, run, al, be, ga, u_row, cell, seg_end); true }}"
         )?;
     }
+    w.write_str(SPAN_WALK_MID)?;
     // The class tables are indexed through raw pointers so the three
     // per-face lookups carry no bounds checks (`c` comes from the
     // verified plan geometry, always < n_classes).
     write!(
         w,
-        r#"                    _ => false,
-                }};
-                if stencil {{
-                    cell = seg_end;
-                    continue;
-                }}
-            }} else if first < seg_end {{
-                seg_end = first;
-            }}
-        }}
-        while cell < seg_end {{
+        r#"        while cell < seg_end {{
             let u_here = *u_row.add(cell);
             let mut flux = 0.0f64;
             let mut k = *offsets.add(cell) as usize;
@@ -592,7 +611,10 @@ fn emit_flux_span(cp: &CompiledProblem, w: &mut impl Write) -> fmt::Result {
 /// One per-flat kernel: the unrolled source expression per cell, then the
 /// flux — a call of the plan's `flux_span` (table plan), or the per-face
 /// lowered flux statements and the Euler update fused into the same loop
-/// (compiled flux).
+/// (compiled flux). The compiled kernel walks its span like `flux_span`:
+/// per face count of the plan's run table one straight-line loop with the
+/// flux statements emitted once per slot, and the per-face CSR loop for
+/// boundary, irregular and short-run cells.
 fn emit_flat_kernel(
     cp: &CompiledProblem,
     n_cells: usize,
@@ -627,64 +649,100 @@ fn emit_flat_kernel(
             "        *out.add(i) = r0;\n        i += 1;\n    }}\n    flux_span(a, AL{flat}.as_ptr(), BE{flat}.as_ptr(), GA{flat}.as_ptr(), {flat}, u_row);\n}}\n"
         );
     };
+    // Lines of the volume / flux statements, `extra` spaces deeper than
+    // `stmt_line`'s own eight.
+    let write_stmts = |w: &mut dyn Write, stmts: &[NStmt], extra: usize| -> fmt::Result {
+        stmts
+            .iter()
+            .try_for_each(|s| writeln!(w, "{:extra$}{}", "", stmt_line(s, face_base)))
+    };
+    // The oriented normal of face slot `{slot}`: `dim` components of the
+    // per-slot column, `0.0` past the mesh dimension.
+    let write_normal = |w: &mut dyn Write, slot: &str, indent: usize| -> fmt::Result {
+        (0..3).try_for_each(|axis| match axis < dim {
+            true => writeln!(
+                w,
+                "{:indent$}let n{axis} = *normals.add(({slot}) * {dim} + {axis});",
+                ""
+            ),
+            false => writeln!(w, "{:indent$}let n{axis} = 0.0f64;", ""),
+        })
+    };
     let ghost_read = ghost_read(
         &(flat * cp.walls.n_rows).to_string(),
         &flat.to_string(),
-        "                ",
+        "                    ",
     );
     w.write_str(HOISTED_ARGS)?;
     w.write_str("    let normals = a.normals;\n")?;
-    w.write_str("    let mut i = 0usize;\n    while i < len {\n        let cell = cell0 + i;\n")?;
-    for s in &stmts.volume {
-        writeln!(w, "{}", stmt_line(s, face_base))?;
-    }
-    write!(
-        w,
-        r#"        let src = r0;
-        let u_here = *u_row.add(cell);
-        let mut flux = 0.0f64;
-        let mut k = *offsets.add(cell) as usize;
-        let end = *offsets.add(cell + 1) as usize;
-        while k < end {{
-            let nb = *nbr.add(k);
-            let u2 = if nb >= 0 {{
-                *u_row.add(nb as usize)
-            }} else if skip_boundary {{
-                k += 1;
-                continue;
-            }} else {{
-{ghost_read}
-            }};
-"#
-    )?;
-    // `class` holds the signed face index: the owner-side normal of face
-    // `signed >> 1`, negated (exactly) when bit 0 is set. Components past
-    // the mesh dimension are ±0.0.
-    write!(
-        w,
-        "            let signed = *class.add(k) as usize;\n            let at = (signed >> 1) * {dim};\n            let flip = signed & 1 != 0;\n"
-    )?;
-    for axis in 0..3 {
-        let load = if axis < dim {
-            format!("*normals.add(at + {axis})")
-        } else {
-            "0.0f64".to_string()
-        };
-        writeln!(
+    w.write_str(SPAN_WALK_HEAD)?;
+    // Inside a run: the flux statements once per face slot, in slot order,
+    // the neighbor at the run's delta — per dof the operation sequence of
+    // the CSR loop below, so the same bits.
+    for nf in run_face_counts(cp) {
+        writeln!(w, "                    {nf} => {{")?;
+        for s in 0..nf {
+            writeln!(
+                w,
+                "                        let d{s} = run.delta[{s}] as isize;"
+            )?;
+        }
+        w.write_str(
+            "                        let mut k = *offsets.add(cell) as usize;\n                        let mut cell = cell;\n                        while cell < seg_end {\n",
+        )?;
+        write_stmts(w, &stmts.volume, 20)?;
+        w.write_str(
+            "                            let src = r0;\n                            let u_here = *u_row.add(cell);\n                            let mut flux = 0.0f64;\n",
+        )?;
+        for s in 0..nf {
+            writeln!(
+                w,
+                "                            {{\n                                let u2 = *u_row.offset(cell as isize + d{s});"
+            )?;
+            write_normal(w, &format!("k + {s}"), 32)?;
+            write_stmts(w, flux, 24)?;
+            writeln!(
+                w,
+                "                                flux += *area.add(k + {s}) * r0;\n                            }}"
+            )?;
+        }
+        write!(
             w,
-            "            let n{axis} = if flip {{ -({load}) }} else {{ {load} }};"
+            "                            let rhs = src - flux * *inv_volume.add(cell);\n                            *out.add(cell - cell0) = if fused {{ u_here + fused_dt * rhs }} else {{ rhs }};\n                            cell += 1;\n                            k += {nf};\n                        }}\n                        true\n                    }}\n"
         )?;
     }
-    for s in flux {
-        writeln!(w, "    {}", stmt_line(s, face_base))?;
-    }
+    w.write_str(SPAN_WALK_MID)?;
+    w.write_str("        while cell < seg_end {\n")?;
+    write_stmts(w, &stmts.volume, 4)?;
+    write!(
+        w,
+        r#"            let src = r0;
+            let u_here = *u_row.add(cell);
+            let mut flux = 0.0f64;
+            let mut k = *offsets.add(cell) as usize;
+            let end = *offsets.add(cell + 1) as usize;
+            while k < end {{
+                let nb = *nbr.add(k);
+                let u2 = if nb >= 0 {{
+                    *u_row.add(nb as usize)
+                }} else if skip_boundary {{
+                    k += 1;
+                    continue;
+                }} else {{
+{ghost_read}
+                }};
+"#
+    )?;
+    write_normal(w, "k", 16)?;
+    write_stmts(w, flux, 8)?;
     w.write_str(
-        r#"            flux += *area.add(k) * r0;
-            k += 1;
+        r#"                flux += *area.add(k) * r0;
+                k += 1;
+            }
+            let rhs = src - flux * *inv_volume.add(cell);
+            *out.add(cell - cell0) = if fused { u_here + fused_dt * rhs } else { rhs };
+            cell += 1;
         }
-        let rhs = src - flux * *inv_volume.add(cell);
-        *out.add(i) = if fused { u_here + fused_dt * rhs } else { rhs };
-        i += 1;
     }
 }
 "#,

@@ -133,6 +133,41 @@ fn declared_plan_is_clean_on_every_target_and_tier() {
     }
 }
 
+/// No false positive from the run proof on a compiled-flux plan: on the
+/// mesh of `jittered_array.pbte` (no flux table, so no orientation
+/// classes) the run table is the connectivity alone — 22 interior rows of
+/// 22 cells — and `geometry/run-mismatch` proves it without them, on the
+/// sequential scope and on the fanned-out one. (The tampered tables are in
+/// `analysis::access`'s unit tests; the geometry is private to the crate.)
+#[test]
+fn compiled_flux_plan_with_runs_verifies_clean_on_seq_and_par() {
+    let msh = include_str!("../../../examples/meshes/jittered_array.msh");
+    for target in [ExecTarget::CpuSeq, ExecTarget::CpuParallel] {
+        let mut p = Problem::new("jittered-runs");
+        p.domain(2);
+        p.mesh(pbte_mesh::gmsh::parse_msh(msh).unwrap());
+        p.set_steps(1e-3, 1);
+        let d = p.index("d", 2);
+        let i_var = p.variable("I", &[d]);
+        p.coefficient_array("Sx", &[d], vec![0.6, -0.8]);
+        p.coefficient_array("Sy", &[d], vec![0.8, 0.6]);
+        for side in ["left", "right", "top", "bottom"] {
+            p.boundary(i_var, side, BoundaryCondition::Value(0.0));
+        }
+        p.conservation_form(i_var, "surface(upwind([Sx[d];Sy[d]], I[d]))");
+        let solver = p.build(target.clone()).unwrap();
+        let cp = &solver.compiled;
+        assert_eq!(
+            cp.flux_path(KernelTier::Row),
+            pbte_dsl::exec::FluxPath::Compiled
+        );
+        let bench = cp.intensity_bench(solver.fields(), KernelTier::Row);
+        assert_eq!(bench.run_cells(), 22 * 22);
+        let diags = cp.verify_plan(&target);
+        assert!(diags.is_empty(), "{target:?}: {diags:?}");
+    }
+}
+
 #[test]
 fn overlapping_write_split_reports_the_race() {
     // Two "thread" regions both claim cell 5 of flat 0 — the exact bug the

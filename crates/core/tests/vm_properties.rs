@@ -15,6 +15,10 @@
 //!    cut of the cell range into spans, the four kernel tiers agree bit
 //!    for bit — the stencil runs Row and Native walk are the CSR walk of
 //!    the per-dof tiers.
+//! 7. The same on the *compiled* flux (a jittered mesh, more orientations
+//!    than the flux table holds): runs found from the connectivity alone,
+//!    normals read from the per-slot oriented column, quads, triangles and
+//!    hexahedra, with and without runs.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -23,7 +27,7 @@ use pbte_dsl::bytecode::{
     Compiler, KernelKind, RegProgram, VmCtx, FACE_INPUTS, FACE_NORMAL, FACE_U1, FACE_U2, ROW_CHUNK,
 };
 use pbte_dsl::entities::Fields;
-use pbte_dsl::exec::ExecTarget;
+use pbte_dsl::exec::{ExecTarget, FluxPath};
 use pbte_dsl::problem::{BoundaryCondition, KernelTier, Problem, TimeStepper};
 use pbte_mesh::grid::UniformGrid;
 use pbte_mesh::Mesh;
@@ -507,6 +511,147 @@ proptest! {
                     a,
                     b
                 );
+            }
+        }
+    }
+}
+
+/// `grid` with every interior vertex displaced by up to an eighth of a
+/// cell per axis (hashed from `seed`): no two interior faces share an
+/// orientation, so the flux is compiled, not tabulated. `cells_of` turns
+/// the grid's cells (`base.cell_vertices(c)`, in grid order) into the
+/// cell list of the mesh.
+fn jittered(grid: &UniformGrid, seed: u64, cells_of: impl Fn(&Mesh) -> Vec<Vec<usize>>) -> Mesh {
+    let base = grid.build();
+    let h = [
+        grid.lx / grid.nx as f64,
+        grid.ly / grid.ny as f64,
+        grid.lz / grid.nz.max(1) as f64,
+    ];
+    let size = [grid.lx, grid.ly, grid.lz];
+    let mut vertices = base.vertices.clone();
+    for (i, v) in vertices.iter_mut().enumerate() {
+        let at = [v.x, v.y, v.z];
+        let inside = |a: usize| at[a] > 1e-9 * size[a] && at[a] < size[a] * (1.0 - 1e-9);
+        if !(0..base.dim).all(inside) {
+            continue;
+        }
+        let unit = |axis: u64| {
+            let x = (seed ^ (3 * i as u64 + axis + 1)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let x = (x ^ x >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            (x >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        v.x += unit(0) * 0.125 * h[0];
+        v.y += unit(1) * 0.125 * h[1];
+        if base.dim == 3 {
+            v.z += unit(2) * 0.125 * h[2];
+        }
+    }
+    let mut mesh = Mesh::from_cells(base.dim, vertices, &cells_of(&base));
+    mesh.add_boundary_region("wall", |_| true);
+    mesh
+}
+
+/// The grid's own cells, or with each pair `2i`, `2i + 1` swapped.
+fn grid_cells(base: &Mesh, pair_swapped: bool) -> Vec<Vec<usize>> {
+    (0..base.n_cells())
+        .map(|c| base.cell_vertices(c ^ pair_swapped as usize).to_vec())
+        .collect()
+}
+
+/// Per grid row: the quads of the left half, then the lower triangles of
+/// the right half, then its upper triangles — three kinds of cell, each
+/// numbered consecutively, so a row holds a run of 4-face cells and two of
+/// 3-face cells, each ending where the kind changes.
+fn tri_quad_cells(base: &Mesh, nx: usize) -> Vec<Vec<usize>> {
+    let mut cells = Vec::new();
+    for row in 0..base.n_cells() / nx {
+        let quad = |i: usize| base.cell_vertices(row * nx + i).to_vec();
+        cells.extend((0..nx / 2).map(quad));
+        cells.extend((nx / 2..nx).map(|i| quad(i)[..3].to_vec()));
+        cells.extend((nx / 2..nx).map(|i| {
+            let q = quad(i);
+            vec![q[0], q[2], q[3]]
+        }));
+    }
+    cells
+}
+
+proptest! {
+    // The emitted source does not depend on the jitter (normals are data),
+    // so only a mesh shape's first case compiles its native plan.
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Property 7.
+    #[test]
+    fn all_tiers_agree_bitwise_on_the_compiled_flux_with_and_without_runs(
+        seed in any::<u64>(),
+    ) {
+        let quads = UniformGrid::new_2d(26, 12, 1.3, 0.6);
+        let mix = UniformGrid::new_2d(32, 10, 1.6, 0.5);
+        let hexes = UniformGrid::new_3d(12, 5, 4, 1.2, 0.5, 0.4);
+        // (mesh, cells in stencil runs): the property the fast loop needs.
+        // The jittered quads and hexes are all runs inside their walls; a
+        // pair-swapped numbering has none; the mix has, per interior row,
+        // runs of 14 quads, 15 lower and 15 upper triangles — both face
+        // counts, each run ending where the kind of cell changes.
+        let meshes: [(&str, Mesh, std::ops::RangeInclusive<usize>); 5] = [
+            ("quads", jittered(&quads, seed, |b| grid_cells(b, false)), 240..=240),
+            ("pair-swapped quads", jittered(&quads, seed, |b| grid_cells(b, true)), 0..=0),
+            ("tri + quad mix", jittered(&mix, seed, |b| tri_quad_cells(b, 32)), 8 * 44..=640),
+            ("hexes", jittered(&hexes, seed, |b| grid_cells(b, false)), 60..=60),
+            ("pair-swapped hexes", jittered(&hexes, seed, |b| grid_cells(b, true)), 0..=0),
+        ];
+        for (name, mesh, cells_in_runs) in meshes {
+            let (dim, n_cells) = (mesh.dim, mesh.n_cells());
+            let mut p = Problem::new("compiled-run-props");
+            p.domain(dim);
+            p.mesh(mesh);
+            p.set_steps(1e-3, 1);
+            let d = p.index("d", 3);
+            let i_var = p.variable("I", &[d]);
+            p.coefficient_array("Sx", &[d], vec![1.0, -0.6, 0.28]);
+            p.coefficient_array("Sy", &[d], vec![0.0, 0.8, -0.96]);
+            p.initial(i_var, |x, idx| (17.0 * x.x + 5.0 * x.y + 3.0 * x.z + idx[0] as f64).sin());
+            p.boundary(i_var, "wall", BoundaryCondition::Value(0.25));
+            if dim == 3 {
+                p.coefficient_array("Sz", &[d], vec![0.0, 0.0, 0.0]);
+                p.conservation_form(i_var, "-I[d] + surface(upwind([Sx[d];Sy[d];Sz[d]], I[d]))");
+            } else {
+                p.conservation_form(i_var, "-I[d] + surface(upwind([Sx[d];Sy[d]], I[d]))");
+            }
+            let solver = p.build(ExecTarget::CpuSeq).unwrap();
+            let (cp, fields) = (&solver.compiled, solver.fields());
+            prop_assert_eq!(cp.flux_path(KernelTier::Native), FluxPath::Compiled, "{}", name);
+            let sweep = |tier: KernelTier, span: usize| {
+                let mut bench = cp.intensity_bench(fields, tier).split(span);
+                let mut rhs = vec![0.0; fields.slice(0).len()];
+                bench.run(fields, &mut rhs);
+                (bench.tier(), bench.run_cells(), rhs)
+            };
+            let (_, run_cells, reference) = sweep(KernelTier::Vm, n_cells);
+            prop_assert!(cells_in_runs.contains(&run_cells), "{}: {}", name, run_cells);
+            // Tiles of 7 cells start and end inside the 24-cell runs of
+            // the quads; 64 and `n_cells` straddle whole runs.
+            for tier in [KernelTier::Row, KernelTier::Native] {
+                for span in [1, 7, 64, n_cells] {
+                    let (resolved, _, got) = sweep(tier, span);
+                    // Native degrades to Row on a host without `rustc`.
+                    prop_assert!(resolved == tier || tier == KernelTier::Native);
+                    for (i, (a, b)) in got.iter().zip(&reference).enumerate() {
+                        prop_assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{} {:?} span {} dof {}: {} vs {}",
+                            name,
+                            tier,
+                            span,
+                            i,
+                            a,
+                            b
+                        );
+                    }
+                }
             }
         }
     }

@@ -45,7 +45,7 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, GmshError> {
 pub fn parse_msh(text: &str) -> Result<Mesh, GmshError> {
     let mut lines = text.lines().map(str::trim);
     let mut nodes: Vec<(usize, Point)> = Vec::new();
-    let mut elements: Vec<(u32, Vec<i64>, Vec<usize>)> = Vec::new(); // (type, tags, node ids)
+    let mut elements: Vec<(u32, i64, Vec<usize>)> = Vec::new(); // (type, physical tag, node ids)
     let mut physical_names: HashMap<i64, String> = HashMap::new();
 
     while let Some(line) = lines.next() {
@@ -113,12 +113,22 @@ pub fn parse_msh(text: &str) -> Result<Mesh, GmshError> {
                     let _id: usize = parse_num(p.next().unwrap_or(""))?;
                     let etype: u32 = parse_num(p.next().unwrap_or(""))?;
                     let ntags: usize = parse_num(p.next().unwrap_or(""))?;
-                    let mut tags = Vec::with_capacity(ntags);
-                    for _ in 0..ntags {
-                        tags.push(parse_num::<i64>(p.next().unwrap_or(""))?);
+                    // The declared count is read against, never allocated
+                    // for; only the first tag (the physical group) is kept.
+                    let mut phys = 0;
+                    for t in 0..ntags {
+                        let tag = p.next().ok_or_else(|| {
+                            GmshError::Format(format!(
+                                "element line declares {ntags} tags but ends after {t}: `{l}`"
+                            ))
+                        })?;
+                        let tag: i64 = parse_num(tag)?;
+                        if t == 0 {
+                            phys = tag;
+                        }
                     }
                     let node_ids: Result<Vec<usize>, _> = p.map(parse_num::<usize>).collect();
-                    elements.push((etype, tags, node_ids?));
+                    elements.push((etype, phys, node_ids?));
                 }
                 skip_until(&mut lines, "$EndElements")?;
             }
@@ -130,18 +140,20 @@ pub fn parse_msh(text: &str) -> Result<Mesh, GmshError> {
         return Err(GmshError::Format("no $Nodes section".into()));
     }
 
-    // Renumber nodes densely.
-    let mut id_map: HashMap<usize, usize> = HashMap::with_capacity(nodes.len());
-    let mut vertices = Vec::with_capacity(nodes.len());
-    for (id, p) in &nodes {
-        id_map.insert(*id, vertices.len());
-        vertices.push(*p);
-    }
+    // Renumber nodes densely: by subtraction when the ids are `1..=n` in
+    // file order (what `write_msh` and Gmsh write), through a map otherwise.
+    let vertices: Vec<Point> = nodes.iter().map(|(_, p)| *p).collect();
+    let ids = || nodes.iter().map(|(id, _)| *id);
+    let sparse: Option<HashMap<usize, usize>> =
+        (!ids().eq(1..=nodes.len())).then(|| ids().zip(0..).collect());
     let remap = |mut ids: Vec<usize>| -> Result<Vec<usize>, GmshError> {
         for id in &mut ids {
-            *id = *id_map
-                .get(id)
-                .ok_or_else(|| GmshError::Format(format!("element references node {id}")))?;
+            let dense = match &sparse {
+                None => id.checked_sub(1).filter(|&i| i < vertices.len()),
+                Some(map) => map.get(id).copied(),
+            };
+            *id =
+                dense.ok_or_else(|| GmshError::Format(format!("element references node {id}")))?;
         }
         Ok(ids)
     };
@@ -152,8 +164,7 @@ pub fn parse_msh(text: &str) -> Result<Mesh, GmshError> {
 
     let mut cells: Vec<Vec<usize>> = Vec::new();
     let mut boundary_elems: Vec<(i64, Vec<usize>)> = Vec::new();
-    for (etype, tags, node_ids) in elements {
-        let phys = tags.first().copied().unwrap_or(0);
+    for (etype, phys, node_ids) in elements {
         match (dim, etype) {
             (2, 2) | (2, 3) => cells.push(remap(node_ids)?), // tri/quad
             (2, 1) => boundary_elems.push((phys, remap(node_ids)?)), // line

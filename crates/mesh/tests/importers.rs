@@ -308,6 +308,74 @@ fn bad_cells_in_a_mesh_file_are_errors_naming_the_cell() {
     );
 }
 
+/// A count a file declares is read against, never allocated for (ROADMAP
+/// item 7's declared-count bombs, Gmsh half): an element line claiming
+/// 2⁶⁴ − 1 tags used to panic with `capacity overflow`, one claiming 10¹²
+/// aborted on an 8 TB allocation. Both are format errors quoting the line.
+#[test]
+fn a_declared_tag_count_is_not_an_allocation() {
+    let msh = read_fixture("hotspot_array.msh");
+    for bomb in [
+        "1 3 18446744073709551615 0 1 2 3 4",
+        "1 3 1000000000000 0 1 2 3 4",
+    ] {
+        let bombed = msh.replace("$Elements\n192\n", &format!("$Elements\n192\n{bomb}\n"));
+        assert_ne!(bombed, msh);
+        let err = gmsh::parse_msh(&bombed).unwrap_err();
+        assert!(matches!(err, gmsh::GmshError::Format(_)), "{err:?}");
+        let e = err.to_string();
+        assert!(
+            e.contains("tags but ends after 5") && e.contains(bomb),
+            "{e}"
+        );
+    }
+}
+
+/// Node ids `1..=n` in file order are remapped by subtraction, anything
+/// else through the id map — the same mesh bit for bit either way, and a
+/// dangling id is the same format error on both paths.
+#[test]
+fn sparse_node_ids_import_the_same_mesh_as_sequential_ones() {
+    let msh = read_fixture("hotspot_array.msh");
+    // Every node id (and every reference to it) times ten: sparse ids.
+    let mut section = "";
+    let sparse: String = (msh.lines())
+        .map(|line| {
+            if line.starts_with('$') {
+                section = line;
+                return format!("{line}\n");
+            }
+            let tokens: Vec<&str> = line.split_whitespace().collect();
+            let from = match (section, tokens.len()) {
+                ("$Nodes", 4) => 0..1,
+                ("$Elements", n) if n > 3 => 3 + tokens[2].parse::<usize>().unwrap()..n,
+                _ => 0..0,
+            };
+            let scaled: Vec<String> = (tokens.iter().enumerate())
+                .map(|(i, t)| match from.contains(&i) {
+                    true => (t.parse::<usize>().unwrap() * 10).to_string(),
+                    false => t.to_string(),
+                })
+                .collect();
+            format!("{}\n", scaled.join(" "))
+        })
+        .collect();
+    assert_ne!(sparse, msh);
+    let (a, b) = (
+        gmsh::parse_msh(&msh).unwrap(),
+        gmsh::parse_msh(&sparse).unwrap(),
+    );
+    assert_eq!(topology_digest(&a), topology_digest(&b));
+    for (text, dangling) in [(&msh, "170"), (&sparse, "1695")] {
+        let broken = text.replacen(" 2 0 0 ", &format!(" 2 0 0 {dangling} "), 1);
+        let e = gmsh::parse_msh(&broken).unwrap_err().to_string();
+        assert!(
+            e.contains(&format!("element references node {dangling}")),
+            "{e}"
+        );
+    }
+}
+
 /// FNV-1a over everything downstream hangs off: face order, vertex loops,
 /// owner/neighbor, the bits of every area, normal, centroid and volume,
 /// the cell→face lists and the region face lists.
