@@ -831,7 +831,6 @@ impl ScenarioSpec {
                 t_min,
                 t_max,
                 equation,
-                band_outer_loops: true,
                 strategy: self.strategy,
             },
             move |p, i_var, material| {

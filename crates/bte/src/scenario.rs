@@ -196,9 +196,6 @@ pub(crate) struct Scaffold {
     /// Conservation-form source string ([`EQUATION_2D`]/[`EQUATION_3D`]
     /// or a `.pbte` file's own).
     pub equation: String,
-    /// Apply §III-C's band-outermost `assembly_loops` ordering (the 2-D
-    /// builders do; the coarse 3-D builder keeps the default order).
-    pub band_outer_loops: bool,
     pub strategy: TemperatureStrategy,
 }
 
@@ -219,7 +216,6 @@ pub(crate) fn build_custom(
         t_min,
         t_max,
         equation,
-        band_outer_loops,
         strategy,
     } = sc;
     let dim = mesh.dim;
@@ -270,14 +266,6 @@ pub(crate) fn build_custom(
 
     // Scenario-specific boundary conditions.
     bc(&mut p, i_var, &material);
-
-    if band_outer_loops {
-        // §III-C's band-outermost ordering
-        // (`assemblyLoops([band, "cells", direction])`). It orders the
-        // loops of the generated source and the IR; every executed tier
-        // walks flat-major spans whatever the order.
-        p.assembly_loops(&["b", "cells", "d"]);
-    }
 
     // The post-step temperature update.
     let vars = BteVars {
@@ -333,7 +321,6 @@ fn build_2d(
             t_min,
             t_max,
             equation: EQUATION_2D.to_string(),
-            band_outer_loops: true,
             strategy: cfg.temperature_strategy,
         },
         move |p, i_var, material| bc(p, i_var, material, &cfg2),
@@ -415,7 +402,6 @@ pub fn coarse_3d(
             t_min: t_ref - 60.0,
             t_max: t_hot + 60.0,
             equation: EQUATION_3D.to_string(),
-            band_outer_loops: false,
             strategy: TemperatureStrategy::RedundantNewton,
         },
         move |p, i_var, material| {

@@ -12,10 +12,9 @@
 //! error above [`DRIFT_TOLERANCE`] is a `cost/model-drift` diagnostic —
 //! either the model or an executor's accounting has silently changed.
 
-use super::transfers::GHOSTS;
-use super::{rules, Diagnostic, Severity};
+use super::{rules, Diagnostic, Scope, Severity};
 use crate::bytecode::{BoundOp, KernelKind, Op, Program, RegOp, RegProgram};
-use crate::dataflow::{Policy, TransferSchedule};
+use crate::dataflow::{Entity, Plan, Policy, Stage};
 use crate::exec::{CompiledProblem, ExecTarget, FluxPath, SolveReport};
 use crate::problem::{KernelTier, TimeStepper};
 
@@ -136,21 +135,38 @@ impl CostModel {
     }
 }
 
-/// Bytes of one host/device copy of `name`: a variable's full slice, or
-/// the ghost array. Coefficients cost nothing at run time — they are
-/// baked into the bound kernels at compile time, so their `Once` upload
-/// in the schedule is a compile-time embedding, not a runtime copy.
-fn entity_bytes(cp: &CompiledProblem, name: &str) -> u64 {
-    let registry = &cp.problem.registry;
-    if name == GHOSTS {
-        return ghost_bytes(cp);
-    }
-    registry
-        .variables
-        .iter()
-        .find(|v| v.name == name)
-        .map(|v| (registry.flat_len(&v.indices) * cp.mesh().n_cells() * 8) as u64)
-        .unwrap_or(0)
+/// Bytes of one whole host/device copy of `entity`: a variable's full
+/// slice, or the ghost array. Coefficients cost nothing at run time — they
+/// are baked into the bound kernels at compile time, so their `Once`
+/// upload in the schedule is a compile-time embedding, not a runtime copy.
+fn entity_bytes(plan: &CompiledProblem, entity: Entity) -> u64 {
+    let registry = &plan.problem.registry;
+    let len = match entity {
+        Entity::Variable(v) => {
+            registry.flat_len(&registry.variables[v].indices) * plan.mesh().n_cells()
+        }
+        Entity::Ghosts => plan.walls.image.len(),
+        Entity::Coefficient(_) => 0,
+    };
+    (len * 8) as u64
+}
+
+/// `[setup H2D, per-run H2D, per-run D2H]` bytes of a stage: the sum over
+/// the copies it schedules — a run is a step of an explicit plan, a sweep
+/// of an implicit one.
+fn stage_bytes(plan: &CompiledProblem, stage: &Stage) -> [u64; 3] {
+    let registry = &plan.problem.registry;
+    let bytes = |policy: Policy, to_device: bool| -> u64 {
+        let entities = stage
+            .moves(policy, to_device)
+            .filter_map(|t| Entity::named(registry, &t.name));
+        entities.map(|e| entity_bytes(plan, e)).sum()
+    };
+    [
+        bytes(Policy::Once, true),
+        bytes(Policy::EveryStep, true),
+        bytes(Policy::EveryStep, false),
+    ]
 }
 
 /// Array loads of a generic stack program.
@@ -229,11 +245,22 @@ fn kernel_op_costs(cp: &CompiledProblem, tier: KernelTier) -> (f64, f64) {
     )
 }
 
-/// Price a plan statically. Transfer-byte predictions are nonzero only
-/// for targets with a device lineage (they come straight from the
-/// synthesized schedule); sweep work is target-independent — the parity
-/// tests pin every executor to the same counter totals.
+/// Price a plan statically: `price` on the stages `target` runs.
 pub fn estimate_cost(cp: &CompiledProblem, target: &ExecTarget) -> CostModel {
+    let scope = Scope::whole(cp);
+    let main = Stage::build(cp, Plan::Main, target, &scope);
+    let jvp = cp.jvp.as_deref();
+    let jvp = jvp.map(|jcp| Stage::build(jcp, Plan::Jvp, target, &scope));
+    price(cp, &main, jvp.as_ref())
+}
+
+/// Price a plan from the stages a solve runs (`jvp`: the JVP plan's, under
+/// an implicit integrator). Transfer-byte predictions are nonzero only for
+/// targets with a device lineage — they are the bytes of the stages' moves,
+/// per step under an explicit integrator, per sweep under an implicit one;
+/// sweep work is target-independent — the parity tests pin every executor
+/// to the same counter totals.
+pub(crate) fn price(cp: &CompiledProblem, main: &Stage, jvp: Option<&Stage>) -> CostModel {
     let n_cells = cp.mesh().n_cells();
     let tier = cp.resolved_tier();
     let dof_per_sweep = (cp.n_flat * n_cells) as u64;
@@ -246,38 +273,13 @@ pub fn estimate_cost(cp: &CompiledProblem, target: &ExecTarget) -> CostModel {
     let (flops_per_dof, loads_per_dof) = kernel_op_costs(cp, tier);
 
     let implicit = cp.problem.integrator.is_implicit();
-    let gpu = matches!(
-        target,
-        ExecTarget::GpuHybrid { .. } | ExecTarget::DistBandsGpu { .. }
-    );
-    // Explicit device plans move what the synthesized schedule says. The
-    // implicit device backend re-uploads the active plan's read set (plus
-    // the ghosts of callback walls) before every sweep and downloads the
-    // result rows after (see `GpuBackend::rhs`): sweeps, not steps, drive
-    // that traffic, and the only one-time copies are the ghost images of
-    // lowered plans.
-    let jvp_plan = cp.jvp.as_deref().unwrap_or(cp);
-    let (setup_h2d, step_h2d, step_d2h) = match target {
-        _ if implicit && gpu => (
-            resident_image_bytes(cp) + cp.jvp.as_deref().map_or(0, resident_image_bytes),
-            0,
-            0,
-        ),
-        ExecTarget::GpuHybrid { strategy, .. } | ExecTarget::DistBandsGpu { strategy, .. } => {
-            let schedule = cp.transfer_schedule(*strategy);
-            sum_schedule_bytes(cp, &schedule)
-        }
-        _ => (0, 0, 0),
+    let [setup, run_h2d, run_d2h] = stage_bytes(cp, main);
+    let [jvp_setup, jvp_h2d, _] = match (cp.jvp.as_deref(), jvp) {
+        (Some(jcp), Some(stage)) => stage_bytes(jcp, stage),
+        _ => [0, run_h2d, 0],
     };
-    let (sweep_h2d, jvp_sweep_h2d, sweep_d2h) = if implicit && gpu {
-        (
-            implicit_sweep_h2d_bytes(cp),
-            implicit_sweep_h2d_bytes(jvp_plan),
-            (cp.n_flat * n_cells * 8) as u64,
-        )
-    } else {
-        (0, 0, 0)
-    };
+    let per_step = |bytes: u64| if implicit { 0 } else { bytes };
+    let per_sweep = |bytes: u64| if implicit { bytes } else { 0 };
     let sweep_flops = flops_per_dof * dof_per_sweep as f64;
     CostModel {
         tier,
@@ -288,62 +290,16 @@ pub fn estimate_cost(cp: &CompiledProblem, target: &ExecTarget) -> CostModel {
         stages_per_step,
         flops_per_dof,
         loads_per_dof,
-        setup_h2d_bytes: setup_h2d,
-        step_h2d_bytes: step_h2d,
-        step_d2h_bytes: step_d2h,
+        setup_h2d_bytes: setup + per_sweep(jvp_setup),
+        step_h2d_bytes: per_step(run_h2d),
+        step_d2h_bytes: per_step(run_d2h),
         implicit,
         jvp_per_krylov_iter: 2,
         flops_per_krylov_iter: 2.0 * sweep_flops,
-        sweep_h2d_bytes: sweep_h2d,
-        jvp_sweep_h2d_bytes: jvp_sweep_h2d,
-        sweep_d2h_bytes: sweep_d2h,
+        sweep_h2d_bytes: per_sweep(run_h2d),
+        jvp_sweep_h2d_bytes: per_sweep(jvp_h2d),
+        sweep_d2h_bytes: per_sweep(run_d2h),
     }
-}
-
-/// Bytes of a plan's ghost array.
-fn ghost_bytes(plan: &CompiledProblem) -> u64 {
-    (plan.walls.image.len() * 8) as u64
-}
-
-/// One-time upload of a lowered plan's ghost image (what `PlanState::new`
-/// copies); a plan with callback walls ships its ghosts per sweep instead.
-fn resident_image_bytes(plan: &CompiledProblem) -> u64 {
-    if plan.walls.lowered() {
-        ghost_bytes(plan)
-    } else {
-        0
-    }
-}
-
-/// Upload bytes of one implicit sweep for `plan`: every variable in the
-/// plan's read set (full slice), plus the plan's ghost array while it has
-/// callback walls — exactly the copies `GpuBackend::rhs` issues.
-fn implicit_sweep_h2d_bytes(plan: &CompiledProblem) -> u64 {
-    let registry = &plan.problem.registry;
-    let n_cells = plan.mesh().n_cells();
-    let vars: u64 = plan
-        .system
-        .read_variables
-        .iter()
-        .map(|&v| (registry.flat_len(&registry.variables[v].indices) * n_cells * 8) as u64)
-        .sum();
-    vars + ghost_bytes(plan) - resident_image_bytes(plan)
-}
-
-fn sum_schedule_bytes(cp: &CompiledProblem, schedule: &TransferSchedule) -> (u64, u64, u64) {
-    let mut setup_h2d = 0;
-    let mut step_h2d = 0;
-    let mut step_d2h = 0;
-    for t in &schedule.transfers {
-        let bytes = entity_bytes(cp, &t.name);
-        match (t.to_device, t.policy) {
-            (true, Policy::Once) => setup_h2d += bytes,
-            (true, Policy::EveryStep) => step_h2d += bytes,
-            (false, Policy::EveryStep) => step_d2h += bytes,
-            _ => {}
-        }
-    }
-    (setup_h2d, step_h2d, step_d2h)
 }
 
 /// One prediction/observation pair from the drift check.

@@ -33,8 +33,10 @@
 //!    callback sets — no stale read (an entity consumed on one side after
 //!    being written only on the other without a transfer between) and no
 //!    redundant transfer (moved but never read before its next write).
-//!    The GPU IR's transfer nodes are cross-checked against the schedule
-//!    they were generated from.
+//!    Both sides' sets are a fold of the step's stage records
+//!    ([`crate::dataflow::step_records`]), the list the device backend
+//!    executes and the IR renders, so there is no second description of a
+//!    step to cross-check.
 //! 4. **Translation validity** (`validate`): the lowering pipeline is
 //!    validated per plan, not trusted per construction. A canonical
 //!    symbolic expression is re-extracted from every tier — the IR's
@@ -80,13 +82,15 @@ mod validate;
 
 pub use access::KernelReadSite;
 pub use boundary::check_boundary_forms;
+pub(crate) use cost::price;
 pub use cost::{check_cost_drift, estimate_cost, CostCheck, CostModel, DRIFT_TOLERANCE};
 pub use intervals::{cfl_bound, check_intervals, CflBound};
 pub use intervals::{recommend_dt, DtRecommendation, ACCURACY_COURANT};
 pub use races::{check_disjoint_writes, check_divided_slices, WriteRegion};
 pub use synth::{
-    check_certificate, rank_scopes, synthesize_partition, synthesize_schedule, LivenessArg,
-    Omission, ReadSite, ScheduleCertificate, Scope, Tile, TileLabel, TransferCert, WriteSite,
+    check_certificate, rank_scopes, synthesize_partition, synthesize_records, synthesize_schedule,
+    LivenessArg, Omission, ReadSite, ScheduleCertificate, Scope, Tile, TileLabel, TransferCert,
+    WriteSite,
 };
 pub use transfers::check_schedule;
 pub use units::check_units;
@@ -95,8 +99,8 @@ pub use validate::{
     check_reg_against_bound, check_translation, check_vm,
 };
 
+use crate::dataflow::{step_records, Plan};
 use crate::exec::{CompiledProblem, ExecTarget};
-use crate::problem::GpuStrategy;
 
 /// Rule identifiers, one per distinct diagnostic the verifier can emit.
 pub mod rules {
@@ -138,8 +142,6 @@ pub mod rules {
     pub const REDUNDANT_TRANSFER: &str = "transfer/redundant";
     /// A callback declares an entity name the registry doesn't know.
     pub const UNKNOWN_ENTITY: &str = "callback/unknown-entity";
-    /// The IR's transfer nodes disagree with the transfer schedule.
-    pub const IR_TRANSFER_MISMATCH: &str = "ir/transfer-mismatch";
     /// An IR statement string does not parse back to the DSL expression
     /// it was lowered from (or the DSL term groups are inconsistent).
     pub const TRANSLATION_IR: &str = "translation/ir-mismatch";
@@ -217,7 +219,6 @@ pub mod rules {
         INCOMPLETE_COVER,
         STALE_READ,
         REDUNDANT_TRANSFER,
-        IR_TRANSFER_MISMATCH,
     ];
 }
 
@@ -312,17 +313,6 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// The GPU strategy a target carries, if any (selects the transfer
-/// obligations).
-fn target_strategy(target: &ExecTarget) -> Option<GpuStrategy> {
-    match target {
-        ExecTarget::GpuHybrid { strategy, .. } | ExecTarget::DistBandsGpu { strategy, .. } => {
-            Some(*strategy)
-        }
-        _ => None,
-    }
-}
-
 /// Run every check that applies to `target`. Empty result = the plan is
 /// proven clean (up to the conservative treatment of opaque callbacks,
 /// which can only produce warnings, never silence). A target
@@ -355,10 +345,12 @@ pub(crate) fn verify_scopes(
     if !scopes.is_empty() {
         races::check_target(cp, target, scopes, &mut out);
     }
-    if let Some(strategy) = target_strategy(target) {
-        let schedule = cp.transfer_schedule(strategy);
-        out.extend(transfers::check_schedule(cp, &schedule));
-        transfers::check_ir(cp, target, &schedule, &mut out);
+    if let Some(strategy) = target.strategy() {
+        let scope = Scope::whole(cp);
+        let records = step_records(cp, Plan::Main, Some(strategy), &scope);
+        let (schedule, _) = synth::synthesize_records(cp, strategy, &records);
+        let sides = transfers::Sides::fold(cp, &records);
+        out.extend(transfers::check_against(&sides, &schedule));
     }
     out
 }
@@ -380,7 +372,7 @@ pub fn verify_synthesis(
     target: &ExecTarget,
     out: &mut Vec<Diagnostic>,
 ) -> Option<SynthReport> {
-    let strategy = target_strategy(target)?;
+    let strategy = target.strategy()?;
     let (schedule, certificate) = synth::synthesize_schedule(cp, strategy);
     out.extend(synth::check_certificate(cp, &schedule, &certificate));
     Some(SynthReport {

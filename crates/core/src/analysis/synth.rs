@@ -14,17 +14,18 @@
 //!   it there / nobody rewrites it after the one-time copy).
 //!
 //! [`check_certificate`] re-discharges both obligation families against
-//! the facts themselves (bytecode, callback catalog, strategy structure),
-//! independent of how the schedule was produced: a transfer whose cited
-//! justification does not hold is `schedule/unjustified-transfer`
-//! (minimality), an obligation with neither a transfer nor a valid
+//! the facts themselves (bytecode, the step's stage records), independent
+//! of how the schedule was produced: a transfer whose cited justification
+//! does not hold is `schedule/unjustified-transfer` (minimality), an obligation with neither a transfer nor a valid
 //! liveness argument is `schedule/unsound` (stale-freedom).
 
 use super::access::{kernel_read_sites, site_loads_entity, KernelReadSite};
 use super::races::WriteRegion;
-use super::transfers::{build_sides, Sides, GHOSTS};
+use super::transfers::Sides;
 use super::{rules, Diagnostic, Severity};
-use crate::dataflow::{Policy, Transfer, TransferSchedule};
+use crate::dataflow::{
+    step_records, Entity, Kernel, Place, Plan, Policy, Record, Transfer, TransferSchedule, GHOSTS,
+};
 use crate::exec::{CompiledProblem, ExecTarget};
 use crate::problem::{DslError, GpuStrategy};
 use pbte_mesh::partition::{partition_bands, Partition, PartitionMethod};
@@ -51,6 +52,9 @@ pub enum ReadSite {
     /// Host: a boundary-condition callback reads it (e.g. a specular
     /// reflection of the unknown).
     BoundaryCallback { conservative: bool },
+    /// Host: the async strategy's combine adds the boundary faces' flux to
+    /// the kernel's interior result.
+    AsyncCombine,
     /// Device: no single bytecode site — justified by the equation-level
     /// declaration (cross-checked against bytecode by the access pass).
     Declared,
@@ -141,6 +145,7 @@ impl ReadSite {
                     "a boundary callback declares reading it".into()
                 }
             }
+            ReadSite::AsyncCombine => "the async strategy's host combine reads it".into(),
             ReadSite::Declared => "the equation analysis declares the kernel reads it".into(),
         }
     }
@@ -208,64 +213,90 @@ impl ScheduleCertificate {
 // Fact lookups shared by synthesis and certificate checking
 // ---------------------------------------------------------------------------
 
-/// The first host site that reads `name` each step, mirroring the
-/// precedence of [`build_sides`]'s possible-read set: step callbacks in
-/// registration order, then boundary callbacks.
-fn host_read_site(cp: &CompiledProblem, name: &str) -> Option<ReadSite> {
-    for step in &cp.catalog.steps {
-        match &step.reads {
-            Some(r) if r.iter().any(|n| n == name) => {
-                return Some(ReadSite::StepCallback {
-                    name: step.name.clone(),
-                    conservative: false,
-                })
-            }
-            None => {
-                return Some(ReadSite::StepCallback {
-                    name: step.name.clone(),
-                    conservative: true,
-                })
-            }
-            _ => {}
+/// Whether `record` declares that it reads `entity` — or, with `write`,
+/// writes it.
+fn touches(cp: &CompiledProblem, record: &Record, entity: &str, write: bool) -> bool {
+    let hit = |e: Entity| {
+        if write {
+            record.writes(e)
+        } else {
+            record.reads(e)
         }
-    }
-    match &cp.catalog.boundary_reads {
-        Some(r) if r.iter().any(|n| n == name) => Some(ReadSite::BoundaryCallback {
-            conservative: false,
-        }),
-        None => Some(ReadSite::BoundaryCallback { conservative: true }),
-        _ => None,
-    }
+    };
+    Entity::named(&cp.problem.registry, entity).is_some_and(hit)
 }
 
-/// The first host site that rewrites `name` each step. Opaque callbacks
-/// may rewrite any variable except the unknown (only the kernel — or the
-/// async combine — writes that), mirroring [`build_sides`].
-fn host_write_site(cp: &CompiledProblem, name: &str, unknown: &str) -> Option<WriteSite> {
-    for step in &cp.catalog.steps {
-        match &step.writes {
-            Some(w) if w.iter().any(|n| n == name) => {
-                return Some(WriteSite::StepCallback {
-                    name: step.name.clone(),
-                    conservative: false,
-                })
-            }
-            None if name != unknown => {
-                return Some(WriteSite::StepCallback {
-                    name: step.name.clone(),
-                    conservative: true,
-                })
-            }
-            _ => {}
-        }
-    }
-    None
+/// The host records that read `entity` each step (with `write`: rewrite
+/// it), each with whether the access is only assumed — an opaque callback
+/// may read any variable and rewrite any but the unknown. Step callbacks
+/// come first, in registration order, then the other records: the order
+/// in which sites are cited.
+fn host_sites<'r>(
+    cp: &'r CompiledProblem,
+    records: &'r [Record],
+    entity: &'r str,
+    write: bool,
+) -> impl Iterator<Item = (Kernel, bool)> + 'r {
+    let is_callback = |r: &&Record| matches!(r.kernel, Kernel::Callback { .. });
+    let callbacks = records.iter().filter(is_callback);
+    let ordered = callbacks.chain(records.iter().filter(move |r| !is_callback(r)));
+    let variable = cp.problem.registry.variable_id(entity).is_some();
+    ordered.filter_map(move |r| {
+        let (opaque_reads, opaque_writes) = r.opaque(&cp.catalog);
+        let may = match write {
+            true => opaque_writes && entity != cp.system.unknown_name,
+            false => opaque_reads,
+        };
+        let declared = touches(cp, r, entity, write).then_some(false);
+        let access = declared.or((variable && may).then_some(true))?;
+        (r.place == Place::Host).then_some((r.kernel, access))
+    })
 }
 
-/// True when the cited read site holds against the plan's facts.
+/// The read sites a certificate may cite for a host read of `entity`.
+fn host_read_sites<'r>(
+    cp: &'r CompiledProblem,
+    records: &'r [Record],
+    entity: &'r str,
+) -> impl Iterator<Item = ReadSite> + 'r {
+    let cite = |(kernel, conservative)| match kernel {
+        Kernel::Callback { index, .. } => ReadSite::StepCallback {
+            name: cp.catalog.steps[index].name.clone(),
+            conservative,
+        },
+        Kernel::GhostEval { .. } => ReadSite::BoundaryCallback { conservative },
+        _ => ReadSite::AsyncCombine,
+    };
+    host_sites(cp, records, entity, false).map(cite)
+}
+
+/// The write sites a certificate may cite for a host rewrite of `entity`.
+fn host_write_sites<'r>(
+    cp: &'r CompiledProblem,
+    records: &'r [Record],
+    entity: &'r str,
+) -> impl Iterator<Item = WriteSite> + 'r {
+    let cite = |(kernel, conservative)| match kernel {
+        Kernel::Callback { index, .. } => WriteSite::StepCallback {
+            name: cp.catalog.steps[index].name.clone(),
+            conservative,
+        },
+        Kernel::GhostEval { .. } => WriteSite::GhostEval,
+        _ => WriteSite::AsyncCombine,
+    };
+    host_sites(cp, records, entity, true).map(cite)
+}
+
+/// Whether some device record reads (or with `write` writes) `entity`.
+fn device_access(cp: &CompiledProblem, records: &[Record], entity: &str, write: bool) -> bool {
+    let on_device = records.iter().filter(|r| r.place == Place::Device);
+    on_device.into_iter().any(|r| touches(cp, r, entity, write))
+}
+
+/// True when the cited read site holds against the records.
 fn read_site_holds(
     cp: &CompiledProblem,
-    strategy: GpuStrategy,
+    records: &[Record],
     entity: &str,
     to_device: bool,
     site: &ReadSite,
@@ -273,87 +304,34 @@ fn read_site_holds(
     match site {
         // Device-side consumers justify uploads only.
         ReadSite::Kernel(s) => to_device && site_loads_entity(cp, s, entity),
-        ReadSite::GhostLookup => {
-            to_device
-                && entity == GHOSTS
-                && (strategy == GpuStrategy::PrecomputeBoundary || cp.walls.lowered())
+        ReadSite::GhostLookup | ReadSite::Declared => {
+            let ghosts = matches!(site, ReadSite::GhostLookup);
+            to_device && ghosts == (entity == GHOSTS) && device_access(cp, records, entity, false)
         }
-        ReadSite::Declared => {
-            let registry = &cp.problem.registry;
-            to_device
-                && (cp
-                    .system
-                    .read_variables
-                    .iter()
-                    .any(|&v| registry.variables[v].name == entity)
-                    || cp
-                        .system
-                        .read_coefficients
-                        .iter()
-                        .any(|&c| registry.coefficients[c].name == entity))
-        }
-        // Host-side consumers justify downloads only.
-        ReadSite::StepCallback { name, conservative } => {
-            !to_device
-                && cp.catalog.steps.iter().any(|s| {
-                    s.name == *name
-                        && match &s.reads {
-                            Some(r) => !conservative && r.iter().any(|n| n == entity),
-                            None => *conservative,
-                        }
-                })
-        }
-        ReadSite::BoundaryCallback { conservative } => {
-            !to_device
-                && match &cp.catalog.boundary_reads {
-                    Some(r) => !conservative && r.iter().any(|n| n == entity),
-                    None => *conservative,
-                }
-        }
+        // Host-side consumers justify downloads only: some host record
+        // reading the entity must be what the certificate cites.
+        host => !to_device && host_read_sites(cp, records, entity).any(|s| s == *host),
     }
 }
 
-/// True when the cited write site holds against the plan's facts —
-/// including the policy-level obligation that a per-step transfer cites a
-/// per-step writer, not initialization.
+/// True when the cited write site holds against the records — including
+/// the policy-level obligation that a per-step transfer cites a per-step
+/// writer, not initialization.
 fn write_site_holds(
     cp: &CompiledProblem,
-    strategy: GpuStrategy,
+    records: &[Record],
     entity: &str,
     to_device: bool,
     policy: Policy,
     site: &WriteSite,
-    unknown: &str,
 ) -> bool {
     match site {
         WriteSite::Initialization => to_device && policy == Policy::Once,
-        WriteSite::StepCallback { name, conservative } => {
-            to_device
-                && policy == Policy::EveryStep
-                && cp.catalog.steps.iter().any(|s| {
-                    s.name == *name
-                        && match &s.writes {
-                            Some(w) => !conservative && w.iter().any(|n| n == entity),
-                            None => *conservative && entity != unknown,
-                        }
-                })
+        WriteSite::DeviceKernel => !to_device && device_access(cp, records, entity, true),
+        host => {
+            let cited = || host_write_sites(cp, records, entity).any(|s| s == *host);
+            to_device && policy == Policy::EveryStep && cited()
         }
-        // Both exist only while a callback wall does.
-        WriteSite::AsyncCombine => {
-            to_device
-                && policy == Policy::EveryStep
-                && entity == unknown
-                && strategy == GpuStrategy::AsyncBoundary
-                && !cp.walls.lowered()
-        }
-        WriteSite::GhostEval => {
-            to_device
-                && policy == Policy::EveryStep
-                && entity == GHOSTS
-                && strategy == GpuStrategy::PrecomputeBoundary
-                && !cp.walls.lowered()
-        }
-        WriteSite::DeviceKernel => !to_device && entity == unknown,
     }
 }
 
@@ -386,7 +364,21 @@ fn entity_universe(cp: &CompiledProblem) -> Vec<String> {
 // ---------------------------------------------------------------------------
 
 /// Derive the transfer schedule for `strategy` from the access facts,
-/// together with its certificate.
+/// together with its certificate: [`synthesize_records`] on the step's own
+/// records.
+pub fn synthesize_schedule(
+    cp: &CompiledProblem,
+    strategy: GpuStrategy,
+) -> (TransferSchedule, ScheduleCertificate) {
+    let scope = Scope::whole(cp);
+    synthesize_records(
+        cp,
+        strategy,
+        &step_records(cp, Plan::Main, Some(strategy), &scope),
+    )
+}
+
+/// Derive the transfer schedule of a record list, with its certificate.
 ///
 /// Derivation rules, in schedule order:
 ///
@@ -394,29 +386,30 @@ fn entity_universe(cp: &CompiledProblem) -> Vec<String> {
 ///    immutable by construction: they live in the registry, not in
 ///    `Fields`, so no host code can rewrite one);
 /// 2. the unknown → `Once` H2D (initial condition);
-/// 3. the unknown → `EveryStep` D2H iff some host site reads it between
-///    steps (a step callback or a boundary callback — declared, or
-///    assumed for opaque ones);
-/// 4. the boundary: while a callback wall keeps the host in the loop, the
-///    strategy-structural transfers — async re-uploads the host-combined
-///    unknown, precompute uploads the host-evaluated ghost array; on a
-///    plan whose walls are all lowered, the ghost image → `Once` H2D under
-///    either strategy, and the liveness arguments do the rest (no host
-///    site rewrites the unknown or the image, so neither moves again);
+/// 3. the unknown → `EveryStep` D2H iff some host record reads it between
+///    steps (a step callback, a boundary callback — declared, or assumed
+///    for opaque ones — or the async combine);
+/// 4. the boundary: the ghosts a device record reads → `EveryStep` H2D
+///    while a host `GhostEval` rewrites them, `Once` when the image is
+///    lowered; the unknown → `EveryStep` H2D when a host `Combine`
+///    rewrites it. A lowered plan has neither record, and the liveness
+///    arguments do the rest (no host site rewrites the unknown or the
+///    image, so neither moves again);
 /// 5. every other kernel-read variable → `EveryStep` H2D iff some host
-///    site rewrites it between steps, else `Once`.
+///    record rewrites it between steps, else `Once`.
 ///
 /// Rules 3 and 5 key on the callbacks' declared accesses, not on the mere
 /// existence of a post-step callback: a declared callback that provably
 /// never reads the unknown (or never writes a given variable) yields an
 /// omission instead of a transfer, certified by the corresponding
 /// liveness argument.
-pub fn synthesize_schedule(
+pub fn synthesize_records(
     cp: &CompiledProblem,
     strategy: GpuStrategy,
+    records: &[Record],
 ) -> (TransferSchedule, ScheduleCertificate) {
     let registry = &cp.problem.registry;
-    let sides = build_sides(cp, strategy);
+    let sides = Sides::fold(cp, records);
     let sites = kernel_read_sites(cp);
     let unknown_name = registry.variables[cp.system.unknown].name.clone();
 
@@ -469,9 +462,10 @@ pub fn synthesize_schedule(
     );
 
     // 3. The unknown returns to the host iff some host site reads it.
-    if let Some(read) = host_read_site(cp, &unknown_name) {
+    if let Some(read) = host_read_sites(cp, records, &unknown_name).next() {
         let reason = match &read {
             ReadSite::StepCallback { .. } => "unknown: post-step callback reads it on the host",
+            ReadSite::AsyncCombine => "unknown: the host combine reads the kernel's result",
             _ => "unknown: boundary callbacks read it on the host",
         };
         push(
@@ -486,45 +480,45 @@ pub fn synthesize_schedule(
         );
     }
 
-    // 4. The boundary: the lowered image once, or the strategy-structural
-    //    transfers of a plan with callback walls.
-    match strategy {
-        _ if cp.walls.lowered() => {
-            push(
-                Transfer {
-                    name: GHOSTS.into(),
-                    to_device: true,
-                    policy: Policy::Once,
-                    reason: "boundary ghost image: every wall lowered, evaluated once".into(),
-                },
-                ReadSite::GhostLookup,
+    // 4. The boundary: the ghosts the device reads — per step while the
+    //    host evaluates them, the lowered image once — and the unknown a
+    //    host combine rewrites.
+    if sides.device_reads.contains(GHOSTS) {
+        let (policy, reason, write) = match host_write_sites(cp, records, GHOSTS).next() {
+            Some(write) => (
+                Policy::EveryStep,
+                "boundary ghost values computed by CPU callbacks",
+                write,
+            ),
+            None => (
+                Policy::Once,
+                "boundary ghost image: every wall lowered, evaluated once",
                 WriteSite::Initialization,
-            );
-        }
-        GpuStrategy::AsyncBoundary => {
-            push(
-                Transfer {
-                    name: unknown_name.clone(),
-                    to_device: true,
-                    policy: Policy::EveryStep,
-                    reason: "unknown: host combines the boundary contribution".into(),
-                },
-                kernel_site(&unknown_name),
-                WriteSite::AsyncCombine,
-            );
-        }
-        GpuStrategy::PrecomputeBoundary => {
-            push(
-                Transfer {
-                    name: GHOSTS.into(),
-                    to_device: true,
-                    policy: Policy::EveryStep,
-                    reason: "boundary ghost values computed by CPU callbacks".into(),
-                },
-                ReadSite::GhostLookup,
-                WriteSite::GhostEval,
-            );
-        }
+            ),
+        };
+        push(
+            Transfer {
+                name: GHOSTS.into(),
+                to_device: true,
+                policy,
+                reason: reason.into(),
+            },
+            ReadSite::GhostLookup,
+            write,
+        );
+    }
+    let combine = |w: &WriteSite| *w == WriteSite::AsyncCombine;
+    if let Some(write) = host_write_sites(cp, records, &unknown_name).find(combine) {
+        push(
+            Transfer {
+                name: unknown_name.clone(),
+                to_device: true,
+                policy: Policy::EveryStep,
+                reason: "unknown: host combines the boundary contribution".into(),
+            },
+            kernel_site(&unknown_name),
+            write,
+        );
     }
 
     // 5. Other kernel-read variables: per-step iff a host site rewrites
@@ -535,7 +529,8 @@ pub fn synthesize_schedule(
         }
         let name = registry.variables[v].name.clone();
         let read = kernel_site(&name);
-        match host_write_site(cp, &name, &unknown_name) {
+        let write = host_write_sites(cp, records, &name).next();
+        match write {
             Some(write) => push(
                 Transfer {
                     name,
@@ -638,11 +633,10 @@ pub fn check_certificate(
     schedule: &TransferSchedule,
     cert: &ScheduleCertificate,
 ) -> Vec<Diagnostic> {
+    let scope = Scope::whole(cp);
+    let records = &step_records(cp, Plan::Main, Some(schedule.strategy), &scope);
     let mut out = Vec::new();
-    let strategy = schedule.strategy;
-    let sides = build_sides(cp, strategy);
-    let registry = &cp.problem.registry;
-    let unknown_name = registry.variables[cp.system.unknown].name.clone();
+    let sides = Sides::fold(cp, records);
 
     // --- Minimality: every transfer justified by a valid certificate. ---
     let mut used = vec![false; cert.transfers.len()];
@@ -670,7 +664,7 @@ pub fn check_certificate(
             continue;
         };
         used[i] = true;
-        if !read_site_holds(cp, strategy, &t.name, t.to_device, &c.read) {
+        if !read_site_holds(cp, records, &t.name, t.to_device, &c.read) {
             out.push(Diagnostic {
                 severity: Severity::Error,
                 rule: rules::SCHEDULE_UNJUSTIFIED,
@@ -679,15 +673,7 @@ pub fn check_certificate(
                 message: format!("cited read site does not hold: {}", c.read.describe()),
             });
         }
-        if !write_site_holds(
-            cp,
-            strategy,
-            &t.name,
-            t.to_device,
-            t.policy,
-            &c.write,
-            &unknown_name,
-        ) {
+        if !write_site_holds(cp, records, &t.name, t.to_device, t.policy, &c.write) {
             out.push(Diagnostic {
                 severity: Severity::Error,
                 rule: rules::SCHEDULE_UNJUSTIFIED,
@@ -860,6 +846,14 @@ pub struct Scope {
 }
 
 impl Scope {
+    /// The whole dof grid of `cp` on one worker: the scope of a
+    /// single-rank target, and the range of a step's records when only
+    /// their arguments are read.
+    pub fn whole(cp: &CompiledProblem) -> Scope {
+        let all = |n: usize| (0..n).collect::<Vec<usize>>();
+        Scope::new(&cp.hot.offsets, all(cp.mesh().n_cells()), all(cp.n_flat), 1)
+    }
+
     /// The scope `cells × flats` of a mesh with CSR face `offsets`, every
     /// span cut into `workers` pieces.
     pub(crate) fn new(

@@ -1,27 +1,332 @@
-//! Automatic host↔device data-movement schedule.
+//! One description of a step: stage records with access modes, and the
+//! host↔device data movement read off them.
 //!
 //! The paper: *"Given the sensitivity of communication, Finch will
 //! automatically determine what variables need to be updated and
 //! communicated during each step. Other values will either only be sent
-//! once, or not at all."* The determination itself is
-//! [`crate::analysis::synthesize_schedule`], which derives reader/writer
-//! sets from the compiled kernels and the callback catalog and ships a
-//! certificate with every schedule; this module holds the schedule it
-//! produces:
-//!
-//! * **coefficients** are immutable: device copies are made once;
-//! * the **unknown** returns to the host each step whenever some host
-//!   site reads it, and returns *and* re-uploads each step under the
-//!   async-boundary strategy while a callback wall exists (the host
-//!   combines the boundary contribution into it);
-//! * other kernel-read variables (`Io`, `beta`) re-upload each step only
-//!   when a host callback rewrites them;
-//! * the **ghost array** uploads each step only under the
-//!   precompute-boundary strategy with a callback wall; when every wall
-//!   is lowered into the plan it uploads once, under either strategy, and
-//!   the unknown stays device-resident.
+//! once, or not at all."* A step is a short list of [`Record`]s — a kernel,
+//! the rank's [`Scope`] as its range, each argument with how it is accessed
+//! and where the record runs — built in one place, [`step_records`].
+//! Everything else reads the list: the backends execute it,
+//! [`crate::analysis`] folds its arguments by place into the access sets
+//! the [`TransferSchedule`] is synthesized from and checked against, the
+//! cost model prices the copies a [`Stage`] schedules for them, and
+//! [`crate::ir`] renders it.
 
-use crate::problem::GpuStrategy;
+use crate::analysis::{synthesize_records, Scope};
+use crate::entities::Registry;
+use crate::exec::{CallbackCatalog, CompiledProblem, ExecTarget};
+use crate::problem::{GpuStrategy, TimeStepper};
+
+/// Name of the boundary-ghost pseudo-entity in schedules.
+pub const GHOSTS: &str = "ghosts";
+
+/// Which compiled plan a sweep evaluates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Plan {
+    /// The primal RHS `f(u)`.
+    Main,
+    /// The linearization `J·v` (the JVP plan under `CompiledProblem::jvp`).
+    Jvp,
+}
+
+/// Where a record runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Place {
+    Host,
+    Device,
+}
+
+/// How a record touches one argument.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    Read,
+    Write,
+    ReadWrite,
+}
+
+/// Something a record reads or writes: a registered variable or
+/// coefficient (by id), or the boundary-ghost array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Entity {
+    Variable(usize),
+    Coefficient(usize),
+    Ghosts,
+}
+
+impl Entity {
+    /// The entity a schedule line or a callback declaration names.
+    pub fn named(registry: &Registry, name: &str) -> Option<Entity> {
+        if name == GHOSTS {
+            return Some(Entity::Ghosts);
+        }
+        let var = registry.variable_id(name).map(Entity::Variable);
+        var.or_else(|| registry.coefficient_id(name).map(Entity::Coefficient))
+    }
+
+    pub fn name<'r>(&self, registry: &'r Registry) -> &'r str {
+        match *self {
+            Entity::Variable(v) => &registry.variables[v].name,
+            Entity::Coefficient(c) => &registry.coefficients[c].name,
+            Entity::Ghosts => GHOSTS,
+        }
+    }
+}
+
+/// What a record computes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Kernel {
+    /// One RHS sweep of `plan` over the range; with `fused_dt` it writes
+    /// the Euler update `u + dt·rhs` instead of the RHS. A sweep that does
+    /// not read the ghosts skips the boundary faces.
+    Sweep { plan: Plan, fused_dt: Option<f64> },
+    /// The closures of `plan`'s callback walls, evaluated into the ghosts.
+    GhostEval { plan: Plan },
+    /// The async strategy's host half: the boundary faces' flux, added to
+    /// the kernel's interior result.
+    Combine,
+    /// Step callback `index` of the plan's [`CallbackCatalog`].
+    Callback { pre: bool, index: usize },
+}
+
+/// One loop of a step: kernel, range, arguments with access modes, place.
+#[derive(Debug, Clone)]
+pub struct Record<'a> {
+    pub kernel: Kernel,
+    pub range: &'a Scope,
+    pub args: Vec<(Entity, Access)>,
+    pub place: Place,
+}
+
+impl Record<'_> {
+    pub fn reads(&self, entity: Entity) -> bool {
+        let hit = |&(e, access): &(Entity, Access)| e == entity && access != Access::Write;
+        self.args.iter().any(hit)
+    }
+
+    pub fn writes(&self, entity: Entity) -> bool {
+        let hit = |&(e, access): &(Entity, Access)| e == entity && access != Access::Read;
+        self.args.iter().any(hit)
+    }
+
+    /// The record's span name.
+    pub fn label(&self) -> &'static str {
+        match self.kernel {
+            Kernel::Sweep { .. } => "sweep",
+            Kernel::GhostEval { .. } => "ghost_eval",
+            Kernel::Combine => "combine",
+            Kernel::Callback { .. } => "callback",
+        }
+    }
+
+    /// `(reads, writes)`: whether the record's closures declared no access
+    /// set — they may then read every variable, and write every variable
+    /// but the unknown.
+    pub fn opaque(&self, catalog: &CallbackCatalog) -> (bool, bool) {
+        match self.kernel {
+            Kernel::Callback { index, .. } => {
+                let step = &catalog.steps[index];
+                (step.reads.is_none(), step.writes.is_none())
+            }
+            Kernel::GhostEval { .. } => (catalog.boundary_reads.is_none(), false),
+            _ => (false, false),
+        }
+    }
+}
+
+/// Whether `cp` as the `which` plan is swept once per RHS / JVP evaluation
+/// of an implicit solve rather than once per step.
+fn per_sweep(cp: &CompiledProblem, which: Plan) -> bool {
+    which == Plan::Jvp || cp.problem.integrator.is_implicit()
+}
+
+/// The records of one step of `cp` as the `which` plan, its sweep on the
+/// device under `device`'s strategy or on the host — the one place that
+/// decides strategy × (walls lowered?) × integrator:
+///
+/// * a wall left to a closure puts a `GhostEval` on the host before the
+///   sweep; a lowered plan has none, and no `Combine`, under either
+///   strategy;
+/// * the async strategy with such a wall, explicit, is a sweep that skips
+///   the boundary (it does not read the ghosts) plus a host `Combine` that
+///   reads them and rewrites the unknown; every other sweep reads the
+///   ghosts, as the precompute strategy always does;
+/// * an implicit solve sweeps un-fused, per evaluation, and never combines
+///   (a matvec needs the complete flux). Its un-fused sweep still lists
+///   the unknown as written: the RHS rows it produces have that shape. A
+///   JVP plan registers no step callbacks.
+pub fn step_records<'a>(
+    cp: &CompiledProblem,
+    which: Plan,
+    device: Option<GpuStrategy>,
+    range: &'a Scope,
+) -> Vec<Record<'a>> {
+    let registry = &cp.problem.registry;
+    let unknown = Entity::Variable(cp.system.unknown);
+    let named = |names: &Option<Vec<String>>, access: Access| -> Vec<(Entity, Access)> {
+        let known = names
+            .iter()
+            .flatten()
+            .filter_map(|n| Entity::named(registry, n));
+        known.map(|e| (e, access)).collect()
+    };
+    let callback_wall = !cp.walls.lowered();
+    let host_combine =
+        device == Some(GpuStrategy::AsyncBoundary) && callback_wall && !per_sweep(cp, which);
+    let fused = !per_sweep(cp, which) && cp.problem.stepper == TimeStepper::EulerExplicit;
+
+    let record = |kernel, place, args| Record {
+        kernel,
+        range,
+        args,
+        place,
+    };
+    let callbacks = |pre: bool| {
+        let steps = cp.catalog.steps.iter().enumerate();
+        steps
+            .filter(move |(_, s)| s.pre == pre)
+            .map(move |(index, s)| {
+                let (reads, writes) = (
+                    named(&s.reads, Access::Read),
+                    named(&s.writes, Access::Write),
+                );
+                record(
+                    Kernel::Callback { pre, index },
+                    Place::Host,
+                    [reads, writes].concat(),
+                )
+            })
+    };
+    let mut records: Vec<Record> = callbacks(true).collect();
+    if callback_wall {
+        let mut args = named(&cp.catalog.boundary_reads, Access::Read);
+        args.push((Entity::Ghosts, Access::Write));
+        records.push(record(Kernel::GhostEval { plan: which }, Place::Host, args));
+    }
+    let variables = cp
+        .system
+        .read_variables
+        .iter()
+        .map(|&v| Entity::Variable(v));
+    let coefficients = cp
+        .system
+        .read_coefficients
+        .iter()
+        .map(|&c| Entity::Coefficient(c));
+    let reads = variables
+        .chain(coefficients)
+        .chain((!host_combine).then_some(Entity::Ghosts));
+    let mut args: Vec<_> = reads
+        .filter(|&e| e != unknown)
+        .map(|e| (e, Access::Read))
+        .collect();
+    args.push((unknown, Access::ReadWrite));
+    let sweep = Kernel::Sweep {
+        plan: which,
+        fused_dt: fused.then_some(cp.problem.dt),
+    };
+    let place = device.map_or(Place::Host, |_| Place::Device);
+    records.push(record(sweep, place, args));
+    if host_combine {
+        let args = vec![(Entity::Ghosts, Access::Read), (unknown, Access::ReadWrite)];
+        records.push(record(Kernel::Combine, Place::Host, args));
+    }
+    records.extend(callbacks(false));
+    records
+}
+
+/// A step's records and what a device backend copies for them.
+#[derive(Debug, Clone)]
+pub struct Stage<'a> {
+    pub records: Vec<Record<'a>>,
+    /// `None` on a CPU target. A `Once` line moves before the first step;
+    /// an `EveryStep` line rides with the stage's device record every time
+    /// it runs — uploads before it, downloads after.
+    pub schedule: Option<TransferSchedule>,
+}
+
+impl<'a> Stage<'a> {
+    /// The stage `target` runs for `cp` as the `which` plan over `range`.
+    /// Stepped explicitly, its schedule is the certificate-backed step
+    /// schedule ([`synthesize_records`]); an implicit solve runs the same
+    /// records per sweep and moves per sweep (`sweep_schedule`).
+    pub fn build(
+        cp: &CompiledProblem,
+        which: Plan,
+        target: &ExecTarget,
+        range: &'a Scope,
+    ) -> Stage<'a> {
+        let records = step_records(cp, which, target.strategy(), range);
+        let schedule = target
+            .strategy()
+            .map(|strategy| match per_sweep(cp, which) {
+                true => sweep_schedule(cp, strategy, &records),
+                false => synthesize_records(cp, strategy, &records).0,
+            });
+        Stage { records, schedule }
+    }
+
+    /// The positions of the records a backend runs: everything but the
+    /// step callbacks.
+    pub fn sweeps(&self) -> impl Iterator<Item = usize> + '_ {
+        let is_callback = |at: &usize| matches!(self.records[*at].kernel, Kernel::Callback { .. });
+        (0..self.records.len()).filter(move |at| !is_callback(at))
+    }
+
+    /// The scheduled copies of one policy and direction, in schedule order.
+    pub fn moves(&self, policy: Policy, to_device: bool) -> impl Iterator<Item = &Transfer> {
+        let mine = move |t: &&Transfer| t.policy == policy && t.to_device == to_device;
+        let lines = self.schedule.iter().flat_map(|s| &s.transfers);
+        lines.filter(mine)
+    }
+}
+
+/// The copies of one implicit sweep. Between two sweeps the Newton–Krylov
+/// driver rewrites the state (the unknown slot carries the Krylov
+/// direction, callbacks rewrite the coefficient fields between steps), so
+/// every variable the device sweep reads goes up with it and its result
+/// rows come back; the ghosts go up with it while a `GhostEval` rewrites
+/// them, once when the image is lowered; coefficients are immutable.
+fn sweep_schedule(
+    cp: &CompiledProblem,
+    strategy: GpuStrategy,
+    records: &[Record],
+) -> TransferSchedule {
+    let on = |place: Place| records.iter().filter(move |r| r.place == place);
+    let ghosts_rewritten = on(Place::Host).any(|r| r.writes(Entity::Ghosts));
+    let mut transfers = Vec::new();
+    for &(entity, access) in on(Place::Device).flat_map(|r| &r.args) {
+        let line = |to_device: bool, policy: Policy, reason: &str| Transfer {
+            name: entity.name(&cp.problem.registry).to_string(),
+            to_device,
+            policy,
+            reason: reason.to_string(),
+        };
+        let rewritten = match entity {
+            Entity::Variable(_) => true,
+            Entity::Ghosts => ghosts_rewritten,
+            Entity::Coefficient(_) => false,
+        };
+        if access != Access::Write {
+            transfers.push(match rewritten {
+                true => line(
+                    true,
+                    Policy::EveryStep,
+                    "rewritten on the host between sweeps",
+                ),
+                false => line(true, Policy::Once, "immutable: resident on the device"),
+            });
+        }
+        if access != Access::Read {
+            let reason = "the sweep's result rows return to the solver";
+            transfers.push(line(false, Policy::EveryStep, reason));
+        }
+    }
+    TransferSchedule {
+        strategy,
+        transfers,
+    }
+}
 
 /// When a piece of data moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +407,6 @@ impl TransferSchedule {
 mod tests {
     use super::*;
     use crate::analysis::synthesize_schedule;
-    use crate::exec::CompiledProblem;
     use crate::problem::{BoundaryCondition, Problem};
 
     /// `callback_walls`: the paper's configuration, boundary conditions as

@@ -258,19 +258,12 @@ pub(crate) fn solve(
     let init_fields: &Fields = fields;
     let cfg = rec.config();
     let parent: &Recorder = rec;
-    // One cost estimate for the whole job; each rank narrows it to its
-    // owned scope (transfer-byte terms are dropped — they only apply to
-    // the single-device target where the full-problem schedule is exact).
-    let base_cost = parent.enabled().then(|| super::live_cost(cp, target));
     let results: Vec<RankResult> = World::run(ranks, |ctx| {
         let rank = ctx.rank;
         let d = &scopes[rank];
         let (cells, flats) = (&d.cells, &d.flats);
         let mut local = init_fields.clone();
         let mut r = parent.child(rank as u32);
-        if let Some(base) = base_cost {
-            r.set_cost_expectation(super::scope_cost(base, cp, d));
-        }
         let owned = match &bands {
             Some(b) => Owned {
                 index_range: Some((b.index.clone(), b.ranges[rank].clone())),

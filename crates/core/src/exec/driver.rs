@@ -6,16 +6,20 @@
 //! for step = 1:Nsteps
 //!   (pre-step callbacks)                                } temperature phase
 //!   stage: explicit Euler/RK2, or one θ-scheme Newton   } intensity phase
-//!     halo exchange → callback-wall ghosts → RHS sweep  }
-//!     → update (fused into the sweep under Euler)       }
+//!     halo exchange → the stage's records, in order     }
+//!     (callback-wall ghosts, the sweep — fused with the }
+//!     update under Euler —, the async combine)          }
 //!   (post-step callbacks: temperature update)           } temperature phase
 //!   account phases, communication, spans; time += dt
 //! ```
 //!
-//! What differs between targets is confined to three values the caller
-//! hands in: a [`Backend`] (where one RHS sweep runs — on the host, or on
-//! the simulated device), a [`StepLinks`] (halo exchange and reductions —
-//! none, or message passing), and the rank's [`Scope`] from
+//! What a stage *is* is data: the record list of
+//! [`crate::dataflow::step_records`], built once per rank ([`engine_for`]).
+//! What differs between targets is confined to three values: a
+//! [`Backend`] (what running one record means — on the host, or on the
+//! simulated device with the copies the stage attaches to it), a
+//! [`StepLinks`] (halo exchange and reductions — none, or message
+//! passing), and the rank's [`Scope`] from
 //! [`crate::analysis::rank_scopes`]: the owned dofs and the tiles they are
 //! swept in, on one worker or fanned out. [`solve`] builds the scopes
 //! once, has them proved (`debug_verify`) and hands the same values on.
@@ -25,23 +29,15 @@ use super::implicit::{theta_step, ImplicitWorkspace};
 use super::rows::{self, IntensityKernels};
 use super::walls::Ghosts;
 use super::{
-    dist, gpu, live_cost, phases, seq, CompiledProblem, ExecTarget, LocalLinks, SolveReport,
+    dist, gpu, phases, scope_cost, seq, CompiledProblem, ExecTarget, LocalLinks, SolveReport,
     StepLinks,
 };
 use crate::analysis::Scope;
+use crate::dataflow::{Kernel, Plan, Record, Stage};
 use crate::entities::Fields;
 use crate::problem::{DslError, Integrator, KernelTier, TimeStepper};
-use pbte_runtime::telemetry::{Recorder, SpanKind, Track, WorkCounters};
+use pbte_runtime::telemetry::{Recorder, SpanKind, Track};
 use std::time::Instant;
-
-/// Which compiled plan a backend RHS sweep evaluates.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Plan {
-    /// The primal RHS `f(u)`.
-    Main,
-    /// The linearization `J·v` (the JVP plan under `CompiledProblem::jvp`).
-    Jvp,
-}
 
 /// What a rank's step callbacks are told they own.
 #[derive(Default)]
@@ -52,59 +48,45 @@ pub(crate) struct Owned<'a> {
     pub cells: Option<&'a [usize]>,
 }
 
-/// What a device backend reports for one explicit stage. Its presence
-/// switches the step's phase names to the GPU lineage's.
+/// What running records cost, summed over a stage. A device stage reports
+/// its step under the GPU lineage's phase names.
+#[derive(Default, Clone, Copy)]
 pub(crate) struct StepTimes {
-    /// Simulated device seconds in the intensity kernel.
+    /// Simulated device seconds in kernels.
     pub kernel: f64,
     /// Simulated host↔device transfer seconds.
     pub transfer: f64,
-    /// Host wall-clock seconds inside the stage (the ghosts of callback
-    /// walls and the async strategy's boundary contribution; zero on a
+    /// Host wall-clock seconds inside the stage's host records (the ghosts
+    /// of callback walls and the async strategy's combine; zero on a
     /// lowered plan), reported with the callbacks as
     /// `temperature update(CPU)`.
     pub host: f64,
 }
 
-/// The per-target evaluation engine the driver runs on. All
-/// implementations are bit-identical per dof: every sweep bottoms out in
-/// [`super::rows::rhs_block`].
+/// The per-target evaluation engine the driver hands a stage's records to.
+/// All implementations are bit-identical per dof: every sweep bottoms out
+/// in [`super::rows::rhs_block`].
 pub(crate) trait Backend {
     /// The kernel tier the sweeps run at (span attribution).
     fn tier(&self) -> KernelTier;
 
-    /// The ghosts of any callback walls, then one RHS sweep of `plan` over
-    /// the backend's scope into `out[flat * n_cells + cell]`.
-    fn rhs(
-        &mut self,
-        plan: &CompiledProblem,
-        which: Plan,
-        fields: &Fields,
-        time: f64,
-        out: &mut [f64],
-        work: &mut WorkCounters,
-    );
-
-    /// One forward-Euler stage `u += dt·f(u, time)` with `k` as its stage
-    /// buffer. Under RK2 it leaves `f` in `k` (the second stage reads it);
-    /// under Euler a backend may fuse the update into the sweep and leave
-    /// anything there. The device backend overrides this with its fused
-    /// transfer → kernel → transfer sequence and returns the simulated
-    /// times.
+    /// Run record `at` of `stage` on `plan` at `time`: make the copies the
+    /// stage attaches to it, execute it, span it. A sweep writes the RHS
+    /// of the record's range into `out[flat * n_cells + cell]`; a fused
+    /// sweep instead advances the unknown in `fields` by one Euler stage,
+    /// with `out` as its stage buffer.
     #[allow(clippy::too_many_arguments)]
-    fn explicit_stage(
+    fn run(
         &mut self,
-        cp: &CompiledProblem,
+        stage: &Stage,
+        at: usize,
+        plan: &CompiledProblem,
         fields: &mut Fields,
-        d: &Scope,
         time: f64,
         step: usize,
-        k: &mut Vec<f64>,
+        out: &mut Vec<f64>,
         rec: &mut Recorder,
-    ) -> Option<StepTimes> {
-        two_pass_stage(self, cp, fields, d, time, step, k, rec);
-        None
-    }
+    ) -> StepTimes;
 
     /// Close the run: reconcile any device-resident state into `fields`
     /// and hand back the device profile (device backends only).
@@ -117,20 +99,44 @@ pub(crate) trait Backend {
     }
 }
 
-/// The unfused Euler stage: `k = f(u, time)`, then `u += dt·k`.
-#[allow(clippy::too_many_arguments)]
-fn two_pass_stage<B: Backend + ?Sized>(
-    backend: &mut B,
-    cp: &CompiledProblem,
-    fields: &mut Fields,
-    d: &Scope,
-    time: f64,
-    step: usize,
-    k: &mut [f64],
-    rec: &mut Recorder,
-) {
-    traced_rhs(backend, cp, Plan::Main, fields, d, time, step, k, rec);
-    axpy(fields, cp.system.unknown, d, cp.problem.dt, k);
+/// A backend with the stages it runs: the step's, and under an implicit
+/// integrator the JVP plan's.
+pub(crate) struct Engine<'a> {
+    backend: Box<dyn Backend + 'a>,
+    pub main: Stage<'a>,
+    pub jvp: Option<Stage<'a>>,
+}
+
+impl Engine<'_> {
+    /// Run the stage of `which` plan: every record between the step
+    /// callbacks, in list order — the ghosts of any callback walls, the
+    /// sweep, the async combine.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sweep(
+        &mut self,
+        plan: &CompiledProblem,
+        which: Plan,
+        fields: &mut Fields,
+        time: f64,
+        step: usize,
+        out: &mut Vec<f64>,
+        rec: &mut Recorder,
+    ) -> StepTimes {
+        let stage = match which {
+            Plan::Main => &self.main,
+            Plan::Jvp => self.jvp.as_ref().expect("JVP sweep without a JVP plan"),
+        };
+        let mut total = StepTimes::default();
+        for at in stage.sweeps() {
+            let t = self
+                .backend
+                .run(stage, at, plan, fields, time, step, out, rec);
+            total.kernel += t.kernel;
+            total.transfer += t.transfer;
+            total.host += t.host;
+        }
+        total
+    }
 }
 
 /// `u += coeff * rhs` over a scope, tile by tile like the sweeps.
@@ -146,6 +152,22 @@ fn axpy(fields: &mut Fields, unknown: usize, d: &Scope, coeff: f64, rhs: &[f64])
             }
         },
     );
+}
+
+/// The span of a host record begun at `t0` (the ghosts of callback walls,
+/// the async combine), and its wall-clock seconds.
+pub(crate) fn host_span(rec: &mut Recorder, record: &Record, step: usize, t0: Instant) -> f64 {
+    let host_s = t0.elapsed().as_secs_f64();
+    if rec.enabled() {
+        let attrs = vec![
+            ("step", step.to_string()),
+            ("place", "host".to_string()),
+            ("host_s", format!("{host_s:.3e}")),
+        ];
+        let (name, t0) = (record.label(), rec.now() - host_s);
+        rec.span(SpanKind::Kernel, name, t0, host_s, Track::Host, attrs);
+    }
+    host_s
 }
 
 /// The `Kernel` span of one host sweep of `which` plan begun at `k0`
@@ -191,24 +213,6 @@ fn sweep_span(
     );
 }
 
-/// An RHS sweep of `which` plan wrapped in its [`sweep_span`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn traced_rhs<B: Backend + ?Sized>(
-    backend: &mut B,
-    plan: &CompiledProblem,
-    which: Plan,
-    fields: &Fields,
-    d: &Scope,
-    time: f64,
-    step: usize,
-    out: &mut [f64],
-    rec: &mut Recorder,
-) {
-    let k0 = rec.now();
-    backend.rhs(plan, which, fields, time, out, &mut rec.work);
-    sweep_span(rec, backend.tier(), plan, which, d, step, k0);
-}
-
 /// Per-plan CPU sweep state.
 struct CpuPlan {
     kernels: IntensityKernels,
@@ -224,111 +228,99 @@ impl CpuPlan {
     }
 }
 
-/// CPU engine: [`rows::sweep`] over the scope's tiles, on as many workers
-/// as the scope says.
-pub(crate) struct CpuBackend<'a> {
-    d: &'a Scope,
+/// CPU engine: [`rows::sweep`] over the tiles of the record's range, on as
+/// many workers as the range says.
+pub(crate) struct CpuBackend {
     main: CpuPlan,
     jvp: Option<CpuPlan>,
 }
 
-impl<'a> CpuBackend<'a> {
-    pub fn new(cp: &CompiledProblem, d: &'a Scope) -> CpuBackend<'a> {
+impl CpuBackend {
+    pub fn new(cp: &CompiledProblem, d: &Scope) -> CpuBackend {
         CpuBackend {
-            d,
             main: CpuPlan::new(cp, &d.flats),
             jvp: cp.jvp.as_deref().map(|jcp| CpuPlan::new(jcp, &d.flats)),
         }
     }
 
-    /// One sweep of `which` plan over the scope: the RHS, or with
-    /// `fused_dt` the Euler update `u + dt·rhs`, into `out`.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep(
-        &mut self,
-        plan: &CompiledProblem,
-        which: Plan,
-        fields: &Fields,
-        time: f64,
-        fused_dt: Option<f64>,
-        out: &mut [f64],
-        work: &mut WorkCounters,
-    ) {
-        let CpuPlan { kernels, ghosts } = match which {
+    fn plan(&mut self, which: Plan) -> &mut CpuPlan {
+        match which {
             Plan::Main => &mut self.main,
             Plan::Jvp => self.jvp.as_mut().expect("JVP sweep without a JVP plan"),
-        };
-        let parallel = self.d.workers > 1;
-        let ghosts = ghosts.refresh(plan, fields, &self.d.flats, time, work, parallel);
-        rows::sweep(
-            kernels, plan, fields, self.d, ghosts, time, fused_dt, out, work,
-        );
+        }
     }
 }
 
-impl Backend for CpuBackend<'_> {
+impl Backend for CpuBackend {
     fn tier(&self) -> KernelTier {
         self.main.kernels.tier
     }
 
-    fn rhs(
+    /// A fused sweep is one pass: it writes `u + dt·rhs` — the expression
+    /// [`axpy`] evaluates, so the same bits — into the stage buffer, which
+    /// then *becomes* the unknown (a storage swap) when the range covers
+    /// the whole variable, or is copied back over the owned spans when it
+    /// does not (distributed ranks).
+    fn run(
         &mut self,
+        stage: &Stage,
+        at: usize,
         plan: &CompiledProblem,
-        which: Plan,
-        fields: &Fields,
-        time: f64,
-        out: &mut [f64],
-        work: &mut WorkCounters,
-    ) {
-        self.sweep(plan, which, fields, time, None, out, work);
-    }
-
-    /// Under Euler, one pass: the sweep writes `u + dt·rhs` — the
-    /// expression [`axpy`] evaluates, so the same bits — into the stage
-    /// buffer, which then *becomes* the unknown (a storage swap) when the
-    /// scope covers the whole variable, or is copied back over the owned
-    /// spans when it does not (distributed ranks). RK2's first stage needs
-    /// `f` itself and keeps the two-pass default.
-    fn explicit_stage(
-        &mut self,
-        cp: &CompiledProblem,
         fields: &mut Fields,
-        d: &Scope,
         time: f64,
         step: usize,
-        k: &mut Vec<f64>,
+        out: &mut Vec<f64>,
         rec: &mut Recorder,
-    ) -> Option<StepTimes> {
-        if cp.problem.stepper != TimeStepper::EulerExplicit {
-            two_pass_stage(self, cp, fields, d, time, step, k, rec);
-            return None;
-        }
-        let unknown = cp.system.unknown;
-        let k0 = rec.now();
-        let fused_dt = Some(cp.problem.dt);
-        self.sweep(cp, Plan::Main, fields, time, fused_dt, k, &mut rec.work);
-        sweep_span(rec, self.tier(), cp, Plan::Main, d, step, k0);
-        if d.is_full(cp.n_flat) {
-            fields.swap_storage(unknown, k);
-        } else {
-            let u = fields.slice_mut(unknown);
-            for span in d.spans() {
-                u[span.clone()].copy_from_slice(&k[span]);
+    ) -> StepTimes {
+        let record = &stage.records[at];
+        let d = record.range;
+        match record.kernel {
+            Kernel::GhostEval { plan: which } => {
+                let t0 = Instant::now();
+                let ghosts = &mut self.plan(which).ghosts;
+                ghosts.refresh(plan, fields, &d.flats, time, &mut rec.work, d.workers > 1);
+                host_span(rec, record, step, t0);
+            }
+            Kernel::Sweep {
+                plan: which,
+                fused_dt,
+            } => {
+                let CpuPlan { kernels, ghosts } = self.plan(which);
+                let k0 = rec.now();
+                let ghosts = ghosts.current(plan);
+                let work = &mut rec.work;
+                rows::sweep(kernels, plan, fields, d, ghosts, time, fused_dt, out, work);
+                sweep_span(rec, kernels.tier, plan, which, d, step, k0);
+                let unknown = plan.system.unknown;
+                if fused_dt.is_some() && d.is_full(plan.n_flat) {
+                    fields.swap_storage(unknown, out);
+                } else if fused_dt.is_some() {
+                    let u = fields.slice_mut(unknown);
+                    for span in d.spans() {
+                        u[span.clone()].copy_from_slice(&out[span]);
+                    }
+                }
+            }
+            Kernel::Combine | Kernel::Callback { .. } => {
+                unreachable!("a host stage has no combine, and callbacks run in the driver")
             }
         }
-        None
+        StepTimes::default()
     }
 }
 
-/// The backend and callback thread count `target` runs one rank's scope
-/// `d` on.
-pub(crate) fn backend_for<'a>(
+/// The engine — the backend with the stages it is to run — and the
+/// callback thread count `target` runs one rank's scope `d` on.
+pub(crate) fn engine_for<'a>(
     cp: &CompiledProblem,
     fields: &Fields,
     d: &'a Scope,
     target: &ExecTarget,
-) -> (Box<dyn Backend + 'a>, usize) {
-    match target {
+) -> (Engine<'a>, usize) {
+    let main = Stage::build(cp, Plan::Main, target, d);
+    let jvp = cp.jvp.as_deref();
+    let jvp = jvp.map(|jcp| Stage::build(jcp, Plan::Jvp, target, d));
+    let (backend, threads): (Box<dyn Backend + 'a>, usize) = match target {
         // Callbacks get the workers the sweeps have.
         ExecTarget::CpuSeq
         | ExecTarget::CpuParallel
@@ -336,27 +328,35 @@ pub(crate) fn backend_for<'a>(
         | ExecTarget::DistBands { .. } => (Box::new(CpuBackend::new(cp, d)), d.workers),
         // The device is idle while callbacks run, so the host thread pool
         // is fully available to them.
-        ExecTarget::GpuHybrid { spec, strategy }
-        | ExecTarget::DistBandsGpu { spec, strategy, .. } => (
-            Box::new(GpuBackend::new(cp, fields, d, spec.clone(), *strategy)),
+        ExecTarget::GpuHybrid { spec, .. } | ExecTarget::DistBandsGpu { spec, .. } => (
+            Box::new(GpuBackend::new(
+                cp,
+                fields,
+                d,
+                spec.clone(),
+                &main,
+                jvp.as_ref(),
+            )),
             rayon::current_num_threads(),
         ),
-    }
+    };
+    (Engine { backend, main, jvp }, threads)
 }
 
 /// One explicit step, written once for every backend: forward Euler, or
-/// Heun's RK2 `u* = u + dt k1; u' = u + dt/2 (k1 + k2(u*))`. The halo is
-/// exchanged before **every** stage — RK2 reads neighbor values of the
-/// intermediate state, so one exchange per step would silently
-/// desynchronize ranks.
+/// Heun's RK2 `u* = u + dt k1; u' = u + dt/2 (k1 + k2(u*))`. Each stage is
+/// the engine's record list; a sweep that is not fused leaves `f` in its
+/// stage buffer and the update to [`axpy`]. The halo is exchanged before
+/// **every** stage — RK2 reads neighbor values of the intermediate state,
+/// so one exchange per step would silently desynchronize ranks.
 #[allow(clippy::too_many_arguments)]
 fn explicit_step(
     cp: &CompiledProblem,
-    backend: &mut dyn Backend,
+    engine: &mut Engine,
     fields: &mut Fields,
     d: &Scope,
     k1: &mut Vec<f64>,
-    k2: &mut [f64],
+    k2: &mut Vec<f64>,
     time: f64,
     step: usize,
     links: &mut dyn StepLinks,
@@ -365,15 +365,16 @@ fn explicit_step(
     let dt = cp.problem.dt;
     let unknown = cp.system.unknown;
     links.halo_exchange(fields);
-    let device = backend.explicit_stage(cp, fields, d, time, step, k1, rec);
+    let times = engine.sweep(cp, Plan::Main, fields, time, step, k1, rec);
     if cp.problem.stepper == TimeStepper::Rk2 {
+        axpy(fields, unknown, d, dt, k1);
         links.halo_exchange(fields);
-        traced_rhs(backend, cp, Plan::Main, fields, d, time + dt, step, k2, rec);
+        engine.sweep(cp, Plan::Main, fields, time + dt, step, k2, rec);
         // u' = u* − dt k1 + dt/2 (k1 + k2) = u* − dt/2 k1 + dt/2 k2.
         axpy(fields, unknown, d, -0.5 * dt, k1);
         axpy(fields, unknown, d, 0.5 * dt, k2);
     }
-    device
+    engine.main.schedule.is_some().then_some(times)
 }
 
 /// Per-integrator state of the time loop.
@@ -400,7 +401,7 @@ enum Scheme<'a> {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive(
     cp: &CompiledProblem,
-    backend: &mut dyn Backend,
+    engine: &mut Engine,
     fields: &mut Fields,
     d: &Scope,
     owned: &Owned,
@@ -462,7 +463,7 @@ pub(crate) fn drive(
         let t1 = Instant::now();
         let (device, g0_norm) = match &mut scheme {
             Scheme::Explicit { k1, k2 } => (
-                explicit_step(cp, backend, fields, d, k1, k2, time, step, links, rec),
+                explicit_step(cp, engine, fields, d, k1, k2, time, step, links, rec),
                 0.0,
             ),
             Scheme::Theta {
@@ -473,7 +474,7 @@ pub(crate) fn drive(
             } => {
                 let forcing = steady.map(|_| cfg.steady_forcing);
                 let outcome = theta_step(
-                    cp, jcp, backend, fields, ws, *theta, dt, time, step, d, &cfg, forcing, links,
+                    cp, jcp, engine, fields, ws, *theta, dt, time, step, d, &cfg, forcing, links,
                     rec,
                 );
                 (None, outcome.g0_norm)
@@ -598,9 +599,15 @@ pub(crate) fn run_scope(
     links: &mut dyn StepLinks,
     r: &mut Recorder,
 ) -> SolveReport {
-    let (mut backend, threads) = backend_for(cp, fields, d, target);
+    let (mut engine, threads) = engine_for(cp, fields, d, target);
+    if r.enabled() {
+        // The live cost expectation, priced off the stages this rank is
+        // about to run and scoped to its share.
+        let model = crate::analysis::price(cp, &engine.main, engine.jvp.as_ref());
+        r.set_cost_expectation(scope_cost(model.expectation(), cp, d));
+    }
     if r.enabled() && r.rank() == 0 {
-        let tier = backend.tier();
+        let tier = engine.backend.tier();
         r.run_start(
             format!("{}/{}", cp.problem.name, target.label()),
             tier.name(),
@@ -608,8 +615,8 @@ pub(crate) fn run_scope(
             &cp.walls.label(),
         );
     }
-    let steps = drive(cp, &mut *backend, fields, d, owned, links, r, threads);
-    let device = backend.finish(cp, fields);
+    let steps = drive(cp, &mut engine, fields, d, owned, links, r, threads);
+    let device = engine.backend.finish(cp, fields);
     if let Some(prof) = &device {
         if cp.problem.integrator.is_implicit() {
             // The driver accounts implicit sweeps in host wall-clock
@@ -665,9 +672,6 @@ pub(crate) fn solve(
         target,
         ExecTarget::CpuSeq | ExecTarget::CpuParallel | ExecTarget::GpuHybrid { .. }
     ) {
-        if r.enabled() {
-            r.set_cost_expectation(live_cost(cp, target));
-        }
         run_scope(
             cp,
             fields,

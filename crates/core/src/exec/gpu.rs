@@ -6,41 +6,25 @@
 //! condition the plan could not lower — stay on the host, exactly as the
 //! paper argues they must. Walls the plan *did* lower
 //! ([`super::Walls`]: constants, Fixed images, same-cell gathers) are
-//! tables the kernel reads like the face geometry; when every wall is
-//! lowered there is no host boundary work at all, the synthesized schedule
-//! proves the per-step upload of the unknown dead, and both strategies run
-//! the same stage: full-flux kernel on the device-resident unknown, ghost
-//! image uploaded once. With callback walls left, two strategies connect
-//! the halves of an explicit step:
+//! tables the kernel reads like the face geometry.
 //!
-//! * [`GpuStrategy::AsyncBoundary`] — the kernel updates interior-face
-//!   fluxes only while the CPU computes boundary-face contributions from
-//!   the same old state; after the device result returns, the host
-//!   combines `u = u_new + u_bdry`, runs the post-step, and sends the
-//!   state back (`u`, `Io`, `beta` move every step — the "substantial
-//!   communication" configuration the paper shows is still profitable).
-//! * [`GpuStrategy::PrecomputeBoundary`] — the CPU evaluates the callback
-//!   walls' ghost values, ships the (small) ghost array, and the kernel
-//!   computes the complete flux; the unknown stays device-resident between
-//!   steps. This variant is bit-identical to the sequential CPU target
-//!   because the per-face accumulation order is unchanged.
-//!
-//! Which variables move when is decided by the synthesized transfer
-//! schedule ([`crate::analysis::synthesize_schedule`]), not here. The
-//! implicit integrators use the device as a plain RHS engine: every
-//! RHS/JVP sweep uploads the plan's read set (and the ghosts of callback
-//! walls), launches, and downloads.
+//! What a step is — which records run where, what each reads and writes,
+//! and so which variables move when — is decided by
+//! [`crate::dataflow::step_records`] and the schedule synthesized from it,
+//! not here: `GpuBackend` is handed one record at a time, makes the
+//! copies the stage attaches to it, runs it, and draws one span for it.
 
-use super::driver::{Backend, Plan, StepTimes};
+use super::driver::{host_span, Backend, StepTimes};
 use super::rows::{self, FluxBoundary, IntensityKernels};
 use super::walls::Ghosts;
 use super::CompiledProblem;
 use crate::analysis::Scope;
 use crate::bytecode::VmCtx;
+use crate::dataflow::{Entity, Kernel, Plan, Policy, Record, Stage, GHOSTS};
 use crate::entities::Fields;
-use crate::problem::{GpuStrategy, KernelTier};
+use crate::problem::KernelTier;
 use pbte_gpu::{Device, DeviceBuffer, DeviceSpec, KernelCost};
-use pbte_runtime::telemetry::{DeviceSummary, Recorder, SpanKind, Track, WorkCounters};
+use pbte_runtime::telemetry::{DeviceSummary, Recorder, SpanKind, Track};
 use std::time::Instant;
 
 /// Flatten a device profile into the runtime-level summary the telemetry
@@ -117,23 +101,16 @@ struct PlanState {
 }
 
 impl PlanState {
-    /// A lowered plan's ghost image never changes: it is uploaded here,
-    /// once. A plan with callback walls uploads its ghosts per sweep (or
-    /// never, under the async strategy's interior-only kernel).
     fn new(
         device: &mut Device,
         plan: &CompiledProblem,
         owned_flats: &[usize],
         name: &'static str,
     ) -> PlanState {
-        let mut ghost_dev = device.alloc("ghosts", plan.walls.image.len());
-        if plan.walls.lowered() {
-            device.h2d(&plan.walls.image, &mut ghost_dev);
-        }
         PlanState {
             kernels: IntensityKernels::for_scope(plan, owned_flats),
             cost: estimate_kernel_cost(plan),
-            ghost_dev,
+            ghost_dev: device.alloc("ghosts", plan.walls.image.len()),
             ghosts: Ghosts::for_plan(plan),
             name,
         }
@@ -141,20 +118,15 @@ impl PlanState {
 }
 
 /// A single simulated device executing one rank's share of the problem:
-/// callback-wall ghosts and step callbacks stay on the host, and every
-/// sweep is one
-/// batched row kernel (`Device::launch_rows`, one block per tile of the
-/// rank's scope — a device rank owns every cell, so a tile is one owned
-/// flat's whole row: the grid shape the host-side kernel compiler emits)
-/// evaluating [`rows::rhs_block`], the same tier entry point as the CPU
-/// targets.
+/// host records (callback-wall ghosts, the async combine) run here on the
+/// host, and every sweep is one batched row kernel (`Device::launch_rows`,
+/// one block per tile of the record's range — a device rank owns every
+/// cell, so a tile is one owned flat's whole row: the grid shape the
+/// host-side kernel compiler emits) evaluating [`rows::rhs_block`], the
+/// same tier entry point as the CPU targets.
 pub(crate) struct GpuBackend<'a> {
     device: Device,
-    strategy: GpuStrategy,
-    /// The explicit kernel skips boundary faces and the host adds their
-    /// contribution: the async strategy on a plan with callback walls.
-    skip_boundary: bool,
-    /// The rank's scope; its tiles are the launch rows.
+    /// The rank's scope: the range of every record it is handed.
     scope: &'a Scope,
     /// Per-variable device buffers, id order; `var_devs[unknown]` is the
     /// state.
@@ -165,24 +137,26 @@ pub(crate) struct GpuBackend<'a> {
     out_host: Vec<f64>,
     main: PlanState,
     jvp: Option<PlanState>,
-    /// Variables the CPU rewrites each explicit step (H2D per step), from
-    /// the synthesized transfer schedule's `EveryStep` H2D set.
-    step_h2d_vars: Vec<usize>,
-    /// Schedule-derived per-step movements: the async strategy's
-    /// host-combined unknown re-upload, the precompute strategy's ghost
-    /// upload, and the unknown's download for host readers.
-    h2d_unknown_each_step: bool,
-    h2d_ghosts_each_step: bool,
-    d2h_unknown_each_step: bool,
+    /// The host's unknown trails the device's: the last fused sweep ran
+    /// with no download scheduled. [`Backend::finish`] reconciles it.
+    host_stale: bool,
 }
 
 impl<'a> GpuBackend<'a> {
+    /// Allocate the device state for `scope` and make the setup copies of
+    /// `stage` (and of the JVP plan's): one buffer per variable, of which
+    /// only those with a one-time upload get a copy here. Variables
+    /// re-uploaded per run get their first copy with the first record
+    /// that reads them, and variables no record reads get an allocation
+    /// but no transfer — the dynamic transfer-oracle test holds the
+    /// profiler log to exactly this.
     pub(crate) fn new(
         cp: &CompiledProblem,
         fields: &Fields,
         scope: &'a Scope,
         spec: DeviceSpec,
-        strategy: GpuStrategy,
+        stage: &Stage,
+        jvp_stage: Option<&Stage>,
     ) -> GpuBackend<'a> {
         let mut device = Device::new(spec);
         let n_cells = fields.n_cells;
@@ -191,151 +165,254 @@ impl<'a> GpuBackend<'a> {
             scope.tiles.len() == owned_flats.len() && scope.cells.len() == n_cells,
             "a device rank launches one whole-row tile per owned flat"
         );
-        let explicit = !cp.problem.integrator.is_implicit();
-
-        // The movement sets come straight from the synthesized,
-        // certificate-backed transfer schedule. Coefficient entries map
-        // to no variable id (they are baked into the bound kernels at
-        // compile time) and drop out of `var_id`.
+        let once =
+            |stage: &Stage, name: &str| stage.moves(Policy::Once, true).any(|t| t.name == name);
         let registry = &cp.problem.registry;
-        let schedule = cp.transfer_schedule(strategy);
-        let unknown_name = registry.variables[cp.system.unknown].name.as_str();
-        let var_id = |name: &str| registry.variables.iter().position(|v| v.name == name);
-        let each_h2d = schedule.each_step_h2d();
-        let step_h2d_vars: Vec<usize> = each_h2d
-            .iter()
-            .filter(|n| **n != unknown_name && **n != "ghosts")
-            .filter_map(|n| var_id(n))
-            .collect();
-        let h2d_unknown_each_step = each_h2d.contains(&unknown_name);
-        let h2d_ghosts_each_step = each_h2d.contains(&"ghosts");
-        let d2h_unknown_each_step = schedule.each_step_d2h().contains(&unknown_name);
-        let once_h2d: Vec<usize> = schedule
-            .transfers
-            .iter()
-            .filter(|t| t.to_device && t.policy == crate::dataflow::Policy::Once)
-            .filter_map(|t| var_id(&t.name))
-            .collect();
-        // The strategy-structural movements must be present exactly while
-        // a callback wall keeps the host in the boundary loop: the async
-        // combine rewrites the unknown there, precompute evaluates ghosts
-        // there; a lowered plan uploads its ghost image once instead. A
-        // schedule violating this would fail `schedule/unsound` before
-        // ever reaching an executor.
-        let lowered = cp.walls.lowered();
-        debug_assert_eq!(
-            h2d_unknown_each_step,
-            strategy == GpuStrategy::AsyncBoundary && !lowered,
-            "synthesized schedule disagrees with the async strategy's structural re-upload"
-        );
-        debug_assert_eq!(
-            h2d_ghosts_each_step,
-            strategy == GpuStrategy::PrecomputeBoundary && !lowered,
-            "synthesized schedule disagrees with the precompute strategy's ghost upload"
-        );
-        debug_assert_eq!(
-            schedule.once().contains(&"ghosts"),
-            lowered,
-            "synthesized schedule disagrees with the one-time upload of a lowered ghost image"
-        );
-
-        // One buffer per variable; under explicit stepping only
-        // `Policy::Once` H2D entries get their setup copy here. Variables
-        // re-uploaded every step get their first copy in the first stage,
-        // and variables the kernel never reads get an allocation but no
-        // transfer — the dynamic transfer-oracle test holds the profiler
-        // log to exactly this. Implicit sweeps upload their read set
-        // themselves.
         let mut var_devs = Vec::with_capacity(fields.n_vars());
         for v in 0..fields.n_vars() {
             let mut buf = device.alloc(&registry.variables[v].name, fields.slice(v).len());
-            if explicit && once_h2d.contains(&v) {
+            if once(stage, &registry.variables[v].name) {
                 device.h2d(fields.slice(v), &mut buf);
             }
             var_devs.push(buf);
         }
         let out_dev = device.alloc("u_new", owned_flats.len() * n_cells);
-        let main_name = if explicit {
-            "intensity_update"
-        } else {
-            "rhs_sweep"
+        let mut plan_state = |plan: &CompiledProblem, stage: &Stage, name| {
+            let mut ps = PlanState::new(&mut device, plan, owned_flats, name);
+            if once(stage, GHOSTS) {
+                device.h2d(&plan.walls.image, &mut ps.ghost_dev);
+            }
+            ps
         };
-        let main = PlanState::new(&mut device, cp, owned_flats, main_name);
-        let jvp = cp
-            .jvp
-            .as_deref()
-            .map(|jcp| PlanState::new(&mut device, jcp, owned_flats, "jvp_sweep"));
+        let main_name = match cp.problem.integrator.is_implicit() {
+            false => "intensity_update",
+            true => "rhs_sweep",
+        };
+        let main = plan_state(cp, stage, main_name);
+        let jvp = cp.jvp.as_deref().zip(jvp_stage);
+        let jvp = jvp.map(|(jcp, stage)| plan_state(jcp, stage, "jvp_sweep"));
 
         GpuBackend {
             device,
-            strategy,
-            skip_boundary: strategy == GpuStrategy::AsyncBoundary && !lowered,
             scope,
             var_devs,
             out_dev,
             out_host: vec![0.0; owned_flats.len() * n_cells],
             main,
             jvp,
-            step_h2d_vars,
-            h2d_unknown_each_step,
-            h2d_ghosts_each_step,
-            d2h_unknown_each_step,
+            host_stale: false,
         }
     }
 }
 
-/// Launch one row kernel of `ps`'s plan over `scope`'s tiles into the
-/// compact `out_dev` (row `k` is the scope's `k`-th flat): inputs are
-/// every variable buffer (id order) then the ghost buffer. Counts the
-/// sweep in `work` and returns the simulated kernel seconds.
-#[allow(clippy::too_many_arguments)]
-fn launch_sweep(
-    device: &mut Device,
-    ps: &mut PlanState,
-    plan: &CompiledProblem,
-    var_devs: &[DeviceBuffer],
-    out_dev: &mut DeviceBuffer,
-    scope: &Scope,
-    work: &mut WorkCounters,
-    time: f64,
-    skip_boundary: bool,
-    fused_dt: Option<f64>,
-) -> f64 {
-    ps.kernels.ensure(plan, time);
-    let kernels = &ps.kernels;
-    let n_vars = var_devs.len();
-    let mut inputs: Vec<&DeviceBuffer> = var_devs.iter().collect();
-    inputs.push(&ps.ghost_dev);
-    scope.account(work);
-    device.launch_rows(
-        ps.name,
-        scope.tiles.len(),
-        scope.n_cells,
-        ps.cost,
-        &inputs,
-        out_dev,
-        |row, bufs, out| {
-            let tile = &scope.tiles[row];
-            let boundary = if skip_boundary {
-                FluxBoundary::Skip
-            } else {
-                FluxBoundary::Ghosts(bufs[n_vars])
+/// Copy the compact rows of `staged` (row `k` is the `k`-th of `flats`)
+/// into the full-layout `dst`.
+fn unpack_rows(staged: &[f64], dst: &mut [f64], n_cells: usize, flats: &[usize]) {
+    for (k, &flat) in flats.iter().enumerate() {
+        dst[flat * n_cells..][..n_cells].copy_from_slice(&staged[k * n_cells..][..n_cells]);
+    }
+}
+
+impl GpuBackend<'_> {
+    /// One device sweep: the uploads the stage attaches to the record (the
+    /// unknown by the range's rows, everything else whole; coefficients
+    /// are baked into the kernels) → row kernel → the downloads. A fused
+    /// full-flux sweep is scattered into the device-resident unknown, and
+    /// its download lands in `fields`; a sweep that skips the boundary
+    /// stays staged for the host combine; an un-fused one returns in `out`.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep(
+        &mut self,
+        stage: &Stage,
+        at: usize,
+        plan: &CompiledProblem,
+        fields: &mut Fields,
+        time: f64,
+        step: usize,
+        out: &mut [f64],
+        rec: &mut Recorder,
+    ) -> StepTimes {
+        let host_t0 = Instant::now();
+        let record = &stage.records[at];
+        let Kernel::Sweep {
+            plan: which,
+            fused_dt,
+        } = record.kernel
+        else {
+            unreachable!("sweep() runs sweep records")
+        };
+        let scope = record.range;
+        let (n_cells, unknown) = (fields.n_cells, plan.system.unknown);
+        let GpuBackend {
+            device,
+            var_devs,
+            out_dev,
+            out_host,
+            main,
+            jvp,
+            host_stale,
+            ..
+        } = self;
+        let ps = match which {
+            Plan::Main => main,
+            Plan::Jvp => jvp.as_mut().expect("JVP sweep without a JVP plan"),
+        };
+        let dev_t0 = device.elapsed();
+        let h2d0 = device.h2d_bytes();
+        for t in stage.moves(Policy::EveryStep, true) {
+            match Entity::named(&plan.problem.registry, &t.name) {
+                Some(Entity::Variable(v)) if v == unknown => {
+                    device.h2d_rows(fields.slice(v), &mut var_devs[v], n_cells, &scope.flats)
+                }
+                Some(Entity::Variable(v)) => device.h2d(fields.slice(v), &mut var_devs[v]),
+                Some(Entity::Ghosts) => device.h2d(ps.ghosts.current(plan), &mut ps.ghost_dev),
+                _ => {}
+            }
+        }
+        let t_after_h2d = device.elapsed();
+        let h2d_obs = device.h2d_bytes() - h2d0;
+
+        // Kernel launch, one thread per owned dof: row `k` of the compact
+        // `out_dev` is the range's `k`-th flat; the inputs are every
+        // variable buffer (id order), then the ghost buffer.
+        let skip_boundary = !record.reads(Entity::Ghosts);
+        ps.kernels.ensure(plan, time);
+        let kernels = &ps.kernels;
+        let n_vars = var_devs.len();
+        let mut inputs: Vec<&DeviceBuffer> = var_devs.iter().collect();
+        inputs.push(&ps.ghost_dev);
+        scope.account(&mut rec.work);
+        let (n_tiles, cost) = (scope.tiles.len(), ps.cost);
+        let t_kernel = device.launch_rows(
+            ps.name,
+            n_tiles,
+            n_cells,
+            cost,
+            &inputs,
+            out_dev,
+            |row, bufs, out| {
+                let (tile, vars) = (&scope.tiles[row], &bufs[..n_vars]);
+                let boundary = match skip_boundary {
+                    true => FluxBoundary::Skip,
+                    false => FluxBoundary::Ghosts(bufs[n_vars]),
+                };
+                let scratch = &mut kernels.scratch(vars);
+                let (k, cell0) = (tile.k, tile.cell0);
+                rows::rhs_block(
+                    kernels, plan, vars, k, cell0, out, boundary, time, fused_dt, scratch,
+                );
+            },
+        );
+        let resident = fused_dt.is_some() && !skip_boundary;
+        if resident {
+            device.scatter_rows(out_dev, &mut var_devs[unknown], n_cells, &scope.flats);
+        }
+
+        let d2h0 = device.d2h_bytes();
+        // Only the unknown is device-written: at most one line comes back.
+        let download = stage.moves(Policy::EveryStep, false).next().is_some();
+        if download && resident {
+            let u = fields.slice_mut(unknown);
+            device.d2h_rows(&var_devs[unknown], u, n_cells, &scope.flats);
+        } else if download {
+            device.d2h(out_dev, out_host);
+        }
+        *host_stale = resident && !download;
+        if fused_dt.is_none() {
+            unpack_rows(out_host, out, n_cells, &scope.flats);
+        }
+        let d2h_obs = device.d2h_bytes() - d2h0;
+        let t_end = device.elapsed();
+        let host_s = host_t0.elapsed().as_secs_f64();
+
+        if rec.enabled() {
+            let n_threads = scope.dofs();
+            let tier = ps.kernels.tier;
+            let transfer = |rec: &mut Recorder, name, t0: f64, t1: f64, bytes: u64| {
+                if bytes > 0 {
+                    let attrs = vec![("step", step.to_string()), ("bytes", bytes.to_string())];
+                    rec.span(
+                        SpanKind::Transfer,
+                        name,
+                        t0,
+                        t1 - t0,
+                        Track::Device(0),
+                        attrs,
+                    );
+                }
+                rec.transfer_drift(step, name, bytes);
             };
-            let mut scratch = kernels.scratch(&bufs[..n_vars]);
-            rows::rhs_block(
-                kernels,
-                plan,
-                &bufs[..n_vars],
-                tile.k,
-                tile.cell0,
-                out,
-                boundary,
-                time,
-                fused_dt,
-                &mut scratch,
+            transfer(rec, "h2d", dev_t0, t_after_h2d, h2d_obs);
+            rec.span(
+                SpanKind::Kernel,
+                record.label(),
+                t_after_h2d,
+                t_kernel,
+                Track::Device(0),
+                vec![
+                    ("step", step.to_string()),
+                    ("kernel", ps.name.to_string()),
+                    ("place", "device".to_string()),
+                    ("host_s", format!("{host_s:.3e}")),
+                    ("threads", n_threads.to_string()),
+                    ("run_cells", plan.hot.run_cells_of(scope).to_string()),
+                    ("tiles", scope.tiles.len().to_string()),
+                    ("workers", scope.workers.to_string()),
+                    ("tier", tier.name().to_string()),
+                    ("flux", plan.flux_path(tier).name().to_string()),
+                    (
+                        "obs_flops",
+                        format!("{:.4e}", ps.cost.total_flops(n_threads)),
+                    ),
+                ],
             );
-        },
-    )
+            transfer(rec, "d2h", t_after_h2d + t_kernel, t_end, d2h_obs);
+        }
+        StepTimes {
+            kernel: t_kernel,
+            transfer: t_end - dev_t0 - t_kernel,
+            ..StepTimes::default()
+        }
+    }
+
+    /// The async strategy's host half: the flux through the boundary
+    /// faces, from the same old state the kernel swept (Fig 6: conceptually
+    /// overlapped with it), added to the kernel's interior result as it
+    /// sits staged in `out_host`; the sum becomes the unknown.
+    fn combine(&mut self, record: &Record, cp: &CompiledProblem, fields: &mut Fields, time: f64) {
+        let (n_cells, unknown, dt) = (fields.n_cells, cp.system.unknown, cp.problem.dt);
+        let flats = &record.range.flats;
+        let mesh = cp.mesh();
+        let vars = fields.as_slices();
+        let ghosts = self.main.ghosts.current(cp);
+        for bf in &cp.boundary {
+            let face = &mesh.faces[bf.face];
+            let cell = face.owner;
+            let slot = cp.bface_slot[bf.face];
+            for (k, &flat) in flats.iter().enumerate() {
+                let u2 = cp
+                    .walls
+                    .ghost_read(ghosts, vars[unknown], n_cells, slot, flat, cell);
+                let n = face.normal;
+                let vm = VmCtx {
+                    vars: &vars,
+                    n_cells,
+                    coefficients: &cp.problem.registry.coefficients,
+                    idx: &cp.idx_of_flat[flat],
+                    cell,
+                    u1: fields.value(unknown, cell, flat),
+                    u2,
+                    normal: [n.x, n.y, n.z],
+                    position: face.centroid,
+                    dt,
+                    time,
+                };
+                let flux = face.area * cp.flux.eval(&vm);
+                self.out_host[k * n_cells + cell] += -dt * flux / mesh.cell_volumes[cell];
+            }
+        }
+        unpack_rows(&self.out_host, fields.slice_mut(unknown), n_cells, flats);
+    }
 }
 
 impl Backend for GpuBackend<'_> {
@@ -343,273 +420,41 @@ impl Backend for GpuBackend<'_> {
         self.main.kernels.tier
     }
 
-    /// One un-fused sweep for the implicit drivers. The boundary strategy
-    /// degenerates here — matvecs need the complete flux, so the
-    /// precompute-style split (ghosts on host, full flux on device) is
-    /// always used; it is also the bit-identical one.
-    fn rhs(
+    fn run(
         &mut self,
+        stage: &Stage,
+        at: usize,
         plan: &CompiledProblem,
-        which: Plan,
-        fields: &Fields,
-        time: f64,
-        out: &mut [f64],
-        work: &mut WorkCounters,
-    ) {
-        let GpuBackend {
-            device,
-            scope,
-            var_devs,
-            out_dev,
-            out_host,
-            main,
-            jvp,
-            ..
-        } = self;
-        let ps = match which {
-            Plan::Main => main,
-            Plan::Jvp => jvp.as_mut().expect("JVP sweep without a JVP plan"),
-        };
-        let n_cells = fields.n_cells;
-        let owned_flats = &scope.flats;
-
-        // H2D: the plan's read set. The unknown slot moves every sweep (it
-        // carries the Krylov direction); coefficient fields move too
-        // because callbacks rewrite them between sweeps.
-        for &v in &plan.system.read_variables {
-            device.h2d(fields.slice(v), &mut var_devs[v]);
-        }
-        // Host: the ghosts of callback walls from the sweep's state (for
-        // the JVP plan these are the *linearized* boundary conditions),
-        // shipped with it. A lowered plan's image is already resident.
-        if !plan.walls.lowered() {
-            let ghosts = ps
-                .ghosts
-                .refresh(plan, fields, owned_flats, time, work, false);
-            device.h2d(ghosts, &mut ps.ghost_dev);
-        }
-
-        launch_sweep(
-            device, ps, plan, var_devs, out_dev, scope, work, time, false, None,
-        );
-
-        // D2H: scatter the compact row block into the caller's
-        // full-layout output.
-        device.d2h(out_dev, out_host);
-        for (k, &flat) in owned_flats.iter().enumerate() {
-            out[flat * n_cells..(flat + 1) * n_cells]
-                .copy_from_slice(&out_host[k * n_cells..(k + 1) * n_cells]);
-        }
-    }
-
-    /// One hybrid Euler stage: H2D per the schedule → fused row kernel
-    /// (`u + dt·rhs`, the same reciprocal-volume arithmetic as the CPU
-    /// targets) → async boundary combine (callback walls under the async
-    /// strategy only) or device-side scatter → D2H.
-    fn explicit_stage(
-        &mut self,
-        cp: &CompiledProblem,
         fields: &mut Fields,
-        _d: &Scope,
         time: f64,
         step: usize,
-        _k: &mut Vec<f64>,
+        out: &mut Vec<f64>,
         rec: &mut Recorder,
-    ) -> Option<StepTimes> {
-        let n_cells = fields.n_cells;
-        let unknown = cp.system.unknown;
-        let dt = cp.problem.dt;
-        let scope = self.scope;
-        let owned_flats = &scope.flats;
-        let dev_t0 = self.device.elapsed();
-        let h2d0 = self.device.h2d_bytes();
-
-        // Host: the ghosts of callback walls from the old state (nothing
-        // on a lowered plan).
-        let host_t0 = Instant::now();
-        let ghosts = self
-            .main
-            .ghosts
-            .refresh(cp, fields, owned_flats, time, &mut rec.work, false);
-        let mut t_host = host_t0.elapsed().as_secs_f64();
-
-        // H2D per the transfer schedule: CPU-written variables move every
-        // step; under the async strategy the host-combined unknown moves
-        // too (its rows were rewritten at the end of the previous step).
-        for &v in &self.step_h2d_vars {
-            self.device.h2d(fields.slice(v), &mut self.var_devs[v]);
-        }
-        if self.h2d_unknown_each_step {
-            self.device.h2d_rows(
-                fields.slice(unknown),
-                &mut self.var_devs[unknown],
-                n_cells,
-                owned_flats,
-            );
-        }
-        if self.h2d_ghosts_each_step {
-            self.device.h2d(ghosts, &mut self.main.ghost_dev);
-        }
-        let t_after_h2d = self.device.elapsed();
-        let h2d_obs = self.device.h2d_bytes() - h2d0;
-
-        // Kernel launch: one thread per owned dof.
-        let n_threads = scope.dofs();
-        let skip_boundary = self.skip_boundary;
-        let t_kernel = launch_sweep(
-            &mut self.device,
-            &mut self.main,
-            cp,
-            &self.var_devs,
-            &mut self.out_dev,
-            scope,
-            &mut rec.work,
-            time,
-            skip_boundary,
-            Some(dt),
-        );
-        if rec.enabled() {
-            rec.span(
-                SpanKind::Kernel,
-                "intensity_update",
-                t_after_h2d,
-                t_kernel,
-                Track::Device(0),
-                vec![
-                    ("step", step.to_string()),
-                    ("threads", n_threads.to_string()),
-                    ("run_cells", cp.hot.run_cells_of(scope).to_string()),
-                    ("tiles", scope.tiles.len().to_string()),
-                    ("workers", scope.workers.to_string()),
-                    ("tier", self.main.kernels.tier.name().to_string()),
-                    (
-                        "flux",
-                        cp.flux_path(self.main.kernels.tier).name().to_string(),
-                    ),
-                    (
-                        "obs_flops",
-                        format!("{:.4e}", self.main.cost.total_flops(n_threads)),
-                    ),
-                ],
-            );
-        }
-        let t_after_kernel = t_after_h2d + t_kernel;
-
-        // Meanwhile (conceptually overlapped, Fig 6): the CPU computes the
-        // boundary contribution from the same old state.
-        let mut boundary_add: Vec<(usize, usize, f64)> = Vec::new();
-        if skip_boundary {
-            let host_t1 = Instant::now();
-            let mesh = cp.mesh();
-            let vars = fields.as_slices();
-            let ghosts = self.main.ghosts.current(cp);
-            for bf in &cp.boundary {
-                let face = &mesh.faces[bf.face];
-                let cell = face.owner;
-                let fid = bf.face;
-                for &flat in owned_flats {
-                    let u1 = fields.value(unknown, cell, flat);
-                    let slot = cp.bface_slot[fid];
-                    let u2 = cp
-                        .walls
-                        .ghost_read(ghosts, vars[unknown], n_cells, slot, flat, cell);
-                    let n = face.normal;
-                    let vm = VmCtx {
-                        vars: &vars,
-                        n_cells,
-                        coefficients: &cp.problem.registry.coefficients,
-                        idx: &cp.idx_of_flat[flat],
-                        cell,
-                        u1,
-                        u2,
-                        normal: [n.x, n.y, n.z],
-                        position: face.centroid,
-                        dt,
-                        time,
-                    };
-                    let flux = face.area * cp.flux.eval(&vm);
-                    boundary_add.push((cell, flat, -dt * flux / mesh.cell_volumes[cell]));
-                }
+    ) -> StepTimes {
+        let record = &stage.records[at];
+        let t0 = Instant::now();
+        match record.kernel {
+            Kernel::Sweep { .. } => {
+                return self.sweep(stage, at, plan, fields, time, step, out, rec);
             }
-            t_host += host_t1.elapsed().as_secs_f64();
-        } else {
-            // Full-flux kernel: reconcile the device state — scatter the
-            // new rows back into the resident unknown buffer.
-            self.device.scatter_rows(
-                &self.out_dev,
-                &mut self.var_devs[unknown],
-                n_cells,
-                owned_flats,
-            );
-        }
-
-        // D2H: the updated unknown returns to the host. With the host
-        // combine the download is structural — the combine *is* the
-        // strategy and needs the kernel's interior result regardless of
-        // whether any callback reads the unknown afterwards. Otherwise it
-        // is purely schedule-driven; when the schedule omits it (no host
-        // reader), `finish` reconciles the host copy after the final step
-        // instead.
-        let d2h0 = self.device.d2h_bytes();
-        if skip_boundary {
-            self.device.d2h(&self.out_dev, &mut self.out_host);
-            // Combine interior result + boundary contribution.
-            let u = fields.slice_mut(unknown);
-            for (k, &flat) in owned_flats.iter().enumerate() {
-                u[flat * n_cells..(flat + 1) * n_cells]
-                    .copy_from_slice(&self.out_host[k * n_cells..(k + 1) * n_cells]);
+            // The ghosts of callback walls from the sweep's state (for the
+            // JVP plan these are the *linearized* boundary conditions).
+            Kernel::GhostEval { plan: which } => {
+                let ps = match which {
+                    Plan::Main => &mut self.main,
+                    Plan::Jvp => self.jvp.as_mut().expect("JVP ghosts without a JVP plan"),
+                };
+                let flats = &record.range.flats;
+                ps.ghosts
+                    .refresh(plan, fields, flats, time, &mut rec.work, false);
             }
-            for (cell, flat, add) in boundary_add {
-                u[flat * n_cells + cell] += add;
-            }
-        } else if self.d2h_unknown_each_step {
-            self.device.d2h_rows(
-                &self.var_devs[unknown],
-                fields.slice_mut(unknown),
-                n_cells,
-                owned_flats,
-            );
+            Kernel::Combine => self.combine(record, plan, fields, time),
+            Kernel::Callback { .. } => unreachable!("step callbacks run in the driver"),
         }
-        let d2h_obs = self.device.d2h_bytes() - d2h0;
-        let t_transfer = (t_after_h2d - dev_t0) + (self.device.elapsed() - t_after_h2d - t_kernel);
-        if rec.enabled() {
-            let strat = match self.strategy {
-                GpuStrategy::AsyncBoundary => "async",
-                GpuStrategy::PrecomputeBoundary => "precompute",
-            };
-            rec.span(
-                SpanKind::Transfer,
-                "h2d",
-                dev_t0,
-                t_after_h2d - dev_t0,
-                Track::Device(0),
-                vec![
-                    ("step", step.to_string()),
-                    ("strategy", strat.to_string()),
-                    ("bytes", h2d_obs.to_string()),
-                ],
-            );
-            rec.span(
-                SpanKind::Transfer,
-                "d2h",
-                t_after_kernel,
-                self.device.elapsed() - t_after_kernel,
-                Track::Device(0),
-                vec![
-                    ("step", step.to_string()),
-                    ("strategy", strat.to_string()),
-                    ("bytes", d2h_obs.to_string()),
-                ],
-            );
-            rec.transfer_drift(step, "h2d", h2d_obs);
-            rec.transfer_drift(step, "d2h", d2h_obs);
+        StepTimes {
+            host: host_span(rec, record, step, t0),
+            ..StepTimes::default()
         }
-
-        Some(StepTimes {
-            kernel: t_kernel,
-            transfer: t_transfer,
-            host: t_host,
-        })
     }
 
     /// Reconcile the host copy of the unknown after the final explicit
@@ -622,10 +467,7 @@ impl Backend for GpuBackend<'_> {
         cp: &CompiledProblem,
         fields: &mut Fields,
     ) -> Option<pbte_gpu::ProfileReport> {
-        if !cp.problem.integrator.is_implicit()
-            && !self.skip_boundary
-            && !self.d2h_unknown_each_step
-        {
+        if self.host_stale {
             let unknown = cp.system.unknown;
             let n_cells = fields.n_cells;
             self.device.d2h_rows(

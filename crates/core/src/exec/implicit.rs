@@ -34,10 +34,11 @@
 //! iteration turns into an approximate Newton solve of `f(u) = 0` and
 //! reaches steady state in a handful of sweeps.
 
-use super::driver::{traced_rhs, Backend, Plan};
+use super::driver::Engine;
 use super::{CompiledProblem, StepLinks};
 use crate::analysis::Scope;
 use crate::bytecode::VmCtx;
+use crate::dataflow::Plan;
 use crate::entities::Fields;
 use crate::problem::{KrylovConfig, Reducer};
 use pbte_runtime::exact::{ExactAcc, TRANSPORT_LEN};
@@ -228,18 +229,17 @@ fn full_step_pass(
 /// direction values too), then sweep the JVP plan.
 #[allow(clippy::too_many_arguments)]
 fn jvp_sweep(
-    backend: &mut dyn Backend,
+    engine: &mut Engine,
     jcp: &CompiledProblem,
     jfields: &mut Fields,
     time: f64,
     step: usize,
-    d: &Scope,
     links: &mut dyn StepLinks,
-    out: &mut [f64],
+    out: &mut Vec<f64>,
     rec: &mut Recorder,
 ) {
     links.halo_exchange(jfields);
-    traced_rhs(backend, jcp, Plan::Jvp, jfields, d, time, step, out, rec);
+    engine.sweep(jcp, Plan::Jvp, jfields, time, step, out, rec);
     rec.work.jvp_evals += 1;
 }
 
@@ -343,7 +343,7 @@ pub(crate) struct KrylovStats {
 /// `‖r‖²` and the next `ρ = r̂₀·r`. The first `ρ = r̂₀·r = b·b` is `bb`.
 #[allow(clippy::too_many_arguments)]
 fn bicgstab(
-    backend: &mut dyn Backend,
+    engine: &mut Engine,
     jcp: &CompiledProblem,
     jfields: &mut Fields,
     unknown: usize,
@@ -384,7 +384,7 @@ fn bicgstab(
             let beta = (rho_new / rho) * (alpha / omega);
             direction_pass(&kv.r, &kv.v, &kv.inv_diag, beta, omega, &mut kv.p, y, d);
         }
-        jvp_sweep(backend, jcp, jfields, time, step, d, links, &mut kv.v, rec);
+        jvp_sweep(engine, jcp, jfields, time, step, links, &mut kv.v, rec);
         let r0v = matvec_pass(&mut kv.v, jfields.slice(unknown), b, dt_theta, d);
         let [r0v] = reduce([r0v], links);
         if r0v == 0.0 {
@@ -403,7 +403,7 @@ fn bicgstab(
             stats.converged = true;
             break;
         }
-        jvp_sweep(backend, jcp, jfields, time, step, d, links, &mut kv.t, rec);
+        jvp_sweep(engine, jcp, jfields, time, step, links, &mut kv.t, rec);
         let y = jfields.slice(unknown);
         let [tt, ts] = reduce(stabilizer_pass(&mut kv.t, y, &kv.s, dt_theta, d), links);
         if tt == 0.0 {
@@ -505,7 +505,7 @@ pub(crate) struct StepOutcome {
 pub(crate) fn theta_step(
     cp: &CompiledProblem,
     jcp: &CompiledProblem,
-    backend: &mut dyn Backend,
+    engine: &mut Engine,
     fields: &mut Fields,
     ws: &mut ImplicitWorkspace,
     theta: f64,
@@ -539,7 +539,7 @@ pub(crate) fn theta_step(
     if c_n != 0.0 {
         links.halo_exchange(fields);
         let f_n = &mut ws.f_n;
-        traced_rhs(backend, cp, Plan::Main, fields, d, time, step, f_n, rec);
+        engine.sweep(cp, Plan::Main, fields, time, step, f_n, rec);
         rec.work.rhs_evals += 1;
     }
 
@@ -572,7 +572,7 @@ pub(crate) fn theta_step(
     for newton in 0..max_newton {
         links.halo_exchange(fields);
         let f_np = &mut ws.f_np;
-        traced_rhs(backend, cp, Plan::Main, fields, d, t_np, step, f_np, rec);
+        engine.sweep(cp, Plan::Main, fields, t_np, step, f_np, rec);
         rec.work.rhs_evals += 1;
         let gg = residual_pass(
             fields.slice(unknown),
@@ -603,7 +603,7 @@ pub(crate) fn theta_step(
         // Solve (I − dtθJ) δ = −G; `ws.g` holds −G and `gg` its exact
         // squared norm.
         let stats = bicgstab(
-            backend,
+            engine,
             jcp,
             &mut ws.jfields,
             unknown,

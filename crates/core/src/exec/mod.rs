@@ -3,13 +3,16 @@
 //! `build` lowers a [`Problem`] into a [`CompiledProblem`] (compiled volume
 //! and flux kernels, resolved boundary conditions, index geometry) shared
 //! by every target. `solve` then runs the one time loop,
-//! `driver::drive` — pre-step callbacks → stage (halo → ghosts → RHS →
-//! update, explicit or θ-scheme Newton–Krylov) → post-step callbacks →
-//! accounting — on every target. A target contributes three things:
+//! `driver::drive` — pre-step callbacks → stage (halo → the stage's
+//! records, explicit or θ-scheme Newton–Krylov) → post-step callbacks →
+//! accounting — on every target. What a stage is — its records, where each
+//! runs, what each reads and writes — is data, built in one place
+//! ([`crate::dataflow::step_records`]). A target contributes three things:
 //!
-//! * a `Backend` — where one RHS sweep runs: `CpuBackend` (the tile walk
-//!   `rows::sweep`) or the simulated device's `GpuBackend` ([`gpu`]), both
-//!   evaluating the same `rows::rhs_block` once per tile;
+//! * a `Backend` — what running one record means: `CpuBackend` (the tile
+//!   walk `rows::sweep`) or the simulated device's `GpuBackend` ([`gpu`],
+//!   with the copies the stage attaches to the record), both evaluating
+//!   the same `rows::rhs_block` once per tile;
 //! * a [`StepLinks`] — halo exchange and reductions: [`LocalLinks`]
 //!   (none) or `dist`'s message-passing `RankLinks`;
 //! * its rank scopes from [`crate::analysis::rank_scopes`] — per rank one
@@ -109,6 +112,17 @@ impl ExecTarget {
             ExecTarget::DistBandsGpu { ranks, .. } => format!("bands-gpu:{ranks}"),
         }
     }
+
+    /// The GPU strategy of a device-lineage target (selects the transfer
+    /// obligations); `None` on the CPU targets.
+    pub fn strategy(&self) -> Option<GpuStrategy> {
+        match self {
+            ExecTarget::GpuHybrid { strategy, .. } | ExecTarget::DistBandsGpu { strategy, .. } => {
+                Some(*strategy)
+            }
+            _ => None,
+        }
+    }
 }
 
 /// Per-stage distributed services a step needs: the reduction interface
@@ -172,25 +186,19 @@ pub use pbte_runtime::telemetry::WorkCounters;
 /// [`Solver::solve_traced`] without a direct `pbte-runtime` dependency.
 pub use pbte_runtime::telemetry::{CostExpectation, Recorder, TraceConfig};
 
-/// The live cost expectation for a full-problem solve on `target`: the
-/// static cost model's per-step predictions packaged for mid-run
-/// annotation and drift detection. The driver attaches this to its child
-/// recorders when a trace sink is active, so kernel/transfer span frames
-/// carry `pred_flops`/`pred_bytes` and [`Recorder::step_done`] can emit
-/// `cost/live-drift` events the moment observed work diverges — without
-/// waiting for the post-hoc `pbte-verify --cost` pass.
-pub fn live_cost(cp: &CompiledProblem, target: &ExecTarget) -> CostExpectation {
-    crate::analysis::estimate_cost(cp, target).expectation()
-}
-
 /// Scope a full-problem cost expectation to one rank's (cells × flats)
-/// share. Dof and flux sweeps shrink to the owned sets; ghost
-/// evaluations scale with the owned flats (the ghost loop covers every
-/// callback slot for each flat in scope, on every rank). Per-step
-/// transfer-byte predictions are zeroed: the synthesized schedule prices
-/// the whole problem and per-rank shares are not proportional (full
-/// coefficient slices move beside owned unknown rows), so only the
-/// single-device target keeps byte-level drift detection.
+/// share — the live expectation `driver::run_scope` attaches to a rank's
+/// recorder when a trace sink is active, so kernel/transfer span frames
+/// carry `pred_flops`/`pred_bytes` and [`Recorder::step_done`] can emit
+/// `cost/live-drift` events the moment observed work diverges, without
+/// waiting for the post-hoc `pbte-verify --cost` pass. Dof and flux sweeps
+/// shrink to the owned sets; ghost evaluations scale with the owned flats
+/// (the ghost loop covers every callback slot for each flat in scope, on
+/// every rank). A rank that owns less than the whole grid drops the
+/// per-step transfer-byte predictions: the moves are priced for the whole
+/// problem and per-rank shares are not proportional (full coefficient
+/// slices move beside owned unknown rows), so only the single-device
+/// target keeps byte-level drift detection.
 pub(crate) fn scope_cost(
     mut c: CostExpectation,
     cp: &CompiledProblem,
@@ -199,8 +207,10 @@ pub(crate) fn scope_cost(
     c.dof_per_sweep = scope.dofs() as u64;
     c.flux_per_sweep = scope.flats.len() as u64 * scope.faces;
     c.ghost_per_sweep = (cp.walls.callback_faces() * scope.flats.len()) as u64;
-    c.step_h2d_bytes = 0;
-    c.step_d2h_bytes = 0;
+    if !scope.is_full(cp.n_flat) {
+        c.step_h2d_bytes = 0;
+        c.step_d2h_bytes = 0;
+    }
     c
 }
 
@@ -1156,9 +1166,7 @@ impl CompiledProblem {
     /// walls are evaluated once, here. Used by the `intensity_phase` bench
     /// to compare tiers on identical state without stepping.
     pub fn intensity_bench(&self, fields: &Fields, tier: KernelTier) -> IntensityBench<'_> {
-        let scope = crate::analysis::rank_scopes(self, &ExecTarget::CpuSeq)
-            .expect("the sequential target owns every dof")
-            .remove(0);
+        let scope = Scope::whole(self);
         let mut ghosts = walls::Ghosts::for_plan(self);
         let mut work = WorkCounters::default();
         ghosts.refresh(self, fields, &scope.flats, 0.0, &mut work, false);

@@ -264,9 +264,8 @@ pub(crate) fn for_each_tile<S>(
 /// One sweep of `cp` over `scope`: the RHS of every owned dof into
 /// `out[flat * n_cells + cell]` — or, with `fused_dt`, the Euler update
 /// `u + dt·rhs` — one [`rhs_block`] call per tile through
-/// [`for_each_tile`]. Each dof is independent within a sweep, so neither
-/// the tile cut nor the `assemblyLoops` preference (paper §III-C, visible
-/// in the generated source) can change results.
+/// [`for_each_tile`]. Each dof is independent within a sweep, so the tile
+/// cut cannot change results.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep(
     kernels: &mut IntensityKernels,

@@ -6,14 +6,27 @@
 //! includes metadata about the parts of the computation and comment nodes
 //! to facilitate generation of easily readable code."*
 //!
-//! This IR is a loop-nest tree with comment/metadata nodes. The executors
-//! in [`crate::exec`] are the compiled embodiment of these trees (their
-//! structure is constructed from the same configuration); the renderer in
+//! This IR is a loop-nest tree with comment/metadata nodes, and
+//! [`build_ir`] is one map from a step's stage records
+//! ([`crate::dataflow::Stage`]) to nodes: the list the executors in
+//! [`crate::exec`] run is the list rendered here, so the `Transfer` nodes
+//! *are* the copies the device backend makes. The renderer in
 //! [`crate::codegen`] turns the tree into the human-readable generated
 //! source that snapshot tests pin down.
 
+use crate::analysis::Scope;
+use crate::dataflow::{Entity, Kernel, Place, Plan, Policy, Record, Stage, Transfer};
 use crate::exec::{CompiledProblem, ExecTarget};
-use crate::problem::{GpuStrategy, LoopDim, TimeStepper};
+use crate::problem::TimeStepper;
+
+/// One dimension of a rendered loop nest.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LoopDim {
+    /// The loop over mesh cells.
+    Cells,
+    /// A loop over a named index.
+    Index(String),
+}
 
 /// One IR node.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,22 +91,6 @@ impl IrNode {
     }
 }
 
-/// Build the IR for a compiled problem on a target.
-pub fn build_ir(cp: &CompiledProblem, target: &ExecTarget) -> IrNode {
-    match target {
-        ExecTarget::CpuSeq | ExecTarget::CpuParallel => cpu_ir(cp, target),
-        ExecTarget::DistCells { ranks } => dist_cells_ir(cp, *ranks),
-        ExecTarget::DistBands { ranks, index } => dist_bands_ir(cp, *ranks, index),
-        ExecTarget::GpuHybrid { strategy, .. } => gpu_ir(cp, *strategy, None),
-        ExecTarget::DistBandsGpu {
-            ranks,
-            index,
-            strategy,
-            ..
-        } => gpu_ir(cp, *strategy, Some((*ranks, index.clone()))),
-    }
-}
-
 /// Statement shapes shared with the translation validator
 /// (`crate::analysis::validate`), which parses the symbolic payload back
 /// out of the rendered statements. Keeping the prefixes here means the IR
@@ -128,190 +125,137 @@ fn update_body(cp: &CompiledProblem) -> Vec<IrNode> {
 const LOWERED_WALLS: &str =
     "boundary faces read the lowered wall tables (ghost image, same-cell gather)";
 
-/// The boundary node that opens a host step: the callback that evaluates
-/// the ghosts of the walls left to closures — or, on a plan whose walls
-/// are all lowered, a comment: no host code runs for the boundary.
-fn boundary_node(cp: &CompiledProblem, callback: &str) -> IrNode {
-    if cp.walls.lowered() {
-        IrNode::Comment(format!("{LOWERED_WALLS}; no host boundary work"))
-    } else {
-        IrNode::Callback(callback.into())
-    }
+/// The nest a sweep is rendered as, outermost first: what runs. A rank's
+/// scope is its flats outermost — led by the partitioned index under band
+/// partitioning, which is what the paper's band-outermost ordering (§III-C)
+/// is here — and a tile's cells innermost.
+fn nest_dims(cp: &CompiledProblem, partitioned: Option<&str>) -> Vec<LoopDim> {
+    let registry = &cp.problem.registry;
+    let indices = &registry.variables[cp.system.unknown].indices;
+    let names = indices.iter().map(|&ix| registry.indices[ix].name.as_str());
+    let mut names: Vec<&str> = names.collect();
+    names.sort_by_key(|&name| Some(name) != partitioned);
+    let dims = names.into_iter().map(|name| LoopDim::Index(name.into()));
+    dims.chain([LoopDim::Cells]).collect()
 }
 
-fn stepper_comment(cp: &CompiledProblem) -> IrNode {
-    IrNode::Comment(match cp.problem.stepper {
+/// Build the IR for a compiled problem on a target: one map from the
+/// records of the step's [`Stage`] to nodes, for every target. The target
+/// itself contributes only what no record describes — how the ranks are
+/// cut, and the messages between them.
+pub fn build_ir(cp: &CompiledProblem, target: &ExecTarget) -> IrNode {
+    let scope = Scope::whole(cp);
+    let stage = Stage::build(cp, Plan::Main, target, &scope);
+    let transfer = |t: &Transfer| IrNode::Transfer {
+        to_device: t.to_device,
+        name: t.name.clone(),
+        reason: t.reason.clone(),
+        setup: t.policy == Policy::Once,
+    };
+    // (how the ranks are cut, the partitioned index, the message before
+    // the sweep, the message after it)
+    let unknown = &cp.system.unknown_name;
+    let (cut, partitioned, halo, reduction) = match target {
+        ExecTarget::CpuSeq | ExecTarget::GpuHybrid { .. } => (None, None, None, None),
+        ExecTarget::CpuParallel => (
+            Some("every flat's cells cut into tiles across host threads".to_string()),
+            None,
+            None,
+            None,
+        ),
+        ExecTarget::DistCells { ranks } => (
+            Some(format!(
+                "cell-partitioned across {ranks} ranks (RCB, METIS-equivalent): \
+                 each sweeps its owned cells only"
+            )),
+            None,
+            Some(format!(
+                "halo exchange: interface-cell {unknown}[*] with partition neighbors"
+            )),
+            None,
+        ),
+        ExecTarget::DistBands { ranks, index } => (
+            Some(format!(
+                "band-partitioned: each of {ranks} ranks owns a range of index `{index}`; \
+                 no halo exchange needed"
+            )),
+            Some(index.as_str()),
+            None,
+            Some("allreduce(per-cell energy) inside temperature_update"),
+        ),
+        ExecTarget::DistBandsGpu { ranks, index, .. } => (
+            Some(format!(
+                "band-partitioned across {ranks} ranks, one GPU per process (index `{index}`)"
+            )),
+            Some(index.as_str()),
+            None,
+            None,
+        ),
+    };
+    let dims = nest_dims(cp, partitioned);
+    let is_ghost_eval = |r: &Record| matches!(r.kernel, Kernel::GhostEval { .. });
+    let lowered = !stage.records.iter().any(is_ghost_eval);
+
+    let mut step: Vec<IrNode> = halo.into_iter().map(IrNode::Communicate).collect();
+    for record in &stage.records {
+        match record.kernel {
+            Kernel::Callback { pre, index } => step.push(IrNode::Callback(format!(
+                "{}-step: {} (user callback)",
+                if pre { "pre" } else { "post" },
+                cp.catalog.steps[index].name,
+            ))),
+            Kernel::GhostEval { .. } => step.push(IrNode::Callback(
+                "compute boundary ghost values (user callbacks)".into(),
+            )),
+            Kernel::Sweep { .. } => {
+                let walls = IrNode::Comment(if !record.reads(Entity::Ghosts) {
+                    "interior faces only; boundary handled on the host".into()
+                } else if lowered {
+                    format!("{LOWERED_WALLS}; no host boundary work")
+                } else {
+                    "boundary faces read the ghost values the host computed".into()
+                });
+                if record.place == Place::Device {
+                    step.extend(stage.moves(Policy::EveryStep, true).map(transfer));
+                    step.push(IrNode::Stmt("(launch GPU_kernel asynchronously)".into()));
+                    let mut body = vec![walls];
+                    body.extend(update_body(cp));
+                    step.push(IrNode::Kernel {
+                        name: "intensity_update".into(),
+                        flattened: dims.clone(),
+                        body,
+                    });
+                    step.extend(stage.moves(Policy::EveryStep, false).map(transfer));
+                } else {
+                    step.push(walls);
+                    // Innermost-first build of the loop nest.
+                    let mut body = update_body(cp);
+                    for dim in dims.iter().rev() {
+                        body = vec![IrNode::Loop {
+                            dim: dim.clone(),
+                            body,
+                        }];
+                    }
+                    step.append(&mut body);
+                }
+                step.extend(reduction.map(|text| IrNode::Communicate(text.into())));
+            }
+            Kernel::Combine => {
+                step.push(IrNode::Callback(
+                    "compute_boundary_contribution(u_bdry) on CPU, overlapped".into(),
+                ));
+                step.push(IrNode::Stmt("u = u_new + u_bdry".into()));
+            }
+        }
+    }
+    step.push(IrNode::Stmt("time += dt".into()));
+
+    let mut nodes: Vec<IrNode> = cut.into_iter().map(IrNode::Comment).collect();
+    nodes.push(IrNode::Comment(match cp.problem.stepper {
         TimeStepper::EulerExplicit => "time integration: forward Euler".to_string(),
         TimeStepper::Rk2 => "time integration: explicit RK2 (Heun)".to_string(),
-    })
-}
-
-fn cpu_ir(cp: &CompiledProblem, target: &ExecTarget) -> IrNode {
-    let order = cp.problem.effective_loop_order(cp.system.unknown);
-    // Innermost-first build of the loop nest.
-    let mut body = update_body(cp);
-    for dim in order.iter().rev() {
-        body = vec![IrNode::Loop {
-            dim: dim.clone(),
-            body,
-        }];
-    }
-    let mut step = vec![boundary_node(
-        cp,
-        "compute boundary ghost values (user callbacks)",
-    )];
-    step.append(&mut body);
-    step.push(IrNode::Callback(
-        "post-step: temperature_update (user callback)".into(),
-    ));
-    step.push(IrNode::Stmt("time += dt".into()));
-    let mut nodes = vec![stepper_comment(cp)];
-    if matches!(target, ExecTarget::CpuParallel) {
-        nodes.push(IrNode::Comment(
-            "outer dimension distributed across host threads".into(),
-        ));
-    }
-    nodes.push(IrNode::TimeLoop(step));
-    IrNode::Block(nodes)
-}
-
-fn dist_cells_ir(cp: &CompiledProblem, ranks: usize) -> IrNode {
-    let mut step = vec![
-        IrNode::Communicate(format!(
-            "halo exchange: interface-cell {}[*] with partition neighbors",
-            cp.system.unknown_name
-        )),
-        boundary_node(cp, "compute boundary ghost values (user callbacks)"),
-        IrNode::Loop {
-            dim: LoopDim::Cells,
-            body: {
-                let mut b = vec![IrNode::Comment("owned cells of this rank only".into())];
-                b.extend(update_body(cp));
-                b
-            },
-        },
-        IrNode::Callback("post-step on owned cells".into()),
-        IrNode::Stmt("time += dt".into()),
-    ];
-    let mut nodes = vec![
-        IrNode::Comment(format!(
-            "cell-partitioned across {ranks} ranks (RCB, METIS-equivalent)"
-        )),
-        stepper_comment(cp),
-    ];
-    nodes.push(IrNode::TimeLoop(std::mem::take(&mut step)));
-    IrNode::Block(nodes)
-}
-
-fn dist_bands_ir(cp: &CompiledProblem, ranks: usize, index: &str) -> IrNode {
-    let step = vec![
-        boundary_node(cp, "compute boundary ghost values for owned bands"),
-        IrNode::Loop {
-            dim: LoopDim::Index(index.to_string()),
-            body: vec![
-                IrNode::Comment("owned band range of this rank".into()),
-                IrNode::Loop {
-                    dim: LoopDim::Cells,
-                    body: update_body(cp),
-                },
-            ],
-        },
-        IrNode::Communicate("allreduce(per-cell energy) inside temperature_update".into()),
-        IrNode::Callback("post-step: temperature_update for owned bands".into()),
-        IrNode::Stmt("time += dt".into()),
-    ];
-    IrNode::Block(vec![
-        IrNode::Comment(format!(
-            "band-partitioned: index `{index}` split across {ranks} ranks; \
-             no halo exchange needed"
-        )),
-        stepper_comment(cp),
-        IrNode::TimeLoop(step),
-    ])
-}
-
-fn gpu_ir(cp: &CompiledProblem, strategy: GpuStrategy, dist: Option<(usize, String)>) -> IrNode {
-    let order = cp.problem.effective_loop_order(cp.system.unknown);
-    let schedule = cp.transfer_schedule(strategy);
-    // The host stays in the boundary loop only while a callback wall
-    // does; on a lowered plan both strategies are the same full-flux
-    // kernel.
-    let lowered = cp.walls.lowered();
-    let host_combine = strategy == GpuStrategy::AsyncBoundary && !lowered;
-    let mut kernel_body = update_body(cp);
-    kernel_body.insert(
-        0,
-        IrNode::Comment(if host_combine {
-            "interior faces only; boundary handled on the host".into()
-        } else if lowered {
-            LOWERED_WALLS.into()
-        } else {
-            "boundary faces read pre-computed ghost values".into()
-        }),
-    );
-    let kernel = IrNode::Kernel {
-        name: "intensity_update".into(),
-        flattened: order,
-        body: kernel_body,
-    };
-    let mut step = Vec::new();
-    for t in &schedule.transfers {
-        if t.policy == crate::dataflow::Policy::EveryStep && t.to_device {
-            step.push(IrNode::Transfer {
-                to_device: true,
-                name: t.name.clone(),
-                reason: t.reason.clone(),
-                setup: false,
-            });
-        }
-    }
-    step.push(IrNode::Stmt("(launch GPU_kernel asynchronously)".into()));
-    step.push(kernel);
-    if host_combine {
-        step.push(IrNode::Callback(
-            "compute_boundary_contribution(u_bdry) on CPU, overlapped".into(),
-        ));
-    } else if !lowered {
-        step.push(IrNode::Callback(
-            "ghost values were pre-computed by CPU callbacks".into(),
-        ));
-    }
-    for t in &schedule.transfers {
-        if t.policy == crate::dataflow::Policy::EveryStep && !t.to_device {
-            step.push(IrNode::Transfer {
-                to_device: false,
-                name: t.name.clone(),
-                reason: t.reason.clone(),
-                setup: false,
-            });
-        }
-    }
-    if host_combine {
-        step.push(IrNode::Stmt("u = u_new + u_bdry".into()));
-    }
-    step.push(IrNode::Callback(
-        "post-step: temperature_update (user callback, CPU)".into(),
-    ));
-    step.push(IrNode::Stmt("time += dt".into()));
-
-    let mut nodes = Vec::new();
-    if let Some((ranks, index)) = dist {
-        nodes.push(IrNode::Comment(format!(
-            "band-partitioned across {ranks} ranks, one GPU per process \
-             (index `{index}`)"
-        )));
-    }
-    nodes.push(stepper_comment(cp));
-    for t in &schedule.transfers {
-        if t.policy == crate::dataflow::Policy::Once {
-            nodes.push(IrNode::Transfer {
-                to_device: t.to_device,
-                name: t.name.clone(),
-                reason: t.reason.clone(),
-                setup: true,
-            });
-        }
-    }
+    }));
+    nodes.extend(stage.moves(Policy::Once, true).map(transfer));
     nodes.push(IrNode::TimeLoop(step));
     IrNode::Block(nodes)
 }

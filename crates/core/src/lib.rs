@@ -14,25 +14,26 @@
 //!
 //! 1. [`problem`] — the Finch-like command set (`index`, `variable`,
 //!    `coefficient`, `conservation_form`, `boundary`, `initial`,
-//!    `assembly_loops`, `post_step`, `use_gpu`, …);
+//!    `post_step`, `use_gpu`, …);
 //! 2. [`pipeline`] — operator expansion (`upwind` → upwinded conditional,
 //!    `surface` marking), explicit time-integration transform, and term
 //!    classification into LHS-volume / RHS-volume / RHS-surface groups,
 //!    exactly the stages §II of the paper walks through;
 //! 3. [`ir`] — a loop-nest intermediate representation with metadata and
-//!    comment nodes;
+//!    comment nodes, one map from a step's stage records;
 //! 4. [`bytecode`] — compilation of the symbolic term groups into a
 //!    register-free stack VM evaluated per degree of freedom, with static
 //!    flop/byte counts feeding the GPU roofline and the cluster model;
-//! 5. [`exec`] — execution targets: sequential CPU, thread-parallel CPU
-//!    (with the paper's configurable loop ordering), distributed
-//!    cell-partitioned and band-partitioned CPU (real message passing via
-//!    `pbte-runtime`), and the hybrid CPU+GPU target where generated
-//!    kernels run on the simulated device while user callbacks (boundary
-//!    conditions, temperature update) stay on the host;
-//! 6. [`dataflow`] — the automatic host↔device data-movement analysis the
-//!    paper describes ("Finch will automatically determine what variables
-//!    need to be updated and communicated during each step");
+//! 5. [`exec`] — execution targets: sequential CPU, thread-parallel CPU,
+//!    distributed cell-partitioned and band-partitioned CPU (real message
+//!    passing via `pbte-runtime`), and the hybrid CPU+GPU target where
+//!    generated kernels run on the simulated device while user callbacks
+//!    (boundary conditions, temperature update) stay on the host;
+//! 6. [`dataflow`] — the one description of a step: stage records (kernel,
+//!    range, arguments with access modes, place) that the backends run
+//!    and from which the automatic host↔device data movement the paper
+//!    describes is derived ("Finch will automatically determine what
+//!    variables need to be updated and communicated during each step");
 //! 7. [`codegen`] — rendering of the generated code as human-readable
 //!    source text (host loop nests and CUDA-style kernels) for inspection
 //!    and snapshot tests;

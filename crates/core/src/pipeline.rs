@@ -61,30 +61,6 @@ pub struct DiscreteSystem {
     pub read_coefficients: Vec<usize>,
 }
 
-impl DiscreteSystem {
-    /// The equation-level access summary as entity names: what the
-    /// generated kernels read (variables, then coefficients) and the one
-    /// variable they write. This is the declared contract the static
-    /// analyzer cross-checks against the access sets it derives from the
-    /// compiled bytecode.
-    pub fn access_summary(
-        &self,
-        registry: &crate::entities::Registry,
-    ) -> (Vec<String>, Vec<String>, String) {
-        let var_reads = self
-            .read_variables
-            .iter()
-            .map(|&v| registry.variables[v].name.clone())
-            .collect();
-        let coef_reads = self
-            .read_coefficients
-            .iter()
-            .map(|&c| registry.coefficients[c].name.clone())
-            .collect();
-        (var_reads, coef_reads, self.unknown_name.clone())
-    }
-}
-
 /// Run the pipeline for `problem`'s equation on variable `var`.
 pub fn analyze(problem: &Problem, var: usize, src: &str) -> Result<DiscreteSystem, DslError> {
     let registry = &problem.registry;

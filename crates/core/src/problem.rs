@@ -412,16 +412,6 @@ pub type OperatorFn = Arc<
         + Sync,
 >;
 
-/// One dimension of the assembly loop nest (paper §III-C
-/// `assemblyLoops([band, "cells", direction])`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LoopDim {
-    /// The loop over mesh cells (`"cells"` / `"elements"`).
-    Cells,
-    /// A loop over a named index.
-    Index(String),
-}
-
 /// Which execution tier evaluates the intensity-phase RHS.
 ///
 /// The tiers trade generality for speed: `Vm` interprets the generic
@@ -532,7 +522,6 @@ pub struct Problem {
     pub initials: Vec<(usize, Initial)>,
     pub pre_steps: Vec<StepCallback>,
     pub post_steps: Vec<StepCallback>,
-    pub assembly_loops: Vec<LoopDim>,
     /// Registered custom symbolic operators, expanded by the pipeline
     /// before the built-in `upwind`.
     pub custom_operators: Vec<(String, OperatorFn)>,
@@ -572,7 +561,6 @@ impl Problem {
             initials: Vec::new(),
             pre_steps: Vec::new(),
             post_steps: Vec::new(),
-            assembly_loops: Vec::new(),
             custom_operators: Vec::new(),
             kernel_tier: None,
             ranges: Vec::new(),
@@ -925,22 +913,6 @@ impl Problem {
         self
     }
 
-    /// `assemblyLoops(["cells", b, d])` — loop-nest ordering by name;
-    /// `"cells"`/`"elements"` names the cell loop.
-    pub fn assembly_loops(&mut self, order: &[&str]) -> &mut Self {
-        self.assembly_loops = order
-            .iter()
-            .map(|s| {
-                if *s == "cells" || *s == "elements" {
-                    LoopDim::Cells
-                } else {
-                    LoopDim::Index(s.to_string())
-                }
-            })
-            .collect();
-        self
-    }
-
     /// Run the symbolic pipeline only (parse → expand → time transform →
     /// classify). Exposed for inspection and tests; `build` calls it.
     pub fn analyze(&self) -> Result<DiscreteSystem, DslError> {
@@ -967,20 +939,6 @@ impl Problem {
     ) -> Result<Vec<crate::analysis::Diagnostic>, DslError> {
         let solver = Solver::build(self, target.clone())?;
         Ok(solver.compiled.verify_plan(&solver.target))
-    }
-
-    /// The effective assembly loop order: user-specified, or the default
-    /// `[cells, indices...]` the paper describes ("the default choice of an
-    /// outermost cell loop").
-    pub fn effective_loop_order(&self, unknown: usize) -> Vec<LoopDim> {
-        if !self.assembly_loops.is_empty() {
-            return self.assembly_loops.clone();
-        }
-        let mut order = vec![LoopDim::Cells];
-        for &ix in &self.registry.variables[unknown].indices {
-            order.push(LoopDim::Index(self.registry.indices[ix].name.clone()));
-        }
-        order
     }
 }
 
@@ -1028,31 +986,6 @@ mod tests {
         let mut p = Problem::new("t");
         let d = p.index("d", 4);
         p.coefficient_array("c", &[d], vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn default_loop_order_is_cells_then_indices() {
-        let mut p = Problem::new("t");
-        let d = p.index("d", 2);
-        let b = p.index("b", 3);
-        let i = p.variable("I", &[d, b]);
-        assert_eq!(
-            p.effective_loop_order(i),
-            vec![
-                LoopDim::Cells,
-                LoopDim::Index("d".into()),
-                LoopDim::Index("b".into())
-            ]
-        );
-        p.assembly_loops(&["b", "cells", "d"]);
-        assert_eq!(
-            p.effective_loop_order(i),
-            vec![
-                LoopDim::Index("b".into()),
-                LoopDim::Cells,
-                LoopDim::Index("d".into())
-            ]
-        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! comment nodes to facilitate generation of easily readable code").
 
 use pbte_dsl::exec::{CompiledProblem, ExecTarget};
-use pbte_dsl::ir::{build_ir, IrNode};
-use pbte_dsl::problem::{BoundaryCondition, GpuStrategy, LoopDim, Problem};
+use pbte_dsl::ir::{build_ir, IrNode, LoopDim};
+use pbte_dsl::problem::{BoundaryCondition, GpuStrategy, Problem};
 use pbte_gpu::DeviceSpec;
 use pbte_mesh::grid::UniformGrid;
 
@@ -58,22 +58,23 @@ fn cpu_ir_has_one_time_loop_and_the_full_nest() {
     let cp = compiled();
     let ir = build_ir(&cp, &ExecTarget::CpuSeq);
     assert_eq!(count(&ir, &|n| matches!(n, IrNode::TimeLoop(_))), 1);
-    // Default nest: cells + d + b = three loop dims.
+    // The nest: d + b + cells = three loop dims.
     assert_eq!(count(&ir, &|n| matches!(n, IrNode::Loop { .. })), 3);
     assert_eq!(count(&ir, &|n| matches!(n, IrNode::FaceLoop(_))), 1);
     // Comment nodes exist (the paper's readable-code requirement).
     assert!(count(&ir, &|n| matches!(n, IrNode::Comment(_))) >= 2);
     // Callbacks: boundary ghosts + post step.
     assert!(count(&ir, &|n| matches!(n, IrNode::Callback(_))) >= 2);
-    // The cell loop is outermost among the nest dims.
-    fn first_loop(node: &IrNode) -> Option<&LoopDim> {
-        match node {
-            IrNode::Loop { dim, .. } => Some(dim),
-            IrNode::Block(b) | IrNode::TimeLoop(b) => b.iter().find_map(first_loop),
-            _ => None,
+    // The nest states what runs: the scope's flats outermost (the
+    // unknown's indices in declaration order), a tile's cells innermost.
+    let mut dims = Vec::new();
+    ir.visit(&mut |n| {
+        if let IrNode::Loop { dim, .. } = n {
+            dims.push(dim.clone());
         }
-    }
-    assert_eq!(first_loop(&ir), Some(&LoopDim::Cells));
+    });
+    let index = |name: &str| LoopDim::Index(name.into());
+    assert_eq!(dims, [index("d"), index("b"), LoopDim::Cells]);
 }
 
 #[test]
@@ -124,46 +125,4 @@ fn distributed_irs_carry_their_communication_nodes() {
         }
     }
     assert_eq!(first_loop(&bands), Some(&LoopDim::Index("b".into())));
-}
-
-#[test]
-fn assembly_loops_reorder_the_ir_nest() {
-    let mut p = Problem::new("ir2");
-    p.domain(2);
-    p.mesh(UniformGrid::new_2d(4, 4, 1.0, 1.0).build());
-    let d = p.index("d", 2);
-    let i = p.variable("I", &[d]);
-    p.coefficient_array("Sx", &[d], vec![1.0, -1.0]);
-    p.coefficient_array("Sy", &[d], vec![0.5, -0.5]);
-    p.boundary(i, "left", BoundaryCondition::Value(0.0));
-    p.boundary(i, "right", BoundaryCondition::Value(0.0));
-    p.boundary(i, "top", BoundaryCondition::Value(0.0));
-    p.boundary(i, "bottom", BoundaryCondition::Value(0.0));
-    p.assembly_loops(&["d", "cells"]);
-    p.conservation_form(i, "surface(upwind([Sx[d];Sy[d]], I[d]))");
-    let cp = CompiledProblem::compile(p).unwrap().0;
-    let ir = build_ir(&cp, &ExecTarget::CpuSeq);
-    fn dims_in_order(node: &IrNode, out: &mut Vec<LoopDim>) {
-        match node {
-            IrNode::Loop { dim, body } => {
-                out.push(dim.clone());
-                for c in body {
-                    dims_in_order(c, out);
-                }
-            }
-            IrNode::Block(b) | IrNode::TimeLoop(b) | IrNode::FaceLoop(b) => {
-                for c in b {
-                    dims_in_order(c, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut dims = Vec::new();
-    dims_in_order(&ir, &mut dims);
-    assert_eq!(
-        dims,
-        vec![LoopDim::Index("d".into()), LoopDim::Cells],
-        "the permutation must be visible in the IR"
-    );
 }

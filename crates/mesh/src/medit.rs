@@ -88,7 +88,7 @@ pub fn parse_mesh(text: &str) -> Result<Mesh, MeditError> {
                             .next()
                             .ok_or_else(|| err("truncated Vertices"))?
                             .parse()
-                            .map_err(|_| err("bad coordinate"))?;
+                            .map_err(|_| err("bad coordinate in Vertices"))?;
                     }
                     // Trailing reference.
                     words.next().ok_or_else(|| err("missing vertex ref"))?;
@@ -123,9 +123,9 @@ pub fn parse_mesh(text: &str) -> Result<Mesh, MeditError> {
                     for _ in 0..arity {
                         let v: usize = words
                             .next()
-                            .ok_or_else(|| err("truncated element section"))?
+                            .ok_or_else(|| err(format!("truncated {kw}")))?
                             .parse()
-                            .map_err(|_| err("bad vertex id"))?;
+                            .map_err(|_| err(format!("bad vertex id in {kw}")))?;
                         if v == 0 || v > vertices.len() {
                             return Err(err(format!("vertex id {v} out of range")));
                         }
@@ -133,9 +133,9 @@ pub fn parse_mesh(text: &str) -> Result<Mesh, MeditError> {
                     }
                     let reference: i64 = words
                         .next()
-                        .ok_or_else(|| err("missing element ref"))?
+                        .ok_or_else(|| err(format!("truncated {kw}")))?
                         .parse()
-                        .map_err(|_| err("bad element ref"))?;
+                        .map_err(|_| err(format!("bad element ref in {kw}")))?;
                     list.push((ids, reference));
                 }
             }

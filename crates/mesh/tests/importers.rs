@@ -329,6 +329,23 @@ fn a_declared_tag_count_is_not_an_allocation() {
             "{e}"
         );
     }
+    // MEDIT: a section's count is read against, never allocated for — a
+    // count of 2⁶⁴ − 1, of 10¹², or one more than the entries present runs
+    // into the next keyword (or the end of the file) and is a format error
+    // naming the section.
+    let mesh = read_fixture("die3d.mesh");
+    for (section, count, bomb) in [
+        ("Vertices", "196", "18446744073709551615"),
+        ("Hexahedra", "108", "1000000000000"),
+        ("Hexahedra", "108", "109"),
+        ("Quadrilaterals", "144", "145"),
+    ] {
+        let declared = format!("{section}\n{count}\n");
+        assert!(mesh.contains(&declared), "{section} declares {count}");
+        let bombed = mesh.replace(&declared, &format!("{section}\n{bomb}\n"));
+        let err = medit::parse_mesh(&bombed).unwrap_err();
+        assert!(err.to_string().contains(section), "{section} {bomb}: {err}");
+    }
 }
 
 /// Node ids `1..=n` in file order are remapped by subtraction, anything

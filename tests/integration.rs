@@ -213,38 +213,6 @@ fn codegen_artifacts_are_complete() {
     assert!(schedule.once().contains(&"vg") && schedule.once().contains(&"ghosts"));
 }
 
-/// The appendix script's loop permutation works end to end.
-#[test]
-fn assembly_loop_permutation_is_respected_and_correct() {
-    let cfg = BteConfig::small(6, 8, 4, 10);
-    let reference = {
-        let bte = hotspot_2d(&cfg);
-        let mut s = bte.solver(ExecTarget::CpuSeq).unwrap();
-        s.solve().unwrap();
-        s.fields().clone()
-    };
-    // Permuted loops: band outermost, as assemblyLoops(["b","cells","d"]).
-    let bte = hotspot_2d(&cfg);
-    let mut p = bte.problem;
-    p.assembly_loops(&["b", "cells", "d"]);
-    let mut s = p.build(ExecTarget::CpuSeq).unwrap();
-    let src = s.generated_source();
-    assert!(
-        src.find("for b = 1:Nb").unwrap() < src.find("for cell = 1:Ncells").unwrap(),
-        "permutation must show in the generated source"
-    );
-    s.solve().unwrap();
-    for v in 0..reference.n_vars() {
-        let d = reference
-            .slice(v)
-            .iter()
-            .zip(s.fields().slice(v))
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert_eq!(d, 0.0, "loop order must not change results (var {v})");
-    }
-}
-
 /// Gmsh round-trip feeds the solver: write the grid, read it back, solve.
 #[test]
 fn solver_runs_on_an_imported_gmsh_mesh() {

@@ -17,12 +17,14 @@
 use pbte_bte::health::{rules, HealthProbes};
 use pbte_bte::scenario::{hotspot_2d, BteConfig, BteProblem};
 use pbte_bte::temperature::TemperatureStrategy;
+use pbte_dsl::analysis::Scope;
+use pbte_dsl::dataflow::{Kernel, Place, Plan, Stage};
 use pbte_dsl::exec::{phases, CompiledProblem, CostExpectation, Recorder, TraceConfig};
 use pbte_dsl::problem::{Integrator, LocalReducer, StepContext};
 use pbte_dsl::{ExecTarget, GpuStrategy, KernelTier, Severity, SolveReport, Solver, WorkCounters};
 use pbte_gpu::DeviceSpec;
 use pbte_runtime::telemetry::stream::{StreamConfig, StreamReader, StreamSink, StreamWriter};
-use pbte_runtime::telemetry::{rules as trules, SPAN_KINDS};
+use pbte_runtime::telemetry::{rules as trules, Span, SpanKind, SPAN_KINDS};
 use serde::Value;
 
 fn config() -> BteConfig {
@@ -463,6 +465,71 @@ fn every_target_traces_each_step_and_its_intensity_phase() {
                 }
             }
         }
+    }
+}
+
+/// The device lane's host time has names: every step of a `gpu:async`
+/// hot-spot run draws exactly the records its stage lists, in list order —
+/// each non-callback record one span saying where it ran (`place`) and the
+/// host wall-clock it cost (`host_s`), each step callback its `Callback`
+/// span — and the records' host seconds fit inside the step's intensity
+/// phase.
+#[test]
+fn a_device_step_draws_one_span_per_record_in_list_order() {
+    let target = ExecTarget::GpuHybrid {
+        spec: DeviceSpec::a6000(),
+        strategy: GpuStrategy::AsyncBoundary,
+    };
+    let mut solver = Solver::build(hotspot_2d(&config()).problem, target).expect("builds");
+    let mut rec = Recorder::buffered();
+    let report = solver.solve_traced(&mut rec).expect("solves");
+
+    let cp = &solver.compiled;
+    let scope = Scope::whole(cp);
+    let stage = Stage::build(cp, Plan::Main, &solver.target, &scope);
+    let listed = |r: &pbte_dsl::dataflow::Record| match (r.kernel, r.place) {
+        (Kernel::Callback { index, .. }, _) => (cp.catalog.steps[index].name.clone(), None),
+        (_, Place::Host) => (r.label().to_string(), Some("host")),
+        (_, Place::Device) => (r.label().to_string(), Some("device")),
+    };
+    let want: Vec<_> = stage.records.iter().map(listed).collect();
+    assert!(
+        want.contains(&("sweep".to_string(), Some("device"))),
+        "{want:?}"
+    );
+
+    let attr = |s: &Span, key: &str| -> Option<String> {
+        let found = s.attrs.iter().find(|(k, _)| *k == key);
+        found.map(|(_, v)| v.clone())
+    };
+    let spans = rec.spans();
+    for step in 0..report.steps {
+        let of_step = || {
+            let mine = move |s: &&Span| attr(s, "step") == Some(step.to_string());
+            spans.iter().copied().filter(mine)
+        };
+        let is_record =
+            |s: &&Span| attr(s, "place").is_some() || matches!(s.kind, SpanKind::Callback);
+        let drawn: Vec<_> = of_step()
+            .filter(is_record)
+            .map(|s| (s.name.clone(), attr(s, "place")))
+            .collect();
+        let drawn: Vec<_> = drawn
+            .iter()
+            .map(|(n, p)| (n.clone(), p.as_deref()))
+            .collect();
+        assert_eq!(drawn, want, "step {step}");
+
+        let host_s: f64 = of_step()
+            .filter_map(|s| attr(s, "host_s"))
+            .map(|v| v.parse::<f64>().expect("host_s is a number"))
+            .sum();
+        let phase = of_step().find(|s| s.name == phases::INTENSITY);
+        let phase = phase.expect("the step's intensity phase").dur;
+        assert!(
+            host_s > 0.0 && host_s <= phase,
+            "step {step}: records cost {host_s} s of a {phase} s phase"
+        );
     }
 }
 
