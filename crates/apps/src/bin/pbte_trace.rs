@@ -71,7 +71,9 @@
 //!   lowering is a property of the plan, not of the target — and a run
 //!   counts ghost evaluations exactly when it has callback walls. The two
 //!   built-in scenarios (axis-aligned isothermal and symmetry walls) must
-//!   report `callback:0`.
+//!   report `callback:0`. The frame's `plan` attribute (`lowered` or
+//!   `reused`) is *not* compared: the parity run's second target
+//!   legitimately reuses the plan its first lowered.
 //!
 //! * kernel-span **tier attribution**: every `Kernel` span a target
 //!   records must carry one uniform `tier` attribute and one uniform
@@ -548,7 +550,7 @@ fn cost_annotation(cat: &str, attrs: &[(&str, &str)]) -> Option<String> {
 #[derive(Default)]
 struct StreamAgg {
     label: String,
-    /// `tier=… flux=… walls=…` of the `run_start` frame.
+    /// `tier=… flux=… walls=… plan=…` of the `run_start` frame.
     ran: String,
     steps: u64,
     last_step_time: f64,
@@ -581,11 +583,15 @@ impl StreamAgg {
             "run_start" => {
                 self.label = jstr(frame, "label").to_string();
                 self.ran = format!(
-                    "tier={} flux={} walls=[{}]",
+                    "tier={} flux={} walls=[{}] plan={}",
                     jstr(frame, "tier"),
                     jstr(frame, "flux"),
-                    jstr(frame, "walls")
+                    jstr(frame, "walls"),
+                    jstr(frame, "plan")
                 );
+                if let Some(Value::Str(origin)) = frame.get("jvp_plan") {
+                    self.ran.push_str(&format!(" jvp_plan={origin}"));
+                }
                 None
             }
             "step" => {

@@ -286,11 +286,26 @@ const DIE3D: &str = "[scenario]\nname = die3d\nstrategy = redundant\nintegrator 
     front = isothermal 300\nback = hotspots 300 330 50e-6 @ 150e-6,150e-6,100e-6\n\
     left = symmetry\nright = symmetry\nbottom = symmetry\ntop = symmetry\n";
 
+/// One file of the benchmark's warm sweep: two frequency bands on 32²
+/// cells.
+fn sweep_text(integrator: &str) -> String {
+    format!(
+        "[scenario]\nname = sweep\nstrategy = redundant\nintegrator = {integrator}\n\
+         t_ref = 300\nt_hot = 350\n[mesh]\nkind = grid\nnx = 32\nny = 32\nlx = 525e-6\n\
+         ly = 525e-6\n[material]\nmodel = silicon\nn_freq_bands = 2\nndirs = 8\n\
+         [time]\ndt = auto\nsteps = 1\n[boundary]\nbottom = isothermal 300\n\
+         top = hotspots 300 340 50e-6 @ 262e-6,525e-6\nleft = symmetry\nright = symmetry\n"
+    )
+}
+
 /// What a run pays before step 0, at the benchmark's sizes: the mesh built
 /// from its cell list (64 × 64 quads, 24 × 24 × 12 hexes), the initial
 /// state of the hot-spot die (64² cells × 132 flats: `I` filled by rows
-/// from `Io`), and the race proof of the sequential scope of the hot-spot
-/// and of the implicit 3-D plan (one tile per flat).
+/// from `Io`), the race proof of the sequential scope of the hot-spot
+/// and of the implicit 3-D plan (one tile per flat) — and what a process
+/// pays once per content against every time: a sweep file built file in →
+/// solver out with nothing stored (`build/first`) and with its plan and
+/// material the process's already (`build/repeat`), and the material alone.
 fn bench_setup(c: &mut Criterion) {
     use pbte_dsl::analysis::{check_disjoint_writes, rank_scopes, synthesize_partition};
     use pbte_dsl::exec::ExecTarget;
@@ -321,6 +336,27 @@ fn bench_setup(c: &mut Criterion) {
                 .0
         })
     });
+
+    let forget = || {
+        pbte_dsl::exec::forget_plans();
+        pbte_bte::material::forget_tables();
+    };
+    for integrator in ["explicit", "implicit:1.0"] {
+        let spec = pbte_bte::pbte::parse_pbte(&sweep_text(integrator)).expect("parses");
+        let build = || {
+            let problem = spec.build().expect("builds").problem;
+            pbte_dsl::Solver::build(problem, ExecTarget::CpuSeq).expect("lowers")
+        };
+        group.bench_function(&format!("build/first/{integrator}"), |b| {
+            b.iter_batched(forget, |()| build(), BatchSize::SmallInput)
+        });
+        group.bench_function(&format!("build/repeat/{integrator}"), |b| b.iter(build));
+    }
+    let material = || Material::silicon_2d(2, 8, 240.0, 410.0);
+    group.bench_function("material/first", |b| {
+        b.iter_batched(forget, |()| material(), BatchSize::SmallInput)
+    });
+    group.bench_function("material/repeat", |b| b.iter(material));
 
     let die3d = pbte_bte::pbte::parse_pbte(DIE3D)
         .and_then(|spec| spec.build())

@@ -4,6 +4,8 @@ use crate::angles::AngularGrid;
 use crate::bands::{make_bands, Band};
 use crate::equilibrium::{io_band, BandTable, EquilibriumTable, Located, TemperatureGrid};
 use crate::scattering::scattering_rate;
+use pbte_runtime::OnceMap;
+use std::sync::Arc;
 
 /// Everything the BTE solver needs about the phonon gas.
 ///
@@ -15,11 +17,38 @@ use crate::scattering::scattering_rate;
 pub struct Material {
     pub bands: Vec<Band>,
     pub angles: AngularGrid,
-    table: EquilibriumTable,
+    /// Shared with every other material of the same bands and range.
+    tables: Arc<Tables>,
+}
+
+/// The tabulated silicon gas: a pure function of the band count and the
+/// temperature range, and most of what building a material costs (681
+/// temperatures × bands × 8 Gauss nodes of `exp_m1` on the default range).
+#[derive(Debug)]
+struct Tables {
+    equilibrium: EquilibriumTable,
     /// Tabulated Holland scattering rates β_b(T) (the direct evaluation's
     /// sinh/powers would dominate the temperature update; interpolation on
     /// a 0.25 K grid is accurate to ~1e-6 relative for these smooth fits).
-    beta_table: BandTable,
+    beta: BandTable,
+}
+
+/// The tables this process has tabulated, by `(n_freq_bands, t_min bits,
+/// t_max bits)` — the angular grid is not in them. A scenario's material
+/// holds its tables through the `Arc`, so the store keeps alive only those
+/// of the other recent shapes (16 KB per band group on the default range).
+static TABLES: OnceMap<(usize, u64, u64), Arc<Tables>> = OnceMap::new();
+
+/// How many times this process has tabulated a silicon gas.
+pub fn tables_built() -> u64 {
+    TABLES.built()
+}
+
+/// Forget every stored table, as if the process had just started. For
+/// tests that compare a reuse with a first tabulation.
+#[doc(hidden)]
+pub fn forget_tables() {
+    TABLES.forget();
 }
 
 impl Material {
@@ -41,36 +70,42 @@ impl Material {
         Material::silicon(n_freq_bands, angles, t_min, t_max)
     }
 
+    /// The one constructor: the bands and angles are made, the tables are
+    /// tabulated once per process and `(bands, range)`.
     fn silicon(n_freq_bands: usize, angles: AngularGrid, t_min: f64, t_max: f64) -> Material {
         let bands = make_bands(n_freq_bands);
-        // 0.25 K table resolution is ~1e-6 relative interpolation error.
-        let n_points = ((t_max - t_min).ceil() as usize).max(2) * 4 + 1;
-        let grid = TemperatureGrid::new(t_min, t_max, n_points);
-        let table = EquilibriumTable::build(&bands, grid);
-        let beta_table = BandTable::build(bands.len(), grid, |b, t| {
-            scattering_rate(&bands[b].branch(), bands[b].omega_center, t)
+        let key = (n_freq_bands, t_min.to_bits(), t_max.to_bits());
+        let tables = TABLES.get_or_init(Some(&key), || {
+            // 0.25 K table resolution is ~1e-6 relative interpolation error.
+            let n_points = ((t_max - t_min).ceil() as usize).max(2) * 4 + 1;
+            let grid = TemperatureGrid::new(t_min, t_max, n_points);
+            Arc::new(Tables {
+                equilibrium: EquilibriumTable::build(&bands, grid),
+                beta: BandTable::build(bands.len(), grid, |b, t| {
+                    scattering_rate(&bands[b].branch(), bands[b].omega_center, t)
+                }),
+            })
         });
         Material {
             bands,
             angles,
-            table,
-            beta_table,
+            tables,
         }
     }
 
     /// The temperature grid all three tables are sampled on.
     pub fn grid(&self) -> &TemperatureGrid {
-        self.table.grid()
+        self.tables.equilibrium.grid()
     }
 
     /// The `I⁰` / `dI⁰/dT` table.
     pub fn table(&self) -> &EquilibriumTable {
-        &self.table
+        &self.tables.equilibrium
     }
 
     /// The scattering-rate table.
     pub fn beta_table(&self) -> &BandTable {
-        &self.beta_table
+        &self.tables.beta
     }
 
     /// Locate `t` on the grid, once for any number of lookups.
@@ -82,19 +117,19 @@ impl Material {
     /// `I⁰_b` at a located temperature.
     #[inline]
     pub fn io_at(&self, band: usize, at: Located) -> f64 {
-        self.table.io_at(band, at)
+        self.tables.equilibrium.io_at(band, at)
     }
 
     /// `dI⁰_b/dT` at a located temperature.
     #[inline]
     pub fn dio_at(&self, band: usize, at: Located) -> f64 {
-        self.table.dio_at(band, at)
+        self.tables.equilibrium.dio_at(band, at)
     }
 
     /// `β_b` at a located temperature.
     #[inline]
     pub fn beta_at(&self, band: usize, at: Located) -> f64 {
-        self.beta_table.at(band, at)
+        self.tables.beta.at(band, at)
     }
 
     /// Number of (band, polarization) groups.

@@ -248,21 +248,32 @@ pub(crate) fn build_custom(
     // `.pbte` pulse-train relaxation). Every direction of a band starts at
     // the band's equilibrium intensity, so `I` is the rows of `Io` — the
     // paper script's `initial(I, "Io[b]")` — and only `Io`, `beta` and `T`
-    // interpolate the tables, once per (band, cell).
-    let t0: Arc<dyn Fn(Point) -> f64 + Send + Sync> =
-        init_t.unwrap_or_else(|| Arc::new(move |_| t_ref));
+    // are evaluated from the temperature.
     p.initial_expr(i_var, "Io[b]");
-    let m = material.clone();
-    let f = t0.clone();
-    p.initial(io_var, move |pt, idx| m.table().io(idx[0], f(pt)));
-    let m = material.clone();
-    let f = t0.clone();
-    p.initial(beta_var, move |pt, idx| {
-        let band = &m.bands[idx[0]];
-        crate::scattering::scattering_rate(&band.branch(), band.omega_center, f(pt))
-    });
-    let f = t0.clone();
-    p.initial(t_var, move |pt, _| f(pt));
+    match init_t {
+        // A uniform start is the same value in every cell: one table
+        // lookup and one Holland evaluation per band, not per (band, cell).
+        None => {
+            let io: Vec<f64> = (0..n_bands)
+                .map(|b| material.table().io(b, t_ref))
+                .collect();
+            let beta: Vec<f64> = (0..n_bands)
+                .map(|b| material.beta_exact(b, t_ref))
+                .collect();
+            p.initial(io_var, move |_, idx| io[idx[0]]);
+            p.initial(beta_var, move |_, idx| beta[idx[0]]);
+            p.initial(t_var, move |_, _| t_ref);
+        }
+        Some(t0) => {
+            let m = material.clone();
+            let f = t0.clone();
+            p.initial(io_var, move |pt, idx| m.table().io(idx[0], f(pt)));
+            let m = material.clone();
+            let f = t0.clone();
+            p.initial(beta_var, move |pt, idx| m.beta_exact(idx[0], f(pt)));
+            p.initial(t_var, move |pt, _| t0(pt));
+        }
+    }
 
     // Scenario-specific boundary conditions.
     bc(&mut p, i_var, &material);

@@ -62,7 +62,7 @@ fn walled(
     bc: impl Fn(&BteProblem, &str) -> BoundaryCondition,
 ) -> Walled {
     let regions: Vec<String> = {
-        let mesh = mesh.as_ref().or(bte.problem.mesh.as_ref()).unwrap();
+        let mesh = mesh.as_ref().or(bte.problem.mesh.as_deref()).unwrap();
         mesh.boundary_regions
             .iter()
             .map(|r| r.name.clone())

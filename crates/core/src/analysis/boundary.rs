@@ -165,7 +165,7 @@ fn check_plan(cp: &CompiledProblem, plan: &str, exhaustive: bool, out: &mut Vec<
         }
         let row = walls.row(slot);
         let image = |row: usize, flat: usize| walls.image[walls.at(row, flat)];
-        if let (BoundaryCondition::Value(v), Some(row)) = (&bf.bc, row) {
+        if let (BoundaryCondition::Value(v), Some(row)) = (&*bf.bc, row) {
             if let Some(flat) = (0..n_flat).find(|&f| image(row, f).to_bits() != v.to_bits()) {
                 out.push(mismatch(
                     location(slot),
@@ -319,7 +319,7 @@ mod tests {
         // The first linearized constant is a face the default gate probes.
         let jcp = cp.jvp.as_deref_mut().unwrap();
         let constant =
-            |bf: &crate::exec::BoundaryFace| matches!(bf.bc, BoundaryCondition::Value(_));
+            |bf: &crate::exec::BoundaryFace| matches!(*bf.bc, BoundaryCondition::Value(_));
         let slot = jcp.boundary.iter().position(constant).unwrap();
         let at = jcp.walls.at(jcp.walls.row(slot).unwrap(), 1);
         jcp.walls.image[at] = 1.0;

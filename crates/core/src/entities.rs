@@ -6,7 +6,7 @@
 //! values, or — for coefficients — static values given as scalars, arrays,
 //! or space-time functions.
 
-use pbte_mesh::Point;
+use pbte_mesh::{Digest, Point};
 use std::sync::Arc;
 
 /// A named discrete index such as `d` (direction) or `b` (band).
@@ -92,6 +92,41 @@ impl Registry {
     /// Number of flattened index combinations for an entity with `indices`.
     pub fn flat_len(&self, indices: &[usize]) -> usize {
         indices.iter().map(|&i| self.indices[i].len).product()
+    }
+
+    /// Fold everything lowering reads of the registry into a plan key
+    /// ([`crate::problem::Problem::plan_key`]): every name and shape, and
+    /// the *values* of scalar and array coefficients by their bits — a
+    /// bound program folds them into constants, so one ulp is another plan.
+    /// A function coefficient folds as "a function": the programs call it
+    /// through the problem at run time and bake nothing of it.
+    pub(crate) fn fold(&self, d: &mut Digest) {
+        d.size(self.indices.len());
+        for index in &self.indices {
+            d.str(&index.name);
+            d.size(index.len);
+        }
+        d.size(self.variables.len());
+        for variable in &self.variables {
+            d.str(&variable.name);
+            d.sizes(&variable.indices);
+        }
+        d.size(self.coefficients.len());
+        for coefficient in &self.coefficients {
+            d.str(&coefficient.name);
+            d.sizes(&coefficient.indices);
+            match &coefficient.value {
+                CoefficientValue::Scalar(v) => {
+                    d.size(0);
+                    d.f64(*v);
+                }
+                CoefficientValue::Array(values) => {
+                    d.size(1);
+                    d.f64s(values);
+                }
+                CoefficientValue::Function(_) => d.size(2),
+            }
+        }
     }
 
     /// Row-major strides over an entity's own indices (declaration order).

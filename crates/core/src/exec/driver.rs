@@ -613,6 +613,8 @@ pub(crate) fn run_scope(
             tier.name(),
             cp.flux_path(tier).name(),
             &cp.walls.label(),
+            cp.plan_origin(),
+            cp.jvp.as_deref().map(CompiledProblem::plan_origin),
         );
     }
     let steps = drive(cp, &mut engine, fields, d, owned, links, r, threads);

@@ -1,8 +1,19 @@
 //! Execution targets for compiled problems.
 //!
-//! `build` lowers a [`Problem`] into a [`CompiledProblem`] (compiled volume
-//! and flux kernels, resolved boundary conditions, index geometry) shared
-//! by every target. `solve` then runs the one time loop,
+//! `build` lowers a [`Problem`] into a [`CompiledProblem`] shared by every
+//! target, in two parts with one seam. The [`Plan`] — symbolic system,
+//! volume and flux kernels, index geometry, flux table, loaded native
+//! kernels — depends only on the problem's *content* and is lowered once
+//! per process and [`PlanKey`]: [`CompiledProblem::compile`] takes it from a
+//! once-per-key store (a miss is the lowering closure running; a problem
+//! whose content cannot be named — a custom operator — lowers every time),
+//! and a later build of the same equation, coefficients, `dt`, boundary
+//! forms and mesh reuses it, whatever its hot spot, step count, tier or
+//! integrator. The instance — resolved boundary conditions, wall tables,
+//! initial fields, hot face geometry: whatever a closure produced or the
+//! mesh sizes — is built for every problem by the same step, and every
+//! verifier pass runs on it; nothing mesh-sized is ever stored.
+//! `solve` then runs the one time loop,
 //! `driver::drive` — pre-step callbacks → stage (halo → the stage's
 //! records, explicit or θ-scheme Newton–Krylov) → post-step callbacks →
 //! accounting — on every target. What a stage is — its records, where each
@@ -50,7 +61,9 @@ use crate::bytecode::{BoundProgram, Compiler, KernelKind, Program};
 use crate::dataflow::TransferSchedule;
 use crate::entities::Fields;
 use crate::pipeline::DiscreteSystem;
-use crate::problem::{BoundaryCondition, DslError, GpuStrategy, Initial, KernelTier, Problem};
+use crate::problem::{
+    BoundaryCondition, DslError, GpuStrategy, Initial, KernelTier, PlanKey, Problem,
+};
 use pbte_gpu::DeviceSpec;
 use pbte_runtime::timer::PhaseTimer;
 use pbte_runtime::world::CommStats;
@@ -262,11 +275,11 @@ pub struct SolveReport {
     pub device: Option<pbte_gpu::ProfileReport>,
 }
 
-/// A boundary face with its resolved condition.
+/// A boundary face with its resolved condition (its region's, shared).
 #[derive(Clone)]
 pub(crate) struct BoundaryFace {
     pub face: usize,
-    pub bc: BoundaryCondition,
+    pub bc: Arc<BoundaryCondition>,
 }
 
 /// Flux specialization shared by every target's sweep.
@@ -279,14 +292,18 @@ pub(crate) struct BoundaryFace {
 /// (flat index, oriented-normal class). The emitted GPU source and the
 /// device cost model (§III-D profile) keep the straight-line conditional
 /// form; the simulated device evaluates the hoisted one, like the CPU.
+///
+/// The table is plan data — a function of the flux program, the
+/// coefficient values, `dt` and the normal of each class. Which class a
+/// face slot has is mesh-sized and lives in each instance's hot geometry
+/// ([`CompiledProblem::face_class`]), found there by looking the slot's
+/// normal up in `classes`.
+#[derive(Debug, Clone)]
 pub struct FluxLinearization {
     /// Number of distinct oriented normals.
     pub n_classes: usize,
-    /// Class of each face's owner-side normal. The classes are a fact of
-    /// the mesh alone, so a plan's JVP twin shares them.
-    pub face_class_pos: Arc<[u32]>,
-    /// Class of each face's neighbor-side (flipped) normal.
-    pub face_class_neg: Arc<[u32]>,
+    /// The normals the table was probed over, by class.
+    classes: NormalClasses,
     /// Coefficients, indexed `flat * n_classes + class`.
     pub alpha: Vec<f64>,
     pub beta: Vec<f64>,
@@ -332,18 +349,93 @@ impl FluxLinearization {
 /// flux instead.
 const MAX_CLASSES: usize = 1024;
 
-/// Attempt the flux linearization. Returns `None` (the compiled flux on
-/// the Row/Native tiers, the VM on the per-dof tiers) when the flux reads
-/// mutable variables, function coefficients, or time; when a conditional
-/// branches on the unknown; when the mesh has more than [`MAX_CLASSES`]
-/// distinct oriented normals; or when the numeric affinity probe fails.
+/// Oriented unit normals classified by exact bit pattern (normals of
+/// identical geometry are computed identically), numbered in the order
+/// they were first seen.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct NormalClasses {
+    /// Each class's normal, as bits.
+    keys: Vec<[u64; 3]>,
+    /// The classes past the first [`Self::SCANNED`], by key.
+    hashed: std::collections::HashMap<[u64; 3], u32>,
+}
+
+impl NormalClasses {
+    /// Classes a lookup tries one by one before it hashes: a structured
+    /// grid has four or six.
+    const SCANNED: usize = 8;
+
+    fn key(n: pbte_mesh::Point) -> [u64; 3] {
+        [n.x.to_bits(), n.y.to_bits(), n.z.to_bits()]
+    }
+
+    fn find(&self, key: [u64; 3]) -> Option<u32> {
+        let scanned = self.keys.iter().take(Self::SCANNED).position(|k| *k == key);
+        scanned
+            .map(|c| c as u32)
+            .or_else(|| self.hashed.get(&key).copied())
+    }
+
+    /// The classes of a mesh's faces, numbered in face order (a face's own
+    /// normal, then its flip). `None` when the mesh has more than
+    /// [`MAX_CLASSES`] distinct oriented normals. Walks every face: done
+    /// when a plan is lowered, never for an instance of a stored one.
+    fn of(mesh: &pbte_mesh::Mesh) -> Option<NormalClasses> {
+        let mut classes = NormalClasses::default();
+        for f in &mesh.faces {
+            for key in [Self::key(f.normal), Self::key(-f.normal)] {
+                if classes.find(key).is_some() {
+                    continue;
+                }
+                if classes.keys.len() >= MAX_CLASSES {
+                    return None;
+                }
+                if classes.keys.len() >= Self::SCANNED {
+                    classes.hashed.insert(key, classes.keys.len() as u32);
+                }
+                classes.keys.push(key);
+            }
+        }
+        Some(classes)
+    }
+
+    /// The class of the oriented normal `n`, trying `hint` — the class the
+    /// caller last found in this position — first.
+    ///
+    /// # Panics
+    /// If `n` is not among the classes: the mesh is not the one the table
+    /// was probed over, which an exact plan key rules out.
+    #[inline]
+    fn class_of(&self, n: pbte_mesh::Point, hint: &mut u32) -> u32 {
+        let key = Self::key(n);
+        if self.keys.get(*hint as usize) != Some(&key) {
+            *hint = self
+                .find(key)
+                .expect("a table plan's mesh has the normals the table was probed over");
+        }
+        *hint
+    }
+
+    fn normals(&self) -> impl Iterator<Item = [f64; 3]> + '_ {
+        self.keys.iter().map(|k| k.map(f64::from_bits))
+    }
+}
+
+/// Attempt the flux linearization over `classes`. Returns `None` (the
+/// compiled flux on the Row/Native tiers, the VM on the per-dof tiers) when
+/// the flux reads mutable variables, function coefficients, or time; when a
+/// conditional branches on the unknown; or when the numeric affinity probe
+/// fails.
 fn linearize_flux(
-    cp: &CompiledProblem,
-    primal: Option<&FluxLinearization>,
+    problem: &Problem,
+    flux: &Program,
+    flux_expr: &pbte_symbolic::ExprRef,
+    idx_of_flat: &[Vec<usize>],
+    classes: NormalClasses,
 ) -> Option<FluxLinearization> {
     use crate::bytecode::{Op, VmCtx};
     // Static eligibility: only face-constant inputs besides CELL1/CELL2.
-    for op in &cp.flux.ops {
+    for op in &flux.ops {
         match op {
             Op::LoadVar { .. } | Op::LoadCoefFn { .. } | Op::LoadTime => return None,
             _ => {}
@@ -352,7 +444,7 @@ fn linearize_flux(
     // Conditionals must not branch on the unknown (affinity would be
     // piecewise and the probe could miss the break point).
     let mut test_on_unknown = false;
-    cp.system.flux_expr.visit(&mut |e| {
+    flux_expr.visit(&mut |e| {
         if let pbte_symbolic::Expr::Conditional { test, .. } = e {
             if test.contains_call("CELL1") || test.contains_call("CELL2") {
                 test_on_unknown = true;
@@ -363,71 +455,28 @@ fn linearize_flux(
         return None;
     }
 
-    // Classify oriented normals by exact bit pattern (normals of identical
-    // geometry are computed identically); classes number in face order.
-    // The primal plan of a JVP twin already did, on the same mesh.
-    let mesh = cp.mesh();
-    let (face_class_pos, face_class_neg) = match primal {
-        Some(lin) => (lin.face_class_pos.clone(), lin.face_class_neg.clone()),
-        None => {
-            let mut class_ids: std::collections::HashMap<[u64; 3], u32> = Default::default();
-            let mut class_of = |n: pbte_mesh::Point| -> Option<u32> {
-                let key = [n.x.to_bits(), n.y.to_bits(), n.z.to_bits()];
-                if let Some(&class) = class_ids.get(&key) {
-                    return Some(class);
-                }
-                if class_ids.len() >= MAX_CLASSES {
-                    return None;
-                }
-                class_ids.insert(key, class_ids.len() as u32);
-                Some(class_ids.len() as u32 - 1)
-            };
-            let mut pos = Vec::with_capacity(mesh.n_faces());
-            let mut neg = Vec::with_capacity(mesh.n_faces());
-            for f in &mesh.faces {
-                pos.push(class_of(f.normal)?);
-                neg.push(class_of(-f.normal)?);
-            }
-            (pos.into(), neg.into())
-        }
-    };
-    // Each class's normal, read back off a face that has it.
-    let n_classes = (face_class_pos.iter().chain(face_class_neg.iter()))
-        .map(|&c| c as usize + 1)
-        .max()
-        .unwrap_or(0);
-    let mut normals = vec![[0.0; 3]; n_classes];
-    for (f, (&pos, &neg)) in
-        (mesh.faces.iter()).zip(face_class_pos.iter().zip(face_class_neg.iter()))
-    {
-        let n = f.normal;
-        normals[pos as usize] = [n.x, n.y, n.z];
-        normals[neg as usize] = [-n.x, -n.y, -n.z];
-    }
-
     // Probe the program per (flat, class) and validate affinity exactly
     // at two extra points.
-    let n_flat = cp.n_flat;
+    let n_flat = idx_of_flat.len();
+    let n_classes = classes.keys.len();
     let mut alpha = vec![0.0; n_flat * n_classes];
     let mut beta = vec![0.0; n_flat * n_classes];
     let mut gamma = vec![0.0; n_flat * n_classes];
     let no_vars: [&[f64]; 0] = [];
-    for flat in 0..n_flat {
-        let idx = &cp.idx_of_flat[flat];
-        #[allow(clippy::needless_range_loop)] // class indexes normals AND the αβγ tables
-        for class in 0..n_classes {
+    for (flat, idx) in idx_of_flat.iter().enumerate() {
+        for (class, normal) in classes.normals().enumerate() {
             let probe = |u1: f64, u2: f64| {
-                cp.flux.eval(&VmCtx {
+                flux.eval(&VmCtx {
                     vars: &no_vars,
                     n_cells: 1,
-                    coefficients: &cp.problem.registry.coefficients,
+                    coefficients: &problem.registry.coefficients,
                     idx,
                     cell: 0,
                     u1,
                     u2,
-                    normal: normals[class],
+                    normal,
                     position: pbte_mesh::Point::zero(),
-                    dt: cp.problem.dt,
+                    dt: problem.dt,
                     time: 0.0,
                 })
             };
@@ -448,8 +497,7 @@ fn linearize_flux(
     }
     Some(FluxLinearization {
         n_classes,
-        face_class_pos,
-        face_class_neg,
+        classes,
         alpha,
         beta,
         gamma,
@@ -583,9 +631,14 @@ fn fill_from_program(
     }
 }
 
-/// The compiled, target-independent form of a problem.
-pub struct CompiledProblem {
-    pub problem: Problem,
+/// What lowering produces from a problem's keyed content
+/// ([`Problem::plan_key`]) and nothing else: the symbolic system, the
+/// kernels, the index geometry, the flux table, and — filled on first use —
+/// the loaded native kernels. Every [`CompiledProblem`] of one key holds
+/// the same `Plan` through an `Arc`; nothing mesh-sized and nothing that
+/// came out of a user closure is in it.
+#[derive(Clone)]
+pub struct Plan {
     pub system: DiscreteSystem,
     pub volume: Program,
     pub flux: Program,
@@ -595,6 +648,174 @@ pub struct CompiledProblem {
     pub idx_lens: Vec<usize>,
     /// Decoded index tuple per flat value.
     pub idx_of_flat: Vec<Vec<usize>>,
+    /// The αβγ flux table, for meshes with few face orientations (None →
+    /// the compiled flux on Row/Native, the VM on the per-dof tiers).
+    pub flux_lin: Option<FluxLinearization>,
+    /// The plan's loaded native kernels (or why there are none), prepared
+    /// on first use by [`crate::nativegen`] and shared by every scope of
+    /// every solve of every instance. The JVP plan carries its own.
+    pub(crate) native: OnceLock<crate::nativegen::Prepared>,
+}
+
+/// The plans this process has lowered, by content key. A stored plan is a
+/// few kilobytes — programs, one index tuple per flat, `3 · n_flat ·
+/// n_classes` doubles — whatever the mesh size.
+static PLANS: pbte_runtime::OnceMap<PlanKey, Result<Arc<Plan>, DslError>> =
+    pbte_runtime::OnceMap::new();
+
+/// How many plans this process has lowered (a miss of the plan store, or a
+/// problem without a key).
+pub fn plans_lowered() -> u64 {
+    PLANS.built()
+}
+
+/// Forget every stored plan, as if the process had just started. For tests
+/// that compare a reuse with a first lowering; nothing else calls it.
+#[doc(hidden)]
+pub fn forget_plans() {
+    PLANS.forget();
+}
+
+impl Plan {
+    /// Lower `system` — the analyzed equation of `problem`, or its JVP —
+    /// into kernels, index geometry and, where the flux is affine over
+    /// the mesh's normal `classes`, the flux table. Reads only what
+    /// [`Problem::plan_key`] folds.
+    fn lower(
+        problem: &Problem,
+        system: DiscreteSystem,
+        classes: Option<NormalClasses>,
+    ) -> Result<Plan, DslError> {
+        let unknown = system.unknown;
+        let volume = Compiler::new(&problem.registry, unknown, KernelKind::Volume)
+            .compile(&system.volume_expr)?;
+        let flux = Compiler::new(&problem.registry, unknown, KernelKind::Flux)
+            .compile(&system.flux_expr)?;
+
+        let slots = &problem.registry.variables[unknown].indices;
+        let idx_lens: Vec<usize> = slots
+            .iter()
+            .map(|&i| problem.registry.indices[i].len)
+            .collect();
+        let n_flat: usize = idx_lens.iter().product();
+        let strides = problem.registry.strides(slots);
+        let idx_of_flat: Vec<Vec<usize>> = (0..n_flat)
+            .map(|flat| decode_flat(flat, &strides))
+            .collect();
+        let flux_lin = classes.and_then(|classes| {
+            linearize_flux(problem, &flux, &system.flux_expr, &idx_of_flat, classes)
+        });
+        Ok(Plan {
+            system,
+            volume,
+            flux,
+            n_flat,
+            idx_lens,
+            idx_of_flat,
+            flux_lin,
+            native: OnceLock::new(),
+        })
+    }
+
+    /// The plan of `key`: this process's, if it has lowered that content
+    /// before, else `lower`'s, kept for the next build. Returns whether the
+    /// plan was reused. A reuse is only ever as good as the key is exact,
+    /// so debug builds lower again and compare — tier-1 holds the key to
+    /// every fixture of the suite, the way `debug_verify` guards a solve.
+    fn shared(
+        key: Option<PlanKey>,
+        lower: impl Fn() -> Result<Plan, DslError>,
+    ) -> Result<(Arc<Plan>, bool), DslError> {
+        let mut lowered = false;
+        let plan = PLANS.get_or_init(key.as_ref(), || {
+            lowered = true;
+            lower().map(Arc::new)
+        })?;
+        #[cfg(debug_assertions)]
+        if !lowered {
+            plan.assert_same_lowering(&lower()?);
+        }
+        Ok((plan, !lowered))
+    }
+
+    /// Panic unless `fresh` — the same content lowered again — has this
+    /// plan's programs and flux table, bit for bit.
+    #[cfg(debug_assertions)]
+    fn assert_same_lowering(&self, fresh: &Plan) {
+        let bits = |lin: &FluxLinearization| -> Vec<u64> {
+            let tables = [&lin.alpha, &lin.beta, &lin.gamma];
+            let values = tables.into_iter().flatten().map(|v| v.to_bits());
+            (lin.classes.keys.iter().flatten().copied())
+                .chain(values)
+                .collect()
+        };
+        let same = self.volume.ops == fresh.volume.ops
+            && self.flux.ops == fresh.flux.ops
+            && self.idx_of_flat == fresh.idx_of_flat
+            && self.flux_lin.as_ref().map(bits) == fresh.flux_lin.as_ref().map(bits);
+        assert!(
+            same,
+            "a reused plan differs from a fresh lowering of the same key: \
+             Problem::plan_key misses something lowering reads"
+        );
+    }
+
+    /// Why the Row/Native tiers cannot evaluate this flux through its
+    /// lowered program, if they cannot: the row evaluator runs the flux
+    /// over face slots, where neither a per-face host callback nor a
+    /// cell-indexed variable row is available. Such a flux never
+    /// linearizes either, so the plan runs on the `Bound` tier.
+    pub(crate) fn flux_blocker(&self) -> Option<&'static str> {
+        use crate::bytecode::Op;
+        self.flux.ops.iter().find_map(|op| match op {
+            Op::LoadCoefFn { .. } => {
+                Some("the flux evaluates a function coefficient (a host callback per face)")
+            }
+            Op::LoadVar { .. } => Some("the flux reads a cell variable per face"),
+            _ => None,
+        })
+    }
+
+    /// True when the Row/Native tiers evaluate the flux through its lowered
+    /// program: no αβγ table (see [`FluxLinearization`]) and nothing that
+    /// blocks the lowering.
+    pub(crate) fn compiled_flux(&self) -> bool {
+        self.flux_lin.is_none() && self.flux_blocker().is_none()
+    }
+
+    /// Which flux evaluation `tier` runs.
+    pub fn flux_path(&self, tier: KernelTier) -> FluxPath {
+        match tier {
+            _ if self.flux_lin.is_some() => FluxPath::Table,
+            KernelTier::Row | KernelTier::Native => FluxPath::Compiled,
+            KernelTier::Vm | KernelTier::Bound => FluxPath::Vm,
+        }
+    }
+
+    /// The kernels the executors run in lowered (bound / row / native)
+    /// form, with their diagnostic names: the volume program, and the flux
+    /// when Row/Native run it compiled. The static passes walk exactly
+    /// these.
+    pub(crate) fn lowered_kernels(&self) -> Vec<(KernelKind, &'static str, &Program)> {
+        let mut kernels = vec![(KernelKind::Volume, "volume", &self.volume)];
+        if self.compiled_flux() {
+            kernels.push((KernelKind::Flux, "flux", &self.flux));
+        }
+        kernels
+    }
+}
+
+/// The compiled, target-independent form of a problem: its [`Plan`] —
+/// shared with every other build of the same content, reached through
+/// `Deref` (`cp.volume`, `cp.n_flat`, `cp.flux_lin`) — and this problem's
+/// instance of it: the problem with its values and closures, and everything
+/// sized by the mesh or produced by a closure.
+pub struct CompiledProblem {
+    plan: Arc<Plan>,
+    /// Whether `plan` was taken from the process's store (this content was
+    /// lowered before) rather than lowered for this build.
+    pub plan_reused: bool,
+    pub problem: Problem,
     /// Boundary faces in mesh order, each with its condition.
     pub(crate) boundary: Vec<BoundaryFace>,
     /// face id → position in `boundary` (usize::MAX for interior faces).
@@ -605,9 +826,6 @@ pub struct CompiledProblem {
     /// The boundary faces lowered into the tables the kernels read, and
     /// the slots still left to their closures.
     pub walls: Walls,
-    /// The αβγ flux table, for meshes with few face orientations (None →
-    /// the compiled flux on Row/Native, the VM on the per-dof tiers).
-    pub flux_lin: Option<FluxLinearization>,
     /// Compact structure-of-arrays face geometry for the CPU hot loop
     /// (one value for a plan and its JVP twin on the same flux path).
     pub(crate) hot: Arc<HotGeometry>,
@@ -623,10 +841,14 @@ pub struct CompiledProblem {
     /// through the identical pipeline, so every kernel tier and the whole
     /// translation-validation chain apply to it unchanged.
     pub jvp: Option<Box<CompiledProblem>>,
-    /// The plan's loaded native kernels (or why there are none), prepared
-    /// on first use by [`crate::nativegen`] and shared by every scope of
-    /// every solve. The JVP plan carries its own.
-    pub(crate) native: OnceLock<Result<Arc<crate::nativegen::NativeLib>, String>>,
+}
+
+impl std::ops::Deref for CompiledProblem {
+    type Target = Plan;
+
+    fn deref(&self) -> &Plan {
+        &self.plan
+    }
 }
 
 /// Declared accesses of one pre/post-step callback (`None` = opaque,
@@ -819,6 +1041,9 @@ pub(crate) struct HotGeometry {
 }
 
 impl HotGeometry {
+    /// `lin` on a table plan (each slot's normal is looked up among its
+    /// classes), else `None`; `compiled_flux` when the kernels read
+    /// per-slot normals.
     fn build(
         mesh: &pbte_mesh::Mesh,
         bface_slot: &[usize],
@@ -826,28 +1051,29 @@ impl HotGeometry {
         compiled_flux: bool,
     ) -> HotGeometry {
         let n = mesh.n_cells();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut nbr = Vec::new();
-        let mut area = Vec::new();
-        let mut class = Vec::new();
-        // The widest array, so sized once: grown by doubling it would leave
-        // as much freed heap behind as it holds.
+        // Every array is sized once: grown by doubling, each would copy
+        // itself a dozen times and leave as much freed heap behind as it
+        // holds.
         let n_slots: usize = (0..n).map(|c| mesh.cell_faces(c).len()).sum();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut nbr = Vec::with_capacity(n_slots);
+        let mut area = Vec::with_capacity(n_slots);
+        let mut class = Vec::with_capacity(if lin.is_some() { n_slots } else { 0 });
+        // The class last found per local face: on a grid, the next cell's.
+        let mut hints = [0u32; MAX_RUN_FACES];
         let mut normals = Vec::with_capacity(if compiled_flux { n_slots * mesh.dim } else { 0 });
         offsets.push(0u32);
         for cell in 0..n {
-            for &fid in mesh.cell_faces(cell) {
+            for (local, &fid) in mesh.cell_faces(cell).iter().enumerate() {
                 let f = &mesh.faces[fid];
                 nbr.push(match f.other_cell(cell) {
                     Some(c) => c as i64,
                     None => -((bface_slot[fid] + 1) as i64),
                 });
                 area.push(f.area);
-                if let Some(l) = lin {
-                    class.push(match f.owner == cell {
-                        true => l.face_class_pos[fid],
-                        false => l.face_class_neg[fid],
-                    });
+                if let Some(lin) = lin {
+                    let hint = &mut hints[local % MAX_RUN_FACES];
+                    class.push(lin.classes.class_of(f.normal_from(cell), hint));
                 }
                 if compiled_flux {
                     let n = f.normal_from(cell);
@@ -898,39 +1124,17 @@ impl HotGeometry {
 }
 
 impl CompiledProblem {
-    /// Lower a problem: run the pipeline, compile kernels, resolve BCs,
-    /// and apply initial conditions. When the problem selects an implicit
-    /// integrator, also derives and compiles the Jacobian-vector-product
-    /// plan (`CompiledProblem::jvp`).
+    /// Lower a problem: take the plan of its content key — lowering it
+    /// (pipeline, kernels, flux table) if this process has not seen that
+    /// content — then build this problem's instance of it: resolve the
+    /// boundary conditions, apply the initial conditions, lower the walls,
+    /// lay out the hot geometry. When the problem selects an implicit
+    /// integrator, the same for the Jacobian-vector-product plan
+    /// (`CompiledProblem::jvp`), whose key derives from the primal's.
+    ///
+    /// A reuse skips lowering and nothing else: the instance is built and
+    /// every verifier pass runs on it exactly as on a first build.
     pub fn compile(problem: Problem) -> Result<(CompiledProblem, Fields), DslError> {
-        let system = problem.analyze()?;
-        let jvp_sys = if problem.integrator.is_implicit() {
-            Some(crate::pipeline::jvp_system(&problem, &system)?)
-        } else {
-            None
-        };
-        let (mut cp, fields) = Self::lower(problem, system, None)?;
-        if let Some(js) = jvp_sys {
-            let jp = linearized_problem(&cp.problem)?;
-            let (jcp, _) = Self::lower(jp, js, Some(&cp))?;
-            cp.jvp = Some(Box::new(jcp));
-        }
-        Ok((cp, fields))
-    }
-
-    /// Lower an already-analyzed system (the shared back half of
-    /// [`CompiledProblem::compile`], also used for the JVP plan, whose
-    /// [`DiscreteSystem`] is derived symbolically rather than parsed).
-    /// `primal` is the plan a JVP twin is derived from: the same mesh with
-    /// the same boundary regions, so what depends on those alone — which
-    /// faces are boundary slots, the orientation classes and, when both
-    /// plans take the same flux path, the whole hot face geometry — is
-    /// shared with it instead of rebuilt.
-    fn lower(
-        problem: Problem,
-        system: DiscreteSystem,
-        primal: Option<&CompiledProblem>,
-    ) -> Result<(CompiledProblem, Fields), DslError> {
         let mesh = problem
             .mesh
             .as_ref()
@@ -941,27 +1145,47 @@ impl CompiledProblem {
                 mesh.dim, problem.dim
             )));
         }
+        let key = problem.plan_key();
+        // Classified at most once per build, and only if a plan is lowered.
+        let classes = std::cell::OnceCell::new();
+        let classes = || classes.get_or_init(|| NormalClasses::of(mesh)).clone();
+        let (plan, reused) =
+            Plan::shared(key, || Plan::lower(&problem, problem.analyze()?, classes()))?;
+        let jvp = match problem.integrator.is_implicit() {
+            true => Some(Plan::shared(key.map(PlanKey::jvp), || {
+                let system = crate::pipeline::jvp_system(&problem, &plan.system)?;
+                Plan::lower(&problem, system, classes())
+            })?),
+            false => None,
+        };
+        let (mut cp, fields) = Self::instantiate(problem, plan, reused, None)?;
+        if let Some((plan, reused)) = jvp {
+            let jp = linearized_problem(&cp.problem)?;
+            let (jcp, _) = Self::instantiate(jp, plan, reused, Some(&cp))?;
+            cp.jvp = Some(Box::new(jcp));
+        }
+        Ok((cp, fields))
+    }
 
-        let unknown = system.unknown;
-        let volume = Compiler::new(&problem.registry, unknown, KernelKind::Volume)
-            .compile(&system.volume_expr)?;
-        let flux = Compiler::new(&problem.registry, unknown, KernelKind::Flux)
-            .compile(&system.flux_expr)?;
-
-        // Index geometry.
-        let slots = problem.registry.variables[unknown].indices.clone();
-        let idx_lens: Vec<usize> = slots
-            .iter()
-            .map(|&i| problem.registry.indices[i].len)
-            .collect();
-        let n_flat: usize = idx_lens.iter().product();
-        let strides = problem.registry.strides(&slots);
-        let idx_of_flat: Vec<Vec<usize>> = (0..n_flat)
-            .map(|flat| decode_flat(flat, &strides))
-            .collect();
+    /// This problem's instance of `plan` (the back half of
+    /// [`CompiledProblem::compile`], for the primal and the JVP plan
+    /// alike). `primal` is the instance a JVP twin is derived from: the
+    /// same mesh with the same boundary regions, so what depends on those
+    /// alone — which faces are boundary slots and, when both plans take the
+    /// same flux path, the whole hot face geometry — is shared with it
+    /// instead of rebuilt.
+    fn instantiate(
+        problem: Problem,
+        plan: Arc<Plan>,
+        plan_reused: bool,
+        primal: Option<&CompiledProblem>,
+    ) -> Result<(CompiledProblem, Fields), DslError> {
+        let mesh = problem.mesh.as_ref().expect("checked in compile");
+        let unknown = plan.system.unknown;
 
         // Resolve boundary conditions: every boundary face needs one.
-        let mut region_bc: Vec<Option<BoundaryCondition>> = vec![None; mesh.boundary_regions.len()];
+        let mut region_bc: Vec<Option<Arc<BoundaryCondition>>> =
+            vec![None; mesh.boundary_regions.len()];
         for (var, region, bc) in &problem.boundary_conditions {
             if *var != unknown {
                 return Err(DslError::Invalid(format!(
@@ -972,7 +1196,7 @@ impl CompiledProblem {
             let rid = mesh.region_id(region).ok_or_else(|| {
                 DslError::Invalid(format!("mesh has no boundary region `{region}`"))
             })?;
-            region_bc[rid] = Some(bc.clone());
+            region_bc[rid] = Some(Arc::new(bc.clone()));
         }
         // The boundary faces in mesh order (the primal's, for a JVP twin).
         let boundary_faces: Vec<usize> = match primal {
@@ -1002,43 +1226,55 @@ impl CompiledProblem {
         };
 
         let (fields, initials) = initial_state(&problem)?;
-
-        let mut cp = CompiledProblem {
-            problem,
-            system,
-            volume,
-            flux,
-            n_flat,
-            idx_lens,
-            idx_of_flat,
-            boundary,
-            bface_slot,
-            initials,
-            walls: Walls::default(),
-            flux_lin: None,
-            hot: Arc::default(),
-            catalog: CallbackCatalog::default(),
-            jvp: None,
-            native: OnceLock::new(),
-        };
-        cp.walls = Walls::lower(cp.mesh(), &cp.boundary, &cp.idx_of_flat, &fields);
-        cp.catalog = CallbackCatalog::build(&cp.problem, &cp.boundary, &cp.walls);
-        cp.flux_lin = linearize_flux(&cp, primal.and_then(|p| p.flux_lin.as_ref()));
+        let walls = Walls::lower(mesh, &boundary, &plan.idx_of_flat, &fields);
+        let catalog = CallbackCatalog::build(&problem, &boundary, &walls);
         // The hot geometry is a function of the mesh, the boundary slots,
         // the face classes and which flux path reads it.
         let same_flux_path = |p: &&CompiledProblem| {
-            p.flux_lin.is_some() == cp.flux_lin.is_some() && p.compiled_flux() == cp.compiled_flux()
+            p.flux_lin.is_some() == plan.flux_lin.is_some()
+                && p.compiled_flux() == plan.compiled_flux()
         };
-        cp.hot = match primal.filter(same_flux_path) {
+        let hot = match primal.filter(same_flux_path) {
             Some(primal) => primal.hot.clone(),
             None => Arc::new(HotGeometry::build(
-                cp.mesh(),
-                &cp.bface_slot,
-                cp.flux_lin.as_ref(),
-                cp.compiled_flux(),
+                mesh,
+                &bface_slot,
+                plan.flux_lin.as_ref(),
+                plan.compiled_flux(),
             )),
         };
+        let cp = CompiledProblem {
+            plan,
+            plan_reused,
+            problem,
+            boundary,
+            bface_slot,
+            initials,
+            walls,
+            hot,
+            catalog,
+            jvp: None,
+        };
+        #[cfg(debug_assertions)]
+        crate::nativegen::assert_same_source(&cp);
         Ok((cp, fields))
+    }
+
+    /// The plan, to edit: this problem's private copy from here on (the
+    /// stored plan, and every other instance's, is left as lowered). For
+    /// tests that tamper with a plan to provoke a diagnostic.
+    #[doc(hidden)]
+    pub fn plan_mut(&mut self) -> &mut Plan {
+        Arc::make_mut(&mut self.plan)
+    }
+
+    /// `lowered` or `reused`: where this build's plan came from — the
+    /// `plan` attribute of a run's `run_start` frame.
+    pub fn plan_origin(&self) -> &'static str {
+        match self.plan_reused {
+            true => "reused",
+            false => "lowered",
+        }
     }
 
     /// Run the static plan verifier for `target`: kernel-tier abstract
@@ -1082,48 +1318,14 @@ impl CompiledProblem {
         self.problem.mesh.as_ref().expect("checked in compile")
     }
 
-    /// Why the Row/Native tiers cannot evaluate this flux through its
-    /// lowered program, if they cannot: the row evaluator runs the flux
-    /// over face slots, where neither a per-face host callback nor a
-    /// cell-indexed variable row is available. Such a flux never
-    /// linearizes either, so the plan runs on the `Bound` tier.
-    pub(crate) fn flux_blocker(&self) -> Option<&'static str> {
-        use crate::bytecode::Op;
-        self.flux.ops.iter().find_map(|op| match op {
-            Op::LoadCoefFn { .. } => {
-                Some("the flux evaluates a function coefficient (a host callback per face)")
-            }
-            Op::LoadVar { .. } => Some("the flux reads a cell variable per face"),
-            _ => None,
-        })
-    }
-
-    /// True when the Row/Native tiers evaluate the flux through its lowered
-    /// program: no αβγ table (see [`FluxLinearization`]) and nothing that
-    /// blocks the lowering.
-    pub(crate) fn compiled_flux(&self) -> bool {
-        self.flux_lin.is_none() && self.flux_blocker().is_none()
-    }
-
-    /// Which flux evaluation `tier` runs.
-    pub fn flux_path(&self, tier: KernelTier) -> FluxPath {
-        match tier {
-            _ if self.flux_lin.is_some() => FluxPath::Table,
-            KernelTier::Row | KernelTier::Native => FluxPath::Compiled,
-            KernelTier::Vm | KernelTier::Bound => FluxPath::Vm,
-        }
-    }
-
-    /// The kernels the executors run in lowered (bound / row / native)
-    /// form, with their diagnostic names: the volume program, and the flux
-    /// when Row/Native run it compiled. The static passes walk exactly
-    /// these.
-    pub(crate) fn lowered_kernels(&self) -> Vec<(KernelKind, &'static str, &Program)> {
-        let mut kernels = vec![(KernelKind::Volume, "volume", &self.volume)];
-        if self.compiled_flux() {
-            kernels.push((KernelKind::Flux, "flux", &self.flux));
-        }
-        kernels
+    /// The orientation class of `face`'s owner-side normal — its column of
+    /// the flux table — on a table plan.
+    pub fn face_class(&self, face: usize) -> Option<u32> {
+        self.flux_lin.as_ref()?;
+        let owner = self.mesh().faces[face].owner;
+        let faces = self.mesh().cell_faces(owner);
+        let slot = faces.iter().position(|&f| f == face)?;
+        Some(self.hot.class[self.hot.offsets[owner] as usize + slot])
     }
 
     /// The volume or flux program specialized to `flat` at `time`.

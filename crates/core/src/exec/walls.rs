@@ -172,7 +172,7 @@ impl Walls {
                 }
                 None => {
                     let lowered = matches!(
-                        (&bf.bc, bf.bc.form()),
+                        (&*bf.bc, bf.bc.form()),
                         (BoundaryCondition::Value(_), _) | (_, Some(BoundaryForm::Fixed))
                     );
                     if lowered {
@@ -208,7 +208,7 @@ impl Walls {
             }
             // This row's entry of every flat's column.
             let ghosts = walls.image[read as usize..].iter_mut().step_by(n_rows);
-            match (&bf.bc, bf.bc.form()) {
+            match (&*bf.bc, bf.bc.form()) {
                 (BoundaryCondition::Value(v), _) if v.to_bits() != 0 => {
                     ghosts.for_each(|ghost| *ghost = *v);
                 }

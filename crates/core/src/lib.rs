@@ -24,7 +24,12 @@
 //! 4. [`bytecode`] — compilation of the symbolic term groups into a
 //!    register-free stack VM evaluated per degree of freedom, with static
 //!    flop/byte counts feeding the GPU roofline and the cluster model;
-//! 5. [`exec`] — execution targets: sequential CPU, thread-parallel CPU,
+//! 5. [`exec`] — the compiled problem, split into the *plan* (everything
+//!    the steps above produce, a function of the problem's content and
+//!    lowered once per process and [`problem::PlanKey`]) and this
+//!    problem's *instance* of it (boundary tables, initial fields, face
+//!    geometry, built every time) — and the
+//!    execution targets: sequential CPU, thread-parallel CPU,
 //!    distributed cell-partitioned and band-partitioned CPU (real message
 //!    passing via `pbte-runtime`), and the hybrid CPU+GPU target where
 //!    generated kernels run on the simulated device while user callbacks

@@ -54,10 +54,14 @@
 //!   `target/pbte-native-cache/<hash>.so` (override with
 //!   `PBTE_NATIVE_CACHE_DIR`); recompiles are amortized across runs,
 //!   steps, and processes, extending the bind-caching story to machine
-//!   code. An in-process map additionally caches loaded handles — and
-//!   failures, so a broken toolchain is probed once — and each
-//!   `CompiledProblem` keeps its prepared plan, so a plan is lowered and
-//!   hashed once, not per scope or per solve.
+//!   code. In process, loaded handles — and failures, so a broken
+//!   toolchain is probed once — live in a once-per-key cell
+//!   (`pbte_runtime::once::OnceMap`) by source hash: `rustc` runs on the
+//!   key's own cell, never under the map's lock, so two plans compile side
+//!   by side and a panic in one poisons nothing. Each `exec::Plan` keeps
+//!   its `Prepared` kernels, and a plan is the process's per content
+//!   key, so a plan is lowered, validated and hashed once per process —
+//!   not per scope, per solve, or per build of the same content.
 //!
 //! If `rustc` is missing (override with `PBTE_NATIVE_RUSTC`), compilation
 //! fails, or the plan is ineligible (a program reading `t`, function
@@ -75,7 +79,7 @@ use pbte_symbolic::expr::CmpOp;
 use std::collections::HashMap;
 use std::fmt::{self, Write};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Lowering: RegProgram → statement list (shared by emitter and validator)
@@ -979,14 +983,12 @@ mod dl {
     }
 }
 
-/// In-process cache: source hash → loaded library (or the failure message,
-/// so a broken toolchain is probed once per process, not once per scope).
-type LoadCache = Mutex<HashMap<u64, Result<Arc<NativeLib>, String>>>;
-
-fn load_cache() -> &'static LoadCache {
-    static CACHE: OnceLock<LoadCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
+/// The libraries this process has loaded (or failed to: a broken toolchain
+/// is probed once per source, not once per plan), by source hash. Two
+/// plans of one source share the handle; two sources compile side by side
+/// — the map's lock is never held across `rustc`.
+static LOADED: pbte_runtime::OnceMap<u64, Result<Arc<NativeLib>, String>> =
+    pbte_runtime::OnceMap::new();
 
 /// Load the plan `hash` from the disk cache, compiling it first — the
 /// only case that calls `source` for the text — when it is not there.
@@ -1112,35 +1114,83 @@ pub(crate) fn source_hash(cp: &CompiledProblem, per_flat: &[FlatStmts]) -> u64 {
     hash.0
 }
 
-/// The native kernels of a plan, prepared once per [`CompiledProblem`]:
-/// every scope of every solve shares the result (or the failure). `Err`
-/// is the structured fallback reason — the caller degrades to the row
-/// tier and records a `native/fallback` diagnostic.
+/// A plan's native kernels as first prepared: the library (or why there is
+/// none), the hash of the source it was loaded from, and the one number
+/// that source bakes which the plan's key does not fix.
+#[derive(Clone)]
+pub(crate) struct Prepared {
+    /// `Walls::n_rows` of the instance that prepared the plan. The key
+    /// folds every wall's *form*; how many faces of a Gather wall its
+    /// `source` closure serves — the rest keep a ghost row — is the
+    /// closure's to say.
+    n_rows: usize,
+    /// `None` when the plan did not lower (no source was emitted). Read by
+    /// the debug-build reuse guard only.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    hash: Option<u64>,
+    lib: Result<Arc<NativeLib>, String>,
+}
+
+/// The native kernels of `cp`'s plan, prepared once per [`Plan`]: every
+/// scope of every solve of every instance shares the result (or the
+/// failure). `Err` is the structured fallback reason — the caller degrades
+/// to the row tier and records a `native/fallback` diagnostic.
+///
+/// An instance whose walls lowered to another ghost-row count than the
+/// plan's kernels bake prepares its own — found by source hash like any
+/// other, shared with nobody through the plan.
 pub(crate) fn prepare(cp: &CompiledProblem) -> Result<Arc<NativeLib>, String> {
-    cp.native.get_or_init(|| prepare_plan(cp)).clone()
+    let prepared = cp.native.get_or_init(|| prepare_plan(cp));
+    match prepared.n_rows == cp.walls.n_rows {
+        true => prepared.lib.clone(),
+        false => prepare_plan(cp).lib,
+    }
+}
+
+/// Debug builds hold a reused plan's kernels to this instance: the source
+/// a fresh lowering of `cp` would emit hashes to what the plan's library
+/// was loaded from. (Nothing to compare before the plan is first prepared,
+/// or against an instance [`prepare`] would not serve from the plan.)
+#[cfg(debug_assertions)]
+pub(crate) fn assert_same_source(cp: &CompiledProblem) {
+    let Some(prepared) = cp.native.get() else {
+        return;
+    };
+    if prepared.n_rows != cp.walls.n_rows {
+        return;
+    }
+    let fresh = lower_plan(cp).ok().map(|stmts| source_hash(cp, &stmts));
+    assert_eq!(
+        fresh, prepared.hash,
+        "a reused plan's native source differs from a fresh lowering of the same key"
+    );
 }
 
 /// Lower, validate, hash, and load (compiling on a cache miss) the native
 /// kernels for a plan.
-fn prepare_plan(cp: &CompiledProblem) -> Result<Arc<NativeLib>, String> {
-    let per_flat = lower_plan(cp)?;
-    let hash = source_hash(cp, &per_flat);
-    let mut cache = load_cache().lock().unwrap();
-    if let Some(hit) = cache.get(&hash) {
-        return hit.clone();
+fn prepare_plan(cp: &CompiledProblem) -> Prepared {
+    let lowered = lower_plan(cp).map(|per_flat| (source_hash(cp, &per_flat), per_flat));
+    let hash = lowered.as_ref().ok().map(|(hash, _)| *hash);
+    let lib = lowered.and_then(|(hash, per_flat)| {
+        LOADED.get_or_init(Some(&hash), || {
+            let source = || {
+                let mut text = String::new();
+                emit_source(cp, cp.mesh().n_cells(), &per_flat, &mut text)
+                    .expect("writing to a String never fails");
+                text
+            };
+            let loaded = compile_and_load(source, cp.n_flat, hash);
+            if loaded.is_ok() {
+                sweep_after_load();
+            }
+            loaded
+        })
+    });
+    Prepared {
+        n_rows: cp.walls.n_rows,
+        hash,
+        lib,
     }
-    let source = || {
-        let mut text = String::new();
-        emit_source(cp, cp.mesh().n_cells(), &per_flat, &mut text)
-            .expect("writing to a String never fails");
-        text
-    };
-    let loaded = compile_and_load(source, cp.n_flat, hash);
-    cache.insert(hash, loaded.clone());
-    if loaded.is_ok() {
-        sweep_after_load();
-    }
-    loaded
 }
 
 #[cfg(test)]

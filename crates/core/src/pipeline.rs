@@ -157,6 +157,29 @@ pub fn analyze(problem: &Problem, var: usize, src: &str) -> Result<DiscreteSyste
     })
 }
 
+/// Fold what [`analyze`] (and [`jvp_system`] after it) reads of `problem`
+/// into a plan key: the unknown and the equation text, the dimension the
+/// `upwind` expansion is written for, the vector coefficients and the
+/// registry the symbols resolve against. `None` when the problem registers
+/// a custom operator: its expander is a closure, so what the equation
+/// expands to cannot be named by content.
+pub(crate) fn fold_inputs(problem: &Problem, d: &mut pbte_mesh::Digest) -> Option<()> {
+    let (var, src) = problem.equation.as_ref()?;
+    if !problem.custom_operators.is_empty() {
+        return None;
+    }
+    d.size(*var);
+    d.str(src);
+    d.size(problem.dim);
+    d.size(problem.vector_coefficients.len());
+    for (name, components) in &problem.vector_coefficients {
+        d.str(name);
+        d.sizes(components);
+    }
+    problem.registry.fold(d);
+    Some(())
+}
+
 /// Derive the Jacobian-vector-product system of an analyzed system.
 ///
 /// The result is a [`DiscreteSystem`] whose volume and flux expressions

@@ -11,7 +11,7 @@
 use crate::entities::{Coefficient, CoefficientValue, Index, Location, Registry, Variable};
 use crate::exec::{ExecTarget, Solver};
 use crate::pipeline::{self, DiscreteSystem};
-use pbte_mesh::{Mesh, Point};
+use pbte_mesh::{Digest, Mesh, Point};
 use pbte_symbolic::Dim;
 use std::fmt;
 use std::sync::Arc;
@@ -470,7 +470,7 @@ impl KernelTier {
 }
 
 /// Errors from building a problem.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum DslError {
     /// The conservation-form expression failed to parse.
     Parse(pbte_symbolic::ParseError),
@@ -495,6 +495,20 @@ impl From<pbte_symbolic::ParseError> for DslError {
     }
 }
 
+/// The content a plan is lowered from, as a 128-bit digest
+/// ([`Problem::plan_key`]): two problems of one key lower to the same
+/// plan, so the second takes the first's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PlanKey(Digest);
+
+impl PlanKey {
+    /// The key of the JVP twin of the plan this names: its own entry,
+    /// asked for only by the problems that step implicitly.
+    pub(crate) fn jvp(self) -> PlanKey {
+        PlanKey(self.0.tagged("jvp"))
+    }
+}
+
 /// A PDE problem under construction.
 #[derive(Clone)]
 pub struct Problem {
@@ -509,7 +523,9 @@ pub struct Problem {
     pub krylov: KrylovConfig,
     pub dt: f64,
     pub n_steps: usize,
-    pub mesh: Option<Mesh>,
+    /// Shared, not owned: the problem of a JVP twin is a clone of its
+    /// primal's, and a mesh is the largest thing either holds.
+    pub mesh: Option<Arc<Mesh>>,
     pub registry: Registry,
     /// Vector coefficients: name → component coefficient ids.
     pub vector_coefficients: Vec<(String, Vec<usize>)>,
@@ -662,7 +678,7 @@ impl Problem {
     /// `mesh(...)`: attach the mesh.
     pub fn mesh(&mut self, mesh: Mesh) -> &mut Self {
         self.dim = mesh.dim;
-        self.mesh = Some(mesh);
+        self.mesh = Some(Arc::new(mesh));
         self
     }
 
@@ -911,6 +927,76 @@ impl Problem {
             declared: true,
         });
         self
+    }
+
+    /// The key of the plan this problem lowers to: a digest of exactly
+    /// what lowering reads, so that equal keys mean equal plans.
+    ///
+    /// * what the symbolic pipeline reads (`pipeline::fold_inputs`): the
+    ///   equation text, `dim`, the vector coefficients, and the registry —
+    ///   index lengths, variable and coefficient shapes, coefficient
+    ///   *values* by their bits (bound programs and the flux table fold
+    ///   them into constants);
+    /// * the explicit stepper and `dt` (the flux table is probed with it
+    ///   and the native kernels bake it);
+    /// * per boundary region the *form* of its condition — constant,
+    ///   opaque, declared with which reads, Fixed, Gather — never the
+    ///   closure or the constant's value: those fill the walls' image,
+    ///   which every instance builds for itself. (The one thing a Gather
+    ///   closure can still move under an equal key, the number of ghost
+    ///   rows the native source bakes, is checked where that source is
+    ///   used: `nativegen::prepare`.)
+    /// * the declared initial expressions (they compile like a volume
+    ///   term);
+    /// * the mesh, by [`Mesh::digest`]: orientation classes, stencil runs
+    ///   and cell counts are functions of it.
+    ///
+    /// Deliberately absent: the name, `n_steps`, the Krylov settings, the
+    /// kernel tier and the integrator — an explicit and an implicit
+    /// scenario share the primal plan, and every tier runs from one — and
+    /// declared ranges and units, which only the verifier passes read, per
+    /// instance. `None` ("lower as ever, keep nothing") without an
+    /// equation or a mesh, and for a problem with a custom operator.
+    pub fn plan_key(&self) -> Option<PlanKey> {
+        let mesh = self.mesh.as_ref()?;
+        let mut d = Digest::new();
+        pipeline::fold_inputs(self, &mut d)?;
+        d.size(match self.stepper {
+            TimeStepper::EulerExplicit => 0,
+            TimeStepper::Rk2 => 1,
+        });
+        d.f64(self.dt);
+        d.size(self.boundary_conditions.len());
+        for (var, region, bc) in &self.boundary_conditions {
+            d.size(*var);
+            d.str(region);
+            match bc {
+                BoundaryCondition::Value(_) => d.str("value"),
+                BoundaryCondition::Callback(_) => d.str("callback"),
+                BoundaryCondition::DeclaredCallback { reads, form, .. } => {
+                    d.str(match form {
+                        None => "declared",
+                        Some(BoundaryForm::Fixed) => "fixed",
+                        Some(BoundaryForm::Gather(_)) => "gather",
+                    });
+                    d.size(reads.len());
+                    reads.iter().for_each(|r| d.str(r));
+                }
+            }
+        }
+        d.size(self.initials.len());
+        for (var, initial) in &self.initials {
+            d.size(*var);
+            match initial {
+                Initial::Fn(_) => d.size(0),
+                Initial::Expr(src) => {
+                    d.size(1);
+                    d.str(src);
+                }
+            }
+        }
+        d.digest(mesh.digest());
+        Some(PlanKey(d))
     }
 
     /// Run the symbolic pipeline only (parse → expand → time transform →

@@ -4,6 +4,8 @@
 //! Gmsh, and METIS (via Metis.jl):
 //!
 //! * [`geometry`] — small 3-vector type and polygon/polyhedron measures;
+//! * [`digest`] — the 128-bit content fold a mesh takes of itself while it
+//!   is built, and the layers above take of what else lowering reads;
 //! * [`mesh`] — the cell/face connectivity and geometric quantities an FVM
 //!   discretization needs (owner/neighbor faces, outward normals, areas,
 //!   volumes, centroids, named boundary regions);
@@ -17,6 +19,7 @@
 //!   partitioning helpers, and halo/interface extraction used by the
 //!   distributed runtime.
 
+pub mod digest;
 pub mod geometry;
 pub mod gmsh;
 pub mod grid;
@@ -25,6 +28,7 @@ pub mod medit;
 pub mod mesh;
 pub mod partition;
 
+pub use digest::Digest;
 pub use geometry::Point;
 pub use grid::UniformGrid;
 pub use mesh::{Face, Mesh, MeshError};

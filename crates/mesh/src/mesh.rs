@@ -7,6 +7,7 @@
 //! and centroids. Boundary faces carry an optional named region id, matching
 //! Finch's `boundary(var, region, ...)` interface.
 
+use crate::digest::Digest;
 use crate::geometry::{face_measures, mean, polygon_centroid, polygon_signed_area, Point};
 
 /// A mesh face: an edge in 2-D, a polygon in 3-D.
@@ -88,6 +89,11 @@ pub struct Mesh {
     pub cell_centroids: Vec<Point>,
     /// Named boundary regions.
     pub boundary_regions: Vec<BoundaryRegion>,
+    /// Digest of what [`Mesh::try_from_cells`] built the mesh from —
+    /// dimension, vertex coordinates (bits) and cell vertex lists — folded
+    /// as it read them. Faces, measures and centroids are functions of
+    /// those, so they are covered without being read again.
+    geometry: Digest,
 }
 
 /// Why a cell list is not a finite-volume mesh ([`Mesh::try_from_cells`]).
@@ -174,6 +180,14 @@ impl Mesh {
     ) -> Result<Mesh, MeshError> {
         assert!(dim == 2 || dim == 3, "only 2-D and 3-D meshes supported");
         let id = |v: usize| u32::try_from(v).expect("a vertex id indexes `vertices`");
+        let mut geometry = Digest::new();
+        geometry.size(dim);
+        geometry.size(vertices.len());
+        for v in &vertices {
+            geometry.f64(v.x);
+            geometry.f64(v.y);
+            geometry.f64(v.z);
+        }
         // One record per (cell, local face), in that order: the face's
         // vertex loop.
         let mut cell_vertex_offsets = vec![0];
@@ -182,6 +196,7 @@ impl Mesh {
         let mut loops: Vec<[u32; 4]> = Vec::new();
         for (ci, cell) in cells.iter().enumerate() {
             let cell = cell.as_ref();
+            geometry.sizes(cell);
             cell_vertex_ids.extend_from_slice(cell);
             cell_vertex_offsets.push(cell_vertex_ids.len());
             match (dim, cell.len()) {
@@ -250,6 +265,7 @@ impl Mesh {
             cell_volumes: Vec::with_capacity(cells.len()),
             cell_centroids: Vec::with_capacity(cells.len()),
             boundary_regions: Vec::new(),
+            geometry,
         };
         let mut corners: Vec<Point> = Vec::new();
         for (ci, cell) in cells.iter().enumerate() {
@@ -298,6 +314,22 @@ impl Mesh {
             mesh.cell_centroids.push(centroid);
         }
         Ok(mesh)
+    }
+
+    /// Content digest of the mesh as it stands: the geometry it was built
+    /// from, and the boundary regions (names and face lists) as they are
+    /// now. Two meshes of one digest are the same mesh to everything that
+    /// is derived from one — what lets a lowered plan be reused. The
+    /// geometry part is fixed at construction; the public geometric fields
+    /// are the constructor's to write.
+    pub fn digest(&self) -> Digest {
+        let mut digest = self.geometry;
+        digest.size(self.boundary_regions.len());
+        for region in &self.boundary_regions {
+            digest.str(&region.name);
+            digest.sizes(&region.faces);
+        }
+        digest
     }
 
     /// Number of cells.
@@ -525,6 +557,31 @@ mod tests {
         for fid in m.boundary_faces().collect::<Vec<_>>() {
             assert!(m.faces[fid].region.is_some());
         }
+    }
+
+    #[test]
+    fn digest_names_the_geometry_and_the_regions() {
+        let base = two_squares();
+        assert_eq!(base.digest(), two_squares().digest());
+
+        // One coordinate, one ulp.
+        let mut vs = base.vertices.clone();
+        vs[4].y = f64::from_bits(vs[4].y.to_bits() + 1);
+        let cells = [[0, 1, 4, 3], [1, 2, 5, 4]];
+        assert_ne!(base.digest(), Mesh::from_cells(2, vs, &cells).digest());
+
+        // The same cells in another order.
+        let swapped = [[1, 2, 5, 4], [0, 1, 4, 3]];
+        let other = Mesh::from_cells(2, base.vertices.clone(), &swapped);
+        assert_ne!(base.digest(), other.digest());
+
+        // Regions count as they stand when asked.
+        let mut named = two_squares();
+        named.add_boundary_region("left", |c| c.x < 1e-12);
+        assert_ne!(base.digest(), named.digest());
+        let mut renamed = two_squares();
+        renamed.add_boundary_region("west", |c| c.x < 1e-12);
+        assert_ne!(named.digest(), renamed.digest());
     }
 
     #[test]

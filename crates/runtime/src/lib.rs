@@ -20,17 +20,22 @@
 //! [`telemetry::Recorder`] is the unified sink above it: structured spans,
 //! events, per-step records and work counters that every executor feeds,
 //! with Chrome-trace (Perfetto) and JSONL exporters.
+//! [`once::OnceMap`] is the process-wide once-per-key cell: what is built
+//! from content — a lowered plan, a loaded native library, a material
+//! table — is built once per process and key, outside any shared lock.
 
 pub mod calibrate;
 pub mod comm;
 pub mod exact;
 pub mod machine;
+pub mod once;
 pub mod telemetry;
 pub mod timer;
 pub mod world;
 
 pub use comm::{CommModel, CommParams};
 pub use machine::MachineSpec;
+pub use once::OnceMap;
 pub use telemetry::{CostExpectation, Recorder, TraceConfig, WorkCounters};
 pub use timer::{Breakdown, PhaseTimer};
 pub use world::{RankCtx, World};

@@ -326,6 +326,11 @@ pub enum Frame {
         /// image, lowered to a same-cell gather, or a host closure called
         /// every sweep.
         walls: String,
+        /// Where the run's plan came from: `lowered` for this build, or
+        /// `reused` — this process had lowered the same content before.
+        plan: String,
+        /// The same for the JVP twin's plan, when the run steps implicitly.
+        jvp_plan: Option<String>,
     },
     /// A closed span, including any cost-model annotation attrs
     /// (`pred_flops`, `pred_bytes`).
@@ -365,25 +370,42 @@ pub enum Frame {
 }
 
 impl Frame {
+    /// What a `run_start` frame says ran, as JSON members — the one
+    /// rendering `summary.jsonl`, the stream and `trace.json` share. Empty
+    /// for any other frame.
+    fn run_start_attrs(&self) -> String {
+        let Frame::RunStart {
+            label,
+            tier,
+            flux,
+            walls,
+            plan,
+            jvp_plan,
+            ..
+        } = self
+        else {
+            return String::new();
+        };
+        let mut attrs = vec![
+            ("label", label),
+            ("tier", tier),
+            ("flux", flux),
+            ("walls", walls),
+            ("plan", plan),
+        ];
+        attrs.extend(jvp_plan.as_ref().map(|origin| ("jvp_plan", origin)));
+        json_members(&attrs, |v| json_str(v))
+    }
+
     /// Serialize to one JSON object — the only serializer of the model:
     /// the stream writer calls it per frame, `summary.jsonl` is its output
     /// over the buffered non-span frames.
     pub fn to_json(&self) -> String {
         match self {
-            Frame::RunStart {
-                time,
-                label,
-                tier,
-                flux,
-                walls,
-            } => format!(
-                "{{\"frame\":\"run_start\",\"time\":{},\"label\":{},\"tier\":{},\"flux\":{},\
-                 \"walls\":{}}}",
+            Frame::RunStart { time, .. } => format!(
+                "{{\"frame\":\"run_start\",\"time\":{},{}}}",
                 json_f64(*time),
-                json_str(label),
-                json_str(tier),
-                json_str(flux),
-                json_str(walls)
+                self.run_start_attrs()
             ),
             Frame::Span(s) => format!(
                 "{{\"frame\":\"span\",\"cat\":\"{}\",\"name\":{},\"t0\":{},\"dur\":{},\
@@ -747,7 +769,15 @@ impl Recorder {
     }
 
     /// Open a run: what is about to execute. No-op under the null sink.
-    pub fn run_start(&mut self, label: String, tier: &str, flux: &str, walls: &str) {
+    pub fn run_start(
+        &mut self,
+        label: String,
+        tier: &str,
+        flux: &str,
+        walls: &str,
+        plan: &str,
+        jvp_plan: Option<&str>,
+    ) {
         if !self.cfg.enabled {
             return;
         }
@@ -757,6 +787,8 @@ impl Recorder {
             tier: tier.to_string(),
             flux: flux.to_string(),
             walls: walls.to_string(),
+            plan: plan.to_string(),
+            jvp_plan: jvp_plan.map(str::to_string),
         });
     }
 
@@ -1122,24 +1154,13 @@ impl Recorder {
         }
         // What ran, as a marker at the head of each run (rank 0 opens it).
         for f in &self.frames {
-            if let Frame::RunStart {
-                time,
-                label,
-                tier,
-                flux,
-                walls,
-            } = f
-            {
+            if let Frame::RunStart { time, .. } = f {
                 push(
                     format!(
                         "{{\"name\":\"run_start\",\"cat\":\"run\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\
-                         \"tid\":0,\"s\":\"p\",\"args\":{{\"label\":{},\"tier\":{},\"flux\":{},\
-                         \"walls\":{}}}}}",
+                         \"tid\":0,\"s\":\"p\",\"args\":{{{}}}}}",
                         json_f64(time * 1e6),
-                        json_str(label),
-                        json_str(tier),
-                        json_str(flux),
-                        json_str(walls)
+                        f.run_start_attrs()
                     ),
                     &mut first,
                 );

@@ -491,6 +491,8 @@ mod tests {
                 tier: "row".into(),
                 flux: "table".into(),
                 walls: "fixed:0 gather:0 callback:0".into(),
+                plan: "lowered".into(),
+                jvp_plan: None,
             });
         }
         assert_eq!(sink.pushed(), 8);
@@ -509,6 +511,8 @@ mod tests {
             tier: "row".into(),
             flux: "table".into(),
             walls: "fixed:0 gather:0 callback:0".into(),
+            plan: "lowered".into(),
+            jvp_plan: None,
         });
         sink.push(Frame::Event(Event {
             severity: EventSeverity::Info,

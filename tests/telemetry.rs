@@ -571,6 +571,53 @@ fn native_tier_kernel_spans_carry_tier_and_cost_attribution() {
     }
 }
 
+/// What ran includes where the plan came from: the first build of a
+/// content in a process says `lowered`, the next `reused` — in
+/// `summary.jsonl`, the stream's frame and `trace.json` alike — and an
+/// implicit run says the same of its JVP twin. The scenario's shape is this
+/// test's alone, so no other test of the binary lowers it first.
+#[test]
+fn run_start_says_whether_the_plan_was_lowered_or_reused() {
+    let mut cfg = BteConfig::small(9, 6, 3, 2);
+    cfg.hot_width = 40e-6;
+    let origins = |integrator: Integrator, cfg: &BteConfig| {
+        let mut rec = Recorder::buffered();
+        let mut bte = hotspot_2d(cfg);
+        bte.problem.integrator(integrator);
+        let mut solver = Solver::build(bte.problem, ExecTarget::CpuSeq).expect("builds");
+        solver.solve_traced(&mut rec).expect("solves");
+        let jsonl = rec.summary_jsonl();
+        let first: Value = serde_json::from_str(jsonl.lines().next().expect("non-empty")).unwrap();
+        assert_eq!(frame_kind(&first), "run_start");
+        let attr = |key: &str| match first.get(key) {
+            Some(Value::Str(origin)) => Some(origin.clone()),
+            _ => None,
+        };
+        let plan = attr("plan").expect("every run_start names its plan's origin");
+        assert!(
+            rec.chrome_trace().contains(&format!("\"plan\":\"{plan}\"")),
+            "trace.json carries the attribute"
+        );
+        (plan, attr("jvp_plan"))
+    };
+    assert_eq!(
+        origins(Integrator::Explicit, &cfg),
+        ("lowered".into(), None)
+    );
+    // Another hot spot on the same die: the plan is the process's by now.
+    cfg.hot_width = 25e-6;
+    assert_eq!(origins(Integrator::Explicit, &cfg), ("reused".into(), None));
+    let implicit = Integrator::Implicit { theta: 1.0 };
+    assert_eq!(
+        origins(implicit, &cfg),
+        ("reused".into(), Some("lowered".into()))
+    );
+    assert_eq!(
+        origins(implicit, &cfg),
+        ("reused".into(), Some("reused".into()))
+    );
+}
+
 #[test]
 fn stream_file_round_trips_under_a_concurrent_reader() {
     use std::sync::atomic::{AtomicBool, Ordering};
