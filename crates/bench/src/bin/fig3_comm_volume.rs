@@ -1,12 +1,12 @@
-//! Fig 3: the communication patterns of the two partitionings, as
-//! per-step traffic volumes on the real 120×120 mesh.
+//! Fig 3: the communication patterns of the two partitionings, as the
+//! bytes the executors send per step on the real 120×120 mesh.
 //!
 //! Paper's finding to reproduce: "Partitioning the equations … requires
-//! much less communication" — every cut face of a mesh partition carries
-//! the full 1100-component unknown vector both ways each step, while the
-//! band partition only reduces one number per cell.
+//! much less communication" — every interface cell of a mesh partition
+//! sends its full 1100-component unknown vector to each neighbouring rank
+//! each step, while the band partition only reduces one number per cell.
 
-use pbte_bench::figures::{fig3, headline_model, save_json};
+use pbte_bench::figures::{fig3, headline_model, save};
 
 fn main() {
     let model = headline_model();
@@ -28,11 +28,9 @@ fn main() {
         );
     }
     println!(
-        "\nhalo traffic scales with the cut length x 1100 dof; the reduction \
-         moves one scalar per cell regardless of the band count."
+        "\nthe halo moves all 1100 values of every interface cell to each \
+         neighbouring rank; the reduction moves one scalar per cell from every \
+         other rank to rank 0 and back (the runtime's allreduce)."
     );
-    match save_json("fig3", &rows) {
-        Ok(p) => println!("json: {}", p.display()),
-        Err(e) => eprintln!("could not write json: {e}"),
-    }
+    save("fig3", &rows);
 }

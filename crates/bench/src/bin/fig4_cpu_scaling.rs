@@ -7,7 +7,7 @@
 //! partitioning keeps scaling to 320 despite its higher communication
 //! cost.
 
-use pbte_bench::figures::{fig4, headline_model, render_scaling, save_json};
+use pbte_bench::figures::{fig4, headline_model, render_scaling, save};
 
 fn main() {
     let model = headline_model();
@@ -36,8 +36,5 @@ fn main() {
         bands.last().unwrap().1,
         divided.last().unwrap().1
     );
-    match save_json("fig4", &series) {
-        Ok(p) => println!("json: {}", p.display()),
-        Err(e) => eprintln!("could not write json: {e}"),
-    }
+    save("fig4", &series);
 }

@@ -6,7 +6,7 @@
 //! temperature update and communication grow in relative terms — the
 //! observation that motivates the GPU offload of §III-D.
 
-use pbte_bench::figures::{fig5, fig5_divided, headline_model, render_breakdown, save_json};
+use pbte_bench::figures::{fig5, fig5_divided, headline_model, render_breakdown, save};
 
 fn main() {
     let model = headline_model();
@@ -43,12 +43,6 @@ fn main() {
         "temperature share at {} processes: {:.1}% redundant -> {:.1}% divided",
         last.processes, last.temperature_pct, dlast.temperature_pct
     );
-    match save_json("fig5", &cols) {
-        Ok(p) => println!("json: {}", p.display()),
-        Err(e) => eprintln!("could not write json: {e}"),
-    }
-    match save_json("fig5_divided", &divided) {
-        Ok(p) => println!("json: {}", p.display()),
-        Err(e) => eprintln!("could not write json: {e}"),
-    }
+    save("fig5", &cols);
+    save("fig5_divided", &divided);
 }

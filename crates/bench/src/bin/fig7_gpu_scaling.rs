@@ -5,7 +5,7 @@
 //! number of partitions, the GPU version is about 18 times faster";
 //! strong scaling is good up to ~10 devices and flattens beyond.
 
-use pbte_bench::figures::{fig7, headline_model, render_scaling, save_json};
+use pbte_bench::figures::{fig7, headline_model, render_scaling, save};
 
 fn main() {
     let model = headline_model();
@@ -36,8 +36,5 @@ fn main() {
         Some(p) => println!("GPU scaling flattens around {p} devices"),
         None => println!("GPU scaling does not flatten in the tested range"),
     }
-    match save_json("fig7", &series) {
-        Ok(p) => println!("json: {}", p.display()),
-        Err(e) => eprintln!("could not write json: {e}"),
-    }
+    save("fig7", &series);
 }

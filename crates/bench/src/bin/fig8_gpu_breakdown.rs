@@ -6,7 +6,7 @@
 //! CPU-side callback), while "the communication time between the GPU and
 //! host does not make up a very significant portion of the time".
 
-use pbte_bench::figures::{fig5, fig8, headline_model, render_breakdown, save_json};
+use pbte_bench::figures::{fig5, fig8, headline_model, render_breakdown, save};
 
 fn main() {
     let model = headline_model();
@@ -35,8 +35,5 @@ fn main() {
         "communication stays minor: {:.1}% of the GPU version",
         gpu1.communication_pct
     );
-    match save_json("fig8", &cols) {
-        Ok(p) => println!("json: {}", p.display()),
-        Err(e) => eprintln!("could not write json: {e}"),
-    }
+    save("fig8", &cols);
 }

@@ -7,7 +7,7 @@
 //! GPU version dominates at equal partition counts; the best GPU time
 //! (≈10 devices) lands near the best 320-process CPU time.
 
-use pbte_bench::figures::{fig9, headline_model, render_scaling, save_json};
+use pbte_bench::figures::{fig9, headline_model, render_scaling, save};
 
 fn main() {
     let model = headline_model();
@@ -49,12 +49,9 @@ fn main() {
         .map(|(_, t)| *t)
         .fold(f64::INFINITY, f64::min);
     println!(
-        "best GPU time {best_gpu:.1} s vs best 320-process CPU time {best_cpu:.1} s \
+        "best GPU time {best_gpu:.2} s vs best 320-process CPU time {best_cpu:.2} s \
          (ratio {:.2})",
         best_gpu / best_cpu
     );
-    match save_json("fig9", &series) {
-        Ok(p) => println!("json: {}", p.display()),
-        Err(e) => eprintln!("could not write json: {e}"),
-    }
+    save("fig9", &series);
 }

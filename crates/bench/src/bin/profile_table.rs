@@ -11,9 +11,10 @@
 //! Paper's measurements: SM utilization 86%, memory throughput 11%,
 //! FLOP performance 49% of (double-precision) peak.
 
-use pbte_bench::figures::save_json;
+use pbte_bench::calibration::Ran;
+use pbte_bench::figures::save;
 use pbte_bte::scenario::{hotspot_2d, BteConfig};
-use pbte_dsl::exec::ExecTarget;
+use pbte_dsl::exec::{ExecTarget, Recorder};
 use pbte_dsl::GpuStrategy;
 use pbte_gpu::DeviceSpec;
 
@@ -33,8 +34,10 @@ fn main() {
             strategy: GpuStrategy::AsyncBoundary,
         })
         .expect("valid scenario");
-    let report = solver.solve().expect("solve succeeds");
+    let mut rec = Recorder::buffered();
+    let report = solver.solve_traced(&mut rec).expect("solve succeeds");
     let profile = report.device.expect("GPU target produces a profile");
+    println!("ran: {}", Ran::of(&rec).line());
 
     println!("\nProfile of the intensity kernel on one (simulated) A6000:\n");
     println!("{}", profile.table());
@@ -66,8 +69,5 @@ fn main() {
         memory_fraction: profile.memory_fraction(),
         flop_fraction: profile.flop_fraction(),
     };
-    match save_json("profile_table", &row) {
-        Ok(p) => println!("json: {}", p.display()),
-        Err(e) => eprintln!("could not write json: {e}"),
-    }
+    save("profile_table", &row);
 }

@@ -1,5 +1,6 @@
 //! Series generation and rendering for each figure.
 
+use crate::calibration::Calibration;
 use crate::model::{FigureModel, PhasedTime};
 use crate::workload::Workload;
 use serde::Serialize;
@@ -58,129 +59,91 @@ pub fn fig3(model: &FigureModel) -> Vec<CommVolumeRow> {
         .skip(1) // p = 1 communicates nothing
         .map(|&p| CommVolumeRow {
             processes: p,
-            halo_bytes_per_step: model.work.halo_bytes_per_step(p),
-            reduction_bytes_per_step: model.work.band_bytes_per_step(p),
+            halo_bytes_per_step: model.work.halo(p).total_bytes,
+            reduction_bytes_per_step: model.work.reduction_bytes_per_step(p),
         })
         .collect()
 }
 
+/// The counts of `counts` a band partition of `model` can run (≤ bands).
+fn band_limited<'a>(model: &FigureModel, counts: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
+    let n_bands = model.work.n_bands();
+    counts.iter().copied().filter(move |&p| p <= n_bands)
+}
+
+/// The curve `label` of `time` over `counts`.
+fn series(
+    label: &str,
+    counts: impl Iterator<Item = usize>,
+    time: impl Fn(usize) -> f64,
+) -> ScalingSeries {
+    ScalingSeries {
+        label: label.into(),
+        points: counts.map(|p| (p, time(p))).collect(),
+    }
+}
+
 /// Fig 4: band-parallel vs cell-parallel strong scaling (+ ideal).
 pub fn fig4(model: &FigureModel) -> Vec<ScalingSeries> {
+    let bands = || band_limited(model, &BAND_COUNTS);
+    let cpus = || CPU_COUNTS.iter().copied();
     vec![
-        ScalingSeries {
-            label: "parallel bands".into(),
-            points: BAND_COUNTS
-                .iter()
-                .filter(|&&p| p <= model.work.n_bands)
-                .map(|&p| (p, model.band_parallel(p).total()))
-                .collect(),
-        },
-        ScalingSeries {
-            label: "parallel cells".into(),
-            points: CPU_COUNTS
-                .iter()
-                .map(|&p| (p, model.cell_parallel(p).total()))
-                .collect(),
-        },
-        ScalingSeries {
-            label: "ideal scaling".into(),
-            points: CPU_COUNTS.iter().map(|&p| (p, model.ideal(p))).collect(),
-        },
+        series("parallel bands", bands(), |p| {
+            model.band_parallel(p).total()
+        }),
+        series("parallel cells", cpus(), |p| model.cell_parallel(p).total()),
+        series("ideal scaling", cpus(), |p| model.ideal(p)),
         // Appended last so existing positional consumers (the fig4/fig9
         // binaries, fig9's inserts) keep their indices.
-        ScalingSeries {
-            label: "parallel bands (divided T)".into(),
-            points: BAND_COUNTS
-                .iter()
-                .filter(|&&p| p <= model.work.n_bands)
-                .map(|&p| (p, model.band_parallel_divided(p).total()))
-                .collect(),
-        },
+        series("parallel bands (divided T)", bands(), |p| {
+            model.band_parallel_divided(p).total()
+        }),
     ]
 }
 
 /// Fig 5: execution-time breakdown of the band-parallel strategy.
 pub fn fig5(model: &FigureModel) -> Vec<BreakdownColumn> {
-    FIG5_COUNTS
-        .iter()
-        .filter(|&&p| p <= model.work.n_bands)
-        .map(|&p| column(p, model.band_parallel(p)))
-        .collect()
+    let counts = band_limited(model, &FIG5_COUNTS);
+    counts.map(|p| column(p, model.band_parallel(p))).collect()
 }
 
 /// Fig 5 companion: the same breakdown under
 /// `TemperatureStrategy::DividedNewton` — the temperature share stays flat
 /// instead of growing with the process count.
 pub fn fig5_divided(model: &FigureModel) -> Vec<BreakdownColumn> {
-    FIG5_COUNTS
-        .iter()
-        .filter(|&&p| p <= model.work.n_bands)
-        .map(|&p| column(p, model.band_parallel_divided(p)))
+    let counts = band_limited(model, &FIG5_COUNTS);
+    counts
+        .map(|p| column(p, model.band_parallel_divided(p)))
         .collect()
 }
 
 /// Fig 7: CPU-only vs CPU+GPU (band partitioning, one device per
 /// process) + ideal.
 pub fn fig7(model: &FigureModel) -> Vec<ScalingSeries> {
+    let bands = || band_limited(model, &BAND_COUNTS);
     vec![
-        ScalingSeries {
-            label: "CPU only".into(),
-            points: BAND_COUNTS
-                .iter()
-                .filter(|&&p| p <= model.work.n_bands)
-                .map(|&p| (p, model.band_parallel(p).total()))
-                .collect(),
-        },
-        ScalingSeries {
-            label: "CPU + GPU".into(),
-            points: BAND_COUNTS
-                .iter()
-                .filter(|&&p| p <= model.work.n_bands)
-                .map(|&p| (p, model.gpu_hybrid(p).total()))
-                .collect(),
-        },
-        ScalingSeries {
-            label: "ideal".into(),
-            points: BAND_COUNTS.iter().map(|&p| (p, model.ideal(p))).collect(),
-        },
+        series("CPU only", bands(), |p| model.band_parallel(p).total()),
+        series("CPU + GPU", bands(), |p| model.gpu_hybrid(p).total()),
+        series("ideal", BAND_COUNTS.iter().copied(), |p| model.ideal(p)),
     ]
 }
 
 /// Fig 8: breakdown of the GPU-accelerated version.
 pub fn fig8(model: &FigureModel) -> Vec<BreakdownColumn> {
-    FIG8_COUNTS
-        .iter()
-        .filter(|&&g| g <= model.work.n_bands)
-        .map(|&g| column(g, model.gpu_hybrid(g)))
-        .collect()
+    let counts = band_limited(model, &FIG8_COUNTS);
+    counts.map(|g| column(g, model.gpu_hybrid(g))).collect()
 }
 
 /// Fig 9: every strategy plus the hand-written comparator.
 pub fn fig9(model: &FigureModel) -> Vec<ScalingSeries> {
-    let mut series = fig4(model);
-    series.insert(
-        2,
-        ScalingSeries {
-            label: "GPU".into(),
-            points: BAND_COUNTS
-                .iter()
-                .filter(|&&p| p <= model.work.n_bands)
-                .map(|&p| (p, model.gpu_hybrid(p).total()))
-                .collect(),
-        },
-    );
-    series.insert(
-        3,
-        ScalingSeries {
-            label: "Fortran (hand-written)".into(),
-            points: BAND_COUNTS
-                .iter()
-                .filter(|&&p| p <= model.work.n_bands)
-                .map(|&p| (p, model.fortran(p).total()))
-                .collect(),
-        },
-    );
-    series
+    let bands = || band_limited(model, &BAND_COUNTS);
+    let mut all = fig4(model);
+    all.insert(2, series("GPU", bands(), |p| model.gpu_hybrid(p).total()));
+    let fortran = series("Fortran (hand-written)", bands(), |p| {
+        model.fortran(p).total()
+    });
+    all.insert(3, fortran);
+    all
 }
 
 /// Render scaling series as an aligned text table (rows = process counts).
@@ -232,41 +195,34 @@ pub fn render_breakdown(cols: &[BreakdownColumn], labels: (&str, &str, &str)) ->
     out
 }
 
-/// Build the model every figure binary uses: the genuine headline
-/// workload with freshly measured calibration constants. Prints the
-/// constants so every figure's provenance is visible.
+/// Build the model every figure binary uses: the compiled headline plan
+/// with freshly measured calibration constants. Prints the constants and
+/// what they were measured on, and writes them to
+/// `results/calibration.json`, so every figure's provenance is visible.
 pub fn headline_model() -> FigureModel {
-    eprintln!("calibrating on this host (release-mode measurements)...");
-    let calib = crate::calibration::Calibration::measure();
-    eprintln!(
-        "  c_dsl   = {:.3e} s/dof   (DSL-generated CPU path)\n  \
-         c_base  = {:.3e} s/dof   (hand-written baseline; DSL overhead {:.2}x)\n  \
-         c_temp  = {:.3e} s/cell  (temperature update)\n  \
-         c_ghost = {:.3e} s/eval  (boundary callback)",
-        calib.c_dsl,
-        calib.c_base,
-        calib.dsl_overhead(),
-        calib.c_temp,
-        calib.c_ghost
-    );
-    eprintln!("building the headline workload (120x120, 20 dirs, 55 groups)...");
+    let calib = Calibration::measure();
+    println!("{}", calib.render());
+    save("calibration", &calib);
     FigureModel::new(Workload::headline(), calib)
 }
 
-/// Write a JSON artifact next to the textual output.
-pub fn save_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<std::path::PathBuf> {
+/// Write `results/<name>.json` and say where it went.
+pub fn save<T: Serialize>(name: &str, value: &T) {
     let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, serde_json::to_string_pretty(value)?)?;
-    Ok(path)
+    let written = std::fs::create_dir_all(dir).and_then(|()| {
+        let json = serde_json::to_string_pretty(value)?;
+        std::fs::write(&path, json)
+    });
+    match written {
+        Ok(()) => println!("json: {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calibration::Calibration;
-    use crate::workload::Workload;
     use pbte_bte::scenario::BteConfig;
 
     fn model() -> FigureModel {

@@ -1,170 +1,157 @@
-//! The paper's headline workload, with its exact partition geometry and
-//! compiled-kernel costs.
+//! The paper's headline workload as a compiled plan: what each rank of a
+//! target owns, what a device rank moves, and the halo a cell partition
+//! exchanges are all read off the plan the executors would run.
 
 use pbte_bte::scenario::{hotspot_2d, BteConfig};
+use pbte_dsl::analysis::{estimate_cost, rank_scopes, CostModel};
 use pbte_dsl::exec::gpu::estimate_kernel_cost;
-use pbte_dsl::exec::CompiledProblem;
-use pbte_gpu::KernelCost;
-use pbte_mesh::partition::{partition_bands, Partition, PartitionMethod};
-use pbte_mesh::Mesh;
+use pbte_dsl::exec::{CompiledProblem, ExecTarget};
+use pbte_dsl::{GpuStrategy, WorkCounters};
+use pbte_gpu::{DeviceSpec, KernelCost};
+use pbte_mesh::partition::{Partition, PartitionMethod};
 
-/// Halo geometry of one rank count on the real mesh.
-#[derive(Debug, Clone, Copy)]
+/// The index the band-parallel strategies partition.
+const BANDS: &str = "b";
+
+/// Halo geometry of one rank count on the real mesh, as the cell-parallel
+/// executor exchanges it: every rank receives, per step, all flats of each
+/// remote cell adjacent to one of its own.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct HaloStats {
-    /// Worst-case interface faces owned by one rank.
-    pub max_interface_faces: usize,
-    /// Worst-case number of partition neighbors of one rank.
+    /// Worst-case number of partition neighbours of one rank.
     pub max_neighbors: usize,
-    /// Total cut faces (each exchanged in both directions per step).
-    pub edge_cut: usize,
-    /// Worst-case cells on one rank.
-    pub max_cells: usize,
-    /// Worst-case boundary faces owned by one rank (exact, from the real
-    /// partition — boundary work concentrates on wall-adjacent ranks).
-    pub max_boundary_faces: usize,
+    /// Worst-case bytes one rank receives per step.
+    pub max_rank_bytes: u64,
+    /// Bytes all ranks send per step.
+    pub total_bytes: u64,
 }
 
-/// The evaluation workload: the paper's 525 µm × 525 µm, 120×120-cell,
-/// 20-direction, 55-group, 100-step configuration.
+/// The busiest rank of a target, read off its [`Scope`](pbte_dsl::analysis::Scope).
+#[derive(Debug, Clone, Copy)]
+pub struct RankWork {
+    /// One sweep over the rank's scope, counted as the executors count it.
+    pub sweep: WorkCounters,
+    /// The rank's share of the dof grid: its bands over all bands under a
+    /// band partition, its cells over all cells under a cell partition.
+    pub share: f64,
+}
+
+/// The evaluation workload: one compiled BTE plan (the paper's
+/// 525 µm × 525 µm, 120×120-cell, 20-direction, 55-group, 100-step
+/// configuration in the figure binaries).
 pub struct Workload {
-    pub n_cells: usize,
-    pub n_dirs: usize,
-    pub n_bands: usize,
-    pub n_flat: usize,
-    pub n_steps: usize,
-    pub boundary_faces: usize,
-    pub dt: f64,
-    mesh: Mesh,
-    kernel_cost: KernelCost,
+    pub cp: CompiledProblem,
+    /// The single-device hybrid target's static price (per-step transfers).
+    device: CostModel,
+    /// Cost of one device kernel thread, from the compiled programs.
+    pub kernel_cost: KernelCost,
 }
 
 impl Workload {
-    /// Build from the headline configuration. Compiles the real DSL
-    /// problem on a small mesh with the same angular/spectral shape to
-    /// obtain the kernel cost (flops and effective bytes per thread do not
-    /// depend on the cell count), and builds the real 120×120 mesh for
-    /// exact partition statistics.
+    /// The headline configuration.
     pub fn headline() -> Workload {
-        let cfg = BteConfig::paper_headline();
-        Workload::from_config(&cfg)
+        Workload::from_config(&BteConfig::paper_headline())
     }
 
-    /// Build from any configuration.
+    /// Compile the hot-spot scenario of `cfg` (its initial fields are
+    /// dropped: nothing here runs it).
     pub fn from_config(cfg: &BteConfig) -> Workload {
-        // Kernel cost from a genuinely compiled problem (small mesh, same
-        // ndirs/bands shape).
-        let mut small = cfg.clone();
-        small.nx = 6;
-        small.ny = 6;
-        small.n_steps = 1;
-        let bte = hotspot_2d(&small);
-        let (compiled, _fields) = CompiledProblem::compile(bte.problem).expect("compiles");
-        let kernel_cost = estimate_kernel_cost(&compiled);
-        let n_flat = compiled.n_flat;
-        let n_bands = bte.material.n_bands();
-        let dt = compiled.problem.dt;
-
-        let mesh = pbte_mesh::grid::UniformGrid::new_2d(cfg.nx, cfg.ny, cfg.lx, cfg.ly).build();
-        let boundary_faces = mesh.boundary_faces().count();
+        let (cp, _fields) = CompiledProblem::compile(hotspot_2d(cfg).problem).expect("compiles");
         Workload {
-            n_cells: cfg.nx * cfg.ny,
-            n_dirs: cfg.ndirs,
-            n_bands,
-            n_flat,
-            n_steps: cfg.n_steps,
-            boundary_faces,
-            dt,
-            mesh,
-            kernel_cost,
+            device: estimate_cost(&cp, &Workload::gpu(1)),
+            kernel_cost: estimate_kernel_cost(&cp),
+            cp,
         }
     }
 
-    /// Total degrees of freedom.
-    pub fn total_dof(&self) -> usize {
-        self.n_cells * self.n_flat
+    /// `p` ranks with a band range each.
+    pub fn bands(p: usize) -> ExecTarget {
+        ExecTarget::DistBands {
+            ranks: p,
+            index: BANDS.into(),
+        }
     }
 
-    /// Kernel cost per GPU thread (from the compiled programs).
-    pub fn kernel_cost(&self) -> KernelCost {
-        self.kernel_cost
+    /// `g` band ranks with an asynchronous-boundary A6000 each (one is the
+    /// single-device hybrid target).
+    pub fn gpu(g: usize) -> ExecTarget {
+        let (spec, strategy) = (DeviceSpec::a6000(), GpuStrategy::AsyncBoundary);
+        match g {
+            1 => ExecTarget::GpuHybrid { spec, strategy },
+            _ => ExecTarget::DistBandsGpu {
+                ranks: g,
+                index: BANDS.into(),
+                spec,
+                strategy,
+            },
+        }
+    }
+
+    pub fn n_steps(&self) -> usize {
+        self.cp.problem.n_steps
+    }
+
+    pub fn n_cells(&self) -> usize {
+        self.cp.mesh().n_cells()
+    }
+
+    /// Values of the partitioned band index (55 groups at the headline).
+    pub fn n_bands(&self) -> usize {
+        let registry = &self.cp.problem.registry;
+        registry.indices[registry.index_id(BANDS).expect("a BTE plan")].len
+    }
+
+    /// The rank of `target` that owns the most dofs.
+    pub fn busiest(&self, target: &ExecTarget) -> RankWork {
+        let scopes = rank_scopes(&self.cp, target).expect("a target the plan partitions");
+        let scope = scopes.iter().max_by_key(|s| s.dofs()).expect("≥ 1 rank");
+        let mut sweep = WorkCounters::default();
+        scope.account(&mut sweep);
+        RankWork {
+            sweep,
+            share: scope.dofs() as f64 / (scope.n_cells * self.cp.n_flat) as f64,
+        }
+    }
+
+    /// `(upload, download)` bytes per step of one device rank owning
+    /// `share` of the bands, off the single-device price: a device rank
+    /// uploads every per-step variable whole and downloads only the rows
+    /// of the unknown it owns (`exec/gpu.rs`; pinned in the tests).
+    pub fn device_step_bytes(&self, share: f64) -> (u64, u64) {
+        let d2h = self.device.step_d2h_bytes as f64 * share;
+        (self.device.step_h2d_bytes, d2h.round() as u64)
     }
 
     /// Exact halo statistics for a cell partition into `p` ranks (RCB on
     /// the real mesh — the numbers behind Fig 3's "blue lines").
     pub fn halo(&self, p: usize) -> HaloStats {
-        if p == 1 {
-            return HaloStats {
-                max_interface_faces: 0,
-                max_neighbors: 0,
-                edge_cut: 0,
-                max_cells: self.n_cells,
-                max_boundary_faces: self.boundary_faces,
-            };
-        }
-        let partition = Partition::build(&self.mesh, p, PartitionMethod::Rcb);
-        let mut max_interface_faces = 0;
-        let mut max_neighbors = 0;
-        let mut boundary_per_rank = vec![0usize; p];
-        for f in &self.mesh.faces {
-            if f.is_boundary() {
-                boundary_per_rank[partition.cell_part[f.owner] as usize] += 1;
-            }
-        }
+        let mesh = self.cp.mesh();
+        let partition = Partition::build(mesh, p, PartitionMethod::Rcb);
+        let row_bytes = self.cp.n_flat as u64 * 8;
+        let mut stats = HaloStats::default();
         for r in 0..p {
-            let ifaces = partition.interface_faces(&self.mesh, r);
-            max_interface_faces = max_interface_faces.max(ifaces.len());
-            let mut peers: Vec<u32> = ifaces
-                .iter()
-                .map(|&f| {
-                    let face = &self.mesh.faces[f];
-                    let nb = face.neighbor.expect("interface faces are interior");
-                    if partition.cell_part[face.owner] as usize == r {
-                        partition.cell_part[nb]
-                    } else {
-                        partition.cell_part[face.owner]
-                    }
-                })
-                .collect();
+            let ghosts = partition.ghost_cells(mesh, r);
+            let mut peers: Vec<u32> = ghosts.iter().map(|&(_, part)| part).collect();
             peers.sort_unstable();
             peers.dedup();
-            max_neighbors = max_neighbors.max(peers.len());
+            let bytes = ghosts.len() as u64 * row_bytes;
+            stats.max_neighbors = stats.max_neighbors.max(peers.len());
+            stats.max_rank_bytes = stats.max_rank_bytes.max(bytes);
+            stats.total_bytes += bytes;
         }
-        HaloStats {
-            max_interface_faces,
-            max_neighbors,
-            edge_cut: partition.edge_cut(&self.mesh),
-            max_cells: partition.sizes().into_iter().max().expect("p ≥ 1"),
-            max_boundary_faces: boundary_per_rank.into_iter().max().expect("p ≥ 1"),
-        }
+        stats
     }
 
-    /// Worst-case bands on one rank for a band partition into `p`.
-    pub fn max_bands(&self, p: usize) -> usize {
-        partition_bands(self.n_bands, p)
-            .into_iter()
-            .map(|r| r.len())
-            .max()
-            .expect("p ≥ 1")
+    /// The buffer the band strategy's temperature update allreduces each
+    /// step: one energy sum per cell (`DividedNewton` adds a second, `T`).
+    pub fn reduction_payload(&self) -> usize {
+        self.n_cells() * 8
     }
 
-    /// Per-step halo traffic of the cell strategy, bytes (each cut face
-    /// carries the full `n_flat` unknown vector in both directions).
-    pub fn halo_bytes_per_step(&self, p: usize) -> u64 {
-        2 * self.halo(p).edge_cut as u64 * self.n_flat as u64 * 8
-    }
-
-    /// Per-step reduction volume of the band strategy, bytes: the
-    /// fundamental data dependency is one energy scalar per cell, reduced
-    /// across ranks — independent of how many bands each rank holds. (The
-    /// log₂p transport overhead of the allreduce tree is priced by the
-    /// communication model, not counted as volume; Fig 3 contrasts the
-    /// *data that must move*, which is what makes equation partitioning
-    /// attractive.)
-    pub fn band_bytes_per_step(&self, p: usize) -> u64 {
-        if p == 1 {
-            return 0;
-        }
-        self.n_cells as u64 * 8
+    /// Bytes all ranks send per step for one allreduce of the payload,
+    /// as the runtime performs it: reduce to rank 0, then broadcast.
+    pub fn reduction_bytes_per_step(&self, p: usize) -> u64 {
+        2 * (p as u64 - 1) * self.reduction_payload() as u64
     }
 }
 
@@ -191,7 +178,7 @@ mod tests {
     #[test]
     fn kernel_cost_is_compute_shaped() {
         let w = tiny();
-        let cost = w.kernel_cost();
+        let cost = w.kernel_cost;
         assert!(cost.flops_per_thread > 20.0, "{:?}", cost);
         // Cache-aware traffic: a couple of doubles per thread, not the
         // raw load count.
@@ -204,32 +191,34 @@ mod tests {
     #[test]
     fn halo_shrinks_per_rank_but_grows_in_total() {
         let w = tiny();
-        let h4 = w.halo(4);
-        let h16 = w.halo(16);
-        assert!(h4.max_cells > h16.max_cells);
-        assert!(h16.edge_cut > h4.edge_cut);
+        let cells = |p| w.busiest(&ExecTarget::DistCells { ranks: p }).share;
+        assert!(cells(4) > cells(16));
+        let (h4, h16) = (w.halo(4), w.halo(16));
+        assert!(h16.total_bytes > h4.total_bytes);
         assert!(h4.max_neighbors >= 1 && h16.max_neighbors >= 2);
+        assert_eq!(w.halo(1).total_bytes, 0);
     }
 
     #[test]
     fn band_traffic_beats_halo_traffic_at_scale() {
-        // Fig 3's claim, on the real numbers: the halo volume grows with
-        // the cut length (x the full unknown vector), the reduction volume
-        // is one scalar per cell, constant in p.
+        // Fig 3's claim, on the executors' numbers: the halo carries the
+        // full unknown vector of every interface cell, the reduction one
+        // scalar per cell per non-root rank and back.
         let w = tiny();
-        let halo_growth = w.halo_bytes_per_step(8) as f64 / w.halo_bytes_per_step(2) as f64;
+        let halo_growth = w.halo(8).total_bytes as f64 / w.halo(2).total_bytes as f64;
         assert!(halo_growth > 1.5);
-        assert_eq!(w.band_bytes_per_step(2), w.band_bytes_per_step(8));
-        assert!(w.band_bytes_per_step(8) < w.halo_bytes_per_step(8));
+        assert_eq!(w.reduction_bytes_per_step(1), 0);
+        assert!(w.reduction_bytes_per_step(8) < w.halo(8).total_bytes);
     }
 
     #[test]
-    fn max_bands_splits_evenly() {
+    fn rank_bands_split_evenly() {
         let w = tiny(); // 6 freq bands → 6 LA + 2 TA = 8 groups
-        assert_eq!(w.n_bands, 8);
-        assert_eq!(w.max_bands(1), 8);
-        assert_eq!(w.max_bands(2), 4);
-        assert_eq!(w.max_bands(3), 3);
-        assert_eq!(w.max_bands(8), 1);
+        assert_eq!(w.n_bands(), 8);
+        for (p, bands) in [(1, 8), (2, 4), (3, 3), (8, 1)] {
+            let rank = w.busiest(&Workload::bands(p));
+            assert_eq!(rank.share, bands as f64 / 8.0, "p = {p}");
+            assert_eq!(rank.sweep.dof_updates as usize, bands * 8 * 144);
+        }
     }
 }

@@ -929,7 +929,7 @@ impl Scope {
     }
 
     /// Count one sweep over the scope.
-    pub(crate) fn account(&self, work: &mut pbte_runtime::telemetry::WorkCounters) {
+    pub fn account(&self, work: &mut pbte_runtime::telemetry::WorkCounters) {
         work.dof_updates += self.dofs() as u64;
         work.flux_evals += self.flats.len() as u64 * self.faces;
     }

@@ -360,8 +360,12 @@ impl GpuBackend<'_> {
                     ("workers", scope.workers.to_string()),
                     ("tier", tier.name().to_string()),
                     ("flux", plan.flux_path(tier).name().to_string()),
+                    // The device kernel model's count (the paper's
+                    // conditional kernel), beside the cost model's
+                    // `pred_flops` (the tier's instruction stream): two
+                    // models, not a prediction and its observation.
                     (
-                        "obs_flops",
+                        "device_flops",
                         format!("{:.4e}", ps.cost.total_flops(n_threads)),
                     ),
                 ],

@@ -17,8 +17,9 @@
 use pbte_bte::health::{rules, HealthProbes};
 use pbte_bte::scenario::{hotspot_2d, BteConfig, BteProblem};
 use pbte_bte::temperature::TemperatureStrategy;
-use pbte_dsl::analysis::Scope;
+use pbte_dsl::analysis::{estimate_cost, Scope};
 use pbte_dsl::dataflow::{Kernel, Place, Plan, Stage};
+use pbte_dsl::exec::gpu::estimate_kernel_cost;
 use pbte_dsl::exec::{phases, CompiledProblem, CostExpectation, Recorder, TraceConfig};
 use pbte_dsl::problem::{Integrator, LocalReducer, StepContext};
 use pbte_dsl::{ExecTarget, GpuStrategy, KernelTier, Severity, SolveReport, Solver, WorkCounters};
@@ -531,6 +532,85 @@ fn a_device_step_draws_one_span_per_record_in_list_order() {
             "step {step}: records cost {host_s} s of a {phase} s phase"
         );
     }
+}
+
+/// A device sweep is priced by two models: the cost model's `pred_flops`
+/// (the tier's instruction stream) and the device kernel model's
+/// `device_flops` (the paper's conditional kernel). Neither observes the
+/// other, so the span names them apart and `pbte-trace --follow` prints
+/// both, labelled, with no percentage between them.
+#[test]
+fn a_device_sweep_names_its_two_flop_models_apart() {
+    let target = ExecTarget::GpuHybrid {
+        spec: DeviceSpec::a6000(),
+        strategy: GpuStrategy::AsyncBoundary,
+    };
+    let mut solver = Solver::build(hotspot_2d(&config()).problem, target.clone()).expect("builds");
+    let mut rec = Recorder::buffered();
+    solver.solve_traced(&mut rec).expect("solves");
+    let cp = &solver.compiled;
+    let dofs = Scope::whole(cp).dofs();
+    let pred = estimate_cost(cp, &target).flops_per_dof * dofs as f64;
+    let device = estimate_kernel_cost(cp).total_flops(dofs);
+    assert_ne!(format!("{pred:.4e}"), format!("{device:.4e}"));
+    let attr = |s: &Span, key: &str| {
+        s.attrs
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+    };
+    let spans = rec.spans();
+    let sweeps: Vec<_> = spans.iter().filter(|s| s.name == "sweep").collect();
+    assert!(!sweeps.is_empty(), "the device sweep draws spans");
+    for s in sweeps {
+        assert_eq!(attr(s, "pred_flops"), Some(format!("{pred:.4e}")));
+        assert_eq!(attr(s, "device_flops"), Some(format!("{device:.4e}")));
+        assert_eq!(attr(s, "obs_flops"), None);
+    }
+
+    let dir = std::env::temp_dir().join(format!("pbte-device-flops-{}", std::process::id()));
+    let stream = dir.join("stream.pbts");
+    let trace = |args: &[String]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pbte-trace"))
+            .args(args)
+            .output()
+            .expect("pbte-trace runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8")
+    };
+    let run = ["scenario=hotspot", "target=gpu:async", "n=10", "steps=2"].map(String::from);
+    trace(
+        &[
+            &run[..],
+            &[
+                format!("out={}", dir.display()),
+                format!("stream={}", stream.display()),
+            ],
+        ]
+        .concat(),
+    );
+    let follow = trace(&[
+        "--follow".into(),
+        format!("file={}", stream.display()),
+        "wait=1".into(),
+    ]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let line = follow
+        .lines()
+        .find(|l| l.contains("kernel sweep:"))
+        .expect("a sweep annotation");
+    assert!(
+        line.contains("pred ") && line.contains("device model "),
+        "{line}"
+    );
+    assert!(
+        !line.contains('%'),
+        "no percentage between two models: {line}"
+    );
 }
 
 #[test]
