@@ -12,6 +12,7 @@ use pbte_dsl::bytecode::VmCtx;
 use pbte_dsl::exec::CompiledProblem;
 use pbte_mesh::grid::UniformGrid;
 use pbte_mesh::partition::{Partition, PartitionMethod};
+use pbte_mesh::{gmsh, medit, Mesh, Point};
 use std::sync::Arc;
 
 fn compiled() -> CompiledProblem {
@@ -202,22 +203,13 @@ fn fig4_plan(
         let base = problem.mesh.take().expect("the scenario attaches its grid");
         let (lx, ly) = (cfg.lx, cfg.ly);
         let mut vertices = base.vertices.clone();
-        for (i, v) in vertices.iter_mut().enumerate().filter(|_| jittered) {
-            let inside = |x: f64, l: f64| x > 1e-9 * l && x < l - 1e-9 * l;
-            if inside(v.x, lx) && inside(v.y, ly) {
-                let unit = |axis: u64| {
-                    let x = (2 * i as u64 + axis + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    let x = (x ^ x >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                    (x >> 11) as f64 / (1u64 << 52) as f64 - 1.0
-                };
-                v.x += unit(0) * 0.125 * lx / cfg.nx as f64;
-                v.y += unit(1) * 0.125 * ly / cfg.ny as f64;
-            }
+        if jittered {
+            jitter(&mut vertices, (lx, ly), (cfg.nx, cfg.ny));
         }
         let cells: Vec<Vec<usize>> = (0..base.n_cells())
             .map(|c| base.cell_vertices(c ^ pair_swapped as usize).to_vec())
             .collect();
-        let mut mesh = pbte_mesh::Mesh::from_cells(2, vertices, &cells);
+        let mut mesh = Mesh::from_cells(2, vertices, &cells);
         let (ex, ey) = (0.1 * lx / cfg.nx as f64, 0.1 * ly / cfg.ny as f64);
         mesh.add_boundary_region("left", move |c| c.x < ex);
         mesh.add_boundary_region("right", move |c| c.x > lx - ex);
@@ -226,6 +218,25 @@ fn fig4_plan(
         problem.mesh(mesh);
     }
     CompiledProblem::compile(problem).expect("compiles")
+}
+
+/// Move every vertex strictly inside `[0, lx] × [0, ly]` by up to an
+/// eighth of a cell (`lx / nx` × `ly / ny`) per axis, by a hash of its
+/// index: no two interior faces share an orientation, and the coordinates
+/// print as long float tokens, as a real mesh file's do.
+fn jitter(vertices: &mut [Point], (lx, ly): (f64, f64), (nx, ny): (usize, usize)) {
+    for (i, v) in vertices.iter_mut().enumerate() {
+        let inside = |x: f64, l: f64| x > 1e-9 * l && x < l - 1e-9 * l;
+        if inside(v.x, lx) && inside(v.y, ly) {
+            let unit = |axis: u64| {
+                let x = (2 * i as u64 + axis + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let x = (x ^ x >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                (x >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+            };
+            v.x += unit(0) * 0.125 * lx / nx as f64;
+            v.y += unit(1) * 0.125 * ly / ny as f64;
+        }
+    }
 }
 
 /// One full intensity sweep on the span tiers, with the property and
@@ -299,7 +310,9 @@ fn sweep_text(integrator: &str) -> String {
 }
 
 /// What a run pays before step 0, at the benchmark's sizes: the mesh built
-/// from its cell list (64 × 64 quads, 24 × 24 × 12 hexes), the initial
+/// from its cell list (64 × 64 quads, 24 × 24 × 12 hexes), the two mesh
+/// files imported (96 × 96 jittered quads from Gmsh text, the 24 × 24 × 12
+/// hex die from MEDIT text, as `array.msh` and `die3d.mesh`), the initial
 /// state of the hot-spot die (64² cells × 132 flats: `I` filled by rows
 /// from `Io`), the race proof of the sequential scope of the hot-spot
 /// and of the implicit 3-D plan (one tile per flat) — and what a process
@@ -322,11 +335,31 @@ fn bench_setup(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter_batched(
                 || mesh.vertices.clone(),
-                |vertices| pbte_mesh::Mesh::from_cells(mesh.dim, vertices, black_box(&cells)),
+                |vertices| Mesh::from_cells(mesh.dim, vertices, black_box(&cells)),
                 BatchSize::LargeInput,
             )
         });
     }
+
+    let die = 525e-6;
+    let grid = UniformGrid::new_2d(96, 96, die, die).build();
+    let mut vertices = grid.vertices.clone();
+    jitter(&mut vertices, (die, die), (96, 96));
+    let cells: Vec<&[usize]> = (0..grid.n_cells()).map(|c| grid.cell_vertices(c)).collect();
+    let mut quads = Mesh::from_cells(2, vertices, &cells);
+    let edge = 0.1 * die / 96.0;
+    quads.add_boundary_region("left", |c| c.x < edge);
+    quads.add_boundary_region("right", |c| c.x > die - edge);
+    quads.add_boundary_region("bottom", |c| c.y < edge);
+    quads.add_boundary_region("top", |c| c.y > die - edge);
+    let msh = gmsh::write_msh(&quads);
+    group.bench_function("import/gmsh_quads_9216", |b| {
+        b.iter(|| gmsh::parse_msh(black_box(&msh)).unwrap())
+    });
+    let mesh = medit::write_mesh(&UniformGrid::new_3d(24, 24, 12, 300e-6, 300e-6, 100e-6).build());
+    group.bench_function("import/medit_hexes_6912", |b| {
+        b.iter(|| medit::parse_mesh(black_box(&mesh)).unwrap())
+    });
 
     let hotspot = hotspot_2d(&BteConfig::small(64, 12, 8, 1)).problem;
     group.bench_function("initial_fill_hotspot", |b| {

@@ -1583,12 +1583,6 @@ impl Solver {
         &self.fields
     }
 
-    /// Mutable field access (e.g. to perturb state between solves in
-    /// tests).
-    pub fn fields_mut(&mut self) -> &mut Fields {
-        &mut self.fields
-    }
-
     /// Render the generated source for this target (host code + kernels).
     pub fn generated_source(&self) -> String {
         crate::codegen::render(&self.compiled, &self.target)

@@ -256,13 +256,6 @@ impl Device {
     pub fn profile(&self) -> crate::profiler::ProfileReport {
         self.profiler.report(&self.spec)
     }
-
-    /// Reset the clock and profiler (e.g. after warm-up steps) without
-    /// touching allocations.
-    pub fn reset_profile(&mut self) {
-        self.elapsed = 0.0;
-        self.profiler = Profiler::default();
-    }
 }
 
 #[cfg(test)]

@@ -171,6 +171,7 @@ pub fn mean(points: &[Point]) -> Point {
 /// polygon: its length, its tangent rotated clockwise by 90 degrees (the
 /// outward normal) and its midpoint. More are a face of a 3-D cell
 /// ([`face_area_normal`]).
+#[inline]
 pub fn face_measures(vertices: &[Point]) -> (f64, Point, Point) {
     if let &[a, b] = vertices {
         let t = b - a;
@@ -179,17 +180,6 @@ pub fn face_measures(vertices: &[Point]) -> (f64, Point, Point) {
     }
     let (area, normal) = face_area_normal(vertices);
     (area, normal, mean(vertices))
-}
-
-/// Volume of a polyhedron from its faces (each a vertex loop, outward
-/// oriented), via the divergence theorem: `V = (1/3) Σ_f c_f · A_f n_f`.
-pub fn polyhedron_volume(faces: &[Vec<Point>]) -> f64 {
-    let mut acc = 0.0;
-    for face in faces {
-        let (area, normal, centroid) = face_measures(face);
-        acc += centroid.dot(normal) * area;
-    }
-    acc / 3.0
 }
 
 #[cfg(test)]
@@ -259,15 +249,19 @@ mod tests {
     fn unit_cube_volume() {
         let p = |x: f64, y: f64, z: f64| Point::new(x, y, z);
         // Outward-oriented faces of the unit cube.
-        let faces = vec![
-            vec![p(0., 0., 0.), p(0., 1., 0.), p(1., 1., 0.), p(1., 0., 0.)], // z=0, n=-z
-            vec![p(0., 0., 1.), p(1., 0., 1.), p(1., 1., 1.), p(0., 1., 1.)], // z=1, n=+z
-            vec![p(0., 0., 0.), p(0., 0., 1.), p(0., 1., 1.), p(0., 1., 0.)], // x=0, n=-x
-            vec![p(1., 0., 0.), p(1., 1., 0.), p(1., 1., 1.), p(1., 0., 1.)], // x=1, n=+x
-            vec![p(0., 0., 0.), p(1., 0., 0.), p(1., 0., 1.), p(0., 0., 1.)], // y=0, n=-y
-            vec![p(0., 1., 0.), p(0., 1., 1.), p(1., 1., 1.), p(1., 1., 0.)], // y=1, n=+y
+        let faces = [
+            [p(0., 0., 0.), p(0., 1., 0.), p(1., 1., 0.), p(1., 0., 0.)], // z=0, n=-z
+            [p(0., 0., 1.), p(1., 0., 1.), p(1., 1., 1.), p(0., 1., 1.)], // z=1, n=+z
+            [p(0., 0., 0.), p(0., 0., 1.), p(0., 1., 1.), p(0., 1., 0.)], // x=0, n=-x
+            [p(1., 0., 0.), p(1., 1., 0.), p(1., 1., 1.), p(1., 0., 1.)], // x=1, n=+x
+            [p(0., 0., 0.), p(1., 0., 0.), p(1., 0., 1.), p(0., 0., 1.)], // y=0, n=-y
+            [p(0., 1., 0.), p(0., 1., 1.), p(1., 1., 1.), p(1., 1., 0.)], // y=1, n=+y
         ];
-        assert!((polyhedron_volume(&faces) - 1.0).abs() < 1e-12);
+        // The divergence theorem, as `Mesh::try_from_cells` sums it.
+        let flux: f64 = (faces.iter().map(|f| face_measures(f)))
+            .map(|(area, normal, centroid)| centroid.dot(normal) * area)
+            .sum();
+        assert!((flux / 3.0 - 1.0).abs() < 1e-12);
     }
 
     #[test]

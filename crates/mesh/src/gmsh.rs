@@ -7,7 +7,7 @@
 //! physical group become named boundary regions.
 
 use crate::geometry::Point;
-use crate::import::mesh_from_elements;
+use crate::import::{mesh_from_elements, Elements, Scanner};
 use crate::mesh::Mesh;
 use std::collections::HashMap;
 use std::fmt;
@@ -32,235 +32,239 @@ impl fmt::Display for GmshError {
 
 impl std::error::Error for GmshError {}
 
-fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, GmshError> {
+fn parse_num<T: std::str::FromStr>(s: Option<&str>) -> Result<T, GmshError> {
+    let s = s.unwrap_or("");
     s.parse().map_err(|_| GmshError::Parse(s.to_string()))
 }
+
+/// An integer the scanner read ([`Scanner::unsigned`]) as a `T`: the
+/// value when it fits, else what `T::from_str` makes of the token.
+fn int<T: TryFrom<usize> + std::str::FromStr>(read: Result<usize, &str>) -> Result<T, GmshError> {
+    match read {
+        Ok(v) => T::try_from(v).map_err(|_| GmshError::Parse(v.to_string())),
+        Err(token) => parse_num(Some(token)),
+    }
+}
+
+fn format(msg: impl Into<String>) -> GmshError {
+    GmshError::Format(msg.into())
+}
+
+/// The line after a section header: its count.
+fn count(sc: &mut Scanner, missing: &str) -> Result<usize, GmshError> {
+    parse_num(Some(sc.line().ok_or_else(|| format(missing))?))
+}
+
+/// The element types read and written (MSH 2.2), with their dimension and
+/// node count: point, line, triangle, quad, tetrahedron, hexahedron.
+const TYPES: [(u32, usize, usize); 6] = [
+    (15, 0, 1),
+    (1, 1, 2),
+    (2, 2, 3),
+    (3, 2, 4),
+    (4, 3, 4),
+    (5, 3, 8),
+];
 
 /// Parse an MSH 2.2 ASCII document into a [`Mesh`].
 ///
 /// Volume elements (dimension matching the mesh) become cells; elements one
 /// dimension lower with a physical-group tag become boundary regions named
 /// after the physical name when a `$PhysicalNames` section is present, or
-/// `region_<tag>` otherwise.
+/// `region_<tag>` otherwise. A point, line, triangle, quad, tetrahedron or
+/// hexahedron must list the nodes its type has; other types are skipped.
 pub fn parse_msh(text: &str) -> Result<Mesh, GmshError> {
-    let mut lines = text.lines().map(str::trim);
-    let mut nodes: Vec<(usize, Point)> = Vec::new();
-    let mut elements: Vec<(u32, i64, Vec<usize>)> = Vec::new(); // (type, physical tag, node ids)
+    let mut sc = Scanner::new(text, false);
+    let mut vertices: Vec<Point> = Vec::new();
+    let mut node_ids: Vec<usize> = Vec::new();
+    // Elements by dimension, in file order, with their physical tags.
+    let mut by_dim: [Elements; 4] = Default::default();
     let mut physical_names: HashMap<i64, String> = HashMap::new();
+    // The first element whose node count is not its type's: its dimension,
+    // its place in that dimension's list, and what is wrong.
+    let mut miscounted: Option<(usize, usize, String)> = None;
 
-    while let Some(line) = lines.next() {
+    while let Some(line) = sc.line() {
         match line {
             "$MeshFormat" => {
-                let header = lines
-                    .next()
-                    .ok_or_else(|| GmshError::Format("missing format line".into()))?;
+                let header = sc.line().ok_or_else(|| format("missing format line"))?;
                 let version = header.split_whitespace().next().unwrap_or("");
                 if !version.starts_with("2.") {
-                    return Err(GmshError::Format(format!(
+                    return Err(format(format!(
                         "unsupported msh version {version} (need 2.x ASCII)"
                     )));
                 }
-                skip_until(&mut lines, "$EndMeshFormat")?;
+                skip_until(&mut sc, "$EndMeshFormat")?;
             }
             "$PhysicalNames" => {
-                let n: usize = parse_num(
-                    lines
-                        .next()
-                        .ok_or_else(|| GmshError::Format("missing count".into()))?,
-                )?;
-                for _ in 0..n {
-                    let l = lines
-                        .next()
-                        .ok_or_else(|| GmshError::Format("truncated PhysicalNames".into()))?;
+                for _ in 0..count(&mut sc, "missing count")? {
+                    let l = sc.line().ok_or_else(|| format("truncated PhysicalNames"))?;
                     let mut parts = l.split_whitespace();
-                    let _dim: i64 = parse_num(parts.next().unwrap_or(""))?;
-                    let tag: i64 = parse_num(parts.next().unwrap_or(""))?;
+                    let _dim: i64 = parse_num(parts.next())?;
+                    let tag: i64 = parse_num(parts.next())?;
                     let name = parts.collect::<Vec<_>>().join(" ");
                     physical_names.insert(tag, name.trim_matches('"').to_string());
                 }
-                skip_until(&mut lines, "$EndPhysicalNames")?;
+                skip_until(&mut sc, "$EndPhysicalNames")?;
             }
             "$Nodes" => {
-                let n: usize = parse_num(
-                    lines
-                        .next()
-                        .ok_or_else(|| GmshError::Format("missing node count".into()))?,
-                )?;
-                for _ in 0..n {
-                    let l = lines
-                        .next()
-                        .ok_or_else(|| GmshError::Format("truncated Nodes".into()))?;
-                    let mut p = l.split_whitespace();
-                    let id: usize = parse_num(p.next().unwrap_or(""))?;
-                    let x: f64 = parse_num(p.next().unwrap_or(""))?;
-                    let y: f64 = parse_num(p.next().unwrap_or(""))?;
-                    let z: f64 = parse_num(p.next().unwrap_or(""))?;
-                    nodes.push((id, Point::new(x, y, z)));
+                for _ in 0..count(&mut sc, "missing node count")? {
+                    if sc.at == text.len() {
+                        return Err(format("truncated Nodes"));
+                    }
+                    node_ids.push(int(sc.unsigned())?);
+                    let [x, y, z] = [(); 3].map(|()| parse_num(sc.token()));
+                    vertices.push(Point::new(x?, y?, z?));
+                    sc.line();
                 }
-                skip_until(&mut lines, "$EndNodes")?;
+                skip_until(&mut sc, "$EndNodes")?;
             }
             "$Elements" => {
-                let n: usize = parse_num(
-                    lines
-                        .next()
-                        .ok_or_else(|| GmshError::Format("missing element count".into()))?,
-                )?;
-                for _ in 0..n {
-                    let l = lines
-                        .next()
-                        .ok_or_else(|| GmshError::Format("truncated Elements".into()))?;
-                    let mut p = l.split_whitespace();
-                    let _id: usize = parse_num(p.next().unwrap_or(""))?;
-                    let etype: u32 = parse_num(p.next().unwrap_or(""))?;
-                    let ntags: usize = parse_num(p.next().unwrap_or(""))?;
+                for _ in 0..count(&mut sc, "missing element count")? {
+                    if sc.at == text.len() {
+                        return Err(format("truncated Elements"));
+                    }
+                    let start = sc.at;
+                    let id: usize = int(sc.unsigned())?;
+                    let etype: u32 = int(sc.unsigned())?;
+                    let ntags: usize = int(sc.unsigned())?;
                     // The declared count is read against, never allocated
                     // for; only the first tag (the physical group) is kept.
                     let mut phys = 0;
                     for t in 0..ntags {
-                        let tag = p.next().ok_or_else(|| {
-                            GmshError::Format(format!(
-                                "element line declares {ntags} tags but ends after {t}: `{l}`"
-                            ))
-                        })?;
-                        let tag: i64 = parse_num(tag)?;
-                        if t == 0 {
-                            phys = tag;
-                        }
+                        let tag = match sc.unsigned() {
+                            Err("") => {
+                                let line = text[start..].lines().next().unwrap_or("").trim();
+                                return Err(format(format!(
+                                    "element line declares {ntags} tags but ends after {t}: `{line}`"
+                                )));
+                            }
+                            read => int(read)?,
+                        };
+                        phys = if t == 0 { tag } else { phys };
                     }
-                    let node_ids: Result<Vec<usize>, _> = p.map(parse_num::<usize>).collect();
-                    elements.push((etype, phys, node_ids?));
+                    // Node ids go straight into the list of the element's
+                    // dimension; those of a type not read are checked and
+                    // dropped.
+                    let shape = TYPES.iter().find(|t| t.0 == etype);
+                    let mut list = shape.map(|&(_, dim, _)| &mut by_dim[dim]);
+                    let mut nodes = 0;
+                    loop {
+                        let node: usize = match sc.unsigned() {
+                            Err("") => break,
+                            read => int(read)?,
+                        };
+                        list.iter_mut().for_each(|list| list.cells.ids.push(node));
+                        nodes += 1;
+                    }
+                    sc.line();
+                    if let (Some(list), Some(&(_, dim, arity))) = (list, shape) {
+                        if nodes != arity && miscounted.is_none() {
+                            let what = format!(
+                                "element {id} of type {etype} lists {nodes} vertices, not {arity}"
+                            );
+                            miscounted = Some((dim, list.tags.len(), what));
+                        }
+                        list.end(phys);
+                    }
                 }
-                skip_until(&mut lines, "$EndElements")?;
+                skip_until(&mut sc, "$EndElements")?;
             }
             _ => {} // ignore unknown sections
         }
     }
 
-    if nodes.is_empty() {
-        return Err(GmshError::Format("no $Nodes section".into()));
+    if vertices.is_empty() {
+        return Err(format("no $Nodes section"));
     }
+    // The mesh's dimension is that of its highest-dimensional elements;
+    // those one lower bound it.
+    let [_, lines, surfaces, solids] = by_dim;
+    let (dim, mut cells, mut boundary) = match solids.cells.is_empty() {
+        true => (2, surfaces, lines),
+        false => (3, solids, surfaces),
+    };
 
     // Renumber nodes densely: by subtraction when the ids are `1..=n` in
     // file order (what `write_msh` and Gmsh write), through a map otherwise.
-    let vertices: Vec<Point> = nodes.iter().map(|(_, p)| *p).collect();
-    let ids = || nodes.iter().map(|(id, _)| *id);
+    let n = vertices.len();
     let sparse: Option<HashMap<usize, usize>> =
-        (!ids().eq(1..=nodes.len())).then(|| ids().zip(0..).collect());
-    let remap = |mut ids: Vec<usize>| -> Result<Vec<usize>, GmshError> {
-        for id in &mut ids {
-            let dense = match &sparse {
-                None => id.checked_sub(1).filter(|&i| i < vertices.len()),
-                Some(map) => map.get(id).copied(),
-            };
-            *id =
-                dense.ok_or_else(|| GmshError::Format(format!("element references node {id}")))?;
-        }
-        Ok(ids)
-    };
-
-    // Decide mesh dimension from the highest-dimensional element present.
-    let has_3d = elements.iter().any(|(t, _, _)| *t == 4 || *t == 5);
-    let dim = if has_3d { 3 } else { 2 };
-
-    let mut cells: Vec<Vec<usize>> = Vec::new();
-    let mut boundary_elems: Vec<(i64, Vec<usize>)> = Vec::new();
-    for (etype, phys, node_ids) in elements {
-        match (dim, etype) {
-            (2, 2) | (2, 3) => cells.push(remap(node_ids)?), // tri/quad
-            (2, 1) => boundary_elems.push((phys, remap(node_ids)?)), // line
-            (3, 4) | (3, 5) => cells.push(remap(node_ids)?), // tet/hex
-            (3, 2) | (3, 3) => boundary_elems.push((phys, remap(node_ids)?)), // surface tri/quad
-            _ => {}                                          // points and other types ignored
-        }
+        (!node_ids.iter().copied().eq(1..=n)).then(|| node_ids.iter().copied().zip(0..).collect());
+    for id in cells.cells.ids.iter_mut().chain(&mut boundary.cells.ids) {
+        let dense = match &sparse {
+            None => id.checked_sub(1).filter(|&i| i < n),
+            Some(map) => map.get(id).copied(),
+        };
+        *id = dense.ok_or_else(|| format(format!("element references node {id}")))?;
     }
-    if cells.is_empty() {
-        return Err(GmshError::Format("no volume elements".into()));
+    if let Some((d, at, what)) = miscounted {
+        return Err(format(match d == dim {
+            true => format!("cell {at}: {what}; cells are the volume elements in file order"),
+            false => what,
+        }));
+    }
+    if cells.cells.is_empty() {
+        return Err(format("no volume elements"));
     }
 
     // Orient, build, and attach boundary regions by matching element
     // vertex sets to faces.
-    mesh_from_elements(
-        dim,
-        vertices,
-        cells,
-        boundary_elems
-            .iter()
-            .map(|(tag, ids)| (*tag, ids.as_slice())),
-        |tag| match physical_names.get(&tag) {
-            Some(name) => name.clone(),
-            None => format!("region_{tag}"),
-        },
-    )
-    .map_err(GmshError::Format)
+    let region_name = |tag| match physical_names.get(&tag) {
+        Some(name) => name.clone(),
+        None => format!("region_{tag}"),
+    };
+    mesh_from_elements(dim, vertices, cells.cells, [&boundary], region_name)
+        .map_err(GmshError::Format)
 }
 
-fn skip_until<'a>(lines: &mut impl Iterator<Item = &'a str>, end: &str) -> Result<(), GmshError> {
-    for l in lines {
+fn skip_until(sc: &mut Scanner, end: &str) -> Result<(), GmshError> {
+    while let Some(l) = sc.line() {
         if l == end {
             return Ok(());
         }
     }
-    Err(GmshError::Format(format!("missing {end}")))
+    Err(format(format!("missing {end}")))
 }
 
 /// Serialize a mesh to MSH 2.2 ASCII. Boundary regions are written as
 /// physical-tagged line (2-D) or quad/tri (3-D) elements, so
 /// `parse_msh(write_msh(m))` reconstructs connectivity and regions.
+///
+/// # Panics
+/// On a cell that is not a triangle, quad, tetrahedron or hexahedron.
 pub fn write_msh(mesh: &Mesh) -> String {
     use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n");
-
+    let mut out = String::from("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n");
     if !mesh.boundary_regions.is_empty() {
-        let bdim = mesh.dim - 1;
         let _ = writeln!(out, "$PhysicalNames\n{}", mesh.boundary_regions.len());
         for (i, r) in mesh.boundary_regions.iter().enumerate() {
-            let _ = writeln!(out, "{} {} \"{}\"", bdim, i + 1, r.name);
+            let _ = writeln!(out, "{} {} \"{}\"", mesh.dim - 1, i + 1, r.name);
         }
         out.push_str("$EndPhysicalNames\n");
     }
-
     let _ = writeln!(out, "$Nodes\n{}", mesh.vertices.len());
     for (i, v) in mesh.vertices.iter().enumerate() {
         let _ = writeln!(out, "{} {} {} {}", i + 1, v.x, v.y, v.z);
     }
-    out.push_str("$EndNodes\n");
 
-    let n_boundary: usize = mesh.boundary_regions.iter().map(|r| r.faces.len()).sum();
-    let _ = writeln!(out, "$Elements\n{}", mesh.n_cells() + n_boundary);
-    let mut eid = 1;
-    for (ri, r) in mesh.boundary_regions.iter().enumerate() {
-        for &fid in &r.faces {
-            let f = &mesh.faces[fid];
-            let etype = match (mesh.dim, f.vertices().len()) {
-                (2, 2) => 1, // line
-                (3, 3) => 2, // triangle
-                (3, 4) => 3, // quad
-                _ => continue,
-            };
-            let ids: Vec<String> = f.vertices().map(|v| (v + 1).to_string()).collect();
-            let _ = writeln!(
-                out,
-                "{eid} {etype} 2 {} {} {}",
-                ri + 1,
-                ri + 1,
-                ids.join(" ")
-            );
-            eid += 1;
-        }
-    }
-    for c in 0..mesh.n_cells() {
-        let verts = mesh.cell_vertices(c);
-        let etype = match (mesh.dim, verts.len()) {
-            (2, 3) => 2,
-            (2, 4) => 3,
-            (3, 4) => 4,
-            (3, 8) => 5,
-            (d, n) => panic!("cannot serialize {n}-vertex cell in {d}-D"),
-        };
-        let ids: Vec<String> = verts.iter().map(|v| (v + 1).to_string()).collect();
-        let _ = writeln!(out, "{eid} {etype} 2 0 0 {}", ids.join(" "));
-        eid += 1;
+    // Each region's faces, tagged with its number, then the cells.
+    let element = |tag, dim, ids: Vec<usize>| {
+        let etype = TYPES.iter().find(|t| (t.1, t.2) == (dim, ids.len()))?.0;
+        Some((tag, etype, ids))
+    };
+    let faces = (mesh.boundary_regions.iter().zip(1..))
+        .flat_map(|(r, tag)| r.faces.iter().map(move |&f| (tag, f)))
+        .filter_map(|(tag, f)| element(tag, mesh.dim - 1, mesh.faces[f].vertices().collect()));
+    let cells = (0..mesh.n_cells()).map(|c| {
+        let ids = mesh.cell_vertices(c).to_vec();
+        let n = ids.len();
+        element(0, mesh.dim, ids).unwrap_or_else(|| panic!("cannot serialize {n}-vertex cell"))
+    });
+    let elements: Vec<_> = faces.chain(cells).collect();
+    let _ = writeln!(out, "$EndNodes\n$Elements\n{}", elements.len());
+    for (eid, (tag, etype, ids)) in (1..).zip(elements) {
+        let ids: Vec<String> = ids.iter().map(|v| (v + 1).to_string()).collect();
+        let _ = writeln!(out, "{eid} {etype} 2 {tag} {tag} {}", ids.join(" "));
     }
     out.push_str("$EndElements\n");
     out
@@ -348,6 +352,33 @@ $EndElements
         assert!(parse_msh("").is_err());
         assert!(parse_msh("$MeshFormat\n4.1 0 8\n$EndMeshFormat").is_err());
         assert!(parse_msh("$Nodes\n1\n1 0 0 0\n$EndNodes").is_err()); // no elements
+    }
+
+    #[test]
+    fn an_element_lists_the_nodes_its_type_has() {
+        // A quad line with three nodes is not a triangle.
+        let short = TWO_QUADS.replace("3 3 2 0 0 1 2 5 4", "3 3 2 0 0 1 2 5");
+        let e = parse_msh(&short).unwrap_err().to_string();
+        assert!(
+            e.contains("cell 0: element 3 of type 3 lists 3 vertices, not 4"),
+            "{e}"
+        );
+        // A boundary line is named by its element id alone.
+        let long = TWO_QUADS.replace("2 1 2 7 7 2 3", "2 1 2 7 7 2 3 6");
+        let e = parse_msh(&long).unwrap_err().to_string();
+        assert!(
+            e.ends_with("element 2 of type 1 lists 3 vertices, not 2"),
+            "{e}"
+        );
+        // So is a point, which is no part of the mesh.
+        let point = TWO_QUADS
+            .replace("$Elements\n4\n", "$Elements\n5\n")
+            .replace("$EndElements", "5 15 2 0 0 1 2\n$EndElements");
+        let e = parse_msh(&point).unwrap_err().to_string();
+        assert!(
+            e.ends_with("element 5 of type 15 lists 2 vertices, not 1"),
+            "{e}"
+        );
     }
 
     #[test]

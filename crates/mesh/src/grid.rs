@@ -7,7 +7,7 @@
 //! the four/six sides as named boundary regions.
 
 use crate::geometry::Point;
-use crate::mesh::Mesh;
+use crate::mesh::{Cells, Mesh};
 
 /// Builder for uniform axis-aligned grids.
 #[derive(Debug, Clone)]
@@ -96,14 +96,14 @@ impl UniformGrid {
             }
         }
         let vid = |i: usize, j: usize| j * (nx + 1) + i;
-        let mut cells = Vec::with_capacity(nx * ny);
+        let mut cells = Cells::with_capacity(nx * ny, 4 * nx * ny);
         for j in 0..ny {
             for i in 0..nx {
                 // Counter-clockwise quad.
-                cells.push([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]);
+                cells.push(&[vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]);
             }
         }
-        Mesh::from_cells(2, vertices, &cells)
+        Mesh::from_cells(2, vertices, cells)
     }
 
     fn build_3d(&self) -> Mesh {
@@ -120,11 +120,11 @@ impl UniformGrid {
             }
         }
         let vid = |i: usize, j: usize, k: usize| (k * (ny + 1) + j) * (nx + 1) + i;
-        let mut cells = Vec::with_capacity(nx * ny * nz);
+        let mut cells = Cells::with_capacity(nx * ny * nz, 8 * nx * ny * nz);
         for k in 0..nz {
             for j in 0..ny {
                 for i in 0..nx {
-                    cells.push([
+                    cells.push(&[
                         vid(i, j, k),
                         vid(i + 1, j, k),
                         vid(i + 1, j + 1, k),
@@ -137,7 +137,7 @@ impl UniformGrid {
                 }
             }
         }
-        Mesh::from_cells(3, vertices, &cells)
+        Mesh::from_cells(3, vertices, cells)
     }
 
     /// Cell index for structured coordinates (row-major, x fastest).

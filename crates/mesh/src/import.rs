@@ -1,9 +1,105 @@
-//! What the Gmsh and MEDIT importers share once a file is parsed into
-//! vertices, volume elements and tagged boundary elements.
+//! What the Gmsh and MEDIT importers share: one byte scanner over the file,
+//! the flat element lists it fills, and the step from parsed vertices,
+//! volume elements and tagged boundary elements to a [`Mesh`].
 
 use crate::geometry::{polygon_signed_area, Point};
-use crate::mesh::{BoundaryRegion, Mesh};
+use crate::mesh::{BoundaryRegion, Cells, Mesh};
 use std::collections::HashMap;
+
+/// A cursor over the bytes of a mesh file. A token is a run of bytes
+/// between ASCII whitespace, and a line ends at `\n`.
+pub(crate) struct Scanner<'a> {
+    text: &'a str,
+    /// The cursor's byte offset.
+    pub at: usize,
+    /// Do tokens run across lines, and does a `#` open a comment that runs
+    /// to the end of its line (MEDIT)? Else a token is looked for on the
+    /// current line only (Gmsh).
+    free: bool,
+}
+
+/// The most decimal digits that always fit a `usize`.
+const SAFE_DIGITS: usize = usize::MAX.ilog10() as usize;
+
+impl<'a> Scanner<'a> {
+    pub fn new(text: &'a str, free: bool) -> Self {
+        Scanner { text, at: 0, free }
+    }
+
+    /// The rest of the current line, trimmed; the cursor moves to the
+    /// next. `None` at the end of the text.
+    pub fn line(&mut self) -> Option<&'a str> {
+        let rest = self.text.get(self.at..).filter(|r| !r.is_empty())?;
+        let len = rest.bytes().position(|b| b == b'\n');
+        self.at += len.map_or(rest.len(), |n| n + 1);
+        Some(rest[..len.unwrap_or(rest.len())].trim())
+    }
+
+    /// The next token; `None` where there is none (at the end of the line
+    /// for Gmsh, where the cursor stays; at the end of the text for MEDIT).
+    pub fn token(&mut self) -> Option<&'a str> {
+        self.blank();
+        let start = self.at;
+        self.skip(|b| !b.is_ascii_whitespace());
+        (self.at > start).then(|| &self.text[start..self.at])
+    }
+
+    /// The next token as an unsigned decimal, read as `usize::from_str`
+    /// reads one; `Err` with the token (`""` if there is none) if it is
+    /// not one. Digits are read in place; a token they do not make up on
+    /// their own goes through `str::parse`.
+    pub fn unsigned(&mut self) -> Result<usize, &'a str> {
+        self.blank();
+        let rest = &self.text.as_bytes()[self.at..];
+        let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        let ends = rest.get(digits).is_none_or(u8::is_ascii_whitespace);
+        if (1..=SAFE_DIGITS).contains(&digits) && ends {
+            self.at += digits;
+            let digit = |d: &u8| usize::from(d - b'0');
+            return Ok(rest[..digits].iter().fold(0, |n, d| 10 * n + digit(d)));
+        }
+        let token = self.token().unwrap_or("");
+        token.parse().map_err(|_| token)
+    }
+
+    /// Move to the next token: past blanks, and for MEDIT past line ends
+    /// and comments.
+    fn blank(&mut self) {
+        let free = self.free;
+        loop {
+            self.skip(|b| b.is_ascii_whitespace() && (free || b != b'\n'));
+            if !free || self.text.as_bytes().get(self.at) != Some(&b'#') {
+                return;
+            }
+            self.skip(|b| b != b'\n');
+        }
+    }
+
+    /// Move past the bytes `pass` lets through.
+    fn skip(&mut self, pass: impl Fn(u8) -> bool) {
+        let bytes = self.text.as_bytes();
+        while self.at < bytes.len() && pass(bytes[self.at]) {
+            self.at += 1;
+        }
+    }
+}
+
+/// Elements of one kind in file order: their vertex ids as one flat list,
+/// and each one's tag (a Gmsh physical group, a MEDIT reference).
+#[derive(Default)]
+pub(crate) struct Elements {
+    pub cells: Cells,
+    pub tags: Vec<i64>,
+}
+
+impl Elements {
+    /// End the element whose vertex ids were pushed onto `cells.ids` since
+    /// the last one.
+    pub fn end(&mut self, tag: i64) {
+        self.cells.end_cell();
+        self.tags.push(tag);
+    }
+}
 
 /// A face's vertex set as a fixed-width key: at most four ids, sorted and
 /// padded with `u32::MAX`, so a mesh face and a boundary element of the
@@ -23,7 +119,7 @@ fn face_key(ids: impl ExactSizeIterator<Item = usize>) -> Option<[u32; 4]> {
 
 /// Build the mesh of a parsed file. Neither format guarantees
 /// counter-clockwise 2-D elements, so clockwise ones are reversed first.
-/// Each boundary element `(tag, vertex ids)` then puts the boundary face
+/// Each boundary element, list by list, then puts the boundary face
 /// around its vertices into the region of its tag — regions number in
 /// first-use order and are named by `region_name` — and an element around
 /// no boundary face is skipped. The error is [`crate::MeshError`]'s text,
@@ -31,13 +127,14 @@ fn face_key(ids: impl ExactSizeIterator<Item = usize>) -> Option<[u32; 4]> {
 pub(crate) fn mesh_from_elements<'a>(
     dim: usize,
     vertices: Vec<Point>,
-    mut cells: Vec<Vec<usize>>,
-    boundary: impl IntoIterator<Item = (i64, &'a [usize])>,
+    mut cells: Cells,
+    boundary: impl IntoIterator<Item = &'a Elements>,
     region_name: impl Fn(i64) -> String,
 ) -> Result<Mesh, String> {
     if dim == 2 {
         let mut polygon: Vec<Point> = Vec::new();
-        for cell in &mut cells {
+        for w in cells.offsets.windows(2) {
+            let cell = &mut cells.ids[w[0]..w[1]];
             polygon.clear();
             polygon.extend(cell.iter().map(|&v| vertices[v]));
             if polygon_signed_area(&polygon) < 0.0 {
@@ -45,7 +142,7 @@ pub(crate) fn mesh_from_elements<'a>(
             }
         }
     }
-    let mut mesh = Mesh::try_from_cells(dim, vertices, &cells)
+    let mut mesh = Mesh::try_from_cells(dim, vertices, cells)
         .map_err(|e| format!("{e}; cells are the volume elements in file order, from 0"))?;
 
     // Boundary faces by key, sorted: a lookup is a binary search.
@@ -55,7 +152,10 @@ pub(crate) fn mesh_from_elements<'a>(
         .collect();
     by_key.sort_unstable();
     let mut region_of_tag: HashMap<i64, usize> = HashMap::new();
-    for (tag, ids) in boundary {
+    let elements = boundary
+        .into_iter()
+        .flat_map(|e| e.tags.iter().zip(e.cells.iter()));
+    for (&tag, ids) in elements {
         let Some(key) = face_key(ids.iter().copied()) else {
             continue;
         };
@@ -74,4 +174,55 @@ pub(crate) fn mesh_from_elements<'a>(
         mesh.boundary_regions[region].faces.push(fid);
     }
     Ok(mesh)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unsigned_reads_what_usize_from_str_reads() {
+        for token in [
+            "0",
+            "7",
+            "+12",
+            "0042",
+            "18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999999",
+            "+",
+            "-1",
+            "1e3",
+            "1.0",
+            "12a",
+            "٣",
+        ] {
+            let read = Scanner::new(token, true).unsigned();
+            assert_eq!(read.ok(), token.parse::<usize>().ok(), "{token:?}");
+            assert!(read.is_ok() || read == Err(token), "{token:?}");
+        }
+        assert_eq!(Scanner::new(" ", true).unsigned(), Err(""));
+    }
+
+    #[test]
+    fn tokens_lines_and_comments() {
+        let mut s = Scanner::new("  a\tb \r\n\n# not a comment\n1 2\n", false);
+        assert_eq!(
+            (s.token(), s.token(), s.token()),
+            (Some("a"), Some("b"), None)
+        );
+        assert_eq!((s.line(), s.line()), (Some(""), Some("")));
+        assert_eq!((s.token(), s.line()), (Some("#"), Some("not a comment")));
+        assert_eq!(
+            (s.unsigned(), s.unsigned(), s.unsigned()),
+            (Ok(1), Ok(2), Err(""))
+        );
+        assert_eq!((s.line(), s.line()), (Some(""), None));
+        let mut s = Scanner::new("c #d e\n#\n 12 f", true);
+        assert_eq!(
+            (s.token(), s.unsigned(), s.unsigned()),
+            (Some("c"), Ok(12), Err("f"))
+        );
+        assert_eq!(s.token(), None);
+    }
 }

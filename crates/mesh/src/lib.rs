@@ -31,5 +31,5 @@ pub mod partition;
 pub use digest::Digest;
 pub use geometry::Point;
 pub use grid::UniformGrid;
-pub use mesh::{Face, Mesh, MeshError};
+pub use mesh::{Cells, Face, Mesh, MeshError};
 pub use partition::{partition_bands, Partition, PartitionMethod};

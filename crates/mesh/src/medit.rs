@@ -24,9 +24,8 @@
 //! `ref_<n>`.
 
 use crate::geometry::Point;
-use crate::import::mesh_from_elements;
-use crate::mesh::Mesh;
-use std::collections::HashMap;
+use crate::import::{mesh_from_elements, Elements, Scanner};
+use crate::mesh::{Cells, Mesh};
 use std::fmt;
 
 /// Import failure.
@@ -45,30 +44,44 @@ fn err(msg: impl Into<String>) -> MeditError {
     MeditError(msg.into())
 }
 
-/// Parse an ASCII MEDIT document.
-pub fn parse_mesh(text: &str) -> Result<Mesh, MeditError> {
-    // Tokenize into whitespace-separated words (the format is positional).
-    let mut words = text
-        .split_whitespace()
-        .filter(|w| !w.starts_with('#'))
-        .peekable();
+/// The next token as a count; the errors name `what`.
+fn count(sc: &mut Scanner, what: &str) -> Result<usize, MeditError> {
+    let token = sc.token().ok_or_else(|| err(format!("missing {what}")))?;
+    token.parse().map_err(|_| err(format!("bad {what}")))
+}
 
+/// The element sections read and written, with the vertex count and the
+/// dimension of their elements.
+const SECTIONS: [(&str, usize, usize); 5] = [
+    ("Edges", 2, 1),
+    ("Triangles", 3, 2),
+    ("Quadrilaterals", 4, 2),
+    ("Tetrahedra", 4, 3),
+    ("Hexahedra", 8, 3),
+];
+
+/// The sections of elements of dimension `dim`, in `SECTIONS` order.
+fn of_dim(dim: usize) -> impl Iterator<Item = usize> {
+    (0..SECTIONS.len()).filter(move |&s| SECTIONS[s].2 == dim)
+}
+
+/// Parse an ASCII MEDIT document. A `#` opens a comment that runs to the
+/// end of its line.
+pub fn parse_mesh(text: &str) -> Result<Mesh, MeditError> {
+    // The format is positional: whitespace-separated tokens.
+    let mut sc = Scanner::new(text, true);
     let mut dimension: Option<usize> = None;
     let mut vertices: Vec<Point> = Vec::new();
-    // (keyword, vertex count per element) → list of (vertex ids, ref).
-    let mut elements: HashMap<&'static str, Vec<(Vec<usize>, i64)>> = HashMap::new();
+    // Elements by section, in `SECTIONS` order, vertex ids from 0.
+    let mut sections: [Elements; 5] = Default::default();
 
-    while let Some(word) = words.next() {
+    while let Some(word) = sc.token() {
         match word {
             "MeshVersionFormatted" => {
-                words.next().ok_or_else(|| err("missing version"))?;
+                sc.token().ok_or_else(|| err("missing version"))?;
             }
             "Dimension" => {
-                let d: usize = words
-                    .next()
-                    .ok_or_else(|| err("missing dimension"))?
-                    .parse()
-                    .map_err(|_| err("bad dimension"))?;
+                let d = count(&mut sc, "dimension")?;
                 if d != 2 && d != 3 {
                     return Err(err(format!("unsupported dimension {d}")));
                 }
@@ -76,73 +89,43 @@ pub fn parse_mesh(text: &str) -> Result<Mesh, MeditError> {
             }
             "Vertices" => {
                 let dim = dimension.ok_or_else(|| err("Vertices before Dimension"))?;
-                let n: usize = words
-                    .next()
-                    .ok_or_else(|| err("missing vertex count"))?
-                    .parse()
-                    .map_err(|_| err("bad vertex count"))?;
-                for _ in 0..n {
+                for _ in 0..count(&mut sc, "vertex count")? {
                     let mut coords = [0.0f64; 3];
                     for c in coords.iter_mut().take(dim) {
-                        *c = words
-                            .next()
-                            .ok_or_else(|| err("truncated Vertices"))?
+                        let token = sc.token().ok_or_else(|| err("truncated Vertices"))?;
+                        *c = token
                             .parse()
                             .map_err(|_| err("bad coordinate in Vertices"))?;
                     }
                     // Trailing reference.
-                    words.next().ok_or_else(|| err("missing vertex ref"))?;
+                    sc.token().ok_or_else(|| err("missing vertex ref"))?;
                     vertices.push(Point::new(coords[0], coords[1], coords[2]));
                 }
             }
-            kw @ ("Edges" | "Triangles" | "Quadrilaterals" | "Tetrahedra" | "Hexahedra") => {
-                let arity = match kw {
-                    "Edges" => 2,
-                    "Triangles" => 3,
-                    "Quadrilaterals" => 4,
-                    "Tetrahedra" => 4,
-                    "Hexahedra" => 8,
-                    _ => unreachable!(),
-                };
-                let key: &'static str = match kw {
-                    "Edges" => "Edges",
-                    "Triangles" => "Triangles",
-                    "Quadrilaterals" => "Quadrilaterals",
-                    "Tetrahedra" => "Tetrahedra",
-                    "Hexahedra" => "Hexahedra",
-                    _ => unreachable!(),
-                };
-                let n: usize = words
-                    .next()
-                    .ok_or_else(|| err("missing element count"))?
-                    .parse()
-                    .map_err(|_| err("bad element count"))?;
-                let list = elements.entry(key).or_default();
-                for _ in 0..n {
-                    let mut ids = Vec::with_capacity(arity);
-                    for _ in 0..arity {
-                        let v: usize = words
-                            .next()
-                            .ok_or_else(|| err(format!("truncated {kw}")))?
-                            .parse()
-                            .map_err(|_| err(format!("bad vertex id in {kw}")))?;
+            "End" => break,
+            kw => {
+                // Unknown sections (Corners, Ridges, ...) would need counts
+                // to skip; reject explicitly rather than misparse.
+                let s = (SECTIONS.iter().position(|&(name, _, _)| name == kw))
+                    .ok_or_else(|| err(format!("unsupported section `{kw}`")))?;
+                let truncated = || err(format!("truncated {kw}"));
+                for _ in 0..count(&mut sc, "element count")? {
+                    for _ in 0..SECTIONS[s].1 {
+                        let v = match sc.unsigned() {
+                            Ok(v) => v,
+                            Err("") => return Err(truncated()),
+                            Err(_) => return Err(err(format!("bad vertex id in {kw}"))),
+                        };
                         if v == 0 || v > vertices.len() {
                             return Err(err(format!("vertex id {v} out of range")));
                         }
-                        ids.push(v - 1); // MEDIT is 1-based
+                        sections[s].cells.ids.push(v - 1);
                     }
-                    let reference: i64 = words
-                        .next()
-                        .ok_or_else(|| err(format!("truncated {kw}")))?
-                        .parse()
-                        .map_err(|_| err(format!("bad element ref in {kw}")))?;
-                    list.push((ids, reference));
+                    let reference = sc.token().ok_or_else(truncated)?.parse();
+                    let reference = reference.map_err(|_| err(format!("bad element ref in {kw}")));
+                    sections[s].end(reference?);
                 }
             }
-            "End" => break,
-            // Unknown sections (Corners, Ridges, ...) would need counts to
-            // skip; reject explicitly rather than misparse.
-            other => return Err(err(format!("unsupported section `{other}`"))),
         }
     }
 
@@ -150,23 +133,15 @@ pub fn parse_mesh(text: &str) -> Result<Mesh, MeditError> {
     if vertices.is_empty() {
         return Err(err("no Vertices"));
     }
-
-    // Cells and boundary elements by dimension.
-    // In 2-D, Triangles/Quadrilaterals are cells and Edges are boundary;
-    // in 3-D, Tetrahedra/Hexahedra are cells and surface Triangles and
-    // Quadrilaterals are boundary.
-    let (cell_keys, boundary_keys): (&[&str], &[&str]) = if dim == 2 {
-        (&["Triangles", "Quadrilaterals"], &["Edges"])
-    } else {
-        (
-            &["Tetrahedra", "Hexahedra"],
-            &["Triangles", "Quadrilaterals"],
-        )
-    };
-    let mut cells: Vec<Vec<usize>> = Vec::new();
-    for key in cell_keys {
-        for (ids, _) in elements.remove(key).unwrap_or_default() {
-            cells.push(ids);
+    // Cells are the elements of the mesh's dimension, numbered section by
+    // section (a section's list is taken whole when it is the first);
+    // boundary elements are those one dimension lower.
+    let mut cells = Cells::default();
+    for s in of_dim(dim) {
+        let list = std::mem::take(&mut sections[s].cells);
+        match cells.is_empty() {
+            true => cells = list,
+            false => list.iter().for_each(|cell| cells.push(cell)),
         }
     }
     if cells.is_empty() {
@@ -175,88 +150,44 @@ pub fn parse_mesh(text: &str) -> Result<Mesh, MeditError> {
 
     // Orient (MEDIT does not guarantee CCW), build, and make boundary
     // regions from the referenced lower-dimensional elements.
-    let boundary = (boundary_keys.iter())
-        .flat_map(|key| elements.get(key).into_iter().flatten())
-        .map(|(ids, reference)| (*reference, ids.as_slice()));
-    mesh_from_elements(dim, vertices, cells, boundary, |reference| {
-        format!("ref_{reference}")
-    })
-    .map_err(MeditError)
+    let boundary = of_dim(dim - 1).map(|s| &sections[s]);
+    mesh_from_elements(dim, vertices, cells, boundary, |r| format!("ref_{r}")).map_err(MeditError)
 }
 
-/// Serialize a mesh to ASCII MEDIT. Regions are written as referenced
-/// edges/faces with the reference equal to `region index + 1` (MEDIT has
-/// no named regions; `parse_mesh(write_mesh(m))` restores them as
-/// `ref_<n>`).
+/// Serialize a mesh to ASCII MEDIT: the cells with reference 0, then each
+/// region's faces with reference `region index + 1`, section by section
+/// (MEDIT has no named regions; `parse_mesh(write_mesh(m))` restores them
+/// as `ref_<n>`). Elements no section has are left out.
 pub fn write_mesh(mesh: &Mesh) -> String {
     use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "MeshVersionFormatted 2");
-    let _ = writeln!(out, "Dimension {}", mesh.dim);
+    let mut out = format!("MeshVersionFormatted 2\nDimension {}\n", mesh.dim);
     let _ = writeln!(out, "Vertices\n{}", mesh.vertices.len());
     for v in &mesh.vertices {
-        if mesh.dim == 2 {
-            let _ = writeln!(out, "{} {} 0", v.x, v.y);
-        } else {
-            let _ = writeln!(out, "{} {} {} 0", v.x, v.y, v.z);
-        }
+        let _ = match mesh.dim {
+            2 => writeln!(out, "{} {} 0", v.x, v.y),
+            _ => writeln!(out, "{} {} {} 0", v.x, v.y, v.z),
+        };
     }
-
-    // Volume elements grouped by arity.
-    let mut by_arity: HashMap<usize, Vec<usize>> = HashMap::new();
-    for c in 0..mesh.n_cells() {
-        by_arity
-            .entry(mesh.cell_vertices(c).len())
-            .or_default()
-            .push(c);
-    }
-    for (arity, keyword) in [
-        (3usize, "Triangles"),
-        (
-            4,
-            if mesh.dim == 2 {
-                "Quadrilaterals"
-            } else {
-                "Tetrahedra"
-            },
-        ),
-        (8, "Hexahedra"),
-    ] {
-        if let Some(cells) = by_arity.get(&arity) {
-            let _ = writeln!(out, "{keyword}\n{}", cells.len());
-            for &c in cells {
-                let ids: Vec<String> = mesh
-                    .cell_vertices(c)
-                    .iter()
-                    .map(|v| (v + 1).to_string())
-                    .collect();
-                let _ = writeln!(out, "{} 0", ids.join(" "));
-            }
-        }
-    }
-
-    // Boundary elements with references, grouped by the keyword their
-    // arity demands (3-D hex faces are surface Quadrilaterals).
-    let mut by_keyword: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
-    for (ri, r) in mesh.boundary_regions.iter().enumerate() {
-        for &fid in &r.faces {
-            let keyword = match (mesh.dim, mesh.faces[fid].vertices().len()) {
-                (2, 2) => "Edges",
-                (3, 3) => "Triangles",
-                (3, 4) => "Quadrilaterals",
-                (d, n) => panic!("cannot serialize {n}-vertex boundary face in {d}-D"),
-            };
-            by_keyword.entry(keyword).or_default().push((fid, ri));
-        }
-    }
-    for (keyword, faces) in &by_keyword {
-        let _ = writeln!(out, "{keyword}\n{}", faces.len());
-        for &(fid, ri) in faces {
-            let ids: Vec<String> = mesh.faces[fid]
-                .vertices()
-                .map(|v| (v + 1).to_string())
+    let cells: Vec<_> = (0..mesh.n_cells())
+        .map(|c| (mesh.cell_vertices(c).to_vec(), 0))
+        .collect();
+    let faces: Vec<_> = (mesh.boundary_regions.iter().zip(1..))
+        .flat_map(|(r, reference)| r.faces.iter().map(move |&f| (f, reference)))
+        .map(|(f, reference)| (mesh.faces[f].vertices().collect::<Vec<_>>(), reference))
+        .collect();
+    for (dim, elements) in [(mesh.dim, cells), (mesh.dim - 1, faces)] {
+        for (keyword, nodes, _) in of_dim(dim).map(|s| SECTIONS[s]) {
+            let section: Vec<_> = elements
+                .iter()
+                .filter(|(ids, _)| ids.len() == nodes)
                 .collect();
-            let _ = writeln!(out, "{} {}", ids.join(" "), ri + 1);
+            if !section.is_empty() {
+                let _ = writeln!(out, "{keyword}\n{}", section.len());
+            }
+            for (ids, reference) in section {
+                let ids: Vec<String> = ids.iter().map(|v| (v + 1).to_string()).collect();
+                let _ = writeln!(out, "{} {reference}", ids.join(" "));
+            }
         }
     }
     out.push_str("End\n");
@@ -335,6 +266,17 @@ End
         assert_eq!(r.n_cells(), 8);
         assert!((r.total_volume() - 1.0).abs() < 1e-12);
         assert!(r.validate().is_empty());
+    }
+
+    #[test]
+    fn a_comment_runs_to_the_end_of_its_line() {
+        let plain = parse_mesh(TWO_QUADS).unwrap();
+        let text = format!(
+            "# written by a tool v2\n{}",
+            TWO_QUADS.replace("Edges\n", "Edges # the walls, 2 of them\n")
+        );
+        let commented = parse_mesh(&text).unwrap();
+        assert_eq!(commented.digest(), plain.digest());
     }
 
     #[test]

@@ -75,9 +75,8 @@ pub struct Mesh {
     pub dim: usize,
     /// Vertex coordinates.
     pub vertices: Vec<Point>,
-    /// CSR offsets: vertices of cell `c` are `cell_vertex_ids[o[c]..o[c+1]]`.
-    cell_vertex_offsets: Vec<usize>,
-    cell_vertex_ids: Vec<usize>,
+    /// Vertex ids of every cell: the list the mesh was built from.
+    cells: Cells,
     /// All unique faces.
     pub faces: Vec<Face>,
     /// CSR offsets: faces of cell `c`.
@@ -96,6 +95,68 @@ pub struct Mesh {
     geometry: Digest,
 }
 
+/// Cells as one flat list: the vertex ids of cell `c` are
+/// `ids[offsets[c]..offsets[c + 1]]`. [`Mesh::try_from_cells`] takes one by
+/// value and keeps it, so a list built up front (by an importer, by the
+/// grid generator) is not copied again; other code passes its vertex
+/// lists, which are copied into one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cells {
+    pub(crate) offsets: Vec<usize>,
+    pub(crate) ids: Vec<usize>,
+}
+
+impl Default for Cells {
+    fn default() -> Self {
+        Cells::with_capacity(0, 0)
+    }
+}
+
+impl Cells {
+    /// No cells, with room for `cells` cells of `ids` vertex ids in all.
+    pub(crate) fn with_capacity(cells: usize, ids: usize) -> Cells {
+        let mut offsets = Vec::with_capacity(cells + 1);
+        offsets.push(0);
+        Cells {
+            offsets,
+            ids: Vec::with_capacity(ids),
+        }
+    }
+
+    /// Append a cell.
+    pub(crate) fn push(&mut self, cell: &[usize]) {
+        self.ids.extend_from_slice(cell);
+        self.end_cell();
+    }
+
+    /// End the cell whose ids were pushed onto `ids` since the last one.
+    pub(crate) fn end_cell(&mut self) {
+        self.offsets.push(self.ids.len());
+    }
+
+    /// Number of cells.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The cells' vertex ids, in order.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = &[usize]> + '_ {
+        self.offsets.windows(2).map(|w| &self.ids[w[0]..w[1]])
+    }
+}
+
+impl<C: AsRef<[usize]>> From<&Vec<C>> for Cells {
+    fn from(cells: &Vec<C>) -> Cells {
+        let mut list = Cells::default();
+        cells.iter().for_each(|c| list.push(c.as_ref()));
+        list
+    }
+}
+
 /// Why a cell list is not a finite-volume mesh ([`Mesh::try_from_cells`]).
 /// `cell` indexes the list the mesh was built from.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,9 +167,9 @@ pub enum MeshError {
     /// A face of `cell` already separates two other cells (a duplicated
     /// or overlapping element).
     SharedFace { cell: usize },
-    /// The area (2-D) or volume (3-D) of `cell` is not positive: a
-    /// clockwise or inverted vertex order, a degenerate cell, or a
-    /// non-finite coordinate.
+    /// The area (2-D) or volume (3-D) of `cell` is not a positive finite
+    /// number: a clockwise or inverted vertex order, a degenerate cell, or
+    /// a non-finite coordinate.
     BadMeasure { cell: usize, measure: f64 },
 }
 
@@ -152,17 +213,43 @@ const TET_FACES: [[usize; 3]; 4] = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [2, 0, 3]];
 /// Pads a vertex loop of fewer than four ids; sorts after every id.
 const NONE: u32 = u32::MAX;
 
+/// The vertex loops of a cell's faces in local order, each outward
+/// oriented: a 2-D cell's edges, a 3-D cell's faces by [`HEX_FACES`] or
+/// [`TET_FACES`] (a 3-D cell of another arity has none).
+fn face_loops(dim: usize, cell: &[usize]) -> impl Iterator<Item = [u32; 4]> + '_ {
+    let id = |v: usize| u32::try_from(v).expect("a vertex id indexes `vertices`");
+    let n = cell.len();
+    let faces = match (dim, n) {
+        (2, _) => n,
+        (_, 8) => 6,
+        (_, 4) => 4,
+        _ => 0,
+    };
+    (0..faces).map(move |f| match (dim, n) {
+        (2, _) => [id(cell[f]), id(cell[(f + 1) % n]), NONE, NONE],
+        (_, 8) => HEX_FACES[f].map(|l| id(cell[l])),
+        _ => {
+            let [a, b, c] = TET_FACES[f];
+            [id(cell[a]), id(cell[b]), id(cell[c]), NONE]
+        }
+    })
+}
+
+/// A record whose face no earlier record met.
+const FIRST: usize = usize::MAX;
+
 impl Mesh {
     /// [`Mesh::try_from_cells`] for cell lists built by the program itself.
     ///
     /// # Panics
     /// If the cells do not form a mesh.
-    pub fn from_cells<C: AsRef<[usize]>>(dim: usize, vertices: Vec<Point>, cells: &[C]) -> Mesh {
+    pub fn from_cells(dim: usize, vertices: Vec<Point>, cells: impl Into<Cells>) -> Mesh {
         Mesh::try_from_cells(dim, vertices, cells)
             .unwrap_or_else(|e| panic!("cells do not form a mesh: {e}"))
     }
 
-    /// Build a mesh from cells given as vertex lists.
+    /// Build a mesh from cells given as vertex lists: a [`Cells`] list,
+    /// which the mesh keeps, or a `Vec` of lists, which it copies into one.
     ///
     /// 2-D cells are polygons with vertices in counter-clockwise order.
     /// 3-D cells are hexahedra in the Gmsh vertex ordering (bottom quad
@@ -173,13 +260,13 @@ impl Mesh {
     ///
     /// Faces number in first-encounter order over the cells' local faces,
     /// and a cell lists its faces in local order.
-    pub fn try_from_cells<C: AsRef<[usize]>>(
+    pub fn try_from_cells(
         dim: usize,
         vertices: Vec<Point>,
-        cells: &[C],
+        cells: impl Into<Cells>,
     ) -> Result<Mesh, MeshError> {
         assert!(dim == 2 || dim == 3, "only 2-D and 3-D meshes supported");
-        let id = |v: usize| u32::try_from(v).expect("a vertex id indexes `vertices`");
+        let cells = cells.into();
         let mut geometry = Digest::new();
         geometry.size(dim);
         geometry.size(vertices.len());
@@ -188,47 +275,37 @@ impl Mesh {
             geometry.f64(v.y);
             geometry.f64(v.z);
         }
-        // One record per (cell, local face), in that order: the face's
-        // vertex loop.
-        let mut cell_vertex_offsets = vec![0];
-        let mut cell_vertex_ids = Vec::new();
-        let mut cell_face_offsets = vec![0];
-        let mut loops: Vec<[u32; 4]> = Vec::new();
-        for (ci, cell) in cells.iter().enumerate() {
-            let cell = cell.as_ref();
-            geometry.sizes(cell);
-            cell_vertex_ids.extend_from_slice(cell);
-            cell_vertex_offsets.push(cell_vertex_ids.len());
-            match (dim, cell.len()) {
-                (2, n) => {
-                    loops.extend((0..n).map(|i| [id(cell[i]), id(cell[(i + 1) % n]), NONE, NONE]))
-                }
-                (_, 8) => loops.extend(HEX_FACES.map(|f| f.map(|l| id(cell[l])))),
-                (_, 4) => loops.extend(
-                    TET_FACES.map(|[a, b, c]| [id(cell[a]), id(cell[b]), id(cell[c]), NONE]),
-                ),
-                (_, nodes) => return Err(MeshError::UnsupportedCell { cell: ci, nodes }),
-            }
-            cell_face_offsets.push(loops.len());
-        }
-        let n_records = u32::try_from(loops.len()).expect("fewer than 2^32 cell faces");
-
-        // Match the sides of every face without hashing: a counting sort
-        // buckets the records by smallest vertex, each (short) bucket is
-        // sorted by (other vertices, record), and the sides of one face end
-        // up adjacent, first encounter first. `earlier[r]` is then the
-        // record that first met the face of record `r`.
+        // One record per (cell, local face), in that order. A record's
+        // vertex loop is read off its cell (`face_loops`) when it is
+        // needed, not stored. Match the sides of every face without
+        // hashing: a counting sort buckets the records by smallest vertex,
+        // each (short) bucket is sorted by (other vertices, record), and
+        // the sides of one face end up adjacent, first encounter first.
+        let mut cell_face_offsets = Vec::with_capacity(cells.len() + 1);
+        cell_face_offsets.push(0);
         let mut ends = vec![0u32; vertices.len()];
-        for ids in &loops {
-            ends[ids[0].min(ids[1]).min(ids[2]).min(ids[3]) as usize] += 1;
+        for (ci, cell) in cells.iter().enumerate() {
+            geometry.sizes(cell);
+            if dim == 3 && cell.len() != 4 && cell.len() != 8 {
+                let nodes = cell.len();
+                return Err(MeshError::UnsupportedCell { cell: ci, nodes });
+            }
+            let mut records = cell_face_offsets[ci];
+            for ids in face_loops(dim, cell) {
+                ends[ids[0].min(ids[1]).min(ids[2]).min(ids[3]) as usize] += 1;
+                records += 1;
+            }
+            cell_face_offsets.push(records);
         }
+        let n_records = cell_face_offsets[cells.len()];
+        let records = u32::try_from(n_records).expect("fewer than 2^32 cell faces");
         let mut total = 0;
         for end in &mut ends {
             total += std::mem::replace(end, total);
         }
-        let mut slots = vec![0u128; loops.len()];
-        for (ids, record) in loops.iter().zip(0..n_records) {
-            let mut key = *ids;
+        let mut slots = vec![0u128; n_records];
+        let loops = cells.iter().flat_map(|cell| face_loops(dim, cell));
+        for (mut key, record) in loops.zip(0..records) {
             key.sort_unstable();
             let at = &mut ends[key[0] as usize];
             slots[*at as usize] = (key[1] as u128) << 96
@@ -237,51 +314,57 @@ impl Mesh {
                 | record as u128;
             *at += 1; // leaves `ends[v]` one past bucket `v`
         }
-        let mut earlier = vec![NONE; loops.len()];
+        // `cell_face_ids[r]` is first the record that first met the face
+        // of record `r` (`FIRST` if that is `r`), then the face's id.
+        let mut cell_face_ids = vec![FIRST; n_records];
+        let mut n_faces = 0;
         let mut start = 0;
         for &end in &ends {
             let bucket = &mut slots[start..end as usize];
             start = end as usize;
             bucket.sort_unstable();
             for sides in bucket.chunk_by(|a, b| a >> 32 == b >> 32) {
+                n_faces += 1;
                 for later in &sides[1..] {
-                    earlier[*later as u32 as usize] = sides[0] as u32;
+                    cell_face_ids[*later as u32 as usize] = sides[0] as u32 as usize;
                 }
             }
         }
+        drop(slots);
 
         // Faces and cell measures, one cell at a time with its points on
-        // the stack. A 3-D volume is `polyhedron_volume`'s sum over the
+        // the stack. A 3-D volume is the divergence theorem's sum over the
         // cell's own outward loops, `(1/3) Σ_f c_f · A_f n_f`, so the
-        // loop of a face the cell owns serves both the face and the sum.
-        let mut mesh = Mesh {
-            dim,
-            vertices,
-            cell_vertex_offsets,
-            cell_vertex_ids,
-            faces: Vec::with_capacity(earlier.iter().filter(|&&r| r == NONE).count()),
-            cell_face_offsets,
-            cell_face_ids: Vec::with_capacity(loops.len()),
-            cell_volumes: Vec::with_capacity(cells.len()),
-            cell_centroids: Vec::with_capacity(cells.len()),
-            boundary_regions: Vec::new(),
-            geometry,
-        };
+        // loop of a face the cell owns serves both the face and the sum;
+        // a 2-D cell's area reads no face, so its faces are measured once.
+        let mut faces: Vec<Face> = Vec::with_capacity(n_faces);
+        let mut cell_volumes = Vec::with_capacity(cells.len());
+        let mut cell_centroids = Vec::with_capacity(cells.len());
         let mut corners: Vec<Point> = Vec::new();
         for (ci, cell) in cells.iter().enumerate() {
             let mut flux = 0.0;
-            for record in mesh.cell_face_offsets[ci]..mesh.cell_face_offsets[ci + 1] {
-                let ids = loops[record];
-                let n = ids.iter().position(|&v| v == NONE).unwrap_or(ids.len());
-                let pts = ids.map(|v| match v {
-                    NONE => Point::zero(),
-                    v => mesh.vertices[v as usize],
-                });
-                let (area, normal, centroid) = face_measures(&pts[..n]);
-                flux += centroid.dot(normal) * area;
-                mesh.cell_face_ids.push(match earlier[record] {
-                    NONE => {
-                        mesh.faces.push(Face {
+            for (record, ids) in (cell_face_offsets[ci]..).zip(face_loops(dim, cell)) {
+                let first = cell_face_ids[record];
+                let fid = if first == FIRST {
+                    faces.len()
+                } else {
+                    cell_face_ids[first]
+                };
+                if first == FIRST || dim == 3 {
+                    let n = ids.iter().position(|&v| v == NONE).unwrap_or(ids.len());
+                    let mut pts = [Point::zero(); 4];
+                    for (k, &v) in ids[..n].iter().enumerate() {
+                        pts[k] = vertices[v as usize];
+                    }
+                    // One call per length: each is compiled for its points.
+                    let (area, normal, centroid) = match n {
+                        2 => face_measures(&pts[..2]),
+                        3 => face_measures(&pts[..3]),
+                        _ => face_measures(&pts),
+                    };
+                    flux += centroid.dot(normal) * area;
+                    if first == FIRST {
+                        faces.push(Face {
                             vertices: ids,
                             owner: ci,
                             neighbor: None,
@@ -290,30 +373,37 @@ impl Mesh {
                             centroid,
                             region: None,
                         });
-                        mesh.faces.len() - 1
                     }
-                    first => {
-                        let fid = mesh.cell_face_ids[first as usize];
-                        if mesh.faces[fid].neighbor.replace(ci).is_some() {
-                            return Err(MeshError::SharedFace { cell: ci });
-                        }
-                        fid
-                    }
-                });
+                }
+                if first != FIRST && faces[fid].neighbor.replace(ci).is_some() {
+                    return Err(MeshError::SharedFace { cell: ci });
+                }
+                cell_face_ids[record] = fid;
             }
             corners.clear();
-            corners.extend(cell.as_ref().iter().map(|&v| mesh.vertices[v]));
+            corners.extend(cell.iter().map(|&v| vertices[v]));
             let (measure, centroid) = match dim {
                 2 => (polygon_signed_area(&corners), polygon_centroid(&corners)),
                 _ => (flux / 3.0, mean(&corners)),
             };
-            if measure.is_nan() || measure <= 0.0 {
+            if !measure.is_finite() || measure <= 0.0 {
                 return Err(MeshError::BadMeasure { cell: ci, measure });
             }
-            mesh.cell_volumes.push(measure);
-            mesh.cell_centroids.push(centroid);
+            cell_volumes.push(measure);
+            cell_centroids.push(centroid);
         }
-        Ok(mesh)
+        Ok(Mesh {
+            dim,
+            vertices,
+            cells,
+            faces,
+            cell_face_offsets,
+            cell_face_ids,
+            cell_volumes,
+            cell_centroids,
+            boundary_regions: Vec::new(),
+            geometry,
+        })
     }
 
     /// Content digest of the mesh as it stands: the geometry it was built
@@ -344,7 +434,8 @@ impl Mesh {
 
     /// Vertex ids of a cell.
     pub fn cell_vertices(&self, cell: usize) -> &[usize] {
-        &self.cell_vertex_ids[self.cell_vertex_offsets[cell]..self.cell_vertex_offsets[cell + 1]]
+        let offsets = &self.cells.offsets;
+        &self.cells.ids[offsets[cell]..offsets[cell + 1]]
     }
 
     /// Face ids of a cell.
@@ -545,6 +636,20 @@ mod tests {
     }
 
     #[test]
+    fn infinite_measures_are_rejected() {
+        // One vertex at x = +inf: the shoelace sum is +inf, not NaN.
+        let vs = vec![
+            Point::xy(-1.0, -1.0),
+            Point::xy(f64::INFINITY, -1.0),
+            Point::xy(1.0, 1.0),
+            Point::xy(-1.0, 1.0),
+        ];
+        let err = Mesh::try_from_cells(2, vs, &vec![[0, 1, 2, 3]]).unwrap_err();
+        let measure = f64::INFINITY;
+        assert_eq!(err, MeshError::BadMeasure { cell: 0, measure });
+    }
+
+    #[test]
     fn boundary_regions_assign_by_priority() {
         let mut m = two_squares();
         let left = m.add_boundary_region("left", |c| c.x < 1e-12);
@@ -567,11 +672,11 @@ mod tests {
         // One coordinate, one ulp.
         let mut vs = base.vertices.clone();
         vs[4].y = f64::from_bits(vs[4].y.to_bits() + 1);
-        let cells = [[0, 1, 4, 3], [1, 2, 5, 4]];
+        let cells = vec![[0, 1, 4, 3], [1, 2, 5, 4]];
         assert_ne!(base.digest(), Mesh::from_cells(2, vs, &cells).digest());
 
         // The same cells in another order.
-        let swapped = [[1, 2, 5, 4], [0, 1, 4, 3]];
+        let swapped = vec![[1, 2, 5, 4], [0, 1, 4, 3]];
         let other = Mesh::from_cells(2, base.vertices.clone(), &swapped);
         assert_ne!(base.digest(), other.digest());
 
@@ -597,7 +702,7 @@ mod tests {
             p(2., 1., 3.),
             p(0., 1., 3.),
         ];
-        let m = Mesh::from_cells(3, vs, &[vec![0, 1, 2, 3, 4, 5, 6, 7]]);
+        let m = Mesh::from_cells(3, vs, &vec![vec![0, 1, 2, 3, 4, 5, 6, 7]]);
         assert_eq!(m.n_faces(), 6);
         assert!((m.cell_volumes[0] - 6.0).abs() < 1e-12);
         assert!(m.validate().is_empty());

@@ -12,8 +12,9 @@
 //! * **Performance** — [`machine::MachineSpec`] + [`comm::CommModel`]
 //!   convert counted work (dof-updates, message bytes, collective shapes)
 //!   into predicted wall-clock per rank count on the paper's cluster. The
-//!   per-core compute rate is *calibrated* by timing the real solver on
-//!   this host ([`calibrate`]), never fitted per figure.
+//!   per-core compute rate is *calibrated* by timing traced solves on
+//!   this host (the bench crate's `Calibration::measure`), never fitted
+//!   per figure.
 //!
 //! [`timer::PhaseTimer`] accumulates the per-phase times both paths report,
 //! feeding the paper's breakdown figures (Figs 5 and 8).
@@ -24,7 +25,6 @@
 //! from content — a lowered plan, a loaded native library, a material
 //! table — is built once per process and key, outside any shared lock.
 
-pub mod calibrate;
 pub mod comm;
 pub mod exact;
 pub mod machine;

@@ -79,7 +79,8 @@ impl MachineSpec {
     /// Seconds for one core to execute `flops` floating-point operations
     /// while streaming `bytes` from memory — the same max() roofline used
     /// on the device side, with an `efficiency` factor for the code being
-    /// modeled (measured by [`crate::calibrate`], not assumed).
+    /// modeled (measured on the host by the bench crate's
+    /// `Calibration::measure`, not assumed).
     pub fn core_time(&self, flops: f64, bytes: f64, efficiency: f64) -> f64 {
         let t_compute = flops / (self.core_flops * efficiency);
         let t_memory = bytes / self.core_mem_bandwidth;

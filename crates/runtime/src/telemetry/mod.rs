@@ -1070,17 +1070,6 @@ impl Recorder {
             .collect()
     }
 
-    /// Buffered device summaries (empty under the null sink).
-    pub fn device_summaries(&self) -> Vec<&DeviceSummary> {
-        self.frames
-            .iter()
-            .filter_map(|f| match f {
-                Frame::Device(d) => Some(d),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Buffered samples (empty under the null sink).
     pub fn samples(&self) -> Vec<&Sample> {
         self.frames

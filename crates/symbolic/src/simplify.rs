@@ -461,16 +461,3 @@ fn simplify_ordering_is_canonical() {
         panic!("expected Add");
     }
 }
-
-#[cfg(test)]
-impl Expr {
-    /// Testing helper: assert canonical order inside this node.
-    pub fn is_canonically_sorted(&self) -> bool {
-        match self {
-            Expr::Add(v) | Expr::Mul(v) => v
-                .windows(2)
-                .all(|w| w[0].canonical_cmp(&w[1]) != std::cmp::Ordering::Greater),
-            _ => true,
-        }
-    }
-}
