@@ -156,17 +156,55 @@ fn bench_device(c: &mut Criterion) {
     });
 }
 
+/// A pair of operands shaped like the solver's Krylov vectors on
+/// `die3d_implicit`: the same cells are zero in both (about 40 % exact
+/// zeros, in runs of 5–20 elements), between runs of values whose
+/// magnitudes spread over about 100 binary orders.
+fn krylov_operands(n: usize) -> (Vec<f64>, Vec<f64>) {
+    let mut s = 0x5eed_u64;
+    let mut next = move || {
+        s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (s ^ s >> 30).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        (z ^ z >> 27).wrapping_mul(0x94d0_49bb_1331_11eb)
+    };
+    let value = |u: u64| {
+        let mantissa = (u >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+        mantissa * 2f64.powi((u % 101) as i32 - 60)
+    };
+    let (mut a, mut b) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    while a.len() < n {
+        let zeros = 5 + next() % 16;
+        let values = 8 + next() % 21;
+        for _ in 0..zeros {
+            a.push(0.0);
+            b.push(0.0);
+        }
+        for _ in 0..values {
+            a.push(value(next()));
+            b.push(value(next()));
+        }
+    }
+    a.truncate(n);
+    b.truncate(n);
+    (a, b)
+}
+
 /// The Krylov reduction layer at the `die3d_implicit` problem size
 /// (276 480 dofs): the exact dot and norm the implicit drivers run
 /// between sweeps, against a plain (inexact, order-dependent) dot as the
-/// memory-and-multiply floor.
+/// memory-and-multiply floor. `exact_dot_276k` has no zeros and a narrow
+/// exponent range; `exact_dot_276k_sparse` has the solver's operands.
 fn bench_reductions(c: &mut Criterion) {
     const N: usize = 276_480;
     let a: Vec<f64> = (0..N).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
     let b: Vec<f64> = (0..N).map(|i| (i as f64 * 0.11).cos() * 1e-2).collect();
+    let (sa, sb) = krylov_operands(N);
     let mut group = c.benchmark_group("reductions");
     group.bench_function("exact_dot_276k", |bch| {
         bch.iter(|| pbte_runtime::exact::exact_dot(black_box(&a), black_box(&b)))
+    });
+    group.bench_function("exact_dot_276k_sparse", |bch| {
+        bch.iter(|| pbte_runtime::exact::exact_dot(black_box(&sa), black_box(&sb)))
     });
     // One operand, the way the fused passes accumulate a norm.
     group.bench_function("exact_norm_276k", |bch| {

@@ -214,16 +214,17 @@ fn check_gather_sources(cp: &CompiledProblem, scopes: &[Scope], out: &mut Vec<Di
 
 /// The implicit driver's Krylov work vectors must tile the dof grid. Each
 /// rank updates its Krylov vectors (the right-hand side `b`, which doubles
-/// as the shadow residual, `r`, `p`, `v`, `s`, `t`, and the preconditioned
-/// direction `y` in the JVP fields' unknown slot) over its own scope's
-/// spans — the tiles of the unknown's `split` — and contributes an
-/// exact-dot partial over exactly those: an overlap would double-count a
-/// dot partial, a gap would drop one — either silently changes every
-/// Krylov scalar on every rank. So the seven vectors share the unknown's
-/// proof, and every finding of it names each of them as a hard error
-/// (a gap too, unlike the under-cover warning for a local write split).
+/// as the shadow residual, `r` (which holds the half-step residual `s` in
+/// between), `p`, `v`, `t`, and the preconditioned direction `y` in the
+/// JVP fields' unknown slot) over its own scope's spans — the tiles of the
+/// unknown's `split` — and contributes an exact-dot partial over exactly
+/// those: an overlap would double-count a dot partial, a gap would drop
+/// one — either silently changes every Krylov scalar on every rank. So the
+/// six vectors share the unknown's proof, and every finding of it names
+/// each of them as a hard error (a gap too, unlike the under-cover warning
+/// for a local write split).
 fn check_krylov_vectors(split: &[Diagnostic], out: &mut Vec<Diagnostic>) {
-    for vec_name in ["b", "r", "p", "v", "s", "t", "y"] {
+    for vec_name in ["b", "r", "p", "v", "t", "y"] {
         out.extend(split.iter().cloned().map(|d| Diagnostic {
             severity: Severity::Error,
             entity: format!("krylov.{vec_name}"),

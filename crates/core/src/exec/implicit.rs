@@ -37,7 +37,7 @@
 use super::driver::Engine;
 use super::{CompiledProblem, StepLinks};
 use crate::analysis::Scope;
-use crate::bytecode::VmCtx;
+use crate::bytecode::{KernelKind, RegProgram, ROW_CHUNK};
 use crate::dataflow::Plan;
 use crate::entities::Fields;
 use crate::problem::{KrylovConfig, Reducer};
@@ -49,8 +49,9 @@ use pbte_runtime::telemetry::{Recorder, SpanKind, Track};
 /// f64 allreduce adds them exactly in any association), one rounding per
 /// sum at the very end. Order- and partition-independent by construction
 /// — the backbone of cross-target bit identity. Sums that are known at
-/// the same point of the iteration travel in one message.
+/// the same point of the iteration travel in one message, at most two.
 fn reduce<const K: usize>(mut accs: [ExactAcc; K], reducer: &mut dyn Reducer) -> [f64; K] {
+    const { assert!(K <= 2, "one message carries at most two sums") };
     let mut buf = [0.0f64; 2 * TRANSPORT_LEN];
     let buf = &mut buf[..K * TRANSPORT_LEN];
     for (acc, image) in accs.iter_mut().zip(buf.chunks_exact_mut(TRANSPORT_LEN)) {
@@ -151,26 +152,25 @@ fn matvec_pass(v: &mut [f64], y: &[f64], r0: &[f64], dt_theta: f64, d: &Scope) -
     r0v
 }
 
-/// First half-step update: `s = r − αv`, `x += αy`, the next direction
-/// `y = M⁻¹s` (harmless when the half-step converges), and the local
-/// part of `‖s‖²`.
-#[allow(clippy::too_many_arguments)]
+/// First half-step update: `s = r − αv` over `r`'s storage (`r` is not
+/// read again before the full step rebuilds it from `s`), `x += αy`, the
+/// next direction `y = M⁻¹s` (harmless when the half-step converges), and
+/// the local part of `‖s‖²`.
 fn half_step_pass(
-    r: &[f64],
     v: &[f64],
     inv_diag: &[f64],
     alpha: f64,
-    s: &mut [f64],
+    r: &mut [f64],
     x: &mut [f64],
     y: &mut [f64],
     d: &Scope,
 ) -> ExactAcc {
     let mut ss = ExactAcc::new();
     for span in d.spans() {
-        let (r, v, inv_diag) = (&r[span.clone()], &v[span.clone()], &inv_diag[span.clone()]);
-        let (s, x, y) = (&mut s[span.clone()], &mut x[span.clone()], &mut y[span]);
+        let (v, inv_diag) = (&v[span.clone()], &inv_diag[span.clone()]);
+        let (s, x, y) = (&mut r[span.clone()], &mut x[span.clone()], &mut y[span]);
         for (i, ((s, x), y)) in s.iter_mut().zip(x).zip(y).enumerate() {
-            *s = r[i] - alpha * v[i];
+            *s -= alpha * v[i];
             *x += alpha * *y;
             *y = inv_diag[i] * *s;
             ss.add_prod(*s, *s);
@@ -195,11 +195,10 @@ fn stabilizer_pass(t: &mut [f64], y: &[f64], s: &[f64], dt_theta: f64, d: &Scope
     [tt, ts]
 }
 
-/// Second half-step update: `x += ωy`, `r = s − ωt`, with the local
-/// parts of `‖r‖²` and the next iteration's `ρ = r̂₀·r`.
-#[allow(clippy::too_many_arguments)]
+/// Second half-step update: `x += ωy`, `r = s − ωt` in place over the
+/// `s` the half step left in `r`, with the local parts of `‖r‖²` and the
+/// next iteration's `ρ = r̂₀·r`.
 fn full_step_pass(
-    s: &[f64],
     t: &[f64],
     y: &[f64],
     r0: &[f64],
@@ -211,12 +210,11 @@ fn full_step_pass(
     let mut rr = ExactAcc::new();
     let mut r0r = ExactAcc::new();
     for span in d.spans() {
-        let (s, t) = (&s[span.clone()], &t[span.clone()]);
-        let (y, r0) = (&y[span.clone()], &r0[span.clone()]);
+        let (t, y, r0) = (&t[span.clone()], &y[span.clone()], &r0[span.clone()]);
         let (x, r) = (&mut x[span.clone()], &mut r[span]);
         for (i, (x, r)) in x.iter_mut().zip(r).enumerate() {
             *x += omega * y[i];
-            *r = s[i] - omega * t[i];
+            *r -= omega * t[i];
             rr.add_prod(*r, *r);
             r0r.add_prod(r0[i], *r);
         }
@@ -250,7 +248,10 @@ fn jvp_sweep(
 /// linearized flux. When the flux didn't linearize the diagonal degrades
 /// to the volume part only — Jacobi is a preconditioner, so this costs
 /// iterations, never correctness.
-#[allow(clippy::too_many_arguments)]
+///
+/// The volume part is evaluated a flat row at a time, tile by tile: the
+/// program bound to the flat and lowered to registers, the way expression
+/// initials are filled (bit-identical to the VM per cell).
 fn build_diag(
     jcp: &CompiledProblem,
     jfields: &mut Fields,
@@ -262,49 +263,47 @@ fn build_diag(
 ) {
     jfields.slice_mut(unknown).fill(1.0);
     let vars = jfields.as_slices();
-    let mesh = jcp.mesh();
+    let centroids = &jcp.mesh().cell_centroids;
     let hot = &jcp.hot;
-    for &flat in &d.flats {
-        for &cell in &d.cells {
-            let vm = VmCtx {
-                vars: &vars,
-                n_cells: d.n_cells,
-                coefficients: &jcp.problem.registry.coefficients,
-                idx: &jcp.idx_of_flat[flat],
-                cell,
-                u1: 0.0,
-                u2: 0.0,
-                normal: [0.0; 3],
-                position: mesh.cell_centroids[cell],
-                dt: jcp.problem.dt,
-                time,
-            };
-            let dsdu = jcp.volume.eval(&vm);
-            let mut asum = 0.0;
-            if let Some(lin) = &jcp.flux_lin {
-                let start = hot.offsets[cell] as usize;
-                let end = hot.offsets[cell + 1] as usize;
-                for k in start..end {
-                    asum += hot.area[k] * lin.alpha[flat * lin.n_classes + hot.class[k] as usize];
+    let mut regs = Vec::new();
+    // Tiles are flat-major: one register program per flat.
+    for row in d.tiles.chunk_by(|a, b| a.k == b.k) {
+        let flat = d.flats[row[0].k];
+        let program = RegProgram::compile(&jcp.bind(KernelKind::Volume, flat, time));
+        regs.resize(program.n_regs(), [0.0; ROW_CHUNK]);
+        // The flat's row of the flux table's own-cell slopes, by class.
+        let alpha = jcp
+            .flux_lin
+            .as_ref()
+            .map(|lin| &lin.alpha[flat * lin.n_classes..][..lin.n_classes]);
+        for tile in row {
+            let out = &mut inv_diag[d.at(tile)..][..tile.len];
+            program.eval_row(&vars, tile.cell0, out, centroids, time, &mut regs);
+            for (cell, out) in (tile.cell0..).zip(out) {
+                let faces = hot.offsets[cell] as usize..hot.offsets[cell + 1] as usize;
+                let mut asum = 0.0;
+                if let Some(alpha) = alpha {
+                    for (&area, &class) in hot.area[faces.clone()].iter().zip(&hot.class[faces]) {
+                        asum += area * alpha[class as usize];
+                    }
                 }
+                let dfdu = *out - asum * hot.inv_volume[cell];
+                let diag = 1.0 - dt_theta * dfdu;
+                *out = if diag != 0.0 { 1.0 / diag } else { 1.0 };
             }
-            let dfdu = dsdu - asum * hot.inv_volume[cell];
-            let diag = 1.0 - dt_theta * dfdu;
-            let i = flat * d.n_cells + cell;
-            inv_diag[i] = if diag != 0.0 { 1.0 / diag } else { 1.0 };
         }
     }
 }
 
 /// Krylov work vectors, allocated once per solve and reused every step.
-/// The shadow residual `r̂₀` is the right-hand side itself, and the
-/// preconditioned directions `M⁻¹p` / `M⁻¹s` live in the JVP fields'
-/// unknown slot, where the sweep reads them.
+/// The shadow residual `r̂₀` is the right-hand side itself, the half-step
+/// residual `s` lives in `r`'s storage, and the preconditioned directions
+/// `M⁻¹p` / `M⁻¹s` live in the JVP fields' unknown slot, where the sweep
+/// reads them.
 pub(crate) struct KrylovVecs {
     r: Vec<f64>,
     p: Vec<f64>,
     v: Vec<f64>,
-    s: Vec<f64>,
     t: Vec<f64>,
     pub inv_diag: Vec<f64>,
 }
@@ -315,7 +314,6 @@ impl KrylovVecs {
             r: vec![0.0; n],
             p: vec![0.0; n],
             v: vec![0.0; n],
-            s: vec![0.0; n],
             t: vec![0.0; n],
             inv_diag: vec![1.0; n],
         }
@@ -338,9 +336,10 @@ pub(crate) struct KrylovStats {
 /// `krylov_solve` kernel span.
 ///
 /// One pass over the vectors per stage, each carrying the reductions
-/// that read its output: `v = A·y` with `r̂₀·v`; `s`, `x` and the next
-/// direction with `‖s‖²`; `t = A·y` with `t·t` and `t·s`; `r`, `x` with
-/// `‖r‖²` and the next `ρ = r̂₀·r`. The first `ρ = r̂₀·r = b·b` is `bb`.
+/// that read its output: `v = A·y` with `r̂₀·v`; `s` (over `r`), `x` and
+/// the next direction with `‖s‖²`; `t = A·y` with `t·t` and `t·s`; `r`
+/// (from `s` in place), `x` with `‖r‖²` and the next `ρ = r̂₀·r`. The
+/// first `ρ = r̂₀·r = b·b` is `bb`.
 #[allow(clippy::too_many_arguments)]
 fn bicgstab(
     engine: &mut Engine,
@@ -392,7 +391,7 @@ fn bicgstab(
         }
         alpha = rho_new / r0v;
         let y = jfields.slice_mut(unknown);
-        let ss = half_step_pass(&kv.r, &kv.v, &kv.inv_diag, alpha, &mut kv.s, x, y, d);
+        let ss = half_step_pass(&kv.v, &kv.inv_diag, alpha, &mut kv.r, x, y, d);
         stats.iters += 1;
         rec.work.krylov_iters += 1;
         let [ss] = reduce([ss], links);
@@ -405,15 +404,12 @@ fn bicgstab(
         }
         jvp_sweep(engine, jcp, jfields, time, step, links, &mut kv.t, rec);
         let y = jfields.slice(unknown);
-        let [tt, ts] = reduce(stabilizer_pass(&mut kv.t, y, &kv.s, dt_theta, d), links);
+        let [tt, ts] = reduce(stabilizer_pass(&mut kv.t, y, &kv.r, dt_theta, d), links);
         if tt == 0.0 {
             break;
         }
         omega = ts / tt;
-        let [rr, r0r] = reduce(
-            full_step_pass(&kv.s, &kv.t, y, b, omega, x, &mut kv.r, d),
-            links,
-        );
+        let [rr, r0r] = reduce(full_step_pass(&kv.t, y, b, omega, x, &mut kv.r, d), links);
         rho = rho_new;
         rho_new = r0r;
         stats.rnorm = rr.sqrt();
@@ -531,8 +527,10 @@ pub(crate) fn theta_step(
     let t_np = time + dt;
 
     // Freeze the step's coefficient fields into the JVP's evaluation
-    // state (the unknown slot is overwritten per matvec).
-    ws.jfields.clone_from(fields);
+    // state; the unknown slot is the Krylov directions' (zeroed below).
+    for var in (0..fields.n_vars()).filter(|&var| var != unknown) {
+        ws.jfields.slice_mut(var).copy_from_slice(fields.slice(var));
+    }
     ws.u_n.copy_from_slice(fields.slice(unknown));
 
     // The explicit part of the θ combination, evaluated once at u_n.
@@ -822,9 +820,11 @@ mod tests {
             let (r, v, inv_diag, t, r0) = (vector(1), vector(2), vector(3), vector(4), vector(5));
             let (alpha, omega) = (1.5, -0.3125);
 
-            let (mut s, mut x, mut y) = (vector(6), vector(7), vector(8));
-            let (mut s_ref, mut x_ref, mut y_ref) = (s.clone(), x.clone(), y.clone());
-            let ss = half_step_pass(&r, &v, &inv_diag, alpha, &mut s, &mut x, &mut y, d);
+            // The half step leaves `s` in `r`'s storage; the reference
+            // keeps `r` and `s` apart. Unowned entries of `r` stay put.
+            let (mut r_s, mut x, mut y) = (r.clone(), vector(7), vector(8));
+            let (mut s_ref, mut x_ref, mut y_ref) = (r.clone(), x.clone(), y.clone());
+            let ss = half_step_pass(&v, &inv_diag, alpha, &mut r_s, &mut x, &mut y, d);
             let [ss] = reduce([ss], &mut LocalLinks);
             for i in indices(d) {
                 s_ref[i] = r[i] - alpha * v[i];
@@ -833,23 +833,126 @@ mod tests {
             for i in indices(d) {
                 y_ref[i] = inv_diag[i] * s_ref[i];
             }
-            assert_bits(&s, &s_ref, "s");
+            assert_bits(&r_s, &s_ref, "s");
             assert_bits(&x, &x_ref, "x");
             assert_bits(&y, &y_ref, "y");
             assert_eq!(ss.to_bits(), exact_dot(&s_ref, &s_ref, d).to_bits());
 
-            let mut r_new = r.clone();
-            let mut r_ref = r.clone();
-            let sums = full_step_pass(&s, &t, &y, &r0, omega, &mut x, &mut r_new, d);
+            // The stabilizer reads `s` there ...
+            let (mut t_new, mut t_ref) = (t.clone(), t.clone());
+            let sums = stabilizer_pass(&mut t_new, &y, &r_s, 0.625, d);
+            let [tt, ts] = reduce(sums, &mut LocalLinks);
+            for i in indices(d) {
+                t_ref[i] = y[i] - 0.625 * t_ref[i];
+            }
+            assert_bits(&t_new, &t_ref, "t");
+            assert_eq!(tt.to_bits(), exact_dot(&t_ref, &t_ref, d).to_bits());
+            assert_eq!(ts.to_bits(), exact_dot(&t_ref, &s_ref, d).to_bits());
+
+            // ... and the full step turns it back into `r` in place.
+            let mut r_ref = s_ref.clone();
+            let sums = full_step_pass(&t_new, &y, &r0, omega, &mut x, &mut r_s, d);
             let [rr, r0r] = reduce(sums, &mut LocalLinks);
             for i in indices(d) {
                 x_ref[i] += omega * y[i];
-                r_ref[i] = s[i] - omega * t[i];
+                r_ref[i] = s_ref[i] - omega * t_ref[i];
             }
             assert_bits(&x, &x_ref, "x");
-            assert_bits(&r_new, &r_ref, "r");
+            assert_bits(&r_s, &r_ref, "r");
             assert_eq!(rr.to_bits(), exact_dot(&r_ref, &r_ref, d).to_bits());
             assert_eq!(r0r.to_bits(), exact_dot(&r0, &r_ref, d).to_bits());
         });
+    }
+
+    /// Backward-Euler transport on a 6 × 4 grid (`N_CELLS` cells,
+    /// `N_FLAT` directions) with a decay rate that varies by cell, flat
+    /// and position; `speed` scales the upwind flux.
+    fn implicit_plan(speed: &str) -> (CompiledProblem, Fields) {
+        use crate::problem::{BoundaryCondition, Integrator, Problem};
+        let mut p = Problem::new("implicit-diag");
+        p.domain(2);
+        p.mesh(pbte_mesh::UniformGrid::new_2d(6, 4, 1.0, 1.0).build());
+        p.set_steps(1e-2, 1);
+        let d = p.index("d", N_FLAT);
+        let i_var = p.variable("I", &[d]);
+        let sigma = p.variable("sigma", &[]);
+        p.coefficient_array("Sx", &[d], vec![1.0, 0.0, -1.0, 0.0, 0.6]);
+        p.coefficient_array("Sy", &[d], vec![0.0, 1.0, 0.0, -1.0, 0.8]);
+        p.coefficient_array("k", &[d], vec![1.0, 0.5, 2.0, 0.25, 3.0]);
+        p.coefficient_fn("ramp", |x, _| 1.0 + x.x * x.y);
+        p.initial(i_var, |x, idx| (3.0 * x.x + x.y + idx[0] as f64).sin());
+        p.initial(sigma, |x, _| 1.0 + 7.0 * x.x + 3.0 * x.y);
+        for side in ["left", "right", "top", "bottom"] {
+            p.boundary(i_var, side, BoundaryCondition::Value(0.0));
+        }
+        p.conservation_form(
+            i_var,
+            &format!("-sigma*k[d]*ramp*I[d] + surface({speed}*upwind([Sx[d];Sy[d]], I[d]))"),
+        );
+        p.integrator(Integrator::Implicit { theta: 1.0 });
+        CompiledProblem::compile(p).unwrap()
+    }
+
+    /// The diagonal the way the stack VM built it, one dof at a time.
+    fn diag_by_vm(jcp: &CompiledProblem, vars: &[&[f64]], d: &Scope, dt_theta: f64) -> Vec<f64> {
+        let (hot, time) = (&jcp.hot, TIME);
+        let mut inv_diag = vec![f64::NAN; jcp.n_flat * d.n_cells];
+        for &flat in &d.flats {
+            for &cell in &d.cells {
+                let vm = crate::bytecode::VmCtx {
+                    vars,
+                    n_cells: d.n_cells,
+                    coefficients: &jcp.problem.registry.coefficients,
+                    idx: &jcp.idx_of_flat[flat],
+                    cell,
+                    u1: 0.0,
+                    u2: 0.0,
+                    normal: [0.0; 3],
+                    position: jcp.mesh().cell_centroids[cell],
+                    dt: jcp.problem.dt,
+                    time,
+                };
+                let mut asum = 0.0;
+                if let Some(lin) = &jcp.flux_lin {
+                    for k in hot.offsets[cell] as usize..hot.offsets[cell + 1] as usize {
+                        asum +=
+                            hot.area[k] * lin.alpha[flat * lin.n_classes + hot.class[k] as usize];
+                    }
+                }
+                let diag = 1.0 - dt_theta * (jcp.volume.eval(&vm) - asum * hot.inv_volume[cell]);
+                inv_diag[flat * d.n_cells + cell] = if diag != 0.0 { 1.0 / diag } else { 1.0 };
+            }
+        }
+        inv_diag
+    }
+
+    const TIME: f64 = 0.25;
+
+    /// The diagonal built by rows is the VM's, bit for bit, on a table
+    /// plan and on one whose flux did not linearize (the volume part
+    /// only), over both scopes cut into one and three tiles per span;
+    /// unowned entries are left alone.
+    #[test]
+    fn row_built_diagonal_matches_the_vm_dof_by_dof() {
+        for (speed, table) in [("1.0", true), ("ramp", false)] {
+            let (cp, mut jfields) = implicit_plan(speed);
+            let jcp = cp.jvp.as_deref().expect("an implicit plan derives a JVP");
+            assert_eq!(jcp.flux_lin.is_some(), table, "speed {speed}");
+            assert_eq!((jcp.n_flat, jcp.mesh().n_cells()), (N_FLAT, N_CELLS));
+            let unknown = cp.system.unknown;
+            for (cells, flats) in scopes() {
+                for workers in [1, 3] {
+                    let d = Scope::new(&jcp.hot.offsets, cells.clone(), flats.clone(), workers);
+                    let mut got = vec![f64::NAN; N];
+                    build_diag(jcp, &mut jfields, unknown, &d, 0.75, TIME, &mut got);
+                    let want = diag_by_vm(jcp, &jfields.as_slices(), &d, 0.75);
+                    assert!(
+                        indices(&d).iter().all(|&i| got[i] != 1.0),
+                        "a live diagonal"
+                    );
+                    assert_bits(&got, &want, &format!("speed {speed}, {workers} workers"));
+                }
+            }
+        }
     }
 }

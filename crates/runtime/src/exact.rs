@@ -25,10 +25,14 @@
 //!   nearest double (ties to even) — one rounding for the whole sum.
 //!
 //! The cost is what exactness leaves: one multiply, one 128-bit shift and
-//! five limb adds per product — 5.3 ns per element for a 276 480-element
-//! dot on the 2-core development guest (`reductions` group of the
-//! `kernels` bench), against 0.7 ns for a plain dot and 15 ns for the
-//! two_prod form this replaced. That is not negligible next to a native
+//! five limb adds per non-zero product — about 5.8 ns each in a
+//! 276 480-element dot with no zeros on a 2-core x86-64 guest (`reductions`
+//! group of the `kernels` bench), against 0.7 ns for a plain dot and
+//! 15 ns for the two_prod form this replaced. A zero product costs no
+//! decode and no limb work: it returns on one compare. The Krylov
+//! operands of `die3d_implicit` are 31–58 % exact zeros, and on operands
+//! shaped like them (`exact_dot_276k_sparse`, 41 % zeros in runs) a dot
+//! costs 4.7 ns per element. That is not negligible next to a native
 //! RHS sweep (~10 ns per dof), which is why the implicit driver fuses
 //! each reduction into the vector pass that produces its operand and
 //! never computes a sum it already knows (EXPERIMENTS.md, "Exact Krylov
@@ -97,9 +101,17 @@ impl ExactAcc {
     /// two_prod residual `fma(a, b, −hi)` itself rounds and that rounding
     /// defines the sum, so those products (and only those) keep the
     /// two_prod form, `add_two_prod`.
+    ///
+    /// A zero product returns before any decoding: a zero operand
+    /// contributes nothing, and a product that rounds to zero has a
+    /// residual that rounds to zero as well. `0 × ∞` is NaN, not zero, so
+    /// it still poisons the sum.
     #[inline]
     pub fn add_prod(&mut self, a: f64, b: f64) {
         let hi = a * b;
+        if hi == 0.0 {
+            return;
+        }
         if !hi.is_finite() {
             self.nonfinite += 1;
             return;
@@ -109,7 +121,7 @@ impl ExactAcc {
         let (xa, xb) = (exponent_field(bits_a), exponent_field(bits_b));
         // Two normal operands (mantissa = fraction | 2⁵², exponent =
         // field − 1075) whose exponent sum xa + xb − 2150 is at least
-        // −1074; zeros, subnormals and tiny products go the long way.
+        // −1074; subnormals and tiny products go the long way.
         if xa == 0 || xb == 0 || xa + xb < 1076 {
             self.add_prod_rare(a, b, hi);
             return;
@@ -120,15 +132,10 @@ impl ExactAcc {
         self.add_shifted(p, offset, (bits_a ^ bits_b) as i64 >> 63);
     }
 
-    /// [`Self::add_prod`] for a zero or subnormal operand or an exponent
-    /// sum below −1074; `hi` is the finite rounded product.
+    /// [`Self::add_prod`] for a subnormal operand or an exponent sum below
+    /// −1074; `hi` is the finite, non-zero rounded product.
     #[cold]
     fn add_prod_rare(&mut self, a: f64, b: f64, hi: f64) {
-        if hi == 0.0 {
-            // A zero operand contributes nothing; a product that rounds
-            // to zero has a residual that rounds to zero as well.
-            return;
-        }
         let (ma, ea) = decode(a.to_bits());
         let (mb, eb) = decode(b.to_bits());
         let e2 = ea + eb;
@@ -664,6 +671,65 @@ mod tests {
         fast.nonfinite = 0;
         oracle.nonfinite = 0;
         assert_eq!(fast.value().to_bits(), oracle.value().to_bits());
+    }
+
+    /// A stream shaped like the Krylov operands (runs of exact zeros
+    /// between runs of values spread over many binary orders) laced with
+    /// every product the zero test has to get right: signed zeros against
+    /// anything finite, products that underflow to ±0, subnormal operands
+    /// whose products do not, `0 × ∞` (NaN, so it poisons) and `∞ × ∞`.
+    #[test]
+    fn zero_products_match_two_prod_limb_for_limb() {
+        let mut s = 0x2e60_u64;
+        let (mut fast, mut oracle) = (ExactAcc::new(), ExactAcc::new());
+        let mut feed = |a: f64, b: f64| {
+            fast.add_prod(a, b);
+            add_prod_oracle(&mut oracle, a, b);
+        };
+        let (tiny, sub) = (f64::MIN_POSITIVE, 5e-324);
+        let specials = [
+            (0.0, 3.5),
+            (-0.0, 3.5),
+            (2.0, -0.0),
+            (-0.0, -0.0),
+            (0.0, f64::MAX),
+            (tiny, tiny),
+            (-tiny, 1e-300),
+            (sub, 0.25),
+            (sub, 2.0),
+            (-sub, 1e300),
+            (0.0, sub),
+            (0.0, f64::INFINITY),
+            (f64::NEG_INFINITY, -0.0),
+            (f64::INFINITY, f64::INFINITY),
+        ];
+        for run in 0..400u64 {
+            // A run of zeros on either operand, then a run of values.
+            for _ in 0..5 + run % 16 {
+                let x = rand_f64(&mut s, 50);
+                if run % 2 == 0 {
+                    feed(0.0, x);
+                } else {
+                    feed(x, -0.0);
+                }
+            }
+            for _ in 0..6 + run % 15 {
+                let (a, b) = (rand_f64(&mut s, 50), rand_f64(&mut s, 50));
+                feed(a, b);
+            }
+            let (a, b) = specials[run as usize % specials.len()];
+            feed(a, b);
+        }
+        let (f, o) = (transport(&mut fast), transport(&mut oracle));
+        for (k, (x, y)) in f.iter().zip(&o).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "transport slot {k}");
+        }
+        assert!(fast.nonfinite > 0, "0 × ∞ and ∞ × ∞ poison the sum");
+        assert!(fast.value().is_nan());
+        fast.nonfinite = 0;
+        oracle.nonfinite = 0;
+        assert_eq!(fast.value().to_bits(), oracle.value().to_bits());
+        assert_ne!(fast.value(), 0.0, "the values survive their zeros");
     }
 
     #[test]
