@@ -191,9 +191,11 @@ fn krylov_operands(n: usize) -> (Vec<f64>, Vec<f64>) {
 
 /// The Krylov reduction layer at the `die3d_implicit` problem size
 /// (276 480 dofs): the exact dot and norm the implicit drivers run
-/// between sweeps, against a plain (inexact, order-dependent) dot as the
-/// memory-and-multiply floor. `exact_dot_276k` has no zeros and a narrow
-/// exponent range; `exact_dot_276k_sparse` has the solver's operands.
+/// between sweeps, both tiers — the limbs (`exact_*`) and the certified
+/// double-double (`dot2_*`) — against a plain (inexact, order-dependent)
+/// dot as the memory-and-multiply floor. `exact_dot_276k` has no zeros
+/// and a narrow exponent range; the `_sparse` lanes have the solver's
+/// operands.
 fn bench_reductions(c: &mut Criterion) {
     const N: usize = 276_480;
     let a: Vec<f64> = (0..N).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
@@ -214,6 +216,23 @@ fn bench_reductions(c: &mut Criterion) {
                 acc.add_prod(x, x);
             }
             acc.value().sqrt()
+        })
+    });
+    // The certified tier on the same operands: what the Krylov passes pay
+    // when the sum certifies (the FMA instantiation where the CPU has it).
+    group.bench_function("dot2_276k_sparse", |bch| {
+        bch.iter(|| {
+            let mut dot = pbte_runtime::exact::Dot2::new();
+            dot.add_dot(black_box(&sa), black_box(&sb));
+            dot.value()
+        })
+    });
+    group.bench_function("dot2_norm_276k", |bch| {
+        bch.iter(|| {
+            let mut dot = pbte_runtime::exact::Dot2::new();
+            let a = black_box(&a);
+            dot.add_dot(a, a);
+            dot.value().map(f64::sqrt)
         })
     });
     group.bench_function("plain_dot_276k", |bch| {

@@ -23,10 +23,11 @@
 //! Jacobi *right* preconditioning; the diagonal comes from the symbolic
 //! JVP too (volume derivative evaluated at `v ≡ 1` plus the `α`
 //! coefficients of the linearized flux). Every Krylov scalar — dots and
-//! norms — goes through [`pbte_runtime::exact`]'s superaccumulator with
-//! limb transport over the executor's `Reducer`, so the reduction is
-//! *exact* and the whole Krylov trajectory is bit-identical across
-//! targets, rank counts, and kernel tiers.
+//! norms — is the exact sum rounded once, from [`pbte_runtime::exact`]:
+//! a certified double-double dot where its error bound proves the
+//! rounding, the limb superaccumulator (transported over the executor's
+//! `Reducer`) where it does not. So the whole Krylov trajectory is
+//! bit-identical across targets, rank counts, and kernel tiers.
 //!
 //! For steady problems the same machinery runs in pseudo-transient
 //! continuation: repeated backward-Euler steps whose `dt` grows by
@@ -41,17 +42,36 @@ use crate::bytecode::{KernelKind, RegProgram, ROW_CHUNK};
 use crate::dataflow::Plan;
 use crate::entities::Fields;
 use crate::problem::{KrylovConfig, Reducer};
-use pbte_runtime::exact::{ExactAcc, TRANSPORT_LEN};
+use pbte_runtime::exact::{Dot2, ExactAcc, Partial, PARTIAL_LEN, TRANSPORT_LEN};
 use pbte_runtime::telemetry::{Recorder, SpanKind, Track};
 
-/// Close rank-local exact accumulations into their global values: limb
-/// transport through the reducer (each limb stays well under 2^53 so the
-/// f64 allreduce adds them exactly in any association), one rounding per
-/// sum at the very end. Order- and partition-independent by construction
-/// — the backbone of cross-target bit identity. Sums that are known at
-/// the same point of the iteration travel in one message, at most two.
-fn reduce<const K: usize>(mut accs: [ExactAcc; K], reducer: &mut dyn Reducer) -> [f64; K] {
+/// Close rank-local dots into their global values: the exact sums, each
+/// rounded once, bit for bit what the limbs give on any partition.
+///
+/// Each rank closes its certified dots ([`Dot2::partial`]). On one rank
+/// a sum certifies or not on its own; on several, every rank writes
+/// `(hi, lo, err, ok)` per sum into its own row of a `ranks × 4K` buffer,
+/// and one `allreduce_sum` gathers the rows exactly (every slot is one
+/// value plus zeros). Every rank combines the rows in rank order, so all
+/// ranks reach the same decision. Only when a sum declines does every
+/// rank rebuild its `[ExactAcc; K]` from the stored operands (`exact`)
+/// and send today's limb message: limb transport through the reducer
+/// (each limb stays well under 2^53, so the f64 allreduce adds them
+/// exactly in any association), one rounding per sum at the very end.
+/// Such sums are counted in `fallbacks`. Sums that are known at the same
+/// point of the iteration travel in one message, at most two.
+fn reduce<const K: usize>(
+    dots: [Dot2; K],
+    exact: impl FnOnce() -> [ExactAcc; K],
+    reducer: &mut dyn Reducer,
+    fallbacks: &mut u64,
+) -> [f64; K] {
     const { assert!(K <= 2, "one message carries at most two sums") };
+    if let Some(sums) = certify(&dots, reducer) {
+        return sums;
+    }
+    *fallbacks += K as u64;
+    let mut accs = exact();
     let mut buf = [0.0f64; 2 * TRANSPORT_LEN];
     let buf = &mut buf[..K * TRANSPORT_LEN];
     for (acc, image) in accs.iter_mut().zip(buf.chunks_exact_mut(TRANSPORT_LEN)) {
@@ -67,10 +87,53 @@ fn reduce<const K: usize>(mut accs: [ExactAcc; K], reducer: &mut dyn Reducer) ->
     sums
 }
 
+/// The certified half of [`reduce`]: every sum, or `None` on every rank
+/// alike when any one of them declines.
+fn certify<const K: usize>(dots: &[Dot2; K], reducer: &mut dyn Reducer) -> Option<[f64; K]> {
+    let ranks = reducer.n_ranks();
+    let mut sums = [0.0; K];
+    if ranks == 1 {
+        for (sum, dot) in sums.iter_mut().zip(dots) {
+            *sum = dot.value()?;
+        }
+        return Some(sums);
+    }
+    let width = K * PARTIAL_LEN;
+    let mut rows = vec![0.0; ranks * width];
+    let row = &mut rows[reducer.rank() * width..][..width];
+    for (dot, slot) in dots.iter().zip(row.chunks_exact_mut(PARTIAL_LEN)) {
+        Partial::to_row(dot.partial(), slot);
+    }
+    reducer.allreduce_sum(&mut rows);
+    for (k, sum) in sums.iter_mut().enumerate() {
+        let parts = rows
+            .chunks_exact(width)
+            .map(|row| Partial::from_row(&row[k * PARTIAL_LEN..][..PARTIAL_LEN]))
+            .collect::<Option<Vec<_>>>()?;
+        *sum = Partial::combine(&parts).certify()?;
+    }
+    Some(sums)
+}
+
+/// The limb accumulators of `K` dots over the owned dofs, rebuilt from
+/// the stored operands: the fallback behind each [`reduce`].
+fn exact_dots<const K: usize>(pairs: [(&[f64], &[f64]); K], d: &Scope) -> [ExactAcc; K] {
+    let mut accs = std::array::from_fn(|_| ExactAcc::new());
+    for span in d.spans() {
+        for (acc, (a, b)) in accs.iter_mut().zip(pairs) {
+            for (&x, &y) in a[span.clone()].iter().zip(&b[span.clone()]) {
+                acc.add_prod(x, y);
+            }
+        }
+    }
+    accs
+}
+
 // The vector passes below walk the owned dofs span by span
 // (`Scope::spans`), each operand sliced once per span. Every update that
-// feeds a Krylov scalar accumulates it in the same walk, so a BiCGStab
-// stage reads its vectors once.
+// feeds a Krylov scalar adds its certified dot over the span it has just
+// written, while the span is still in cache, so a BiCGStab stage reads
+// its vectors from memory once.
 
 /// Newton residual pass: `b = −G(u)` with
 /// `G = u − u_n − c_n·f_n − dtθ·f_np`, `δ = 0`, and the local part of
@@ -86,8 +149,8 @@ fn residual_pass(
     b: &mut [f64],
     delta: &mut [f64],
     d: &Scope,
-) -> ExactAcc {
-    let mut gg = ExactAcc::new();
+) -> Dot2 {
+    let mut gg = Dot2::new();
     for span in d.spans() {
         let (u, u_n) = (&u[span.clone()], &u_n[span.clone()]);
         let (f_n, f_np) = (&f_n[span.clone()], &f_np[span.clone()]);
@@ -95,10 +158,9 @@ fn residual_pass(
         delta[span].fill(0.0);
         for (i, b) in b.iter_mut().enumerate() {
             let expl = if c_n != 0.0 { c_n * f_n[i] } else { 0.0 };
-            let g = u[i] - u_n[i] - expl - dt_theta * f_np[i];
-            gg.add_prod(g, g);
-            *b = -g;
+            *b = -(u[i] - u_n[i] - expl - dt_theta * f_np[i]);
         }
+        gg.add_dot(b, b);
     }
     gg
 }
@@ -140,14 +202,14 @@ fn direction_pass(
 
 /// First half-step matvec: `v = y − dtθ·v` (turning the JVP sweep `J·y`
 /// left in `v` into `A·y`) with the local part of `r̂₀·v`.
-fn matvec_pass(v: &mut [f64], y: &[f64], r0: &[f64], dt_theta: f64, d: &Scope) -> ExactAcc {
-    let mut r0v = ExactAcc::new();
+fn matvec_pass(v: &mut [f64], y: &[f64], r0: &[f64], dt_theta: f64, d: &Scope) -> Dot2 {
+    let mut r0v = Dot2::new();
     for span in d.spans() {
-        let (y, r0) = (&y[span.clone()], &r0[span.clone()]);
-        for ((v, &y), &r0) in v[span].iter_mut().zip(y).zip(r0) {
+        let (y, r0, v) = (&y[span.clone()], &r0[span.clone()], &mut v[span]);
+        for (v, &y) in v.iter_mut().zip(y) {
             *v = y - dt_theta * *v;
-            r0v.add_prod(r0, *v);
         }
+        r0v.add_dot(r0, v);
     }
     r0v
 }
@@ -164,8 +226,8 @@ fn half_step_pass(
     x: &mut [f64],
     y: &mut [f64],
     d: &Scope,
-) -> ExactAcc {
-    let mut ss = ExactAcc::new();
+) -> Dot2 {
+    let mut ss = Dot2::new();
     for span in d.spans() {
         let (v, inv_diag) = (&v[span.clone()], &inv_diag[span.clone()]);
         let (s, x, y) = (&mut r[span.clone()], &mut x[span.clone()], &mut y[span]);
@@ -173,24 +235,24 @@ fn half_step_pass(
             *s -= alpha * v[i];
             *x += alpha * *y;
             *y = inv_diag[i] * *s;
-            ss.add_prod(*s, *s);
         }
+        ss.add_dot(s, s);
     }
     ss
 }
 
 /// Second half-step matvec: `t = y − dtθ·t` with the local parts of
 /// `t·t` and `t·s`.
-fn stabilizer_pass(t: &mut [f64], y: &[f64], s: &[f64], dt_theta: f64, d: &Scope) -> [ExactAcc; 2] {
-    let mut tt = ExactAcc::new();
-    let mut ts = ExactAcc::new();
+fn stabilizer_pass(t: &mut [f64], y: &[f64], s: &[f64], dt_theta: f64, d: &Scope) -> [Dot2; 2] {
+    let mut tt = Dot2::new();
+    let mut ts = Dot2::new();
     for span in d.spans() {
-        let (y, s) = (&y[span.clone()], &s[span.clone()]);
-        for ((t, &y), &s) in t[span].iter_mut().zip(y).zip(s) {
+        let (y, s, t) = (&y[span.clone()], &s[span.clone()], &mut t[span]);
+        for (t, &y) in t.iter_mut().zip(y) {
             *t = y - dt_theta * *t;
-            tt.add_prod(*t, *t);
-            ts.add_prod(*t, s);
         }
+        tt.add_dot(t, t);
+        ts.add_dot(t, s);
     }
     [tt, ts]
 }
@@ -206,18 +268,18 @@ fn full_step_pass(
     x: &mut [f64],
     r: &mut [f64],
     d: &Scope,
-) -> [ExactAcc; 2] {
-    let mut rr = ExactAcc::new();
-    let mut r0r = ExactAcc::new();
+) -> [Dot2; 2] {
+    let mut rr = Dot2::new();
+    let mut r0r = Dot2::new();
     for span in d.spans() {
         let (t, y, r0) = (&t[span.clone()], &y[span.clone()], &r0[span.clone()]);
         let (x, r) = (&mut x[span.clone()], &mut r[span]);
-        for (i, (x, r)) in x.iter_mut().zip(r).enumerate() {
+        for (i, (x, r)) in x.iter_mut().zip(r.iter_mut()).enumerate() {
             *x += omega * y[i];
             *r -= omega * t[i];
-            rr.add_prod(*r, *r);
-            r0r.add_prod(r0[i], *r);
         }
+        rr.add_dot(r, r);
+        r0r.add_dot(r0, r);
     }
     [rr, r0r]
 }
@@ -333,7 +395,9 @@ pub(crate) struct KrylovStats {
 /// `jfields`' unknown slot is scratch. Deterministic: all scalars are
 /// exact global dots, breakdown tests compare against exact zero, and the
 /// iteration emits a `krylov_residual` sample per half-step plus one
-/// `krylov_solve` kernel span.
+/// `krylov_solve` kernel span, which says why the loop stopped (`exit`:
+/// `converged`, `max_iters` or `breakdown:<rho|r0v|tt|omega>`) and how
+/// many of its sums took the limbs (`exact_fallbacks`).
 ///
 /// One pass over the vectors per stage, each carrying the reductions
 /// that read its output: `v = A·y` with `r̂₀·v`; `s` (over `r`), `x` and
@@ -372,9 +436,14 @@ fn bicgstab(
     let mut rho_new = bb;
     let mut alpha = 1.0f64;
     let mut omega = 1.0f64;
+    // Why the loop stopped, and how many of its sums took the limbs.
+    let mut exit = "max_iters";
+    let mut fallbacks = 0;
     while !stats.converged && stats.iters < max_iters as u64 {
         if rho_new == 0.0 {
-            break; // breakdown: return the best iterate found so far
+            // Breakdown: return the best iterate found so far.
+            exit = "breakdown:rho";
+            break;
         }
         let y = jfields.slice_mut(unknown);
         if stats.iters == 0 {
@@ -385,8 +454,10 @@ fn bicgstab(
         }
         jvp_sweep(engine, jcp, jfields, time, step, links, &mut kv.v, rec);
         let r0v = matvec_pass(&mut kv.v, jfields.slice(unknown), b, dt_theta, d);
-        let [r0v] = reduce([r0v], links);
+        let exact = || exact_dots([(b, &kv.v)], d);
+        let [r0v] = reduce([r0v], exact, links, &mut fallbacks);
         if r0v == 0.0 {
+            exit = "breakdown:r0v";
             break;
         }
         alpha = rho_new / r0v;
@@ -394,7 +465,8 @@ fn bicgstab(
         let ss = half_step_pass(&kv.v, &kv.inv_diag, alpha, &mut kv.r, x, y, d);
         stats.iters += 1;
         rec.work.krylov_iters += 1;
-        let [ss] = reduce([ss], links);
+        let exact = || exact_dots([(&kv.r, &kv.r)], d);
+        let [ss] = reduce([ss], exact, links, &mut fallbacks);
         let snorm = ss.sqrt();
         rec.sample("krylov_residual", step, snorm);
         if snorm <= tol_abs {
@@ -404,12 +476,17 @@ fn bicgstab(
         }
         jvp_sweep(engine, jcp, jfields, time, step, links, &mut kv.t, rec);
         let y = jfields.slice(unknown);
-        let [tt, ts] = reduce(stabilizer_pass(&mut kv.t, y, &kv.r, dt_theta, d), links);
+        let sums = stabilizer_pass(&mut kv.t, y, &kv.r, dt_theta, d);
+        let exact = || exact_dots([(&kv.t, &kv.t), (&kv.t, &kv.r)], d);
+        let [tt, ts] = reduce(sums, exact, links, &mut fallbacks);
         if tt == 0.0 {
+            exit = "breakdown:tt";
             break;
         }
         omega = ts / tt;
-        let [rr, r0r] = reduce(full_step_pass(&kv.t, y, b, omega, x, &mut kv.r, d), links);
+        let sums = full_step_pass(&kv.t, y, b, omega, x, &mut kv.r, d);
+        let exact = || exact_dots([(&kv.r, &kv.r), (b, &kv.r)], d);
+        let [rr, r0r] = reduce(sums, exact, links, &mut fallbacks);
         rho = rho_new;
         rho_new = r0r;
         stats.rnorm = rr.sqrt();
@@ -419,8 +496,12 @@ fn bicgstab(
             break;
         }
         if omega == 0.0 {
+            exit = "breakdown:omega";
             break;
         }
+    }
+    if stats.converged {
+        exit = "converged";
     }
     if rec.enabled() {
         let dur = rec.now() - k0;
@@ -434,6 +515,8 @@ fn bicgstab(
                 ("step", step.to_string()),
                 ("iters", stats.iters.to_string()),
                 ("converged", stats.converged.to_string()),
+                ("exit", exit.to_string()),
+                ("exact_fallbacks", fallbacks.to_string()),
             ],
         );
     }
@@ -497,6 +580,10 @@ pub(crate) struct StepOutcome {
 /// `forcing: Some(η)` switches to the steady driver's inexact mode: one
 /// Krylov solve to relative residual `η`, no verification pass (the next
 /// pseudo-step's entry residual is the verification).
+///
+/// The step's `implicit_newton` span counts the residual norms `‖G‖²`
+/// that took the limbs (`exact_fallbacks`; each `krylov_solve` span
+/// counts its own sums).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn theta_step(
     cp: &CompiledProblem,
@@ -567,6 +654,7 @@ pub(crate) fn theta_step(
         cfg.max_newton.max(1)
     };
     let mut g0 = 0.0f64;
+    let mut fallbacks = 0;
     for newton in 0..max_newton {
         links.halo_exchange(fields);
         let f_np = &mut ws.f_np;
@@ -583,7 +671,8 @@ pub(crate) fn theta_step(
             &mut ws.delta,
             d,
         );
-        let [gg] = reduce([gg], links);
+        let exact = || exact_dots([(&ws.g, &ws.g)], d);
+        let [gg] = reduce([gg], exact, links, &mut fallbacks);
         let gnorm = gg.sqrt();
         rec.sample("newton_residual", step, gnorm);
         if newton == 0 {
@@ -642,6 +731,7 @@ pub(crate) fn theta_step(
                 ("newton_iters", out.newton_iters.to_string()),
                 ("krylov_iters", out.krylov_iters.to_string()),
                 ("converged", out.converged.to_string()),
+                ("exact_fallbacks", fallbacks.to_string()),
             ],
         );
     }
@@ -652,6 +742,7 @@ pub(crate) fn theta_step(
 mod tests {
     use super::super::LocalLinks;
     use super::*;
+    use pbte_runtime::world::RankCtx;
 
     const N_CELLS: usize = 24;
     const N_FLAT: usize = 5;
@@ -695,8 +786,15 @@ mod tests {
         for i in indices(d) {
             acc.add_prod(a[i], b[i]);
         }
-        let [dot] = reduce([acc], &mut LocalLinks);
-        dot
+        acc.value()
+    }
+
+    /// A pass's sums reduced on one rank, all of them certified: a sum
+    /// that reached for the limbs fails the test.
+    fn certified<const K: usize>(dots: [Dot2; K]) -> [f64; K] {
+        let mut fallbacks = 0;
+        let limbs = || panic!("the passes' sums certify");
+        reduce(dots, limbs, &mut LocalLinks, &mut fallbacks)
     }
 
     fn assert_bits(got: &[f64], want: &[f64], what: &str) {
@@ -740,7 +838,7 @@ mod tests {
                 let (mut b, mut delta) = (vector(5), vector(6));
                 let (mut b_ref, mut delta_ref) = (b.clone(), delta.clone());
                 let gg = residual_pass(&u, &u_n, &f_n, &f_np, c_n, 0.5, &mut b, &mut delta, d);
-                let [gg] = reduce([gg], &mut LocalLinks);
+                let [gg] = certified([gg]);
                 let mut g = vec![0.0; N];
                 for i in indices(d) {
                     let expl = if c_n != 0.0 { c_n * f_n[i] } else { 0.0 };
@@ -796,17 +894,14 @@ mod tests {
 
             let mut v = vector(4);
             let mut v_ref = v.clone();
-            let [r0v] = reduce([matvec_pass(&mut v, &y, &r0, dt_theta, d)], &mut LocalLinks);
+            let [r0v] = certified([matvec_pass(&mut v, &y, &r0, dt_theta, d)]);
             unfused(&mut v_ref);
             assert_bits(&v, &v_ref, "v");
             assert_eq!(r0v.to_bits(), exact_dot(&r0, &v_ref, d).to_bits());
 
             let mut t = vector(5);
             let mut t_ref = t.clone();
-            let [tt, ts] = reduce(
-                stabilizer_pass(&mut t, &y, &s, dt_theta, d),
-                &mut LocalLinks,
-            );
+            let [tt, ts] = certified(stabilizer_pass(&mut t, &y, &s, dt_theta, d));
             unfused(&mut t_ref);
             assert_bits(&t, &t_ref, "t");
             assert_eq!(tt.to_bits(), exact_dot(&t_ref, &t_ref, d).to_bits());
@@ -825,7 +920,7 @@ mod tests {
             let (mut r_s, mut x, mut y) = (r.clone(), vector(7), vector(8));
             let (mut s_ref, mut x_ref, mut y_ref) = (r.clone(), x.clone(), y.clone());
             let ss = half_step_pass(&v, &inv_diag, alpha, &mut r_s, &mut x, &mut y, d);
-            let [ss] = reduce([ss], &mut LocalLinks);
+            let [ss] = certified([ss]);
             for i in indices(d) {
                 s_ref[i] = r[i] - alpha * v[i];
                 x_ref[i] += alpha * y_ref[i];
@@ -841,7 +936,7 @@ mod tests {
             // The stabilizer reads `s` there ...
             let (mut t_new, mut t_ref) = (t.clone(), t.clone());
             let sums = stabilizer_pass(&mut t_new, &y, &r_s, 0.625, d);
-            let [tt, ts] = reduce(sums, &mut LocalLinks);
+            let [tt, ts] = certified(sums);
             for i in indices(d) {
                 t_ref[i] = y[i] - 0.625 * t_ref[i];
             }
@@ -852,7 +947,7 @@ mod tests {
             // ... and the full step turns it back into `r` in place.
             let mut r_ref = s_ref.clone();
             let sums = full_step_pass(&t_new, &y, &r0, omega, &mut x, &mut r_s, d);
-            let [rr, r0r] = reduce(sums, &mut LocalLinks);
+            let [rr, r0r] = certified(sums);
             for i in indices(d) {
                 x_ref[i] += omega * y[i];
                 r_ref[i] = s_ref[i] - omega * t_ref[i];
@@ -862,6 +957,84 @@ mod tests {
             assert_eq!(rr.to_bits(), exact_dot(&r_ref, &r_ref, d).to_bits());
             assert_eq!(r0r.to_bits(), exact_dot(&r0, &r_ref, d).to_bits());
         });
+    }
+
+    /// A reducer over one of `World`'s ranks that counts its collectives.
+    struct CountingRank<'a> {
+        ctx: &'a mut RankCtx,
+        messages: usize,
+    }
+
+    impl Reducer for CountingRank<'_> {
+        fn allreduce_sum(&mut self, buf: &mut [f64]) {
+            self.messages += 1;
+            self.ctx.allreduce_sum(buf);
+        }
+        fn rank(&self) -> usize {
+            self.ctx.rank
+        }
+        fn n_ranks(&self) -> usize {
+            self.ctx.n_ranks
+        }
+    }
+
+    /// `a·b` and `b·b` reduced over 1, 2 and 3 ranks, each owning a
+    /// slice. When every share certifies, the rows travel in one message
+    /// and every rank returns the limbs' bits. When one rank holds a
+    /// product below 2⁻⁹⁰⁰ that does not round to zero, every rank falls
+    /// back for both sums, sends the limb message as well and returns the
+    /// exact values. One rank sends nothing either way.
+    #[test]
+    fn one_uncertifiable_share_sends_every_rank_to_the_limbs() {
+        use pbte_runtime::world::World;
+        for ranks in [1, 2, 3] {
+            let share = |k: usize| N * k / ranks..N * (k + 1) / ranks;
+            for poisoned in [None, Some(0), Some(ranks - 1)] {
+                let (mut a, mut b) = (vector(11), vector(12));
+                if let Some(k) = poisoned {
+                    let i = share(k).start + 1;
+                    (a[i], b[i]) = (2f64.powi(-500), 2f64.powi(-450));
+                }
+                let all = Scope::new(
+                    &[0; N_CELLS + 1],
+                    (0..N_CELLS).collect(),
+                    (0..N_FLAT).collect(),
+                    1,
+                );
+                let want = [exact_dot(&a, &b, &all), exact_dot(&b, &b, &all)];
+                let results = World::run(ranks, |ctx| {
+                    let own = share(ctx.rank);
+                    let (a, b) = (&a[own.clone()], &b[own]);
+                    let mut dots = [Dot2::new(), Dot2::new()];
+                    dots[0].add_dot(a, b);
+                    dots[1].add_dot(b, b);
+                    let limbs = || {
+                        let mut accs = [ExactAcc::new(), ExactAcc::new()];
+                        for (&x, &y) in a.iter().zip(b) {
+                            accs[0].add_prod(x, y);
+                            accs[1].add_prod(y, y);
+                        }
+                        accs
+                    };
+                    let mut links = CountingRank { ctx, messages: 0 };
+                    let mut fallbacks = 0;
+                    let sums = reduce(dots, limbs, &mut links, &mut fallbacks);
+                    (sums, links.messages, fallbacks)
+                });
+                let fell_back = poisoned.is_some();
+                for (rank, (sums, messages, fallbacks)) in results.into_iter().enumerate() {
+                    let what = format!("{ranks} ranks, poisoned {poisoned:?}, rank {rank}");
+                    assert_bits(&sums, &want, &what);
+                    let sent = if ranks == 1 {
+                        0
+                    } else {
+                        1 + fell_back as usize
+                    };
+                    assert_eq!(messages, sent, "{what}: messages");
+                    assert_eq!(fallbacks, 2 * fell_back as u64, "{what}: fallbacks");
+                }
+            }
+        }
     }
 
     /// Backward-Euler transport on a 6 × 4 grid (`N_CELLS` cells,

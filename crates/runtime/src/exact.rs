@@ -4,39 +4,57 @@
 //! inner products whose *bits* do not depend on how the degrees of
 //! freedom are partitioned: the same BiCGStab trajectory must fall out
 //! of a sequential sweep, a rayon split, four cell-partitioned ranks or
-//! a band-partitioned GPU run. Compensated summation is not enough —
-//! its result still depends on the visit order — so this module keeps a
-//! *complete* fixed-point image of the running sum instead:
+//! a band-partitioned GPU run. The one value that qualifies is the exact
+//! sum rounded once, to nearest (ties to even). It is obtained in two
+//! tiers:
 //!
-//! * each double is decomposed via its bit pattern into an integer
-//!   mantissa times a power of two and added into an array of signed
-//!   base-2³² limbs spanning the entire double range (a small
-//!   superaccumulator in the style of exact-BLAS reductions);
-//! * a product is the integer product of the two mantissas — 106 bits,
-//!   exact in a `u128` — added the same way, so products lose nothing
-//!   (the two_prod split `hi + fma(a, b, −hi)` remains for products with
-//!   bits below 2⁻¹⁰⁷⁴, which no double can hold);
-//! * limb arrays are order-independent by construction (integer adds
-//!   commute), and after [`ExactAcc::renorm`] every limb fits in
-//!   [−2³¹, 2³¹), so the limbs survive a round-trip through `f64` and
-//!   an element-wise `allreduce_sum` across ≤ 2²⁰ ranks *exactly*
-//!   (partial sums stay below 2⁵³);
-//! * [`ExactAcc::value`] rounds the canonical fixed-point image to the
-//!   nearest double (ties to even) — one rounding for the whole sum.
+//! 1. **A certified double-double dot, [`Dot2`]** (Ogita, Rump & Oishi,
+//!    "Accurate sum and dot product", SIAM J. Sci. Comput. 26(6), 2005:
+//!    their `Dot2`, with a rigorous error bound). Eight lanes accumulate
+//!    error-free products and sums; closing them yields `hi + lo` and a
+//!    bound on its distance from the exact sum. When that interval lies
+//!    strictly inside the rounding interval of one double, the double is
+//!    the exact sum's rounding, proven without knowing the sum: no tie and
+//!    no other double is possible. Otherwise the dot *declines*. About
+//!    1.1 ns per element with FMA and 3.0 ns with Dekker's split only,
+//!    against 0.8 ns for a plain dot (276 480 elements, `reductions`
+//!    group of the `kernels` bench, 2-core x86-64 guest). A rank sends
+//!    four doubles per sum ([`Partial::to_row`]).
+//! 2. **The limb superaccumulator, [`ExactAcc`]**, the fallback when a
+//!    dot declines and the oracle in every test. It keeps a *complete*
+//!    fixed-point image of the running sum, so it always has the answer:
 //!
-//! The cost is what exactness leaves: one multiply, one 128-bit shift and
-//! five limb adds per non-zero product — about 5.8 ns each in a
-//! 276 480-element dot with no zeros on a 2-core x86-64 guest (`reductions`
-//! group of the `kernels` bench), against 0.7 ns for a plain dot and
-//! 15 ns for the two_prod form this replaced. A zero product costs no
-//! decode and no limb work: it returns on one compare. The Krylov
-//! operands of `die3d_implicit` are 31–58 % exact zeros, and on operands
-//! shaped like them (`exact_dot_276k_sparse`, 41 % zeros in runs) a dot
-//! costs 4.7 ns per element. That is not negligible next to a native
-//! RHS sweep (~10 ns per dof), which is why the implicit driver fuses
-//! each reduction into the vector pass that produces its operand and
-//! never computes a sum it already knows (EXPERIMENTS.md, "Exact Krylov
-//! reductions").
+//!    * each double is decomposed via its bit pattern into an integer
+//!      mantissa times a power of two and added into an array of signed
+//!      base-2³² limbs spanning the entire double range (a small
+//!      superaccumulator in the style of exact-BLAS reductions);
+//!    * a product is the integer product of the two mantissas — 106
+//!      bits, exact in a `u128` — added the same way, so products lose
+//!      nothing (the two_prod split `hi + fma(a, b, −hi)` remains for
+//!      products with bits below 2⁻¹⁰⁷⁴, which no double can hold);
+//!    * limb arrays are order-independent by construction (integer adds
+//!      commute), and after [`ExactAcc::renorm`] every limb fits in
+//!      [−2³¹, 2³¹), so the limbs survive a round-trip through `f64` and
+//!      an element-wise `allreduce_sum` across ≤ 2²⁰ ranks *exactly*
+//!      (partial sums stay below 2⁵³): 71 doubles per sum on the wire;
+//!    * [`ExactAcc::value`] rounds the canonical fixed-point image to the
+//!      nearest double (ties to even) — one rounding for the whole sum.
+//!
+//! The limbs cost what exactness leaves: one multiply, one 128-bit shift
+//! and five limb adds per non-zero product — about 5.8 ns each in a
+//! 276 480-element dot with no zeros on a 2-core x86-64 guest, against
+//! 0.7 ns for a plain dot. A zero product costs no decode and no limb
+//! work: it returns on one compare. The Krylov operands of
+//! `die3d_implicit` are 31–58 % exact zeros, and on operands shaped like
+//! them (`exact_dot_276k_sparse`, 41 % zeros in runs) a limb dot costs
+//! 4.7 ns per element; the certified dot costs the same on every element.
+//!
+//! Both tiers give `ExactAcc::value()`'s bits. A [`Dot2`] product outside
+//! the range where its error term is exact (a product below 2⁻⁹⁰⁰ that
+//! does not round to zero, an operand above 2⁹⁹⁵, NaN, ∞) marks the dot
+//! uncertifiable, so those always take the limbs, with their poisoning
+//! and two_prod semantics. A product that rounds to zero contributes
+//! nothing in either tier.
 
 /// Weight of limb `i` is `2^(LIMB_BASE + 32·i)`. The smallest magnitude
 /// an addend can contribute is 2⁻¹⁰⁷⁴ (a subnormal `lo` term), so the
@@ -405,6 +423,358 @@ pub fn exact_sum(xs: &[f64]) -> f64 {
     acc.value()
 }
 
+/// Independent `(hi, lo, err)` chains of a [`Dot2`]: element `i` of a
+/// slice goes to lane `i % LANES`, so neighbouring additions do not wait
+/// on each other.
+const LANES: usize = 8;
+
+/// The certifiable range. A non-zero product needs
+/// `P_MIN ≤ |p| ≤ P_MAX` and operands of at most `X_MAX`: then
+/// TwoProduct's error term is a double (no underflow below 2⁻¹⁰⁷⁴),
+/// Dekker's split cannot overflow and the partial sums stay finite.
+const P_MIN: f64 = pow2(-900);
+const P_MAX: f64 = pow2(1000);
+const X_MAX: f64 = pow2(995);
+
+/// The unit roundoff, 2⁻⁵³.
+const U: f64 = pow2(-53);
+
+/// More elements than this in one dot and the γ bounds below lose their
+/// simple form; the dot declines.
+const MAX_TERMS: u64 = 1 << 40;
+
+/// 2ᵉ for a normal exponent.
+const fn pow2(e: i32) -> f64 {
+    f64::from_bits(((e + 1023) as u64) << 52)
+}
+
+/// Error-free sum: `s + q == a + b` exactly, `s = fl(a + b)` (Knuth's
+/// branch-free form; exact for any finite inputs that do not overflow).
+#[inline(always)]
+fn two_sum(a: f64, b: f64) -> (f64, f64) {
+    let s = a + b;
+    let z = s - a;
+    (s, (a - (s - z)) + (b - z))
+}
+
+/// The error `x·y − p` of the rounded product `p = fl(x·y)`: one fused
+/// multiply-add, or Dekker's product of Veltkamp halves without FMA.
+/// Both are exact for products in the certifiable range, so both
+/// instantiations of [`Dot2`] produce the same bits there.
+#[inline(always)]
+fn product_error<const FMA: bool>(x: f64, y: f64, p: f64) -> f64 {
+    if FMA {
+        x.mul_add(y, -p)
+    } else {
+        let (x1, x2) = split(x);
+        let (y1, y2) = split(y);
+        x2 * y2 - (((p - x1 * y1) - x2 * y1) - x1 * y2)
+    }
+}
+
+/// Veltkamp's split of `x` into two halves of at most 26 significant
+/// bits each, `x == hi + lo`.
+#[inline(always)]
+fn split(x: f64) -> (f64, f64) {
+    let c = 134_217_729.0 * x; // 2²⁷ + 1
+    let hi = c - (c - x);
+    (hi, x - hi)
+}
+
+/// `max` and `min` as one compare and select each, which vectorise;
+/// `f64::max` also orders NaN, which the lanes catch anyway.
+#[inline(always)]
+fn larger(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+#[inline(always)]
+fn smaller(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// The next double above a non-negative `x` (∞ stays ∞; NaN stays NaN).
+fn next_up(x: f64) -> f64 {
+    if x.is_finite() {
+        f64::from_bits(x.to_bits() + 1)
+    } else {
+        x
+    }
+}
+
+/// An upper bound on `a + b` for `a, b ≥ 0`: the rounded sum's successor
+/// lies above the exact sum. A zero sum is exact.
+fn add_up(a: f64, b: f64) -> f64 {
+    let s = a + b;
+    if s == 0.0 {
+        0.0
+    } else {
+        next_up(s)
+    }
+}
+
+/// An upper bound on `a·b` for `a, b ≥ 0`, underflow included.
+fn mul_up(a: f64, b: f64) -> f64 {
+    if a == 0.0 || b == 0.0 {
+        0.0
+    } else {
+        next_up(a * b)
+    }
+}
+
+/// An upper bound on `γₖ/(1 − γₖ) = k·u/(1 − 2k·u)` (γₖ = k·u/(1 − k·u)),
+/// valid while `2k·u ≤ 1/2`; exact in `f64`.
+fn gamma_ratio(k: u64) -> f64 {
+    debug_assert!(k <= 4 * MAX_TERMS);
+    2.0 * k as f64 * U
+}
+
+/// A certified dot product: a double-double accumulation with a rigorous
+/// bound on its distance from the exact sum (see the module header).
+///
+/// Per element `p = x·y`, `e = x·y − p` exactly, `(hi, q) = TwoSum(hi,
+/// p)`, `lo += q + e`, `err += |q| + |e|`. A product that rounds to zero
+/// contributes nothing (`e` is forced to zero), as in [`ExactAcc`]. Any
+/// other product outside the certifiable range makes the whole dot
+/// decline in [`Dot2::partial`]; NaN and ∞ decline through the lanes
+/// themselves.
+#[derive(Clone)]
+pub struct Dot2 {
+    hi: [f64; LANES],
+    lo: [f64; LANES],
+    err: [f64; LANES],
+    /// Largest operand magnitude of a non-zero product.
+    x_max: [f64; LANES],
+    /// Largest and smallest magnitude of a non-zero product.
+    p_max: [f64; LANES],
+    p_min: [f64; LANES],
+    /// Elements added, over all lanes.
+    n: u64,
+}
+
+impl Default for Dot2 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Dot2 {
+    /// The empty dot.
+    pub fn new() -> Dot2 {
+        Dot2 {
+            hi: [0.0; LANES],
+            lo: [0.0; LANES],
+            err: [0.0; LANES],
+            x_max: [0.0; LANES],
+            p_max: [0.0; LANES],
+            p_min: [f64::INFINITY; LANES],
+            n: 0,
+        }
+    }
+
+    /// Add `Σ a[i]·b[i]`.
+    pub fn add_dot(&mut self, a: &[f64], b: &[f64]) {
+        assert_eq!(a.len(), b.len(), "dot of unequal lengths");
+        #[cfg(target_arch = "x86_64")]
+        if fma_available() {
+            // SAFETY: `fma_available` has just checked with
+            // `is_x86_feature_detected!` that this CPU executes AVX2 and
+            // FMA instructions, the only assumption `add_dot_fma` is
+            // compiled with.
+            unsafe { self.add_dot_fma(a, b) };
+            return;
+        }
+        self.accumulate::<false>(a, b);
+    }
+
+    /// [`Self::accumulate`] compiled for AVX2 and FMA, where the error
+    /// term is one fused multiply-add.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must execute AVX2 and FMA instructions
+    /// ([`fma_available`]).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn add_dot_fma(&mut self, a: &[f64], b: &[f64]) {
+        self.accumulate::<true>(a, b);
+    }
+
+    /// The one loop behind both instantiations. The lanes are copied out
+    /// so they live in registers for the whole slice.
+    #[inline(always)]
+    fn accumulate<const FMA: bool>(&mut self, a: &[f64], b: &[f64]) {
+        let mut lanes = self.clone();
+        let (xs, ys) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+        let (x_rest, y_rest) = (xs.remainder(), ys.remainder());
+        for (x, y) in xs.zip(ys) {
+            for j in 0..LANES {
+                lanes.step::<FMA>(j, x[j], y[j]);
+            }
+        }
+        for (j, (&x, &y)) in x_rest.iter().zip(y_rest).enumerate() {
+            lanes.step::<FMA>(j, x, y);
+        }
+        lanes.n += a.len() as u64;
+        *self = lanes;
+    }
+
+    #[inline(always)]
+    fn step<const FMA: bool>(&mut self, j: usize, x: f64, y: f64) {
+        let p = x * y;
+        let zero = p == 0.0;
+        let e = if zero {
+            0.0
+        } else {
+            product_error::<FMA>(x, y, p)
+        };
+        let (hi, q) = two_sum(self.hi[j], p);
+        self.hi[j] = hi;
+        self.lo[j] += q + e;
+        self.err[j] += q.abs() + e.abs();
+        // Range bookkeeping; a zero product leaves it alone.
+        let xy = if zero { 0.0 } else { larger(x.abs(), y.abs()) };
+        self.x_max[j] = larger(xy, self.x_max[j]);
+        self.p_max[j] = larger(p.abs(), self.p_max[j]);
+        let ap = if zero { f64::INFINITY } else { p.abs() };
+        self.p_min[j] = smaller(ap, self.p_min[j]);
+    }
+
+    /// The lanes closed into one [`Partial`], or `None` when a product
+    /// fell outside the certifiable range or anything overflowed.
+    ///
+    /// Lane `j` holds `hi + Σ(q + e)` exactly, with `lo` that inner sum
+    /// rounded in at most `n + 1` additions per term: `|lo − Σ(q + e)| ≤
+    /// γₙ₊₁·Σ(|q| + |e|) ≤ γₙ₊₁/(1 − γₙ₊₁)·err`, and `γ₂ₙ₊₂` is used.
+    pub fn partial(&self) -> Option<Partial> {
+        let in_range = (0..LANES)
+            .all(|j| self.x_max[j] <= X_MAX && self.p_max[j] <= P_MAX && self.p_min[j] >= P_MIN);
+        if !in_range || self.n > MAX_TERMS {
+            return None;
+        }
+        let ratio = gamma_ratio(2 * self.n + 2);
+        let lanes: [Partial; LANES] = std::array::from_fn(|j| Partial {
+            hi: self.hi[j],
+            lo: self.lo[j],
+            err: mul_up(self.err[j], ratio),
+        });
+        Some(Partial::combine(&lanes)).filter(Partial::is_finite)
+    }
+
+    /// The exact sum rounded to nearest (ties to even) — bit for bit
+    /// [`ExactAcc::value`] of the same products — when it can be proven;
+    /// `None` when the dot declines.
+    pub fn value(&self) -> Option<f64> {
+        self.partial()?.certify()
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn fma_available() -> bool {
+    // Miri runs the portable instantiation.
+    !cfg!(miri) && is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+}
+
+/// A share of a certified dot — a group of lanes, or one rank's: the
+/// exact sum `S` of its products satisfies `|S − (hi + lo)| ≤ err`, with
+/// `hi + lo` taken as a real sum.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Partial {
+    pub hi: f64,
+    pub lo: f64,
+    pub err: f64,
+}
+
+/// Doubles per sum in [`Partial::to_row`]: `hi`, `lo`, `err` and a flag
+/// that is 1 when the share certifies.
+pub const PARTIAL_LEN: usize = 4;
+
+impl Partial {
+    fn is_finite(&self) -> bool {
+        self.hi.is_finite() && self.lo.is_finite() && self.err.is_finite()
+    }
+
+    /// Shares combined in the given order, the order every rank uses.
+    /// The `hi`s are chained by TwoSum, whose errors `c` join the `lo`s
+    /// in one rounded sum of `m = 2P − 1` terms; that rounding adds
+    /// `γₘ₋₁·Σ(|c| + |lo|)`, bounded through the rounded sum of those
+    /// magnitudes. Every bound is rounded upward.
+    pub fn combine(parts: &[Partial]) -> Partial {
+        let Some((first, rest)) = parts.split_first() else {
+            return Partial {
+                hi: 0.0,
+                lo: 0.0,
+                err: 0.0,
+            };
+        };
+        let (mut hi, mut lo, mut width, mut err) = (first.hi, first.lo, first.lo.abs(), first.err);
+        for part in rest {
+            let (s, c) = two_sum(hi, part.hi);
+            hi = s;
+            lo = lo + c + part.lo;
+            width += c.abs() + part.lo.abs();
+            err = add_up(err, part.err);
+        }
+        let rounding = mul_up(width, gamma_ratio(2 * parts.len() as u64));
+        Partial {
+            hi,
+            lo,
+            err: add_up(err, rounding),
+        }
+    }
+
+    /// The double the exact sum rounds to, when the bound proves it.
+    ///
+    /// `(t, r) = TwoSum(hi, lo)`, so `S = t + r + δ` with `|δ| ≤ err`.
+    /// If `|r| + err` is below half the smaller gap next to `t`, `S` lies
+    /// strictly inside `t`'s rounding interval: `t` is its rounding, with
+    /// no tie possible. `t = 0` certifies only with `err = 0`, where
+    /// `S = 0` exactly and the answer is `+0.0`.
+    pub fn certify(self) -> Option<f64> {
+        let (t, r) = two_sum(self.hi, self.lo);
+        if !(t.is_finite() && r.is_finite() && self.err.is_finite()) {
+            return None;
+        }
+        if t == 0.0 {
+            return (self.err == 0.0).then_some(0.0);
+        }
+        let at = t.abs();
+        let below = at - f64::from_bits(at.to_bits() - 1);
+        let above = f64::from_bits(at.to_bits() + 1) - at; // ∞ above f64::MAX
+                                                           // Halving is exact but for the smallest gap, which rounds to 0
+                                                           // and declines; the rounded comparison is monotone, so it cannot
+                                                           // pass where the exact one fails.
+        let half = below.min(above) * 0.5;
+        (r.abs() + self.err < half).then_some(t)
+    }
+
+    /// Write a rank's share of one sum into its row of a gather buffer:
+    /// `[hi, lo, err, 1]`, or all zeros when the share declined.
+    pub fn to_row(part: Option<Partial>, row: &mut [f64]) {
+        let row: &mut [f64; PARTIAL_LEN] = row.try_into().expect("a row of PARTIAL_LEN doubles");
+        *row = match part {
+            Some(p) => [p.hi, p.lo, p.err, 1.0],
+            None => [0.0; PARTIAL_LEN],
+        };
+    }
+
+    /// The share [`Partial::to_row`] wrote, `None` if it declined.
+    pub fn from_row(row: &[f64]) -> Option<Partial> {
+        match *row {
+            [hi, lo, err, 1.0] => Some(Partial { hi, lo, err }),
+            _ => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,7 +923,7 @@ mod tests {
         let mut acc = ExactAcc::new();
         let mut total: i128 = 0;
         let mut s = 5u64;
-        for _ in 0..100_000 {
+        for _ in 0..reps(100_000) {
             let v = (splitmix64(&mut s) % 1_000_000) as i64 - 500_000;
             total += v as i128;
             acc.add(v as f64);
@@ -629,7 +999,7 @@ mod tests {
         // Magnitudes 2^±0 … 2^±1000, subnormals included, paired so that
         // most products are finite and some overflow or underflow.
         for scale in [0u64, 10, 100, 300, 520, 1000] {
-            for _ in 0..15_000 {
+            for _ in 0..reps(15_000) {
                 let ea = 1023 + scale - splitmix64(&mut s) % (2 * scale + 1);
                 let eb = 1023 + scale - splitmix64(&mut s) % (2 * scale + 1);
                 let a = with_exponent(&mut s, ea.min(2046));
@@ -638,7 +1008,7 @@ mod tests {
             }
         }
         // Subnormal operands against everything, and signed zeros.
-        for _ in 0..10_000 {
+        for _ in 0..reps(10_000) {
             let a = with_exponent(&mut s, 0);
             let eb = splitmix64(&mut s) % 2047;
             let b = with_exponent(&mut s, eb);
@@ -646,7 +1016,7 @@ mod tests {
             feed(&mut fast, &mut oracle, b, a);
         }
         for z in [0.0, -0.0] {
-            for _ in 0..500 {
+            for _ in 0..reps(500) {
                 let eb = splitmix64(&mut s) % 2047;
                 let b = with_exponent(&mut s, eb);
                 feed(&mut fast, &mut oracle, z, b);
@@ -656,7 +1026,7 @@ mod tests {
         // Exponent sums straddling the −1074 boundary by ±2: with
         // a = m_a·2^(xa−1075) and b likewise, ea + eb = xa + xb − 2150.
         for delta in -2i64..=2 {
-            for _ in 0..2_000 {
+            for _ in 0..reps(2_000) {
                 let xa = 1 + splitmix64(&mut s) % 1074;
                 let xb = (1076 + delta - xa as i64) as u64;
                 let a = with_exponent(&mut s, xa);
@@ -664,7 +1034,7 @@ mod tests {
                 feed(&mut fast, &mut oracle, a, b);
             }
         }
-        assert!(pairs >= 100_000, "only {pairs} pairs");
+        assert!(pairs as usize >= reps(100_000), "only {pairs} pairs");
         assert!(fast.nonfinite > 0, "no product overflowed");
         check(&mut fast, &mut oracle, "final");
         // Poisoning aside, the finite parts agree as values too.
@@ -784,5 +1154,309 @@ mod tests {
         let (w, m) = (transport(&mut whole), transport(&mut merged));
         assert_eq!(w, m);
         assert_eq!(whole.value().to_bits(), merged.value().to_bits());
+    }
+
+    /// `n` under the native test run, about a fiftieth of it under Miri,
+    /// which interprets every instruction.
+    fn reps(n: usize) -> usize {
+        if cfg!(miri) {
+            n.div_ceil(50)
+        } else {
+            n
+        }
+    }
+
+    /// One stream against the limbs: a [`Dot2`] fed the whole stream, fed
+    /// it in 1, 3 and 7 uneven spans, and 1, 3 and 7 partials over those
+    /// spans combined in order. Whatever certifies is the limbs' bits.
+    /// Returns whether the whole-stream dot certified.
+    fn certifies_to_the_limbs(a: &[f64], b: &[f64], what: &str) -> bool {
+        let want = exact_dot(a, b);
+        let check = |got: Option<f64>, how: &str| {
+            if let Some(got) = got {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{what}, {how}: {got:e} vs {want:e}"
+                );
+            }
+        };
+        let mut whole = Dot2::new();
+        whole.add_dot(a, b);
+        let certified = whole.value();
+        check(certified, "whole");
+        for parts in [1, 3, 7] {
+            let bounds: Vec<usize> = (0..=parts)
+                .map(|k| a.len() * k * k / (parts * parts))
+                .collect();
+            let mut spans = Dot2::new();
+            let mut shares = Vec::new();
+            for w in bounds.windows(2) {
+                let (x, y) = (&a[w[0]..w[1]], &b[w[0]..w[1]]);
+                spans.add_dot(x, y);
+                let mut share = Dot2::new();
+                share.add_dot(x, y);
+                shares.push(share.partial());
+            }
+            check(spans.value(), &format!("{parts} spans"));
+            let shares: Option<Vec<Partial>> = shares.into_iter().collect();
+            check(
+                shares.and_then(|s| Partial::combine(&s).certify()),
+                &format!("{parts} partials"),
+            );
+        }
+        certified.is_some()
+    }
+
+    /// The Krylov operands' shape: runs of exact zeros in both, between
+    /// runs of values spread over ~100 binary orders.
+    fn krylov_stream(s: &mut u64, n: usize) -> (Vec<f64>, Vec<f64>) {
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        while a.len() < n {
+            for _ in 0..5 + splitmix64(s) % 16 {
+                a.push(0.0);
+                b.push(if splitmix64(s) % 2 == 0 { 0.0 } else { -0.0 });
+            }
+            for _ in 0..8 + splitmix64(s) % 21 {
+                a.push(rand_f64(s, 25));
+                b.push(rand_f64(s, 25));
+            }
+        }
+        a.truncate(n);
+        b.truncate(n);
+        (a, b)
+    }
+
+    /// Heavy cancellation in the style of Ogita, Rump & Oishi's `GenDot`:
+    /// the first half spreads over `2·spread` binary orders with an exact
+    /// sum `S₀`, and each product of the second half brings the exact sum
+    /// to a random value below `2^−k·|S₀|`, `k < depth`. The condition
+    /// number `Σ|xᵢyᵢ| / |Σxᵢyᵢ|` reaches about `n·2^depth`.
+    fn cancelling_stream(s: &mut u64, n: usize, spread: i32, depth: u64) -> (Vec<f64>, Vec<f64>) {
+        let (mut a, mut b) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for _ in 0..n / 2 {
+            a.push(rand_f64(s, spread / 2));
+            b.push(rand_f64(s, spread / 2));
+        }
+        let mut acc = ExactAcc::new();
+        for (&x, &y) in a.iter().zip(&b) {
+            acc.add_prod(x, y);
+        }
+        let s0 = acc.value().abs();
+        while a.len() < n {
+            let x = rand_f64(s, 4);
+            let target = rand_f64(s, 0) * s0 * pow2(-((splitmix64(s) % depth) as i32));
+            let y = (target - acc.value()) / x;
+            acc.add_prod(x, y);
+            a.push(x);
+            b.push(y);
+        }
+        (a, b)
+    }
+
+    #[test]
+    fn certified_dots_equal_the_limbs_bit_for_bit() {
+        let mut s = 0xd072_u64;
+        let n = reps(2_000).max(64);
+        for round in 0..reps(60) {
+            let (a, b) = krylov_stream(&mut s, n);
+            assert!(certifies_to_the_limbs(&a, &b, &format!("krylov {round}")));
+            // Spreads of 12 to 600 binary orders over the products.
+            let scale = [3, 25, 75, 150][round % 4];
+            let a: Vec<f64> = (0..n).map(|_| rand_f64(&mut s, scale)).collect();
+            let b: Vec<f64> = (0..n).map(|_| rand_f64(&mut s, scale)).collect();
+            assert!(certifies_to_the_limbs(&a, &b, &format!("spread {scale}")));
+        }
+        // Cancelling pairs x·y, −x·y, with and without a residue.
+        for round in 0..reps(200) {
+            let mut a = Vec::new();
+            let mut b = Vec::new();
+            for _ in 0..16 {
+                let (x, y) = (rand_f64(&mut s, 40), rand_f64(&mut s, 40));
+                a.extend([x, -x]);
+                b.extend([y, y]);
+            }
+            if round % 2 == 1 {
+                a.push(rand_f64(&mut s, 40));
+                b.push(rand_f64(&mut s, 40));
+            }
+            certifies_to_the_limbs(&a, &b, &format!("pairs {round}"));
+        }
+        // Condition numbers up to about 2³⁶ all certify; beyond what a
+        // double-double resolves (up to 2¹²⁶) a dot may only decline, never
+        // disagree.
+        for (depth, floor) in [(30, 1.0), (120, 0.0)] {
+            let (mut certified, mut tried) = (0, 0);
+            for round in 0..reps(1_000) {
+                let spread = [10, 100, 200, 400][round % 4];
+                let (a, b) = cancelling_stream(&mut s, 40, spread, depth);
+                let what = format!("depth {depth}, spread {spread}, round {round}");
+                tried += 1;
+                certified += certifies_to_the_limbs(&a, &b, &what) as usize;
+            }
+            assert!(
+                certified as f64 >= floor * tried as f64,
+                "depth {depth}: {certified} of {tried} ill-conditioned dots certified"
+            );
+        }
+    }
+
+    /// Signed zeros, products that underflow to zero, subnormal operands
+    /// and products at the edges of the certifiable range, one at a time
+    /// inside a benign stream: the dot certifies exactly when every
+    /// non-zero product is in range, and then to the limbs' bits.
+    #[test]
+    fn out_of_range_products_decline_and_in_range_ones_certify() {
+        let mut s = 0x0dd5_u64;
+        let sub = f64::from_bits(1); // 2⁻¹⁰⁷⁴
+        let certifiable = [
+            (0.0, 3.5),
+            (-0.0, -2.0),
+            (0.0, f64::MAX),          // zero product, huge operand
+            (pow2(-600), pow2(-600)), // underflows to zero
+            (-sub, 0.25),             // underflows to zero
+            (sub * 3.0, pow2(180)),   // subnormal operand, 2⁻⁸⁹² product
+            (f64::MIN_POSITIVE, pow2(122)),
+            (pow2(-450), pow2(-450)), // 2⁻⁹⁰⁰: the edge
+            (pow2(995), pow2(5)),     // 2¹⁰⁰⁰: the other edge
+            (1.5, -pow2(995)),
+        ];
+        let uncertifiable = [
+            (pow2(-450), pow2(-451)), // 2⁻⁹⁰¹
+            (sub, pow2(100)),         // subnormal operand, tiny product
+            (pow2(996), pow2(-10)),   // operand above 2⁹⁹⁵
+            (pow2(995), pow2(6)),     // product above 2¹⁰⁰⁰
+            (0.0, f64::INFINITY),
+            (f64::INFINITY, f64::INFINITY),
+            (f64::NEG_INFINITY, 2.0),
+            (f64::NAN, 1.0),
+            (0.0, f64::NAN),
+        ];
+        for (&(x, y), expect) in certifiable
+            .iter()
+            .zip(std::iter::repeat(true))
+            .chain(uncertifiable.iter().zip(std::iter::repeat(false)))
+        {
+            for at in [0, 5, 13] {
+                let (mut a, mut b) = krylov_stream(&mut s, 24);
+                a[at] = x;
+                b[at] = y;
+                let what = format!("{x:e} * {y:e} at {at}");
+                assert_eq!(certifies_to_the_limbs(&a, &b, &what), expect, "{what}");
+            }
+        }
+    }
+
+    /// Sums built to sit on a rounding midpoint, or to cancel to an exact
+    /// zero that only the error terms know about, decline; a zero with no
+    /// error term at all certifies as `+0.0`, the limbs' zero.
+    #[test]
+    fn midpoints_and_inexact_zeros_decline() {
+        let declines = |a: &[f64], b: &[f64]| {
+            let mut d = Dot2::new();
+            d.add_dot(a, b);
+            d.value()
+        };
+        let ones = [1.0; 3];
+        for tail in [pow2(-120), -pow2(-120), 0.0] {
+            assert_eq!(declines(&[1.0, pow2(-53), tail], &ones), None, "{tail:e}");
+            assert_eq!(declines(&[pow2(-53), tail, 1.0], &ones), None, "{tail:e}");
+        }
+        assert_eq!(declines(&[pow2(53), 1.0], &[1.0, 1.0]), None);
+        assert_eq!(declines(&[pow2(53), 3.0], &[-1.0, -1.0]), None);
+        let x = 1.0 + pow2(-52);
+        assert_ne!(x.mul_add(x, -(x * x)), 0.0, "x·x rounds");
+        assert_eq!(declines(&[x, -x], &[x, x]), None);
+        assert_eq!(exact_dot(&[x, -x], &[x, x]).to_bits(), 0);
+        assert_eq!(
+            declines(&[3.0, -3.0], &[1.0, 1.0]).map(f64::to_bits),
+            Some(0)
+        );
+        assert_eq!(declines(&[], &[]).map(f64::to_bits), Some(0));
+    }
+
+    /// TwoProduct is exact in the certifiable range on both forms, the
+    /// subnormal operands included: `x·y − p − e` sums to zero in limbs.
+    #[test]
+    fn product_errors_are_exact_in_the_certifiable_range() {
+        let mut s = 0xe770_u64;
+        for _ in 0..reps(20_000) {
+            // Random operands; a subnormal one against one large enough
+            // for the product to be in range; a small normal one likewise.
+            let (x_exp, y_exp) = (splitmix64(&mut s) % 200, splitmix64(&mut s) % 890);
+            let (x, y) = match splitmix64(&mut s) % 3 {
+                0 => (rand_f64(&mut s, 450), rand_f64(&mut s, 450)),
+                1 => (
+                    with_exponent(&mut s, 0),
+                    with_exponent(&mut s, 1123 + y_exp.min(849)),
+                ),
+                _ => (
+                    with_exponent(&mut s, 1 + x_exp),
+                    with_exponent(&mut s, 1123 + y_exp),
+                ),
+            };
+            let p = x * y;
+            let in_range = (P_MIN..=P_MAX).contains(&p.abs()) && x.abs().max(y.abs()) <= X_MAX;
+            if !in_range {
+                continue;
+            }
+            for (form, e) in [
+                ("dekker", product_error::<false>(x, y, p)),
+                ("fma", x.mul_add(y, -p)),
+            ] {
+                let mut acc = ExactAcc::new();
+                acc.add_prod(x, y);
+                acc.add(-p);
+                acc.add(-e);
+                assert_eq!(acc.value(), 0.0, "{form}: {x:e} * {y:e}");
+            }
+        }
+    }
+
+    /// Where the CPU has FMA, the FMA and Dekker instantiations of the
+    /// lanes agree bit for bit on certifiable streams.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn fma_and_dekker_lanes_agree_bit_for_bit() {
+        if !fma_available() {
+            return;
+        }
+        let mut s = 0xfa57_u64;
+        for round in 0..reps(40) {
+            let (a, b) = if round % 2 == 0 {
+                krylov_stream(&mut s, 1001)
+            } else {
+                cancelling_stream(&mut s, 1001, 300, 30)
+            };
+            let (mut fma, mut dekker) = (Dot2::new(), Dot2::new());
+            // SAFETY: `fma_available` returned true above.
+            unsafe { fma.add_dot_fma(&a, &b) };
+            dekker.accumulate::<false>(&a, &b);
+            assert!(dekker.partial().is_some(), "round {round} is certifiable");
+            for (name, f, d) in [
+                ("hi", fma.hi, dekker.hi),
+                ("lo", fma.lo, dekker.lo),
+                ("err", fma.err, dekker.err),
+            ] {
+                for j in 0..LANES {
+                    assert_eq!(f[j].to_bits(), d[j].to_bits(), "round {round}: {name}[{j}]");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn partials_travel_as_rows_of_four() {
+        let part = Partial {
+            hi: 1.5,
+            lo: -pow2(-60),
+            err: pow2(-110),
+        };
+        let mut row = [9.0; PARTIAL_LEN];
+        Partial::to_row(Some(part), &mut row);
+        assert_eq!(Partial::from_row(&row), Some(part));
+        Partial::to_row(None, &mut row);
+        assert_eq!(row, [0.0; PARTIAL_LEN]);
+        assert_eq!(Partial::from_row(&row), None);
     }
 }

@@ -500,6 +500,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "file I/O, which Miri's isolation refuses")]
     fn writer_reader_roundtrip() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("pbte-stream-test-{}.pbts", std::process::id()));
@@ -536,6 +537,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "file I/O, which Miri's isolation refuses")]
     fn reader_holds_torn_tail() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("pbte-stream-torn-{}.pbts", std::process::id()));

@@ -409,6 +409,20 @@ fn chrome_trace_covers_every_span_kind() {
             .any(|s| s.name == "krylov_residual"),
         "krylov_residual samples present"
     );
+    // Each solve says why it stopped, and on the die every sum of the
+    // step certified without the limbs.
+    let attr = |s: &Span, key: &str| {
+        let found = s.attrs.iter().find(|(k, _)| *k == key);
+        found.map(|(_, v)| v.clone())
+    };
+    for s in implicit.spans() {
+        if s.name == "krylov_solve" {
+            assert_eq!(attr(s, "exit").as_deref(), Some("converged"), "{s:?}");
+        }
+        if ["krylov_solve", "implicit_newton"].contains(&s.name.as_str()) {
+            assert_eq!(attr(s, "exact_fallbacks").as_deref(), Some("0"), "{s:?}");
+        }
+    }
 }
 
 /// One driver draws the step lane on every target: per rank, exactly one
