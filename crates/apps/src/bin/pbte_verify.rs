@@ -2,7 +2,7 @@
 //! over the paper's scenarios on every execution target and kernel tier.
 //!
 //! ```text
-//! pbte-verify [--json] [--validate] [--intervals] [--synth] [--cost] [--units] [n=12] [steps=4] [ranks=2]
+//! pbte-verify [--json] [--validate] [--intervals] [--cost] [--units] [n=12] [steps=4] [ranks=2]
 //! ```
 //!
 //! For each scenario (the hot-spot domain of Figs 1–4 and the elongated
@@ -22,8 +22,9 @@
 //! 2. pairwise-disjoint write regions for the parallel split of the target
 //!    (under an implicit integrator, additionally that the per-rank Krylov
 //!    work-vector scopes tile the dof grid exactly);
-//! 3. the transfer schedule against derived/declared access sets (GPU
-//!    targets only — no stale reads, no redundant transfers).
+//! 3. the transfer schedule, synthesized from the step's stage records,
+//!    against the access sets those records fold to (GPU targets only —
+//!    no stale reads, no redundant transfers).
 //!
 //! The sweep then repeats over the textual scenario library
 //! (`examples/scenarios/*.pbte`, tagged `pbte:<name>`): every committed
@@ -33,7 +34,7 @@
 //! textual front-end rides the same proof obligations as the built-in
 //! builders.
 //!
-//! Five opt-in passes extend the proof to the lowering pipeline itself:
+//! Four opt-in passes extend the proof to the lowering pipeline itself:
 //!
 //! * `--validate` — translation validation: re-extract a canonical
 //!   symbolic expression from the IR and from all compiled kernel tiers
@@ -49,10 +50,6 @@
 //!   and flux terms are proven to carry the d(unknown)/dt balance
 //!   dimension (`units/mismatch`, `units/transcendental-arg`,
 //!   `units/undeclared-symbol`);
-//! * `--synth` — schedule synthesis with proof-carrying certificates:
-//!   derive the transfer schedule from the access facts, re-discharge
-//!   every certificate obligation (`schedule/unsound`,
-//!   `schedule/unjustified-transfer`);
 //! * `--cost` — static cost model (bytes/step, kernel FLOPs and loads
 //!   per dof, Krylov iteration cost), with a runtime drift check on the
 //!   row-tier plans: each is solved and the model's predictions compared
@@ -60,7 +57,8 @@
 //!   15% relative error).
 //!
 //! Exit status is non-zero if any diagnostic (warning or error) is
-//! produced, so CI can gate on a clean plan. `--json` emits an object
+//! produced, so CI can gate on a clean plan; an unknown `--flag` exits 2
+//! before anything runs. `--json` emits an object
 //! with the combined diagnostic list (each entry tagged with its
 //! scenario/strategy/target/tier) and per-plan pass timings in
 //! milliseconds.
@@ -101,7 +99,6 @@ struct PlanTiming {
     validate_ms: Option<f64>,
     intervals_ms: Option<f64>,
     units_ms: Option<f64>,
-    synth_ms: Option<f64>,
     cost_ms: Option<f64>,
 }
 
@@ -111,7 +108,6 @@ struct Flags {
     validate: bool,
     intervals: bool,
     units: bool,
-    synth: bool,
     cost: bool,
 }
 
@@ -121,8 +117,6 @@ struct Sweep {
     all: Vec<([String; 5], pbte_dsl::Diagnostic)>,
     timings: Vec<PlanTiming>,
     plans: usize,
-    // --synth summary: how many GPU-lineage plans synthesized a schedule.
-    synth_plans: usize,
     // --cost summary: drift checks run (row tier only) and the worst
     // relative error observed between model and telemetry.
     cost_checks: usize,
@@ -162,13 +156,6 @@ fn run_plan(solver: &mut Solver, tags: [String; 5], flags: &Flags, sw: &mut Swee
         analysis::check_units(cp, &mut diags);
         ms(t0)
     });
-    let synth_ms = flags.synth.then(|| {
-        let t0 = Instant::now();
-        if analysis::verify_synthesis(cp, &solver.target, &mut diags).is_some() {
-            sw.synth_plans += 1;
-        }
-        ms(t0)
-    });
     let cost_ms = flags.cost.then(|| {
         let t0 = Instant::now();
         // The static model is computed for every plan; the drift check
@@ -201,7 +188,6 @@ fn run_plan(solver: &mut Solver, tags: [String; 5], flags: &Flags, sw: &mut Swee
         validate_ms,
         intervals_ms,
         units_ms,
-        synth_ms,
         cost_ms,
     });
 
@@ -245,13 +231,22 @@ fn scenario_library() -> Vec<(String, ScenarioSpec)> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    const FLAGS: [&str; 5] = ["--json", "--validate", "--intervals", "--units", "--cost"];
+    if let Some(flag) = (args.iter()).find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
+    {
+        eprintln!(
+            "pbte-verify: unknown flag `{flag}` (known: {})",
+            FLAGS.join(" ")
+        );
+        std::process::exit(2);
+    }
+    let on = |flag: &str| args.iter().any(|a| a == flag);
     let flags = Flags {
-        json: args.iter().any(|a| a == "--json"),
-        validate: args.iter().any(|a| a == "--validate"),
-        intervals: args.iter().any(|a| a == "--intervals"),
-        units: args.iter().any(|a| a == "--units"),
-        synth: args.iter().any(|a| a == "--synth"),
-        cost: args.iter().any(|a| a == "--cost"),
+        json: on("--json"),
+        validate: on("--validate"),
+        intervals: on("--intervals"),
+        units: on("--units"),
+        cost: on("--cost"),
     };
     let n = arg_usize(&args, "n", 12);
     let steps = arg_usize(&args, "steps", 4);
@@ -367,7 +362,7 @@ fn main() {
                     "{{\"scenario\":\"{}\",\"strategy\":\"{}\",\"target\":\"{}\",\"tier\":\"{}\",\
                      \"integrator\":\"{}\",\
                      \"verify_ms\":{:.3},\"validate_ms\":{},\"intervals_ms\":{},\
-                     \"units_ms\":{},\"synth_ms\":{},\"cost_ms\":{}}}",
+                     \"units_ms\":{},\"cost_ms\":{}}}",
                     t.tags[0],
                     t.tags[1],
                     t.tags[2],
@@ -377,16 +372,10 @@ fn main() {
                     json_f64(t.validate_ms),
                     json_f64(t.intervals_ms),
                     json_f64(t.units_ms),
-                    json_f64(t.synth_ms),
                     json_f64(t.cost_ms)
                 )
             })
             .collect();
-        let synth_json = if flags.synth {
-            format!(",\"synth\":{{\"plans\":{}}}", sw.synth_plans)
-        } else {
-            String::new()
-        };
         let cost_json = if flags.cost {
             format!(
                 ",\"cost\":{{\"checks\":{},\"max_rel_err\":{:.4}}}",
@@ -396,7 +385,7 @@ fn main() {
             String::new()
         };
         println!(
-            "{{\"diagnostics\":[{}],\"timings\":[{}]{synth_json}{cost_json}}}",
+            "{{\"diagnostics\":[{}],\"timings\":[{}]{cost_json}}}",
             diag_items.join(","),
             timing_items.join(",")
         );
@@ -412,12 +401,6 @@ fn main() {
                 "verified {} plans: {} diagnostic(s)",
                 sw.plans,
                 sw.all.len()
-            );
-        }
-        if flags.synth {
-            println!(
-                "synthesized {} schedules, every certificate re-discharged",
-                sw.synth_plans
             );
         }
         if flags.cost {

@@ -5,7 +5,7 @@ use crate::boundary::{gaussian_wall, isothermal, symmetry};
 use crate::material::Material;
 use crate::temperature::{BteVars, TemperatureStrategy, TemperatureUpdate};
 use pbte_dsl::exec::{ExecTarget, Solver};
-use pbte_dsl::problem::{DslError, Problem, SolverType, TimeStepper};
+use pbte_dsl::problem::{DslError, Problem, TimeStepper};
 use pbte_mesh::grid::UniformGrid;
 use pbte_mesh::Point;
 use std::sync::Arc;
@@ -222,7 +222,6 @@ pub(crate) fn build_custom(
 
     let mut p = Problem::new(&name);
     p.domain(dim);
-    p.solver_type(SolverType::FiniteVolume);
     p.time_stepper(TimeStepper::EulerExplicit);
     p.set_steps(dt, n_steps);
     p.mesh(mesh);

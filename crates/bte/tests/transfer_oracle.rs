@@ -21,7 +21,7 @@
 //!
 //! Both hot-spot walls are lowered into the plan (an isothermal image, a
 //! specular gather), so no host code reads or writes a wall and the
-//! synthesizer proves the per-step uploads dead: under **both** strategies
+//! synthesizer schedules no per-step upload: under **both** strategies
 //! the log holds exactly one upload of the unknown and one of the ghost
 //! image, and the byte total is what the schedule prices.
 
@@ -80,20 +80,11 @@ fn observed_matches_schedule(strategy: GpuStrategy) {
     );
     assert!(profile.h2d.bytes > 0 && profile.d2h.bytes > 0);
 
-    // The unknown and the ghost image go up exactly once, and each
-    // omission of their per-step upload is certified.
+    // The unknown and the ghost image go up exactly once: no host code
+    // rewrites either, so neither has a per-step upload.
     assert!(once_h2d.contains(&"I") && once_h2d.contains(&"ghosts"));
     let each_step = schedule.each_step_h2d();
     assert!(!each_step.contains(&"I") && !each_step.contains(&"ghosts"));
-    let (_, cert) = analysis::synthesize_schedule(&solver.compiled, strategy);
-    for name in ["I", "ghosts"] {
-        assert!(
-            cert.omissions.iter().any(|o| o.name == name
-                && o.to_device
-                && o.liveness == analysis::LivenessArg::HostNeverRewrites),
-            "{strategy:?}: per-step upload of {name} omitted under HostNeverRewrites"
-        );
-    }
     // Counts and bytes together pin every copy: the total is the
     // schedule's price, which is what the cost model predicts.
     let (checks, drift) = analysis::check_cost_drift(&solver.compiled, &solver.target, &report);

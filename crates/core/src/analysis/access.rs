@@ -31,60 +31,6 @@ pub struct DerivedAccess {
     pub coef_reads: BTreeSet<usize>,
 }
 
-/// One concrete bytecode instruction that loads an entity — the read
-/// site a schedule certificate cites as the consumer of an uploaded
-/// entity. Derived from the generic-tier programs (the bound/row tiers
-/// load the same entity set, cross-checked by `check_kernels`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelReadSite {
-    /// `"volume"` or `"flux"`.
-    pub kernel: &'static str,
-    /// Instruction index in that kernel's generic program.
-    pub pc: usize,
-}
-
-/// First bytecode instruction loading each entity, by entity name.
-pub(super) fn kernel_read_sites(
-    cp: &CompiledProblem,
-) -> std::collections::BTreeMap<String, KernelReadSite> {
-    let registry = &cp.problem.registry;
-    let mut sites = std::collections::BTreeMap::new();
-    for (kernel, program) in [("volume", &cp.volume), ("flux", &cp.flux)] {
-        for (pc, op) in program.ops.iter().enumerate() {
-            let name = match op {
-                Op::LoadVar { var, .. } => registry.variables[*var as usize].name.clone(),
-                Op::LoadU1 | Op::LoadU2 => registry.variables[cp.system.unknown].name.clone(),
-                Op::LoadCoef { coef, .. } => registry.coefficients[*coef as usize].name.clone(),
-                Op::LoadCoefFn { coef } => registry.coefficients[*coef as usize].name.clone(),
-                _ => continue,
-            };
-            sites.entry(name).or_insert(KernelReadSite { kernel, pc });
-        }
-    }
-    sites
-}
-
-/// Re-check one cited read site: does instruction `pc` of the named
-/// kernel actually load `entity`? The certificate checker calls this so a
-/// justification is validated against the bytecode itself, not against
-/// the synthesizer's bookkeeping.
-pub(super) fn site_loads_entity(cp: &CompiledProblem, site: &KernelReadSite, entity: &str) -> bool {
-    let registry = &cp.problem.registry;
-    let program = match site.kernel {
-        "volume" => &cp.volume,
-        "flux" => &cp.flux,
-        _ => return false,
-    };
-    match program.ops.get(site.pc) {
-        Some(Op::LoadVar { var, .. }) => registry.variables[*var as usize].name == entity,
-        Some(Op::LoadU1 | Op::LoadU2) => registry.variables[cp.system.unknown].name == entity,
-        Some(Op::LoadCoef { coef, .. } | Op::LoadCoefFn { coef }) => {
-            registry.coefficients[*coef as usize].name == entity
-        }
-        _ => false,
-    }
-}
-
 /// Stack effect of one `Op`: (pops, pushes).
 fn op_effect(op: &Op) -> (usize, usize) {
     match op {

@@ -5,7 +5,7 @@
 //! host↔device movement. This module is the checker that makes that claim
 //! falsifiable instead of asserted-by-construction. It runs at bind time
 //! (under `debug_assertions`, from every executor) and on demand through
-//! the `pbte-verify` binary, and discharges three proof obligations:
+//! the `pbte-verify` binary, and discharges seven proof obligations:
 //!
 //! 1. **Access soundness** (`access`): per-entity read sets are derived
 //!    from the compiled bytecode of all three kernel tiers (`Program`,
@@ -51,10 +51,9 @@
 //!    interval containing zero, and domain validity for `exp`/`log`/
 //!    `sqrt`/`pow`; a CFL-style step bound is derived from the flux
 //!    linearization and the scenario `dt` checked against it.
-//! 6. **Schedule synthesis + cost** (`synth`, `cost`): the GPU transfer
-//!    schedule is re-derived from the access facts under a proof-carrying
-//!    certificate that is independently re-discharged; the static cost
-//!    model is checked against recorded telemetry.
+//! 6. **Cost** (`cost`): the static cost model — bytes per step, kernel
+//!    work per dof, Krylov iteration cost, read off the plan's scopes and
+//!    stage schedules — is checked against recorded telemetry.
 //! 7. **Dimensional consistency** (`units`): the discretized equation is
 //!    abstractly interpreted over the SI dimension domain, seeded from
 //!    the units declared on entities, proving every sum/comparison
@@ -80,18 +79,13 @@ mod transfers;
 mod units;
 mod validate;
 
-pub use access::KernelReadSite;
 pub use boundary::check_boundary_forms;
 pub(crate) use cost::price;
 pub use cost::{check_cost_drift, estimate_cost, CostCheck, CostModel, DRIFT_TOLERANCE};
 pub use intervals::{cfl_bound, check_intervals, CflBound};
 pub use intervals::{recommend_dt, DtRecommendation, ACCURACY_COURANT};
 pub use races::{check_disjoint_writes, check_divided_slices, WriteRegion};
-pub use synth::{
-    check_certificate, rank_scopes, synthesize_partition, synthesize_records, synthesize_schedule,
-    LivenessArg, Omission, ReadSite, ScheduleCertificate, Scope, Tile, TileLabel, TransferCert,
-    WriteSite,
-};
+pub use synth::{rank_scopes, synthesize_partition, synthesize_records, Scope, Tile, TileLabel};
 pub use transfers::check_schedule;
 pub use units::check_units;
 pub use validate::{
@@ -99,7 +93,6 @@ pub use validate::{
     check_reg_against_bound, check_translation, check_vm,
 };
 
-use crate::dataflow::{step_records, Plan};
 use crate::exec::{CompiledProblem, ExecTarget};
 
 /// Rule identifiers, one per distinct diagnostic the verifier can emit.
@@ -180,13 +173,6 @@ pub mod rules {
     pub const INTERVAL_MISSING_RANGE: &str = "intervals/missing-range";
     /// The scenario's dt exceeds the derived CFL-style step bound.
     pub const INTERVAL_CFL: &str = "intervals/cfl-exceeded";
-    /// A synthesized schedule leaves an access obligation unserved — a
-    /// transfer is missing and no valid liveness argument covers the
-    /// omission.
-    pub const SCHEDULE_UNSOUND: &str = "schedule/unsound";
-    /// A scheduled transfer whose certificate is absent or whose cited
-    /// read/write site does not hold against the plan's facts.
-    pub const SCHEDULE_UNJUSTIFIED: &str = "schedule/unjustified-transfer";
     /// A static cost-model prediction diverged from recorded telemetry
     /// beyond tolerance.
     pub const COST_MODEL_DRIFT: &str = "cost/model-drift";
@@ -346,37 +332,7 @@ pub(crate) fn verify_scopes(
         races::check_target(cp, target, scopes, &mut out);
     }
     if let Some(strategy) = target.strategy() {
-        let scope = Scope::whole(cp);
-        let records = step_records(cp, Plan::Main, Some(strategy), &scope);
-        let (schedule, _) = synth::synthesize_records(cp, strategy, &records);
-        let sides = transfers::Sides::fold(cp, &records);
-        out.extend(transfers::check_against(&sides, &schedule));
+        out.extend(check_schedule(cp, &cp.transfer_schedule(strategy)));
     }
     out
-}
-
-/// Result of the synthesis pass on one plan (`pbte-verify --synth`).
-pub struct SynthReport {
-    /// The synthesized schedule (what the executors consume).
-    pub schedule: crate::dataflow::TransferSchedule,
-    /// Its proof-carrying certificate.
-    pub certificate: ScheduleCertificate,
-}
-
-/// Synthesize the schedule for the GPU strategy the target carries and
-/// re-discharge its certificate. Non-GPU targets have no transfer
-/// obligations and return `None`. Diagnostics (`schedule/unsound`,
-/// `schedule/unjustified-transfer`) append to `out`.
-pub fn verify_synthesis(
-    cp: &CompiledProblem,
-    target: &ExecTarget,
-    out: &mut Vec<Diagnostic>,
-) -> Option<SynthReport> {
-    let strategy = target.strategy()?;
-    let (schedule, certificate) = synth::synthesize_schedule(cp, strategy);
-    out.extend(synth::check_certificate(cp, &schedule, &certificate));
-    Some(SynthReport {
-        schedule,
-        certificate,
-    })
 }

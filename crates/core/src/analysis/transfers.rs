@@ -16,19 +16,20 @@
 //!   writer and no transfer refreshes the reader's copy.
 //! * **redundant transfer** — `e` is moved although the receiving side
 //!   never reads it before it is next overwritten (or the sending side
-//!   never even writes it).
+//!   never even writes it), or the same copy is scheduled twice.
 
 use super::{rules, Diagnostic, Scope, Severity};
-use crate::dataflow::{step_records, Access, Place, Plan, Policy, Record, TransferSchedule};
+use crate::dataflow::{
+    step_records, Access, Place, Plan, Policy, Record, Transfer, TransferSchedule,
+};
 use crate::exec::CompiledProblem;
 use std::collections::BTreeSet;
 
 /// Per-side access sets, by entity name. `*_possible` includes the
 /// conservative widening for opaque callbacks; `*_declared` only what is
-/// provably accessed. Shared with the synthesis pass ([`super::synth`]),
-/// which derives the schedule from these same facts — the checker below
-/// then re-discharges the obligations against them independently of how
-/// the schedule was produced.
+/// provably accessed. The synthesis pass ([`super::synthesize_records`])
+/// derives the schedule from these same sets; the checker below proves
+/// any schedule against them, however it was produced.
 #[derive(Default)]
 pub(super) struct Sides {
     pub(super) device_reads: BTreeSet<String>,
@@ -166,56 +167,36 @@ pub(super) fn check_against(sides: &Sides, schedule: &TransferSchedule) -> Vec<D
     }
 
     // Redundant transfers.
-    for t in &schedule.transfers {
+    for (i, t) in schedule.transfers.iter().enumerate() {
         if t.policy == Policy::Never {
             continue;
         }
-        let loc = format!(
-            "{} {} ({:?})",
-            if t.to_device { "H2D" } else { "D2H" },
-            t.name,
-            t.policy
-        );
-        if t.to_device {
-            if !sides.device_reads.contains(&t.name) {
-                out.push(Diagnostic {
-                    severity: Severity::Error,
-                    rule: rules::REDUNDANT_TRANSFER,
-                    entity: t.name.clone(),
-                    location: loc,
-                    message: "uploaded but the device kernel never reads it".into(),
-                });
-            } else if t.policy == Policy::EveryStep && !sides.host_writes_possible.contains(&t.name)
-            {
-                out.push(Diagnostic {
-                    severity: Severity::Error,
-                    rule: rules::REDUNDANT_TRANSFER,
-                    entity: t.name.clone(),
-                    location: loc,
-                    message: "re-uploaded every step but no host code ever writes it \
-                              between uploads"
-                        .into(),
-                });
-            }
-        } else if !sides.device_writes.contains(&t.name) {
-            out.push(Diagnostic {
-                severity: Severity::Error,
-                rule: rules::REDUNDANT_TRANSFER,
-                entity: t.name.clone(),
-                location: loc,
-                message: "downloaded but the device never writes it".into(),
-            });
-        } else if !sides.host_reads_possible.contains(&t.name) {
-            out.push(Diagnostic {
-                severity: Severity::Error,
-                rule: rules::REDUNDANT_TRANSFER,
-                entity: t.name.clone(),
-                location: loc,
-                message: "downloaded but no host code ever reads it before the device \
-                          next overwrites it"
-                    .into(),
-            });
-        }
+        let same =
+            |u: &Transfer| (&u.name, u.to_device, u.policy) == (&t.name, t.to_device, t.policy);
+        let message = if schedule.transfers[..i].iter().any(same) {
+            "the same copy is already scheduled"
+        } else if t.to_device && !sides.device_reads.contains(&t.name) {
+            "uploaded but the device kernel never reads it"
+        } else if t.to_device
+            && t.policy == Policy::EveryStep
+            && !sides.host_writes_possible.contains(&t.name)
+        {
+            "re-uploaded every step but no host code ever writes it between uploads"
+        } else if !t.to_device && !sides.device_writes.contains(&t.name) {
+            "downloaded but the device never writes it"
+        } else if !t.to_device && !sides.host_reads_possible.contains(&t.name) {
+            "downloaded but no host code ever reads it before the device next overwrites it"
+        } else {
+            continue;
+        };
+        let dir = if t.to_device { "H2D" } else { "D2H" };
+        out.push(Diagnostic {
+            severity: Severity::Error,
+            rule: rules::REDUNDANT_TRANSFER,
+            entity: t.name.clone(),
+            location: format!("{dir} {} ({:?})", t.name, t.policy),
+            message: message.into(),
+        });
     }
     out
 }

@@ -247,8 +247,8 @@ pub struct Stage<'a> {
 
 impl<'a> Stage<'a> {
     /// The stage `target` runs for `cp` as the `which` plan over `range`.
-    /// Stepped explicitly, its schedule is the certificate-backed step
-    /// schedule ([`synthesize_records`]); an implicit solve runs the same
+    /// Stepped explicitly, its schedule is the synthesized step schedule
+    /// ([`synthesize_records`]); an implicit solve runs the same
     /// records per sweep and moves per sweep (`sweep_schedule`).
     pub fn build(
         cp: &CompiledProblem,
@@ -261,7 +261,7 @@ impl<'a> Stage<'a> {
             .strategy()
             .map(|strategy| match per_sweep(cp, which) {
                 true => sweep_schedule(cp, strategy, &records),
-                false => synthesize_records(cp, strategy, &records).0,
+                false => synthesize_records(cp, strategy, &records),
             });
         Stage { records, schedule }
     }
@@ -406,7 +406,6 @@ impl TransferSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::synthesize_schedule;
     use crate::problem::{BoundaryCondition, Problem};
 
     /// `callback_walls`: the paper's configuration, boundary conditions as
@@ -446,7 +445,7 @@ mod tests {
             p.post_step(|_| {});
         }
         let (cp, _) = CompiledProblem::compile(p).unwrap();
-        synthesize_schedule(&cp, strategy).0
+        cp.transfer_schedule(strategy)
     }
 
     #[test]

@@ -462,9 +462,9 @@ impl Backend for GpuBackend<'_> {
     }
 
     /// Reconcile the host copy of the unknown after the final explicit
-    /// step when the schedule (validly) omitted the per-step download —
-    /// the certificate's `HostNeverReads` argument covers the steps
-    /// *between* device writes, not the caller's final read of `fields` —
+    /// step when the schedule (validly) omitted the per-step download — no
+    /// host code reads the unknown *between* device writes, but the caller
+    /// reads `fields` after the last one —
     /// then hand back the device profile.
     fn finish(
         &mut self,

@@ -1403,10 +1403,13 @@ impl CompiledProblem {
     }
 
     /// Automatic host↔device transfer schedule for a GPU strategy: the
-    /// certificate-backed synthesis pass
-    /// ([`crate::analysis::synthesize_schedule`]).
+    /// synthesis pass ([`crate::analysis::synthesize_records`]) over this
+    /// plan's step records.
     pub fn transfer_schedule(&self, strategy: GpuStrategy) -> TransferSchedule {
-        crate::analysis::synthesize_schedule(self, strategy).0
+        use crate::dataflow::{step_records, Plan};
+        let scope = Scope::whole(self);
+        let records = step_records(self, Plan::Main, Some(strategy), &scope);
+        crate::analysis::synthesize_records(self, strategy, &records)
     }
 
     /// Memory footprint report. The paper calls the BTE "a challenging

@@ -62,4 +62,4 @@ pub mod problem;
 pub use analysis::{Diagnostic, Severity};
 pub use entities::{Coefficient, CoefficientValue, Fields, Index, Location, Variable};
 pub use exec::{ExecTarget, SolveReport, Solver, WorkCounters};
-pub use problem::{BoundaryCondition, GpuStrategy, KernelTier, Problem, SolverType, TimeStepper};
+pub use problem::{BoundaryCondition, GpuStrategy, KernelTier, Problem, TimeStepper};

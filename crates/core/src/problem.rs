@@ -1,10 +1,11 @@
 //! The user-facing problem description — Finch's command set as a builder.
 //!
 //! A [`Problem`] collects exactly what the paper's example input script
-//! provides (appendix listing): configuration (`domain`, `solverType`,
-//! `timeStepper`, `setSteps`, `useCUDA`), the mesh, entities (`index`,
-//! `variable`, `coefficient`), boundary conditions with user callback
-//! functions, the `postStepFunction`, `assemblyLoops` ordering, and the
+//! provides (appendix listing): configuration (`domain`, `timeStepper`,
+//! `setSteps`, `useCUDA`; `solverType` is always finite volume), the
+//! mesh, entities (`index`, `variable`, `coefficient`), boundary
+//! conditions with user callback functions, the `postStepFunction`,
+//! `assemblyLoops` ordering, and the
 //! `conservationForm` input string. `build` runs the symbolic pipeline and
 //! produces an executable [`crate::exec::Solver`] for a chosen target.
 
@@ -15,13 +16,6 @@ use pbte_mesh::{Digest, Mesh, Point};
 use pbte_symbolic::Dim;
 use std::fmt;
 use std::sync::Arc;
-
-/// Spatial discretization method. The paper's application is finite
-/// volume; FEM exists in Finch but is out of scope here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverType {
-    FiniteVolume,
-}
 
 /// Time integration scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -514,7 +508,6 @@ impl PlanKey {
 pub struct Problem {
     pub name: String,
     pub dim: usize,
-    pub solver_type: SolverType,
     pub stepper: TimeStepper,
     /// Time-integration transform (explicit stepper / implicit θ-scheme /
     /// pseudo-transient steady state).
@@ -563,7 +556,6 @@ impl Problem {
         Problem {
             name: name.to_string(),
             dim: 2,
-            solver_type: SolverType::FiniteVolume,
             stepper: TimeStepper::EulerExplicit,
             integrator: Integrator::Explicit,
             krylov: KrylovConfig::default(),
@@ -623,12 +615,6 @@ impl Problem {
     pub fn domain(&mut self, dim: usize) -> &mut Self {
         assert!(dim == 2 || dim == 3, "domain must be 2 or 3 dimensional");
         self.dim = dim;
-        self
-    }
-
-    /// `solverType(FV)`.
-    pub fn solver_type(&mut self, t: SolverType) -> &mut Self {
-        self.solver_type = t;
         self
     }
 

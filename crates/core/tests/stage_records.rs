@@ -3,7 +3,7 @@
 //! lowered, one callback wall}. The list has the kinds and places the
 //! strategy × walls × integrator policy says, the schedule folded from it
 //! is the one the executors have always followed, and a list with one
-//! access tampered yields a schedule the checkers refuse.
+//! access tampered yields a schedule the transfer proof refuses.
 
 use pbte_dsl::analysis::{self, rules, Scope};
 use pbte_dsl::dataflow::{
@@ -184,19 +184,13 @@ fn the_record_list_is_the_policy_for_every_target_walls_and_integrator() {
                 let each_d2h = names(&stage, Policy::EveryStep, false);
                 let on = |list: &[String], name: &str| list.iter().any(|n| n == name);
                 if explicit {
-                    // The stage carries the certified step schedule, and
-                    // that schedule is clean.
-                    let (schedule, cert) =
-                        analysis::synthesize_records(cp, strategy, &stage.records);
+                    // The stage carries the step schedule, and that
+                    // schedule is clean.
+                    let schedule = analysis::synthesize_records(cp, strategy, &stage.records);
                     assert_eq!(schedule.transfers, cp.transfer_schedule(strategy).transfers);
                     let carried = stage.schedule.as_ref().unwrap();
                     assert_eq!(schedule.transfers, carried.transfers, "{case}");
                     assert!(analysis::check_schedule(cp, &schedule).is_empty(), "{case}");
-                    let errors = analysis::check_certificate(cp, &schedule, &cert);
-                    assert!(
-                        errors.iter().all(|d| d.severity < Severity::Error),
-                        "{case}"
-                    );
                     // What synth_schedule.rs, verifier.rs and
                     // transfer_oracle.rs pin: the opaque post-step rewrites
                     // Io and beta and reads I; the unknown re-uploads only
@@ -241,7 +235,7 @@ fn tamper(
 
 /// A schedule synthesized from a tampered list fails against the true one
 /// exactly as the tampered schedules of `verifier.rs` do: the transfer
-/// the dropped access justified is a stale read and an unsound omission.
+/// the dropped access justified is missing, a stale read.
 #[test]
 fn a_tampered_access_yields_a_schedule_the_checkers_refuse() {
     let refused = |strategy: GpuStrategy,
@@ -252,13 +246,11 @@ fn a_tampered_access_yields_a_schedule_the_checkers_refuse() {
         let cp = &solver.compiled;
         let scope = Scope::whole(cp);
         let mut records = step_records(cp, Plan::Main, Some(strategy), &scope);
-        let (clean, clean_cert) = analysis::synthesize_records(cp, strategy, &records);
+        let clean = analysis::synthesize_records(cp, strategy, &records);
         assert!(analysis::check_schedule(cp, &clean).is_empty());
-        let findings = analysis::check_certificate(cp, &clean, &clean_cert);
-        assert!(findings.iter().all(|d| d.severity < Severity::Error));
 
         tampering(&mut records, cp.system.unknown);
-        let (bad, bad_cert) = analysis::synthesize_records(cp, strategy, &records);
+        let bad = analysis::synthesize_records(cp, strategy, &records);
         let stale = analysis::check_schedule(cp, &bad);
         let hit = |d: &&analysis::Diagnostic| d.entity == entity && d.severity == Severity::Error;
         assert!(
@@ -267,14 +259,6 @@ fn a_tampered_access_yields_a_schedule_the_checkers_refuse() {
                 .filter(hit)
                 .any(|d| d.rule == rules::STALE_READ),
             "{strategy:?}: {stale:?}"
-        );
-        let unsound = analysis::check_certificate(cp, &bad, &bad_cert);
-        assert!(
-            unsound
-                .iter()
-                .filter(hit)
-                .any(|d| d.rule == rules::SCHEDULE_UNSOUND),
-            "{strategy:?}: {unsound:?}"
         );
     };
     // Precompute: the device sweep no longer says it reads the ghosts, so
@@ -297,18 +281,20 @@ fn a_tampered_access_yields_a_schedule_the_checkers_refuse() {
 }
 
 /// The async combine reads the kernel's result whether or not any callback
-/// reads the unknown: the download is scheduled (cited to the combine),
-/// priced, and is what the run performs.
+/// reads the unknown: its download is the only per-step one, is priced,
+/// and is what the run performs.
 #[test]
 fn the_async_combine_alone_schedules_the_download_it_needs() {
     let strategy = GpuStrategy::AsyncBoundary;
     let mut solver = problem(true, false).build(gpu(strategy)).unwrap();
-    let (schedule, cert) = analysis::synthesize_schedule(&solver.compiled, strategy);
+    let schedule = solver.compiled.transfer_schedule(strategy);
     assert_eq!(schedule.each_step_d2h(), ["I"]);
-    let download = cert.transfers.iter().find(|c| !c.to_device).unwrap();
-    assert_eq!(download.read, analysis::ReadSite::AsyncCombine);
+    let download = schedule.transfers.iter().find(|t| !t.to_device).unwrap();
+    assert_eq!(
+        download.reason,
+        "unknown: the host combine reads the kernel's result"
+    );
     assert!(analysis::check_schedule(&solver.compiled, &schedule).is_empty());
-    assert!(analysis::check_certificate(&solver.compiled, &schedule, &cert).is_empty());
 
     let report = solver.solve().unwrap();
     let (checks, drift) = analysis::check_cost_drift(&solver.compiled, &solver.target, &report);

@@ -3,7 +3,8 @@
 //! The shipped scenarios must verify clean (no false positives), and
 //! deliberately-broken plans must produce exactly the diagnostic the
 //! verifier exists to catch: an overlapping parallel write split, a
-//! schedule missing a D2H the host needs, and a transfer nothing reads.
+//! schedule missing a D2H the host needs, and each kind of redundant
+//! transfer.
 
 use pbte_dsl::analysis::{self, rules, WriteRegion};
 use pbte_dsl::dataflow::{Policy, Transfer};
@@ -341,120 +342,96 @@ fn schedule_missing_a_d2h_is_a_stale_read() {
     assert_eq!(diags[0].entity, "I");
 }
 
+/// One `transfer/redundant` branch per row, each seeded alone into a clean
+/// schedule: the verifier fires exactly that rule, on that entity.
 #[test]
 fn transfer_nothing_reads_is_redundant() {
-    let solver = declared_problem(6, 2).build(gpu_target()).unwrap();
-    let cp = &solver.compiled;
-    let mut schedule = cp.transfer_schedule(GpuStrategy::AsyncBoundary);
-    // The device kernel never reads T — uploading it every step is pure
-    // waste, the "moved but never read" half of the transfer proof.
-    schedule.transfers.push(Transfer {
-        name: "T".into(),
-        to_device: true,
-        policy: Policy::EveryStep,
+    let declared = declared_problem(6, 2).build(gpu_target()).unwrap();
+    // No host code touches the unknown: every wall lowered, no callback.
+    let mut p = Problem::new("quiet-host");
+    p.domain(2);
+    p.mesh(UniformGrid::new_2d(4, 4, 1.0, 1.0).build());
+    p.set_steps(0.01, 2);
+    let d = p.index("d", 2);
+    let i_var = p.variable("I", &[d]);
+    p.coefficient_array("Sx", &[d], vec![1.0, -1.0]);
+    p.coefficient_array("Sy", &[d], vec![0.5, -0.5]);
+    p.initial(i_var, |_, _| 1.0);
+    for region in ["left", "right", "top", "bottom"] {
+        p.boundary(i_var, region, BoundaryCondition::Value(0.0));
+    }
+    p.conservation_form(i_var, "surface(upwind([Sx[d];Sy[d]], I[d]))");
+    let quiet = p.build(gpu_target()).unwrap();
+
+    let line = |name: &str, to_device: bool, policy: Policy| Transfer {
+        name: name.into(),
+        to_device,
+        policy,
         reason: "seeded defect".into(),
-    });
-    let diags = analysis::check_schedule(cp, &schedule);
-    assert_eq!(diags.len(), 1, "exactly the seeded defect: {diags:?}");
-    assert_eq!(diags[0].rule, rules::REDUNDANT_TRANSFER);
-    assert_eq!(diags[0].entity, "T");
+    };
+    let rows = [
+        (
+            "an upload the device never reads",
+            &declared,
+            line("T", true, Policy::Once),
+        ),
+        (
+            "a per-step upload no host code rewrites",
+            &declared,
+            line("vg", true, Policy::EveryStep),
+        ),
+        (
+            "a download of an entity the device never writes",
+            &declared,
+            line("Io", false, Policy::EveryStep),
+        ),
+        (
+            "a download no host code reads",
+            &quiet,
+            line("I", false, Policy::EveryStep),
+        ),
+        (
+            "the same copy twice",
+            &declared,
+            line("I", true, Policy::Once),
+        ),
+    ];
+    for (case, solver, seeded) in rows {
+        let cp = &solver.compiled;
+        let mut schedule = cp.transfer_schedule(GpuStrategy::AsyncBoundary);
+        assert!(analysis::check_schedule(cp, &schedule).is_empty(), "{case}");
+        let entity = seeded.name.clone();
+        schedule.transfers.push(seeded);
+        let diags = analysis::check_schedule(cp, &schedule);
+        let fired: Vec<_> = (diags.iter())
+            .map(|d| (d.rule, d.entity.as_str(), d.severity))
+            .collect();
+        let want = (rules::REDUNDANT_TRANSFER, entity.as_str(), Severity::Error);
+        assert_eq!(fired, [want], "{case}: {diags:?}");
+    }
 }
 
+/// A callback that declares rewriting the unknown re-uploads it every
+/// step, like the async combine does: the rewrite is a declared host
+/// write, so leaving it out would be a stale read.
 #[test]
-fn reverted_callback_read_d2h_fires_stale_read_and_unsound() {
-    let solver = declared_problem(6, 2).build(gpu_target()).unwrap();
+fn a_callback_rewriting_the_unknown_re_uploads_it() {
+    let mut p = declared_problem(6, 2);
+    p.post_step_declared("relax", &[], &["I"], |_| {});
+    let solver = p
+        .build(ExecTarget::GpuHybrid {
+            spec: DeviceSpec::a6000(),
+            strategy: GpuStrategy::PrecomputeBoundary,
+        })
+        .unwrap();
     let cp = &solver.compiled;
-    let (schedule, cert) = analysis::synthesize_schedule(cp, GpuStrategy::AsyncBoundary);
+    let schedule = cp.transfer_schedule(GpuStrategy::PrecomputeBoundary);
     assert!(
-        analysis::check_certificate(cp, &schedule, &cert).is_empty(),
-        "untampered synthesis must verify clean"
+        schedule.each_step_h2d().contains(&"I"),
+        "{}",
+        schedule.render()
     );
     assert!(analysis::check_schedule(cp, &schedule).is_empty());
-
-    // Seeded revert: the synthesizer "forgets" the temperature callback's
-    // read of I — the unknown's D2H disappears from the schedule and its
-    // certificate entry with it, with no omission recorded in its place.
-    let mut bad = schedule.clone();
-    bad.transfers.retain(|t| t.name != "I" || t.to_device);
-    let mut bad_cert = cert.clone();
-    bad_cert.transfers.retain(|c| c.name != "I" || c.to_device);
-
-    let sched_diags = analysis::check_schedule(cp, &bad);
-    assert_eq!(sched_diags.len(), 1, "{sched_diags:?}");
-    assert_eq!(sched_diags[0].rule, rules::STALE_READ);
-
-    let cert_diags = analysis::check_certificate(cp, &bad, &bad_cert);
-    assert!(
-        !cert_diags.is_empty(),
-        "the certificate checker must refuse"
-    );
-    assert!(
-        cert_diags.iter().all(|d| d.rule == rules::SCHEDULE_UNSOUND),
-        "only soundness findings expected: {cert_diags:?}"
-    );
-    assert!(
-        cert_diags
-            .iter()
-            .any(|d| d.entity == "I" && d.severity == Severity::Error),
-        "the declared host read of I makes the omission a hard error: {cert_diags:?}"
-    );
-
-    // The seam as a whole fires exactly the two rules it exists to fire.
-    let fired: std::collections::BTreeSet<&str> = sched_diags
-        .iter()
-        .chain(&cert_diags)
-        .map(|d| d.rule)
-        .collect();
-    assert_eq!(
-        fired,
-        [rules::STALE_READ, rules::SCHEDULE_UNSOUND]
-            .into_iter()
-            .collect()
-    );
-}
-
-#[test]
-fn tampered_certificate_is_unjustified() {
-    use pbte_dsl::analysis::ReadSite;
-
-    let solver = declared_problem(6, 2).build(gpu_target()).unwrap();
-    let cp = &solver.compiled;
-    let (schedule, cert) = analysis::synthesize_schedule(cp, GpuStrategy::AsyncBoundary);
-
-    // (a) A transfer the certificate does not justify.
-    let mut padded = schedule.clone();
-    padded.transfers.push(Transfer {
-        name: "T".into(),
-        to_device: true,
-        policy: Policy::EveryStep,
-        reason: "seeded defect".into(),
-    });
-    let diags = analysis::check_certificate(cp, &padded, &cert);
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == rules::SCHEDULE_UNJUSTIFIED && d.entity == "T"),
-        "uncertified transfer must be rejected: {diags:?}"
-    );
-
-    // (b) A certificate entry citing a read site that does not hold.
-    let mut lying = cert.clone();
-    let entry = lying
-        .transfers
-        .iter_mut()
-        .find(|c| c.name == "I" && !c.to_device)
-        .expect("the unknown's D2H is certified");
-    entry.read = ReadSite::StepCallback {
-        name: "nonexistent".into(),
-        conservative: false,
-    };
-    let diags = analysis::check_certificate(cp, &schedule, &lying);
-    assert!(
-        diags.iter().any(|d| d.rule == rules::SCHEDULE_UNJUSTIFIED
-            && d.entity == "I"
-            && d.message.contains("read site")),
-        "fabricated read site must be rejected: {diags:?}"
-    );
 }
 
 #[test]

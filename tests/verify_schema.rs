@@ -96,7 +96,7 @@ fn verify_json_schema() {
             .and_then(Value::as_f64)
             .expect("units_ms numeric when --units is on");
         assert!(units_ms >= 0.0 && units_ms.is_finite());
-        for key in ["validate_ms", "intervals_ms", "synth_ms", "cost_ms"] {
+        for key in ["validate_ms", "intervals_ms", "cost_ms"] {
             assert_eq!(
                 t.get(key),
                 Some(&Value::Null),
@@ -112,6 +112,19 @@ fn verify_json_schema() {
     assert!(pbte >= 4 * 7 * 4, "scenario library lanes shrank: {pbte}");
 
     // Passes that were off must not fabricate summary blocks.
-    assert!(v.get("synth").is_none(), "no synth block without --synth");
     assert!(v.get("cost").is_none(), "no cost block without --cost");
+}
+
+/// A flag the verifier does not know — a typo, or one a script kept after
+/// the pass was removed — exits 2 naming it, before any plan is built.
+#[test]
+fn verify_rejects_unknown_flags() {
+    let out = Command::new(env!("CARGO_BIN_EXE_pbte-verify"))
+        .args(["--units", "--synth"])
+        .output()
+        .expect("pbte-verify runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing ran");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--synth`"), "{stderr}");
 }
