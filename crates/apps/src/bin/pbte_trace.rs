@@ -35,10 +35,9 @@
 //!
 //! **`--follow` mode** tails a stream file — typically one being written
 //! by a concurrent `stream=` run — and renders rolling per-phase rates,
-//! work throughput, cost annotations on kernel/transfer spans (a
-//! transfer's predicted vs moved bytes; a kernel's predicted flops and, on
-//! a device sweep, the device kernel model's flops beside them — two
-//! models, never a percentage), and any warning events, until the `run_end`
+//! work throughput, cost annotations on sweep/transfer spans (a
+//! transfer's predicted vs moved bytes; a sweep's price in flops, the one
+//! the simulated device is timed by), and any warning events, until the `run_end`
 //! frame arrives (or the stream goes idle for `wait` seconds).
 //!
 //! **`top` mode** reads a (complete or in-progress) stream file once and
@@ -520,21 +519,14 @@ fn attr<'a>(attrs: &[(&'a str, &'a str)], key: &str) -> Option<&'a str> {
     attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
 }
 
-/// Cost annotation for a kernel or transfer span, when the span carries
+/// Cost annotation for a sweep or transfer span, when the span carries
 /// the cost-model attrs: a transfer's predicted bytes against the bytes it
-/// moved; a kernel's predicted flops and, on a device sweep, the device
-/// kernel model's flops — a second model, labelled, never compared.
+/// moved; a sweep's price in flops.
 fn cost_annotation(cat: &str, attrs: &[(&str, &str)]) -> Option<String> {
     match cat {
         "kernel" => {
             let pred: f64 = attr(attrs, "pred_flops")?.parse().ok()?;
-            let mut line = format!("pred {pred:.3e} flops (tier stream)");
-            if let Some(device) = attr(attrs, "device_flops").and_then(|v| v.parse::<f64>().ok()) {
-                line.push_str(&format!(
-                    ", device model {device:.3e} flops (conditional kernel)"
-                ));
-            }
-            Some(line)
+            Some(format!("pred {pred:.3e} flops"))
         }
         "transfer" => {
             let pred: f64 = attr(attrs, "pred_bytes")?.parse().ok()?;

@@ -148,9 +148,13 @@ fn bench_device(c: &mut Criterion) {
         let a = dev.alloc("in", 1 << 16);
         let mut out = dev.alloc("out", 1 << 16);
         let cost = KernelCost::stencil(10.0, 16.0, 8.0);
+        // 64 blocks of 1024 threads, the row-kernel grid the executors
+        // launch.
         b.iter(|| {
-            dev.launch("noop", 1 << 16, cost, &[&a], &mut out, |tid, i, o| {
-                *o = i[0][tid] + 1.0;
+            dev.launch_rows("noop", 64, 1024, cost, &[&a], &mut out, |row, i, o| {
+                for (o, x) in o.iter_mut().zip(&i[0][row * 1024..]) {
+                    *o = x + 1.0;
+                }
             })
         })
     });

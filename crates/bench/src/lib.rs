@@ -6,9 +6,10 @@
 //!
 //! 1. **the plan** — the headline problem compiled by the DSL
 //!    ([`workload`]): what each rank of a target sweeps
-//!    (`analysis::rank_scopes`), what a device rank copies per step
-//!    (`analysis::estimate_cost`), the device kernel's per-thread cost, and
-//!    the halo the real 120×120 mesh's partitions exchange;
+//!    (`analysis::rank_scopes`), what a device rank copies per step and
+//!    what one device thread costs (`analysis::estimate_cost`), and the
+//!    halo the real 120×120 mesh's partitions exchange
+//!    (`analysis::interface_send_lists`);
 //! 2. **measured rates** — one traced solve of the shipped solver on this
 //!    host at the benchmark lanes' tier ([`calibration`]): seconds per dof
 //!    update of the DSL path and of the hand-written baseline, seconds per

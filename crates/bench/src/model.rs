@@ -5,9 +5,9 @@
 //! the paper's breakdown figures use. The model restates no work: what a
 //! rank sweeps is its scope from `analysis::rank_scopes`, counted by
 //! `Scope::account` (the executors' own counters); what a device rank
-//! moves per step is the stage schedule priced by `analysis::estimate_cost`;
-//! a device thread's cost is `exec::gpu::estimate_kernel_cost` (all via
-//! [`Workload`]). The *rates* come from the [`Calibration`], and the
+//! moves per step is the stage schedule priced by `analysis::estimate_cost`,
+//! and a device thread's cost is that model's sweep price, the one the
+//! simulated device launches with (all via [`Workload`]). The *rates* come from the [`Calibration`], and the
 //! machine models price what core has no model for — the α–β halo
 //! exchange and allreduce on the paper's cluster (`pbte-runtime`) and the
 //! device roofline and host link (`pbte-gpu`).
@@ -151,7 +151,7 @@ impl FigureModel {
         let rank = self.work.busiest(&Workload::gpu(g));
         let threads = rank.sweep.dof_updates as usize;
         let kernel_step =
-            Device::new(self.gpu.clone()).kernel_time(threads, &self.work.kernel_cost);
+            Device::new(self.gpu.clone()).kernel_time(threads, &self.work.device.sweep);
         let (h2d, d2h) = self.work.device_step_bytes(rank.share);
         let transfer_step =
             self.gpu.transfer_time(h2d as usize) + self.gpu.transfer_time(d2h as usize);

@@ -3,12 +3,10 @@
 //! exchanges are all read off the plan the executors would run.
 
 use pbte_bte::scenario::{hotspot_2d, BteConfig};
-use pbte_dsl::analysis::{estimate_cost, rank_scopes, CostModel};
-use pbte_dsl::exec::gpu::estimate_kernel_cost;
+use pbte_dsl::analysis::{estimate_cost, interface_send_lists, rank_scopes, CostModel};
 use pbte_dsl::exec::{CompiledProblem, ExecTarget};
 use pbte_dsl::{GpuStrategy, WorkCounters};
-use pbte_gpu::{DeviceSpec, KernelCost};
-use pbte_mesh::partition::{Partition, PartitionMethod};
+use pbte_gpu::DeviceSpec;
 
 /// The index the band-parallel strategies partition.
 const BANDS: &str = "b";
@@ -41,10 +39,9 @@ pub struct RankWork {
 /// configuration in the figure binaries).
 pub struct Workload {
     pub cp: CompiledProblem,
-    /// The single-device hybrid target's static price (per-step transfers).
-    device: CostModel,
-    /// Cost of one device kernel thread, from the compiled programs.
-    pub kernel_cost: KernelCost,
+    /// The single-device hybrid target's static price: per-step transfers,
+    /// and one sweep per dof — a device thread's cost.
+    pub device: CostModel,
 }
 
 impl Workload {
@@ -59,7 +56,6 @@ impl Workload {
         let (cp, _fields) = CompiledProblem::compile(hotspot_2d(cfg).problem).expect("compiles");
         Workload {
             device: estimate_cost(&cp, &Workload::gpu(1)),
-            kernel_cost: estimate_kernel_cost(&cp),
             cp,
         }
     }
@@ -122,24 +118,25 @@ impl Workload {
         (self.device.step_h2d_bytes, d2h.round() as u64)
     }
 
-    /// Exact halo statistics for a cell partition into `p` ranks (RCB on
-    /// the real mesh — the numbers behind Fig 3's "blue lines").
+    /// Exact halo statistics for a cell partition into `p` ranks: the
+    /// send lists the cell-parallel executor packs, over its rank scopes
+    /// (RCB on the real mesh — the numbers behind Fig 3's "blue lines").
     pub fn halo(&self, p: usize) -> HaloStats {
-        let mesh = self.cp.mesh();
-        let partition = Partition::build(mesh, p, PartitionMethod::Rcb);
+        let target = ExecTarget::DistCells { ranks: p };
+        let scopes = rank_scopes(&self.cp, &target).expect("no more ranks than cells");
+        let lists = interface_send_lists(&self.cp, &scopes);
         let row_bytes = self.cp.n_flat as u64 * 8;
-        let mut stats = HaloStats::default();
-        for r in 0..p {
-            let ghosts = partition.ghost_cells(mesh, r);
-            let mut peers: Vec<u32> = ghosts.iter().map(|&(_, part)| part).collect();
-            peers.sort_unstable();
-            peers.dedup();
-            let bytes = ghosts.len() as u64 * row_bytes;
-            stats.max_neighbors = stats.max_neighbors.max(peers.len());
-            stats.max_rank_bytes = stats.max_rank_bytes.max(bytes);
-            stats.total_bytes += bytes;
+        let mut received = vec![0u64; p];
+        for (peer, cells) in lists.iter().flatten() {
+            received[*peer] += cells.len() as u64 * row_bytes;
         }
-        stats
+        HaloStats {
+            // Adjacency is symmetric: a rank receives from every peer it
+            // sends to.
+            max_neighbors: lists.iter().map(Vec::len).max().unwrap_or(0),
+            max_rank_bytes: received.iter().copied().max().unwrap_or(0),
+            total_bytes: received.iter().sum(),
+        }
     }
 
     /// The buffer the band strategy's temperature update allreduces each
@@ -178,12 +175,12 @@ mod tests {
     #[test]
     fn kernel_cost_is_compute_shaped() {
         let w = tiny();
-        let cost = w.kernel_cost;
+        let cost = w.device.sweep;
         assert!(cost.flops_per_thread > 20.0, "{:?}", cost);
         // Cache-aware traffic: a couple of doubles per thread, not the
         // raw load count.
         assert!(cost.bytes_read_per_thread < 40.0, "{:?}", cost);
-        // Arithmetic intensity beyond the A6000 DP ridge (~0.9 F/B) —
+        // Arithmetic intensity beyond the A6000 DP ridge (~0.8 F/B) —
         // compute bound, as the paper's profile shows.
         assert!(cost.arithmetic_intensity() > 1.0);
     }

@@ -4,19 +4,24 @@
 //! The same facts the schedule synthesis consumes — the transfer
 //! schedule, the compiled kernel programs per tier, the hot-loop face
 //! geometry, and the integrator structure — price a plan *before it
-//! runs*: bytes moved per step, kernel FLOPs/loads per dof, and the cost
-//! of one Krylov iteration for implicit plans. [`check_cost_drift`] then
-//! compares the model's structural predictions against the exact
-//! [`WorkCounters`](pbte_runtime::telemetry::WorkCounters) and device
-//! [`ProfileReport`](pbte_gpu::ProfileReport) a solve recorded; relative
-//! error above [`DRIFT_TOLERANCE`] is a `cost/model-drift` diagnostic —
-//! either the model or an executor's accounting has silently changed.
+//! runs*: bytes moved per step, the price of one sweep per dof
+//! ([`sweep_price`], the one function that prices a sweep — the simulated
+//! device, every sweep span's `pred_flops` and the figures read it), and
+//! the cost of one Krylov iteration for implicit plans.
+//! [`check_cost_drift`] then compares the model's structural predictions
+//! against the exact [`WorkCounters`](pbte_runtime::telemetry::WorkCounters)
+//! and device [`ProfileReport`](pbte_gpu::ProfileReport) a solve recorded;
+//! relative error above [`DRIFT_TOLERANCE`] is a `cost/model-drift`
+//! diagnostic — either the model or an executor's accounting has silently
+//! changed.
 
 use super::{rules, Diagnostic, Scope, Severity};
-use crate::bytecode::{BoundOp, KernelKind, Op, Program, RegOp, RegProgram};
+use crate::bytecode::{BoundOp, KernelKind, RegOp, RegProgram};
 use crate::dataflow::{Entity, Plan, Policy, Stage};
 use crate::exec::{CompiledProblem, ExecTarget, FluxPath, SolveReport};
 use crate::problem::{KernelTier, TimeStepper};
+use pbte_gpu::KernelCost;
+use pbte_runtime::telemetry::CostExpectation;
 
 /// Relative error above which a prediction counts as model drift.
 pub const DRIFT_TOLERANCE: f64 = 0.15;
@@ -38,11 +43,8 @@ pub struct CostModel {
     pub ghost_per_sweep: u64,
     /// Explicit stages per time step (Euler 1, RK2/Heun 2).
     pub stages_per_step: u64,
-    /// Kernel FLOPs per dof update (volume + per-face flux), averaged
-    /// over flats for the bound/fused tiers.
-    pub flops_per_dof: f64,
-    /// Array loads per dof update, same averaging.
-    pub loads_per_dof: f64,
+    /// One sweep of the main plan, per dof: [`sweep_price`].
+    pub sweep: KernelCost,
     /// One-time upload bytes (GPU targets): `Once` H2D slices of an
     /// explicit plan's schedule; the resident ghost images of an implicit
     /// plan's lowered walls.
@@ -56,7 +58,8 @@ pub struct CostModel {
     /// JVP sweeps per Krylov (BiCGStab) iteration: exactly 2
     /// (`v = A·p`, `t = A·s`).
     pub jvp_per_krylov_iter: u64,
-    /// FLOPs of one Krylov iteration's JVP work (2 sweeps).
+    /// FLOPs of one Krylov iteration's JVP work: 2 sweeps of the JVP plan
+    /// at its own [`sweep_price`] (0 without a JVP plan).
     pub flops_per_krylov_iter: f64,
     /// Implicit GPU targets: upload bytes of one main RHS sweep (the
     /// plan's read variables — re-uploaded every sweep because host
@@ -71,26 +74,6 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// The live per-step expectation handed to the telemetry recorder:
-    /// the same structural predictions `check_cost_drift` validates
-    /// post-hoc, packaged for mid-run annotation (kernel `pred_flops`,
-    /// transfer `pred_bytes`) and per-step drift events. The per-step
-    /// counter check is off for implicit/steady plans, whose per-step
-    /// work is data-dependent; span annotation still applies there.
-    pub fn expectation(&self) -> pbte_runtime::telemetry::CostExpectation {
-        pbte_runtime::telemetry::CostExpectation {
-            flops_per_dof: self.flops_per_dof,
-            dof_per_sweep: self.dof_per_sweep,
-            flux_per_sweep: self.flux_per_sweep,
-            ghost_per_sweep: self.ghost_per_sweep,
-            stages_per_step: self.stages_per_step as u32,
-            step_h2d_bytes: self.step_h2d_bytes,
-            step_d2h_bytes: self.step_d2h_bytes,
-            per_step_check: !self.implicit,
-            tolerance: DRIFT_TOLERANCE,
-        }
-    }
-
     /// Render as an aligned block for `pbte-verify --cost`.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -107,8 +90,9 @@ impl CostModel {
         );
         let _ = writeln!(
             out,
-            "  kernel: {:.1} flops/dof, {:.1} loads/dof",
-            self.flops_per_dof, self.loads_per_dof
+            "  kernel: {:.1} flops/dof, {:.1} B/dof",
+            self.sweep.flops_per_thread,
+            self.sweep.total_bytes(1)
         );
         if self.setup_h2d_bytes + self.step_h2d_bytes + self.step_d2h_bytes > 0 {
             let _ = writeln!(
@@ -169,133 +153,182 @@ fn stage_bytes(plan: &CompiledProblem, stage: &Stage) -> [u64; 3] {
     ]
 }
 
-/// Array loads of a generic stack program.
-fn vm_loads(program: &Program) -> f64 {
-    let is_load = |op: &&Op| {
-        matches!(
-            op,
-            Op::LoadVar { .. } | Op::LoadU1 | Op::LoadU2 | Op::LoadCoef { .. }
-        )
-    };
-    program.ops.iter().filter(is_load).count() as f64
-}
-
-/// `(flops, loads)` of the per-flat lowered streams of one kernel at
-/// `tier` (`Bound`, or the register form `Row`/`Native` run), averaged
-/// over flats. Face inputs of a flux program count as loads.
-fn lowered_costs(cp: &CompiledProblem, kind: KernelKind, tier: KernelTier) -> (f64, f64) {
-    let (mut flops, mut loads) = (0usize, 0usize);
+/// FLOPs of the per-flat lowered streams of one kernel at `tier`
+/// (`Bound`, or the register form `Row`/`Native` run), averaged over
+/// flats.
+fn lowered_flops(cp: &CompiledProblem, kind: KernelKind, tier: KernelTier) -> f64 {
+    let mut flops = 0usize;
     for flat in 0..cp.n_flat {
         let b = cp.bind(kind, flat, 0.0);
         if tier == KernelTier::Bound {
-            for op in b.ops() {
-                match op {
-                    BoundOp::Load { .. } => loads += 1,
-                    BoundOp::Const(_) | BoundOp::CoefFn(_) => {}
-                    _ => flops += 1,
-                }
-            }
+            let arithmetic = |op: &&BoundOp| {
+                !matches!(
+                    op,
+                    BoundOp::Load { .. } | BoundOp::Const(_) | BoundOp::CoefFn(_)
+                )
+            };
+            flops += b.ops().iter().filter(arithmetic).count();
             continue;
         }
-        for op in RegProgram::compile(&b).ops() {
-            match op {
-                RegOp::Load { .. } => loads += 1,
-                RegOp::Const { .. } | RegOp::CoefFn { .. } => {}
-                RegOp::LoadMul { .. } | RegOp::LoadMulConst { .. } => {
-                    loads += 1;
-                    flops += 1;
-                }
-                _ => flops += 1,
-            }
-        }
+        let arithmetic = |op: &&RegOp| {
+            !matches!(
+                op,
+                RegOp::Load { .. } | RegOp::Const { .. } | RegOp::CoefFn { .. }
+            )
+        };
+        flops += RegProgram::compile(&b)
+            .ops()
+            .iter()
+            .filter(arithmetic)
+            .count();
     }
-    let n = cp.n_flat.max(1) as f64;
-    (flops as f64 / n, loads as f64 / n)
+    flops as f64 / cp.n_flat.max(1) as f64
 }
 
-/// Per-dof FLOP and load counts for the tier's actual instruction
-/// streams: the generic programs for the VM tier, the per-flat bound or
-/// fused register programs otherwise (the native tier compiles the same
-/// register programs to machine code, so its counts equal the Row
-/// tier's).
-fn kernel_op_costs(cp: &CompiledProblem, tier: KernelTier) -> (f64, f64) {
+/// Per-dof FLOPs of the resolved tier's actual instruction streams: the
+/// generic programs for the VM tier, the per-flat bound or fused register
+/// programs otherwise (the native tier compiles the same register
+/// programs to machine code, so its count equals the Row tier's).
+fn sweep_flops(cp: &CompiledProblem) -> f64 {
+    let tier = cp.resolved_tier();
     let n_cells = cp.mesh().n_cells();
     let faces_per_cell = cp.hot.nbr.len() as f64 / n_cells.max(1) as f64;
     // Flux side, per face: the table loop does an αβγ FMA pair plus the
-    // area multiply (~6 flops, 1 neighbor load); the compiled flux is
-    // priced from its register stream plus the area multiply-accumulate;
-    // the per-dof tiers without a table replay the generic flux program.
-    let (flux_flops, flux_loads) = match cp.flux_path(tier) {
-        FluxPath::Table => (6.0, 1.0),
-        FluxPath::Compiled => {
-            let (flops, loads) = lowered_costs(cp, KernelKind::Flux, tier);
-            (flops + 2.0, loads)
-        }
-        FluxPath::Vm => (cp.flux.flops as f64 + 4.0, vm_loads(&cp.flux)),
+    // area multiply (~6 flops); the compiled flux is priced from its
+    // register stream plus the area multiply-accumulate; the per-dof tiers
+    // without a table replay the generic flux program.
+    let flux_flops = match cp.flux_path(tier) {
+        FluxPath::Table => 6.0,
+        FluxPath::Compiled => lowered_flops(cp, KernelKind::Flux, tier) + 2.0,
+        FluxPath::Vm => cp.flux.flops as f64 + 4.0,
     };
-    let (volume_flops, volume_loads) = match tier {
-        KernelTier::Vm => (cp.volume.flops as f64, vm_loads(&cp.volume)),
-        _ => lowered_costs(cp, KernelKind::Volume, tier),
+    let volume_flops = match tier {
+        KernelTier::Vm => cp.volume.flops as f64,
+        _ => lowered_flops(cp, KernelKind::Volume, tier),
     };
-    // Per dof: one volume evaluation, one flux evaluation per face, the
-    // inv-volume multiply-subtract, and the unknown's own load.
-    (
-        volume_flops + faces_per_cell * flux_flops + 2.0,
-        volume_loads + faces_per_cell * flux_loads + 1.0,
-    )
+    // Per dof: one volume evaluation, one flux evaluation per face, and
+    // the inv-volume multiply-subtract.
+    volume_flops + faces_per_cell * flux_flops + 2.0
 }
 
-/// Price a plan statically: `price` on the stages `target` runs.
+/// The price of one sweep of `cp`, per dof (one device thread) — the one
+/// function that prices a sweep: the simulated device launches with it,
+/// every sweep span carries it × the range's dofs as `pred_flops`, and the
+/// figures' device roofline reads it.
+///
+/// Flops are counted off the instruction stream the resolved tier runs.
+/// Bytes are the *DRAM-effective* traffic the sweep's reuse structure
+/// proves, not raw load counts:
+///
+/// * each unknown value leaves DRAM once per sweep — its uses by its own
+///   thread and by its neighbours' hit in L2;
+/// * a non-unknown variable value (e.g. `Io[b]`, `beta[b]` per cell) is
+///   shared by all threads with the same (cell, its indices), i.e. reused
+///   `n_flat / flat_len(var)` times;
+/// * coefficient tables (a few kB) and per-cell geometry are resident in
+///   cache across the flattened index dimension;
+/// * each thread writes its one result.
+///
+/// On the hot-spot plans the table flux makes this ≈30 flops against
+/// ≈17 B: compute-bound on an A6000, whose double-precision ridge sits
+/// near 0.8 flop/B.
+pub fn sweep_price(cp: &CompiledProblem) -> KernelCost {
+    let mesh = cp.mesh();
+    let max_faces = (0..mesh.n_cells())
+        .map(|c| mesh.cell_faces(c).len())
+        .max()
+        .expect("mesh has cells") as f64;
+    let n_flat = cp.n_flat as f64;
+    let registry = &cp.problem.registry;
+    let shared_var_bytes: f64 = (cp.system.read_variables.iter())
+        .filter(|&&v| v != cp.system.unknown)
+        .map(|&v| 8.0 * registry.flat_len(&registry.variables[v].indices) as f64 / n_flat)
+        .sum();
+    let geometry_bytes = 8.0 * (6.0 * max_faces + 4.0) / n_flat;
+    KernelCost {
+        flops_per_thread: sweep_flops(cp),
+        bytes_read_per_thread: 8.0 + shared_var_bytes + geometry_bytes,
+        bytes_written_per_thread: 8.0,
+    }
+}
+
+/// Explicit stages per time step.
+fn stages_per_step(cp: &CompiledProblem) -> u64 {
+    match cp.problem.stepper {
+        TimeStepper::EulerExplicit => 1,
+        TimeStepper::Rk2 => 2,
+    }
+}
+
+/// The live per-step expectation of one rank sweeping its scope `d` with
+/// the stage `main` — what `driver::run_scope` attaches to the rank's
+/// recorder when a trace sink is active, so `h2d`/`d2h` spans carry
+/// `pred_bytes` and `Recorder::step_done` emits `cost/live-drift` the
+/// moment observed work diverges, without waiting for the post-hoc
+/// `pbte-verify --cost` pass. Dof and flux sweeps are the owned sets;
+/// ghost evaluations scale with the owned flats (the ghost loop covers
+/// every callback slot for each flat in scope, on every rank). Per-step
+/// transfer bytes are predicted for an explicit plan on a rank that owns
+/// the whole grid only: the moves are priced for the whole problem and
+/// per-rank shares are not proportional (full coefficient slices move
+/// beside owned unknown rows). The per-step counter check is off for
+/// implicit/steady plans, whose per-step work is data-dependent.
+pub(crate) fn expectation(cp: &CompiledProblem, main: &Stage, d: &Scope) -> CostExpectation {
+    let implicit = cp.problem.integrator.is_implicit();
+    let [_, h2d, d2h] = stage_bytes(cp, main);
+    let whole = |bytes: u64| match !implicit && d.is_full(cp.n_flat) {
+        true => bytes,
+        false => 0,
+    };
+    CostExpectation {
+        dof_per_sweep: d.dofs() as u64,
+        flux_per_sweep: d.flats.len() as u64 * d.faces,
+        ghost_per_sweep: (cp.walls.callback_faces() * d.flats.len()) as u64,
+        stages_per_step: stages_per_step(cp) as u32,
+        step_h2d_bytes: whole(h2d),
+        step_d2h_bytes: whole(d2h),
+        per_step_check: !implicit,
+        tolerance: DRIFT_TOLERANCE,
+    }
+}
+
+/// Price a plan statically on the stages `target` runs. Transfer-byte
+/// predictions are nonzero only for targets with a device lineage — they
+/// are the bytes of the stages' moves, per step under an explicit
+/// integrator, per sweep under an implicit one; sweep work is
+/// target-independent — the parity tests pin every executor to the same
+/// counter totals.
 pub fn estimate_cost(cp: &CompiledProblem, target: &ExecTarget) -> CostModel {
     let scope = Scope::whole(cp);
     let main = Stage::build(cp, Plan::Main, target, &scope);
     let jvp = cp.jvp.as_deref();
-    let jvp = jvp.map(|jcp| Stage::build(jcp, Plan::Jvp, target, &scope));
-    price(cp, &main, jvp.as_ref())
-}
-
-/// Price a plan from the stages a solve runs (`jvp`: the JVP plan's, under
-/// an implicit integrator). Transfer-byte predictions are nonzero only for
-/// targets with a device lineage — they are the bytes of the stages' moves,
-/// per step under an explicit integrator, per sweep under an implicit one;
-/// sweep work is target-independent — the parity tests pin every executor
-/// to the same counter totals.
-pub(crate) fn price(cp: &CompiledProblem, main: &Stage, jvp: Option<&Stage>) -> CostModel {
-    let n_cells = cp.mesh().n_cells();
+    let jvp = jvp.map(|jcp| (jcp, Stage::build(jcp, Plan::Jvp, target, &scope)));
     let tier = cp.resolved_tier();
-    let dof_per_sweep = (cp.n_flat * n_cells) as u64;
-    let flux_per_sweep = (cp.n_flat * cp.hot.nbr.len()) as u64;
-    let ghost_per_sweep = (cp.walls.callback_faces() * cp.n_flat) as u64;
-    let stages_per_step = match cp.problem.stepper {
-        TimeStepper::EulerExplicit => 1,
-        TimeStepper::Rk2 => 2,
-    };
-    let (flops_per_dof, loads_per_dof) = kernel_op_costs(cp, tier);
+    let dof_per_sweep = (cp.n_flat * cp.mesh().n_cells()) as u64;
 
     let implicit = cp.problem.integrator.is_implicit();
-    let [setup, run_h2d, run_d2h] = stage_bytes(cp, main);
-    let [jvp_setup, jvp_h2d, _] = match (cp.jvp.as_deref(), jvp) {
-        (Some(jcp), Some(stage)) => stage_bytes(jcp, stage),
-        _ => [0, run_h2d, 0],
+    let [setup, run_h2d, run_d2h] = stage_bytes(cp, &main);
+    let [jvp_setup, jvp_h2d, _] = match &jvp {
+        Some((jcp, stage)) => stage_bytes(jcp, stage),
+        None => [0, run_h2d, 0],
     };
+    let jvp_flops = jvp.map_or(0.0, |(jcp, _)| sweep_price(jcp).flops_per_thread);
     let per_step = |bytes: u64| if implicit { 0 } else { bytes };
     let per_sweep = |bytes: u64| if implicit { bytes } else { 0 };
-    let sweep_flops = flops_per_dof * dof_per_sweep as f64;
     CostModel {
         tier,
         flux: cp.flux_path(tier),
         dof_per_sweep,
-        flux_per_sweep,
-        ghost_per_sweep,
-        stages_per_step,
-        flops_per_dof,
-        loads_per_dof,
+        flux_per_sweep: (cp.n_flat * cp.hot.nbr.len()) as u64,
+        ghost_per_sweep: (cp.walls.callback_faces() * cp.n_flat) as u64,
+        stages_per_step: stages_per_step(cp),
+        sweep: sweep_price(cp),
         setup_h2d_bytes: setup + per_sweep(jvp_setup),
         step_h2d_bytes: per_step(run_h2d),
         step_d2h_bytes: per_step(run_d2h),
         implicit,
         jvp_per_krylov_iter: 2,
-        flops_per_krylov_iter: 2.0 * sweep_flops,
+        flops_per_krylov_iter: 2.0 * jvp_flops * dof_per_sweep as f64,
         sweep_h2d_bytes: per_sweep(run_h2d),
         jvp_sweep_h2d_bytes: per_sweep(jvp_h2d),
         sweep_d2h_bytes: per_sweep(run_d2h),

@@ -80,12 +80,15 @@ mod units;
 mod validate;
 
 pub use boundary::check_boundary_forms;
-pub(crate) use cost::price;
-pub use cost::{check_cost_drift, estimate_cost, CostCheck, CostModel, DRIFT_TOLERANCE};
+pub(crate) use cost::expectation;
+pub use cost::{
+    check_cost_drift, estimate_cost, sweep_price, CostCheck, CostModel, DRIFT_TOLERANCE,
+};
 pub use intervals::{cfl_bound, check_intervals, CflBound};
 pub use intervals::{recommend_dt, DtRecommendation, ACCURACY_COURANT};
 pub use races::{check_disjoint_writes, check_divided_slices, WriteRegion};
-pub use synth::{rank_scopes, synthesize_partition, synthesize_records, Scope, Tile, TileLabel};
+pub use synth::{interface_send_lists, rank_scopes, synthesize_partition, synthesize_records};
+pub use synth::{Scope, SendList, Tile, TileLabel};
 pub use transfers::check_schedule;
 pub use units::check_units;
 pub use validate::{

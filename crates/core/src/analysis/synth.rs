@@ -49,7 +49,8 @@ fn unknown_user(cp: &CompiledProblem, records: &[Record], write: bool) -> Option
 /// 1. every coefficient the kernel reads → `Once` H2D (coefficients are
 ///    immutable by construction: they live in the registry, not in
 ///    `Fields`, so no host code can rewrite one);
-/// 2. the unknown → `Once` H2D (initial condition);
+/// 2. the unknown → `Once` H2D (initial condition), unless rule 4 uploads
+///    it before every sweep;
 /// 3. the unknown → `EveryStep` D2H iff some host record may read it
 ///    between steps (a step callback, a boundary callback — declared, or
 ///    assumed for opaque ones — or the async combine);
@@ -88,9 +89,13 @@ pub fn synthesize_records(
         push(&registry.coefficients[c].name, true, Policy::Once, reason);
     }
 
-    // 2. The unknown's initial condition.
-    let reason = "unknown: initial condition upload";
-    push(unknown_name, true, Policy::Once, reason);
+    // 2. The unknown's initial condition — unless rule 4 re-uploads it
+    //    before every read anyway.
+    let reuploaded = sides.host_writes_declared.contains(unknown_name);
+    if !reuploaded {
+        let reason = "unknown: initial condition upload";
+        push(unknown_name, true, Policy::Once, reason);
+    }
 
     // 3. The unknown returns to the host iff some host site reads it.
     if sides.host_reads_possible.contains(unknown_name) {
@@ -118,7 +123,7 @@ pub fn synthesize_records(
         };
         push(GHOSTS, true, policy, reason);
     }
-    if sides.host_writes_declared.contains(unknown_name) {
+    if reuploaded {
         let reason = match unknown_user(cp, records, true) {
             Some(Kernel::Combine) => "unknown: host combines the boundary contribution",
             _ => "mutable variable: rewritten by post-step callback",
@@ -343,6 +348,48 @@ pub fn rank_scopes(cp: &CompiledProblem, target: &ExecTarget) -> Result<Vec<Scop
                 .collect()
         }
     })
+}
+
+/// `(peer rank, my interface cells it needs)`, sorted by peer.
+pub type SendList = Vec<(usize, Vec<usize>)>;
+
+/// Interface send lists of a cell partition, derived from the rank
+/// scopes: for every interior face whose two cells live on different
+/// ranks, each side sends its cell to the other. Sorted and deduplicated
+/// for a deterministic packing order shared by sender and receiver. What
+/// the cell-partitioned executor exchanges before every stage, and what
+/// the figure model's halo bytes are read off.
+pub fn interface_send_lists(cp: &CompiledProblem, scopes: &[Scope]) -> Vec<SendList> {
+    let mesh = cp.mesh();
+    let mut part = vec![0usize; mesh.n_cells()];
+    for (r, scope) in scopes.iter().enumerate() {
+        for &c in &scope.cells {
+            part[c] = r;
+        }
+    }
+    let mut lists: Vec<std::collections::BTreeMap<usize, Vec<usize>>> =
+        vec![Default::default(); scopes.len()];
+    for f in &mesh.faces {
+        let Some(nb) = f.neighbor else { continue };
+        let (a, b) = (part[f.owner], part[nb]);
+        if a != b {
+            lists[a].entry(b).or_default().push(f.owner);
+            lists[b].entry(a).or_default().push(nb);
+        }
+    }
+    lists
+        .into_iter()
+        .map(|per_peer| {
+            per_peer
+                .into_iter()
+                .map(|(peer, mut cells)| {
+                    cells.sort_unstable();
+                    cells.dedup();
+                    (peer, cells)
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Names a tile in a race diagnostic, formatted only when one fires.

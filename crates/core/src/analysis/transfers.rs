@@ -16,7 +16,8 @@
 //!   writer and no transfer refreshes the reader's copy.
 //! * **redundant transfer** — `e` is moved although the receiving side
 //!   never reads it before it is next overwritten (or the sending side
-//!   never even writes it), or the same copy is scheduled twice.
+//!   never even writes it), or the same copy is scheduled twice, or a
+//!   one-time upload sits beside a per-step one of the same entity.
 
 use super::{rules, Diagnostic, Scope, Severity};
 use crate::dataflow::{
@@ -175,6 +176,12 @@ pub(super) fn check_against(sides: &Sides, schedule: &TransferSchedule) -> Vec<D
             |u: &Transfer| (&u.name, u.to_device, u.policy) == (&t.name, t.to_device, t.policy);
         let message = if schedule.transfers[..i].iter().any(same) {
             "the same copy is already scheduled"
+        } else if t.to_device
+            && t.policy == Policy::Once
+            && h2d_every.contains(t.name.as_str())
+            && sides.host_writes_possible.contains(&t.name)
+        {
+            "uploaded once but also before every read, which makes the one-time copy dead"
         } else if t.to_device && !sides.device_reads.contains(&t.name) {
             "uploaded but the device kernel never reads it"
         } else if t.to_device

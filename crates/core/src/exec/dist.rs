@@ -24,7 +24,7 @@
 
 use super::driver::{run_scope, Owned};
 use super::{CompiledProblem, ExecTarget, SolveReport, StepLinks, WorkCounters};
-use crate::analysis::Scope;
+use crate::analysis::{interface_send_lists, Scope, SendList};
 use crate::entities::Fields;
 use crate::problem::Reducer;
 use pbte_mesh::partition::partition_bands;
@@ -35,9 +35,6 @@ use std::time::Instant;
 
 /// Tag for halo messages: `HALO_TAG + sender`.
 const HALO_TAG: u32 = 100;
-
-/// `(peer rank, my interface cells it needs)`, sorted by peer.
-type SendList = Vec<(usize, Vec<usize>)>;
 
 /// One rank's links to the others: reductions always; a halo exchange of
 /// the unknown when the rank has interface cells (cell partitioning — a
@@ -140,43 +137,6 @@ impl StepLinks for RankLinks<'_> {
             );
         }
     }
-}
-
-/// Interface send lists of a cell partition, derived from the rank
-/// scopes: for every interior face whose two cells live on different
-/// ranks, each side sends its cell to the other. Sorted and deduplicated
-/// for a deterministic packing order shared by sender and receiver.
-fn interface_send_lists(cp: &CompiledProblem, scopes: &[Scope]) -> Vec<SendList> {
-    let mesh = cp.mesh();
-    let mut part = vec![0usize; mesh.n_cells()];
-    for (r, scope) in scopes.iter().enumerate() {
-        for &c in &scope.cells {
-            part[c] = r;
-        }
-    }
-    let mut lists: Vec<std::collections::BTreeMap<usize, Vec<usize>>> =
-        vec![Default::default(); scopes.len()];
-    for f in &mesh.faces {
-        let Some(nb) = f.neighbor else { continue };
-        let (a, b) = (part[f.owner], part[nb]);
-        if a != b {
-            lists[a].entry(b).or_default().push(f.owner);
-            lists[b].entry(a).or_default().push(nb);
-        }
-    }
-    lists
-        .into_iter()
-        .map(|per_peer| {
-            per_peer
-                .into_iter()
-                .map(|(peer, mut cells)| {
-                    cells.sort_unstable();
-                    cells.dedup();
-                    (peer, cells)
-                })
-                .collect()
-        })
-        .collect()
 }
 
 /// The band partition of a band-distributed target: the partitioned

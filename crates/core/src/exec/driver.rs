@@ -29,10 +29,9 @@ use super::implicit::{theta_step, ImplicitWorkspace};
 use super::rows::{self, IntensityKernels};
 use super::walls::Ghosts;
 use super::{
-    dist, gpu, phases, scope_cost, seq, CompiledProblem, ExecTarget, LocalLinks, SolveReport,
-    StepLinks,
+    dist, gpu, phases, seq, CompiledProblem, ExecTarget, LocalLinks, SolveReport, StepLinks,
 };
-use crate::analysis::Scope;
+use crate::analysis::{sweep_price, Scope};
 use crate::dataflow::{Kernel, Plan, Record, Stage};
 use crate::entities::Fields;
 use crate::problem::{DslError, Integrator, KernelTier, TimeStepper};
@@ -177,11 +176,13 @@ pub(crate) fn host_span(rec: &mut Recorder, record: &Record, step: usize, t0: In
 /// native fallback, and the same tier evaluates the flux from a table on
 /// one mesh and from its compiled program on another), with `run_cells`,
 /// the scope's cells inside stencil runs (0: the whole sweep took the CSR
-/// walk), and with how the sweep was cut: `tiles` pieces over `workers`
-/// threads. `plan` is the compiled problem `which` names.
+/// walk), with how the sweep was cut: `tiles` pieces over `workers`
+/// threads, and with its price: the plan's [`sweep_price`] × the scope's
+/// dofs as `pred_flops`. `plan` is the compiled problem `which` names,
+/// `state` its sweep state.
 fn sweep_span(
     rec: &mut Recorder,
-    tier: KernelTier,
+    state: &CpuPlan,
     plan: &CompiledProblem,
     which: Plan,
     d: &Scope,
@@ -191,6 +192,7 @@ fn sweep_span(
     if !rec.enabled() {
         return;
     }
+    let tier = state.kernels.tier;
     let dur = rec.now() - k0;
     rec.span(
         SpanKind::Kernel,
@@ -209,6 +211,10 @@ fn sweep_span(
             ("run_cells", plan.hot.run_cells_of(d).to_string()),
             ("tiles", d.tiles.len().to_string()),
             ("workers", d.workers.to_string()),
+            (
+                "pred_flops",
+                format!("{:.4e}", state.flops_per_dof * d.dofs() as f64),
+            ),
         ],
     );
 }
@@ -217,13 +223,20 @@ fn sweep_span(
 struct CpuPlan {
     kernels: IntensityKernels,
     ghosts: Ghosts,
+    /// Flops per dof of one sweep ([`sweep_price`]), what its span reports;
+    /// priced only when the run is traced (0 otherwise: nothing reads it).
+    flops_per_dof: f64,
 }
 
 impl CpuPlan {
-    fn new(plan: &CompiledProblem, flats: &[usize]) -> CpuPlan {
+    fn new(plan: &CompiledProblem, flats: &[usize], traced: bool) -> CpuPlan {
         CpuPlan {
             kernels: IntensityKernels::for_scope(plan, flats),
             ghosts: Ghosts::for_plan(plan),
+            flops_per_dof: match traced {
+                true => sweep_price(plan).flops_per_thread,
+                false => 0.0,
+            },
         }
     }
 }
@@ -236,10 +249,10 @@ pub(crate) struct CpuBackend {
 }
 
 impl CpuBackend {
-    pub fn new(cp: &CompiledProblem, d: &Scope) -> CpuBackend {
+    pub fn new(cp: &CompiledProblem, d: &Scope, traced: bool) -> CpuBackend {
         CpuBackend {
-            main: CpuPlan::new(cp, &d.flats),
-            jvp: cp.jvp.as_deref().map(|jcp| CpuPlan::new(jcp, &d.flats)),
+            main: CpuPlan::new(cp, &d.flats, traced),
+            jvp: (cp.jvp.as_deref()).map(|jcp| CpuPlan::new(jcp, &d.flats, traced)),
         }
     }
 
@@ -285,12 +298,12 @@ impl Backend for CpuBackend {
                 plan: which,
                 fused_dt,
             } => {
-                let CpuPlan { kernels, ghosts } = self.plan(which);
+                let state = self.plan(which);
                 let k0 = rec.now();
-                let ghosts = ghosts.current(plan);
-                let work = &mut rec.work;
+                let ghosts = state.ghosts.current(plan);
+                let (kernels, work) = (&mut state.kernels, &mut rec.work);
                 rows::sweep(kernels, plan, fields, d, ghosts, time, fused_dt, out, work);
-                sweep_span(rec, kernels.tier, plan, which, d, step, k0);
+                sweep_span(rec, state, plan, which, d, step, k0);
                 let unknown = plan.system.unknown;
                 if fused_dt.is_some() && d.is_full(plan.n_flat) {
                     fields.swap_storage(unknown, out);
@@ -310,12 +323,15 @@ impl Backend for CpuBackend {
 }
 
 /// The engine — the backend with the stages it is to run — and the
-/// callback thread count `target` runs one rank's scope `d` on.
+/// callback thread count `target` runs one rank's scope `d` on. A host
+/// backend prices its plans only for a `traced` run; a device prices them
+/// always (its clock runs on the price).
 pub(crate) fn engine_for<'a>(
     cp: &CompiledProblem,
     fields: &Fields,
     d: &'a Scope,
     target: &ExecTarget,
+    traced: bool,
 ) -> (Engine<'a>, usize) {
     let main = Stage::build(cp, Plan::Main, target, d);
     let jvp = cp.jvp.as_deref();
@@ -325,7 +341,7 @@ pub(crate) fn engine_for<'a>(
         ExecTarget::CpuSeq
         | ExecTarget::CpuParallel
         | ExecTarget::DistCells { .. }
-        | ExecTarget::DistBands { .. } => (Box::new(CpuBackend::new(cp, d)), d.workers),
+        | ExecTarget::DistBands { .. } => (Box::new(CpuBackend::new(cp, d, traced)), d.workers),
         // The device is idle while callbacks run, so the host thread pool
         // is fully available to them.
         ExecTarget::GpuHybrid { spec, .. } | ExecTarget::DistBandsGpu { spec, .. } => (
@@ -599,12 +615,10 @@ pub(crate) fn run_scope(
     links: &mut dyn StepLinks,
     r: &mut Recorder,
 ) -> SolveReport {
-    let (mut engine, threads) = engine_for(cp, fields, d, target);
+    let (mut engine, threads) = engine_for(cp, fields, d, target, r.enabled());
     if r.enabled() {
-        // The live cost expectation, priced off the stages this rank is
-        // about to run and scoped to its share.
-        let model = crate::analysis::price(cp, &engine.main, engine.jvp.as_ref());
-        r.set_cost_expectation(scope_cost(model.expectation(), cp, d));
+        // The live cost expectation of the stage this rank is about to run.
+        r.set_cost_expectation(crate::analysis::expectation(cp, &engine.main, d));
     }
     if r.enabled() && r.rank() == 0 {
         let tier = engine.backend.tier();

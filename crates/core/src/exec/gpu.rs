@@ -18,7 +18,7 @@ use super::driver::{host_span, Backend, StepTimes};
 use super::rows::{self, FluxBoundary, IntensityKernels};
 use super::walls::Ghosts;
 use super::CompiledProblem;
-use crate::analysis::Scope;
+use crate::analysis::{sweep_price, Scope};
 use crate::bytecode::VmCtx;
 use crate::dataflow::{Entity, Kernel, Plan, Policy, Record, Stage, GHOSTS};
 use crate::entities::Fields;
@@ -43,56 +43,15 @@ pub(crate) fn device_summary_from(prof: &pbte_gpu::ProfileReport, rank: u32) -> 
     }
 }
 
-/// Static cost of one generated-kernel thread, as the code generator
-/// derives it. Flops are counted directly from the compiled programs
-/// (volume + per-face flux + update arithmetic). Bytes use the
-/// *DRAM-effective* traffic the generator can prove from reuse structure,
-/// not raw load counts:
-///
-/// * each unknown value leaves DRAM once per kernel — its five uses (own
-///   thread + four neighbors) hit in L2;
-/// * a non-unknown variable value (e.g. `Io[b]`, `beta[b]` per cell) is
-///   shared by all threads with the same (cell, its indices), i.e. reused
-///   `n_flat / flat_len(var)` times;
-/// * coefficient tables (a few kB) and per-cell geometry are resident in
-///   cache across the flattened index dimension.
-///
-/// This reuse reasoning is what makes the BTE kernel compute-bound on the
-/// device and reproduces the paper's profile table (≈49% of DP peak, ≈11%
-/// memory throughput). Exposed publicly so the figure harness prices
-/// paper-scale launches without executing them.
-pub fn estimate_kernel_cost(cp: &CompiledProblem) -> KernelCost {
-    let mesh = cp.mesh();
-    let max_faces = (0..mesh.n_cells())
-        .map(|c| mesh.cell_faces(c).len())
-        .max()
-        .expect("mesh has cells") as f64;
-    let n_flat_f = cp.n_flat as f64;
-    let registry = &cp.problem.registry;
-    let shared_var_bytes: f64 = cp
-        .system
-        .read_variables
-        .iter()
-        .filter(|&&v| v != cp.system.unknown)
-        .map(|&v| 8.0 * registry.flat_len(&registry.variables[v].indices) as f64 / n_flat_f)
-        .sum();
-    let geometry_bytes = 8.0 * (6.0 * max_faces + 4.0) / n_flat_f;
-    KernelCost {
-        flops_per_thread: cp.volume.flops as f64 + max_faces * (cp.flux.flops as f64 + 4.0) + 4.0,
-        bytes_read_per_thread: 8.0 + shared_var_bytes + geometry_bytes,
-        bytes_written_per_thread: 8.0,
-        fma_fraction: 0.0,
-        divergence_efficiency: 1.0,
-    }
-}
-
 /// Per-plan device state: the primal RHS and the JVP are two different
-/// compiled programs with their own kernels, cost model, and ghost layout,
-/// but they read the same variable set.
+/// compiled programs with their own kernels, price, and ghost layout, but
+/// they read the same variable set.
 struct PlanState {
     /// Scoped to the owned flats: `bound(k)`/`reg(k)` are indexed by
     /// scope position, which must match the launch row index.
     kernels: IntensityKernels,
+    /// One thread's price ([`sweep_price`]): what every launch of this
+    /// plan is timed by and what its sweep span reports as `pred_flops`.
     cost: KernelCost,
     ghost_dev: DeviceBuffer,
     /// Host-side ghost values.
@@ -109,7 +68,7 @@ impl PlanState {
     ) -> PlanState {
         PlanState {
             kernels: IntensityKernels::for_scope(plan, owned_flats),
-            cost: estimate_kernel_cost(plan),
+            cost: sweep_price(plan),
             ghost_dev: device.alloc("ghosts", plan.walls.image.len()),
             ghosts: Ghosts::for_plan(plan),
             name,
@@ -360,12 +319,8 @@ impl GpuBackend<'_> {
                     ("workers", scope.workers.to_string()),
                     ("tier", tier.name().to_string()),
                     ("flux", plan.flux_path(tier).name().to_string()),
-                    // The device kernel model's count (the paper's
-                    // conditional kernel), beside the cost model's
-                    // `pred_flops` (the tier's instruction stream): two
-                    // models, not a prediction and its observation.
                     (
-                        "device_flops",
+                        "pred_flops",
                         format!("{:.4e}", ps.cost.total_flops(n_threads)),
                     ),
                 ],

@@ -21,7 +21,7 @@
 //! ([`crate::dataflow::step_records`]). A target contributes three things:
 //!
 //! * a `Backend` — what running one record means: `CpuBackend` (the tile
-//!   walk `rows::sweep`) or the simulated device's `GpuBackend` ([`gpu`],
+//!   walk `rows::sweep`) or the simulated device's `GpuBackend` (`gpu`,
 //!   with the copies the stage attaches to the record), both evaluating
 //!   the same `rows::rhs_block` once per tile;
 //! * a [`StepLinks`] — halo exchange and reductions: [`LocalLinks`]
@@ -48,7 +48,7 @@
 
 pub(crate) mod dist;
 pub(crate) mod driver;
-pub mod gpu;
+pub(crate) mod gpu;
 pub(crate) mod implicit;
 pub(crate) mod rows;
 pub(crate) mod seq;
@@ -199,34 +199,6 @@ pub use pbte_runtime::telemetry::WorkCounters;
 /// [`Solver::solve_traced`] without a direct `pbte-runtime` dependency.
 pub use pbte_runtime::telemetry::{CostExpectation, Recorder, TraceConfig};
 
-/// Scope a full-problem cost expectation to one rank's (cells × flats)
-/// share — the live expectation `driver::run_scope` attaches to a rank's
-/// recorder when a trace sink is active, so kernel/transfer span frames
-/// carry `pred_flops`/`pred_bytes` and [`Recorder::step_done`] can emit
-/// `cost/live-drift` events the moment observed work diverges, without
-/// waiting for the post-hoc `pbte-verify --cost` pass. Dof and flux sweeps
-/// shrink to the owned sets; ghost evaluations scale with the owned flats
-/// (the ghost loop covers every callback slot for each flat in scope, on
-/// every rank). A rank that owns less than the whole grid drops the
-/// per-step transfer-byte predictions: the moves are priced for the whole
-/// problem and per-rank shares are not proportional (full coefficient
-/// slices move beside owned unknown rows), so only the single-device
-/// target keeps byte-level drift detection.
-pub(crate) fn scope_cost(
-    mut c: CostExpectation,
-    cp: &CompiledProblem,
-    scope: &Scope,
-) -> CostExpectation {
-    c.dof_per_sweep = scope.dofs() as u64;
-    c.flux_per_sweep = scope.flats.len() as u64 * scope.faces;
-    c.ghost_per_sweep = (cp.walls.callback_faces() * scope.flats.len()) as u64;
-    if !scope.is_full(cp.n_flat) {
-        c.step_h2d_bytes = 0;
-        c.step_d2h_bytes = 0;
-    }
-    c
-}
-
 /// Convert the structured warning events a solve's recorder collected
 /// into plan-verifier-style [`Diagnostic`](crate::analysis::Diagnostic)s,
 /// so `pbte-trace` (and CI
@@ -289,9 +261,10 @@ pub(crate) struct BoundaryFace {
 /// (true for every upwind-form flux the `upwind` operator generates), the
 /// code generator hoists the coefficients out of the hot loop:
 /// `flux = γ + α·u₁ + β·u₂` with `(α, β, γ)` precomputed per
-/// (flat index, oriented-normal class). The emitted GPU source and the
-/// device cost model (§III-D profile) keep the straight-line conditional
-/// form; the simulated device evaluates the hoisted one, like the CPU.
+/// (flat index, oriented-normal class). The emitted GPU source keeps the
+/// straight-line conditional form; the simulated device evaluates the
+/// hoisted one, like the CPU, and is priced by it
+/// ([`crate::analysis::sweep_price`]).
 ///
 /// The table is plan data — a function of the flux program, the
 /// coefficient values, `dt` and the normal of each class. Which class a

@@ -194,13 +194,15 @@ fn the_record_list_is_the_policy_for_every_target_walls_and_integrator() {
                     // What synth_schedule.rs, verifier.rs and
                     // transfer_oracle.rs pin: the opaque post-step rewrites
                     // Io and beta and reads I; the unknown re-uploads only
-                    // under a host combine, the ghosts only while the host
-                    // evaluates them for the kernel.
+                    // under a host combine — and then goes up before every
+                    // sweep instead of once —, the ghosts only while the
+                    // host evaluates them for the kernel.
                     assert!(on(&each_h2d, "Io") && on(&each_h2d, "beta"), "{case}");
                     assert_eq!(on(&each_h2d, "I"), combine, "{case}");
+                    assert_eq!(on(&once_h2d, "I"), !combine, "{case}");
                     assert_eq!(on(&each_h2d, "ghosts"), callback_wall && !combine, "{case}");
                     assert_eq!(on(&once_h2d, "ghosts"), !callback_wall, "{case}");
-                    assert!(on(&once_h2d, "I") && on(&once_h2d, "vg"), "{case}");
+                    assert!(on(&once_h2d, "vg"), "{case}");
                     assert_eq!(each_d2h, ["I"], "{case}");
                 } else {
                     // Priced per sweep: every variable read goes up, the

@@ -262,6 +262,39 @@ fn tampered_tile_list_fires_through_the_synthesized_partition() {
     }
 }
 
+/// The halo a cell-partitioned rank sends is derived once, from the rank
+/// scopes: every cell it lists is its own and touches the peer it goes to,
+/// each peer's list is sorted without repeats, and adjacency is mutual —
+/// a rank hears from exactly the peers it sends to.
+#[test]
+fn interface_send_lists_are_owned_adjacent_and_deduplicated() {
+    let solver = declared_problem(6, 1).build(ExecTarget::CpuSeq).unwrap();
+    let cp = &solver.compiled;
+    let mesh = cp.mesh();
+    for ranks in [2, 3, 5] {
+        let scopes = analysis::rank_scopes(cp, &ExecTarget::DistCells { ranks }).unwrap();
+        let mut part = vec![usize::MAX; mesh.n_cells()];
+        for (r, scope) in scopes.iter().enumerate() {
+            scope.cells.iter().for_each(|&c| part[c] = r);
+        }
+        let lists = analysis::interface_send_lists(cp, &scopes);
+        assert_eq!(lists.len(), ranks);
+        for (r, list) in lists.iter().enumerate() {
+            assert!(!list.is_empty(), "{ranks} ranks: rank {r} has a neighbour");
+            assert!(list.windows(2).all(|w| w[0].0 < w[1].0), "peers ascend");
+            for (peer, cells) in list {
+                assert_ne!(*peer, r);
+                assert!(cells.windows(2).all(|w| w[0] < w[1]), "sorted, no repeats");
+                for &c in cells {
+                    assert_eq!(part[c], r, "a rank sends only its own cells");
+                    assert!(mesh.neighbors(c).any(|nb| part[nb] == *peer), "cell {c}");
+                }
+                assert!(lists[*peer].iter().any(|(p, _)| *p == r), "mutual");
+            }
+        }
+    }
+}
+
 /// An expression initial fills after every closure initial, in declaration
 /// order, and may read only what is filled by then. Reading a variable
 /// with a closure initial (wherever it was declared) or an earlier
@@ -392,6 +425,11 @@ fn transfer_nothing_reads_is_redundant() {
         ),
         (
             "the same copy twice",
+            &declared,
+            line("I", true, Policy::EveryStep),
+        ),
+        (
+            "a one-time upload beside a per-step one",
             &declared,
             line("I", true, Policy::Once),
         ),

@@ -157,48 +157,13 @@ impl Device {
         self.profiler.record_transfer(buf.bytes(), t, false);
     }
 
-    /// Launch a kernel over `n_threads` flattened thread indices.
-    ///
-    /// `body(tid, inputs, output)` is executed for every
-    /// `tid ∈ 0..n_threads`, in parallel chunks, writing only
-    /// `output[tid]` — the one-thread-one-element discipline generated CUDA
-    /// kernels follow. Returns the simulated kernel duration in seconds.
-    pub fn launch<F>(
-        &mut self,
-        name: &str,
-        n_threads: usize,
-        cost: KernelCost,
-        inputs: &[&DeviceBuffer],
-        output: &mut DeviceBuffer,
-        body: F,
-    ) -> f64
-    where
-        F: Fn(usize, &[&[f64]], &mut f64) + Sync,
-    {
-        assert_eq!(
-            output.len(),
-            n_threads,
-            "kernel `{name}` output length must equal thread count"
-        );
-        let input_slices: Vec<&[f64]> = inputs.iter().map(|b| b.slice()).collect();
-        output
-            .slice_mut()
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(tid, out)| body(tid, &input_slices, out));
-        let t = self.kernel_time(n_threads, &cost);
-        self.profiler
-            .record_kernel(name, n_threads, &cost, t, &self.spec);
-        self.elapsed += t;
-        t
-    }
-
     /// Launch a kernel whose grid is `n_rows` thread *blocks*, each
     /// writing one contiguous `row_len`-long slice of the output —
     /// the batched row-kernel form the host-side kernel compiler emits
     /// (one block per flattened index value, threads covering the cell
-    /// span). Timing uses the same per-thread roofline as [`Device::launch`]
-    /// with `n_rows * row_len` threads; only the body granularity differs.
+    /// span). Returns the simulated kernel duration in seconds: the
+    /// per-thread roofline of [`Device::kernel_time`] over
+    /// `n_rows * row_len` threads.
     #[allow(clippy::too_many_arguments)]
     pub fn launch_rows<F>(
         &mut self,
@@ -235,10 +200,9 @@ impl Device {
     /// Roofline kernel time (documented in [`crate::kernel`]).
     pub fn kernel_time(&self, n_threads: usize, cost: &KernelCost) -> f64 {
         let spec = &self.spec;
-        let effective_peak = spec.peak_dp_flops
-            * (0.5 + 0.5 * cost.fma_fraction)
-            * spec.issue_efficiency
-            * cost.divergence_efficiency;
+        // The datasheet peak counts an FMA as two FLOPs; the cost model
+        // counts every operation unfused, so half of peak is the ceiling.
+        let effective_peak = spec.peak_dp_flops * 0.5 * spec.issue_efficiency;
         let t_compute = cost.total_flops(n_threads) / effective_peak;
         let t_memory = cost.total_bytes(n_threads) / spec.mem_bandwidth;
         let wave = spec.wave_utilization(n_threads).max(1e-9);
@@ -273,14 +237,18 @@ mod tests {
         let mut out = dev.alloc("out", 1000);
         let host: Vec<f64> = (0..1000).map(|i| i as f64).collect();
         dev.h2d(&host, &mut a);
-        dev.launch(
+        dev.launch_rows(
             "square",
-            1000,
+            10,
+            100,
             KernelCost::stencil(1.0, 8.0, 8.0),
             &[&a],
             &mut out,
-            |tid, inputs, out| {
-                *out = inputs[0][tid] * inputs[0][tid];
+            |row, inputs, out| {
+                for (i, o) in out.iter_mut().enumerate() {
+                    let x = inputs[0][row * 100 + i];
+                    *o = x * x;
+                }
             },
         );
         let mut result = vec![0.0; 1000];
@@ -301,13 +269,14 @@ mod tests {
         let after_h2d = dev.elapsed();
         assert!(after_h2d > dev.spec.link_latency);
         let mut out = dev.alloc("out", 1 << 20);
-        dev.launch(
+        dev.launch_rows(
             "copy",
-            1 << 20,
+            1 << 10,
+            1 << 10,
             KernelCost::stencil(0.0, 8.0, 8.0),
             &[&a],
             &mut out,
-            |tid, inputs, out| *out = inputs[0][tid],
+            |row, inputs, out| out.copy_from_slice(&inputs[0][row << 10..][..1 << 10]),
         );
         assert!(dev.elapsed() > after_h2d);
     }

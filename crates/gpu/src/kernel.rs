@@ -1,21 +1,21 @@
 //! Kernel work descriptions for the roofline timing model.
 //!
-//! The DSL's GPU code generator knows statically how much arithmetic and
-//! memory traffic one thread of a generated kernel performs (it generated
-//! the code), so it attaches a [`KernelCost`] to every launch. The device
-//! converts that into simulated time with the classic roofline:
+//! The DSL's cost model knows statically how much arithmetic and memory
+//! traffic one thread of a generated kernel performs (it prices the
+//! instruction stream the kernel runs), so it attaches a [`KernelCost`] to
+//! every launch. The device converts that into simulated time with the
+//! classic roofline:
 //!
 //! ```text
 //! t = launch_latency + max(flops / F_eff, bytes / B) / wave_util
-//! F_eff = peak_dp * (0.5 + 0.5 * fma_fraction) * issue_efficiency
+//! F_eff = 0.5 * peak_dp * issue_efficiency
 //! ```
 //!
-//! The `0.5 + 0.5·fma` factor reflects that the datasheet peak counts an
-//! FMA as two FLOPs; a kernel whose mix contains no fusable
-//! multiply-adds can reach at most half of peak. This — not any tuned
-//! constant — is what reproduces the paper's "49% of DP peak" profile for
-//! the BTE intensity kernel, whose additions and multiplies mostly do not
-//! fuse.
+//! The `0.5` factor reflects that the datasheet peak counts an FMA as two
+//! FLOPs; a kernel whose mix contains no fusable multiply-adds can reach
+//! at most half of peak. This — not any tuned constant — is what holds the
+//! BTE intensity kernel below the paper's "49% of DP peak" profile: its
+//! additions and multiplies are counted unfused.
 
 /// Static per-thread work description of a kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,28 +23,20 @@ pub struct KernelCost {
     /// Floating-point operations per thread (an FMA counts as 2).
     pub flops_per_thread: f64,
     /// Bytes read from device memory per thread after cache reuse (the
-    /// generator divides raw loads by the expected reuse factor of
+    /// cost model divides raw loads by the expected reuse factor of
     /// neighbor-shared values).
     pub bytes_read_per_thread: f64,
     /// Bytes written to device memory per thread.
     pub bytes_written_per_thread: f64,
-    /// Fraction of arithmetic issued as fused multiply-adds, in `[0, 1]`.
-    pub fma_fraction: f64,
-    /// Warp-divergence efficiency in `(0, 1]`: 1.0 when all threads of a
-    /// warp follow the same path (the interior-bulk property §III-D relies
-    /// on), lower when branches split warps.
-    pub divergence_efficiency: f64,
 }
 
 impl KernelCost {
-    /// A uniform stencil-update kernel with no divergence.
+    /// A uniform stencil-update kernel.
     pub fn stencil(flops: f64, bytes_read: f64, bytes_written: f64) -> KernelCost {
         KernelCost {
             flops_per_thread: flops,
             bytes_read_per_thread: bytes_read,
             bytes_written_per_thread: bytes_written,
-            fma_fraction: 0.0,
-            divergence_efficiency: 1.0,
         }
     }
 
@@ -74,12 +66,5 @@ mod tests {
         assert_eq!(c.total_flops(1000), 40_000.0);
         assert_eq!(c.total_bytes(1000), 104_000.0);
         assert!((c.arithmetic_intensity() - 40.0 / 104.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn stencil_defaults() {
-        let c = KernelCost::stencil(1.0, 1.0, 1.0);
-        assert_eq!(c.fma_fraction, 0.0);
-        assert_eq!(c.divergence_efficiency, 1.0);
     }
 }

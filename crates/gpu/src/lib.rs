@@ -4,10 +4,10 @@
 //! CUDA.jl. This machine has no GPU, so this crate substitutes a **device
 //! simulator** with two independent responsibilities:
 //!
-//! 1. **Numerics** — [`Device::launch`] executes a kernel body over its
-//!    flattened thread index space on the host (chunked across a rayon
-//!    pool), so the computed values are exactly what a one-thread-per-dof
-//!    CUDA kernel would produce.
+//! 1. **Numerics** — [`Device::launch_rows`] executes a kernel body over
+//!    its grid of thread blocks on the host (one row per block, across a
+//!    rayon pool), so the computed values are exactly what a
+//!    one-thread-per-dof CUDA kernel would produce.
 //! 2. **Timing** — a first-principles roofline model
 //!    ([`spec::DeviceSpec`] + [`kernel::KernelCost`]) converts counted
 //!    work (flops, bytes, transfer sizes) into *simulated device seconds*,

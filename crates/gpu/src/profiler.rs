@@ -88,10 +88,7 @@ impl Profiler {
         // SM busy fraction for this launch: issue efficiency reduced by the
         // partial-wave tail and launch-latency dead time.
         let busy = (sim_time - spec.launch_latency).max(0.0) / sim_time;
-        let util = spec.issue_efficiency
-            * spec.wave_utilization(n_threads)
-            * cost.divergence_efficiency
-            * busy;
+        let util = spec.issue_efficiency * spec.wave_utilization(n_threads) * busy;
         entry.weighted_sm_util += util * sim_time;
     }
 
@@ -221,6 +218,14 @@ mod tests {
     use crate::kernel::KernelCost;
     use crate::spec::DeviceSpec;
 
+    /// A row-kernel body: each element of row `row` (1024 long) is its
+    /// input plus one.
+    fn plus_one(row: usize, inputs: &[&[f64]], out: &mut [f64]) {
+        for (o, x) in out.iter_mut().zip(&inputs[0][row << 10..]) {
+            *o = x + 1.0;
+        }
+    }
+
     /// A compute-bound non-FMA kernel saturating the device lands near 50%
     /// of DP peak with high SM utilization and low memory fraction — the
     /// qualitative shape of the paper's profile table.
@@ -234,9 +239,15 @@ mod tests {
         // DP rates (AI ≈ 1 flop/byte, ridge point ≈ 1.9).
         let cost = KernelCost::stencil(480.0, 100.0, 8.0);
         for _ in 0..5 {
-            dev.launch("intensity", n, cost, &[&a], &mut out, |tid, i, o| {
-                *o = i[0][tid] + 1.0;
-            });
+            dev.launch_rows(
+                "intensity",
+                n >> 10,
+                1 << 10,
+                cost,
+                &[&a],
+                &mut out,
+                plus_one,
+            );
         }
         let report = dev.profile();
         let sm = report.sm_utilization();
@@ -284,9 +295,15 @@ mod tests {
             let a = dev.alloc("in", n);
             let mut out = dev.alloc("out", n);
             let cost = KernelCost::stencil(480.0, 100.0, 8.0);
-            dev.launch("intensity", n, cost, &[&a], &mut out, |tid, i, o| {
-                *o = i[0][tid] + 1.0;
-            });
+            dev.launch_rows(
+                "intensity",
+                n >> 10,
+                1 << 10,
+                cost,
+                &[&a],
+                &mut out,
+                plus_one,
+            );
             let host = vec![0.0; 64];
             let mut b = dev.alloc("x", 64);
             dev.h2d(&host, &mut b);
@@ -309,9 +326,7 @@ mod tests {
         let a = dev.alloc("in", n);
         let mut out = dev.alloc("out", n);
         let cost = KernelCost::stencil(2.0, 64.0, 8.0);
-        dev.launch("streamy", n, cost, &[&a], &mut out, |tid, i, o| {
-            *o = i[0][tid];
-        });
+        dev.launch_rows("streamy", n >> 10, 1 << 10, cost, &[&a], &mut out, plus_one);
         let r = dev.profile();
         assert!(r.memory_fraction() > 0.8, "{}", r.memory_fraction());
         assert!(r.flop_fraction() < 0.05);

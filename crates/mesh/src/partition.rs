@@ -117,28 +117,6 @@ impl Partition {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Ghost cells of `part`: remote cells adjacent to a cell of `part`,
-    /// with the rank they live on. Sorted and deduplicated.
-    pub fn ghost_cells(&self, mesh: &Mesh, part: usize) -> Vec<(usize, u32)> {
-        let mut ghosts: Vec<(usize, u32)> = self
-            .interface_faces(mesh, part)
-            .into_iter()
-            .map(|fid| {
-                let f = &mesh.faces[fid];
-                let (local, remote) = if self.cell_part[f.owner] as usize == part {
-                    (f.owner, f.neighbor.expect("interface face is interior"))
-                } else {
-                    (f.neighbor.expect("interface face is interior"), f.owner)
-                };
-                let _ = local;
-                (remote, self.cell_part[remote])
-            })
-            .collect();
-        ghosts.sort_unstable();
-        ghosts.dedup();
-        ghosts
-    }
 }
 
 /// Contiguous band ranges for equation partitioning: `nbands` bands split
@@ -344,22 +322,6 @@ mod tests {
         // exactly two parts' interface lists.
         let per_part: usize = (0..4).map(|q| p.interface_faces(&m, q).len()).sum();
         assert_eq!(per_part, 2 * p.edge_cut(&m));
-    }
-
-    #[test]
-    fn ghost_cells_are_remote_and_adjacent() {
-        let m = grid(6);
-        let p = Partition::build(&m, 3, PartitionMethod::GreedyGraph);
-        for part in 0..3 {
-            for (ghost, owner_part) in p.ghost_cells(&m, part) {
-                assert_ne!(p.cell_part[ghost] as usize, part);
-                assert_eq!(p.cell_part[ghost], owner_part);
-                // Ghost must touch the part.
-                assert!(m
-                    .neighbors(ghost)
-                    .any(|nb| p.cell_part[nb] as usize == part));
-            }
-        }
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //!   never blocks on I/O — a full ring drops the frame and counts it.
 //!   Both consumers can be live at once.
 //! * A [`CostExpectation`] (derived from the static cost model) makes
-//!   the recorder annotate kernel/transfer spans with predicted
-//!   flops/bytes and emit a [`rules::COST_LIVE_DRIFT`] warning when
+//!   the recorder annotate `h2d`/`d2h` transfer spans with predicted
+//!   bytes and emit a [`rules::COST_LIVE_DRIFT`] warning when
 //!   observed per-step work drifts from the prediction mid-run.
 //! * Ranks record into **child recorders** sharing the parent's epoch
 //!   and stream ([`Recorder::child`], callable from inside the
@@ -332,8 +332,8 @@ pub enum Frame {
         /// The same for the JVP twin's plan, when the run steps implicitly.
         jvp_plan: Option<String>,
     },
-    /// A closed span, including any cost-model annotation attrs
-    /// (`pred_flops`, `pred_bytes`).
+    /// A closed span, including any cost-model annotation attrs (a
+    /// sweep's `pred_flops`, a transfer's `pred_bytes`).
     Span(Span),
     /// A health / diagnostic event.
     Event(Event),
@@ -551,14 +551,11 @@ impl TraceConfig {
 
 /// Per-step cost expectations derived from the static cost model (PR 8),
 /// scoped to one rank's share of the problem. When attached to a
-/// [`Recorder`], kernel spans gain a `pred_flops` attribute, `h2d`/`d2h`
-/// transfer spans gain `pred_bytes`, and [`Recorder::step_done`] checks
+/// [`Recorder`], `h2d`/`d2h` transfer spans gain `pred_bytes`, and [`Recorder::step_done`] checks
 /// the observed per-step work against the prediction, emitting a
 /// [`rules::COST_LIVE_DRIFT`] warning beyond `tolerance`.
 #[derive(Debug, Clone, Copy)]
 pub struct CostExpectation {
-    /// Floating-point operations per dof update.
-    pub flops_per_dof: f64,
     /// Dof updates per RHS sweep on this rank.
     pub dof_per_sweep: u64,
     /// Interior flux evaluations per sweep on this rank.
@@ -793,9 +790,9 @@ impl Recorder {
     }
 
     /// Record a closed span. No-op under the null sink; negative
-    /// durations clamp to zero. Kernel and `h2d`/`d2h` transfer spans
-    /// are annotated with the cost model's predictions when a
-    /// [`CostExpectation`] is attached.
+    /// durations clamp to zero. `h2d`/`d2h` transfer spans are annotated
+    /// with the cost model's predicted bytes when a [`CostExpectation`]
+    /// is attached.
     pub fn span(
         &mut self,
         kind: SpanKind,
@@ -808,23 +805,14 @@ impl Recorder {
         if !self.cfg.enabled {
             return;
         }
-        if let Some(c) = &self.cost {
-            match kind {
-                SpanKind::Kernel => {
-                    let flops = c.flops_per_dof * c.dof_per_sweep as f64;
-                    attrs.push(("pred_flops", format!("{flops:.4e}")));
-                }
-                SpanKind::Transfer => {
-                    let pred = match name {
-                        "h2d" => c.step_h2d_bytes,
-                        "d2h" => c.step_d2h_bytes,
-                        _ => 0,
-                    };
-                    if pred > 0 {
-                        attrs.push(("pred_bytes", pred.to_string()));
-                    }
-                }
-                _ => {}
+        if let (Some(c), SpanKind::Transfer) = (&self.cost, kind) {
+            let pred = match name {
+                "h2d" => c.step_h2d_bytes,
+                "d2h" => c.step_d2h_bytes,
+                _ => 0,
+            };
+            if pred > 0 {
+                attrs.push(("pred_bytes", pred.to_string()));
             }
         }
         self.emit(Frame::Span(Span {
@@ -1433,7 +1421,6 @@ mod tests {
     fn cost_expectation_annotates_and_detects_drift() {
         let mut r = Recorder::buffered();
         r.set_cost_expectation(CostExpectation {
-            flops_per_dof: 10.0,
             dof_per_sweep: 100,
             flux_per_sweep: 300,
             ghost_per_sweep: 0,
@@ -1447,9 +1434,8 @@ mod tests {
         r.span(SpanKind::Transfer, "h2d", 0.0, 1.0, Track::Host, vec![]);
         let kernel = &r.spans()[0];
         assert!(
-            kernel.attrs.iter().any(|(k, v)| *k == "pred_flops"
-                && v.parse::<f64>().map(|x| (x - 1000.0).abs() < 1e-6) == Ok(true)),
-            "kernel span annotated with predicted flops"
+            kernel.attrs.is_empty(),
+            "a sweep prices itself: the recorder stamps no kernel span"
         );
         let h2d = &r.spans()[1];
         assert!(h2d

@@ -17,12 +17,12 @@
 use pbte_bte::health::{rules, HealthProbes};
 use pbte_bte::scenario::{hotspot_2d, BteConfig, BteProblem};
 use pbte_bte::temperature::TemperatureStrategy;
-use pbte_dsl::analysis::{estimate_cost, Scope};
+use pbte_dsl::analysis::{sweep_price, Scope};
 use pbte_dsl::dataflow::{Kernel, Place, Plan, Stage};
-use pbte_dsl::exec::gpu::estimate_kernel_cost;
 use pbte_dsl::exec::{phases, CompiledProblem, CostExpectation, Recorder, TraceConfig};
 use pbte_dsl::problem::{Integrator, LocalReducer, StepContext};
-use pbte_dsl::{ExecTarget, GpuStrategy, KernelTier, Severity, SolveReport, Solver, WorkCounters};
+use pbte_dsl::{BoundaryCondition, ExecTarget, GpuStrategy, KernelTier, Severity};
+use pbte_dsl::{SolveReport, Solver, WorkCounters};
 use pbte_gpu::DeviceSpec;
 use pbte_runtime::telemetry::stream::{StreamConfig, StreamReader, StreamSink, StreamWriter};
 use pbte_runtime::telemetry::{rules as trules, Span, SpanKind, SPAN_KINDS};
@@ -411,10 +411,6 @@ fn chrome_trace_covers_every_span_kind() {
     );
     // Each solve says why it stopped, and on the die every sum of the
     // step certified without the limbs.
-    let attr = |s: &Span, key: &str| {
-        let found = s.attrs.iter().find(|(k, _)| *k == key);
-        found.map(|(_, v)| v.clone())
-    };
     for s in implicit.spans() {
         if s.name == "krylov_solve" {
             assert_eq!(attr(s, "exit").as_deref(), Some("converged"), "{s:?}");
@@ -513,10 +509,6 @@ fn a_device_step_draws_one_span_per_record_in_list_order() {
         "{want:?}"
     );
 
-    let attr = |s: &Span, key: &str| -> Option<String> {
-        let found = s.attrs.iter().find(|(k, _)| *k == key);
-        found.map(|(_, v)| v.clone())
-    };
     let spans = rec.spans();
     for step in 0..report.steps {
         let of_step = || {
@@ -548,41 +540,104 @@ fn a_device_step_draws_one_span_per_record_in_list_order() {
     }
 }
 
-/// A device sweep is priced by two models: the cost model's `pred_flops`
-/// (the tier's instruction stream) and the device kernel model's
-/// `device_flops` (the paper's conditional kernel). Neither observes the
-/// other, so the span names them apart and `pbte-trace --follow` prints
-/// both, labelled, with no percentage between them.
-#[test]
-fn a_device_sweep_names_its_two_flop_models_apart() {
-    let target = ExecTarget::GpuHybrid {
+fn attr(s: &Span, key: &str) -> Option<String> {
+    let found = s.attrs.iter().find(|(k, _)| *k == key);
+    found.map(|(_, v)| v.clone())
+}
+
+/// The hot spot with its cold bottom wall left to a host closure, so a
+/// step has a host `ghost_eval` record (and, explicit under the async
+/// strategy, a host `combine`).
+fn callback_walled(bte: &mut BteProblem) {
+    let (material, i_var) = (bte.material.clone(), bte.vars.i);
+    let walls = &mut bte.problem.boundary_conditions;
+    walls.retain(|(_, region, _)| region != "bottom");
+    let cold =
+        BoundaryCondition::callback_reading(&[], move |q| material.table().io(q.idx[1], 300.0));
+    bte.problem.boundary(i_var, "bottom", cold);
+}
+
+fn gpu_async() -> ExecTarget {
+    ExecTarget::GpuHybrid {
         spec: DeviceSpec::a6000(),
         strategy: GpuStrategy::AsyncBoundary,
-    };
-    let mut solver = Solver::build(hotspot_2d(&config()).problem, target.clone()).expect("builds");
-    let mut rec = Recorder::buffered();
-    solver.solve_traced(&mut rec).expect("solves");
-    let cp = &solver.compiled;
-    let dofs = Scope::whole(cp).dofs();
-    let pred = estimate_cost(cp, &target).flops_per_dof * dofs as f64;
-    let device = estimate_kernel_cost(cp).total_flops(dofs);
-    assert_ne!(format!("{pred:.4e}"), format!("{device:.4e}"));
-    let attr = |s: &Span, key: &str| {
-        s.attrs
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.clone())
-    };
-    let spans = rec.spans();
-    let sweeps: Vec<_> = spans.iter().filter(|s| s.name == "sweep").collect();
-    assert!(!sweeps.is_empty(), "the device sweep draws spans");
-    for s in sweeps {
-        assert_eq!(attr(s, "pred_flops"), Some(format!("{pred:.4e}")));
-        assert_eq!(attr(s, "device_flops"), Some(format!("{device:.4e}")));
-        assert_eq!(attr(s, "obs_flops"), None);
+    }
+}
+
+/// Each sweep is priced by its own plan, and only sweeps are: on a traced
+/// implicit run, on the host and on the device, every RHS sweep span
+/// carries the main plan's `sweep_price` × its dofs as `pred_flops`, every
+/// JVP sweep the JVP plan's, and no other span — `krylov_solve`, the host
+/// `ghost_eval`s — carries one.
+#[test]
+fn each_sweep_span_carries_its_own_plans_price() {
+    for target in [ExecTarget::CpuSeq, gpu_async()] {
+        let mut rec = Recorder::buffered();
+        let mut bte = hotspot_2d(&config());
+        callback_walled(&mut bte);
+        bte.problem.integrator(Integrator::Implicit { theta: 1.0 });
+        let mut solver = Solver::build(bte.problem, target.clone()).expect("builds");
+        solver.solve_traced(&mut rec).expect("solves");
+        let cp = &solver.compiled;
+        let jcp = cp.jvp.as_deref().expect("an implicit plan has a JVP twin");
+        let dofs = Scope::whole(cp).dofs() as f64;
+        let priced = |plan| format!("{:.4e}", sweep_price(plan).flops_per_thread * dofs);
+        let prices = [priced(cp), priced(jcp)];
+        assert_ne!(prices[0], prices[1], "the JVP plan is not the main plan");
+
+        let mut swept = [0; 2];
+        for s in rec.spans() {
+            let plan = match (s.name.as_str(), attr(s, "kernel").as_deref()) {
+                ("intensity_rhs", _) | ("sweep", Some("rhs_sweep")) => Some(0),
+                ("jvp_rhs", _) | ("sweep", Some("jvp_sweep")) => Some(1),
+                _ => None,
+            };
+            let want = plan.map(|p| prices[p].clone());
+            assert_eq!(attr(s, "pred_flops"), want, "{target:?}: {s:?}");
+            plan.into_iter().for_each(|p| swept[p] += 1);
+        }
+        assert!(swept[0] > 0 && swept[1] > 0, "{target:?}: {swept:?}");
+        for name in ["krylov_solve", "ghost_eval"] {
+            let spans = rec.spans();
+            assert!(spans.iter().any(|s| s.name == name), "{target:?}: {name}");
+        }
+    }
+}
+
+/// The simulated device is timed by the price its sweeps report: on a
+/// traced `gpu:async` run, explicit (with the host `combine` a callback
+/// wall brings) and implicit, each kernel's profiled flops are the sum of
+/// its sweep spans' `pred_flops`, and `pbte-trace --follow` prints that
+/// one figure.
+#[test]
+fn a_device_kernel_is_timed_by_the_price_its_sweeps_report() {
+    for integrator in [Integrator::Explicit, Integrator::Implicit { theta: 1.0 }] {
+        let mut rec = Recorder::buffered();
+        let report = run_custom(gpu_async(), &mut rec, |bte| {
+            callback_walled(bte);
+            bte.problem.integrator(integrator);
+        });
+        let profile = report.device.expect("a device profile");
+        let spans = rec.spans();
+        if integrator == Integrator::Explicit {
+            assert!(spans.iter().any(|s| s.name == "combine"));
+        }
+        for (name, kernel) in &profile.kernels {
+            let priced: f64 = (spans.iter())
+                .filter(|s| s.name == "sweep" && attr(s, "kernel").as_deref() == Some(name))
+                .map(|s| attr(s, "pred_flops").expect("a priced sweep"))
+                .map(|v| v.parse::<f64>().expect("pred_flops is a number"))
+                .sum();
+            let miss = (priced - kernel.flops).abs() / kernel.flops;
+            assert!(
+                miss < 1e-4,
+                "{integrator:?} {name}: {priced} vs {}",
+                kernel.flops
+            );
+        }
     }
 
-    let dir = std::env::temp_dir().join(format!("pbte-device-flops-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("pbte-sweep-price-{}", std::process::id()));
     let stream = dir.join("stream.pbts");
     let trace = |args: &[String]| {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_pbte-trace"))
@@ -617,14 +672,7 @@ fn a_device_sweep_names_its_two_flop_models_apart() {
         .lines()
         .find(|l| l.contains("kernel sweep:"))
         .expect("a sweep annotation");
-    assert!(
-        line.contains("pred ") && line.contains("device model "),
-        "{line}"
-    );
-    assert!(
-        !line.contains('%'),
-        "no percentage between two models: {line}"
-    );
+    assert_eq!(line.matches("flops").count(), 1, "one price: {line}");
 }
 
 #[test]
@@ -934,7 +982,6 @@ fn buffered_sink_cap_surfaces_truncation_diagnostic() {
 #[test]
 fn cost_drift_fires_beyond_tolerance_and_stays_quiet_within() {
     let cost = CostExpectation {
-        flops_per_dof: 10.0,
         dof_per_sweep: 1000,
         flux_per_sweep: 900,
         ghost_per_sweep: 0,
