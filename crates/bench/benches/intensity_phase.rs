@@ -1,12 +1,15 @@
-//! Criterion benchmark of the intensity-phase RHS across the three kernel
-//! tiers on the fig-4 hot-spot scenario, plus the telemetry-overhead
-//! check: a full sequential solve under the null sink vs the buffered
-//! sink (the overhead contract in DESIGN.md says the gap must stay under
-//! a few percent — buffered recording is a handful of Vec pushes per
-//! step, far off the per-cell hot path).
+//! Criterion benchmark of the intensity-phase RHS across the four kernel
+//! tiers (`vm`, `bound_cached`, `row`, `native`) on the fig-4 hot-spot
+//! scenario — the per-tier kernel time, divided by the scenario's dofs
+//! for ns/dof — plus the telemetry-overhead check: a full sequential
+//! solve under the null sink vs the buffered sink (the overhead contract
+//! in DESIGN.md says the gap must stay under a few percent — buffered
+//! recording is a handful of Vec pushes per step, far off the per-cell
+//! hot path).
 //!
-//! Set `INTENSITY_BENCH_QUICK=1` (CI short mode) to shrink the scenario and
-//! the sample count so the bench finishes in a few seconds.
+//! `--quick` (`cargo bench -p pbte-bench --bench intensity_phase --
+//! --quick`) shrinks the scenarios as well as the sample count, so the
+//! bench finishes in a few seconds.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -16,8 +19,9 @@ use pbte_dsl::exec::{CompiledProblem, Recorder};
 use pbte_dsl::KernelTier;
 use pbte_dsl::{ExecTarget, Solver};
 
+/// The `--quick` argument the criterion shim already caps samples on.
 fn quick() -> bool {
-    std::env::var("INTENSITY_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
+    std::env::args().any(|a| a == "--quick")
 }
 
 fn config() -> BteConfig {
@@ -134,7 +138,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 
 criterion_group!(
     name = benches;
-    config = Criterion::default().sample_size(if quick() { 3 } else { 10 });
+    config = Criterion::default().sample_size(10);
     targets = bench_intensity_phase, bench_telemetry_overhead
 );
 criterion_main!(benches);

@@ -37,7 +37,6 @@
 pub mod calibration;
 pub mod figures;
 pub mod model;
-pub mod sentinel;
 pub mod workload;
 
 pub use calibration::Calibration;
