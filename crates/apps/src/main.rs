@@ -12,7 +12,8 @@
 //! ```
 //!
 //! `target` values: `seq`, `par` (threads), `gpu` (hybrid, simulated
-//! A6000; `gpu:async` / `gpu:precompute` pick the boundary strategy),
+//! A6000; `gpu:async` / `gpu:precompute` name the paper's two boundary
+//! strategies, which run one schedule),
 //! `cells:<r>` / `bands:<r>` / `bands-gpu:<r>` (distributed ranks) — the
 //! spellings `pbte-trace` takes. An unknown `target`, `tier`, `strategy`
 //! or `integrator` value is a usage error (exit status 2).
@@ -272,8 +273,8 @@ fn main() {
                 .solver(parse_target(rest))
                 .expect("valid scenario");
             println!("{}", solver.generated_source());
-            if let ExecTarget::GpuHybrid { strategy, .. } = parse_target(rest) {
-                println!("{}", solver.compiled.transfer_schedule(strategy).render());
+            if let ExecTarget::GpuHybrid { .. } = parse_target(rest) {
+                println!("{}", solver.compiled.transfer_schedule().render());
             }
         }
         "info" => {

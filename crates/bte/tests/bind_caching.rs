@@ -68,9 +68,9 @@ fn kernel_tiers_are_bit_identical_on_gpu_precompute() {
 /// no flux table. Every tier must resolve to itself (no clamp) and agree
 /// with the stack VM bit for bit: on `CpuSeq` for all four tiers, and for
 /// the row tier on the rayon split (spans that start mid-mesh) and on the
-/// device under both boundary strategies (`AsyncBoundary` is the
-/// `FluxBoundary::Skip` walk; its host combine differs from `CpuSeq` by
-/// rounding, so it is compared against the VM on the same target).
+/// device under both boundary strategies, which run one stage: this file
+/// lowers every wall, and a callback wall would only add host ghosts the
+/// sweep reads like the lowered ones.
 #[test]
 fn kernel_tiers_are_bit_identical_on_an_unstructured_mesh() {
     let file = concat!(
@@ -107,7 +107,6 @@ fn kernel_tiers_are_bit_identical_on_an_unstructured_mesh() {
     assert_bits_eq(&vm, &par, "seq vm vs par row");
     let precompute = run(gpu(GpuStrategy::PrecomputeBoundary), KernelTier::Row);
     assert_bits_eq(&vm, &precompute, "seq vm vs gpu precompute row");
-    let async_vm = run(gpu(GpuStrategy::AsyncBoundary), KernelTier::Vm);
     let async_row = run(gpu(GpuStrategy::AsyncBoundary), KernelTier::Row);
-    assert_bits_eq(&async_vm, &async_row, "gpu async vm vs row");
+    assert_bits_eq(&vm, &async_row, "seq vm vs gpu async row");
 }

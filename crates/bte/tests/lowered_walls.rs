@@ -232,8 +232,7 @@ fn mixed_plan_agrees_on_every_tier_and_target_and_counts_its_callbacks() {
             false,
         ),
         (gpu(GpuStrategy::PrecomputeBoundary), 1, true),
-        // The host adds the boundary contribution of every face.
-        (gpu(GpuStrategy::AsyncBoundary), 1, false),
+        (gpu(GpuStrategy::AsyncBoundary), 1, true),
     ];
     let mut reference: Option<(u64, Vec<f64>)> = None;
     for tier in KernelTier::ALL {

@@ -95,7 +95,7 @@ fn synthesis_is_certified_and_minimal_across_the_sweep() {
                             panic!("{sname}/{stname}/{tname}/{kname}/{iname}: {e:?}")
                         });
                         let diags = solver.compiled.verify_plan(&solver.target);
-                        synthesized += usize::from(solver.target.strategy().is_some());
+                        synthesized += usize::from(solver.target.on_device());
                         assert!(
                             diags.is_empty(),
                             "{sname}/{stname}/{tname}/{kname}/{iname}: {:?}",
@@ -113,10 +113,9 @@ fn synthesis_is_certified_and_minimal_across_the_sweep() {
 
 /// Every target, moving exactly what the synthesized schedule says,
 /// must land on the sequential trajectory: bit for bit on the targets
-/// that run the same arithmetic in the same order (threads, cells, and —
-/// both hot-spot walls being lowered into the plan, so that no host
-/// combine is left — either GPU strategy), to rounding where a reduction
-/// reassociates (the band partitions).
+/// that run the same arithmetic in the same order (threads, cells, either
+/// GPU strategy), to rounding where a reduction reassociates (the band
+/// partitions).
 #[test]
 fn synthesized_schedule_preserves_trajectories_bit_for_bit() {
     let run = |target: ExecTarget| -> Vec<f64> {

@@ -41,7 +41,7 @@ fn observed_matches_schedule(strategy: GpuStrategy) {
             strategy,
         })
         .expect("valid scenario");
-    let schedule = solver.compiled.transfer_schedule(strategy);
+    let schedule = solver.compiled.transfer_schedule();
 
     // The static verifier agrees the schedule has no stale reads and no
     // redundant entries before we hold it to the dynamic log.
@@ -94,9 +94,8 @@ fn observed_matches_schedule(strategy: GpuStrategy) {
     }
 }
 
-/// With every wall lowered the two strategies are one plan: the same
-/// schedule, the same copies, and — the host combine gone — the same bits
-/// as the sequential target.
+/// The two strategies are one plan: the same schedule, the same copies,
+/// and the same bits as the sequential target.
 #[test]
 fn both_strategies_run_the_same_stage_bit_identical_to_seq() {
     let run = |target: ExecTarget| {
@@ -125,8 +124,7 @@ fn both_strategies_run_the_same_stage_bit_identical_to_seq() {
     let (precompute, p) = run(gpu(GpuStrategy::PrecomputeBoundary));
     assert_eq!(asynchronous, seq, "gpu:async is bit-identical to seq");
     assert_eq!(precompute, seq, "gpu:precompute is bit-identical to seq");
-    // Pinned: the value both had to reach (gpu:async was 2-3e-13 K off
-    // while the host combine existed).
+    // Pinned: the value every target reaches.
     assert_eq!(seq, PINNED_FIELD_HASH, "{seq:#x}");
     let (a, p) = (a.device.unwrap(), p.device.unwrap());
     assert_eq!((a.h2d.count, a.h2d.bytes), (p.h2d.count, p.h2d.bytes));
@@ -158,9 +156,7 @@ fn schedule_without_d2h_would_be_caught_statically() {
             strategy: GpuStrategy::AsyncBoundary,
         })
         .expect("valid scenario");
-    let mut schedule = solver
-        .compiled
-        .transfer_schedule(GpuStrategy::AsyncBoundary);
+    let mut schedule = solver.compiled.transfer_schedule();
     schedule.transfers.retain(|t| t.to_device);
     let diags = analysis::check_schedule(&solver.compiled, &schedule);
     assert!(

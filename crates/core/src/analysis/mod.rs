@@ -334,8 +334,8 @@ pub(crate) fn verify_scopes(
     if !scopes.is_empty() {
         races::check_target(cp, target, scopes, &mut out);
     }
-    if let Some(strategy) = target.strategy() {
-        out.extend(check_schedule(cp, &cp.transfer_schedule(strategy)));
+    if target.on_device() {
+        out.extend(check_schedule(cp, &cp.transfer_schedule()));
     }
     out
 }

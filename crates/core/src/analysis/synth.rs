@@ -9,34 +9,23 @@
 
 use super::races::WriteRegion;
 use super::transfers::Sides;
-use crate::dataflow::{Entity, Kernel, Place, Policy, Record, Transfer, TransferSchedule, GHOSTS};
+use crate::dataflow::{Entity, Kernel, Policy, Record, Transfer, TransferSchedule, GHOSTS};
 use crate::exec::{CompiledProblem, ExecTarget};
-use crate::problem::{DslError, GpuStrategy};
+use crate::problem::DslError;
 use pbte_mesh::partition::{partition_bands, Partition, PartitionMethod};
 
 // ---------------------------------------------------------------------------
 // Schedule synthesis
 // ---------------------------------------------------------------------------
 
-/// The kind of the first host record that reads the unknown (with
-/// `write`: declares that it rewrites it), step callbacks first — what
-/// the reason of the unknown's per-step copy names. An opaque callback may
-/// read the unknown but never rewrites it.
-fn unknown_user(cp: &CompiledProblem, records: &[Record], write: bool) -> Option<Kernel> {
+/// Whether a step callback may read the unknown on the host (declared,
+/// or assumed for an opaque one) — otherwise only boundary callbacks do:
+/// what the reason of the unknown's per-step download names.
+fn callback_reads_unknown(cp: &CompiledProblem, records: &[Record]) -> bool {
     let unknown = Entity::Variable(cp.system.unknown);
-    let uses = |r: &&Record| {
-        let access = match write {
-            true => r.writes(unknown),
-            false => r.reads(unknown) || r.opaque(&cp.catalog).0,
-        };
-        r.place == Place::Host && access
-    };
-    let callback = |r: &&Record| matches!(r.kernel, Kernel::Callback { .. });
-    let users = || records.iter().filter(uses);
-    users()
-        .find(callback)
-        .or_else(|| users().next())
-        .map(|r| r.kernel)
+    let callback = |r: &Record| matches!(r.kernel, Kernel::Callback { .. });
+    let reads = |r: &Record| r.reads(unknown) || r.opaque(&cp.catalog).0;
+    records.iter().any(|r| callback(r) && reads(r))
 }
 
 /// Derive the transfer schedule of a record list from the access sets it
@@ -52,24 +41,19 @@ fn unknown_user(cp: &CompiledProblem, records: &[Record], write: bool) -> Option
 /// 2. the unknown → `Once` H2D (initial condition), unless rule 4 uploads
 ///    it before every sweep;
 /// 3. the unknown → `EveryStep` D2H iff some host record may read it
-///    between steps (a step callback, a boundary callback — declared, or
-///    assumed for opaque ones — or the async combine);
-/// 4. the boundary: the ghosts a device record reads → `EveryStep` H2D
-///    while a host `GhostEval` rewrites them, `Once` when the image is
-///    lowered; the unknown → `EveryStep` H2D when a host record declares
-///    rewriting it (the async `Combine`). A lowered plan has neither
-///    record, so neither moves again;
+///    between steps (a step callback or a boundary callback — declared, or
+///    assumed for opaque ones);
+/// 4. the boundary: the ghosts the sweep reads → `EveryStep` H2D while a
+///    host `GhostEval` rewrites them, `Once` when the image is lowered;
+///    the unknown → `EveryStep` H2D when a step callback declares
+///    rewriting it;
 /// 5. every other kernel-read variable → `EveryStep` H2D iff some host
 ///    record may rewrite it between steps, else `Once`.
 ///
 /// Rules 3 and 5 key on the callbacks' declared accesses, not on the mere
 /// existence of a post-step callback: a declared callback that never
 /// reads the unknown (or never writes a given variable) moves nothing.
-pub fn synthesize_records(
-    cp: &CompiledProblem,
-    strategy: GpuStrategy,
-    records: &[Record],
-) -> TransferSchedule {
+pub fn synthesize_records(cp: &CompiledProblem, records: &[Record]) -> TransferSchedule {
     let registry = &cp.problem.registry;
     let sides = Sides::fold(cp, records);
     let unknown_name = &cp.system.unknown_name;
@@ -99,17 +83,16 @@ pub fn synthesize_records(
 
     // 3. The unknown returns to the host iff some host site reads it.
     if sides.host_reads_possible.contains(unknown_name) {
-        let reason = match unknown_user(cp, records, false) {
-            Some(Kernel::Callback { .. }) => "unknown: post-step callback reads it on the host",
-            Some(Kernel::GhostEval { .. }) => "unknown: boundary callbacks read it on the host",
-            _ => "unknown: the host combine reads the kernel's result",
+        let reason = match callback_reads_unknown(cp, records) {
+            true => "unknown: post-step callback reads it on the host",
+            false => "unknown: boundary callbacks read it on the host",
         };
         push(unknown_name, false, Policy::EveryStep, reason);
     }
 
     // 4. The boundary: the ghosts the device reads — per step while the
     //    host evaluates them, the lowered image once — and the unknown a
-    //    host combine rewrites.
+    //    step callback rewrites.
     if sides.device_reads.contains(GHOSTS) {
         let (policy, reason) = match sides.host_writes_possible.contains(GHOSTS) {
             true => (
@@ -124,10 +107,7 @@ pub fn synthesize_records(
         push(GHOSTS, true, policy, reason);
     }
     if reuploaded {
-        let reason = match unknown_user(cp, records, true) {
-            Some(Kernel::Combine) => "unknown: host combines the boundary contribution",
-            _ => "mutable variable: rewritten by post-step callback",
-        };
+        let reason = "mutable variable: rewritten by post-step callback";
         push(unknown_name, true, Policy::EveryStep, reason);
     }
 
@@ -148,10 +128,7 @@ pub fn synthesize_records(
         push(name, true, policy, reason);
     }
 
-    TransferSchedule {
-        strategy,
-        transfers,
-    }
+    TransferSchedule { transfers }
 }
 
 // ---------------------------------------------------------------------------

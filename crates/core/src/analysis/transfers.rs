@@ -44,7 +44,7 @@ pub(super) struct Sides {
 impl Sides {
     /// Fold the records' arguments by place. An opaque host record widens
     /// the possible sets: it may read any variable, and rewrite any but
-    /// the unknown (which only the kernel, or the async combine, writes).
+    /// the unknown.
     pub(super) fn fold(cp: &CompiledProblem, records: &[Record]) -> Sides {
         let registry = &cp.problem.registry;
         let mut sides = Sides::default();
@@ -88,7 +88,7 @@ impl Sides {
 /// access sets. Public so tests can check deliberately mutated schedules.
 pub fn check_schedule(cp: &CompiledProblem, schedule: &TransferSchedule) -> Vec<Diagnostic> {
     let scope = Scope::whole(cp);
-    let records = step_records(cp, Plan::Main, Some(schedule.strategy), &scope);
+    let records = step_records(cp, Plan::Main, true, &scope);
     check_against(&Sides::fold(cp, &records), schedule)
 }
 

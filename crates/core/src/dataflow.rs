@@ -16,7 +16,7 @@
 use crate::analysis::{synthesize_records, Scope};
 use crate::entities::Registry;
 use crate::exec::{CallbackCatalog, CompiledProblem, ExecTarget};
-use crate::problem::{GpuStrategy, TimeStepper};
+use crate::problem::TimeStepper;
 
 /// Name of the boundary-ghost pseudo-entity in schedules.
 pub const GHOSTS: &str = "ghosts";
@@ -77,14 +77,10 @@ impl Entity {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Kernel {
     /// One RHS sweep of `plan` over the range; with `fused_dt` it writes
-    /// the Euler update `u + dt·rhs` instead of the RHS. A sweep that does
-    /// not read the ghosts skips the boundary faces.
+    /// the Euler update `u + dt·rhs` instead of the RHS.
     Sweep { plan: Plan, fused_dt: Option<f64> },
     /// The closures of `plan`'s callback walls, evaluated into the ghosts.
     GhostEval { plan: Plan },
-    /// The async strategy's host half: the boundary faces' flux, added to
-    /// the kernel's interior result.
-    Combine,
     /// Step callback `index` of the plan's [`CallbackCatalog`].
     Callback { pre: bool, index: usize },
 }
@@ -114,7 +110,6 @@ impl Record<'_> {
         match self.kernel {
             Kernel::Sweep { .. } => "sweep",
             Kernel::GhostEval { .. } => "ghost_eval",
-            Kernel::Combine => "combine",
             Kernel::Callback { .. } => "callback",
         }
     }
@@ -141,24 +136,21 @@ fn per_sweep(cp: &CompiledProblem, which: Plan) -> bool {
 }
 
 /// The records of one step of `cp` as the `which` plan, its sweep on the
-/// device under `device`'s strategy or on the host — the one place that
-/// decides strategy × (walls lowered?) × integrator:
+/// device (`on_device`) or on the host — the one place that decides
+/// (walls lowered?) × integrator:
 ///
 /// * a wall left to a closure puts a `GhostEval` on the host before the
-///   sweep; a lowered plan has none, and no `Combine`, under either
-///   strategy;
-/// * the async strategy with such a wall, explicit, is a sweep that skips
-///   the boundary (it does not read the ghosts) plus a host `Combine` that
-///   reads them and rewrites the unknown; every other sweep reads the
-///   ghosts, as the precompute strategy always does;
-/// * an implicit solve sweeps un-fused, per evaluation, and never combines
-///   (a matvec needs the complete flux). Its un-fused sweep still lists
-///   the unknown as written: the RHS rows it produces have that shape. A
-///   JVP plan registers no step callbacks.
+///   sweep, and the sweep reads the ghosts it fills — on the device they
+///   go up with it; a lowered plan has no `GhostEval`, and its sweep reads
+///   the lowered image. Every sweep reads every boundary face, so both GPU
+///   strategies run this one list;
+/// * an implicit solve sweeps un-fused, per evaluation. Its un-fused sweep
+///   still lists the unknown as written: the RHS rows it produces have
+///   that shape. A JVP plan registers no step callbacks.
 pub fn step_records<'a>(
     cp: &CompiledProblem,
     which: Plan,
-    device: Option<GpuStrategy>,
+    on_device: bool,
     range: &'a Scope,
 ) -> Vec<Record<'a>> {
     let registry = &cp.problem.registry;
@@ -171,8 +163,6 @@ pub fn step_records<'a>(
         known.map(|e| (e, access)).collect()
     };
     let callback_wall = !cp.walls.lowered();
-    let host_combine =
-        device == Some(GpuStrategy::AsyncBoundary) && callback_wall && !per_sweep(cp, which);
     let fused = !per_sweep(cp, which) && cp.problem.stepper == TimeStepper::EulerExplicit;
 
     let record = |kernel, place, args| Record {
@@ -213,9 +203,7 @@ pub fn step_records<'a>(
         .read_coefficients
         .iter()
         .map(|&c| Entity::Coefficient(c));
-    let reads = variables
-        .chain(coefficients)
-        .chain((!host_combine).then_some(Entity::Ghosts));
+    let reads = variables.chain(coefficients).chain([Entity::Ghosts]);
     let mut args: Vec<_> = reads
         .filter(|&e| e != unknown)
         .map(|e| (e, Access::Read))
@@ -225,12 +213,11 @@ pub fn step_records<'a>(
         plan: which,
         fused_dt: fused.then_some(cp.problem.dt),
     };
-    let place = device.map_or(Place::Host, |_| Place::Device);
+    let place = match on_device {
+        true => Place::Device,
+        false => Place::Host,
+    };
     records.push(record(sweep, place, args));
-    if host_combine {
-        let args = vec![(Entity::Ghosts, Access::Read), (unknown, Access::ReadWrite)];
-        records.push(record(Kernel::Combine, Place::Host, args));
-    }
     records.extend(callbacks(false));
     records
 }
@@ -256,13 +243,12 @@ impl<'a> Stage<'a> {
         target: &ExecTarget,
         range: &'a Scope,
     ) -> Stage<'a> {
-        let records = step_records(cp, which, target.strategy(), range);
-        let schedule = target
-            .strategy()
-            .map(|strategy| match per_sweep(cp, which) {
-                true => sweep_schedule(cp, strategy, &records),
-                false => synthesize_records(cp, strategy, &records),
-            });
+        let on_device = target.on_device();
+        let records = step_records(cp, which, on_device, range);
+        let schedule = on_device.then(|| match per_sweep(cp, which) {
+            true => sweep_schedule(cp, &records),
+            false => synthesize_records(cp, &records),
+        });
         Stage { records, schedule }
     }
 
@@ -287,11 +273,7 @@ impl<'a> Stage<'a> {
 /// every variable the device sweep reads goes up with it and its result
 /// rows come back; the ghosts go up with it while a `GhostEval` rewrites
 /// them, once when the image is lowered; coefficients are immutable.
-fn sweep_schedule(
-    cp: &CompiledProblem,
-    strategy: GpuStrategy,
-    records: &[Record],
-) -> TransferSchedule {
+fn sweep_schedule(cp: &CompiledProblem, records: &[Record]) -> TransferSchedule {
     let on = |place: Place| records.iter().filter(move |r| r.place == place);
     let ghosts_rewritten = on(Place::Host).any(|r| r.writes(Entity::Ghosts));
     let mut transfers = Vec::new();
@@ -322,10 +304,7 @@ fn sweep_schedule(
             transfers.push(line(false, Policy::EveryStep, reason));
         }
     }
-    TransferSchedule {
-        strategy,
-        transfers,
-    }
+    TransferSchedule { transfers }
 }
 
 /// When a piece of data moves.
@@ -349,10 +328,9 @@ pub struct Transfer {
     pub reason: String,
 }
 
-/// The complete schedule for a GPU strategy.
+/// The complete schedule of a device step.
 #[derive(Debug, Clone)]
 pub struct TransferSchedule {
-    pub strategy: GpuStrategy,
     pub transfers: Vec<Transfer>,
 }
 
@@ -406,15 +384,11 @@ impl TransferSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{BoundaryCondition, Problem};
+    use crate::problem::{BoundaryCondition, GpuStrategy, Problem};
 
     /// `callback_walls`: the paper's configuration, boundary conditions as
     /// user callbacks; otherwise constants, which the plan lowers.
-    fn bte_like(
-        with_post_step: bool,
-        callback_walls: bool,
-        strategy: GpuStrategy,
-    ) -> TransferSchedule {
+    fn bte_like(with_post_step: bool, callback_walls: bool) -> CompiledProblem {
         let mut p = Problem::new("bte");
         p.domain(2);
         p.mesh(pbte_mesh::grid::UniformGrid::new_2d(2, 2, 1.0, 1.0).build());
@@ -444,39 +418,30 @@ mod tests {
         if with_post_step {
             p.post_step(|_| {});
         }
-        let (cp, _) = CompiledProblem::compile(p).unwrap();
-        cp.transfer_schedule(strategy)
+        CompiledProblem::compile(p).unwrap().0
     }
 
-    #[test]
-    fn bte_async_schedule_matches_the_paper() {
-        let s = bte_like(true, true, GpuStrategy::AsyncBoundary);
-        // Every step: I moves both ways; Io and beta move to the device.
-        let h2d = s.each_step_h2d();
-        assert!(h2d.contains(&"I"));
-        assert!(h2d.contains(&"Io"));
-        assert!(h2d.contains(&"beta"));
-        assert_eq!(s.each_step_d2h(), vec!["I"]);
-        // Coefficients only once.
-        let once = s.once();
-        assert!(once.contains(&"Sx"));
-        assert!(once.contains(&"Sy"));
-        assert!(once.contains(&"vg"));
-        assert!(!h2d.contains(&"vg"));
+    fn schedule(with_post_step: bool, callback_walls: bool) -> TransferSchedule {
+        bte_like(with_post_step, callback_walls).transfer_schedule()
     }
 
     #[test]
     fn precompute_keeps_unknown_device_resident() {
-        let s = bte_like(true, true, GpuStrategy::PrecomputeBoundary);
+        let s = schedule(true, true);
         let h2d = s.each_step_h2d();
         assert!(!h2d.contains(&"I"), "unknown must stay on the device");
         assert!(h2d.contains(&"ghosts"));
+        assert!(h2d.contains(&"Io") && h2d.contains(&"beta"));
         assert_eq!(s.each_step_d2h(), vec!["I"]);
+        // Coefficients only once.
+        let once = s.once();
+        assert!(once.contains(&"Sx") && once.contains(&"Sy") && once.contains(&"vg"));
+        assert!(!h2d.contains(&"vg"));
     }
 
     #[test]
     fn no_post_step_means_static_variables() {
-        let s = bte_like(false, true, GpuStrategy::PrecomputeBoundary);
+        let s = schedule(false, true);
         assert!(s.each_step_h2d().iter().all(|&n| n == "ghosts"));
         assert!(s.each_step_d2h().is_empty());
         let once = s.once();
@@ -484,14 +449,23 @@ mod tests {
         assert!(once.contains(&"beta"));
     }
 
-    /// With every wall lowered no host code touches the boundary: both
-    /// strategies derive the same schedule, the unknown and the ghost
-    /// image go up once.
+    /// With every wall lowered no host code touches the boundary: the
+    /// unknown and the ghost image go up once. Both strategies build this
+    /// one stage (the strategy is a label only).
     #[test]
     fn lowered_walls_leave_both_strategies_one_schedule() {
-        let a = bte_like(true, false, GpuStrategy::AsyncBoundary);
-        let p = bte_like(true, false, GpuStrategy::PrecomputeBoundary);
+        let cp = bte_like(true, false);
+        let scope = Scope::whole(&cp);
+        let stage = |strategy| {
+            let spec = pbte_gpu::DeviceSpec::a6000();
+            let target = ExecTarget::GpuHybrid { spec, strategy };
+            let stage = Stage::build(&cp, Plan::Main, &target, &scope);
+            stage.schedule.unwrap()
+        };
+        let a = stage(GpuStrategy::AsyncBoundary);
+        let p = stage(GpuStrategy::PrecomputeBoundary);
         assert_eq!(a.transfers, p.transfers);
+        assert_eq!(a.transfers, cp.transfer_schedule().transfers);
         let h2d = a.each_step_h2d();
         assert!(!h2d.contains(&"I") && !h2d.contains(&"ghosts"));
         assert!(h2d.contains(&"Io") && h2d.contains(&"beta"));
@@ -501,7 +475,7 @@ mod tests {
 
     #[test]
     fn render_mentions_every_transfer() {
-        let s = bte_like(true, true, GpuStrategy::AsyncBoundary);
+        let s = schedule(true, true);
         let text = s.render();
         for t in &s.transfers {
             assert!(text.contains(&t.name));

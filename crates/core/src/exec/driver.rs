@@ -7,8 +7,8 @@
 //!   (pre-step callbacks)                                } temperature phase
 //!   stage: explicit Euler/RK2, or one θ-scheme Newton   } intensity phase
 //!     halo exchange → the stage's records, in order     }
-//!     (callback-wall ghosts, the sweep — fused with the }
-//!     update under Euler —, the async combine)          }
+//!     (callback-wall ghosts, then the sweep — fused     }
+//!     with the update under Euler)                      }
 //!   (post-step callbacks: temperature update)           } temperature phase
 //!   account phases, communication, spans; time += dt
 //! ```
@@ -56,9 +56,8 @@ pub(crate) struct StepTimes {
     /// Simulated host↔device transfer seconds.
     pub transfer: f64,
     /// Host wall-clock seconds inside the stage's host records (the ghosts
-    /// of callback walls and the async strategy's combine; zero on a
-    /// lowered plan), reported with the callbacks as
-    /// `temperature update(CPU)`.
+    /// of callback walls; zero on a lowered plan), reported with the
+    /// callbacks as `temperature update(CPU)`.
     pub host: f64,
 }
 
@@ -108,8 +107,8 @@ pub(crate) struct Engine<'a> {
 
 impl Engine<'_> {
     /// Run the stage of `which` plan: every record between the step
-    /// callbacks, in list order — the ghosts of any callback walls, the
-    /// sweep, the async combine.
+    /// callbacks, in list order — the ghosts of any callback walls, then
+    /// the sweep.
     #[allow(clippy::too_many_arguments)]
     pub fn sweep(
         &mut self,
@@ -153,8 +152,8 @@ fn axpy(fields: &mut Fields, unknown: usize, d: &Scope, coeff: f64, rhs: &[f64])
     );
 }
 
-/// The span of a host record begun at `t0` (the ghosts of callback walls,
-/// the async combine), and its wall-clock seconds.
+/// The span of a host record begun at `t0` (the ghosts of callback
+/// walls), and its wall-clock seconds.
 pub(crate) fn host_span(rec: &mut Recorder, record: &Record, step: usize, t0: Instant) -> f64 {
     let host_s = t0.elapsed().as_secs_f64();
     if rec.enabled() {
@@ -314,9 +313,7 @@ impl Backend for CpuBackend {
                     }
                 }
             }
-            Kernel::Combine | Kernel::Callback { .. } => {
-                unreachable!("a host stage has no combine, and callbacks run in the driver")
-            }
+            Kernel::Callback { .. } => unreachable!("callbacks run in the driver"),
         }
         StepTimes::default()
     }

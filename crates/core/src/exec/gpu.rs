@@ -15,12 +15,11 @@
 //! copies the stage attaches to it, runs it, and draws one span for it.
 
 use super::driver::{host_span, Backend, StepTimes};
-use super::rows::{self, FluxBoundary, IntensityKernels};
+use super::rows::{self, IntensityKernels};
 use super::walls::Ghosts;
 use super::CompiledProblem;
 use crate::analysis::{sweep_price, Scope};
-use crate::bytecode::VmCtx;
-use crate::dataflow::{Entity, Kernel, Plan, Policy, Record, Stage, GHOSTS};
+use crate::dataflow::{Entity, Kernel, Plan, Policy, Stage, GHOSTS};
 use crate::entities::Fields;
 use crate::problem::KernelTier;
 use pbte_gpu::{Device, DeviceBuffer, DeviceSpec, KernelCost};
@@ -77,8 +76,7 @@ impl PlanState {
 }
 
 /// A single simulated device executing one rank's share of the problem:
-/// host records (callback-wall ghosts, the async combine) run here on the
-/// host, and every sweep is one batched row kernel (`Device::launch_rows`,
+/// host records (callback-wall ghosts) run here on the host, and every sweep is one batched row kernel (`Device::launch_rows`,
 /// one block per tile of the record's range — a device rank owns every
 /// cell, so a tile is one owned flat's whole row: the grid shape the
 /// host-side kernel compiler emits) evaluating [`rows::rhs_block`], the
@@ -176,9 +174,8 @@ impl GpuBackend<'_> {
     /// One device sweep: the uploads the stage attaches to the record (the
     /// unknown by the range's rows, everything else whole; coefficients
     /// are baked into the kernels) → row kernel → the downloads. A fused
-    /// full-flux sweep is scattered into the device-resident unknown, and
-    /// its download lands in `fields`; a sweep that skips the boundary
-    /// stays staged for the host combine; an un-fused one returns in `out`.
+    /// sweep is scattered into the device-resident unknown, and its
+    /// download lands in `fields`; an un-fused one returns in `out`.
     #[allow(clippy::too_many_arguments)]
     fn sweep(
         &mut self,
@@ -234,7 +231,6 @@ impl GpuBackend<'_> {
         // Kernel launch, one thread per owned dof: row `k` of the compact
         // `out_dev` is the range's `k`-th flat; the inputs are every
         // variable buffer (id order), then the ghost buffer.
-        let skip_boundary = !record.reads(Entity::Ghosts);
         ps.kernels.ensure(plan, time);
         let kernels = &ps.kernels;
         let n_vars = var_devs.len();
@@ -250,19 +246,15 @@ impl GpuBackend<'_> {
             &inputs,
             out_dev,
             |row, bufs, out| {
-                let (tile, vars) = (&scope.tiles[row], &bufs[..n_vars]);
-                let boundary = match skip_boundary {
-                    true => FluxBoundary::Skip,
-                    false => FluxBoundary::Ghosts(bufs[n_vars]),
-                };
+                let (tile, vars, ghosts) = (&scope.tiles[row], &bufs[..n_vars], bufs[n_vars]);
                 let scratch = &mut kernels.scratch(vars);
                 let (k, cell0) = (tile.k, tile.cell0);
                 rows::rhs_block(
-                    kernels, plan, vars, k, cell0, out, boundary, time, fused_dt, scratch,
+                    kernels, plan, vars, k, cell0, out, ghosts, time, fused_dt, scratch,
                 );
             },
         );
-        let resident = fused_dt.is_some() && !skip_boundary;
+        let resident = fused_dt.is_some();
         if resident {
             device.scatter_rows(out_dev, &mut var_devs[unknown], n_cells, &scope.flats);
         }
@@ -333,45 +325,6 @@ impl GpuBackend<'_> {
             ..StepTimes::default()
         }
     }
-
-    /// The async strategy's host half: the flux through the boundary
-    /// faces, from the same old state the kernel swept (Fig 6: conceptually
-    /// overlapped with it), added to the kernel's interior result as it
-    /// sits staged in `out_host`; the sum becomes the unknown.
-    fn combine(&mut self, record: &Record, cp: &CompiledProblem, fields: &mut Fields, time: f64) {
-        let (n_cells, unknown, dt) = (fields.n_cells, cp.system.unknown, cp.problem.dt);
-        let flats = &record.range.flats;
-        let mesh = cp.mesh();
-        let vars = fields.as_slices();
-        let ghosts = self.main.ghosts.current(cp);
-        for bf in &cp.boundary {
-            let face = &mesh.faces[bf.face];
-            let cell = face.owner;
-            let slot = cp.bface_slot[bf.face];
-            for (k, &flat) in flats.iter().enumerate() {
-                let u2 = cp
-                    .walls
-                    .ghost_read(ghosts, vars[unknown], n_cells, slot, flat, cell);
-                let n = face.normal;
-                let vm = VmCtx {
-                    vars: &vars,
-                    n_cells,
-                    coefficients: &cp.problem.registry.coefficients,
-                    idx: &cp.idx_of_flat[flat],
-                    cell,
-                    u1: fields.value(unknown, cell, flat),
-                    u2,
-                    normal: [n.x, n.y, n.z],
-                    position: face.centroid,
-                    dt,
-                    time,
-                };
-                let flux = face.area * cp.flux.eval(&vm);
-                self.out_host[k * n_cells + cell] += -dt * flux / mesh.cell_volumes[cell];
-            }
-        }
-        unpack_rows(&self.out_host, fields.slice_mut(unknown), n_cells, flats);
-    }
 }
 
 impl Backend for GpuBackend<'_> {
@@ -407,7 +360,6 @@ impl Backend for GpuBackend<'_> {
                 ps.ghosts
                     .refresh(plan, fields, flats, time, &mut rec.work, false);
             }
-            Kernel::Combine => self.combine(record, plan, fields, time),
             Kernel::Callback { .. } => unreachable!("step callbacks run in the driver"),
         }
         StepTimes {

@@ -36,15 +36,13 @@
 //! Boundary conditions the plan could lower ([`Walls`]) are tables the
 //! kernels read; only walls left to a closure run on the host.
 //!
-//! Agreement guarantees (asserted by integration tests): the CPU targets
-//! (sequential, threaded, cell-distributed) and the GPU precompute
-//! strategy are bit-identical to each other on every kernel tier — they
-//! run the same per-dof arithmetic in the same face order — and so is the
-//! GPU async strategy on a plan whose walls are all lowered (it then runs
-//! the same stage as precompute); band distribution matches to rounding
-//! (cross-rank reduction reassociation); on a plan with callback walls the
-//! GPU async strategy matches to rounding (the host adds the boundary-face
-//! contribution separately, from the un-linearized flux).
+//! Agreement guarantees (asserted by integration tests): every target —
+//! sequential, threaded, cell-distributed, and the GPU under either
+//! strategy label — is bit-identical to every other on every kernel tier:
+//! they run the same per-dof arithmetic in the same face order, the
+//! ghosts of callback walls computed on the host and read by the sweep.
+//! The one exception is band distribution (`bands:<r>`, `bands-gpu:<r>`),
+//! which matches to rounding (cross-rank reduction reassociation).
 
 pub(crate) mod dist;
 pub(crate) mod driver;
@@ -126,15 +124,13 @@ impl ExecTarget {
         }
     }
 
-    /// The GPU strategy of a device-lineage target (selects the transfer
-    /// obligations); `None` on the CPU targets.
-    pub fn strategy(&self) -> Option<GpuStrategy> {
-        match self {
-            ExecTarget::GpuHybrid { strategy, .. } | ExecTarget::DistBandsGpu { strategy, .. } => {
-                Some(*strategy)
-            }
-            _ => None,
-        }
+    /// Whether the target sweeps on a device (and so carries a transfer
+    /// schedule).
+    pub fn on_device(&self) -> bool {
+        matches!(
+            self,
+            ExecTarget::GpuHybrid { .. } | ExecTarget::DistBandsGpu { .. }
+        )
     }
 }
 
@@ -1375,14 +1371,14 @@ impl CompiledProblem {
         ))
     }
 
-    /// Automatic host↔device transfer schedule for a GPU strategy: the
+    /// Automatic host↔device transfer schedule of a device step: the
     /// synthesis pass ([`crate::analysis::synthesize_records`]) over this
-    /// plan's step records.
-    pub fn transfer_schedule(&self, strategy: GpuStrategy) -> TransferSchedule {
+    /// plan's step records with the sweep on the device.
+    pub fn transfer_schedule(&self) -> TransferSchedule {
         use crate::dataflow::{step_records, Plan};
         let scope = Scope::whole(self);
-        let records = step_records(self, Plan::Main, Some(strategy), &scope);
-        crate::analysis::synthesize_records(self, strategy, &records)
+        let records = step_records(self, Plan::Main, true, &scope);
+        crate::analysis::synthesize_records(self, &records)
     }
 
     /// Memory footprint report. The paper calls the BTE "a challenging

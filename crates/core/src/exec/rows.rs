@@ -42,17 +42,6 @@ use crate::problem::KernelTier;
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// How a flux sum treats boundary faces.
-#[derive(Clone, Copy)]
-pub(crate) enum FluxBoundary<'a> {
-    /// Read them through `Walls::ghost_read`: a gather through the plan's
-    /// columns, or a row of these ghost values (laid out by `Walls::at`).
-    Ghosts(&'a [f64]),
-    /// Skip boundary faces entirely — the GPU `AsyncBoundary` strategy
-    /// adds the host-computed boundary contribution separately.
-    Skip,
-}
-
 /// Per-sweep scratch of one worker: the register file of the row
 /// evaluator and the variable base pointers the native call passes —
 /// built once per sweep ([`IntensityKernels::scratch`]), not per span.
@@ -283,14 +272,13 @@ pub(crate) fn sweep(
     // across steps when the volume program never reads `t`.
     kernels.ensure(cp, time);
     let kernels = &*kernels;
-    let boundary = FluxBoundary::Ghosts(ghosts);
     for_each_tile(
         scope,
         out,
         || kernels.scratch(&vars),
         |scratch, tile, out| {
             rhs_block(
-                kernels, cp, &vars, tile.k, tile.cell0, out, boundary, time, fused_dt, scratch,
+                kernels, cp, &vars, tile.k, tile.cell0, out, ghosts, time, fused_dt, scratch,
             )
         },
     );
@@ -317,8 +305,9 @@ fn finish_dof(
 /// The table flux over the cells `cell0 .. cell0 + out.len()` by the CSR
 /// walk: `seq::flux_sum_dof`'s linearized fast path face for face (same
 /// order, same operations), so results are bit-identical to the per-DOF
-/// tiers. Handles boundary faces (ghosts or skip) and any face count. `u`
-/// is the whole unknown, `u_row` its row `flat`.
+/// tiers. Reads boundary faces through `Walls::ghost_read` from `ghosts`
+/// and handles any face count. `u` is the whole unknown, `u_row` its row
+/// `flat`.
 #[allow(clippy::too_many_arguments)]
 fn flux_csr(
     cp: &CompiledProblem,
@@ -326,7 +315,7 @@ fn flux_csr(
     u: &[f64],
     u_row: &[f64],
     flat: usize,
-    boundary: FluxBoundary,
+    ghosts: &[f64],
     cell0: usize,
     out: &mut [f64],
     fused_dt: Option<f64>,
@@ -345,12 +334,7 @@ fn flux_csr(
             let u2 = if nb >= 0 {
                 u_row[nb as usize]
             } else {
-                match boundary {
-                    FluxBoundary::Ghosts(g) => {
-                        walls.ghost_read(g, u, n_cells, (-(nb + 1)) as usize, flat, cell)
-                    }
-                    FluxBoundary::Skip => continue,
-                }
+                walls.ghost_read(ghosts, u, n_cells, (-(nb + 1)) as usize, flat, cell)
             };
             flux_sum += hot.area[k] * lin.eval(flat, hot.class[k], u_here, u2);
         }
@@ -440,7 +424,7 @@ fn flux_combine(
     u: &[f64],
     u_row: &[f64],
     flat: usize,
-    boundary: FluxBoundary,
+    ghosts: &[f64],
     cell0: usize,
     out: &mut [f64],
     fused_dt: Option<f64>,
@@ -468,7 +452,7 @@ fn flux_combine(
         let seg = &mut out[cell - cell0..seg_end - cell0];
         match stencil {
             Some((run, kernel)) => kernel(hot, lin, run, u_row, flat, cell, seg, fused_dt),
-            None => flux_csr(cp, lin, u, u_row, flat, boundary, cell, seg, fused_dt),
+            None => flux_csr(cp, lin, u, u_row, flat, ghosts, cell, seg, fused_dt),
         }
         cell = seg_end;
     }
@@ -483,8 +467,7 @@ fn flux_combine(
 /// cell accumulate `flux_sum += area[k] * f[k]` from 0.0 in slot order —
 /// the operation sequence of `seq::flux_sum_dof`'s VM branch, so results
 /// are bit-identical to the per-DOF tiers however the span is split.
-/// A cell's sum carries across chunk boundaries; boundary slots are
-/// evaluated but left out of the sum under [`FluxBoundary::Skip`].
+/// A cell's sum carries across chunk boundaries.
 #[allow(clippy::too_many_arguments)]
 fn flux_combine_compiled(
     flux: &RegProgram,
@@ -492,7 +475,7 @@ fn flux_combine_compiled(
     u: &[f64],
     u_row: &[f64],
     flat: usize,
-    boundary: FluxBoundary,
+    ghosts: &[f64],
     cell0: usize,
     out: &mut [f64],
     time: f64,
@@ -503,7 +486,6 @@ fn flux_combine_compiled(
     let n_cells = u_row.len();
     let walls = &cp.walls;
     let face_base = cp.flux.face_base;
-    let skip = matches!(boundary, FluxBoundary::Skip);
     let mut lanes = [[0.0f64; ROW_CHUNK]; FACE_INPUTS];
     let cell_end = cell0 + out.len();
     let end = hot.offsets[cell_end] as usize;
@@ -527,13 +509,7 @@ fn flux_combine_compiled(
             lanes[FACE_U2 as usize][l] = if nb >= 0 {
                 u_row[nb as usize]
             } else {
-                match boundary {
-                    FluxBoundary::Ghosts(g) => {
-                        walls.ghost_read(g, u, n_cells, (-(nb + 1)) as usize, flat, owner)
-                    }
-                    // Evaluated, never summed.
-                    FluxBoundary::Skip => 0.0,
-                }
+                walls.ghost_read(ghosts, u, n_cells, (-(nb + 1)) as usize, flat, owner)
             };
             let n = hot.normal(k);
             for (axis, &component) in n.iter().enumerate() {
@@ -554,9 +530,7 @@ fn flux_combine_compiled(
                 cell += 1;
                 flux_sum = 0.0;
             }
-            if !(skip && hot.nbr[k] < 0) {
-                flux_sum += hot.area[k] * f;
-            }
+            flux_sum += hot.area[k] * f;
         }
         k0 += len;
     }
@@ -579,7 +553,7 @@ fn rhs_span(
     cp: &CompiledProblem,
     vars: &[&[f64]],
     n_cells: usize,
-    boundary: FluxBoundary,
+    ghosts: &[f64],
     cell0: usize,
     out: &mut [f64],
     time: f64,
@@ -592,14 +566,14 @@ fn rhs_span(
     let u = vars[cp.system.unknown];
     let u_row = &u[flat * n_cells..(flat + 1) * n_cells];
     match &cp.flux_lin {
-        Some(lin) => flux_combine(cp, lin, u, u_row, flat, boundary, cell0, out, fused_dt),
+        Some(lin) => flux_combine(cp, lin, u, u_row, flat, ghosts, cell0, out, fused_dt),
         None => flux_combine_compiled(
             &kernels.flux_reg[k],
             cp,
             u,
             u_row,
             flat,
-            boundary,
+            ghosts,
             cell0,
             out,
             time,
@@ -620,7 +594,7 @@ fn rhs_span_native(
     vars: &[&[f64]],
     ptrs: &[*const f64],
     flat: usize,
-    boundary: FluxBoundary,
+    ghosts: &[f64],
     cell0: usize,
     out: &mut [f64],
     fused_dt: Option<f64>,
@@ -630,13 +604,9 @@ fn rhs_span_native(
         vars.iter().map(|s| s.as_ptr()).eq(ptrs.iter().copied()),
         "scratch was built for other variables"
     );
-    let (ghosts, skip_boundary) = match boundary {
-        FluxBoundary::Ghosts(g) => (g.as_ptr(), 0u8),
-        FluxBoundary::Skip => (std::ptr::null(), 1u8),
-    };
     let args = NativeArgs {
         vars: ptrs.as_ptr(),
-        ghosts,
+        ghosts: ghosts.as_ptr(),
         wall_read: cp.walls.read.as_ptr(),
         wall_columns: cp.walls.columns.as_ptr(),
         offsets: hot.offsets.as_ptr(),
@@ -649,7 +619,6 @@ fn rhs_span_native(
         len: out.len(),
         fused_dt: fused_dt.unwrap_or(0.0),
         fused: fused_dt.is_some() as u8,
-        skip_boundary,
         normals: hot.normals.as_ptr(),
         runs: hot.runs.as_ptr(),
         n_runs: hot.runs.len(),
@@ -678,7 +647,7 @@ pub(crate) fn rhs_block(
     k: usize,
     cell0: usize,
     out: &mut [f64],
-    boundary: FluxBoundary,
+    ghosts: &[f64],
     time: f64,
     fused_dt: Option<f64>,
     scratch: &mut Scratch,
@@ -700,7 +669,7 @@ pub(crate) fn rhs_block(
             cp,
             vars,
             n_cells,
-            boundary,
+            ghosts,
             cell0,
             out,
             time,
@@ -713,7 +682,7 @@ pub(crate) fn rhs_block(
             vars,
             &scratch.ptrs,
             flat,
-            boundary,
+            ghosts,
             cell0,
             out,
             fused_dt,
@@ -721,13 +690,13 @@ pub(crate) fn rhs_block(
         KernelTier::Bound => {
             let bound = kernels.bound(k);
             for i in 0..out.len() {
-                let rhs = seq::eval_rhs_dof_bound(cp, vars, boundary, cell0 + i, flat, time, bound);
+                let rhs = seq::eval_rhs_dof_bound(cp, vars, ghosts, cell0 + i, flat, time, bound);
                 per_dof(out, rhs, i);
             }
         }
         KernelTier::Vm => {
             for i in 0..out.len() {
-                let rhs = seq::eval_rhs_dof_vm(cp, vars, boundary, cell0 + i, flat, time);
+                let rhs = seq::eval_rhs_dof_vm(cp, vars, ghosts, cell0 + i, flat, time);
                 per_dof(out, rhs, i);
             }
         }
@@ -832,17 +801,12 @@ mod tests {
         fields: &Fields,
         tier: KernelTier,
         span: usize,
-        skip: bool,
         fused_dt: Option<f64>,
     ) -> Vec<f64> {
         let n_cells = fields.n_cells;
         let flats: Vec<usize> = (0..cp.n_flat).collect();
         let mut ghosts = super::super::walls::Ghosts::for_plan(cp);
         let ghosts = ghosts.refresh(cp, fields, &flats, 0.0, &mut Default::default(), false);
-        let boundary = match skip {
-            true => FluxBoundary::Skip,
-            false => FluxBoundary::Ghosts(ghosts),
-        };
         let mut kernels = IntensityKernels::with_tier(cp, &flats, tier);
         assert_eq!(kernels.tier, tier);
         kernels.ensure(cp, 0.0);
@@ -860,7 +824,7 @@ mod tests {
                     k,
                     cell0,
                     &mut out[at..at + len],
-                    boundary,
+                    ghosts,
                     0.0,
                     fused_dt,
                     &mut scratch,
@@ -872,22 +836,22 @@ mod tests {
 
     /// The compiled flux carries a cell's partial sum across lane chunks
     /// and across nothing else: however the cell range is cut, with and
-    /// without boundary faces and the fused update, every dof equals the
-    /// `Bound` tier's, whose flux is the stack VM face by face.
+    /// without the fused update, every dof equals the `Bound` tier's, whose
+    /// flux is the stack VM face by face.
     #[test]
     fn compiled_flux_is_bit_identical_to_the_vm_flux_for_any_span_split() {
         let (cp, fields) = triangle_plan();
         assert!(cp.compiled_flux());
-        for (skip, fused_dt) in [(false, None), (true, None), (false, Some(1e-3))] {
+        for fused_dt in [None, Some(1e-3)] {
             let n_cells = fields.n_cells;
-            let reference = sweep(&cp, &fields, KernelTier::Bound, n_cells, skip, fused_dt);
+            let reference = sweep(&cp, &fields, KernelTier::Bound, n_cells, fused_dt);
             for span in [1, 7, ROW_CHUNK, ROW_CHUNK + 1, n_cells] {
-                let row = sweep(&cp, &fields, KernelTier::Row, span, skip, fused_dt);
+                let row = sweep(&cp, &fields, KernelTier::Row, span, fused_dt);
                 for (i, (a, b)) in row.iter().zip(&reference).enumerate() {
                     assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
-                        "skip {skip} fused {fused_dt:?} span {span} dof {i}: {a} vs {b}"
+                        "fused {fused_dt:?} span {span} dof {i}: {a} vs {b}"
                     );
                 }
             }
@@ -901,8 +865,7 @@ mod tests {
 
     /// Row and Native against `Bound` (the per-dof CSR walk), bit for bit,
     /// with the cell range cut so that spans start, end and straddle
-    /// inside stencil runs, with and without boundary faces and the fused
-    /// update.
+    /// inside stencil runs, with and without the fused update.
     fn assert_runs_match_the_csr_walk(cp: &CompiledProblem, fields: &Fields, nx: usize) {
         assert!(cp.flux_lin.is_some(), "a table plan");
         let n_cells = fields.n_cells;
@@ -917,19 +880,19 @@ mod tests {
             nx,
             n_cells,
         ];
-        for (skip, fused_dt) in [(false, None), (true, None), (false, Some(1e-3))] {
-            let reference = sweep(cp, fields, KernelTier::Bound, n_cells, skip, fused_dt);
+        for fused_dt in [None, Some(1e-3)] {
+            let reference = sweep(cp, fields, KernelTier::Bound, n_cells, fused_dt);
             for tier in [KernelTier::Row, KernelTier::Native] {
                 if !available(cp, tier) {
                     continue;
                 }
                 for span in spans {
-                    let got = sweep(cp, fields, tier, span, skip, fused_dt);
+                    let got = sweep(cp, fields, tier, span, fused_dt);
                     for (i, (a, b)) in got.iter().zip(&reference).enumerate() {
                         assert_eq!(
                             a.to_bits(),
                             b.to_bits(),
-                            "{tier:?} skip {skip} fused {fused_dt:?} span {span} dof {i}: {a} vs {b}"
+                            "{tier:?} fused {fused_dt:?} span {span} dof {i}: {a} vs {b}"
                         );
                     }
                 }
@@ -988,23 +951,22 @@ mod tests {
     /// The compiled-flux emission is pinned: it changes only on purpose (a
     /// changed source is a changed cache key, so every cached `.so` is
     /// recompiled), and the streamed hash is the hash of the text a compile
-    /// would write. Last moved when the kernel became a span walk (run
-    /// segments and CSR remainders over `Args::runs`) reading its normals
-    /// from the per-slot oriented column.
+    /// would write. Last moved when the boundary-skipping flag and its
+    /// branch left the boundary faces: every sweep reads the ghosts.
     #[test]
     fn compiled_flux_source_is_pinned() {
         let (cp, fields) = triangle_plan();
         let per_flat = nativegen::lower_plan(&cp).unwrap();
         assert_eq!(
             nativegen::source_hash(&cp, &per_flat),
-            0xbbf9_1f69_ff4e_b7cd
+            0x2192_2a6e_5d0a_18aa
         );
         let mut text = String::new();
         nativegen::emit_source(&cp, fields.n_cells, &per_flat, &mut text).unwrap();
-        assert_eq!(text.len(), 17_278);
+        assert_eq!(text.len(), 16_671);
         let mut hash = nativegen::Fnv1a::new();
         std::fmt::Write::write_str(&mut hash, &text).unwrap();
-        assert_eq!(hash.0, 0xbbf9_1f69_ff4e_b7cd);
+        assert_eq!(hash.0, 0x2192_2a6e_5d0a_18aa);
     }
 
     /// `(cell0, len)` of every tile of the first flat.

@@ -7,7 +7,6 @@
 //! closure are evaluated on the host, by `walls::compute_ghosts`.
 //! The time loop that composes them is [`super::driver::drive`].
 
-use super::rows::FluxBoundary;
 use super::CompiledProblem;
 use crate::bytecode::VmCtx;
 use crate::entities::Fields;
@@ -18,13 +17,12 @@ use pbte_runtime::telemetry::{Recorder, SpanKind, Track};
 /// table when the plan has one, the stack VM face by face otherwise — the
 /// reference semantics the compiled flux of the Row/Native tiers
 /// (`rows::flux_combine_compiled`) reproduces bit for bit. Boundary faces
-/// are read through [`Walls::ghost_read`](super::Walls) or skipped, per
-/// `boundary`.
+/// are read from `ghosts` through [`Walls::ghost_read`](super::Walls).
 #[inline]
 pub(crate) fn flux_sum_dof(
     cp: &CompiledProblem,
     vars: &[&[f64]],
-    boundary: FluxBoundary,
+    ghosts: &[f64],
     cell: usize,
     flat: usize,
     time: f64,
@@ -45,14 +43,9 @@ pub(crate) fn flux_sum_dof(
             let u2 = if nb >= 0 {
                 u_row[nb as usize]
             } else {
-                match boundary {
-                    FluxBoundary::Ghosts(g) => {
-                        let slot = (-(nb + 1)) as usize;
-                        cp.walls
-                            .ghost_read(g, vars[unknown], n_cells, slot, flat, cell)
-                    }
-                    FluxBoundary::Skip => continue,
-                }
+                let slot = (-(nb + 1)) as usize;
+                cp.walls
+                    .ghost_read(ghosts, vars[unknown], n_cells, slot, flat, cell)
             };
             flux_sum += hot.area[k] * lin.eval(flat, hot.class[k], u_here, u2);
         }
@@ -72,14 +65,13 @@ pub(crate) fn flux_sum_dof(
         };
         for &fid in mesh.cell_faces(cell) {
             let face = &mesh.faces[fid];
-            let u2 = match (face.other_cell(cell), boundary) {
-                (Some(nb), _) => vars[unknown][flat * n_cells + nb],
-                (None, FluxBoundary::Ghosts(g)) => {
+            let u2 = match face.other_cell(cell) {
+                Some(nb) => vars[unknown][flat * n_cells + nb],
+                None => {
                     let slot = cp.bface_slot[fid];
                     cp.walls
-                        .ghost_read(g, vars[unknown], n_cells, slot, flat, cell)
+                        .ghost_read(ghosts, vars[unknown], n_cells, slot, flat, cell)
                 }
-                (None, FluxBoundary::Skip) => continue,
             };
             let n = face.normal_from(cell);
             vm.u2 = u2;
@@ -100,7 +92,7 @@ pub(crate) fn flux_sum_dof(
 pub(crate) fn eval_rhs_dof_bound(
     cp: &CompiledProblem,
     vars: &[&[f64]],
-    boundary: FluxBoundary,
+    ghosts: &[f64],
     cell: usize,
     flat: usize,
     time: f64,
@@ -109,7 +101,7 @@ pub(crate) fn eval_rhs_dof_bound(
     let n_cells = cp.hot.inv_volume.len();
     let source = bound_volume.eval(vars, cell, cp.mesh().cell_centroids[cell], time);
     let u_here = vars[cp.system.unknown][flat * n_cells + cell];
-    let flux = flux_sum_dof(cp, vars, boundary, cell, flat, time, u_here);
+    let flux = flux_sum_dof(cp, vars, ghosts, cell, flat, time, u_here);
     // Reciprocal multiply (hoisted per cell) instead of a divide in the
     // hot loop — the same strength reduction the generated code performs.
     source - flux * cp.hot.inv_volume[cell]
@@ -121,7 +113,7 @@ pub(crate) fn eval_rhs_dof_bound(
 pub(crate) fn eval_rhs_dof_vm(
     cp: &CompiledProblem,
     vars: &[&[f64]],
-    boundary: FluxBoundary,
+    ghosts: &[f64],
     cell: usize,
     flat: usize,
     time: f64,
@@ -142,7 +134,7 @@ pub(crate) fn eval_rhs_dof_vm(
     };
     let source = cp.volume.eval(&vm);
     let u_here = vars[cp.system.unknown][flat * n_cells + cell];
-    let flux = flux_sum_dof(cp, vars, boundary, cell, flat, time, u_here);
+    let flux = flux_sum_dof(cp, vars, ghosts, cell, flat, time, u_here);
     source - flux * cp.hot.inv_volume[cell]
 }
 

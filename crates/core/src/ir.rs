@@ -15,7 +15,7 @@
 //! source that snapshot tests pin down.
 
 use crate::analysis::Scope;
-use crate::dataflow::{Entity, Kernel, Place, Plan, Policy, Record, Stage, Transfer};
+use crate::dataflow::{Kernel, Place, Plan, Policy, Record, Stage, Transfer};
 use crate::exec::{CompiledProblem, ExecTarget};
 use crate::problem::TimeStepper;
 
@@ -208,12 +208,9 @@ pub fn build_ir(cp: &CompiledProblem, target: &ExecTarget) -> IrNode {
                 "compute boundary ghost values (user callbacks)".into(),
             )),
             Kernel::Sweep { .. } => {
-                let walls = IrNode::Comment(if !record.reads(Entity::Ghosts) {
-                    "interior faces only; boundary handled on the host".into()
-                } else if lowered {
-                    format!("{LOWERED_WALLS}; no host boundary work")
-                } else {
-                    "boundary faces read the ghost values the host computed".into()
+                let walls = IrNode::Comment(match lowered {
+                    true => format!("{LOWERED_WALLS}; no host boundary work"),
+                    false => "boundary faces read the ghost values the host computed".into(),
                 });
                 if record.place == Place::Device {
                     step.extend(stage.moves(Policy::EveryStep, true).map(transfer));
@@ -239,12 +236,6 @@ pub fn build_ir(cp: &CompiledProblem, target: &ExecTarget) -> IrNode {
                     step.append(&mut body);
                 }
                 step.extend(reduction.map(|text| IrNode::Communicate(text.into())));
-            }
-            Kernel::Combine => {
-                step.push(IrNode::Callback(
-                    "compute_boundary_contribution(u_bdry) on CPU, overlapped".into(),
-                ));
-                step.push(IrNode::Stmt("u = u_new + u_bdry".into()));
             }
         }
     }

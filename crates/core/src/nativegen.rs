@@ -243,8 +243,6 @@ pub(crate) struct NativeArgs {
     pub fused_dt: f64,
     /// 1 → write the fused update `u + dt·rhs`, 0 → write the RHS.
     pub fused: u8,
-    /// 1 → skip boundary faces (GPU async-boundary semantics).
-    pub skip_boundary: u8,
     /// Oriented normals of the compiled flux, `dim` per face slot (never
     /// read by the kernels of a table plan).
     pub normals: *const f64,
@@ -371,7 +369,7 @@ pub(crate) struct FlatStmts {
 }
 
 /// The emitted `Args` fields shared by every plan, in `NativeArgs` order.
-const ARGS_FIELDS: &str = "    vars: *const *const f64,\n    ghosts: *const f64,\n    wall_read: *const u32,\n    wall_columns: *const u32,\n    offsets: *const u32,\n    nbr: *const i64,\n    area: *const f64,\n    class: *const u32,\n    inv_volume: *const f64,\n    out: *mut f64,\n    cell0: usize,\n    len: usize,\n    fused_dt: f64,\n    fused: u8,\n    skip_boundary: u8,\n";
+const ARGS_FIELDS: &str = "    vars: *const *const f64,\n    ghosts: *const f64,\n    wall_read: *const u32,\n    wall_columns: *const u32,\n    offsets: *const u32,\n    nbr: *const i64,\n    area: *const f64,\n    class: *const u32,\n    inv_volume: *const f64,\n    out: *mut f64,\n    cell0: usize,\n    len: usize,\n    fused_dt: f64,\n    fused: u8,\n";
 
 /// The gather half of `Walls::ghost_read`, emitted once per plan as
 /// `ghost_gather(a, read, flat, cell)`: the unknown at the owner cell
@@ -407,7 +405,7 @@ fn ghost_read(column: &str, flat: &str, indent: &str) -> String {
 /// stores go through a raw pointer, so without the copies LLVM must
 /// assume they may alias the Args struct itself and reload each field on
 /// every iteration.
-const HOISTED_ARGS: &str = "    let ghosts = a.ghosts;\n    let wall_read = a.wall_read;\n    let offsets = a.offsets;\n    let nbr = a.nbr;\n    let area = a.area;\n    let class = a.class;\n    let inv_volume = a.inv_volume;\n    let out = a.out;\n    let cell0 = a.cell0;\n    let len = a.len;\n    let fused_dt = a.fused_dt;\n    let fused = a.fused != 0;\n    let skip_boundary = a.skip_boundary != 0;\n";
+const HOISTED_ARGS: &str = "    let ghosts = a.ghosts;\n    let wall_read = a.wall_read;\n    let offsets = a.offsets;\n    let nbr = a.nbr;\n    let area = a.area;\n    let class = a.class;\n    let inv_volume = a.inv_volume;\n    let out = a.out;\n    let cell0 = a.cell0;\n    let len = a.len;\n    let fused_dt = a.fused_dt;\n    let fused = a.fused != 0;\n";
 
 /// Emit the complete source for one compiled plan into `w`: one
 /// `pbte_flat_N` kernel per flat computing `rows::rhs_span`'s operation
@@ -590,9 +588,6 @@ fn emit_flux_span(cp: &CompiledProblem, w: &mut impl Write) -> fmt::Result {
                 let nb = *nbr.add(k);
                 let u2 = if nb >= 0 {{
                     *u_row.add(nb as usize)
-                }} else if skip_boundary {{
-                    k += 1;
-                    continue;
                 }} else {{
 {ghost_read}
                 }};
@@ -729,9 +724,6 @@ fn emit_flat_kernel(
                 let nb = *nbr.add(k);
                 let u2 = if nb >= 0 {{
                     *u_row.add(nb as usize)
-                }} else if skip_boundary {{
-                    k += 1;
-                    continue;
                 }} else {{
 {ghost_read}
                 }};

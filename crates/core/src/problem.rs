@@ -111,16 +111,18 @@ impl Default for KrylovConfig {
     }
 }
 
-/// How the hybrid GPU target handles boundary work (paper §III-D lists
-/// both options).
+/// The paper's two names for how the hybrid GPU target handles boundary
+/// work (§III-D): combine host-computed boundary faces with the device's
+/// interior result (Fig 6), or pre-compute ghost values on the host and
+/// let the kernel compute the full flux. The simulated device models no
+/// host/device overlap, so both run the second: the strategy is a label
+/// of the target (`gpu:async` / `gpu:precompute`) and selects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GpuStrategy {
-    /// Compute boundary contributions asynchronously on the CPU and combine
-    /// with the interior part after it returns from the device (Fig 6).
+    /// Fig 6's asynchronous host boundary (`gpu:async`).
     #[default]
     AsyncBoundary,
-    /// Pre-compute boundary ghost values on the CPU and send them to the
-    /// GPU so the kernel computes the full flux.
+    /// Ghost values pre-computed on the host (`gpu:precompute`).
     PrecomputeBoundary,
 }
 

@@ -1,9 +1,10 @@
 //! The one builder of a step's stage records, over the whole matrix:
 //! {Euler, RK2, implicit θ=1, steady} × the seven targets × {all walls
 //! lowered, one callback wall}. The list has the kinds and places the
-//! strategy × walls × integrator policy says, the schedule folded from it
-//! is the one the executors have always followed, and a list with one
-//! access tampered yields a schedule the transfer proof refuses.
+//! (device?) × walls × integrator policy says — the two GPU strategies
+//! one list —, the schedule folded from it is the one the executors
+//! follow, and a list with one access tampered yields a schedule the
+//! transfer proof refuses.
 
 use pbte_dsl::analysis::{self, rules, Scope};
 use pbte_dsl::dataflow::{
@@ -14,6 +15,7 @@ use pbte_dsl::problem::{BoundaryCondition, Integrator, Problem, TimeStepper};
 use pbte_dsl::{GpuStrategy, Severity};
 use pbte_gpu::DeviceSpec;
 use pbte_mesh::grid::UniformGrid;
+use pbte_runtime::telemetry::{Span, SpanKind};
 
 /// The `ir_structure.rs` fixture: `callback_wall` leaves the left wall to
 /// a closure, `post_step` registers an opaque post-step callback.
@@ -88,7 +90,7 @@ fn names(stage: &Stage, policy: Policy, to_device: bool) -> Vec<String> {
 
 #[test]
 fn the_record_list_is_the_policy_for_every_target_walls_and_integrator() {
-    use Kernel::{Callback, Combine, GhostEval, Sweep};
+    use Kernel::{Callback, GhostEval, Sweep};
     use Place::{Device, Host};
     let steady = Integrator::Steady {
         tol: 1e-6,
@@ -104,9 +106,9 @@ fn the_record_list_is_the_policy_for_every_target_walls_and_integrator() {
         (steady, TimeStepper::EulerExplicit),
     ];
     for target in targets() {
-        let device = target.strategy();
+        let device = target.on_device();
         for (integrator, stepper) in schemes {
-            if device.is_some() && stepper == TimeStepper::Rk2 {
+            if device && stepper == TimeStepper::Rk2 {
                 continue; // the device lineage steps by Euler only
             }
             for callback_wall in [false, true] {
@@ -124,9 +126,7 @@ fn the_record_list_is_the_policy_for_every_target_walls_and_integrator() {
 
                 let explicit = integrator == Integrator::Explicit;
                 let fused = explicit && stepper == TimeStepper::EulerExplicit;
-                let combine =
-                    device == Some(GpuStrategy::AsyncBoundary) && callback_wall && explicit;
-                let sweep_at = if device.is_some() { Device } else { Host };
+                let sweep_at = if device { Device } else { Host };
                 let mut want = Vec::new();
                 if callback_wall {
                     want.push((GhostEval { plan: Plan::Main }, Host));
@@ -134,9 +134,6 @@ fn the_record_list_is_the_policy_for_every_target_walls_and_integrator() {
                 let fused_dt = fused.then_some(cp.problem.dt);
                 let plan = Plan::Main;
                 want.push((Sweep { plan, fused_dt }, sweep_at));
-                if combine {
-                    want.push((Combine, Host));
-                }
                 want.push((
                     Callback {
                         pre: false,
@@ -146,16 +143,16 @@ fn the_record_list_is_the_policy_for_every_target_walls_and_integrator() {
                 ));
                 assert_eq!(shape(&stage.records), want, "{case}");
 
-                // The sweep reads the ghosts unless the host combines the
-                // boundary; it is the only record that touches the device.
+                // The sweep reads the ghosts, lowered or host-computed; it
+                // is the only record that touches the device.
                 let is_sweep = |r: &&Record| matches!(r.kernel, Sweep { .. });
                 let sweep = stage.records.iter().find(is_sweep).unwrap();
-                assert_eq!(sweep.reads(Entity::Ghosts), !combine, "{case}");
+                assert!(sweep.reads(Entity::Ghosts), "{case}");
                 assert!(sweep.writes(Entity::Variable(cp.system.unknown)), "{case}");
                 assert!(stage.records.iter().all(|r| std::ptr::eq(r.range, &scope)));
 
                 // The JVP plan of an implicit solve: its own ghosts and
-                // sweep, no callbacks, never a combine.
+                // sweep, no callbacks.
                 if let Some(jcp) = cp.jvp.as_deref() {
                     let jvp = Stage::build(jcp, Plan::Jvp, &target, &scope);
                     let plan = Plan::Jvp;
@@ -172,13 +169,13 @@ fn the_record_list_is_the_policy_for_every_target_walls_and_integrator() {
                     assert_eq!(shape(&jvp.records), want, "{case}");
                 }
 
-                let Some(strategy) = device else {
+                if !device {
                     assert!(
                         stage.schedule.is_none(),
                         "{case}: a CPU stage moves nothing"
                     );
                     continue;
-                };
+                }
                 let each_h2d = names(&stage, Policy::EveryStep, true);
                 let once_h2d = names(&stage, Policy::Once, true);
                 let each_d2h = names(&stage, Policy::EveryStep, false);
@@ -186,21 +183,19 @@ fn the_record_list_is_the_policy_for_every_target_walls_and_integrator() {
                 if explicit {
                     // The stage carries the step schedule, and that
                     // schedule is clean.
-                    let schedule = analysis::synthesize_records(cp, strategy, &stage.records);
-                    assert_eq!(schedule.transfers, cp.transfer_schedule(strategy).transfers);
+                    let schedule = analysis::synthesize_records(cp, &stage.records);
+                    assert_eq!(schedule.transfers, cp.transfer_schedule().transfers);
                     let carried = stage.schedule.as_ref().unwrap();
                     assert_eq!(schedule.transfers, carried.transfers, "{case}");
                     assert!(analysis::check_schedule(cp, &schedule).is_empty(), "{case}");
                     // What synth_schedule.rs, verifier.rs and
                     // transfer_oracle.rs pin: the opaque post-step rewrites
-                    // Io and beta and reads I; the unknown re-uploads only
-                    // under a host combine — and then goes up before every
-                    // sweep instead of once —, the ghosts only while the
-                    // host evaluates them for the kernel.
+                    // Io and beta and reads I; the unknown goes up once and
+                    // stays, the ghosts go up per step only while the host
+                    // evaluates them for the kernel.
                     assert!(on(&each_h2d, "Io") && on(&each_h2d, "beta"), "{case}");
-                    assert_eq!(on(&each_h2d, "I"), combine, "{case}");
-                    assert_eq!(on(&once_h2d, "I"), !combine, "{case}");
-                    assert_eq!(on(&each_h2d, "ghosts"), callback_wall && !combine, "{case}");
+                    assert!(!on(&each_h2d, "I") && on(&once_h2d, "I"), "{case}");
+                    assert_eq!(on(&each_h2d, "ghosts"), callback_wall, "{case}");
                     assert_eq!(on(&once_h2d, "ghosts"), !callback_wall, "{case}");
                     assert!(on(&once_h2d, "vg"), "{case}");
                     assert_eq!(each_d2h, ["I"], "{case}");
@@ -240,19 +235,18 @@ fn tamper(
 /// the dropped access justified is missing, a stale read.
 #[test]
 fn a_tampered_access_yields_a_schedule_the_checkers_refuse() {
-    let refused = |strategy: GpuStrategy,
-                   entity: &str,
-                   tampering: &dyn Fn(&mut [Record], usize)| {
-        let target = gpu(strategy);
-        let solver = problem(true, true).build(target).unwrap();
-        let cp = &solver.compiled;
-        let scope = Scope::whole(cp);
-        let mut records = step_records(cp, Plan::Main, Some(strategy), &scope);
-        let clean = analysis::synthesize_records(cp, strategy, &records);
+    let solver = problem(true, true)
+        .build(gpu(GpuStrategy::AsyncBoundary))
+        .unwrap();
+    let cp = &solver.compiled;
+    let scope = Scope::whole(cp);
+    let refused = |entity: &str, tampering: &dyn Fn(&mut [Record])| {
+        let mut records = step_records(cp, Plan::Main, true, &scope);
+        let clean = analysis::synthesize_records(cp, &records);
         assert!(analysis::check_schedule(cp, &clean).is_empty());
 
-        tampering(&mut records, cp.system.unknown);
-        let bad = analysis::synthesize_records(cp, strategy, &records);
+        tampering(&mut records);
+        let bad = analysis::synthesize_records(cp, &records);
         let stale = analysis::check_schedule(cp, &bad);
         let hit = |d: &&analysis::Diagnostic| d.entity == entity && d.severity == Severity::Error;
         assert!(
@@ -260,55 +254,25 @@ fn a_tampered_access_yields_a_schedule_the_checkers_refuse() {
                 .iter()
                 .filter(hit)
                 .any(|d| d.rule == rules::STALE_READ),
-            "{strategy:?}: {stale:?}"
+            "{entity}: {stale:?}"
         );
     };
-    // Precompute: the device sweep no longer says it reads the ghosts, so
-    // nothing uploads them.
-    refused(GpuStrategy::PrecomputeBoundary, "ghosts", &|records, _| {
+    // The device sweep no longer says it reads the ghosts, so nothing
+    // uploads them.
+    refused("ghosts", &|records| {
         let device_sweep = |r: &Record| r.place == Place::Device;
         tamper(records, device_sweep, Entity::Ghosts, None);
     });
-    // Async: the combine no longer says it rewrites the unknown, so
-    // nothing re-uploads it.
-    refused(GpuStrategy::AsyncBoundary, "I", &|records, unknown| {
-        let combine = |r: &Record| r.kernel == Kernel::Combine;
-        tamper(
-            records,
-            combine,
-            Entity::Variable(unknown),
-            Some(Access::Read),
-        );
+    // The host no longer says it rewrites them, so they go up once only.
+    refused("ghosts", &|records| {
+        let ghost_eval = |r: &Record| matches!(r.kernel, Kernel::GhostEval { .. });
+        tamper(records, ghost_eval, Entity::Ghosts, None);
     });
 }
 
-/// The async combine reads the kernel's result whether or not any callback
-/// reads the unknown: its download is the only per-step one, is priced,
-/// and is what the run performs.
-#[test]
-fn the_async_combine_alone_schedules_the_download_it_needs() {
-    let strategy = GpuStrategy::AsyncBoundary;
-    let mut solver = problem(true, false).build(gpu(strategy)).unwrap();
-    let schedule = solver.compiled.transfer_schedule(strategy);
-    assert_eq!(schedule.each_step_d2h(), ["I"]);
-    let download = schedule.transfers.iter().find(|t| !t.to_device).unwrap();
-    assert_eq!(
-        download.reason,
-        "unknown: the host combine reads the kernel's result"
-    );
-    assert!(analysis::check_schedule(&solver.compiled, &schedule).is_empty());
-
-    let report = solver.solve().unwrap();
-    let (checks, drift) = analysis::check_cost_drift(&solver.compiled, &solver.target, &report);
-    assert!(drift.is_empty(), "{drift:?}");
-    for c in checks.iter().filter(|c| c.counter.ends_with("_bytes")) {
-        assert_eq!(c.predicted, c.observed, "{}", c.counter);
-    }
-}
-
 /// The device backend draws one span per record it is handed: with a
-/// callback wall under the async strategy every step is the ghosts and
-/// the combine on the host around the sweep on the device, in list order.
+/// callback wall every step is the ghosts on the host, the sweep on the
+/// device, then the post-step callback, in list order.
 #[test]
 fn a_callback_wall_async_step_draws_its_three_records() {
     let mut solver = problem(true, true)
@@ -318,15 +282,17 @@ fn a_callback_wall_async_step_draws_its_three_records() {
     let report = solver.solve_traced(&mut rec).unwrap();
     let place = |attrs: &[(&'static str, String)]| {
         let found = attrs.iter().find(|(k, _)| *k == "place");
-        found.map(|(_, v)| v.clone())
+        found.map_or("host", |(_, v)| v.as_str()).to_string()
     };
+    let record = |s: &&&Span| matches!(s.kind, SpanKind::Kernel | SpanKind::Callback);
     let drawn: Vec<(String, String)> = (rec.spans().iter())
-        .filter_map(|s| Some((s.name.clone(), place(&s.attrs)?)))
+        .filter(record)
+        .map(|s| (s.name.clone(), place(&s.attrs)))
         .collect();
     let step = [
         ("ghost_eval", "host"),
         ("sweep", "device"),
-        ("combine", "host"),
+        ("post-step#0", "host"),
     ];
     let want: Vec<(String, String)> = (0..report.steps)
         .flat_map(|_| step.map(|(name, place)| (name.to_string(), place.to_string())))

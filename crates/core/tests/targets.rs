@@ -3,13 +3,11 @@
 //! A mini BTE-shaped problem (4 directions × 3 bands, coupled through a
 //! temperature-like post-step callback) is solved on every execution
 //! target. The sequential CPU target defines the reference semantics;
-//! thread-parallel and cell-distributed runs must match it **exactly**
-//! (same arithmetic, same accumulation order). Band distribution matches
-//! to rounding (the cross-rank reduction reassociates sums), and the GPU
-//! targets match to rounding (the CPU generator hoists flux coefficients
-//! into the linearized form while the GPU kernel keeps the straight-line
-//! conditional; the async strategy additionally splits the face sum
-//! between device and host, as Fig 6 of the paper describes).
+//! thread-parallel, cell-distributed and GPU runs — either strategy, the
+//! callback walls' ghosts computed on the host and read by the device
+//! sweep — must match it **exactly**: every target sweeps through the
+//! same kernels, in the same face order. Band distribution matches to
+//! rounding (the cross-rank reduction reassociates sums).
 
 use pbte_dsl::exec::ExecTarget;
 use pbte_dsl::problem::{BoundaryCondition, Problem, StepContext, TimeStepper};
@@ -232,25 +230,29 @@ fn band_distribution_matches_sequential_to_rounding() {
     }
 }
 
+/// Runs the mini-BTE on the GPU target under `strategy` and asserts it
+/// matches the sequential CPU run exactly. Three of the four walls are
+/// callbacks: both strategies evaluate their ghosts on the host and the
+/// device sweep reads them, so agreement is bitwise, not just to rounding.
+fn assert_gpu_matches_sequential(strategy: GpuStrategy) {
+    let seq = run(ExecTarget::CpuSeq, 6, 5, TimeStepper::EulerExplicit);
+    let target = ExecTarget::GpuHybrid {
+        spec: DeviceSpec::a6000(),
+        strategy,
+    };
+    let label = target.label();
+    let gpu = run(target, 6, 5, TimeStepper::EulerExplicit);
+    assert_identical(&seq, &gpu, &label);
+}
+
 #[test]
 fn gpu_precompute_matches_sequential_to_rounding() {
-    // The CPU generator hoists flux coefficients (FluxLinearization); the
-    // GPU generator keeps the straight-line conditional. Same arithmetic
-    // content, different association — rounding-level agreement.
-    let seq = run(ExecTarget::CpuSeq, 6, 5, TimeStepper::EulerExplicit);
-    let gpu = run(
-        ExecTarget::GpuHybrid {
-            spec: DeviceSpec::a6000(),
-            strategy: GpuStrategy::PrecomputeBoundary,
-        },
-        6,
-        5,
-        TimeStepper::EulerExplicit,
-    );
-    for v in 0..seq.n_vars() {
-        let d = max_abs_diff(&seq, &gpu, v);
-        assert!(d < 1e-12, "gpu-precompute variable {v} differs by {d}");
-    }
+    assert_gpu_matches_sequential(GpuStrategy::PrecomputeBoundary);
+}
+
+#[test]
+fn gpu_async_matches_to_rounding() {
+    assert_gpu_matches_sequential(GpuStrategy::AsyncBoundary);
 }
 
 #[test]
@@ -295,24 +297,6 @@ fn flux_linearization_is_active_and_matches_the_vm() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn gpu_async_matches_to_rounding() {
-    let seq = run(ExecTarget::CpuSeq, 6, 5, TimeStepper::EulerExplicit);
-    let gpu = run(
-        ExecTarget::GpuHybrid {
-            spec: DeviceSpec::a6000(),
-            strategy: GpuStrategy::AsyncBoundary,
-        },
-        6,
-        5,
-        TimeStepper::EulerExplicit,
-    );
-    for v in 0..seq.n_vars() {
-        let d = max_abs_diff(&seq, &gpu, v);
-        assert!(d < 1e-12, "gpu-async variable {v} differs by {d}");
     }
 }
 

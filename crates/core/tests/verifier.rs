@@ -357,8 +357,7 @@ fn expression_initial_reading_uninitialised_data_is_refused() {
 fn schedule_missing_a_d2h_is_a_stale_read() {
     let solver = declared_problem(6, 2).build(gpu_target()).unwrap();
     let cp = &solver.compiled;
-    let strategy = GpuStrategy::AsyncBoundary;
-    let mut schedule = cp.transfer_schedule(strategy);
+    let mut schedule = cp.transfer_schedule();
     assert!(
         analysis::check_schedule(cp, &schedule).is_empty(),
         "unmodified schedule must be clean"
@@ -436,7 +435,7 @@ fn transfer_nothing_reads_is_redundant() {
     ];
     for (case, solver, seeded) in rows {
         let cp = &solver.compiled;
-        let mut schedule = cp.transfer_schedule(GpuStrategy::AsyncBoundary);
+        let mut schedule = cp.transfer_schedule();
         assert!(analysis::check_schedule(cp, &schedule).is_empty(), "{case}");
         let entity = seeded.name.clone();
         schedule.transfers.push(seeded);
@@ -450,8 +449,8 @@ fn transfer_nothing_reads_is_redundant() {
 }
 
 /// A callback that declares rewriting the unknown re-uploads it every
-/// step, like the async combine does: the rewrite is a declared host
-/// write, so leaving it out would be a stale read.
+/// step: the rewrite is a declared host write, so leaving it out would be
+/// a stale read.
 #[test]
 fn a_callback_rewriting_the_unknown_re_uploads_it() {
     let mut p = declared_problem(6, 2);
@@ -463,7 +462,7 @@ fn a_callback_rewriting_the_unknown_re_uploads_it() {
         })
         .unwrap();
     let cp = &solver.compiled;
-    let schedule = cp.transfer_schedule(GpuStrategy::PrecomputeBoundary);
+    let schedule = cp.transfer_schedule();
     assert!(
         schedule.each_step_h2d().contains(&"I"),
         "{}",

@@ -204,10 +204,9 @@ fn codegen_artifacts_are_complete() {
     ] {
         assert!(gpu_src.contains(needle), "GPU source lacks `{needle}`");
     }
-    for gone in ["u = u_new + u_bdry", "compute boundary ghost values"] {
-        assert!(!gpu_src.contains(gone) && !src.contains(gone), "`{gone}`");
-    }
-    let schedule = gpu.compiled.transfer_schedule(GpuStrategy::AsyncBoundary);
+    let gone = "compute boundary ghost values";
+    assert!(!gpu_src.contains(gone) && !src.contains(gone), "`{gone}`");
+    let schedule = gpu.compiled.transfer_schedule();
     assert!(schedule.each_step_d2h().contains(&"I"));
     assert!(!schedule.each_step_h2d().contains(&"I"), "device-resident");
     assert!(schedule.once().contains(&"vg") && schedule.once().contains(&"ghosts"));

@@ -546,8 +546,7 @@ fn attr(s: &Span, key: &str) -> Option<String> {
 }
 
 /// The hot spot with its cold bottom wall left to a host closure, so a
-/// step has a host `ghost_eval` record (and, explicit under the async
-/// strategy, a host `combine`).
+/// step has a host `ghost_eval` record.
 fn callback_walled(bte: &mut BteProblem) {
     let (material, i_var) = (bte.material.clone(), bte.vars.i);
     let walls = &mut bte.problem.boundary_conditions;
@@ -605,10 +604,9 @@ fn each_sweep_span_carries_its_own_plans_price() {
 }
 
 /// The simulated device is timed by the price its sweeps report: on a
-/// traced `gpu:async` run, explicit (with the host `combine` a callback
-/// wall brings) and implicit, each kernel's profiled flops are the sum of
-/// its sweep spans' `pred_flops`, and `pbte-trace --follow` prints that
-/// one figure.
+/// traced `gpu:async` run with a callback wall, explicit and implicit,
+/// each kernel's profiled flops are the sum of its sweep spans'
+/// `pred_flops`, and `pbte-trace --follow` prints that one figure.
 #[test]
 fn a_device_kernel_is_timed_by_the_price_its_sweeps_report() {
     for integrator in [Integrator::Explicit, Integrator::Implicit { theta: 1.0 }] {
@@ -619,9 +617,7 @@ fn a_device_kernel_is_timed_by_the_price_its_sweeps_report() {
         });
         let profile = report.device.expect("a device profile");
         let spans = rec.spans();
-        if integrator == Integrator::Explicit {
-            assert!(spans.iter().any(|s| s.name == "combine"));
-        }
+        assert!(spans.iter().any(|s| s.name == "ghost_eval"));
         for (name, kernel) in &profile.kernels {
             let priced: f64 = (spans.iter())
                 .filter(|s| s.name == "sweep" && attr(s, "kernel").as_deref() == Some(name))
