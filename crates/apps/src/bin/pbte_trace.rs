@@ -8,7 +8,7 @@
 //!            [target=seq|par|cells[:<r>]|bands[:<r>]|
 //!            gpu[:async|:precompute]|bands-gpu[:<r>]] [n=12] [steps=3]
 //!            [ranks=2] [strategy=redundant|divided]
-//!            [tier=vm|bound|row|native] [out=DIR] [stream=FILE]
+//!            [tier=vm|row|native] [out=DIR] [stream=FILE]
 //!            [--no-health] [--parity]
 //! pbte-trace --follow file=FILE [wait=30]
 //! pbte-trace top file=FILE
@@ -82,9 +82,9 @@
 //!   evaluated the face flux), and *every* target — CPU and GPU lineage
 //!   alike — must attribute the same pair as seq:
 //!   with `tier=native`, that proves the AOT kernels (or their documented
-//!   row fallback) actually ran everywhere. The device path evaluates the
-//!   bound tier's specialized programs in place of the generic stack VM,
-//!   so the attribution names the code that ran, not a lineage alias.
+//!   row fallback) actually ran everywhere. The device path runs the same
+//!   tier's kernels as the host (one `rhs_block` dispatch), so the
+//!   attribution names the code that ran, not a lineage alias.
 //!
 //! * kernel-span **stencil attribution**: every such span carries
 //!   `run_cells`, the cells of its sweep that lie inside stencil runs
@@ -447,9 +447,8 @@ fn run_parity(
         }
         // Every target's kernel spans must attribute one tier uniformly
         // and — GPU lineage included — name the same tier as seq: the
-        // device path runs the bound tier's specialized programs (and the
-        // fused row/native kernels) rather than a VM alias, so unequal
-        // attribution means different code ran.
+        // device path runs the same tier's kernels as the host rather than
+        // a VM alias, so unequal attribution means different code ran.
         if tiers.len() > 1 {
             println!("PARITY MISMATCH: {tname} kernel spans attribute mixed tiers {tiers:?}");
             ok = false;
@@ -900,7 +899,7 @@ fn main() {
     let tier = match arg_str(&args, "tier", "") {
         "" => None,
         name => Some(KernelTier::from_name(name).unwrap_or_else(|| {
-            eprintln!("unknown tier `{name}` (use vm, bound, row or native)");
+            eprintln!("unknown tier `{name}` (use vm, row or native)");
             std::process::exit(2);
         })),
     };

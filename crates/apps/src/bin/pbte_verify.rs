@@ -8,7 +8,7 @@
 //! For each scenario (the hot-spot domain of Figs 1–4 and the elongated
 //! domain of Fig 10), each temperature strategy (redundant / divided
 //! Newton), each target (seq, par, `cells:<r>`, `bands:<r>`, gpu async,
-//! gpu precompute, bands+gpu), each kernel tier (vm, bound, row, native)
+//! gpu precompute, bands+gpu), each kernel tier (vm, row, native)
 //! and each time integrator (explicit, implicit θ=1, steady), the
 //! problem is compiled and `verify_plan` checks:
 //!

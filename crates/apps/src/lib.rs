@@ -116,10 +116,13 @@ mod tests {
 
     #[test]
     fn every_tier_name_round_trips() {
+        assert_eq!(KernelTier::ALL.len(), 3);
         for tier in KernelTier::ALL {
             assert_eq!(KernelTier::from_name(tier.name()), Some(tier));
         }
         assert_eq!(KernelTier::from_name("bogus"), None);
+        // The per-flat stack interpreter is gone: its name is no tier.
+        assert_eq!(KernelTier::from_name("bound"), None);
     }
 
     #[test]

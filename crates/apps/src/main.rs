@@ -20,7 +20,7 @@
 //! `strategy` values (2-D scenarios, effective under `bands:<r>`):
 //! `redundant` (every rank solves all cells, the paper's behaviour) or
 //! `divided` (per-rank cell slices plus a second T-allreduce).
-//! `tier` values: `vm`, `bound`, `row`, `native` (AOT-compiled plan
+//! `tier` values: `vm`, `row`, `native` (AOT-compiled plan
 //! kernels; falls back to `row` with a diagnostic when `rustc` is
 //! unavailable).
 //! `dt`: a literal step in seconds, or `auto` to let the interval pass
@@ -96,11 +96,11 @@ fn parse_integrator(args: &[String]) -> Integrator {
 
 fn parse_tier(args: &[String]) -> Option<KernelTier> {
     let name = args.iter().find_map(|a| a.strip_prefix("tier="))?;
-    Some(KernelTier::from_name(name).unwrap_or_else(|| {
-        usage_error(format!(
-            "unknown tier `{name}` (use vm, bound, row or native)"
-        ))
-    }))
+    Some(
+        KernelTier::from_name(name).unwrap_or_else(|| {
+            usage_error(format!("unknown tier `{name}` (use vm, row or native)"))
+        }),
+    )
 }
 
 /// Resolve the `dt=` key. A literal value is used verbatim; `auto`
@@ -319,7 +319,7 @@ fn main() {
                  targets: seq | par | gpu[:async|:precompute] | cells:<ranks> | bands:<ranks> |\n\
                  \x20        bands-gpu:<ranks>\n\
                  strategies (temperature Newton under bands:<ranks>): redundant | divided\n\
-                 tiers: vm | bound | row | native (AOT; falls back to row without rustc)\n\
+                 tiers: vm | row | native (AOT; falls back to row without rustc)\n\
                  dt: <seconds> | auto (interval-pass recommendation: CFL bound when\n\
                      explicit, accuracy-scaled when unconditionally stable)\n\
                  integrators: explicit | implicit[:<theta>] | steady[:<tol>:<growth>]"

@@ -1,5 +1,5 @@
-//! Criterion benchmark of the intensity-phase RHS across the four kernel
-//! tiers (`vm`, `bound_cached`, `row`, `native`) on the fig-4 hot-spot
+//! Criterion benchmark of the intensity-phase RHS across the three kernel
+//! tiers (`vm`, `row`, `native`) on the fig-4 hot-spot
 //! scenario — the per-tier kernel time, divided by the scenario's dofs
 //! for ns/dof — plus the telemetry-overhead check: a full sequential
 //! solve under the null sink vs the buffered sink (the overhead contract
@@ -34,13 +34,8 @@ fn config() -> BteConfig {
 
 fn bench_intensity_phase(c: &mut Criterion) {
     let mut group = c.benchmark_group("intensity_phase");
-    let tiers = [
-        ("vm", KernelTier::Vm),
-        ("bound_cached", KernelTier::Bound),
-        ("row", KernelTier::Row),
-        ("native", KernelTier::Native),
-    ];
-    for (name, tier) in tiers {
+    for tier in KernelTier::ALL {
+        let name = tier.name();
         let bte = hotspot_2d(&config());
         let (cp, fields) = CompiledProblem::compile(bte.problem).expect("compiles");
         let mut bench = cp.intensity_bench(&fields, tier);

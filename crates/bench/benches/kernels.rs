@@ -62,14 +62,14 @@ fn bench_kernel_eval(c: &mut Criterion) {
         b.iter(|| black_box(cp.volume.eval(&vm)))
     });
 
-    c.bench_function("volume_bound_eval", |b| {
-        let bound = cp.volume.bind(&idx, 64, 1e-12, 0.0, coefficients);
-        b.iter(|| black_box(bound.eval(&vars, 17, pbte_mesh::Point::zero(), 0.0)))
-    });
-
     c.bench_function("volume_row_eval_64", |b| {
-        let bound = cp.volume.bind(&idx, 64, 1e-12, 0.0, coefficients);
-        let reg = pbte_dsl::bytecode::RegProgram::compile(&bound);
+        let reg = cp.volume.lower(&pbte_dsl::bytecode::Binding {
+            idx: &idx,
+            n_cells: 64,
+            dt: 1e-12,
+            time: 0.0,
+            coefficients,
+        });
         let centroids = vec![pbte_mesh::Point::zero(); 64];
         let mut regs = vec![[0.0; pbte_dsl::bytecode::ROW_CHUNK]; reg.n_regs()];
         let mut out = vec![0.0; 64];

@@ -1,10 +1,10 @@
-//! Regression tests for the kernel-compilation tiers: generic VM → bound
-//! program → fused row kernel → native produce bit-identical trajectories
-//! — on structured grids, where the flux runs from its coefficient table,
-//! and on a jittered mesh with too many face orientations for one, where
-//! the row and native tiers run the compiled flux. The `Vm` tier binds
-//! nothing, so `vm ≡ bound ≡ row` over 12–40 steps is also the proof that
-//! caching bound programs across steps changes no bit.
+//! Regression tests for the kernel-compilation tiers: generic VM → fused
+//! row kernel → native produce bit-identical trajectories — on structured
+//! grids, where the flux runs from its coefficient table, and on a
+//! jittered mesh with too many face orientations for one, where the row
+//! and native tiers run the compiled flux. The `Vm` tier lowers nothing,
+//! so `vm ≡ row` over 12–40 steps is also the proof that caching the
+//! per-flat register programs across steps changes no bit.
 
 use pbte_bte::pbte::ScenarioSpec;
 use pbte_bte::scenario::{hotspot_2d, BteConfig};
@@ -35,10 +35,8 @@ fn run_tier(target: ExecTarget, cfg: &BteConfig, tier: KernelTier) -> Vec<f64> {
 fn kernel_tiers_are_bit_identical_on_cpu() {
     let cfg = BteConfig::small(6, 4, 4, 12);
     let vm = run_tier(ExecTarget::CpuSeq, &cfg, KernelTier::Vm);
-    let bound = run_tier(ExecTarget::CpuSeq, &cfg, KernelTier::Bound);
     let row = run_tier(ExecTarget::CpuSeq, &cfg, KernelTier::Row);
-    assert_bits_eq(&vm, &bound, "vm vs bound");
-    assert_bits_eq(&bound, &row, "bound vs row");
+    assert_bits_eq(&vm, &row, "vm vs row");
 }
 
 /// The device evaluates the same per-dof arithmetic as the CPU on every
@@ -56,17 +54,15 @@ fn kernel_tiers_are_bit_identical_on_gpu_precompute() {
     };
     let cfg = BteConfig::small(9, 12, 4, 40);
     let vm = run_tier(gpu(), &cfg, KernelTier::Vm);
-    let bound = run_tier(gpu(), &cfg, KernelTier::Bound);
     let row = run_tier(gpu(), &cfg, KernelTier::Row);
-    assert_bits_eq(&vm, &bound, "gpu vm vs bound");
-    assert_bits_eq(&bound, &row, "gpu bound vs row");
+    assert_bits_eq(&vm, &row, "gpu vm vs row");
     let cpu_row = run_tier(ExecTarget::CpuSeq, &cfg, KernelTier::Row);
     assert_bits_eq(&row, &cpu_row, "gpu row vs cpu row");
 }
 
 /// `examples/scenarios/jittered_array.pbte`: 2 400 face orientations, so
 /// no flux table. Every tier must resolve to itself (no clamp) and agree
-/// with the stack VM bit for bit: on `CpuSeq` for all four tiers, and for
+/// with the stack VM bit for bit: on `CpuSeq` for all three tiers, and for
 /// the row tier on the rayon split (spans that start mid-mesh) and on the
 /// device under both boundary strategies, which run one stage: this file
 /// lowers every wall, and a callback wall would only add host ghosts the
@@ -99,7 +95,7 @@ fn kernel_tiers_are_bit_identical_on_an_unstructured_mesh() {
     };
 
     let vm = run(ExecTarget::CpuSeq, KernelTier::Vm);
-    for tier in [KernelTier::Bound, KernelTier::Row, KernelTier::Native] {
+    for tier in [KernelTier::Row, KernelTier::Native] {
         let got = run(ExecTarget::CpuSeq, tier);
         assert_bits_eq(&vm, &got, &format!("seq vm vs {tier:?}"));
     }

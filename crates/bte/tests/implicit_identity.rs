@@ -112,11 +112,9 @@ fn implicit_kernel_tiers_are_bit_identical() {
         s.fields().slice(vars.i).to_vec()
     };
     let vm = run_tier(KernelTier::Vm);
-    let bound = run_tier(KernelTier::Bound);
     let row = run_tier(KernelTier::Row);
     let native = run_tier(KernelTier::Native);
-    assert_bits_eq(&vm, &bound, "implicit vm vs bound");
-    assert_bits_eq(&bound, &row, "implicit bound vs row");
+    assert_bits_eq(&vm, &row, "implicit vm vs row");
     assert_bits_eq(&row, &native, "implicit row vs native");
 }
 

@@ -2,12 +2,12 @@
 //!
 //! Every kernel tier is walked symbolically:
 //!
-//! * the stack tiers (`Program`, `BoundProgram`) with a stack-depth
-//!   abstraction — each instruction's pop/push effect is applied to an
-//!   abstract depth, proving no underflow, no overflow past the VM's
-//!   fixed stack, and a single result value;
-//! * the register tier (`RegProgram`) with a def-before-use abstraction
-//!   over the register file;
+//! * the stack VM's `Program` with a stack-depth abstraction — each
+//!   instruction's pop/push effect is applied to an abstract depth,
+//!   proving no underflow, no overflow past the VM's fixed stack, and a
+//!   single result value;
+//! * the per-flat register programs (`RegProgram`) the Row and Native
+//!   tiers run, with a def-before-use abstraction over the register file;
 //! * every load's resolved offset (or worst-case index pattern) is
 //!   checked against the storage extent of the entity it names.
 //!
@@ -17,7 +17,7 @@
 
 use super::{rules, Diagnostic, Severity};
 use crate::bytecode::{
-    BoundOp, Op, Pattern, Program, RegOp, RegProgram, FACE_INPUTS, FACE_NORMAL, MAX_STACK,
+    Op, Pattern, Program, RegOp, RegProgram, FACE_INPUTS, FACE_NORMAL, MAX_STACK,
 };
 use crate::entities::CoefficientValue;
 use crate::exec::{CompiledProblem, MAX_RUN_FACES, MIN_RUN};
@@ -50,27 +50,12 @@ fn op_effect(op: &Op) -> (usize, usize) {
     }
 }
 
-/// Stack effect of one `BoundOp`.
-fn bound_effect(op: &BoundOp) -> (usize, usize) {
-    match op {
-        BoundOp::Const(_) | BoundOp::Load { .. } | BoundOp::CoefFn(_) => (0, 1),
-        BoundOp::Add | BoundOp::Mul | BoundOp::Pow | BoundOp::Cmp(_) => (2, 1),
-        BoundOp::Recip | BoundOp::Call(_) => (1, 1),
-        BoundOp::Select => (3, 1),
-    }
-}
-
 /// Abstractly run a stack program: every instruction applies its effect
 /// to the depth, which must stay within `[0, MAX_STACK]` and end at 1.
-fn walk_stack<T>(
-    ops: &[T],
-    effect: impl Fn(&T) -> (usize, usize),
-    location: &str,
-    out: &mut Vec<Diagnostic>,
-) {
+fn walk_stack(ops: &[Op], location: &str, out: &mut Vec<Diagnostic>) {
     let mut depth = 0usize;
     for (pc, op) in ops.iter().enumerate() {
-        let (pops, pushes) = effect(op);
+        let (pops, pushes) = op_effect(op);
         if depth < pops {
             out.push(Diagnostic {
                 severity: Severity::Error,
@@ -132,7 +117,7 @@ fn check_vm_program(
     out: &mut Vec<Diagnostic>,
 ) {
     let registry = &cp.problem.registry;
-    walk_stack(&program.ops, op_effect, location, out);
+    walk_stack(&program.ops, location, out);
     for (pc, op) in program.ops.iter().enumerate() {
         match op {
             Op::LoadVar { var, pattern } => {
@@ -194,12 +179,12 @@ fn check_vm_program(
     }
 }
 
-/// Bounds check for a bound-tier load: `vars[var][offset + cell]` over
+/// Bounds check for a lowered load: `vars[var][offset + cell]` over
 /// `cell in 0..n_cells` against the variable's storage extent. A
 /// face-input pseudo-variable (ids from the flux program's `face_base`)
 /// must name one of the inputs at offset 0; `CELL1`/`CELL2` read the
 /// unknown.
-fn check_bound_load(
+fn check_load(
     cp: &CompiledProblem,
     var: u16,
     offset: usize,
@@ -272,7 +257,7 @@ fn check_reg_program(
         let (dst, operands): (u8, Vec<u8>) = match op {
             RegOp::Const { dst, .. } | RegOp::CoefFn { dst, .. } => (*dst, vec![]),
             RegOp::Load { dst, var, offset } => {
-                check_bound_load(cp, *var, *offset, n_cells, location, acc, out);
+                check_load(cp, *var, *offset, n_cells, location, acc, out);
                 (*dst, vec![])
             }
             RegOp::Add { dst, a, b } | RegOp::Mul { dst, a, b } | RegOp::Pow { dst, a, b } => {
@@ -289,13 +274,13 @@ fn check_reg_program(
                 offset,
                 ..
             } => {
-                check_bound_load(cp, *var, *offset, n_cells, location, acc, out);
+                check_load(cp, *var, *offset, n_cells, location, acc, out);
                 (*dst, vec![*a])
             }
             RegOp::LoadMulConst {
                 dst, var, offset, ..
             } => {
-                check_bound_load(cp, *var, *offset, n_cells, location, acc, out);
+                check_load(cp, *var, *offset, n_cells, location, acc, out);
                 (*dst, vec![])
             }
         };
@@ -330,34 +315,16 @@ pub(super) fn check_kernels(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) -> 
     check_vm_program(cp, &cp.volume, "volume kernel (vm)", &mut acc, out);
     check_vm_program(cp, &cp.flux, "flux kernel (vm)", &mut acc, out);
 
-    // Tiers 2 and 3: the per-flat bound programs and their register
-    // lowerings — the volume program, and the flux when Row/Native run it
-    // compiled. Stop after the first offending flat per tier so one
-    // systematic bug doesn't produce n_flat copies of itself.
+    // Tier 2: the per-flat register programs — the volume program, and
+    // the flux when Row/Native run it compiled. Stop after the first
+    // offending flat so one systematic bug doesn't produce n_flat copies
+    // of itself.
     for (kind, name, _) in cp.lowered_kernels() {
-        let mut bound_clean = true;
-        let mut row_clean = true;
         for flat in 0..cp.n_flat {
-            let bound = cp.bind(kind, flat, 0.0);
-            if bound_clean {
-                let before = out.len();
-                let loc = format!("{name} kernel (bound, flat {flat})");
-                walk_stack(bound.ops(), bound_effect, &loc, out);
-                for op in bound.ops() {
-                    if let BoundOp::Load { var, offset } = op {
-                        check_bound_load(cp, *var, *offset, n_cells, &loc, &mut acc, out);
-                    }
-                }
-                bound_clean = out.len() == before;
-            }
-            if row_clean {
-                let before = out.len();
-                let reg = RegProgram::compile(&bound);
-                let loc = format!("{name} kernel (row, flat {flat})");
-                check_reg_program(cp, &reg, n_cells, &loc, &mut acc, out);
-                row_clean = out.len() == before;
-            }
-            if !bound_clean && !row_clean {
+            let before = out.len();
+            let loc = format!("{name} kernel (row, flat {flat})");
+            check_reg_program(cp, &cp.bind(kind, flat, 0.0), n_cells, &loc, &mut acc, out);
+            if out.len() != before {
                 break;
             }
         }

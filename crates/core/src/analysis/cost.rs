@@ -16,7 +16,7 @@
 //! changed.
 
 use super::{rules, Diagnostic, Scope, Severity};
-use crate::bytecode::{BoundOp, KernelKind, RegOp, RegProgram};
+use crate::bytecode::{KernelKind, RegOp};
 use crate::dataflow::{Entity, Plan, Policy, Stage};
 use crate::exec::{CompiledProblem, ExecTarget, FluxPath, SolveReport};
 use crate::problem::{KernelTier, TimeStepper};
@@ -121,7 +121,7 @@ impl CostModel {
 
 /// Bytes of one whole host/device copy of `entity`: a variable's full
 /// slice, or the ghost array. Coefficients cost nothing at run time — they
-/// are baked into the bound kernels at compile time, so their `Once`
+/// are baked into the lowered kernels at compile time, so their `Once`
 /// upload in the schedule is a compile-time embedding, not a runtime copy.
 fn entity_bytes(plan: &CompiledProblem, entity: Entity) -> u64 {
     let registry = &plan.problem.registry;
@@ -153,41 +153,30 @@ fn stage_bytes(plan: &CompiledProblem, stage: &Stage) -> [u64; 3] {
     ]
 }
 
-/// FLOPs of the per-flat lowered streams of one kernel at `tier`
-/// (`Bound`, or the register form `Row`/`Native` run), averaged over
-/// flats.
-fn lowered_flops(cp: &CompiledProblem, kind: KernelKind, tier: KernelTier) -> f64 {
-    let mut flops = 0usize;
-    for flat in 0..cp.n_flat {
-        let b = cp.bind(kind, flat, 0.0);
-        if tier == KernelTier::Bound {
-            let arithmetic = |op: &&BoundOp| {
-                !matches!(
-                    op,
-                    BoundOp::Load { .. } | BoundOp::Const(_) | BoundOp::CoefFn(_)
-                )
-            };
-            flops += b.ops().iter().filter(arithmetic).count();
-            continue;
-        }
-        let arithmetic = |op: &&RegOp| {
-            !matches!(
-                op,
-                RegOp::Load { .. } | RegOp::Const { .. } | RegOp::CoefFn { .. }
-            )
-        };
-        flops += RegProgram::compile(&b)
-            .ops()
-            .iter()
-            .filter(arithmetic)
-            .count();
-    }
+/// FLOPs of the per-flat register streams of one kernel (what `Row` and
+/// `Native` run), averaged over flats.
+fn lowered_flops(cp: &CompiledProblem, kind: KernelKind) -> f64 {
+    let arithmetic = |op: &&RegOp| {
+        !matches!(
+            op,
+            RegOp::Load { .. } | RegOp::Const { .. } | RegOp::CoefFn { .. }
+        )
+    };
+    let flops: usize = (0..cp.n_flat)
+        .map(|flat| {
+            cp.bind(kind, flat, 0.0)
+                .ops()
+                .iter()
+                .filter(arithmetic)
+                .count()
+        })
+        .sum();
     flops as f64 / cp.n_flat.max(1) as f64
 }
 
 /// Per-dof FLOPs of the resolved tier's actual instruction streams: the
-/// generic programs for the VM tier, the per-flat bound or fused register
-/// programs otherwise (the native tier compiles the same register
+/// generic programs for the VM tier, the per-flat fused register programs
+/// otherwise (the native tier compiles the same register
 /// programs to machine code, so its count equals the Row tier's).
 fn sweep_flops(cp: &CompiledProblem) -> f64 {
     let tier = cp.resolved_tier();
@@ -199,12 +188,12 @@ fn sweep_flops(cp: &CompiledProblem) -> f64 {
     // without a table replay the generic flux program.
     let flux_flops = match cp.flux_path(tier) {
         FluxPath::Table => 6.0,
-        FluxPath::Compiled => lowered_flops(cp, KernelKind::Flux, tier) + 2.0,
+        FluxPath::Compiled => lowered_flops(cp, KernelKind::Flux) + 2.0,
         FluxPath::Vm => cp.flux.flops as f64 + 4.0,
     };
     let volume_flops = match tier {
         KernelTier::Vm => cp.volume.flops as f64,
-        _ => lowered_flops(cp, KernelKind::Volume, tier),
+        _ => lowered_flops(cp, KernelKind::Volume),
     };
     // Per dof: one volume evaluation, one flux evaluation per face, and
     // the inv-volume multiply-subtract.

@@ -2,7 +2,7 @@
 //!
 //! Seeds every entity the kernels read from its declared physical range
 //! ([`crate::problem::Problem::declare_range`]) and abstractly executes
-//! all three kernel tiers (`Program`, `BoundProgram`, `RegProgram`) over
+//! both kernel forms (the stack `Program`, the per-flat `RegProgram`) over
 //! [`pbte_symbolic::Interval`] values with directed-rounding-safe outward
 //! widening, proving for every flat index:
 //!
@@ -28,7 +28,7 @@
 //! ([`rules::INTERVAL_CFL`]) when the scenario's `dt` exceeds it.
 
 use super::{rules, Diagnostic, Severity};
-use crate::bytecode::{BoundOp, Func, Op, Program, RegOp, RegProgram};
+use crate::bytecode::{Func, Op, Program, RegOp, RegProgram};
 use crate::entities::CoefficientValue;
 use crate::exec::CompiledProblem;
 use pbte_symbolic::{CmpOp, Interval, IntervalError};
@@ -52,17 +52,17 @@ pub fn check_intervals(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
             }
         }
     }
-    // The bound and row tiers recompute the same arithmetic from the same
-    // seeds; re-running them when the vm tier already failed would only
-    // duplicate the finding. When the vm tier is clean they prove the
-    // *lowered* streams (bind-time folding, fused superinstructions) safe
-    // too: the volume program's, and the flux's when Row/Native run it
+    // The row tier recomputes the same arithmetic from the same seeds;
+    // re-running it when the vm tier already failed would only duplicate
+    // the finding. When the vm tier is clean it proves the *lowered*
+    // streams (lowering-time folding, fused superinstructions) safe too:
+    // the volume program's, and the flux's when Row/Native run it
     // compiled.
     if out.len() == before {
         'kernels: for (kind, name, program) in cp.lowered_kernels() {
-            // Occurrence-order ids of function coefficients, shared by the
-            // bound and row streams (bind maps ops 1:1, fusion never
-            // touches CoefFn).
+            // Occurrence-order ids of function coefficients: the register
+            // stream evaluates them in program order (fusion never touches
+            // CoefFn).
             let fn_coefs: Vec<usize> = program
                 .ops
                 .iter()
@@ -72,13 +72,7 @@ pub fn check_intervals(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
                 })
                 .collect();
             for flat in 0..cp.n_flat {
-                let bound = cp.bind(kind, flat, 0.0);
-                let loc = format!("{name} kernel (bound, flat {flat})");
-                if let Err(d) = run_bound(&env, bound.ops(), &fn_coefs, &loc) {
-                    out.push(d);
-                    break 'kernels;
-                }
-                let reg = RegProgram::compile(&bound);
+                let reg = cp.bind(kind, flat, 0.0);
                 let loc = format!("{name} kernel (row, flat {flat})");
                 if let Err(d) = run_reg(&env, &reg, &fn_coefs, &loc) {
                     out.push(d);
@@ -96,7 +90,7 @@ pub fn check_intervals(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
 
 struct Env {
     /// Range per variable id, then per face-input pseudo-variable of a
-    /// bound flux program (`CELL1`/`CELL2` range over the unknown, the
+    /// lowered flux program (`CELL1`/`CELL2` range over the unknown, the
     /// unit normal's components over `[-1, 1]`).
     vars: Vec<Interval>,
     /// Range per coefficient id (function coefficients; others are exact).
@@ -314,63 +308,6 @@ fn run_vm(
                 cmp_interval(*c, a, b)
             }
             Op::Select => {
-                let if_false = pop(&mut stack);
-                let if_true = pop(&mut stack);
-                let test = pop(&mut stack);
-                select_interval(test, if_true, if_false)
-            }
-        };
-        stack.push(finite_check(pushed, location, pc)?);
-    }
-    Ok(())
-}
-
-/// Abstractly execute a bound program.
-fn run_bound(
-    env: &Env,
-    ops: &[BoundOp],
-    fn_coefs: &[usize],
-    location: &str,
-) -> Result<(), Diagnostic> {
-    let mut stack: Vec<Interval> = Vec::new();
-    let pop = |stack: &mut Vec<Interval>| stack.pop().unwrap_or(Interval::point(0.0));
-    let mut seen_fns = 0usize;
-    for (pc, op) in ops.iter().enumerate() {
-        let pushed = match op {
-            BoundOp::Const(v) => Interval::point(*v),
-            BoundOp::Load { var, .. } => env.vars[*var as usize],
-            BoundOp::CoefFn(_) => {
-                let id = fn_coefs[seen_fns];
-                seen_fns += 1;
-                env.fn_coefs[&id]
-            }
-            BoundOp::Add => {
-                let b = pop(&mut stack);
-                let a = pop(&mut stack);
-                a.add(b)
-            }
-            BoundOp::Mul => {
-                let b = pop(&mut stack);
-                let a = pop(&mut stack);
-                a.mul(b)
-            }
-            BoundOp::Pow => {
-                let b = pop(&mut stack);
-                let a = pop(&mut stack);
-                a.pow(b).map_err(|e| op_error(e, location, pc))?
-            }
-            BoundOp::Recip => pop(&mut stack)
-                .recip()
-                .map_err(|e| op_error(e, location, pc))?,
-            BoundOp::Call(f) => {
-                func_interval(*f, pop(&mut stack)).map_err(|e| op_error(e, location, pc))?
-            }
-            BoundOp::Cmp(c) => {
-                let b = pop(&mut stack);
-                let a = pop(&mut stack);
-                cmp_interval(*c, a, b)
-            }
-            BoundOp::Select => {
                 let if_false = pop(&mut stack);
                 let if_true = pop(&mut stack);
                 let test = pop(&mut stack);

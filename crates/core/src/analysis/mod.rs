@@ -8,8 +8,8 @@
 //! the `pbte-verify` binary, and discharges seven proof obligations:
 //!
 //! 1. **Access soundness** (`access`): per-entity read sets are derived
-//!    from the compiled bytecode of all three kernel tiers (`Program`,
-//!    `BoundProgram`, `RegProgram`) by abstract interpretation — stack
+//!    from the compiled bytecode of both kernel forms (the stack `Program`
+//!    and the per-flat `RegProgram`) by abstract interpretation — stack
 //!    depth, register def-before-use, and load-offset bounds fall out as
 //!    byproducts — and cross-checked against the equation-level
 //!    declaration. An expression initial must read only variables
@@ -40,9 +40,9 @@
 //! 4. **Translation validity** (`validate`): the lowering pipeline is
 //!    validated per plan, not trusted per construction. A canonical
 //!    symbolic expression is re-extracted from every tier — the IR's
-//!    statement strings are parsed back, and the `Program`,
-//!    `BoundProgram`, and fused `RegProgram` streams are abstractly
-//!    executed over symbolic values — and proven equal to the expression
+//!    statement strings are parsed back, and the `Program` and fused
+//!    `RegProgram` streams and the native tier's emitted statements are
+//!    abstractly executed over symbolic values — and proven equal to the expression
 //!    expanded from the DSL terms. A mismatch pinpoints the tier and
 //!    instruction that diverged.
 //! 5. **Numeric safety** (`intervals`): every tier is abstractly
@@ -92,8 +92,7 @@ pub use synth::{Scope, SendList, Tile, TileLabel};
 pub use transfers::check_schedule;
 pub use units::check_units;
 pub use validate::{
-    check_bound, check_ir, check_jvp, check_lowered, check_native_against_bound,
-    check_reg_against_bound, check_translation, check_vm,
+    check_ir, check_jvp, check_lowered, check_native, check_reg, check_translation, check_vm,
 };
 
 use crate::exec::{CompiledProblem, ExecTarget};
@@ -144,13 +143,13 @@ pub mod rules {
     /// The generic stack program computes a different symbolic expression
     /// than the DSL terms.
     pub const TRANSLATION_VM: &str = "translation/vm-mismatch";
-    /// Bind-time specialization diverged from the generic program.
-    pub const TRANSLATION_BOUND: &str = "translation/bound-mismatch";
-    /// Register allocation / peephole fusion diverged from the bound
-    /// program.
+    /// A per-flat register program (its folded constants and load offsets,
+    /// register allocation or peephole fusion) diverged from the generic
+    /// program executed with the same fold.
     pub const TRANSLATION_REG: &str = "translation/reg-mismatch";
-    /// The native tier's emitted expression tree diverged from the bound
-    /// program (checked by abstract execution before `rustc` ever runs).
+    /// The native tier's emitted expression tree diverged from the generic
+    /// program executed with the same fold (checked by abstract execution
+    /// before `rustc` ever runs).
     pub const TRANSLATION_NATIVE: &str = "translation/native-mismatch";
     /// The derived JVP plan (implicit integrators) disagrees with a fresh
     /// linearization of the primal equation, or its own lowering chain

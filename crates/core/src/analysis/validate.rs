@@ -1,12 +1,13 @@
 //! Translation validation: prove the lowering pipeline semantics-preserving.
 //!
-//! The compiler lowers one conservation-form equation through four
+//! The compiler lowers one conservation-form equation through these
 //! representations: the DSL term groups (after operator expansion and the
 //! forward-Euler transform), the loop-nest IR, the generic stack VM
-//! (`Program`), the per-flat bound form (`BoundProgram`), and the fused
-//! register form (`RegProgram`). This module re-extracts a symbolic
-//! expression from every tier by abstract interpretation over
-//! `pbte_symbolic` values and proves the chain equal link by link:
+//! (`Program`), the per-flat register form (`RegProgram`, which the Row
+//! tier runs) and the statement list the Native tier renders to Rust
+//! source. This module re-extracts a symbolic expression from every tier
+//! by abstract interpretation over `pbte_symbolic` values and proves the
+//! chain DSL ≡ IR ≡ VM ≡ Row ≡ Native equal link by link:
 //!
 //! * **DSL ≡ groups ≡ IR** ([`check_ir`]): the IR's `source = …` and
 //!   `flux += faceArea * (…)` statements are parsed back and compared
@@ -19,44 +20,43 @@
 //!   executed over symbolic values (loads become indexed symbols with the
 //!   flat's literal 1-based subscripts) and compared canonically against
 //!   the DSL expression with the same indices substituted.
-//! * **VM ≡ Bound** ([`check_bound`]): `bind` maps instructions 1:1, so
-//!   both streams are executed in lockstep over symbolic values with the
-//!   same bind-time constant folding applied, comparing the full stack
-//!   **raw-structurally** after every instruction — the first diverging
-//!   instruction index is reported.
-//! * **Bound ≡ Reg** ([`check_reg_against_bound`]): the fused
-//!   superinstructions are executed over a symbolic register file honoring
-//!   the `const_first`/`load_first` orientation flags, and the final value
-//!   is compared raw-structurally against the bound execution. Raw (not
-//!   canonical) equality is deliberate: canonical ordering would commute
-//!   `k * load` back to `load * k` and mask exactly the orientation bugs
-//!   this proof exists to catch (operand order decides NaN-payload
-//!   propagation, so the tiers promise bitwise-equal results).
-//! * **Bound ≡ Native** ([`check_native_against_bound`]): the statement
-//!   list the native tier's emitter renders to Rust source
+//! * **VM ≡ Row** ([`check_reg`]): `Program` is executed again with the
+//!   fold [`Program::lower`] applies (coefficients, `dt`, `t` and index
+//!   values become numbers, loads become offset-keyed symbols — one
+//!   [`Binding`] describes both sides), the fused superinstructions are
+//!   executed over a symbolic register file honoring the
+//!   `const_first`/`load_first` orientation flags, and the two final
+//!   values are compared **raw-structurally**. Raw (not canonical)
+//!   equality is deliberate: canonical ordering would commute `k * load`
+//!   back to `load * k` and mask exactly the orientation bugs this proof
+//!   exists to catch (operand order decides NaN-payload propagation, so
+//!   the tiers promise bitwise-equal results). A wrong load offset or
+//!   folded constant fails the same comparison. A mismatch is pinned to
+//!   the first register instruction computing a value the VM never
+//!   computes.
+//! * **VM ≡ Native** ([`check_native`]): the statement list the native
+//!   tier's emitter renders to Rust source
 //!   ([`crate::nativegen::lower_stmts`] — the exact tree that reaches
 //!   `rustc`) is abstractly executed over symbolic registers and its
-//!   final value compared raw-structurally against the bound execution,
-//!   with the same orientation-preserving rationale as the row proof.
-//!   The native tier also runs this check itself before compiling
-//!   anything, so a corrupted emission is rejected, never executed.
+//!   final value compared raw-structurally against the same folded VM
+//!   execution. The native tier also runs this check itself before
+//!   compiling anything, so a corrupted emission is rejected, never
+//!   executed.
 //!
-//! The three instruction-level links cover every program the executors run
-//! lowered: the volume program always, and the flux program on plans whose
-//! Row/Native tiers run it compiled (no αβγ table). A bound flux program
+//! The two lowering links cover every program the executors run lowered:
+//! the volume program always, and the flux program on plans whose
+//! Row/Native tiers run it compiled (no αβγ table). A lowered flux program
 //! loads its face inputs as pseudo-variables, so the same functions prove
 //! it with three more symbols.
 //!
 //! Failures are structured [`Diagnostic`]s with stable rule ids
 //! (`translation/ir-mismatch`, `translation/vm-mismatch`,
-//! `translation/bound-mismatch`, `translation/reg-mismatch`,
-//! `translation/native-mismatch`) pinpointing the tier and, where an
-//! instruction stream exists, the instruction.
+//! `translation/reg-mismatch`, `translation/native-mismatch`)
+//! pinpointing the tier and, where an instruction stream exists, the
+//! instruction.
 
 use super::{rules, Diagnostic, Severity};
-use crate::bytecode::{
-    BoundOp, BoundProgram, Op, Program, RegOp, RegProgram, FACE_NORMAL, FACE_U1, FACE_U2,
-};
+use crate::bytecode::{Binding, Op, Program, RegOp, RegProgram, FACE_NORMAL, FACE_U1, FACE_U2};
 use crate::entities::{CoefficientValue, Registry};
 use crate::exec::{CompiledProblem, ExecTarget};
 use crate::ir::{self, IrNode};
@@ -72,8 +72,7 @@ pub fn check_translation(cp: &CompiledProblem, target: &ExecTarget, out: &mut Ve
     let ir = ir::build_ir(cp, target);
     check_ir(cp, &ir, out);
     check_vm(cp, out);
-    check_bound(cp, out);
-    check_lowered(cp, &RegProgram::compile, out);
+    check_lowered(cp, &Program::lower, out);
     check_jvp(cp, target, out);
     // The wall lowering, exhaustively: every (face, flat) of both plans
     // against its closure (`verify_plan` probes one face per wall normal).
@@ -90,7 +89,7 @@ pub fn check_translation(cp: &CompiledProblem, target: &ExecTarget, out: &mut Ve
 ///    JVP would make every Newton step solve the wrong linear system
 ///    while still converging on trivial problems.
 /// 2. **Lowering**: the JVP plan is itself a full compiled plan, so the
-///    five-tier translation chain is re-run over it.
+///    whole translation chain is re-run over it.
 ///
 /// Findings from either seam are tagged `translation/jvp-mismatch` with a
 /// `jvp:`-prefixed location so consumers can attribute them to the
@@ -295,27 +294,31 @@ fn entity_sym(registry: &Registry, name: &str, indices: &[usize], flat: usize) -
 
 /// How entity references materialize during symbolic execution of a
 /// `Program`.
-enum VmMode {
+#[derive(Clone, Copy)]
+enum VmMode<'a> {
     /// Keep names: loads become indexed symbols, for comparison against
     /// the DSL expression.
-    Named,
-    /// Apply the same folding `bind` performs (coefficients, `dt`, `t`,
-    /// loop indices become numbers; variable loads become offset-keyed
-    /// placeholder symbols), for lockstep comparison against `BoundProgram`.
-    BindFolded { n_cells: usize, time: f64 },
+    Named(&'a CompiledProblem),
+    /// Apply the fold [`Program::lower`] performs with `binding`
+    /// (coefficients, `dt`, `t`, loop indices become numbers; variable and
+    /// face-input loads become offset-keyed placeholder symbols), for
+    /// raw-structural comparison against the register and native
+    /// lowerings.
+    BindFolded {
+        binding: Binding<'a>,
+        face_base: u16,
+    },
 }
 
 struct VmExec<'a> {
-    cp: &'a CompiledProblem,
     idx: &'a [usize],
-    mode: VmMode,
+    mode: VmMode<'a>,
     coef_fns: usize,
 }
 
 impl<'a> VmExec<'a> {
-    fn new(cp: &'a CompiledProblem, idx: &'a [usize], mode: VmMode) -> VmExec<'a> {
+    fn new(idx: &'a [usize], mode: VmMode<'a>) -> VmExec<'a> {
         VmExec {
-            cp,
             idx,
             mode,
             coef_fns: 0,
@@ -325,39 +328,33 @@ impl<'a> VmExec<'a> {
     /// Apply one instruction to the symbolic stack. Returns `Err` on a
     /// malformed stack (already diagnosed by the access pass).
     fn step(&mut self, op: &Op, stack: &mut Vec<ExprRef>) -> Result<(), String> {
-        let registry = &self.cp.problem.registry;
-        let pushed = match op {
-            Op::Const(v) => Expr::num(*v),
-            Op::LoadDt => match self.mode {
-                VmMode::Named => Expr::sym("dt"),
-                VmMode::BindFolded { .. } => Expr::num(self.cp.problem.dt),
-            },
-            Op::LoadTime => match self.mode {
-                VmMode::Named => Expr::sym("t"),
-                VmMode::BindFolded { time, .. } => Expr::num(time),
-            },
-            Op::LoadIndex(slot) => Expr::num((self.idx[*slot as usize] + 1) as f64),
-            Op::LoadVar { var, pattern } => {
+        use VmMode::{BindFolded, Named};
+        let pushed = match (op, self.mode) {
+            (Op::Const(v), _) => Expr::num(*v),
+            (Op::LoadDt, Named(_)) => Expr::sym("dt"),
+            (Op::LoadDt, BindFolded { binding, .. }) => Expr::num(binding.dt),
+            (Op::LoadTime, Named(_)) => Expr::sym("t"),
+            (Op::LoadTime, BindFolded { binding, .. }) => Expr::num(binding.time),
+            (Op::LoadIndex(slot), _) => Expr::num((self.idx[*slot as usize] + 1) as f64),
+            (Op::LoadVar { var, pattern }, Named(cp)) => {
+                let registry = &cp.problem.registry;
                 let v = &registry.variables[*var as usize];
-                let flat = pattern.flat(self.idx);
-                match self.mode {
-                    VmMode::Named => entity_sym(registry, &v.name, &v.indices, flat),
-                    VmMode::BindFolded { n_cells, .. } => load_sym(*var, flat * n_cells),
-                }
+                entity_sym(registry, &v.name, &v.indices, pattern.flat(self.idx))
             }
-            Op::LoadU1 | Op::LoadU2 | Op::LoadNormal(_)
-                if matches!(self.mode, VmMode::BindFolded { .. }) =>
-            {
+            (Op::LoadVar { var, pattern }, BindFolded { binding, .. }) => {
+                load_sym(*var, pattern.flat(self.idx) * binding.n_cells)
+            }
+            (Op::LoadU1 | Op::LoadU2 | Op::LoadNormal(_), BindFolded { face_base, .. }) => {
                 let input = match op {
                     Op::LoadU1 => FACE_U1,
                     Op::LoadU2 => FACE_U2,
                     Op::LoadNormal(axis) => FACE_NORMAL + *axis as u16,
                     _ => unreachable!(),
                 };
-                load_sym(self.cp.flux.face_base + input, 0)
+                load_sym(face_base + input, 0)
             }
-            Op::LoadU1 | Op::LoadU2 => {
-                let u = &registry.variables[self.cp.system.unknown];
+            (Op::LoadU1 | Op::LoadU2, Named(cp)) => {
+                let u = &cp.problem.registry.variables[cp.system.unknown];
                 let subs: Vec<ExprRef> = self
                     .idx
                     .iter()
@@ -375,32 +372,35 @@ impl<'a> VmExec<'a> {
                 };
                 Expr::call(name, vec![arg])
             }
-            Op::LoadCoef { coef, pattern } => {
+            (Op::LoadNormal(axis), Named(_)) => Expr::sym(format!("NORMAL_{}", axis + 1)),
+            (Op::LoadCoef { coef, pattern }, Named(cp)) => {
+                let registry = &cp.problem.registry;
                 let c = &registry.coefficients[*coef as usize];
-                let flat = pattern.flat(self.idx);
-                match self.mode {
-                    VmMode::Named => entity_sym(registry, &c.name, &c.indices, flat),
-                    VmMode::BindFolded { .. } => match &c.value {
-                        CoefficientValue::Scalar(v) => Expr::num(*v),
-                        CoefficientValue::Array(a) => Expr::num(a[flat]),
-                        CoefficientValue::Function(_) => {
-                            return Err(format!(
-                                "coefficient `{}` is a function but was compiled as LoadCoef",
-                                c.name
-                            ))
-                        }
-                    },
+                entity_sym(registry, &c.name, &c.indices, pattern.flat(self.idx))
+            }
+            (Op::LoadCoef { coef, pattern }, BindFolded { binding, .. }) => {
+                let c = &binding.coefficients[*coef as usize];
+                match &c.value {
+                    CoefficientValue::Scalar(v) => Expr::num(*v),
+                    CoefficientValue::Array(a) => Expr::num(a[pattern.flat(self.idx)]),
+                    CoefficientValue::Function(_) => {
+                        return Err(format!(
+                            "coefficient `{}` is a function but was compiled as LoadCoef",
+                            c.name
+                        ))
+                    }
                 }
             }
-            Op::LoadCoefFn { coef } => match self.mode {
-                VmMode::Named => Expr::sym(registry.coefficients[*coef as usize].name.clone()),
-                VmMode::BindFolded { .. } => {
-                    self.coef_fns += 1;
-                    coef_fn_sym(self.coef_fns)
-                }
-            },
-            Op::LoadNormal(axis) => Expr::sym(format!("NORMAL_{}", axis + 1)),
-            Op::Add | Op::Mul | Op::Pow | Op::Cmp(_) => {
+            (Op::LoadCoefFn { coef }, Named(cp)) => Expr::sym(
+                cp.problem.registry.coefficients[*coef as usize]
+                    .name
+                    .clone(),
+            ),
+            (Op::LoadCoefFn { .. }, BindFolded { .. }) => {
+                self.coef_fns += 1;
+                coef_fn_sym(self.coef_fns)
+            }
+            (Op::Add | Op::Mul | Op::Pow | Op::Cmp(_), _) => {
                 let b = pop(stack)?;
                 let a = pop(stack)?;
                 match op {
@@ -411,15 +411,15 @@ impl<'a> VmExec<'a> {
                     _ => unreachable!(),
                 }
             }
-            Op::Recip => {
+            (Op::Recip, _) => {
                 let a = pop(stack)?;
                 Expr::pow(a, Expr::num(-1.0))
             }
-            Op::Call(f) => {
+            (Op::Call(f), _) => {
                 let a = pop(stack)?;
                 Expr::call(f.name(), vec![a])
             }
-            Op::Select => {
+            (Op::Select, _) => {
                 let if_false = pop(stack)?;
                 let if_true = pop(stack)?;
                 let test = pop(stack)?;
@@ -430,11 +430,15 @@ impl<'a> VmExec<'a> {
         Ok(())
     }
 
-    fn run(&mut self, ops: &[Op]) -> Result<ExprRef, String> {
+    /// Execute a whole program: the top of the stack after every
+    /// instruction, in order — the last is the program's value.
+    fn run(&mut self, ops: &[Op]) -> Result<Vec<ExprRef>, String> {
         let mut stack = Vec::new();
+        let mut tops = Vec::with_capacity(ops.len());
         for (pc, op) in ops.iter().enumerate() {
             self.step(op, &mut stack)
                 .map_err(|e| format!("op {pc}: {e}"))?;
+            tops.extend(stack.last().cloned());
         }
         if stack.len() != 1 {
             return Err(format!(
@@ -442,7 +446,7 @@ impl<'a> VmExec<'a> {
                 stack.len()
             ));
         }
-        Ok(stack.pop().unwrap())
+        Ok(tops)
     }
 }
 
@@ -450,15 +454,15 @@ fn pop(stack: &mut Vec<ExprRef>) -> Result<ExprRef, String> {
     stack.pop().ok_or_else(|| "stack underflow".to_string())
 }
 
-/// Placeholder symbol for a bound variable load; keyed by `(var, offset)`
-/// so identical loads unify and different loads never do.
+/// Placeholder symbol for a lowered variable load; keyed by
+/// `(var, offset)` so identical loads unify and different loads never do.
 fn load_sym(var: u16, offset: usize) -> ExprRef {
     Expr::sym(format!("load#{var}@{offset}"))
 }
 
-/// Placeholder symbol for the n-th function-coefficient evaluation. Bound
-/// and register streams evaluate coefficient functions in the same order
-/// (fusion never touches them), so occurrence order is a sound key.
+/// Placeholder symbol for the n-th function-coefficient evaluation. The
+/// stack and register streams evaluate coefficient functions in the same
+/// order (fusion never touches them), so occurrence order is a sound key.
 fn coef_fn_sym(n: usize) -> ExprRef {
     Expr::sym(format!("coef_fn#{n}"))
 }
@@ -491,8 +495,8 @@ pub fn check_vm(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
         for flat in 0..cp.n_flat {
             let idx = &cp.idx_of_flat[flat];
             let location = format!("{kernel} kernel (vm, flat {flat})");
-            let extracted = match VmExec::new(cp, idx, VmMode::Named).run(&program.ops) {
-                Ok(e) => e,
+            let extracted = match VmExec::new(idx, VmMode::Named(cp)).run(&program.ops) {
+                Ok(mut tops) => tops.pop().expect("a program leaves one value"),
                 Err(msg) => {
                     out.push(vm_mismatch(&location, msg));
                     break;
@@ -529,161 +533,35 @@ fn vm_mismatch(location: &str, message: String) -> Diagnostic {
 }
 
 // ---------------------------------------------------------------------------
-// VM ≡ Bound
+// VM ≡ Row, VM ≡ Native
 // ---------------------------------------------------------------------------
 
-/// Prove every bound program agrees with the generic program it was
-/// specialized from, instruction by instruction.
-pub fn check_bound(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
-    for (kind, name, program) in cp.lowered_kernels() {
-        for flat in 0..cp.n_flat {
-            let bound = cp.bind(kind, flat, 0.0);
-            let location = format!("{name} kernel (bound, flat {flat})");
-            if !lockstep_bound(cp, &cp.idx_of_flat[flat], program, &bound, &location, out) {
-                break;
-            }
-        }
-    }
-}
-
-/// Returns false when a diagnostic was emitted (stop after first flat).
-fn lockstep_bound(
-    cp: &CompiledProblem,
-    idx: &[usize],
-    program: &Program,
-    bound: &BoundProgram,
-    location: &str,
-    out: &mut Vec<Diagnostic>,
-) -> bool {
-    let bound_ops = bound.ops();
-    if bound_ops.len() != program.ops.len() {
-        out.push(bound_mismatch(
-            location,
-            format!(
-                "bind changed the instruction count: {} generic ops vs {} bound ops",
-                program.ops.len(),
-                bound_ops.len()
-            ),
-        ));
-        return false;
-    }
-    let n_cells = cp.mesh().n_cells();
-    let mut vm = VmExec::new(cp, idx, VmMode::BindFolded { n_cells, time: 0.0 });
-    let mut vm_stack: Vec<ExprRef> = Vec::new();
-    let mut bound_stack: Vec<ExprRef> = Vec::new();
-    let mut coef_fns = 0usize;
-    for (pc, (op, bop)) in program.ops.iter().zip(bound_ops).enumerate() {
-        if let Err(msg) = vm.step(op, &mut vm_stack) {
-            out.push(bound_mismatch(location, format!("op {pc}: {msg}")));
-            return false;
-        }
-        if let Err(msg) = bound_step(bop, &mut bound_stack, &mut coef_fns) {
-            out.push(bound_mismatch(location, format!("op {pc}: {msg}")));
-            return false;
-        }
-        let agree = vm_stack.len() == bound_stack.len()
-            && vm_stack
-                .iter()
-                .zip(&bound_stack)
-                .all(|(a, b)| a.structurally_eq(b));
-        if !agree {
-            let vm_top = vm_stack.last().map(|e| e.to_string()).unwrap_or_default();
-            let b_top = bound_stack
-                .last()
-                .map(|e| e.to_string())
-                .unwrap_or_default();
-            out.push(bound_mismatch(
-                &format!("{location}, op {pc}"),
-                format!(
-                    "first diverging instruction: generic program has `{vm_top}` \
-                     on top of the stack, bound program has `{b_top}`"
-                ),
-            ));
-            return false;
-        }
-    }
-    true
-}
-
-/// Apply one bound instruction to a symbolic stack.
-fn bound_step(op: &BoundOp, stack: &mut Vec<ExprRef>, coef_fns: &mut usize) -> Result<(), String> {
-    let pushed = match op {
-        BoundOp::Const(v) => Expr::num(*v),
-        BoundOp::Load { var, offset } => load_sym(*var, *offset),
-        BoundOp::CoefFn(_) => {
-            *coef_fns += 1;
-            coef_fn_sym(*coef_fns)
-        }
-        BoundOp::Add | BoundOp::Mul | BoundOp::Pow | BoundOp::Cmp(_) => {
-            let b = pop(stack)?;
-            let a = pop(stack)?;
-            match op {
-                BoundOp::Add => Expr::add(vec![a, b]),
-                BoundOp::Mul => Expr::mul(vec![a, b]),
-                BoundOp::Pow => Expr::pow(a, b),
-                BoundOp::Cmp(c) => Expr::cmp(*c, a, b),
-                _ => unreachable!(),
-            }
-        }
-        BoundOp::Recip => {
-            let a = pop(stack)?;
-            Expr::pow(a, Expr::num(-1.0))
-        }
-        BoundOp::Call(f) => {
-            let a = pop(stack)?;
-            Expr::call(f.name(), vec![a])
-        }
-        BoundOp::Select => {
-            let if_false = pop(stack)?;
-            let if_true = pop(stack)?;
-            let test = pop(stack)?;
-            Expr::conditional(test, if_true, if_false)
-        }
-    };
-    stack.push(pushed);
-    Ok(())
-}
-
-fn bound_mismatch(location: &str, message: String) -> Diagnostic {
-    Diagnostic {
-        severity: Severity::Error,
-        rule: rules::TRANSLATION_BOUND,
-        entity: String::new(),
-        location: location.to_string(),
-        message,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bound ≡ Reg
-// ---------------------------------------------------------------------------
-
-/// Prove the row and native lowerings of every lowered kernel against its
-/// bound program, per flat: `Bound ≡ Reg` on the register program `lower`
-/// produces, `Bound ≡ Native` on the statement list emitted from it.
-/// Production passes [`RegProgram::compile`]; negative tests pass a
-/// lowering that tampers with its result, to prove each loop is
-/// load-bearing. Stops at the first offending flat per kernel and tier.
+/// Prove the row and native lowerings of every lowered kernel against the
+/// stack VM, per flat: `VM ≡ Row` on the register program `lower`
+/// produces, `VM ≡ Native` on the statement list emitted from it.
+/// Production passes [`Program::lower`]; negative tests pass a lowering
+/// that tampers with its result, to prove each loop is load-bearing.
+/// Stops at the first offending flat per kernel and tier.
 pub fn check_lowered(
     cp: &CompiledProblem,
-    lower: &dyn Fn(&BoundProgram) -> RegProgram,
+    lower: &dyn Fn(&Program, &Binding) -> RegProgram,
     out: &mut Vec<Diagnostic>,
 ) {
-    for (kind, name, _) in cp.lowered_kernels() {
+    for (_, name, program) in cp.lowered_kernels() {
         let (mut row_clean, mut native_clean) = (true, true);
         for flat in 0..cp.n_flat {
-            let bound = cp.bind(kind, flat, 0.0);
-            let reg = lower(&bound);
+            let binding = cp.binding(flat, 0.0);
+            let reg = lower(program, &binding);
             let before = out.len();
             if row_clean {
                 let location = format!("{name} kernel (row, flat {flat})");
-                check_reg_against_bound(&bound, &reg, &location, out);
+                check_reg(program, &binding, &reg, &location, out);
                 row_clean = out.len() == before;
             }
             let before = out.len();
             if native_clean {
                 let location = format!("{name} kernel (native, flat {flat})");
-                check_native_against_bound(&bound, &reg, &location, out);
+                check_native(program, &binding, &reg, &location, out);
                 native_clean = out.len() == before;
             }
             if !row_clean && !native_clean {
@@ -693,84 +571,132 @@ pub fn check_lowered(
     }
 }
 
-/// Prove one register program raw-structurally equal to one bound program.
-/// Public so negative tests can seed a tampered `RegProgram` (via
-/// `RegProgram::from_raw_parts`) and prove the orientation flags are load-
-/// bearing.
-pub fn check_reg_against_bound(
-    bound: &BoundProgram,
+/// What a lowering computed: the value of every instruction in order and
+/// the final value — or the instruction (if one) that could not run, and
+/// why.
+type Execution = Result<(Vec<ExprRef>, ExprRef), (Option<usize>, String)>;
+
+/// Which lowering a comparison against the VM proves, for its diagnostics.
+struct Lowered {
+    rule: &'static str,
+    /// What one instruction of the lowering is called.
+    unit: &'static str,
+    /// What the lowering is called.
+    name: &'static str,
+}
+
+const ROW: Lowered = Lowered {
+    rule: rules::TRANSLATION_REG,
+    unit: "op",
+    name: "row program",
+};
+
+const NATIVE: Lowered = Lowered {
+    rule: rules::TRANSLATION_NATIVE,
+    unit: "stmt",
+    name: "emitted code",
+};
+
+impl Lowered {
+    fn mismatch(&self, location: &str, message: String) -> Diagnostic {
+        Diagnostic {
+            severity: Severity::Error,
+            rule: self.rule,
+            entity: String::new(),
+            location: location.to_string(),
+            message,
+        }
+    }
+
+    /// Run `program` on the VM with `binding`'s fold and compare what the
+    /// lowering computed raw-structurally against it. Raw, not canonical:
+    /// canonical ordering would commute `k * load` back to `load * k` and
+    /// mask the orientation bugs this proof exists to catch. A mismatch is
+    /// pinned to the first instruction whose value the VM never computes.
+    fn prove(
+        &self,
+        program: &Program,
+        binding: &Binding,
+        location: &str,
+        lowered: Execution,
+        out: &mut Vec<Diagnostic>,
+    ) {
+        let mode = VmMode::BindFolded {
+            binding: *binding,
+            face_base: program.face_base,
+        };
+        let vm_values = match VmExec::new(binding.idx, mode).run(&program.ops) {
+            Ok(values) => values,
+            Err(msg) => {
+                let msg = format!("the VM cannot run the program: {msg}");
+                return out.push(self.mismatch(location, msg));
+            }
+        };
+        let expected = vm_values.last().expect("a program leaves one value");
+        let (produced, result) = match lowered {
+            Ok(run) => run,
+            Err((pc, msg)) => {
+                let at = match pc {
+                    Some(pc) => format!("{location}, {} {pc}", self.unit),
+                    None => location.to_string(),
+                };
+                return out.push(self.mismatch(&at, msg));
+            }
+        };
+        if result.structurally_eq(expected) {
+            return;
+        }
+        let culprit = produced
+            .iter()
+            .position(|v| !vm_values.iter().any(|b| b.structurally_eq(v)));
+        out.push(match culprit {
+            Some(pc) => self.mismatch(
+                &format!("{location}, {} {pc}", self.unit),
+                format!(
+                    "first diverging {}: {} computes `{}`, a value the VM \
+                     never produces (expected final `{expected}`)",
+                    self.unit, self.name, produced[pc]
+                ),
+            ),
+            None => self.mismatch(
+                location,
+                format!(
+                    "{} computes `{result}` but the VM computes `{expected}`",
+                    self.name
+                ),
+            ),
+        });
+    }
+}
+
+/// Prove one register program raw-structurally equal to the VM's
+/// execution of `program` with the fold `binding` describes — the fold
+/// [`Program::lower`] performs, so a wrong load offset or folded constant
+/// fails here as surely as a mis-fused superinstruction. Public so
+/// negative tests can seed a tampered `RegProgram` (via
+/// `RegProgram::from_raw_parts`) and prove the orientation flags and the
+/// fold are load-bearing.
+pub fn check_reg(
+    program: &Program,
+    binding: &Binding,
     reg: &RegProgram,
     location: &str,
     out: &mut Vec<Diagnostic>,
 ) {
-    let mut coef_fns = 0usize;
-    let mut stack: Vec<ExprRef> = Vec::new();
-    for (pc, op) in bound.ops().iter().enumerate() {
-        if let Err(msg) = bound_step(op, &mut stack, &mut coef_fns) {
-            out.push(reg_mismatch(&format!("{location}, bound op {pc}"), msg));
-            return;
-        }
-    }
-    let Some(bound_final) = stack.pop() else {
-        out.push(reg_mismatch(location, "empty bound program".into()));
-        return;
-    };
+    ROW.prove(program, binding, location, run_reg(reg), out);
+}
 
-    // Execute the register stream, remembering what each op produced so a
-    // mismatch can be pinned to the first instruction whose value the
-    // bound program never computes.
+/// Execute a register stream over symbolic registers.
+fn run_reg(reg: &RegProgram) -> Execution {
     let mut regs: Vec<Option<ExprRef>> = vec![None; reg.n_regs()];
     let mut produced: Vec<ExprRef> = Vec::with_capacity(reg.ops().len());
-    coef_fns = 0;
+    let mut coef_fns = 0usize;
     for (pc, op) in reg.ops().iter().enumerate() {
-        match reg_step(op, &mut regs, &mut coef_fns) {
-            Ok(value) => produced.push(value),
-            Err(msg) => {
-                out.push(reg_mismatch(&format!("{location}, op {pc}"), msg));
-                return;
-            }
-        }
+        produced.push(reg_step(op, &mut regs, &mut coef_fns).map_err(|m| (Some(pc), m))?);
     }
-    let Some(Some(reg_final)) = regs.first().cloned() else {
-        out.push(reg_mismatch(
-            location,
-            "register program never writes r0".into(),
-        ));
-        return;
-    };
-    if reg_final.structurally_eq(&bound_final) {
-        return;
-    }
-    // Pinpoint: collect every intermediate value of the bound execution
-    // and find the first row op producing a value outside that set.
-    let mut bound_values: Vec<ExprRef> = Vec::new();
-    let mut replay: Vec<ExprRef> = Vec::new();
-    coef_fns = 0;
-    for op in bound.ops() {
-        let _ = bound_step(op, &mut replay, &mut coef_fns);
-        if let Some(top) = replay.last() {
-            bound_values.push(top.clone());
-        }
-    }
-    let culprit = produced
-        .iter()
-        .position(|v| !bound_values.iter().any(|b| b.structurally_eq(v)));
-    match culprit {
-        Some(pc) => out.push(reg_mismatch(
-            &format!("{location}, op {pc}"),
-            format!(
-                "first diverging instruction: row op computes `{}`, a value \
-                 the bound program never produces (expected final `{bound_final}`)",
-                produced[pc]
-            ),
-        )),
-        None => out.push(reg_mismatch(
-            location,
-            format!(
-                "row program computes `{reg_final}` but the bound program \
-                 computes `{bound_final}`"
-            ),
-        )),
+    match regs.first().cloned().flatten() {
+        Some(result) => Ok((produced, result)),
+        None => Err((None, "register program never writes r0".into())),
     }
 }
 
@@ -878,51 +804,36 @@ fn reg_step(
     Ok(value)
 }
 
-fn reg_mismatch(location: &str, message: String) -> Diagnostic {
-    Diagnostic {
-        severity: Severity::Error,
-        rule: rules::TRANSLATION_REG,
-        entity: String::new(),
-        location: location.to_string(),
-        message,
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Bound ≡ Native
+// VM ≡ Native
 // ---------------------------------------------------------------------------
 
 /// Prove the native tier's emitted expression tree — the statement list
 /// `crate::nativegen::lower_stmts` produces, which is exactly what the
 /// text renderer prints and `rustc` compiles — raw-structurally equal to
-/// the bound program. A lowering refusal (function coefficients) is an
-/// ineligible plan, not a mismatch: the native tier then falls back and
-/// there is no emission to validate. Public so negative tests can seed a
-/// tampered `RegProgram` (via `RegProgram::from_raw_parts`) and prove the
-/// check rejects a corrupted emission before it could reach the compiler.
-pub fn check_native_against_bound(
-    bound: &BoundProgram,
+/// the VM's execution of `program` with the fold `binding` describes. A
+/// lowering refusal (function coefficients) is an ineligible plan, not a
+/// mismatch: the native tier then falls back and there is no emission to
+/// validate. Public so negative tests can seed a tampered `RegProgram`
+/// (via `RegProgram::from_raw_parts`) and prove the check rejects a
+/// corrupted emission before it could reach the compiler.
+pub fn check_native(
+    program: &Program,
+    binding: &Binding,
     reg: &RegProgram,
     location: &str,
     out: &mut Vec<Diagnostic>,
 ) {
-    use crate::nativegen::{lower_stmts, NExpr, NOperand, NStmt};
-
     // Lowering refusal = ineligible plan, not a mismatch.
-    let Ok(stmts) = lower_stmts(reg) else { return };
-
-    let mut coef_fns = 0usize;
-    let mut stack: Vec<ExprRef> = Vec::new();
-    for (pc, op) in bound.ops().iter().enumerate() {
-        if let Err(msg) = bound_step(op, &mut stack, &mut coef_fns) {
-            out.push(native_mismatch(&format!("{location}, bound op {pc}"), msg));
-            return;
-        }
-    }
-    let Some(bound_final) = stack.pop() else {
-        out.push(native_mismatch(location, "empty bound program".into()));
+    let Ok(stmts) = crate::nativegen::lower_stmts(reg) else {
         return;
     };
+    NATIVE.prove(program, binding, location, run_native(&stmts), out);
+}
+
+/// Execute an emitted statement list over symbolic registers.
+fn run_native(stmts: &[crate::nativegen::NStmt]) -> Execution {
+    use crate::nativegen::{NExpr, NOperand, NStmt};
 
     let n_regs = stmts.iter().map(|s| s.dst as usize + 1).max().unwrap_or(1);
     let mut regs: Vec<Option<ExprRef>> = vec![None; n_regs];
@@ -952,68 +863,13 @@ pub fn check_native_against_bound(
                     Expr::conditional(operand(&regs, t)?, operand(&regs, a)?, operand(&regs, b)?)
                 }
             })
-        })();
-        match value {
-            Ok(v) => {
-                regs[*dst as usize] = Some(v.clone());
-                produced.push(v);
-            }
-            Err(msg) => {
-                out.push(native_mismatch(&format!("{location}, stmt {pc}"), msg));
-                return;
-            }
-        }
+        })()
+        .map_err(|m| (Some(pc), m))?;
+        regs[*dst as usize] = Some(value.clone());
+        produced.push(value);
     }
-    let Some(Some(native_final)) = regs.first().cloned() else {
-        out.push(native_mismatch(
-            location,
-            "emitted statements never write r0".into(),
-        ));
-        return;
-    };
-    if native_final.structurally_eq(&bound_final) {
-        return;
-    }
-    // Pinpoint: the first emitted statement computing a value the bound
-    // program never produces.
-    let mut bound_values: Vec<ExprRef> = Vec::new();
-    let mut replay: Vec<ExprRef> = Vec::new();
-    coef_fns = 0;
-    for op in bound.ops() {
-        let _ = bound_step(op, &mut replay, &mut coef_fns);
-        if let Some(top) = replay.last() {
-            bound_values.push(top.clone());
-        }
-    }
-    let culprit = produced
-        .iter()
-        .position(|v| !bound_values.iter().any(|b| b.structurally_eq(v)));
-    match culprit {
-        Some(pc) => out.push(native_mismatch(
-            &format!("{location}, stmt {pc}"),
-            format!(
-                "first diverging statement: emitted code computes `{}`, a \
-                 value the bound program never produces (expected final \
-                 `{bound_final}`)",
-                produced[pc]
-            ),
-        )),
-        None => out.push(native_mismatch(
-            location,
-            format!(
-                "emitted code computes `{native_final}` but the bound \
-                 program computes `{bound_final}`"
-            ),
-        )),
-    }
-}
-
-fn native_mismatch(location: &str, message: String) -> Diagnostic {
-    Diagnostic {
-        severity: Severity::Error,
-        rule: rules::TRANSLATION_NATIVE,
-        entity: String::new(),
-        location: location.to_string(),
-        message,
+    match regs.first().cloned().flatten() {
+        Some(result) => Ok((produced, result)),
+        None => Err((None, "emitted statements never write r0".into())),
     }
 }

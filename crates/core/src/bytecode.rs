@@ -1,4 +1,5 @@
-//! Compilation of symbolic kernels to a stack VM.
+//! Compilation of symbolic kernels to a stack VM, and their one lowering
+//! to registers.
 //!
 //! The Julia Finch emits Julia/CUDA source and lets the host compiler JIT
 //! it. Rust has no runtime compiler, so the DSL's executable artifact is a
@@ -8,6 +9,12 @@
 //! runs on every target — sequential, threaded, distributed ranks, and the
 //! simulated GPU — which is what makes cross-target bit-identical results
 //! testable.
+//!
+//! [`Program::lower`] turns a program into the register form of one flat
+//! index ([`RegProgram`]) in a single pass — the fold a [`Binding`]
+//! describes, register allocation and peephole fusion — which the row
+//! tier interprets and the native tier compiles
+//! ([`crate::nativegen`]).
 //!
 //! Compilation also counts flops and bytes statically; those counts feed
 //! the GPU roofline model and the cluster performance model.
@@ -149,11 +156,11 @@ pub enum Op {
     Select,
 }
 
-/// Face inputs of a bound flux program. [`Program::bind`] presents them as
-/// pseudo-variables `face_base + FACE_*` read by the ordinary
-/// [`BoundOp::Load`] at offset 0, so the register lowering, its peephole
-/// fusions, the row evaluator and the translation validators treat a flux
-/// program exactly like a volume program.
+/// Face inputs of a lowered flux program. [`Program::lower`] presents them
+/// as pseudo-variables `face_base + FACE_*` read by the ordinary
+/// [`RegOp::Load`] at offset 0, so the peephole fusions, the row evaluator
+/// and the translation validators treat a flux program exactly like a
+/// volume program.
 pub const FACE_U1: u16 = 0;
 /// Unknown across the face (neighbor value or boundary ghost).
 pub const FACE_U2: u16 = 1;
@@ -296,46 +303,34 @@ impl Program {
         stack[0]
     }
 
-    /// True when [`Program::bind`] bakes the simulation time into the
-    /// bound form (an `Op::LoadTime` folds to a constant), making the
-    /// bound program valid for one stage time only. Function coefficients
+    /// True when [`Program::lower`] bakes the simulation time into the
+    /// register form (an `Op::LoadTime` folds to a constant), making the
+    /// lowered program valid for one stage time only. Function coefficients
     /// do **not** make a program time-dependent in this sense — they
-    /// receive the time at evaluation. Executors use this to cache bound
+    /// receive the time at evaluation. Executors use this to cache lowered
     /// programs across steps.
     pub fn references_time(&self) -> bool {
         self.ops.iter().any(|op| matches!(op, Op::LoadTime))
     }
 }
 
-/// A program specialized to one flat-index value: patterns are resolved
-/// to direct storage offsets, array coefficients and index values fold to
-/// constants, and `dt`/`t` are baked in. This is the loop-invariant
-/// hoisting the generated CPU code performs — the inner cell loop touches
-/// only `Load { offset + cell }` and arithmetic. A bound flux program
-/// additionally loads its face inputs (see [`FACE_U1`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum BoundOp {
-    Const(f64),
-    /// `vars[var][offset + cell]`.
-    Load {
-        var: u16,
-        offset: usize,
-    },
-    /// Function coefficient evaluated at the kernel position. The
-    /// function pointer is resolved at bind time, so evaluation performs
-    /// no `CoefficientValue` match.
-    CoefFn(CoefFnPtr),
-    Add,
-    Mul,
-    Pow,
-    Recip,
-    Call(Func),
-    Cmp(CmpOp),
-    Select,
+/// What lowering folds into a program for one flat-index value: the loop
+/// index values, the cell count (a variable row of flat `f` starts at
+/// offset `f · n_cells`), `dt`, the stage time and the coefficient values.
+/// The translation validator folds the stack VM's execution with the same
+/// values (`analysis::check_reg`), so both sides of that proof read one
+/// description of the fold.
+#[derive(Clone, Copy)]
+pub struct Binding<'a> {
+    pub idx: &'a [usize],
+    pub n_cells: usize,
+    pub dt: f64,
+    pub time: f64,
+    pub coefficients: &'a [crate::entities::Coefficient],
 }
 
-/// A function-coefficient pointer resolved at bind time (hoisted out of
-/// the per-evaluation `CoefficientValue::Function` match).
+/// A function-coefficient pointer resolved at lowering time (hoisted out
+/// of the per-evaluation `CoefficientValue::Function` match).
 #[derive(Clone)]
 pub struct CoefFnPtr(pub(crate) std::sync::Arc<dyn Fn(Point, f64) -> f64 + Send + Sync>);
 
@@ -348,141 +343,6 @@ impl std::fmt::Debug for CoefFnPtr {
 impl PartialEq for CoefFnPtr {
     fn eq(&self, other: &Self) -> bool {
         std::sync::Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-/// A bound (per-flat specialized) program.
-#[derive(Debug, Clone)]
-pub struct BoundProgram {
-    ops: Vec<BoundOp>,
-}
-
-impl BoundProgram {
-    /// Evaluate for one cell.
-    #[inline]
-    pub fn eval(&self, vars: &[&[f64]], cell: usize, position: Point, time: f64) -> f64 {
-        let mut stack = [0.0f64; MAX_STACK];
-        let mut sp = 0usize;
-        for op in &self.ops {
-            match op {
-                BoundOp::Const(v) => {
-                    stack[sp] = *v;
-                    sp += 1;
-                }
-                BoundOp::Load { var, offset } => {
-                    stack[sp] = vars[*var as usize][offset + cell];
-                    sp += 1;
-                }
-                BoundOp::CoefFn(f) => {
-                    stack[sp] = (f.0)(position, time);
-                    sp += 1;
-                }
-                BoundOp::Add => {
-                    sp -= 1;
-                    stack[sp - 1] += stack[sp];
-                }
-                BoundOp::Mul => {
-                    sp -= 1;
-                    stack[sp - 1] *= stack[sp];
-                }
-                BoundOp::Pow => {
-                    sp -= 1;
-                    stack[sp - 1] = stack[sp - 1].powf(stack[sp]);
-                }
-                BoundOp::Recip => stack[sp - 1] = 1.0 / stack[sp - 1],
-                BoundOp::Call(f) => stack[sp - 1] = f.apply(stack[sp - 1]),
-                BoundOp::Cmp(op) => {
-                    sp -= 1;
-                    stack[sp - 1] = if op.apply(stack[sp - 1], stack[sp]) {
-                        1.0
-                    } else {
-                        0.0
-                    };
-                }
-                BoundOp::Select => {
-                    sp -= 2;
-                    stack[sp - 1] = if stack[sp - 1] != 0.0 {
-                        stack[sp]
-                    } else {
-                        stack[sp + 1]
-                    };
-                }
-            }
-        }
-        debug_assert_eq!(sp, 1);
-        stack[0]
-    }
-
-    /// Instruction stream, for static analysis (stack-effect walks,
-    /// offset bounds checks, and the translation validator in
-    /// `crate::analysis`) and for differential tests that lockstep the
-    /// tiers instruction by instruction.
-    pub fn ops(&self) -> &[BoundOp] {
-        &self.ops
-    }
-}
-
-impl Program {
-    /// Specialize a program to a flat-index value. The flux-only ops
-    /// (`CELL1`/`CELL2`/`NORMAL_i`) bind to loads of the face-input
-    /// pseudo-variables (see [`FACE_U1`]).
-    pub fn bind(
-        &self,
-        idx: &[usize],
-        n_cells: usize,
-        dt: f64,
-        time: f64,
-        coefficients: &[crate::entities::Coefficient],
-    ) -> BoundProgram {
-        let ops = self
-            .ops
-            .iter()
-            .map(|op| match op {
-                Op::Const(v) => BoundOp::Const(*v),
-                Op::LoadDt => BoundOp::Const(dt),
-                Op::LoadTime => BoundOp::Const(time),
-                Op::LoadIndex(slot) => BoundOp::Const((idx[*slot as usize] + 1) as f64),
-                Op::LoadVar { var, pattern } => BoundOp::Load {
-                    var: *var,
-                    offset: pattern.flat(idx) * n_cells,
-                },
-                Op::LoadCoef { coef, pattern } => {
-                    let v = match &coefficients[*coef as usize].value {
-                        CoefficientValue::Scalar(v) => *v,
-                        CoefficientValue::Array(a) => a[pattern.flat(idx)],
-                        CoefficientValue::Function(_) => {
-                            unreachable!("function coefficients compile to LoadCoefFn")
-                        }
-                    };
-                    BoundOp::Const(v)
-                }
-                Op::LoadCoefFn { coef } => {
-                    let f = match &coefficients[*coef as usize].value {
-                        CoefficientValue::Function(f) => f.clone(),
-                        _ => unreachable!("function coefficients compile to LoadCoefFn"),
-                    };
-                    BoundOp::CoefFn(CoefFnPtr(f))
-                }
-                Op::Add => BoundOp::Add,
-                Op::Mul => BoundOp::Mul,
-                Op::Pow => BoundOp::Pow,
-                Op::Recip => BoundOp::Recip,
-                Op::Call(f) => BoundOp::Call(*f),
-                Op::Cmp(c) => BoundOp::Cmp(*c),
-                Op::Select => BoundOp::Select,
-                Op::LoadU1 => self.face_input(FACE_U1),
-                Op::LoadU2 => self.face_input(FACE_U2),
-                Op::LoadNormal(axis) => self.face_input(FACE_NORMAL + *axis as u16),
-            })
-            .collect();
-        BoundProgram { ops }
-    }
-
-    fn face_input(&self, input: u16) -> BoundOp {
-        BoundOp::Load {
-            var: self.face_base + input,
-            offset: 0,
-        }
     }
 }
 
@@ -558,9 +418,9 @@ pub enum RegOp {
     },
 }
 
-/// A bound program lowered to register form for batched row evaluation —
-/// the innermost tier of the kernel compiler (generic VM → bound per-flat
-/// program → fused row kernel).
+/// A program lowered to register form for one flat, for batched row
+/// evaluation ([`Program::lower`]) — the innermost tier of the kernel
+/// compiler (generic VM → fused row kernel → native code).
 #[derive(Debug, Clone)]
 pub struct RegProgram {
     ops: Vec<RegOp>,
@@ -652,13 +512,125 @@ fn fuse(last: &RegOp, op: &RegOp) -> Option<RegOp> {
     }
 }
 
-impl RegProgram {
-    /// Lower a bound program: allocate registers from the static stack
-    /// depth, then peephole-fuse adjacent producer/consumer pairs.
-    pub fn compile(bound: &BoundProgram) -> RegProgram {
-        let mut ops: Vec<RegOp> = Vec::with_capacity(bound.ops.len());
-        let mut depth: u8 = 0;
-        let push = |ops: &mut Vec<RegOp>, mut op: RegOp| {
+impl Program {
+    /// Lower to the register form of one flat-index value, in one pass.
+    /// Patterns resolve to storage offsets; array coefficients, index
+    /// values, `dt` and `t` fold to constants; the flux-only ops
+    /// (`CELL1`/`CELL2`/`NORMAL_i`) load the face-input pseudo-variables
+    /// (see [`FACE_U1`]). This is the loop-invariant hoisting the generated
+    /// CPU code performs: the inner cell loop touches only loads at
+    /// `offset + cell` and arithmetic. Stack slot *i* becomes register *i*,
+    /// and each instruction is peephole-fused with the one before it where
+    /// [`RegOp`] has a superinstruction for the pair.
+    pub fn lower(&self, b: &Binding) -> RegProgram {
+        let mut ops: Vec<RegOp> = Vec::with_capacity(self.ops.len());
+        let face = |dst: u8, input: u16| RegOp::Load {
+            dst,
+            var: self.face_base + input,
+            offset: 0,
+        };
+        let mut d: u8 = 0;
+        for op in &self.ops {
+            // `d` is the stack depth before `op`; its operands sit in the
+            // top registers, its result lands in the lowest of them.
+            let (mut op, depth) = match op {
+                Op::Const(k) => (RegOp::Const { dst: d, k: *k }, d + 1),
+                Op::LoadDt => (RegOp::Const { dst: d, k: b.dt }, d + 1),
+                Op::LoadTime => (RegOp::Const { dst: d, k: b.time }, d + 1),
+                Op::LoadIndex(slot) => {
+                    let k = (b.idx[*slot as usize] + 1) as f64;
+                    (RegOp::Const { dst: d, k }, d + 1)
+                }
+                Op::LoadVar { var, pattern } => {
+                    let offset = pattern.flat(b.idx) * b.n_cells;
+                    (
+                        RegOp::Load {
+                            dst: d,
+                            var: *var,
+                            offset,
+                        },
+                        d + 1,
+                    )
+                }
+                Op::LoadCoef { coef, pattern } => {
+                    let k = match &b.coefficients[*coef as usize].value {
+                        CoefficientValue::Scalar(v) => *v,
+                        CoefficientValue::Array(a) => a[pattern.flat(b.idx)],
+                        CoefficientValue::Function(_) => {
+                            unreachable!("function coefficients compile to LoadCoefFn")
+                        }
+                    };
+                    (RegOp::Const { dst: d, k }, d + 1)
+                }
+                Op::LoadCoefFn { coef } => {
+                    let f = match &b.coefficients[*coef as usize].value {
+                        CoefficientValue::Function(f) => CoefFnPtr(f.clone()),
+                        _ => unreachable!("function coefficients compile to LoadCoefFn"),
+                    };
+                    (RegOp::CoefFn { dst: d, f }, d + 1)
+                }
+                Op::LoadU1 => (face(d, FACE_U1), d + 1),
+                Op::LoadU2 => (face(d, FACE_U2), d + 1),
+                Op::LoadNormal(axis) => (face(d, FACE_NORMAL + *axis as u16), d + 1),
+                Op::Add => (
+                    RegOp::Add {
+                        dst: d - 2,
+                        a: d - 2,
+                        b: d - 1,
+                    },
+                    d - 1,
+                ),
+                Op::Mul => (
+                    RegOp::Mul {
+                        dst: d - 2,
+                        a: d - 2,
+                        b: d - 1,
+                    },
+                    d - 1,
+                ),
+                Op::Pow => (
+                    RegOp::Pow {
+                        dst: d - 2,
+                        a: d - 2,
+                        b: d - 1,
+                    },
+                    d - 1,
+                ),
+                Op::Cmp(c) => (
+                    RegOp::Cmp {
+                        dst: d - 2,
+                        a: d - 2,
+                        b: d - 1,
+                        op: *c,
+                    },
+                    d - 1,
+                ),
+                Op::Recip => (
+                    RegOp::Recip {
+                        dst: d - 1,
+                        a: d - 1,
+                    },
+                    d,
+                ),
+                Op::Call(f) => (
+                    RegOp::Call {
+                        dst: d - 1,
+                        a: d - 1,
+                        f: *f,
+                    },
+                    d,
+                ),
+                Op::Select => (
+                    RegOp::Select {
+                        dst: d - 3,
+                        t: d - 3,
+                        a: d - 2,
+                        b: d - 1,
+                    },
+                    d - 2,
+                ),
+            };
+            d = depth;
             // Fuse repeatedly: a fused op may expose a new adjacent pair
             // (e.g. Const; Load; Mul → Const; LoadMul → LoadMulConst).
             while let Some(f) = ops.last().and_then(|last| fuse(last, &op)) {
@@ -666,109 +638,8 @@ impl RegProgram {
                 op = f;
             }
             ops.push(op);
-        };
-        for op in &bound.ops {
-            match op {
-                BoundOp::Const(v) => {
-                    push(&mut ops, RegOp::Const { dst: depth, k: *v });
-                    depth += 1;
-                }
-                BoundOp::Load { var, offset } => {
-                    push(
-                        &mut ops,
-                        RegOp::Load {
-                            dst: depth,
-                            var: *var,
-                            offset: *offset,
-                        },
-                    );
-                    depth += 1;
-                }
-                BoundOp::CoefFn(f) => {
-                    push(
-                        &mut ops,
-                        RegOp::CoefFn {
-                            dst: depth,
-                            f: f.clone(),
-                        },
-                    );
-                    depth += 1;
-                }
-                BoundOp::Add => {
-                    depth -= 1;
-                    push(
-                        &mut ops,
-                        RegOp::Add {
-                            dst: depth - 1,
-                            a: depth - 1,
-                            b: depth,
-                        },
-                    );
-                }
-                BoundOp::Mul => {
-                    depth -= 1;
-                    push(
-                        &mut ops,
-                        RegOp::Mul {
-                            dst: depth - 1,
-                            a: depth - 1,
-                            b: depth,
-                        },
-                    );
-                }
-                BoundOp::Pow => {
-                    depth -= 1;
-                    push(
-                        &mut ops,
-                        RegOp::Pow {
-                            dst: depth - 1,
-                            a: depth - 1,
-                            b: depth,
-                        },
-                    );
-                }
-                BoundOp::Recip => push(
-                    &mut ops,
-                    RegOp::Recip {
-                        dst: depth - 1,
-                        a: depth - 1,
-                    },
-                ),
-                BoundOp::Call(f) => push(
-                    &mut ops,
-                    RegOp::Call {
-                        dst: depth - 1,
-                        a: depth - 1,
-                        f: *f,
-                    },
-                ),
-                BoundOp::Cmp(c) => {
-                    depth -= 1;
-                    push(
-                        &mut ops,
-                        RegOp::Cmp {
-                            dst: depth - 1,
-                            a: depth - 1,
-                            b: depth,
-                            op: *c,
-                        },
-                    );
-                }
-                BoundOp::Select => {
-                    depth -= 2;
-                    push(
-                        &mut ops,
-                        RegOp::Select {
-                            dst: depth - 1,
-                            t: depth - 1,
-                            a: depth,
-                            b: depth + 1,
-                        },
-                    );
-                }
-            }
         }
-        debug_assert_eq!(depth, 1, "program must leave exactly one value");
+        debug_assert_eq!(d, 1, "program must leave exactly one value");
         // Register count from the *fused* stream (fusion can eliminate the
         // deepest stack slot entirely).
         let n_regs = ops
@@ -794,7 +665,9 @@ impl RegProgram {
             .unwrap_or(1);
         RegProgram { ops, n_regs }
     }
+}
 
+impl RegProgram {
     /// Registers the evaluator needs (scratch rows of `ROW_CHUNK` lanes).
     pub fn n_regs(&self) -> usize {
         self.n_regs.max(1)
@@ -821,8 +694,8 @@ impl RegProgram {
     /// slices. `regs` is caller-provided scratch of at least
     /// [`RegProgram::n_regs`] rows; it never needs initialization (the
     /// stack discipline guarantees write-before-read). Results are
-    /// bit-identical to [`Program::eval`] / [`BoundProgram::eval`] per
-    /// cell, independent of how a cell range is split into calls.
+    /// bit-identical to [`Program::eval`] per cell, independent of how a
+    /// cell range is split into calls.
     pub fn eval_row(
         &self,
         vars: &[&[f64]],
@@ -1562,7 +1435,7 @@ mod tests {
     #[test]
     fn row_compile_fuses_bte_source_superinstructions() {
         // The BTE source `(Io[b] - I[d,b]) * beta[b]` distributes in the
-        // pipeline and binds to the 9-op stack sequence
+        // pipeline and lowers from the 9-op stack sequence
         // `Const(-1); Load I; Mul; Load beta; Mul; Load Io; Load beta;
         // Mul; Add`. The peephole pass must collapse it to 5 register ops
         // (`LoadMulConst; LoadMul; Load; LoadMul; Add`) in 2 registers.
@@ -1582,8 +1455,13 @@ mod tests {
         let sys = p.analyze().unwrap();
         let compiler = Compiler::new(&p.registry, i, KernelKind::Volume);
         let prog = compiler.compile(&sys.volume_expr).unwrap();
-        let bound = prog.bind(&[1, 2], 8, 0.1, 0.0, &p.registry.coefficients);
-        let reg = RegProgram::compile(&bound);
+        let reg = prog.lower(&Binding {
+            idx: &[1, 2],
+            n_cells: 8,
+            dt: 0.1,
+            time: 0.0,
+            coefficients: &p.registry.coefficients,
+        });
         assert!(
             reg.ops().len() <= 5,
             "expected ≤5 fused ops, got {:?}",
@@ -1617,23 +1495,22 @@ mod tests {
             let prog = c.compile(&parse(src).unwrap()).unwrap();
             for (dd, bb) in [(0usize, 0usize), (2, 1), (3, 2)] {
                 let idx = [dd, bb];
-                let bound = prog.bind(&idx, 5, 0.5, 2.0, &r.coefficients);
-                let reg = RegProgram::compile(&bound);
+                let reg = prog.lower(&Binding {
+                    idx: &idx,
+                    n_cells: 5,
+                    dt: 0.5,
+                    time: 2.0,
+                    coefficients: &r.coefficients,
+                });
                 let mut regs = vec![[0.0; ROW_CHUNK]; reg.n_regs()];
                 let mut out = [0.0f64; 5];
                 reg.eval_row(&vars, 0, &mut out, &centroids, 2.0, &mut regs);
                 for (cell, row_val) in out.iter().enumerate() {
                     let vm_val = prog.eval(&ctx(&r, &vars, &idx, cell));
-                    let bound_val = bound.eval(&vars, cell, pbte_mesh::Point::zero(), 2.0);
                     assert_eq!(
                         row_val.to_bits(),
-                        bound_val.to_bits(),
-                        "{src} @ cell {cell} d {dd} b {bb}: row {row_val} vs bound {bound_val}"
-                    );
-                    assert_eq!(
-                        bound_val.to_bits(),
                         vm_val.to_bits(),
-                        "{src} @ cell {cell}: bound {bound_val} vs vm {vm_val}"
+                        "{src} @ cell {cell} d {dd} b {bb}: row {row_val} vs vm {vm_val}"
                     );
                 }
             }
@@ -1666,13 +1543,23 @@ mod tests {
         let prog = c.compile(&parse("u[b] * u[b] + b").unwrap()).unwrap();
         let centroids = vec![pbte_mesh::Point::zero(); n];
         let idx = [1usize];
-        let bound = prog.bind(&idx, n, 0.1, 0.0, &r.coefficients);
-        let reg = RegProgram::compile(&bound);
+        let reg = prog.lower(&Binding {
+            idx: &idx,
+            n_cells: n,
+            dt: 0.1,
+            time: 0.0,
+            coefficients: &r.coefficients,
+        });
         let mut regs = vec![[0.0; ROW_CHUNK]; reg.n_regs()];
         let mut out = vec![0.0; n];
         reg.eval_row(&vars, 0, &mut out, &centroids, 0.0, &mut regs);
         for (cell, row_val) in out.iter().enumerate() {
-            let expect = bound.eval(&vars, cell, pbte_mesh::Point::zero(), 0.0);
+            let expect = prog.eval(&VmCtx {
+                n_cells: n,
+                dt: 0.1,
+                time: 0.0,
+                ..ctx(&r, &vars, &idx, cell)
+            });
             assert_eq!(row_val.to_bits(), expect.to_bits(), "cell {cell}");
         }
         // An offset sub-span must agree bitwise with the full row.

@@ -97,7 +97,7 @@ impl Registry {
     /// Fold everything lowering reads of the registry into a plan key
     /// ([`crate::problem::Problem::plan_key`]): every name and shape, and
     /// the *values* of scalar and array coefficients by their bits — a
-    /// bound program folds them into constants, so one ulp is another plan.
+    /// lowered program folds them into constants, so one ulp is another plan.
     /// A function coefficient folds as "a function": the programs call it
     /// through the problem at run time and bake nothing of it.
     pub(crate) fn fold(&self, d: &mut Digest) {

@@ -46,7 +46,7 @@ pub(crate) fn device_summary_from(prof: &pbte_gpu::ProfileReport, rank: u32) -> 
 /// compiled programs with their own kernels, price, and ghost layout, but
 /// they read the same variable set.
 struct PlanState {
-    /// Scoped to the owned flats: `bound(k)`/`reg(k)` are indexed by
+    /// Scoped to the owned flats: the per-flat programs are indexed by
     /// scope position, which must match the launch row index.
     kernels: IntensityKernels,
     /// One thread's price ([`sweep_price`]): what every launch of this

@@ -16,7 +16,7 @@
 //! bytecode → native pipeline as the primal RHS (`CompiledProblem::jvp`).
 //! A matvec is therefore one RHS-shaped sweep of the JVP plan with the
 //! direction vector installed in the unknown's slot, which means every
-//! kernel tier (VM/Bound/Row/Native) and every executor reuses its
+//! kernel tier (VM/Row/Native) and every executor reuses its
 //! existing machinery, halo exchange included.
 //!
 //! The linear systems `(I − dtθJ)δ = −G` are solved with BiCGStab under
@@ -38,7 +38,7 @@
 use super::driver::Engine;
 use super::{CompiledProblem, StepLinks};
 use crate::analysis::Scope;
-use crate::bytecode::{KernelKind, RegProgram, ROW_CHUNK};
+use crate::bytecode::{KernelKind, ROW_CHUNK};
 use crate::dataflow::Plan;
 use crate::entities::Fields;
 use crate::problem::{KrylovConfig, Reducer};
@@ -312,7 +312,7 @@ fn jvp_sweep(
 /// iterations, never correctness.
 ///
 /// The volume part is evaluated a flat row at a time, tile by tile: the
-/// program bound to the flat and lowered to registers, the way expression
+/// program lowered to registers for the flat, the way expression
 /// initials are filled (bit-identical to the VM per cell).
 fn build_diag(
     jcp: &CompiledProblem,
@@ -331,7 +331,7 @@ fn build_diag(
     // Tiles are flat-major: one register program per flat.
     for row in d.tiles.chunk_by(|a, b| a.k == b.k) {
         let flat = d.flats[row[0].k];
-        let program = RegProgram::compile(&jcp.bind(KernelKind::Volume, flat, time));
+        let program = jcp.bind(KernelKind::Volume, flat, time);
         regs.resize(program.n_regs(), [0.0; ROW_CHUNK]);
         // The flat's row of the flux table's own-cell slopes, by class.
         let alpha = jcp

@@ -55,7 +55,7 @@ pub(crate) mod walls;
 pub use walls::Walls;
 
 use crate::analysis::Scope;
-use crate::bytecode::{BoundProgram, Compiler, KernelKind, Program};
+use crate::bytecode::{Binding, Compiler, KernelKind, Program, RegProgram};
 use crate::dataflow::TransferSchedule;
 use crate::entities::Fields;
 use crate::pipeline::DiscreteSystem;
@@ -571,8 +571,8 @@ pub fn initial_state(problem: &Problem) -> Result<(Fields, Vec<(usize, Program)>
 }
 
 /// Fill `var` from a compiled expression initial, one flat row at a time:
-/// the program is bound to the flat's index tuple (at `t = 0`), lowered to
-/// registers and evaluated over all cells against the fields filled so
+/// the program is lowered to registers for the flat's index tuple (at
+/// `t = 0`) and evaluated over all cells against the fields filled so
 /// far. The row is evaluated into scratch and copied in, so an expression
 /// the verifier will refuse for reading `var` itself still only reads
 /// defined values.
@@ -583,7 +583,7 @@ fn fill_from_program(
     program: &Program,
     fields: &mut Fields,
 ) {
-    use crate::bytecode::{RegProgram, ROW_CHUNK};
+    use crate::bytecode::ROW_CHUNK;
     let registry = &problem.registry;
     let strides = registry.strides(&registry.variables[var].indices);
     let n_cells = mesh.n_cells();
@@ -591,8 +591,13 @@ fn fill_from_program(
     let mut regs = Vec::new();
     for flat in 0..fields.flat_len(var) {
         let idx = decode_flat(flat, &strides);
-        let bound = program.bind(&idx, n_cells, problem.dt, 0.0, &registry.coefficients);
-        let reg = RegProgram::compile(&bound);
+        let reg = program.lower(&Binding {
+            idx: &idx,
+            n_cells,
+            dt: problem.dt,
+            time: 0.0,
+            coefficients: &registry.coefficients,
+        });
         regs.resize(reg.n_regs(), [0.0; ROW_CHUNK]);
         let vars = fields.as_slices();
         reg.eval_row(&vars, 0, &mut row, &mesh.cell_centroids, 0.0, &mut regs);
@@ -733,7 +738,7 @@ impl Plan {
     /// lowered program, if they cannot: the row evaluator runs the flux
     /// over face slots, where neither a per-face host callback nor a
     /// cell-indexed variable row is available. Such a flux never
-    /// linearizes either, so the plan runs on the `Bound` tier.
+    /// linearizes either, so the plan runs on the `Vm` tier.
     pub(crate) fn flux_blocker(&self) -> Option<&'static str> {
         use crate::bytecode::Op;
         self.flux.ops.iter().find_map(|op| match op {
@@ -757,12 +762,11 @@ impl Plan {
         match tier {
             _ if self.flux_lin.is_some() => FluxPath::Table,
             KernelTier::Row | KernelTier::Native => FluxPath::Compiled,
-            KernelTier::Vm | KernelTier::Bound => FluxPath::Vm,
+            _ => FluxPath::Vm,
         }
     }
 
-    /// The kernels the executors run in lowered (bound / row / native)
-    /// form, with their diagnostic names: the volume program, and the flux
+    /// The kernels the executors run in lowered (row / native) form, with their diagnostic names: the volume program, and the flux
     /// when Row/Native run it compiled. The static passes walk exactly
     /// these.
     pub(crate) fn lowered_kernels(&self) -> Vec<(KernelKind, &'static str, &Program)> {
@@ -1297,36 +1301,51 @@ impl CompiledProblem {
         Some(self.hot.class[self.hot.offsets[owner] as usize + slot])
     }
 
-    /// The volume or flux program specialized to `flat` at `time`.
-    pub(crate) fn bind(&self, kind: KernelKind, flat: usize, time: f64) -> BoundProgram {
+    /// What lowering folds into a program of this plan for `flat` at
+    /// `time`.
+    pub fn binding(&self, flat: usize, time: f64) -> Binding<'_> {
+        Binding {
+            idx: &self.idx_of_flat[flat],
+            n_cells: self.mesh().n_cells(),
+            dt: self.problem.dt,
+            time,
+            coefficients: &self.problem.registry.coefficients,
+        }
+    }
+
+    /// The volume or flux program lowered to registers for `flat` at `time`.
+    pub fn bind(&self, kind: KernelKind, flat: usize, time: f64) -> RegProgram {
         let program = match kind {
             KernelKind::Volume => &self.volume,
             KernelKind::Flux => &self.flux,
         };
-        program.bind(
-            &self.idx_of_flat[flat],
-            self.mesh().n_cells(),
-            self.problem.dt,
-            time,
-            &self.problem.registry.coefficients,
-        )
+        program.lower(&self.binding(flat, time))
     }
 
     /// The kernel tier the executors will actually use: the problem's
     /// explicit choice, defaulting to `Row`. It depends on the plan, never
     /// on the mesh: only a flux the row evaluator cannot lower (one that
     /// calls a function coefficient or reads a cell variable per face)
-    /// clamps `Row`/`Native` to `Bound`.
-    /// A `Native` request may additionally degrade to `Row` at scope
-    /// construction if AOT preparation fails (missing `rustc`, failed
-    /// compilation, ineligible plan) — that late fallback is recorded as a
+    /// clamps `Row`/`Native` to `Vm`.
+    /// A `Native` request may additionally degrade at scope construction
+    /// if AOT preparation fails (missing `rustc`, failed compilation,
+    /// ineligible plan) — that late fallback is recorded as a
     /// `native/fallback` diagnostic on the kernels.
     pub fn resolved_tier(&self) -> KernelTier {
-        let requested = self.problem.kernel_tier.unwrap_or(KernelTier::Row);
+        self.clamp_tier(self.problem.kernel_tier.unwrap_or(KernelTier::Row))
+    }
+
+    /// The tier a request for `requested` runs on, as
+    /// [`CompiledProblem::resolved_tier`] describes. The hidden `Bound`
+    /// variant is a `Row` request.
+    pub(crate) fn clamp_tier(&self, requested: KernelTier) -> KernelTier {
         match requested {
-            KernelTier::Row | KernelTier::Native if self.flux_blocker().is_some() => {
-                KernelTier::Bound
+            KernelTier::Row | KernelTier::Native | KernelTier::Bound
+                if self.flux_blocker().is_some() =>
+            {
+                KernelTier::Vm
             }
+            KernelTier::Bound => KernelTier::Row,
             t => t,
         }
     }

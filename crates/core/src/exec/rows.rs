@@ -1,8 +1,8 @@
 //! The fused row-kernel tier of the intensity phase.
 //!
-//! Four execution tiers evaluate the RHS (see DESIGN.md §"Kernel
-//! tiers"): the generic stack VM, the per-flat bound program, the fused
-//! row kernel this module implements — a [`RegProgram`] for the source
+//! Three execution tiers evaluate the RHS (see DESIGN.md §"Kernel
+//! tiers"): the generic stack VM, the fused row kernel this module
+//! implements — a [`RegProgram`] for the source
 //! term, then a flux pass over the `hot` SoA geometry (on meshes with few
 //! face orientations the αβγ table, walked as straight-line stencil-run
 //! segments where the mesh is regular and as CSR remainders elsewhere;
@@ -24,8 +24,8 @@
 //! through the same helper and the device launch reads the same tiles.
 //!
 //! [`IntensityKernels`] also owns the cross-step bind cache: when the
-//! programs provably never read `t`, the per-flat specialization is
-//! reused for the whole run instead of being rebuilt every step. The
+//! programs provably never read `t`, the per-flat register programs are
+//! reused for the whole run instead of being lowered again every step. The
 //! native tier extends that story to machine code: preparation (lowering,
 //! validation, `rustc`, `dlopen`) happens once per compiled problem, and
 //! failures degrade to the row tier with a [`Diagnostic`] instead of
@@ -34,7 +34,7 @@
 use super::{seq, CompiledProblem, FluxLinearization, HotGeometry, StencilRun, WorkCounters};
 use crate::analysis::{rules, Diagnostic, Scope, Severity, Tile};
 use crate::bytecode::{
-    BoundProgram, KernelKind, RegProgram, FACE_INPUTS, FACE_NORMAL, FACE_U1, FACE_U2, ROW_CHUNK,
+    KernelKind, RegProgram, FACE_INPUTS, FACE_NORMAL, FACE_U1, FACE_U2, ROW_CHUNK,
 };
 use crate::entities::Fields;
 use crate::nativegen::{self, NativeArgs, NativeLib};
@@ -54,17 +54,16 @@ pub(crate) struct Scratch {
 pub(crate) struct IntensityKernels {
     pub tier: KernelTier,
     flats: Vec<usize>,
-    bound: Vec<BoundProgram>,
     reg: Vec<RegProgram>,
     /// Row programs of the flux, per flat (Row tier with a compiled flux
     /// only — the table path and the other tiers leave it empty).
     flux_reg: Vec<RegProgram>,
-    /// Time the cached programs were bound at (bit pattern compared).
-    bound_time: f64,
-    /// Whether a bound program reads `t` (forces per-stage rebinds).
+    /// Time the cached programs were lowered at (bit pattern compared).
+    lowered_at: f64,
+    /// Whether a lowered program reads `t` (forces per-stage rebinds).
     time_dependent: bool,
     max_regs: usize,
-    /// How many times `ensure` actually re-bound (diagnostics/tests).
+    /// How many times `ensure` actually re-lowered (diagnostics/tests).
     pub rebinds: u64,
     /// Loaded native plan (Native tier only).
     native: Option<Arc<NativeLib>>,
@@ -81,18 +80,15 @@ impl IntensityKernels {
     }
 
     /// Kernels pinned to a tier. `Row` runs on every mesh; it (and a
-    /// failed `Native`) clamps to `Bound` only for a flux the row
-    /// evaluator cannot lower ([`CompiledProblem::flux_blocker`]). `Native`
-    /// falls back when preparation fails, with a structured
+    /// failed `Native`) clamps to `Vm` only for a flux the row evaluator
+    /// cannot lower ([`CompiledProblem::flux_blocker`]). `Native` falls
+    /// back to that `Row` tier when preparation fails, with a structured
     /// [`Diagnostic`] recording why.
     pub fn with_tier(cp: &CompiledProblem, flats: &[usize], tier: KernelTier) -> IntensityKernels {
-        let row = match cp.flux_blocker() {
-            Some(_) => KernelTier::Bound,
-            None => KernelTier::Row,
-        };
+        let row = cp.clamp_tier(KernelTier::Row);
         let mut tier = match tier {
-            KernelTier::Row => row,
-            t => t,
+            KernelTier::Native => KernelTier::Native,
+            t => cp.clamp_tier(t),
         };
         let mut native = None;
         let mut native_fallback = None;
@@ -119,16 +115,15 @@ impl IntensityKernels {
                 }
             }
         }
-        // On the Row tier a compiled flux is bound (and re-bound) with the
-        // volume program.
+        // On the Row tier a compiled flux is lowered (and re-lowered) with
+        // the volume program.
         let binds_flux = tier == KernelTier::Row && cp.compiled_flux();
         IntensityKernels {
             tier,
             flats: flats.to_vec(),
-            bound: Vec::new(),
             reg: Vec::new(),
             flux_reg: Vec::new(),
-            bound_time: f64::NAN,
+            lowered_at: f64::NAN,
             time_dependent: cp.volume.references_time()
                 || (binds_flux && cp.flux.references_time()),
             max_regs: 0,
@@ -141,53 +136,42 @@ impl IntensityKernels {
     /// Make the cached per-flat programs valid for `time`. A no-op unless
     /// this is the first call, or a program reads `t` and `time` changed.
     pub fn ensure(&mut self, cp: &CompiledProblem, time: f64) {
-        // The VM tier binds nothing; the native tier was fully prepared
+        // The VM tier lowers nothing; the native tier was fully prepared
         // at construction (it is only reachable for time-independent,
-        // cache-friendly plans, so there is never anything to re-bind).
-        if matches!(self.tier, KernelTier::Vm | KernelTier::Native) {
+        // cache-friendly plans, so there is never anything to re-lower).
+        if self.tier != KernelTier::Row {
             return;
         }
-        let stale = self.bound.is_empty()
-            || (self.time_dependent && self.bound_time.to_bits() != time.to_bits());
+        let stale = self.reg.is_empty()
+            || (self.time_dependent && self.lowered_at.to_bits() != time.to_bits());
         if !stale {
             return;
         }
-        let mut bound = Vec::with_capacity(self.flats.len());
-        let mut reg = Vec::with_capacity(self.flats.len());
-        let mut flux_reg = Vec::new();
-        let row = self.tier == KernelTier::Row;
-        let compiled_flux = row && cp.compiled_flux();
-        for &flat in &self.flats {
-            let b = cp.bind(KernelKind::Volume, flat, time);
-            if row {
-                reg.push(RegProgram::compile(&b));
-            }
-            if compiled_flux {
-                flux_reg.push(RegProgram::compile(&cp.bind(KernelKind::Flux, flat, time)));
-            }
-            bound.push(b);
-        }
+        let lower = |kind| -> Vec<RegProgram> {
+            let flats = self.flats.iter();
+            flats.map(|&flat| cp.bind(kind, flat, time)).collect()
+        };
+        let reg = lower(KernelKind::Volume);
+        let flux_reg = if cp.compiled_flux() {
+            lower(KernelKind::Flux)
+        } else {
+            Vec::new()
+        };
         self.max_regs = reg
             .iter()
             .chain(&flux_reg)
             .map(RegProgram::n_regs)
             .max()
             .unwrap_or(0);
-        self.bound = bound;
         self.reg = reg;
         self.flux_reg = flux_reg;
-        self.bound_time = time;
+        self.lowered_at = time;
         self.rebinds += 1;
     }
 
     /// The scope's `k`-th flat.
     pub fn flat(&self, k: usize) -> usize {
         self.flats[k]
-    }
-
-    /// Bound program for the scope's `k`-th flat.
-    pub fn bound(&self, k: usize) -> &BoundProgram {
-        &self.bound[k]
     }
 
     /// The loaded native plan (Native tier only).
@@ -654,14 +638,6 @@ pub(crate) fn rhs_block(
 ) {
     let flat = kernels.flat(k);
     let n_cells = cp.hot.inv_volume.len();
-    // The per-dof tiers evaluate one (cell, flat) pair at a time.
-    let u_row = &vars[cp.system.unknown][flat * n_cells..(flat + 1) * n_cells];
-    let per_dof = |out: &mut [f64], rhs: f64, i: usize| {
-        out[i] = match fused_dt {
-            Some(dt) => u_row[cell0 + i] + dt * rhs,
-            None => rhs,
-        };
-    };
     match kernels.tier {
         KernelTier::Row => rhs_span(
             kernels,
@@ -687,17 +663,16 @@ pub(crate) fn rhs_block(
             out,
             fused_dt,
         ),
-        KernelTier::Bound => {
-            let bound = kernels.bound(k);
-            for i in 0..out.len() {
-                let rhs = seq::eval_rhs_dof_bound(cp, vars, ghosts, cell0 + i, flat, time, bound);
-                per_dof(out, rhs, i);
-            }
-        }
-        KernelTier::Vm => {
-            for i in 0..out.len() {
+        // `Vm`, one (cell, flat) pair at a time: `IntensityKernels::with_tier`
+        // resolves every request to one of these three tiers.
+        _ => {
+            let u_row = &vars[cp.system.unknown][flat * n_cells..(flat + 1) * n_cells];
+            for (i, o) in out.iter_mut().enumerate() {
                 let rhs = seq::eval_rhs_dof_vm(cp, vars, ghosts, cell0 + i, flat, time);
-                per_dof(out, rhs, i);
+                *o = match fused_dt {
+                    Some(dt) => u_row[cell0 + i] + dt * rhs,
+                    None => rhs,
+                };
             }
         }
     }
@@ -836,7 +811,7 @@ mod tests {
 
     /// The compiled flux carries a cell's partial sum across lane chunks
     /// and across nothing else: however the cell range is cut, with and
-    /// without the fused update, every dof equals the `Bound` tier's, whose
+    /// without the fused update, every dof equals the `Vm` tier's, whose
     /// flux is the stack VM face by face.
     #[test]
     fn compiled_flux_is_bit_identical_to_the_vm_flux_for_any_span_split() {
@@ -844,7 +819,7 @@ mod tests {
         assert!(cp.compiled_flux());
         for fused_dt in [None, Some(1e-3)] {
             let n_cells = fields.n_cells;
-            let reference = sweep(&cp, &fields, KernelTier::Bound, n_cells, fused_dt);
+            let reference = sweep(&cp, &fields, KernelTier::Vm, n_cells, fused_dt);
             for span in [1, 7, ROW_CHUNK, ROW_CHUNK + 1, n_cells] {
                 let row = sweep(&cp, &fields, KernelTier::Row, span, fused_dt);
                 for (i, (a, b)) in row.iter().zip(&reference).enumerate() {
@@ -863,7 +838,7 @@ mod tests {
         IntensityKernels::with_tier(cp, &[0], tier).tier == tier
     }
 
-    /// Row and Native against `Bound` (the per-dof CSR walk), bit for bit,
+    /// Row and Native against `Vm` (the per-dof CSR walk), bit for bit,
     /// with the cell range cut so that spans start, end and straddle
     /// inside stencil runs, with and without the fused update.
     fn assert_runs_match_the_csr_walk(cp: &CompiledProblem, fields: &Fields, nx: usize) {
@@ -881,7 +856,7 @@ mod tests {
             n_cells,
         ];
         for fused_dt in [None, Some(1e-3)] {
-            let reference = sweep(cp, fields, KernelTier::Bound, n_cells, fused_dt);
+            let reference = sweep(cp, fields, KernelTier::Vm, n_cells, fused_dt);
             for tier in [KernelTier::Row, KernelTier::Native] {
                 if !available(cp, tier) {
                     continue;

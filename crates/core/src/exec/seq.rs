@@ -1,6 +1,6 @@
 //! Per-dof building blocks of a step — the reference semantics every
-//! span kernel must reproduce bit for bit: the per-dof RHS evaluators
-//! behind [`super::rows::rhs_block`] (the `Vm` and `Bound` tiers), and the
+//! span kernel must reproduce bit for bit: the per-dof RHS evaluator
+//! behind [`super::rows::rhs_block`] (the `Vm` tier), and the
 //! step-callback runner. There is no sequential sweep here: serial is
 //! `rows::sweep` with one worker. Boundary faces are read through
 //! the plan's lowered walls ([`super::walls`]); only walls left to a
@@ -87,28 +87,9 @@ pub(crate) fn flux_sum_dof(
 }
 
 /// Evaluate the discrete right-hand side `s(u) − (1/V)Σ_f A_f f(u)` for one
-/// (cell, flat) pair, with a pre-bound volume program.
-#[inline]
-pub(crate) fn eval_rhs_dof_bound(
-    cp: &CompiledProblem,
-    vars: &[&[f64]],
-    ghosts: &[f64],
-    cell: usize,
-    flat: usize,
-    time: f64,
-    bound_volume: &crate::bytecode::BoundProgram,
-) -> f64 {
-    let n_cells = cp.hot.inv_volume.len();
-    let source = bound_volume.eval(vars, cell, cp.mesh().cell_centroids[cell], time);
-    let u_here = vars[cp.system.unknown][flat * n_cells + cell];
-    let flux = flux_sum_dof(cp, vars, ghosts, cell, flat, time, u_here);
-    // Reciprocal multiply (hoisted per cell) instead of a divide in the
-    // hot loop — the same strength reduction the generated code performs.
-    source - flux * cp.hot.inv_volume[cell]
-}
-
-/// Same RHS through the generic stack VM (no per-flat specialization) —
-/// the `KernelTier::Vm` baseline, bit-identical to the bound tier.
+/// (cell, flat) pair through the generic stack VM (no per-flat lowering) —
+/// the `KernelTier::Vm` baseline the Row and Native tiers reproduce bit for
+/// bit.
 #[inline]
 pub(crate) fn eval_rhs_dof_vm(
     cp: &CompiledProblem,

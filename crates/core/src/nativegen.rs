@@ -45,7 +45,8 @@
 //! * **Validation before compilation.** Every lowered statement list —
 //!   the exact tree the text renderer prints, for the volume program and
 //!   for a compiled flux — is abstractly executed over symbolic values and
-//!   proven raw-structurally equal to its bound program (`analysis::check_native_against_bound`, rule
+//!   proven raw-structurally equal to the stack VM's execution of the
+//!   same program under the same fold (`analysis::check_native`, rule
 //!   `translation/native-mismatch`) *before* any source reaches `rustc`.
 //!   A corrupted emission is rejected, never executed.
 //! * **Content-addressed caching.** The full generated source is hashed
@@ -67,12 +68,10 @@
 //! fails, or the plan is ineligible (a program reading `t`, function
 //! coefficients, a flux reading a cell variable),
 //! `prepare` returns `Err` and the caller falls back to the row tier (the
-//! bound tier when the flux itself cannot be lowered) with a structured
+//! VM tier when the flux itself cannot be lowered) with a structured
 //! diagnostic (`native/fallback`) instead of erroring.
 
-use crate::bytecode::{
-    BoundProgram, Func, KernelKind, RegOp, RegProgram, FACE_NORMAL, FACE_U1, FACE_U2,
-};
+use crate::bytecode::{Binding, Func, Program, RegOp, RegProgram, FACE_NORMAL, FACE_U1, FACE_U2};
 use crate::exec::walls::GATHER;
 use crate::exec::{CompiledProblem, StencilRun, MAX_RUN_FACES};
 use pbte_symbolic::expr::CmpOp;
@@ -1047,13 +1046,18 @@ fn compile_and_load(
 // Entry point
 // ---------------------------------------------------------------------------
 
-/// Lower one bound program to the statements the kernel emits, proving
-/// the list (the exact tree the renderer prints) equal to the bound
-/// program before it ever reaches rustc.
-fn lower_checked(bound: &BoundProgram, reg: &RegProgram, what: &str) -> Result<Vec<NStmt>, String> {
+/// Lower one register program to the statements the kernel emits, proving
+/// the list (the exact tree the renderer prints) equal to the VM's
+/// execution of `program` under `binding` before it ever reaches rustc.
+fn lower_checked(
+    program: &Program,
+    binding: &Binding,
+    reg: &RegProgram,
+    what: &str,
+) -> Result<Vec<NStmt>, String> {
     let stmts = lower_stmts(reg).map_err(|e| format!("{what}: {e}"))?;
     let mut diags = Vec::new();
-    crate::analysis::check_native_against_bound(bound, reg, what, &mut diags);
+    crate::analysis::check_native(program, binding, reg, what, &mut diags);
     match diags.first() {
         Some(d) => Err(format!(
             "emitted expression failed validation: {}",
@@ -1076,22 +1080,19 @@ pub(crate) fn lower_plan(cp: &CompiledProblem) -> Result<Vec<FlatStmts>, String>
     if cp.flux.references_time() {
         return Err("flux program reads `t` (per-step rebinding defeats AOT caching)".into());
     }
-    let lower = |kind: KernelKind, flat: usize, what: &str| {
-        let bound = cp.bind(kind, flat, 0.0);
-        let reg = RegProgram::compile(&bound);
-        lower_checked(
-            &bound,
-            &reg,
-            &format!("{what} kernel (native, flat {flat})"),
-        )
+    let lower = |program: &Program, flat: usize, what: &str| {
+        let binding = cp.binding(flat, 0.0);
+        let reg = program.lower(&binding);
+        let what = format!("{what} kernel (native, flat {flat})");
+        lower_checked(program, &binding, &reg, &what)
     };
     let compiled_flux = cp.compiled_flux();
     (0..cp.n_flat)
         .map(|flat| {
             Ok(FlatStmts {
-                volume: lower(KernelKind::Volume, flat, "volume")?,
+                volume: lower(&cp.volume, flat, "volume")?,
                 flux: compiled_flux
-                    .then(|| lower(KernelKind::Flux, flat, "flux"))
+                    .then(|| lower(&cp.flux, flat, "flux"))
                     .transpose()?,
             })
         })
@@ -1320,7 +1321,7 @@ mod tests {
     }
 
     /// `prepare`'s gate: a flux statement list that does not prove equal
-    /// to its bound program is refused before any source is emitted.
+    /// to its program on the VM is refused before any source is emitted.
     #[test]
     fn misfused_flux_lowering_is_refused_before_compilation() {
         use crate::bytecode::{Compiler, KernelKind};
@@ -1335,9 +1336,15 @@ mod tests {
         let flux = Compiler::new(&p.registry, i_var, KernelKind::Flux)
             .compile(&sys.flux_expr)
             .unwrap();
-        let bound = flux.bind(&[1], 9, 0.1, 0.0, &p.registry.coefficients);
-        let reg = RegProgram::compile(&bound);
-        let stmts = lower_checked(&bound, &reg, "flux kernel").unwrap();
+        let binding = Binding {
+            idx: &[1],
+            n_cells: 9,
+            dt: 0.1,
+            time: 0.0,
+            coefficients: &p.registry.coefficients,
+        };
+        let reg = flux.lower(&binding);
+        let stmts = lower_checked(&flux, &binding, &reg, "flux kernel").unwrap();
         // The face inputs render as the locals of the per-face loop.
         let text: Vec<String> = stmts.iter().map(|s| stmt_line(s, flux.face_base)).collect();
         assert!(text.iter().any(|l| l.contains("n0")) && text.iter().any(|l| l.contains("u2")));
@@ -1354,7 +1361,7 @@ mod tests {
                 .expect("the upwind flux fuses a constant multiply");
         *flag = !*flag;
         let tampered = RegProgram::from_raw_parts(ops, reg.n_regs());
-        let refusal = lower_checked(&bound, &tampered, "flux kernel").unwrap_err();
+        let refusal = lower_checked(&flux, &binding, &tampered, "flux kernel").unwrap_err();
         assert!(refusal.contains("translation/native-mismatch"), "{refusal}");
     }
 

@@ -411,11 +411,11 @@ pub type OperatorFn = Arc<
 /// Which execution tier evaluates the intensity-phase RHS.
 ///
 /// The tiers trade generality for speed: `Vm` interprets the generic
-/// stack bytecode per DOF (patterns resolved every op), `Bound` interprets
-/// a per-flat specialized program (patterns folded to offsets, coefficients
-/// and `dt` folded to constants), `Row` runs the register-allocated,
-/// batched row kernel that fuses the whole update
-/// `u_new = u + dt·(source − flux·invV)` over a contiguous cell span, and
+/// stack bytecode per DOF (patterns resolved every op), `Row` runs the
+/// per-flat register programs (patterns folded to offsets, coefficients
+/// and `dt` folded to constants), batched into a row kernel that fuses the
+/// whole update `u_new = u + dt·(source − flux·invV)` over a contiguous
+/// cell span, and
 /// `Native` lowers the row programs to Rust source, compiles them
 /// out-of-process with `rustc` into a `cdylib`, and calls the machine-code
 /// kernels through a content-hashed on-disk plan cache.
@@ -424,14 +424,21 @@ pub type OperatorFn = Arc<
 /// table where the mesh has few orientations and from the flux's own
 /// lowered program otherwise. Only a flux that cannot be lowered (it calls
 /// a function coefficient or reads a cell variable per face) runs them on
-/// `Bound`; `Native` falls back to `Row` (with a structured diagnostic)
+/// `Vm`; `Native` falls back to `Row` (with a structured diagnostic)
 /// when `rustc` is unavailable, compilation fails, or the plan is
 /// ineligible (a program reading `t`, function coefficients).
+// `Bound` is hidden, not a non-exhaustive marker: `#[non_exhaustive]`
+// would break the exhaustive matches it is kept for.
+#[allow(clippy::manual_non_exhaustive)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelTier {
     /// Generic stack-bytecode VM, per-DOF dispatch.
     Vm,
-    /// Per-flat bound program, per-DOF dispatch.
+    /// Not a tier: the name of the per-flat stack interpreter the row
+    /// tier replaced, kept so that code matching every variant still
+    /// compiles. It is not in [`KernelTier::ALL`], [`KernelTier::from_name`]
+    /// does not accept it, and a request for it runs as `Row`.
+    #[doc(hidden)]
     Bound,
     /// Fused, batched row kernel over contiguous cell spans.
     Row,
@@ -441,12 +448,7 @@ pub enum KernelTier {
 
 impl KernelTier {
     /// Every tier, slowest first.
-    pub const ALL: [KernelTier; 4] = [
-        KernelTier::Vm,
-        KernelTier::Bound,
-        KernelTier::Row,
-        KernelTier::Native,
-    ];
+    pub const ALL: [KernelTier; 3] = [KernelTier::Vm, KernelTier::Row, KernelTier::Native];
 
     /// Stable lowercase name, used for CLI flags and telemetry span
     /// attribution.
@@ -923,7 +925,7 @@ impl Problem {
     /// * what the symbolic pipeline reads (`pipeline::fold_inputs`): the
     ///   equation text, `dim`, the vector coefficients, and the registry —
     ///   index lengths, variable and coefficient shapes, coefficient
-    ///   *values* by their bits (bound programs and the flux table fold
+    ///   *values* by their bits (lowered programs and the flux table fold
     ///   them into constants);
     /// * the explicit stepper and `dt` (the flux table is probed with it
     ///   and the native kernels bake it);

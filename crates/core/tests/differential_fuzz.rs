@@ -1,17 +1,17 @@
 //! Differential fuzzing of the kernel tiers against the symbolic engine.
 //!
-//! For seeded random field contents, the volume kernel's three compiled
-//! tiers — generic stack `Program`, bind-specialized `BoundProgram`, and
-//! fused `RegProgram` row kernel — must agree **bitwise** with each other
-//! and with `pbte_symbolic::eval` of the DSL expression the kernels were
-//! compiled from. Bitwise (not epsilon) agreement is the point: the
-//! lowering pipeline only reorders code in value-preserving ways (bind
-//! folds constants, fusion preserves operand order via its orientation
-//! flags), so any ulp of drift is a lowering bug. On mismatch the test
-//! locksteps the instruction streams and fails with the first diverging
-//! instruction index.
+//! For seeded random field contents, the volume kernel's two interpreted
+//! forms — the generic stack `Program` and the per-flat fused `RegProgram`
+//! row kernel — must agree **bitwise** with each other and with
+//! `pbte_symbolic::eval` of the DSL expression the kernels were compiled
+//! from. Bitwise (not epsilon) agreement is the point: the lowering
+//! pipeline only reorders code in value-preserving ways (lowering folds
+//! constants, fusion preserves operand order via its orientation flags),
+//! so any ulp of drift is a lowering bug. On mismatch the test replays the
+//! register stream against the VM's intermediate values and fails with
+//! the first diverging instruction index.
 
-use pbte_dsl::bytecode::{BoundOp, Op, RegOp, RegProgram, VmCtx, ROW_CHUNK};
+use pbte_dsl::bytecode::{KernelKind, Op, RegOp, RegProgram, VmCtx, ROW_CHUNK};
 use pbte_dsl::entities::{CoefficientValue, Registry};
 use pbte_dsl::exec::ExecTarget;
 use pbte_dsl::problem::Problem;
@@ -128,145 +128,71 @@ impl EvalContext for FieldsCtx<'_> {
     }
 }
 
-/// Scalar-step the generic and bound streams in lockstep (bind maps ops
-/// 1:1) and return the first pc where the stack tops differ bitwise.
-fn first_diverging_pc(
-    ops: &[Op],
-    bound_ops: &[BoundOp],
-    ctx: &VmCtx,
-    vars: &[&[f64]],
-    cell: usize,
-) -> Option<usize> {
+/// Scalar-step the stack VM for one dof and return the top of the stack
+/// after every instruction: every value a faithful register lowering
+/// computes. `None` on ops the fuzzed volume kernel never contains.
+fn vm_values(ops: &[Op], ctx: &VmCtx) -> Option<Vec<f64>> {
     fn binop(stack: &mut Vec<f64>, f: impl Fn(f64, f64) -> f64) {
         let b = stack.pop().unwrap();
         let a = stack.pop().unwrap();
         stack.push(f(a, b));
     }
-    let mut vm_stack: Vec<f64> = Vec::new();
-    let mut b_stack: Vec<f64> = Vec::new();
-    for (pc, (op, bop)) in ops.iter().zip(bound_ops).enumerate() {
+    let mut stack: Vec<f64> = Vec::new();
+    let mut values = Vec::with_capacity(ops.len());
+    for op in ops {
         match op {
-            Op::Const(v) => vm_stack.push(*v),
-            Op::LoadDt => vm_stack.push(ctx.dt),
-            Op::LoadTime => vm_stack.push(ctx.time),
-            Op::LoadIndex(slot) => vm_stack.push((ctx.idx[*slot as usize] + 1) as f64),
-            Op::LoadVar { var, pattern } => vm_stack
-                .push(ctx.vars[*var as usize][pattern.flat(ctx.idx) * ctx.n_cells + ctx.cell]),
-            Op::LoadU1 => vm_stack.push(ctx.u1),
-            Op::LoadU2 => vm_stack.push(ctx.u2),
+            Op::Const(v) => stack.push(*v),
+            Op::LoadDt => stack.push(ctx.dt),
+            Op::LoadTime => stack.push(ctx.time),
+            Op::LoadIndex(slot) => stack.push((ctx.idx[*slot as usize] + 1) as f64),
+            Op::LoadVar { var, pattern } => {
+                stack.push(ctx.vars[*var as usize][pattern.flat(ctx.idx) * ctx.n_cells + ctx.cell])
+            }
             Op::LoadCoef { coef, pattern } => {
-                vm_stack.push(match &ctx.coefficients[*coef as usize].value {
+                stack.push(match &ctx.coefficients[*coef as usize].value {
                     CoefficientValue::Scalar(v) => *v,
                     CoefficientValue::Array(a) => a[pattern.flat(ctx.idx)],
                     CoefficientValue::Function(_) => unreachable!(),
                 })
             }
-            Op::LoadCoefFn { .. } | Op::LoadNormal(_) => return None,
-            Op::Add => binop(&mut vm_stack, |a, b| a + b),
-            Op::Mul => binop(&mut vm_stack, |a, b| a * b),
-            Op::Pow => binop(&mut vm_stack, f64::powf),
+            Op::LoadU1 | Op::LoadU2 | Op::LoadCoefFn { .. } | Op::LoadNormal(_) => return None,
+            Op::Add => binop(&mut stack, |a, b| a + b),
+            Op::Mul => binop(&mut stack, |a, b| a * b),
+            Op::Pow => binop(&mut stack, f64::powf),
             Op::Recip => {
-                let a = vm_stack.pop().unwrap();
-                vm_stack.push(1.0 / a);
+                let a = stack.pop().unwrap();
+                stack.push(1.0 / a);
             }
             Op::Call(f) => {
-                let a = vm_stack.pop().unwrap();
-                vm_stack.push(f.apply(a));
+                let a = stack.pop().unwrap();
+                stack.push(f.apply(a));
             }
-            Op::Cmp(c) => binop(&mut vm_stack, |a, b| if c.apply(a, b) { 1.0 } else { 0.0 }),
+            Op::Cmp(c) => binop(&mut stack, |a, b| if c.apply(a, b) { 1.0 } else { 0.0 }),
             Op::Select => {
-                let e = vm_stack.pop().unwrap();
-                let t = vm_stack.pop().unwrap();
-                let test = vm_stack.pop().unwrap();
-                vm_stack.push(if test != 0.0 { t } else { e });
+                let e = stack.pop().unwrap();
+                let t = stack.pop().unwrap();
+                let test = stack.pop().unwrap();
+                stack.push(if test != 0.0 { t } else { e });
             }
         }
-        match bop {
-            BoundOp::Const(v) => b_stack.push(*v),
-            BoundOp::Load { var, offset } => b_stack.push(vars[*var as usize][offset + cell]),
-            BoundOp::CoefFn(_) => return None,
-            BoundOp::Add => binop(&mut b_stack, |a, b| a + b),
-            BoundOp::Mul => binop(&mut b_stack, |a, b| a * b),
-            BoundOp::Pow => binop(&mut b_stack, f64::powf),
-            BoundOp::Recip => {
-                let a = b_stack.pop().unwrap();
-                b_stack.push(1.0 / a);
-            }
-            BoundOp::Call(f) => {
-                let a = b_stack.pop().unwrap();
-                b_stack.push(f.apply(a));
-            }
-            BoundOp::Cmp(c) => binop(&mut b_stack, |a, b| if c.apply(a, b) { 1.0 } else { 0.0 }),
-            BoundOp::Select => {
-                let e = b_stack.pop().unwrap();
-                let t = b_stack.pop().unwrap();
-                let test = b_stack.pop().unwrap();
-                b_stack.push(if test != 0.0 { t } else { e });
-            }
-        }
-        let (Some(v), Some(b)) = (vm_stack.last(), b_stack.last()) else {
-            return Some(pc);
-        };
-        if v.to_bits() != b.to_bits() {
-            return Some(pc);
-        }
+        values.push(*stack.last().unwrap());
     }
-    None
+    Some(values)
 }
 
 /// Scalar-step the fused register stream for one cell and return the
-/// index of the first instruction whose result differs bitwise from the
-/// corresponding replay of the bound stream's intermediate values.
+/// index of the first instruction whose result differs bitwise from every
+/// intermediate value of the stack VM ([`vm_values`]).
 //
 // The orientation branches look commutatively identical to clippy, but
 // operand order is exactly what this test exists to check bitwise.
 #[allow(clippy::if_same_then_else)]
 fn first_diverging_reg_op(
     reg: &RegProgram,
-    bound_ops: &[BoundOp],
+    vm_values: &[f64],
     vars: &[&[f64]],
     cell: usize,
 ) -> Option<usize> {
-    let mut b_stack: Vec<f64> = Vec::new();
-    let mut bound_values: Vec<f64> = Vec::new();
-    for op in bound_ops {
-        match op {
-            BoundOp::Const(v) => b_stack.push(*v),
-            BoundOp::Load { var, offset } => b_stack.push(vars[*var as usize][offset + cell]),
-            BoundOp::CoefFn(_) => return None,
-            BoundOp::Add => {
-                let (b, a) = (b_stack.pop().unwrap(), b_stack.pop().unwrap());
-                b_stack.push(a + b);
-            }
-            BoundOp::Mul => {
-                let (b, a) = (b_stack.pop().unwrap(), b_stack.pop().unwrap());
-                b_stack.push(a * b);
-            }
-            BoundOp::Pow => {
-                let (b, a) = (b_stack.pop().unwrap(), b_stack.pop().unwrap());
-                b_stack.push(a.powf(b));
-            }
-            BoundOp::Recip => {
-                let a = b_stack.pop().unwrap();
-                b_stack.push(1.0 / a);
-            }
-            BoundOp::Call(f) => {
-                let a = b_stack.pop().unwrap();
-                b_stack.push(f.apply(a));
-            }
-            BoundOp::Cmp(c) => {
-                let (b, a) = (b_stack.pop().unwrap(), b_stack.pop().unwrap());
-                b_stack.push(if c.apply(a, b) { 1.0 } else { 0.0 });
-            }
-            BoundOp::Select => {
-                let e = b_stack.pop().unwrap();
-                let t = b_stack.pop().unwrap();
-                let test = b_stack.pop().unwrap();
-                b_stack.push(if test != 0.0 { t } else { e });
-            }
-        }
-        bound_values.push(*b_stack.last().unwrap());
-    }
     let mut regs = vec![0.0f64; reg.n_regs()];
     for (i, op) in reg.ops().iter().enumerate() {
         let (dst, value) = match op {
@@ -348,7 +274,7 @@ fn first_diverging_reg_op(
                 (*dst, if *const_first { *k * load } else { load * *k })
             }
         };
-        if !bound_values.iter().any(|b| b.to_bits() == value.to_bits()) {
+        if !vm_values.iter().any(|b| b.to_bits() == value.to_bits()) {
             return Some(i);
         }
         regs[dst as usize] = value;
@@ -400,17 +326,12 @@ fn native_tier_matches_row_tier_bitwise() {
                     // Lockstep divergence report: re-validate this flat's
                     // emitted statement list symbolically so a lowering
                     // bug is pinpointed to the statement, not just the dof.
-                    let bound = cp.volume.bind(
-                        &cp.idx_of_flat[flat],
-                        n_cells,
-                        cp.problem.dt,
-                        0.0,
-                        &registry.coefficients,
-                    );
-                    let reg = RegProgram::compile(&bound);
+                    let binding = cp.binding(flat, 0.0);
+                    let reg = cp.volume.lower(&binding);
                     let mut diags = Vec::new();
-                    pbte_dsl::analysis::check_native_against_bound(
-                        &bound,
+                    pbte_dsl::analysis::check_native(
+                        &cp.volume,
+                        &binding,
                         &reg,
                         &format!("flat {flat}"),
                         &mut diags,
@@ -486,10 +407,7 @@ fn all_tiers_agree_bitwise_with_the_symbolic_reference() {
 
         for flat in 0..cp.n_flat {
             let idx = &cp.idx_of_flat[flat];
-            let bound = cp
-                .volume
-                .bind(idx, n_cells, dt, time, &registry.coefficients);
-            let reg = RegProgram::compile(&bound);
+            let reg = cp.bind(KernelKind::Volume, flat, time);
             let mut row_out = vec![0.0f64; n_cells];
             let mut scratch = vec![[0.0f64; ROW_CHUNK]; reg.n_regs()];
             reg.eval_row(&var_slices, 0, &mut row_out, &centroids, time, &mut scratch);
@@ -509,7 +427,6 @@ fn all_tiers_agree_bitwise_with_the_symbolic_reference() {
                     time,
                 };
                 let vm_val = cp.volume.eval(&vm_ctx);
-                let bound_val = bound.eval(&var_slices, cell, centroids[cell], time);
                 let row_val = row_out[cell];
                 let ctx = FieldsCtx {
                     registry,
@@ -527,19 +444,13 @@ fn all_tiers_agree_bitwise_with_the_symbolic_reference() {
                          symbolic reference {sym_val:e}"
                     );
                 }
-                if bound_val.to_bits() != vm_val.to_bits() {
-                    let pc =
-                        first_diverging_pc(&cp.volume.ops, bound.ops(), &vm_ctx, &var_slices, cell);
-                    panic!(
-                        "seed {seed}, flat {flat}, cell {cell}: bound {bound_val:e} != \
-                         vm {vm_val:e}; first diverging instruction: {pc:?}"
-                    );
-                }
-                if row_val.to_bits() != bound_val.to_bits() {
-                    let pc = first_diverging_reg_op(&reg, bound.ops(), &var_slices, cell);
+                if row_val.to_bits() != vm_val.to_bits() {
+                    let pc = vm_values(&cp.volume.ops, &vm_ctx).and_then(|values| {
+                        first_diverging_reg_op(&reg, &values, &var_slices, cell)
+                    });
                     panic!(
                         "seed {seed}, flat {flat}, cell {cell}: row {row_val:e} != \
-                         bound {bound_val:e}; first diverging instruction: {pc:?}"
+                         vm {vm_val:e}; first diverging instruction: {pc:?}"
                     );
                 }
             }

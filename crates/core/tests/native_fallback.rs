@@ -2,7 +2,7 @@
 //! intensity phase must fall back to the row tier, record a structured
 //! `native/fallback` diagnostic, and complete the solve — never error.
 //! Likewise for a plan the tier cannot lower at all (a flux calling a
-//! function coefficient per face), which falls back to the bound tier.
+//! function coefficient per face), which falls back to the VM tier.
 //!
 //! This lives in its own integration-test binary because the simulated
 //! missing compiler is communicated through process-wide environment
@@ -93,7 +93,7 @@ fn missing_rustc_degrades_to_row_tier_with_a_diagnostic() {
 
 /// A flux that calls a function coefficient needs a host callback per
 /// face: neither the row evaluator nor the native emitter lowers it. The
-/// requested tier degrades to `Bound`, whose per-face VM makes the call,
+/// requested tier degrades to `Vm`, whose per-face VM makes the call,
 /// with a diagnostic that names the reason, and the solve runs.
 #[test]
 fn function_coefficient_in_the_flux_degrades_with_a_named_reason() {
@@ -101,17 +101,18 @@ fn function_coefficient_in_the_flux_degrades_with_a_named_reason() {
         let mut solver = mini_bte_with_speed(requested, "ramp")
             .build(ExecTarget::CpuSeq)
             .unwrap();
-        assert_eq!(solver.compiled.resolved_tier(), KernelTier::Bound);
+        assert_eq!(solver.compiled.resolved_tier(), KernelTier::Vm);
         let fields = solver.fields().clone();
         let bench = solver.compiled.intensity_bench(&fields, requested);
-        assert_eq!(bench.tier(), KernelTier::Bound);
+        assert_eq!(bench.tier(), KernelTier::Vm);
         if requested == KernelTier::Native {
             let diag = bench
                 .native_fallback()
                 .expect("fallback must record a diagnostic");
             assert_eq!(diag.rule, rules::NATIVE_FALLBACK);
             assert!(
-                diag.message.contains("bound") && diag.message.contains("function coefficient"),
+                diag.message.contains("the vm tier")
+                    && diag.message.contains("function coefficient"),
                 "diagnostic should name the tier and the reason: {}",
                 diag.render()
             );

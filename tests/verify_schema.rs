@@ -76,7 +76,7 @@ fn verify_json_schema() {
         );
         str_of(t, "target", "timing");
         assert!(
-            ["vm", "bound", "row", "native"].contains(&str_of(t, "tier", "timing")),
+            ["vm", "row", "native"].contains(&str_of(t, "tier", "timing")),
             "tier tag"
         );
         assert!(
@@ -105,11 +105,11 @@ fn verify_json_schema() {
         }
     }
 
-    // Built-in lanes: 2 scenarios × 2 strategies × 7 targets × 4 tiers ×
+    // Built-in lanes: 2 scenarios × 2 strategies × 7 targets × 3 tiers ×
     // 3 integrators. Textual lanes: ≥ 4 committed scenarios × 7 targets ×
-    // 4 tiers (each file fixes its own strategy and integrator).
-    assert_eq!(builtin, 2 * 2 * 7 * 4 * 3, "built-in sweep shape");
-    assert!(pbte >= 4 * 7 * 4, "scenario library lanes shrank: {pbte}");
+    // 3 tiers (each file fixes its own strategy and integrator).
+    assert_eq!(builtin, 2 * 2 * 7 * 3 * 3, "built-in sweep shape");
+    assert!(pbte >= 4 * 7 * 3, "scenario library lanes shrank: {pbte}");
 
     // Passes that were off must not fabricate summary blocks.
     assert!(v.get("cost").is_none(), "no cost block without --cost");
@@ -127,4 +127,20 @@ fn verify_rejects_unknown_flags() {
     assert!(out.stdout.is_empty(), "nothing ran");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag `--synth`"), "{stderr}");
+}
+
+/// One tier vocabulary: the per-flat stack interpreter's old name is an
+/// unknown tier to the scenario driver, a usage error before any solve.
+#[test]
+fn pbte_refuses_the_bound_tier_name() {
+    let out = Command::new(env!("CARGO_BIN_EXE_pbte"))
+        .args(["hotspot", "n=4", "steps=1", "tier=bound"])
+        .output()
+        .expect("pbte runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown tier `bound` (use vm, row or native)"),
+        "{stderr}"
+    );
 }
