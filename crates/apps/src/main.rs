@@ -16,7 +16,8 @@
 //! strategies, which run one schedule),
 //! `cells:<r>` / `bands:<r>` / `bands-gpu:<r>` (distributed ranks) — the
 //! spellings `pbte-trace` takes. An unknown `target`, `tier`, `strategy`
-//! or `integrator` value is a usage error (exit status 2).
+//! or `integrator` value, an integrator parameter out of range or a `dt`
+//! that is not a positive number is a usage error (exit status 2).
 //! `strategy` values (2-D scenarios, effective under `bands:<r>`):
 //! `redundant` (every rank solves all cells, the paper's behaviour) or
 //! `divided` (per-rank cell slices plus a second T-allreduce).
@@ -68,30 +69,8 @@ fn parse_integrator(args: &[String]) -> Integrator {
     let Some(spec) = args.iter().find_map(|a| a.strip_prefix("integrator=")) else {
         return Integrator::Explicit;
     };
-    let mut parts = spec.split(':');
-    match parts.next().unwrap_or("") {
-        "explicit" => Integrator::Explicit,
-        "implicit" => Integrator::Implicit {
-            theta: parts
-                .next()
-                .map(|t| t.parse().expect("integrator=implicit:<theta>"))
-                .unwrap_or(1.0),
-        },
-        "steady" => Integrator::Steady {
-            tol: parts
-                .next()
-                .map(|t| t.parse().expect("integrator=steady:<tol>:<growth>"))
-                .unwrap_or(1e-6),
-            growth: parts
-                .next()
-                .map(|g| g.parse().expect("integrator=steady:<tol>:<growth>"))
-                .unwrap_or(2.0),
-        },
-        other => usage_error(format!(
-            "unknown integrator `{other}` (use explicit, implicit[:<theta>] or \
-             steady[:<tol>:<growth>])"
-        )),
-    }
+    spec.parse()
+        .unwrap_or_else(|e| usage_error(format!("integrator={spec}: {e}")))
 }
 
 fn parse_tier(args: &[String]) -> Option<KernelTier> {
@@ -118,7 +97,15 @@ fn apply_dt(
 ) -> Option<String> {
     let spec = args.iter().find_map(|a| a.strip_prefix("dt="))?;
     if spec != "auto" {
-        cfg.dt = Some(spec.parse().expect("dt=<seconds>|auto"));
+        let dt = spec
+            .parse()
+            .ok()
+            .filter(|dt: &f64| *dt > 0.0 && dt.is_finite());
+        cfg.dt = Some(dt.unwrap_or_else(|| {
+            usage_error(format!(
+                "dt={spec}: expects a positive number of seconds or `auto`"
+            ))
+        }));
         return None;
     }
     let mut probe = build(cfg);

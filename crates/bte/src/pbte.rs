@@ -303,43 +303,6 @@ fn parse_bc(line: usize, v: &str) -> Result<BcSpec, PbteError> {
     }
 }
 
-fn parse_integrator(line: usize, v: &str) -> Result<Integrator, PbteError> {
-    let mut parts = v.split(':');
-    let head = parts.next().unwrap_or("");
-    let rest: Vec<&str> = parts.collect();
-    match head {
-        "explicit" if rest.is_empty() => Ok(Integrator::Explicit),
-        "implicit" => {
-            let theta = match rest.as_slice() {
-                [] => 1.0,
-                [t] => parse_f64(line, "theta", t)?,
-                _ => return Err(perr(line, "`implicit` takes at most one `:theta`")),
-            };
-            if !(theta > 0.0 && theta <= 1.0) {
-                return Err(perr(line, format!("theta must be in (0, 1], got {theta}")));
-            }
-            Ok(Integrator::Implicit { theta })
-        }
-        "steady" => {
-            let (tol, growth) = match rest.as_slice() {
-                [] => (1e-6, 2.0),
-                [t, g] => (parse_f64(line, "tol", t)?, parse_f64(line, "growth", g)?),
-                _ => return Err(perr(line, "`steady` takes `:tol:growth` or nothing")),
-            };
-            if tol <= 0.0 || growth <= 1.0 {
-                return Err(perr(line, "steady needs tol > 0 and growth > 1"));
-            }
-            Ok(Integrator::Steady { tol, growth })
-        }
-        other => Err(perr(
-            line,
-            format!(
-                "unknown integrator `{other}` (explicit, implicit[:theta], steady[:tol:growth])"
-            ),
-        )),
-    }
-}
-
 /// Raw key/value store for one section while parsing.
 #[derive(Default)]
 struct RawMesh {
@@ -426,7 +389,7 @@ pub fn parse_pbte(src: &str) -> Result<ScenarioSpec, PbteError> {
                         }
                     }
                 }
-                "integrator" => integrator = parse_integrator(ln, value)?,
+                "integrator" => integrator = value.parse().map_err(|e: String| perr(ln, e))?,
                 "t_ref" => t_ref = Some(parse_f64(ln, key, value)?),
                 "t_hot" => t_hot = Some(parse_f64(ln, key, value)?),
                 other => return Err(perr(ln, format!("unknown [scenario] key `{other}`"))),

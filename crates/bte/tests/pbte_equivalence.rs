@@ -92,3 +92,37 @@ fn scenario_library_builds_and_verifies() {
     }
     assert!(seen >= 4, "scenario library shrank: {seen} files");
 }
+
+/// An integrator whose parameters the problem would refuse is a parse
+/// error naming its line, never a panic in `build`: the tolerance of a
+/// steady solve must lie below 1, its growth factor above 1, and θ in
+/// (0, 1].
+#[test]
+fn out_of_range_integrators_are_refused_not_built() {
+    let text = std::fs::read_to_string(scenario_path("hotspot.pbte")).unwrap();
+    let line = text
+        .lines()
+        .position(|l| l == "integrator = explicit")
+        .expect("the hot-spot file declares its integrator")
+        + 1;
+    for bad in [
+        "steady:1.5:2",
+        "steady:1e-6:1",
+        "steady:nan:2",
+        "implicit:2",
+        "implicit:abc",
+        "explicit:1",
+    ] {
+        let edited = text.replace("integrator = explicit", &format!("integrator = {bad}"));
+        let outcome = std::panic::catch_unwind(|| {
+            pbte_bte::pbte::parse_pbte(&edited).and_then(|spec| spec.build().map(drop))
+        });
+        let err = outcome
+            .unwrap_or_else(|_| panic!("`{bad}` panicked"))
+            .expect_err(bad);
+        assert!(
+            err.to_string().contains(&format!("line {line}")),
+            "{bad}: {err}"
+        );
+    }
+}

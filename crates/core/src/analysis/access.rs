@@ -17,7 +17,7 @@
 
 use super::{rules, Diagnostic, Severity};
 use crate::bytecode::{
-    Op, Pattern, Program, RegOp, RegProgram, FACE_INPUTS, FACE_NORMAL, MAX_STACK,
+    Op, Operand, Pattern, Program, RegProgram, FACE_INPUTS, FACE_NORMAL, MAX_STACK,
 };
 use crate::entities::CoefficientValue;
 use crate::exec::{CompiledProblem, MAX_RUN_FACES, MIN_RUN};
@@ -253,42 +253,17 @@ fn check_reg_program(
         }
         false
     };
-    for (pc, op) in reg.ops().iter().enumerate() {
-        let (dst, operands): (u8, Vec<u8>) = match op {
-            RegOp::Const { dst, .. } | RegOp::CoefFn { dst, .. } => (*dst, vec![]),
-            RegOp::Load { dst, var, offset } => {
-                check_load(cp, *var, *offset, n_cells, location, acc, out);
-                (*dst, vec![])
-            }
-            RegOp::Add { dst, a, b } | RegOp::Mul { dst, a, b } | RegOp::Pow { dst, a, b } => {
-                (*dst, vec![*a, *b])
-            }
-            RegOp::Recip { dst, a } | RegOp::Call { dst, a, .. } => (*dst, vec![*a]),
-            RegOp::Cmp { dst, a, b, .. } => (*dst, vec![*a, *b]),
-            RegOp::Select { dst, t, a, b } => (*dst, vec![*t, *a, *b]),
-            RegOp::AddConst { dst, a, .. } | RegOp::MulConst { dst, a, .. } => (*dst, vec![*a]),
-            RegOp::LoadMul {
-                dst,
-                a,
-                var,
-                offset,
-                ..
-            } => {
-                check_load(cp, *var, *offset, n_cells, location, acc, out);
-                (*dst, vec![*a])
-            }
-            RegOp::LoadMulConst {
-                dst, var, offset, ..
-            } => {
-                check_load(cp, *var, *offset, n_cells, location, acc, out);
-                (*dst, vec![])
-            }
-        };
-        for r in operands {
-            if undef(r, pc, &defined, out) {
-                return;
+    for (pc, stmt) in reg.stmts().iter().enumerate() {
+        for o in stmt.expr.operands() {
+            match *o {
+                Operand::Reg(r) if undef(r, pc, &defined, out) => return,
+                Operand::Load { var, offset } => {
+                    check_load(cp, var, offset, n_cells, location, acc, out)
+                }
+                _ => {}
             }
         }
+        let dst = stmt.dst;
         if (dst as usize) >= n_regs {
             out.push(Diagnostic {
                 severity: Severity::Error,
@@ -369,9 +344,9 @@ pub(super) fn check_kernels(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) -> 
     acc
 }
 
-/// Structural invariants of the CSR face geometry the fused
-/// superinstructions index without further checks at run time, then the
-/// stencil run table against those arrays ([`check_runs`]).
+/// Structural invariants of the CSR face geometry the span kernels index
+/// without further checks at run time, then the stencil run table against
+/// those arrays ([`check_runs`]).
 pub(super) fn check_geometry(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
     let before = out.len();
     check_csr(cp, out);

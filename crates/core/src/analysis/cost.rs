@@ -16,7 +16,7 @@
 //! changed.
 
 use super::{rules, Diagnostic, Scope, Severity};
-use crate::bytecode::{KernelKind, RegOp};
+use crate::bytecode::{KernelKind, RegExpr};
 use crate::dataflow::{Entity, Plan, Policy, Stage};
 use crate::exec::{CompiledProblem, ExecTarget, FluxPath, SolveReport};
 use crate::problem::{KernelTier, TimeStepper};
@@ -156,28 +156,20 @@ fn stage_bytes(plan: &CompiledProblem, stage: &Stage) -> [u64; 3] {
 /// FLOPs of the per-flat register streams of one kernel (what `Row` and
 /// `Native` run), averaged over flats.
 fn lowered_flops(cp: &CompiledProblem, kind: KernelKind) -> f64 {
-    let arithmetic = |op: &&RegOp| {
-        !matches!(
-            op,
-            RegOp::Load { .. } | RegOp::Const { .. } | RegOp::CoefFn { .. }
-        )
-    };
+    let arithmetic = |expr: &RegExpr| !matches!(expr, RegExpr::Copy(_) | RegExpr::CoefFn(_));
     let flops: usize = (0..cp.n_flat)
         .map(|flat| {
-            cp.bind(kind, flat, 0.0)
-                .ops()
-                .iter()
-                .filter(arithmetic)
-                .count()
+            let reg = cp.bind(kind, flat, 0.0);
+            reg.stmts().iter().filter(|s| arithmetic(&s.expr)).count()
         })
         .sum();
     flops as f64 / cp.n_flat.max(1) as f64
 }
 
 /// Per-dof FLOPs of the resolved tier's actual instruction streams: the
-/// generic programs for the VM tier, the per-flat fused register programs
-/// otherwise (the native tier compiles the same register
-/// programs to machine code, so its count equals the Row tier's).
+/// generic programs for the VM tier, the per-flat register programs
+/// otherwise (the native tier prints the same register programs as
+/// source, so its count equals the Row tier's).
 fn sweep_flops(cp: &CompiledProblem) -> f64 {
     let tier = cp.resolved_tier();
     let n_cells = cp.mesh().n_cells();

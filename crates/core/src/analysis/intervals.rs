@@ -28,7 +28,7 @@
 //! ([`rules::INTERVAL_CFL`]) when the scenario's `dt` exceeds it.
 
 use super::{rules, Diagnostic, Severity};
-use crate::bytecode::{Func, Op, Program, RegOp, RegProgram};
+use crate::bytecode::{Func, Op, Operand, Program, RegExpr, RegProgram};
 use crate::entities::CoefficientValue;
 use crate::exec::CompiledProblem;
 use pbte_symbolic::{CmpOp, Interval, IntervalError};
@@ -55,7 +55,7 @@ pub fn check_intervals(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
     // The row tier recomputes the same arithmetic from the same seeds;
     // re-running it when the vm tier already failed would only duplicate
     // the finding. When the vm tier is clean it proves the *lowered*
-    // streams (lowering-time folding, fused superinstructions) safe too:
+    // programs (lowering-time folding, folded operands) safe too:
     // the volume program's, and the flux's when Row/Native run it
     // compiled.
     if out.len() == before {
@@ -319,7 +319,7 @@ fn run_vm(
     Ok(())
 }
 
-/// Abstractly execute a fused register program.
+/// Abstractly execute a register program.
 fn run_reg(
     env: &Env,
     reg: &RegProgram,
@@ -328,51 +328,29 @@ fn run_reg(
 ) -> Result<(), Diagnostic> {
     let mut regs: Vec<Interval> = vec![Interval::point(0.0); reg.n_regs()];
     let mut seen_fns = 0usize;
-    for (pc, op) in reg.ops().iter().enumerate() {
-        let (dst, value) = match op {
-            RegOp::Const { dst, k } => (*dst, Interval::point(*k)),
-            RegOp::Load { dst, var, .. } => (*dst, env.vars[*var as usize]),
-            RegOp::CoefFn { dst, .. } => {
+    for (pc, stmt) in reg.stmts().iter().enumerate() {
+        let operand = |o: &Operand| match *o {
+            Operand::Reg(r) => regs[r as usize],
+            Operand::K(k) => Interval::point(k),
+            Operand::Load { var, .. } => env.vars[var as usize],
+        };
+        let fails = |e| op_error(e, location, pc);
+        let value = match &stmt.expr {
+            RegExpr::Copy(a) => operand(a),
+            RegExpr::CoefFn(_) => {
                 let id = fn_coefs[seen_fns];
                 seen_fns += 1;
-                (*dst, env.fn_coefs[&id])
+                env.fn_coefs[&id]
             }
-            RegOp::Add { dst, a, b } => (*dst, regs[*a as usize].add(regs[*b as usize])),
-            RegOp::Mul { dst, a, b } => (*dst, regs[*a as usize].mul(regs[*b as usize])),
-            RegOp::Pow { dst, a, b } => (
-                *dst,
-                regs[*a as usize]
-                    .pow(regs[*b as usize])
-                    .map_err(|e| op_error(e, location, pc))?,
-            ),
-            RegOp::Recip { dst, a } => (
-                *dst,
-                regs[*a as usize]
-                    .recip()
-                    .map_err(|e| op_error(e, location, pc))?,
-            ),
-            RegOp::Call { dst, a, f } => (
-                *dst,
-                func_interval(*f, regs[*a as usize]).map_err(|e| op_error(e, location, pc))?,
-            ),
-            RegOp::Cmp { dst, a, b, op } => (
-                *dst,
-                cmp_interval(*op, regs[*a as usize], regs[*b as usize]),
-            ),
-            RegOp::Select { dst, t, a, b } => (
-                *dst,
-                select_interval(regs[*t as usize], regs[*a as usize], regs[*b as usize]),
-            ),
-            RegOp::AddConst { dst, a, k, .. } => (*dst, regs[*a as usize].add(Interval::point(*k))),
-            RegOp::MulConst { dst, a, k, .. } => (*dst, regs[*a as usize].mul(Interval::point(*k))),
-            RegOp::LoadMul { dst, a, var, .. } => {
-                (*dst, regs[*a as usize].mul(env.vars[*var as usize]))
-            }
-            RegOp::LoadMulConst { dst, var, k, .. } => {
-                (*dst, env.vars[*var as usize].mul(Interval::point(*k)))
-            }
+            RegExpr::Add([a, b]) => operand(a).add(operand(b)),
+            RegExpr::Mul([a, b]) => operand(a).mul(operand(b)),
+            RegExpr::Pow([a, b]) => operand(a).pow(operand(b)).map_err(fails)?,
+            RegExpr::Recip(a) => operand(a).recip().map_err(fails)?,
+            RegExpr::Call(f, a) => func_interval(*f, operand(a)).map_err(fails)?,
+            RegExpr::Cmp(op, [a, b]) => cmp_interval(*op, operand(a), operand(b)),
+            RegExpr::Select([t, a, b]) => select_interval(operand(t), operand(a), operand(b)),
         };
-        regs[dst as usize] = finite_check(value, location, pc)?;
+        regs[stmt.dst as usize] = finite_check(value, location, pc)?;
     }
     Ok(())
 }

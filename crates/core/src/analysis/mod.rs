@@ -14,7 +14,7 @@
 //!    byproducts — and cross-checked against the equation-level
 //!    declaration. An expression initial must read only variables
 //!    initialised before it fills (`initial/uninitialised-read`). The CSR
-//!    face geometry the fused superinstructions index is bounds-checked
+//!    face geometry the span kernels index is bounds-checked
 //!    too, and the stencil run table the span
 //!    kernels walk is re-derived from it (`geometry/run-mismatch`). The
 //!    lowered wall tables those kernels read boundary faces through are
@@ -91,9 +91,7 @@ pub use synth::{interface_send_lists, rank_scopes, synthesize_partition, synthes
 pub use synth::{Scope, SendList, Tile, TileLabel};
 pub use transfers::check_schedule;
 pub use units::check_units;
-pub use validate::{
-    check_ir, check_jvp, check_lowered, check_native, check_reg, check_translation, check_vm,
-};
+pub use validate::{check_ir, check_jvp, check_lowered, check_reg, check_translation, check_vm};
 
 use crate::exec::{CompiledProblem, ExecTarget};
 
@@ -144,13 +142,11 @@ pub mod rules {
     /// than the DSL terms.
     pub const TRANSLATION_VM: &str = "translation/vm-mismatch";
     /// A per-flat register program (its folded constants and load offsets,
-    /// register allocation or peephole fusion) diverged from the generic
-    /// program executed with the same fold.
+    /// register allocation or operand folds) diverged from the generic
+    /// program executed with the same fold — in the row tier, or in the
+    /// statement list the native tier would print (checked before `rustc`
+    /// ever runs).
     pub const TRANSLATION_REG: &str = "translation/reg-mismatch";
-    /// The native tier's emitted expression tree diverged from the generic
-    /// program executed with the same fold (checked by abstract execution
-    /// before `rustc` ever runs).
-    pub const TRANSLATION_NATIVE: &str = "translation/native-mismatch";
     /// The derived JVP plan (implicit integrators) disagrees with a fresh
     /// linearization of the primal equation, or its own lowering chain
     /// fails translation validation.

@@ -3,11 +3,12 @@
 //! The compiler lowers one conservation-form equation through these
 //! representations: the DSL term groups (after operator expansion and the
 //! forward-Euler transform), the loop-nest IR, the generic stack VM
-//! (`Program`), the per-flat register form (`RegProgram`, which the Row
-//! tier runs) and the statement list the Native tier renders to Rust
-//! source. This module re-extracts a symbolic expression from every tier
-//! by abstract interpretation over `pbte_symbolic` values and proves the
-//! chain DSL ≡ IR ≡ VM ≡ Row ≡ Native equal link by link:
+//! (`Program`) and the per-flat register form (`RegProgram`), which the Row
+//! tier interprets and the Native tier prints as Rust source. This module
+//! re-extracts a symbolic expression from every representation by abstract
+//! interpretation over `pbte_symbolic` values and proves the chain
+//! DSL ≡ IR ≡ VM ≡ Row equal link by link; Native prints Row, so the last
+//! link covers it:
 //!
 //! * **DSL ≡ groups ≡ IR** ([`check_ir`]): the IR's `source = …` and
 //!   `flux += faceArea * (…)` statements are parsed back and compared
@@ -23,40 +24,34 @@
 //! * **VM ≡ Row** ([`check_reg`]): `Program` is executed again with the
 //!   fold [`Program::lower`] applies (coefficients, `dt`, `t` and index
 //!   values become numbers, loads become offset-keyed symbols — one
-//!   [`Binding`] describes both sides), the fused superinstructions are
-//!   executed over a symbolic register file honoring the
-//!   `const_first`/`load_first` orientation flags, and the two final
-//!   values are compared **raw-structurally**. Raw (not canonical)
-//!   equality is deliberate: canonical ordering would commute `k * load`
-//!   back to `load * k` and mask exactly the orientation bugs this proof
-//!   exists to catch (operand order decides NaN-payload propagation, so
-//!   the tiers promise bitwise-equal results). A wrong load offset or
-//!   folded constant fails the same comparison. A mismatch is pinned to
-//!   the first register instruction computing a value the VM never
-//!   computes.
-//! * **VM ≡ Native** ([`check_native`]): the statement list the native
-//!   tier's emitter renders to Rust source
-//!   ([`crate::nativegen::lower_stmts`] — the exact tree that reaches
-//!   `rustc`) is abstractly executed over symbolic registers and its
-//!   final value compared raw-structurally against the same folded VM
-//!   execution. The native tier also runs this check itself before
-//!   compiling anything, so a corrupted emission is rejected, never
-//!   executed.
+//!   [`Binding`] describes both sides), the register statements are
+//!   executed over a symbolic register file with their operands in their
+//!   order, and the two final values are compared **raw-structurally**.
+//!   Raw (not canonical) equality is deliberate: canonical ordering would
+//!   commute `k * load` back to `load * k` and mask exactly the operand
+//!   order bugs this proof exists to catch (operand order decides
+//!   NaN-payload propagation, so the tiers promise bitwise-equal results).
+//!   A wrong load offset or folded constant fails the same comparison. A
+//!   mismatch is pinned to the first statement computing a value the VM
+//!   never computes. The native tier runs this proof itself on every
+//!   statement list before printing it, so a corrupted lowering is
+//!   rejected, never compiled.
 //!
-//! The two lowering links cover every program the executors run lowered:
-//! the volume program always, and the flux program on plans whose
-//! Row/Native tiers run it compiled (no αβγ table). A lowered flux program
-//! loads its face inputs as pseudo-variables, so the same functions prove
-//! it with three more symbols.
+//! The lowering link covers every program the executors run lowered: the
+//! volume program always, and the flux program on plans whose Row/Native
+//! tiers run it compiled (no αβγ table). A lowered flux program loads its
+//! face inputs as pseudo-variables, so the same functions prove it with
+//! three more symbols.
 //!
 //! Failures are structured [`Diagnostic`]s with stable rule ids
 //! (`translation/ir-mismatch`, `translation/vm-mismatch`,
-//! `translation/reg-mismatch`, `translation/native-mismatch`)
-//! pinpointing the tier and, where an instruction stream exists, the
-//! instruction.
+//! `translation/reg-mismatch`) pinpointing the tier and, where an
+//! instruction stream exists, the instruction.
 
 use super::{rules, Diagnostic, Severity};
-use crate::bytecode::{Binding, Op, Program, RegOp, RegProgram, FACE_NORMAL, FACE_U1, FACE_U2};
+use crate::bytecode::{
+    Binding, Op, Operand, Program, RegExpr, RegProgram, RegStmt, FACE_NORMAL, FACE_U1, FACE_U2,
+};
 use crate::entities::{CoefficientValue, Registry};
 use crate::exec::{CompiledProblem, ExecTarget};
 use crate::ir::{self, IrNode};
@@ -302,8 +297,7 @@ enum VmMode<'a> {
     /// Apply the fold [`Program::lower`] performs with `binding`
     /// (coefficients, `dt`, `t`, loop indices become numbers; variable and
     /// face-input loads become offset-keyed placeholder symbols), for
-    /// raw-structural comparison against the register and native
-    /// lowerings.
+    /// raw-structural comparison against the register lowering.
     BindFolded {
         binding: Binding<'a>,
         face_base: u16,
@@ -533,149 +527,56 @@ fn vm_mismatch(location: &str, message: String) -> Diagnostic {
 }
 
 // ---------------------------------------------------------------------------
-// VM ≡ Row, VM ≡ Native
+// VM ≡ Row
 // ---------------------------------------------------------------------------
 
-/// Prove the row and native lowerings of every lowered kernel against the
-/// stack VM, per flat: `VM ≡ Row` on the register program `lower`
-/// produces, `VM ≡ Native` on the statement list emitted from it.
-/// Production passes [`Program::lower`]; negative tests pass a lowering
-/// that tampers with its result, to prove each loop is load-bearing.
-/// Stops at the first offending flat per kernel and tier.
+/// Prove the register lowering of every lowered kernel against the stack
+/// VM, per flat. Production passes [`Program::lower`]; negative tests pass
+/// a lowering that tampers with its result, to prove the proof is
+/// load-bearing. Stops at the first offending flat per kernel.
 pub fn check_lowered(
     cp: &CompiledProblem,
     lower: &dyn Fn(&Program, &Binding) -> RegProgram,
     out: &mut Vec<Diagnostic>,
 ) {
     for (_, name, program) in cp.lowered_kernels() {
-        let (mut row_clean, mut native_clean) = (true, true);
         for flat in 0..cp.n_flat {
             let binding = cp.binding(flat, 0.0);
-            let reg = lower(program, &binding);
+            let location = format!("{name} kernel (row, flat {flat})");
             let before = out.len();
-            if row_clean {
-                let location = format!("{name} kernel (row, flat {flat})");
-                check_reg(program, &binding, &reg, &location, out);
-                row_clean = out.len() == before;
-            }
-            let before = out.len();
-            if native_clean {
-                let location = format!("{name} kernel (native, flat {flat})");
-                check_native(program, &binding, &reg, &location, out);
-                native_clean = out.len() == before;
-            }
-            if !row_clean && !native_clean {
+            check_reg(program, &binding, &lower(program, &binding), &location, out);
+            if out.len() != before {
                 break;
             }
         }
     }
 }
 
-/// What a lowering computed: the value of every instruction in order and
-/// the final value — or the instruction (if one) that could not run, and
+/// What a lowering computed: the value of every statement in order and
+/// the final value — or the statement (if one) that could not run, and
 /// why.
 type Execution = Result<(Vec<ExprRef>, ExprRef), (Option<usize>, String)>;
 
-/// Which lowering a comparison against the VM proves, for its diagnostics.
-struct Lowered {
-    rule: &'static str,
-    /// What one instruction of the lowering is called.
-    unit: &'static str,
-    /// What the lowering is called.
-    name: &'static str,
-}
-
-const ROW: Lowered = Lowered {
-    rule: rules::TRANSLATION_REG,
-    unit: "op",
-    name: "row program",
-};
-
-const NATIVE: Lowered = Lowered {
-    rule: rules::TRANSLATION_NATIVE,
-    unit: "stmt",
-    name: "emitted code",
-};
-
-impl Lowered {
-    fn mismatch(&self, location: &str, message: String) -> Diagnostic {
-        Diagnostic {
-            severity: Severity::Error,
-            rule: self.rule,
-            entity: String::new(),
-            location: location.to_string(),
-            message,
-        }
-    }
-
-    /// Run `program` on the VM with `binding`'s fold and compare what the
-    /// lowering computed raw-structurally against it. Raw, not canonical:
-    /// canonical ordering would commute `k * load` back to `load * k` and
-    /// mask the orientation bugs this proof exists to catch. A mismatch is
-    /// pinned to the first instruction whose value the VM never computes.
-    fn prove(
-        &self,
-        program: &Program,
-        binding: &Binding,
-        location: &str,
-        lowered: Execution,
-        out: &mut Vec<Diagnostic>,
-    ) {
-        let mode = VmMode::BindFolded {
-            binding: *binding,
-            face_base: program.face_base,
-        };
-        let vm_values = match VmExec::new(binding.idx, mode).run(&program.ops) {
-            Ok(values) => values,
-            Err(msg) => {
-                let msg = format!("the VM cannot run the program: {msg}");
-                return out.push(self.mismatch(location, msg));
-            }
-        };
-        let expected = vm_values.last().expect("a program leaves one value");
-        let (produced, result) = match lowered {
-            Ok(run) => run,
-            Err((pc, msg)) => {
-                let at = match pc {
-                    Some(pc) => format!("{location}, {} {pc}", self.unit),
-                    None => location.to_string(),
-                };
-                return out.push(self.mismatch(&at, msg));
-            }
-        };
-        if result.structurally_eq(expected) {
-            return;
-        }
-        let culprit = produced
-            .iter()
-            .position(|v| !vm_values.iter().any(|b| b.structurally_eq(v)));
-        out.push(match culprit {
-            Some(pc) => self.mismatch(
-                &format!("{location}, {} {pc}", self.unit),
-                format!(
-                    "first diverging {}: {} computes `{}`, a value the VM \
-                     never produces (expected final `{expected}`)",
-                    self.unit, self.name, produced[pc]
-                ),
-            ),
-            None => self.mismatch(
-                location,
-                format!(
-                    "{} computes `{result}` but the VM computes `{expected}`",
-                    self.name
-                ),
-            ),
-        });
+fn reg_mismatch(location: &str, message: String) -> Diagnostic {
+    Diagnostic {
+        severity: Severity::Error,
+        rule: rules::TRANSLATION_REG,
+        entity: String::new(),
+        location: location.to_string(),
+        message,
     }
 }
 
 /// Prove one register program raw-structurally equal to the VM's
 /// execution of `program` with the fold `binding` describes — the fold
 /// [`Program::lower`] performs, so a wrong load offset or folded constant
-/// fails here as surely as a mis-fused superinstruction. Public so
+/// fails here as surely as a flipped operand order. Raw, not canonical:
+/// canonical ordering would commute `k * load` back to `load * k` and mask
+/// the operand-order bugs this proof exists to catch. A mismatch is pinned
+/// to the first statement whose value the VM never computes. Public so
 /// negative tests can seed a tampered `RegProgram` (via
-/// `RegProgram::from_raw_parts`) and prove the orientation flags and the
-/// fold are load-bearing.
+/// `RegProgram::from_raw_parts`), and the native tier runs it on every
+/// statement list it prints.
 pub fn check_reg(
     program: &Program,
     binding: &Binding,
@@ -683,16 +584,57 @@ pub fn check_reg(
     location: &str,
     out: &mut Vec<Diagnostic>,
 ) {
-    ROW.prove(program, binding, location, run_reg(reg), out);
+    let mode = VmMode::BindFolded {
+        binding: *binding,
+        face_base: program.face_base,
+    };
+    let vm_values = match VmExec::new(binding.idx, mode).run(&program.ops) {
+        Ok(values) => values,
+        Err(msg) => {
+            let msg = format!("the VM cannot run the program: {msg}");
+            return out.push(reg_mismatch(location, msg));
+        }
+    };
+    let expected = vm_values.last().expect("a program leaves one value");
+    let (produced, result) = match run_reg(reg) {
+        Ok(run) => run,
+        Err((pc, msg)) => {
+            let at = match pc {
+                Some(pc) => format!("{location}, stmt {pc}"),
+                None => location.to_string(),
+            };
+            return out.push(reg_mismatch(&at, msg));
+        }
+    };
+    if result.structurally_eq(expected) {
+        return;
+    }
+    let culprit = produced
+        .iter()
+        .position(|v| !vm_values.iter().any(|b| b.structurally_eq(v)));
+    out.push(match culprit {
+        Some(pc) => reg_mismatch(
+            &format!("{location}, stmt {pc}"),
+            format!(
+                "first diverging stmt: row program computes `{}`, a value the \
+                 VM never produces (expected final `{expected}`)",
+                produced[pc]
+            ),
+        ),
+        None => reg_mismatch(
+            location,
+            format!("row program computes `{result}` but the VM computes `{expected}`"),
+        ),
+    });
 }
 
-/// Execute a register stream over symbolic registers.
+/// Execute a register program over symbolic registers.
 fn run_reg(reg: &RegProgram) -> Execution {
     let mut regs: Vec<Option<ExprRef>> = vec![None; reg.n_regs()];
-    let mut produced: Vec<ExprRef> = Vec::with_capacity(reg.ops().len());
+    let mut produced: Vec<ExprRef> = Vec::with_capacity(reg.stmts().len());
     let mut coef_fns = 0usize;
-    for (pc, op) in reg.ops().iter().enumerate() {
-        produced.push(reg_step(op, &mut regs, &mut coef_fns).map_err(|m| (Some(pc), m))?);
+    for (pc, stmt) in reg.stmts().iter().enumerate() {
+        produced.push(reg_step(stmt, &mut regs, &mut coef_fns).map_err(|m| (Some(pc), m))?);
     }
     match regs.first().cloned().flatten() {
         Some(result) => Ok((produced, result)),
@@ -700,176 +642,44 @@ fn run_reg(reg: &RegProgram) -> Execution {
     }
 }
 
-/// Apply one register instruction over symbolic registers; returns the
-/// value written to the destination.
+/// Apply one register statement over symbolic registers; returns the value
+/// written to the destination.
 fn reg_step(
-    op: &RegOp,
+    stmt: &RegStmt,
     regs: &mut [Option<ExprRef>],
     coef_fns: &mut usize,
 ) -> Result<ExprRef, String> {
-    let get = |regs: &[Option<ExprRef>], r: u8| -> Result<ExprRef, String> {
-        regs.get(r as usize)
-            .cloned()
-            .flatten()
-            .ok_or_else(|| format!("register r{r} read before definition"))
-    };
-    let (dst, value) = match op {
-        RegOp::Const { dst, k } => (*dst, Expr::num(*k)),
-        RegOp::Load { dst, var, offset } => (*dst, load_sym(*var, *offset)),
-        RegOp::CoefFn { dst, .. } => {
-            *coef_fns += 1;
-            (*dst, coef_fn_sym(*coef_fns))
-        }
-        RegOp::Add { dst, a, b } => (*dst, Expr::add(vec![get(regs, *a)?, get(regs, *b)?])),
-        RegOp::Mul { dst, a, b } => (*dst, Expr::mul(vec![get(regs, *a)?, get(regs, *b)?])),
-        RegOp::Pow { dst, a, b } => (*dst, Expr::pow(get(regs, *a)?, get(regs, *b)?)),
-        RegOp::Recip { dst, a } => (*dst, Expr::pow(get(regs, *a)?, Expr::num(-1.0))),
-        RegOp::Call { dst, a, f } => (*dst, Expr::call(f.name(), vec![get(regs, *a)?])),
-        RegOp::Cmp { dst, a, b, op } => (*dst, Expr::cmp(*op, get(regs, *a)?, get(regs, *b)?)),
-        RegOp::Select { dst, t, a, b } => (
-            *dst,
-            Expr::conditional(get(regs, *t)?, get(regs, *a)?, get(regs, *b)?),
-        ),
-        RegOp::AddConst {
-            dst,
-            a,
-            k,
-            const_first,
-        } => {
-            let (x, k) = (get(regs, *a)?, Expr::num(*k));
-            (
-                *dst,
-                if *const_first {
-                    Expr::add(vec![k, x])
-                } else {
-                    Expr::add(vec![x, k])
-                },
-            )
-        }
-        RegOp::MulConst {
-            dst,
-            a,
-            k,
-            const_first,
-        } => {
-            let (x, k) = (get(regs, *a)?, Expr::num(*k));
-            (
-                *dst,
-                if *const_first {
-                    Expr::mul(vec![k, x])
-                } else {
-                    Expr::mul(vec![x, k])
-                },
-            )
-        }
-        RegOp::LoadMul {
-            dst,
-            a,
-            var,
-            offset,
-            load_first,
-        } => {
-            let (x, l) = (get(regs, *a)?, load_sym(*var, *offset));
-            (
-                *dst,
-                if *load_first {
-                    Expr::mul(vec![l, x])
-                } else {
-                    Expr::mul(vec![x, l])
-                },
-            )
-        }
-        RegOp::LoadMulConst {
-            dst,
-            var,
-            offset,
-            k,
-            const_first,
-        } => {
-            let (k, l) = (Expr::num(*k), load_sym(*var, *offset));
-            (
-                *dst,
-                if *const_first {
-                    Expr::mul(vec![k, l])
-                } else {
-                    Expr::mul(vec![l, k])
-                },
-            )
+    let value = {
+        let operand = |o: &Operand| -> Result<ExprRef, String> {
+            match *o {
+                Operand::Reg(r) => regs
+                    .get(r as usize)
+                    .cloned()
+                    .flatten()
+                    .ok_or_else(|| format!("register r{r} read before definition")),
+                Operand::K(k) => Ok(Expr::num(k)),
+                Operand::Load { var, offset } => Ok(load_sym(var, offset)),
+            }
+        };
+        match &stmt.expr {
+            RegExpr::Copy(a) => operand(a)?,
+            RegExpr::CoefFn(_) => {
+                *coef_fns += 1;
+                coef_fn_sym(*coef_fns)
+            }
+            RegExpr::Add([a, b]) => Expr::add(vec![operand(a)?, operand(b)?]),
+            RegExpr::Mul([a, b]) => Expr::mul(vec![operand(a)?, operand(b)?]),
+            RegExpr::Pow([a, b]) => Expr::pow(operand(a)?, operand(b)?),
+            RegExpr::Recip(a) => Expr::pow(operand(a)?, Expr::num(-1.0)),
+            RegExpr::Call(f, a) => Expr::call(f.name(), vec![operand(a)?]),
+            RegExpr::Cmp(op, [a, b]) => Expr::cmp(*op, operand(a)?, operand(b)?),
+            RegExpr::Select([t, a, b]) => Expr::conditional(operand(t)?, operand(a)?, operand(b)?),
         }
     };
+    let dst = stmt.dst;
     let slot = regs
         .get_mut(dst as usize)
         .ok_or_else(|| format!("destination r{dst} outside register file"))?;
     *slot = Some(value.clone());
     Ok(value)
-}
-
-// ---------------------------------------------------------------------------
-// VM ≡ Native
-// ---------------------------------------------------------------------------
-
-/// Prove the native tier's emitted expression tree — the statement list
-/// `crate::nativegen::lower_stmts` produces, which is exactly what the
-/// text renderer prints and `rustc` compiles — raw-structurally equal to
-/// the VM's execution of `program` with the fold `binding` describes. A
-/// lowering refusal (function coefficients) is an ineligible plan, not a
-/// mismatch: the native tier then falls back and there is no emission to
-/// validate. Public so negative tests can seed a tampered `RegProgram`
-/// (via `RegProgram::from_raw_parts`) and prove the check rejects a
-/// corrupted emission before it could reach the compiler.
-pub fn check_native(
-    program: &Program,
-    binding: &Binding,
-    reg: &RegProgram,
-    location: &str,
-    out: &mut Vec<Diagnostic>,
-) {
-    // Lowering refusal = ineligible plan, not a mismatch.
-    let Ok(stmts) = crate::nativegen::lower_stmts(reg) else {
-        return;
-    };
-    NATIVE.prove(program, binding, location, run_native(&stmts), out);
-}
-
-/// Execute an emitted statement list over symbolic registers.
-fn run_native(stmts: &[crate::nativegen::NStmt]) -> Execution {
-    use crate::nativegen::{NExpr, NOperand, NStmt};
-
-    let n_regs = stmts.iter().map(|s| s.dst as usize + 1).max().unwrap_or(1);
-    let mut regs: Vec<Option<ExprRef>> = vec![None; n_regs];
-    let operand = |regs: &[Option<ExprRef>], o: &NOperand| -> Result<ExprRef, String> {
-        match o {
-            NOperand::Reg(r) => regs
-                .get(*r as usize)
-                .cloned()
-                .flatten()
-                .ok_or_else(|| format!("register r{r} read before definition")),
-            NOperand::K(k) => Ok(Expr::num(*k)),
-            NOperand::Load { var, offset } => Ok(load_sym(*var, *offset)),
-        }
-    };
-    let mut produced: Vec<ExprRef> = Vec::with_capacity(stmts.len());
-    for (pc, NStmt { dst, expr }) in stmts.iter().enumerate() {
-        let value = (|| -> Result<ExprRef, String> {
-            Ok(match expr {
-                NExpr::Copy(a) => operand(&regs, a)?,
-                NExpr::Add(a, b) => Expr::add(vec![operand(&regs, a)?, operand(&regs, b)?]),
-                NExpr::Mul(a, b) => Expr::mul(vec![operand(&regs, a)?, operand(&regs, b)?]),
-                NExpr::Pow(a, b) => Expr::pow(operand(&regs, a)?, operand(&regs, b)?),
-                NExpr::Recip(a) => Expr::pow(operand(&regs, a)?, Expr::num(-1.0)),
-                NExpr::Call(f, a) => Expr::call(f.name(), vec![operand(&regs, a)?]),
-                NExpr::Cmp(op, a, b) => Expr::cmp(*op, operand(&regs, a)?, operand(&regs, b)?),
-                NExpr::Select(t, a, b) => {
-                    Expr::conditional(operand(&regs, t)?, operand(&regs, a)?, operand(&regs, b)?)
-                }
-            })
-        })()
-        .map_err(|m| (Some(pc), m))?;
-        regs[*dst as usize] = Some(value.clone());
-        produced.push(value);
-    }
-    match regs.first().cloned().flatten() {
-        Some(result) => Ok((produced, result)),
-        None => Err((None, "emitted statements never write r0".into())),
-    }
 }

@@ -12,12 +12,14 @@
 //!
 //! [`Program::lower`] turns a program into the register form of one flat
 //! index ([`RegProgram`]) in a single pass — the fold a [`Binding`]
-//! describes, register allocation and peephole fusion — which the row
-//! tier interprets and the native tier compiles
-//! ([`crate::nativegen`]).
+//! describes, register allocation, and the fold of an adjacent constant or
+//! load into the operand that consumes it. That statement list is the one
+//! register form: the row tier interprets it in batched lanes, the native
+//! tier prints it as Rust source ([`crate::nativegen`]), and the analyses
+//! walk it operand by operand.
 //!
-//! Compilation also counts flops and bytes statically; those counts feed
-//! the GPU roofline model and the cluster performance model.
+//! Compilation also counts flops statically; the count feeds the GPU
+//! roofline model and the cluster performance model.
 
 use crate::entities::{CoefficientValue, Registry};
 use crate::problem::DslError;
@@ -158,9 +160,9 @@ pub enum Op {
 
 /// Face inputs of a lowered flux program. [`Program::lower`] presents them
 /// as pseudo-variables `face_base + FACE_*` read by the ordinary
-/// [`RegOp::Load`] at offset 0, so the peephole fusions, the row evaluator
-/// and the translation validators treat a flux program exactly like a
-/// volume program.
+/// [`Operand::Load`] at offset 0, so the fold, the row evaluator and the
+/// translation validator treat a flux program exactly like a volume
+/// program.
 pub const FACE_U1: u16 = 0;
 /// Unknown across the face (neighbor value or boundary ghost).
 pub const FACE_U2: u16 = 1;
@@ -178,10 +180,6 @@ pub struct Program {
     pub face_base: u16,
     /// Static flop count per evaluation.
     pub flops: usize,
-    /// Static bytes loaded from field/coefficient arrays per evaluation.
-    pub bytes_read: usize,
-    /// Peak stack depth (checked ≤ the VM's fixed stack at compile time).
-    pub max_stack: usize,
 }
 
 /// Everything the VM needs for one evaluation.
@@ -352,164 +350,127 @@ impl PartialEq for CoefFnPtr {
 /// auto-vectorize.
 pub const ROW_CHUNK: usize = 64;
 
-/// One register-allocated instruction.
+/// One operand of a register statement.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Operand {
+    /// A register an earlier statement wrote.
+    Reg(u8),
+    /// A bind-time constant (the native tier prints its bit pattern).
+    K(f64),
+    /// `vars[var][offset + cell]`; the offset folds the flat.
+    Load { var: u16, offset: usize },
+}
+
+impl Operand {
+    /// The register this operand reads, if it reads one.
+    pub fn reg(&self) -> Option<u8> {
+        match *self {
+            Operand::Reg(r) => Some(r),
+            _ => None,
+        }
+    }
+}
+
+/// The right-hand side of a register statement. Operands are in evaluation
+/// order: `Add([a, b])` is `a + b`, so the order a folded operand takes in
+/// the source expression is the order every reader sees (operand order
+/// decides NaN-payload propagation, so the tiers promise bitwise-equal
+/// results).
+#[derive(Debug, Clone, PartialEq)]
+pub enum RegExpr {
+    Copy(Operand),
+    /// `f(position, time)`
+    CoefFn(CoefFnPtr),
+    Add([Operand; 2]),
+    Mul([Operand; 2]),
+    /// `a.powf(b)`
+    Pow([Operand; 2]),
+    /// `1 / a`
+    Recip(Operand),
+    Call(Func, Operand),
+    /// `a op b ? 1 : 0`
+    Cmp(CmpOp, [Operand; 2]),
+    /// `t != 0 ? a : b`
+    Select([Operand; 3]),
+}
+
+impl RegExpr {
+    /// The operands, in evaluation order.
+    pub fn operands(&self) -> &[Operand] {
+        match self {
+            RegExpr::CoefFn(_) => &[],
+            RegExpr::Copy(a) | RegExpr::Recip(a) | RegExpr::Call(_, a) => std::slice::from_ref(a),
+            RegExpr::Add(ab) | RegExpr::Mul(ab) | RegExpr::Pow(ab) | RegExpr::Cmp(_, ab) => ab,
+            RegExpr::Select(tab) => tab,
+        }
+    }
+
+    /// The operands, mutably (negative tests seed tampered programs
+    /// through it).
+    pub fn operands_mut(&mut self) -> &mut [Operand] {
+        match self {
+            RegExpr::CoefFn(_) => &mut [],
+            RegExpr::Copy(a) | RegExpr::Recip(a) | RegExpr::Call(_, a) => std::slice::from_mut(a),
+            RegExpr::Add(ab) | RegExpr::Mul(ab) | RegExpr::Pow(ab) | RegExpr::Cmp(_, ab) => ab,
+            RegExpr::Select(tab) => tab,
+        }
+    }
+}
+
+/// One register statement: `r[dst] = expr`.
 ///
 /// In a tree-flattened postfix program the stack depth at every op is
 /// statically known, so stack slot *i* becomes register *i*: operands and
 /// destinations are fixed indices and the interpreter keeps no dynamic
-/// stack pointer. The `*Const` / `Load*` variants are superinstructions —
-/// adjacent producer/consumer pairs the BTE kernels actually emit, fused by
-/// a peephole pass. Fusion never reorders or combines floating-point
-/// operations (no FMA contraction), so results stay bit-identical to the
-/// stack VM; the `const_first` / `load_first` flags preserve the original
-/// operand order exactly.
-#[derive(Debug, Clone)]
-pub enum RegOp {
-    /// `r[dst] = k`
-    Const { dst: u8, k: f64 },
-    /// `r[dst] = vars[var][offset + cell]`
-    Load { dst: u8, var: u16, offset: usize },
-    /// `r[dst] = f(position, time)`
-    CoefFn { dst: u8, f: CoefFnPtr },
-    /// `r[dst] = r[a] + r[b]`
-    Add { dst: u8, a: u8, b: u8 },
-    /// `r[dst] = r[a] * r[b]`
-    Mul { dst: u8, a: u8, b: u8 },
-    /// `r[dst] = r[a].powf(r[b])`
-    Pow { dst: u8, a: u8, b: u8 },
-    /// `r[dst] = 1 / r[a]`
-    Recip { dst: u8, a: u8 },
-    /// `r[dst] = f(r[a])`
-    Call { dst: u8, a: u8, f: Func },
-    /// `r[dst] = r[a] op r[b] ? 1 : 0`
-    Cmp { dst: u8, a: u8, b: u8, op: CmpOp },
-    /// `r[dst] = r[t] != 0 ? r[a] : r[b]`
-    Select { dst: u8, t: u8, a: u8, b: u8 },
-    /// `r[dst] = r[a] + k` (`k + r[a]` when `const_first`)
-    AddConst {
-        dst: u8,
-        a: u8,
-        k: f64,
-        const_first: bool,
-    },
-    /// `r[dst] = r[a] * k` (`k * r[a]` when `const_first`)
-    MulConst {
-        dst: u8,
-        a: u8,
-        k: f64,
-        const_first: bool,
-    },
-    /// `r[dst] = r[a] * load` (`load * r[a]` when `load_first`), where
-    /// `load = vars[var][offset + cell]`
-    LoadMul {
-        dst: u8,
-        a: u8,
-        var: u16,
-        offset: usize,
-        load_first: bool,
-    },
-    /// `r[dst] = k * load` (`load * k` when `!const_first`)
-    LoadMulConst {
-        dst: u8,
-        var: u16,
-        offset: usize,
-        k: f64,
-        const_first: bool,
-    },
+/// stack pointer.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RegStmt {
+    pub dst: u8,
+    pub expr: RegExpr,
 }
 
-/// A program lowered to register form for one flat, for batched row
-/// evaluation ([`Program::lower`]) — the innermost tier of the kernel
-/// compiler (generic VM → fused row kernel → native code).
+/// A program lowered to register form for one flat ([`Program::lower`]):
+/// the statement list the row tier interprets in batched lanes and the
+/// native tier prints as Rust source — one form for both.
 #[derive(Debug, Clone)]
 pub struct RegProgram {
-    ops: Vec<RegOp>,
+    stmts: Vec<RegStmt>,
     n_regs: usize,
 }
 
-/// Try to fuse `op` with the last emitted instruction. Adjacency plus the
-/// postfix stack discipline guarantee the producer's value is consumed
-/// exactly here and dead afterwards, so fusion is always safe.
-fn fuse(last: &RegOp, op: &RegOp) -> Option<RegOp> {
-    match (last, op) {
-        (&RegOp::Const { dst: cd, k }, &RegOp::Add { dst, a, b }) if cd == b => {
-            Some(RegOp::AddConst {
-                dst,
-                a,
-                k,
-                const_first: false,
-            })
-        }
-        (&RegOp::Const { dst: cd, k }, &RegOp::Add { dst, a, b }) if cd == a => {
-            Some(RegOp::AddConst {
-                dst,
-                a: b,
-                k,
-                const_first: true,
-            })
-        }
-        (&RegOp::Const { dst: cd, k }, &RegOp::Mul { dst, a, b }) if cd == b => {
-            Some(RegOp::MulConst {
-                dst,
-                a,
-                k,
-                const_first: false,
-            })
-        }
-        (&RegOp::Const { dst: cd, k }, &RegOp::Mul { dst, a, b }) if cd == a => {
-            Some(RegOp::MulConst {
-                dst,
-                a: b,
-                k,
-                const_first: true,
-            })
-        }
-        (
-            &RegOp::Load {
-                dst: ld,
-                var,
-                offset,
-            },
-            &RegOp::Mul { dst, a, b },
-        ) if ld == b => Some(RegOp::LoadMul {
-            dst,
-            a,
-            var,
-            offset,
-            load_first: false,
-        }),
-        (
-            &RegOp::Load {
-                dst: ld,
-                var,
-                offset,
-            },
-            &RegOp::Mul { dst, a, b },
-        ) if ld == a => Some(RegOp::LoadMul {
-            dst,
-            a: b,
-            var,
-            offset,
-            load_first: true,
-        }),
-        (
-            &RegOp::Const { dst: cd, k },
-            &RegOp::LoadMul {
-                dst,
-                a,
-                var,
-                offset,
-                load_first,
-            },
-        ) if cd == a => Some(RegOp::LoadMulConst {
-            dst,
-            var,
-            offset,
-            k,
-            const_first: !load_first,
-        }),
-        _ => None,
+/// Fold the adjacent `Copy` producer `last` into the operand of `stmt` that
+/// reads it. Adjacency plus the postfix stack discipline guarantee the
+/// producer's value is consumed exactly there and dead afterwards. The
+/// policy — the pairs the BTE kernels emit:
+///
+/// | producer | consumer | the consumer's other operand |
+/// |----------|----------|------------------------------|
+/// | constant | `Add`, `Mul` | a register or a load |
+/// | load     | `Mul`    | a register |
+///
+/// A fold never reorders or combines floating-point operations (no FMA
+/// contraction) and the folded operand keeps its position, so results stay
+/// bit-identical to the stack VM.
+fn fold(last: &RegStmt, stmt: &mut RegStmt) -> bool {
+    let RegExpr::Copy(value) = last.expr else {
+        return false;
+    };
+    let is_mul = matches!(stmt.expr, RegExpr::Mul(_));
+    let (RegExpr::Add(ab) | RegExpr::Mul(ab)) = &mut stmt.expr else {
+        return false;
+    };
+    let Some(i) = ab.iter().position(|&o| o == Operand::Reg(last.dst)) else {
+        return false;
+    };
+    let folds = match (value, ab[1 - i]) {
+        (Operand::K(_), Operand::Reg(_) | Operand::Load { .. }) => true,
+        (Operand::Load { .. }, Operand::Reg(_)) => is_mul,
+        _ => false,
+    };
+    if folds {
+        ab[i] = value;
     }
+    folds
 }
 
 impl Program {
@@ -520,37 +481,30 @@ impl Program {
     /// (see [`FACE_U1`]). This is the loop-invariant hoisting the generated
     /// CPU code performs: the inner cell loop touches only loads at
     /// `offset + cell` and arithmetic. Stack slot *i* becomes register *i*,
-    /// and each instruction is peephole-fused with the one before it where
-    /// [`RegOp`] has a superinstruction for the pair.
+    /// and each statement takes in the constant or load written just before
+    /// it where the fold policy allows (see `fold`).
     pub fn lower(&self, b: &Binding) -> RegProgram {
-        let mut ops: Vec<RegOp> = Vec::with_capacity(self.ops.len());
-        let face = |dst: u8, input: u16| RegOp::Load {
-            dst,
-            var: self.face_base + input,
-            offset: 0,
+        use Operand::{Load, Reg, K};
+        let mut stmts: Vec<RegStmt> = Vec::with_capacity(self.ops.len());
+        let face = |input: u16| {
+            RegExpr::Copy(Load {
+                var: self.face_base + input,
+                offset: 0,
+            })
         };
         let mut d: u8 = 0;
         for op in &self.ops {
             // `d` is the stack depth before `op`; its operands sit in the
             // top registers, its result lands in the lowest of them.
-            let (mut op, depth) = match op {
-                Op::Const(k) => (RegOp::Const { dst: d, k: *k }, d + 1),
-                Op::LoadDt => (RegOp::Const { dst: d, k: b.dt }, d + 1),
-                Op::LoadTime => (RegOp::Const { dst: d, k: b.time }, d + 1),
-                Op::LoadIndex(slot) => {
-                    let k = (b.idx[*slot as usize] + 1) as f64;
-                    (RegOp::Const { dst: d, k }, d + 1)
-                }
+            let pair = || [Reg(d - 2), Reg(d - 1)];
+            let (dst, expr) = match op {
+                Op::Const(k) => (d, RegExpr::Copy(K(*k))),
+                Op::LoadDt => (d, RegExpr::Copy(K(b.dt))),
+                Op::LoadTime => (d, RegExpr::Copy(K(b.time))),
+                Op::LoadIndex(slot) => (d, RegExpr::Copy(K((b.idx[*slot as usize] + 1) as f64))),
                 Op::LoadVar { var, pattern } => {
                     let offset = pattern.flat(b.idx) * b.n_cells;
-                    (
-                        RegOp::Load {
-                            dst: d,
-                            var: *var,
-                            offset,
-                        },
-                        d + 1,
-                    )
+                    (d, RegExpr::Copy(Load { var: *var, offset }))
                 }
                 Op::LoadCoef { coef, pattern } => {
                     let k = match &b.coefficients[*coef as usize].value {
@@ -560,110 +514,147 @@ impl Program {
                             unreachable!("function coefficients compile to LoadCoefFn")
                         }
                     };
-                    (RegOp::Const { dst: d, k }, d + 1)
+                    (d, RegExpr::Copy(K(k)))
                 }
-                Op::LoadCoefFn { coef } => {
-                    let f = match &b.coefficients[*coef as usize].value {
-                        CoefficientValue::Function(f) => CoefFnPtr(f.clone()),
-                        _ => unreachable!("function coefficients compile to LoadCoefFn"),
-                    };
-                    (RegOp::CoefFn { dst: d, f }, d + 1)
-                }
-                Op::LoadU1 => (face(d, FACE_U1), d + 1),
-                Op::LoadU2 => (face(d, FACE_U2), d + 1),
-                Op::LoadNormal(axis) => (face(d, FACE_NORMAL + *axis as u16), d + 1),
-                Op::Add => (
-                    RegOp::Add {
-                        dst: d - 2,
-                        a: d - 2,
-                        b: d - 1,
-                    },
-                    d - 1,
-                ),
-                Op::Mul => (
-                    RegOp::Mul {
-                        dst: d - 2,
-                        a: d - 2,
-                        b: d - 1,
-                    },
-                    d - 1,
-                ),
-                Op::Pow => (
-                    RegOp::Pow {
-                        dst: d - 2,
-                        a: d - 2,
-                        b: d - 1,
-                    },
-                    d - 1,
-                ),
-                Op::Cmp(c) => (
-                    RegOp::Cmp {
-                        dst: d - 2,
-                        a: d - 2,
-                        b: d - 1,
-                        op: *c,
-                    },
-                    d - 1,
-                ),
-                Op::Recip => (
-                    RegOp::Recip {
-                        dst: d - 1,
-                        a: d - 1,
-                    },
-                    d,
-                ),
-                Op::Call(f) => (
-                    RegOp::Call {
-                        dst: d - 1,
-                        a: d - 1,
-                        f: *f,
-                    },
-                    d,
-                ),
-                Op::Select => (
-                    RegOp::Select {
-                        dst: d - 3,
-                        t: d - 3,
-                        a: d - 2,
-                        b: d - 1,
-                    },
-                    d - 2,
-                ),
+                Op::LoadCoefFn { coef } => match &b.coefficients[*coef as usize].value {
+                    CoefficientValue::Function(f) => (d, RegExpr::CoefFn(CoefFnPtr(f.clone()))),
+                    _ => unreachable!("function coefficients compile to LoadCoefFn"),
+                },
+                Op::LoadU1 => (d, face(FACE_U1)),
+                Op::LoadU2 => (d, face(FACE_U2)),
+                Op::LoadNormal(axis) => (d, face(FACE_NORMAL + *axis as u16)),
+                Op::Add => (d - 2, RegExpr::Add(pair())),
+                Op::Mul => (d - 2, RegExpr::Mul(pair())),
+                Op::Pow => (d - 2, RegExpr::Pow(pair())),
+                Op::Cmp(c) => (d - 2, RegExpr::Cmp(*c, pair())),
+                Op::Recip => (d - 1, RegExpr::Recip(Reg(d - 1))),
+                Op::Call(f) => (d - 1, RegExpr::Call(*f, Reg(d - 1))),
+                Op::Select => (d - 3, RegExpr::Select([Reg(d - 3), Reg(d - 2), Reg(d - 1)])),
             };
-            d = depth;
-            // Fuse repeatedly: a fused op may expose a new adjacent pair
-            // (e.g. Const; Load; Mul → Const; LoadMul → LoadMulConst).
-            while let Some(f) = ops.last().and_then(|last| fuse(last, &op)) {
-                ops.pop();
-                op = f;
+            d = dst + 1;
+            let mut stmt = RegStmt { dst, expr };
+            // Fold repeatedly: a fold may expose the producer before it
+            // (`k; load; Mul` → `k; r * load` → `k * load`).
+            while stmts.last().is_some_and(|last| fold(last, &mut stmt)) {
+                stmts.pop();
             }
-            ops.push(op);
+            stmts.push(stmt);
         }
         debug_assert_eq!(d, 1, "program must leave exactly one value");
-        // Register count from the *fused* stream (fusion can eliminate the
+        // Register count from the folded list (a fold can eliminate the
         // deepest stack slot entirely).
-        let n_regs = ops
+        let n_regs = stmts
             .iter()
-            .map(|op| match *op {
-                RegOp::Const { dst, .. }
-                | RegOp::Load { dst, .. }
-                | RegOp::CoefFn { dst, .. }
-                | RegOp::LoadMulConst { dst, .. } => dst,
-                RegOp::Recip { dst, a }
-                | RegOp::Call { dst, a, .. }
-                | RegOp::AddConst { dst, a, .. }
-                | RegOp::MulConst { dst, a, .. }
-                | RegOp::LoadMul { dst, a, .. } => dst.max(a),
-                RegOp::Add { dst, a, b }
-                | RegOp::Mul { dst, a, b }
-                | RegOp::Pow { dst, a, b }
-                | RegOp::Cmp { dst, a, b, .. } => dst.max(a).max(b),
-                RegOp::Select { dst, t, a, b } => dst.max(t).max(a).max(b),
-            } as usize
-                + 1)
+            .flat_map(|s| {
+                s.expr
+                    .operands()
+                    .iter()
+                    .filter_map(Operand::reg)
+                    .chain([s.dst])
+            })
             .max()
-            .unwrap_or(1);
-        RegProgram { ops, n_regs }
+            .map_or(1, |r| r as usize + 1);
+        RegProgram { stmts, n_regs }
+    }
+}
+
+/// Where a statement's operand finds its lanes.
+#[derive(Clone, Copy)]
+enum Lanes<'a> {
+    Reg(usize),
+    K(f64),
+    Row(&'a [f64]),
+}
+
+impl Lanes<'_> {
+    #[inline(always)]
+    fn at(self, regs: &[[f64; ROW_CHUNK]], l: usize) -> f64 {
+        match self {
+            Lanes::Reg(r) => regs[r][l],
+            Lanes::K(k) => k,
+            Lanes::Row(s) => s[l],
+        }
+    }
+}
+
+// The lane loops are indexed on purpose: that is the form LLVM
+// auto-vectorizes, and `regs[d]` often aliases an operand's register.
+
+/// `regs[d][l] = f(a[l])` for the first `len` lanes, one loop per operand
+/// kind.
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+fn unary(regs: &mut [[f64; ROW_CHUNK]], d: usize, len: usize, a: Lanes, f: impl Fn(f64) -> f64) {
+    match a {
+        Lanes::Reg(a) => {
+            for l in 0..len {
+                regs[d][l] = f(regs[a][l]);
+            }
+        }
+        Lanes::K(k) => regs[d][..len].fill(f(k)),
+        Lanes::Row(s) => {
+            for l in 0..len {
+                regs[d][l] = f(s[l]);
+            }
+        }
+    }
+}
+
+/// `regs[d][l] = f(a[l], b[l])` for the first `len` lanes, one loop per
+/// pair of operand kinds.
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+fn binary(
+    regs: &mut [[f64; ROW_CHUNK]],
+    d: usize,
+    len: usize,
+    a: Lanes,
+    b: Lanes,
+    f: impl Fn(f64, f64) -> f64,
+) {
+    use Lanes::{Reg, Row, K};
+    match (a, b) {
+        (Reg(a), Reg(b)) => {
+            for l in 0..len {
+                regs[d][l] = f(regs[a][l], regs[b][l]);
+            }
+        }
+        (Reg(a), K(k)) => {
+            for l in 0..len {
+                regs[d][l] = f(regs[a][l], k);
+            }
+        }
+        (K(k), Reg(b)) => {
+            for l in 0..len {
+                regs[d][l] = f(k, regs[b][l]);
+            }
+        }
+        (Reg(a), Row(s)) => {
+            for l in 0..len {
+                regs[d][l] = f(regs[a][l], s[l]);
+            }
+        }
+        (Row(s), Reg(b)) => {
+            for l in 0..len {
+                regs[d][l] = f(s[l], regs[b][l]);
+            }
+        }
+        (K(k), Row(s)) => {
+            for l in 0..len {
+                regs[d][l] = f(k, s[l]);
+            }
+        }
+        (Row(s), K(k)) => {
+            for l in 0..len {
+                regs[d][l] = f(s[l], k);
+            }
+        }
+        (Row(s), Row(t)) => {
+            for l in 0..len {
+                regs[d][l] = f(s[l], t[l]);
+            }
+        }
+        (K(j), K(k)) => regs[d][..len].fill(f(j, k)),
     }
 }
 
@@ -673,25 +664,25 @@ impl RegProgram {
         self.n_regs.max(1)
     }
 
-    /// Assemble a register program from raw parts, bypassing the lowering
-    /// pipeline. Exists so negative tests can seed deliberately-broken
-    /// instruction streams (e.g. a flipped `const_first` flag) and prove
-    /// the translation validator catches them. Not for production use: no
-    /// invariants are checked.
+    /// Assemble a register program from raw parts, bypassing the lowering.
+    /// Exists so negative tests can seed deliberately-broken statement
+    /// lists (e.g. a flipped operand order) and prove the translation
+    /// validator catches them. Not for production use: no invariants are
+    /// checked.
     #[doc(hidden)]
-    pub fn from_raw_parts(ops: Vec<RegOp>, n_regs: usize) -> RegProgram {
-        RegProgram { ops, n_regs }
+    pub fn from_raw_parts(stmts: Vec<RegStmt>, n_regs: usize) -> RegProgram {
+        RegProgram { stmts, n_regs }
     }
 
-    /// The lowered instruction stream (inspection/tests).
-    pub fn ops(&self) -> &[RegOp] {
-        &self.ops
+    /// The lowered statements (inspection/tests).
+    pub fn stmts(&self) -> &[RegStmt] {
+        &self.stmts
     }
 
     /// Evaluate `out[i] = program(cell0 + i)` for every `i`, batched in
-    /// `ROW_CHUNK`-lane chunks: ops loop outermost, lanes innermost, so
-    /// every inner loop is branch-free straight-line code over contiguous
-    /// slices. `regs` is caller-provided scratch of at least
+    /// `ROW_CHUNK`-lane chunks: statements loop outermost, lanes innermost,
+    /// so every inner loop is branch-free straight-line code over
+    /// contiguous slices. `regs` is caller-provided scratch of at least
     /// [`RegProgram::n_regs`] rows; it never needs initialization (the
     /// stack discipline guarantees write-before-read). Results are
     /// bit-identical to [`Program::eval`] per cell, independent of how a
@@ -728,14 +719,11 @@ impl RegProgram {
     /// lane values: consecutive cells of a variable row for a volume
     /// program ([`RegProgram::eval_row`]), gathered face inputs for a flux
     /// program. Lane `l` evaluates function coefficients at
-    /// `positions[pos0 + l]`.
-    //
-    // The `const_first`/`load_first` branches look commutatively identical
-    // to clippy, but operand order is preserved on purpose (NaN-payload
-    // propagation picks an operand); the indexed lane loops are the form
-    // LLVM auto-vectorizes and often alias (`regs[d]` vs `regs[a]`).
-    #[allow(clippy::if_same_then_else, clippy::needless_range_loop)]
-    #[inline]
+    /// `positions[pos0 + l]`. Always inlined: left out of line, the row
+    /// tier's `intensity_phase` bench measured ~8 % slower on a 2-core
+    /// x86-64 host.
+    #[allow(clippy::needless_range_loop)]
+    #[inline(always)]
     pub(crate) fn eval_chunk<'a>(
         &self,
         len: usize,
@@ -745,141 +733,58 @@ impl RegProgram {
         time: f64,
         regs: &mut [[f64; ROW_CHUNK]],
     ) {
-        debug_assert!(regs.len() >= self.n_regs() && len <= ROW_CHUNK);
-        for op in &self.ops {
-            match op {
-                RegOp::Const { dst, k } => regs[*dst as usize][..len].fill(*k),
-                RegOp::Load { dst, var, offset } => {
-                    regs[*dst as usize][..len].copy_from_slice(load(*var, *offset));
-                }
-                RegOp::CoefFn { dst, f } => {
-                    let r = *dst as usize;
-                    for l in 0..len {
-                        regs[r][l] = (f.0)(positions[pos0 + l], time);
+        debug_assert!(regs.len() >= self.n_regs());
+        // Checked once per chunk so every lane loop below is known to stay
+        // inside its register row: no per-lane bounds check, and the loops
+        // vectorize.
+        assert!(len <= ROW_CHUNK);
+        let lanes = |o: &Operand| match *o {
+            Operand::Reg(r) => Lanes::Reg(r as usize),
+            Operand::K(k) => Lanes::K(k),
+            Operand::Load { var, offset } => Lanes::Row(&load(var, offset)[..len]),
+        };
+        for s in &self.stmts {
+            let d = s.dst as usize;
+            match &s.expr {
+                RegExpr::Copy(a) => unary(regs, d, len, lanes(a), |x| x),
+                RegExpr::CoefFn(f) => {
+                    for (l, r) in regs[d][..len].iter_mut().enumerate() {
+                        *r = (f.0)(positions[pos0 + l], time);
                     }
                 }
-                RegOp::Add { dst, a, b } => {
-                    let (d, a, b) = (*dst as usize, *a as usize, *b as usize);
-                    for l in 0..len {
-                        regs[d][l] = regs[a][l] + regs[b][l];
-                    }
-                }
-                RegOp::Mul { dst, a, b } => {
-                    let (d, a, b) = (*dst as usize, *a as usize, *b as usize);
-                    for l in 0..len {
-                        regs[d][l] = regs[a][l] * regs[b][l];
-                    }
-                }
-                RegOp::Pow { dst, a, b } => {
-                    let (d, a, b) = (*dst as usize, *a as usize, *b as usize);
-                    for l in 0..len {
-                        regs[d][l] = regs[a][l].powf(regs[b][l]);
-                    }
-                }
-                RegOp::Recip { dst, a } => {
-                    let (d, a) = (*dst as usize, *a as usize);
-                    for l in 0..len {
-                        regs[d][l] = 1.0 / regs[a][l];
-                    }
-                }
-                RegOp::Call { dst, a, f } => {
-                    let (d, a) = (*dst as usize, *a as usize);
-                    for l in 0..len {
-                        regs[d][l] = f.apply(regs[a][l]);
-                    }
-                }
-                RegOp::Cmp { dst, a, b, op } => {
-                    let (d, a, b) = (*dst as usize, *a as usize, *b as usize);
-                    for l in 0..len {
-                        regs[d][l] = if op.apply(regs[a][l], regs[b][l]) {
-                            1.0
-                        } else {
-                            0.0
-                        };
-                    }
-                }
-                RegOp::Select { dst, t, a, b } => {
-                    let (d, t, a, b) = (*dst as usize, *t as usize, *a as usize, *b as usize);
-                    for l in 0..len {
-                        regs[d][l] = if regs[t][l] != 0.0 {
-                            regs[a][l]
-                        } else {
-                            regs[b][l]
-                        };
-                    }
-                }
-                RegOp::AddConst {
-                    dst,
-                    a,
-                    k,
-                    const_first,
-                } => {
-                    let (d, a, k) = (*dst as usize, *a as usize, *k);
-                    if *const_first {
-                        for l in 0..len {
-                            regs[d][l] = k + regs[a][l];
-                        }
+                RegExpr::Add([a, b]) => binary(regs, d, len, lanes(a), lanes(b), |x, y| x + y),
+                RegExpr::Mul([a, b]) => binary(regs, d, len, lanes(a), lanes(b), |x, y| x * y),
+                RegExpr::Pow([a, b]) => binary(regs, d, len, lanes(a), lanes(b), f64::powf),
+                RegExpr::Recip(a) => unary(regs, d, len, lanes(a), |x| 1.0 / x),
+                RegExpr::Call(f, a) => unary(regs, d, len, lanes(a), |x| f.apply(x)),
+                RegExpr::Cmp(op, [a, b]) => binary(regs, d, len, lanes(a), lanes(b), |x, y| {
+                    if op.apply(x, y) {
+                        1.0
                     } else {
+                        0.0
+                    }
+                }),
+                RegExpr::Select([t, a, b]) => match (lanes(t), lanes(a), lanes(b)) {
+                    (Lanes::Reg(t), Lanes::Reg(a), Lanes::Reg(b)) => {
                         for l in 0..len {
-                            regs[d][l] = regs[a][l] + k;
+                            regs[d][l] = if regs[t][l] != 0.0 {
+                                regs[a][l]
+                            } else {
+                                regs[b][l]
+                            };
                         }
                     }
-                }
-                RegOp::MulConst {
-                    dst,
-                    a,
-                    k,
-                    const_first,
-                } => {
-                    let (d, a, k) = (*dst as usize, *a as usize, *k);
-                    if *const_first {
+                    (t, a, b) => {
                         for l in 0..len {
-                            regs[d][l] = k * regs[a][l];
-                        }
-                    } else {
-                        for l in 0..len {
-                            regs[d][l] = regs[a][l] * k;
+                            let v = if t.at(regs, l) != 0.0 {
+                                a.at(regs, l)
+                            } else {
+                                b.at(regs, l)
+                            };
+                            regs[d][l] = v;
                         }
                     }
-                }
-                RegOp::LoadMul {
-                    dst,
-                    a,
-                    var,
-                    offset,
-                    load_first,
-                } => {
-                    let (d, a) = (*dst as usize, *a as usize);
-                    let src = &load(*var, *offset)[..len];
-                    if *load_first {
-                        for l in 0..len {
-                            regs[d][l] = src[l] * regs[a][l];
-                        }
-                    } else {
-                        for l in 0..len {
-                            regs[d][l] = regs[a][l] * src[l];
-                        }
-                    }
-                }
-                RegOp::LoadMulConst {
-                    dst,
-                    var,
-                    offset,
-                    k,
-                    const_first,
-                } => {
-                    let (d, k) = (*dst as usize, *k);
-                    let src = &load(*var, *offset)[..len];
-                    if *const_first {
-                        for l in 0..len {
-                            regs[d][l] = k * src[l];
-                        }
-                    } else {
-                        for l in 0..len {
-                            regs[d][l] = src[l] * k;
-                        }
-                    }
-                }
+                },
             }
         }
     }
@@ -910,13 +815,11 @@ impl<'a> Compiler<'a> {
     pub fn compile(&self, e: &ExprRef) -> Result<Program, DslError> {
         let mut ops = Vec::new();
         self.emit(e, &mut ops)?;
-        let (flops, bytes_read, max_stack) = analyze_ops(&ops)?;
+        let flops = analyze_ops(&ops)?;
         Ok(Program {
             ops,
             face_base: self.registry.variables.len() as u16,
             flops,
-            bytes_read,
-            max_stack,
         })
     }
 
@@ -1149,28 +1052,32 @@ impl<'a> Compiler<'a> {
     }
 }
 
-/// Static analysis: flop count, bytes read, stack depth.
-fn analyze_ops(ops: &[Op]) -> Result<(usize, usize, usize), DslError> {
+/// Static analysis: the flop count, after refusing a program whose stack
+/// under- or overflows.
+fn analyze_ops(ops: &[Op]) -> Result<usize, DslError> {
     let mut flops = 0usize;
-    let mut bytes = 0usize;
     let mut depth = 0usize;
     let mut max_depth = 0usize;
     for op in ops {
-        let (pops, pushes, f, b) = match op {
-            Op::Const(_) | Op::LoadDt | Op::LoadTime | Op::LoadIndex(_) | Op::LoadNormal(_) => {
-                (0, 1, 0, 0)
-            }
-            Op::LoadU1 | Op::LoadU2 => (0, 1, 0, 8),
-            Op::LoadVar { .. } | Op::LoadCoef { .. } => (0, 1, 0, 8),
+        let (pops, pushes, f) = match op {
+            Op::Const(_)
+            | Op::LoadDt
+            | Op::LoadTime
+            | Op::LoadIndex(_)
+            | Op::LoadNormal(_)
+            | Op::LoadU1
+            | Op::LoadU2
+            | Op::LoadVar { .. }
+            | Op::LoadCoef { .. } => (0, 1, 0),
             // Function coefficients execute arbitrary host code; charge a
             // nominal transcendental cost.
-            Op::LoadCoefFn { .. } => (0, 1, 20, 0),
-            Op::Add | Op::Mul => (2, 1, 1, 0),
-            Op::Pow => (2, 1, 15, 0),
-            Op::Recip => (1, 1, 4, 0),
-            Op::Call(_) => (1, 1, 20, 0),
-            Op::Cmp(_) => (2, 1, 1, 0),
-            Op::Select => (3, 1, 1, 0),
+            Op::LoadCoefFn { .. } => (0, 1, 20),
+            Op::Add | Op::Mul => (2, 1, 1),
+            Op::Pow => (2, 1, 15),
+            Op::Recip => (1, 1, 4),
+            Op::Call(_) => (1, 1, 20),
+            Op::Cmp(_) => (2, 1, 1),
+            Op::Select => (3, 1, 1),
         };
         if depth < pops {
             return Err(DslError::Invalid("stack underflow in program".into()));
@@ -1178,7 +1085,6 @@ fn analyze_ops(ops: &[Op]) -> Result<(usize, usize, usize), DslError> {
         depth = depth - pops + pushes;
         max_depth = max_depth.max(depth);
         flops += f;
-        bytes += b;
     }
     if depth != 1 {
         return Err(DslError::Invalid(format!(
@@ -1190,7 +1096,7 @@ fn analyze_ops(ops: &[Op]) -> Result<(usize, usize, usize), DslError> {
             "expression too deep: needs stack {max_depth}"
         )));
     }
-    Ok((flops, bytes, max_depth))
+    Ok(flops)
 }
 
 #[cfg(test)]
@@ -1275,7 +1181,6 @@ mod tests {
         // d=2 (0-based), b=1, cell=3 → I = 300 + 30 + 2 = 332; Io = 2.
         let v = prog.eval(&ctx(&r, &vars, &[2, 1], 3));
         assert_eq!(v, 334.0);
-        assert_eq!(prog.bytes_read, 16);
         assert_eq!(prog.flops, 1);
     }
 
@@ -1287,8 +1192,9 @@ mod tests {
         let prog = c.compile(&parse("k * vg[b]").unwrap()).unwrap();
         let v = prog.eval(&ctx(&r, &vars, &[0, 2], 0));
         assert_eq!(v, 2.5 * 30.0);
-        // Scalar k compiled to Const: only one 8-byte load.
-        assert_eq!(prog.bytes_read, 8);
+        // Scalar k compiled to a constant, the array coefficient to a load.
+        assert_eq!(prog.ops[0], Op::Const(2.5));
+        assert!(matches!(prog.ops[1], Op::LoadCoef { coef: 0, .. }));
     }
 
     #[test]
@@ -1437,8 +1343,8 @@ mod tests {
         // The BTE source `(Io[b] - I[d,b]) * beta[b]` distributes in the
         // pipeline and lowers from the 9-op stack sequence
         // `Const(-1); Load I; Mul; Load beta; Mul; Load Io; Load beta;
-        // Mul; Add`. The peephole pass must collapse it to 5 register ops
-        // (`LoadMulConst; LoadMul; Load; LoadMul; Add`) in 2 registers.
+        // Mul; Add`. The fold must collapse it to 5 statements
+        // (`k * I; r0 * beta; Io; r1 * beta; r0 + r1`) in 2 registers.
         let mut p = Problem::new("fuse");
         p.domain(2);
         let d = p.index("d", 4);
@@ -1462,19 +1368,14 @@ mod tests {
             time: 0.0,
             coefficients: &p.registry.coefficients,
         });
-        assert!(
-            reg.ops().len() <= 5,
-            "expected ≤5 fused ops, got {:?}",
-            reg.ops()
-        );
-        assert!(reg
-            .ops()
+        let exprs: Vec<&RegExpr> = reg.stmts().iter().map(|s| &s.expr).collect();
+        assert!(exprs.len() <= 5, "expected ≤5 statements, got {exprs:?}");
+        assert!(exprs
             .iter()
-            .any(|op| matches!(op, RegOp::LoadMulConst { .. })));
-        assert!(reg
-            .ops()
+            .any(|e| matches!(e, RegExpr::Mul([Operand::K(_), Operand::Load { .. }]))));
+        assert!(exprs
             .iter()
-            .any(|op| matches!(op, RegOp::LoadMul { .. })));
+            .any(|e| matches!(e, RegExpr::Mul([Operand::Reg(_), Operand::Load { .. }]))));
         assert_eq!(reg.n_regs(), 2);
     }
 

@@ -944,6 +944,27 @@ mod tests {
         assert_eq!(hash.0, 0x2192_2a6e_5d0a_18aa);
     }
 
+    /// The table-plan emission is pinned the same way, on a hot-spot-like
+    /// uniform grid: per-flat source statements, then the plan's one
+    /// `flux_span`.
+    #[test]
+    fn table_plan_source_is_pinned() {
+        let grid = UniformGrid::new_2d(24, 24, 1.0, 1.0);
+        let (cp, fields) = upwind_plan(renumbered(&grid, 0, 0));
+        assert!(cp.flux_lin.is_some(), "a table plan");
+        let per_flat = nativegen::lower_plan(&cp).unwrap();
+        assert_eq!(
+            nativegen::source_hash(&cp, &per_flat),
+            0x6b74_563a_de86_944b
+        );
+        let mut text = String::new();
+        nativegen::emit_source(&cp, fields.n_cells, &per_flat, &mut text).unwrap();
+        assert_eq!(text.len(), 11_398);
+        let mut hash = nativegen::Fnv1a::new();
+        std::fmt::Write::write_str(&mut hash, &text).unwrap();
+        assert_eq!(hash.0, 0x6b74_563a_de86_944b);
+    }
+
     /// `(cell0, len)` of every tile of the first flat.
     fn first_row(tiles: &[Tile]) -> Vec<(usize, usize)> {
         let row = tiles.iter().filter(|t| t.k == 0);

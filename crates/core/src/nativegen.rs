@@ -2,12 +2,13 @@
 //!
 //! This is the paper's endgame made concrete — Finch emits *real* code
 //! (CUDA/C) for its targets, and this module does the same for the
-//! intensity phase: every per-flat [`RegProgram`]
-//! is lowered to one flat, fully-unrolled scalar Rust expression sequence
-//! (the fused superinstructions expanded honoring their
-//! `const_first`/`load_first` orientation flags so results stay
-//! bit-identical to the row tier), wrapped in a per-flat `extern "C"`
-//! kernel, and compiled out-of-process by `rustc` into a `cdylib`.
+//! intensity phase: every per-flat [`RegProgram`] — the statement list the
+//! row tier interprets — is printed statement for statement as a
+//! fully-unrolled scalar Rust `let` sequence (each operand in its
+//! statement's order, so results stay bit-identical to the row tier),
+//! wrapped in a per-flat `extern "C"` kernel, and compiled out-of-process
+//! by `rustc` into a `cdylib`. There is no second IR between the two
+//! tiers.
 //!
 //! The emitted plan is organised like the Row tier (`eval_row`, then
 //! `flux_combine`). On a **table plan** each per-flat kernel is its source
@@ -42,13 +43,13 @@
 //!   f64 arithmetic is strict IEEE-754 (no fast-math, no implicit FMA
 //!   contraction), so the compiled kernel is bitwise-equal to the
 //!   interpreted tiers — the differential tests assert this.
-//! * **Validation before compilation.** Every lowered statement list —
-//!   the exact tree the text renderer prints, for the volume program and
-//!   for a compiled flux — is abstractly executed over symbolic values and
-//!   proven raw-structurally equal to the stack VM's execution of the
-//!   same program under the same fold (`analysis::check_native`, rule
-//!   `translation/native-mismatch`) *before* any source reaches `rustc`.
-//!   A corrupted emission is rejected, never executed.
+//! * **Validation before compilation.** Every register program the
+//!   emitter prints — the volume program, and a compiled flux — is
+//!   abstractly executed over symbolic values and proven raw-structurally
+//!   equal to the stack VM's execution of the same program under the same
+//!   fold (`analysis::check_reg`, rule `translation/reg-mismatch`) *before*
+//!   any source reaches `rustc`. A corrupted lowering is rejected, never
+//!   executed.
 //! * **Content-addressed caching.** The full generated source is hashed
 //!   (FNV-1a 64) as it is emitted — the text itself is materialised only
 //!   when a compile needs it — and the compiled library stored as
@@ -71,140 +72,15 @@
 //! VM tier when the flux itself cannot be lowered) with a structured
 //! diagnostic (`native/fallback`) instead of erroring.
 
-use crate::bytecode::{Binding, Func, Program, RegOp, RegProgram, FACE_NORMAL, FACE_U1, FACE_U2};
+use crate::bytecode::{
+    Binding, Func, Operand, Program, RegExpr, RegProgram, RegStmt, FACE_NORMAL, FACE_U1, FACE_U2,
+};
 use crate::exec::walls::GATHER;
 use crate::exec::{CompiledProblem, StencilRun, MAX_RUN_FACES};
-use pbte_symbolic::expr::CmpOp;
 use std::collections::HashMap;
 use std::fmt::{self, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
-
-// ---------------------------------------------------------------------------
-// Lowering: RegProgram → statement list (shared by emitter and validator)
-// ---------------------------------------------------------------------------
-
-/// One operand of an emitted statement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum NOperand {
-    /// A previously assigned register.
-    Reg(u8),
-    /// A bind-time constant (emitted via `f64::from_bits` for exactness).
-    K(f64),
-    /// A variable load at `offset + cell` (offset already folds the flat).
-    Load { var: u16, offset: usize },
-}
-
-/// The right-hand side of one emitted `let r{dst} = …;` statement.
-///
-/// Binary operands appear in evaluation order: `Add(a, b)` emits `a + b`,
-/// so the `const_first`/`load_first` orientation of the fused
-/// superinstructions is decided at lowering time and the renderer and the
-/// symbolic validator cannot disagree about it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum NExpr {
-    Copy(NOperand),
-    Add(NOperand, NOperand),
-    Mul(NOperand, NOperand),
-    Pow(NOperand, NOperand),
-    Recip(NOperand),
-    Call(Func, NOperand),
-    Cmp(CmpOp, NOperand, NOperand),
-    Select(NOperand, NOperand, NOperand),
-}
-
-/// One emitted statement: `let r{dst} = {expr};`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct NStmt {
-    pub dst: u8,
-    pub expr: NExpr,
-}
-
-/// Lower a row program to the statement list the native kernel emits —
-/// fused superinstructions expanded with their orientation flags honored.
-/// `Err` when the program is ineligible for native compilation (function
-/// coefficients need a host callback per cell).
-pub(crate) fn lower_stmts(reg: &RegProgram) -> Result<Vec<NStmt>, String> {
-    use NExpr::*;
-    use NOperand::*;
-    let mut stmts = Vec::with_capacity(reg.ops().len());
-    for op in reg.ops() {
-        let (dst, expr) = match *op {
-            RegOp::Const { dst, k } => (dst, Copy(K(k))),
-            RegOp::Load { dst, var, offset } => (dst, Copy(Load { var, offset })),
-            RegOp::CoefFn { .. } => {
-                return Err("program evaluates a function coefficient".into());
-            }
-            RegOp::Add { dst, a, b } => (dst, Add(Reg(a), Reg(b))),
-            RegOp::Mul { dst, a, b } => (dst, Mul(Reg(a), Reg(b))),
-            RegOp::Pow { dst, a, b } => (dst, Pow(Reg(a), Reg(b))),
-            RegOp::Recip { dst, a } => (dst, Recip(Reg(a))),
-            RegOp::Call { dst, a, f } => (dst, Call(f, Reg(a))),
-            RegOp::Cmp { dst, a, b, op } => (dst, Cmp(op, Reg(a), Reg(b))),
-            RegOp::Select { dst, t, a, b } => (dst, Select(Reg(t), Reg(a), Reg(b))),
-            RegOp::AddConst {
-                dst,
-                a,
-                k,
-                const_first,
-            } => {
-                if const_first {
-                    (dst, Add(K(k), Reg(a)))
-                } else {
-                    (dst, Add(Reg(a), K(k)))
-                }
-            }
-            RegOp::MulConst {
-                dst,
-                a,
-                k,
-                const_first,
-            } => {
-                if const_first {
-                    (dst, Mul(K(k), Reg(a)))
-                } else {
-                    (dst, Mul(Reg(a), K(k)))
-                }
-            }
-            RegOp::LoadMul {
-                dst,
-                a,
-                var,
-                offset,
-                load_first,
-            } => {
-                let l = Load { var, offset };
-                if load_first {
-                    (dst, Mul(l, Reg(a)))
-                } else {
-                    (dst, Mul(Reg(a), l))
-                }
-            }
-            RegOp::LoadMulConst {
-                dst,
-                var,
-                offset,
-                k,
-                const_first,
-            } => {
-                let l = Load { var, offset };
-                if const_first {
-                    (dst, Mul(K(k), l))
-                } else {
-                    (dst, Mul(l, K(k)))
-                }
-            }
-        };
-        stmts.push(NStmt { dst, expr });
-    }
-    if stmts.is_empty() {
-        return Err("empty row program".into());
-    }
-    if !stmts.iter().any(|s| s.dst == 0) {
-        return Err("row program never writes r0".into());
-    }
-    Ok(stmts)
-}
 
 // ---------------------------------------------------------------------------
 // The call ABI shared between host and generated code
@@ -281,35 +157,39 @@ fn lit(k: f64) -> String {
 /// wrapped: `*p.add(i).powf(y)` parses as `*(p.add(i).powf(y))`. Loads of
 /// the face-input pseudo-variables (ids from `face_base`) name the locals
 /// of the emitted per-face loop.
-fn operand(o: &NOperand, face_base: u16) -> String {
-    match o {
-        NOperand::Reg(r) => format!("r{r}"),
-        NOperand::K(k) => format!("({})", lit(*k)),
-        NOperand::Load { var, .. } if *var >= face_base => match *var - face_base {
+fn operand(o: &Operand, face_base: u16) -> String {
+    match *o {
+        Operand::Reg(r) => format!("r{r}"),
+        Operand::K(k) => format!("({})", lit(k)),
+        Operand::Load { var, .. } if var >= face_base => match var - face_base {
             FACE_U1 => "u_here".into(),
             FACE_U2 => "u2".into(),
             axis => format!("n{}", axis - FACE_NORMAL),
         },
-        NOperand::Load { var, offset } => format!("(*p{var}.add({offset} + cell))"),
+        Operand::Load { var, offset } => format!("(*p{var}.add({offset} + cell))"),
     }
 }
 
-fn stmt_line(s: &NStmt, face_base: u16) -> String {
+/// One statement as the `let` line the kernel runs, its operands in the
+/// statement's order. A function coefficient has no line: [`lower_checked`]
+/// refuses its program.
+fn stmt_line(s: &RegStmt, face_base: u16) -> String {
     let operand = |o| operand(o, face_base);
     let rhs = match &s.expr {
-        NExpr::Copy(a) => operand(a),
-        NExpr::Add(a, b) => format!("{} + {}", operand(a), operand(b)),
-        NExpr::Mul(a, b) => format!("{} * {}", operand(a), operand(b)),
-        NExpr::Pow(a, b) => format!("{}.powf({})", operand(a), operand(b)),
-        NExpr::Recip(a) => format!("1.0f64 / {}", operand(a)),
-        NExpr::Call(f, a) => format!("{}.{}()", operand(a), rust_method(*f)),
-        NExpr::Cmp(op, a, b) => format!(
+        RegExpr::Copy(a) => operand(a),
+        RegExpr::CoefFn(_) => unreachable!("lower_checked refuses function coefficients"),
+        RegExpr::Add([a, b]) => format!("{} + {}", operand(a), operand(b)),
+        RegExpr::Mul([a, b]) => format!("{} * {}", operand(a), operand(b)),
+        RegExpr::Pow([a, b]) => format!("{}.powf({})", operand(a), operand(b)),
+        RegExpr::Recip(a) => format!("1.0f64 / {}", operand(a)),
+        RegExpr::Call(f, a) => format!("{}.{}()", operand(a), rust_method(*f)),
+        RegExpr::Cmp(op, [a, b]) => format!(
             "if {} {} {} {{ 1.0f64 }} else {{ 0.0f64 }}",
             operand(a),
             op.as_str(),
             operand(b)
         ),
-        NExpr::Select(t, a, b) => format!(
+        RegExpr::Select([t, a, b]) => format!(
             "if {} != 0.0f64 {{ {} }} else {{ {} }}",
             operand(t),
             operand(a),
@@ -319,31 +199,19 @@ fn stmt_line(s: &NStmt, face_base: u16) -> String {
     format!("        let r{} = {};", s.dst, rhs)
 }
 
-/// Real variable ids (below `face_base`) a statement list loads from.
-fn vars_used(stmts: &[NStmt], face_base: u16) -> Vec<u16> {
-    let mut vs: Vec<u16> = Vec::new();
-    let mut note = |o: &NOperand| {
-        if let NOperand::Load { var, .. } = o {
-            if *var < face_base && !vs.contains(var) {
-                vs.push(*var);
-            }
-        }
-    };
-    for s in stmts {
-        match &s.expr {
-            NExpr::Copy(a) | NExpr::Recip(a) | NExpr::Call(_, a) => note(a),
-            NExpr::Add(a, b) | NExpr::Mul(a, b) | NExpr::Pow(a, b) | NExpr::Cmp(_, a, b) => {
-                note(a);
-                note(b);
-            }
-            NExpr::Select(t, a, b) => {
-                note(t);
-                note(a);
-                note(b);
-            }
-        }
-    }
+/// Real variable ids (below `face_base`) a program loads from.
+fn vars_used(reg: &RegProgram, face_base: u16) -> Vec<u16> {
+    let mut vs: Vec<u16> = reg
+        .stmts()
+        .iter()
+        .flat_map(|s| s.expr.operands())
+        .filter_map(|o| match *o {
+            Operand::Load { var, .. } if var < face_base => Some(var),
+            _ => None,
+        })
+        .collect();
     vs.sort_unstable();
+    vs.dedup();
     vs
 }
 
@@ -362,9 +230,9 @@ const RUSTC_CODEGEN_FLAGS: &[&str] = &[
 
 /// The lowered programs of one flat: the source term, and the flux when
 /// the plan has no αβγ table.
-pub(crate) struct FlatStmts {
-    pub volume: Vec<NStmt>,
-    pub flux: Option<Vec<NStmt>>,
+pub(crate) struct FlatPrograms {
+    pub volume: RegProgram,
+    pub flux: Option<RegProgram>,
 }
 
 /// The emitted `Args` fields shared by every plan, in `NativeArgs` order.
@@ -424,7 +292,7 @@ const HOISTED_ARGS: &str = "    let ghosts = a.ghosts;\n    let wall_read = a.wa
 pub(crate) fn emit_source(
     cp: &CompiledProblem,
     n_cells: usize,
-    per_flat: &[FlatStmts],
+    per_flat: &[FlatPrograms],
     w: &mut impl Write,
 ) -> fmt::Result {
     let n_flat = cp.n_flat;
@@ -458,8 +326,8 @@ pub(crate) fn emit_source(
     if cp.flux_lin.is_some() {
         emit_flux_span(cp, w)?;
     }
-    for (flat, stmts) in per_flat.iter().enumerate() {
-        emit_flat_kernel(cp, n_cells, flat, stmts, w)?;
+    for (flat, programs) in per_flat.iter().enumerate() {
+        emit_flat_kernel(cp, n_cells, flat, programs, w)?;
     }
     Ok(())
 }
@@ -617,7 +485,7 @@ fn emit_flat_kernel(
     cp: &CompiledProblem,
     n_cells: usize,
     flat: usize,
-    stmts: &FlatStmts,
+    programs: &FlatPrograms,
     w: &mut impl Write,
 ) -> fmt::Result {
     let unknown = cp.system.unknown;
@@ -627,7 +495,7 @@ fn emit_flat_kernel(
         w,
         "#[no_mangle]\npub unsafe extern \"C\" fn pbte_flat_{flat}(ap: *const Args) {{\n    let a = &*ap;\n"
     )?;
-    for v in vars_used(&stmts.volume, face_base) {
+    for v in vars_used(&programs.volume, face_base) {
         writeln!(w, "    let p{v}: *const f64 = *a.vars.add({v});")?;
     }
     writeln!(
@@ -635,11 +503,11 @@ fn emit_flat_kernel(
         "    let u_row: *const f64 = (*a.vars.add({unknown})).add({});",
         flat * n_cells
     )?;
-    let Some(flux) = &stmts.flux else {
+    let Some(flux) = &programs.flux else {
         w.write_str(
             "    let out = a.out;\n    let cell0 = a.cell0;\n    let len = a.len;\n    let mut i = 0usize;\n    while i < len {\n        let cell = cell0 + i;\n",
         )?;
-        for s in &stmts.volume {
+        for s in programs.volume.stmts() {
             writeln!(w, "{}", stmt_line(s, face_base))?;
         }
         return write!(
@@ -649,8 +517,8 @@ fn emit_flat_kernel(
     };
     // Lines of the volume / flux statements, `extra` spaces deeper than
     // `stmt_line`'s own eight.
-    let write_stmts = |w: &mut dyn Write, stmts: &[NStmt], extra: usize| -> fmt::Result {
-        stmts
+    let write_stmts = |w: &mut dyn Write, reg: &RegProgram, extra: usize| -> fmt::Result {
+        reg.stmts()
             .iter()
             .try_for_each(|s| writeln!(w, "{:extra$}{}", "", stmt_line(s, face_base)))
     };
@@ -688,7 +556,7 @@ fn emit_flat_kernel(
         w.write_str(
             "                        let mut k = *offsets.add(cell) as usize;\n                        let mut cell = cell;\n                        while cell < seg_end {\n",
         )?;
-        write_stmts(w, &stmts.volume, 20)?;
+        write_stmts(w, &programs.volume, 20)?;
         w.write_str(
             "                            let src = r0;\n                            let u_here = *u_row.add(cell);\n                            let mut flux = 0.0f64;\n",
         )?;
@@ -711,7 +579,7 @@ fn emit_flat_kernel(
     }
     w.write_str(SPAN_WALK_MID)?;
     w.write_str("        while cell < seg_end {\n")?;
-    write_stmts(w, &stmts.volume, 4)?;
+    write_stmts(w, &programs.volume, 4)?;
     write!(
         w,
         r#"            let src = r0;
@@ -1046,31 +914,40 @@ fn compile_and_load(
 // Entry point
 // ---------------------------------------------------------------------------
 
-/// Lower one register program to the statements the kernel emits, proving
-/// the list (the exact tree the renderer prints) equal to the VM's
-/// execution of `program` under `binding` before it ever reaches rustc.
+/// Hand `reg` — the lowering of `program` under `binding` — to the emitter
+/// only once it is proven equal to the VM's execution of `program` under
+/// the same fold (`analysis::check_reg`): the statement list the emitter
+/// prints is the program that proof holds, so a corrupted lowering is
+/// refused before it ever reaches rustc. A function coefficient, which
+/// needs a host callback per cell, makes the program ineligible.
 fn lower_checked(
     program: &Program,
     binding: &Binding,
-    reg: &RegProgram,
+    reg: RegProgram,
     what: &str,
-) -> Result<Vec<NStmt>, String> {
-    let stmts = lower_stmts(reg).map_err(|e| format!("{what}: {e}"))?;
+) -> Result<RegProgram, String> {
+    if reg
+        .stmts()
+        .iter()
+        .any(|s| matches!(s.expr, RegExpr::CoefFn(_)))
+    {
+        return Err(format!("{what}: program evaluates a function coefficient"));
+    }
     let mut diags = Vec::new();
-    crate::analysis::check_native(program, binding, reg, what, &mut diags);
+    crate::analysis::check_reg(program, binding, &reg, what, &mut diags);
     match diags.first() {
         Some(d) => Err(format!(
             "emitted expression failed validation: {}",
             d.render()
         )),
-        None => Ok(stmts),
+        None => Ok(reg),
     }
 }
 
-/// The validated statement lists of every flat of a plan. `Err` when the
-/// plan is ineligible for native compilation or a lowering fails its
+/// The validated register programs of every flat of a plan. `Err` when
+/// the plan is ineligible for native compilation or a lowering fails its
 /// proof.
-pub(crate) fn lower_plan(cp: &CompiledProblem) -> Result<Vec<FlatStmts>, String> {
+pub(crate) fn lower_plan(cp: &CompiledProblem) -> Result<Vec<FlatPrograms>, String> {
     if let Some(why) = cp.flux_blocker() {
         return Err(why.into());
     }
@@ -1084,12 +961,12 @@ pub(crate) fn lower_plan(cp: &CompiledProblem) -> Result<Vec<FlatStmts>, String>
         let binding = cp.binding(flat, 0.0);
         let reg = program.lower(&binding);
         let what = format!("{what} kernel (native, flat {flat})");
-        lower_checked(program, &binding, &reg, &what)
+        lower_checked(program, &binding, reg, &what)
     };
     let compiled_flux = cp.compiled_flux();
     (0..cp.n_flat)
         .map(|flat| {
-            Ok(FlatStmts {
+            Ok(FlatPrograms {
                 volume: lower(&cp.volume, flat, "volume")?,
                 flux: compiled_flux
                     .then(|| lower(&cp.flux, flat, "flux"))
@@ -1101,7 +978,7 @@ pub(crate) fn lower_plan(cp: &CompiledProblem) -> Result<Vec<FlatStmts>, String>
 
 /// The plan cache key: the FNV-1a hash of the source [`emit_source`]
 /// would produce, without producing it.
-pub(crate) fn source_hash(cp: &CompiledProblem, per_flat: &[FlatStmts]) -> u64 {
+pub(crate) fn source_hash(cp: &CompiledProblem, per_flat: &[FlatPrograms]) -> u64 {
     let mut hash = Fnv1a::new();
     emit_source(cp, cp.mesh().n_cells(), per_flat, &mut hash).expect("hashing never fails");
     hash.0
@@ -1152,7 +1029,9 @@ pub(crate) fn assert_same_source(cp: &CompiledProblem) {
     if prepared.n_rows != cp.walls.n_rows {
         return;
     }
-    let fresh = lower_plan(cp).ok().map(|stmts| source_hash(cp, &stmts));
+    let fresh = lower_plan(cp)
+        .ok()
+        .map(|per_flat| source_hash(cp, &per_flat));
     assert_eq!(
         fresh, prepared.hash,
         "a reused plan's native source differs from a fresh lowering of the same key"
@@ -1189,7 +1068,6 @@ fn prepare_plan(cp: &CompiledProblem) -> Prepared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::RegProgram;
 
     #[test]
     fn cache_sweep_evicts_lru_entries_and_stale_tmps() {
@@ -1277,53 +1155,38 @@ mod tests {
     }
 
     #[test]
-    fn lowering_honors_orientation_flags() {
-        let ops = vec![
-            RegOp::Load {
-                dst: 0,
-                var: 0,
-                offset: 0,
-            },
-            RegOp::AddConst {
-                dst: 0,
-                a: 0,
-                k: 2.0,
-                const_first: true,
-            },
-            RegOp::MulConst {
-                dst: 0,
-                a: 0,
-                k: 3.0,
-                const_first: false,
-            },
-            RegOp::LoadMul {
-                dst: 0,
-                a: 0,
-                var: 1,
-                offset: 4,
-                load_first: true,
-            },
-        ];
-        let reg = RegProgram::from_raw_parts(ops, 1);
-        let stmts = lower_stmts(&reg).unwrap();
+    fn printed_statements_keep_operand_order() {
+        use Operand::{Load, Reg, K};
+        let stmt = |expr| RegStmt { dst: 0, expr };
+        let line = |expr| stmt_line(&stmt(expr), 2);
+        let (two, three) = (lit(2.0), lit(3.0));
         assert_eq!(
-            stmts[1].expr,
-            NExpr::Add(NOperand::K(2.0), NOperand::Reg(0))
+            line(RegExpr::Add([K(2.0), Reg(0)])),
+            format!("        let r0 = ({two}) + r0;")
         );
         assert_eq!(
-            stmts[2].expr,
-            NExpr::Mul(NOperand::Reg(0), NOperand::K(3.0))
+            line(RegExpr::Mul([Reg(0), K(3.0)])),
+            format!("        let r0 = r0 * ({three});")
         );
+        let load = Load { var: 1, offset: 4 };
         assert_eq!(
-            stmts[3].expr,
-            NExpr::Mul(NOperand::Load { var: 1, offset: 4 }, NOperand::Reg(0))
+            line(RegExpr::Mul([load, Reg(0)])),
+            "        let r0 = (*p1.add(4 + cell)) * r0;"
+        );
+        // Ids from `face_base` name the per-face loop's locals.
+        let normal = Load {
+            var: 2 + FACE_NORMAL + 1,
+            offset: 0,
+        };
+        assert_eq!(
+            line(RegExpr::Mul([Reg(0), normal])),
+            "        let r0 = r0 * n1;"
         );
     }
 
-    /// `prepare`'s gate: a flux statement list that does not prove equal
-    /// to its program on the VM is refused before any source is emitted.
-    #[test]
-    fn misfused_flux_lowering_is_refused_before_compilation() {
+    /// The flux program of a two-direction upwind problem, and the problem
+    /// whose coefficients its binding folds.
+    fn upwind_flux() -> (crate::problem::Problem, Program) {
         use crate::bytecode::{Compiler, KernelKind};
         let mut p = crate::problem::Problem::new("flux-gate");
         p.domain(2);
@@ -1336,39 +1199,62 @@ mod tests {
         let flux = Compiler::new(&p.registry, i_var, KernelKind::Flux)
             .compile(&sys.flux_expr)
             .unwrap();
-        let binding = Binding {
+        (p, flux)
+    }
+
+    fn binding(p: &crate::problem::Problem) -> Binding<'_> {
+        Binding {
             idx: &[1],
             n_cells: 9,
             dt: 0.1,
             time: 0.0,
             coefficients: &p.registry.coefficients,
-        };
-        let reg = flux.lower(&binding);
-        let stmts = lower_checked(&flux, &binding, &reg, "flux kernel").unwrap();
-        // The face inputs render as the locals of the per-face loop.
-        let text: Vec<String> = stmts.iter().map(|s| stmt_line(s, flux.face_base)).collect();
-        assert!(text.iter().any(|l| l.contains("n0")) && text.iter().any(|l| l.contains("u2")));
-        assert!(vars_used(&stmts, flux.face_base).is_empty());
+        }
+    }
 
-        let mut ops = reg.ops().to_vec();
-        let flag =
-            ops.iter_mut()
-                .find_map(|op| match op {
-                    RegOp::LoadMulConst { const_first, .. }
-                    | RegOp::MulConst { const_first, .. } => Some(const_first),
-                    _ => None,
-                })
-                .expect("the upwind flux fuses a constant multiply");
-        *flag = !*flag;
-        let tampered = RegProgram::from_raw_parts(ops, reg.n_regs());
-        let refusal = lower_checked(&flux, &binding, &tampered, "flux kernel").unwrap_err();
-        assert!(refusal.contains("translation/native-mismatch"), "{refusal}");
+    /// `prepare`'s gate: a flux statement list that does not prove equal
+    /// to its program on the VM is refused before any source is emitted.
+    #[test]
+    fn misfused_flux_lowering_is_refused_before_compilation() {
+        let (p, flux) = upwind_flux();
+        let binding = binding(&p);
+        let reg = flux.lower(&binding);
+        let proven = lower_checked(&flux, &binding, reg.clone(), "flux kernel").unwrap();
+        // The face inputs render as the locals of the per-face loop.
+        let text: Vec<String> = proven
+            .stmts()
+            .iter()
+            .map(|s| stmt_line(s, flux.face_base))
+            .collect();
+        assert!(text.iter().any(|l| l.contains("n0")) && text.iter().any(|l| l.contains("u2")));
+        assert!(vars_used(&proven, flux.face_base).is_empty());
+
+        let mut stmts = reg.stmts().to_vec();
+        let ab = stmts
+            .iter_mut()
+            .find_map(|s| match &mut s.expr {
+                RegExpr::Mul(ab) if ab.iter().any(|o| matches!(o, Operand::K(_))) => Some(ab),
+                _ => None,
+            })
+            .expect("the upwind flux folds a constant multiply");
+        ab.swap(0, 1);
+        let tampered = RegProgram::from_raw_parts(stmts, reg.n_regs());
+        let refusal = lower_checked(&flux, &binding, tampered, "flux kernel").unwrap_err();
+        assert!(refusal.contains("translation/reg-mismatch"), "{refusal}");
     }
 
     #[test]
     fn empty_and_r0_less_programs_are_rejected() {
-        assert!(lower_stmts(&RegProgram::from_raw_parts(vec![], 0)).is_err());
-        let never_r0 = vec![RegOp::Const { dst: 1, k: 1.0 }];
-        assert!(lower_stmts(&RegProgram::from_raw_parts(never_r0, 2)).is_err());
+        let (p, flux) = upwind_flux();
+        let binding = binding(&p);
+        let never_r0 = vec![RegStmt {
+            dst: 1,
+            expr: RegExpr::Copy(Operand::K(1.0)),
+        }];
+        for (stmts, n_regs) in [(vec![], 0), (never_r0, 2)] {
+            let reg = RegProgram::from_raw_parts(stmts, n_regs);
+            let refusal = lower_checked(&flux, &binding, reg, "flux kernel").unwrap_err();
+            assert!(refusal.contains("never writes r0"), "{refusal}");
+        }
     }
 }

@@ -51,6 +51,56 @@ pub enum Integrator {
     Steady { tol: f64, growth: f64 },
 }
 
+/// `explicit`, `implicit[:theta]` or `steady[:tol:growth]` — the one
+/// spelling `.pbte` files and the `pbte` CLI share. Refuses every value
+/// [`Problem::integrator`] asserts on (θ outside (0, 1], a steady tolerance
+/// outside (0, 1)), a growth factor ≤ 1, and non-finite numbers.
+impl std::str::FromStr for Integrator {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Integrator, String> {
+        let number = |key: &str, v: &str| match v.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(x),
+            Ok(_) => Err(format!("`{key}` must be finite, got `{v}`")),
+            Err(_) => Err(format!("`{key}` expects a number, got `{v}`")),
+        };
+        let mut parts = spec.split(':');
+        let head = parts.next().unwrap_or("");
+        let rest: Vec<&str> = parts.collect();
+        match (head, rest.as_slice()) {
+            ("explicit", []) => Ok(Integrator::Explicit),
+            ("explicit", _) => Err("`explicit` takes no parameters".into()),
+            ("implicit", rest) => {
+                let theta = match rest {
+                    [] => 1.0,
+                    [t] => number("theta", t)?,
+                    _ => return Err("`implicit` takes at most one `:theta`".into()),
+                };
+                if !(theta > 0.0 && theta <= 1.0) {
+                    return Err(format!("theta must be in (0, 1], got {theta}"));
+                }
+                Ok(Integrator::Implicit { theta })
+            }
+            ("steady", rest) => {
+                let (tol, growth) = match rest {
+                    [] => (1e-6, 2.0),
+                    [t, g] => (number("tol", t)?, number("growth", g)?),
+                    _ => return Err("`steady` takes `:tol:growth` or nothing".into()),
+                };
+                if !(tol > 0.0 && tol < 1.0 && growth > 1.0) {
+                    return Err(format!(
+                        "steady needs 0 < tol < 1 and growth > 1, got tol {tol} and growth {growth}"
+                    ));
+                }
+                Ok(Integrator::Steady { tol, growth })
+            }
+            (other, _) => Err(format!(
+                "unknown integrator `{other}` (explicit, implicit[:theta], steady[:tol:growth])"
+            )),
+        }
+    }
+}
+
 impl Integrator {
     /// Stable lowercase name for CLI flags and telemetry attribution.
     pub fn name(&self) -> &'static str {

@@ -6,12 +6,12 @@
 //! `pbte_symbolic::eval` of the DSL expression the kernels were compiled
 //! from. Bitwise (not epsilon) agreement is the point: the lowering
 //! pipeline only reorders code in value-preserving ways (lowering folds
-//! constants, fusion preserves operand order via its orientation flags),
-//! so any ulp of drift is a lowering bug. On mismatch the test replays the
-//! register stream against the VM's intermediate values and fails with
-//! the first diverging instruction index.
+//! constants and loads into operands, each in the position it had), so any
+//! ulp of drift is a lowering bug. On mismatch the test replays the
+//! register statements against the VM's intermediate values and fails with
+//! the first diverging statement index.
 
-use pbte_dsl::bytecode::{KernelKind, Op, RegOp, RegProgram, VmCtx, ROW_CHUNK};
+use pbte_dsl::bytecode::{KernelKind, Op, Operand, RegExpr, RegProgram, VmCtx, ROW_CHUNK};
 use pbte_dsl::entities::{CoefficientValue, Registry};
 use pbte_dsl::exec::ExecTarget;
 use pbte_dsl::problem::Problem;
@@ -180,13 +180,9 @@ fn vm_values(ops: &[Op], ctx: &VmCtx) -> Option<Vec<f64>> {
     Some(values)
 }
 
-/// Scalar-step the fused register stream for one cell and return the
-/// index of the first instruction whose result differs bitwise from every
+/// Scalar-step the register statements for one cell and return the index
+/// of the first statement whose result differs bitwise from every
 /// intermediate value of the stack VM ([`vm_values`]).
-//
-// The orientation branches look commutatively identical to clippy, but
-// operand order is exactly what this test exists to check bitwise.
-#[allow(clippy::if_same_then_else)]
 fn first_diverging_reg_op(
     reg: &RegProgram,
     vm_values: &[f64],
@@ -194,90 +190,39 @@ fn first_diverging_reg_op(
     cell: usize,
 ) -> Option<usize> {
     let mut regs = vec![0.0f64; reg.n_regs()];
-    for (i, op) in reg.ops().iter().enumerate() {
-        let (dst, value) = match op {
-            RegOp::Const { dst, k } => (*dst, *k),
-            RegOp::Load { dst, var, offset } => (*dst, vars[*var as usize][offset + cell]),
-            RegOp::CoefFn { .. } => return None,
-            RegOp::Add { dst, a, b } => (*dst, regs[*a as usize] + regs[*b as usize]),
-            RegOp::Mul { dst, a, b } => (*dst, regs[*a as usize] * regs[*b as usize]),
-            RegOp::Pow { dst, a, b } => (*dst, regs[*a as usize].powf(regs[*b as usize])),
-            RegOp::Recip { dst, a } => (*dst, 1.0 / regs[*a as usize]),
-            RegOp::Call { dst, a, f } => (*dst, f.apply(regs[*a as usize])),
-            RegOp::Cmp { dst, a, b, op } => (
-                *dst,
-                if op.apply(regs[*a as usize], regs[*b as usize]) {
+    for (i, stmt) in reg.stmts().iter().enumerate() {
+        let operand = |o: &Operand| match *o {
+            Operand::Reg(r) => regs[r as usize],
+            Operand::K(k) => k,
+            Operand::Load { var, offset } => vars[var as usize][offset + cell],
+        };
+        let value = match &stmt.expr {
+            RegExpr::Copy(a) => operand(a),
+            RegExpr::CoefFn(_) => return None,
+            RegExpr::Add([a, b]) => operand(a) + operand(b),
+            RegExpr::Mul([a, b]) => operand(a) * operand(b),
+            RegExpr::Pow([a, b]) => operand(a).powf(operand(b)),
+            RegExpr::Recip(a) => 1.0 / operand(a),
+            RegExpr::Call(f, a) => f.apply(operand(a)),
+            RegExpr::Cmp(op, [a, b]) => {
+                if op.apply(operand(a), operand(b)) {
                     1.0
                 } else {
                     0.0
-                },
-            ),
-            RegOp::Select { dst, t, a, b } => (
-                *dst,
-                if regs[*t as usize] != 0.0 {
-                    regs[*a as usize]
-                } else {
-                    regs[*b as usize]
-                },
-            ),
-            RegOp::AddConst {
-                dst,
-                a,
-                k,
-                const_first,
-            } => (
-                *dst,
-                if *const_first {
-                    *k + regs[*a as usize]
-                } else {
-                    regs[*a as usize] + *k
-                },
-            ),
-            RegOp::MulConst {
-                dst,
-                a,
-                k,
-                const_first,
-            } => (
-                *dst,
-                if *const_first {
-                    *k * regs[*a as usize]
-                } else {
-                    regs[*a as usize] * *k
-                },
-            ),
-            RegOp::LoadMul {
-                dst,
-                a,
-                var,
-                offset,
-                load_first,
-            } => {
-                let load = vars[*var as usize][offset + cell];
-                (
-                    *dst,
-                    if *load_first {
-                        load * regs[*a as usize]
-                    } else {
-                        regs[*a as usize] * load
-                    },
-                )
+                }
             }
-            RegOp::LoadMulConst {
-                dst,
-                var,
-                offset,
-                k,
-                const_first,
-            } => {
-                let load = vars[*var as usize][offset + cell];
-                (*dst, if *const_first { *k * load } else { load * *k })
+            RegExpr::Select([t, a, b]) => {
+                if operand(t) != 0.0 {
+                    operand(a)
+                } else {
+                    operand(b)
+                }
             }
         };
         if !vm_values.iter().any(|b| b.to_bits() == value.to_bits()) {
             return Some(i);
         }
-        regs[dst as usize] = value;
+        regs[stmt.dst as usize] = value;
     }
     None
 }
@@ -324,12 +269,12 @@ fn native_tier_matches_row_tier_bitwise() {
                 let at = flat * n_cells + cell;
                 if rhs_native[at].to_bits() != rhs_row[at].to_bits() {
                     // Lockstep divergence report: re-validate this flat's
-                    // emitted statement list symbolically so a lowering
+                    // printed statement list symbolically so a lowering
                     // bug is pinpointed to the statement, not just the dof.
                     let binding = cp.binding(flat, 0.0);
                     let reg = cp.volume.lower(&binding);
                     let mut diags = Vec::new();
-                    pbte_dsl::analysis::check_native(
+                    pbte_dsl::analysis::check_reg(
                         &cp.volume,
                         &binding,
                         &reg,

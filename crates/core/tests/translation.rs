@@ -2,13 +2,14 @@
 //! safety pass, mirroring the verifier's seam tests: the shipped plans
 //! must prove clean on every target and tier (no false positives), and
 //! each deliberately broken lowering must produce exactly the diagnostic
-//! that seam exists to catch — a mis-fused register program (flipped
-//! orientation flag) of the volume kernel and of a compiled flux kernel,
-//! a mis-bound one (wrong load offset, wrong folded constant), a dropped IR
-//! term, and a zero-width relaxation-time range.
+//! that seam exists to catch — a mis-folded register program (flipped
+//! operand order) of the volume kernel and of a compiled flux kernel, a
+//! mis-bound one (wrong load offset, wrong folded constant), an empty or
+//! `r0`-less one, a dropped IR term, and a zero-width relaxation-time
+//! range.
 
 use pbte_dsl::analysis::{self, rules};
-use pbte_dsl::bytecode::{Binding, KernelKind, Program, RegOp, RegProgram};
+use pbte_dsl::bytecode::{Binding, Operand, Program, RegExpr, RegProgram, RegStmt};
 use pbte_dsl::exec::ExecTarget;
 use pbte_dsl::ir::{self, IrNode};
 use pbte_dsl::problem::{KernelTier, Problem, StepContext};
@@ -152,135 +153,136 @@ fn translation_and_intervals_prove_clean_on_every_target_and_tier() {
     }
 }
 
-/// `reg` with the orientation flag of its first fused instruction flipped.
-fn flip_first_orientation_flag(reg: &RegProgram) -> RegProgram {
-    let mut ops = reg.ops().to_vec();
-    let flipped = ops.iter_mut().find_map(|op| match op {
-        RegOp::AddConst { const_first, .. }
-        | RegOp::MulConst { const_first, .. }
-        | RegOp::LoadMulConst { const_first, .. } => {
-            *const_first = !*const_first;
-            Some(())
-        }
-        RegOp::LoadMul { load_first, .. } => {
-            *load_first = !*load_first;
-            Some(())
-        }
-        _ => None,
-    });
-    assert!(
-        flipped.is_some(),
-        "expected the fused row program to contain at least one superinstruction"
-    );
-    RegProgram::from_raw_parts(ops, reg.n_regs())
+/// `reg` with the operands of its first statement that folded a constant or
+/// a load swapped.
+fn flip_first_folded_operands(reg: RegProgram) -> RegProgram {
+    let mut stmts = reg.stmts().to_vec();
+    let ab = stmts
+        .iter_mut()
+        .find_map(|s| match &mut s.expr {
+            RegExpr::Add(ab) | RegExpr::Mul(ab) if ab.iter().any(|o| o.reg().is_none()) => Some(ab),
+            _ => None,
+        })
+        .expect("the lowered program folds at least one operand");
+    ab.swap(0, 1);
+    RegProgram::from_raw_parts(stmts, reg.n_regs())
 }
 
-/// The rules `check_reg` fires on the volume kernel's flat 0 when `reg`
-/// stands for its lowering.
-fn reg_rules(cp: &pbte_dsl::exec::CompiledProblem, reg: &RegProgram) -> Vec<&'static str> {
+/// `reg` with the first operand `pick` selects replaced by what `change`
+/// makes of it.
+fn change_first(
+    reg: RegProgram,
+    pick: impl Fn(&Operand) -> bool,
+    change: impl Fn(&mut Operand),
+) -> RegProgram {
+    let mut stmts = reg.stmts().to_vec();
+    let operand = stmts
+        .iter_mut()
+        .flat_map(|s| s.expr.operands_mut())
+        .find(|o| pick(o))
+        .expect("the lowered program has such an operand");
+    change(operand);
+    RegProgram::from_raw_parts(stmts, reg.n_regs())
+}
+
+/// The rules `check_lowered` fires on `cp` when `tamper` corrupts every
+/// lowering of `program` it proves (every lowering when `program` is
+/// `None`).
+fn lowered_rules(
+    cp: &pbte_dsl::exec::CompiledProblem,
+    program: Option<&Program>,
+    tamper: impl Fn(RegProgram) -> RegProgram,
+) -> Vec<(&'static str, String)> {
+    let lower = |p: &Program, binding: &Binding| {
+        let reg = p.lower(binding);
+        match program {
+            Some(only) if !std::ptr::eq(p, only) => reg,
+            _ => tamper(reg),
+        }
+    };
     let mut diags = Vec::new();
-    let location = "volume kernel (row, flat 0)";
-    analysis::check_reg(&cp.volume, &cp.binding(0, 0.0), reg, location, &mut diags);
-    diags.iter().map(|d| d.rule).collect()
+    analysis::check_lowered(cp, &lower, &mut diags);
+    diags.into_iter().map(|d| (d.rule, d.location)).collect()
 }
 
-/// Flip the orientation flag of the first fused instruction found —
-/// exactly the bug the raw (non-canonicalized) VM ≡ Row proof exists
-/// to catch, because the commuted product is *algebraically* equal.
+fn rules_of(found: &[(&'static str, String)]) -> Vec<&'static str> {
+    found.iter().map(|(rule, _)| *rule).collect()
+}
+
+/// Swap the operands of the first folded statement — exactly the bug the
+/// raw (non-canonicalized) VM ≡ Row proof exists to catch, because the
+/// commuted product is *algebraically* equal.
 #[test]
 fn misfused_reg_program_fires_exactly_the_reg_rule() {
     let solver = declared_problem(6, 2).build(ExecTarget::CpuSeq).unwrap();
     let cp = &solver.compiled;
-    let reg = cp.bind(KernelKind::Volume, 0, 0.0);
     assert!(
-        reg_rules(cp, &reg).is_empty(),
+        lowered_rules(cp, None, |reg| reg).is_empty(),
         "untampered program must prove clean"
     );
-    let tampered = flip_first_orientation_flag(&reg);
-    assert_eq!(reg_rules(cp, &tampered), [rules::TRANSLATION_REG]);
+    let found = lowered_rules(cp, None, flip_first_folded_operands);
+    assert_eq!(rules_of(&found), [rules::TRANSLATION_REG], "{found:?}");
 }
 
-/// The bugs of the fold itself: a lowering that reads the wrong flat's row
-/// (every load offset off by the rows between two flats, every folded index
-/// value and coefficient of the other flat) and one that folds a wrong
-/// constant each fire `translation/reg-mismatch`, and only it — the VM is
-/// executed under the fold the flat should have had.
+/// The bugs of the fold itself: a load that reads the next flat's row and
+/// a folded constant off by one each fire `translation/reg-mismatch`, and
+/// only it — the VM is executed under the fold the flat should have had.
 #[test]
 fn misbound_reg_program_fires_exactly_the_reg_rule() {
     let solver = declared_problem(6, 2).build(ExecTarget::CpuSeq).unwrap();
     let cp = &solver.compiled;
-
-    let wrong_flat = cp.bind(KernelKind::Volume, 1, 0.0);
-    let offsets = |reg: &RegProgram| -> Vec<usize> {
-        let offset = |op: &RegOp| match *op {
-            RegOp::Load { offset, .. }
-            | RegOp::LoadMul { offset, .. }
-            | RegOp::LoadMulConst { offset, .. } => Some(offset),
-            _ => None,
-        };
-        reg.ops().iter().filter_map(offset).collect()
-    };
-    assert_ne!(
-        offsets(&wrong_flat),
-        offsets(&cp.bind(KernelKind::Volume, 0, 0.0))
-    );
-    assert_eq!(reg_rules(cp, &wrong_flat), [rules::TRANSLATION_REG]);
-
-    let reg = cp.bind(KernelKind::Volume, 0, 0.0);
-    let mut ops = reg.ops().to_vec();
-    let k = ops
-        .iter_mut()
-        .find_map(|op| match op {
-            RegOp::Const { k, .. }
-            | RegOp::AddConst { k, .. }
-            | RegOp::MulConst { k, .. }
-            | RegOp::LoadMulConst { k, .. } => Some(k),
-            _ => None,
+    let n_cells = cp.mesh().n_cells();
+    let is_load = |o: &Operand| matches!(o, Operand::Load { .. });
+    let wrong_offset = |reg| {
+        change_first(reg, is_load, |o| {
+            if let Operand::Load { offset, .. } = o {
+                *offset += n_cells;
+            }
         })
-        .expect("the volume program folds a constant");
-    *k += 1.0;
-    let wrong_constant = RegProgram::from_raw_parts(ops, reg.n_regs());
-    assert_eq!(reg_rules(cp, &wrong_constant), [rules::TRANSLATION_REG]);
+    };
+    let found = lowered_rules(cp, None, wrong_offset);
+    assert_eq!(rules_of(&found), [rules::TRANSLATION_REG], "{found:?}");
+
+    let is_constant = |o: &Operand| matches!(o, Operand::K(_));
+    let wrong_constant = |reg| {
+        change_first(reg, is_constant, |o| {
+            if let Operand::K(k) = o {
+                *k += 1.0;
+            }
+        })
+    };
+    let found = lowered_rules(cp, None, wrong_constant);
+    assert_eq!(rules_of(&found), [rules::TRANSLATION_REG], "{found:?}");
 }
 
-/// The same flipped-orientation corruption, caught at the *native* seam:
-/// the statement list the native tier renders to Rust source is abstractly
-/// executed against the VM before anything reaches rustc, so a corrupted
-/// lowering fires `translation/native-mismatch` — and only it — without
-/// ever compiling the bad source.
+/// A lowering that leaves no value in `r0` — no statement at all, or none
+/// writing `r0` — fires `translation/reg-mismatch`, and only it: the
+/// native tier prints `out = r0`, so the proof it runs before rustc
+/// refuses both.
 #[test]
-fn misfused_native_lowering_fires_exactly_the_native_rule() {
+fn empty_and_r0_less_lowerings_fire_exactly_the_reg_rule() {
     let solver = declared_problem(6, 2).build(ExecTarget::CpuSeq).unwrap();
     let cp = &solver.compiled;
-    let binding = cp.binding(0, 0.0);
-    let reg = cp.volume.lower(&binding);
-    let tampered = flip_first_orientation_flag(&reg);
-    let location = "volume kernel (native, flat 0)";
-
-    let mut clean = Vec::new();
-    analysis::check_native(&cp.volume, &binding, &reg, location, &mut clean);
-    assert!(clean.is_empty(), "untampered lowering must prove clean");
-
-    let mut diags = Vec::new();
-    analysis::check_native(&cp.volume, &binding, &tampered, location, &mut diags);
-    assert_eq!(
-        diags.len(),
-        1,
-        "expected exactly one diagnostic, got: {:?}",
-        diags.iter().map(|d| d.render()).collect::<Vec<_>>()
-    );
-    assert_eq!(diags[0].rule, rules::TRANSLATION_NATIVE);
+    let never_r0 = RegStmt {
+        dst: 1,
+        expr: RegExpr::Copy(Operand::K(1.0)),
+    };
+    for stmts in [vec![], vec![never_r0]] {
+        let found = lowered_rules(cp, None, |_| RegProgram::from_raw_parts(stmts.clone(), 2));
+        assert_eq!(rules_of(&found), [rules::TRANSLATION_REG], "{found:?}");
+        assert!(found[0].1.starts_with("volume kernel (row, flat 0)"));
+    }
 }
 
 /// The same corruption in a *flux* program. On the jittered mesh the row
 /// and native tiers run the flux through its own register program, so
 /// `check_translation` proves that lowering too; a register lowering that
-/// mis-fuses flux programs only (volume programs pass through untouched)
-/// must fire the row rule and the native rule, each on a flux kernel.
-/// The native tier refuses such a list before compiling it: `prepare`
-/// runs the very check that fires here.
+/// mis-folds flux programs only (volume programs pass through untouched)
+/// must fire the row rule, on a flux kernel. The native tier refuses such
+/// a list before compiling it: `prepare` runs the very check that fires
+/// here.
 #[test]
-fn misfused_flux_program_fires_the_reg_and_native_rules() {
+fn misfused_flux_program_fires_the_reg_rule() {
     let solver = declared_problem_on(jittered_mesh(), 2)
         .build(ExecTarget::CpuSeq)
         .unwrap();
@@ -296,24 +298,9 @@ fn misfused_flux_program_fires_the_reg_and_native_rules() {
         clean.iter().map(|d| d.render()).collect::<Vec<_>>()
     );
 
-    let misfuse_flux = |program: &Program, binding: &Binding| {
-        let reg = program.lower(binding);
-        if std::ptr::eq(program, &cp.flux) {
-            flip_first_orientation_flag(&reg)
-        } else {
-            reg
-        }
-    };
-    let mut diags = Vec::new();
-    analysis::check_lowered(cp, &misfuse_flux, &mut diags);
-    let found: Vec<_> = diags.iter().map(|d| (d.rule, &d.location)).collect();
-    assert_eq!(diags.len(), 2, "{found:?}");
-    assert_eq!(diags[0].rule, rules::TRANSLATION_REG, "{found:?}");
-    assert_eq!(diags[1].rule, rules::TRANSLATION_NATIVE, "{found:?}");
-    assert!(
-        diags.iter().all(|d| d.location.starts_with("flux kernel")),
-        "{found:?}"
-    );
+    let found = lowered_rules(cp, Some(&cp.flux), flip_first_folded_operands);
+    assert_eq!(rules_of(&found), [rules::TRANSLATION_REG], "{found:?}");
+    assert!(found[0].1.starts_with("flux kernel"), "{found:?}");
 }
 
 /// Replace the IR's source statement with one that dropped its terms; the

@@ -222,14 +222,15 @@ proptest! {
                         row[cell]
                     );
                 }
-                // Property 2b: the native tier's lowered statement list is
-                // *symbolically* equal to the VM's execution under the same
-                // fold — the abstract interpretation the `--validate` chain
-                // runs before any generated source reaches rustc. This is
+                // Property 2b: the register program — the statement list
+                // the native tier prints — is *symbolically* equal to the
+                // VM's execution under the same fold: the abstract
+                // interpretation the `--validate` chain and the native tier
+                // run before any generated source reaches rustc. This is
                 // purely symbolic (no compilation), so it runs everywhere,
                 // including miri.
                 let mut diags = Vec::new();
-                pbte_dsl::analysis::check_native(
+                pbte_dsl::analysis::check_reg(
                     &program,
                     &binding,
                     &reg,
@@ -238,7 +239,7 @@ proptest! {
                 );
                 prop_assert!(
                     diags.is_empty(),
-                    "native lowering diverges symbolically for {e}: {:?}",
+                    "register lowering diverges symbolically for {e}: {:?}",
                     diags.iter().map(|d| d.render()).collect::<Vec<_>>()
                 );
             }

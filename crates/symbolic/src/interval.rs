@@ -15,7 +15,6 @@
 //! [`Interval::is_finite`] turning false; the abstract interpreter in the
 //! DSL core checks it after every step.
 
-use crate::expr::{Expr, ExprRef};
 use std::fmt;
 
 /// A closed interval of `f64` values.
@@ -361,205 +360,9 @@ impl fmt::Display for Interval {
     }
 }
 
-/// Resolves symbol ranges during interval evaluation.
-pub trait IntervalContext {
-    /// Range of symbol `name` with (possibly empty) integer indices.
-    fn symbol_range(&self, name: &str, indices: &[i64]) -> Option<Interval>;
-}
-
-/// Failure during expression-level interval evaluation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum IntervalEvalError {
-    /// A symbol has no declared range in the context.
-    UnknownRange(String),
-    /// A call target is not a known function.
-    UnknownFunction(String),
-    /// An index expression did not evaluate to a point integer.
-    NonIntegerIndex(String),
-    /// Vectors have no scalar range.
-    VectorValue,
-    /// An interval operation left its domain; the payload names the
-    /// offending sub-expression.
-    Op { err: IntervalError, context: String },
-}
-
-impl fmt::Display for IntervalEvalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IntervalEvalError::UnknownRange(s) => write!(f, "no declared range for `{s}`"),
-            IntervalEvalError::UnknownFunction(s) => write!(f, "unknown function `{s}`"),
-            IntervalEvalError::NonIntegerIndex(s) => {
-                write!(f, "index of `{s}` is not a point integer")
-            }
-            IntervalEvalError::VectorValue => write!(f, "vector literal has no scalar range"),
-            IntervalEvalError::Op { err, context } => write!(f, "{err} in `{context}`"),
-        }
-    }
-}
-
-impl std::error::Error for IntervalEvalError {}
-
-fn op_err(err: IntervalError, e: &ExprRef) -> IntervalEvalError {
-    IntervalEvalError::Op {
-        err,
-        context: e.to_string(),
-    }
-}
-
-/// Evaluate `e` over the interval domain.
-///
-/// The structural mirror of [`crate::eval()`]: symbols resolve to declared
-/// ranges through the context, comparisons yield `[0, 1]` unless decidable
-/// from the operand ranges, and conditionals take the hull of both branches
-/// unless the test is decidable.
-pub fn interval_eval(
-    e: &ExprRef,
-    ctx: &dyn IntervalContext,
-) -> Result<Interval, IntervalEvalError> {
-    match e.as_ref() {
-        Expr::Num(v) => Ok(Interval::point(*v)),
-        Expr::Sym { name, indices } => {
-            let mut ixs = Vec::with_capacity(indices.len());
-            for ix in indices {
-                let r = interval_eval(ix, ctx)?;
-                if r.lo != r.hi || r.lo.fract() != 0.0 {
-                    return Err(IntervalEvalError::NonIntegerIndex(name.clone()));
-                }
-                ixs.push(r.lo as i64);
-            }
-            ctx.symbol_range(name, &ixs)
-                .ok_or_else(|| IntervalEvalError::UnknownRange(name.clone()))
-        }
-        Expr::Add(terms) => {
-            let mut acc = Interval::point(0.0);
-            for t in terms {
-                acc = acc.add(interval_eval(t, ctx)?);
-            }
-            Ok(acc)
-        }
-        Expr::Mul(factors) => {
-            let mut acc = Interval::point(1.0);
-            for f in factors {
-                acc = acc.mul(interval_eval(f, ctx)?);
-            }
-            Ok(acc)
-        }
-        Expr::Pow(b, x) => {
-            let base = interval_eval(b, ctx)?;
-            let exp = interval_eval(x, ctx)?;
-            base.pow(exp).map_err(|err| op_err(err, e))
-        }
-        Expr::Call { name, args } => {
-            let unary = |args: &[ExprRef]| -> Result<Interval, IntervalEvalError> {
-                if args.len() != 1 {
-                    return Err(IntervalEvalError::UnknownFunction(name.clone()));
-                }
-                interval_eval(&args[0], ctx)
-            };
-            match name.as_str() {
-                "exp" => Ok(unary(args)?.exp()),
-                "log" => unary(args)?.log().map_err(|err| op_err(err, e)),
-                "sin" => Ok(unary(args)?.sin()),
-                "cos" => Ok(unary(args)?.cos()),
-                "sqrt" => unary(args)?.sqrt().map_err(|err| op_err(err, e)),
-                "abs" => Ok(unary(args)?.abs()),
-                "sinh" => Ok(unary(args)?.sinh()),
-                "cosh" => Ok(unary(args)?.cosh()),
-                "tanh" => Ok(unary(args)?.tanh()),
-                "min" | "max" if args.len() == 2 => {
-                    let a = interval_eval(&args[0], ctx)?;
-                    let b = interval_eval(&args[1], ctx)?;
-                    Ok(if name == "min" {
-                        Interval {
-                            lo: a.lo.min(b.lo),
-                            hi: a.hi.min(b.hi),
-                        }
-                    } else {
-                        Interval {
-                            lo: a.lo.max(b.lo),
-                            hi: a.hi.max(b.hi),
-                        }
-                    })
-                }
-                _ => Err(IntervalEvalError::UnknownFunction(name.clone())),
-            }
-        }
-        Expr::Cmp(op, a, b) => {
-            let x = interval_eval(a, ctx)?;
-            let y = interval_eval(b, ctx)?;
-            // Decidable when the operand ranges do not overlap.
-            let always = x.hi < y.lo || (x.hi <= y.lo && matches!(op, crate::expr::CmpOp::Le));
-            let never = x.lo > y.hi || (x.lo >= y.hi && matches!(op, crate::expr::CmpOp::Lt));
-            match op {
-                crate::expr::CmpOp::Lt | crate::expr::CmpOp::Le => {
-                    if always {
-                        Ok(Interval::point(1.0))
-                    } else if never {
-                        Ok(Interval::point(0.0))
-                    } else {
-                        Ok(Interval::new(0.0, 1.0))
-                    }
-                }
-                crate::expr::CmpOp::Gt | crate::expr::CmpOp::Ge => {
-                    if never {
-                        Ok(Interval::point(1.0))
-                    } else if always {
-                        Ok(Interval::point(0.0))
-                    } else {
-                        Ok(Interval::new(0.0, 1.0))
-                    }
-                }
-                crate::expr::CmpOp::Eq => {
-                    if x.lo == x.hi && x == y {
-                        Ok(Interval::point(1.0))
-                    } else if x.hi < y.lo || x.lo > y.hi {
-                        Ok(Interval::point(0.0))
-                    } else {
-                        Ok(Interval::new(0.0, 1.0))
-                    }
-                }
-            }
-        }
-        Expr::Conditional {
-            test,
-            if_true,
-            if_false,
-        } => {
-            let t = interval_eval(test, ctx)?;
-            if !t.contains_zero() {
-                interval_eval(if_true, ctx)
-            } else if t.lo == 0.0 && t.hi == 0.0 {
-                interval_eval(if_false, ctx)
-            } else {
-                Ok(interval_eval(if_true, ctx)?.hull(interval_eval(if_false, ctx)?))
-            }
-        }
-        Expr::Vector(_) => Err(IntervalEvalError::VectorValue),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
-    use std::collections::HashMap;
-
-    struct Ranges(HashMap<String, Interval>);
-
-    impl IntervalContext for Ranges {
-        fn symbol_range(&self, name: &str, _indices: &[i64]) -> Option<Interval> {
-            self.0.get(name).copied()
-        }
-    }
-
-    fn ctx(pairs: &[(&str, f64, f64)]) -> Ranges {
-        Ranges(
-            pairs
-                .iter()
-                .map(|(k, lo, hi)| (k.to_string(), Interval::new(*lo, *hi)))
-                .collect(),
-        )
-    }
 
     #[test]
     fn widening_is_outward() {
@@ -623,41 +426,5 @@ mod tests {
         assert!(!huge.mul(huge).is_finite());
         assert!(!Interval::point(1000.0).exp().is_finite());
         assert!(Interval::point(1.0).exp().is_finite());
-    }
-
-    #[test]
-    fn expression_eval_tracks_ranges() {
-        let e = parse("(Io - I) * beta").unwrap();
-        let r = interval_eval(
-            &e,
-            &ctx(&[("Io", 0.5, 2.0), ("I", 0.0, 3.0), ("beta", 0.1, 0.9)]),
-        )
-        .unwrap();
-        assert!(r.lo <= -2.25 && r.hi >= 1.8);
-        assert!(r.is_finite());
-    }
-
-    #[test]
-    fn expression_eval_reports_zero_division() {
-        let e = parse("1 / tau").unwrap();
-        let err = interval_eval(&e, &ctx(&[("tau", 0.0, 0.0)])).unwrap_err();
-        assert!(matches!(
-            err,
-            IntervalEvalError::Op {
-                err: IntervalError::DivByZero,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn conditionals_hull_unless_decidable() {
-        let e = parse("conditional(x > 0, 10, 20)").unwrap();
-        let hull = interval_eval(&e, &ctx(&[("x", -1.0, 1.0)])).unwrap();
-        assert_eq!((hull.lo, hull.hi), (10.0, 20.0));
-        let taken = interval_eval(&e, &ctx(&[("x", 0.5, 1.0)])).unwrap();
-        assert_eq!((taken.lo, taken.hi), (10.0, 10.0));
-        let skipped = interval_eval(&e, &ctx(&[("x", -2.0, -1.0)])).unwrap();
-        assert_eq!((skipped.lo, skipped.hi), (20.0, 20.0));
     }
 }

@@ -34,7 +34,7 @@ pub mod units;
 pub use diff::{contains_expr, diff, diff_wrt};
 pub use eval::{eval, EvalContext, EvalError};
 pub use expr::{CmpOp, Expr, ExprRef};
-pub use interval::{interval_eval, Interval, IntervalContext, IntervalError, IntervalEvalError};
+pub use interval::{Interval, IntervalError};
 pub use parser::{parse, ParseError};
 pub use simplify::{canonical_eq, simplify};
 pub use subs::{substitute, substitute_indices, SubstitutionMap};

@@ -2,8 +2,7 @@
 //!
 //! A [`Dim`] is a vector of rational exponents over the four SI base
 //! dimensions the thermal-transport stack needs — length (m), mass (kg),
-//! time (s), temperature (K). The inference rules mirror the interval
-//! domain in [`crate::interval`]:
+//! time (s), temperature (K). The inference rules:
 //!
 //! * addition, subtraction, comparison, `min`/`max`, and the two branches
 //!   of a conditional demand **equal** dimensions;
@@ -12,8 +11,7 @@
 //! * transcendentals (`exp`, `log`, `sin`, `cos`, `sinh`, `cosh`, `tanh`)
 //!   demand a **dimensionless** argument and produce a dimensionless
 //!   result; `sqrt` halves every exponent (hence rational powers);
-//! * symbols resolve through a [`UnitContext`], exactly as ranges resolve
-//!   through [`crate::interval::IntervalContext`].
+//! * symbols resolve through a [`UnitContext`].
 //!
 //! The literal `0` is *polymorphic*: `x + 0` is well-dimensioned for any
 //! `x` (the DSL's upwind expansion compares fluxes against the literal
@@ -342,8 +340,7 @@ impl fmt::Display for InferredDim {
     }
 }
 
-/// Resolves symbol dimensions during dimensional inference, mirroring
-/// [`crate::interval::IntervalContext`].
+/// Resolves symbol dimensions during dimensional inference.
 pub trait UnitContext {
     /// Declared dimension of symbol `name`, or `None` when undeclared.
     fn symbol_dim(&self, name: &str) -> Option<Dim>;
@@ -443,7 +440,7 @@ fn unify_all(
 
 /// Infer the dimension of `e` over the SI dimension domain.
 ///
-/// The structural mirror of [`crate::interval::interval_eval`]: symbols
+/// The structural mirror of [`crate::eval()`]: symbols
 /// resolve to declared dimensions through the context, sums and
 /// comparisons demand equal dimensions, products add exponent vectors,
 /// and transcendentals demand dimensionless arguments. Conditionals check

@@ -144,3 +144,34 @@ fn pbte_refuses_the_bound_tier_name() {
         "{stderr}"
     );
 }
+
+/// Integrator and step values the problem would refuse are usage errors
+/// of the scenario driver too — exit 2 naming the key, before any solve —
+/// never a panic.
+#[test]
+fn pbte_refuses_out_of_range_integrators_and_steps() {
+    for (arg, says) in [
+        (
+            "integrator=implicit:abc",
+            "integrator=implicit:abc: `theta` expects a number",
+        ),
+        (
+            "integrator=implicit:2",
+            "integrator=implicit:2: theta must be in (0, 1]",
+        ),
+        (
+            "integrator=steady:1.5:2",
+            "integrator=steady:1.5:2: steady needs 0 < tol < 1",
+        ),
+        ("dt=abc", "dt=abc: expects a positive number of seconds"),
+        ("dt=-1", "dt=-1: expects a positive number of seconds"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pbte"))
+            .args(["hotspot", "n=4", "steps=1", arg])
+            .output()
+            .expect("pbte runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{arg}: {stderr}");
+        assert!(stderr.contains(says), "{arg}: {stderr}");
+    }
+}
