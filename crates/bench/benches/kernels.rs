@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the building blocks: the symbolic pipeline, the
-//! kernel VM vs its specialized forms, the temperature Newton solve, the
-//! partitioners, and the simulated device's launch machinery.
+//! `vm` tier's per-dof evaluation vs its bound forms, the temperature
+//! Newton solve, the partitioners, and the simulated device's launch
+//! machinery.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -63,7 +64,7 @@ fn bench_kernel_eval(c: &mut Criterion) {
     });
 
     c.bench_function("volume_row_eval_64", |b| {
-        let reg = cp.volume.lower(&pbte_dsl::bytecode::Binding {
+        let reg = cp.volume.bind(&pbte_dsl::bytecode::Binding {
             idx: &idx,
             n_cells: 64,
             dt: 1e-12,

@@ -62,7 +62,7 @@ fn kernel_tiers_are_bit_identical_on_gpu_precompute() {
 
 /// `examples/scenarios/jittered_array.pbte`: 2 400 face orientations, so
 /// no flux table. Every tier must resolve to itself (no clamp) and agree
-/// with the stack VM bit for bit: on `CpuSeq` for all three tiers, and for
+/// with the `vm` tier bit for bit: on `CpuSeq` for all three tiers, and for
 /// the row tier on the rayon split (spans that start mid-mesh) and on the
 /// device under both boundary strategies, which run one stage: this file
 /// lowers every wall, and a callback wall would only add host ghosts the

@@ -17,7 +17,7 @@ use pbte_bte::boundary::{isothermal, symmetry};
 use pbte_bte::material::{forget_tables, tables_built};
 use pbte_bte::pbte::parse_pbte;
 use pbte_bte::scenario::BteProblem;
-use pbte_dsl::bytecode::Op;
+use pbte_dsl::bytecode::Unbound;
 use pbte_dsl::exec::{forget_plans, plans_lowered};
 use pbte_dsl::problem::{Initial, Integrator, PlanKey, Problem};
 use pbte_dsl::{CoefficientValue, ExecTarget, GpuStrategy, KernelTier, Solver};
@@ -292,9 +292,10 @@ fn a_tampered_plan_is_a_private_copy() {
         .registry
         .variable_id("beta")
         .unwrap() as u16;
-    let ops = &mut tampered.compiled.plan_mut().volume.ops;
-    let load = ops.iter_mut().find_map(|op| match op {
-        Op::LoadVar { var, .. } if *var == beta => Some(var),
+    let stmts = &mut tampered.compiled.plan_mut().volume.stmts;
+    let mut operands = stmts.iter_mut().flat_map(|s| s.expr.operands_mut());
+    let load = operands.find_map(|o| match o {
+        Unbound::Var { var, .. } if *var == beta => Some(var),
         _ => None,
     });
     *load.expect("the volume term reads beta") = t_var;
@@ -306,6 +307,6 @@ fn a_tampered_plan_is_a_private_copy() {
     assert!(clean.compiled.verify_plan(&clean.target).is_empty());
     let later = solver(&text);
     assert!(later.compiled.plan_reused);
-    assert_eq!(later.compiled.volume.ops, clean.compiled.volume.ops);
+    assert_eq!(later.compiled.volume.stmts, clean.compiled.volume.stmts);
     assert!(later.compiled.verify_plan(&later.target).is_empty());
 }

@@ -1,15 +1,14 @@
-//! Read-set derivation and bytecode validation by abstract interpretation.
+//! Read-set derivation and statement validation by abstract interpretation.
 //!
-//! Every kernel tier is walked symbolically:
-//!
-//! * the stack VM's `Program` with a stack-depth abstraction — each
-//!   instruction's pop/push effect is applied to an abstract depth,
-//!   proving no underflow, no overflow past the VM's fixed stack, and a
-//!   single result value;
-//! * the per-flat register programs (`RegProgram`) the Row and Native
-//!   tiers run, with a def-before-use abstraction over the register file;
-//! * every load's resolved offset (or worst-case index pattern) is
-//!   checked against the storage extent of the entity it names.
+//! One walker covers both statement alphabets: the compiled programs the
+//! `vm` tier evaluates (over its file of [`MAX_REGS`] registers) and the
+//! per-flat bound programs the Row and Native tiers run. It proves
+//! def-before-use over the register file — reading a register no earlier
+//! statement wrote, or writing one past the file, is
+//! `bytecode/use-before-def` — and hands every other operand to the
+//! alphabet's resolver, which checks the load against the storage extent
+//! of the entity it names: a compiled operand's worst-case index pattern,
+//! a bound operand's resolved row span.
 //!
 //! The variables and coefficients the walks observe form the derived
 //! read set, which must agree with the equation-level declaration in
@@ -17,83 +16,30 @@
 
 use super::{rules, Diagnostic, Severity};
 use crate::bytecode::{
-    Op, Operand, Pattern, Program, RegProgram, FACE_INPUTS, FACE_NORMAL, MAX_STACK,
+    Alphabet, Operand, Pattern, Program, RegExpr, RegStmt, Unbound, FACE_INPUTS, FACE_NORMAL,
+    MAX_REGS,
 };
 use crate::entities::CoefficientValue;
 use crate::exec::{CompiledProblem, MAX_RUN_FACES, MIN_RUN};
 use crate::problem::Initial;
 use std::collections::BTreeSet;
 
-/// Read sets derived from bytecode (entity ids into the registry).
+/// Read sets derived from the kernels' statements (entity ids into the
+/// registry).
 #[derive(Debug, Default, Clone)]
 pub struct DerivedAccess {
     pub var_reads: BTreeSet<usize>,
     pub coef_reads: BTreeSet<usize>,
 }
 
-/// Stack effect of one `Op`: (pops, pushes).
-fn op_effect(op: &Op) -> (usize, usize) {
-    match op {
-        Op::Const(_)
-        | Op::LoadDt
-        | Op::LoadTime
-        | Op::LoadIndex(_)
-        | Op::LoadVar { .. }
-        | Op::LoadU1
-        | Op::LoadU2
-        | Op::LoadCoef { .. }
-        | Op::LoadCoefFn { .. }
-        | Op::LoadNormal(_) => (0, 1),
-        Op::Add | Op::Mul | Op::Pow | Op::Cmp(_) => (2, 1),
-        Op::Recip | Op::Call(_) => (1, 1),
-        Op::Select => (3, 1),
-    }
-}
-
-/// Abstractly run a stack program: every instruction applies its effect
-/// to the depth, which must stay within `[0, MAX_STACK]` and end at 1.
-fn walk_stack(ops: &[Op], location: &str, out: &mut Vec<Diagnostic>) {
-    let mut depth = 0usize;
-    for (pc, op) in ops.iter().enumerate() {
-        let (pops, pushes) = op_effect(op);
-        if depth < pops {
-            out.push(Diagnostic {
-                severity: Severity::Error,
-                rule: rules::STACK_DEPTH,
-                entity: String::new(),
-                location: format!("{location}, op {pc}"),
-                message: format!("stack underflow: depth {depth}, instruction pops {pops}"),
-            });
-            return;
-        }
-        depth = depth - pops + pushes;
-        if depth > MAX_STACK {
-            out.push(Diagnostic {
-                severity: Severity::Error,
-                rule: rules::STACK_DEPTH,
-                entity: String::new(),
-                location: format!("{location}, op {pc}"),
-                message: format!(
-                    "stack overflow: depth {depth} exceeds the VM stack ({MAX_STACK})"
-                ),
-            });
-            return;
-        }
-    }
-    if depth != 1 {
-        out.push(Diagnostic {
-            severity: Severity::Error,
-            rule: rules::STACK_DEPTH,
-            entity: String::new(),
-            location: location.to_string(),
-            message: format!("program leaves {depth} values on the stack, expected 1"),
-        });
-    }
-}
-
-/// Worst-case flattened index a pattern can produce over the unknown's
-/// loop slots, or an error description when a slot is out of range.
-fn pattern_max_flat(pattern: &Pattern, idx_lens: &[usize]) -> Result<usize, String> {
+/// Check that `pattern` stays below `len` (the entity's `what`) over the
+/// unknown's loop slots.
+fn check_pattern(
+    pattern: &Pattern,
+    idx_lens: &[usize],
+    len: usize,
+    what: &str,
+) -> Result<(), String> {
     let mut max = pattern.base;
     for &(slot, stride) in &pattern.terms {
         let slot = slot as usize;
@@ -105,11 +51,59 @@ fn pattern_max_flat(pattern: &Pattern, idx_lens: &[usize]) -> Result<usize, Stri
         }
         max += stride * (idx_lens[slot] - 1);
     }
-    Ok(max)
+    match max < len {
+        true => Ok(()),
+        false => Err(format!("worst-case flat index {max} ≥ {what} {len}")),
+    }
 }
 
-/// Validate one generic-tier program and fold its reads into `acc`.
-fn check_vm_program(
+/// Walk one statement list: def-before-use over a file of `n_regs`
+/// registers, every other operand through `leaf` (with the statement's
+/// index), every function-coefficient evaluation into the read set. Stops
+/// at the first register fault.
+fn check_stmts<O: Alphabet>(
+    stmts: &[RegStmt<O>],
+    n_regs: usize,
+    location: &str,
+    acc: &mut DerivedAccess,
+    out: &mut Vec<Diagnostic>,
+    mut leaf: impl FnMut(&O, usize, &mut DerivedAccess, &mut Vec<Diagnostic>),
+) {
+    let fault = |pc: usize, message: String| Diagnostic {
+        severity: Severity::Error,
+        rule: rules::USE_BEFORE_DEF,
+        entity: String::new(),
+        location: format!("{location}, op {pc}"),
+        message,
+    };
+    let mut defined = vec![false; n_regs];
+    for (pc, stmt) in stmts.iter().enumerate() {
+        for o in stmt.expr.operands() {
+            match o.reg() {
+                Some(r) if !defined.get(r as usize).is_some_and(|&d| d) => {
+                    let message = format!("register r{r} consumed before any definition");
+                    return out.push(fault(pc, message));
+                }
+                Some(_) => {}
+                None => leaf(o, pc, acc, out),
+            }
+        }
+        if let RegExpr::CoefFn { coef, .. } = stmt.expr {
+            acc.coef_reads.insert(coef as usize);
+        }
+        let dst = stmt.dst;
+        let Some(slot) = defined.get_mut(dst as usize) else {
+            let message = format!("destination r{dst} outside register file of {n_regs}");
+            return out.push(fault(pc, message));
+        };
+        *slot = true;
+    }
+}
+
+/// Validate one compiled program and fold its reads into `acc`: a
+/// variable or array-coefficient operand's worst-case index pattern
+/// against the entity's extent; `CELL1`/`CELL2` read the unknown.
+fn check_program(
     cp: &CompiledProblem,
     program: &Program,
     location: &str,
@@ -117,69 +111,40 @@ fn check_vm_program(
     out: &mut Vec<Diagnostic>,
 ) {
     let registry = &cp.problem.registry;
-    walk_stack(&program.ops, location, out);
-    for (pc, op) in program.ops.iter().enumerate() {
-        match op {
-            Op::LoadVar { var, pattern } => {
-                let v = *var as usize;
-                acc.var_reads.insert(v);
-                let extent = registry.flat_len(&registry.variables[v].indices);
-                match pattern_max_flat(pattern, &cp.idx_lens) {
-                    Ok(max) if max < extent => {}
-                    Ok(max) => out.push(Diagnostic {
-                        severity: Severity::Error,
-                        rule: rules::OOB_LOAD,
-                        entity: registry.variables[v].name.clone(),
-                        location: format!("{location}, op {pc}"),
-                        message: format!("worst-case flat index {max} ≥ extent {extent}"),
-                    }),
-                    Err(msg) => out.push(Diagnostic {
-                        severity: Severity::Error,
-                        rule: rules::OOB_LOAD,
-                        entity: registry.variables[v].name.clone(),
-                        location: format!("{location}, op {pc}"),
-                        message: msg,
-                    }),
-                }
+    let oob = |entity: &str, pc: usize, message: String| Diagnostic {
+        severity: Severity::Error,
+        rule: rules::OOB_LOAD,
+        entity: entity.to_string(),
+        location: format!("{location}, op {pc}"),
+        message,
+    };
+    let leaf = |o: &Unbound, pc, acc: &mut DerivedAccess, out: &mut Vec<Diagnostic>| match o {
+        Unbound::Var { var, pattern } => {
+            let v = &registry.variables[*var as usize];
+            acc.var_reads.insert(*var as usize);
+            let extent = registry.flat_len(&v.indices);
+            if let Err(msg) = check_pattern(pattern, &cp.idx_lens, extent, "extent") {
+                out.push(oob(&v.name, pc, msg));
             }
-            Op::LoadU1 | Op::LoadU2 => {
-                acc.var_reads.insert(cp.system.unknown);
-            }
-            Op::LoadCoef { coef, pattern } => {
-                let c = *coef as usize;
-                acc.coef_reads.insert(c);
-                if let CoefficientValue::Array(a) = &registry.coefficients[c].value {
-                    match pattern_max_flat(pattern, &cp.idx_lens) {
-                        Ok(max) if max < a.len() => {}
-                        Ok(max) => out.push(Diagnostic {
-                            severity: Severity::Error,
-                            rule: rules::OOB_LOAD,
-                            entity: registry.coefficients[c].name.clone(),
-                            location: format!("{location}, op {pc}"),
-                            message: format!(
-                                "worst-case flat index {max} ≥ array length {}",
-                                a.len()
-                            ),
-                        }),
-                        Err(msg) => out.push(Diagnostic {
-                            severity: Severity::Error,
-                            rule: rules::OOB_LOAD,
-                            entity: registry.coefficients[c].name.clone(),
-                            location: format!("{location}, op {pc}"),
-                            message: msg,
-                        }),
-                    }
-                }
-            }
-            Op::LoadCoefFn { coef } => {
-                acc.coef_reads.insert(*coef as usize);
-            }
-            _ => {}
         }
-    }
+        Unbound::Coef { coef, pattern } => {
+            let c = &registry.coefficients[*coef as usize];
+            acc.coef_reads.insert(*coef as usize);
+            if let CoefficientValue::Array(a) = &c.value {
+                if let Err(msg) = check_pattern(pattern, &cp.idx_lens, a.len(), "array length") {
+                    out.push(oob(&c.name, pc, msg));
+                }
+            }
+        }
+        Unbound::Face(input) if *input < FACE_NORMAL => {
+            acc.var_reads.insert(cp.system.unknown);
+        }
+        _ => {}
+    };
+    check_stmts(&program.stmts, MAX_REGS, location, acc, out, leaf);
 }
 
-/// Bounds check for a lowered load: `vars[var][offset + cell]` over
+/// Bounds check for a bound load: `vars[var][offset + cell]` over
 /// `cell in 0..n_cells` against the variable's storage extent. A
 /// face-input pseudo-variable (ids from the flux program's `face_base`)
 /// must name one of the inputs at offset 0; `CELL1`/`CELL2` read the
@@ -227,57 +192,6 @@ fn check_load(
     }
 }
 
-/// Validate one register-tier program: def-before-use over the register
-/// file plus load bounds.
-fn check_reg_program(
-    cp: &CompiledProblem,
-    reg: &RegProgram,
-    n_cells: usize,
-    location: &str,
-    acc: &mut DerivedAccess,
-    out: &mut Vec<Diagnostic>,
-) {
-    let n_regs = reg.n_regs();
-    let mut defined = vec![false; n_regs];
-    let undef = |r: u8, pc: usize, defined: &[bool], out: &mut Vec<Diagnostic>| {
-        let ri = r as usize;
-        if ri >= defined.len() || !defined[ri] {
-            out.push(Diagnostic {
-                severity: Severity::Error,
-                rule: rules::USE_BEFORE_DEF,
-                entity: String::new(),
-                location: format!("{location}, op {pc}"),
-                message: format!("register r{ri} consumed before any definition"),
-            });
-            return true;
-        }
-        false
-    };
-    for (pc, stmt) in reg.stmts().iter().enumerate() {
-        for o in stmt.expr.operands() {
-            match *o {
-                Operand::Reg(r) if undef(r, pc, &defined, out) => return,
-                Operand::Load { var, offset } => {
-                    check_load(cp, var, offset, n_cells, location, acc, out)
-                }
-                _ => {}
-            }
-        }
-        let dst = stmt.dst;
-        if (dst as usize) >= n_regs {
-            out.push(Diagnostic {
-                severity: Severity::Error,
-                rule: rules::USE_BEFORE_DEF,
-                entity: String::new(),
-                location: format!("{location}, op {pc}"),
-                message: format!("destination r{dst} outside register file of {n_regs}"),
-            });
-            return;
-        }
-        defined[dst as usize] = true;
-    }
-}
-
 /// Analyze every kernel tier, derive the read sets, and cross-check them
 /// against the equation-level declaration. Returns the derived access for
 /// downstream transfer checks.
@@ -286,26 +200,31 @@ pub(super) fn check_kernels(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) -> 
     let n_cells = cp.mesh().n_cells();
     let mut acc = DerivedAccess::default();
 
-    // Tier 1: the generic stack VM programs.
-    check_vm_program(cp, &cp.volume, "volume kernel (vm)", &mut acc, out);
-    check_vm_program(cp, &cp.flux, "flux kernel (vm)", &mut acc, out);
+    // The compiled programs the `vm` tier evaluates.
+    check_program(cp, &cp.volume, "volume kernel (vm)", &mut acc, out);
+    check_program(cp, &cp.flux, "flux kernel (vm)", &mut acc, out);
 
-    // Tier 2: the per-flat register programs — the volume program, and
-    // the flux when Row/Native run it compiled. Stop after the first
-    // offending flat so one systematic bug doesn't produce n_flat copies
-    // of itself.
+    // The per-flat bound programs — the volume program, and the flux when
+    // Row/Native run it compiled. Stop after the first offending flat so
+    // one systematic bug doesn't produce n_flat copies of itself.
     for (kind, name, _) in cp.lowered_kernels() {
         for flat in 0..cp.n_flat {
             let before = out.len();
             let loc = format!("{name} kernel (row, flat {flat})");
-            check_reg_program(cp, &cp.bind(kind, flat, 0.0), n_cells, &loc, &mut acc, out);
+            let reg = cp.bind(kind, flat, 0.0);
+            let leaf = |o: &Operand, _, acc: &mut DerivedAccess, out: &mut Vec<Diagnostic>| {
+                if let Operand::Load { var, offset } = *o {
+                    check_load(cp, var, offset, n_cells, &loc, acc, out)
+                }
+            };
+            check_stmts(reg.stmts(), reg.n_regs(), &loc, &mut acc, out, leaf);
             if out.len() != before {
                 break;
             }
         }
     }
 
-    // Cross-check: bytecode reads vs the pipeline's declared reads.
+    // Cross-check: the statements' reads vs the pipeline's declared reads.
     let declared_vars: BTreeSet<usize> = cp.system.read_variables.iter().copied().collect();
     let declared_coefs: BTreeSet<usize> = cp.system.read_coefficients.iter().copied().collect();
     for &v in &acc.var_reads {
@@ -528,11 +447,13 @@ pub(super) fn check_initials(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
         .map(|(var, _)| *var)
         .collect();
     for (var, program) in &cp.initials {
-        for (pc, op) in program.ops.iter().enumerate() {
-            let read = match op {
-                Op::LoadVar { var: read, .. } => *read as usize,
-                _ => continue,
+        let stmts = program.stmts.iter().enumerate();
+        let operands = stmts.flat_map(|(pc, s)| s.expr.operands().iter().map(move |o| (pc, o)));
+        for (pc, o) in operands {
+            let Unbound::Var { var: read, .. } = o else {
+                continue;
             };
+            let read = *read as usize;
             if read == *var || !filled.contains(&read) {
                 out.push(Diagnostic {
                     severity: Severity::Error,

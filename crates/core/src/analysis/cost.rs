@@ -16,7 +16,7 @@
 //! changed.
 
 use super::{rules, Diagnostic, Scope, Severity};
-use crate::bytecode::{KernelKind, RegExpr};
+use crate::bytecode::KernelKind;
 use crate::dataflow::{Entity, Plan, Policy, Stage};
 use crate::exec::{CompiledProblem, ExecTarget, FluxPath, SolveReport};
 use crate::problem::{KernelTier, TimeStepper};
@@ -153,23 +153,23 @@ fn stage_bytes(plan: &CompiledProblem, stage: &Stage) -> [u64; 3] {
     ]
 }
 
-/// FLOPs of the per-flat register streams of one kernel (what `Row` and
+/// FLOPs of the per-flat bound statements of one kernel (what `Row` and
 /// `Native` run), averaged over flats.
 fn lowered_flops(cp: &CompiledProblem, kind: KernelKind) -> f64 {
-    let arithmetic = |expr: &RegExpr| !matches!(expr, RegExpr::Copy(_) | RegExpr::CoefFn(_));
     let flops: usize = (0..cp.n_flat)
         .map(|flat| {
             let reg = cp.bind(kind, flat, 0.0);
-            reg.stmts().iter().filter(|s| arithmetic(&s.expr)).count()
+            reg.stmts().iter().map(|s| s.expr.flops()).sum::<usize>()
         })
         .sum();
     flops as f64 / cp.n_flat.max(1) as f64
 }
 
-/// Per-dof FLOPs of the resolved tier's actual instruction streams: the
-/// generic programs for the VM tier, the per-flat register programs
-/// otherwise (the native tier prints the same register programs as
-/// source, so its count equals the Row tier's).
+/// Per-dof FLOPs of the statements the resolved tier actually runs, priced
+/// by [`RegExpr::flops`](crate::bytecode::RegExpr::flops): the compiled
+/// programs for the VM tier, the per-flat bound programs otherwise (the
+/// native tier prints the same bound programs as source, so its count
+/// equals the Row tier's).
 fn sweep_flops(cp: &CompiledProblem) -> f64 {
     let tier = cp.resolved_tier();
     let n_cells = cp.mesh().n_cells();
@@ -177,14 +177,14 @@ fn sweep_flops(cp: &CompiledProblem) -> f64 {
     // Flux side, per face: the table loop does an αβγ FMA pair plus the
     // area multiply (~6 flops); the compiled flux is priced from its
     // register stream plus the area multiply-accumulate; the per-dof tiers
-    // without a table replay the generic flux program.
+    // without a table evaluate the flux program face by face.
     let flux_flops = match cp.flux_path(tier) {
         FluxPath::Table => 6.0,
         FluxPath::Compiled => lowered_flops(cp, KernelKind::Flux) + 2.0,
-        FluxPath::Vm => cp.flux.flops as f64 + 4.0,
+        FluxPath::Vm => cp.flux.flops() as f64 + 4.0,
     };
     let volume_flops = match tier {
-        KernelTier::Vm => cp.volume.flops as f64,
+        KernelTier::Vm => cp.volume.flops() as f64,
         _ => lowered_flops(cp, KernelKind::Volume),
     };
     // Per dof: one volume evaluation, one flux evaluation per face, and
@@ -197,7 +197,7 @@ fn sweep_flops(cp: &CompiledProblem) -> f64 {
 /// every sweep span carries it × the range's dofs as `pred_flops`, and the
 /// figures' device roofline reads it.
 ///
-/// Flops are counted off the instruction stream the resolved tier runs.
+/// Flops are counted off the statements the resolved tier runs.
 /// Bytes are the *DRAM-effective* traffic the sweep's reuse structure
 /// proves, not raw load counts:
 ///

@@ -2,7 +2,8 @@
 //!
 //! Seeds every entity the kernels read from its declared physical range
 //! ([`crate::problem::Problem::declare_range`]) and abstractly executes
-//! both kernel forms (the stack `Program`, the per-flat `RegProgram`) over
+//! the kernels' statements — the compiled programs the `vm` tier runs and
+//! the per-flat bound programs, through one walker — over
 //! [`pbte_symbolic::Interval`] values with directed-rounding-safe outward
 //! widening, proving for every flat index:
 //!
@@ -28,8 +29,9 @@
 //! ([`rules::INTERVAL_CFL`]) when the scenario's `dt` exceeds it.
 
 use super::{rules, Diagnostic, Severity};
-use crate::bytecode::{Func, Op, Operand, Program, RegExpr, RegProgram};
-use crate::entities::CoefficientValue;
+use crate::bytecode::{
+    coefficient_at, Alphabet, Func, Operand, RegExpr, RegStmt, Unbound, FACE_U1, FACE_U2, MAX_REGS,
+};
 use crate::exec::CompiledProblem;
 use pbte_symbolic::{CmpOp, Interval, IntervalError};
 use std::collections::{BTreeSet, HashMap};
@@ -43,10 +45,24 @@ pub fn check_intervals(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
         return;
     };
     let before = out.len();
+    let coefficients = &cp.problem.registry.coefficients;
     for (kernel, program) in [("volume", &cp.volume), ("flux", &cp.flux)] {
         for flat in 0..cp.n_flat {
+            let idx = &cp.idx_of_flat[flat];
             let location = format!("{kernel} kernel (vm, flat {flat})");
-            if let Err(d) = run_vm(cp, &env, program, flat, &location) {
+            let leaf = |o: &Unbound| match o {
+                Unbound::Reg(_) => unreachable!("registers are the walker's"),
+                Unbound::K(k) => Interval::point(*k),
+                Unbound::Var { var, .. } => env.vars[*var as usize],
+                Unbound::Coef { coef, pattern } => {
+                    Interval::point(coefficient_at(&coefficients[*coef as usize], pattern, idx))
+                }
+                Unbound::Index(slot) => Interval::point((idx[*slot as usize] + 1) as f64),
+                Unbound::Dt => Interval::point(cp.problem.dt),
+                Unbound::Time => env.time,
+                Unbound::Face(input) => env.vars[(program.face_base + input) as usize],
+            };
+            if let Err(d) = run_stmts(&env, &program.stmts, MAX_REGS, leaf, &location) {
                 out.push(d);
                 break; // one offending flat per kernel is enough
             }
@@ -54,27 +70,20 @@ pub fn check_intervals(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
     }
     // The row tier recomputes the same arithmetic from the same seeds;
     // re-running it when the vm tier already failed would only duplicate
-    // the finding. When the vm tier is clean it proves the *lowered*
-    // programs (lowering-time folding, folded operands) safe too:
-    // the volume program's, and the flux's when Row/Native run it
-    // compiled.
+    // the finding. When the vm tier is clean it proves the *bound*
+    // programs (binding-time folding, folded operands) safe too: the
+    // volume program's, and the flux's when Row/Native run it compiled.
     if out.len() == before {
-        'kernels: for (kind, name, program) in cp.lowered_kernels() {
-            // Occurrence-order ids of function coefficients: the register
-            // stream evaluates them in program order (fusion never touches
-            // CoefFn).
-            let fn_coefs: Vec<usize> = program
-                .ops
-                .iter()
-                .filter_map(|op| match op {
-                    Op::LoadCoefFn { coef } => Some(*coef as usize),
-                    _ => None,
-                })
-                .collect();
+        let leaf = |o: &Operand| match *o {
+            Operand::Reg(_) => unreachable!("registers are the walker's"),
+            Operand::K(k) => Interval::point(k),
+            Operand::Load { var, .. } => env.vars[var as usize],
+        };
+        'kernels: for (kind, name, _) in cp.lowered_kernels() {
             for flat in 0..cp.n_flat {
                 let reg = cp.bind(kind, flat, 0.0);
                 let loc = format!("{name} kernel (row, flat {flat})");
-                if let Err(d) = run_reg(&env, &reg, &fn_coefs, &loc) {
+                if let Err(d) = run_stmts(&env, reg.stmts(), reg.n_regs(), leaf, &loc) {
                     out.push(d);
                     break 'kernels;
                 }
@@ -90,7 +99,7 @@ pub fn check_intervals(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
 
 struct Env {
     /// Range per variable id, then per face-input pseudo-variable of a
-    /// lowered flux program (`CELL1`/`CELL2` range over the unknown, the
+    /// bound flux program (`CELL1`/`CELL2` range over the unknown, the
     /// unit normal's components over `[-1, 1]`).
     vars: Vec<Interval>,
     /// Range per coefficient id (function coefficients; others are exact).
@@ -111,17 +120,17 @@ impl Env {
             .map(|(name, lo, hi)| (name.as_str(), Interval::new(*lo, *hi)))
             .collect();
         let mut required: BTreeSet<String> = BTreeSet::new();
-        for program in [&cp.volume, &cp.flux] {
-            for op in &program.ops {
-                match op {
-                    Op::LoadVar { var, .. } => {
+        for stmt in cp.volume.stmts.iter().chain(&cp.flux.stmts) {
+            if let RegExpr::CoefFn { coef, .. } = stmt.expr {
+                required.insert(registry.coefficients[coef as usize].name.clone());
+            }
+            for o in stmt.expr.operands() {
+                match o {
+                    Unbound::Var { var, .. } => {
                         required.insert(registry.variables[*var as usize].name.clone());
                     }
-                    Op::LoadU1 | Op::LoadU2 => {
+                    Unbound::Face(FACE_U1 | FACE_U2) => {
                         required.insert(registry.variables[cp.system.unknown].name.clone());
-                    }
-                    Op::LoadCoefFn { coef } => {
-                        required.insert(registry.coefficients[*coef as usize].name.clone());
                     }
                     _ => {}
                 }
@@ -254,94 +263,25 @@ fn select_interval(test: Interval, if_true: Interval, if_false: Interval) -> Int
     }
 }
 
-/// Abstractly execute a generic stack program for one flat index.
-fn run_vm(
-    cp: &CompiledProblem,
+/// Abstractly execute one statement list over a file of `n_regs`
+/// registers, every non-register operand valued by `leaf`.
+fn run_stmts<O: Alphabet>(
     env: &Env,
-    program: &Program,
-    flat: usize,
+    stmts: &[RegStmt<O>],
+    n_regs: usize,
+    leaf: impl Fn(&O) -> Interval,
     location: &str,
 ) -> Result<(), Diagnostic> {
-    let registry = &cp.problem.registry;
-    let idx = &cp.idx_of_flat[flat];
-    let mut stack: Vec<Interval> = Vec::new();
-    let pop = |stack: &mut Vec<Interval>| stack.pop().unwrap_or(Interval::point(0.0));
-    for (pc, op) in program.ops.iter().enumerate() {
-        let pushed = match op {
-            Op::Const(v) => Interval::point(*v),
-            Op::LoadDt => Interval::point(cp.problem.dt),
-            Op::LoadTime => env.time,
-            Op::LoadIndex(slot) => Interval::point((idx[*slot as usize] + 1) as f64),
-            Op::LoadVar { var, .. } => env.vars[*var as usize],
-            Op::LoadU1 | Op::LoadU2 => env.vars[cp.system.unknown],
-            Op::LoadCoef { coef, pattern } => match &registry.coefficients[*coef as usize].value {
-                CoefficientValue::Scalar(v) => Interval::point(*v),
-                CoefficientValue::Array(a) => Interval::point(a[pattern.flat(idx)]),
-                CoefficientValue::Function(_) => unreachable!("functions compile to LoadCoefFn"),
-            },
-            Op::LoadCoefFn { coef } => env.fn_coefs[&(*coef as usize)],
-            Op::LoadNormal(_) => Interval::new(-1.0, 1.0),
-            Op::Add => {
-                let b = pop(&mut stack);
-                let a = pop(&mut stack);
-                a.add(b)
-            }
-            Op::Mul => {
-                let b = pop(&mut stack);
-                let a = pop(&mut stack);
-                a.mul(b)
-            }
-            Op::Pow => {
-                let b = pop(&mut stack);
-                let a = pop(&mut stack);
-                a.pow(b).map_err(|e| op_error(e, location, pc))?
-            }
-            Op::Recip => pop(&mut stack)
-                .recip()
-                .map_err(|e| op_error(e, location, pc))?,
-            Op::Call(f) => {
-                func_interval(*f, pop(&mut stack)).map_err(|e| op_error(e, location, pc))?
-            }
-            Op::Cmp(c) => {
-                let b = pop(&mut stack);
-                let a = pop(&mut stack);
-                cmp_interval(*c, a, b)
-            }
-            Op::Select => {
-                let if_false = pop(&mut stack);
-                let if_true = pop(&mut stack);
-                let test = pop(&mut stack);
-                select_interval(test, if_true, if_false)
-            }
-        };
-        stack.push(finite_check(pushed, location, pc)?);
-    }
-    Ok(())
-}
-
-/// Abstractly execute a register program.
-fn run_reg(
-    env: &Env,
-    reg: &RegProgram,
-    fn_coefs: &[usize],
-    location: &str,
-) -> Result<(), Diagnostic> {
-    let mut regs: Vec<Interval> = vec![Interval::point(0.0); reg.n_regs()];
-    let mut seen_fns = 0usize;
-    for (pc, stmt) in reg.stmts().iter().enumerate() {
-        let operand = |o: &Operand| match *o {
-            Operand::Reg(r) => regs[r as usize],
-            Operand::K(k) => Interval::point(k),
-            Operand::Load { var, .. } => env.vars[var as usize],
+    let mut regs: Vec<Interval> = vec![Interval::point(0.0); n_regs];
+    for (pc, stmt) in stmts.iter().enumerate() {
+        let operand = |o: &O| match o.reg() {
+            Some(r) => regs[r as usize],
+            None => leaf(o),
         };
         let fails = |e| op_error(e, location, pc);
         let value = match &stmt.expr {
             RegExpr::Copy(a) => operand(a),
-            RegExpr::CoefFn(_) => {
-                let id = fn_coefs[seen_fns];
-                seen_fns += 1;
-                env.fn_coefs[&id]
-            }
+            RegExpr::CoefFn { coef, .. } => env.fn_coefs[&(*coef as usize)],
             RegExpr::Add([a, b]) => operand(a).add(operand(b)),
             RegExpr::Mul([a, b]) => operand(a).mul(operand(b)),
             RegExpr::Pow([a, b]) => operand(a).pow(operand(b)).map_err(fails)?,

@@ -8,9 +8,9 @@
 //! the `pbte-verify` binary, and discharges seven proof obligations:
 //!
 //! 1. **Access soundness** (`access`): per-entity read sets are derived
-//!    from the compiled bytecode of both kernel forms (the stack `Program`
-//!    and the per-flat `RegProgram`) by abstract interpretation — stack
-//!    depth, register def-before-use, and load-offset bounds fall out as
+//!    from both statement forms of every kernel (the compiled `Program`
+//!    and the per-flat bound `RegProgram`) by one abstract walker —
+//!    register def-before-use and load-offset bounds fall out as
 //!    byproducts — and cross-checked against the equation-level
 //!    declaration. An expression initial must read only variables
 //!    initialised before it fills (`initial/uninitialised-read`). The CSR
@@ -40,11 +40,11 @@
 //! 4. **Translation validity** (`validate`): the lowering pipeline is
 //!    validated per plan, not trusted per construction. A canonical
 //!    symbolic expression is re-extracted from every tier — the IR's
-//!    statement strings are parsed back, and the `Program` and fused
-//!    `RegProgram` streams and the native tier's emitted statements are
-//!    abstractly executed over symbolic values — and proven equal to the expression
-//!    expanded from the DSL terms. A mismatch pinpoints the tier and
-//!    instruction that diverged.
+//!    statement strings are parsed back, and the compiled `Program` and
+//!    bound `RegProgram` statements (the ones the native tier prints) are
+//!    abstractly executed over symbolic values — and proven equal to the
+//!    expression expanded from the DSL terms. A mismatch pinpoints the
+//!    tier and statement that diverged.
 //! 5. **Numeric safety** (`intervals`): every tier is abstractly
 //!    executed over the interval domain, seeded from the physical ranges
 //!    declared on entities, proving no NaN/Inf, no division by an
@@ -97,11 +97,10 @@ use crate::exec::{CompiledProblem, ExecTarget};
 
 /// Rule identifiers, one per distinct diagnostic the verifier can emit.
 pub mod rules {
-    /// Bytecode over/underflows the evaluation stack.
-    pub const STACK_DEPTH: &str = "bytecode/stack-depth";
     /// A load resolves outside its entity's storage.
     pub const OOB_LOAD: &str = "bytecode/oob-load";
-    /// A register is consumed before any instruction defines it.
+    /// A register is consumed before any statement defines it, or a
+    /// statement writes past the register file.
     pub const USE_BEFORE_DEF: &str = "bytecode/use-before-def";
     /// Bytecode reads an entity the equation analysis didn't declare
     /// (error), or declares one no tier actually reads (warning).
@@ -138,12 +137,13 @@ pub mod rules {
     /// An IR statement string does not parse back to the DSL expression
     /// it was lowered from (or the DSL term groups are inconsistent).
     pub const TRANSLATION_IR: &str = "translation/ir-mismatch";
-    /// The generic stack program computes a different symbolic expression
-    /// than the DSL terms.
+    /// The compiled program (the statements the `vm` tier evaluates)
+    /// computes a different symbolic expression than the DSL terms.
     pub const TRANSLATION_VM: &str = "translation/vm-mismatch";
-    /// A per-flat register program (its folded constants and load offsets,
-    /// register allocation or operand folds) diverged from the generic
-    /// program executed with the same fold — in the row tier, or in the
+    /// A per-flat bound program (its folded constants, load offsets and
+    /// function coefficients, registers or operand folds) diverged from
+    /// the compiled program executed with the same fold — in the row
+    /// tier, or in the
     /// statement list the native tier would print (checked before `rustc`
     /// ever runs).
     pub const TRANSLATION_REG: &str = "translation/reg-mismatch";
@@ -189,7 +189,6 @@ pub mod rules {
     /// Every rule [`verify_plan`](super::verify_plan) checks, in pass
     /// order — what a clean plan has been proved free of.
     pub const VERIFY_PLAN: &[&str] = &[
-        STACK_DEPTH,
         OOB_LOAD,
         USE_BEFORE_DEF,
         UNDECLARED_ACCESS,

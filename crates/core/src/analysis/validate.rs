@@ -2,13 +2,15 @@
 //!
 //! The compiler lowers one conservation-form equation through these
 //! representations: the DSL term groups (after operator expansion and the
-//! forward-Euler transform), the loop-nest IR, the generic stack VM
-//! (`Program`) and the per-flat register form (`RegProgram`), which the Row
-//! tier interprets and the Native tier prints as Rust source. This module
-//! re-extracts a symbolic expression from every representation by abstract
-//! interpretation over `pbte_symbolic` values and proves the chain
-//! DSL ≡ IR ≡ VM ≡ Row equal link by link; Native prints Row, so the last
-//! link covers it:
+//! forward-Euler transform), the loop-nest IR, the compiled register
+//! statements (`Program`, what the `vm` tier evaluates) and their per-flat
+//! binding (`RegProgram`), which the Row tier interprets and the Native
+//! tier prints as Rust source. This module re-extracts a symbolic
+//! expression from every representation by abstract interpretation over
+//! `pbte_symbolic` values and proves the chain DSL ≡ IR ≡ Reg ≡ bound Reg
+//! equal link by link; Native prints the bound statements, so the last
+//! link covers it. Both statement forms run through one symbolic walker
+//! (`run`), each with its own operand resolver:
 //!
 //! * **DSL ≡ groups ≡ IR** ([`check_ir`]): the IR's `source = …` and
 //!   `flux += faceArea * (…)` statements are parsed back and compared
@@ -17,40 +19,44 @@
 //!   (`Σ rhs_volume ≡ u + dt·volume`, `Σ rhs_surface ≡ −dt·flux`,
 //!   `lhs_volume ≡ −u`); the per-dof update statement must be present
 //!   verbatim.
-//! * **DSL ≡ VM** ([`check_vm`]): for every flat index, `Program` is
-//!   executed over symbolic values (loads become indexed symbols with the
-//!   flat's literal 1-based subscripts) and compared canonically against
-//!   the DSL expression with the same indices substituted.
-//! * **VM ≡ Row** ([`check_reg`]): `Program` is executed again with the
-//!   fold [`Program::lower`] applies (coefficients, `dt`, `t` and index
-//!   values become numbers, loads become offset-keyed symbols — one
-//!   [`Binding`] describes both sides), the register statements are
-//!   executed over a symbolic register file with their operands in their
-//!   order, and the two final values are compared **raw-structurally**.
-//!   Raw (not canonical) equality is deliberate: canonical ordering would
-//!   commute `k * load` back to `load * k` and mask exactly the operand
-//!   order bugs this proof exists to catch (operand order decides
-//!   NaN-payload propagation, so the tiers promise bitwise-equal results).
-//!   A wrong load offset or folded constant fails the same comparison. A
-//!   mismatch is pinned to the first statement computing a value the VM
-//!   never computes. The native tier runs this proof itself on every
-//!   statement list before printing it, so a corrupted lowering is
-//!   rejected, never compiled.
+//! * **DSL ≡ Reg** ([`check_vm`]): for every flat index, the compiled
+//!   statements are executed over symbolic values (loads become indexed
+//!   symbols with the flat's literal 1-based subscripts) and compared
+//!   canonically against the DSL expression with the same indices
+//!   substituted.
+//! * **Reg ≡ bound Reg** ([`check_reg`]): the compiled statements are
+//!   executed again under the fold [`Program::bind`] applies
+//!   (coefficients, `dt`, `t` and index values become numbers, loads
+//!   become offset-keyed symbols, a function coefficient its id-keyed
+//!   symbol — one [`Binding`] describes both sides), the bound statements
+//!   are executed with their operands in their order, and the two final
+//!   values are compared **raw-structurally**. Raw (not canonical)
+//!   equality is deliberate: canonical ordering would commute `k * load`
+//!   back to `load * k` and mask exactly the operand order bugs this
+//!   proof exists to catch (operand order decides NaN-payload
+//!   propagation, so the tiers promise bitwise-equal results). A wrong
+//!   load offset, folded constant or function coefficient fails the same
+//!   comparison. A mismatch is pinned to the first bound statement
+//!   computing a value the compiled statements never compute. The native
+//!   tier runs this proof itself on every statement list before printing
+//!   it, so a corrupted binding is rejected, never compiled.
 //!
-//! The lowering link covers every program the executors run lowered: the
+//! The binding link covers every program the executors run bound: the
 //! volume program always, and the flux program on plans whose Row/Native
-//! tiers run it compiled (no αβγ table). A lowered flux program loads its
+//! tiers run it compiled (no αβγ table). A bound flux program loads its
 //! face inputs as pseudo-variables, so the same functions prove it with
 //! three more symbols.
 //!
 //! Failures are structured [`Diagnostic`]s with stable rule ids
-//! (`translation/ir-mismatch`, `translation/vm-mismatch`,
-//! `translation/reg-mismatch`) pinpointing the tier and, where an
-//! instruction stream exists, the instruction.
+//! (`translation/ir-mismatch`, `translation/vm-mismatch` — its subject is
+//! the program the `vm` tier runs — and `translation/reg-mismatch`)
+//! pinpointing the tier and, where a statement list exists, the
+//! statement.
 
 use super::{rules, Diagnostic, Severity};
 use crate::bytecode::{
-    Binding, Op, Operand, Program, RegExpr, RegProgram, RegStmt, FACE_NORMAL, FACE_U1, FACE_U2,
+    Alphabet, Binding, CoefFnPtr, Operand, Program, RegExpr, RegProgram, RegStmt, Unbound,
+    FACE_NORMAL, FACE_U1, FACE_U2, MAX_REGS,
 };
 use crate::entities::{CoefficientValue, Registry};
 use crate::exec::{CompiledProblem, ExecTarget};
@@ -59,6 +65,7 @@ use crate::pipeline::unknown_symbol;
 use pbte_symbolic::simplify::canonical_eq;
 use pbte_symbolic::{parse, substitute, substitute_indices, Expr, ExprRef, SubstitutionMap};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Run the whole translation-validation chain for one compiled plan.
 /// When the plan carries a derived JVP plan (implicit integrators), the
@@ -67,7 +74,7 @@ pub fn check_translation(cp: &CompiledProblem, target: &ExecTarget, out: &mut Ve
     let ir = ir::build_ir(cp, target);
     check_ir(cp, &ir, out);
     check_vm(cp, out);
-    check_lowered(cp, &Program::lower, out);
+    check_lowered(cp, &Program::bind, out);
     check_jvp(cp, target, out);
     // The wall lowering, exhaustively: every (face, flat) of both plans
     // against its closure (`verify_plan` probes one face per wall normal).
@@ -262,7 +269,7 @@ fn ir_mismatch(location: &str, message: String) -> Diagnostic {
 }
 
 // ---------------------------------------------------------------------------
-// Symbolic execution of the instruction tiers
+// Symbolic execution of the statement forms
 // ---------------------------------------------------------------------------
 
 /// Decode a flattened entity index back to literal 1-based subscripts.
@@ -287,354 +294,22 @@ fn entity_sym(registry: &Registry, name: &str, indices: &[usize], flat: usize) -
     }
 }
 
-/// How entity references materialize during symbolic execution of a
-/// `Program`.
-#[derive(Clone, Copy)]
-enum VmMode<'a> {
-    /// Keep names: loads become indexed symbols, for comparison against
-    /// the DSL expression.
-    Named(&'a CompiledProblem),
-    /// Apply the fold [`Program::lower`] performs with `binding`
-    /// (coefficients, `dt`, `t`, loop indices become numbers; variable and
-    /// face-input loads become offset-keyed placeholder symbols), for
-    /// raw-structural comparison against the register lowering.
-    BindFolded {
-        binding: Binding<'a>,
-        face_base: u16,
-    },
-}
-
-struct VmExec<'a> {
-    idx: &'a [usize],
-    mode: VmMode<'a>,
-    coef_fns: usize,
-}
-
-impl<'a> VmExec<'a> {
-    fn new(idx: &'a [usize], mode: VmMode<'a>) -> VmExec<'a> {
-        VmExec {
-            idx,
-            mode,
-            coef_fns: 0,
-        }
-    }
-
-    /// Apply one instruction to the symbolic stack. Returns `Err` on a
-    /// malformed stack (already diagnosed by the access pass).
-    fn step(&mut self, op: &Op, stack: &mut Vec<ExprRef>) -> Result<(), String> {
-        use VmMode::{BindFolded, Named};
-        let pushed = match (op, self.mode) {
-            (Op::Const(v), _) => Expr::num(*v),
-            (Op::LoadDt, Named(_)) => Expr::sym("dt"),
-            (Op::LoadDt, BindFolded { binding, .. }) => Expr::num(binding.dt),
-            (Op::LoadTime, Named(_)) => Expr::sym("t"),
-            (Op::LoadTime, BindFolded { binding, .. }) => Expr::num(binding.time),
-            (Op::LoadIndex(slot), _) => Expr::num((self.idx[*slot as usize] + 1) as f64),
-            (Op::LoadVar { var, pattern }, Named(cp)) => {
-                let registry = &cp.problem.registry;
-                let v = &registry.variables[*var as usize];
-                entity_sym(registry, &v.name, &v.indices, pattern.flat(self.idx))
-            }
-            (Op::LoadVar { var, pattern }, BindFolded { binding, .. }) => {
-                load_sym(*var, pattern.flat(self.idx) * binding.n_cells)
-            }
-            (Op::LoadU1 | Op::LoadU2 | Op::LoadNormal(_), BindFolded { face_base, .. }) => {
-                let input = match op {
-                    Op::LoadU1 => FACE_U1,
-                    Op::LoadU2 => FACE_U2,
-                    Op::LoadNormal(axis) => FACE_NORMAL + *axis as u16,
-                    _ => unreachable!(),
-                };
-                load_sym(face_base + input, 0)
-            }
-            (Op::LoadU1 | Op::LoadU2, Named(cp)) => {
-                let u = &cp.problem.registry.variables[cp.system.unknown];
-                let subs: Vec<ExprRef> = self
-                    .idx
-                    .iter()
-                    .map(|&v| Expr::num((v + 1) as f64))
-                    .collect();
-                let arg = if subs.is_empty() {
-                    Expr::sym(u.name.clone())
-                } else {
-                    Expr::sym_indexed(u.name.clone(), subs)
-                };
-                let name = if matches!(op, Op::LoadU1) {
-                    "CELL1"
-                } else {
-                    "CELL2"
-                };
-                Expr::call(name, vec![arg])
-            }
-            (Op::LoadNormal(axis), Named(_)) => Expr::sym(format!("NORMAL_{}", axis + 1)),
-            (Op::LoadCoef { coef, pattern }, Named(cp)) => {
-                let registry = &cp.problem.registry;
-                let c = &registry.coefficients[*coef as usize];
-                entity_sym(registry, &c.name, &c.indices, pattern.flat(self.idx))
-            }
-            (Op::LoadCoef { coef, pattern }, BindFolded { binding, .. }) => {
-                let c = &binding.coefficients[*coef as usize];
-                match &c.value {
-                    CoefficientValue::Scalar(v) => Expr::num(*v),
-                    CoefficientValue::Array(a) => Expr::num(a[pattern.flat(self.idx)]),
-                    CoefficientValue::Function(_) => {
-                        return Err(format!(
-                            "coefficient `{}` is a function but was compiled as LoadCoef",
-                            c.name
-                        ))
-                    }
-                }
-            }
-            (Op::LoadCoefFn { coef }, Named(cp)) => Expr::sym(
-                cp.problem.registry.coefficients[*coef as usize]
-                    .name
-                    .clone(),
-            ),
-            (Op::LoadCoefFn { .. }, BindFolded { .. }) => {
-                self.coef_fns += 1;
-                coef_fn_sym(self.coef_fns)
-            }
-            (Op::Add | Op::Mul | Op::Pow | Op::Cmp(_), _) => {
-                let b = pop(stack)?;
-                let a = pop(stack)?;
-                match op {
-                    Op::Add => Expr::add(vec![a, b]),
-                    Op::Mul => Expr::mul(vec![a, b]),
-                    Op::Pow => Expr::pow(a, b),
-                    Op::Cmp(c) => Expr::cmp(*c, a, b),
-                    _ => unreachable!(),
-                }
-            }
-            (Op::Recip, _) => {
-                let a = pop(stack)?;
-                Expr::pow(a, Expr::num(-1.0))
-            }
-            (Op::Call(f), _) => {
-                let a = pop(stack)?;
-                Expr::call(f.name(), vec![a])
-            }
-            (Op::Select, _) => {
-                let if_false = pop(stack)?;
-                let if_true = pop(stack)?;
-                let test = pop(stack)?;
-                Expr::conditional(test, if_true, if_false)
-            }
-        };
-        stack.push(pushed);
-        Ok(())
-    }
-
-    /// Execute a whole program: the top of the stack after every
-    /// instruction, in order — the last is the program's value.
-    fn run(&mut self, ops: &[Op]) -> Result<Vec<ExprRef>, String> {
-        let mut stack = Vec::new();
-        let mut tops = Vec::with_capacity(ops.len());
-        for (pc, op) in ops.iter().enumerate() {
-            self.step(op, &mut stack)
-                .map_err(|e| format!("op {pc}: {e}"))?;
-            tops.extend(stack.last().cloned());
-        }
-        if stack.len() != 1 {
-            return Err(format!(
-                "program leaves {} values on the stack",
-                stack.len()
-            ));
-        }
-        Ok(tops)
-    }
-}
-
-fn pop(stack: &mut Vec<ExprRef>) -> Result<ExprRef, String> {
-    stack.pop().ok_or_else(|| "stack underflow".to_string())
-}
-
-/// Placeholder symbol for a lowered variable load; keyed by
-/// `(var, offset)` so identical loads unify and different loads never do.
-fn load_sym(var: u16, offset: usize) -> ExprRef {
-    Expr::sym(format!("load#{var}@{offset}"))
-}
-
-/// Placeholder symbol for the n-th function-coefficient evaluation. The
-/// stack and register streams evaluate coefficient functions in the same
-/// order (fusion never touches them), so occurrence order is a sound key.
-fn coef_fn_sym(n: usize) -> ExprRef {
-    Expr::sym(format!("coef_fn#{n}"))
-}
-
-// ---------------------------------------------------------------------------
-// DSL ≡ VM
-// ---------------------------------------------------------------------------
-
-/// Prove the generic stack programs compute the analyzed DSL expressions,
-/// for every flat index.
-pub fn check_vm(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
-    let registry = &cp.problem.registry;
-    let mut scalars: SubstitutionMap = SubstitutionMap::new();
-    scalars.insert("pi".into(), Expr::num(std::f64::consts::PI));
-    for c in &registry.coefficients {
-        if let CoefficientValue::Scalar(v) = c.value {
-            scalars.insert(c.name.clone(), Expr::num(v));
-        }
-    }
-    let slots: Vec<&str> = registry.variables[cp.system.unknown]
-        .indices
-        .iter()
-        .map(|&i| registry.indices[i].name.as_str())
-        .collect();
-
-    for (kernel, program, expected) in [
-        ("volume", &cp.volume, &cp.system.volume_expr),
-        ("flux", &cp.flux, &cp.system.flux_expr),
-    ] {
-        for flat in 0..cp.n_flat {
-            let idx = &cp.idx_of_flat[flat];
-            let location = format!("{kernel} kernel (vm, flat {flat})");
-            let extracted = match VmExec::new(idx, VmMode::Named(cp)).run(&program.ops) {
-                Ok(mut tops) => tops.pop().expect("a program leaves one value"),
-                Err(msg) => {
-                    out.push(vm_mismatch(&location, msg));
-                    break;
-                }
-            };
-            let idx_map: HashMap<String, i64> = slots
-                .iter()
-                .zip(idx)
-                .map(|(name, &v)| (name.to_string(), (v + 1) as i64))
-                .collect();
-            let reference = substitute(&substitute_indices(expected, &idx_map), &scalars);
-            if !canonical_eq(&extracted, &reference) {
-                out.push(vm_mismatch(
-                    &location,
-                    format!(
-                        "stack program computes `{extracted}` but the DSL \
-                         expression specializes to `{reference}`"
-                    ),
-                ));
-                break; // one offending flat per kernel is enough
-            }
-        }
-    }
-}
-
-fn vm_mismatch(location: &str, message: String) -> Diagnostic {
-    Diagnostic {
-        severity: Severity::Error,
-        rule: rules::TRANSLATION_VM,
-        entity: String::new(),
-        location: location.to_string(),
-        message,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// VM ≡ Row
-// ---------------------------------------------------------------------------
-
-/// Prove the register lowering of every lowered kernel against the stack
-/// VM, per flat. Production passes [`Program::lower`]; negative tests pass
-/// a lowering that tampers with its result, to prove the proof is
-/// load-bearing. Stops at the first offending flat per kernel.
-pub fn check_lowered(
-    cp: &CompiledProblem,
-    lower: &dyn Fn(&Program, &Binding) -> RegProgram,
-    out: &mut Vec<Diagnostic>,
-) {
-    for (_, name, program) in cp.lowered_kernels() {
-        for flat in 0..cp.n_flat {
-            let binding = cp.binding(flat, 0.0);
-            let location = format!("{name} kernel (row, flat {flat})");
-            let before = out.len();
-            check_reg(program, &binding, &lower(program, &binding), &location, out);
-            if out.len() != before {
-                break;
-            }
-        }
-    }
-}
-
-/// What a lowering computed: the value of every statement in order and
-/// the final value — or the statement (if one) that could not run, and
-/// why.
-type Execution = Result<(Vec<ExprRef>, ExprRef), (Option<usize>, String)>;
-
-fn reg_mismatch(location: &str, message: String) -> Diagnostic {
-    Diagnostic {
-        severity: Severity::Error,
-        rule: rules::TRANSLATION_REG,
-        entity: String::new(),
-        location: location.to_string(),
-        message,
-    }
-}
-
-/// Prove one register program raw-structurally equal to the VM's
-/// execution of `program` with the fold `binding` describes — the fold
-/// [`Program::lower`] performs, so a wrong load offset or folded constant
-/// fails here as surely as a flipped operand order. Raw, not canonical:
-/// canonical ordering would commute `k * load` back to `load * k` and mask
-/// the operand-order bugs this proof exists to catch. A mismatch is pinned
-/// to the first statement whose value the VM never computes. Public so
-/// negative tests can seed a tampered `RegProgram` (via
-/// `RegProgram::from_raw_parts`), and the native tier runs it on every
-/// statement list it prints.
-pub fn check_reg(
-    program: &Program,
-    binding: &Binding,
-    reg: &RegProgram,
-    location: &str,
-    out: &mut Vec<Diagnostic>,
-) {
-    let mode = VmMode::BindFolded {
-        binding: *binding,
-        face_base: program.face_base,
-    };
-    let vm_values = match VmExec::new(binding.idx, mode).run(&program.ops) {
-        Ok(values) => values,
-        Err(msg) => {
-            let msg = format!("the VM cannot run the program: {msg}");
-            return out.push(reg_mismatch(location, msg));
-        }
-    };
-    let expected = vm_values.last().expect("a program leaves one value");
-    let (produced, result) = match run_reg(reg) {
-        Ok(run) => run,
-        Err((pc, msg)) => {
-            let at = match pc {
-                Some(pc) => format!("{location}, stmt {pc}"),
-                None => location.to_string(),
-            };
-            return out.push(reg_mismatch(&at, msg));
-        }
-    };
-    if result.structurally_eq(expected) {
-        return;
-    }
-    let culprit = produced
-        .iter()
-        .position(|v| !vm_values.iter().any(|b| b.structurally_eq(v)));
-    out.push(match culprit {
-        Some(pc) => reg_mismatch(
-            &format!("{location}, stmt {pc}"),
-            format!(
-                "first diverging stmt: row program computes `{}`, a value the \
-                 VM never produces (expected final `{expected}`)",
-                produced[pc]
-            ),
-        ),
-        None => reg_mismatch(
-            location,
-            format!("row program computes `{result}` but the VM computes `{expected}`"),
-        ),
-    });
-}
-
-/// Execute a register program over symbolic registers.
-fn run_reg(reg: &RegProgram) -> Execution {
-    let mut regs: Vec<Option<ExprRef>> = vec![None; reg.n_regs()];
-    let mut produced: Vec<ExprRef> = Vec::with_capacity(reg.stmts().len());
-    let mut coef_fns = 0usize;
-    for (pc, stmt) in reg.stmts().iter().enumerate() {
-        produced.push(reg_step(stmt, &mut regs, &mut coef_fns).map_err(|m| (Some(pc), m))?);
+/// Execute one statement list over a symbolic file of `n_regs`
+/// registers, every non-register operand valued by `leaf` and every
+/// function-coefficient evaluation by `coef_fn`: the value of every
+/// statement in order and the final value (`r0`) — or the statement (if
+/// one) that could not run, and why.
+fn run<O: Alphabet>(
+    stmts: &[RegStmt<O>],
+    n_regs: usize,
+    leaf: impl Fn(&O) -> Result<ExprRef, String>,
+    coef_fn: impl Fn(u16, &O::Fn) -> Result<ExprRef, String>,
+) -> Execution {
+    let mut regs: Vec<Option<ExprRef>> = vec![None; n_regs];
+    let mut produced: Vec<ExprRef> = Vec::with_capacity(stmts.len());
+    for (pc, stmt) in stmts.iter().enumerate() {
+        let value = reg_step(stmt, &mut regs, &leaf, &coef_fn).map_err(|m| (Some(pc), m))?;
+        produced.push(value);
     }
     match regs.first().cloned().flatten() {
         Some(result) => Ok((produced, result)),
@@ -642,31 +317,28 @@ fn run_reg(reg: &RegProgram) -> Execution {
     }
 }
 
-/// Apply one register statement over symbolic registers; returns the value
-/// written to the destination.
-fn reg_step(
-    stmt: &RegStmt,
+/// Apply one statement over symbolic registers; returns the value written
+/// to the destination.
+fn reg_step<O: Alphabet>(
+    stmt: &RegStmt<O>,
     regs: &mut [Option<ExprRef>],
-    coef_fns: &mut usize,
+    leaf: impl Fn(&O) -> Result<ExprRef, String>,
+    coef_fn: impl Fn(u16, &O::Fn) -> Result<ExprRef, String>,
 ) -> Result<ExprRef, String> {
     let value = {
-        let operand = |o: &Operand| -> Result<ExprRef, String> {
-            match *o {
-                Operand::Reg(r) => regs
+        let operand = |o: &O| -> Result<ExprRef, String> {
+            match o.reg() {
+                Some(r) => regs
                     .get(r as usize)
                     .cloned()
                     .flatten()
                     .ok_or_else(|| format!("register r{r} read before definition")),
-                Operand::K(k) => Ok(Expr::num(k)),
-                Operand::Load { var, offset } => Ok(load_sym(var, offset)),
+                None => leaf(o),
             }
         };
         match &stmt.expr {
             RegExpr::Copy(a) => operand(a)?,
-            RegExpr::CoefFn(_) => {
-                *coef_fns += 1;
-                coef_fn_sym(*coef_fns)
-            }
+            RegExpr::CoefFn { coef, f } => coef_fn(*coef, f)?,
             RegExpr::Add([a, b]) => Expr::add(vec![operand(a)?, operand(b)?]),
             RegExpr::Mul([a, b]) => Expr::mul(vec![operand(a)?, operand(b)?]),
             RegExpr::Pow([a, b]) => Expr::pow(operand(a)?, operand(b)?),
@@ -682,4 +354,265 @@ fn reg_step(
         .ok_or_else(|| format!("destination r{dst} outside register file"))?;
     *slot = Some(value.clone());
     Ok(value)
+}
+
+/// Placeholder symbol for a bound variable load; keyed by `(var, offset)`
+/// so identical loads unify and different loads never do.
+fn load_sym(var: u16, offset: usize) -> ExprRef {
+    Expr::sym(format!("load#{var}@{offset}"))
+}
+
+/// Placeholder symbol for an evaluation of function coefficient `coef`:
+/// keyed by id, so two different function coefficients never unify.
+fn coef_fn_sym(coef: u16) -> ExprRef {
+    Expr::sym(format!("coef_fn#{coef}"))
+}
+
+// ---------------------------------------------------------------------------
+// DSL ≡ Reg
+// ---------------------------------------------------------------------------
+
+/// Prove the compiled programs compute the analyzed DSL expressions, for
+/// every flat index.
+pub fn check_vm(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
+    let registry = &cp.problem.registry;
+    let mut scalars: SubstitutionMap = SubstitutionMap::new();
+    scalars.insert("pi".into(), Expr::num(std::f64::consts::PI));
+    for c in &registry.coefficients {
+        if let CoefficientValue::Scalar(v) = c.value {
+            scalars.insert(c.name.clone(), Expr::num(v));
+        }
+    }
+    let slots: Vec<&str> = registry.variables[cp.system.unknown]
+        .indices
+        .iter()
+        .map(|&i| registry.indices[i].name.as_str())
+        .collect();
+    let coef_fn = |coef: u16, _: &()| {
+        let name = &registry.coefficients[coef as usize].name;
+        Ok(Expr::sym(name.clone()))
+    };
+
+    for (kernel, program, expected) in [
+        ("volume", &cp.volume, &cp.system.volume_expr),
+        ("flux", &cp.flux, &cp.system.flux_expr),
+    ] {
+        for flat in 0..cp.n_flat {
+            let idx = &cp.idx_of_flat[flat];
+            let location = format!("{kernel} kernel (vm, flat {flat})");
+            let named = |o: &Unbound| -> Result<ExprRef, String> {
+                Ok(match o {
+                    Unbound::Reg(_) => unreachable!("registers are the walker's"),
+                    Unbound::K(k) => Expr::num(*k),
+                    Unbound::Var { var, pattern } => {
+                        let v = &registry.variables[*var as usize];
+                        entity_sym(registry, &v.name, &v.indices, pattern.flat(idx))
+                    }
+                    Unbound::Coef { coef, pattern } => {
+                        let c = &registry.coefficients[*coef as usize];
+                        entity_sym(registry, &c.name, &c.indices, pattern.flat(idx))
+                    }
+                    Unbound::Index(slot) => Expr::num((idx[*slot as usize] + 1) as f64),
+                    Unbound::Dt => Expr::sym("dt"),
+                    Unbound::Time => Expr::sym("t"),
+                    Unbound::Face(input @ (FACE_U1 | FACE_U2)) => {
+                        let u = &registry.variables[cp.system.unknown];
+                        let subs: Vec<ExprRef> =
+                            idx.iter().map(|&v| Expr::num((v + 1) as f64)).collect();
+                        let arg = if subs.is_empty() {
+                            Expr::sym(u.name.clone())
+                        } else {
+                            Expr::sym_indexed(u.name.clone(), subs)
+                        };
+                        let name = if *input == FACE_U1 { "CELL1" } else { "CELL2" };
+                        Expr::call(name, vec![arg])
+                    }
+                    Unbound::Face(input) => {
+                        Expr::sym(format!("NORMAL_{}", input - FACE_NORMAL + 1))
+                    }
+                })
+            };
+            let extracted = match run(&program.stmts, MAX_REGS, named, coef_fn) {
+                Ok((_, value)) => value,
+                Err((pc, msg)) => {
+                    out.push(vm_mismatch(&at_stmt(&location, pc), msg));
+                    break;
+                }
+            };
+            let idx_map: HashMap<String, i64> = slots
+                .iter()
+                .zip(idx)
+                .map(|(name, &v)| (name.to_string(), (v + 1) as i64))
+                .collect();
+            let reference = substitute(&substitute_indices(expected, &idx_map), &scalars);
+            if !canonical_eq(&extracted, &reference) {
+                out.push(vm_mismatch(
+                    &location,
+                    format!(
+                        "compiled program computes `{extracted}` but the DSL \
+                         expression specializes to `{reference}`"
+                    ),
+                ));
+                break; // one offending flat per kernel is enough
+            }
+        }
+    }
+}
+
+/// `location`, narrowed to statement `pc` when there is one.
+fn at_stmt(location: &str, pc: Option<usize>) -> String {
+    match pc {
+        Some(pc) => format!("{location}, stmt {pc}"),
+        None => location.to_string(),
+    }
+}
+
+fn vm_mismatch(location: &str, message: String) -> Diagnostic {
+    Diagnostic {
+        severity: Severity::Error,
+        rule: rules::TRANSLATION_VM,
+        entity: String::new(),
+        location: location.to_string(),
+        message,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Reg ≡ bound Reg
+// ---------------------------------------------------------------------------
+
+/// Prove the binding of every bound kernel against its compiled program,
+/// per flat. Production passes [`Program::bind`]; negative tests pass a
+/// binding that tampers with its result, to prove the proof is
+/// load-bearing. Stops at the first offending flat per kernel.
+pub fn check_lowered(
+    cp: &CompiledProblem,
+    bind: &dyn Fn(&Program, &Binding) -> RegProgram,
+    out: &mut Vec<Diagnostic>,
+) {
+    for (_, name, program) in cp.lowered_kernels() {
+        for flat in 0..cp.n_flat {
+            let binding = cp.binding(flat, 0.0);
+            let location = format!("{name} kernel (row, flat {flat})");
+            let before = out.len();
+            check_reg(program, &binding, &bind(program, &binding), &location, out);
+            if out.len() != before {
+                break;
+            }
+        }
+    }
+}
+
+/// What a statement list computed: the value of every statement in order
+/// and the final value — or the statement (if one) that could not run,
+/// and why.
+type Execution = Result<(Vec<ExprRef>, ExprRef), (Option<usize>, String)>;
+
+fn reg_mismatch(location: &str, message: String) -> Diagnostic {
+    Diagnostic {
+        severity: Severity::Error,
+        rule: rules::TRANSLATION_REG,
+        entity: String::new(),
+        location: location.to_string(),
+        message,
+    }
+}
+
+/// Prove one bound program raw-structurally equal to the execution of
+/// `program`'s compiled statements under the fold `binding` describes —
+/// the fold [`Program::bind`] performs, so a wrong load offset, folded
+/// constant or function coefficient fails here as surely as a flipped
+/// operand order. Raw, not canonical: canonical ordering would commute
+/// `k * load` back to `load * k` and mask the operand-order bugs this
+/// proof exists to catch. A mismatch is pinned to the first bound
+/// statement whose value the compiled statements never compute. Public so
+/// negative tests can seed a tampered `RegProgram` (via
+/// `RegProgram::from_raw_parts`), and the native tier runs it on every
+/// statement list it prints.
+pub fn check_reg(
+    program: &Program,
+    binding: &Binding,
+    reg: &RegProgram,
+    location: &str,
+    out: &mut Vec<Diagnostic>,
+) {
+    let folded = |o: &Unbound| -> Result<ExprRef, String> {
+        Ok(match o {
+            Unbound::Reg(_) => unreachable!("registers are the walker's"),
+            Unbound::K(k) => Expr::num(*k),
+            Unbound::Var { var, pattern } => {
+                load_sym(*var, pattern.flat(binding.idx) * binding.n_cells)
+            }
+            Unbound::Coef { coef, pattern } => {
+                let c = &binding.coefficients[*coef as usize];
+                match &c.value {
+                    CoefficientValue::Scalar(v) => Expr::num(*v),
+                    CoefficientValue::Array(a) => Expr::num(a[pattern.flat(binding.idx)]),
+                    CoefficientValue::Function(_) => {
+                        return Err(format!(
+                            "coefficient `{}` is a function but is read as a value",
+                            c.name
+                        ))
+                    }
+                }
+            }
+            Unbound::Index(slot) => Expr::num((binding.idx[*slot as usize] + 1) as f64),
+            Unbound::Dt => Expr::num(binding.dt),
+            Unbound::Time => Expr::num(binding.time),
+            Unbound::Face(input) => load_sym(program.face_base + input, 0),
+        })
+    };
+    let compiled = run(&program.stmts, MAX_REGS, folded, |coef, _: &()| {
+        Ok(coef_fn_sym(coef))
+    });
+    let (values, expected) = match compiled {
+        Ok(run) => run,
+        Err((pc, msg)) => {
+            let at = pc.map_or(String::new(), |pc| format!(" at stmt {pc}"));
+            let msg = format!("the compiled program cannot run{at}: {msg}");
+            return out.push(reg_mismatch(location, msg));
+        }
+    };
+    let bound = |o: &Operand| match *o {
+        Operand::Reg(_) => unreachable!("registers are the walker's"),
+        Operand::K(k) => Ok(Expr::num(k)),
+        Operand::Load { var, offset } => Ok(load_sym(var, offset)),
+    };
+    // A bound evaluation must call the function of the coefficient it
+    // names: the id keys the symbol, the pointer is what runs.
+    let coef_fn = |coef: u16, f: &CoefFnPtr| {
+        let value = binding.coefficients.get(coef as usize).map(|c| &c.value);
+        match value {
+            Some(CoefficientValue::Function(g)) if Arc::ptr_eq(g, &f.0) => Ok(coef_fn_sym(coef)),
+            _ => Err(format!(
+                "evaluates a function that is not coefficient {coef}'s"
+            )),
+        }
+    };
+    let (produced, result) = match run(reg.stmts(), reg.n_regs(), bound, coef_fn) {
+        Ok(run) => run,
+        Err((pc, msg)) => return out.push(reg_mismatch(&at_stmt(location, pc), msg)),
+    };
+    if result.structurally_eq(&expected) {
+        return;
+    }
+    let culprit = produced
+        .iter()
+        .position(|v| !values.iter().any(|b| b.structurally_eq(v)));
+    out.push(match culprit {
+        Some(pc) => reg_mismatch(
+            &format!("{location}, stmt {pc}"),
+            format!(
+                "first diverging stmt: row program computes `{}`, a value the \
+                 compiled program never produces (expected final `{expected}`)",
+                produced[pc]
+            ),
+        ),
+        None => reg_mismatch(
+            location,
+            format!(
+                "row program computes `{result}` but the compiled program computes `{expected}`"
+            ),
+        ),
+    });
 }

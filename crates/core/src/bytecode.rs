@@ -1,30 +1,38 @@
-//! Compilation of symbolic kernels to a stack VM, and their one lowering
-//! to registers.
+//! Compilation of symbolic kernels to register statements, and their one
+//! binding per flat index.
 //!
 //! The Julia Finch emits Julia/CUDA source and lets the host compiler JIT
 //! it. Rust has no runtime compiler, so the DSL's executable artifact is a
-//! compact stack bytecode specialized per problem: symbol references are
-//! resolved at compile time to direct array offsets (base + Σ index·stride)
-//! and the arithmetic tree is flattened into postfix ops. The same program
-//! runs on every target — sequential, threaded, distributed ranks, and the
+//! compact statement list specialized per problem: symbol references are
+//! resolved at compile time to index patterns (base + Σ index·stride) and
+//! the arithmetic tree is flattened into register statements `r[d] = …`,
+//! one per tree node in postfix order, the value of a node at depth `d`
+//! landing in register `d` (so a statement's operands are fixed registers
+//! and no evaluator keeps a stack pointer). The same statements run on
+//! every target — sequential, threaded, distributed ranks, and the
 //! simulated GPU — which is what makes cross-target bit-identical results
 //! testable.
 //!
-//! [`Program::lower`] turns a program into the register form of one flat
-//! index ([`RegProgram`]) in a single pass — the fold a [`Binding`]
-//! describes, register allocation, and the fold of an adjacent constant or
-//! load into the operand that consumes it. That statement list is the one
-//! register form: the row tier interprets it in batched lanes, the native
-//! tier prints it as Rust source ([`crate::nativegen`]), and the analyses
-//! walk it operand by operand.
+//! There is one statement type, [`RegStmt`], generic over its operand
+//! [`Alphabet`]. The compiler emits it over [`Unbound`] operands — a
+//! variable or array coefficient by index pattern, a loop index value,
+//! `dt`, `t`, a face input — which the `vm` tier evaluates per dof
+//! ([`Program::eval`]). [`Program::bind`] resolves them for one flat index
+//! ([`Binding`]) into [`Operand`]s — a constant or a load at a fixed row
+//! offset — and folds an adjacent constant or load into the operand that
+//! consumes it: the [`RegProgram`] the row tier interprets in batched
+//! lanes and the native tier prints as Rust source
+//! ([`crate::nativegen`]). The type keeps an unbound operand out of both.
+//! The analyses walk either alphabet operand by operand.
 //!
-//! Compilation also counts flops statically; the count feeds the GPU
-//! roofline model and the cluster performance model.
+//! Compilation also prices the statements ([`RegExpr::flops`]); the count
+//! feeds the GPU roofline model and the cluster performance model.
 
 use crate::entities::{CoefficientValue, Registry};
 use crate::problem::DslError;
 use pbte_mesh::Point;
 use pbte_symbolic::expr::{CmpOp, Expr, ExprRef};
+use std::fmt::Debug;
 
 /// Which kernel an expression compiles into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +44,7 @@ pub enum KernelKind {
     Flux,
 }
 
-/// Elementary functions the VM supports.
+/// Elementary functions the kernels support.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Func {
     Exp,
@@ -120,49 +128,11 @@ impl Pattern {
     }
 }
 
-/// One VM instruction.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Op {
-    Const(f64),
-    LoadDt,
-    LoadTime,
-    /// 1-based value of a loop index (DSL semantics).
-    LoadIndex(u8),
-    /// A variable's value at the owner cell.
-    LoadVar {
-        var: u16,
-        pattern: Pattern,
-    },
-    /// Unknown at the owner cell (flux kernels).
-    LoadU1,
-    /// Unknown across the face — neighbor value or boundary ghost.
-    LoadU2,
-    /// An array coefficient value.
-    LoadCoef {
-        coef: u16,
-        pattern: Pattern,
-    },
-    /// A function coefficient evaluated at the kernel position.
-    LoadCoefFn {
-        coef: u16,
-    },
-    /// Component of the face normal.
-    LoadNormal(u8),
-    Add,
-    Mul,
-    Pow,
-    Recip,
-    Call(Func),
-    Cmp(CmpOp),
-    /// Pops (else, then, test), pushes `test != 0 ? then : else`.
-    Select,
-}
-
-/// Face inputs of a lowered flux program. [`Program::lower`] presents them
-/// as pseudo-variables `face_base + FACE_*` read by the ordinary
-/// [`Operand::Load`] at offset 0, so the fold, the row evaluator and the
-/// translation validator treat a flux program exactly like a volume
-/// program.
+/// Face inputs of a flux program: [`Unbound::Face`] names them, and
+/// [`Program::bind`] presents them as pseudo-variables `face_base +
+/// FACE_*` read by the ordinary [`Operand::Load`] at offset 0, so the
+/// fold, the row evaluator and the translation validator treat a flux
+/// program exactly like a volume program.
 pub const FACE_U1: u16 = 0;
 /// Unknown across the face (neighbor value or boundary ghost).
 pub const FACE_U2: u16 = 1;
@@ -171,18 +141,220 @@ pub const FACE_NORMAL: u16 = 2;
 /// Number of face inputs.
 pub const FACE_INPUTS: usize = 5;
 
-/// A compiled kernel expression.
+/// Registers of the `vm` tier's fixed register file: the compiler refuses
+/// an expression whose evaluation needs more (one register per level of
+/// the expression tree).
+pub const MAX_REGS: usize = 32;
+
+/// An operand alphabet: what the operands of a [`RegStmt`] can name, and
+/// what its function-coefficient evaluations carry.
+pub trait Alphabet: Clone + PartialEq + Debug {
+    /// What [`RegExpr::CoefFn`] carries besides the coefficient id.
+    type Fn: Clone + PartialEq + Debug;
+
+    /// The register this operand reads, if it reads one.
+    fn reg(&self) -> Option<u8>;
+}
+
+/// An operand of a compiled statement: what binding resolves.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Unbound {
+    /// A register an earlier statement wrote.
+    Reg(u8),
+    /// A constant (a literal, `pi` or a scalar coefficient).
+    K(f64),
+    /// A variable's value at the evaluation cell.
+    Var {
+        var: u16,
+        pattern: Pattern,
+    },
+    /// An array coefficient's value.
+    Coef {
+        coef: u16,
+        pattern: Pattern,
+    },
+    /// 1-based value of a loop index (DSL semantics).
+    Index(u8),
+    Dt,
+    Time,
+    /// A face input of a flux program ([`FACE_U1`], [`FACE_U2`],
+    /// [`FACE_NORMAL`] + axis).
+    Face(u16),
+}
+
+impl Alphabet for Unbound {
+    type Fn = ();
+
+    fn reg(&self) -> Option<u8> {
+        match *self {
+            Unbound::Reg(r) => Some(r),
+            _ => None,
+        }
+    }
+}
+
+/// One operand of a bound statement.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Operand {
+    /// A register an earlier statement wrote.
+    Reg(u8),
+    /// A bind-time constant (the native tier prints its bit pattern).
+    K(f64),
+    /// `vars[var][offset + cell]`; the offset folds the flat.
+    Load { var: u16, offset: usize },
+}
+
+impl Alphabet for Operand {
+    type Fn = CoefFnPtr;
+
+    fn reg(&self) -> Option<u8> {
+        match *self {
+            Operand::Reg(r) => Some(r),
+            _ => None,
+        }
+    }
+}
+
+/// The right-hand side of a register statement. Operands are in evaluation
+/// order: `Add([a, b])` is `a + b`, so the order a folded operand takes in
+/// the source expression is the order every reader sees (operand order
+/// decides NaN-payload propagation, so the tiers promise bitwise-equal
+/// results).
+#[derive(Debug, Clone, PartialEq)]
+pub enum RegExpr<O: Alphabet = Operand> {
+    Copy(O),
+    /// `f(position, time)` of function coefficient `coef`.
+    CoefFn {
+        coef: u16,
+        f: O::Fn,
+    },
+    Add([O; 2]),
+    Mul([O; 2]),
+    /// `a.powf(b)`
+    Pow([O; 2]),
+    /// `1 / a`
+    Recip(O),
+    Call(Func, O),
+    /// `a op b ? 1 : 0`
+    Cmp(CmpOp, [O; 2]),
+    /// `t != 0 ? a : b`
+    Select([O; 3]),
+}
+
+impl<O: Alphabet> RegExpr<O> {
+    /// The operands, in evaluation order.
+    pub fn operands(&self) -> &[O] {
+        match self {
+            RegExpr::CoefFn { .. } => &[],
+            RegExpr::Copy(a) | RegExpr::Recip(a) | RegExpr::Call(_, a) => std::slice::from_ref(a),
+            RegExpr::Add(ab) | RegExpr::Mul(ab) | RegExpr::Pow(ab) | RegExpr::Cmp(_, ab) => ab,
+            RegExpr::Select(tab) => tab,
+        }
+    }
+
+    /// The operands, mutably (negative tests seed tampered programs
+    /// through it).
+    pub fn operands_mut(&mut self) -> &mut [O] {
+        match self {
+            RegExpr::CoefFn { .. } => &mut [],
+            RegExpr::Copy(a) | RegExpr::Recip(a) | RegExpr::Call(_, a) => std::slice::from_mut(a),
+            RegExpr::Add(ab) | RegExpr::Mul(ab) | RegExpr::Pow(ab) | RegExpr::Cmp(_, ab) => ab,
+            RegExpr::Select(tab) => tab,
+        }
+    }
+
+    /// Static flop price of one evaluation: arithmetic, comparison and
+    /// select 1, a reciprocal 4, a power 15, an elementary function 20, a
+    /// function coefficient (arbitrary host code) a nominal 20, a copy 0.
+    /// The one count: a program's price is the sum over its statements,
+    /// and binding only drops copies, so both alphabets price alike.
+    pub fn flops(&self) -> usize {
+        match self {
+            RegExpr::Copy(_) => 0,
+            RegExpr::Add(_) | RegExpr::Mul(_) | RegExpr::Cmp(..) | RegExpr::Select(_) => 1,
+            RegExpr::Recip(_) => 4,
+            RegExpr::Pow(_) => 15,
+            RegExpr::Call(..) | RegExpr::CoefFn { .. } => 20,
+        }
+    }
+
+    /// The statement's value, its operands valued by `operand` and a
+    /// function coefficient by `coef_fn` — the scalar semantics every tier
+    /// reproduces bit for bit.
+    #[inline(always)]
+    pub fn eval(&self, operand: impl Fn(&O) -> f64, coef_fn: impl Fn(u16, &O::Fn) -> f64) -> f64 {
+        match self {
+            RegExpr::Copy(a) => operand(a),
+            RegExpr::CoefFn { coef, f } => coef_fn(*coef, f),
+            RegExpr::Add([a, b]) => operand(a) + operand(b),
+            RegExpr::Mul([a, b]) => operand(a) * operand(b),
+            RegExpr::Pow([a, b]) => operand(a).powf(operand(b)),
+            RegExpr::Recip(a) => 1.0 / operand(a),
+            RegExpr::Call(f, a) => f.apply(operand(a)),
+            RegExpr::Cmp(op, [a, b]) => {
+                if op.apply(operand(a), operand(b)) {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            RegExpr::Select([t, a, b]) => {
+                if operand(t) != 0.0 {
+                    operand(a)
+                } else {
+                    operand(b)
+                }
+            }
+        }
+    }
+
+    /// The same statement over another alphabet: every operand through
+    /// `operand`, a function coefficient's payload through `coef_fn`.
+    fn map<P: Alphabet>(
+        &self,
+        operand: impl Fn(&O) -> P,
+        coef_fn: impl Fn(u16) -> P::Fn,
+    ) -> RegExpr<P> {
+        let pair = |[a, b]: &[O; 2]| [operand(a), operand(b)];
+        match self {
+            RegExpr::Copy(a) => RegExpr::Copy(operand(a)),
+            RegExpr::CoefFn { coef, .. } => RegExpr::CoefFn {
+                coef: *coef,
+                f: coef_fn(*coef),
+            },
+            RegExpr::Add(ab) => RegExpr::Add(pair(ab)),
+            RegExpr::Mul(ab) => RegExpr::Mul(pair(ab)),
+            RegExpr::Pow(ab) => RegExpr::Pow(pair(ab)),
+            RegExpr::Recip(a) => RegExpr::Recip(operand(a)),
+            RegExpr::Call(f, a) => RegExpr::Call(*f, operand(a)),
+            RegExpr::Cmp(op, ab) => RegExpr::Cmp(*op, pair(ab)),
+            RegExpr::Select([t, a, b]) => RegExpr::Select([operand(t), operand(a), operand(b)]),
+        }
+    }
+}
+
+/// One register statement: `r[dst] = expr`.
+///
+/// In a tree flattened to postfix order the depth of every node is
+/// statically known, so the value of a node at depth *i* lives in
+/// register *i*: operands and destinations are fixed indices and no
+/// evaluator keeps a dynamic stack pointer.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RegStmt<O: Alphabet = Operand> {
+    pub dst: u8,
+    pub expr: RegExpr<O>,
+}
+
+/// A compiled kernel expression: its statements over unbound operands.
 #[derive(Debug, Clone)]
 pub struct Program {
-    pub ops: Vec<Op>,
+    pub stmts: Vec<RegStmt<Unbound>>,
     /// Pseudo-variable id of the first face input: the registry's variable
     /// count, so face inputs never collide with a real variable id.
     pub face_base: u16,
-    /// Static flop count per evaluation.
-    pub flops: usize,
 }
 
-/// Everything the VM needs for one evaluation.
+/// Everything the `vm` tier needs for one evaluation.
 ///
 /// Variable storage is passed as raw per-variable slices (index-major, see
 /// [`Fields`](crate::entities::Fields)) so the same programs evaluate
@@ -210,114 +382,86 @@ pub struct VmCtx<'a> {
     pub time: f64,
 }
 
-pub(crate) const MAX_STACK: usize = 32;
-
-impl Program {
-    /// Evaluate against a context.
-    pub fn eval(&self, ctx: &VmCtx) -> f64 {
-        let mut stack = [0.0f64; MAX_STACK];
-        let mut sp = 0usize;
-        macro_rules! push {
-            ($v:expr) => {{
-                stack[sp] = $v;
-                sp += 1;
-            }};
-        }
-        macro_rules! pop {
-            () => {{
-                sp -= 1;
-                stack[sp]
-            }};
-        }
-        for op in &self.ops {
-            match op {
-                Op::Const(v) => push!(*v),
-                Op::LoadDt => push!(ctx.dt),
-                Op::LoadTime => push!(ctx.time),
-                Op::LoadIndex(slot) => push!((ctx.idx[*slot as usize] + 1) as f64),
-                Op::LoadVar { var, pattern } => {
-                    let flat = pattern.flat(ctx.idx);
-                    push!(ctx.vars[*var as usize][flat * ctx.n_cells + ctx.cell])
-                }
-                Op::LoadU1 => push!(ctx.u1),
-                Op::LoadU2 => push!(ctx.u2),
-                Op::LoadCoef { coef, pattern } => {
-                    let c = &ctx.coefficients[*coef as usize];
-                    let v = match &c.value {
-                        CoefficientValue::Scalar(v) => *v,
-                        CoefficientValue::Array(a) => a[pattern.flat(ctx.idx)],
-                        CoefficientValue::Function(_) => {
-                            unreachable!("function coefficients compile to LoadCoefFn")
-                        }
-                    };
-                    push!(v)
-                }
-                Op::LoadCoefFn { coef } => {
-                    let c = &ctx.coefficients[*coef as usize];
-                    let v = match &c.value {
-                        CoefficientValue::Function(f) => f(ctx.position, ctx.time),
-                        _ => unreachable!("LoadCoefFn on a non-function coefficient"),
-                    };
-                    push!(v)
-                }
-                Op::LoadNormal(axis) => push!(ctx.normal[*axis as usize]),
-                Op::Add => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(a + b)
-                }
-                Op::Mul => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(a * b)
-                }
-                Op::Pow => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(a.powf(b))
-                }
-                Op::Recip => {
-                    let a = pop!();
-                    push!(1.0 / a)
-                }
-                Op::Call(f) => {
-                    let a = pop!();
-                    push!(f.apply(a))
-                }
-                Op::Cmp(op) => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(if op.apply(a, b) { 1.0 } else { 0.0 })
-                }
-                Op::Select => {
-                    let else_v = pop!();
-                    let then_v = pop!();
-                    let test = pop!();
-                    push!(if test != 0.0 { then_v } else { else_v })
-                }
+impl VmCtx<'_> {
+    /// The value of operand `o` for this dof, registers from `regs`.
+    #[inline(always)]
+    fn value(&self, o: &Unbound, regs: &[f64; MAX_REGS]) -> f64 {
+        match o {
+            Unbound::Reg(r) => regs[*r as usize],
+            Unbound::K(k) => *k,
+            Unbound::Var { var, pattern } => {
+                self.vars[*var as usize][pattern.flat(self.idx) * self.n_cells + self.cell]
             }
+            Unbound::Coef { coef, pattern } => {
+                coefficient_at(&self.coefficients[*coef as usize], pattern, self.idx)
+            }
+            Unbound::Index(slot) => (self.idx[*slot as usize] + 1) as f64,
+            Unbound::Dt => self.dt,
+            Unbound::Time => self.time,
+            Unbound::Face(FACE_U1) => self.u1,
+            Unbound::Face(FACE_U2) => self.u2,
+            Unbound::Face(input) => self.normal[(input - FACE_NORMAL) as usize],
         }
-        debug_assert_eq!(sp, 1, "program must leave exactly one value");
-        stack[0]
-    }
-
-    /// True when [`Program::lower`] bakes the simulation time into the
-    /// register form (an `Op::LoadTime` folds to a constant), making the
-    /// lowered program valid for one stage time only. Function coefficients
-    /// do **not** make a program time-dependent in this sense — they
-    /// receive the time at evaluation. Executors use this to cache lowered
-    /// programs across steps.
-    pub fn references_time(&self) -> bool {
-        self.ops.iter().any(|op| matches!(op, Op::LoadTime))
     }
 }
 
-/// What lowering folds into a program for one flat-index value: the loop
+/// The value of a scalar or array coefficient at a pattern.
+#[inline(always)]
+pub(crate) fn coefficient_at(
+    c: &crate::entities::Coefficient,
+    pattern: &Pattern,
+    idx: &[usize],
+) -> f64 {
+    match &c.value {
+        CoefficientValue::Scalar(v) => *v,
+        CoefficientValue::Array(a) => a[pattern.flat(idx)],
+        CoefficientValue::Function(_) => {
+            unreachable!("function coefficients compile to RegExpr::CoefFn")
+        }
+    }
+}
+
+impl Program {
+    /// Evaluate for one dof against a context — the `vm` tier: the
+    /// statements run in order over a fixed file of [`MAX_REGS`]
+    /// registers, each operand resolved from `ctx` the way binding would
+    /// resolve it.
+    pub fn eval(&self, ctx: &VmCtx) -> f64 {
+        let mut regs = [0.0f64; MAX_REGS];
+        let coef_fn = |coef: u16, _: &()| match &ctx.coefficients[coef as usize].value {
+            CoefficientValue::Function(f) => f(ctx.position, ctx.time),
+            _ => unreachable!("RegExpr::CoefFn on a non-function coefficient"),
+        };
+        for s in &self.stmts {
+            let value = s.expr.eval(|o| ctx.value(o, &regs), coef_fn);
+            regs[s.dst as usize] = value;
+        }
+        regs[0]
+    }
+
+    /// Static flop count of one evaluation ([`RegExpr::flops`]).
+    pub fn flops(&self) -> usize {
+        self.stmts.iter().map(|s| s.expr.flops()).sum()
+    }
+
+    /// True when [`Program::bind`] bakes the simulation time into the
+    /// bound statements (`t` folds to a constant), making them valid for
+    /// one stage time only. Function coefficients do **not** make a
+    /// program time-dependent in this sense — they receive the time at
+    /// evaluation. Executors use this to cache bound programs across
+    /// steps.
+    pub fn references_time(&self) -> bool {
+        let mut operands = self.stmts.iter().flat_map(|s| s.expr.operands());
+        operands.any(|o| matches!(o, Unbound::Time))
+    }
+}
+
+/// What binding folds into a program for one flat-index value: the loop
 /// index values, the cell count (a variable row of flat `f` starts at
 /// offset `f · n_cells`), `dt`, the stage time and the coefficient values.
-/// The translation validator folds the stack VM's execution with the same
-/// values (`analysis::check_reg`), so both sides of that proof read one
-/// description of the fold.
+/// The translation validator executes the compiled statements under the
+/// same values (`analysis::check_reg`), so both sides of that proof read
+/// one description of the fold.
 #[derive(Clone, Copy)]
 pub struct Binding<'a> {
     pub idx: &'a [usize],
@@ -327,7 +471,7 @@ pub struct Binding<'a> {
     pub coefficients: &'a [crate::entities::Coefficient],
 }
 
-/// A function-coefficient pointer resolved at lowering time (hoisted out
+/// A function-coefficient pointer resolved at binding time (hoisted out
 /// of the per-evaluation `CoefficientValue::Function` match).
 #[derive(Clone)]
 pub struct CoefFnPtr(pub(crate) std::sync::Arc<dyn Fn(Point, f64) -> f64 + Send + Sync>);
@@ -344,94 +488,15 @@ impl PartialEq for CoefFnPtr {
     }
 }
 
-/// Lane width of the batched row evaluator: ops loop over up to this many
-/// cells at a time, so the per-op dispatch cost is amortized and the inner
-/// loops are straight-line code over contiguous slices LLVM can
-/// auto-vectorize.
+/// Lane width of the batched row evaluator: statements loop over up to
+/// this many cells at a time, so the per-statement dispatch cost is
+/// amortized and the inner loops are straight-line code over contiguous
+/// slices LLVM can auto-vectorize.
 pub const ROW_CHUNK: usize = 64;
 
-/// One operand of a register statement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Operand {
-    /// A register an earlier statement wrote.
-    Reg(u8),
-    /// A bind-time constant (the native tier prints its bit pattern).
-    K(f64),
-    /// `vars[var][offset + cell]`; the offset folds the flat.
-    Load { var: u16, offset: usize },
-}
-
-impl Operand {
-    /// The register this operand reads, if it reads one.
-    pub fn reg(&self) -> Option<u8> {
-        match *self {
-            Operand::Reg(r) => Some(r),
-            _ => None,
-        }
-    }
-}
-
-/// The right-hand side of a register statement. Operands are in evaluation
-/// order: `Add([a, b])` is `a + b`, so the order a folded operand takes in
-/// the source expression is the order every reader sees (operand order
-/// decides NaN-payload propagation, so the tiers promise bitwise-equal
-/// results).
-#[derive(Debug, Clone, PartialEq)]
-pub enum RegExpr {
-    Copy(Operand),
-    /// `f(position, time)`
-    CoefFn(CoefFnPtr),
-    Add([Operand; 2]),
-    Mul([Operand; 2]),
-    /// `a.powf(b)`
-    Pow([Operand; 2]),
-    /// `1 / a`
-    Recip(Operand),
-    Call(Func, Operand),
-    /// `a op b ? 1 : 0`
-    Cmp(CmpOp, [Operand; 2]),
-    /// `t != 0 ? a : b`
-    Select([Operand; 3]),
-}
-
-impl RegExpr {
-    /// The operands, in evaluation order.
-    pub fn operands(&self) -> &[Operand] {
-        match self {
-            RegExpr::CoefFn(_) => &[],
-            RegExpr::Copy(a) | RegExpr::Recip(a) | RegExpr::Call(_, a) => std::slice::from_ref(a),
-            RegExpr::Add(ab) | RegExpr::Mul(ab) | RegExpr::Pow(ab) | RegExpr::Cmp(_, ab) => ab,
-            RegExpr::Select(tab) => tab,
-        }
-    }
-
-    /// The operands, mutably (negative tests seed tampered programs
-    /// through it).
-    pub fn operands_mut(&mut self) -> &mut [Operand] {
-        match self {
-            RegExpr::CoefFn(_) => &mut [],
-            RegExpr::Copy(a) | RegExpr::Recip(a) | RegExpr::Call(_, a) => std::slice::from_mut(a),
-            RegExpr::Add(ab) | RegExpr::Mul(ab) | RegExpr::Pow(ab) | RegExpr::Cmp(_, ab) => ab,
-            RegExpr::Select(tab) => tab,
-        }
-    }
-}
-
-/// One register statement: `r[dst] = expr`.
-///
-/// In a tree-flattened postfix program the stack depth at every op is
-/// statically known, so stack slot *i* becomes register *i*: operands and
-/// destinations are fixed indices and the interpreter keeps no dynamic
-/// stack pointer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RegStmt {
-    pub dst: u8,
-    pub expr: RegExpr,
-}
-
-/// A program lowered to register form for one flat ([`Program::lower`]):
-/// the statement list the row tier interprets in batched lanes and the
-/// native tier prints as Rust source — one form for both.
+/// A program bound for one flat ([`Program::bind`]): the statement list
+/// the row tier interprets in batched lanes and the native tier prints as
+/// Rust source — one form for both.
 #[derive(Debug, Clone)]
 pub struct RegProgram {
     stmts: Vec<RegStmt>,
@@ -439,7 +504,7 @@ pub struct RegProgram {
 }
 
 /// Fold the adjacent `Copy` producer `last` into the operand of `stmt` that
-/// reads it. Adjacency plus the postfix stack discipline guarantee the
+/// reads it. Adjacency plus the postfix register discipline guarantee the
 /// producer's value is consumed exactly there and dead afterwards. The
 /// policy — the pairs the BTE kernels emit:
 ///
@@ -450,7 +515,7 @@ pub struct RegProgram {
 ///
 /// A fold never reorders or combines floating-point operations (no FMA
 /// contraction) and the folded operand keeps its position, so results stay
-/// bit-identical to the stack VM.
+/// bit-identical to the `vm` tier.
 fn fold(last: &RegStmt, stmt: &mut RegStmt) -> bool {
     let RegExpr::Copy(value) = last.expr else {
         return false;
@@ -474,65 +539,46 @@ fn fold(last: &RegStmt, stmt: &mut RegStmt) -> bool {
 }
 
 impl Program {
-    /// Lower to the register form of one flat-index value, in one pass.
-    /// Patterns resolve to storage offsets; array coefficients, index
-    /// values, `dt` and `t` fold to constants; the flux-only ops
-    /// (`CELL1`/`CELL2`/`NORMAL_i`) load the face-input pseudo-variables
-    /// (see [`FACE_U1`]). This is the loop-invariant hoisting the generated
-    /// CPU code performs: the inner cell loop touches only loads at
-    /// `offset + cell` and arithmetic. Stack slot *i* becomes register *i*,
-    /// and each statement takes in the constant or load written just before
-    /// it where the fold policy allows (see `fold`).
-    pub fn lower(&self, b: &Binding) -> RegProgram {
-        use Operand::{Load, Reg, K};
-        let mut stmts: Vec<RegStmt> = Vec::with_capacity(self.ops.len());
-        let face = |input: u16| {
-            RegExpr::Copy(Load {
+    /// Bind to one flat-index value, in one pass. Patterns resolve to
+    /// storage offsets; array coefficients, index values, `dt` and `t`
+    /// fold to constants; the face inputs (`CELL1`/`CELL2`/`NORMAL_i`)
+    /// load the face-input pseudo-variables (see [`FACE_U1`]). This is the
+    /// loop-invariant hoisting the generated CPU code performs: the inner
+    /// cell loop touches only loads at `offset + cell` and arithmetic.
+    /// Registers stay where the compiler put them, and each statement
+    /// takes in the constant or load written just before it where the
+    /// fold policy allows (see `fold`).
+    pub fn bind(&self, b: &Binding) -> RegProgram {
+        let operand = |o: &Unbound| match o {
+            Unbound::Reg(r) => Operand::Reg(*r),
+            Unbound::K(k) => Operand::K(*k),
+            Unbound::Var { var, pattern } => Operand::Load {
+                var: *var,
+                offset: pattern.flat(b.idx) * b.n_cells,
+            },
+            Unbound::Coef { coef, pattern } => Operand::K(coefficient_at(
+                &b.coefficients[*coef as usize],
+                pattern,
+                b.idx,
+            )),
+            Unbound::Index(slot) => Operand::K((b.idx[*slot as usize] + 1) as f64),
+            Unbound::Dt => Operand::K(b.dt),
+            Unbound::Time => Operand::K(b.time),
+            Unbound::Face(input) => Operand::Load {
                 var: self.face_base + input,
                 offset: 0,
-            })
+            },
         };
-        let mut d: u8 = 0;
-        for op in &self.ops {
-            // `d` is the stack depth before `op`; its operands sit in the
-            // top registers, its result lands in the lowest of them.
-            let pair = || [Reg(d - 2), Reg(d - 1)];
-            let (dst, expr) = match op {
-                Op::Const(k) => (d, RegExpr::Copy(K(*k))),
-                Op::LoadDt => (d, RegExpr::Copy(K(b.dt))),
-                Op::LoadTime => (d, RegExpr::Copy(K(b.time))),
-                Op::LoadIndex(slot) => (d, RegExpr::Copy(K((b.idx[*slot as usize] + 1) as f64))),
-                Op::LoadVar { var, pattern } => {
-                    let offset = pattern.flat(b.idx) * b.n_cells;
-                    (d, RegExpr::Copy(Load { var: *var, offset }))
-                }
-                Op::LoadCoef { coef, pattern } => {
-                    let k = match &b.coefficients[*coef as usize].value {
-                        CoefficientValue::Scalar(v) => *v,
-                        CoefficientValue::Array(a) => a[pattern.flat(b.idx)],
-                        CoefficientValue::Function(_) => {
-                            unreachable!("function coefficients compile to LoadCoefFn")
-                        }
-                    };
-                    (d, RegExpr::Copy(K(k)))
-                }
-                Op::LoadCoefFn { coef } => match &b.coefficients[*coef as usize].value {
-                    CoefficientValue::Function(f) => (d, RegExpr::CoefFn(CoefFnPtr(f.clone()))),
-                    _ => unreachable!("function coefficients compile to LoadCoefFn"),
-                },
-                Op::LoadU1 => (d, face(FACE_U1)),
-                Op::LoadU2 => (d, face(FACE_U2)),
-                Op::LoadNormal(axis) => (d, face(FACE_NORMAL + *axis as u16)),
-                Op::Add => (d - 2, RegExpr::Add(pair())),
-                Op::Mul => (d - 2, RegExpr::Mul(pair())),
-                Op::Pow => (d - 2, RegExpr::Pow(pair())),
-                Op::Cmp(c) => (d - 2, RegExpr::Cmp(*c, pair())),
-                Op::Recip => (d - 1, RegExpr::Recip(Reg(d - 1))),
-                Op::Call(f) => (d - 1, RegExpr::Call(*f, Reg(d - 1))),
-                Op::Select => (d - 3, RegExpr::Select([Reg(d - 3), Reg(d - 2), Reg(d - 1)])),
+        let coef_fn = |coef: u16| match &b.coefficients[coef as usize].value {
+            CoefficientValue::Function(f) => CoefFnPtr(f.clone()),
+            _ => unreachable!("RegExpr::CoefFn on a non-function coefficient"),
+        };
+        let mut stmts: Vec<RegStmt> = Vec::with_capacity(self.stmts.len());
+        for s in &self.stmts {
+            let mut stmt = RegStmt {
+                dst: s.dst,
+                expr: s.expr.map(&operand, &coef_fn),
             };
-            d = dst + 1;
-            let mut stmt = RegStmt { dst, expr };
             // Fold repeatedly: a fold may expose the producer before it
             // (`k; load; Mul` → `k; r * load` → `k * load`).
             while stmts.last().is_some_and(|last| fold(last, &mut stmt)) {
@@ -540,16 +586,15 @@ impl Program {
             }
             stmts.push(stmt);
         }
-        debug_assert_eq!(d, 1, "program must leave exactly one value");
         // Register count from the folded list (a fold can eliminate the
-        // deepest stack slot entirely).
+        // deepest register entirely).
         let n_regs = stmts
             .iter()
             .flat_map(|s| {
                 s.expr
                     .operands()
                     .iter()
-                    .filter_map(Operand::reg)
+                    .filter_map(|o| o.reg())
                     .chain([s.dst])
             })
             .max()
@@ -664,7 +709,7 @@ impl RegProgram {
         self.n_regs.max(1)
     }
 
-    /// Assemble a register program from raw parts, bypassing the lowering.
+    /// Assemble a register program from raw parts, bypassing the binding.
     /// Exists so negative tests can seed deliberately-broken statement
     /// lists (e.g. a flipped operand order) and prove the translation
     /// validator catches them. Not for production use: no invariants are
@@ -674,7 +719,7 @@ impl RegProgram {
         RegProgram { stmts, n_regs }
     }
 
-    /// The lowered statements (inspection/tests).
+    /// The bound statements (inspection/tests).
     pub fn stmts(&self) -> &[RegStmt] {
         &self.stmts
     }
@@ -684,7 +729,7 @@ impl RegProgram {
     /// so every inner loop is branch-free straight-line code over
     /// contiguous slices. `regs` is caller-provided scratch of at least
     /// [`RegProgram::n_regs`] rows; it never needs initialization (the
-    /// stack discipline guarantees write-before-read). Results are
+    /// postfix register discipline guarantees write-before-read). Results are
     /// bit-identical to [`Program::eval`] per cell, independent of how a
     /// cell range is split into calls.
     pub fn eval_row(
@@ -747,7 +792,7 @@ impl RegProgram {
             let d = s.dst as usize;
             match &s.expr {
                 RegExpr::Copy(a) => unary(regs, d, len, lanes(a), |x| x),
-                RegExpr::CoefFn(f) => {
+                RegExpr::CoefFn { f, .. } => {
                     for (l, r) in regs[d][..len].iter_mut().enumerate() {
                         *r = (f.0)(positions[pos0 + l], time);
                     }
@@ -800,6 +845,25 @@ pub struct Compiler<'a> {
     pub kind: KernelKind,
 }
 
+/// The compiler's output buffer: statements in postfix order.
+type Stmts = Vec<RegStmt<Unbound>>;
+
+/// Append `r[d] = expr`, refusing a depth past the register file.
+fn put(out: &mut Stmts, d: usize, expr: RegExpr<Unbound>) -> Result<(), DslError> {
+    if d >= MAX_REGS {
+        return Err(DslError::Invalid(format!(
+            "expression too deep: needs more than {MAX_REGS} registers"
+        )));
+    }
+    out.push(RegStmt { dst: d as u8, expr });
+    Ok(())
+}
+
+/// Register operands `d, d + 1, …` — the values of a node's children.
+fn regs<const N: usize>(d: usize) -> [Unbound; N] {
+    std::array::from_fn(|i| Unbound::Reg((d + i) as u8))
+}
+
 impl<'a> Compiler<'a> {
     /// Compiler for a problem's kernels: slots are the unknown's indices.
     pub fn new(registry: &'a Registry, unknown: usize, kind: KernelKind) -> Compiler<'a> {
@@ -811,15 +875,13 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Compile an expression.
+    /// Compile an expression: its value lands in register 0.
     pub fn compile(&self, e: &ExprRef) -> Result<Program, DslError> {
-        let mut ops = Vec::new();
-        self.emit(e, &mut ops)?;
-        let flops = analyze_ops(&ops)?;
+        let mut stmts = Vec::new();
+        self.emit(e, 0, &mut stmts)?;
         Ok(Program {
-            ops,
+            stmts,
             face_base: self.registry.variables.len() as u16,
-            flops,
         })
     }
 
@@ -888,31 +950,34 @@ impl<'a> Compiler<'a> {
         Ok(pattern)
     }
 
-    fn emit(&self, e: &ExprRef, ops: &mut Vec<Op>) -> Result<(), DslError> {
+    /// Emit the statements computing `e` into register `d`: each child
+    /// of a node at depth `d` lands in `d + i`, then the node's statement
+    /// combines them into `d`.
+    fn emit(&self, e: &ExprRef, d: usize, out: &mut Stmts) -> Result<(), DslError> {
         match e.as_ref() {
-            Expr::Num(v) => ops.push(Op::Const(*v)),
-            Expr::Sym { name, indices } => self.emit_symbol(name, indices, ops)?,
+            Expr::Num(v) => put(out, d, RegExpr::Copy(Unbound::K(*v)))?,
+            Expr::Sym { name, indices } => put(out, d, self.symbol(name, indices)?)?,
             Expr::Add(terms) => {
-                self.emit(&terms[0], ops)?;
+                self.emit(&terms[0], d, out)?;
                 for t in &terms[1..] {
-                    self.emit(t, ops)?;
-                    ops.push(Op::Add);
+                    self.emit(t, d + 1, out)?;
+                    put(out, d, RegExpr::Add(regs(d)))?;
                 }
             }
             Expr::Mul(factors) => {
-                self.emit(&factors[0], ops)?;
+                self.emit(&factors[0], d, out)?;
                 for f in &factors[1..] {
-                    self.emit(f, ops)?;
-                    ops.push(Op::Mul);
+                    self.emit(f, d + 1, out)?;
+                    put(out, d, RegExpr::Mul(regs(d)))?;
                 }
             }
             Expr::Pow(base, exponent) => {
-                self.emit(base, ops)?;
+                self.emit(base, d, out)?;
                 if exponent.is_num(-1.0) {
-                    ops.push(Op::Recip);
+                    put(out, d, RegExpr::Recip(Unbound::Reg(d as u8)))?;
                 } else {
-                    self.emit(exponent, ops)?;
-                    ops.push(Op::Pow);
+                    self.emit(exponent, d + 1, out)?;
+                    put(out, d, RegExpr::Pow(regs(d)))?;
                 }
             }
             Expr::Call { name, args } => match name.as_str() {
@@ -930,11 +995,8 @@ impl<'a> Compiler<'a> {
                             ))
                         }
                     }
-                    ops.push(if name == "CELL1" {
-                        Op::LoadU1
-                    } else {
-                        Op::LoadU2
-                    });
+                    let input = if name == "CELL1" { FACE_U1 } else { FACE_U2 };
+                    put(out, d, RegExpr::Copy(Unbound::Face(input)))?;
                 }
                 _ => {
                     let f = Func::from_name(name).ok_or_else(|| {
@@ -943,24 +1005,24 @@ impl<'a> Compiler<'a> {
                     if args.len() != 1 {
                         return Err(DslError::Invalid(format!("`{name}` takes one argument")));
                     }
-                    self.emit(&args[0], ops)?;
-                    ops.push(Op::Call(f));
+                    self.emit(&args[0], d, out)?;
+                    put(out, d, RegExpr::Call(f, Unbound::Reg(d as u8)))?;
                 }
             },
             Expr::Cmp(op, a, b) => {
-                self.emit(a, ops)?;
-                self.emit(b, ops)?;
-                ops.push(Op::Cmp(*op));
+                self.emit(a, d, out)?;
+                self.emit(b, d + 1, out)?;
+                put(out, d, RegExpr::Cmp(*op, regs(d)))?;
             }
             Expr::Conditional {
                 test,
                 if_true,
                 if_false,
             } => {
-                self.emit(test, ops)?;
-                self.emit(if_true, ops)?;
-                self.emit(if_false, ops)?;
-                ops.push(Op::Select);
+                self.emit(test, d, out)?;
+                self.emit(if_true, d + 1, out)?;
+                self.emit(if_false, d + 2, out)?;
+                put(out, d, RegExpr::Select(regs(d)))?;
             }
             Expr::Vector(_) => {
                 return Err(DslError::Invalid(
@@ -971,25 +1033,14 @@ impl<'a> Compiler<'a> {
         Ok(())
     }
 
-    fn emit_symbol(
-        &self,
-        name: &str,
-        indices: &[ExprRef],
-        ops: &mut Vec<Op>,
-    ) -> Result<(), DslError> {
+    /// The statement reading symbol `name[indices]`: a copy of what it
+    /// names, or a function coefficient's evaluation.
+    fn symbol(&self, name: &str, indices: &[ExprRef]) -> Result<RegExpr<Unbound>, DslError> {
+        let copy = |o| Ok(RegExpr::Copy(o));
         match name {
-            "dt" => {
-                ops.push(Op::LoadDt);
-                return Ok(());
-            }
-            "t" => {
-                ops.push(Op::LoadTime);
-                return Ok(());
-            }
-            "pi" => {
-                ops.push(Op::Const(std::f64::consts::PI));
-                return Ok(());
-            }
+            "dt" => return copy(Unbound::Dt),
+            "t" => return copy(Unbound::Time),
+            "pi" => return copy(Unbound::K(std::f64::consts::PI)),
             _ => {}
         }
         if let Some(axis) = name.strip_prefix("NORMAL_") {
@@ -998,13 +1049,12 @@ impl<'a> Compiler<'a> {
                     "NORMAL_i only valid in flux expressions".into(),
                 ));
             }
-            let axis: u8 = axis
-                .parse::<u8>()
+            let axis: u16 = axis
+                .parse::<u16>()
                 .ok()
                 .filter(|a| (1..=3).contains(a))
                 .ok_or_else(|| DslError::Invalid(format!("bad normal component `{name}`")))?;
-            ops.push(Op::LoadNormal(axis - 1));
-            return Ok(());
+            return copy(Unbound::Face(FACE_NORMAL + axis - 1));
         }
         if let Some(v) = self.registry.variable_id(name) {
             if v == self.unknown && self.kind == KernelKind::Flux {
@@ -1014,23 +1064,22 @@ impl<'a> Compiler<'a> {
             }
             let declared = self.registry.variables[v].indices.clone();
             let pattern = self.pattern(name, &declared, indices)?;
-            ops.push(Op::LoadVar {
+            return copy(Unbound::Var {
                 var: v as u16,
                 pattern,
             });
-            return Ok(());
         }
         if let Some(c) = self.registry.coefficient_id(name) {
             let coefficient = &self.registry.coefficients[c];
-            match &coefficient.value {
-                CoefficientValue::Scalar(v) => ops.push(Op::Const(*v)),
+            return match &coefficient.value {
+                CoefficientValue::Scalar(v) => copy(Unbound::K(*v)),
                 CoefficientValue::Array(_) => {
                     let declared = coefficient.indices.clone();
                     let pattern = self.pattern(name, &declared, indices)?;
-                    ops.push(Op::LoadCoef {
+                    copy(Unbound::Coef {
                         coef: c as u16,
                         pattern,
-                    });
+                    })
                 }
                 CoefficientValue::Function(_) => {
                     if !indices.is_empty() {
@@ -1038,65 +1087,18 @@ impl<'a> Compiler<'a> {
                             "function coefficient `{name}` cannot be subscripted"
                         )));
                     }
-                    ops.push(Op::LoadCoefFn { coef: c as u16 });
+                    Ok(RegExpr::CoefFn {
+                        coef: c as u16,
+                        f: (),
+                    })
                 }
-            }
-            return Ok(());
+            };
         }
         if self.registry.index_id(name).is_some() {
-            let slot = self.slot_of(name)?;
-            ops.push(Op::LoadIndex(slot));
-            return Ok(());
+            return copy(Unbound::Index(self.slot_of(name)?));
         }
         Err(DslError::Invalid(format!("unknown symbol `{name}`")))
     }
-}
-
-/// Static analysis: the flop count, after refusing a program whose stack
-/// under- or overflows.
-fn analyze_ops(ops: &[Op]) -> Result<usize, DslError> {
-    let mut flops = 0usize;
-    let mut depth = 0usize;
-    let mut max_depth = 0usize;
-    for op in ops {
-        let (pops, pushes, f) = match op {
-            Op::Const(_)
-            | Op::LoadDt
-            | Op::LoadTime
-            | Op::LoadIndex(_)
-            | Op::LoadNormal(_)
-            | Op::LoadU1
-            | Op::LoadU2
-            | Op::LoadVar { .. }
-            | Op::LoadCoef { .. } => (0, 1, 0),
-            // Function coefficients execute arbitrary host code; charge a
-            // nominal transcendental cost.
-            Op::LoadCoefFn { .. } => (0, 1, 20),
-            Op::Add | Op::Mul => (2, 1, 1),
-            Op::Pow => (2, 1, 15),
-            Op::Recip => (1, 1, 4),
-            Op::Call(_) => (1, 1, 20),
-            Op::Cmp(_) => (2, 1, 1),
-            Op::Select => (3, 1, 1),
-        };
-        if depth < pops {
-            return Err(DslError::Invalid("stack underflow in program".into()));
-        }
-        depth = depth - pops + pushes;
-        max_depth = max_depth.max(depth);
-        flops += f;
-    }
-    if depth != 1 {
-        return Err(DslError::Invalid(format!(
-            "program leaves {depth} values on the stack"
-        )));
-    }
-    if max_depth > MAX_STACK {
-        return Err(DslError::Invalid(format!(
-            "expression too deep: needs stack {max_depth}"
-        )));
-    }
-    Ok(flops)
 }
 
 #[cfg(test)]
@@ -1181,7 +1183,7 @@ mod tests {
         // d=2 (0-based), b=1, cell=3 → I = 300 + 30 + 2 = 332; Io = 2.
         let v = prog.eval(&ctx(&r, &vars, &[2, 1], 3));
         assert_eq!(v, 334.0);
-        assert_eq!(prog.flops, 1);
+        assert_eq!(prog.flops(), 1);
     }
 
     #[test]
@@ -1193,8 +1195,11 @@ mod tests {
         let v = prog.eval(&ctx(&r, &vars, &[0, 2], 0));
         assert_eq!(v, 2.5 * 30.0);
         // Scalar k compiled to a constant, the array coefficient to a load.
-        assert_eq!(prog.ops[0], Op::Const(2.5));
-        assert!(matches!(prog.ops[1], Op::LoadCoef { coef: 0, .. }));
+        assert_eq!(prog.stmts[0].expr, RegExpr::Copy(Unbound::K(2.5)));
+        assert!(matches!(
+            prog.stmts[1].expr,
+            RegExpr::Copy(Unbound::Coef { coef: 0, .. })
+        ));
     }
 
     #[test]
@@ -1259,7 +1264,10 @@ mod tests {
         let vars = f.as_slices();
         let c = Compiler::new(&r, 0, KernelKind::Volume);
         let prog = c.compile(&parse("Io[b] / k").unwrap()).unwrap();
-        assert!(prog.ops.contains(&Op::Recip));
+        assert!(prog
+            .stmts
+            .iter()
+            .any(|s| matches!(s.expr, RegExpr::Recip(_))));
         let v = prog.eval(&ctx(&r, &vars, &[0, 1], 0));
         assert_eq!(v, 2.0 / 2.5);
     }
@@ -1276,7 +1284,7 @@ mod tests {
 
     #[test]
     fn matches_symbolic_evaluation_on_bte_volume_expr() {
-        // Cross-check the VM against the symbolic evaluator on the real
+        // Cross-check the `vm` tier against the symbolic evaluator on the real
         // BTE volume expression.
         let mut p = Problem::new("x");
         p.domain(2);
@@ -1335,15 +1343,14 @@ mod tests {
                 }
             }
         }
-        assert!(prog.flops >= 2);
+        assert!(prog.flops() >= 2);
     }
 
     #[test]
     fn row_compile_fuses_bte_source_superinstructions() {
         // The BTE source `(Io[b] - I[d,b]) * beta[b]` distributes in the
-        // pipeline and lowers from the 9-op stack sequence
-        // `Const(-1); Load I; Mul; Load beta; Mul; Load Io; Load beta;
-        // Mul; Add`. The fold must collapse it to 5 statements
+        // pipeline and compiles to the 9 statements `-1; I; Mul; beta;
+        // Mul; Io; beta; Mul; Add`. Binding must fold them to 5 statements
         // (`k * I; r0 * beta; Io; r1 * beta; r0 + r1`) in 2 registers.
         let mut p = Problem::new("fuse");
         p.domain(2);
@@ -1361,7 +1368,7 @@ mod tests {
         let sys = p.analyze().unwrap();
         let compiler = Compiler::new(&p.registry, i, KernelKind::Volume);
         let prog = compiler.compile(&sys.volume_expr).unwrap();
-        let reg = prog.lower(&Binding {
+        let reg = prog.bind(&Binding {
             idx: &[1, 2],
             n_cells: 8,
             dt: 0.1,
@@ -1396,7 +1403,7 @@ mod tests {
             let prog = c.compile(&parse(src).unwrap()).unwrap();
             for (dd, bb) in [(0usize, 0usize), (2, 1), (3, 2)] {
                 let idx = [dd, bb];
-                let reg = prog.lower(&Binding {
+                let reg = prog.bind(&Binding {
                     idx: &idx,
                     n_cells: 5,
                     dt: 0.5,
@@ -1444,7 +1451,7 @@ mod tests {
         let prog = c.compile(&parse("u[b] * u[b] + b").unwrap()).unwrap();
         let centroids = vec![pbte_mesh::Point::zero(); n];
         let idx = [1usize];
-        let reg = prog.lower(&Binding {
+        let reg = prog.bind(&Binding {
             idx: &idx,
             n_cells: n,
             dt: 0.1,
@@ -1479,5 +1486,62 @@ mod tests {
         assert!(with_t.references_time());
         let without = c.compile(&parse("I[d,b] * dt").unwrap()).unwrap();
         assert!(!without.references_time());
+    }
+
+    /// `depth` nested conditionals, each branching into the next on its
+    /// `else` side, around `innermost`: level `j` holds its test in
+    /// registers `2j` and `2j + 1`, so the innermost expression starts at
+    /// register `2 · depth`.
+    fn nested_conditionals(depth: usize, innermost: ExprRef) -> ExprRef {
+        (0..depth).fold(innermost, |inner, j| {
+            let test = Expr::cmp(
+                CmpOp::Gt,
+                Expr::sym_indexed("Io", vec![Expr::sym("b")]),
+                Expr::num(j as f64 * 0.5),
+            );
+            Expr::conditional(test, Expr::num(j as f64), inner)
+        })
+    }
+
+    /// The refusal boundary is the register file: an expression needing
+    /// exactly `MAX_REGS` registers compiles, and its `vm` evaluation and
+    /// bound row evaluation agree bit for bit on every cell and flat; one
+    /// needing one more is refused.
+    #[test]
+    fn register_file_bounds_the_compilable_depth() {
+        let (r, f) = setup();
+        let vars = f.as_slices();
+        let c = Compiler::new(&r, 0, KernelKind::Volume);
+        // 15 levels put the innermost sum's operands in registers 30, 31.
+        let sum = Expr::add(vec![
+            Expr::sym_indexed("I", vec![Expr::sym("d"), Expr::sym("b")]),
+            Expr::sym_indexed("vg", vec![Expr::sym("b")]),
+        ]);
+        let prog = c.compile(&nested_conditionals(15, sum)).unwrap();
+        let deepest = prog.stmts.iter().map(|s| s.dst as usize).max();
+        assert_eq!(deepest, Some(MAX_REGS - 1));
+        let centroids = vec![pbte_mesh::Point::zero(); 5];
+        for (dd, bb) in [(0usize, 0usize), (2, 1), (3, 2)] {
+            let idx = [dd, bb];
+            let reg = prog.bind(&Binding {
+                idx: &idx,
+                n_cells: 5,
+                dt: 0.5,
+                time: 2.0,
+                coefficients: &r.coefficients,
+            });
+            let mut regs = vec![[0.0; ROW_CHUNK]; reg.n_regs()];
+            let mut out = [0.0f64; 5];
+            reg.eval_row(&vars, 0, &mut out, &centroids, 2.0, &mut regs);
+            for (cell, row_val) in out.iter().enumerate() {
+                let vm_val = prog.eval(&ctx(&r, &vars, &idx, cell));
+                assert_eq!(row_val.to_bits(), vm_val.to_bits(), "cell {cell}");
+            }
+        }
+        // 16 levels put a lone innermost leaf in register 32.
+        let err = c
+            .compile(&nested_conditionals(16, Expr::num(1.0)))
+            .unwrap_err();
+        assert!(err.to_string().contains("too deep"), "{err}");
     }
 }

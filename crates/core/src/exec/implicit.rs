@@ -312,8 +312,8 @@ fn jvp_sweep(
 /// iterations, never correctness.
 ///
 /// The volume part is evaluated a flat row at a time, tile by tile: the
-/// program lowered to registers for the flat, the way expression
-/// initials are filled (bit-identical to the VM per cell).
+/// program bound for the flat, the way expression initials are filled
+/// (bit-identical to the `vm` tier per cell).
 fn build_diag(
     jcp: &CompiledProblem,
     jfields: &mut Fields,
@@ -1066,7 +1066,7 @@ mod tests {
         CompiledProblem::compile(p).unwrap()
     }
 
-    /// The diagonal the way the stack VM built it, one dof at a time.
+    /// The diagonal the way the `vm` tier builds it, one dof at a time.
     fn diag_by_vm(jcp: &CompiledProblem, vars: &[&[f64]], d: &Scope, dt_theta: f64) -> Vec<f64> {
         let (hot, time) = (&jcp.hot, TIME);
         let mut inv_diag = vec![f64::NAN; jcp.n_flat * d.n_cells];

@@ -286,10 +286,11 @@ pub struct FluxLinearization {
 pub enum FluxPath {
     /// The αβγ lookup of a [`FluxLinearization`], on every tier.
     Table,
-    /// The flux program lowered like the volume program (Row/Native on a
+    /// The flux program bound like the volume program (Row/Native on a
     /// mesh without a table).
     Compiled,
-    /// The stack VM per face (the per-dof tiers without a table).
+    /// The compiled flux program per face (the per-dof tiers without a
+    /// table).
     Vm,
 }
 
@@ -390,11 +391,26 @@ impl NormalClasses {
     }
 }
 
+/// Why the Row/Native tiers cannot evaluate `flux` through its bound
+/// program, if they cannot: the row evaluator runs the flux over face
+/// slots, where neither a per-face host callback nor a cell-indexed
+/// variable row is available.
+fn flux_blocker(flux: &Program) -> Option<&'static str> {
+    use crate::bytecode::{RegExpr, Unbound};
+    flux.stmts.iter().find_map(|s| match &s.expr {
+        RegExpr::CoefFn { .. } => {
+            Some("the flux evaluates a function coefficient (a host callback per face)")
+        }
+        RegExpr::Copy(Unbound::Var { .. }) => Some("the flux reads a cell variable per face"),
+        _ => None,
+    })
+}
+
 /// Attempt the flux linearization over `classes`. Returns `None` (the
-/// compiled flux on the Row/Native tiers, the VM on the per-dof tiers) when
-/// the flux reads mutable variables, function coefficients, or time; when a
-/// conditional branches on the unknown; or when the numeric affinity probe
-/// fails.
+/// compiled flux on the Row/Native tiers, the flux program per face on the
+/// per-dof tiers) when the flux reads mutable variables, function
+/// coefficients, or time; when a conditional branches on the unknown; or
+/// when the numeric affinity probe fails.
 fn linearize_flux(
     problem: &Problem,
     flux: &Program,
@@ -402,13 +418,10 @@ fn linearize_flux(
     idx_of_flat: &[Vec<usize>],
     classes: NormalClasses,
 ) -> Option<FluxLinearization> {
-    use crate::bytecode::{Op, VmCtx};
+    use crate::bytecode::VmCtx;
     // Static eligibility: only face-constant inputs besides CELL1/CELL2.
-    for op in &flux.ops {
-        match op {
-            Op::LoadVar { .. } | Op::LoadCoefFn { .. } | Op::LoadTime => return None,
-            _ => {}
-        }
+    if flux_blocker(flux).is_some() || flux.references_time() {
+        return None;
     }
     // Conditionals must not branch on the unknown (affinity would be
     // piecewise and the probe could miss the break point).
@@ -571,11 +584,10 @@ pub fn initial_state(problem: &Problem) -> Result<(Fields, Vec<(usize, Program)>
 }
 
 /// Fill `var` from a compiled expression initial, one flat row at a time:
-/// the program is lowered to registers for the flat's index tuple (at
-/// `t = 0`) and evaluated over all cells against the fields filled so
-/// far. The row is evaluated into scratch and copied in, so an expression
-/// the verifier will refuse for reading `var` itself still only reads
-/// defined values.
+/// the program is bound for the flat's index tuple (at `t = 0`) and
+/// evaluated over all cells against the fields filled so far. The row is
+/// evaluated into scratch and copied in, so an expression the verifier
+/// will refuse for reading `var` itself still only reads defined values.
 fn fill_from_program(
     problem: &Problem,
     mesh: &pbte_mesh::Mesh,
@@ -591,7 +603,7 @@ fn fill_from_program(
     let mut regs = Vec::new();
     for flat in 0..fields.flat_len(var) {
         let idx = decode_flat(flat, &strides);
-        let reg = program.lower(&Binding {
+        let reg = program.bind(&Binding {
             idx: &idx,
             n_cells,
             dt: problem.dt,
@@ -623,7 +635,8 @@ pub struct Plan {
     /// Decoded index tuple per flat value.
     pub idx_of_flat: Vec<Vec<usize>>,
     /// The αβγ flux table, for meshes with few face orientations (None →
-    /// the compiled flux on Row/Native, the VM on the per-dof tiers).
+    /// the compiled flux on Row/Native, the flux program per face on the
+    /// per-dof tiers).
     pub flux_lin: Option<FluxLinearization>,
     /// The plan's loaded native kernels (or why there are none), prepared
     /// on first use by [`crate::nativegen`] and shared by every scope of
@@ -723,8 +736,8 @@ impl Plan {
                 .chain(values)
                 .collect()
         };
-        let same = self.volume.ops == fresh.volume.ops
-            && self.flux.ops == fresh.flux.ops
+        let same = self.volume.stmts == fresh.volume.stmts
+            && self.flux.stmts == fresh.flux.stmts
             && self.idx_of_flat == fresh.idx_of_flat
             && self.flux_lin.as_ref().map(bits) == fresh.flux_lin.as_ref().map(bits);
         assert!(
@@ -735,24 +748,15 @@ impl Plan {
     }
 
     /// Why the Row/Native tiers cannot evaluate this flux through its
-    /// lowered program, if they cannot: the row evaluator runs the flux
-    /// over face slots, where neither a per-face host callback nor a
-    /// cell-indexed variable row is available. Such a flux never
+    /// bound program, if they cannot ([`flux_blocker`]). Such a flux never
     /// linearizes either, so the plan runs on the `Vm` tier.
     pub(crate) fn flux_blocker(&self) -> Option<&'static str> {
-        use crate::bytecode::Op;
-        self.flux.ops.iter().find_map(|op| match op {
-            Op::LoadCoefFn { .. } => {
-                Some("the flux evaluates a function coefficient (a host callback per face)")
-            }
-            Op::LoadVar { .. } => Some("the flux reads a cell variable per face"),
-            _ => None,
-        })
+        flux_blocker(&self.flux)
     }
 
-    /// True when the Row/Native tiers evaluate the flux through its lowered
+    /// True when the Row/Native tiers evaluate the flux through its bound
     /// program: no αβγ table (see [`FluxLinearization`]) and nothing that
-    /// blocks the lowering.
+    /// blocks the binding.
     pub(crate) fn compiled_flux(&self) -> bool {
         self.flux_lin.is_none() && self.flux_blocker().is_none()
     }
@@ -1313,13 +1317,13 @@ impl CompiledProblem {
         }
     }
 
-    /// The volume or flux program lowered to registers for `flat` at `time`.
+    /// The volume or flux program bound for `flat` at `time`.
     pub fn bind(&self, kind: KernelKind, flat: usize, time: f64) -> RegProgram {
         let program = match kind {
             KernelKind::Volume => &self.volume,
             KernelKind::Flux => &self.flux,
         };
-        program.lower(&self.binding(flat, time))
+        program.bind(&self.binding(flat, time))
     }
 
     /// The kernel tier the executors will actually use: the problem's

@@ -1,7 +1,8 @@
 //! The fused row-kernel tier of the intensity phase.
 //!
 //! Three execution tiers evaluate the RHS (see DESIGN.md §"Kernel
-//! tiers"): the generic stack VM, the fused row kernel this module
+//! tiers"): the `vm` tier's per-dof evaluation of the compiled
+//! statements, the fused row kernel this module
 //! implements — a [`RegProgram`] for the source
 //! term, then a flux pass over the `hot` SoA geometry (on meshes with few
 //! face orientations the αβγ table, walked as straight-line stencil-run
@@ -136,7 +137,7 @@ impl IntensityKernels {
     /// Make the cached per-flat programs valid for `time`. A no-op unless
     /// this is the first call, or a program reads `t` and `time` changed.
     pub fn ensure(&mut self, cp: &CompiledProblem, time: f64) {
-        // The VM tier lowers nothing; the native tier was fully prepared
+        // The VM tier binds nothing; the native tier was fully prepared
         // at construction (it is only reachable for time-independent,
         // cache-friendly plans, so there is never anything to re-lower).
         if self.tier != KernelTier::Row {
@@ -812,7 +813,7 @@ mod tests {
     /// The compiled flux carries a cell's partial sum across lane chunks
     /// and across nothing else: however the cell range is cut, with and
     /// without the fused update, every dof equals the `Vm` tier's, whose
-    /// flux is the stack VM face by face.
+    /// flux is the compiled flux program face by face.
     #[test]
     fn compiled_flux_is_bit_identical_to_the_vm_flux_for_any_span_split() {
         let (cp, fields) = triangle_plan();

@@ -1,6 +1,8 @@
 //! Per-dof building blocks of a step — the reference semantics every
 //! span kernel must reproduce bit for bit: the per-dof RHS evaluator
-//! behind [`super::rows::rhs_block`] (the `Vm` tier), and the
+//! behind [`super::rows::rhs_block`] (the `Vm` tier, which evaluates the
+//! compiled register statements one dof at a time through
+//! [`Program::eval`](crate::bytecode::Program::eval)), and the
 //! step-callback runner. There is no sequential sweep here: serial is
 //! `rows::sweep` with one worker. Boundary faces are read through
 //! the plan's lowered walls ([`super::walls`]); only walls left to a
@@ -14,10 +16,10 @@ use crate::problem::{Reducer, StepContext};
 use pbte_runtime::telemetry::{Recorder, SpanKind, Track};
 
 /// Face-flux sum for one (cell, flat) pair on the per-dof tiers: the αβγ
-/// table when the plan has one, the stack VM face by face otherwise — the
-/// reference semantics the compiled flux of the Row/Native tiers
-/// (`rows::flux_combine_compiled`) reproduces bit for bit. Boundary faces
-/// are read from `ghosts` through [`Walls::ghost_read`](super::Walls).
+/// table when the plan has one, the compiled flux program face by face
+/// otherwise — the reference semantics the compiled flux of the Row/Native
+/// tiers (`rows::flux_combine_compiled`) reproduces bit for bit. Boundary
+/// faces are read from `ghosts` through [`Walls::ghost_read`](super::Walls).
 #[inline]
 pub(crate) fn flux_sum_dof(
     cp: &CompiledProblem,
@@ -87,7 +89,7 @@ pub(crate) fn flux_sum_dof(
 }
 
 /// Evaluate the discrete right-hand side `s(u) − (1/V)Σ_f A_f f(u)` for one
-/// (cell, flat) pair through the generic stack VM (no per-flat lowering) —
+/// (cell, flat) pair through the compiled statements (no per-flat binding) —
 /// the `KernelTier::Vm` baseline the Row and Native tiers reproduce bit for
 /// bit.
 #[inline]

@@ -21,9 +21,10 @@
 //!    exactly the stages §II of the paper walks through;
 //! 3. [`ir`] — a loop-nest intermediate representation with metadata and
 //!    comment nodes, one map from a step's stage records;
-//! 4. [`bytecode`] — compilation of the symbolic term groups into a
-//!    register-free stack VM evaluated per degree of freedom, with static
-//!    flop/byte counts feeding the GPU roofline and the cluster model;
+//! 4. [`bytecode`] — compilation of the symbolic term groups into
+//!    register statements, evaluated per degree of freedom by the `vm`
+//!    tier and bound per flat index for the row and native tiers, with
+//!    static flop counts feeding the GPU roofline and the cluster model;
 //! 5. [`exec`] — the compiled problem, split into the *plan* (everything
 //!    the steps above produce, a function of the problem's content and
 //!    lowered once per process and [`problem::PlanKey`]) and this

@@ -43,12 +43,12 @@
 //!   f64 arithmetic is strict IEEE-754 (no fast-math, no implicit FMA
 //!   contraction), so the compiled kernel is bitwise-equal to the
 //!   interpreted tiers — the differential tests assert this.
-//! * **Validation before compilation.** Every register program the
-//!   emitter prints — the volume program, and a compiled flux — is
-//!   abstractly executed over symbolic values and proven raw-structurally
-//!   equal to the stack VM's execution of the same program under the same
-//!   fold (`analysis::check_reg`, rule `translation/reg-mismatch`) *before*
-//!   any source reaches `rustc`. A corrupted lowering is rejected, never
+//! * **Validation before compilation.** Every bound program the emitter
+//!   prints — the volume program, and a compiled flux — is abstractly
+//!   executed over symbolic values and proven raw-structurally equal to
+//!   the execution of its compiled statements under the same fold
+//!   (`analysis::check_reg`, rule `translation/reg-mismatch`) *before* any
+//!   source reaches `rustc`. A corrupted binding is rejected, never
 //!   executed.
 //! * **Content-addressed caching.** The full generated source is hashed
 //!   (FNV-1a 64) as it is emitted — the text itself is materialised only
@@ -177,7 +177,7 @@ fn stmt_line(s: &RegStmt, face_base: u16) -> String {
     let operand = |o| operand(o, face_base);
     let rhs = match &s.expr {
         RegExpr::Copy(a) => operand(a),
-        RegExpr::CoefFn(_) => unreachable!("lower_checked refuses function coefficients"),
+        RegExpr::CoefFn { .. } => unreachable!("lower_checked refuses function coefficients"),
         RegExpr::Add([a, b]) => format!("{} + {}", operand(a), operand(b)),
         RegExpr::Mul([a, b]) => format!("{} * {}", operand(a), operand(b)),
         RegExpr::Pow([a, b]) => format!("{}.powf({})", operand(a), operand(b)),
@@ -914,11 +914,11 @@ fn compile_and_load(
 // Entry point
 // ---------------------------------------------------------------------------
 
-/// Hand `reg` — the lowering of `program` under `binding` — to the emitter
-/// only once it is proven equal to the VM's execution of `program` under
-/// the same fold (`analysis::check_reg`): the statement list the emitter
-/// prints is the program that proof holds, so a corrupted lowering is
-/// refused before it ever reaches rustc. A function coefficient, which
+/// Hand `reg` — the binding of `program` under `binding` — to the emitter
+/// only once it is proven equal to the execution of `program`'s compiled
+/// statements under the same fold (`analysis::check_reg`): the statement
+/// list the emitter prints is the program that proof holds, so a
+/// corrupted binding is refused before it ever reaches rustc. A function coefficient, which
 /// needs a host callback per cell, makes the program ineligible.
 fn lower_checked(
     program: &Program,
@@ -929,7 +929,7 @@ fn lower_checked(
     if reg
         .stmts()
         .iter()
-        .any(|s| matches!(s.expr, RegExpr::CoefFn(_)))
+        .any(|s| matches!(s.expr, RegExpr::CoefFn { .. }))
     {
         return Err(format!("{what}: program evaluates a function coefficient"));
     }
@@ -959,7 +959,7 @@ pub(crate) fn lower_plan(cp: &CompiledProblem) -> Result<Vec<FlatPrograms>, Stri
     }
     let lower = |program: &Program, flat: usize, what: &str| {
         let binding = cp.binding(flat, 0.0);
-        let reg = program.lower(&binding);
+        let reg = program.bind(&binding);
         let what = format!("{what} kernel (native, flat {flat})");
         lower_checked(program, &binding, reg, &what)
     };
@@ -1213,12 +1213,12 @@ mod tests {
     }
 
     /// `prepare`'s gate: a flux statement list that does not prove equal
-    /// to its program on the VM is refused before any source is emitted.
+    /// to its compiled program is refused before any source is emitted.
     #[test]
     fn misfused_flux_lowering_is_refused_before_compilation() {
         let (p, flux) = upwind_flux();
         let binding = binding(&p);
-        let reg = flux.lower(&binding);
+        let reg = flux.bind(&binding);
         let proven = lower_checked(&flux, &binding, reg.clone(), "flux kernel").unwrap();
         // The face inputs render as the locals of the per-face loop.
         let text: Vec<String> = proven

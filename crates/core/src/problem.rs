@@ -460,9 +460,9 @@ pub type OperatorFn = Arc<
 
 /// Which execution tier evaluates the intensity-phase RHS.
 ///
-/// The tiers trade generality for speed: `Vm` interprets the generic
-/// stack bytecode per DOF (patterns resolved every op), `Row` runs the
-/// per-flat register programs (patterns folded to offsets, coefficients
+/// The tiers trade generality for speed: `Vm` evaluates the compiled
+/// register statements per DOF (patterns resolved every operand), `Row`
+/// runs the per-flat bound programs (patterns folded to offsets, coefficients
 /// and `dt` folded to constants), batched into a row kernel that fuses the
 /// whole update `u_new = u + dt·(source − flux·invV)` over a contiguous
 /// cell span, and
@@ -482,7 +482,7 @@ pub type OperatorFn = Arc<
 #[allow(clippy::manual_non_exhaustive)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelTier {
-    /// Generic stack-bytecode VM, per-DOF dispatch.
+    /// The compiled register statements, evaluated per DOF.
     Vm,
     /// Not a tier: the name of the per-flat stack interpreter the row
     /// tier replaced, kept so that code matching every variant still

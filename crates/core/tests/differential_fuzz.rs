@@ -1,17 +1,19 @@
 //! Differential fuzzing of the kernel tiers against the symbolic engine.
 //!
 //! For seeded random field contents, the volume kernel's two interpreted
-//! forms — the generic stack `Program` and the per-flat fused `RegProgram`
-//! row kernel — must agree **bitwise** with each other and with
-//! `pbte_symbolic::eval` of the DSL expression the kernels were compiled
-//! from. Bitwise (not epsilon) agreement is the point: the lowering
-//! pipeline only reorders code in value-preserving ways (lowering folds
-//! constants and loads into operands, each in the position it had), so any
-//! ulp of drift is a lowering bug. On mismatch the test replays the
-//! register statements against the VM's intermediate values and fails with
-//! the first diverging statement index.
+//! forms — the compiled `Program` the `vm` tier evaluates per dof and the
+//! per-flat bound `RegProgram` row kernel — must agree **bitwise** with
+//! each other and with `pbte_symbolic::eval` of the DSL expression the
+//! kernels were compiled from. Bitwise (not epsilon) agreement is the
+//! point: the lowering pipeline only reorders code in value-preserving
+//! ways (binding folds constants and loads into operands, each in the
+//! position it had), so any ulp of drift is a lowering bug. On mismatch the test replays the
+//! bound statements against the compiled statements' values and fails
+//! with the first diverging statement index.
 
-use pbte_dsl::bytecode::{KernelKind, Op, Operand, RegExpr, RegProgram, VmCtx, ROW_CHUNK};
+use pbte_dsl::bytecode::{
+    KernelKind, Operand, Program, RegExpr, RegProgram, Unbound, VmCtx, MAX_REGS, ROW_CHUNK,
+};
 use pbte_dsl::entities::{CoefficientValue, Registry};
 use pbte_dsl::exec::ExecTarget;
 use pbte_dsl::problem::Problem;
@@ -78,7 +80,7 @@ fn fuzz_problem() -> Problem {
 }
 
 /// Resolves the DSL's symbols against raw per-variable field slices, the
-/// way the VM does: indexed variables through the registry's strides,
+/// way the `vm` tier does: indexed variables through the registry's strides,
 /// array coefficients by their own index patterns.
 struct FieldsCtx<'a> {
     registry: &'a Registry,
@@ -128,61 +130,44 @@ impl EvalContext for FieldsCtx<'_> {
     }
 }
 
-/// Scalar-step the stack VM for one dof and return the top of the stack
-/// after every instruction: every value a faithful register lowering
-/// computes. `None` on ops the fuzzed volume kernel never contains.
-fn vm_values(ops: &[Op], ctx: &VmCtx) -> Option<Vec<f64>> {
-    fn binop(stack: &mut Vec<f64>, f: impl Fn(f64, f64) -> f64) {
-        let b = stack.pop().unwrap();
-        let a = stack.pop().unwrap();
-        stack.push(f(a, b));
-    }
-    let mut stack: Vec<f64> = Vec::new();
-    let mut values = Vec::with_capacity(ops.len());
-    for op in ops {
-        match op {
-            Op::Const(v) => stack.push(*v),
-            Op::LoadDt => stack.push(ctx.dt),
-            Op::LoadTime => stack.push(ctx.time),
-            Op::LoadIndex(slot) => stack.push((ctx.idx[*slot as usize] + 1) as f64),
-            Op::LoadVar { var, pattern } => {
-                stack.push(ctx.vars[*var as usize][pattern.flat(ctx.idx) * ctx.n_cells + ctx.cell])
-            }
-            Op::LoadCoef { coef, pattern } => {
-                stack.push(match &ctx.coefficients[*coef as usize].value {
-                    CoefficientValue::Scalar(v) => *v,
-                    CoefficientValue::Array(a) => a[pattern.flat(ctx.idx)],
-                    CoefficientValue::Function(_) => unreachable!(),
-                })
-            }
-            Op::LoadU1 | Op::LoadU2 | Op::LoadCoefFn { .. } | Op::LoadNormal(_) => return None,
-            Op::Add => binop(&mut stack, |a, b| a + b),
-            Op::Mul => binop(&mut stack, |a, b| a * b),
-            Op::Pow => binop(&mut stack, f64::powf),
-            Op::Recip => {
-                let a = stack.pop().unwrap();
-                stack.push(1.0 / a);
-            }
-            Op::Call(f) => {
-                let a = stack.pop().unwrap();
-                stack.push(f.apply(a));
-            }
-            Op::Cmp(c) => binop(&mut stack, |a, b| if c.apply(a, b) { 1.0 } else { 0.0 }),
-            Op::Select => {
-                let e = stack.pop().unwrap();
-                let t = stack.pop().unwrap();
-                let test = stack.pop().unwrap();
-                stack.push(if test != 0.0 { t } else { e });
-            }
+/// Scalar-step the compiled statements for one dof the way the `vm` tier
+/// does and return the value of every statement: every value a faithful
+/// binding computes. `None` on statements the fuzzed volume kernel never
+/// contains.
+fn vm_values(program: &Program, ctx: &VmCtx) -> Option<Vec<f64>> {
+    let mut regs = [0.0f64; MAX_REGS];
+    let mut values = Vec::with_capacity(program.stmts.len());
+    for stmt in &program.stmts {
+        let face = |o: &Unbound| matches!(o, Unbound::Face(_));
+        if matches!(stmt.expr, RegExpr::CoefFn { .. }) || stmt.expr.operands().iter().any(face) {
+            return None;
         }
-        values.push(*stack.last().unwrap());
+        let operand = |o: &Unbound| match o {
+            Unbound::Reg(r) => regs[*r as usize],
+            Unbound::K(k) => *k,
+            Unbound::Var { var, pattern } => {
+                ctx.vars[*var as usize][pattern.flat(ctx.idx) * ctx.n_cells + ctx.cell]
+            }
+            Unbound::Coef { coef, pattern } => match &ctx.coefficients[*coef as usize].value {
+                CoefficientValue::Scalar(v) => *v,
+                CoefficientValue::Array(a) => a[pattern.flat(ctx.idx)],
+                CoefficientValue::Function(_) => unreachable!(),
+            },
+            Unbound::Index(slot) => (ctx.idx[*slot as usize] + 1) as f64,
+            Unbound::Dt => ctx.dt,
+            Unbound::Time => ctx.time,
+            Unbound::Face(_) => unreachable!(),
+        };
+        let value = stmt.expr.eval(operand, |_, _| unreachable!());
+        regs[stmt.dst as usize] = value;
+        values.push(value);
     }
     Some(values)
 }
 
-/// Scalar-step the register statements for one cell and return the index
+/// Scalar-step the bound statements for one cell and return the index
 /// of the first statement whose result differs bitwise from every
-/// intermediate value of the stack VM ([`vm_values`]).
+/// value of the compiled statements ([`vm_values`]).
 fn first_diverging_reg_op(
     reg: &RegProgram,
     vm_values: &[f64],
@@ -191,34 +176,15 @@ fn first_diverging_reg_op(
 ) -> Option<usize> {
     let mut regs = vec![0.0f64; reg.n_regs()];
     for (i, stmt) in reg.stmts().iter().enumerate() {
+        if matches!(stmt.expr, RegExpr::CoefFn { .. }) {
+            return None;
+        }
         let operand = |o: &Operand| match *o {
             Operand::Reg(r) => regs[r as usize],
             Operand::K(k) => k,
             Operand::Load { var, offset } => vars[var as usize][offset + cell],
         };
-        let value = match &stmt.expr {
-            RegExpr::Copy(a) => operand(a),
-            RegExpr::CoefFn(_) => return None,
-            RegExpr::Add([a, b]) => operand(a) + operand(b),
-            RegExpr::Mul([a, b]) => operand(a) * operand(b),
-            RegExpr::Pow([a, b]) => operand(a).powf(operand(b)),
-            RegExpr::Recip(a) => 1.0 / operand(a),
-            RegExpr::Call(f, a) => f.apply(operand(a)),
-            RegExpr::Cmp(op, [a, b]) => {
-                if op.apply(operand(a), operand(b)) {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            RegExpr::Select([t, a, b]) => {
-                if operand(t) != 0.0 {
-                    operand(a)
-                } else {
-                    operand(b)
-                }
-            }
-        };
+        let value = stmt.expr.eval(operand, |_, _| unreachable!());
         if !vm_values.iter().any(|b| b.to_bits() == value.to_bits()) {
             return Some(i);
         }
@@ -272,7 +238,7 @@ fn native_tier_matches_row_tier_bitwise() {
                     // printed statement list symbolically so a lowering
                     // bug is pinpointed to the statement, not just the dof.
                     let binding = cp.binding(flat, 0.0);
-                    let reg = cp.volume.lower(&binding);
+                    let reg = cp.volume.bind(&binding);
                     let mut diags = Vec::new();
                     pbte_dsl::analysis::check_reg(
                         &cp.volume,
@@ -390,12 +356,12 @@ fn all_tiers_agree_bitwise_with_the_symbolic_reference() {
                     );
                 }
                 if row_val.to_bits() != vm_val.to_bits() {
-                    let pc = vm_values(&cp.volume.ops, &vm_ctx).and_then(|values| {
+                    let pc = vm_values(&cp.volume, &vm_ctx).and_then(|values| {
                         first_diverging_reg_op(&reg, &values, &var_slices, cell)
                     });
                     panic!(
                         "seed {seed}, flat {flat}, cell {cell}: row {row_val:e} != \
-                         vm {vm_val:e}; first diverging instruction: {pc:?}"
+                         vm {vm_val:e}; first diverging statement: {pc:?}"
                     );
                 }
             }

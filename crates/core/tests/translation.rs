@@ -2,14 +2,17 @@
 //! safety pass, mirroring the verifier's seam tests: the shipped plans
 //! must prove clean on every target and tier (no false positives), and
 //! each deliberately broken lowering must produce exactly the diagnostic
-//! that seam exists to catch — a mis-folded register program (flipped
+//! that seam exists to catch — a mis-folded bound program (flipped
 //! operand order) of the volume kernel and of a compiled flux kernel, a
-//! mis-bound one (wrong load offset, wrong folded constant), an empty or
-//! `r0`-less one, a dropped IR term, and a zero-width relaxation-time
-//! range.
+//! mis-bound one (wrong load offset, wrong folded constant, two function
+//! coefficients swapped), an empty or `r0`-less one, a compiled program
+//! that no longer computes the DSL expression, a dropped IR term, and a
+//! zero-width relaxation-time range.
 
 use pbte_dsl::analysis::{self, rules};
-use pbte_dsl::bytecode::{Binding, Operand, Program, RegExpr, RegProgram, RegStmt};
+use pbte_dsl::bytecode::{
+    Alphabet, Binding, CoefFnPtr, Operand, Program, RegExpr, RegProgram, RegStmt, Unbound,
+};
 use pbte_dsl::exec::ExecTarget;
 use pbte_dsl::ir::{self, IrNode};
 use pbte_dsl::problem::{KernelTier, Problem, StepContext};
@@ -186,22 +189,22 @@ fn change_first(
 }
 
 /// The rules `check_lowered` fires on `cp` when `tamper` corrupts every
-/// lowering of `program` it proves (every lowering when `program` is
+/// binding of `program` it proves (every binding when `program` is
 /// `None`).
 fn lowered_rules(
     cp: &pbte_dsl::exec::CompiledProblem,
     program: Option<&Program>,
     tamper: impl Fn(RegProgram) -> RegProgram,
 ) -> Vec<(&'static str, String)> {
-    let lower = |p: &Program, binding: &Binding| {
-        let reg = p.lower(binding);
+    let bind = |p: &Program, binding: &Binding| {
+        let reg = p.bind(binding);
         match program {
             Some(only) if !std::ptr::eq(p, only) => reg,
             _ => tamper(reg),
         }
     };
     let mut diags = Vec::new();
-    analysis::check_lowered(cp, &lower, &mut diags);
+    analysis::check_lowered(cp, &bind, &mut diags);
     diags.into_iter().map(|d| (d.rule, d.location)).collect()
 }
 
@@ -210,7 +213,7 @@ fn rules_of(found: &[(&'static str, String)]) -> Vec<&'static str> {
 }
 
 /// Swap the operands of the first folded statement — exactly the bug the
-/// raw (non-canonicalized) VM ≡ Row proof exists to catch, because the
+/// raw (non-canonicalized) Reg ≡ bound Reg proof exists to catch, because the
 /// commuted product is *algebraically* equal.
 #[test]
 fn misfused_reg_program_fires_exactly_the_reg_rule() {
@@ -226,7 +229,8 @@ fn misfused_reg_program_fires_exactly_the_reg_rule() {
 
 /// The bugs of the fold itself: a load that reads the next flat's row and
 /// a folded constant off by one each fire `translation/reg-mismatch`, and
-/// only it — the VM is executed under the fold the flat should have had.
+/// only it — the compiled program is executed under the fold the flat
+/// should have had.
 #[test]
 fn misbound_reg_program_fires_exactly_the_reg_rule() {
     let solver = declared_problem(6, 2).build(ExecTarget::CpuSeq).unwrap();
@@ -301,6 +305,91 @@ fn misfused_flux_program_fires_the_reg_rule() {
     let found = lowered_rules(cp, Some(&cp.flux), flip_first_folded_operands);
     assert_eq!(rules_of(&found), [rules::TRANSLATION_REG], "{found:?}");
     assert!(found[0].1.starts_with("flux kernel"), "{found:?}");
+}
+
+/// A kernel that evaluates two function coefficients: a binding that
+/// swaps them — whole evaluations, or only the functions they call — runs
+/// the wrong field on the row tier, and fires `translation/reg-mismatch`,
+/// and only it: the proof keys each evaluation by its coefficient.
+#[test]
+fn swapped_function_coefficients_fire_exactly_the_reg_rule() {
+    let mut p = declared_problem(6, 2);
+    p.coefficient_fn("ramp", |x, _| 1.0 + x.x);
+    p.coefficient_fn("tilt", |x, _| 2.0 - x.y);
+    let i_var = p.registry.variable_id("I").unwrap();
+    p.equation = None;
+    p.conservation_form(
+        i_var,
+        "(Io[b] - I[d,b]) * beta[b] * ramp + tilt * Io[b] \
+         + surface(vg[b]*upwind([Sx[d];Sy[d]], I[d,b]))",
+    );
+    let solver = p.build(ExecTarget::CpuSeq).unwrap();
+    let cp = &solver.compiled;
+    assert!(lowered_rules(cp, None, |reg| reg).is_empty());
+
+    let swap = |whole: bool| {
+        move |reg: RegProgram| {
+            let mut stmts = reg.stmts().to_vec();
+            let calls: Vec<(usize, u16, CoefFnPtr)> = (stmts.iter().enumerate())
+                .filter_map(|(i, s)| match &s.expr {
+                    RegExpr::CoefFn { coef, f } => Some((i, *coef, f.clone())),
+                    _ => None,
+                })
+                .collect();
+            let (a, ca, fa) = calls[0].clone();
+            let (b, cb, fb) = (calls.iter())
+                .find(|(_, coef, _)| *coef != ca)
+                .cloned()
+                .expect("the volume kernel evaluates two function coefficients");
+            let (ka, kb) = if whole { (cb, ca) } else { (ca, cb) };
+            stmts[a].expr = RegExpr::CoefFn { coef: ka, f: fb };
+            stmts[b].expr = RegExpr::CoefFn { coef: kb, f: fa };
+            RegProgram::from_raw_parts(stmts, reg.n_regs())
+        }
+    };
+    for whole in [true, false] {
+        let found = lowered_rules(cp, Some(&cp.volume), swap(whole));
+        assert_eq!(rules_of(&found), [rules::TRANSLATION_REG], "{found:?}");
+        assert!(found[0].1.starts_with("volume kernel"), "{found:?}");
+    }
+}
+
+/// A compiled program that reads `Io` where the DSL reads `beta`: the
+/// `vm` tier would compute another equation, and every binding of it
+/// agrees with it, so only the DSL ≡ Reg link can see it — and it fires
+/// `translation/vm-mismatch`, and nothing else.
+#[test]
+fn a_compiled_program_off_the_dsl_fires_exactly_the_vm_rule() {
+    let mut solver = declared_problem(6, 2).build(ExecTarget::CpuSeq).unwrap();
+    let registry = &solver.compiled.problem.registry;
+    let [io, beta] = ["Io", "beta"].map(|name| registry.variable_id(name).unwrap() as u16);
+    let plan = solver.compiled.plan_mut();
+    let read = plan
+        .volume
+        .stmts
+        .iter_mut()
+        .flat_map(|s| s.expr.operands_mut());
+    let beta_read = read
+        .filter_map(|o| match o {
+            Unbound::Var { var, .. } if *var == beta => Some(var),
+            _ => None,
+        })
+        .next()
+        .expect("the volume term reads beta");
+    *beta_read = io;
+
+    let mut diags = Vec::new();
+    analysis::check_translation(&solver.compiled, &solver.target, &mut diags);
+    let fired: Vec<_> = diags
+        .iter()
+        .map(|d| (d.rule, d.location.as_str()))
+        .collect();
+    assert_eq!(
+        fired,
+        [(rules::TRANSLATION_VM, "volume kernel (vm, flat 0)")],
+        "{:?}",
+        diags.iter().map(|d| d.render()).collect::<Vec<_>>()
+    );
 }
 
 /// Replace the IR's source statement with one that dropped its terms; the

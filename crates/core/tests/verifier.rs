@@ -353,6 +353,34 @@ fn expression_initial_reading_uninitialised_data_is_refused() {
     assert!(findings[0].1.contains("reads `Io`"), "{findings:?}");
 }
 
+/// The register file bounds every program the `vm` tier runs: a compiled
+/// statement writing past it (the compiler refuses such an expression)
+/// is `bytecode/use-before-def` — the same rule a bound program's
+/// out-of-file destination fires — and the access pass names the
+/// statement.
+#[test]
+fn a_compiled_destination_past_the_register_file_is_use_before_def() {
+    let clean = declared_problem(4, 1).build(ExecTarget::CpuSeq).unwrap();
+    assert!(clean.compiled.verify_plan(&clean.target).is_empty());
+    let mut solver = declared_problem(4, 1).build(ExecTarget::CpuSeq).unwrap();
+    let last = solver.compiled.plan_mut().volume.stmts.last_mut().unwrap();
+    last.dst = pbte_dsl::bytecode::MAX_REGS as u8;
+    let diags = solver.compiled.verify_plan(&solver.target);
+    let fired: Vec<_> = diags
+        .iter()
+        .map(|d| (d.rule, d.location.as_str()))
+        .collect();
+    let at = format!(
+        "volume kernel (vm), op {}",
+        solver.compiled.volume.stmts.len() - 1
+    );
+    assert_eq!(fired[0], (rules::USE_BEFORE_DEF, at.as_str()), "{diags:?}");
+    assert!(
+        fired.iter().all(|&(rule, _)| rule == rules::USE_BEFORE_DEF),
+        "{diags:?}"
+    );
+}
+
 #[test]
 fn schedule_missing_a_d2h_is_a_stale_read() {
     let solver = declared_problem(6, 2).build(gpu_target()).unwrap();

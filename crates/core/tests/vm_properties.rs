@@ -1,16 +1,17 @@
 //! Property tests for the compiled-kernel layer.
 //!
-//! 1. The bytecode VM computes the same values as the reference symbolic
-//!    evaluator on randomly generated volume expressions (the "generated
-//!    code" is faithful to the mathematics it was generated from).
-//! 2. Per-flat lowering (`Program::lower`) is an exact specialization.
+//! 1. The `vm` tier's evaluation of the compiled statements computes the
+//!    same values as the reference symbolic evaluator on randomly
+//!    generated volume expressions (the "generated code" is faithful to
+//!    the mathematics it was generated from).
+//! 2. Per-flat binding (`Program::bind`) is an exact specialization.
 //! 3. Discrete conservation: with a pure-flux equation, the mass change of
 //!    a step equals the net boundary exchange — interior fluxes cancel in
 //!    pairs by construction of the owner/neighbor evaluation.
 //! 4. The RK2 transform is second-order accurate (Euler is first-order).
-//! 5. A flux program lowered like a volume program (register form → row
-//!    evaluation over face inputs) is bit-identical to the stack VM on
-//!    every face, special values and the upwind branch edge included.
+//! 5. A flux program bound like a volume program (row evaluation over
+//!    face inputs) is bit-identical to the `vm` tier on every face,
+//!    special values and the upwind branch edge included.
 //! 6. On a grid of any size, with any renumbering of its cells and any
 //!    cut of the cell range into spans, the three kernel tiers agree bit
 //!    for bit — the stencil runs Row and Native walk are the CSR walk of
@@ -174,9 +175,9 @@ proptest! {
             }
         }
 
-        // Property 2: per-flat lowering is an exact specialization — the
-        // register-allocated row kernel is bit-identical to the VM on every
-        // cell, for any span split.
+        // Property 2: per-flat binding is an exact specialization — the
+        // bound row kernel is bit-identical to the `vm` tier on every cell,
+        // for any span split.
         let centroids = vec![pbte_mesh::Point::zero(); 4];
         for dd in 0..ND {
             for bb in 0..NB {
@@ -188,7 +189,7 @@ proptest! {
                     time: 0.0,
                     coefficients: &p.registry.coefficients,
                 };
-                let reg = program.lower(&binding);
+                let reg = program.bind(&binding);
                 let mut regs = vec![[0.0; ROW_CHUNK]; reg.n_regs()];
                 let mut row = [0.0f64; 4];
                 reg.eval_row(&vars, 0, &mut row, &centroids, 0.0, &mut regs);
@@ -222,9 +223,9 @@ proptest! {
                         row[cell]
                     );
                 }
-                // Property 2b: the register program — the statement list
-                // the native tier prints — is *symbolically* equal to the
-                // VM's execution under the same fold: the abstract
+                // Property 2b: the bound program — the statement list the
+                // native tier prints — is *symbolically* equal to the
+                // compiled statements executed under the same fold: the abstract
                 // interpretation the `--validate` chain and the native tier
                 // run before any generated source reaches rustc. This is
                 // purely symbolic (no compilation), so it runs everywhere,
@@ -239,7 +240,7 @@ proptest! {
                 );
                 prop_assert!(
                     diags.is_empty(),
-                    "register lowering diverges symbolically for {e}: {:?}",
+                    "binding diverges symbolically for {e}: {:?}",
                     diags.iter().map(|d| d.render()).collect::<Vec<_>>()
                 );
             }
@@ -351,7 +352,7 @@ fn rk2_is_second_order_on_exponential_decay() {
 /// normals and unknowns salted with `±0.0`, `NaN`, `±inf`, and normals
 /// exactly perpendicular to a direction (`v·n == 0`, the branch edge, where
 /// `0 · inf` must come out as the same NaN). The face inputs are the
-/// pseudo-variables a lowered flux program loads, so evaluating the row
+/// pseudo-variables a bound flux program loads, so evaluating the row
 /// program over a lane range is evaluating it over face slots; the result
 /// must not depend on where a span of faces is cut.
 #[test]
@@ -407,7 +408,7 @@ fn compiled_flux_matches_the_vm_bitwise_for_any_span_split() {
 
     for flat in 0..8 {
         let idx = [flat / 2, flat % 2];
-        let reg = program.lower(&Binding {
+        let reg = program.bind(&Binding {
             idx: &idx,
             n_cells: 1,
             dt: 0.1,
