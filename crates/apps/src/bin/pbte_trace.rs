@@ -892,10 +892,11 @@ fn main() {
     let steps = arg_usize(&args, "steps", 3);
     let ranks = arg_usize(&args, "ranks", 2);
     let out = arg_str(&args, "out", ".").to_string();
-    let strategy = match arg_str(&args, "strategy", "redundant") {
-        "divided" => TemperatureStrategy::DividedNewton,
-        _ => TemperatureStrategy::RedundantNewton,
-    };
+    let strategy = pbte_apps::parse_strategy(arg_str(&args, "strategy", "redundant"))
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
     let tier = match arg_str(&args, "tier", "") {
         "" => None,
         name => Some(KernelTier::from_name(name).unwrap_or_else(|| {

@@ -1,8 +1,8 @@
 //! Workspace-level examples and integration tests.
 //!
 //! Besides the `key=value` argument helpers the three binaries share
-//! (one CLI vocabulary: [`parse_target`] here, `KernelTier::from_name` in
-//! `pbte-dsl`), this crate exists to host the runnable examples in the
+//! (one CLI vocabulary: [`parse_target`] and [`parse_strategy`] here,
+//! `KernelTier::from_name` in `pbte-dsl`), this crate exists to host the runnable examples in the
 //! repository-root `examples/` directory and the cross-crate integration
 //! tests in the root `tests/` directory as cargo targets:
 //!
@@ -16,6 +16,7 @@
 //! cargo test -p pbte-apps
 //! ```
 
+use pbte_bte::temperature::TemperatureStrategy;
 use pbte_dsl::{ExecTarget, GpuStrategy};
 use pbte_gpu::DeviceSpec;
 
@@ -36,6 +37,19 @@ pub fn arg_str<'a>(args: &'a [String], key: &str, default: &'a str) -> &'a str {
     args.iter()
         .find_map(|a| a.strip_prefix(&prefix))
         .unwrap_or(default)
+}
+
+/// Parse a `strategy=` value — the temperature Newton of a band-parallel
+/// target, one spelling for `pbte` and `pbte-trace`: `redundant` (every
+/// rank solves every cell) or `divided` (each cell on one rank).
+pub fn parse_strategy(spec: &str) -> Result<TemperatureStrategy, String> {
+    match spec {
+        "redundant" => Ok(TemperatureStrategy::RedundantNewton),
+        "divided" => Ok(TemperatureStrategy::DividedNewton),
+        other => Err(format!(
+            "unknown strategy `{other}` (use redundant or divided)"
+        )),
+    }
 }
 
 /// Parse a `target=` value — the one spelling table of `pbte`,

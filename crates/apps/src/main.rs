@@ -56,13 +56,8 @@ fn parse_target(args: &[String]) -> ExecTarget {
 }
 
 fn parse_strategy(args: &[String]) -> TemperatureStrategy {
-    match arg_str(args, "strategy", "redundant") {
-        "redundant" => TemperatureStrategy::RedundantNewton,
-        "divided" => TemperatureStrategy::DividedNewton,
-        other => usage_error(format!(
-            "unknown strategy `{other}` (use redundant or divided)"
-        )),
-    }
+    pbte_apps::parse_strategy(arg_str(args, "strategy", "redundant"))
+        .unwrap_or_else(|e| usage_error(e))
 }
 
 fn parse_integrator(args: &[String]) -> Integrator {

@@ -68,7 +68,6 @@ fn bench_kernel_eval(c: &mut Criterion) {
             idx: &idx,
             n_cells: 64,
             dt: 1e-12,
-            time: 0.0,
             coefficients,
         });
         let centroids = vec![pbte_mesh::Point::zero(); 64];

@@ -110,7 +110,7 @@ fn bench_threading(c: &mut Criterion) {
     ];
     for (name, s, owned) in lanes {
         group.bench_function(name, |b| {
-            let mut reducer = pbte_dsl::problem::LocalReducer;
+            let mut reducer = pbte_dsl::exec::LocalLinks;
             b.iter_batched(
                 || s.fields.clone(),
                 |mut f| run_update(s, &mut f, 1, None, owned, &mut reducer, Default::default()),
@@ -124,7 +124,7 @@ fn bench_threading(c: &mut Criterion) {
             .build()
             .unwrap();
         group.bench_function(&format!("threaded_x{threads}"), |b| {
-            let mut reducer = pbte_dsl::problem::LocalReducer;
+            let mut reducer = pbte_dsl::exec::LocalLinks;
             b.iter_batched(
                 || s.fields.clone(),
                 |mut f| {

@@ -22,8 +22,8 @@
 use pbte_bte::material::Material;
 use pbte_bte::temperature::{BteVars, TemperatureStrategy, TemperatureUpdate, BLOCK};
 use pbte_dsl::entities::{Index, Location, Registry, Variable};
-use pbte_dsl::exec::Recorder;
-use pbte_dsl::problem::{LocalReducer, Reducer, StepContext};
+use pbte_dsl::exec::{LocalLinks, Recorder};
+use pbte_dsl::problem::{Reducer, StepContext};
 use pbte_dsl::Fields;
 use pbte_mesh::grid::UniformGrid;
 use pbte_mesh::Mesh;
@@ -349,10 +349,10 @@ proptest! {
         let upd = TemperatureUpdate::new(material.clone(), VARS);
         let start = fields(&material, n_cells_for(block, size), &mut rng, poison);
         let mut expected = start.clone();
-        let want = oracle(&upd, &mut expected, None, None, &mut LocalReducer);
+        let want = oracle(&upd, &mut expected, None, None, &mut LocalLinks);
         for threads in [1, 2, 3] {
             let mut got = start.clone();
-            let (counts, _) = kernel(&upd, &mut got, None, None, &mut LocalReducer, threads, block);
+            let (counts, _) = kernel(&upd, &mut got, None, None, &mut LocalLinks, threads, block);
             assert_same_bits(&format!("threads {threads} block {block}"), &got, &expected)?;
             prop_assert_eq!(&counts, &want);
         }
@@ -412,10 +412,10 @@ proptest! {
             cell += run + 1 + rng.next() as usize % 3;
         }
         let mut expected = start.clone();
-        let want = oracle(&upd, &mut expected, None, Some(&owned), &mut LocalReducer);
+        let want = oracle(&upd, &mut expected, None, Some(&owned), &mut LocalLinks);
         let mut got = start.clone();
         // Threads are offered; a cell-partitioned rank must not use them.
-        let (counts, _) = kernel(&upd, &mut got, None, Some(&owned), &mut LocalReducer, 2, block);
+        let (counts, _) = kernel(&upd, &mut got, None, Some(&owned), &mut LocalLinks, 2, block);
         assert_same_bits(&format!("{} owned block {block}", owned.len()), &got, &expected)?;
         prop_assert_eq!(&counts, &want);
     }
@@ -460,7 +460,7 @@ fn a_stalled_newton_solve_is_reported() {
     let mut upd = TemperatureUpdate::new(material.clone(), VARS);
     upd.tol = 0.0; // |ΔT| < 0 never holds: every solve runs to max_iter
     let mut f = fields(&material, 37, &mut Rng(11), false);
-    let (counts, rec) = kernel(&upd, &mut f, None, None, &mut LocalReducer, 1, BLOCK);
+    let (counts, rec) = kernel(&upd, &mut f, None, None, &mut LocalLinks, 1, BLOCK);
     assert_eq!(counts.newton_iters, 37 * upd.max_iter as u64);
     let stalled: Vec<_> = rec.events().into_iter().collect();
     assert_eq!(stalled.len(), 1, "one event per update: {stalled:?}");
@@ -485,7 +485,7 @@ fn a_non_finite_energy_sum_is_reported() {
     let mut f = fields(&material, 20, &mut Rng(5), false);
     f.set(VARS.i, 3, 2, f64::NAN);
     f.set(VARS.i, 11, 0, f64::INFINITY);
-    let (_, rec) = kernel(&upd, &mut f, None, None, &mut LocalReducer, 1, 8);
+    let (_, rec) = kernel(&upd, &mut f, None, None, &mut LocalLinks, 1, 8);
     let events = rec.events();
     assert_eq!(events.len(), 1, "{events:?}");
     assert_eq!(events[0].name, rules::NON_FINITE_ENERGY);
@@ -507,7 +507,7 @@ fn a_healthy_update_is_quiet_and_its_span_is_split_by_phase() {
     let material = material(false);
     let upd = TemperatureUpdate::new(material.clone(), VARS);
     let mut f = fields(&material, 50, &mut Rng(3), false);
-    let (_, rec) = kernel(&upd, &mut f, None, None, &mut LocalReducer, 2, 16);
+    let (_, rec) = kernel(&upd, &mut f, None, None, &mut LocalLinks, 2, 16);
     assert!(rec.events().is_empty(), "{:?}", rec.events());
     let spans = rec.spans();
     assert_eq!(spans.len(), 1, "one NewtonSolve span per update");

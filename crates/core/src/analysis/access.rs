@@ -211,7 +211,7 @@ pub(super) fn check_kernels(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) -> 
         for flat in 0..cp.n_flat {
             let before = out.len();
             let loc = format!("{name} kernel (row, flat {flat})");
-            let reg = cp.bind(kind, flat, 0.0);
+            let reg = cp.bind(kind, flat);
             let leaf = |o: &Operand, _, acc: &mut DerivedAccess, out: &mut Vec<Diagnostic>| {
                 if let Operand::Load { var, offset } = *o {
                     check_load(cp, var, offset, n_cells, &loc, acc, out)

@@ -29,7 +29,9 @@ pub const DRIFT_TOLERANCE: f64 = 0.15;
 /// Static prediction of a plan's per-step work and data movement.
 #[derive(Debug, Clone)]
 pub struct CostModel {
-    /// The tier the executor will actually run (after clamping).
+    /// The tier the plan requests ([`CompiledProblem::resolved_tier`]),
+    /// which is the tier the executor runs unless native preparation
+    /// fails.
     pub tier: KernelTier,
     /// The flux evaluation that tier runs — two plans' costs are
     /// comparable only when this agrees too.
@@ -158,7 +160,7 @@ fn stage_bytes(plan: &CompiledProblem, stage: &Stage) -> [u64; 3] {
 fn lowered_flops(cp: &CompiledProblem, kind: KernelKind) -> f64 {
     let flops: usize = (0..cp.n_flat)
         .map(|flat| {
-            let reg = cp.bind(kind, flat, 0.0);
+            let reg = cp.bind(kind, flat);
             reg.stmts().iter().map(|s| s.expr.flops()).sum::<usize>()
         })
         .sum();

@@ -78,10 +78,11 @@ pub fn check_intervals(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
             Operand::Reg(_) => unreachable!("registers are the walker's"),
             Operand::K(k) => Interval::point(k),
             Operand::Load { var, .. } => env.vars[var as usize],
+            Operand::Time => env.time,
         };
         'kernels: for (kind, name, _) in cp.lowered_kernels() {
             for flat in 0..cp.n_flat {
-                let reg = cp.bind(kind, flat, 0.0);
+                let reg = cp.bind(kind, flat);
                 let loc = format!("{name} kernel (row, flat {flat})");
                 if let Err(d) = run_stmts(&env, reg.stmts(), reg.n_regs(), leaf, &loc) {
                     out.push(d);

@@ -26,11 +26,12 @@
 //!   substituted.
 //! * **Reg ≡ bound Reg** ([`check_reg`]): the compiled statements are
 //!   executed again under the fold [`Program::bind`] applies
-//!   (coefficients, `dt`, `t` and index values become numbers, loads
-//!   become offset-keyed symbols, a function coefficient its id-keyed
-//!   symbol — one [`Binding`] describes both sides), the bound statements
-//!   are executed with their operands in their order, and the two final
-//!   values are compared **raw-structurally**. Raw (not canonical)
+//!   (coefficients, `dt` and index values become numbers, loads become
+//!   offset-keyed symbols, `t` stays the symbol `t`, a function
+//!   coefficient becomes its id-keyed symbol — one [`Binding`] describes
+//!   both sides), the bound statements are executed with their operands
+//!   in their order, and the two final values are compared
+//!   **raw-structurally**. Raw (not canonical)
 //!   equality is deliberate: canonical ordering would commute `k * load`
 //!   back to `load * k` and mask exactly the operand order bugs this
 //!   proof exists to catch (operand order decides NaN-payload
@@ -45,7 +46,7 @@
 //! volume program always, and the flux program on plans whose Row/Native
 //! tiers run it compiled (no αβγ table). A bound flux program loads its
 //! face inputs as pseudo-variables, so the same functions prove it with
-//! three more symbols.
+//! five more symbols.
 //!
 //! Failures are structured [`Diagnostic`]s with stable rule ids
 //! (`translation/ir-mismatch`, `translation/vm-mismatch` — its subject is
@@ -492,7 +493,7 @@ pub fn check_lowered(
 ) {
     for (_, name, program) in cp.lowered_kernels() {
         for flat in 0..cp.n_flat {
-            let binding = cp.binding(flat, 0.0);
+            let binding = cp.binding(flat);
             let location = format!("{name} kernel (row, flat {flat})");
             let before = out.len();
             check_reg(program, &binding, &bind(program, &binding), &location, out);
@@ -558,7 +559,7 @@ pub fn check_reg(
             }
             Unbound::Index(slot) => Expr::num((binding.idx[*slot as usize] + 1) as f64),
             Unbound::Dt => Expr::num(binding.dt),
-            Unbound::Time => Expr::num(binding.time),
+            Unbound::Time => Expr::sym("t"),
             Unbound::Face(input) => load_sym(program.face_base + input, 0),
         })
     };
@@ -577,6 +578,7 @@ pub fn check_reg(
         Operand::Reg(_) => unreachable!("registers are the walker's"),
         Operand::K(k) => Ok(Expr::num(k)),
         Operand::Load { var, offset } => Ok(load_sym(var, offset)),
+        Operand::Time => Ok(Expr::sym("t")),
     };
     // A bound evaluation must call the function of the coefficient it
     // names: the id keys the symbol, the pointer is what runs.

@@ -18,11 +18,13 @@
 //! variable or array coefficient by index pattern, a loop index value,
 //! `dt`, `t`, a face input — which the `vm` tier evaluates per dof
 //! ([`Program::eval`]). [`Program::bind`] resolves them for one flat index
-//! ([`Binding`]) into [`Operand`]s — a constant or a load at a fixed row
-//! offset — and folds an adjacent constant or load into the operand that
-//! consumes it: the [`RegProgram`] the row tier interprets in batched
-//! lanes and the native tier prints as Rust source
-//! ([`crate::nativegen`]). The type keeps an unbound operand out of both.
+//! ([`Binding`]) into [`Operand`]s — a constant, a load at a fixed row
+//! offset, or the stage time, which every evaluator reads when it runs —
+//! and folds an adjacent constant or load into the operand that consumes
+//! it: the [`RegProgram`] the row tier interprets in batched lanes and the
+//! native tier prints as Rust source ([`crate::nativegen`]). A bound
+//! program is valid at every stage time, so it is bound once per run. The
+//! type keeps an unbound operand out of both.
 //! The analyses walk either alphabet operand by operand.
 //!
 //! Compilation also prices the statements ([`RegExpr::flops`]); the count
@@ -202,6 +204,8 @@ pub enum Operand {
     K(f64),
     /// `vars[var][offset + cell]`; the offset folds the flat.
     Load { var: u16, offset: usize },
+    /// The stage time `t`, passed to every evaluation.
+    Time,
 }
 
 impl Alphabet for Operand {
@@ -444,12 +448,9 @@ impl Program {
         self.stmts.iter().map(|s| s.expr.flops()).sum()
     }
 
-    /// True when [`Program::bind`] bakes the simulation time into the
-    /// bound statements (`t` folds to a constant), making them valid for
-    /// one stage time only. Function coefficients do **not** make a
-    /// program time-dependent in this sense — they receive the time at
-    /// evaluation. Executors use this to cache bound programs across
-    /// steps.
+    /// True when the program reads `t` (a function coefficient, which
+    /// receives the time as an argument, does not count). Such a flux has
+    /// no αβγ table: its coefficients would change with every stage.
     pub fn references_time(&self) -> bool {
         let mut operands = self.stmts.iter().flat_map(|s| s.expr.operands());
         operands.any(|o| matches!(o, Unbound::Time))
@@ -458,7 +459,8 @@ impl Program {
 
 /// What binding folds into a program for one flat-index value: the loop
 /// index values, the cell count (a variable row of flat `f` starts at
-/// offset `f · n_cells`), `dt`, the stage time and the coefficient values.
+/// offset `f · n_cells`), `dt` and the coefficient values. The stage time
+/// is not among them: a bound program reads it when it runs.
 /// The translation validator executes the compiled statements under the
 /// same values (`analysis::check_reg`), so both sides of that proof read
 /// one description of the fold.
@@ -467,7 +469,6 @@ pub struct Binding<'a> {
     pub idx: &'a [usize],
     pub n_cells: usize,
     pub dt: f64,
-    pub time: f64,
     pub coefficients: &'a [crate::entities::Coefficient],
 }
 
@@ -510,7 +511,7 @@ pub struct RegProgram {
 ///
 /// | producer | consumer | the consumer's other operand |
 /// |----------|----------|------------------------------|
-/// | constant | `Add`, `Mul` | a register or a load |
+/// | constant or `t` | `Add`, `Mul` | a register or a load |
 /// | load     | `Mul`    | a register |
 ///
 /// A fold never reorders or combines floating-point operations (no FMA
@@ -528,7 +529,7 @@ fn fold(last: &RegStmt, stmt: &mut RegStmt) -> bool {
         return false;
     };
     let folds = match (value, ab[1 - i]) {
-        (Operand::K(_), Operand::Reg(_) | Operand::Load { .. }) => true,
+        (Operand::K(_) | Operand::Time, Operand::Reg(_) | Operand::Load { .. }) => true,
         (Operand::Load { .. }, Operand::Reg(_)) => is_mul,
         _ => false,
     };
@@ -540,10 +541,10 @@ fn fold(last: &RegStmt, stmt: &mut RegStmt) -> bool {
 
 impl Program {
     /// Bind to one flat-index value, in one pass. Patterns resolve to
-    /// storage offsets; array coefficients, index values, `dt` and `t`
-    /// fold to constants; the face inputs (`CELL1`/`CELL2`/`NORMAL_i`)
-    /// load the face-input pseudo-variables (see [`FACE_U1`]). This is the
-    /// loop-invariant hoisting the generated CPU code performs: the inner
+    /// storage offsets; array coefficients, index values and `dt` fold to
+    /// constants; `t` stays an operand; the face inputs
+    /// (`CELL1`/`CELL2`/`NORMAL_i`) load the face-input pseudo-variables
+    /// (see [`FACE_U1`]). This is the loop-invariant hoisting the generated CPU code performs: the inner
     /// cell loop touches only loads at `offset + cell` and arithmetic.
     /// Registers stay where the compiler put them, and each statement
     /// takes in the constant or load written just before it where the
@@ -563,7 +564,7 @@ impl Program {
             )),
             Unbound::Index(slot) => Operand::K((b.idx[*slot as usize] + 1) as f64),
             Unbound::Dt => Operand::K(b.dt),
-            Unbound::Time => Operand::K(b.time),
+            Unbound::Time => Operand::Time,
             Unbound::Face(input) => Operand::Load {
                 var: self.face_base + input,
                 offset: 0,
@@ -764,9 +765,9 @@ impl RegProgram {
     /// lane values: consecutive cells of a variable row for a volume
     /// program ([`RegProgram::eval_row`]), gathered face inputs for a flux
     /// program. Lane `l` evaluates function coefficients at
-    /// `positions[pos0 + l]`. Always inlined: left out of line, the row
-    /// tier's `intensity_phase` bench measured ~8 % slower on a 2-core
-    /// x86-64 host.
+    /// `positions[pos0 + l]`; every lane reads `t` as `time`. Always
+    /// inlined: left out of line, the row tier's `intensity_phase` bench
+    /// measured ~8 % slower on a 2-core x86-64 host.
     #[allow(clippy::needless_range_loop)]
     #[inline(always)]
     pub(crate) fn eval_chunk<'a>(
@@ -787,6 +788,7 @@ impl RegProgram {
             Operand::Reg(r) => Lanes::Reg(r as usize),
             Operand::K(k) => Lanes::K(k),
             Operand::Load { var, offset } => Lanes::Row(&load(var, offset)[..len]),
+            Operand::Time => Lanes::K(time),
         };
         for s in &self.stmts {
             let d = s.dst as usize;
@@ -1372,7 +1374,6 @@ mod tests {
             idx: &[1, 2],
             n_cells: 8,
             dt: 0.1,
-            time: 0.0,
             coefficients: &p.registry.coefficients,
         });
         let exprs: Vec<&RegExpr> = reg.stmts().iter().map(|s| &s.expr).collect();
@@ -1399,6 +1400,7 @@ mod tests {
             "Io[b] / k + d * 10 + b",
             "exp(0.001 * I[d,b]) + I[d,b]^2",
             "conditional(I[d,b] > 15, Io[b], vg[b])",
+            "Io[b] * t + t * k + exp(-t)",
         ] {
             let prog = c.compile(&parse(src).unwrap()).unwrap();
             for (dd, bb) in [(0usize, 0usize), (2, 1), (3, 2)] {
@@ -1407,7 +1409,6 @@ mod tests {
                     idx: &idx,
                     n_cells: 5,
                     dt: 0.5,
-                    time: 2.0,
                     coefficients: &r.coefficients,
                 });
                 let mut regs = vec![[0.0; ROW_CHUNK]; reg.n_regs()];
@@ -1455,7 +1456,6 @@ mod tests {
             idx: &idx,
             n_cells: n,
             dt: 0.1,
-            time: 0.0,
             coefficients: &r.coefficients,
         });
         let mut regs = vec![[0.0; ROW_CHUNK]; reg.n_regs()];
@@ -1527,7 +1527,6 @@ mod tests {
                 idx: &idx,
                 n_cells: 5,
                 dt: 0.5,
-                time: 2.0,
                 coefficients: &r.coefficients,
             });
             let mut regs = vec![[0.0; ROW_CHUNK]; reg.n_regs()];

@@ -170,10 +170,10 @@ pub(crate) fn host_span(rec: &mut Recorder, record: &Record, step: usize, t0: In
 
 /// The `Kernel` span of one host sweep of `which` plan begun at `k0`
 /// (`intensity_rhs` for the primal, `jvp_rhs` for the linearization), with
-/// tier and flux-path attribution, so traces show what actually ran (the
-/// resolved tier may differ from the requested one after clamping or
-/// native fallback, and the same tier evaluates the flux from a table on
-/// one mesh and from its compiled program on another), with `run_cells`,
+/// tier and flux-path attribution, so traces show what actually ran (a
+/// native request runs the row tier after a native fallback, and the same
+/// tier evaluates the flux from a table on one mesh and from its compiled
+/// program on another), with `run_cells`,
 /// the scope's cells inside stencil runs (0: the whole sweep took the CSR
 /// walk), with how the sweep was cut: `tiles` pieces over `workers`
 /// threads, and with its price: the plan's [`sweep_price`] × the scope's
@@ -300,7 +300,7 @@ impl Backend for CpuBackend {
                 let state = self.plan(which);
                 let k0 = rec.now();
                 let ghosts = state.ghosts.current(plan);
-                let (kernels, work) = (&mut state.kernels, &mut rec.work);
+                let (kernels, work) = (&state.kernels, &mut rec.work);
                 rows::sweep(kernels, plan, fields, d, ghosts, time, fused_dt, out, work);
                 sweep_span(rec, state, plan, which, d, step, k0);
                 let unknown = plan.system.unknown;

@@ -231,7 +231,6 @@ impl GpuBackend<'_> {
         // Kernel launch, one thread per owned dof: row `k` of the compact
         // `out_dev` is the range's `k`-th flat; the inputs are every
         // variable buffer (id order), then the ghost buffer.
-        ps.kernels.ensure(plan, time);
         let kernels = &ps.kernels;
         let n_vars = var_devs.len();
         let mut inputs: Vec<&DeviceBuffer> = var_devs.iter().collect();

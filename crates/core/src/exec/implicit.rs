@@ -331,7 +331,7 @@ fn build_diag(
     // Tiles are flat-major: one register program per flat.
     for row in d.tiles.chunk_by(|a, b| a.k == b.k) {
         let flat = d.flats[row[0].k];
-        let program = jcp.bind(KernelKind::Volume, flat, time);
+        let program = jcp.bind(KernelKind::Volume, flat);
         regs.resize(program.n_regs(), [0.0; ROW_CHUNK]);
         // The flat's row of the flux table's own-cell slopes, by class.
         let alpha = jcp

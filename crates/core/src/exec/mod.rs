@@ -55,7 +55,10 @@ pub(crate) mod walls;
 pub use walls::Walls;
 
 use crate::analysis::Scope;
-use crate::bytecode::{Binding, Compiler, KernelKind, Program, RegProgram};
+use crate::bytecode::{
+    Binding, Compiler, KernelKind, Program, RegProgram, FACE_INPUTS, FACE_NORMAL, FACE_U1, FACE_U2,
+    ROW_CHUNK,
+};
 use crate::dataflow::TransferSchedule;
 use crate::entities::Fields;
 use crate::pipeline::DiscreteSystem;
@@ -161,7 +164,9 @@ pub trait StepLinks: crate::problem::Reducer {
     fn drain_comm_spans(&mut self, _rec: &mut pbte_runtime::telemetry::Recorder, _step: usize) {}
 }
 
-/// No-op links for single-address-space targets.
+/// No-op links for single-address-space targets, and the no-op
+/// [`Reducer`](crate::problem::Reducer) a step callback gets when it runs
+/// outside a distributed solve.
 pub struct LocalLinks;
 
 impl crate::problem::Reducer for LocalLinks {
@@ -286,8 +291,8 @@ pub struct FluxLinearization {
 pub enum FluxPath {
     /// The αβγ lookup of a [`FluxLinearization`], on every tier.
     Table,
-    /// The flux program bound like the volume program (Row/Native on a
-    /// mesh without a table).
+    /// The flux program bound like the volume program (Row/Native
+    /// without a table).
     Compiled,
     /// The compiled flux program per face (the per-dof tiers without a
     /// table).
@@ -311,6 +316,12 @@ impl FluxLinearization {
     pub fn eval(&self, flat: usize, class: u32, u1: f64, u2: f64) -> f64 {
         let at = flat * self.n_classes + class as usize;
         self.gamma[at] + self.alpha[at] * u1 + self.beta[at] * u2
+    }
+
+    /// The oriented normal of every class, in class order: what the table
+    /// was probed over.
+    pub fn class_normals(&self) -> impl Iterator<Item = [f64; 3]> + '_ {
+        self.classes.normals()
     }
 }
 
@@ -391,26 +402,33 @@ impl NormalClasses {
     }
 }
 
-/// Why the Row/Native tiers cannot evaluate `flux` through its bound
-/// program, if they cannot: the row evaluator runs the flux over face
-/// slots, where neither a per-face host callback nor a cell-indexed
-/// variable row is available.
-fn flux_blocker(flux: &Program) -> Option<&'static str> {
+/// Whether `flux` can have an αβγ table at all: besides `CELL1`/`CELL2`
+/// it reads only inputs that are constant per (flat, normal) — no cell
+/// variable, no function coefficient (a position-dependent host call), no
+/// `t`.
+fn table_eligible(flux: &Program) -> bool {
     use crate::bytecode::{RegExpr, Unbound};
-    flux.stmts.iter().find_map(|s| match &s.expr {
-        RegExpr::CoefFn { .. } => {
-            Some("the flux evaluates a function coefficient (a host callback per face)")
-        }
-        RegExpr::Copy(Unbound::Var { .. }) => Some("the flux reads a cell variable per face"),
-        _ => None,
-    })
+    let per_face = |e: &RegExpr<Unbound>| {
+        matches!(
+            e,
+            RegExpr::CoefFn { .. } | RegExpr::Copy(Unbound::Var { .. })
+        )
+    };
+    !flux.references_time() && !flux.stmts.iter().any(|s| per_face(&s.expr))
 }
+
+/// The `(CELL1, CELL2)` points the table probes per (flat, class): the
+/// origin and the two unit steps give `γ`, `α` and `β`; the last two check
+/// affinity.
+const PROBES: [(f64, f64); 5] = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 3.0)];
 
 /// Attempt the flux linearization over `classes`. Returns `None` (the
 /// compiled flux on the Row/Native tiers, the flux program per face on the
-/// per-dof tiers) when the flux reads mutable variables, function
-/// coefficients, or time; when a conditional branches on the unknown; or
-/// when the numeric affinity probe fails.
+/// `vm` tier) when the flux is not [`table_eligible`], when a conditional
+/// branches on the unknown, or when the numeric affinity probe fails.
+///
+/// The probe runs the flux the way the row tier does: bound once per flat,
+/// the [`PROBES`] of every class evaluated as lanes of its face inputs.
 fn linearize_flux(
     problem: &Problem,
     flux: &Program,
@@ -418,9 +436,7 @@ fn linearize_flux(
     idx_of_flat: &[Vec<usize>],
     classes: NormalClasses,
 ) -> Option<FluxLinearization> {
-    use crate::bytecode::VmCtx;
-    // Static eligibility: only face-constant inputs besides CELL1/CELL2.
-    if flux_blocker(flux).is_some() || flux.references_time() {
+    if !table_eligible(flux) {
         return None;
     }
     // Conditionals must not branch on the unknown (affinity would be
@@ -437,37 +453,47 @@ fn linearize_flux(
         return None;
     }
 
-    // Probe the program per (flat, class) and validate affinity exactly
-    // at two extra points.
-    let n_flat = idx_of_flat.len();
+    // The face inputs of every probe lane, class-major.
     let n_classes = classes.keys.len();
-    let mut alpha = vec![0.0; n_flat * n_classes];
-    let mut beta = vec![0.0; n_flat * n_classes];
-    let mut gamma = vec![0.0; n_flat * n_classes];
-    let no_vars: [&[f64]; 0] = [];
+    let n_lanes = n_classes * PROBES.len();
+    let mut inputs: [Vec<f64>; FACE_INPUTS] = std::array::from_fn(|_| Vec::with_capacity(n_lanes));
+    for normal in classes.normals() {
+        for (u1, u2) in PROBES {
+            inputs[FACE_U1 as usize].push(u1);
+            inputs[FACE_U2 as usize].push(u2);
+            for (axis, component) in normal.into_iter().enumerate() {
+                inputs[FACE_NORMAL as usize + axis].push(component);
+            }
+        }
+    }
+    let mut alpha = vec![0.0; idx_of_flat.len() * n_classes];
+    let mut beta = vec![0.0; idx_of_flat.len() * n_classes];
+    let mut gamma = vec![0.0; idx_of_flat.len() * n_classes];
+    let mut values = vec![0.0; n_lanes];
+    let mut regs = Vec::new();
     for (flat, idx) in idx_of_flat.iter().enumerate() {
-        for (class, normal) in classes.normals().enumerate() {
-            let probe = |u1: f64, u2: f64| {
-                flux.eval(&VmCtx {
-                    vars: &no_vars,
-                    n_cells: 1,
-                    coefficients: &problem.registry.coefficients,
-                    idx,
-                    cell: 0,
-                    u1,
-                    u2,
-                    normal,
-                    position: pbte_mesh::Point::zero(),
-                    dt: problem.dt,
-                    time: 0.0,
-                })
+        let reg = flux.bind(&Binding {
+            idx,
+            n_cells: 1,
+            dt: problem.dt,
+            coefficients: &problem.registry.coefficients,
+        });
+        regs.resize(reg.n_regs(), [0.0; ROW_CHUNK]);
+        for start in (0..n_lanes).step_by(ROW_CHUNK) {
+            let len = (n_lanes - start).min(ROW_CHUNK);
+            let lanes = |var: u16, _| &inputs[(var - flux.face_base) as usize][start..];
+            reg.eval_chunk(len, lanes, &[], 0, 0.0, &mut regs);
+            values[start..start + len].copy_from_slice(&regs[0][..len]);
+        }
+        for (class, probe) in values.chunks_exact(PROBES.len()).enumerate() {
+            let &[f00, f10, f01, f11, f23] = probe else {
+                unreachable!("one chunk per class")
             };
-            let f00 = probe(0.0, 0.0);
-            let a = probe(1.0, 0.0) - f00;
-            let b = probe(0.0, 1.0) - f00;
+            let a = f10 - f00;
+            let b = f01 - f00;
             let scale = 1.0 + f00.abs() + a.abs() + b.abs();
-            let check1 = probe(1.0, 1.0) - (f00 + a + b);
-            let check2 = probe(2.0, 3.0) - (f00 + 2.0 * a + 3.0 * b);
+            let check1 = f11 - (f00 + a + b);
+            let check2 = f23 - (f00 + 2.0 * a + 3.0 * b);
             if check1.abs() > 1e-12 * scale || check2.abs() > 1e-12 * scale {
                 return None;
             }
@@ -595,7 +621,6 @@ fn fill_from_program(
     program: &Program,
     fields: &mut Fields,
 ) {
-    use crate::bytecode::ROW_CHUNK;
     let registry = &problem.registry;
     let strides = registry.strides(&registry.variables[var].indices);
     let n_cells = mesh.n_cells();
@@ -607,7 +632,6 @@ fn fill_from_program(
             idx: &idx,
             n_cells,
             dt: problem.dt,
-            time: 0.0,
             coefficients: &registry.coefficients,
         });
         regs.resize(reg.n_regs(), [0.0; ROW_CHUNK]);
@@ -634,9 +658,10 @@ pub struct Plan {
     pub idx_lens: Vec<usize>,
     /// Decoded index tuple per flat value.
     pub idx_of_flat: Vec<Vec<usize>>,
-    /// The αβγ flux table, for meshes with few face orientations (None →
-    /// the compiled flux on Row/Native, the flux program per face on the
-    /// per-dof tiers).
+    /// The αβγ flux table, for meshes with few face orientations and a
+    /// flux that reads no cell variable, function coefficient or `t` (None
+    /// → the compiled flux on Row/Native, the flux program per face on the
+    /// `vm` tier).
     pub flux_lin: Option<FluxLinearization>,
     /// The plan's loaded native kernels (or why there are none), prepared
     /// on first use by [`crate::nativegen`] and shared by every scope of
@@ -747,18 +772,10 @@ impl Plan {
         );
     }
 
-    /// Why the Row/Native tiers cannot evaluate this flux through its
-    /// bound program, if they cannot ([`flux_blocker`]). Such a flux never
-    /// linearizes either, so the plan runs on the `Vm` tier.
-    pub(crate) fn flux_blocker(&self) -> Option<&'static str> {
-        flux_blocker(&self.flux)
-    }
-
     /// True when the Row/Native tiers evaluate the flux through its bound
-    /// program: no αβγ table (see [`FluxLinearization`]) and nothing that
-    /// blocks the binding.
+    /// program: the plan has no αβγ table (see [`FluxLinearization`]).
     pub(crate) fn compiled_flux(&self) -> bool {
-        self.flux_lin.is_none() && self.flux_blocker().is_none()
+        self.flux_lin.is_none()
     }
 
     /// Which flux evaluation `tier` runs.
@@ -1019,13 +1036,12 @@ pub(crate) struct HotGeometry {
 
 impl HotGeometry {
     /// `lin` on a table plan (each slot's normal is looked up among its
-    /// classes), else `None`; `compiled_flux` when the kernels read
+    /// classes); `None` on a compiled-flux plan, whose kernels read
     /// per-slot normals.
     fn build(
         mesh: &pbte_mesh::Mesh,
         bface_slot: &[usize],
         lin: Option<&FluxLinearization>,
-        compiled_flux: bool,
     ) -> HotGeometry {
         let n = mesh.n_cells();
         // Every array is sized once: grown by doubling, each would copy
@@ -1038,7 +1054,7 @@ impl HotGeometry {
         let mut class = Vec::with_capacity(if lin.is_some() { n_slots } else { 0 });
         // The class last found per local face: on a grid, the next cell's.
         let mut hints = [0u32; MAX_RUN_FACES];
-        let mut normals = Vec::with_capacity(if compiled_flux { n_slots * mesh.dim } else { 0 });
+        let mut normals = Vec::with_capacity(if lin.is_none() { n_slots * mesh.dim } else { 0 });
         offsets.push(0u32);
         for cell in 0..n {
             for (local, &fid) in mesh.cell_faces(cell).iter().enumerate() {
@@ -1048,13 +1064,13 @@ impl HotGeometry {
                     None => -((bface_slot[fid] + 1) as i64),
                 });
                 area.push(f.area);
-                if let Some(lin) = lin {
-                    let hint = &mut hints[local % MAX_RUN_FACES];
-                    class.push(lin.classes.class_of(f.normal_from(cell), hint));
-                }
-                if compiled_flux {
-                    let n = f.normal_from(cell);
-                    normals.extend([n.x, n.y, n.z].into_iter().take(mesh.dim));
+                let n = f.normal_from(cell);
+                match lin {
+                    Some(lin) => {
+                        let hint = &mut hints[local % MAX_RUN_FACES];
+                        class.push(lin.classes.class_of(n, hint));
+                    }
+                    None => normals.extend([n.x, n.y, n.z].into_iter().take(mesh.dim)),
                 }
             }
             offsets.push(nbr.len() as u32);
@@ -1207,17 +1223,13 @@ impl CompiledProblem {
         let catalog = CallbackCatalog::build(&problem, &boundary, &walls);
         // The hot geometry is a function of the mesh, the boundary slots,
         // the face classes and which flux path reads it.
-        let same_flux_path = |p: &&CompiledProblem| {
-            p.flux_lin.is_some() == plan.flux_lin.is_some()
-                && p.compiled_flux() == plan.compiled_flux()
-        };
+        let same_flux_path = |p: &&CompiledProblem| p.flux_lin.is_some() == plan.flux_lin.is_some();
         let hot = match primal.filter(same_flux_path) {
             Some(primal) => primal.hot.clone(),
             None => Arc::new(HotGeometry::build(
                 mesh,
                 &bface_slot,
                 plan.flux_lin.as_ref(),
-                plan.compiled_flux(),
             )),
         };
         let cp = CompiledProblem {
@@ -1305,53 +1317,37 @@ impl CompiledProblem {
         Some(self.hot.class[self.hot.offsets[owner] as usize + slot])
     }
 
-    /// What lowering folds into a program of this plan for `flat` at
-    /// `time`.
-    pub fn binding(&self, flat: usize, time: f64) -> Binding<'_> {
+    /// What lowering folds into a program of this plan for `flat`.
+    pub fn binding(&self, flat: usize) -> Binding<'_> {
         Binding {
             idx: &self.idx_of_flat[flat],
             n_cells: self.mesh().n_cells(),
             dt: self.problem.dt,
-            time,
             coefficients: &self.problem.registry.coefficients,
         }
     }
 
-    /// The volume or flux program bound for `flat` at `time`.
-    pub fn bind(&self, kind: KernelKind, flat: usize, time: f64) -> RegProgram {
+    /// The volume or flux program bound for `flat`, valid at every stage
+    /// time.
+    pub fn bind(&self, kind: KernelKind, flat: usize) -> RegProgram {
         let program = match kind {
             KernelKind::Volume => &self.volume,
             KernelKind::Flux => &self.flux,
         };
-        program.bind(&self.binding(flat, time))
+        program.bind(&self.binding(flat))
     }
 
-    /// The kernel tier the executors will actually use: the problem's
-    /// explicit choice, defaulting to `Row`. It depends on the plan, never
-    /// on the mesh: only a flux the row evaluator cannot lower (one that
-    /// calls a function coefficient or reads a cell variable per face)
-    /// clamps `Row`/`Native` to `Vm`.
-    /// A `Native` request may additionally degrade at scope construction
-    /// if AOT preparation fails (missing `rustc`, failed compilation,
-    /// ineligible plan) — that late fallback is recorded as a
-    /// `native/fallback` diagnostic on the kernels.
+    /// The kernel tier the problem asks for, defaulting to `Row` (the
+    /// hidden `Bound` is a `Row` request): every plan lowers on every
+    /// tier. The one way off it is a `Native` request whose preparation
+    /// fails at scope construction (missing `rustc`, failed compilation,
+    /// a function coefficient, which is a host closure): that scope runs
+    /// `Row` and carries a `native/fallback` diagnostic.
     pub fn resolved_tier(&self) -> KernelTier {
-        self.clamp_tier(self.problem.kernel_tier.unwrap_or(KernelTier::Row))
-    }
-
-    /// The tier a request for `requested` runs on, as
-    /// [`CompiledProblem::resolved_tier`] describes. The hidden `Bound`
-    /// variant is a `Row` request.
-    pub(crate) fn clamp_tier(&self, requested: KernelTier) -> KernelTier {
-        match requested {
-            KernelTier::Row | KernelTier::Native | KernelTier::Bound
-                if self.flux_blocker().is_some() =>
-            {
-                KernelTier::Vm
-            }
-            KernelTier::Bound => KernelTier::Row,
-            t => t,
-        }
+        self.problem
+            .kernel_tier
+            .unwrap_or(KernelTier::Row)
+            .requested()
     }
 
     /// Benchmark harness for the intensity phase in isolation: RHS
@@ -1451,8 +1447,8 @@ impl IntensityBench<'_> {
     }
 
     /// The structured diagnostic recorded when a requested Native tier
-    /// degraded to Row (missing `rustc`, failed compilation, ineligible
-    /// plan), if that happened.
+    /// degraded to Row (missing `rustc`, failed compilation, a function
+    /// coefficient), if that happened.
     pub fn native_fallback(&self) -> Option<&crate::analysis::Diagnostic> {
         self.kernels.native_fallback()
     }
@@ -1473,15 +1469,21 @@ impl IntensityBench<'_> {
         self.cp.hot.run_cells_of(&self.scope)
     }
 
-    /// Evaluate the RHS for every (cell, flat) pair into `rhs`.
+    /// Evaluate the RHS for every (cell, flat) pair into `rhs`, at stage
+    /// time 0.
     pub fn run(&mut self, fields: &Fields, rhs: &mut [f64]) {
+        self.run_at(fields, 0.0, rhs);
+    }
+
+    /// [`Self::run`] at stage time `time`.
+    pub fn run_at(&mut self, fields: &Fields, time: f64, rhs: &mut [f64]) {
         rows::sweep(
-            &mut self.kernels,
+            &self.kernels,
             self.cp,
             fields,
             &self.scope,
             self.ghosts.current(self.cp),
-            0.0,
+            time,
             None,
             rhs,
             &mut WorkCounters::default(),

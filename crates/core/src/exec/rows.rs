@@ -24,18 +24,17 @@
 //! (the threaded target). There is no other walker: `driver::axpy` goes
 //! through the same helper and the device launch reads the same tiles.
 //!
-//! [`IntensityKernels`] also owns the cross-step bind cache: when the
-//! programs provably never read `t`, the per-flat register programs are
-//! reused for the whole run instead of being lowered again every step. The
-//! native tier extends that story to machine code: preparation (lowering,
-//! validation, `rustc`, `dlopen`) happens once per compiled problem, and
-//! failures degrade to the row tier with a [`Diagnostic`] instead of
-//! erroring.
+//! [`IntensityKernels`] binds the per-flat register programs once, when it
+//! is built: a bound program reads the stage time when it runs, so one
+//! binding serves every stage of the run. The native tier extends that
+//! story to machine code: preparation (lowering, validation, `rustc`,
+//! `dlopen`) happens once per compiled problem, and failures degrade to
+//! the row tier with a [`Diagnostic`] instead of erroring.
 
 use super::{seq, CompiledProblem, FluxLinearization, HotGeometry, StencilRun, WorkCounters};
 use crate::analysis::{rules, Diagnostic, Scope, Severity, Tile};
 use crate::bytecode::{
-    KernelKind, RegProgram, FACE_INPUTS, FACE_NORMAL, FACE_U1, FACE_U2, ROW_CHUNK,
+    KernelKind, Operand, RegExpr, RegProgram, FACE_INPUTS, FACE_NORMAL, FACE_U1, FACE_U2, ROW_CHUNK,
 };
 use crate::entities::Fields;
 use crate::nativegen::{self, NativeArgs, NativeLib};
@@ -51,21 +50,16 @@ pub(crate) struct Scratch {
     ptrs: Vec<*const f64>,
 }
 
-/// Per-flat compiled kernels for one worker's scope, plus the bind cache.
+/// Per-flat compiled kernels for one worker's scope.
 pub(crate) struct IntensityKernels {
     pub tier: KernelTier,
     flats: Vec<usize>,
+    /// Row programs of the volume, per flat (Row tier only).
     reg: Vec<RegProgram>,
     /// Row programs of the flux, per flat (Row tier with a compiled flux
     /// only — the table path and the other tiers leave it empty).
     flux_reg: Vec<RegProgram>,
-    /// Time the cached programs were lowered at (bit pattern compared).
-    lowered_at: f64,
-    /// Whether a lowered program reads `t` (forces per-stage rebinds).
-    time_dependent: bool,
     max_regs: usize,
-    /// How many times `ensure` actually re-lowered (diagnostics/tests).
-    pub rebinds: u64,
     /// Loaded native plan (Native tier only).
     native: Option<Arc<NativeLib>>,
     /// Why the Native tier degraded to Row, when it did.
@@ -73,39 +67,31 @@ pub(crate) struct IntensityKernels {
 }
 
 impl IntensityKernels {
-    /// Kernels for a scope at the tier the problem requests (clamped and
-    /// degraded as [`IntensityKernels::with_tier`] describes).
+    /// Kernels for a scope at the tier the problem requests.
     pub fn for_scope(cp: &CompiledProblem, flats: &[usize]) -> IntensityKernels {
-        let requested = cp.problem.kernel_tier.unwrap_or(KernelTier::Row);
-        Self::with_tier(cp, flats, requested)
+        Self::with_tier(cp, flats, cp.resolved_tier())
     }
 
-    /// Kernels pinned to a tier. `Row` runs on every mesh; it (and a
-    /// failed `Native`) clamps to `Vm` only for a flux the row evaluator
-    /// cannot lower ([`CompiledProblem::flux_blocker`]). `Native` falls
-    /// back to that `Row` tier when preparation fails, with a structured
-    /// [`Diagnostic`] recording why.
+    /// Kernels pinned to a tier, which is the tier that runs (`Bound` is a
+    /// `Row` request) — except that `Native` falls back to `Row` when
+    /// preparation fails, with a structured [`Diagnostic`] recording why.
+    /// On `Row` every program is bound here, once for the whole run.
     pub fn with_tier(cp: &CompiledProblem, flats: &[usize], tier: KernelTier) -> IntensityKernels {
-        let row = cp.clamp_tier(KernelTier::Row);
-        let mut tier = match tier {
-            KernelTier::Native => KernelTier::Native,
-            t => cp.clamp_tier(t),
-        };
+        let mut tier = tier.requested();
         let mut native = None;
         let mut native_fallback = None;
         if tier == KernelTier::Native {
             match nativegen::prepare(cp) {
                 Ok(lib) => native = Some(lib),
                 Err(reason) => {
-                    tier = row;
+                    tier = KernelTier::Row;
                     let diag = Diagnostic {
                         severity: Severity::Warning,
                         rule: rules::NATIVE_FALLBACK,
                         entity: String::new(),
                         location: "intensity phase".to_string(),
                         message: format!(
-                            "native tier unavailable, falling back to the {} tier: {reason}",
-                            tier.name()
+                            "native tier unavailable, falling back to the row tier: {reason}"
                         ),
                     };
                     // Warn on stderr once per process; every scope still
@@ -116,58 +102,30 @@ impl IntensityKernels {
                 }
             }
         }
-        // On the Row tier a compiled flux is lowered (and re-lowered) with
-        // the volume program.
-        let binds_flux = tier == KernelTier::Row && cp.compiled_flux();
-        IntensityKernels {
-            tier,
-            flats: flats.to_vec(),
-            reg: Vec::new(),
-            flux_reg: Vec::new(),
-            lowered_at: f64::NAN,
-            time_dependent: cp.volume.references_time()
-                || (binds_flux && cp.flux.references_time()),
-            max_regs: 0,
-            rebinds: 0,
-            native,
-            native_fallback,
-        }
-    }
-
-    /// Make the cached per-flat programs valid for `time`. A no-op unless
-    /// this is the first call, or a program reads `t` and `time` changed.
-    pub fn ensure(&mut self, cp: &CompiledProblem, time: f64) {
-        // The VM tier binds nothing; the native tier was fully prepared
-        // at construction (it is only reachable for time-independent,
-        // cache-friendly plans, so there is never anything to re-lower).
-        if self.tier != KernelTier::Row {
-            return;
-        }
-        let stale = self.reg.is_empty()
-            || (self.time_dependent && self.lowered_at.to_bits() != time.to_bits());
-        if !stale {
-            return;
-        }
-        let lower = |kind| -> Vec<RegProgram> {
-            let flats = self.flats.iter();
-            flats.map(|&flat| cp.bind(kind, flat, time)).collect()
-        };
-        let reg = lower(KernelKind::Volume);
-        let flux_reg = if cp.compiled_flux() {
-            lower(KernelKind::Flux)
+        // On the Row tier the volume program, and a compiled flux, are
+        // bound per flat.
+        let bind = |kind| flats.iter().map(|&flat| cp.bind(kind, flat)).collect();
+        let row = tier == KernelTier::Row;
+        let reg = if row {
+            bind(KernelKind::Volume)
         } else {
             Vec::new()
         };
-        self.max_regs = reg
-            .iter()
-            .chain(&flux_reg)
-            .map(RegProgram::n_regs)
-            .max()
-            .unwrap_or(0);
-        self.reg = reg;
-        self.flux_reg = flux_reg;
-        self.lowered_at = time;
-        self.rebinds += 1;
+        let flux_reg = if row && cp.compiled_flux() {
+            bind(KernelKind::Flux)
+        } else {
+            Vec::new()
+        };
+        let max_regs = reg.iter().chain(&flux_reg).map(RegProgram::n_regs).max();
+        IntensityKernels {
+            tier,
+            flats: flats.to_vec(),
+            reg,
+            flux_reg,
+            max_regs: max_regs.unwrap_or(0),
+            native,
+            native_fallback,
+        }
     }
 
     /// The scope's `k`-th flat.
@@ -242,7 +200,7 @@ pub(crate) fn for_each_tile<S>(
 /// cut cannot change results.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep(
-    kernels: &mut IntensityKernels,
+    kernels: &IntensityKernels,
     cp: &CompiledProblem,
     fields: &Fields,
     scope: &Scope,
@@ -253,10 +211,6 @@ pub(crate) fn sweep(
     work: &mut WorkCounters,
 ) {
     let vars = fields.as_slices();
-    // Loop-invariant hoisting: per-flat specialized programs, cached
-    // across steps when the volume program never reads `t`.
-    kernels.ensure(cp, time);
-    let kernels = &*kernels;
     for_each_tile(
         scope,
         out,
@@ -448,16 +402,18 @@ fn flux_combine(
 ///
 /// The CSR slots `offsets[cell0] .. offsets[cell0 + out.len()]` are walked
 /// in `ROW_CHUNK` lanes: gather the face inputs (owner value, neighbor or
-/// `Walls::ghost_read` value, oriented normal), evaluate `flux` once per chunk, then per
-/// cell accumulate `flux_sum += area[k] * f[k]` from 0.0 in slot order —
-/// the operation sequence of `seq::flux_sum_dof`'s VM branch, so results
-/// are bit-identical to the per-DOF tiers however the span is split.
-/// A cell's sum carries across chunk boundaries.
+/// `Walls::ghost_read` value, oriented normal) — and, for a flux that reads
+/// them, the cell variables at the owner cell and the face centroids a
+/// function coefficient is evaluated at — evaluate `flux` once per chunk,
+/// then per cell accumulate `flux_sum += area[k] * f[k]` from 0.0 in slot
+/// order: the operation sequence of `seq::flux_sum_dof`'s per-face branch,
+/// so results are bit-identical to the `vm` tier however the span is
+/// split. A cell's sum carries across chunk boundaries.
 #[allow(clippy::too_many_arguments)]
 fn flux_combine_compiled(
     flux: &RegProgram,
     cp: &CompiledProblem,
-    u: &[f64],
+    vars: &[&[f64]],
     u_row: &[f64],
     flat: usize,
     ghosts: &[f64],
@@ -469,9 +425,29 @@ fn flux_combine_compiled(
 ) {
     let hot = &cp.hot;
     let n_cells = u_row.len();
+    let u = vars[cp.system.unknown];
     let walls = &cp.walls;
     let face_base = cp.flux.face_base;
     let mut lanes = [[0.0f64; ROW_CHUNK]; FACE_INPUTS];
+    // The cell variables the flux reads, each gathered at the owner cell
+    // of every lane, and the face centroids a function coefficient is
+    // evaluated at.
+    let operands = flux.stmts().iter().flat_map(|s| s.expr.operands());
+    let mut cell_loads: Vec<(u16, usize)> = operands
+        .filter_map(|o| match *o {
+            Operand::Load { var, offset } if var < face_base => Some((var, offset)),
+            _ => None,
+        })
+        .collect();
+    cell_loads.sort_unstable();
+    cell_loads.dedup();
+    let mut cell_lanes = vec![[0.0f64; ROW_CHUNK]; cell_loads.len()];
+    let calls_fn = flux
+        .stmts()
+        .iter()
+        .any(|s| matches!(s.expr, RegExpr::CoefFn { .. }));
+    let mut centroids = vec![pbte_mesh::Point::zero(); if calls_fn { ROW_CHUNK } else { 0 }];
+    let mesh = cp.mesh();
     let cell_end = cell0 + out.len();
     let end = hot.offsets[cell_end] as usize;
     let mut k0 = hot.offsets[cell0] as usize;
@@ -500,15 +476,22 @@ fn flux_combine_compiled(
             for (axis, &component) in n.iter().enumerate() {
                 lanes[FACE_NORMAL as usize + axis][l] = component;
             }
+            for (&(var, offset), lane) in cell_loads.iter().zip(&mut cell_lanes) {
+                lane[l] = vars[var as usize][offset + owner];
+            }
+            if calls_fn {
+                let face = mesh.cell_faces(owner)[k - hot.offsets[owner] as usize];
+                centroids[l] = mesh.faces[face].centroid;
+            }
         }
-        flux.eval_chunk(
-            len,
-            |var, _| &lanes[(var - face_base) as usize][..len],
-            &[],
-            0,
-            time,
-            regs,
-        );
+        let load = |var: u16, offset| match var.checked_sub(face_base) {
+            Some(input) => &lanes[input as usize][..len],
+            None => {
+                let at = cell_loads.iter().position(|&l| l == (var, offset));
+                &cell_lanes[at.expect("every cell load is gathered")][..len]
+            }
+        };
+        flux.eval_chunk(len, load, &centroids, 0, time, regs);
         for (k, f) in (k0..).zip(&regs[0][..len]) {
             while k >= hot.offsets[cell + 1] as usize {
                 finish(cell, flux_sum);
@@ -555,7 +538,7 @@ fn rhs_span(
         None => flux_combine_compiled(
             &kernels.flux_reg[k],
             cp,
-            u,
+            vars,
             u_row,
             flat,
             ghosts,
@@ -582,6 +565,7 @@ fn rhs_span_native(
     ghosts: &[f64],
     cell0: usize,
     out: &mut [f64],
+    time: f64,
     fused_dt: Option<f64>,
 ) {
     let hot = &cp.hot;
@@ -604,6 +588,7 @@ fn rhs_span_native(
         len: out.len(),
         fused_dt: fused_dt.unwrap_or(0.0),
         fused: fused_dt.is_some() as u8,
+        time,
         normals: hot.normals.as_ptr(),
         runs: hot.runs.as_ptr(),
         n_runs: hot.runs.len(),
@@ -622,8 +607,7 @@ fn rhs_span_native(
 /// or many) and the device row launch both call it, so every executor runs
 /// the same per-dof arithmetic. With `fused_dt` the explicit update is folded
 /// in (`out = u + dt·rhs`). `scratch` is [`IntensityKernels::scratch`] of
-/// these `vars`; [`IntensityKernels::ensure`] must have been called for
-/// `time`.
+/// these `vars`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rhs_block(
     kernels: &IntensityKernels,
@@ -662,6 +646,7 @@ pub(crate) fn rhs_block(
             ghosts,
             cell0,
             out,
+            time,
             fused_dt,
         ),
         // `Vm`, one (cell, flat) pair at a time: `IntensityKernels::with_tier`
@@ -783,9 +768,8 @@ mod tests {
         let flats: Vec<usize> = (0..cp.n_flat).collect();
         let mut ghosts = super::super::walls::Ghosts::for_plan(cp);
         let ghosts = ghosts.refresh(cp, fields, &flats, 0.0, &mut Default::default(), false);
-        let mut kernels = IntensityKernels::with_tier(cp, &flats, tier);
+        let kernels = IntensityKernels::with_tier(cp, &flats, tier);
         assert_eq!(kernels.tier, tier);
-        kernels.ensure(cp, 0.0);
         let vars = fields.as_slices();
         let mut scratch = kernels.scratch(&vars);
         let mut out = vec![0.0; cp.n_flat * n_cells];
@@ -927,22 +911,22 @@ mod tests {
     /// The compiled-flux emission is pinned: it changes only on purpose (a
     /// changed source is a changed cache key, so every cached `.so` is
     /// recompiled), and the streamed hash is the hash of the text a compile
-    /// would write. Last moved when the boundary-skipping flag and its
-    /// branch left the boundary faces: every sweep reads the ghosts.
+    /// would write. Last moved when `Args` gained the stage time (`time`),
+    /// which a program reading `t` reads at every call.
     #[test]
     fn compiled_flux_source_is_pinned() {
         let (cp, fields) = triangle_plan();
         let per_flat = nativegen::lower_plan(&cp).unwrap();
         assert_eq!(
             nativegen::source_hash(&cp, &per_flat),
-            0x2192_2a6e_5d0a_18aa
+            0x91bd_0802_2289_0d01
         );
         let mut text = String::new();
         nativegen::emit_source(&cp, fields.n_cells, &per_flat, &mut text).unwrap();
-        assert_eq!(text.len(), 16_671);
+        assert_eq!(text.len(), 16_686);
         let mut hash = nativegen::Fnv1a::new();
         std::fmt::Write::write_str(&mut hash, &text).unwrap();
-        assert_eq!(hash.0, 0x2192_2a6e_5d0a_18aa);
+        assert_eq!(hash.0, 0x91bd_0802_2289_0d01);
     }
 
     /// The table-plan emission is pinned the same way, on a hot-spot-like
@@ -956,14 +940,14 @@ mod tests {
         let per_flat = nativegen::lower_plan(&cp).unwrap();
         assert_eq!(
             nativegen::source_hash(&cp, &per_flat),
-            0x6b74_563a_de86_944b
+            0xa825_e979_bf80_0a32
         );
         let mut text = String::new();
         nativegen::emit_source(&cp, fields.n_cells, &per_flat, &mut text).unwrap();
-        assert_eq!(text.len(), 11_398);
+        assert_eq!(text.len(), 11_413);
         let mut hash = nativegen::Fnv1a::new();
         std::fmt::Write::write_str(&mut hash, &text).unwrap();
-        assert_eq!(hash.0, 0x6b74_563a_de86_944b);
+        assert_eq!(hash.0, 0xa825_e979_bf80_0a32);
     }
 
     /// `(cell0, len)` of every tile of the first flat.

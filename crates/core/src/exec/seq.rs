@@ -15,11 +15,13 @@ use crate::entities::Fields;
 use crate::problem::{Reducer, StepContext};
 use pbte_runtime::telemetry::{Recorder, SpanKind, Track};
 
-/// Face-flux sum for one (cell, flat) pair on the per-dof tiers: the αβγ
+/// Face-flux sum for one (cell, flat) pair on the `vm` tier: the αβγ
 /// table when the plan has one, the compiled flux program face by face
-/// otherwise — the reference semantics the compiled flux of the Row/Native
-/// tiers (`rows::flux_combine_compiled`) reproduces bit for bit. Boundary
-/// faces are read from `ghosts` through [`Walls::ghost_read`](super::Walls).
+/// otherwise — a cell variable read at the owner `cell`, a function
+/// coefficient at the face centroid: the reference semantics the compiled
+/// flux of the Row/Native tiers (`rows::flux_combine_compiled`) reproduces
+/// bit for bit. Boundary faces are read from `ghosts` through
+/// [`Walls::ghost_read`](super::Walls).
 #[inline]
 pub(crate) fn flux_sum_dof(
     cp: &CompiledProblem,

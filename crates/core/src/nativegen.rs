@@ -65,12 +65,13 @@
 //!   key, so a plan is lowered, validated and hashed once per process —
 //!   not per scope, per solve, or per build of the same content.
 //!
-//! If `rustc` is missing (override with `PBTE_NATIVE_RUSTC`), compilation
-//! fails, or the plan is ineligible (a program reading `t`, function
-//! coefficients, a flux reading a cell variable),
-//! `prepare` returns `Err` and the caller falls back to the row tier (the
-//! VM tier when the flux itself cannot be lowered) with a structured
-//! diagnostic (`native/fallback`) instead of erroring.
+//! A bound program reads `t` from `Args::time`, so one compiled plan
+//! serves every stage, and a compiled flux reads a cell variable at the
+//! owner cell, as the volume program does. If `rustc` is missing (override
+//! with `PBTE_NATIVE_RUSTC`), compilation fails, or the plan calls a
+//! function coefficient (a host closure the emitted code cannot call),
+//! `prepare` returns `Err` and the caller falls back to the row tier with
+//! a structured diagnostic (`native/fallback`) instead of erroring.
 
 use crate::bytecode::{
     Binding, Func, Operand, Program, RegExpr, RegProgram, RegStmt, FACE_NORMAL, FACE_U1, FACE_U2,
@@ -118,6 +119,8 @@ pub(crate) struct NativeArgs {
     pub fused_dt: f64,
     /// 1 → write the fused update `u + dt·rhs`, 0 → write the RHS.
     pub fused: u8,
+    /// The stage time a program reading `t` sees.
+    pub time: f64,
     /// Oriented normals of the compiled flux, `dim` per face slot (never
     /// read by the kernels of a table plan).
     pub normals: *const f64,
@@ -167,6 +170,7 @@ fn operand(o: &Operand, face_base: u16) -> String {
             axis => format!("n{}", axis - FACE_NORMAL),
         },
         Operand::Load { var, offset } => format!("(*p{var}.add({offset} + cell))"),
+        Operand::Time => "time".into(),
     }
 }
 
@@ -199,12 +203,9 @@ fn stmt_line(s: &RegStmt, face_base: u16) -> String {
     format!("        let r{} = {};", s.dst, rhs)
 }
 
-/// Real variable ids (below `face_base`) a program loads from.
-fn vars_used(reg: &RegProgram, face_base: u16) -> Vec<u16> {
-    let mut vs: Vec<u16> = reg
-        .stmts()
-        .iter()
-        .flat_map(|s| s.expr.operands())
+/// Real variable ids (below `face_base`) the programs load from.
+fn vars_used(programs: &FlatPrograms, face_base: u16) -> Vec<u16> {
+    let mut vs: Vec<u16> = operands(programs)
         .filter_map(|o| match *o {
             Operand::Load { var, .. } if var < face_base => Some(var),
             _ => None,
@@ -213,6 +214,13 @@ fn vars_used(reg: &RegProgram, face_base: u16) -> Vec<u16> {
     vs.sort_unstable();
     vs.dedup();
     vs
+}
+
+/// Every operand of a flat's programs, the volume's first.
+fn operands(programs: &FlatPrograms) -> impl Iterator<Item = &Operand> {
+    let stmts = programs.volume.stmts().iter();
+    let stmts = stmts.chain(programs.flux.iter().flat_map(|f| f.stmts()));
+    stmts.flat_map(|s| s.expr.operands())
 }
 
 /// Codegen options for the emitted plan crate. `codegen-units=1` keeps
@@ -236,7 +244,7 @@ pub(crate) struct FlatPrograms {
 }
 
 /// The emitted `Args` fields shared by every plan, in `NativeArgs` order.
-const ARGS_FIELDS: &str = "    vars: *const *const f64,\n    ghosts: *const f64,\n    wall_read: *const u32,\n    wall_columns: *const u32,\n    offsets: *const u32,\n    nbr: *const i64,\n    area: *const f64,\n    class: *const u32,\n    inv_volume: *const f64,\n    out: *mut f64,\n    cell0: usize,\n    len: usize,\n    fused_dt: f64,\n    fused: u8,\n";
+const ARGS_FIELDS: &str = "    vars: *const *const f64,\n    ghosts: *const f64,\n    wall_read: *const u32,\n    wall_columns: *const u32,\n    offsets: *const u32,\n    nbr: *const i64,\n    area: *const f64,\n    class: *const u32,\n    inv_volume: *const f64,\n    out: *mut f64,\n    cell0: usize,\n    len: usize,\n    fused_dt: f64,\n    fused: u8,\n    time: f64,\n";
 
 /// The gather half of `Walls::ghost_read`, emitted once per plan as
 /// `ghost_gather(a, read, flat, cell)`: the unknown at the owner cell
@@ -495,8 +503,11 @@ fn emit_flat_kernel(
         w,
         "#[no_mangle]\npub unsafe extern \"C\" fn pbte_flat_{flat}(ap: *const Args) {{\n    let a = &*ap;\n"
     )?;
-    for v in vars_used(&programs.volume, face_base) {
+    for v in vars_used(programs, face_base) {
         writeln!(w, "    let p{v}: *const f64 = *a.vars.add({v});")?;
+    }
+    if operands(programs).any(|o| *o == Operand::Time) {
+        w.write_str("    let time = a.time;\n")?;
     }
     writeln!(
         w,
@@ -945,20 +956,10 @@ fn lower_checked(
 }
 
 /// The validated register programs of every flat of a plan. `Err` when
-/// the plan is ineligible for native compilation or a lowering fails its
-/// proof.
+/// a program calls a function coefficient or a lowering fails its proof.
 pub(crate) fn lower_plan(cp: &CompiledProblem) -> Result<Vec<FlatPrograms>, String> {
-    if let Some(why) = cp.flux_blocker() {
-        return Err(why.into());
-    }
-    if cp.volume.references_time() {
-        return Err("volume program reads `t` (per-step rebinding defeats AOT caching)".into());
-    }
-    if cp.flux.references_time() {
-        return Err("flux program reads `t` (per-step rebinding defeats AOT caching)".into());
-    }
     let lower = |program: &Program, flat: usize, what: &str| {
-        let binding = cp.binding(flat, 0.0);
+        let binding = cp.binding(flat);
         let reg = program.bind(&binding);
         let what = format!("{what} kernel (native, flat {flat})");
         lower_checked(program, &binding, reg, &what)
@@ -1207,7 +1208,6 @@ mod tests {
             idx: &[1],
             n_cells: 9,
             dt: 0.1,
-            time: 0.0,
             coefficients: &p.registry.coefficients,
         }
     }
@@ -1227,7 +1227,11 @@ mod tests {
             .map(|s| stmt_line(s, flux.face_base))
             .collect();
         assert!(text.iter().any(|l| l.contains("n0")) && text.iter().any(|l| l.contains("u2")));
-        assert!(vars_used(&proven, flux.face_base).is_empty());
+        let programs = FlatPrograms {
+            volume: RegProgram::from_raw_parts(Vec::new(), 0),
+            flux: Some(proven),
+        };
+        assert!(vars_used(&programs, flux.face_base).is_empty());
 
         let mut stmts = reg.stmts().to_vec();
         let ab = stmts

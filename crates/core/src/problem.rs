@@ -342,19 +342,6 @@ pub trait Reducer {
     fn n_ranks(&self) -> usize;
 }
 
-/// No-op reducer for shared-memory targets.
-pub struct LocalReducer;
-
-impl Reducer for LocalReducer {
-    fn allreduce_sum(&mut self, _buf: &mut [f64]) {}
-    fn rank(&self) -> usize {
-        0
-    }
-    fn n_ranks(&self) -> usize {
-        1
-    }
-}
-
 /// Context for pre/post-step callbacks (the temperature update).
 pub struct StepContext<'a> {
     pub fields: &'a mut crate::entities::Fields,
@@ -469,14 +456,16 @@ pub type OperatorFn = Arc<
 /// `Native` lowers the row programs to Rust source, compiles them
 /// out-of-process with `rustc` into a `cdylib`, and calls the machine-code
 /// kernels through a content-hashed on-disk plan cache.
-/// All tiers produce bit-identical results, on every mesh: `Row` and
-/// `Native` evaluate the face flux from a per-orientation coefficient
-/// table where the mesh has few orientations and from the flux's own
-/// lowered program otherwise. Only a flux that cannot be lowered (it calls
-/// a function coefficient or reads a cell variable per face) runs them on
-/// `Vm`; `Native` falls back to `Row` (with a structured diagnostic)
-/// when `rustc` is unavailable, compilation fails, or the plan is
-/// ineligible (a program reading `t`, function coefficients).
+/// All tiers produce bit-identical results, on every mesh and every plan:
+/// `Row` and `Native` evaluate the face flux from a per-orientation
+/// coefficient table where the flux allows one and the mesh has few
+/// orientations, and from the flux's own bound program otherwise (a cell
+/// variable the flux reads is the owner cell's, a function coefficient is
+/// evaluated at the face centroid, `t` is read when the kernel runs). The
+/// tier requested is the tier that runs, with one exception: `Native`
+/// falls back to `Row` (with a structured diagnostic) when `rustc` is
+/// unavailable, compilation fails, or the plan calls a function
+/// coefficient (a host closure the emitted code cannot call).
 // `Bound` is hidden, not a non-exhaustive marker: `#[non_exhaustive]`
 // would break the exhaustive matches it is kept for.
 #[allow(clippy::manual_non_exhaustive)]
@@ -514,6 +503,15 @@ impl KernelTier {
     /// Inverse of [`KernelTier::name`]: the one parser of `tier=` values.
     pub fn from_name(name: &str) -> Option<KernelTier> {
         KernelTier::ALL.into_iter().find(|t| t.name() == name)
+    }
+
+    /// The tier a request for `self` runs on, before any native fallback:
+    /// itself, except that the hidden `Bound` is a `Row` request.
+    pub(crate) fn requested(self) -> KernelTier {
+        match self {
+            KernelTier::Bound => KernelTier::Row,
+            t => t,
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Differential fuzzing of the kernel tiers against the symbolic engine.
 //!
-//! For seeded random field contents, the volume kernel's two interpreted
-//! forms — the compiled `Program` the `vm` tier evaluates per dof and the
+//! For seeded random field contents and stage times, the volume kernel's
+//! two interpreted forms — the compiled `Program` the `vm` tier evaluates per dof and the
 //! per-flat bound `RegProgram` row kernel — must agree **bitwise** with
 //! each other and with `pbte_symbolic::eval` of the DSL expression the
 //! kernels were compiled from. Bitwise (not epsilon) agreement is the
@@ -69,11 +69,11 @@ fn fuzz_problem() -> Problem {
     for side in ["left", "right", "top", "bottom"] {
         p.boundary(i_var, side, BoundaryCondition::Value(1.0));
     }
-    // Exercises subtraction, nested products, a scalar coefficient, and a
-    // division (→ Recip) on top of the BTE shape.
+    // Exercises subtraction, nested products, a scalar coefficient, a
+    // division (→ Recip) and the stage time on top of the BTE shape.
     p.conservation_form(
         i_var,
-        "(Io[b] - I[d,b]) * beta[b] / kappa + \
+        "(Io[b] - I[d,b]) * beta[b] / kappa + t * vg[b] + \
          surface(vg[b]*upwind([Sx[d];Sy[d]], I[d,b]))",
     );
     p
@@ -173,6 +173,7 @@ fn first_diverging_reg_op(
     vm_values: &[f64],
     vars: &[&[f64]],
     cell: usize,
+    time: f64,
 ) -> Option<usize> {
     let mut regs = vec![0.0f64; reg.n_regs()];
     for (i, stmt) in reg.stmts().iter().enumerate() {
@@ -183,6 +184,7 @@ fn first_diverging_reg_op(
             Operand::Reg(r) => regs[r as usize],
             Operand::K(k) => k,
             Operand::Load { var, offset } => vars[var as usize][offset + cell],
+            Operand::Time => time,
         };
         let value = stmt.expr.eval(operand, |_, _| unreachable!());
         if !vm_values.iter().any(|b| b.to_bits() == value.to_bits()) {
@@ -194,9 +196,9 @@ fn first_diverging_reg_op(
 }
 
 /// The native tier must be bitwise-identical to the row tier on the full
-/// RHS (source + flux + ghosts) over the same 25 seeded random fields the
-/// interpreter comparison uses. Compiles a real `cdylib` through `rustc`,
-/// so it is gated off miri and non-unix hosts.
+/// RHS (source + flux + ghosts) over 25 seeded random fields and stage
+/// times. Compiles a real `cdylib` through `rustc`, so it is gated off
+/// miri and non-unix hosts.
 #[test]
 #[cfg(all(unix, not(miri)))]
 fn native_tier_matches_row_tier_bitwise() {
@@ -228,8 +230,9 @@ fn native_tier_matches_row_tier_bitwise() {
                 *x = rng.field_value();
             }
         }
-        native.run(&fields, &mut rhs_native);
-        row.run(&fields, &mut rhs_row);
+        let time = rng.field_value();
+        native.run_at(&fields, time, &mut rhs_native);
+        row.run_at(&fields, time, &mut rhs_row);
         for flat in 0..cp.n_flat {
             for cell in 0..n_cells {
                 let at = flat * n_cells + cell;
@@ -237,7 +240,7 @@ fn native_tier_matches_row_tier_bitwise() {
                     // Lockstep divergence report: re-validate this flat's
                     // printed statement list symbolically so a lowering
                     // bug is pinpointed to the statement, not just the dof.
-                    let binding = cp.binding(flat, 0.0);
+                    let binding = cp.binding(flat);
                     let reg = cp.volume.bind(&binding);
                     let mut diags = Vec::new();
                     pbte_dsl::analysis::check_reg(
@@ -248,8 +251,8 @@ fn native_tier_matches_row_tier_bitwise() {
                         &mut diags,
                     );
                     panic!(
-                        "seed {seed}, flat {flat}, cell {cell}: native {:e} ({:#018x}) != \
-                         row {:e} ({:#018x}); symbolic re-check: {:?}",
+                        "seed {seed}, flat {flat}, cell {cell}, t {time}: native {:e} \
+                         ({:#018x}) != row {:e} ({:#018x}); symbolic re-check: {:?}",
                         rhs_native[at],
                         rhs_native[at].to_bits(),
                         rhs_row[at],
@@ -270,7 +273,6 @@ fn all_tiers_agree_bitwise_with_the_symbolic_reference() {
     let registry = &cp.problem.registry;
     let n_cells = cp.mesh().n_cells();
     let dt = cp.problem.dt;
-    let time = 0.0;
 
     let mut scalars: SubstitutionMap = SubstitutionMap::new();
     scalars.insert("pi".into(), Expr::num(std::f64::consts::PI));
@@ -315,10 +317,11 @@ fn all_tiers_agree_bitwise_with_the_symbolic_reference() {
             })
             .collect();
         let var_slices: Vec<&[f64]> = vars.iter().map(|v| v.as_slice()).collect();
+        let time = rng.field_value();
 
         for flat in 0..cp.n_flat {
             let idx = &cp.idx_of_flat[flat];
-            let reg = cp.bind(KernelKind::Volume, flat, time);
+            let reg = cp.bind(KernelKind::Volume, flat);
             let mut row_out = vec![0.0f64; n_cells];
             let mut scratch = vec![[0.0f64; ROW_CHUNK]; reg.n_regs()];
             reg.eval_row(&var_slices, 0, &mut row_out, &centroids, time, &mut scratch);
@@ -351,16 +354,16 @@ fn all_tiers_agree_bitwise_with_the_symbolic_reference() {
 
                 if vm_val.to_bits() != sym_val.to_bits() {
                     panic!(
-                        "seed {seed}, flat {flat}, cell {cell}: vm {vm_val:e} != \
+                        "seed {seed}, flat {flat}, cell {cell}, t {time}: vm {vm_val:e} != \
                          symbolic reference {sym_val:e}"
                     );
                 }
                 if row_val.to_bits() != vm_val.to_bits() {
                     let pc = vm_values(&cp.volume, &vm_ctx).and_then(|values| {
-                        first_diverging_reg_op(&reg, &values, &var_slices, cell)
+                        first_diverging_reg_op(&reg, &values, &var_slices, cell, time)
                     });
                     panic!(
-                        "seed {seed}, flat {flat}, cell {cell}: row {row_val:e} != \
+                        "seed {seed}, flat {flat}, cell {cell}, t {time}: row {row_val:e} != \
                          vm {vm_val:e}; first diverging statement: {pc:?}"
                     );
                 }

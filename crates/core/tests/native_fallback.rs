@@ -1,8 +1,9 @@
 //! Degradation seam for the native tier: when `rustc` is unavailable the
 //! intensity phase must fall back to the row tier, record a structured
 //! `native/fallback` diagnostic, and complete the solve — never error.
-//! Likewise for a plan the tier cannot lower at all (a flux calling a
-//! function coefficient per face), which falls back to the VM tier.
+//! Likewise for a plan the emitted code cannot run (a flux calling a
+//! function coefficient, a host closure), which falls back to the row
+//! tier and matches the `vm` tier bit for bit.
 //!
 //! This lives in its own integration-test binary because the simulated
 //! missing compiler is communicated through process-wide environment
@@ -91,33 +92,51 @@ fn missing_rustc_degrades_to_row_tier_with_a_diagnostic() {
     let _ = std::fs::remove_dir_all(&cache);
 }
 
-/// A flux that calls a function coefficient needs a host callback per
-/// face: neither the row evaluator nor the native emitter lowers it. The
-/// requested tier degrades to `Vm`, whose per-face VM makes the call,
-/// with a diagnostic that names the reason, and the solve runs.
+/// A flux that calls a function coefficient lowers on the row tier, which
+/// evaluates it at each face centroid — the position the `vm` tier's
+/// per-face evaluation passes. The emitted native code cannot call a host
+/// closure, so a `Native` request falls back to `Row` with a diagnostic
+/// naming the reason. Both requests run `Row`, and over two steps the
+/// field is bitwise equal to the `vm` run.
 #[test]
 fn function_coefficient_in_the_flux_degrades_with_a_named_reason() {
-    for requested in [KernelTier::Native, KernelTier::Row] {
-        let mut solver = mini_bte_with_speed(requested, "ramp")
+    let solve = |tier: KernelTier| {
+        let mut solver = mini_bte_with_speed(tier, "ramp")
             .build(ExecTarget::CpuSeq)
             .unwrap();
-        assert_eq!(solver.compiled.resolved_tier(), KernelTier::Vm);
+        assert_eq!(solver.compiled.resolved_tier(), tier);
+        assert!(solver.compiled.flux_lin.is_none(), "no table for a closure");
         let fields = solver.fields().clone();
-        let bench = solver.compiled.intensity_bench(&fields, requested);
-        assert_eq!(bench.tier(), KernelTier::Vm);
-        if requested == KernelTier::Native {
-            let diag = bench
-                .native_fallback()
-                .expect("fallback must record a diagnostic");
-            assert_eq!(diag.rule, rules::NATIVE_FALLBACK);
-            assert!(
-                diag.message.contains("the vm tier")
-                    && diag.message.contains("function coefficient"),
-                "diagnostic should name the tier and the reason: {}",
-                diag.render()
-            );
-        }
+        let bench = solver.compiled.intensity_bench(&fields, tier);
+        let ran = bench.tier();
+        let fallback = bench.native_fallback().cloned();
         drop(bench);
         assert_eq!(solver.solve().unwrap().steps, 2);
+        (ran, fallback, solver.fields().slice(0).to_vec())
+    };
+    let (ran, _, reference) = solve(KernelTier::Vm);
+    assert_eq!(ran, KernelTier::Vm);
+    for requested in [KernelTier::Native, KernelTier::Row] {
+        let (ran, fallback, field) = solve(requested);
+        assert_eq!(ran, KernelTier::Row, "{requested:?} request");
+        match requested {
+            KernelTier::Native => {
+                let diag = fallback.expect("fallback must record a diagnostic");
+                assert_eq!(diag.rule, rules::NATIVE_FALLBACK);
+                assert!(
+                    diag.message.contains("row") && diag.message.contains("function coefficient"),
+                    "diagnostic should name the tier and the reason: {}",
+                    diag.render()
+                );
+            }
+            _ => assert!(fallback.is_none()),
+        }
+        for (i, (a, b)) in field.iter().zip(&reference).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{requested:?} dof {i}: {a} vs {b}"
+            );
+        }
     }
 }

@@ -246,12 +246,12 @@ fn assert_gpu_matches_sequential(strategy: GpuStrategy) {
 }
 
 #[test]
-fn gpu_precompute_matches_sequential_to_rounding() {
+fn gpu_precompute_matches_sequential_exactly() {
     assert_gpu_matches_sequential(GpuStrategy::PrecomputeBoundary);
 }
 
 #[test]
-fn gpu_async_matches_to_rounding() {
+fn gpu_async_matches_exactly() {
     assert_gpu_matches_sequential(GpuStrategy::AsyncBoundary);
 }
 

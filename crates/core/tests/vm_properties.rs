@@ -186,7 +186,6 @@ proptest! {
                     idx: &idx,
                     n_cells: 4,
                     dt,
-                    time: 0.0,
                     coefficients: &p.registry.coefficients,
                 };
                 let reg = program.bind(&binding);
@@ -412,7 +411,6 @@ fn compiled_flux_matches_the_vm_bitwise_for_any_span_split() {
             idx: &idx,
             n_cells: 1,
             dt: 0.1,
-            time: 0.0,
             coefficients: &p.registry.coefficients,
         });
         let mut regs = vec![[0.0; ROW_CHUNK]; reg.n_regs()];

@@ -3,7 +3,7 @@
 //! Every operation is priced with the classic latency–bandwidth model
 //! `t = α + bytes/β`, composed into the collective shapes MPI
 //! implementations actually use (recursive doubling for allreduce,
-//! binomial trees for broadcast/reduce). The model is deliberately simple:
+//! pairwise neighbor exchanges for halos). The model is deliberately simple:
 //! the scaling *shapes* in the paper are driven by how message volume
 //! changes with rank count, which these formulas capture.
 
@@ -49,23 +49,9 @@ impl CommModel {
         }
     }
 
-    /// Point-to-point message between specific ranks.
-    pub fn p2p(&self, from: usize, to: usize, bytes: usize) -> f64 {
-        self.machine.link(from, to).message(bytes)
-    }
-
     /// Allreduce of `bytes` over all `p` ranks (recursive doubling:
     /// ⌈log₂ p⌉ rounds, full payload each round).
     pub fn allreduce(&self, bytes: usize) -> f64 {
-        if self.p == 1 {
-            return 0.0;
-        }
-        let rounds = (self.p as f64).log2().ceil();
-        rounds * self.span_link().message(bytes)
-    }
-
-    /// Broadcast from one rank (binomial tree).
-    pub fn broadcast(&self, bytes: usize) -> f64 {
         if self.p == 1 {
             return 0.0;
         }
@@ -81,16 +67,6 @@ impl CommModel {
             return 0.0;
         }
         n_neighbors as f64 * self.span_link().message(bytes_per_neighbor)
-    }
-
-    /// Gather of `bytes` per rank to a root (used by the serialized
-    /// temperature update in the hand-written comparator): the root
-    /// receives p−1 messages back-to-back.
-    pub fn gather(&self, bytes_per_rank: usize) -> f64 {
-        if self.p == 1 {
-            return 0.0;
-        }
-        (self.p - 1) as f64 * self.span_link().message(bytes_per_rank)
     }
 }
 
@@ -108,7 +84,6 @@ mod tests {
         let m = model(1);
         assert_eq!(m.allreduce(1 << 20), 0.0);
         assert_eq!(m.halo_exchange(4, 1 << 16), 0.0);
-        assert_eq!(m.gather(1 << 10), 0.0);
     }
 
     #[test]
@@ -119,14 +94,6 @@ mod tests {
         let t16 = model(16).allreduce(b);
         assert!((t4 / t2 - 2.0).abs() < 1e-9);
         assert!((t16 / t2 - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gather_grows_linearly() {
-        let b = 1 << 10;
-        let t5 = model(5).gather(b);
-        let t9 = model(9).gather(b);
-        assert!((t9 / t5 - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -144,11 +111,5 @@ mod tests {
         };
         assert!(p.message(0) == 1e-6);
         assert!((p.message(1000) - 2e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn p2p_intra_vs_inter() {
-        let m = model(80);
-        assert!(m.p2p(0, 1, 1 << 10) < m.p2p(0, 79, 1 << 10));
     }
 }

@@ -62,15 +62,6 @@ impl MachineSpec {
         a / self.cores_per_node == b / self.cores_per_node
     }
 
-    /// Transport parameters between two ranks.
-    pub fn link(&self, a: usize, b: usize) -> CommParams {
-        if self.same_node(a, b) {
-            self.intra_node
-        } else {
-            self.inter_node
-        }
-    }
-
     /// Number of nodes needed for `p` ranks.
     pub fn nodes_for(&self, p: usize) -> usize {
         p.div_ceil(self.cores_per_node)
@@ -101,12 +92,6 @@ mod tests {
         assert_eq!(m.nodes_for(40), 1);
         assert_eq!(m.nodes_for(41), 2);
         assert_eq!(m.nodes_for(320), 8);
-    }
-
-    #[test]
-    fn link_selection() {
-        let m = MachineSpec::cascade_lake();
-        assert!(m.link(0, 1).latency < m.link(0, 100).latency);
     }
 
     #[test]

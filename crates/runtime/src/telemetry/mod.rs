@@ -316,8 +316,8 @@ pub enum Frame {
         time: f64,
         /// `problem name/target`.
         label: String,
-        /// Kernel tier the sweeps run at, after any clamp or native
-        /// fallback (`vm`, `bound`, `row`, `native`).
+        /// Kernel tier the sweeps run at, after any native fallback
+        /// (`vm`, `row`, `native`).
         tier: String,
         /// Flux evaluation that tier runs (`table`, `compiled`, `vm`).
         flux: String,

@@ -1,10 +1,11 @@
 //! Threaded rank execution with real message passing.
 //!
 //! [`World::run`] launches one OS thread per rank and gives each a
-//! [`RankCtx`] with MPI-shaped primitives: tagged selective receive,
-//! sum-allreduce, broadcast, and barrier. Every transfer is counted
-//! (messages and bytes) so validation runs double as communication-volume
-//! measurements for the cost model.
+//! [`RankCtx`] with the MPI-shaped primitives the distributed targets use:
+//! tagged send, tagged selective receive, and a rank-ordered
+//! sum-allreduce. Every transfer is counted (messages and bytes) so
+//! validation runs double as communication-volume measurements for the
+//! cost model.
 //!
 //! This is the *correctness* half of the runtime: it executes partitioned
 //! algorithms for real. Timing predictions come from
@@ -45,7 +46,6 @@ pub struct RankCtx {
 const RESERVED_TAG: u32 = u32::MAX - 16;
 const TAG_REDUCE: u32 = RESERVED_TAG;
 const TAG_BCAST: u32 = RESERVED_TAG + 1;
-const TAG_BARRIER: u32 = RESERVED_TAG + 2;
 
 impl RankCtx {
     /// Send `data` to rank `to` with a user `tag`.
@@ -112,57 +112,6 @@ impl RankCtx {
             self.send_internal(0, TAG_REDUCE, buf.to_vec());
             let result = self.recv(0, TAG_BCAST);
             buf.copy_from_slice(&result);
-        }
-    }
-
-    /// Broadcast `buf` from `root` to everyone.
-    pub fn broadcast(&mut self, root: usize, buf: &mut Vec<f64>) {
-        if self.n_ranks == 1 {
-            return;
-        }
-        if self.rank == root {
-            for to in 0..self.n_ranks {
-                if to != root {
-                    self.send_internal(to, TAG_BCAST, buf.clone());
-                }
-            }
-        } else {
-            *buf = self.recv(root, TAG_BCAST);
-        }
-    }
-
-    /// Synchronize all ranks.
-    pub fn barrier(&mut self) {
-        if self.n_ranks == 1 {
-            return;
-        }
-        if self.rank == 0 {
-            for _ in 1..self.n_ranks {
-                let _ = self.recv_any(TAG_BARRIER);
-            }
-            for to in 1..self.n_ranks {
-                self.send_internal(to, TAG_BARRIER, Vec::new());
-            }
-        } else {
-            self.send_internal(0, TAG_BARRIER, Vec::new());
-            let _ = self.recv(0, TAG_BARRIER);
-        }
-    }
-
-    /// Receive a message with `tag` from any rank.
-    fn recv_any(&mut self, tag: u32) -> Vec<f64> {
-        if let Some(pos) = self.mailbox.iter().position(|m| m.tag == tag) {
-            return self.mailbox.swap_remove(pos).data;
-        }
-        loop {
-            let msg = self
-                .receiver
-                .recv()
-                .expect("sender threads alive for the scope of World::run");
-            if msg.tag == tag {
-                return msg.data;
-            }
-            self.mailbox.push(msg);
         }
     }
 }
@@ -257,22 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_delivers_root_data() {
-        let results = World::run(4, |ctx| {
-            let mut buf = if ctx.rank == 2 {
-                vec![3.5, 4.5]
-            } else {
-                Vec::new()
-            };
-            ctx.broadcast(2, &mut buf);
-            buf
-        });
-        for r in results {
-            assert_eq!(r, vec![3.5, 4.5]);
-        }
-    }
-
-    #[test]
     fn selective_receive_handles_out_of_order_tags() {
         let results = World::run(2, |ctx| {
             if ctx.rank == 0 {
@@ -294,28 +227,23 @@ mod tests {
         let results = World::run(2, |ctx| {
             if ctx.rank == 0 {
                 ctx.send(1, 3, vec![0.0; 100]);
+                let _ = ctx.recv(1, 4);
             } else {
                 let _ = ctx.recv(0, 3);
+                ctx.send(0, 4, Vec::new());
             }
-            ctx.barrier();
             ctx.stats
         });
-        assert_eq!(results[0].messages, 1 + 1); // data + barrier signal
+        assert_eq!(results[0].messages, 1);
         assert_eq!(results[0].bytes, 800);
-        // Rank 1 sent only its barrier signal.
-        assert_eq!(results[1].messages, 1);
-    }
-
-    #[test]
-    fn barrier_orders_phases() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        World::run(4, |ctx| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            ctx.barrier();
-            // After the barrier every rank must see all increments.
-            assert_eq!(counter.load(Ordering::SeqCst), 4);
-        });
+        // Rank 1 sent only its empty acknowledgement.
+        assert_eq!(
+            results[1],
+            CommStats {
+                messages: 1,
+                bytes: 0
+            }
+        );
     }
 
     #[test]

@@ -19,8 +19,8 @@ use pbte_bte::scenario::{hotspot_2d, BteConfig, BteProblem};
 use pbte_bte::temperature::TemperatureStrategy;
 use pbte_dsl::analysis::{sweep_price, Scope};
 use pbte_dsl::dataflow::{Kernel, Place, Plan, Stage};
-use pbte_dsl::exec::{phases, CompiledProblem, CostExpectation, Recorder, TraceConfig};
-use pbte_dsl::problem::{Integrator, LocalReducer, StepContext};
+use pbte_dsl::exec::{phases, CompiledProblem, CostExpectation, LocalLinks, Recorder, TraceConfig};
+use pbte_dsl::problem::{Integrator, StepContext};
 use pbte_dsl::{BoundaryCondition, ExecTarget, GpuStrategy, KernelTier, Severity};
 use pbte_dsl::{SolveReport, Solver, WorkCounters};
 use pbte_gpu::DeviceSpec;
@@ -203,7 +203,7 @@ fn probe_diagnostics(
     let bte2 = hotspot_2d(&config());
     let (cp, mut fields) = CompiledProblem::compile(bte2.problem).expect("compiles");
     poison(&mut fields, &bte);
-    let mut reducer = LocalReducer;
+    let mut reducer = LocalLinks;
     let mut rec = Recorder::null();
     let mut ctx = StepContext {
         fields: &mut fields,

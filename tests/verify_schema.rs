@@ -175,3 +175,26 @@ fn pbte_refuses_out_of_range_integrators_and_steps() {
         assert!(stderr.contains(says), "{arg}: {stderr}");
     }
 }
+
+/// `pbte-trace` shares the scenario driver's `strategy=` spelling: an
+/// unknown value exits 2 naming it before anything is built or written.
+#[test]
+fn pbte_trace_refuses_an_unknown_strategy() {
+    let dir = std::env::temp_dir().join(format!("pbte-trace-strategy-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_pbte-trace"))
+        .args(["scenario=hotspot", "n=4", "steps=1", "strategy=bogus"])
+        .current_dir(&dir)
+        .output()
+        .expect("pbte-trace runs");
+    let written = std::fs::read_dir(&dir).unwrap().count();
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown strategy `bogus` (use redundant or divided)"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing ran");
+    assert_eq!(written, 0, "nothing was written");
+}
