@@ -20,14 +20,22 @@ use pbte_bte::temperature::TemperatureStrategy;
 use pbte_dsl::{ExecTarget, GpuStrategy};
 use pbte_gpu::DeviceSpec;
 
-/// Parse a `KEY=value`-style override from the command line, e.g.
-/// `cargo run --example hotspot_2d -- n=64 steps=2000`.
+/// Parse a positive `KEY=count` override from the command line, e.g.
+/// `cargo run --example hotspot_2d -- n=64 steps=2000`; `default` when
+/// the key is absent. A malformed or zero count prints an error naming
+/// the key and exits with status 2.
 pub fn arg_usize(args: &[String], key: &str, default: usize) -> usize {
     let prefix = format!("{key}=");
-    args.iter()
-        .find_map(|a| a.strip_prefix(&prefix))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match args.iter().find_map(|a| a.strip_prefix(&prefix)) {
+        None => default,
+        Some(v) => match v.parse() {
+            Ok(n) if n > 0 => n,
+            _ => {
+                eprintln!("bad count `{key}={v}` (use a positive integer)");
+                std::process::exit(2)
+            }
+        },
+    }
 }
 
 /// Parse a `KEY=value`-style string override from the command line, e.g.
@@ -56,15 +64,17 @@ pub fn parse_strategy(spec: &str) -> Result<TemperatureStrategy, String> {
 /// `pbte-trace` and `pbte-verify`: `seq`, `par`, `gpu` (= `gpu:async`),
 /// `gpu:precompute`, and `cells`, `bands`, `bands-gpu` with an optional
 /// `:<ranks>` suffix (`default_ranks` without one). Distributed band
-/// targets partition the BTE's band index `b`.
+/// targets partition the BTE's band index `b`. Zero ranks is an error.
 pub fn parse_target(spec: &str, default_ranks: usize) -> Result<ExecTarget, String> {
     let (name, ranks) = match spec.split_once(':') {
-        Some((name @ ("cells" | "bands" | "bands-gpu"), r)) => match r.parse() {
-            Ok(ranks) if ranks > 0 => (name, ranks),
-            _ => return Err(format!("bad rank count in target `{spec}`")),
-        },
+        Some((name @ ("cells" | "bands" | "bands-gpu"), r)) => (name, r.parse().unwrap_or(0)),
         _ => (spec, default_ranks),
     };
+    if ranks == 0 {
+        return Err(format!(
+            "bad rank count in target `{spec}` (use ranks >= 1)"
+        ));
+    }
     let index = "b".to_string();
     let spec_a6000 = DeviceSpec::a6000();
     Ok(match name {
@@ -126,6 +136,10 @@ mod tests {
         ] {
             assert!(parse_target(bad, 2).is_err(), "`{bad}` must be refused");
         }
+        // `ranks=0` is refused too, not only `:0`.
+        for spec in ["cells", "bands", "bands-gpu"] {
+            assert!(parse_target(spec, 0).is_err(), "`{spec}` with ranks=0");
+        }
     }
 
     #[test]
@@ -145,8 +159,8 @@ mod tests {
         assert_eq!(arg_usize(&args, "n", 8), 32);
         assert_eq!(arg_usize(&args, "steps", 5), 100);
         assert_eq!(arg_usize(&args, "missing", 7), 7);
-        let bad: Vec<String> = vec!["n=xyz".into()];
-        assert_eq!(arg_usize(&bad, "n", 8), 8);
+        // A malformed or zero count exits 2 naming its key, never falls
+        // back to the default: `tests/verify_schema.rs` runs the binaries.
     }
 
     #[test]

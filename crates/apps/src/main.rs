@@ -20,7 +20,7 @@
 //! that is not a positive number is a usage error (exit status 2).
 //! `strategy` values (2-D scenarios, effective under `bands:<r>`):
 //! `redundant` (every rank solves all cells, the paper's behaviour) or
-//! `divided` (per-rank cell slices plus a second T-allreduce).
+//! `divided` (per-rank cell slices plus a second fold sharing `T`).
 //! `tier` values: `vm`, `row`, `native` (AOT-compiled plan
 //! kernels; falls back to `row` with a diagnostic when `rustc` is
 //! unavailable).

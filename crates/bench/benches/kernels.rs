@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the building blocks: the symbolic pipeline, the
 //! `vm` tier's per-dof evaluation vs its bound forms, the temperature
-//! Newton solve, the partitioners, and the simulated device's launch
+//! Newton solve, the partitioner, and the simulated device's launch
 //! machinery.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -12,7 +12,7 @@ use pbte_bte::temperature::{BteVars, TemperatureUpdate};
 use pbte_dsl::bytecode::VmCtx;
 use pbte_dsl::exec::CompiledProblem;
 use pbte_mesh::grid::UniformGrid;
-use pbte_mesh::partition::{Partition, PartitionMethod};
+use pbte_mesh::partition::Partition;
 use pbte_mesh::{gmsh, medit, Mesh, Point};
 use std::sync::Arc;
 
@@ -134,10 +134,7 @@ fn bench_temperature(c: &mut Criterion) {
 fn bench_partitioners(c: &mut Criterion) {
     let mesh = UniformGrid::new_2d(120, 120, 1.0, 1.0).build();
     c.bench_function("rcb_partition_120x120_into_32", |b| {
-        b.iter(|| black_box(Partition::build(&mesh, 32, PartitionMethod::Rcb)))
-    });
-    c.bench_function("greedy_partition_120x120_into_32", |b| {
-        b.iter(|| black_box(Partition::build(&mesh, 32, PartitionMethod::GreedyGraph)))
+        b.iter(|| black_box(Partition::build(&mesh, 32)))
     });
 }
 

@@ -16,8 +16,9 @@
 //!    blocks without crossing a gap, as a cell-partitioned rank does.
 //! 3. **Newton strategy** — per-rank work of one band-partitioned rank
 //!    out of 4 under `RedundantNewton` (solves all cells, the paper's
-//!    behaviour) vs `DividedNewton` (solves `n_cells/4`). The reducer is
-//!    a no-op stand-in, so this isolates compute; the communication side
+//!    behaviour) vs `DividedNewton` (solves `n_cells/4`). The reducer
+//!    runs only this rank's part of each fold and moves nothing, so this
+//!    isolates compute; the communication side
 //!    of the trade lives in the α–β model (`FigureModel`).
 //!
 //! No timing assertions are made anywhere — the numbers are for
@@ -33,15 +34,18 @@ use pbte_dsl::problem::{Reducer, StepContext};
 use pbte_dsl::Fields;
 use std::hint::black_box;
 
-/// Stand-in for one rank of a band-partitioned world: reductions are
-/// no-ops (compute-only measurement), rank/size drive the cell slicing.
+/// Stand-in for one rank of a band-partitioned world: a fold applies this
+/// rank's `add` and moves nothing (compute-only measurement), rank/size
+/// drive the cell slicing.
 struct FakeRank {
     rank: usize,
     n_ranks: usize,
 }
 
 impl Reducer for FakeRank {
-    fn allreduce_sum(&mut self, _buf: &mut [f64]) {}
+    fn fold(&mut self, buf: &mut [f64], add: &mut dyn FnMut(&mut [f64])) {
+        add(buf)
+    }
     fn rank(&self) -> usize {
         self.rank
     }

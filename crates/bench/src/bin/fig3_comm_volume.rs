@@ -29,8 +29,8 @@ fn main() {
     }
     println!(
         "\nthe halo moves all 1100 values of every interface cell to each \
-         neighbouring rank; the reduction moves one scalar per cell from every \
-         other rank to rank 0 and back (the runtime's allreduce)."
+         neighbouring rank; the reduction moves one scalar per cell along a \
+         chain in rank order and back from the last rank (the runtime's fold)."
     );
     save("fig3", &rows);
 }

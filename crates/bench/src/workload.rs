@@ -139,14 +139,15 @@ impl Workload {
         }
     }
 
-    /// The buffer the band strategy's temperature update allreduces each
+    /// The buffer the band strategy's temperature update reduces each
     /// step: one energy sum per cell (`DividedNewton` adds a second, `T`).
     pub fn reduction_payload(&self) -> usize {
         self.n_cells() * 8
     }
 
-    /// Bytes all ranks send per step for one allreduce of the payload,
-    /// as the runtime performs it: reduce to rank 0, then broadcast.
+    /// Bytes all ranks send per step for one reduction of the payload,
+    /// as the runtime performs it: a chain in rank order, then a
+    /// broadcast from the last rank.
     pub fn reduction_bytes_per_step(&self, p: usize) -> u64 {
         2 * (p as u64 - 1) * self.reduction_payload() as u64
     }

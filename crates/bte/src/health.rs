@@ -21,10 +21,11 @@
 //!
 //! **Distribution.** Each rank scans only the intensity entries it owns
 //! (a band range under band partitioning, a cell list under cell
-//! partitioning). The energy residual distributes over bands, so under
-//! band partitioning each rank accumulates its partial residual and one
-//! allreduce per step assembles the full budget — the probe participates
-//! in the collective unconditionally, keeping all ranks in lockstep.
+//! partitioning). Emission and absorption are sums over the bands, so
+//! under band partitioning one fold per step in rank order carries them
+//! across the ranks' band ranges and the residual is formed from the
+//! totals — the probe participates in the collective unconditionally,
+//! keeping all ranks in lockstep.
 
 use crate::material::Material;
 use crate::temperature::BteVars;
@@ -164,46 +165,44 @@ impl HealthProbes {
         }
 
         // --- Probe 3: per-cell energy budget. ---
-        // emission[cell]   = Σ_{b owned} beta[b,cell] · 4π · Io[b,cell]
-        // absorption[cell] = Σ_{b owned} beta[b,cell] · Σ_d w_d I[d,b,cell]
-        // Both sums distribute over bands, so `residual + scale` are
-        // accumulated per-rank and (under band partitioning) summed with
-        // one allreduce. Layout: [residual; n_cells | emission; n_cells].
+        // emission[cell]   = Σ_b beta[b,cell] · 4π · Io[b,cell]
+        // absorption[cell] = Σ_b beta[b,cell] · Σ_d w_d I[d,b,cell]
+        // Both sums run over the bands ascending, so under band
+        // partitioning a fold in rank order carries them across the ranks'
+        // band ranges. Layout: [emission; n_cells | absorption; n_cells].
         let four_pi = 4.0 * std::f64::consts::PI;
         let io_slice = ctx.fields.slice(self.vars.io);
         let beta_slice = ctx.fields.slice(self.vars.beta);
         let mut acc = vec![0.0; 2 * n_cells];
-        {
-            let (residual, emission) = acc.split_at_mut(n_cells);
+        let mut add = |acc: &mut [f64]| {
+            let (emission, absorption) = acc.split_at_mut(n_cells);
             let mut accumulate = |cell: usize| {
-                let mut e = 0.0;
-                let mut a = 0.0;
                 for b in owned_b.clone() {
                     let bb = beta_slice[b * n_cells + cell];
-                    e += bb * four_pi * io_slice[b * n_cells + cell];
+                    emission[cell] += bb * four_pi * io_slice[b * n_cells + cell];
                     let mut s = 0.0;
                     for (d, &w) in weights.iter().enumerate().take(n_dirs) {
                         s += w * i_slice[(d * n_bands + b) * n_cells + cell];
                     }
-                    a += bb * s;
+                    absorption[cell] += bb * s;
                 }
-                residual[cell] = e - a;
-                emission[cell] = e;
             };
             match ctx.owned_cells {
                 Some(owned) => owned.iter().for_each(|&cell| accumulate(cell)),
                 None => (0..n_cells).for_each(&mut accumulate),
             }
-        }
-        if banded {
+        };
+        match banded {
             // Collective: every rank reaches this call every step.
-            ctx.reducer.allreduce_sum(&mut acc);
+            true => ctx.reducer.fold(&mut acc, &mut add),
+            false => add(&mut acc),
         }
-        let (residual, emission) = acc.split_at(n_cells);
+        let (emission, absorption) = acc.split_at(n_cells);
         let mut max_rel = 0.0f64;
         let mut worst_cell = 0usize;
         let mut check_cell = |cell: usize| {
-            let rel = residual[cell].abs() / emission[cell].abs().max(f64::MIN_POSITIVE);
+            let residual = emission[cell] - absorption[cell];
+            let rel = residual.abs() / emission[cell].abs().max(f64::MIN_POSITIVE);
             if rel > max_rel {
                 max_rel = rel;
                 worst_cell = cell;

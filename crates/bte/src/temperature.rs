@@ -19,8 +19,8 @@
 //! solve) and *rewrite* (`Io`, `beta` at `T_new`). A temperature is
 //! located on the material's one grid once per value (`T_old`, `T_new`)
 //! and every table lookup of the block reuses that `(row, fraction)`;
-//! between phases a block lives in ~16 KB of stack scratch, so there is
-//! no `n_bands × n_cells` energy matrix. Block edges, thread chunks and
+//! between phases a block lives in ~16 KB of stack scratch, so the fused
+//! path holds no `n_bands × n_cells` energy matrix. Block edges, thread chunks and
 //! gaps in an owned-cell list decide which cells share a loop, never a
 //! cell's arithmetic, so every scope, block length and thread count gives
 //! the same bits (`tests/temperature_blocks.rs` holds the cells-outer
@@ -30,17 +30,21 @@
 //!
 //! **Distribution.** All degrees of freedom of a cell couple here — this
 //! is why the paper calls the bands "loosely coupled". Under band
-//! partitioning every rank sums the energy over its bands and a single
-//! per-cell allreduce completes it (the *only* communication of the
-//! band-parallel strategy, Fig 3 bottom); the [`TemperatureStrategy`]
-//! decides who solves which cells next. Under cell partitioning each rank
-//! updates the cells it owns and no reduction is needed.
+//! partitioning every rank first sums the directions of its own bands
+//! into `bands × n_cells` rows (the expensive pass, in parallel across
+//! ranks); then one per-cell fold in rank order adds `β_b(T_old)·e_b`
+//! band by band (the *only* communication of the band-parallel strategy,
+//! Fig 3 bottom). The ranks own contiguous band ranges in rank order, so
+//! the fold adds in the fused path's order and every rank gets the
+//! sequential target's bits. The [`TemperatureStrategy`] decides who
+//! solves which cells next. Under cell partitioning each rank updates the
+//! cells it owns and no reduction is needed.
 //!
 //! **Threading.** With `ctx.threads > 1` and nothing partitioned the
 //! update enters one rayon region: the cells are cut into block-aligned
 //! chunks and each task runs the three phases on its own cells of `T`,
 //! `Io` and `beta`. Band-partitioned ranks run serially — the ranks are
-//! the parallelism, and the allreduce separates the phases.
+//! the parallelism, and the fold separates the phases.
 
 use crate::equilibrium::Located;
 use crate::material::Material;
@@ -71,17 +75,16 @@ pub enum TemperatureStrategy {
     /// Every rank solves all cells (the paper's behaviour, and the reason
     /// Fig 5's temperature share grows with process count): each rank
     /// needs the new `T` to rewrite its owned bands' `Io`/`beta`, and
-    /// recomputing it avoids a second allreduce. One allreduce per step
-    /// (the energy sum).
+    /// recomputing it avoids a second reduction. One fold per step (the
+    /// energy sum).
     #[default]
     RedundantNewton,
     /// Each rank solves a contiguous `n_cells/ranks` slice of cells and a
-    /// second allreduce shares the `T` field. Exact, not approximate:
-    /// every `T` slot is nonzero on exactly one rank, so the sum is
-    /// `t + 0 + … + 0`, and the runtime's allreduce (reduce-to-root in
-    /// rank order, then broadcast) hands every rank identical bytes.
-    /// Per-rank Newton work drops from `n_cells` to `~n_cells/ranks` at
-    /// the cost of `n_cells·8` more allreduce bytes per step.
+    /// second fold shares the `T` field: each rank writes its solved slice
+    /// into the running buffer, and the last rank sends the whole field
+    /// to every rank. Per-rank Newton work drops from `n_cells` to
+    /// `~n_cells/ranks` at the cost of `n_cells·8` more bytes per message
+    /// per step.
     DividedNewton,
 }
 
@@ -195,43 +198,51 @@ impl TemperatureUpdate {
             }
             span_dur = clock.now() - span_t0;
         } else {
-            // Band-partitioned: the energy sum needs every rank's bands,
-            // so the phases run one after the other with the reduction
-            // between them (Fig 3, bottom).
+            // Band-partitioned: the energy sum needs every rank's bands.
+            // Each rank sums its bands' directions into rows (the
+            // expensive pass, in parallel across ranks); a fold in rank
+            // order then adds `β_b(T_old)·e_b` band by band, the fused
+            // path's sequence per cell (Fig 3, bottom).
             let Chunk {
                 t, io, beta, tally, ..
             } = &mut chunks[0];
             let mut scratch = Scratch::new(material.n_bands());
-            let mut s = vec![0.0; n_cells];
-            for cells in &owned {
-                let at = locate(material, &t[cells.clone()], &mut scratch.at);
-                pass.energy(cells.start, at, &mut scratch.e, &mut s[cells.clone()]);
+            let mut rows = vec![0.0; pass.bands.len() * n_cells];
+            for (b, row) in pass.bands.clone().zip(rows.chunks_mut(n_cells.max(1))) {
+                for cells in &owned {
+                    pass.direction_sum(b, cells.start, &mut row[cells.clone()]);
+                }
             }
             tally.phase_s[0] = clock.now() - span_t0;
-            ctx.reducer.allreduce_sum(&mut s);
+            let mut s = vec![0.0; n_cells];
+            ctx.reducer.fold(&mut s, &mut |s| {
+                for cells in &owned {
+                    let at = locate(material, &t[cells.clone()], &mut scratch.at);
+                    for (b, row) in pass.bands.clone().zip(rows.chunks(n_cells.max(1))) {
+                        absorb(material, b, at, &row[cells.clone()], &mut s[cells.clone()]);
+                    }
+                }
+            });
 
-            // `DividedNewton`: this rank solves its slice of the cells into
-            // an otherwise-zero buffer and one more allreduce reassembles
-            // the field exactly (`t + 0 + … + 0` per slot). Otherwise
-            // every rank solves all its cells in place.
+            // `DividedNewton`: this rank solves its slice of the cells and
+            // a fold in rank order writes each rank's slice into `T`.
+            // Otherwise every rank solves all its cells in place.
             span_t0 = clock.now();
-            let mut shared_t = None;
+            let mut divided = None;
             if self.strategy == TemperatureStrategy::DividedNewton && ctx.owned_cells.is_none() {
                 let (r, p) = (ctx.reducer.rank(), ctx.reducer.n_ranks().max(1));
                 let slice = n_cells * r / p..n_cells * (r + 1) / p;
-                let mut shared = vec![0.0; n_cells];
-                shared[slice.clone()].copy_from_slice(&t[slice.clone()]);
-                (solved, shared_t) = (blocks(slice, block), Some(shared));
+                (solved, divided) = (blocks(slice.clone(), block), Some(slice));
             }
-            let t_solve = shared_t.as_deref_mut().unwrap_or(t);
             for cells in &solved {
-                let at = locate(material, &t_solve[cells.clone()], &mut scratch.at);
-                let (s, t) = (&s[cells.clone()], &mut t_solve[cells.clone()]);
+                let at = locate(material, &t[cells.clone()], &mut scratch.at);
+                let (s, t) = (&s[cells.clone()], &mut t[cells.clone()]);
                 pass.newton(at, s, t, &mut scratch.beta_row, tally);
             }
-            if let Some(shared) = &mut shared_t {
-                ctx.reducer.allreduce_sum(shared);
-                t.copy_from_slice(shared);
+            if let Some(slice) = divided {
+                let mine = t[slice.clone()].to_vec();
+                ctx.reducer
+                    .fold(t, &mut |t| t[slice.clone()].copy_from_slice(&mine));
             }
             span_dur = clock.now() - span_t0;
 
@@ -403,6 +414,14 @@ fn locate<'a>(material: &Material, t: &[f64], at: &'a mut [Located; BLOCK]) -> &
     &at[..t.len()]
 }
 
+/// Band `b`'s term of the energy sum over a block: `s += β_b(T_old)·e`,
+/// the one place both the fused and the band-partitioned path add it.
+fn absorb(material: &Material, b: usize, at: &[Located], e: &[f64], s: &mut [f64]) {
+    for ((s, &e), &at) in s.iter_mut().zip(e).zip(at) {
+        *s += material.beta_at(b, at) * e;
+    }
+}
+
 /// The cells `cell0 .. cell0 + t.len()` of `T` and of every owned band row
 /// of `Io` and `beta` — what one task of the parallel region writes.
 struct Chunk<'a> {
@@ -476,23 +495,28 @@ impl Pass<'_> {
     }
 
     /// The energy phase of the block starting at cell `cell0`:
-    /// `s = Σ_b β_b(T_old) · Σ_d w_d I_{d,b}` over the owned bands. Swept
-    /// plane-by-plane (fixed (d, b), streaming over the block's cells) so
-    /// the big intensity array is read sequentially, once.
+    /// `s = Σ_b β_b(T_old) · Σ_d w_d I_{d,b}` over the owned bands,
+    /// ascending from `0.0`.
     fn energy(&self, cell0: usize, at: &[Located], e: &mut [f64], s: &mut [f64]) {
-        let material = &self.upd.material;
         let e = &mut e[..s.len()];
         s.fill(0.0);
         for b in self.bands.clone() {
-            e.fill(0.0);
-            for (d, &w) in material.angles.weights.iter().enumerate() {
-                let plane = (d * material.n_bands() + b) * self.n_cells + cell0;
-                for (e, &v) in e.iter_mut().zip(&self.i[plane..][..s.len()]) {
-                    *e += w * v;
-                }
-            }
-            for ((s, &e), &at) in s.iter_mut().zip(&*e).zip(at) {
-                *s += material.beta_at(b, at) * e;
+            self.direction_sum(b, cell0, e);
+            absorb(&self.upd.material, b, at, e, s);
+        }
+    }
+
+    /// Band `b`'s direction sum over the cells `cell0 .. cell0 + e.len()`:
+    /// `e = Σ_d w_d I_{d,b}`. Swept plane-by-plane (fixed (d, b),
+    /// streaming over the cells) so the big intensity array is read
+    /// sequentially, once.
+    fn direction_sum(&self, b: usize, cell0: usize, e: &mut [f64]) {
+        let material = &self.upd.material;
+        e.fill(0.0);
+        for (d, &w) in material.angles.weights.iter().enumerate() {
+            let plane = &self.i[(d * material.n_bands() + b) * self.n_cells + cell0..][..e.len()];
+            for (e, &v) in e.iter_mut().zip(plane) {
+                *e += w * v;
             }
         }
     }

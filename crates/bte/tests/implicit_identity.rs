@@ -6,12 +6,10 @@
 //! Newton–Krylov trajectory must agree *bit for bit* across all seven
 //! execution targets and all kernel tiers at fixed Krylov settings.
 //!
-//! The cross-target lanes freeze the temperature coupling (drop the
-//! post-step): under band partitioning the temperature update's partial
-//! energy allreduce reassociates additions — a documented ≈1-ulp effect
-//! that exists for the explicit path too and is orthogonal to the
-//! implicit machinery under test. Cell partitioning keeps callbacks
-//! cell-local, so an extra live-coupling lane pins DistCells to CpuSeq.
+//! The cross-target lanes run with the temperature update coupled: its
+//! energy sum under band partitioning is a fold in rank order, the
+//! sequential band order, so `I` and `T` must agree bit for bit on all
+//! seven targets too.
 
 use pbte_bte::scenario::{hotspot_2d, BteConfig, BteProblem};
 use pbte_dsl::exec::ExecTarget;
@@ -42,9 +40,8 @@ fn seven_targets() -> Vec<ExecTarget> {
     ]
 }
 
-fn frozen(integrator: Integrator) -> BteProblem {
+fn coupled(integrator: Integrator) -> BteProblem {
     let mut bp = hotspot_2d(&BteConfig::small(6, 4, 4, 8));
-    bp.problem.post_steps.clear(); // freeze Io/beta/T at their initials
     bp.problem.integrator(integrator);
     bp
 }
@@ -62,41 +59,49 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 #[test]
 fn implicit_bit_identical_across_seven_targets() {
     let solve = |target: ExecTarget| {
-        let bp = frozen(Integrator::Implicit { theta: 1.0 });
+        let bp = coupled(Integrator::Implicit { theta: 1.0 });
         let vars = bp.vars;
         let mut s = bp.solver(target).unwrap();
         s.solve().unwrap();
-        s.fields().slice(vars.i).to_vec()
+        let f = s.fields();
+        [f.slice(vars.i).to_vec(), f.slice(vars.t).to_vec()]
     };
-    let reference = solve(ExecTarget::CpuSeq);
+    let [i_ref, t_ref] = solve(ExecTarget::CpuSeq);
     for target in seven_targets().into_iter().skip(1) {
         let label = format!("implicit {target:?}");
-        let got = solve(target);
-        assert_bits_eq(&reference, &got, &label);
+        let [i, t] = solve(target);
+        assert_bits_eq(&i_ref, &i, &format!("{label}: intensity"));
+        assert_bits_eq(&t_ref, &t, &format!("{label}: temperature"));
     }
 }
 
 #[test]
 fn steady_bit_identical_and_stops_identically_across_targets() {
     let solve = |target: ExecTarget| {
-        let bp = frozen(Integrator::Steady {
+        let bp = coupled(Integrator::Steady {
             tol: 1e-6,
             growth: 2.0,
         });
         let vars = bp.vars;
         let mut s = bp.solver(target).unwrap();
         let rep = s.solve().unwrap();
-        (s.fields().slice(vars.i).to_vec(), rep.steps)
+        let f = s.fields();
+        (
+            f.slice(vars.i).to_vec(),
+            f.slice(vars.t).to_vec(),
+            rep.steps,
+        )
     };
-    let (reference, ref_steps) = solve(ExecTarget::CpuSeq);
+    let (i_ref, t_ref, ref_steps) = solve(ExecTarget::CpuSeq);
     for target in seven_targets().into_iter().skip(1) {
         let label = format!("steady {target:?}");
-        let (got, steps) = solve(target);
+        let (i, t, steps) = solve(target);
         assert_eq!(
             steps, ref_steps,
             "{label}: SER stopped after {steps} pseudo-steps, CpuSeq after {ref_steps}"
         );
-        assert_bits_eq(&reference, &got, &label);
+        assert_bits_eq(&i_ref, &i, &format!("{label}: intensity"));
+        assert_bits_eq(&t_ref, &t, &format!("{label}: temperature"));
     }
 }
 

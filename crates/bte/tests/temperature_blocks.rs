@@ -11,7 +11,7 @@
 //! 1. everything owned, at 1, 2 and 3 threads;
 //! 2. a band range (one rank of a band-partitioned world) under both
 //!    Newton strategies, with a recording reducer that must see the same
-//!    allreduce calls — order, lengths, contents — from both;
+//!    folds — order, lengths, contents — from both;
 //! 3. an owned-cell list with gaps and single-cell runs.
 //!
 //! Temperatures are drawn inside, at and outside the table range with an
@@ -142,47 +142,49 @@ fn fields(material: &Material, n_cells: usize, rng: &mut Rng, poison: bool) -> F
     f
 }
 
-/// Stands in for the other ranks of a band-partitioned world: call `k`
-/// adds `others[k]` (what the rest of the world would contribute) and
-/// records the bits it was handed.
+/// Stands in for the other ranks of a band-partitioned world. Fold `k`
+/// hands a rank after the first the running buffer `before[k]` of the
+/// ranks before it, records the bits `add` made of it, and lets the ranks
+/// after it finish: the first fold is the energy sum (they add positive
+/// energies), the second — under `DividedNewton` only — shares `T` (they
+/// write temperatures past this rank's slice).
 struct RecordingReducer {
     rank: usize,
     n_ranks: usize,
-    others: Vec<Vec<f64>>,
+    slice_end: usize,
+    before: [Vec<f64>; 2],
+    after: [Vec<f64>; 2],
     seen: Vec<Vec<u64>>,
 }
 
 impl RecordingReducer {
-    /// Rank `rank` of `n_ranks` over `n_cells` cells: the first call is
-    /// the energy sum (the others add positive energies), the second —
-    /// under `DividedNewton` only — shares `T` (the others fill every slot
-    /// outside this rank's slice and add zero inside it).
+    /// Rank `rank` of `n_ranks` over `n_cells` cells.
     fn new(rank: usize, n_ranks: usize, n_cells: usize, rng: &mut Rng) -> RecordingReducer {
-        let energy = (0..n_cells).map(|_| 1e9 * rng.unit()).collect();
-        let slice = n_cells * rank / n_ranks..n_cells * (rank + 1) / n_ranks;
-        let t = (0..n_cells)
-            .map(|c| match slice.contains(&c) {
-                true => 0.0,
-                false => 255.0 + 140.0 * rng.unit(),
-            })
-            .collect();
+        let mut draw = |lo: f64, span: f64| (0..n_cells).map(|_| lo + span * rng.unit()).collect();
         RecordingReducer {
             rank,
             n_ranks,
-            others: vec![energy, t],
+            slice_end: n_cells * (rank + 1) / n_ranks,
+            before: [draw(0.0, 1e9), draw(255.0, 140.0)],
+            after: [draw(0.0, 1e9), draw(255.0, 140.0)],
             seen: Vec::new(),
         }
     }
 }
 
 impl Reducer for RecordingReducer {
-    fn allreduce_sum(&mut self, buf: &mut [f64]) {
-        let others = &self.others[self.seen.len()];
+    fn fold(&mut self, buf: &mut [f64], add: &mut dyn FnMut(&mut [f64])) {
+        let k = self.seen.len();
+        if self.rank > 0 {
+            buf.copy_from_slice(&self.before[k]);
+        }
+        add(buf);
         // NaN payloads are not pinned (see `assert_same_bits`).
         let bits = |v: &f64| if v.is_nan() { u64::MAX } else { v.to_bits() };
         self.seen.push(buf.iter().map(bits).collect());
-        for (v, o) in buf.iter_mut().zip(others) {
-            *v += o;
+        match k {
+            0 => (buf.iter_mut().zip(&self.after[0])).for_each(|(v, o)| *v += o),
+            _ => buf[self.slice_end..].copy_from_slice(&self.after[1][self.slice_end..]),
         }
     }
     fn rank(&self) -> usize {
@@ -218,20 +220,21 @@ fn oracle(
     let owned = owned_cells.unwrap_or(&all);
 
     let mut s = vec![0.0; n_cells];
-    for &cell in owned {
-        let t_old = f.value(VARS.t, cell, 0);
-        let mut acc = 0.0;
-        for b in bands.clone() {
-            let mut e = 0.0;
-            for d in 0..n_dirs {
-                e += m.angles.weights[d] * f.value(VARS.i, cell, d * n_bands + b);
+    let mut add = |s: &mut [f64]| {
+        for &cell in owned {
+            let t_old = f.value(VARS.t, cell, 0);
+            for b in bands.clone() {
+                let mut e = 0.0;
+                for d in 0..n_dirs {
+                    e += m.angles.weights[d] * f.value(VARS.i, cell, d * n_bands + b);
+                }
+                s[cell] += m.beta_table().get(b, t_old) * e;
             }
-            acc += m.beta_table().get(b, t_old) * e;
         }
-        s[cell] = acc;
-    }
-    if banded {
-        reducer.allreduce_sum(&mut s);
+    };
+    match banded {
+        true => reducer.fold(&mut s, &mut add),
+        false => add(&mut s),
     }
 
     let divided =
@@ -248,7 +251,7 @@ fn oracle(
         solves: solved.len() as u64,
         hist: [0; HIST_BUCKETS],
     };
-    let mut t_new = vec![0.0; n_cells];
+    let mut t_new = f.slice(VARS.t).to_vec();
     for &cell in &solved {
         let t_old = f.value(VARS.t, cell, 0);
         let beta: Vec<f64> = (0..n_bands).map(|b| m.beta_table().get(b, t_old)).collect();
@@ -258,13 +261,12 @@ fn oracle(
         t_new[cell] = t;
     }
     if divided {
-        reducer.allreduce_sum(&mut t_new);
-        f.slice_mut(VARS.t).copy_from_slice(&t_new);
-    } else {
-        for &cell in &solved {
-            f.set(VARS.t, cell, 0, t_new[cell]);
-        }
+        let mine = t_new.clone();
+        reducer.fold(&mut t_new, &mut |t| {
+            (solved.iter()).for_each(|&cell| t[cell] = mine[cell]);
+        });
     }
+    f.slice_mut(VARS.t).copy_from_slice(&t_new);
 
     for &cell in owned {
         let t = f.value(VARS.t, cell, 0);
@@ -387,7 +389,7 @@ proptest! {
         let (counts, _) = kernel(&upd, &mut got, Some(bands), None, &mut world, 1, block);
         assert_same_bits(&format!("rank {rank} {strategy:?} block {block}"), &got, &expected)?;
         prop_assert_eq!(&counts, &want);
-        // Same allreduce calls: count, lengths, contents, order.
+        // Same folds: count, lengths, contents, order.
         prop_assert_eq!(world.seen.len(), 1 + divided as usize);
         prop_assert_eq!(&world.seen, &oracle_calls);
     }

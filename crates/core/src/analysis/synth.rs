@@ -12,7 +12,7 @@ use super::transfers::Sides;
 use crate::dataflow::{Entity, Kernel, Policy, Record, Transfer, TransferSchedule, GHOSTS};
 use crate::exec::{CompiledProblem, ExecTarget};
 use crate::problem::DslError;
-use pbte_mesh::partition::{partition_bands, Partition, PartitionMethod};
+use pbte_mesh::partition::{partition_bands, Partition};
 
 // ---------------------------------------------------------------------------
 // Schedule synthesis
@@ -310,7 +310,7 @@ pub fn rank_scopes(cp: &CompiledProblem, target: &ExecTarget) -> Result<Vec<Scop
                     "{ranks} ranks for {n_cells} cells"
                 )));
             }
-            let partition = Partition::build(cp.mesh(), *ranks, PartitionMethod::Rcb);
+            let partition = Partition::build(cp.mesh(), *ranks);
             (0..*ranks)
                 .map(|r| scope(partition.cells_of(r), all(cp.n_flat)))
                 .collect()

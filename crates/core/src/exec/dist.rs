@@ -17,9 +17,10 @@
 //! all cells. No halo exchange exists at all — the only communication is
 //! the reduction inside the temperature update, performed through the
 //! [`crate::problem::Reducer`] the user callback is handed (Fig 3,
-//! bottom). Because a cross-rank sum reassociates additions, results match
-//! the sequential target to rounding (≈1 ulp per reduced value), not
-//! bit-for-bit. Each rank may drive its own simulated GPU — the
+//! bottom). That reduction is a fold in rank order: each rank owns a
+//! contiguous band range in rank order, so a callback that accumulates
+//! band-major adds in the sequential target's order and the results are
+//! bit-identical to it. Each rank may drive its own simulated GPU — the
 //! configuration of the paper's Fig 7.
 
 use super::driver::{run_scope, Owned};
@@ -70,8 +71,8 @@ impl RankLinks<'_> {
 }
 
 impl Reducer for RankLinks<'_> {
-    fn allreduce_sum(&mut self, buf: &mut [f64]) {
-        self.timed(SpanKind::Allreduce, |l| l.ctx.allreduce_sum(buf));
+    fn fold(&mut self, buf: &mut [f64], add: &mut dyn FnMut(&mut [f64])) {
+        self.timed(SpanKind::Allreduce, |l| l.ctx.fold(buf, add));
     }
     fn rank(&self) -> usize {
         self.ctx.rank

@@ -49,17 +49,15 @@ use pbte_runtime::telemetry::{Recorder, SpanKind, Track};
 /// rounded once, bit for bit what the limbs give on any partition.
 ///
 /// Each rank closes its certified dots ([`Dot2::partial`]). On one rank
-/// a sum certifies or not on its own; on several, every rank writes
-/// `(hi, lo, err, ok)` per sum into its own row of a `ranks × 4K` buffer,
-/// and one `allreduce_sum` gathers the rows exactly (every slot is one
-/// value plus zeros). Every rank combines the rows in rank order, so all
-/// ranks reach the same decision. Only when a sum declines does every
+/// a sum certifies or not on its own; on several, one fold gathers a
+/// `ranks × 4K` buffer in which each rank writes `(hi, lo, err, ok)` per
+/// sum into its own row. Every rank combines the rows in rank order, so
+/// all ranks reach the same decision. Only when a sum declines does every
 /// rank rebuild its `[ExactAcc; K]` from the stored operands (`exact`)
-/// and send today's limb message: limb transport through the reducer
-/// (each limb stays well under 2^53, so the f64 allreduce adds them
-/// exactly in any association), one rounding per sum at the very end.
-/// Such sums are counted in `fallbacks`. Sums that are known at the same
-/// point of the iteration travel in one message, at most two.
+/// and fold its limbs in (each limb stays well under 2^53, so the f64
+/// adds are exact), one rounding per sum at the very end. Such sums are
+/// counted in `fallbacks`. Sums that are known at the same point of the
+/// iteration travel in one message, at most two.
 fn reduce<const K: usize>(
     dots: [Dot2; K],
     exact: impl FnOnce() -> [ExactAcc; K],
@@ -72,14 +70,17 @@ fn reduce<const K: usize>(
     }
     *fallbacks += K as u64;
     let mut accs = exact();
-    let mut buf = [0.0f64; 2 * TRANSPORT_LEN];
-    let buf = &mut buf[..K * TRANSPORT_LEN];
-    for (acc, image) in accs.iter_mut().zip(buf.chunks_exact_mut(TRANSPORT_LEN)) {
+    let [mut mine, mut buf] = [[0.0f64; 2 * TRANSPORT_LEN]; 2];
+    let (mine, buf) = (
+        &mut mine[..K * TRANSPORT_LEN],
+        &mut buf[..K * TRANSPORT_LEN],
+    );
+    for (acc, image) in accs.iter_mut().zip(mine.chunks_exact_mut(TRANSPORT_LEN)) {
         acc.to_transport(image);
     }
-    if reducer.n_ranks() > 1 {
-        reducer.allreduce_sum(buf);
-    }
+    reducer.fold(buf, &mut |running| {
+        (running.iter_mut().zip(&*mine)).for_each(|(sum, limb)| *sum += limb)
+    });
     let mut sums = [0.0; K];
     for (sum, image) in sums.iter_mut().zip(buf.chunks_exact(TRANSPORT_LEN)) {
         *sum = ExactAcc::from_transport(image).value();
@@ -98,13 +99,14 @@ fn certify<const K: usize>(dots: &[Dot2; K], reducer: &mut dyn Reducer) -> Optio
         }
         return Some(sums);
     }
-    let width = K * PARTIAL_LEN;
+    let (width, rank) = (K * PARTIAL_LEN, reducer.rank());
     let mut rows = vec![0.0; ranks * width];
-    let row = &mut rows[reducer.rank() * width..][..width];
-    for (dot, slot) in dots.iter().zip(row.chunks_exact_mut(PARTIAL_LEN)) {
-        Partial::to_row(dot.partial(), slot);
-    }
-    reducer.allreduce_sum(&mut rows);
+    reducer.fold(&mut rows, &mut |rows| {
+        let row = &mut rows[rank * width..][..width];
+        for (dot, slot) in dots.iter().zip(row.chunks_exact_mut(PARTIAL_LEN)) {
+            Partial::to_row(dot.partial(), slot);
+        }
+    });
     for (k, sum) in sums.iter_mut().enumerate() {
         let parts = rows
             .chunks_exact(width)
@@ -959,16 +961,18 @@ mod tests {
         });
     }
 
-    /// A reducer over one of `World`'s ranks that counts its collectives.
+    /// A reducer over one of `World`'s ranks that counts its collectives
+    /// that sent a message (a fold on one rank sends none).
     struct CountingRank<'a> {
         ctx: &'a mut RankCtx,
         messages: usize,
     }
 
     impl Reducer for CountingRank<'_> {
-        fn allreduce_sum(&mut self, buf: &mut [f64]) {
-            self.messages += 1;
-            self.ctx.allreduce_sum(buf);
+        fn fold(&mut self, buf: &mut [f64], add: &mut dyn FnMut(&mut [f64])) {
+            let sent = self.ctx.stats.messages;
+            self.ctx.fold(buf, add);
+            self.messages += (self.ctx.stats.messages > sent) as usize;
         }
         fn rank(&self) -> usize {
             self.ctx.rank

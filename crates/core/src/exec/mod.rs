@@ -41,8 +41,9 @@
 //! strategy label — is bit-identical to every other on every kernel tier:
 //! they run the same per-dof arithmetic in the same face order, the
 //! ghosts of callback walls computed on the host and read by the sweep.
-//! The one exception is band distribution (`bands:<r>`, `bands-gpu:<r>`),
-//! which matches to rounding (cross-rank reduction reassociation).
+//! Band distribution (`bands:<r>`, `bands-gpu:<r>`) too: its one
+//! cross-rank sum is a fold in rank order, which is the sequential
+//! band-ascending sum.
 
 pub(crate) mod dist;
 pub(crate) mod driver;
@@ -170,7 +171,9 @@ pub trait StepLinks: crate::problem::Reducer {
 pub struct LocalLinks;
 
 impl crate::problem::Reducer for LocalLinks {
-    fn allreduce_sum(&mut self, _buf: &mut [f64]) {}
+    fn fold(&mut self, buf: &mut [f64], add: &mut dyn FnMut(&mut [f64])) {
+        add(buf)
+    }
     fn rank(&self) -> usize {
         0
     }

@@ -334,8 +334,16 @@ impl fmt::Debug for BoundaryCondition {
 /// runs sequentially, threaded, and distributed (where the band-parallel
 /// temperature update needs a cross-rank energy reduction).
 pub trait Reducer {
-    /// Element-wise sum across ranks (identity when not distributed).
-    fn allreduce_sum(&mut self, buf: &mut [f64]);
+    /// Fold `add` over the ranks in rank order; every rank returns with
+    /// the same bytes. Rank 0 applies `add` to its own `buf`, each later
+    /// rank applies it to the running buffer it receives, and the last
+    /// rank's result is sent to all. On one rank it is `add(buf)`.
+    ///
+    /// The result equals the sequential target's only when the caller
+    /// accumulates in partition-index-major order: each rank owns a
+    /// contiguous range of the partitioned index in rank order, so a
+    /// per-slot sum that visits that index ascending is `seq`'s sum.
+    fn fold(&mut self, buf: &mut [f64], add: &mut dyn FnMut(&mut [f64]));
     /// This rank's id.
     fn rank(&self) -> usize;
     /// Total ranks.

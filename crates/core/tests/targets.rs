@@ -6,8 +6,9 @@
 //! thread-parallel, cell-distributed and GPU runs — either strategy, the
 //! callback walls' ghosts computed on the host and read by the device
 //! sweep — must match it **exactly**: every target sweeps through the
-//! same kernels, in the same face order. Band distribution matches to
-//! rounding (the cross-rank reduction reassociates sums).
+//! same kernels, in the same face order. Band distribution too: the
+//! callback's cross-rank energy sum is a fold in rank order over
+//! band-major loops, the sequential order.
 
 use pbte_dsl::exec::ExecTarget;
 use pbte_dsl::problem::{BoundaryCondition, Problem, StepContext, TimeStepper};
@@ -99,22 +100,23 @@ fn build_problem(n: usize, steps: usize, stepper: TimeStepper) -> Problem {
             Some(cells) => cells.to_vec(),
             None => (0..n_cells).collect(),
         };
+        // Band-major, so a fold over the ranks' band ranges adds in the
+        // sequential order. Cell partitioning needs no reduction: each
+        // rank owns all bands of its cells.
         let mut energy = vec![0.0; n_cells];
-        for &cell in &cell_list {
-            let mut e = 0.0;
-            for dd in 0..NDIRS {
+        let fields = &*ctx.fields;
+        let mut add = |energy: &mut [f64]| {
+            for &cell in &cell_list {
                 for bb in owned_b.clone() {
-                    e += ctx.fields.value(0, cell, dd * NBANDS + bb);
+                    for dd in 0..NDIRS {
+                        energy[cell] += fields.value(0, cell, dd * NBANDS + bb);
+                    }
                 }
             }
-            energy[cell] = e;
-        }
-        // Band partitioning sums partial band energies across ranks. (For
-        // cell partitioning each rank's owned cells are disjoint, so the
-        // reduction is a no-op there only because other ranks contribute
-        // zero to these cells — which also holds.)
-        if ctx.owned_cells.is_none() {
-            ctx.reducer.allreduce_sum(&mut energy);
+        };
+        match ctx.owned_cells {
+            None => ctx.reducer.fold(&mut energy, &mut add),
+            Some(_) => add(&mut energy),
         }
         for &cell in &cell_list {
             let t = energy[cell] / (NDIRS * NBANDS) as f64;
@@ -208,10 +210,9 @@ fn cell_distribution_matches_sequential_exactly() {
 }
 
 #[test]
-fn band_distribution_matches_sequential_to_rounding() {
-    // The cross-rank energy reduction reassociates floating-point sums, so
-    // band partitioning agrees to rounding (≈1 ulp per reduced value), not
-    // bit-for-bit — the same property a real MPI_Allreduce has.
+fn band_distribution_matches_sequential_exactly() {
+    // The cross-rank energy sum is a fold in rank order over band-major
+    // loops: the sequential additions, in the sequential order.
     let seq = run(ExecTarget::CpuSeq, 6, 5, TimeStepper::EulerExplicit);
     for ranks in [2, 3] {
         let dist = run(
@@ -223,10 +224,7 @@ fn band_distribution_matches_sequential_to_rounding() {
             5,
             TimeStepper::EulerExplicit,
         );
-        for v in 0..seq.n_vars() {
-            let d = max_abs_diff(&seq, &dist, v);
-            assert!(d < 1e-12, "dist-bands ranks={ranks} variable {v}: {d}");
-        }
+        assert_identical(&seq, &dist, &format!("dist-bands ranks={ranks}"));
     }
 }
 
@@ -314,10 +312,7 @@ fn multi_gpu_band_distribution_agrees() {
         4,
         TimeStepper::EulerExplicit,
     );
-    for v in 0..seq.n_vars() {
-        let d = max_abs_diff(&seq, &gpu, v);
-        assert!(d < 1e-12, "dist-bands-gpu variable {v}: {d}");
-    }
+    assert_identical(&seq, &gpu, "dist-bands-gpu");
 }
 
 #[test]
@@ -327,7 +322,6 @@ fn rk2_matches_across_cpu_targets() {
     assert_identical(&seq, &par, "rk2 cpu-parallel");
     let dist = run(ExecTarget::DistCells { ranks: 3 }, 5, 4, TimeStepper::Rk2);
     assert_identical(&seq, &dist, "rk2 dist-cells");
-    // Band distribution reassociates the callback's reduction.
     let bands = run(
         ExecTarget::DistBands {
             ranks: 2,
@@ -337,10 +331,7 @@ fn rk2_matches_across_cpu_targets() {
         4,
         TimeStepper::Rk2,
     );
-    for v in 0..seq.n_vars() {
-        let d = max_abs_diff(&seq, &bands, v);
-        assert!(d < 1e-12, "rk2 dist-bands variable {v}: {d}");
-    }
+    assert_identical(&seq, &bands, "rk2 dist-bands");
     // The device's explicit stage is Euler-only; pin it across its two
     // link types (local, band ranks) under the precompute strategy.
     let spec = DeviceSpec::a6000;
@@ -365,10 +356,7 @@ fn rk2_matches_across_cpu_targets() {
         4,
         TimeStepper::EulerExplicit,
     );
-    for v in 0..gpu.n_vars() {
-        let d = max_abs_diff(&gpu, &bands_gpu, v);
-        assert!(d < 1e-12, "euler dist-bands-gpu vs gpu variable {v}: {d}");
-    }
+    assert_identical(&gpu, &bands_gpu, "euler dist-bands-gpu vs gpu");
 }
 
 #[test]

@@ -14,10 +14,9 @@
 //! * [`gmsh`] / [`medit`] — ASCII Gmsh MSH 2.2 and MEDIT `.mesh`
 //!   import/export, the two formats Finch's `mesh("file")` accepts
 //!   ("imported from a Gmsh or MEDIT formatted mesh file");
-//! * [`partition`] — mesh partitioning: recursive coordinate bisection and
-//!   greedy graph growing (the METIS substitute), band/equation
-//!   partitioning helpers, and halo/interface extraction used by the
-//!   distributed runtime.
+//! * [`partition`] — mesh partitioning: recursive coordinate bisection
+//!   (the METIS substitute), band/equation partitioning helpers, and
+//!   halo/interface extraction used by the distributed runtime.
 
 pub mod digest;
 pub mod geometry;
@@ -32,4 +31,4 @@ pub use digest::Digest;
 pub use geometry::Point;
 pub use grid::UniformGrid;
 pub use mesh::{Cells, Face, Mesh, MeshError};
-pub use partition::{partition_bands, Partition, PartitionMethod};
+pub use partition::{partition_bands, Partition};

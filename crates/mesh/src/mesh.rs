@@ -494,18 +494,6 @@ impl Mesh {
         self.cell_volumes.iter().sum()
     }
 
-    /// Cell adjacency lists (the dual graph), used by partitioners.
-    pub fn adjacency(&self) -> Vec<Vec<usize>> {
-        let mut adj = vec![Vec::new(); self.n_cells()];
-        for f in &self.faces {
-            if let Some(nb) = f.neighbor {
-                adj[f.owner].push(nb);
-                adj[nb].push(f.owner);
-            }
-        }
-        adj
-    }
-
     /// Check conservation-critical invariants; returns a list of violation
     /// descriptions (empty = valid). Used by tests and after import.
     // `!(x > 0.0)` is deliberate: it also catches NaN measures, which

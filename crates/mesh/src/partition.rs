@@ -9,25 +9,12 @@
 //!   for a slice of the bands; no halo exchange is needed, only a reduction
 //!   of per-cell energy for the temperature update.
 //!
-//! This module provides the mesh-side machinery: two partitioners standing
-//! in for METIS — recursive coordinate bisection ([`PartitionMethod::Rcb`])
-//! and greedy graph growing ([`PartitionMethod::GreedyGraph`]) — plus
-//! interface/halo extraction and quality statistics, and the trivial
+//! This module provides the mesh-side machinery: the partitioner standing
+//! in for METIS — recursive coordinate bisection ([`Partition::build`]) —
+//! plus interface/halo extraction and quality statistics, and the trivial
 //! contiguous band partitioner ([`partition_bands`]).
 
 use crate::mesh::Mesh;
-
-/// Which partitioning algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionMethod {
-    /// Recursive coordinate bisection: split cells at the median coordinate
-    /// of the longest extent. Excellent for the uniform grids used in the
-    /// paper; produces compact, balanced parts.
-    Rcb,
-    /// Greedy graph growing (Farhat's algorithm): BFS from a seed until the
-    /// target size is reached, then reseed. Works on any mesh topology.
-    GreedyGraph,
-}
 
 /// A cell → part assignment.
 #[derive(Debug, Clone)]
@@ -39,18 +26,17 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Partition a mesh into `n_parts`.
-    pub fn build(mesh: &Mesh, n_parts: usize, method: PartitionMethod) -> Partition {
+    /// Partition a mesh into `n_parts` by recursive coordinate bisection:
+    /// split the cells at the median coordinate of the longest extent.
+    /// Compact, balanced parts on the paper's uniform grids.
+    pub fn build(mesh: &Mesh, n_parts: usize) -> Partition {
         assert!(n_parts > 0, "need at least one part");
         assert!(
             n_parts <= mesh.n_cells(),
             "more parts ({n_parts}) than cells ({})",
             mesh.n_cells()
         );
-        let cell_part = match method {
-            PartitionMethod::Rcb => rcb(mesh, n_parts),
-            PartitionMethod::GreedyGraph => greedy_graph(mesh, n_parts),
-        };
+        let cell_part = rcb(mesh, n_parts);
         Partition { n_parts, cell_part }
     }
 
@@ -201,70 +187,6 @@ fn rcb_recurse(
     );
 }
 
-/// Greedy graph growing.
-fn greedy_graph(mesh: &Mesh, n_parts: usize) -> Vec<u32> {
-    const UNASSIGNED: u32 = u32::MAX;
-    let adj = mesh.adjacency();
-    let n = mesh.n_cells();
-    let mut assignment = vec![UNASSIGNED; n];
-    let mut n_assigned = 0usize;
-
-    for part in 0..n_parts as u32 {
-        let remaining_parts = n_parts - part as usize;
-        let target = (n - n_assigned).div_ceil(remaining_parts);
-        // Seed: the unassigned cell with the fewest unassigned neighbors
-        // (a boundary-ish cell), keeping parts compact.
-        let seed = (0..n)
-            .filter(|&c| assignment[c] == UNASSIGNED)
-            .min_by_key(|&c| {
-                adj[c]
-                    .iter()
-                    .filter(|&&nb| assignment[nb] == UNASSIGNED)
-                    .count()
-            })
-            .expect("cells remain while parts remain");
-        // BFS growth.
-        let mut queue = std::collections::VecDeque::from([seed]);
-        assignment[seed] = part;
-        n_assigned += 1;
-        let mut size = 1;
-        while size < target {
-            let Some(c) = queue.pop_front() else {
-                // Disconnected remainder: reseed anywhere unassigned.
-                match (0..n).find(|&c| assignment[c] == UNASSIGNED) {
-                    Some(s) => {
-                        assignment[s] = part;
-                        n_assigned += 1;
-                        size += 1;
-                        queue.push_back(s);
-                        continue;
-                    }
-                    None => break,
-                }
-            };
-            for &nb in &adj[c] {
-                if size >= target {
-                    break;
-                }
-                if assignment[nb] == UNASSIGNED {
-                    assignment[nb] = part;
-                    n_assigned += 1;
-                    size += 1;
-                    queue.push_back(nb);
-                }
-            }
-        }
-    }
-    // Anything left (can happen when the last BFS exhausts early) goes to
-    // the last part.
-    for a in &mut assignment {
-        if *a == UNASSIGNED {
-            *a = n_parts as u32 - 1;
-        }
-    }
-    assignment
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,38 +199,34 @@ mod tests {
     #[test]
     fn every_cell_assigned_exactly_once() {
         let m = grid(10);
-        for method in [PartitionMethod::Rcb, PartitionMethod::GreedyGraph] {
-            for n_parts in [1, 2, 3, 4, 7, 16] {
-                let p = Partition::build(&m, n_parts, method);
-                assert_eq!(p.cell_part.len(), 100);
-                assert!(p.cell_part.iter().all(|&x| (x as usize) < n_parts));
-                let total: usize = p.sizes().iter().sum();
-                assert_eq!(total, 100);
-                // No empty parts.
-                assert!(p.sizes().iter().all(|&s| s > 0), "{method:?} {n_parts}");
-            }
+        for n_parts in [1, 2, 3, 4, 7, 16] {
+            let p = Partition::build(&m, n_parts);
+            assert_eq!(p.cell_part.len(), 100);
+            assert!(p.cell_part.iter().all(|&x| (x as usize) < n_parts));
+            let total: usize = p.sizes().iter().sum();
+            assert_eq!(total, 100);
+            // No empty parts.
+            assert!(p.sizes().iter().all(|&s| s > 0), "{n_parts}");
         }
     }
 
     #[test]
     fn balance_is_tight() {
         let m = grid(12);
-        for method in [PartitionMethod::Rcb, PartitionMethod::GreedyGraph] {
-            for n_parts in [2, 4, 6, 9] {
-                let p = Partition::build(&m, n_parts, method);
-                assert!(
-                    p.imbalance() < 1.35,
-                    "{method:?} with {n_parts} parts: imbalance {}",
-                    p.imbalance()
-                );
-            }
+        for n_parts in [2, 4, 6, 9] {
+            let p = Partition::build(&m, n_parts);
+            assert!(
+                p.imbalance() < 1.35,
+                "{n_parts} parts: imbalance {}",
+                p.imbalance()
+            );
         }
     }
 
     #[test]
     fn rcb_halves_a_grid_cleanly() {
         let m = grid(8);
-        let p = Partition::build(&m, 2, PartitionMethod::Rcb);
+        let p = Partition::build(&m, 2);
         assert_eq!(p.sizes(), vec![32, 32]);
         // A straight cut of an 8x8 grid crosses exactly 8 faces.
         assert_eq!(p.edge_cut(&m), 8);
@@ -317,7 +235,7 @@ mod tests {
     #[test]
     fn edge_cut_is_consistent_with_interfaces() {
         let m = grid(8);
-        let p = Partition::build(&m, 4, PartitionMethod::Rcb);
+        let p = Partition::build(&m, 4);
         // Each interface face is counted once in edge_cut and appears in
         // exactly two parts' interface lists.
         let per_part: usize = (0..4).map(|q| p.interface_faces(&m, q).len()).sum();
@@ -359,15 +277,15 @@ mod tests {
     #[test]
     fn rcb_is_deterministic() {
         let m = grid(9);
-        let a = Partition::build(&m, 5, PartitionMethod::Rcb);
-        let b = Partition::build(&m, 5, PartitionMethod::Rcb);
+        let a = Partition::build(&m, 5);
+        let b = Partition::build(&m, 5);
         assert_eq!(a.cell_part, b.cell_part);
     }
 
     #[test]
     fn works_in_3d() {
         let m = UniformGrid::new_3d(4, 4, 4, 1.0, 1.0, 1.0).build();
-        let p = Partition::build(&m, 8, PartitionMethod::Rcb);
+        let p = Partition::build(&m, 8);
         assert_eq!(p.sizes(), vec![8; 8]);
         // An even octant split of a 4^3 grid cuts 3 * 16 faces.
         assert_eq!(p.edge_cut(&m), 48);

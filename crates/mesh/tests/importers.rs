@@ -11,7 +11,7 @@
 //! invariants, write→parse round-trips, and a 2-rank partition all have
 //! to keep working against files that do not change underneath them.
 
-use pbte_mesh::{gmsh, medit, Mesh, Partition, PartitionMethod, Point, UniformGrid};
+use pbte_mesh::{gmsh, medit, Mesh, Partition, Point, UniformGrid};
 
 const LX: f64 = 525e-6;
 const LY: f64 = 525e-6;
@@ -209,15 +209,13 @@ fn fixtures_partition_across_two_ranks() {
             "medit",
         ),
     ] {
-        for method in [PartitionMethod::Rcb, PartitionMethod::GreedyGraph] {
-            let p = Partition::build(&mesh, 2, method);
-            assert_eq!(p.n_parts, 2, "{name}");
-            let sizes = p.sizes();
-            assert_eq!(sizes.iter().sum::<usize>(), mesh.n_cells());
-            assert!(sizes.iter().all(|&s| s > 0), "{name}: empty part");
-            assert!(p.imbalance() < 1.2, "{name}: imbalance {}", p.imbalance());
-            assert!(p.edge_cut(&mesh) > 0);
-        }
+        let p = Partition::build(&mesh, 2);
+        assert_eq!(p.n_parts, 2, "{name}");
+        let sizes = p.sizes();
+        assert_eq!(sizes.iter().sum::<usize>(), mesh.n_cells());
+        assert!(sizes.iter().all(|&s| s > 0), "{name}: empty part");
+        assert!(p.imbalance() < 1.2, "{name}: imbalance {}", p.imbalance());
+        assert!(p.edge_cut(&mesh) > 0);
     }
 }
 

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use pbte_mesh::geometry::Point;
 use pbte_mesh::grid::UniformGrid;
-use pbte_mesh::partition::{partition_bands, Partition, PartitionMethod};
+use pbte_mesh::partition::{partition_bands, Partition};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -49,12 +49,10 @@ proptest! {
     fn partitions_are_well_formed(
         n in 3usize..12,
         n_parts in 1usize..9,
-        rcb in any::<bool>(),
     ) {
         let m = UniformGrid::new_2d(n, n, 1.0, 1.0).build();
         prop_assume!(n_parts <= m.n_cells());
-        let method = if rcb { PartitionMethod::Rcb } else { PartitionMethod::GreedyGraph };
-        let p = Partition::build(&m, n_parts, method);
+        let p = Partition::build(&m, n_parts);
         let sizes = p.sizes();
         prop_assert_eq!(sizes.iter().sum::<usize>(), m.n_cells());
         prop_assert!(sizes.iter().all(|&s| s > 0));

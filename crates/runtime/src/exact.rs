@@ -35,7 +35,7 @@
 //!    * limb arrays are order-independent by construction (integer adds
 //!      commute), and after [`ExactAcc::renorm`] every limb fits in
 //!      [−2³¹, 2³¹), so the limbs survive a round-trip through `f64` and
-//!      an element-wise `allreduce_sum` across ≤ 2²⁰ ranks *exactly*
+//!      an element-wise cross-rank sum over ≤ 2²⁰ ranks *exactly*
 //!      (partial sums stay below 2⁵³): 71 doubles per sum on the wire;
 //!    * [`ExactAcc::value`] rounds the canonical fixed-point image to the
 //!      nearest double (ties to even) — one rounding for the whole sum.
@@ -241,10 +241,10 @@ impl ExactAcc {
         self.pending = 0;
     }
 
-    /// Write the balanced limb image into an `f64` buffer suitable for an
-    /// element-wise deterministic `allreduce_sum`: every limb is an
-    /// integer at most 2³¹ in magnitude, so cross-rank sums (≤ 2²⁰ ranks)
-    /// stay below 2⁵³ and add exactly in any association.
+    /// Write the balanced limb image into an `f64` buffer for an
+    /// element-wise cross-rank sum: every limb is an integer at most 2³¹
+    /// in magnitude, so sums over ≤ 2²⁰ ranks stay below 2⁵³ and are
+    /// exact.
     pub fn to_transport(&mut self, out: &mut [f64]) {
         assert_eq!(out.len(), TRANSPORT_LEN);
         self.renorm();
@@ -886,7 +886,7 @@ mod tests {
         let br: Vec<f64> = b.iter().rev().copied().collect();
         assert_eq!(forward.to_bits(), exact_dot(&ar, &br).to_bits());
         // Partitioned into 4 "ranks", merged through the f64 transport
-        // image + element-wise summation (the allreduce contract).
+        // image + element-wise summation (the cross-rank contract).
         let mut reduced = vec![0.0; TRANSPORT_LEN];
         for chunk in 0..4 {
             let lo = chunk * 128;

@@ -5,10 +5,10 @@
 //! runtime splits the two things MPI provides:
 //!
 //! * **Correctness** — [`world::World`] runs every rank as a real OS thread
-//!   with typed message passing (selective receive, reductions, barriers),
-//!   so partitioned algorithms are executed for real and can be validated
-//!   against sequential runs at small scale (bit-for-bit for halo-based
-//!   partitioning; to reduction rounding where collectives reassociate).
+//!   with typed message passing (selective receive, and a fold that
+//!   visits the ranks in rank order), so partitioned algorithms are
+//!   executed for real and validated bit for bit against sequential runs
+//!   at small scale.
 //! * **Performance** — [`machine::MachineSpec`] + [`comm::CommModel`]
 //!   convert counted work (dof-updates, message bytes, collective shapes)
 //!   into predicted wall-clock per rank count on the paper's cluster. The

@@ -2,8 +2,8 @@
 //!
 //! [`World::run`] launches one OS thread per rank and gives each a
 //! [`RankCtx`] with the MPI-shaped primitives the distributed targets use:
-//! tagged send, tagged selective receive, and a rank-ordered
-//! sum-allreduce. Every transfer is counted (messages and bytes) so
+//! tagged send, tagged selective receive, and a fold in rank order
+//! ([`RankCtx::fold`]). Every transfer is counted (messages and bytes) so
 //! validation runs double as communication-volume measurements for the
 //! cost model.
 //!
@@ -44,8 +44,11 @@ pub struct RankCtx {
 
 /// Tags at or above this value are reserved for collectives.
 const RESERVED_TAG: u32 = u32::MAX - 16;
-const TAG_REDUCE: u32 = RESERVED_TAG;
+const TAG_FOLD: u32 = RESERVED_TAG;
 const TAG_BCAST: u32 = RESERVED_TAG + 1;
+/// Sent by a rank that panicked to every peer: a `recv` that reads it
+/// panics too, so no rank waits for a message that will never come.
+const TAG_POISON: u32 = RESERVED_TAG + 2;
 
 impl RankCtx {
     /// Send `data` to rank `to` with a user `tag`.
@@ -67,20 +70,24 @@ impl RankCtx {
     }
 
     /// Blocking selective receive: the first message from `from` with `tag`.
-    /// Messages arriving out of order are held in a mailbox.
+    /// Messages arriving out of order are held in a mailbox, in arrival
+    /// order. Panics if a peer rank panicked.
     pub fn recv(&mut self, from: usize, tag: u32) -> Vec<f64> {
         if let Some(pos) = self
             .mailbox
             .iter()
             .position(|m| m.from == from && m.tag == tag)
         {
-            return self.mailbox.swap_remove(pos).data;
+            return self.mailbox.remove(pos).data;
         }
         loop {
             let msg = self
                 .receiver
                 .recv()
                 .expect("sender threads alive for the scope of World::run");
+            if msg.tag == TAG_POISON {
+                panic!("rank {} panicked", msg.from);
+            }
             if msg.from == from && msg.tag == tag {
                 return msg.data;
             }
@@ -88,30 +95,40 @@ impl RankCtx {
         }
     }
 
-    /// Element-wise sum over all ranks; every rank ends with the total.
-    /// Implemented as reduce-to-root + broadcast (what the band-parallel
-    /// temperature update needs for per-cell energy).
-    pub fn allreduce_sum(&mut self, buf: &mut [f64]) {
-        if self.n_ranks == 1 {
-            return;
+    /// Fold `add` over the ranks in rank order; every rank returns with
+    /// the result. Rank 0 applies `add` to its own `buf`; each later rank
+    /// receives the running buffer into `buf`, applies `add` and sends it
+    /// on; the last rank sends the result to every other rank. That is
+    /// `2(p−1)` messages of `buf.len()` doubles, the count of a
+    /// reduce-to-root plus broadcast. On one rank it is `add(buf)`.
+    pub fn fold(&mut self, buf: &mut [f64], add: &mut dyn FnMut(&mut [f64])) {
+        let (rank, last) = (self.rank, self.n_ranks - 1);
+        if rank > 0 {
+            buf.copy_from_slice(&self.recv(rank - 1, TAG_FOLD));
         }
-        if self.rank == 0 {
-            // Receive in rank order so the floating-point summation order
-            // is deterministic run-to-run (unlike arrival order).
-            for src in 1..self.n_ranks {
-                let msg = self.recv(src, TAG_REDUCE);
-                assert_eq!(msg.len(), buf.len(), "allreduce length mismatch");
-                for (acc, v) in buf.iter_mut().zip(msg) {
-                    *acc += v;
-                }
-            }
-            for to in 1..self.n_ranks {
+        add(buf);
+        if rank < last {
+            self.send_internal(rank + 1, TAG_FOLD, buf.to_vec());
+            buf.copy_from_slice(&self.recv(last, TAG_BCAST));
+        } else {
+            for to in 0..last {
                 self.send_internal(to, TAG_BCAST, buf.to_vec());
             }
-        } else {
-            self.send_internal(0, TAG_REDUCE, buf.to_vec());
-            let result = self.recv(0, TAG_BCAST);
-            buf.copy_from_slice(&result);
+        }
+    }
+
+    /// Tell every peer this rank panicked (best effort: a peer that has
+    /// already returned has no receiver left).
+    fn poison_peers(&self) {
+        for (to, sender) in self.senders.iter().enumerate() {
+            if to != self.rank {
+                let data = Vec::new();
+                let _ = sender.send(Msg {
+                    from: self.rank,
+                    tag: TAG_POISON,
+                    data,
+                });
+            }
         }
     }
 }
@@ -121,7 +138,8 @@ pub struct World;
 
 impl World {
     /// Run `program` on `n_ranks` threads; returns per-rank results in rank
-    /// order. Panics in any rank propagate.
+    /// order. A panic in any rank propagates: the rank's peers panic at
+    /// their next `recv` instead of waiting for it.
     pub fn run<R, F>(n_ranks: usize, program: F) -> Vec<R>
     where
         R: Send,
@@ -149,7 +167,11 @@ impl World {
                         mailbox: Vec::new(),
                         stats: CommStats::default(),
                     };
-                    program(&mut ctx)
+                    let run = std::panic::AssertUnwindSafe(|| program(&mut ctx));
+                    std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+                        ctx.poison_peers();
+                        std::panic::resume_unwind(payload)
+                    })
                 }));
             }
             handles
@@ -183,26 +205,30 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_sums_across_ranks() {
+    fn fold_visits_ranks_in_rank_order() {
+        // Appending a digit per rank is not commutative: only rank order
+        // gives 1234567, and every rank ends with it.
         let results = World::run(7, |ctx| {
-            let mut buf = vec![ctx.rank as f64, 1.0];
-            ctx.allreduce_sum(&mut buf);
+            let mut buf = vec![0.0, 1.0];
+            let digit = (ctx.rank + 1) as f64;
+            ctx.fold(&mut buf, &mut |b| {
+                (b[0], b[1]) = (10.0 * b[0] + digit, b[1] + 1.0)
+            });
             buf
         });
         for r in &results {
-            assert_eq!(r[0], 21.0); // 0+..+6
-            assert_eq!(r[1], 7.0);
+            assert_eq!(r, &[1234567.0, 8.0]);
         }
     }
 
     #[test]
-    fn allreduce_on_single_rank_is_identity() {
+    fn fold_on_single_rank_is_add() {
         let results = World::run(1, |ctx| {
             let mut buf = vec![5.0];
-            ctx.allreduce_sum(&mut buf);
-            buf[0]
+            ctx.fold(&mut buf, &mut |b| b[0] += 2.0);
+            (buf[0], ctx.stats.messages)
         });
-        assert_eq!(results[0], 5.0);
+        assert_eq!(results[0], (7.0, 0));
     }
 
     #[test]

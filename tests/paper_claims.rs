@@ -123,7 +123,7 @@ fn hand_written_code_wins_sequentially_but_scales_worse() {
 fn equation_partitioning_communicates_much_less() {
     // Fig 3: the halo volume dwarfs the reduction volume. Reproduced on
     // the executors' byte counts: ≈6× at 5 partitions, ≈2.3× at 55 — the
-    // runtime's allreduce (reduce to rank 0, then broadcast) moves the
+    // runtime's fold (a chain in rank order, then a broadcast) moves the
     // per-cell payload 2(p−1) times, so the gap narrows with partitions
     // instead of widening (Known deviation 6). Less traffic is the claim
     // pinned.

@@ -198,3 +198,61 @@ fn pbte_trace_refuses_an_unknown_strategy() {
     assert!(out.stdout.is_empty(), "nothing ran");
     assert_eq!(written, 0, "nothing was written");
 }
+
+/// A count argument that is malformed or zero is a usage error of every
+/// binary — exit 2 naming the key — never a panic deep in the mesh, the
+/// band table or the partitioner, and never a silent default.
+#[test]
+fn every_binary_refuses_a_malformed_or_zero_count() {
+    let dir = std::env::temp_dir().join(format!("pbte-counts-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases: [(&str, &[&str], &str); 9] = [
+        (env!("CARGO_BIN_EXE_pbte"), &["hotspot", "n=0"], "n=0"),
+        (env!("CARGO_BIN_EXE_pbte"), &["hotspot", "dirs=0"], "dirs=0"),
+        (
+            env!("CARGO_BIN_EXE_pbte"),
+            &["hotspot", "bands=0"],
+            "bands=0",
+        ),
+        (
+            env!("CARGO_BIN_EXE_pbte"),
+            &["hotspot", "steps=0"],
+            "steps=0",
+        ),
+        (
+            env!("CARGO_BIN_EXE_pbte"),
+            &["hotspot", "n=4", "steps=1", "target=bands", "ranks=0"],
+            "ranks=0",
+        ),
+        (
+            env!("CARGO_BIN_EXE_pbte-trace"),
+            &["target=cells", "n=4", "steps=1", "ranks=0"],
+            "ranks=0",
+        ),
+        (
+            env!("CARGO_BIN_EXE_pbte-trace"),
+            &["n=4x", "steps=1"],
+            "n=4x",
+        ),
+        (env!("CARGO_BIN_EXE_pbte-verify"), &["n=0"], "n=0"),
+        (
+            env!("CARGO_BIN_EXE_pbte-verify"),
+            &["steps=two"],
+            "steps=two",
+        ),
+    ];
+    for (bin, args, key) in cases {
+        let out = Command::new(bin)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("the binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("bad count `{key}`")),
+            "{bin} {args:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
