@@ -17,7 +17,9 @@
 //! `cells:<r>` / `bands:<r>` / `bands-gpu:<r>` (distributed ranks) — the
 //! spellings `pbte-trace` takes. An unknown `target`, `tier`, `strategy`
 //! or `integrator` value, an integrator parameter out of range or a `dt`
-//! that is not a positive number is a usage error (exit status 2).
+//! that is not a positive number is a usage error (exit status 2), and
+//! so is a problem the DSL refuses to build or solve on the target (more
+//! ranks than cells or than the partitioned index has values).
 //! `strategy` values (2-D scenarios, effective under `bands:<r>`):
 //! `redundant` (every rank solves all cells, the paper's behaviour) or
 //! `divided` (per-rank cell slices plus a second fold sharing `T`).
@@ -40,7 +42,7 @@ use pbte_bte::output::{render_ascii, summary, temperature_grid};
 use pbte_bte::scenario::{coarse_3d, elongated, hotspot_2d, BteConfig, BteProblem};
 use pbte_bte::temperature::TemperatureStrategy;
 use pbte_dsl::exec::{ExecTarget, Solver};
-use pbte_dsl::problem::{Integrator, KernelTier};
+use pbte_dsl::problem::{DslError, Integrator, KernelTier};
 use pbte_runtime::telemetry::Recorder;
 
 /// A `key=value` the CLI does not know: say so and exit with the usage
@@ -48,6 +50,12 @@ use pbte_runtime::telemetry::Recorder;
 fn usage_error(message: String) -> ! {
     eprintln!("{message}");
     std::process::exit(2);
+}
+
+/// A build or solve the DSL refuses: report its error and exit with the
+/// usage status, like `pbte-trace`.
+fn checked<T>(result: Result<T, DslError>, what: &str) -> T {
+    result.unwrap_or_else(|e| usage_error(format!("{what} failed: {e}")))
 }
 
 fn parse_target(args: &[String]) -> ExecTarget {
@@ -106,7 +114,7 @@ fn apply_dt(
     let mut probe = build(cfg);
     let default_dt = probe.problem.dt;
     probe.problem.integrator(integrator);
-    let solver = Solver::build(probe.problem, ExecTarget::CpuSeq).expect("probe compiles");
+    let solver = checked(Solver::build(probe.problem, ExecTarget::CpuSeq), "build");
     let rec = pbte_dsl::analysis::recommend_dt(&solver.compiled)
         .expect("advective scenario derives a CFL bound");
     cfg.dt = Some(rec.dt);
@@ -148,7 +156,7 @@ fn run_2d(
     }
     bte.problem.integrator(parse_integrator(args));
     let vars = bte.vars;
-    let mut solver = bte.solver(target).expect("valid scenario");
+    let mut solver = checked(bte.solver(target), "build");
     let integrator = solver.compiled.problem.integrator;
     let dt_used = solver.compiled.problem.dt;
     let cfl = pbte_dsl::analysis::cfl_bound(&solver.compiled);
@@ -164,7 +172,7 @@ fn run_2d(
         None => Recorder::null(),
     };
     let start = std::time::Instant::now();
-    let report = solver.solve_traced(&mut rec).expect("solve succeeds");
+    let report = checked(solver.solve_traced(&mut rec), "solve");
     let wall = start.elapsed().as_secs_f64();
     let grid = temperature_grid(solver.fields(), vars.t, nx, ny);
     println!("{}", render_ascii(&grid, nx));
@@ -238,8 +246,8 @@ fn main() {
             println!("coarse 3-D scenario: {n}^3 cells, {steps} steps");
             let bte = coarse_3d(n, 4, 8, 8, steps);
             let vars = bte.vars;
-            let mut solver = bte.solver(parse_target(rest)).expect("valid scenario");
-            solver.solve().expect("solve succeeds");
+            let mut solver = checked(bte.solver(parse_target(rest)), "build");
+            checked(solver.solve(), "solve");
             let fields = solver.fields();
             for k in 0..n {
                 let mean: f64 = (0..n * n)
@@ -251,9 +259,7 @@ fn main() {
         }
         "codegen" => {
             let cfg = cfg_from(rest, 8, 1);
-            let solver = hotspot_2d(&cfg)
-                .solver(parse_target(rest))
-                .expect("valid scenario");
+            let solver = checked(hotspot_2d(&cfg).solver(parse_target(rest)), "build");
             println!("{}", solver.generated_source());
             if let ExecTarget::GpuHybrid { .. } = parse_target(rest) {
                 println!("{}", solver.compiled.transfer_schedule().render());
@@ -279,9 +285,7 @@ fn main() {
             // Memory footprint at a reduced shape (same per-cell numbers
             // scale linearly to the headline mesh).
             let small = cfg_from(&[], 12, 1);
-            let solver = hotspot_2d(&small)
-                .solver(ExecTarget::CpuSeq)
-                .expect("valid scenario");
+            let solver = checked(hotspot_2d(&small).solver(ExecTarget::CpuSeq), "build");
             let report = solver.compiled.memory_report();
             let scale = (cfg.nx * cfg.ny) as f64 / report.n_cells as f64
                 * (per_cell as f64 / (report.n_dof / report.n_cells) as f64);

@@ -9,7 +9,7 @@
 //! * **symmetry** — specular reflection: `ghost(d) = I(r(d))` at the same
 //!   cell, where `r` reflects the direction across the wall normal.
 //!
-//! Neither is opaque, and both say so: an isothermal wall declares its
+//! Both declare what their ghost is: an isothermal wall declares its
 //! ghost [`BoundaryForm::Fixed`] (a function of the face and the band),
 //! a symmetry wall declares it a [`BoundaryForm::Gather`] (a permutation
 //! of the intensity's own directions at the owner cell). The plan lowers a
@@ -137,7 +137,7 @@ mod tests {
         let m = Arc::new(Material::silicon_2d(8, 8, 250.0, 400.0));
         let bc = isothermal(m.clone(), |_| 320.0);
         let fields = dummy_fields(&m);
-        assert_eq!(bc.declared_reads(), Some(&[][..]));
+        assert!(bc.reads().is_empty());
         for b in 0..m.n_bands() {
             let q = BoundaryQuery {
                 position: Point::xy(0.0, 0.5),
@@ -156,7 +156,7 @@ mod tests {
     fn symmetry_ghost_reads_reflected_direction() {
         let m = Arc::new(Material::silicon_2d(4, 8, 250.0, 400.0));
         let bc = symmetry(m);
-        assert_eq!(bc.declared_reads(), Some(&["I".to_string()][..]));
+        assert_eq!(bc.reads(), ["I"]);
         assert_ghosts_follow_reflect(4, Point::xy(0.0, 1.0));
     }
 

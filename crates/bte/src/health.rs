@@ -110,7 +110,7 @@ impl HealthProbes {
         let monitor = self.monitor.clone();
         let name = |v: usize| problem.registry.variables[v].name.clone();
         let (i, io, beta) = (name(self.vars.i), name(self.vars.io), name(self.vars.beta));
-        problem.post_step_declared("health_probes", &[&i, &io, &beta], &[], move |ctx| {
+        problem.post_step("health_probes", &[&i, &io, &beta], &[], move |ctx| {
             self.check(ctx)
         });
         monitor

@@ -128,7 +128,7 @@ impl TemperatureUpdate {
     pub fn install(self, problem: &mut Problem) {
         let [i, t, io, beta] = [self.vars.i, self.vars.t, self.vars.io, self.vars.beta]
             .map(|v| problem.registry.variables[v].name.clone());
-        problem.post_step_declared(
+        problem.post_step(
             "temperature_update",
             &[&i, &t],
             &[&t, &io, &beta],

@@ -474,36 +474,6 @@ pub(super) fn check_initials(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Every entity name a callback declares must resolve in the registry.
-pub(super) fn check_catalog(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
-    let registry = &cp.problem.registry;
-    let check = |names: &[String], location: String, out: &mut Vec<Diagnostic>| {
-        for name in names {
-            if registry.variable_id(name).is_none() {
-                out.push(Diagnostic {
-                    severity: Severity::Error,
-                    rule: rules::UNKNOWN_ENTITY,
-                    entity: name.clone(),
-                    location: location.clone(),
-                    message: "declared entity is not a registered variable".into(),
-                });
-            }
-        }
-    };
-    if let Some(reads) = &cp.catalog.boundary_reads {
-        check(reads, "boundary callbacks".into(), out);
-    }
-    for step in &cp.catalog.steps {
-        let loc = format!("callback {}", step.name);
-        if let Some(reads) = &step.reads {
-            check(reads, loc.clone(), out);
-        }
-        if let Some(writes) = &step.writes {
-            check(writes, loc.clone(), out);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -150,9 +150,7 @@ fn check_plan(cp: &CompiledProblem, plan: &str, exhaustive: bool, out: &mut Vec<
         if walls.callback_slots.binary_search(&slot).is_ok() {
             continue;
         }
-        if matches!(bf.bc.form(), Some(BoundaryForm::Fixed))
-            && bf.bc.declared_reads().is_some_and(|r| !r.is_empty())
-        {
+        if matches!(bf.bc.form(), Some(BoundaryForm::Fixed)) && !bf.bc.reads().is_empty() {
             out.push(mismatch(
                 location(slot),
                 "a Fixed wall declares field reads; its ghost may depend on no field".into(),
@@ -292,7 +290,7 @@ mod tests {
         let cp = plan(None);
         assert_eq!(cp.walls.label(), "fixed:8 gather:12 callback:0");
         assert_eq!(cp.catalog.callback_faces, 0);
-        assert_eq!(cp.catalog.boundary_reads.as_deref(), Some(&[][..]));
+        assert!(cp.catalog.boundary_reads.is_empty());
         assert!(cp.verify_plan(&ExecTarget::CpuSeq).is_empty());
         let mut diags = Vec::new();
         check_boundary_forms(&cp, true, &mut diags);
@@ -447,10 +445,7 @@ mod tests {
         let cp = CompiledProblem::compile(p).unwrap().0;
         assert_eq!(cp.walls.label(), "fixed:0 gather:8 callback:8");
         assert_eq!(cp.catalog.callback_faces, 8);
-        assert_eq!(
-            cp.catalog.boundary_reads.as_deref(),
-            Some(&["I".to_string()][..])
-        );
+        assert_eq!(cp.catalog.boundary_reads, ["I"]);
         assert!(cp.verify_plan(&ExecTarget::CpuSeq).is_empty());
     }
 }

@@ -64,10 +64,13 @@
 //!    a plan ever compiles.
 //!
 //! Severity policy: violations of *declared or derived* accesses are
-//! [`Severity::Error`] (executors panic on them in debug builds);
-//! obligations that arise only from conservative assumptions about opaque
-//! callbacks — or from missing range declarations — are
-//! [`Severity::Warning`].
+//! [`Severity::Error`] (executors panic on them in debug builds); a proof
+//! skipped for want of a declaration (a range, a unit) and a finding that
+//! costs work but computes the same values (a declared read no tier
+//! loads, dofs no write region claims) are [`Severity::Warning`]. Every
+//! callback declares what it reads and writes, and `compile` refuses a
+//! declared name that is not a variable, so the transfer proof reads one
+//! host-read and one host-write set.
 
 mod access;
 mod boundary;
@@ -132,8 +135,6 @@ pub mod rules {
     pub const STALE_READ: &str = "transfer/stale-read";
     /// A scheduled transfer moves data nobody reads before its next write.
     pub const REDUNDANT_TRANSFER: &str = "transfer/redundant";
-    /// A callback declares an entity name the registry doesn't know.
-    pub const UNKNOWN_ENTITY: &str = "callback/unknown-entity";
     /// An IR statement string does not parse back to the DSL expression
     /// it was lowered from (or the DSL term groups are inconsistent).
     pub const TRANSLATION_IR: &str = "translation/ir-mismatch";
@@ -196,7 +197,6 @@ pub mod rules {
         CSR_INVARIANT,
         RUN_MISMATCH,
         BOUNDARY_FORM_MISMATCH,
-        UNKNOWN_ENTITY,
         OVERLAPPING_WRITE,
         OOB_WRITE,
         INCOMPLETE_COVER,
@@ -208,7 +208,7 @@ pub mod rules {
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Holds only under conservative assumptions (opaque callbacks).
+    /// A skipped proof, or a finding that costs work but not correctness.
     Warning,
     /// A proven violation of declared or derived accesses.
     Error,
@@ -297,10 +297,9 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Run every check that applies to `target`. Empty result = the plan is
-/// proven clean (up to the conservative treatment of opaque callbacks,
-/// which can only produce warnings, never silence). A target
-/// configuration `build()` rejects before solving (more ranks than cells,
-/// an unpartitionable index) has no scopes and skips the race pass.
+/// proven clean. A target configuration with no rank scopes — more ranks
+/// than cells, which `solve` refuses, or an index with fewer values than
+/// ranks, which `build` refuses — skips the race pass.
 pub fn verify_plan(cp: &CompiledProblem, target: &ExecTarget) -> Vec<Diagnostic> {
     let scopes = rank_scopes(cp, target).unwrap_or_default();
     verify_scopes(cp, target, &scopes)
@@ -324,7 +323,6 @@ pub(crate) fn verify_scopes(
         access::check_geometry(jcp, &mut out);
     }
     boundary::check_boundary_forms(cp, false, &mut out);
-    access::check_catalog(cp, &mut out);
     if !scopes.is_empty() {
         races::check_target(cp, target, scopes, &mut out);
     }

@@ -154,9 +154,9 @@ pub(super) fn check_target(
     if let ExecTarget::DistBands { ranks, .. } | ExecTarget::DistBandsGpu { ranks, .. } = target {
         for step in &cp.catalog.steps {
             if !step.pre {
-                let entity = match &step.writes {
-                    Some(w) if !w.is_empty() => w.join(","),
-                    _ => step.name.clone(),
+                let entity = match step.writes.is_empty() {
+                    false => step.writes.join(","),
+                    true => step.name.clone(),
                 };
                 out.extend(check_divided_slices(&entity, n_cells, *ranks));
             }

@@ -18,14 +18,13 @@ use pbte_mesh::partition::{partition_bands, Partition};
 // Schedule synthesis
 // ---------------------------------------------------------------------------
 
-/// Whether a step callback may read the unknown on the host (declared,
-/// or assumed for an opaque one) — otherwise only boundary callbacks do:
-/// what the reason of the unknown's per-step download names.
+/// Whether a step callback reads the unknown on the host — otherwise only
+/// boundary callbacks do: what the reason of the unknown's per-step
+/// download names.
 fn callback_reads_unknown(cp: &CompiledProblem, records: &[Record]) -> bool {
     let unknown = Entity::Variable(cp.system.unknown);
     let callback = |r: &Record| matches!(r.kernel, Kernel::Callback { .. });
-    let reads = |r: &Record| r.reads(unknown) || r.opaque(&cp.catalog).0;
-    records.iter().any(|r| callback(r) && reads(r))
+    records.iter().any(|r| callback(r) && r.reads(unknown))
 }
 
 /// Derive the transfer schedule of a record list from the access sets it
@@ -40,19 +39,18 @@ fn callback_reads_unknown(cp: &CompiledProblem, records: &[Record]) -> bool {
 ///    `Fields`, so no host code can rewrite one);
 /// 2. the unknown → `Once` H2D (initial condition), unless rule 4 uploads
 ///    it before every sweep;
-/// 3. the unknown → `EveryStep` D2H iff some host record may read it
-///    between steps (a step callback or a boundary callback — declared, or
-///    assumed for opaque ones);
+/// 3. the unknown → `EveryStep` D2H iff some host record reads it
+///    between steps (a step callback or a boundary callback);
 /// 4. the boundary: the ghosts the sweep reads → `EveryStep` H2D while a
 ///    host `GhostEval` rewrites them, `Once` when the image is lowered;
 ///    the unknown → `EveryStep` H2D when a step callback declares
 ///    rewriting it;
 /// 5. every other kernel-read variable → `EveryStep` H2D iff some host
-///    record may rewrite it between steps, else `Once`.
+///    record rewrites it between steps, else `Once`.
 ///
-/// Rules 3 and 5 key on the callbacks' declared accesses, not on the mere
-/// existence of a post-step callback: a declared callback that never
-/// reads the unknown (or never writes a given variable) moves nothing.
+/// Rules 3 to 5 key on the callbacks' declared accesses, not on the mere
+/// existence of a post-step callback: a callback that never reads the
+/// unknown (or never writes a given variable) moves nothing.
 pub fn synthesize_records(cp: &CompiledProblem, records: &[Record]) -> TransferSchedule {
     let registry = &cp.problem.registry;
     let sides = Sides::fold(cp, records);
@@ -75,14 +73,14 @@ pub fn synthesize_records(cp: &CompiledProblem, records: &[Record]) -> TransferS
 
     // 2. The unknown's initial condition — unless rule 4 re-uploads it
     //    before every read anyway.
-    let reuploaded = sides.host_writes_declared.contains(unknown_name);
+    let reuploaded = sides.host_writes.contains(unknown_name);
     if !reuploaded {
         let reason = "unknown: initial condition upload";
         push(unknown_name, true, Policy::Once, reason);
     }
 
     // 3. The unknown returns to the host iff some host site reads it.
-    if sides.host_reads_possible.contains(unknown_name) {
+    if sides.host_reads.contains(unknown_name) {
         let reason = match callback_reads_unknown(cp, records) {
             true => "unknown: post-step callback reads it on the host",
             false => "unknown: boundary callbacks read it on the host",
@@ -94,7 +92,7 @@ pub fn synthesize_records(cp: &CompiledProblem, records: &[Record]) -> TransferS
     //    host evaluates them, the lowered image once — and the unknown a
     //    step callback rewrites.
     if sides.device_reads.contains(GHOSTS) {
-        let (policy, reason) = match sides.host_writes_possible.contains(GHOSTS) {
+        let (policy, reason) = match sides.host_writes.contains(GHOSTS) {
             true => (
                 Policy::EveryStep,
                 "boundary ghost values computed by CPU callbacks",
@@ -118,7 +116,7 @@ pub fn synthesize_records(cp: &CompiledProblem, records: &[Record]) -> TransferS
         if v == cp.system.unknown {
             continue;
         }
-        let (policy, reason) = match sides.host_writes_possible.contains(name) {
+        let (policy, reason) = match sides.host_writes.contains(name) {
             true => (
                 Policy::EveryStep,
                 "mutable variable: rewritten by post-step callback",

@@ -6,9 +6,8 @@
 //! ([`crate::dataflow::step_records`]) by place: a device record's
 //! arguments come from the equation analysis (already cross-checked
 //! against the compiled bytecode by [`super::access`]), a host record's
-//! from the declared callback catalog. Opaque callbacks widen the host
-//! sets conservatively, which can only downgrade findings to warnings — a
-//! *declared* access that the schedule fails to serve is always an error.
+//! from the callback catalog, where every callback declares what it
+//! touches. An access the schedule fails to serve is always an error.
 //!
 //! Two rules per entity `e`:
 //!
@@ -26,36 +25,27 @@ use crate::dataflow::{
 use crate::exec::CompiledProblem;
 use std::collections::BTreeSet;
 
-/// Per-side access sets, by entity name. `*_possible` includes the
-/// conservative widening for opaque callbacks; `*_declared` only what is
-/// provably accessed. The synthesis pass ([`super::synthesize_records`])
-/// derives the schedule from these same sets; the checker below proves
-/// any schedule against them, however it was produced.
+/// Per-side access sets, by entity name. The synthesis pass
+/// ([`super::synthesize_records`]) derives the schedule from these same
+/// sets; the checker below proves any schedule against them, however it
+/// was produced.
 #[derive(Default)]
 pub(super) struct Sides {
     pub(super) device_reads: BTreeSet<String>,
     pub(super) device_writes: BTreeSet<String>,
-    pub(super) host_reads_declared: BTreeSet<String>,
-    pub(super) host_reads_possible: BTreeSet<String>,
-    pub(super) host_writes_declared: BTreeSet<String>,
-    pub(super) host_writes_possible: BTreeSet<String>,
+    pub(super) host_reads: BTreeSet<String>,
+    pub(super) host_writes: BTreeSet<String>,
 }
 
 impl Sides {
-    /// Fold the records' arguments by place. An opaque host record widens
-    /// the possible sets: it may read any variable, and rewrite any but
-    /// the unknown.
+    /// Fold the records' arguments by place.
     pub(super) fn fold(cp: &CompiledProblem, records: &[Record]) -> Sides {
         let registry = &cp.problem.registry;
         let mut sides = Sides::default();
-        let (mut opaque_reads, mut opaque_writes) = (false, false);
         for record in records {
             let (reads, writes) = match record.place {
                 Place::Device => (&mut sides.device_reads, &mut sides.device_writes),
-                Place::Host => (
-                    &mut sides.host_reads_declared,
-                    &mut sides.host_writes_declared,
-                ),
+                Place::Host => (&mut sides.host_reads, &mut sides.host_writes),
             };
             for &(entity, access) in &record.args {
                 if access != Access::Write {
@@ -65,20 +55,6 @@ impl Sides {
                     writes.insert(entity.name(registry).to_string());
                 }
             }
-            let (reads, writes) = record.opaque(&cp.catalog);
-            opaque_reads |= reads;
-            opaque_writes |= writes;
-        }
-        let variables = || registry.variables.iter().map(|v| v.name.clone());
-        sides.host_reads_possible = sides.host_reads_declared.clone();
-        if opaque_reads {
-            sides.host_reads_possible.extend(variables());
-        }
-        sides.host_writes_possible = sides.host_writes_declared.clone();
-        if opaque_writes {
-            let unknown = &cp.system.unknown_name;
-            let rewritable = variables().filter(|v| v != unknown);
-            sides.host_writes_possible.extend(rewritable);
         }
         sides
     }
@@ -108,61 +84,35 @@ pub(super) fn check_against(sides: &Sides, schedule: &TransferSchedule) -> Vec<D
     // uploaded — once if the host never rewrites it, every step if it
     // does.
     for e in &sides.device_reads {
-        let declared_write = sides.host_writes_declared.contains(e);
-        let possible_write = sides.host_writes_possible.contains(e);
-        if possible_write && !h2d_every.contains(e.as_str()) {
-            out.push(Diagnostic {
-                severity: if declared_write {
-                    Severity::Error
-                } else {
-                    Severity::Warning
-                },
-                rule: rules::STALE_READ,
-                entity: e.clone(),
-                location: "device kernel read".into(),
-                message: if declared_write {
-                    "the host rewrites this entity every step but the schedule never \
-                     re-uploads it"
-                } else {
-                    "an opaque host callback may rewrite this entity, which the schedule \
-                     never re-uploads"
-                }
-                .into(),
-            });
-        } else if !possible_write && !h2d_any.contains(e.as_str()) {
-            out.push(Diagnostic {
-                severity: Severity::Error,
-                rule: rules::STALE_READ,
-                entity: e.clone(),
-                location: "device kernel read".into(),
-                message: "the kernel reads this entity but the schedule never uploads it".into(),
-            });
-        }
+        let host_write = sides.host_writes.contains(e);
+        let message = if host_write && !h2d_every.contains(e.as_str()) {
+            "the host rewrites this entity every step but the schedule never re-uploads it"
+        } else if !host_write && !h2d_any.contains(e.as_str()) {
+            "the kernel reads this entity but the schedule never uploads it"
+        } else {
+            continue;
+        };
+        out.push(Diagnostic {
+            severity: Severity::Error,
+            rule: rules::STALE_READ,
+            entity: e.clone(),
+            location: "device kernel read".into(),
+            message: message.into(),
+        });
     }
 
     // Stale reads, host side: every device-written entity a host callback
     // reads must come back every step.
     for e in &sides.device_writes {
-        let declared_read = sides.host_reads_declared.contains(e);
-        let possible_read = sides.host_reads_possible.contains(e);
-        if possible_read && !d2h_every.contains(e.as_str()) {
+        if sides.host_reads.contains(e) && !d2h_every.contains(e.as_str()) {
             out.push(Diagnostic {
-                severity: if declared_read {
-                    Severity::Error
-                } else {
-                    Severity::Warning
-                },
+                severity: Severity::Error,
                 rule: rules::STALE_READ,
                 entity: e.clone(),
                 location: "host callback read".into(),
-                message: if declared_read {
-                    "a host callback reads this device-written entity but the schedule \
-                     never downloads it"
-                } else {
-                    "an opaque host callback may read this device-written entity, which \
-                     the schedule never downloads"
-                }
-                .into(),
+                message: "a host callback reads this device-written entity but the schedule \
+                          never downloads it"
+                    .into(),
             });
         }
     }
@@ -179,19 +129,19 @@ pub(super) fn check_against(sides: &Sides, schedule: &TransferSchedule) -> Vec<D
         } else if t.to_device
             && t.policy == Policy::Once
             && h2d_every.contains(t.name.as_str())
-            && sides.host_writes_possible.contains(&t.name)
+            && sides.host_writes.contains(&t.name)
         {
             "uploaded once but also before every read, which makes the one-time copy dead"
         } else if t.to_device && !sides.device_reads.contains(&t.name) {
             "uploaded but the device kernel never reads it"
         } else if t.to_device
             && t.policy == Policy::EveryStep
-            && !sides.host_writes_possible.contains(&t.name)
+            && !sides.host_writes.contains(&t.name)
         {
             "re-uploaded every step but no host code ever writes it between uploads"
         } else if !t.to_device && !sides.device_writes.contains(&t.name) {
             "downloaded but the device never writes it"
-        } else if !t.to_device && !sides.host_reads_possible.contains(&t.name) {
+        } else if !t.to_device && !sides.host_reads.contains(&t.name) {
             "downloaded but no host code ever reads it before the device next overwrites it"
         } else {
             continue;

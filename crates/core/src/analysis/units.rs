@@ -19,10 +19,10 @@
 //! [`rules::UNITS_UNDECLARED`] warning and the proof is skipped for the
 //! term that mentions it — mirroring how a missing range declaration is
 //! handled by the interval pass. Material tables, scattering-rate
-//! closures, and boundary callbacks are opaque Rust code; they enter the
-//! proof through the declared units of the entities they populate
-//! (`I`, `Io`, `beta`, `T`), which is exactly the interface the
-//! conservative callback treatment of the access pass uses.
+//! closures, and boundary callbacks are Rust code this pass does not
+//! read; they enter the proof through the declared units of the entities
+//! they populate (`I`, `Io`, `beta`, `T`), just as they enter the
+//! transfer proof through the entities they declare.
 //!
 //! Pipeline-internal operators are given their transfer rules here: the
 //! face samplers `CELL1`/`CELL2` pass their argument's dimension through,

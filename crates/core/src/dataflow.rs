@@ -15,7 +15,7 @@
 
 use crate::analysis::{synthesize_records, Scope};
 use crate::entities::Registry;
-use crate::exec::{CallbackCatalog, CompiledProblem, ExecTarget};
+use crate::exec::{CompiledProblem, ExecTarget};
 use crate::problem::TimeStepper;
 
 /// Name of the boundary-ghost pseudo-entity in schedules.
@@ -55,7 +55,7 @@ pub enum Entity {
 }
 
 impl Entity {
-    /// The entity a schedule line or a callback declaration names.
+    /// The entity a schedule line names.
     pub fn named(registry: &Registry, name: &str) -> Option<Entity> {
         if name == GHOSTS {
             return Some(Entity::Ghosts);
@@ -81,7 +81,7 @@ pub enum Kernel {
     Sweep { plan: Plan, fused_dt: Option<f64> },
     /// The closures of `plan`'s callback walls, evaluated into the ghosts.
     GhostEval { plan: Plan },
-    /// Step callback `index` of the plan's [`CallbackCatalog`].
+    /// Step callback `index` of the plan's [`crate::exec::CallbackCatalog`].
     Callback { pre: bool, index: usize },
 }
 
@@ -113,20 +113,6 @@ impl Record<'_> {
             Kernel::Callback { .. } => "callback",
         }
     }
-
-    /// `(reads, writes)`: whether the record's closures declared no access
-    /// set — they may then read every variable, and write every variable
-    /// but the unknown.
-    pub fn opaque(&self, catalog: &CallbackCatalog) -> (bool, bool) {
-        match self.kernel {
-            Kernel::Callback { index, .. } => {
-                let step = &catalog.steps[index];
-                (step.reads.is_none(), step.writes.is_none())
-            }
-            Kernel::GhostEval { .. } => (catalog.boundary_reads.is_none(), false),
-            _ => (false, false),
-        }
-    }
 }
 
 /// Whether `cp` as the `which` plan is swept once per RHS / JVP evaluation
@@ -155,12 +141,11 @@ pub fn step_records<'a>(
 ) -> Vec<Record<'a>> {
     let registry = &cp.problem.registry;
     let unknown = Entity::Variable(cp.system.unknown);
-    let named = |names: &Option<Vec<String>>, access: Access| -> Vec<(Entity, Access)> {
-        let known = names
+    let named = |names: &[String], access: Access| -> Vec<(Entity, Access)> {
+        let ids = names
             .iter()
-            .flatten()
-            .filter_map(|n| Entity::named(registry, n));
-        known.map(|e| (e, access)).collect()
+            .map(|n| registry.variable_id(n).expect("resolved at compile"));
+        ids.map(|v| (Entity::Variable(v), access)).collect()
     };
     let callback_wall = !cp.walls.lowered();
     let fused = !per_sweep(cp, which) && cp.problem.stepper == TimeStepper::EulerExplicit;
@@ -416,7 +401,7 @@ mod tests {
             );
         }
         if with_post_step {
-            p.post_step(|_| {});
+            p.post_step("temperature_update", &["I"], &["Io", "beta"], |_| {});
         }
         CompiledProblem::compile(p).unwrap().0
     }

@@ -522,17 +522,15 @@ fn linearize_flux(
 ///
 /// Boundary linearization (the ghost value's derivative in the direction
 /// vector `v`):
-/// * a constant ghost (`Value`, or a declared callback reading no fields —
+/// * a constant ghost (`Value`, or a callback reading no fields —
 ///   e.g. an isothermal wall whose ghost depends only on wall temperature
 ///   and time) is affine in the unknown with zero slope → ghost 0, which
 ///   lowers to a zero image without a closure call;
-/// * a declared callback reading the unknown (e.g. a specular symmetry
+/// * a callback reading the unknown (e.g. a specular symmetry
 ///   wall reflecting `I`) is kept verbatim, declared form included: such
 ///   conditions are linear and homogeneous in the unknown, so evaluating
 ///   them with `v` in the unknown's slot *is* the directional derivative
-///   (and a Gather wall lowers to the same gather columns in both plans);
-/// * an opaque `Callback` cannot be linearized — building an implicit
-///   plan over one is an error (declare its reads instead).
+///   (and a Gather wall lowers to the same gather columns in both plans).
 fn linearized_problem(problem: &Problem) -> Result<Problem, DslError> {
     let unknown_name = match &problem.equation {
         Some((var, _)) => problem.registry.variables[*var].name.clone(),
@@ -543,24 +541,11 @@ fn linearized_problem(problem: &Problem) -> Result<Problem, DslError> {
     jp.initials.clear();
     jp.pre_steps.clear();
     jp.post_steps.clear();
-    for (_, region, bc) in jp.boundary_conditions.iter_mut() {
-        let linearized = match bc {
-            BoundaryCondition::Value(_) => BoundaryCondition::Value(0.0),
-            BoundaryCondition::DeclaredCallback { reads, .. } => {
-                if reads.iter().any(|r| r == &unknown_name) {
-                    continue; // linear homogeneous in the unknown: keep
-                }
-                BoundaryCondition::Value(0.0)
-            }
-            BoundaryCondition::Callback(_) => {
-                return Err(DslError::Invalid(format!(
-                    "cannot linearize the opaque boundary callback on region \
-                     `{region}` for an implicit integrator; declare its reads \
-                     via BoundaryCondition::callback_reading"
-                )));
-            }
-        };
-        *bc = linearized;
+    for (_, _, bc) in jp.boundary_conditions.iter_mut() {
+        // A wall reading the unknown is linear homogeneous in it: kept.
+        if !bc.reads().contains(&unknown_name) {
+            *bc = BoundaryCondition::Value(0.0);
+        }
     }
     Ok(jp)
 }
@@ -848,59 +833,74 @@ impl std::ops::Deref for CompiledProblem {
     }
 }
 
-/// Declared accesses of one pre/post-step callback (`None` = opaque,
-/// assume it may touch everything).
+/// Declared accesses of one pre/post-step callback.
 #[derive(Debug, Clone)]
 pub struct StepAccess {
     pub name: String,
     /// True for pre-step, false for post-step.
     pub pre: bool,
-    pub reads: Option<Vec<String>>,
-    pub writes: Option<Vec<String>>,
+    pub reads: Vec<String>,
+    pub writes: Vec<String>,
 }
 
 /// Compile-time summary of every user callback a problem registers:
 /// boundary-condition callbacks and pre/post-step functions, with their
-/// declared field accesses where available.
+/// declared field accesses — every name a registered variable.
 #[derive(Debug, Clone, Default)]
 pub struct CallbackCatalog {
     /// Boundary faces whose closure still runs on the host every sweep
     /// (the walls the plan could not lower) — the per-sweep ghost-eval
     /// accounting unit.
     pub callback_faces: usize,
-    /// Union of variables those closures read; `None` when one of them is
-    /// opaque. Lowered walls run no host code and declare nothing here.
-    pub boundary_reads: Option<Vec<String>>,
+    /// Union of variables those closures read. Lowered walls run no host
+    /// code and declare nothing here.
+    pub boundary_reads: Vec<String>,
     /// Pre/post-step callbacks in registration order (pre first).
     pub steps: Vec<StepAccess>,
 }
 
 impl CallbackCatalog {
-    fn build(problem: &Problem, boundary: &[BoundaryFace], walls: &Walls) -> CallbackCatalog {
-        let mut reads: std::collections::BTreeSet<String> = Default::default();
-        let mut opaque = false;
-        for &slot in &walls.callback_slots {
-            match boundary[slot].bc.declared_reads() {
-                Some(r) => reads.extend(r.iter().cloned()),
-                None => opaque = true,
+    /// The catalog of `problem`'s callbacks; refuses a declared name that
+    /// is not a registered variable, naming the callback and the name.
+    fn build(
+        problem: &Problem,
+        boundary: &[BoundaryFace],
+        walls: &Walls,
+    ) -> Result<CallbackCatalog, DslError> {
+        let registry = &problem.registry;
+        let resolve = |names: &[String], site: &dyn Fn() -> String| {
+            let unknown = names.iter().find(|n| registry.variable_id(n).is_none());
+            match unknown {
+                Some(name) => Err(DslError::Invalid(format!(
+                    "{} declares `{name}`, which is not a registered variable",
+                    site()
+                ))),
+                None => Ok(names.to_vec()),
             }
+        };
+        for (_, region, bc) in &problem.boundary_conditions {
+            resolve(bc.reads(), &|| format!("boundary callback on `{region}`"))?;
         }
         let mut steps = Vec::new();
         for (pre, list) in [(true, &problem.pre_steps), (false, &problem.post_steps)] {
             for cb in list {
+                let site = || format!("step callback `{}`", cb.name);
                 steps.push(StepAccess {
                     name: cb.name.clone(),
                     pre,
-                    reads: cb.declared.then(|| cb.reads.clone()),
-                    writes: cb.declared.then(|| cb.writes.clone()),
+                    reads: resolve(&cb.reads, &site)?,
+                    writes: resolve(&cb.writes, &site)?,
                 });
             }
         }
-        CallbackCatalog {
+        let slots = walls.callback_slots.iter();
+        let reads: std::collections::BTreeSet<&String> =
+            slots.flat_map(|&slot| boundary[slot].bc.reads()).collect();
+        Ok(CallbackCatalog {
             callback_faces: walls.callback_faces(),
-            boundary_reads: (!opaque).then(|| reads.into_iter().collect()),
+            boundary_reads: reads.into_iter().cloned().collect(),
             steps,
-        }
+        })
     }
 }
 
@@ -1223,7 +1223,7 @@ impl CompiledProblem {
 
         let (fields, initials) = initial_state(&problem)?;
         let walls = Walls::lower(mesh, &boundary, &plan.idx_of_flat, &fields);
-        let catalog = CallbackCatalog::build(&problem, &boundary, &walls);
+        let catalog = CallbackCatalog::build(&problem, &boundary, &walls)?;
         // The hot geometry is a function of the mesh, the boundary slots,
         // the face classes and which flux path reads it.
         let same_flux_path = |p: &&CompiledProblem| p.flux_lin.is_some() == plan.flux_lin.is_some();
@@ -1277,8 +1277,7 @@ impl CompiledProblem {
     }
 
     /// Debug-build guard every solve runs on entry: panics when the
-    /// verifier finds an `Error`-severity diagnostic. Warnings (which stem
-    /// from conservative assumptions about opaque callbacks) pass. The
+    /// verifier finds an `Error`-severity diagnostic; warnings pass. The
     /// lowered walls are compared with their closures exhaustively here,
     /// not on the release gate's one face per (wall, normal). The race
     /// pass reads `scopes`, the values the solve then runs.

@@ -147,6 +147,8 @@ pub(crate) fn run_callbacks(
         &cp.problem.post_steps
     };
     for cb in callbacks {
+        #[cfg(debug_assertions)]
+        let untouched = undeclared_digests(cb, fields);
         let t0 = rec.now();
         let mut ctx = StepContext {
             fields,
@@ -160,6 +162,8 @@ pub(crate) fn run_callbacks(
             rec,
         };
         (cb.f)(&mut ctx);
+        #[cfg(debug_assertions)]
+        assert_declared_writes(cb, fields, &untouched);
         if rec.enabled() {
             let dur = rec.now() - t0;
             rec.span(
@@ -174,5 +178,42 @@ pub(crate) fn run_callbacks(
                 ],
             );
         }
+    }
+}
+
+/// The digest of the bits of every variable `cb` does not declare as
+/// written, by variable id: what the callback must leave as it found it.
+#[cfg(debug_assertions)]
+fn undeclared_digests(
+    cb: &crate::problem::StepCallback,
+    fields: &Fields,
+) -> Vec<(usize, pbte_mesh::Digest)> {
+    let names = fields.names();
+    let undeclared = (0..fields.n_vars()).filter(|&v| !cb.writes.contains(&names[v]));
+    let digest = |v: usize| {
+        let mut d = pbte_mesh::Digest::new();
+        d.f64s(fields.slice(v));
+        (v, d)
+    };
+    undeclared.map(digest).collect()
+}
+
+/// Debug-build guard on the transfer proof's one host-write fact: panics
+/// naming the callback and the variable when `cb` changed the bits of a
+/// variable it does not declare as written.
+#[cfg(debug_assertions)]
+fn assert_declared_writes(
+    cb: &crate::problem::StepCallback,
+    fields: &Fields,
+    before: &[(usize, pbte_mesh::Digest)],
+) {
+    let after = undeclared_digests(cb, fields);
+    for ((v, was), (_, now)) in before.iter().zip(&after) {
+        assert!(
+            was == now,
+            "step callback `{}` wrote `{}`, which it does not declare as written",
+            cb.name,
+            fields.names()[*v]
+        );
     }
 }

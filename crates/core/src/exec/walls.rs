@@ -16,12 +16,12 @@
 //! Every flux evaluator reads a boundary face through one rule,
 //! [`Walls::ghost_read`]: a row → `ghosts[flat · n_rows + row]`, a column →
 //! the unknown at the owner cell and the column's source flat. Only the
-//! slots in `callback_slots` — a [`BoundaryCondition::Callback`], a declared
-//! callback without a form, a Gather wall whose `source` cannot serve the
-//! face's normal — still run their closure on the host, once per (slot,
-//! owned flat) and sweep, through [`compute_ghosts`]. A plan without any
-//! makes no such call, owns no per-backend ghost buffer ([`Ghosts`] borrows
-//! the image) and counts no `ghost_evals`.
+//! slots in `callback_slots` — a [`BoundaryCondition::Callback`] without a
+//! form, a Gather wall whose `source` cannot serve the face's normal —
+//! still run their closure on the host, once per (slot, owned flat) and
+//! sweep, through [`compute_ghosts`]. A plan without any makes no such
+//! call, owns no per-backend ghost buffer ([`Ghosts`] borrows the image)
+//! and counts no `ghost_evals`.
 //!
 //! The tables are proved, not trusted: `analysis::verify_plan` re-derives
 //! them from the declared forms and holds the closures to them

@@ -204,7 +204,7 @@ pub type BoundaryFn = Arc<dyn Fn(&BoundaryQuery) -> f64 + Send + Sync>;
 /// for a face this table cannot serve (the wall then stays a callback).
 pub type GatherFn = Arc<dyn Fn(Point, &[usize]) -> Option<usize> + Send + Sync>;
 
-/// What a declared callback's ghost is a function of, when that is less
+/// What a callback's ghost is a function of, when that is less
 /// than "anything": a form the plan lowers once, at compile time, into the
 /// tables the span kernels read (`exec::Walls`), so the closure is never
 /// called during a sweep. The closure stays the definition — the verifier
@@ -229,14 +229,11 @@ pub enum BoundaryCondition {
     /// Constant ghost value.
     Value(f64),
     /// Ghost value from a user callback (Finch's `FLUX` +
-    /// `@callbackFunction` path). Opaque to the static analyzer, which
-    /// conservatively assumes it reads every field.
-    Callback(BoundaryFn),
-    /// A callback that declares which variables it reads through
-    /// `BoundaryQuery::fields`, letting [`crate::analysis`] reason about
-    /// it precisely instead of conservatively — and, optionally, the
-    /// [`BoundaryForm`] of its ghost, letting the plan lower it.
-    DeclaredCallback {
+    /// `@callbackFunction` path) that declares which variables it reads
+    /// through `BoundaryQuery::fields` — what [`crate::analysis`] reasons
+    /// about — and, optionally, the [`BoundaryForm`] of its ghost, letting
+    /// the plan lower it.
+    Callback {
         reads: Vec<String>,
         f: BoundaryFn,
         form: Option<BoundaryForm>,
@@ -251,7 +248,7 @@ impl BoundaryCondition {
         reads: &[&str],
         f: impl Fn(&BoundaryQuery) -> f64 + Send + Sync + 'static,
     ) -> BoundaryCondition {
-        BoundaryCondition::DeclaredCallback {
+        BoundaryCondition::Callback {
             reads: reads.iter().map(|s| s.to_string()).collect(),
             f: Arc::new(f),
             form: None,
@@ -261,7 +258,7 @@ impl BoundaryCondition {
     /// A callback declared [`BoundaryForm::Fixed`]: it reads no field and
     /// no time, so the plan evaluates it once per (face, flat).
     pub fn fixed(f: impl Fn(&BoundaryQuery) -> f64 + Send + Sync + 'static) -> BoundaryCondition {
-        BoundaryCondition::DeclaredCallback {
+        BoundaryCondition::Callback {
             reads: Vec::new(),
             f: Arc::new(f),
             form: Some(BoundaryForm::Fixed),
@@ -276,7 +273,7 @@ impl BoundaryCondition {
         f: impl Fn(&BoundaryQuery) -> f64 + Send + Sync + 'static,
         source: impl Fn(Point, &[usize]) -> Option<usize> + Send + Sync + 'static,
     ) -> BoundaryCondition {
-        BoundaryCondition::DeclaredCallback {
+        BoundaryCondition::Callback {
             reads: reads.iter().map(|s| s.to_string()).collect(),
             f: Arc::new(f),
             form: Some(BoundaryForm::Gather(Arc::new(source))),
@@ -288,27 +285,23 @@ impl BoundaryCondition {
     pub fn ghost_value(&self, q: &BoundaryQuery) -> f64 {
         match self {
             BoundaryCondition::Value(v) => *v,
-            BoundaryCondition::Callback(f) => f(q),
-            BoundaryCondition::DeclaredCallback { f, .. } => f(q),
+            BoundaryCondition::Callback { f, .. } => f(q),
         }
     }
 
     /// The declared form of the ghost, if any.
     pub fn form(&self) -> Option<&BoundaryForm> {
         match self {
-            BoundaryCondition::DeclaredCallback { form, .. } => form.as_ref(),
+            BoundaryCondition::Callback { form, .. } => form.as_ref(),
             _ => None,
         }
     }
 
-    /// Variables this condition reads, by name. `None` means unknown
-    /// (an opaque [`BoundaryCondition::Callback`]) — the analyzer must
-    /// assume everything.
-    pub fn declared_reads(&self) -> Option<&[String]> {
+    /// Variables this condition reads, by name.
+    pub fn reads(&self) -> &[String] {
         match self {
-            BoundaryCondition::Value(_) => Some(&[]),
-            BoundaryCondition::Callback(_) => None,
-            BoundaryCondition::DeclaredCallback { reads, .. } => Some(reads),
+            BoundaryCondition::Value(_) => &[],
+            BoundaryCondition::Callback { reads, .. } => reads,
         }
     }
 }
@@ -317,14 +310,13 @@ impl fmt::Debug for BoundaryCondition {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BoundaryCondition::Value(v) => write!(f, "Value({v})"),
-            BoundaryCondition::Callback(_) => write!(f, "Callback(..)"),
-            BoundaryCondition::DeclaredCallback { reads, form, .. } => {
+            BoundaryCondition::Callback { reads, form, .. } => {
                 let form = match form {
                     None => "",
                     Some(BoundaryForm::Fixed) => ", fixed",
                     Some(BoundaryForm::Gather(_)) => ", gather",
                 };
-                write!(f, "DeclaredCallback(reads {reads:?}{form})")
+                write!(f, "Callback(reads {reads:?}{form})")
             }
         }
     }
@@ -384,33 +376,41 @@ pub struct StepContext<'a> {
 pub type StepFn = Arc<dyn Fn(&mut StepContext) + Send + Sync>;
 
 /// A registered pre/post-step callback plus its declared field accesses.
-/// Undeclared callbacks (`declared == false`) are treated conservatively
-/// by the static analyzer: they may read and write every variable.
 #[derive(Clone)]
 pub struct StepCallback {
     pub f: StepFn,
-    /// Diagnostic label ("temperature_update", "post-step#0", ...).
+    /// Diagnostic label ("temperature_update", ...).
     pub name: String,
     /// Variable names read through `StepContext::fields`.
     pub reads: Vec<String>,
     /// Variable names written through `StepContext::fields`.
     pub writes: Vec<String>,
-    /// Whether `reads`/`writes` were declared by the registrant (false =
-    /// opaque closure, assume-everything).
-    pub declared: bool,
+}
+
+impl StepCallback {
+    fn new(
+        name: &str,
+        reads: &[&str],
+        writes: &[&str],
+        f: impl Fn(&mut StepContext) + Send + Sync + 'static,
+    ) -> StepCallback {
+        let names = |v: &[&str]| v.iter().map(|s| s.to_string()).collect();
+        StepCallback {
+            f: Arc::new(f),
+            name: name.to_string(),
+            reads: names(reads),
+            writes: names(writes),
+        }
+    }
 }
 
 impl fmt::Debug for StepCallback {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.declared {
-            write!(
-                f,
-                "StepCallback({} reads {:?} writes {:?})",
-                self.name, self.reads, self.writes
-            )
-        } else {
-            write!(f, "StepCallback({} opaque)", self.name)
-        }
+        write!(
+            f,
+            "StepCallback({} reads {:?} writes {:?})",
+            self.name, self.reads, self.writes
+        )
     }
 }
 
@@ -908,70 +908,33 @@ impl Problem {
         self
     }
 
-    /// `preStepFunction(f)` with an opaque closure — the analyzer assumes
-    /// it may read/write every field. Prefer [`Problem::pre_step_declared`].
-    pub fn pre_step(&mut self, f: impl Fn(&mut StepContext) + Send + Sync + 'static) -> &mut Self {
-        let name = format!("pre-step#{}", self.pre_steps.len());
-        self.pre_steps.push(StepCallback {
-            f: Arc::new(f),
-            name,
-            reads: Vec::new(),
-            writes: Vec::new(),
-            declared: false,
-        });
-        self
-    }
-
-    /// `postStepFunction(f)` — e.g. the BTE temperature update. Opaque
-    /// form; prefer [`Problem::post_step_declared`].
-    pub fn post_step(&mut self, f: impl Fn(&mut StepContext) + Send + Sync + 'static) -> &mut Self {
-        let name = format!("post-step#{}", self.post_steps.len());
-        self.post_steps.push(StepCallback {
-            f: Arc::new(f),
-            name,
-            reads: Vec::new(),
-            writes: Vec::new(),
-            declared: false,
-        });
-        self
-    }
-
-    /// A pre-step callback declaring the variables it reads and writes
-    /// through `StepContext::fields` (by name), so the static analyzer
-    /// can verify transfer schedules and write disjointness precisely.
-    pub fn pre_step_declared(
+    /// `preStepFunction(f)`, declaring the variables `f` reads and writes
+    /// through `StepContext::fields` (by name): the static analyzer derives
+    /// transfer schedules and write disjointness from them, and `compile`
+    /// refuses a name that is not a variable.
+    pub fn pre_step(
         &mut self,
         name: &str,
         reads: &[&str],
         writes: &[&str],
         f: impl Fn(&mut StepContext) + Send + Sync + 'static,
     ) -> &mut Self {
-        self.pre_steps.push(StepCallback {
-            f: Arc::new(f),
-            name: name.to_string(),
-            reads: reads.iter().map(|s| s.to_string()).collect(),
-            writes: writes.iter().map(|s| s.to_string()).collect(),
-            declared: true,
-        });
+        self.pre_steps
+            .push(StepCallback::new(name, reads, writes, f));
         self
     }
 
-    /// A post-step callback with declared read/write sets — the precise
-    /// counterpart of [`Problem::post_step`].
-    pub fn post_step_declared(
+    /// `postStepFunction(f)` — e.g. the BTE temperature update — with its
+    /// declared read/write sets, as for [`Problem::pre_step`].
+    pub fn post_step(
         &mut self,
         name: &str,
         reads: &[&str],
         writes: &[&str],
         f: impl Fn(&mut StepContext) + Send + Sync + 'static,
     ) -> &mut Self {
-        self.post_steps.push(StepCallback {
-            f: Arc::new(f),
-            name: name.to_string(),
-            reads: reads.iter().map(|s| s.to_string()).collect(),
-            writes: writes.iter().map(|s| s.to_string()).collect(),
-            declared: true,
-        });
+        self.post_steps
+            .push(StepCallback::new(name, reads, writes, f));
         self
     }
 
@@ -986,7 +949,7 @@ impl Problem {
     /// * the explicit stepper and `dt` (the flux table is probed with it
     ///   and the native kernels bake it);
     /// * per boundary region the *form* of its condition — constant,
-    ///   opaque, declared with which reads, Fixed, Gather — never the
+    ///   callback with which reads, Fixed, Gather — never the
     ///   closure or the constant's value: those fill the walls' image,
     ///   which every instance builds for itself. (The one thing a Gather
     ///   closure can still move under an equal key, the number of ghost
@@ -1018,8 +981,7 @@ impl Problem {
             d.str(region);
             match bc {
                 BoundaryCondition::Value(_) => d.str("value"),
-                BoundaryCondition::Callback(_) => d.str("callback"),
-                BoundaryCondition::DeclaredCallback { reads, form, .. } => {
+                BoundaryCondition::Callback { reads, form, .. } => {
                     d.str(match form {
                         None => "declared",
                         Some(BoundaryForm::Fixed) => "fixed",

@@ -18,7 +18,6 @@
 use pbte_dsl::exec::ExecTarget;
 use pbte_dsl::problem::{BoundaryCondition, Problem, StepContext};
 use pbte_mesh::grid::UniformGrid;
-use std::sync::Arc;
 
 const N: usize = 12;
 const NDIRS: usize = 8;
@@ -57,26 +56,31 @@ fn gray_slab(beta: f64, dt: f64, steps: usize) -> Problem {
         p.boundary(
             i_var,
             region,
-            BoundaryCondition::Callback(Arc::new(move |q| {
+            BoundaryCondition::callback_reading(&["I"], move |q| {
                 let r = NDIRS - 1 - q.idx[0];
                 q.fields.value(0, q.owner_cell, r)
-            })),
+            }),
         );
     }
 
     // Post-step: the angular mean drives the isotropic scattering.
-    p.post_step(move |ctx: &mut StepContext| {
-        let w = 4.0 * std::f64::consts::PI / NDIRS as f64;
-        let four_pi = 4.0 * std::f64::consts::PI;
-        let n_cells = ctx.fields.n_cells;
-        for cell in 0..n_cells {
-            let mut acc = 0.0;
-            for dd in 0..NDIRS {
-                acc += w * ctx.fields.value(0, cell, dd);
+    p.post_step(
+        "angular_mean",
+        &["I"],
+        &["phi"],
+        move |ctx: &mut StepContext| {
+            let w = 4.0 * std::f64::consts::PI / NDIRS as f64;
+            let four_pi = 4.0 * std::f64::consts::PI;
+            let n_cells = ctx.fields.n_cells;
+            for cell in 0..n_cells {
+                let mut acc = 0.0;
+                for dd in 0..NDIRS {
+                    acc += w * ctx.fields.value(0, cell, dd);
+                }
+                ctx.fields.set(1, cell, 0, acc / four_pi);
             }
-            ctx.fields.set(1, cell, 0, acc / four_pi);
-        }
-    });
+        },
+    );
 
     // Relaxation toward the angular mean + unit-speed upwind transport.
     p.conservation_form(

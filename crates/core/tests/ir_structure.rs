@@ -31,7 +31,7 @@ fn compiled() -> CompiledProblem {
     for region in ["right", "top", "bottom"] {
         p.boundary(i, region, BoundaryCondition::Value(0.0));
     }
-    p.post_step(|_| {});
+    p.post_step("temperature_update", &["I"], &["Io", "beta"], |_| {});
     p.conservation_form(
         i,
         "(Io[b] - I[d,b]) * beta[b] + surface(vg[b]*upwind([Sx[d];Sy[d]], I[d,b]))",

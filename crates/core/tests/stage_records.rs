@@ -18,7 +18,8 @@ use pbte_mesh::grid::UniformGrid;
 use pbte_runtime::telemetry::{Span, SpanKind};
 
 /// The `ir_structure.rs` fixture: `callback_wall` leaves the left wall to
-/// a closure, `post_step` registers an opaque post-step callback.
+/// a closure, `post_step` registers a post-step callback that reads `I`
+/// and writes `Io` and `beta`, as the temperature update does.
 fn problem(callback_wall: bool, post_step: bool) -> Problem {
     let mut p = Problem::new("records");
     p.domain(2);
@@ -42,7 +43,7 @@ fn problem(callback_wall: bool, post_step: bool) -> Problem {
         p.boundary(i, region, BoundaryCondition::Value(0.0));
     }
     if post_step {
-        p.post_step(|_| {});
+        p.post_step("temperature_update", &["I"], &["Io", "beta"], |_| {});
     }
     p.conservation_form(
         i,
@@ -189,8 +190,8 @@ fn the_record_list_is_the_policy_for_every_target_walls_and_integrator() {
                     assert_eq!(schedule.transfers, carried.transfers, "{case}");
                     assert!(analysis::check_schedule(cp, &schedule).is_empty(), "{case}");
                     // What synth_schedule.rs, verifier.rs and
-                    // transfer_oracle.rs pin: the opaque post-step rewrites
-                    // Io and beta and reads I; the unknown goes up once and
+                    // transfer_oracle.rs pin: the post-step rewrites Io
+                    // and beta and reads I; the unknown goes up once and
                     // stays, the ghosts go up per step only while the host
                     // evaluates them for the kernel.
                     assert!(on(&each_h2d, "Io") && on(&each_h2d, "beta"), "{case}");
@@ -292,7 +293,7 @@ fn a_callback_wall_async_step_draws_its_three_records() {
     let step = [
         ("ghost_eval", "host"),
         ("sweep", "device"),
-        ("post-step#0", "host"),
+        ("temperature_update", "host"),
     ];
     let want: Vec<(String, String)> = (0..report.steps)
         .flat_map(|_| step.map(|(name, place)| (name.to_string(), place.to_string())))

@@ -57,9 +57,9 @@ fn build_problem(n: usize, steps: usize, stepper: TimeStepper) -> Problem {
     p.boundary(
         i_var,
         "left",
-        BoundaryCondition::Callback(std::sync::Arc::new(move |q| {
+        BoundaryCondition::callback_reading(&[], move |q| {
             1.5 + 0.2 * (std::f64::consts::PI * q.position.y).sin() + 0.05 * q.idx[1] as f64
-        })),
+        }),
     );
     // Right wall: cold fixed value.
     p.boundary(i_var, "right", BoundaryCondition::Value(1.0));
@@ -70,7 +70,7 @@ fn build_problem(n: usize, steps: usize, stepper: TimeStepper) -> Problem {
         p.boundary(
             i_var,
             region,
-            BoundaryCondition::Callback(std::sync::Arc::new(move |q| {
+            BoundaryCondition::callback_reading(&["I"], move |q| {
                 // Reflect d across the wall normal (±y): 1 <-> 3.
                 let d_val = q.idx[0];
                 let r = match d_val {
@@ -81,53 +81,58 @@ fn build_problem(n: usize, steps: usize, stepper: TimeStepper) -> Problem {
                 let fields = q.fields;
                 let i_id = fields.var_id("I").expect("I exists");
                 fields.value(i_id, q.owner_cell, r * NBANDS + q.idx[1])
-            })),
+            }),
         );
     }
 
     // Temperature-like post-step with cross-rank reduction.
-    p.post_step(move |ctx: &mut StepContext| {
-        let n_cells = ctx.fields.n_cells;
-        // Partial energy over owned (d, b) pairs.
-        let owned_b: std::ops::Range<usize> = match &ctx.owned_index_range {
-            Some((name, range)) => {
-                assert_eq!(name, "b");
-                range.clone()
-            }
-            None => 0..NBANDS,
-        };
-        let cell_list: Vec<usize> = match ctx.owned_cells {
-            Some(cells) => cells.to_vec(),
-            None => (0..n_cells).collect(),
-        };
-        // Band-major, so a fold over the ranks' band ranges adds in the
-        // sequential order. Cell partitioning needs no reduction: each
-        // rank owns all bands of its cells.
-        let mut energy = vec![0.0; n_cells];
-        let fields = &*ctx.fields;
-        let mut add = |energy: &mut [f64]| {
-            for &cell in &cell_list {
-                for bb in owned_b.clone() {
-                    for dd in 0..NDIRS {
-                        energy[cell] += fields.value(0, cell, dd * NBANDS + bb);
+    p.post_step(
+        "temperature",
+        &["I"],
+        &["Io", "beta", "T"],
+        move |ctx: &mut StepContext| {
+            let n_cells = ctx.fields.n_cells;
+            // Partial energy over owned (d, b) pairs.
+            let owned_b: std::ops::Range<usize> = match &ctx.owned_index_range {
+                Some((name, range)) => {
+                    assert_eq!(name, "b");
+                    range.clone()
+                }
+                None => 0..NBANDS,
+            };
+            let cell_list: Vec<usize> = match ctx.owned_cells {
+                Some(cells) => cells.to_vec(),
+                None => (0..n_cells).collect(),
+            };
+            // Band-major, so a fold over the ranks' band ranges adds in the
+            // sequential order. Cell partitioning needs no reduction: each
+            // rank owns all bands of its cells.
+            let mut energy = vec![0.0; n_cells];
+            let fields = &*ctx.fields;
+            let mut add = |energy: &mut [f64]| {
+                for &cell in &cell_list {
+                    for bb in owned_b.clone() {
+                        for dd in 0..NDIRS {
+                            energy[cell] += fields.value(0, cell, dd * NBANDS + bb);
+                        }
                     }
                 }
+            };
+            match ctx.owned_cells {
+                None => ctx.reducer.fold(&mut energy, &mut add),
+                Some(_) => add(&mut energy),
             }
-        };
-        match ctx.owned_cells {
-            None => ctx.reducer.fold(&mut energy, &mut add),
-            Some(_) => add(&mut energy),
-        }
-        for &cell in &cell_list {
-            let t = energy[cell] / (NDIRS * NBANDS) as f64;
-            ctx.fields.set(3, cell, 0, t);
-            for bb in owned_b.clone() {
-                ctx.fields.set(1, cell, bb, t * (1.0 + 0.05 * bb as f64));
-                ctx.fields
-                    .set(2, cell, bb, 0.5 + 0.1 * bb as f64 + 0.01 * t);
+            for &cell in &cell_list {
+                let t = energy[cell] / (NDIRS * NBANDS) as f64;
+                ctx.fields.set(3, cell, 0, t);
+                for bb in owned_b.clone() {
+                    ctx.fields.set(1, cell, bb, t * (1.0 + 0.05 * bb as f64));
+                    ctx.fields
+                        .set(2, cell, bb, 0.5 + 0.1 * bb as f64 + 0.01 * t);
+                }
             }
-        }
-    });
+        },
+    );
 
     p.conservation_form(
         i_var,

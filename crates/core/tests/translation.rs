@@ -82,7 +82,7 @@ fn declared_problem_on(mesh: Mesh, steps: usize) -> Problem {
             }),
         );
     }
-    p.post_step_declared(
+    p.post_step(
         "temperature",
         &["I", "T"],
         &["T", "Io", "beta"],

@@ -62,7 +62,7 @@ fn declared_problem(n: usize, steps: usize) -> Problem {
         );
     }
     // Temperature-like update with declared access sets.
-    p.post_step_declared(
+    p.post_step(
         "temperature",
         &["I", "T"],
         &["T", "Io", "beta"],
@@ -98,9 +98,9 @@ fn gpu_target() -> ExecTarget {
     }
 }
 
-#[test]
-fn declared_plan_is_clean_on_every_target_and_tier() {
-    let targets = [
+/// The seven targets.
+fn every_target() -> [ExecTarget; 7] {
+    [
         ExecTarget::CpuSeq,
         ExecTarget::CpuParallel,
         ExecTarget::DistCells { ranks: 3 },
@@ -119,8 +119,12 @@ fn declared_plan_is_clean_on_every_target_and_tier() {
             spec: DeviceSpec::a6000(),
             strategy: GpuStrategy::AsyncBoundary,
         },
-    ];
-    for target in &targets {
+    ]
+}
+
+#[test]
+fn declared_plan_is_clean_on_every_target_and_tier() {
+    for target in &every_target() {
         for tier in [KernelTier::Vm, KernelTier::Row] {
             let mut p = declared_problem(6, 2);
             p.kernel_tier(tier);
@@ -482,7 +486,7 @@ fn transfer_nothing_reads_is_redundant() {
 #[test]
 fn a_callback_rewriting_the_unknown_re_uploads_it() {
     let mut p = declared_problem(6, 2);
-    p.post_step_declared("relax", &[], &["I"], |_| {});
+    p.post_step("relax", &[], &["I"], |_| {});
     let solver = p
         .build(ExecTarget::GpuHybrid {
             spec: DeviceSpec::a6000(),
@@ -497,6 +501,49 @@ fn a_callback_rewriting_the_unknown_re_uploads_it() {
         schedule.render()
     );
     assert!(analysis::check_schedule(cp, &schedule).is_empty());
+}
+
+/// A declared name that is no variable — the post-step's `Io` spelled
+/// `Iq`, a wall reading `J` — is refused by `compile` on every target, in
+/// every build, naming the callback and the name: dropping it would leave
+/// `Io` uploaded once and never again on the device targets.
+#[test]
+fn a_misspelled_declared_name_is_refused_at_compile_on_every_target() {
+    type Misspell = fn(&mut Problem);
+    let cases: [(Misspell, &str); 2] = [
+        (
+            |p| p.post_steps[0].writes = vec!["T".into(), "Iq".into(), "beta".into()],
+            "step callback `temperature` declares `Iq`",
+        ),
+        (
+            |p| p.boundary_conditions[0].2 = BoundaryCondition::callback_reading(&["J"], |_| 1.0),
+            "boundary callback on `left` declares `J`",
+        ),
+    ];
+    for (misspell, want) in cases {
+        for target in every_target() {
+            let mut p = declared_problem(6, 2);
+            misspell(&mut p);
+            let err = p.build(target.clone()).err();
+            let err = err.unwrap_or_else(|| panic!("{target:?}: built"));
+            assert!(err.to_string().contains(want), "{target:?}: {err}");
+        }
+    }
+}
+
+/// Debug builds hold a step callback to its declared writes: one that
+/// rewrites `beta` while declaring no write panics naming both, on the
+/// first step — the transfer proof would otherwise upload `beta` once.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "step callback `sneaky` wrote `beta`, which it does not declare")]
+fn a_callback_writing_an_undeclared_variable_panics_in_debug_builds() {
+    let mut p = declared_problem(4, 1);
+    p.post_step("sneaky", &["beta"], &[], |ctx| {
+        let beta = ctx.fields.var_id("beta").unwrap();
+        ctx.fields.set(beta, 0, 0, 0.25);
+    });
+    p.build(ExecTarget::CpuSeq).unwrap().solve().unwrap();
 }
 
 #[test]

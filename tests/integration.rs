@@ -259,14 +259,14 @@ fn pre_and_post_step_callbacks_interleave_correctly() {
         p.boundary(u, region, BoundaryCondition::Value(1.0));
     }
     let pre = pre_count.clone();
-    p.pre_step(move |ctx| {
+    p.pre_step("check_marker", &["marker"], &[], move |ctx| {
         // Pre-step sees the marker the *previous* post-step wrote.
         let expected = pre.load(Ordering::SeqCst) as f64;
         assert_eq!(ctx.fields.value(1, 0, 0), expected);
         pre.fetch_add(1, Ordering::SeqCst);
     });
     let post = post_count.clone();
-    p.post_step(move |ctx| {
+    p.post_step("mark", &[], &["marker"], move |ctx| {
         let n = post.fetch_add(1, Ordering::SeqCst) + 1;
         ctx.fields.set(1, 0, 0, n as f64);
     });

@@ -176,6 +176,33 @@ fn pbte_refuses_out_of_range_integrators_and_steps() {
     }
 }
 
+/// A target the problem refuses — more ranks than cells (refused by the
+/// solve), more ranks than the partitioned index has values (refused by
+/// the build) — is a usage error of the scenario driver, exit 2 with the
+/// DSL's message, as in `pbte-trace`: never a panic.
+#[test]
+fn pbte_reports_a_refused_target_with_the_usage_status() {
+    for (args, says) in [
+        (
+            &["n=4", "steps=1", "target=cells:17"][..],
+            "solve failed: invalid problem: 17 ranks for 16 cells",
+        ),
+        (
+            &["n=6", "steps=2", "target=bands:3", "bands=2"][..],
+            "build failed: invalid problem: 3 ranks but index `b` has only 2 values",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pbte"))
+            .arg("hotspot")
+            .args(args)
+            .output()
+            .expect("pbte runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(says), "{args:?}: {stderr}");
+    }
+}
+
 /// `pbte-trace` shares the scenario driver's `strategy=` spelling: an
 /// unknown value exits 2 naming it before anything is built or written.
 #[test]
