@@ -137,7 +137,7 @@ enum ScenarioSource {
 }
 
 /// Build the scenario, optionally install the health probes, solve under
-/// `rec`, and return the report plus any health diagnostics.
+/// `rec`, and return the report (what the run found included).
 fn run_one(
     source: &ScenarioSource,
     cfg: &BteConfig,
@@ -145,7 +145,7 @@ fn run_one(
     tier: Option<KernelTier>,
     health: bool,
     rec: &mut Recorder,
-) -> (SolveReport, Vec<pbte_dsl::Diagnostic>) {
+) -> SolveReport {
     let mut bte = match source {
         ScenarioSource::Builtin(scenario) => scenario(cfg),
         ScenarioSource::Pbte(spec) => spec.build().unwrap_or_else(|e| {
@@ -156,18 +156,15 @@ fn run_one(
     if let Some(t) = tier {
         bte.problem.kernel_tier(t);
     }
-    let monitor = health.then(|| {
+    if health {
         // After the temperature update (already registered by the
         // scenario builder) so the probes see the fresh T/Io/beta.
-        HealthProbes::new(bte.material.clone(), bte.vars).install(&mut bte.problem)
+        HealthProbes::new(bte.material.clone(), bte.vars).install(&mut bte.problem);
+    }
+    let mut solver = Solver::build(bte.problem, target).unwrap_or_else(|e| {
+        eprintln!("build failed: {e:?}");
+        std::process::exit(2);
     });
-    let mut solver = match Solver::build(bte.problem, target) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("build failed: {e:?}");
-            std::process::exit(2);
-        }
-    };
     if matches!(source, ScenarioSource::Pbte(_)) {
         // Untrusted textual input: the exact compiled plan must pass the
         // verification gate before a single step runs.
@@ -184,15 +181,10 @@ fn run_one(
             }
         }
     }
-    let report = match solver.solve_traced(rec) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("solve failed: {e:?}");
-            std::process::exit(2);
-        }
-    };
-    let diags = monitor.map(|m| m.take()).unwrap_or_default();
-    (report, diags)
+    solver.solve_traced(rec).unwrap_or_else(|e| {
+        eprintln!("solve failed: {e:?}");
+        std::process::exit(2);
+    })
 }
 
 fn print_report(tname: &str, report: &SolveReport) {
@@ -391,7 +383,7 @@ fn run_parity(
         "bands-gpu",
     ];
     let mut rec = Recorder::buffered();
-    let (seq_report, _) = run_one(source, cfg, ExecTarget::CpuSeq, tier, false, &mut rec);
+    let seq_report = run_one(source, cfg, ExecTarget::CpuSeq, tier, false, &mut rec);
     print_report("seq", &seq_report);
     let seq = seq_report.work;
     let seq_tiers = kernel_tiers(&rec);
@@ -432,7 +424,7 @@ fn run_parity(
         // Only a cell partition changes which cells a rank sweeps.
         let sweeps_all_cells = !matches!(target, ExecTarget::DistCells { .. });
         let mut rec = Recorder::buffered();
-        let (report, _) = run_one(source, cfg, target, tier, false, &mut rec);
+        let report = run_one(source, cfg, target, tier, false, &mut rec);
         print_report(tname, &report);
         let tiers = kernel_tiers(&rec);
         println!("  kernel tier attribution: {tiers:?}");
@@ -809,7 +801,7 @@ fn top(file: &str) -> ! {
         if matches!(jstr(&frame, "frame"), "device" | "histogram") {
             summaries.push(json);
         }
-        if jstr(&frame, "frame") == "event" && jstr(&frame, "severity") != "info" {
+        if jstr(&frame, "frame") == "event" {
             warned.push(format!(
                 "[{}] {}: {}",
                 jstr(&frame, "severity"),
@@ -956,7 +948,7 @@ fn main() {
         rec.attach_stream(w.sink());
         Some(w)
     };
-    let (report, diags) = run_one(&source, &cfg, target, tier, health, &mut rec);
+    let report = run_one(&source, &cfg, target, tier, health, &mut rec);
     // What the driver recorded it ran (the summary's first line), not what
     // was asked for.
     let summary = rec.summary_jsonl();
@@ -994,16 +986,17 @@ fn main() {
     std::fs::write(&summary_path, summary).expect("write summary.jsonl");
     println!("wrote {trace_path} (open at https://ui.perfetto.dev) and {summary_path}");
 
-    // Telemetry self-diagnostics (nonmonotonic timers, truncated
-    // buffers, live cost drift) are reported but — unlike the physics
-    // health probes — do not fail the run: they describe observability
-    // quality, not solution quality.
-    for d in pbte_dsl::exec::telemetry_diagnostics(&rec) {
+    // One list of what the run found. The physics health findings fail
+    // the run; the rest (nonmonotonic timers, truncated buffers, live
+    // cost drift, solver findings) are reported without failing it.
+    let (physics, other): (Vec<_>, Vec<_>) = pbte_dsl::exec::telemetry_diagnostics(&rec)
+        .into_iter()
+        .partition(|d| d.rule.starts_with("physics/"));
+    for d in &other {
         println!("telemetry: {}", d.render());
     }
-
-    if !diags.is_empty() {
-        for d in &diags {
+    if !physics.is_empty() {
+        for d in &physics {
             println!("health: {}", d.render());
         }
         std::process::exit(1);

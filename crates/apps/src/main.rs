@@ -41,9 +41,8 @@ use pbte_apps::{arg_str, arg_usize};
 use pbte_bte::output::{render_ascii, summary, temperature_grid};
 use pbte_bte::scenario::{coarse_3d, elongated, hotspot_2d, BteConfig, BteProblem};
 use pbte_bte::temperature::TemperatureStrategy;
-use pbte_dsl::exec::{ExecTarget, Solver};
+use pbte_dsl::exec::{ExecTarget, Findings, Solver};
 use pbte_dsl::problem::{DslError, Integrator, KernelTier};
-use pbte_runtime::telemetry::Recorder;
 
 /// A `key=value` the CLI does not know: say so and exit with the usage
 /// status, like `pbte-trace`.
@@ -91,7 +90,7 @@ fn parse_tier(args: &[String]) -> Option<KernelTier> {
 /// (`dt ≤ width_min / vmax`) under explicit stepping, an accuracy-scaled
 /// multiple of it when the chosen integrator is unconditionally stable.
 /// Returns the notice when `auto` changed the step, so the caller can
-/// emit it as a telemetry event alongside the solve.
+/// print it before the solve.
 fn apply_dt(
     args: &[String],
     cfg: &mut BteConfig,
@@ -160,19 +159,11 @@ fn run_2d(
     let integrator = solver.compiled.problem.integrator;
     let dt_used = solver.compiled.problem.dt;
     let cfl = pbte_dsl::analysis::cfl_bound(&solver.compiled);
-    // A dt=auto clamp is observable two ways: a printed notice and a
-    // warning event on the solve's telemetry timeline.
-    let mut rec = match &dt_note {
-        Some(note) => {
-            println!("{note}");
-            let mut r = Recorder::buffered();
-            r.warn("dt/auto-clamp", note.clone());
-            r
-        }
-        None => Recorder::null(),
-    };
+    if let Some(note) = &dt_note {
+        println!("{note}");
+    }
     let start = std::time::Instant::now();
-    let report = checked(solver.solve_traced(&mut rec), "solve");
+    let report = checked(solver.solve(), "solve");
     let wall = start.elapsed().as_secs_f64();
     let grid = temperature_grid(solver.fields(), vars.t, nx, ny);
     println!("{}", render_ascii(&grid, nx));
@@ -208,6 +199,22 @@ fn run_2d(
         );
     }
     println!("\nphase breakdown:\n{}", report.timer.breakdown().render());
+    print_findings(&report.findings);
+}
+
+/// Print what a run found, one line per rule: its severity, how often it
+/// fired and its first message. A clean run prints nothing.
+fn print_findings(findings: &Findings) {
+    if findings.totals.is_empty() {
+        return;
+    }
+    println!("findings:");
+    for (rule, total) in &findings.totals {
+        if let Some(first) = findings.kept.iter().find(|e| e.name == *rule) {
+            let severity = first.severity.label();
+            println!("  {severity} {rule} (x{total}): {}", first.message);
+        }
+    }
 }
 
 fn main() {
@@ -247,7 +254,7 @@ fn main() {
             let bte = coarse_3d(n, 4, 8, 8, steps);
             let vars = bte.vars;
             let mut solver = checked(bte.solver(parse_target(rest)), "build");
-            checked(solver.solve(), "solve");
+            let report = checked(solver.solve(), "solve");
             let fields = solver.fields();
             for k in 0..n {
                 let mean: f64 = (0..n * n)
@@ -256,6 +263,7 @@ fn main() {
                     / (n * n) as f64;
                 println!("z-layer {k}: {mean:.4} K");
             }
+            print_findings(&report.findings);
         }
         "codegen" => {
             let cfg = cfg_from(rest, 8, 1);

@@ -10,10 +10,12 @@
 //! depositing energy it shouldn't).
 //!
 //! [`HealthProbes`] packages all three as a declared post-step callback.
-//! Findings are emitted as structured [`Diagnostic`]s — the same type the
-//! static plan verifier uses — through a shared [`HealthMonitor`] handle,
-//! and mirrored into the telemetry recorder as warning events plus an
-//! `energy_residual` sample series.
+//! Each probe that fires records one finding per step through the step's
+//! recorder (`ctx.rec`), which every sink keeps: the run's `SolveReport`
+//! carries it and `exec::telemetry_diagnostics` lifts it into the
+//! [`Diagnostic`](pbte_dsl::Diagnostic) type the static plan verifier
+//! uses, traced or not. The budget probe also feeds an `energy_residual`
+//! sample series.
 //!
 //! The probes are **opt-in**: nothing installs them by default, so
 //! solver hot paths are unaffected unless a driver (e.g. `pbte-trace
@@ -29,9 +31,9 @@
 
 use crate::material::Material;
 use crate::temperature::BteVars;
-use pbte_dsl::analysis::{Diagnostic, Severity};
 use pbte_dsl::problem::{Problem, StepContext};
-use std::sync::{Arc, Mutex};
+use pbte_runtime::telemetry::EventSeverity;
+use std::sync::Arc;
 
 /// Rule identifiers for health findings (`Diagnostic::rule`).
 pub mod rules {
@@ -45,34 +47,6 @@ pub mod rules {
     pub const ENERGY_BUDGET: &str = "physics/energy-budget";
 }
 
-/// Shared handle collecting the diagnostics the probes emit. Clone it
-/// before [`HealthProbes::install`] consumes the probe configuration.
-#[derive(Debug, Clone, Default)]
-pub struct HealthMonitor {
-    inner: Arc<Mutex<Vec<Diagnostic>>>,
-}
-
-impl HealthMonitor {
-    /// Snapshot of every diagnostic emitted so far.
-    pub fn diagnostics(&self) -> Vec<Diagnostic> {
-        self.inner.lock().unwrap().clone()
-    }
-
-    /// Drain the collected diagnostics.
-    pub fn take(&self) -> Vec<Diagnostic> {
-        std::mem::take(&mut *self.inner.lock().unwrap())
-    }
-
-    /// True when no probe has fired.
-    pub fn is_clean(&self) -> bool {
-        self.inner.lock().unwrap().is_empty()
-    }
-
-    fn push(&self, d: Diagnostic) {
-        self.inner.lock().unwrap().push(d);
-    }
-}
-
 /// Configuration of the per-step physics health probes.
 #[derive(Debug, Clone)]
 pub struct HealthProbes {
@@ -81,7 +55,6 @@ pub struct HealthProbes {
     /// Relative tolerance on the per-cell energy residual
     /// `|emission − absorption| / emission`.
     pub energy_tol: f64,
-    monitor: HealthMonitor,
 }
 
 impl HealthProbes {
@@ -94,26 +67,18 @@ impl HealthProbes {
             material,
             vars,
             energy_tol: 1e-6,
-            monitor: HealthMonitor::default(),
         }
-    }
-
-    /// The monitor handle that will receive this probe's diagnostics.
-    pub fn monitor(&self) -> HealthMonitor {
-        self.monitor.clone()
     }
 
     /// Register as a declared post-step callback (install **after** the
     /// temperature update so the probes see the freshly rewritten
-    /// `T`/`Io`/`beta`). Returns the monitor handle.
-    pub fn install(self, problem: &mut Problem) -> HealthMonitor {
-        let monitor = self.monitor.clone();
+    /// `T`/`Io`/`beta`).
+    pub fn install(self, problem: &mut Problem) {
         let name = |v: usize| problem.registry.variables[v].name.clone();
         let (i, io, beta) = (name(self.vars.i), name(self.vars.io), name(self.vars.beta));
         problem.post_step("health_probes", &[&i, &io, &beta], &[], move |ctx| {
             self.check(ctx)
         });
-        monitor
     }
 
     /// Run all probes for the current step. Public so drivers and tests
@@ -125,7 +90,6 @@ impl HealthProbes {
         let n_dirs = material.n_dirs();
         let n_cells = ctx.fields.n_cells;
         let weights = &material.angles.weights;
-        let rank = ctx.reducer.rank();
 
         let owned_b: std::ops::Range<usize> = match &ctx.owned_index_range {
             Some((name, range)) => {
@@ -220,28 +184,16 @@ impl HealthProbes {
                 "{nan_count} NaN intensity value(s) at step {step}; first at \
                  direction {d}, band {b}, cell {cell}"
             );
-            ctx.rec.warn(rules::NAN_INTENSITY, message.clone());
-            self.monitor.push(Diagnostic {
-                severity: Severity::Error,
-                rule: rules::NAN_INTENSITY,
-                entity: "I".to_string(),
-                location: format!("step {step}, rank {rank}"),
-                message,
-            });
+            ctx.rec
+                .warn(EventSeverity::Error, rules::NAN_INTENSITY, message);
         }
         if let Some((d, b, cell, v)) = first_neg {
             let message = format!(
                 "{neg_count} negative intensity value(s) at step {step}; first is \
                  {v:.3e} at direction {d}, band {b}, cell {cell}"
             );
-            ctx.rec.warn(rules::NEGATIVE_INTENSITY, message.clone());
-            self.monitor.push(Diagnostic {
-                severity: Severity::Warning,
-                rule: rules::NEGATIVE_INTENSITY,
-                entity: "I".to_string(),
-                location: format!("step {step}, rank {rank}"),
-                message,
-            });
+            ctx.rec
+                .warn(EventSeverity::Warning, rules::NEGATIVE_INTENSITY, message);
         }
         // A NaN poisons the residual sums (and NaN comparisons are
         // false), so the budget verdict is only meaningful on NaN-free
@@ -254,14 +206,8 @@ impl HealthProbes {
                      {max_rel:.3e} (tol {:.1e}) at cell {worst_cell}",
                     self.energy_tol
                 );
-                ctx.rec.warn(rules::ENERGY_BUDGET, message.clone());
-                self.monitor.push(Diagnostic {
-                    severity: Severity::Warning,
-                    rule: rules::ENERGY_BUDGET,
-                    entity: "Io".to_string(),
-                    location: format!("step {step}, rank {rank}"),
-                    message,
-                });
+                ctx.rec
+                    .warn(EventSeverity::Warning, rules::ENERGY_BUDGET, message);
             }
         }
     }

@@ -49,7 +49,7 @@
 use crate::equilibrium::Located;
 use crate::material::Material;
 use pbte_dsl::problem::{Problem, StepContext};
-use pbte_runtime::telemetry::{rules, SpanKind, TraceConfig, Track, HIST_BUCKETS};
+use pbte_runtime::telemetry::{rules, EventSeverity, SpanKind, TraceConfig, Track, HIST_BUCKETS};
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::Arc;
@@ -263,31 +263,31 @@ impl TemperatureUpdate {
         ctx.rec.work.newton_iters += tally.iters;
         ctx.rec.work.temperature_solves += solves;
         ctx.rec.observe_buckets("newton_iters", &tally.hist);
-        if !ctx.rec.enabled() {
-            return;
+        if ctx.rec.enabled() {
+            let [energy_s, newton_s, rewrite_s] = tally.phase_s.map(|s| format!("{s:.9}"));
+            let attrs = vec![
+                ("step", ctx.step.to_string()),
+                ("solves", solves.to_string()),
+                ("iters", tally.iters.to_string()),
+                ("energy_s", energy_s),
+                ("newton_s", newton_s),
+                ("rewrite_s", rewrite_s),
+            ];
+            ctx.rec.span(
+                SpanKind::NewtonSolve,
+                "newton solve",
+                span_t0,
+                span_dur,
+                Track::Host,
+                attrs,
+            );
         }
-        let [energy_s, newton_s, rewrite_s] = tally.phase_s.map(|s| format!("{s:.9}"));
-        let attrs = vec![
-            ("step", ctx.step.to_string()),
-            ("solves", solves.to_string()),
-            ("iters", tally.iters.to_string()),
-            ("energy_s", energy_s),
-            ("newton_s", newton_s),
-            ("rewrite_s", rewrite_s),
-        ];
-        ctx.rec.span(
-            SpanKind::NewtonSolve,
-            "newton solve",
-            span_t0,
-            span_dur,
-            Track::Host,
-            attrs,
-        );
+        // Findings are kept on every sink, traced or not.
         let step = ctx.step;
         let mut warn = |rule, n: u64, what: &str| {
             if n > 0 {
                 let message = format!("step {step}: {n} of {solves} temperature solves {what}");
-                ctx.rec.warn_capped(rule, message);
+                ctx.rec.warn(EventSeverity::Warning, rule, message);
             }
         };
         warn(rules::NEWTON_STALLED, tally.stalled, "returned at max_iter");

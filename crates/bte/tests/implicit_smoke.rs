@@ -3,6 +3,7 @@ use pbte_bte::scenario::{hotspot_2d, BteConfig};
 use pbte_dsl::analysis;
 use pbte_dsl::exec::{CompiledProblem, ExecTarget};
 use pbte_dsl::problem::{Integrator, KrylovConfig};
+use pbte_runtime::telemetry::rules;
 
 #[test]
 fn implicit_compile_builds_jvp_plan() {
@@ -38,6 +39,30 @@ fn implicit_matches_explicit_at_small_dt() {
     eprintln!("max rel T diff explicit vs implicit: {max_rel:.3e}");
     // First-order-in-dt disagreement only; both start at t_ref ~ 300 K.
     assert!(max_rel < 1e-3, "implicit drifted: {max_rel}");
+}
+
+/// A Krylov solve held to one iteration stops short of its tolerance:
+/// the report of an untraced run carries `solve/krylov-stagnation`, once
+/// per linear solve, and the run still goes on to its last step.
+#[test]
+fn krylov_stagnation_is_a_finding_of_an_untraced_run() {
+    let mut bp = hotspot_2d(&BteConfig::small(6, 4, 2, 2));
+    bp.problem.integrator(Integrator::Implicit { theta: 1.0 });
+    bp.problem.krylov(KrylovConfig {
+        max_iters: 1,
+        ..KrylovConfig::default()
+    });
+    let report = bp.solver(ExecTarget::CpuSeq).unwrap().solve().unwrap();
+    assert_eq!(report.steps, 2);
+    let totals = &report.findings.totals;
+    let solves = report.work.krylov_iters;
+    assert!(solves > 0, "krylov must have run");
+    assert_eq!(
+        totals.get(rules::KRYLOV_STAGNATION),
+        Some(&solves),
+        "one finding per one-iteration solve: {totals:?}"
+    );
+    assert!(!totals.contains_key(rules::KRYLOV_BREAKDOWN), "{totals:?}");
 }
 
 #[test]

@@ -293,6 +293,7 @@ fn reduce_reports(results: Vec<RankResult>, rec: &mut Recorder) -> SolveReport {
         comm: CommStats::default(),
         work: WorkCounters::default(),
         device: None,
+        findings: Default::default(),
     };
     let mut names: Vec<String> = Vec::new();
     for r in &results {

@@ -645,6 +645,7 @@ pub(crate) fn run_scope(
         comm: Default::default(),
         work: r.work,
         device,
+        findings: Default::default(),
     }
 }
 
@@ -681,7 +682,7 @@ pub(crate) fn solve(
     // several solves. The child shares the caller's stream, so frames
     // flow out live.
     let mut r = rec.child(rec.rank());
-    let report = if matches!(
+    let mut report = if matches!(
         target,
         ExecTarget::CpuSeq | ExecTarget::CpuParallel | ExecTarget::GpuHybrid { .. }
     ) {
@@ -698,6 +699,9 @@ pub(crate) fn solve(
         dist::solve(cp, fields, target, &scopes, &mut r)
     };
     r.close_run();
+    // The ranks' recorders are absorbed into `r` by now: its findings
+    // are the run's.
+    report.findings = r.findings().clone();
     rec.absorb(r);
     Ok(report)
 }

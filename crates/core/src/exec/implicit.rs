@@ -43,7 +43,7 @@ use crate::dataflow::Plan;
 use crate::entities::Fields;
 use crate::problem::{KrylovConfig, Reducer};
 use pbte_runtime::exact::{Dot2, ExactAcc, Partial, PARTIAL_LEN, TRANSPORT_LEN};
-use pbte_runtime::telemetry::{Recorder, SpanKind, Track};
+use pbte_runtime::telemetry::{rules, EventSeverity, Recorder, SpanKind, Track};
 
 /// Close rank-local dots into their global values: the exact sums, each
 /// rounded once, bit for bit what the limbs give on any partition.
@@ -399,7 +399,10 @@ pub(crate) struct KrylovStats {
 /// iteration emits a `krylov_residual` sample per half-step plus one
 /// `krylov_solve` kernel span, which says why the loop stopped (`exit`:
 /// `converged`, `max_iters` or `breakdown:<rho|r0v|tt|omega>`) and how
-/// many of its sums took the limbs (`exact_fallbacks`).
+/// many of its sums took the limbs (`exact_fallbacks`). A solve that
+/// stops short of the tolerance is a finding on every sink:
+/// `solve/krylov-stagnation` at `max_iters`, `solve/krylov-breakdown`
+/// otherwise.
 ///
 /// One pass over the vectors per stage, each carrying the reductions
 /// that read its output: `v = A·y` with `r̂₀·v`; `s` (over `r`), `x` and
@@ -504,6 +507,19 @@ fn bicgstab(
     }
     if stats.converged {
         exit = "converged";
+    } else {
+        // The run goes on from the returned iterate; every sink keeps
+        // that it did.
+        let rule = match exit {
+            "max_iters" => rules::KRYLOV_STAGNATION,
+            _ => rules::KRYLOV_BREAKDOWN,
+        };
+        let (iters, rnorm) = (stats.iters, stats.rnorm);
+        let message = format!(
+            "step {step}: BiCGStab stopped at {exit} after {iters} iteration(s), \
+             residual {rnorm:.3e} above {tol_abs:.3e}"
+        );
+        rec.warn(EventSeverity::Warning, rule, message);
     }
     if rec.enabled() {
         let dur = rec.now() - k0;

@@ -201,35 +201,28 @@ pub use pbte_runtime::telemetry::WorkCounters;
 /// The unified telemetry sink and its `Copy` configuration, re-exported
 /// so downstream crates (benches, inspectors) can drive
 /// [`Solver::solve_traced`] without a direct `pbte-runtime` dependency.
-pub use pbte_runtime::telemetry::{CostExpectation, Recorder, TraceConfig};
+pub use pbte_runtime::telemetry::{
+    CostExpectation, EventSeverity, Findings, Recorder, TraceConfig,
+};
 
-/// Convert the structured warning events a solve's recorder collected
-/// into plan-verifier-style [`Diagnostic`](crate::analysis::Diagnostic)s,
-/// so `pbte-trace` (and CI
-/// health gates) report telemetry health through the same channel as the
-/// static analyses. Only events with a known stable rule id are lifted;
-/// free-form informational markers stay in the trace.
+/// Convert every finding a solve's recorder kept into a
+/// plan-verifier-style [`Diagnostic`](crate::analysis::Diagnostic), so
+/// `pbte-trace` (and CI health gates) report what a run found through the
+/// same channel as the static analyses, traced or not.
 pub fn telemetry_diagnostics(rec: &Recorder) -> Vec<crate::analysis::Diagnostic> {
-    use pbte_runtime::telemetry::{rules, EventSeverity};
-    rec.events()
+    use crate::analysis::Severity;
+    rec.findings()
+        .kept
         .iter()
-        .filter(|e| e.severity == EventSeverity::Warning)
-        .filter_map(|e| {
-            let rule = match e.name.as_str() {
-                rules::NONMONOTONIC_TIMER => rules::NONMONOTONIC_TIMER,
-                rules::BUFFER_TRUNCATED => rules::BUFFER_TRUNCATED,
-                rules::COST_LIVE_DRIFT => rules::COST_LIVE_DRIFT,
-                rules::NEWTON_STALLED => rules::NEWTON_STALLED,
-                rules::NON_FINITE_ENERGY => rules::NON_FINITE_ENERGY,
-                _ => return None,
-            };
-            Some(crate::analysis::Diagnostic {
-                severity: crate::analysis::Severity::Warning,
-                rule,
-                entity: format!("rank {}", e.rank),
-                location: format!("t={:.3}s", e.time),
-                message: e.message.clone(),
-            })
+        .map(|e| crate::analysis::Diagnostic {
+            severity: match e.severity {
+                EventSeverity::Error => Severity::Error,
+                EventSeverity::Warning => Severity::Warning,
+            },
+            rule: e.name,
+            entity: format!("rank {}", e.rank),
+            location: format!("t={:.3}s", e.time),
+            message: e.message.clone(),
         })
         .collect()
 }
@@ -249,6 +242,8 @@ pub struct SolveReport {
     pub work: WorkCounters,
     /// Device profile (GPU targets).
     pub device: Option<pbte_gpu::ProfileReport>,
+    /// What the run found, over every rank: the same on every sink.
+    pub findings: Findings,
 }
 
 /// A boundary face with its resolved condition (its region's, shared).

@@ -19,6 +19,11 @@
 //!   [`PhaseTimer`] seconds — executors need both for their
 //!   `SolveReport` regardless — but every record call returns before
 //!   building a frame.
+//! * **Findings are kept on every sink.** A rule-tagged warning or error
+//!   goes through the one [`Recorder::warn`] into the recorder's
+//!   [`Findings`], null sink included, so an untraced run finds what a
+//!   traced one does; it becomes an event frame only when a consumer is
+//!   live. A clean run records none and allocates nothing for them.
 //! * The **buffer** retains frames in emission order, bounded by the
 //!   [`TraceConfig`] span cap (overflow increments a drop counter and
 //!   surfaces one [`rules::BUFFER_TRUNCATED`] warning). After the run,
@@ -65,6 +70,12 @@ pub mod rules {
     /// Cells whose energy sum was NaN or infinite: the Newton solve
     /// bisects such a target to a table edge, hiding it from the field.
     pub const NON_FINITE_ENERGY: &str = "temperature/non-finite-energy";
+    /// A BiCGStab solve broke down (a zero `rho`, `r0·v`, `t·t` or
+    /// `omega`) and returned its best iterate.
+    pub const KRYLOV_BREAKDOWN: &str = "solve/krylov-breakdown";
+    /// A BiCGStab solve reached its iteration cap without meeting the
+    /// tolerance and returned its last iterate.
+    pub const KRYLOV_STAGNATION: &str = "solve/krylov-stagnation";
 }
 
 /// Work counters validating that every execution target performs the same
@@ -219,29 +230,31 @@ pub struct Span {
 /// Severity of an [`Event`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventSeverity {
-    /// Informational marker.
-    Info,
     /// Something recoverable went wrong (e.g. clock rounding).
     Warning,
+    /// The state is broken (e.g. a NaN intensity).
+    Error,
 }
 
 impl EventSeverity {
-    fn label(self) -> &'static str {
+    /// Lowercase name, as the event frame spells it.
+    pub fn label(self) -> &'static str {
         match self {
-            EventSeverity::Info => "info",
             EventSeverity::Warning => "warning",
+            EventSeverity::Error => "error",
         }
     }
 }
 
-/// An instantaneous marker on a rank's host timeline.
+/// An instantaneous marker on a rank's host timeline — and, recorded
+/// through [`Recorder::warn`], one finding of a run.
 #[derive(Debug, Clone)]
 pub struct Event {
     /// Severity for downstream filtering.
     pub severity: EventSeverity,
     /// Short machine-friendly name, rule-style for structured
     /// diagnostics (e.g. `telemetry/nonmonotonic-timer`).
-    pub name: String,
+    pub name: &'static str,
     /// Human-readable detail.
     pub message: String,
     /// Seconds from the epoch.
@@ -422,7 +435,7 @@ impl Frame {
                 "{{\"frame\":\"event\",\"severity\":\"{}\",\"name\":{},\"message\":{},\
                  \"time\":{},\"rank\":{}}}",
                 e.severity.label(),
-                json_str(&e.name),
+                json_str(e.name),
                 json_str(&e.message),
                 json_f64(e.time),
                 e.rank
@@ -487,10 +500,21 @@ impl Frame {
 pub const DEFAULT_SPAN_CAP: usize = 1 << 20;
 /// In-memory retention cap for events.
 pub const DEFAULT_EVENT_CAP: usize = 1 << 16;
-/// At most this many [`Recorder::warn_capped`] warnings per rule and
-/// recorder, so a condition that holds on every step (a systematically
-/// wrong prediction, a stalled solve) cannot flood the event buffer.
-const MAX_WARNS_PER_RULE: u32 = 8;
+/// At most this many findings per rule and recorder are kept, so a
+/// condition that holds on every step (a systematically wrong
+/// prediction, a stalled solve, a NaN field) cannot flood the event
+/// buffer; the rest are only counted.
+pub const MAX_WARNS_PER_RULE: u64 = 8;
+
+/// What a run found: the first [`MAX_WARNS_PER_RULE`] findings per rule
+/// and recorder, in the order they fired, and every rule's total.
+#[derive(Debug, Clone, Default)]
+pub struct Findings {
+    /// The kept findings, in the order they fired.
+    pub kept: Vec<Event>,
+    /// Occurrences per rule, kept or only counted; empty on a clean run.
+    pub totals: BTreeMap<&'static str, u64>,
+}
 
 /// `Copy` recorder configuration, shared across `World::run` closures so
 /// every rank's child recorder uses the same epoch.
@@ -583,9 +607,9 @@ pub const HIST_BUCKETS: usize = 32;
 /// The telemetry recorder: the one sink every executor and callback
 /// writes through.
 ///
-/// `work` and `phases` are always live (they are the `SolveReport`
-/// inputs); frames are built only when a consumer (buffer and/or stream)
-/// is live.
+/// `work`, `phases` and the findings are always live (they are the
+/// `SolveReport` inputs); frames are built only when a consumer (buffer
+/// and/or stream) is live.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     cfg: TraceConfig,
@@ -601,13 +625,12 @@ pub struct Recorder {
     n_events: usize,
     dropped_spans: u64,
     dropped_events: u64,
-    truncate_warned: bool,
     /// Histograms accumulate here and become frames at [`Self::close_run`].
     hists: BTreeMap<&'static str, [u64; HIST_BUCKETS]>,
     stream: Option<StreamSink>,
     cost: Option<CostExpectation>,
-    /// Warnings taken so far per capped rule.
-    capped_warns: BTreeMap<&'static str, u32>,
+    /// What the run found, kept on every sink.
+    findings: Findings,
     last_step_work: WorkCounters,
 }
 
@@ -641,11 +664,10 @@ impl Recorder {
             n_events: 0,
             dropped_spans: 0,
             dropped_events: 0,
-            truncate_warned: false,
             hists: BTreeMap::new(),
             stream: None,
             cost: None,
-            capped_warns: BTreeMap::new(),
+            findings: Findings::default(),
             last_step_work: WorkCounters::default(),
         }
     }
@@ -725,9 +747,9 @@ impl Recorder {
             Frame::Span(_) if self.n_spans < self.cfg.max_spans => self.n_spans += 1,
             Frame::Span(_) => {
                 self.dropped_spans += 1;
-                if !self.truncate_warned {
-                    self.truncate_warned = true;
+                if !self.findings.totals.contains_key(rules::BUFFER_TRUNCATED) {
                     self.warn(
+                        EventSeverity::Warning,
                         rules::BUFFER_TRUNCATED,
                         format!(
                             "in-memory span buffer reached its cap of {}; further spans \
@@ -755,6 +777,7 @@ impl Recorder {
     pub fn phase(&mut self, phase: &str, seconds: f64) {
         let secs = if seconds < 0.0 {
             self.warn(
+                EventSeverity::Warning,
                 rules::NONMONOTONIC_TIMER,
                 format!("clamped {seconds:.3e}s for phase '{phase}' to zero"),
             );
@@ -826,32 +849,32 @@ impl Recorder {
         }));
     }
 
-    /// Record an instantaneous warning event.
-    pub fn warn(&mut self, name: &str, message: String) {
-        if !self.cfg.enabled {
+    /// Record a finding under `rule`. Every sink keeps it — the first
+    /// [`MAX_WARNS_PER_RULE`] per rule and recorder, the rest only
+    /// counted — and a kept one becomes an event frame when a consumer is
+    /// live.
+    pub fn warn(&mut self, severity: EventSeverity, rule: &'static str, message: String) {
+        let total = self.findings.totals.entry(rule).or_insert(0);
+        *total += 1;
+        if *total > MAX_WARNS_PER_RULE {
             return;
         }
-        self.emit(Frame::Event(Event {
-            severity: EventSeverity::Warning,
-            name: name.to_string(),
+        let event = Event {
+            severity,
+            name: rule,
             message,
             time: self.now(),
             rank: self.rank,
-        }));
-    }
-
-    /// [`warn`](Self::warn) for a condition that can hold on every step:
-    /// the first few per rule are recorded, the rest dropped.
-    pub fn warn_capped(&mut self, rule: &'static str, message: String) {
-        if !self.cfg.enabled || self.capped(rule) {
-            return;
+        };
+        if self.cfg.enabled {
+            self.emit(Frame::Event(event.clone()));
         }
-        *self.capped_warns.entry(rule).or_insert(0) += 1;
-        self.warn(rule, message);
+        self.findings.kept.push(event);
     }
 
-    fn capped(&self, rule: &str) -> bool {
-        self.capped_warns.get(rule).copied().unwrap_or(0) >= MAX_WARNS_PER_RULE
+    /// What this recorder found, its absorbed children's included.
+    pub fn findings(&self) -> &Findings {
+        &self.findings
     }
 
     /// Merge pre-aggregated buckets into the named histogram (callbacks
@@ -937,7 +960,7 @@ impl Recorder {
 
     fn check_step_cost(&mut self, step: usize, delta: &WorkCounters) {
         let Some(c) = self.cost else { return };
-        if !c.per_step_check || self.capped(rules::COST_LIVE_DRIFT) {
+        if !c.per_step_check {
             return;
         }
         let stages = c.stages_per_step as u64;
@@ -952,7 +975,8 @@ impl Recorder {
             }
             let drift = (observed as f64 - predicted as f64).abs() / predicted as f64;
             if drift > c.tolerance {
-                self.warn_capped(
+                self.warn(
+                    EventSeverity::Warning,
                     rules::COST_LIVE_DRIFT,
                     format!(
                         "step {step}: observed {observed} {label} vs predicted \
@@ -970,9 +994,6 @@ impl Recorder {
     /// [`rules::COST_LIVE_DRIFT`] beyond tolerance.
     pub fn transfer_drift(&mut self, step: usize, dir: &str, observed_bytes: u64) {
         let Some(c) = self.cost else { return };
-        if self.capped(rules::COST_LIVE_DRIFT) {
-            return;
-        }
         let predicted = match dir {
             "h2d" => c.step_h2d_bytes,
             _ => c.step_d2h_bytes,
@@ -982,7 +1003,8 @@ impl Recorder {
         }
         let drift = (observed_bytes as f64 - predicted as f64).abs() / predicted as f64;
         if drift > c.tolerance {
-            self.warn_capped(
+            self.warn(
+                EventSeverity::Warning,
                 rules::COST_LIVE_DRIFT,
                 format!(
                     "step {step}: observed {observed_bytes} {dir} bytes vs predicted \
@@ -1014,8 +1036,9 @@ impl Recorder {
     fn absorb_buffers(&mut self, child: Recorder) {
         self.dropped_spans += child.dropped_spans;
         self.dropped_events += child.dropped_events;
-        for (rule, n) in child.capped_warns {
-            *self.capped_warns.entry(rule).or_insert(0) += n;
+        self.findings.kept.extend(child.findings.kept);
+        for (rule, n) in child.findings.totals {
+            *self.findings.totals.entry(rule).or_insert(0) += n;
         }
         for f in child.frames {
             self.store(f);
@@ -1148,7 +1171,7 @@ impl Recorder {
                 format!(
                     "{{\"name\":{},\"cat\":\"event\",\"ph\":\"i\",\"ts\":{},\"pid\":{},\
                      \"tid\":0,\"s\":\"p\",\"args\":{{\"severity\":\"{}\",\"message\":{}}}}}",
-                    json_str(&e.name),
+                    json_str(e.name),
                     json_f64(e.time * 1e6),
                     e.rank,
                     e.severity.label(),
@@ -1246,7 +1269,7 @@ mod tests {
         r.work.dof_updates += 7;
         r.phase("solve for intensity", 1.5);
         r.span(SpanKind::Step, "step", 0.0, 1.0, Track::Host, vec![]);
-        r.warn("oops", "msg".into());
+        r.warn(EventSeverity::Warning, "oops", "msg".into());
         r.observe_buckets("newton_iters", &[0, 0, 0, 1]);
         r.sample("energy_residual", 0, 1e-12);
         r.step_done(0, &[("a", 1.0)], 0);
@@ -1258,6 +1281,7 @@ mod tests {
         assert!(r.step_records().is_empty());
         assert!(r.histogram("newton_iters").is_none());
         assert!(r.summary_jsonl().is_empty(), "no frame was built");
+        assert_eq!(r.findings().kept.len(), 1, "but the finding was kept");
     }
 
     #[test]
@@ -1309,7 +1333,7 @@ mod tests {
             Track::Device(0),
             vec![("tier", "row".into())],
         );
-        r.warn("marker", "hello \"world\"".into());
+        r.warn(EventSeverity::Warning, "marker", "hello \"world\"".into());
         let json = r.chrome_trace();
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""));

@@ -516,8 +516,8 @@ mod tests {
             jvp_plan: None,
         });
         sink.push(Frame::Event(Event {
-            severity: EventSeverity::Info,
-            name: "marker".into(),
+            severity: EventSeverity::Warning,
+            name: "marker",
             message: "hello \"stream\"".into(),
             time: 0.5,
             rank: 0,

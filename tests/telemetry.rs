@@ -15,6 +15,7 @@
 //!    the same frames in the same order.
 
 use pbte_bte::health::{rules, HealthProbes};
+use pbte_bte::pbte::ScenarioSpec;
 use pbte_bte::scenario::{hotspot_2d, BteConfig, BteProblem};
 use pbte_bte::temperature::TemperatureStrategy;
 use pbte_dsl::analysis::{sweep_price, Scope};
@@ -25,8 +26,9 @@ use pbte_dsl::{BoundaryCondition, ExecTarget, GpuStrategy, KernelTier, Severity}
 use pbte_dsl::{SolveReport, Solver, WorkCounters};
 use pbte_gpu::DeviceSpec;
 use pbte_runtime::telemetry::stream::{StreamConfig, StreamReader, StreamSink, StreamWriter};
-use pbte_runtime::telemetry::{rules as trules, Span, SpanKind, SPAN_KINDS};
+use pbte_runtime::telemetry::{rules as trules, EventSeverity, Span, SpanKind, SPAN_KINDS};
 use serde::Value;
+use std::path::Path;
 
 fn config() -> BteConfig {
     BteConfig::small(10, 8, 4, 3)
@@ -191,7 +193,8 @@ fn summary_jsonl_lines_parse_and_total_matches_report() {
 }
 
 /// Build the hot-spot problem and a standalone [`StepContext`] over its
-/// compiled fields, run the probes once, and return the diagnostics.
+/// compiled fields, run the probes once under the null recorder, and
+/// return the diagnostics of what it kept.
 fn probe_diagnostics(
     poison: impl FnOnce(&mut pbte_dsl::Fields, &BteProblem),
 ) -> Vec<pbte_dsl::Diagnostic> {
@@ -199,7 +202,6 @@ fn probe_diagnostics(
     let material = bte.material.clone();
     let vars = bte.vars;
     let probes = HealthProbes::new(material, vars);
-    let monitor = probes.monitor();
     let bte2 = hotspot_2d(&config());
     let (cp, mut fields) = CompiledProblem::compile(bte2.problem).expect("compiles");
     poison(&mut fields, &bte);
@@ -217,7 +219,7 @@ fn probe_diagnostics(
         rec: &mut rec,
     };
     probes.check(&mut ctx);
-    monitor.diagnostics()
+    pbte_dsl::exec::telemetry_diagnostics(&rec)
 }
 
 #[test]
@@ -271,14 +273,14 @@ fn violated_energy_budget_yields_exactly_the_energy_rule() {
 #[test]
 fn installed_probes_stay_clean_over_a_full_solve() {
     let mut bte = hotspot_2d(&config());
-    let monitor = HealthProbes::new(bte.material.clone(), bte.vars).install(&mut bte.problem);
+    HealthProbes::new(bte.material.clone(), bte.vars).install(&mut bte.problem);
     let mut solver = Solver::build(bte.problem, ExecTarget::CpuSeq).expect("builds");
     let mut rec = Recorder::buffered();
-    solver.solve_traced(&mut rec).expect("solves");
+    let report = solver.solve_traced(&mut rec).expect("solves");
     assert!(
-        monitor.is_clean(),
+        report.findings.totals.is_empty(),
         "healthy solve flagged: {:?}",
-        monitor.diagnostics()
+        report.findings
     );
     // The probes feed the telemetry sample series too.
     let samples: Vec<_> = rec
@@ -288,6 +290,69 @@ fn installed_probes_stay_clean_over_a_full_solve() {
         .collect();
     assert_eq!(samples.len(), config().n_steps, "one residual per step");
     assert!(samples.iter().all(|s| s.value < 1e-6));
+}
+
+/// Traced and untraced runs find the same. The hot-spot die at a step
+/// far past its stability wall, with the health probes installed: on
+/// every target, the report of an untraced solve carries the rule ids
+/// and per-rule totals of a buffered one, and the buffered recorder's
+/// diagnostics name all three physics rules.
+#[test]
+fn traced_and_untraced_runs_find_the_same() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios/hotspot.pbte");
+    let mut spec = ScenarioSpec::from_file(&path).expect("scenario parses");
+    spec.dt = Some(1e300);
+    let solver = |target: &str| {
+        let mut bte = spec.build().expect("scenario builds");
+        HealthProbes::new(bte.material.clone(), bte.vars).install(&mut bte.problem);
+        let target = pbte_apps::parse_target(target, 2).expect("known target");
+        Solver::build(bte.problem, target).expect("builds")
+    };
+    for target in ["seq", "par", "bands:2", "gpu:async"] {
+        let untraced = solver(target).solve().expect("solves").findings;
+        let mut rec = Recorder::buffered();
+        let traced = solver(target)
+            .solve_traced(&mut rec)
+            .expect("solves")
+            .findings;
+        assert!(
+            !untraced.totals.is_empty(),
+            "{target}: the untraced run found nothing"
+        );
+        assert_eq!(untraced.totals, traced.totals, "{target}");
+        let diags = pbte_dsl::exec::telemetry_diagnostics(&rec);
+        for rule in [
+            rules::NAN_INTENSITY,
+            rules::NEGATIVE_INTENSITY,
+            rules::ENERGY_BUDGET,
+        ] {
+            assert!(
+                diags.iter().any(|d| d.rule == rule),
+                "{target}: no `{rule}` in {diags:?}"
+            );
+        }
+    }
+}
+
+/// Every rule is capped per recorder: the first eight findings are kept,
+/// every occurrence is counted, and absorbing a child merges both.
+#[test]
+fn findings_are_capped_per_rule_and_counted_in_full() {
+    let mut child = Recorder::null();
+    for step in 0..11 {
+        child.warn(EventSeverity::Error, "a", format!("step {step}"));
+    }
+    child.warn(EventSeverity::Warning, "b", "once".into());
+    let kept = |r: &Recorder, rule| r.findings().kept.iter().filter(|e| e.name == rule).count();
+    assert_eq!(kept(&child, "a"), 8);
+    assert_eq!(child.findings().totals["a"], 11);
+    let mut parent = Recorder::buffered();
+    parent.warn(EventSeverity::Warning, "b", "again".into());
+    parent.absorb_rank(child);
+    assert_eq!(parent.findings().totals["a"], 11);
+    assert_eq!(parent.findings().totals["b"], 2);
+    assert_eq!(kept(&parent, "b"), 2);
+    assert_eq!(parent.events().len(), 1, "the null child built no frame");
 }
 
 #[test]
@@ -366,6 +431,7 @@ fn chrome_trace_covers_every_span_kind() {
     );
     let mut implicit = Recorder::buffered();
     implicit.warn(
+        EventSeverity::Warning,
         "dt/auto-clamp",
         "dt=auto clamped to the CFL bound".to_string(),
     );
@@ -862,7 +928,11 @@ fn run_both_consumers(target: ExecTarget, tag: &str) -> (Recorder, Vec<Value>) {
         StreamWriter::create(&path, StreamConfig { capacity: 1 << 14 }).expect("stream created");
     let mut rec = Recorder::buffered();
     rec.attach_stream(writer.sink());
-    rec.warn("test/marker", "an event frame for both consumers".into());
+    rec.warn(
+        EventSeverity::Warning,
+        "test/marker",
+        "an event frame for both consumers".into(),
+    );
     run_custom(target, &mut rec, |bte| {
         HealthProbes::new(bte.material.clone(), bte.vars).install(&mut bte.problem);
     });

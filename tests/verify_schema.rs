@@ -176,6 +176,27 @@ fn pbte_refuses_out_of_range_integrators_and_steps() {
     }
 }
 
+/// The untraced scenario driver prints what its run found: a step far
+/// past the stability wall poisons the energy sums, and the temperature
+/// update's finding reaches stdout. The run still completes (exit 0).
+#[test]
+fn pbte_prints_what_an_untraced_run_found() {
+    let out = Command::new(env!("CARGO_BIN_EXE_pbte"))
+        .args([
+            "hotspot",
+            "n=12",
+            "steps=4",
+            "dt=1e300",
+            "target=seq",
+            "tier=row",
+        ])
+        .output()
+        .expect("pbte runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("temperature/non-finite-energy"), "{stdout}");
+}
+
 /// A target the problem refuses — more ranks than cells (refused by the
 /// solve), more ranks than the partitioned index has values (refused by
 /// the build) — is a usage error of the scenario driver, exit 2 with the
