@@ -19,15 +19,23 @@
 //! time axis, strategy and integrator, so `n=`, `steps=` and `strategy=`
 //! are ignored for it; `target=` and `tier=` still apply. Because the
 //! file is untrusted input, the compiled plan is run through the
-//! verification gate (plan obligations, dimensional analysis, interval
-//! analysis) first — any error-severity finding refuses the run with
-//! exit status 1 before a single step executes. `--parity` takes a file
-//! too; the strategy the counter contract scales by is then the file's.
+//! verification gate (`analysis::verify_gate`: plan obligations,
+//! dimensional analysis, interval analysis) first — any error-severity
+//! finding refuses the run before a single step executes. `--parity`
+//! takes a file too; the strategy the counter contract scales by is then
+//! the file's.
 //!
 //! **Default mode** runs one scenario on one target with the buffered
 //! sink and the physics health probes installed, writes `DIR/trace.json`
-//! (load it at <https://ui.perfetto.dev>) and `DIR/summary.jsonl`, prints
-//! the phase/work/device summary, and exits 1 if any health probe fired.
+//! (load it at <https://ui.perfetto.dev>) and `DIR/summary.jsonl`, and
+//! prints the phase/work/device summary and what the run found.
+//!
+//! Exit status is the one table in `DESIGN.md` (`pbte_apps::status`): 2
+//! for input refused before step 0 (an unknown key or value, an
+//! unreadable or malformed file, the verify gate's errors, an `out=` that
+//! cannot be written), its rule on stderr; 1 for an error-severity or
+//! `physics/*` finding, or targets that disagree under `--parity`; 0
+//! otherwise.
 //! With `stream=FILE` the run *also* attaches the stream: every frame the
 //! recorder emits — the ones `summary.jsonl` and `trace.json` are
 //! rendered from — is pushed through the bounded ring onto `FILE` as
@@ -99,22 +107,28 @@
 //!   tiles=<n> workers=<n>`; a target that fans out (`par`) must have at
 //!   least one tile per worker.
 //!
-//! Any violated assertion prints a `PARITY MISMATCH` line and the exit
-//! status is 1.
+//! Any violated assertion prints a `PARITY MISMATCH` line and fails the
+//! run (exit status 1).
 
-use pbte_apps::{arg_str, arg_usize, parse_target};
+use pbte_apps::{arg_str, arg_usize, check_args, exit, parse_target, parse_tier, Outcome};
 use pbte_bte::health::HealthProbes;
 use pbte_bte::pbte::ScenarioSpec;
 use pbte_bte::scenario::{elongated, hotspot_2d, BteConfig, BteProblem};
 use pbte_bte::temperature::TemperatureStrategy;
-use pbte_dsl::exec::{Recorder, SolveReport};
+use pbte_dsl::exec::{telemetry_diagnostics, Recorder, SolveReport};
 use pbte_dsl::problem::KernelTier;
-use pbte_dsl::{ExecTarget, Solver, WorkCounters};
+use pbte_dsl::{analysis, Diagnostic, ExecTarget, Severity, Solver, WorkCounters};
 use pbte_runtime::telemetry::stream::{StreamConfig, StreamReader, StreamWriter};
-use pbte_runtime::telemetry::SpanKind;
+use pbte_runtime::telemetry::{Span, SpanKind};
 use serde::Value;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::time::{Duration, Instant};
+
+/// The keys and flags `pbte-trace` takes (after `top`, only `file=`);
+/// any other argument is refused.
+const KNOWN: &str = "scenario= target= n= steps= ranks= strategy= tier= out= stream= file= \
+    wait= --no-health --parity --follow";
 
 type Scenario = fn(&BteConfig) -> BteProblem;
 
@@ -137,7 +151,9 @@ enum ScenarioSource {
 }
 
 /// Build the scenario, optionally install the health probes, solve under
-/// `rec`, and return the report (what the run found included).
+/// `rec`, and return the report (what the run found included). A `.pbte`
+/// plan the verify gate finds an error in is refused with every gate
+/// finding; the gate's warnings go to stderr and the run goes on.
 fn run_one(
     source: &ScenarioSource,
     cfg: &BteConfig,
@@ -145,13 +161,10 @@ fn run_one(
     tier: Option<KernelTier>,
     health: bool,
     rec: &mut Recorder,
-) -> SolveReport {
+) -> Result<SolveReport, Outcome> {
     let mut bte = match source {
         ScenarioSource::Builtin(scenario) => scenario(cfg),
-        ScenarioSource::Pbte(spec) => spec.build().unwrap_or_else(|e| {
-            eprintln!("scenario build failed: {e}");
-            std::process::exit(2);
-        }),
+        ScenarioSource::Pbte(spec) => spec.build()?,
     };
     if let Some(t) = tier {
         bte.problem.kernel_tier(t);
@@ -161,30 +174,19 @@ fn run_one(
         // scenario builder) so the probes see the fresh T/Io/beta.
         HealthProbes::new(bte.material.clone(), bte.vars).install(&mut bte.problem);
     }
-    let mut solver = Solver::build(bte.problem, target).unwrap_or_else(|e| {
-        eprintln!("build failed: {e:?}");
-        std::process::exit(2);
-    });
+    let mut solver = Solver::build(bte.problem, target)?;
     if matches!(source, ScenarioSource::Pbte(_)) {
         // Untrusted textual input: the exact compiled plan must pass the
         // verification gate before a single step runs.
-        let mut gate = solver.compiled.verify_plan(&solver.target);
-        pbte_dsl::analysis::check_units(&solver.compiled, &mut gate);
-        pbte_dsl::analysis::check_intervals(&solver.compiled, &mut gate);
-        if !gate.is_empty() {
-            for d in &gate {
-                eprintln!("verify: {}", d.render());
-            }
-            if gate.iter().any(|d| d.severity == pbte_dsl::Severity::Error) {
-                eprintln!("scenario refused by verifier");
-                std::process::exit(1);
-            }
+        let gate = analysis::verify_gate(&solver.compiled, &solver.target);
+        if gate.iter().any(|d| d.severity == Severity::Error) {
+            return Err(Outcome::Refused(gate));
+        }
+        for d in &gate {
+            eprintln!("verify: {d}");
         }
     }
-    solver.solve_traced(rec).unwrap_or_else(|e| {
-        eprintln!("solve failed: {e:?}");
-        std::process::exit(2);
-    })
+    Ok(solver.solve_traced(rec)?)
 }
 
 fn print_report(tname: &str, report: &SolveReport) {
@@ -215,79 +217,45 @@ fn print_report(tname: &str, report: &SolveReport) {
     }
 }
 
-/// One parity expectation: `counter` on `target` must equal `expected`.
-struct Expect {
-    target: &'static str,
-    counter: &'static str,
-    expected: u64,
-    actual: u64,
-}
-
+/// The counters `got` must match on `tname`: `(counter, expected,
+/// actual)`. Newton parity is a hard assert everywhere, GPU lineage
+/// included: the device path evaluates through the same tier entry points
+/// as the CPU targets, so the temperature solves see bit-identical
+/// intensity and iterate identically.
 fn expectations(
-    tname: &'static str,
+    tname: &str,
     seq: &WorkCounters,
     got: &WorkCounters,
     ranks: u64,
     strategy: TemperatureStrategy,
-) -> Vec<Expect> {
-    let mut ex = vec![
-        Expect {
-            target: tname,
-            counter: "flux_evals",
-            expected: seq.flux_evals,
-            actual: got.flux_evals,
-        },
-        Expect {
-            target: tname,
-            counter: "dof_updates",
-            expected: seq.dof_updates,
-            actual: got.dof_updates,
-        },
-    ];
+) -> Vec<(&'static str, u64, u64)> {
+    // Every redundant band-parallel rank solves all cells, its Newton
+    // iterations included.
     let banded = matches!(tname, "bands" | "bands-gpu");
-    let solves = if banded && strategy == TemperatureStrategy::RedundantNewton {
-        // Every band-parallel rank redundantly solves all cells.
-        ranks * seq.temperature_solves
-    } else {
-        seq.temperature_solves
+    let solves = match banded && strategy == TemperatureStrategy::RedundantNewton {
+        true => ranks,
+        false => 1,
     };
-    ex.push(Expect {
-        target: tname,
-        counter: "temperature_solves",
-        expected: solves,
-        actual: got.temperature_solves,
-    });
-    // Newton parity is a hard assert everywhere, GPU lineage included:
-    // the device path evaluates through the same tier entry points as the
-    // CPU targets, so the temperature solves see bit-identical intensity
-    // and iterate identically. Redundant banded ranks each run the full
-    // solve, scaling the count like the solves themselves.
-    let newton = if banded && strategy == TemperatureStrategy::RedundantNewton {
-        ranks * seq.newton_iters
-    } else {
-        seq.newton_iters
-    };
-    ex.push(Expect {
-        target: tname,
-        counter: "newton_iters",
-        expected: newton,
-        actual: got.newton_iters,
-    });
+    let mut ex = vec![
+        ("flux_evals", seq.flux_evals, got.flux_evals),
+        ("dof_updates", seq.dof_updates, got.dof_updates),
+        (
+            "temperature_solves",
+            solves * seq.temperature_solves,
+            got.temperature_solves,
+        ),
+        ("newton_iters", solves * seq.newton_iters, got.newton_iters),
+    ];
     // Callback wall faces are evaluated once per owned flat everywhere
     // except cell partitioning (faces are replicated across cell ranks).
     if tname != "cells" {
-        ex.push(Expect {
-            target: tname,
-            counter: "ghost_evals",
-            expected: seq.ghost_evals,
-            actual: got.ghost_evals,
-        });
+        ex.push(("ghost_evals", seq.ghost_evals, got.ghost_evals));
     }
     ex
 }
 
 /// A recorded span's attribute by key.
-fn recorded_attr<'a>(s: &'a pbte_runtime::telemetry::Span, key: &str) -> Option<&'a str> {
+fn recorded_attr<'a>(s: &'a Span, key: &str) -> Option<&'a str> {
     s.attrs
         .iter()
         .find(|(k, _)| *k == key)
@@ -314,35 +282,30 @@ fn kernel_tiers(rec: &Recorder) -> Vec<String> {
     tiers
 }
 
-/// Distinct `run_cells` attributes across a recording's tier-attributed
-/// `Kernel` spans — how many of the sweep's cells took the stencil runs
-/// (0: the whole sweep walked CSR). `None` when a span lacks it.
-fn kernel_run_cells(rec: &Recorder) -> Option<Vec<u64>> {
-    let mut cells = rec
-        .spans()
-        .iter()
-        .filter(|s| matches!(s.kind, SpanKind::Kernel) && recorded_attr(s, "tier").is_some())
-        .map(|s| recorded_attr(s, "run_cells")?.parse().ok())
-        .collect::<Option<Vec<u64>>>()?;
-    cells.sort_unstable();
-    cells.dedup();
-    Some(cells)
+/// Distinct values of `read` across a recording's tier-attributed
+/// `Kernel` spans, sorted; `None` when a span lacks what it reads.
+fn kernel_attrs<T: Ord>(rec: &Recorder, read: impl Fn(&Span) -> Option<T>) -> Option<Vec<T>> {
+    let tiered =
+        |s: &&Span| matches!(s.kind, SpanKind::Kernel) && recorded_attr(s, "tier").is_some();
+    let spans = rec.spans().into_iter().filter(tiered);
+    let mut values = spans.map(read).collect::<Option<Vec<T>>>()?;
+    values.sort_unstable();
+    values.dedup();
+    Some(values)
 }
 
-/// Distinct `tiles=<n> workers=<n>` attribute pairs across a recording's
-/// tier-attributed `Kernel` spans — how each sweep was cut and fanned out.
-/// `None` when a span lacks either.
+/// How many of each sweep's cells took the stencil runs (0: the whole
+/// sweep walked CSR).
+fn kernel_run_cells(rec: &Recorder) -> Option<Vec<u64>> {
+    kernel_attrs(rec, |s| recorded_attr(s, "run_cells")?.parse().ok())
+}
+
+/// How each sweep was cut and fanned out: `(tiles, workers)`.
 fn kernel_cuts(rec: &Recorder) -> Option<Vec<(u64, u64)>> {
-    let attr = |s, key| recorded_attr(s, key)?.parse().ok();
-    let mut cuts = rec
-        .spans()
-        .iter()
-        .filter(|s| matches!(s.kind, SpanKind::Kernel) && recorded_attr(s, "tier").is_some())
-        .map(|s| Some((attr(s, "tiles")?, attr(s, "workers")?)))
-        .collect::<Option<Vec<(u64, u64)>>>()?;
-    cuts.sort_unstable();
-    cuts.dedup();
-    Some(cuts)
+    fn attr(s: &Span, key: &str) -> Option<u64> {
+        recorded_attr(s, key)?.parse().ok()
+    }
+    kernel_attrs(rec, |s| Some((attr(s, "tiles")?, attr(s, "workers")?)))
 }
 
 /// Print `tname`'s sweep cut and check it: every sweep says how it was
@@ -372,7 +335,7 @@ fn run_parity(
     ranks: usize,
     strategy: TemperatureStrategy,
     tier: Option<KernelTier>,
-) -> bool {
+) -> Result<bool, Outcome> {
     let names: [&'static str; 7] = [
         "seq",
         "par",
@@ -383,7 +346,7 @@ fn run_parity(
         "bands-gpu",
     ];
     let mut rec = Recorder::buffered();
-    let seq_report = run_one(source, cfg, ExecTarget::CpuSeq, tier, false, &mut rec);
+    let seq_report = run_one(source, cfg, ExecTarget::CpuSeq, tier, false, &mut rec)?;
     print_report("seq", &seq_report);
     let seq = seq_report.work;
     let seq_tiers = kernel_tiers(&rec);
@@ -424,16 +387,15 @@ fn run_parity(
         // Only a cell partition changes which cells a rank sweeps.
         let sweeps_all_cells = !matches!(target, ExecTarget::DistCells { .. });
         let mut rec = Recorder::buffered();
-        let report = run_one(source, cfg, target, tier, false, &mut rec);
+        let report = run_one(source, cfg, target, tier, false, &mut rec)?;
         print_report(tname, &report);
         let tiers = kernel_tiers(&rec);
         println!("  kernel tier attribution: {tiers:?}");
-        for e in expectations(tname, &seq, &report.work, ranks as u64, strategy) {
-            if e.actual != e.expected {
-                println!(
-                    "PARITY MISMATCH: {}/{} expected {} got {}",
-                    e.target, e.counter, e.expected, e.actual
-                );
+        for (counter, expected, actual) in
+            expectations(tname, &seq, &report.work, ranks as u64, strategy)
+        {
+            if actual != expected {
+                println!("PARITY MISMATCH: {tname}/{counter} expected {expected} got {actual}");
                 ok = false;
             }
         }
@@ -470,7 +432,7 @@ fn run_parity(
         }
         ok &= cuts_ok(tname, &rec);
     }
-    ok
+    Ok(ok)
 }
 
 // ---------------------------------------------------------------------------
@@ -492,36 +454,26 @@ fn ju64(v: &Value, key: &str) -> u64 {
     v.get(key).and_then(|x| x.as_u64()).unwrap_or(0)
 }
 
-/// `attrs` sub-object of a span frame as (key, value) string pairs.
-fn span_attrs(v: &Value) -> Vec<(&str, &str)> {
-    match v.get("attrs") {
-        Some(Value::Obj(entries)) => entries
-            .iter()
-            .filter_map(|(k, v)| match v {
-                Value::Str(s) => Some((k.as_str(), s.as_str())),
-                _ => None,
-            })
-            .collect(),
-        _ => Vec::new(),
+/// A span frame's string attribute by key.
+fn attr<'a>(span: &'a Value, key: &str) -> Option<&'a str> {
+    match span.get("attrs")?.get(key)? {
+        Value::Str(s) => Some(s),
+        _ => None,
     }
-}
-
-fn attr<'a>(attrs: &[(&'a str, &'a str)], key: &str) -> Option<&'a str> {
-    attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
 }
 
 /// Cost annotation for a sweep or transfer span, when the span carries
 /// the cost-model attrs: a transfer's predicted bytes against the bytes it
 /// moved; a sweep's price in flops.
-fn cost_annotation(cat: &str, attrs: &[(&str, &str)]) -> Option<String> {
+fn cost_annotation(cat: &str, span: &Value) -> Option<String> {
     match cat {
         "kernel" => {
-            let pred: f64 = attr(attrs, "pred_flops")?.parse().ok()?;
+            let pred: f64 = attr(span, "pred_flops")?.parse().ok()?;
             Some(format!("pred {pred:.3e} flops"))
         }
         "transfer" => {
-            let pred: f64 = attr(attrs, "pred_bytes")?.parse().ok()?;
-            match attr(attrs, "bytes").and_then(|v| v.parse::<f64>().ok()) {
+            let pred: f64 = attr(span, "pred_bytes")?.parse().ok()?;
+            match attr(span, "bytes").and_then(|v| v.parse::<f64>().ok()) {
                 Some(obs) if pred > 0.0 => Some(format!(
                     "pred {pred:.0} B, obs {obs:.0} B ({:+.1}%)",
                     100.0 * (obs - pred) / pred
@@ -544,14 +496,15 @@ struct StreamAgg {
     /// Cumulative seconds per phase, insertion-ordered.
     phase_total: Vec<(String, f64)>,
     /// Cumulative span (count, seconds) per (category, name).
-    span_total: Vec<(String, String, u64, f64)>,
+    span_total: BTreeMap<(String, String), (u64, f64)>,
     /// Where the temperature update's time went: the `energy_s`,
     /// `newton_s`, `rewrite_s` attributes of its spans, summed.
     temperature_split: [f64; 3],
     dof: u64,
     flux: u64,
     comm_bytes: u64,
-    events: u64,
+    /// `[severity] rule: message` of every event frame.
+    events: Vec<String>,
     run_end: Option<(u64, u64)>,
 }
 
@@ -599,32 +552,25 @@ impl StreamAgg {
             "span" => {
                 let (cat, name) = (jstr(frame, "cat"), jstr(frame, "name"));
                 let dur = jf64(frame, "dur");
-                match self
-                    .span_total
-                    .iter_mut()
-                    .find(|(c, n, _, _)| c == cat && n == name)
-                {
-                    Some((_, _, count, secs)) => {
-                        *count += 1;
-                        *secs += dur;
-                    }
-                    None => self
-                        .span_total
-                        .push((cat.to_string(), name.to_string(), 1, dur)),
-                }
-                let attrs = span_attrs(frame);
+                let total = (self.span_total)
+                    .entry((cat.to_string(), name.to_string()))
+                    .or_default();
+                *total = (total.0 + 1, total.1 + dur);
                 if cat == "newton" {
                     let keys = ["energy_s", "newton_s", "rewrite_s"];
                     for (sum, key) in self.temperature_split.iter_mut().zip(keys) {
-                        *sum += attr(&attrs, key)
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or(0.0);
+                        *sum += attr(frame, key).and_then(|v| v.parse().ok()).unwrap_or(0.0);
                     }
                 }
-                cost_annotation(cat, &attrs).map(|a| format!("{cat} {name}: {a}"))
+                cost_annotation(cat, frame).map(|a| format!("{cat} {name}: {a}"))
             }
             "event" => {
-                self.events += 1;
+                self.events.push(format!(
+                    "[{}] {}: {}",
+                    jstr(frame, "severity"),
+                    jstr(frame, "name"),
+                    jstr(frame, "message")
+                ));
                 None
             }
             "run_end" => {
@@ -660,7 +606,7 @@ impl StreamAgg {
 
 /// Tail `file`, rendering rolling per-phase rates until `run_end` or
 /// `wait` idle seconds.
-fn follow(file: &str, wait_s: u64) -> ! {
+fn follow(file: &str, wait_s: u64) -> Result<Outcome, Diagnostic> {
     let path = Path::new(file);
     let wait = Duration::from_secs(wait_s.max(1));
     let open_deadline = Instant::now() + wait;
@@ -669,8 +615,7 @@ fn follow(file: &str, wait_s: u64) -> ! {
             Ok(r) => break r,
             Err(e) => {
                 if Instant::now() >= open_deadline {
-                    eprintln!("follow: cannot open {file}: {e}");
-                    std::process::exit(2);
+                    return Err(Diagnostic::input_io(file, format!("cannot open: {e}")));
                 }
                 std::thread::sleep(Duration::from_millis(50));
             }
@@ -683,19 +628,15 @@ fn follow(file: &str, wait_s: u64) -> ! {
     let mut prev = (0u64, 0u64, 0u64); // steps, dof, comm_bytes
     let mut prev_phases: Vec<(String, f64)> = Vec::new();
     // Last printed cost annotation per span key — re-print only on change.
-    let mut printed: Vec<(String, String)> = Vec::new();
+    let mut printed: HashMap<String, String> = HashMap::new();
     loop {
-        let frames = match reader.poll() {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("follow: read error: {e}");
-                std::process::exit(2);
-            }
-        };
+        let frames = reader
+            .poll()
+            .map_err(|e| Diagnostic::input_io(file, format!("read error: {e}")))?;
         if frames.is_empty() {
             if idle_since.elapsed() >= wait {
                 println!("follow: stream idle for {wait_s}s, stopping");
-                std::process::exit(0);
+                return Ok(Outcome::default());
             }
             std::thread::sleep(Duration::from_millis(100));
             continue;
@@ -706,16 +647,10 @@ fn follow(file: &str, wait_s: u64) -> ! {
             let Ok(frame) = serde_json::from_str::<Value>(json) else {
                 continue;
             };
-            if jstr(&frame, "frame") == "event" {
-                println!(
-                    "  event [{}] {}: {}",
-                    jstr(&frame, "severity"),
-                    jstr(&frame, "name"),
-                    jstr(&frame, "message")
-                );
-            }
-            if let Some(a) = agg.ingest(&frame) {
-                annotations.push(a);
+            let events = agg.events.len();
+            annotations.extend(agg.ingest(&frame));
+            if let Some(event) = agg.events.get(events) {
+                println!("  event {event}");
             }
             if jstr(&frame, "frame") == "run_start" {
                 println!("run: {} {}", agg.label, agg.ran);
@@ -723,16 +658,8 @@ fn follow(file: &str, wait_s: u64) -> ! {
         }
         for a in annotations {
             let key = a.split(':').next().unwrap_or(&a).to_string();
-            match printed.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, last)) if *last == a => {}
-                Some((_, last)) => {
-                    println!("  {a}");
-                    *last = a;
-                }
-                None => {
-                    println!("  {a}");
-                    printed.push((key, a));
-                }
+            if printed.insert(key, a.clone()).as_ref() != Some(&a) {
+                println!("  {a}");
             }
         }
         if agg.steps > prev.0 {
@@ -769,29 +696,17 @@ fn follow(file: &str, wait_s: u64) -> ! {
                 "run_end: {} step(s), {frames_written} frame(s), {dropped} dropped",
                 agg.steps
             );
-            std::process::exit(0);
+            return Ok(Outcome::default());
         }
     }
 }
 
 /// Read a stream file once and print the aggregate summary view.
-fn top(file: &str) -> ! {
-    let mut reader = match StreamReader::open(Path::new(file)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("top: cannot open {file}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let frames = match reader.poll() {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("top: read error: {e}");
-            std::process::exit(2);
-        }
-    };
+fn top(file: &str) -> Result<Outcome, Diagnostic> {
+    let io = |what: &str, e: std::io::Error| Diagnostic::input_io(file, format!("{what}: {e}"));
+    let mut reader = StreamReader::open(Path::new(file)).map_err(|e| io("cannot open", e))?;
+    let frames = reader.poll().map_err(|e| io("read error", e))?;
     let mut agg = StreamAgg::default();
-    let mut warned: Vec<String> = Vec::new();
     // The run-level `device` and `histogram` frames, printed as recorded.
     let mut summaries: Vec<&str> = Vec::new();
     for json in &frames {
@@ -800,14 +715,6 @@ fn top(file: &str) -> ! {
         };
         if matches!(jstr(&frame, "frame"), "device" | "histogram") {
             summaries.push(json);
-        }
-        if jstr(&frame, "frame") == "event" {
-            warned.push(format!(
-                "[{}] {}: {}",
-                jstr(&frame, "severity"),
-                jstr(&frame, "name"),
-                jstr(&frame, "message")
-            ));
         }
         agg.ingest(&frame);
     }
@@ -818,7 +725,7 @@ fn top(file: &str) -> ! {
         "{} frame(s), {} step(s), {} event(s)",
         frames.len(),
         agg.steps,
-        agg.events
+        agg.events.len()
     );
     let busy: f64 = agg.phase_total.iter().map(|(_, t)| t).sum();
     println!("phases:");
@@ -834,10 +741,10 @@ fn top(file: &str) -> ! {
             println!("    energy {energy:.6}s  newton {newton:.6}s  rewrite {rewrite:.6}s");
         }
     }
-    let mut spans = agg.span_total.clone();
-    spans.sort_by(|a, b| b.3.total_cmp(&a.3));
+    let mut spans: Vec<_> = agg.span_total.iter().collect();
+    spans.sort_by(|a, b| b.1 .1.total_cmp(&a.1 .1));
     println!("hottest spans:");
-    for (cat, name, count, secs) in spans.iter().take(10) {
+    for ((cat, name), (count, secs)) in spans.into_iter().take(10) {
         println!("  {cat:<10} {name:<24} x{count:<6} {secs:>10.6}s");
     }
     println!(
@@ -851,63 +758,49 @@ fn top(file: &str) -> ! {
         Some((f, d)) => println!("run_end: {f} frame(s) written, {d} dropped"),
         None => println!("no run_end frame: stream truncated or still in progress"),
     }
-    for w in &warned {
-        println!("warning {w}");
+    for event in &agg.events {
+        println!("event {event}");
     }
-    std::process::exit(0);
+    Ok(Outcome::default())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(|a| a == "top").unwrap_or(false) {
-        let file = arg_str(&args, "file", "");
-        if file.is_empty() {
-            eprintln!("usage: pbte-trace top file=STREAM");
-            std::process::exit(2);
-        }
-        top(file);
+    match run(&args) {
+        Ok(outcome) | Err(outcome) => exit(outcome),
     }
+}
+
+fn run(args: &[String]) -> Result<Outcome, Outcome> {
+    if let Some(("top", rest)) = args.split_first().map(|(a, rest)| (a.as_str(), rest)) {
+        check_args(rest, "file=")?;
+        return Ok(top(required_file(rest, "top file=STREAM")?)?);
+    }
+    check_args(args, KNOWN)?;
     if args.iter().any(|a| a == "--follow") {
-        let file = arg_str(&args, "file", "");
-        if file.is_empty() {
-            eprintln!("usage: pbte-trace --follow file=STREAM [wait=30]");
-            std::process::exit(2);
-        }
-        let wait = arg_usize(&args, "wait", 30) as u64;
-        follow(file, wait);
+        let file = required_file(args, "--follow file=STREAM [wait=30]")?;
+        let wait = arg_usize(args, "wait", 30) as u64;
+        return Ok(follow(file, wait)?);
     }
     let parity = args.iter().any(|a| a == "--parity");
     let health = !args.iter().any(|a| a == "--no-health");
-    let sname = arg_str(&args, "scenario", "hotspot");
-    let tname = arg_str(&args, "target", "seq");
-    let n = arg_usize(&args, "n", 12);
-    let steps = arg_usize(&args, "steps", 3);
-    let ranks = arg_usize(&args, "ranks", 2);
-    let out = arg_str(&args, "out", ".").to_string();
-    let strategy = pbte_apps::parse_strategy(arg_str(&args, "strategy", "redundant"))
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-    let tier = match arg_str(&args, "tier", "") {
-        "" => None,
-        name => Some(KernelTier::from_name(name).unwrap_or_else(|| {
-            eprintln!("unknown tier `{name}` (use vm, row or native)");
-            std::process::exit(2);
-        })),
-    };
+    let sname = arg_str(args, "scenario", "hotspot");
+    let tname = arg_str(args, "target", "seq");
+    let n = arg_usize(args, "n", 12);
+    let steps = arg_usize(args, "steps", 3);
+    let ranks = arg_usize(args, "ranks", 2);
+    let out = arg_str(args, "out", ".");
+    let strategy = pbte_apps::parse_strategy(arg_str(args, "strategy", "redundant"))?;
+    let tier = parse_tier(args)?;
 
     let source = if sname.ends_with(".pbte") {
-        let spec = ScenarioSpec::from_file(Path::new(sname)).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-        ScenarioSource::Pbte(Box::new(spec))
+        ScenarioSource::Pbte(Box::new(ScenarioSpec::from_file(Path::new(sname))?))
     } else {
-        let Some(scenario) = scenario_by_name(sname) else {
-            eprintln!("unknown scenario `{sname}` (use hotspot, elongated or a .pbte file)");
-            std::process::exit(2);
-        };
+        let scenario = scenario_by_name(sname).ok_or_else(|| {
+            Diagnostic::input_unknown(format!(
+                "unknown scenario `{sname}` (use hotspot, elongated or a .pbte file)"
+            ))
+        })?;
         ScenarioSource::Builtin(scenario)
     };
     let cfg = BteConfig::small(n, 8, 4, steps).with_temperature_strategy(strategy);
@@ -919,36 +812,41 @@ fn main() {
             ScenarioSource::Pbte(spec) => spec.strategy,
         };
         println!("parity check: scenario={sname} n={n} steps={steps} ranks={ranks}");
-        if run_parity(&source, &cfg, ranks, strategy, tier) {
+        if run_parity(&source, &cfg, ranks, strategy, tier)? {
             println!("parity OK: all targets agree");
-        } else {
-            std::process::exit(1);
+            return Ok(Outcome::default());
         }
-        return;
+        let mismatch = Diagnostic {
+            severity: Severity::Error,
+            rule: "parity/mismatch",
+            entity: sname.to_string(),
+            location: String::new(),
+            message: "the targets disagree (see the PARITY MISMATCH lines)".into(),
+        };
+        return Ok(Outcome::Finished {
+            findings: vec![mismatch],
+            fails_at: Severity::Error,
+        });
     }
 
-    let target = parse_target(tname, ranks).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-
-    let stream_path = arg_str(&args, "stream", "").to_string();
+    let target = parse_target(tname, ranks)?;
+    // Where the run's files go is checked before it starts.
+    std::fs::create_dir_all(out).map_err(|e| Diagnostic::input_io(out, e))?;
+    let stream_path = arg_str(args, "stream", "");
     let mut rec = Recorder::buffered();
     let writer = if stream_path.is_empty() {
         None
     } else {
-        if let Some(parent) = Path::new(&stream_path).parent() {
-            std::fs::create_dir_all(parent).ok();
+        let path = Path::new(stream_path);
+        let create = |e| Diagnostic::input_io(path, format!("cannot create stream file: {e}"));
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent).map_err(create)?;
         }
-        let w = StreamWriter::create(Path::new(&stream_path), StreamConfig::default())
-            .unwrap_or_else(|e| {
-                eprintln!("cannot create stream file {stream_path}: {e}");
-                std::process::exit(2);
-            });
+        let w = StreamWriter::create(path, StreamConfig::default()).map_err(create)?;
         rec.attach_stream(w.sink());
         Some(w)
     };
-    let report = run_one(&source, &cfg, target, tier, health, &mut rec);
+    let report = run_one(&source, &cfg, target, tier, health, &mut rec)?;
     // What the driver recorded it ran (the summary's first line), not what
     // was asked for.
     let summary = rec.summary_jsonl();
@@ -961,10 +859,9 @@ fn main() {
         );
     }
     if let Some(w) = writer {
-        let stats = w.finish().unwrap_or_else(|e| {
-            eprintln!("stream writer failed: {e}");
-            std::process::exit(2);
-        });
+        let stats = w
+            .finish()
+            .map_err(|e| Diagnostic::input_io(stream_path, format!("stream writer failed: {e}")))?;
         println!(
             "stream: {} frame(s) written, {} dropped, {} byte(s) -> {stream_path}",
             stats.frames_written, stats.dropped, stats.bytes
@@ -979,29 +876,43 @@ fn main() {
         rec.step_records().len()
     );
 
-    std::fs::create_dir_all(&out).expect("create output directory");
-    let trace_path = format!("{out}/trace.json");
-    let summary_path = format!("{out}/summary.jsonl");
-    std::fs::write(&trace_path, rec.chrome_trace()).expect("write trace.json");
-    std::fs::write(&summary_path, summary).expect("write summary.jsonl");
-    println!("wrote {trace_path} (open at https://ui.perfetto.dev) and {summary_path}");
+    let trace_path = Path::new(out).join("trace.json");
+    let summary_path = Path::new(out).join("summary.jsonl");
+    for (path, text) in [(&trace_path, rec.chrome_trace()), (&summary_path, summary)] {
+        std::fs::write(path, text).map_err(|e| Diagnostic::input_io(path, e))?;
+    }
+    println!(
+        "wrote {} (open at https://ui.perfetto.dev) and {}",
+        trace_path.display(),
+        summary_path.display()
+    );
 
-    // One list of what the run found. The physics health findings fail
-    // the run; the rest (nonmonotonic timers, truncated buffers, live
-    // cost drift, solver findings) are reported without failing it.
-    let (physics, other): (Vec<_>, Vec<_>) = pbte_dsl::exec::telemetry_diagnostics(&rec)
-        .into_iter()
-        .partition(|d| d.rule.starts_with("physics/"));
-    for d in &other {
-        println!("telemetry: {}", d.render());
-    }
-    if !physics.is_empty() {
-        for d in &physics {
-            println!("health: {}", d.render());
+    // One list of what the run found. The physics health findings and
+    // the error-severity ones fail the run; the rest (nonmonotonic
+    // timers, truncated buffers, live cost drift, a stalled Newton) are
+    // reported without failing it.
+    let findings = telemetry_diagnostics(&rec);
+    for d in &findings {
+        match d.rule.starts_with("physics/") {
+            true => println!("health: {d}"),
+            false => println!("telemetry: {d}"),
         }
-        std::process::exit(1);
     }
-    if health {
+    if health && !findings.iter().any(|d| d.rule.starts_with("physics/")) {
         println!("health: all probes clean");
+    }
+    Ok(Outcome::Finished {
+        findings,
+        fails_at: Severity::Error,
+    })
+}
+
+/// The `file=` a stream mode reads; refused when absent.
+fn required_file<'a>(args: &'a [String], usage: &str) -> Result<&'a str, Diagnostic> {
+    match arg_str(args, "file", "") {
+        "" => Err(Diagnostic::input_invalid(format!(
+            "usage: pbte-trace {usage}"
+        ))),
+        file => Ok(file),
     }
 }

@@ -56,20 +56,22 @@
 //!   against the recorded telemetry counters (`cost/model-drift` above
 //!   15% relative error).
 //!
-//! Exit status is non-zero if any diagnostic (warning or error) is
-//! produced, so CI can gate on a clean plan; an unknown `--flag` exits 2
-//! before anything runs. `--json` emits an object
+//! Exit status is the one table in `DESIGN.md` (`pbte_apps::status`),
+//! failing on warnings too: 1 if any diagnostic is produced, so CI can
+//! gate on a clean plan; 2 if an argument is refused or a plan fails to
+//! build or solve. `--json` emits an object
 //! with the combined diagnostic list (each entry tagged with its
 //! scenario/strategy/target/tier) and per-plan pass timings in
 //! milliseconds.
 
-use pbte_apps::{arg_usize, parse_target};
+use pbte_apps::{arg_usize, check_args, exit, parse_target, Outcome};
 use pbte_bte::pbte::ScenarioSpec;
 use pbte_bte::scenario::{elongated, hotspot_2d, BteConfig, BteProblem};
 use pbte_bte::temperature::TemperatureStrategy;
 use pbte_dsl::analysis;
-use pbte_dsl::exec::{ExecTarget, Solver};
+use pbte_dsl::exec::ExecTarget;
 use pbte_dsl::problem::{Integrator, KernelTier};
+use pbte_dsl::{Diagnostic, Severity};
 use std::path::Path;
 use std::time::Instant;
 
@@ -134,8 +136,26 @@ fn json_f64(v: Option<f64>) -> String {
     }
 }
 
-/// Run every requested pass on one compiled plan.
-fn run_plan(solver: &mut Solver, tags: [String; 5], flags: &Flags, sw: &mut Sweep) {
+/// The keys and flags `pbte-verify` takes; any other argument is refused.
+const KNOWN: &str = "n= steps= ranks= --json --validate --intervals --units --cost";
+
+/// Build `bte` at `tier` for `target` and run every requested pass on the
+/// plan; a refusal is located at the plan's `tags`.
+fn run_plan(
+    bte: Result<BteProblem, Diagnostic>,
+    tier: KernelTier,
+    target: &ExecTarget,
+    tags: [String; 5],
+    flags: &Flags,
+    sw: &mut Sweep,
+) -> Result<(), Diagnostic> {
+    let at = |d| Diagnostic {
+        location: tags.join("/"),
+        ..d
+    };
+    let mut bte = bte.map_err(at)?;
+    bte.problem.kernel_tier(tier);
+    let solver = &mut bte.problem.build(target.clone()).map_err(at)?;
     let cp = &solver.compiled;
 
     let t0 = Instant::now();
@@ -156,7 +176,8 @@ fn run_plan(solver: &mut Solver, tags: [String; 5], flags: &Flags, sw: &mut Swee
         analysis::check_units(cp, &mut diags);
         ms(t0)
     });
-    let cost_ms = flags.cost.then(|| {
+    let mut cost_ms = None;
+    if flags.cost {
         let t0 = Instant::now();
         // The static model is computed for every plan; the drift check
         // solves the plan and compares against telemetry on the row tier
@@ -164,24 +185,17 @@ fn run_plan(solver: &mut Solver, tags: [String; 5], flags: &Flags, sw: &mut Swee
         // the full sweep's solve cost.
         let _ = analysis::estimate_cost(&solver.compiled, &solver.target);
         if tags[3] == "row" {
-            match solver.solve() {
-                Ok(report) => {
-                    let (checks, drift) =
-                        analysis::check_cost_drift(&solver.compiled, &solver.target, &report);
-                    for c in &checks {
-                        sw.cost_max_err = sw.cost_max_err.max(c.relative_error());
-                    }
-                    sw.cost_checks += checks.len();
-                    diags.extend(drift);
-                }
-                Err(e) => {
-                    eprintln!("{}: solve failed: {e:?}", tags.join("/"));
-                    std::process::exit(2);
-                }
+            let report = solver.solve().map_err(at)?;
+            let (checks, drift) =
+                analysis::check_cost_drift(&solver.compiled, &solver.target, &report);
+            for c in &checks {
+                sw.cost_max_err = sw.cost_max_err.max(c.relative_error());
             }
+            sw.cost_checks += checks.len();
+            diags.extend(drift);
         }
-        ms(t0)
-    });
+        cost_ms = Some(ms(t0));
+    }
     sw.timings.push(PlanTiming {
         tags: tags.clone(),
         verify_ms,
@@ -198,48 +212,37 @@ fn run_plan(solver: &mut Solver, tags: [String; 5], flags: &Flags, sw: &mut Swee
         }
     }
     sw.all.extend(diags.into_iter().map(|d| (tags.clone(), d)));
+    Ok(())
 }
 
 /// The committed textual scenario library, sorted for stable ordering.
-fn scenario_library() -> Vec<(String, ScenarioSpec)> {
+fn scenario_library() -> Result<Vec<(String, ScenarioSpec)>, Diagnostic> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios");
-    let mut files: Vec<_> = match std::fs::read_dir(&dir) {
-        Ok(entries) => entries
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|e| e == "pbte"))
-            .collect(),
-        Err(e) => {
-            eprintln!("scenario library {} unreadable: {e}", dir.display());
-            std::process::exit(2);
+    let unreadable = |e| Diagnostic::input_io(&dir, format!("scenario library unreadable: {e}"));
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(&dir).map_err(unreadable)? {
+        let path = entry.map_err(unreadable)?.path();
+        if path.extension().is_some_and(|e| e == "pbte") {
+            files.push(path);
         }
-    };
+    }
     files.sort();
     files
         .into_iter()
         .map(|path| {
             let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
-            match ScenarioSpec::from_file(&path) {
-                Ok(spec) => (stem, spec),
-                Err(e) => {
-                    eprintln!("{}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            }
+            Ok((stem, ScenarioSpec::from_file(&path)?))
         })
         .collect()
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    const FLAGS: [&str; 5] = ["--json", "--validate", "--intervals", "--units", "--cost"];
-    if let Some(flag) = (args.iter()).find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
-    {
-        eprintln!(
-            "pbte-verify: unknown flag `{flag}` (known: {})",
-            FLAGS.join(" ")
-        );
-        std::process::exit(2);
-    }
+    exit(run(&args).unwrap_or_else(Outcome::from))
+}
+
+fn run(args: &[String]) -> Result<Outcome, Diagnostic> {
+    check_args(args, KNOWN)?;
     let on = |flag: &str| args.iter().any(|a| a == flag);
     let flags = Flags {
         json: on("--json"),
@@ -248,9 +251,9 @@ fn main() {
         units: on("--units"),
         cost: on("--cost"),
     };
-    let n = arg_usize(&args, "n", 12);
-    let steps = arg_usize(&args, "steps", 4);
-    let ranks = arg_usize(&args, "ranks", 2);
+    let n = arg_usize(args, "n", 12);
+    let steps = arg_usize(args, "steps", 4);
+    let ranks = arg_usize(args, "ranks", 2);
 
     type Scenario = fn(&BteConfig) -> BteProblem;
     let scenarios: [(&str, Scenario); 2] = [("hotspot", hotspot_2d), ("elongated", elongated)];
@@ -279,7 +282,6 @@ fn main() {
                 for (kname, tier) in tiers {
                     for (iname, integrator) in integrators {
                         let mut bte = scenario(&cfg);
-                        bte.problem.kernel_tier(tier);
                         bte.problem.integrator(integrator);
                         let tags = [
                             sname.to_string(),
@@ -288,14 +290,7 @@ fn main() {
                             kname.to_string(),
                             iname.to_string(),
                         ];
-                        let mut solver = match bte.problem.build(target.clone()) {
-                            Ok(s) => s,
-                            Err(e) => {
-                                eprintln!("{}: build failed: {e:?}", tags.join("/"));
-                                std::process::exit(2);
-                            }
-                        };
-                        run_plan(&mut solver, tags, &flags, &mut sw);
+                        run_plan(Ok(bte), tier, &target, tags, &flags, &mut sw)?;
                     }
                 }
             }
@@ -305,7 +300,7 @@ fn main() {
     // The textual library: each file carries its own strategy, integrator,
     // mesh source, and declarations; the sweep still varies target and
     // kernel tier.
-    for (stem, spec) in scenario_library() {
+    for (stem, spec) in scenario_library()? {
         let stname = match spec.strategy {
             TemperatureStrategy::RedundantNewton => "redundant",
             TemperatureStrategy::DividedNewton => "divided",
@@ -320,22 +315,7 @@ fn main() {
                     kname.to_string(),
                     iname.to_string(),
                 ];
-                let mut bte = match spec.build() {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("{}: build failed: {e}", tags.join("/"));
-                        std::process::exit(2);
-                    }
-                };
-                bte.problem.kernel_tier(tier);
-                let mut solver = match bte.problem.build(target.clone()) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("{}: build failed: {e:?}", tags.join("/"));
-                        std::process::exit(2);
-                    }
-                };
-                run_plan(&mut solver, tags, &flags, &mut sw);
+                run_plan(spec.build(), tier, &target, tags, &flags, &mut sw)?;
             }
         }
     }
@@ -413,7 +393,8 @@ fn main() {
             );
         }
     }
-    if !sw.all.is_empty() {
-        std::process::exit(1);
-    }
+    Ok(Outcome::Finished {
+        findings: sw.all.into_iter().map(|(_, d)| d).collect(),
+        fails_at: Severity::Warning,
+    })
 }

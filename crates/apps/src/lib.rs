@@ -1,10 +1,12 @@
 //! Workspace-level examples and integration tests.
 //!
-//! Besides the `key=value` argument helpers the three binaries share
-//! (one CLI vocabulary: [`parse_target`] and [`parse_strategy`] here,
-//! `KernelTier::from_name` in `pbte-dsl`), this crate exists to host the runnable examples in the
-//! repository-root `examples/` directory and the cross-crate integration
-//! tests in the root `tests/` directory as cargo targets:
+//! Besides what the three binaries share — one CLI vocabulary
+//! ([`parse_target`] and [`parse_strategy`] here, `KernelTier::from_name`
+//! in `pbte-dsl`), one check of their arguments ([`check_args`]) and one
+//! exit table ([`status`], [`exit`]) — this crate exists to host the
+//! runnable examples in the repository-root `examples/` directory and the
+//! cross-crate integration tests in the root `tests/` directory as cargo
+//! targets:
 //!
 //! ```text
 //! cargo run --release -p pbte-apps --example quickstart
@@ -17,23 +19,104 @@
 //! ```
 
 use pbte_bte::temperature::TemperatureStrategy;
-use pbte_dsl::{ExecTarget, GpuStrategy};
+use pbte_dsl::{Diagnostic, ExecTarget, GpuStrategy, KernelTier, Severity};
 use pbte_gpu::DeviceSpec;
+
+/// How a run of a binary ended, as its exit status reads it.
+#[derive(Debug)]
+pub enum Outcome {
+    /// The input was refused before step 0 (an `input/*`, `mesh/*` or
+    /// `dsl/*` refusal, or the verify gate's error findings).
+    Refused(Vec<Diagnostic>),
+    /// The program ran, found `findings`, and fails at `fails_at` or
+    /// above: `Error` for a run, `Warning` for `pbte-verify`.
+    Finished {
+        findings: Vec<Diagnostic>,
+        fails_at: Severity,
+    },
+}
+
+/// A run that found nothing.
+impl Default for Outcome {
+    fn default() -> Outcome {
+        Outcome::Finished {
+            findings: Vec::new(),
+            fails_at: Severity::Error,
+        }
+    }
+}
+
+impl From<Diagnostic> for Outcome {
+    fn from(refusal: Diagnostic) -> Outcome {
+        Outcome::Refused(vec![refusal])
+    }
+}
+
+/// The one exit table of the three binaries (`DESIGN.md`): 2 for a
+/// refusal, 1 for a finding at or above `fails_at` or any `physics/*`
+/// finding, 0 otherwise.
+pub fn status(outcome: &Outcome) -> i32 {
+    match outcome {
+        Outcome::Refused(_) => 2,
+        Outcome::Finished { findings, fails_at } => {
+            let fails = |d: &Diagnostic| d.severity >= *fails_at || d.rule.starts_with("physics/");
+            i32::from(findings.iter().any(fails))
+        }
+    }
+}
+
+/// End the process with [`status`], the one way the binaries exit; a
+/// refusal's diagnostics go to stderr first.
+pub fn exit(outcome: Outcome) -> ! {
+    if let Outcome::Refused(refusals) = &outcome {
+        refusals.iter().for_each(|d| eprintln!("{d}"));
+    }
+    std::process::exit(status(&outcome))
+}
+
+/// Refuse any argument outside `known`, a binary's one space-separated
+/// list of its keys (`n=`) and flags (`--parity`), as `input/unknown`.
+pub fn check_args(args: &[String], known: &str) -> Result<(), Diagnostic> {
+    let name = |a: &String| a.find('=').map_or(a.clone(), |i| a[..=i].to_string());
+    let Some(arg) = args
+        .iter()
+        .find(|a| !known.split(' ').any(|k| k == name(a)))
+    else {
+        return Ok(());
+    };
+    let what = match (arg.starts_with("--"), arg.contains('=')) {
+        (true, _) => "flag",
+        (false, true) => "key",
+        (false, false) => "argument",
+    };
+    Err(Diagnostic::input_unknown(format!(
+        "unknown {what} `{arg}` (known: {known})"
+    )))
+}
+
+/// The `tier=` key: `None` when absent.
+pub fn parse_tier(args: &[String]) -> Result<Option<KernelTier>, Diagnostic> {
+    match arg_str(args, "tier", "") {
+        "" => Ok(None),
+        name => KernelTier::from_name(name).map(Some).ok_or_else(|| {
+            Diagnostic::input_unknown(format!("unknown tier `{name}` (use vm, row or native)"))
+        }),
+    }
+}
 
 /// Parse a positive `KEY=count` override from the command line, e.g.
 /// `cargo run --example hotspot_2d -- n=64 steps=2000`; `default` when
-/// the key is absent. A malformed or zero count prints an error naming
-/// the key and exits with status 2.
+/// the key is absent. A malformed or zero count is refused through
+/// [`exit`], naming the key.
 pub fn arg_usize(args: &[String], key: &str, default: usize) -> usize {
     let prefix = format!("{key}=");
     match args.iter().find_map(|a| a.strip_prefix(&prefix)) {
         None => default,
         Some(v) => match v.parse() {
             Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("bad count `{key}={v}` (use a positive integer)");
-                std::process::exit(2)
-            }
+            _ => exit(Outcome::from(Diagnostic::input_invalid(format!(
+                "bad count `{key}={v}` (use a positive integer)"
+            )))),
         },
     }
 }
@@ -50,13 +133,13 @@ pub fn arg_str<'a>(args: &'a [String], key: &str, default: &'a str) -> &'a str {
 /// Parse a `strategy=` value — the temperature Newton of a band-parallel
 /// target, one spelling for `pbte` and `pbte-trace`: `redundant` (every
 /// rank solves every cell) or `divided` (each cell on one rank).
-pub fn parse_strategy(spec: &str) -> Result<TemperatureStrategy, String> {
+pub fn parse_strategy(spec: &str) -> Result<TemperatureStrategy, Diagnostic> {
     match spec {
         "redundant" => Ok(TemperatureStrategy::RedundantNewton),
         "divided" => Ok(TemperatureStrategy::DividedNewton),
-        other => Err(format!(
+        other => Err(Diagnostic::input_unknown(format!(
             "unknown strategy `{other}` (use redundant or divided)"
-        )),
+        ))),
     }
 }
 
@@ -65,15 +148,15 @@ pub fn parse_strategy(spec: &str) -> Result<TemperatureStrategy, String> {
 /// `gpu:precompute`, and `cells`, `bands`, `bands-gpu` with an optional
 /// `:<ranks>` suffix (`default_ranks` without one). Distributed band
 /// targets partition the BTE's band index `b`. Zero ranks is an error.
-pub fn parse_target(spec: &str, default_ranks: usize) -> Result<ExecTarget, String> {
+pub fn parse_target(spec: &str, default_ranks: usize) -> Result<ExecTarget, Diagnostic> {
     let (name, ranks) = match spec.split_once(':') {
         Some((name @ ("cells" | "bands" | "bands-gpu"), r)) => (name, r.parse().unwrap_or(0)),
         _ => (spec, default_ranks),
     };
     if ranks == 0 {
-        return Err(format!(
+        return Err(Diagnostic::input_invalid(format!(
             "bad rank count in target `{spec}` (use ranks >= 1)"
-        ));
+        )));
     }
     let index = "b".to_string();
     let spec_a6000 = DeviceSpec::a6000();
@@ -97,10 +180,10 @@ pub fn parse_target(spec: &str, default_ranks: usize) -> Result<ExecTarget, Stri
             strategy: GpuStrategy::AsyncBoundary,
         },
         _ => {
-            return Err(format!(
+            return Err(Diagnostic::input_unknown(format!(
                 "unknown target `{spec}` (use seq, par, gpu[:async|:precompute], \
                  cells[:<ranks>], bands[:<ranks>] or bands-gpu[:<ranks>])"
-            ))
+            )))
         }
     })
 }
@@ -108,7 +191,6 @@ pub fn parse_target(spec: &str, default_ranks: usize) -> Result<ExecTarget, Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbte_dsl::KernelTier;
 
     #[test]
     fn every_target_spelling_round_trips_and_unknown_is_an_error() {

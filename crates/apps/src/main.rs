@@ -15,11 +15,7 @@
 //! A6000; `gpu:async` / `gpu:precompute` name the paper's two boundary
 //! strategies, which run one schedule),
 //! `cells:<r>` / `bands:<r>` / `bands-gpu:<r>` (distributed ranks) — the
-//! spellings `pbte-trace` takes. An unknown `target`, `tier`, `strategy`
-//! or `integrator` value, an integrator parameter out of range or a `dt`
-//! that is not a positive number is a usage error (exit status 2), and
-//! so is a problem the DSL refuses to build or solve on the target (more
-//! ranks than cells or than the partitioned index has values).
+//! spellings `pbte-trace` takes.
 //! `strategy` values (2-D scenarios, effective under `bands:<r>`):
 //! `redundant` (every rank solves all cells, the paper's behaviour) or
 //! `divided` (per-rank cell slices plus a second fold sharing `T`).
@@ -36,52 +32,42 @@
 //! `implicit` / `implicit:<theta>` (matrix-free θ-scheme, backward Euler
 //! at the default θ=1), `steady` / `steady:<tol>:<growth>`
 //! (pseudo-transient continuation to steady state).
+//!
+//! Exit status is the one table in `DESIGN.md` ([`pbte_apps::status`]):
+//! 2 for input refused before step 0 (an unknown command, key or value,
+//! a problem the DSL refuses on the target), its rule on stderr; 1 for an
+//! error-severity finding; 0 otherwise, `pbte` and `pbte help` included.
 
-use pbte_apps::{arg_str, arg_usize};
+use pbte_apps::{arg_str, arg_usize, check_args, exit, parse_tier, Outcome};
 use pbte_bte::output::{render_ascii, summary, temperature_grid};
 use pbte_bte::scenario::{coarse_3d, elongated, hotspot_2d, BteConfig, BteProblem};
-use pbte_bte::temperature::TemperatureStrategy;
-use pbte_dsl::exec::{ExecTarget, Findings, Solver};
-use pbte_dsl::problem::{DslError, Integrator, KernelTier};
+use pbte_dsl::exec::{finding_diagnostics, ExecTarget, Findings, Solver};
+use pbte_dsl::problem::Integrator;
+use pbte_dsl::{Diagnostic, Severity};
 
-/// A `key=value` the CLI does not know: say so and exit with the usage
-/// status, like `pbte-trace`.
-fn usage_error(message: String) -> ! {
-    eprintln!("{message}");
-    std::process::exit(2);
-}
+/// The keys `pbte` takes; any other argument is refused.
+const KNOWN: &str = "n= steps= dirs= bands= ranks= target= strategy= tier= dt= integrator=";
 
-/// A build or solve the DSL refuses: report its error and exit with the
-/// usage status, like `pbte-trace`.
-fn checked<T>(result: Result<T, DslError>, what: &str) -> T {
-    result.unwrap_or_else(|e| usage_error(format!("{what} failed: {e}")))
-}
+const USAGE: &str = "usage: pbte <hotspot|elongated|bte3d|codegen|info> [key=value ...]\n\
+     keys: n, steps, dirs, bands, ranks, target, strategy, tier, dt, integrator\n\
+     targets: seq | par | gpu[:async|:precompute] | cells:<ranks> | bands:<ranks> |\n\
+     \x20        bands-gpu:<ranks>\n\
+     strategies (temperature Newton under bands:<ranks>): redundant | divided\n\
+     tiers: vm | row | native (AOT; falls back to row without rustc)\n\
+     dt: <seconds> | auto (interval-pass recommendation: CFL bound when\n\
+         explicit, accuracy-scaled when unconditionally stable)\n\
+     integrators: explicit | implicit[:<theta>] | steady[:<tol>:<growth>]";
 
-fn parse_target(args: &[String]) -> ExecTarget {
+fn parse_target(args: &[String]) -> Result<ExecTarget, Diagnostic> {
     pbte_apps::parse_target(arg_str(args, "target", "par"), arg_usize(args, "ranks", 2))
-        .unwrap_or_else(|e| usage_error(e))
 }
 
-fn parse_strategy(args: &[String]) -> TemperatureStrategy {
-    pbte_apps::parse_strategy(arg_str(args, "strategy", "redundant"))
-        .unwrap_or_else(|e| usage_error(e))
-}
-
-fn parse_integrator(args: &[String]) -> Integrator {
+fn parse_integrator(args: &[String]) -> Result<Integrator, Diagnostic> {
     let Some(spec) = args.iter().find_map(|a| a.strip_prefix("integrator=")) else {
-        return Integrator::Explicit;
+        return Ok(Integrator::Explicit);
     };
     spec.parse()
-        .unwrap_or_else(|e| usage_error(format!("integrator={spec}: {e}")))
-}
-
-fn parse_tier(args: &[String]) -> Option<KernelTier> {
-    let name = args.iter().find_map(|a| a.strip_prefix("tier="))?;
-    Some(
-        KernelTier::from_name(name).unwrap_or_else(|| {
-            usage_error(format!("unknown tier `{name}` (use vm, row or native)"))
-        }),
-    )
+        .map_err(|e| Diagnostic::input_invalid(format!("integrator={spec}: {e}")))
 }
 
 /// Resolve the `dt=` key. A literal value is used verbatim; `auto`
@@ -96,28 +82,30 @@ fn apply_dt(
     cfg: &mut BteConfig,
     integrator: Integrator,
     build: impl Fn(&BteConfig) -> BteProblem,
-) -> Option<String> {
-    let spec = args.iter().find_map(|a| a.strip_prefix("dt="))?;
+) -> Result<Option<String>, Diagnostic> {
+    let Some(spec) = args.iter().find_map(|a| a.strip_prefix("dt=")) else {
+        return Ok(None);
+    };
     if spec != "auto" {
         let dt = spec
             .parse()
             .ok()
             .filter(|dt: &f64| *dt > 0.0 && dt.is_finite());
-        cfg.dt = Some(dt.unwrap_or_else(|| {
-            usage_error(format!(
+        cfg.dt = Some(dt.ok_or_else(|| {
+            Diagnostic::input_invalid(format!(
                 "dt={spec}: expects a positive number of seconds or `auto`"
             ))
-        }));
-        return None;
+        })?);
+        return Ok(None);
     }
     let mut probe = build(cfg);
     let default_dt = probe.problem.dt;
     probe.problem.integrator(integrator);
-    let solver = checked(Solver::build(probe.problem, ExecTarget::CpuSeq), "build");
+    let solver = Solver::build(probe.problem, ExecTarget::CpuSeq)?;
     let rec = pbte_dsl::analysis::recommend_dt(&solver.compiled)
         .expect("advective scenario derives a CFL bound");
     cfg.dt = Some(rec.dt);
-    (rec.dt != default_dt).then(|| {
+    Ok((rec.dt != default_dt).then(|| {
         format!(
             "dt=auto set the step by the `{}` policy: {:.3e} s \
              (scenario default {default_dt:.3e} s, CFL bound {:.3e} s, \
@@ -128,18 +116,23 @@ fn apply_dt(
             rec.bound.vmax,
             rec.bound.width_min
         )
-    })
+    }))
 }
 
-fn cfg_from(args: &[String], default_n: usize, default_steps: usize) -> BteConfig {
+fn cfg_from(
+    args: &[String],
+    default_n: usize,
+    default_steps: usize,
+) -> Result<BteConfig, Diagnostic> {
     let n = arg_usize(args, "n", default_n);
     let steps = arg_usize(args, "steps", default_steps);
     let dirs = arg_usize(args, "dirs", 8);
     let bands = arg_usize(args, "bands", 10);
-    let mut cfg =
-        BteConfig::small(n, dirs, bands, steps).with_temperature_strategy(parse_strategy(args));
+    let mut cfg = BteConfig::small(n, dirs, bands, steps).with_temperature_strategy(
+        pbte_apps::parse_strategy(arg_str(args, "strategy", "redundant"))?,
+    );
     cfg.hot_width = 50e-6;
-    cfg
+    Ok(cfg)
 }
 
 fn run_2d(
@@ -149,13 +142,13 @@ fn run_2d(
     nx: usize,
     ny: usize,
     dt_note: Option<String>,
-) {
-    if let Some(tier) = parse_tier(args) {
+) -> Result<Findings, Diagnostic> {
+    if let Some(tier) = parse_tier(args)? {
         bte.problem.kernel_tier(tier);
     }
-    bte.problem.integrator(parse_integrator(args));
+    bte.problem.integrator(parse_integrator(args)?);
     let vars = bte.vars;
-    let mut solver = checked(bte.solver(target), "build");
+    let mut solver = bte.solver(target)?;
     let integrator = solver.compiled.problem.integrator;
     let dt_used = solver.compiled.problem.dt;
     let cfl = pbte_dsl::analysis::cfl_bound(&solver.compiled);
@@ -163,7 +156,7 @@ fn run_2d(
         println!("{note}");
     }
     let start = std::time::Instant::now();
-    let report = checked(solver.solve(), "solve");
+    let report = solver.solve()?;
     let wall = start.elapsed().as_secs_f64();
     let grid = temperature_grid(solver.fields(), vars.t, nx, ny);
     println!("{}", render_ascii(&grid, nx));
@@ -200,6 +193,7 @@ fn run_2d(
     }
     println!("\nphase breakdown:\n{}", report.timer.breakdown().render());
     print_findings(&report.findings);
+    Ok(report.findings)
 }
 
 /// Print what a run found, one line per rule: its severity, how often it
@@ -211,41 +205,48 @@ fn print_findings(findings: &Findings) {
     println!("findings:");
     for (rule, total) in &findings.totals {
         if let Some(first) = findings.kept.iter().find(|e| e.name == *rule) {
-            let severity = first.severity.label();
-            println!("  {severity} {rule} (x{total}): {}", first.message);
+            println!("  {} {rule} (x{total}): {}", first.severity, first.message);
         }
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = args.first().map(String::as_str).unwrap_or("help");
-    let rest = if args.is_empty() {
-        &args[..]
-    } else {
-        &args[1..]
-    };
+    exit(run(&args).unwrap_or_else(Outcome::from))
+}
 
-    match command {
+fn run(args: &[String]) -> Result<Outcome, Diagnostic> {
+    let Some((command, rest)) = args.split_first().filter(|(c, _)| *c != "help") else {
+        println!("{USAGE}");
+        return Ok(Outcome::default());
+    };
+    if !["hotspot", "elongated", "bte3d", "codegen", "info"].contains(&command.as_str()) {
+        eprintln!("{USAGE}");
+        return Err(Diagnostic::input_unknown(format!(
+            "unknown command `{command}`"
+        )));
+    }
+    check_args(rest, KNOWN)?;
+    let findings = match command.as_str() {
         "hotspot" => {
-            let mut cfg = cfg_from(rest, 48, 2000);
-            let dt_note = apply_dt(rest, &mut cfg, parse_integrator(rest), hotspot_2d);
+            let mut cfg = cfg_from(rest, 48, 2000)?;
+            let dt_note = apply_dt(rest, &mut cfg, parse_integrator(rest)?, hotspot_2d)?;
             let (nx, ny) = (cfg.nx, cfg.ny);
             println!(
                 "hot-spot scenario: {nx}x{ny} cells, {} dof/cell, {} steps",
                 cfg.dof().0,
                 cfg.n_steps
             );
-            run_2d(hotspot_2d(&cfg), rest, parse_target(rest), nx, ny, dt_note);
+            run_2d(hotspot_2d(&cfg), rest, parse_target(rest)?, nx, ny, dt_note)?
         }
         "elongated" => {
-            let mut cfg = cfg_from(rest, 24, 3000);
+            let mut cfg = cfg_from(rest, 24, 3000)?;
             cfg.nx = 3 * cfg.ny;
             cfg.lx = 3.0 * cfg.ly;
-            let dt_note = apply_dt(rest, &mut cfg, parse_integrator(rest), elongated);
+            let dt_note = apply_dt(rest, &mut cfg, parse_integrator(rest)?, elongated)?;
             let (nx, ny) = (cfg.nx, cfg.ny);
             println!("elongated scenario: {nx}x{ny} cells, {} steps", cfg.n_steps);
-            run_2d(elongated(&cfg), rest, parse_target(rest), nx, ny, dt_note);
+            run_2d(elongated(&cfg), rest, parse_target(rest)?, nx, ny, dt_note)?
         }
         "bte3d" => {
             let n = arg_usize(rest, "n", 8);
@@ -253,8 +254,8 @@ fn main() {
             println!("coarse 3-D scenario: {n}^3 cells, {steps} steps");
             let bte = coarse_3d(n, 4, 8, 8, steps);
             let vars = bte.vars;
-            let mut solver = checked(bte.solver(parse_target(rest)), "build");
-            let report = checked(solver.solve(), "solve");
+            let mut solver = bte.solver(parse_target(rest)?)?;
+            let report = solver.solve()?;
             let fields = solver.fields();
             for k in 0..n {
                 let mean: f64 = (0..n * n)
@@ -264,16 +265,21 @@ fn main() {
                 println!("z-layer {k}: {mean:.4} K");
             }
             print_findings(&report.findings);
+            report.findings
         }
         "codegen" => {
-            let cfg = cfg_from(rest, 8, 1);
-            let solver = checked(hotspot_2d(&cfg).solver(parse_target(rest)), "build");
+            let cfg = cfg_from(rest, 8, 1)?;
+            let target = parse_target(rest)?;
+            let on_device = matches!(target, ExecTarget::GpuHybrid { .. });
+            let solver = hotspot_2d(&cfg).solver(target)?;
             println!("{}", solver.generated_source());
-            if let ExecTarget::GpuHybrid { .. } = parse_target(rest) {
+            if on_device {
                 println!("{}", solver.compiled.transfer_schedule().render());
             }
+            Findings::default()
         }
-        "info" => {
+        _ => {
+            // info
             let cfg = BteConfig::paper_headline();
             let (per_cell, total) = cfg.dof();
             println!("paper headline configuration:");
@@ -292,8 +298,8 @@ fn main() {
             println!("  steps         : {} (performance unit)", cfg.n_steps);
             // Memory footprint at a reduced shape (same per-cell numbers
             // scale linearly to the headline mesh).
-            let small = cfg_from(&[], 12, 1);
-            let solver = checked(hotspot_2d(&small).solver(ExecTarget::CpuSeq), "build");
+            let small = cfg_from(&[], 12, 1)?;
+            let solver = hotspot_2d(&small).solver(ExecTarget::CpuSeq)?;
             let report = solver.compiled.memory_report();
             let scale = (cfg.nx * cfg.ny) as f64 / report.n_cells as f64
                 * (per_cell as f64 / (report.n_dof / report.n_cells) as f64);
@@ -305,19 +311,11 @@ fn main() {
                 "\ntargets: seq | par | gpu[:async|:precompute] | cells:<ranks> | \
                  bands:<ranks> | bands-gpu:<ranks>"
             );
+            Findings::default()
         }
-        _ => {
-            println!(
-                "usage: pbte <hotspot|elongated|bte3d|codegen|info> [key=value ...]\n\
-                 keys: n, steps, dirs, bands, target, strategy, tier, dt, integrator\n\
-                 targets: seq | par | gpu[:async|:precompute] | cells:<ranks> | bands:<ranks> |\n\
-                 \x20        bands-gpu:<ranks>\n\
-                 strategies (temperature Newton under bands:<ranks>): redundant | divided\n\
-                 tiers: vm | row | native (AOT; falls back to row without rustc)\n\
-                 dt: <seconds> | auto (interval-pass recommendation: CFL bound when\n\
-                     explicit, accuracy-scaled when unconditionally stable)\n\
-                 integrators: explicit | implicit[:<theta>] | steady[:<tol>:<growth>]"
-            );
-        }
-    }
+    };
+    Ok(Outcome::Finished {
+        findings: finding_diagnostics(&findings),
+        fails_at: Severity::Error,
+    })
 }

@@ -32,7 +32,7 @@
 use crate::material::Material;
 use crate::temperature::BteVars;
 use pbte_dsl::problem::{Problem, StepContext};
-use pbte_runtime::telemetry::EventSeverity;
+use pbte_runtime::telemetry::Severity;
 use std::sync::Arc;
 
 /// Rule identifiers for health findings (`Diagnostic::rule`).
@@ -184,8 +184,7 @@ impl HealthProbes {
                 "{nan_count} NaN intensity value(s) at step {step}; first at \
                  direction {d}, band {b}, cell {cell}"
             );
-            ctx.rec
-                .warn(EventSeverity::Error, rules::NAN_INTENSITY, message);
+            ctx.rec.warn(Severity::Error, rules::NAN_INTENSITY, message);
         }
         if let Some((d, b, cell, v)) = first_neg {
             let message = format!(
@@ -193,7 +192,7 @@ impl HealthProbes {
                  {v:.3e} at direction {d}, band {b}, cell {cell}"
             );
             ctx.rec
-                .warn(EventSeverity::Warning, rules::NEGATIVE_INTENSITY, message);
+                .warn(Severity::Warning, rules::NEGATIVE_INTENSITY, message);
         }
         // A NaN poisons the residual sums (and NaN comparisons are
         // false), so the budget verdict is only meaningful on NaN-free
@@ -207,7 +206,7 @@ impl HealthProbes {
                     self.energy_tol
                 );
                 ctx.rec
-                    .warn(EventSeverity::Warning, rules::ENERGY_BUDGET, message);
+                    .warn(Severity::Warning, rules::ENERGY_BUDGET, message);
             }
         }
     }

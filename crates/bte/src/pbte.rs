@@ -75,43 +75,10 @@ use pbte_dsl::exec::{ExecTarget, Solver};
 use pbte_dsl::problem::Integrator;
 use pbte_dsl::{analysis, Diagnostic, Severity};
 use pbte_mesh::grid::UniformGrid;
-use pbte_mesh::{gmsh, medit, Mesh, Point};
+use pbte_mesh::{gmsh, medit, ImportError, Mesh, Point};
 use pbte_symbolic::Dim;
-use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// Failure anywhere on the `.pbte` path: parse, semantic validation,
-/// file I/O, or the pre-execution verification gate.
-#[derive(Debug)]
-pub enum PbteError {
-    /// Syntax or value error, with the 1-based line it occurred on.
-    Parse { line: usize, message: String },
-    /// A semantically invalid specification (missing key, unknown
-    /// region, mesh/material dimension mismatch, ...).
-    Invalid(String),
-    /// Reading the scenario or a referenced mesh file failed.
-    Io(String),
-    /// The verification gate refused the scenario: at least one
-    /// error-severity diagnostic. All diagnostics are attached.
-    Verification(Vec<Diagnostic>),
-}
-
-impl fmt::Display for PbteError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PbteError::Parse { line, message } => write!(f, "line {line}: {message}"),
-            PbteError::Invalid(m) => write!(f, "{m}"),
-            PbteError::Io(m) => write!(f, "{m}"),
-            PbteError::Verification(diags) => {
-                let rendered: Vec<String> = diags.iter().map(|d| d.render()).collect();
-                write!(f, "scenario refused by verifier:\n{}", rendered.join("\n"))
-            }
-        }
-    }
-}
-
-impl std::error::Error for PbteError {}
 
 /// Mesh source.
 #[derive(Debug, Clone, PartialEq)]
@@ -206,14 +173,12 @@ pub struct ScenarioSpec {
 // Parsing
 // ---------------------------------------------------------------------------
 
-fn perr(line: usize, message: impl Into<String>) -> PbteError {
-    PbteError::Parse {
-        line,
-        message: message.into(),
-    }
+/// An `input/parse` refusal of line `line`.
+fn perr(line: usize, message: impl Into<String>) -> Diagnostic {
+    Diagnostic::input_parse(line, message)
 }
 
-fn parse_f64(line: usize, key: &str, v: &str) -> Result<f64, PbteError> {
+fn parse_f64(line: usize, key: &str, v: &str) -> Result<f64, Diagnostic> {
     let x: f64 = v
         .parse()
         .map_err(|_| perr(line, format!("`{key}` expects a number, got `{v}`")))?;
@@ -223,7 +188,7 @@ fn parse_f64(line: usize, key: &str, v: &str) -> Result<f64, PbteError> {
     Ok(x)
 }
 
-fn parse_usize(line: usize, key: &str, v: &str) -> Result<usize, PbteError> {
+fn parse_usize(line: usize, key: &str, v: &str) -> Result<usize, Diagnostic> {
     v.parse().map_err(|_| {
         perr(
             line,
@@ -233,7 +198,7 @@ fn parse_usize(line: usize, key: &str, v: &str) -> Result<usize, PbteError> {
 }
 
 /// Parse `t_ref t_peak width @ x,y[,z] ...` (hot spots and pulses).
-fn parse_centers(line: usize, rest: &str) -> Result<(f64, f64, f64, Vec<Point>), PbteError> {
+fn parse_centers(line: usize, rest: &str) -> Result<(f64, f64, f64, Vec<Point>), Diagnostic> {
     let (params, centers) = rest
         .split_once('@')
         .ok_or_else(|| perr(line, "expected `t_ref t_peak width @ x,y ...`"))?;
@@ -271,7 +236,7 @@ fn parse_centers(line: usize, rest: &str) -> Result<(f64, f64, f64, Vec<Point>),
     Ok((t_ref, t_peak, width, pts))
 }
 
-fn parse_bc(line: usize, v: &str) -> Result<BcSpec, PbteError> {
+fn parse_bc(line: usize, v: &str) -> Result<BcSpec, Diagnostic> {
     let (head, rest) = match v.split_once(char::is_whitespace) {
         Some((h, r)) => (h, r.trim()),
         None => (v, ""),
@@ -321,7 +286,7 @@ struct RawMesh {
 /// specifications, integrator forms — so a parsed [`ScenarioSpec`] can
 /// only fail later on filesystem state or the verification gate. Never
 /// panics on any input (fuzzed by `tests/pbte_fuzz.rs`).
-pub fn parse_pbte(src: &str) -> Result<ScenarioSpec, PbteError> {
+pub fn parse_pbte(src: &str) -> Result<ScenarioSpec, Diagnostic> {
     let mut name: Option<String> = None;
     let mut strategy = TemperatureStrategy::RedundantNewton;
     let mut integrator = Integrator::Explicit;
@@ -374,6 +339,7 @@ pub fn parse_pbte(src: &str) -> Result<ScenarioSpec, PbteError> {
         if value.is_empty() {
             return Err(perr(ln, format!("`{key}` has no value")));
         }
+        let unknown = |key: &str| perr(ln, format!("unknown [{section}] key `{key}`"));
         match section.as_str() {
             "scenario" => match key {
                 "name" => name = Some(value.to_string()),
@@ -392,7 +358,7 @@ pub fn parse_pbte(src: &str) -> Result<ScenarioSpec, PbteError> {
                 "integrator" => integrator = value.parse().map_err(|e: String| perr(ln, e))?,
                 "t_ref" => t_ref = Some(parse_f64(ln, key, value)?),
                 "t_hot" => t_hot = Some(parse_f64(ln, key, value)?),
-                other => return Err(perr(ln, format!("unknown [scenario] key `{other}`"))),
+                other => return Err(unknown(other)),
             },
             "mesh" => match key {
                 "kind" => raw_mesh.kind = Some((ln, value.to_string())),
@@ -403,7 +369,7 @@ pub fn parse_pbte(src: &str) -> Result<ScenarioSpec, PbteError> {
                 "ly" => raw_mesh.ly = Some(parse_f64(ln, key, value)?),
                 "lz" => raw_mesh.lz = Some(parse_f64(ln, key, value)?),
                 "file" => raw_mesh.file = Some(value.to_string()),
-                other => return Err(perr(ln, format!("unknown [mesh] key `{other}`"))),
+                other => return Err(unknown(other)),
             },
             "material" => match key {
                 "model" => model = Some((ln, value.to_string())),
@@ -411,7 +377,7 @@ pub fn parse_pbte(src: &str) -> Result<ScenarioSpec, PbteError> {
                 "ndirs" => ndirs = Some(parse_usize(ln, key, value)?),
                 "n_polar" => n_polar = Some(parse_usize(ln, key, value)?),
                 "n_azimuthal" => n_azimuthal = Some(parse_usize(ln, key, value)?),
-                other => return Err(perr(ln, format!("unknown [material] key `{other}`"))),
+                other => return Err(unknown(other)),
             },
             "time" => match key {
                 "dt" => {
@@ -432,7 +398,7 @@ pub fn parse_pbte(src: &str) -> Result<ScenarioSpec, PbteError> {
                     }
                     n_steps = Some(v);
                 }
-                other => return Err(perr(ln, format!("unknown [time] key `{other}`"))),
+                other => return Err(unknown(other)),
             },
             "pde" => match key {
                 "equation" => {
@@ -440,7 +406,7 @@ pub fn parse_pbte(src: &str) -> Result<ScenarioSpec, PbteError> {
                         .map_err(|e| perr(ln, format!("equation does not parse: {e}")))?;
                     equation = Some(value.to_string());
                 }
-                other => return Err(perr(ln, format!("unknown [pde] key `{other}`"))),
+                other => return Err(unknown(other)),
             },
             "boundary" => boundaries.push((key.to_string(), parse_bc(ln, value)?)),
             "initial" => match key {
@@ -480,7 +446,7 @@ pub fn parse_pbte(src: &str) -> Result<ScenarioSpec, PbteError> {
                         }
                     }
                 }
-                other => return Err(perr(ln, format!("unknown [initial] key `{other}`"))),
+                other => return Err(unknown(other)),
             },
             "units" => {
                 Dim::parse(value).map_err(|e| perr(ln, format!("bad unit for `{key}`: {e}")))?;
@@ -505,21 +471,21 @@ pub fn parse_pbte(src: &str) -> Result<ScenarioSpec, PbteError> {
 
     // Required keys and cross-field validation. Line numbers are gone at
     // this point; the messages name the section instead.
-    let name = name.ok_or_else(|| PbteError::Invalid("[scenario] name is required".into()))?;
-    let t_ref = t_ref.ok_or_else(|| PbteError::Invalid("[scenario] t_ref is required".into()))?;
-    let t_hot = t_hot.ok_or_else(|| PbteError::Invalid("[scenario] t_hot is required".into()))?;
+    let name = name.ok_or_else(|| Diagnostic::input_invalid("[scenario] name is required"))?;
+    let t_ref = t_ref.ok_or_else(|| Diagnostic::input_invalid("[scenario] t_ref is required"))?;
+    let t_hot = t_hot.ok_or_else(|| Diagnostic::input_invalid("[scenario] t_hot is required"))?;
     if t_hot < t_ref {
-        return Err(PbteError::Invalid("t_hot must be >= t_ref".into()));
+        return Err(Diagnostic::input_invalid("t_hot must be >= t_ref"));
     }
     if t_ref - 60.0 <= 0.0 {
-        return Err(PbteError::Invalid(
-            "t_ref must exceed 60 K (the table envelope reaches t_ref - 60)".into(),
+        return Err(Diagnostic::input_invalid(
+            "t_ref must exceed 60 K (the table envelope reaches t_ref - 60)",
         ));
     }
     let mesh = {
         let (kline, kind) = raw_mesh
             .kind
-            .ok_or_else(|| PbteError::Invalid("[mesh] kind is required".into()))?;
+            .ok_or_else(|| Diagnostic::input_invalid("[mesh] kind is required"))?;
         match kind.as_str() {
             "grid" => {
                 let need = |v: Option<usize>, k: &str| {
@@ -572,11 +538,11 @@ pub fn parse_pbte(src: &str) -> Result<ScenarioSpec, PbteError> {
     }
     let n_freq_bands = n_freq_bands
         .filter(|&v| v >= 2)
-        .ok_or_else(|| PbteError::Invalid("[material] needs n_freq_bands >= 2".into()))?;
-    let n_steps = n_steps.ok_or_else(|| PbteError::Invalid("[time] steps is required".into()))?;
+        .ok_or_else(|| Diagnostic::input_invalid("[material] needs n_freq_bands >= 2"))?;
+    let n_steps = n_steps.ok_or_else(|| Diagnostic::input_invalid("[time] steps is required"))?;
     if boundaries.is_empty() {
-        return Err(PbteError::Invalid(
-            "[boundary] must name at least one region".into(),
+        return Err(Diagnostic::input_invalid(
+            "[boundary] must name at least one region",
         ));
     }
     Ok(ScenarioSpec {
@@ -630,16 +596,13 @@ fn pulse_field(
 impl ScenarioSpec {
     /// Read and parse a `.pbte` file; mesh references resolve relative to
     /// its directory.
-    pub fn from_file(path: impl AsRef<Path>) -> Result<ScenarioSpec, PbteError> {
+    pub fn from_file(path: impl AsRef<Path>) -> Result<ScenarioSpec, Diagnostic> {
         let path = path.as_ref();
         let src = std::fs::read_to_string(path)
-            .map_err(|e| PbteError::Io(format!("cannot read {}: {e}", path.display())))?;
-        let mut spec = parse_pbte(&src).map_err(|e| match e {
-            PbteError::Parse { line, message } => PbteError::Parse {
-                line,
-                message: format!("{}: {message}", path.display()),
-            },
-            other => other,
+            .map_err(|e| Diagnostic::input_io(path, format!("cannot read: {e}")))?;
+        let mut spec = parse_pbte(&src).map_err(|d| Diagnostic {
+            entity: path.display().to_string(),
+            ..d
         })?;
         spec.base_dir = path.parent().unwrap_or(Path::new(".")).to_path_buf();
         Ok(spec)
@@ -651,11 +614,18 @@ impl ScenarioSpec {
     }
 
     /// Construct the mesh (building the grid or importing the file).
-    fn build_mesh(&self) -> Result<Mesh, PbteError> {
+    fn build_mesh(&self) -> Result<Mesh, Diagnostic> {
         let read = |file: &String| {
             let path = self.base_dir.join(file);
             std::fs::read_to_string(&path)
-                .map_err(|e| PbteError::Io(format!("cannot read mesh {}: {e}", path.display())))
+                .map_err(|e| Diagnostic::input_io(&path, format!("cannot read mesh: {e}")))
+        };
+        // Cells that are no mesh name their `mesh/*` rule.
+        let refused = |kind: &str, file: &str, e: ImportError| match &e {
+            ImportError::Mesh(m) => Diagnostic::mesh(m, file, format!("{kind} mesh: {e}")),
+            ImportError::Malformed(_) => {
+                Diagnostic::input_invalid(format!("{kind} mesh `{file}`: {e}"))
+            }
         };
         let mesh = match &self.mesh {
             MeshSpec::Grid2d { nx, ny, lx, ly } => UniformGrid::new_2d(*nx, *ny, *lx, *ly).build(),
@@ -667,14 +637,16 @@ impl ScenarioSpec {
                 ly,
                 lz,
             } => UniformGrid::new_3d(*nx, *ny, *nz, *lx, *ly, *lz).build(),
-            MeshSpec::Gmsh { file } => gmsh::parse_msh(&read(file)?)
-                .map_err(|e| PbteError::Invalid(format!("gmsh mesh `{file}`: {e}")))?,
-            MeshSpec::Medit { file } => medit::parse_mesh(&read(file)?)
-                .map_err(|e| PbteError::Invalid(format!("medit mesh `{file}`: {e}")))?,
+            MeshSpec::Gmsh { file } => {
+                gmsh::parse_msh(&read(file)?).map_err(|e| refused("gmsh", file, e))?
+            }
+            MeshSpec::Medit { file } => {
+                medit::parse_mesh(&read(file)?).map_err(|e| refused("medit", file, e))?
+            }
         };
         let problems = mesh.validate();
         if !problems.is_empty() {
-            return Err(PbteError::Invalid(format!(
+            return Err(Diagnostic::input_invalid(format!(
                 "mesh fails geometric validation: {}",
                 problems.join("; ")
             )));
@@ -686,7 +658,7 @@ impl ScenarioSpec {
     /// geometry-dependent that `parse_pbte` could not check is checked
     /// here; the result still has to pass [`Self::build_verified`]'s
     /// gate (or the `pbte-verify` sweep) before it should be trusted.
-    pub fn build(&self) -> Result<BteProblem, PbteError> {
+    pub fn build(&self) -> Result<BteProblem, Diagnostic> {
         let (t_min, t_max) = self.table_range();
         let mesh = self.build_mesh()?;
         let dim = mesh.dim;
@@ -694,7 +666,7 @@ impl ScenarioSpec {
         // Every referenced boundary region must exist on the mesh.
         for (region, _) in &self.boundaries {
             if mesh.region_id(region).is_none() {
-                return Err(PbteError::Invalid(format!(
+                return Err(Diagnostic::input_invalid(format!(
                     "mesh has no boundary region `{region}`"
                 )));
             }
@@ -703,11 +675,11 @@ impl ScenarioSpec {
         let material = match dim {
             2 => {
                 let ndirs = self.material.ndirs.ok_or_else(|| {
-                    PbteError::Invalid("2-D scenario needs [material] ndirs".into())
+                    Diagnostic::input_invalid("2-D scenario needs [material] ndirs")
                 })?;
                 if ndirs < 4 || ndirs % 2 != 0 {
-                    return Err(PbteError::Invalid(
-                        "ndirs must be an even number >= 4".into(),
+                    return Err(Diagnostic::input_invalid(
+                        "ndirs must be an even number >= 4",
                     ));
                 }
                 Arc::new(Material::silicon_2d(
@@ -721,14 +693,14 @@ impl ScenarioSpec {
                 let (np, na) = match (self.material.n_polar, self.material.n_azimuthal) {
                     (Some(np), Some(na)) => (np, na),
                     _ => {
-                        return Err(PbteError::Invalid(
-                            "3-D scenario needs [material] n_polar and n_azimuthal".into(),
+                        return Err(Diagnostic::input_invalid(
+                            "3-D scenario needs [material] n_polar and n_azimuthal",
                         ))
                     }
                 };
                 if np < 2 || na < 4 || na % 2 != 0 {
-                    return Err(PbteError::Invalid(
-                        "need n_polar >= 2 and even n_azimuthal >= 4".into(),
+                    return Err(Diagnostic::input_invalid(
+                        "need n_polar >= 2 and even n_azimuthal >= 4",
                     ));
                 }
                 Arc::new(Material::silicon_3d(
@@ -740,7 +712,7 @@ impl ScenarioSpec {
                 ))
             }
             other => {
-                return Err(PbteError::Invalid(format!(
+                return Err(Diagnostic::input_invalid(format!(
                     "unsupported mesh dimension {other}"
                 )))
             }
@@ -851,17 +823,12 @@ impl ScenarioSpec {
     pub fn build_verified(
         &self,
         target: ExecTarget,
-    ) -> Result<(Solver, Vec<Diagnostic>), PbteError> {
-        let bte = self.build()?;
-        let solver = bte
-            .problem
-            .build(target)
-            .map_err(|e| PbteError::Invalid(format!("plan build failed: {e:?}")))?;
-        let mut diags = solver.compiled.verify_plan(&solver.target);
-        analysis::check_units(&solver.compiled, &mut diags);
-        analysis::check_intervals(&solver.compiled, &mut diags);
+    ) -> Result<(Solver, Vec<Diagnostic>), Vec<Diagnostic>> {
+        let bte = self.build().map_err(|d| vec![d])?;
+        let solver = bte.problem.build(target).map_err(|d| vec![d])?;
+        let diags = analysis::verify_gate(&solver.compiled, &solver.target);
         if diags.iter().any(|d| d.severity == Severity::Error) {
-            return Err(PbteError::Verification(diags));
+            return Err(diags);
         }
         Ok((solver, diags))
     }

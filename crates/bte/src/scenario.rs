@@ -5,7 +5,8 @@ use crate::boundary::{gaussian_wall, isothermal, symmetry};
 use crate::material::Material;
 use crate::temperature::{BteVars, TemperatureStrategy, TemperatureUpdate};
 use pbte_dsl::exec::{ExecTarget, Solver};
-use pbte_dsl::problem::{DslError, Problem, TimeStepper};
+use pbte_dsl::problem::{Problem, TimeStepper};
+use pbte_dsl::Diagnostic;
 use pbte_mesh::grid::UniformGrid;
 use pbte_mesh::Point;
 use std::sync::Arc;
@@ -108,7 +109,7 @@ pub struct BteProblem {
 
 impl BteProblem {
     /// Build the executable solver for a target.
-    pub fn solver(self, target: ExecTarget) -> Result<Solver, DslError> {
+    pub fn solver(self, target: ExecTarget) -> Result<Solver, Diagnostic> {
         self.problem.build(target)
     }
 }

@@ -49,7 +49,7 @@
 use crate::equilibrium::Located;
 use crate::material::Material;
 use pbte_dsl::problem::{Problem, StepContext};
-use pbte_runtime::telemetry::{rules, EventSeverity, SpanKind, TraceConfig, Track, HIST_BUCKETS};
+use pbte_runtime::telemetry::{rules, Severity, SpanKind, TraceConfig, Track, HIST_BUCKETS};
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::Arc;
@@ -282,16 +282,24 @@ impl TemperatureUpdate {
                 attrs,
             );
         }
-        // Findings are kept on every sink, traced or not.
+        // Findings are kept on every sink, traced or not. A stalled
+        // Newton still returns a temperature; a non-finite energy sum
+        // never gives a good one.
         let step = ctx.step;
-        let mut warn = |rule, n: u64, what: &str| {
+        let mut warn = |severity, rule, n: u64, what: &str| {
             if n > 0 {
                 let message = format!("step {step}: {n} of {solves} temperature solves {what}");
-                ctx.rec.warn(EventSeverity::Warning, rule, message);
+                ctx.rec.warn(severity, rule, message);
             }
         };
-        warn(rules::NEWTON_STALLED, tally.stalled, "returned at max_iter");
         warn(
+            Severity::Warning,
+            rules::NEWTON_STALLED,
+            tally.stalled,
+            "returned at max_iter",
+        );
+        warn(
+            Severity::Error,
             rules::NON_FINITE_ENERGY,
             tally.non_finite,
             "had a non-finite energy sum",

@@ -84,7 +84,7 @@ fn scenario_library_builds_and_verifies() {
             ScenarioSpec::from_file(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let (mut solver, diags) = spec
             .build_verified(ExecTarget::CpuSeq)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            .unwrap_or_else(|e| panic!("{}: {e:?}", path.display()));
         assert!(diags.is_empty(), "{}: {diags:?}", path.display());
         solver
             .solve()

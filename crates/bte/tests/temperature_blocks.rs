@@ -475,6 +475,8 @@ fn a_stalled_newton_solve_is_reported() {
     let diags = pbte_dsl::exec::telemetry_diagnostics(&rec);
     assert_eq!(diags.len(), 1);
     assert_eq!(diags[0].rule, rules::NEWTON_STALLED);
+    // The returned temperature is used: a warning, not a failure.
+    assert_eq!(diags[0].severity, pbte_dsl::Severity::Warning);
 }
 
 /// A non-finite energy sum is bisected to a table edge by the solve — a
@@ -498,8 +500,11 @@ fn a_non_finite_energy_sum_is_reported() {
     );
     // The laundering the warning is about: both cells hold a finite T.
     assert!(f.slice(VARS.t).iter().all(|t| t.is_finite()));
+    // Never a good answer: it fails the run.
+    assert_eq!(events[0].severity, pbte_dsl::Severity::Error);
     let diags = pbte_dsl::exec::telemetry_diagnostics(&rec);
     assert_eq!(diags[0].rule, rules::NON_FINITE_ENERGY);
+    assert_eq!(diags[0].severity, pbte_dsl::Severity::Error);
 }
 
 /// A healthy update raises neither warning, and its span carries the

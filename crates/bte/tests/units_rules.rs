@@ -6,7 +6,7 @@
 //! same `.pbte` override sections users would trip over, starting from
 //! the known-good committed hotspot scenario.
 
-use pbte_bte::pbte::{parse_pbte, PbteError, ScenarioSpec};
+use pbte_bte::pbte::{parse_pbte, ScenarioSpec};
 use pbte_dsl::{analysis, ExecTarget, Severity};
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -38,7 +38,7 @@ fn wrong_declared_dimension_fires_only_units_mismatch() {
     // now adds incompatible dimensions.
     let src = format!("{}\n[units]\nIo = W/m^3\n", hotspot_source());
     let spec = parse_pbte(&src).unwrap();
-    let Err(PbteError::Verification(diags)) = spec.build_verified(ExecTarget::CpuSeq) else {
+    let Err(diags) = spec.build_verified(ExecTarget::CpuSeq) else {
         panic!("mismatched declaration must be refused");
     };
     assert_eq!(
@@ -62,7 +62,7 @@ fn transcendental_of_dimensionful_arg_fires_only_its_rule() {
         hotspot_source()
     );
     let spec = parse_pbte(&src).unwrap();
-    let Err(PbteError::Verification(diags)) = spec.build_verified(ExecTarget::CpuSeq) else {
+    let Err(diags) = spec.build_verified(ExecTarget::CpuSeq) else {
         panic!("exp(T) must be refused");
     };
     assert_eq!(

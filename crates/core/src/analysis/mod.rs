@@ -97,6 +97,8 @@ pub use units::check_units;
 pub use validate::{check_ir, check_jvp, check_lowered, check_reg, check_translation, check_vm};
 
 use crate::exec::{CompiledProblem, ExecTarget};
+use pbte_mesh::MeshError;
+use pbte_runtime::telemetry::json_str;
 
 /// Rule identifiers, one per distinct diagnostic the verifier can emit.
 pub mod rules {
@@ -187,6 +189,29 @@ pub mod rules {
     /// declared unit; the dimensional proof is skipped.
     pub const UNITS_UNDECLARED: &str = "units/undeclared-symbol";
 
+    /// A line of an input file (a `.pbte` scenario) does not parse.
+    pub const INPUT_PARSE: &str = "input/parse";
+    /// An input says something impossible (a missing key, a bad value).
+    pub const INPUT_INVALID: &str = "input/invalid";
+    /// An input or output file cannot be read or written.
+    pub const INPUT_IO: &str = "input/io";
+    /// A command, argument, flag or scenario the program does not know.
+    pub const INPUT_UNKNOWN: &str = "input/unknown";
+    /// A 3-D cell is neither a tetrahedron nor a hexahedron.
+    pub const MESH_UNSUPPORTED_CELL: &str = "mesh/unsupported-cell";
+    /// A face is shared by more than two cells.
+    pub const MESH_SHARED_FACE: &str = "mesh/shared-face";
+    /// A cell's area or volume is not a positive finite number.
+    pub const MESH_BAD_MEASURE: &str = "mesh/bad-measure";
+    /// The conservation-form expression does not parse.
+    pub const DSL_PARSE: &str = "dsl/parse";
+    /// An expression the compiler cannot lower (an unknown symbol).
+    pub const DSL_EXPRESSION: &str = "dsl/expression";
+    /// A problem missing a piece it needs (a mesh, an equation, a wall).
+    pub const DSL_PROBLEM: &str = "dsl/problem";
+    /// A problem the target cannot run (more ranks than cells).
+    pub const DSL_TARGET: &str = "dsl/target";
+
     /// Every rule [`verify_plan`](super::verify_plan) checks, in pass
     /// order — what a clean plan has been proved free of.
     pub const VERIFY_PLAN: &[&str] = &[
@@ -205,23 +230,9 @@ pub mod rules {
     ];
 }
 
-/// How bad a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// A skipped proof, or a finding that costs work but not correctness.
-    Warning,
-    /// A proven violation of declared or derived accesses.
-    Error,
-}
-
-impl std::fmt::Display for Severity {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Severity::Warning => write!(f, "warning"),
-            Severity::Error => write!(f, "error"),
-        }
-    }
-}
+/// How bad a finding is: one type for the verifier's diagnostics and a
+/// run's findings.
+pub use pbte_runtime::telemetry::Severity;
 
 /// One structured finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -238,62 +249,124 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// Human-readable one-liner.
+    /// An error-severity finding of `rule` anchored nowhere: a refusal.
+    fn refusal(rule: &'static str, message: impl Into<String>) -> Self {
+        Diagnostic {
+            severity: Severity::Error,
+            rule,
+            entity: String::new(),
+            location: String::new(),
+            message: message.into(),
+        }
+    }
+
+    /// [`rules::INPUT_PARSE`]: line `line` (1-based) of an input file.
+    pub fn input_parse(line: usize, message: impl Into<String>) -> Self {
+        let location = format!("line {line}");
+        Diagnostic {
+            location,
+            ..Self::refusal(rules::INPUT_PARSE, message)
+        }
+    }
+
+    /// [`rules::INPUT_INVALID`].
+    pub fn input_invalid(message: impl Into<String>) -> Self {
+        Self::refusal(rules::INPUT_INVALID, message)
+    }
+
+    /// [`rules::INPUT_IO`]: reading or writing `path` failed with `error`.
+    pub fn input_io(path: impl AsRef<std::path::Path>, error: impl std::fmt::Display) -> Self {
+        let entity = path.as_ref().display().to_string();
+        Diagnostic {
+            entity,
+            ..Self::refusal(rules::INPUT_IO, error.to_string())
+        }
+    }
+
+    /// [`rules::INPUT_UNKNOWN`].
+    pub fn input_unknown(message: impl Into<String>) -> Self {
+        Self::refusal(rules::INPUT_UNKNOWN, message)
+    }
+
+    /// The `mesh/*` rule of `error`, about the file `entity`.
+    pub fn mesh(error: &MeshError, entity: &str, message: impl Into<String>) -> Self {
+        let rule = match error {
+            MeshError::UnsupportedCell { .. } => rules::MESH_UNSUPPORTED_CELL,
+            MeshError::SharedFace { .. } => rules::MESH_SHARED_FACE,
+            MeshError::BadMeasure { .. } => rules::MESH_BAD_MEASURE,
+        };
+        let entity = entity.to_string();
+        Diagnostic {
+            entity,
+            ..Self::refusal(rule, message)
+        }
+    }
+
+    /// [`rules::DSL_EXPRESSION`].
+    pub fn dsl_expression(message: impl Into<String>) -> Self {
+        Self::refusal(rules::DSL_EXPRESSION, message)
+    }
+
+    /// [`rules::DSL_PROBLEM`].
+    pub fn dsl_problem(message: impl Into<String>) -> Self {
+        Self::refusal(rules::DSL_PROBLEM, message)
+    }
+
+    /// [`rules::DSL_TARGET`].
+    pub fn dsl_target(message: impl Into<String>) -> Self {
+        Self::refusal(rules::DSL_TARGET, message)
+    }
+
+    /// Human-readable one-liner (the [`Display`](std::fmt::Display) form).
     pub fn render(&self) -> String {
-        format!(
-            "{}[{}] {} at {}: {}",
-            self.severity, self.rule, self.entity, self.location, self.message
-        )
+        self.to_string()
     }
 
     /// JSON object (hand-rolled; the verifier must not depend on a
-    /// serialization crate).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"severity\":\"{}\",\"rule\":\"{}\",\"entity\":\"{}\",\"location\":\"{}\",\"message\":\"{}\"}}",
-            self.severity,
-            json_escape(self.rule),
-            json_escape(&self.entity),
-            json_escape(&self.location),
-            json_escape(&self.message)
-        )
-    }
-
-    /// Like [`to_json`](Self::to_json), with extra string fields prepended
-    /// (e.g. `scenario`/`target`/`tier`) so batch artifacts are
-    /// self-describing.
+    /// serialization crate), with the string fields `tags` prepended (e.g.
+    /// `scenario`/`target`/`tier`) so batch artifacts are self-describing.
     pub fn to_json_tagged(&self, tags: &[(&str, &str)]) -> String {
-        let mut fields = String::new();
-        for (key, value) in tags {
-            fields.push_str(&format!(
-                "\"{}\":\"{}\",",
-                json_escape(key),
-                json_escape(value)
-            ));
+        let severity = self.severity.to_string();
+        let fields = [("severity", severity.as_str()), ("rule", self.rule)];
+        let fields = fields.into_iter().chain([
+            ("entity", self.entity.as_str()),
+            ("location", self.location.as_str()),
+            ("message", self.message.as_str()),
+        ]);
+        let members: Vec<String> = (tags.iter().copied().chain(fields))
+            .map(|(key, value)| format!("{}:{}", json_str(key), json_str(value)))
+            .collect();
+        format!("{{{}}}", members.join(","))
+    }
+}
+
+/// An empty entity or location is left out.
+impl std::fmt::Display for Diagnostic {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}[{}]", self.severity, self.rule)?;
+        if !self.entity.is_empty() {
+            write!(f, " {}", self.entity)?;
         }
-        let base = self.to_json();
-        format!("{{{}{}", fields, &base[1..])
+        if !self.location.is_empty() {
+            write!(f, " at {}", self.location)?;
+        }
+        write!(f, ": {}", self.message)
+    }
+}
+
+impl std::error::Error for Diagnostic {}
+
+/// [`rules::DSL_PARSE`]: the conservation-form expression does not parse.
+impl From<pbte_symbolic::ParseError> for Diagnostic {
+    fn from(e: pbte_symbolic::ParseError) -> Self {
+        Self::refusal(rules::DSL_PARSE, format!("parse error: {e}"))
     }
 }
 
 /// JSON array of diagnostics.
 pub fn render_json(diags: &[Diagnostic]) -> String {
-    let items: Vec<String> = diags.iter().map(|d| d.to_json()).collect();
+    let items: Vec<String> = diags.iter().map(|d| d.to_json_tagged(&[])).collect();
     format!("[{}]", items.join(","))
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Run every check that applies to `target`. Empty result = the plan is
@@ -303,6 +376,16 @@ fn json_escape(s: &str) -> String {
 pub fn verify_plan(cp: &CompiledProblem, target: &ExecTarget) -> Vec<Diagnostic> {
     let scopes = rank_scopes(cp, target).unwrap_or_default();
     verify_scopes(cp, target, &scopes)
+}
+
+/// The gate a plan from untrusted input passes before a step runs:
+/// [`verify_plan`], then the dimensional and the interval analyses. Any
+/// error-severity finding refuses the plan.
+pub fn verify_gate(cp: &CompiledProblem, target: &ExecTarget) -> Vec<Diagnostic> {
+    let mut out = verify_plan(cp, target);
+    check_units(cp, &mut out);
+    check_intervals(cp, &mut out);
+    out
 }
 
 /// [`verify_plan`] with the race pass reading `scopes` — what the driver

@@ -9,9 +9,9 @@
 
 use super::races::WriteRegion;
 use super::transfers::Sides;
+use super::Diagnostic;
 use crate::dataflow::{Entity, Kernel, Policy, Record, Transfer, TransferSchedule, GHOSTS};
 use crate::exec::{CompiledProblem, ExecTarget};
-use crate::problem::DslError;
 use pbte_mesh::partition::{partition_bands, Partition};
 
 // ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ fn band_owned_flats(cp: &CompiledProblem, ranks: usize, index: &str) -> Option<V
 /// reads the thread count, once per solve.
 /// Errors name the configuration `build()` would have to reject (more
 /// ranks than cells, an unpartitionable index).
-pub fn rank_scopes(cp: &CompiledProblem, target: &ExecTarget) -> Result<Vec<Scope>, DslError> {
+pub fn rank_scopes(cp: &CompiledProblem, target: &ExecTarget) -> Result<Vec<Scope>, Diagnostic> {
     let n_cells = cp.mesh().n_cells();
     let all = |n: usize| (0..n).collect::<Vec<usize>>();
     let workers = match target {
@@ -304,7 +304,7 @@ pub fn rank_scopes(cp: &CompiledProblem, target: &ExecTarget) -> Result<Vec<Scop
         }
         ExecTarget::DistCells { ranks } => {
             if *ranks > n_cells {
-                return Err(DslError::Invalid(format!(
+                return Err(Diagnostic::dsl_target(format!(
                     "{ranks} ranks for {n_cells} cells"
                 )));
             }
@@ -316,7 +316,7 @@ pub fn rank_scopes(cp: &CompiledProblem, target: &ExecTarget) -> Result<Vec<Scop
         ExecTarget::DistBands { ranks, index } | ExecTarget::DistBandsGpu { ranks, index, .. } => {
             band_owned_flats(cp, *ranks, index)
                 .ok_or_else(|| {
-                    DslError::Invalid(format!("`{index}` is not an index of the unknown"))
+                    Diagnostic::dsl_target(format!("`{index}` is not an index of the unknown"))
                 })?
                 .into_iter()
                 .map(|flats| scope(all(n_cells), flats))

@@ -30,8 +30,8 @@
 //! Compilation also prices the statements ([`RegExpr::flops`]); the count
 //! feeds the GPU roofline model and the cluster performance model.
 
+use crate::analysis::Diagnostic;
 use crate::entities::{CoefficientValue, Registry};
-use crate::problem::DslError;
 use pbte_mesh::Point;
 use pbte_symbolic::expr::{CmpOp, Expr, ExprRef};
 use std::fmt::Debug;
@@ -851,9 +851,9 @@ pub struct Compiler<'a> {
 type Stmts = Vec<RegStmt<Unbound>>;
 
 /// Append `r[d] = expr`, refusing a depth past the register file.
-fn put(out: &mut Stmts, d: usize, expr: RegExpr<Unbound>) -> Result<(), DslError> {
+fn put(out: &mut Stmts, d: usize, expr: RegExpr<Unbound>) -> Result<(), Diagnostic> {
     if d >= MAX_REGS {
-        return Err(DslError::Invalid(format!(
+        return Err(Diagnostic::dsl_expression(format!(
             "expression too deep: needs more than {MAX_REGS} registers"
         )));
     }
@@ -878,7 +878,7 @@ impl<'a> Compiler<'a> {
     }
 
     /// Compile an expression: its value lands in register 0.
-    pub fn compile(&self, e: &ExprRef) -> Result<Program, DslError> {
+    pub fn compile(&self, e: &ExprRef) -> Result<Program, Diagnostic> {
         let mut stmts = Vec::new();
         self.emit(e, 0, &mut stmts)?;
         Ok(Program {
@@ -887,13 +887,13 @@ impl<'a> Compiler<'a> {
         })
     }
 
-    fn slot_of(&self, index_name: &str) -> Result<u8, DslError> {
+    fn slot_of(&self, index_name: &str) -> Result<u8, Diagnostic> {
         let id = self
             .registry
             .index_id(index_name)
-            .ok_or_else(|| DslError::Invalid(format!("unknown index `{index_name}`")))?;
+            .ok_or_else(|| Diagnostic::dsl_expression(format!("unknown index `{index_name}`")))?;
         let slot = self.slots.iter().position(|&s| s == id).ok_or_else(|| {
-            DslError::Invalid(format!(
+            Diagnostic::dsl_expression(format!(
                 "index `{index_name}` is not an index of the unknown"
             ))
         })?;
@@ -906,9 +906,9 @@ impl<'a> Compiler<'a> {
         name: &str,
         declared: &[usize],
         subs: &[ExprRef],
-    ) -> Result<Pattern, DslError> {
+    ) -> Result<Pattern, Diagnostic> {
         if subs.len() != declared.len() {
-            return Err(DslError::Invalid(format!(
+            return Err(Diagnostic::dsl_expression(format!(
                 "`{name}` used with {} subscripts, declared with {}",
                 subs.len(),
                 declared.len()
@@ -925,7 +925,7 @@ impl<'a> Compiler<'a> {
                     let declared_len = self.registry.indices[declared[k]].len;
                     let slot_len = self.registry.indices[self.slots[slot as usize]].len;
                     if declared_len != slot_len {
-                        return Err(DslError::Invalid(format!(
+                        return Err(Diagnostic::dsl_expression(format!(
                             "subscript `{s}` (len {slot_len}) does not match \
                              `{name}`'s declared index (len {declared_len})"
                         )));
@@ -936,14 +936,14 @@ impl<'a> Compiler<'a> {
                     let lit = *v as usize - 1; // DSL is 1-based
                     let declared_len = self.registry.indices[declared[k]].len;
                     if lit >= declared_len {
-                        return Err(DslError::Invalid(format!(
+                        return Err(Diagnostic::dsl_expression(format!(
                             "literal subscript {v} out of range for `{name}`"
                         )));
                     }
                     pattern.base += lit * strides[k];
                 }
                 _ => {
-                    return Err(DslError::Invalid(format!(
+                    return Err(Diagnostic::dsl_expression(format!(
                         "subscript of `{name}` must be an index symbol or literal"
                     )))
                 }
@@ -955,7 +955,7 @@ impl<'a> Compiler<'a> {
     /// Emit the statements computing `e` into register `d`: each child
     /// of a node at depth `d` lands in `d + i`, then the node's statement
     /// combines them into `d`.
-    fn emit(&self, e: &ExprRef, d: usize, out: &mut Stmts) -> Result<(), DslError> {
+    fn emit(&self, e: &ExprRef, d: usize, out: &mut Stmts) -> Result<(), Diagnostic> {
         match e.as_ref() {
             Expr::Num(v) => put(out, d, RegExpr::Copy(Unbound::K(*v)))?,
             Expr::Sym { name, indices } => put(out, d, self.symbol(name, indices)?)?,
@@ -985,15 +985,15 @@ impl<'a> Compiler<'a> {
             Expr::Call { name, args } => match name.as_str() {
                 "CELL1" | "CELL2" => {
                     if self.kind != KernelKind::Flux {
-                        return Err(DslError::Invalid(
-                            "CELL1/CELL2 only valid in flux expressions".into(),
+                        return Err(Diagnostic::dsl_expression(
+                            "CELL1/CELL2 only valid in flux expressions",
                         ));
                     }
                     match args[0].as_sym() {
                         Some((n, _)) if self.registry.variable_id(n) == Some(self.unknown) => {}
                         _ => {
-                            return Err(DslError::Invalid(
-                                "CELL1/CELL2 must wrap the unknown variable".into(),
+                            return Err(Diagnostic::dsl_expression(
+                                "CELL1/CELL2 must wrap the unknown variable",
                             ))
                         }
                     }
@@ -1002,10 +1002,12 @@ impl<'a> Compiler<'a> {
                 }
                 _ => {
                     let f = Func::from_name(name).ok_or_else(|| {
-                        DslError::Invalid(format!("unsupported function `{name}`"))
+                        Diagnostic::dsl_expression(format!("unsupported function `{name}`"))
                     })?;
                     if args.len() != 1 {
-                        return Err(DslError::Invalid(format!("`{name}` takes one argument")));
+                        return Err(Diagnostic::dsl_expression(format!(
+                            "`{name}` takes one argument"
+                        )));
                     }
                     self.emit(&args[0], d, out)?;
                     put(out, d, RegExpr::Call(f, Unbound::Reg(d as u8)))?;
@@ -1027,8 +1029,8 @@ impl<'a> Compiler<'a> {
                 put(out, d, RegExpr::Select(regs(d)))?;
             }
             Expr::Vector(_) => {
-                return Err(DslError::Invalid(
-                    "vector literal outside an operator that consumes it".into(),
+                return Err(Diagnostic::dsl_expression(
+                    "vector literal outside an operator that consumes it",
                 ))
             }
         }
@@ -1037,7 +1039,7 @@ impl<'a> Compiler<'a> {
 
     /// The statement reading symbol `name[indices]`: a copy of what it
     /// names, or a function coefficient's evaluation.
-    fn symbol(&self, name: &str, indices: &[ExprRef]) -> Result<RegExpr<Unbound>, DslError> {
+    fn symbol(&self, name: &str, indices: &[ExprRef]) -> Result<RegExpr<Unbound>, Diagnostic> {
         let copy = |o| Ok(RegExpr::Copy(o));
         match name {
             "dt" => return copy(Unbound::Dt),
@@ -1047,21 +1049,23 @@ impl<'a> Compiler<'a> {
         }
         if let Some(axis) = name.strip_prefix("NORMAL_") {
             if self.kind != KernelKind::Flux {
-                return Err(DslError::Invalid(
-                    "NORMAL_i only valid in flux expressions".into(),
+                return Err(Diagnostic::dsl_expression(
+                    "NORMAL_i only valid in flux expressions",
                 ));
             }
             let axis: u16 = axis
                 .parse::<u16>()
                 .ok()
                 .filter(|a| (1..=3).contains(a))
-                .ok_or_else(|| DslError::Invalid(format!("bad normal component `{name}`")))?;
+                .ok_or_else(|| {
+                    Diagnostic::dsl_expression(format!("bad normal component `{name}`"))
+                })?;
             return copy(Unbound::Face(FACE_NORMAL + axis - 1));
         }
         if let Some(v) = self.registry.variable_id(name) {
             if v == self.unknown && self.kind == KernelKind::Flux {
-                return Err(DslError::Invalid(
-                    "the unknown must appear under CELL1/CELL2 in flux expressions".into(),
+                return Err(Diagnostic::dsl_expression(
+                    "the unknown must appear under CELL1/CELL2 in flux expressions",
                 ));
             }
             let declared = self.registry.variables[v].indices.clone();
@@ -1085,7 +1089,7 @@ impl<'a> Compiler<'a> {
                 }
                 CoefficientValue::Function(_) => {
                     if !indices.is_empty() {
-                        return Err(DslError::Invalid(format!(
+                        return Err(Diagnostic::dsl_expression(format!(
                             "function coefficient `{name}` cannot be subscripted"
                         )));
                     }
@@ -1099,7 +1103,9 @@ impl<'a> Compiler<'a> {
         if self.registry.index_id(name).is_some() {
             return copy(Unbound::Index(self.slot_of(name)?));
         }
-        Err(DslError::Invalid(format!("unknown symbol `{name}`")))
+        Err(Diagnostic::dsl_expression(format!(
+            "unknown symbol `{name}`"
+        )))
     }
 }
 

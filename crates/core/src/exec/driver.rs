@@ -31,10 +31,10 @@ use super::walls::Ghosts;
 use super::{
     dist, gpu, phases, seq, CompiledProblem, ExecTarget, LocalLinks, SolveReport, StepLinks,
 };
-use crate::analysis::{sweep_price, Scope};
+use crate::analysis::{sweep_price, Diagnostic, Scope};
 use crate::dataflow::{Kernel, Plan, Record, Stage};
 use crate::entities::Fields;
-use crate::problem::{DslError, Integrator, KernelTier, TimeStepper};
+use crate::problem::{Integrator, KernelTier, TimeStepper};
 use pbte_runtime::telemetry::{Recorder, SpanKind, Track};
 use std::time::Instant;
 
@@ -660,19 +660,19 @@ pub(crate) fn solve(
     fields: &mut Fields,
     target: &ExecTarget,
     rec: &mut Recorder,
-) -> Result<SolveReport, DslError> {
+) -> Result<SolveReport, Diagnostic> {
     let device = matches!(
         target,
         ExecTarget::GpuHybrid { .. } | ExecTarget::DistBandsGpu { .. }
     );
     if device && cp.problem.stepper != TimeStepper::EulerExplicit {
-        return Err(DslError::Invalid(
-            "the GPU target supports the Euler stepper only".into(),
+        return Err(Diagnostic::dsl_target(
+            "the GPU target supports the Euler stepper only",
         ));
     }
     if cp.problem.integrator.is_implicit() && cp.jvp.is_none() {
-        return Err(DslError::Invalid(
-            "implicit integrator requires a compiled JVP plan".into(),
+        return Err(Diagnostic::dsl_problem(
+            "implicit integrator requires a compiled JVP plan",
         ));
     }
     let scopes = crate::analysis::rank_scopes(cp, target)?;

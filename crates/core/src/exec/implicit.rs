@@ -43,7 +43,7 @@ use crate::dataflow::Plan;
 use crate::entities::Fields;
 use crate::problem::{KrylovConfig, Reducer};
 use pbte_runtime::exact::{Dot2, ExactAcc, Partial, PARTIAL_LEN, TRANSPORT_LEN};
-use pbte_runtime::telemetry::{rules, EventSeverity, Recorder, SpanKind, Track};
+use pbte_runtime::telemetry::{rules, Recorder, Severity, SpanKind, Track};
 
 /// Close rank-local dots into their global values: the exact sums, each
 /// rounded once, bit for bit what the limbs give on any partition.
@@ -519,7 +519,7 @@ fn bicgstab(
             "step {step}: BiCGStab stopped at {exit} after {iters} iteration(s), \
              residual {rnorm:.3e} above {tol_abs:.3e}"
         );
-        rec.warn(EventSeverity::Warning, rule, message);
+        rec.warn(Severity::Warning, rule, message);
     }
     if rec.enabled() {
         let dur = rec.now() - k0;

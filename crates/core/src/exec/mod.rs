@@ -55,7 +55,7 @@ pub(crate) mod walls;
 
 pub use walls::Walls;
 
-use crate::analysis::Scope;
+use crate::analysis::{Diagnostic, Scope};
 use crate::bytecode::{
     Binding, Compiler, KernelKind, Program, RegProgram, FACE_INPUTS, FACE_NORMAL, FACE_U1, FACE_U2,
     ROW_CHUNK,
@@ -63,9 +63,7 @@ use crate::bytecode::{
 use crate::dataflow::TransferSchedule;
 use crate::entities::Fields;
 use crate::pipeline::DiscreteSystem;
-use crate::problem::{
-    BoundaryCondition, DslError, GpuStrategy, Initial, KernelTier, PlanKey, Problem,
-};
+use crate::problem::{BoundaryCondition, GpuStrategy, Initial, KernelTier, PlanKey, Problem};
 use pbte_gpu::DeviceSpec;
 use pbte_runtime::timer::PhaseTimer;
 use pbte_runtime::world::CommStats;
@@ -201,24 +199,20 @@ pub use pbte_runtime::telemetry::WorkCounters;
 /// The unified telemetry sink and its `Copy` configuration, re-exported
 /// so downstream crates (benches, inspectors) can drive
 /// [`Solver::solve_traced`] without a direct `pbte-runtime` dependency.
-pub use pbte_runtime::telemetry::{
-    CostExpectation, EventSeverity, Findings, Recorder, TraceConfig,
-};
+pub use pbte_runtime::telemetry::{CostExpectation, Findings, Recorder, TraceConfig};
 
-/// Convert every finding a solve's recorder kept into a
-/// plan-verifier-style [`Diagnostic`](crate::analysis::Diagnostic), so
-/// `pbte-trace` (and CI health gates) report what a run found through the
-/// same channel as the static analyses, traced or not.
-pub fn telemetry_diagnostics(rec: &Recorder) -> Vec<crate::analysis::Diagnostic> {
-    use crate::analysis::Severity;
-    rec.findings()
-        .kept
-        .iter()
-        .map(|e| crate::analysis::Diagnostic {
-            severity: match e.severity {
-                EventSeverity::Error => Severity::Error,
-                EventSeverity::Warning => Severity::Warning,
-            },
+/// Every finding a solve's recorder kept, as the [`Diagnostic`]s the
+/// static analyses report too.
+pub fn telemetry_diagnostics(rec: &Recorder) -> Vec<Diagnostic> {
+    finding_diagnostics(rec.findings())
+}
+
+/// [`telemetry_diagnostics`] of the findings a [`SolveReport`] carries:
+/// what an untraced run found.
+pub fn finding_diagnostics(findings: &Findings) -> Vec<Diagnostic> {
+    (findings.kept.iter())
+        .map(|e| Diagnostic {
+            severity: e.severity,
             rule: e.name,
             entity: format!("rank {}", e.rank),
             location: format!("t={:.3}s", e.time),
@@ -526,10 +520,10 @@ fn linearize_flux(
 ///   conditions are linear and homogeneous in the unknown, so evaluating
 ///   them with `v` in the unknown's slot *is* the directional derivative
 ///   (and a Gather wall lowers to the same gather columns in both plans).
-fn linearized_problem(problem: &Problem) -> Result<Problem, DslError> {
+fn linearized_problem(problem: &Problem) -> Result<Problem, Diagnostic> {
     let unknown_name = match &problem.equation {
         Some((var, _)) => problem.registry.variables[*var].name.clone(),
-        None => return Err(DslError::Invalid("no conservationForm given".into())),
+        None => return Err(Diagnostic::dsl_problem("no conservationForm given")),
     };
     let mut jp = problem.clone();
     jp.integrator = crate::problem::Integrator::Explicit;
@@ -559,11 +553,11 @@ fn decode_flat(mut flat: usize, strides: &[usize]) -> Vec<usize> {
 /// initials that filled them: the closure initials fill first, then the
 /// expressions in declaration order (each may read what is filled before
 /// it).
-pub fn initial_state(problem: &Problem) -> Result<(Fields, Vec<(usize, Program)>), DslError> {
+pub fn initial_state(problem: &Problem) -> Result<(Fields, Vec<(usize, Program)>), Diagnostic> {
     let mesh = problem
         .mesh
         .as_ref()
-        .ok_or_else(|| DslError::Invalid("no mesh attached".into()))?;
+        .ok_or_else(|| Diagnostic::dsl_problem("no mesh attached"))?;
     let mut fields = Fields::new(&problem.registry, mesh.n_cells());
     let mut programs = Vec::new();
     for (var, init) in &problem.initials {
@@ -655,7 +649,7 @@ pub struct Plan {
 /// The plans this process has lowered, by content key. A stored plan is a
 /// few kilobytes — programs, one index tuple per flat, `3 · n_flat ·
 /// n_classes` doubles — whatever the mesh size.
-static PLANS: pbte_runtime::OnceMap<PlanKey, Result<Arc<Plan>, DslError>> =
+static PLANS: pbte_runtime::OnceMap<PlanKey, Result<Arc<Plan>, Diagnostic>> =
     pbte_runtime::OnceMap::new();
 
 /// How many plans this process has lowered (a miss of the plan store, or a
@@ -680,7 +674,7 @@ impl Plan {
         problem: &Problem,
         system: DiscreteSystem,
         classes: Option<NormalClasses>,
-    ) -> Result<Plan, DslError> {
+    ) -> Result<Plan, Diagnostic> {
         let unknown = system.unknown;
         let volume = Compiler::new(&problem.registry, unknown, KernelKind::Volume)
             .compile(&system.volume_expr)?;
@@ -719,8 +713,8 @@ impl Plan {
     /// every fixture of the suite, the way `debug_verify` guards a solve.
     fn shared(
         key: Option<PlanKey>,
-        lower: impl Fn() -> Result<Plan, DslError>,
-    ) -> Result<(Arc<Plan>, bool), DslError> {
+        lower: impl Fn() -> Result<Plan, Diagnostic>,
+    ) -> Result<(Arc<Plan>, bool), Diagnostic> {
         let mut lowered = false;
         let plan = PLANS.get_or_init(key.as_ref(), || {
             lowered = true;
@@ -861,12 +855,12 @@ impl CallbackCatalog {
         problem: &Problem,
         boundary: &[BoundaryFace],
         walls: &Walls,
-    ) -> Result<CallbackCatalog, DslError> {
+    ) -> Result<CallbackCatalog, Diagnostic> {
         let registry = &problem.registry;
         let resolve = |names: &[String], site: &dyn Fn() -> String| {
             let unknown = names.iter().find(|n| registry.variable_id(n).is_none());
             match unknown {
-                Some(name) => Err(DslError::Invalid(format!(
+                Some(name) => Err(Diagnostic::dsl_problem(format!(
                     "{} declares `{name}`, which is not a registered variable",
                     site()
                 ))),
@@ -1125,13 +1119,13 @@ impl CompiledProblem {
     ///
     /// A reuse skips lowering and nothing else: the instance is built and
     /// every verifier pass runs on it exactly as on a first build.
-    pub fn compile(problem: Problem) -> Result<(CompiledProblem, Fields), DslError> {
+    pub fn compile(problem: Problem) -> Result<(CompiledProblem, Fields), Diagnostic> {
         let mesh = problem
             .mesh
             .as_ref()
-            .ok_or_else(|| DslError::Invalid("no mesh attached".into()))?;
+            .ok_or_else(|| Diagnostic::dsl_problem("no mesh attached"))?;
         if mesh.dim != problem.dim {
-            return Err(DslError::Invalid(format!(
+            return Err(Diagnostic::dsl_problem(format!(
                 "mesh is {}-D but domain({}) was declared",
                 mesh.dim, problem.dim
             )));
@@ -1170,7 +1164,7 @@ impl CompiledProblem {
         plan: Arc<Plan>,
         plan_reused: bool,
         primal: Option<&CompiledProblem>,
-    ) -> Result<(CompiledProblem, Fields), DslError> {
+    ) -> Result<(CompiledProblem, Fields), Diagnostic> {
         let mesh = problem.mesh.as_ref().expect("checked in compile");
         let unknown = plan.system.unknown;
 
@@ -1179,13 +1173,13 @@ impl CompiledProblem {
             vec![None; mesh.boundary_regions.len()];
         for (var, region, bc) in &problem.boundary_conditions {
             if *var != unknown {
-                return Err(DslError::Invalid(format!(
+                return Err(Diagnostic::dsl_problem(format!(
                     "boundary condition on `{}` which is not the unknown",
                     problem.registry.variables[*var].name
                 )));
             }
             let rid = mesh.region_id(region).ok_or_else(|| {
-                DslError::Invalid(format!("mesh has no boundary region `{region}`"))
+                Diagnostic::dsl_problem(format!("mesh has no boundary region `{region}`"))
             })?;
             region_bc[rid] = Some(Arc::new(bc.clone()));
         }
@@ -1198,7 +1192,7 @@ impl CompiledProblem {
         for fid in boundary_faces {
             let f = &mesh.faces[fid];
             let bc = f.region.and_then(|r| region_bc[r].clone()).ok_or_else(|| {
-                DslError::Invalid(format!(
+                Diagnostic::dsl_problem(format!(
                     "boundary face {fid} (centroid {:?}) has no boundary condition",
                     f.centroid
                 ))
@@ -1528,19 +1522,19 @@ pub struct Solver {
 
 impl Solver {
     /// Compile `problem` for `target`.
-    pub fn build(problem: Problem, target: ExecTarget) -> Result<Solver, DslError> {
+    pub fn build(problem: Problem, target: ExecTarget) -> Result<Solver, Diagnostic> {
         // Validate target-specific constraints early.
         if let ExecTarget::DistBands { index, ranks }
         | ExecTarget::DistBandsGpu { index, ranks, .. } = &target
         {
             if problem.registry.index_id(index).is_none() {
-                return Err(DslError::Invalid(format!(
+                return Err(Diagnostic::dsl_target(format!(
                     "cannot partition unknown index `{index}`"
                 )));
             }
             let len = problem.registry.indices[problem.registry.index_id(index).unwrap()].len;
             if *ranks > len {
-                return Err(DslError::Invalid(format!(
+                return Err(Diagnostic::dsl_target(format!(
                     "{ranks} ranks but index `{index}` has only {len} values"
                 )));
             }
@@ -1555,7 +1549,7 @@ impl Solver {
 
     /// Run the configured number of time steps with the null telemetry
     /// sink (counters and phase seconds only — no trace retained).
-    pub fn solve(&mut self) -> Result<SolveReport, DslError> {
+    pub fn solve(&mut self) -> Result<SolveReport, Diagnostic> {
         let mut rec = pbte_runtime::telemetry::Recorder::null();
         self.solve_traced(&mut rec)
     }
@@ -1568,7 +1562,7 @@ impl Solver {
     pub fn solve_traced(
         &mut self,
         rec: &mut pbte_runtime::telemetry::Recorder,
-    ) -> Result<SolveReport, DslError> {
+    ) -> Result<SolveReport, Diagnostic> {
         driver::solve(&self.compiled, &mut self.fields, &self.target, rec)
     }
 

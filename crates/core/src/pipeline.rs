@@ -18,8 +18,9 @@
 //! per-face flux integrand `f·n`, the paper-style expanded symbolic form
 //! for rendering, and the classified term groups.
 
+use crate::analysis::Diagnostic;
 use crate::entities::Registry;
-use crate::problem::{DslError, Problem};
+use crate::problem::Problem;
 use pbte_symbolic::expr::{CmpOp, Expr, ExprRef};
 use pbte_symbolic::simplify::expand;
 use pbte_symbolic::{parse, simplify, subs};
@@ -62,7 +63,7 @@ pub struct DiscreteSystem {
 }
 
 /// Run the pipeline for `problem`'s equation on variable `var`.
-pub fn analyze(problem: &Problem, var: usize, src: &str) -> Result<DiscreteSystem, DslError> {
+pub fn analyze(problem: &Problem, var: usize, src: &str) -> Result<DiscreteSystem, Diagnostic> {
     let registry = &problem.registry;
     let unknown_name = registry.variables[var].name.clone();
 
@@ -191,14 +192,17 @@ pub(crate) fn fold_inputs(problem: &Problem, d: &mut pbte_mesh::Digest) -> Optio
 /// is just another program, so every kernel tier, every executor and the
 /// whole translation-validation chain apply to it unchanged.
 ///
-/// Requirements, checked here and reported as [`DslError::Invalid`]:
+/// Requirements, checked here and reported as `dsl/expression` diagnostics:
 /// * every ∂(volume)/∂u and ∂(flux)/∂CELLᵢ coefficient must be free of
 ///   `D_<f>` markers (a non-analyzable nesting such as `f(u)` with `f`
 ///   unknown) and of the flux markers themselves (second derivatives);
 /// * the flux integrand may reference the unknown only through
 ///   `CELL1(u)`/`CELL2(u)` — a bare `u` inside `surface(...)` has no
 ///   face-local derivative.
-pub fn jvp_system(problem: &Problem, system: &DiscreteSystem) -> Result<DiscreteSystem, DslError> {
+pub fn jvp_system(
+    problem: &Problem,
+    system: &DiscreteSystem,
+) -> Result<DiscreteSystem, Diagnostic> {
     use pbte_symbolic::diff_wrt;
     let registry = &problem.registry;
     let u_sym = unknown_symbol(registry, system.unknown);
@@ -213,7 +217,7 @@ pub fn jvp_system(problem: &Problem, system: &DiscreteSystem) -> Result<Discrete
     // Flux linearization: the integrand depends on the unknown only via
     // the owner/neighbor markers, each of which is an independent input.
     if contains_bare_unknown(&system.flux_expr, &u_sym) {
-        return Err(DslError::Invalid(format!(
+        return Err(Diagnostic::dsl_expression(format!(
             "cannot linearize the flux for an implicit integrator: `{}` \
              appears in a surface term outside CELL1/CELL2",
             registry.variables[system.unknown].name
@@ -294,7 +298,7 @@ pub fn jvp_system(problem: &Problem, system: &DiscreteSystem) -> Result<Discrete
 
 /// Reject derivative coefficients carrying `D_<f>` markers (unknown-call
 /// chain rule residue) or the flux markers themselves.
-fn check_linearization(d: &ExprRef, what: &str) -> Result<(), DslError> {
+fn check_linearization(d: &ExprRef, what: &str) -> Result<(), Diagnostic> {
     let mut bad: Option<String> = None;
     d.visit(&mut |node| {
         if let Expr::Call { name, .. } = node {
@@ -304,7 +308,7 @@ fn check_linearization(d: &ExprRef, what: &str) -> Result<(), DslError> {
         }
     });
     match bad {
-        Some(name) => Err(DslError::Invalid(format!(
+        Some(name) => Err(Diagnostic::dsl_expression(format!(
             "cannot linearize for an implicit integrator: {what} contains `{name}` \
              (the dependence on the unknown is not symbolically analyzable)"
         ))),
@@ -388,7 +392,7 @@ fn expand_custom_operators(
     e: &ExprRef,
     problem: &Problem,
     unknown: &str,
-) -> Result<ExprRef, DslError> {
+) -> Result<ExprRef, Diagnostic> {
     if problem.custom_operators.is_empty() {
         return Ok(Rc::clone(e));
     }
@@ -407,7 +411,9 @@ fn expand_custom_operators(
             }
         });
         if let Some(msg) = error {
-            return Err(DslError::Invalid(format!("operator `{name}`: {msg}")));
+            return Err(Diagnostic::dsl_expression(format!(
+                "operator `{name}`: {msg}"
+            )));
         }
     }
     Ok(current)
@@ -415,11 +421,11 @@ fn expand_custom_operators(
 
 /// Expand `upwind(v, u)` into the paper's conditional form:
 /// `conditional(v·n > 0, (v·n)*CELL1(u), (v·n)*CELL2(u))`.
-fn expand_upwind(e: &ExprRef, unknown: &str, dim: usize) -> Result<ExprRef, DslError> {
-    let mut error: Option<DslError> = None;
+fn expand_upwind(e: &ExprRef, unknown: &str, dim: usize) -> Result<ExprRef, Diagnostic> {
+    let mut error: Option<Diagnostic> = None;
     let out = subs::replace_call(e, "upwind", &mut |args| {
         if args.len() != 2 {
-            error = Some(DslError::Invalid(format!(
+            error = Some(Diagnostic::dsl_expression(format!(
                 "upwind takes (velocity, unknown), got {} arguments",
                 args.len()
             )));
@@ -431,14 +437,14 @@ fn expand_upwind(e: &ExprRef, unknown: &str, dim: usize) -> Result<ExprRef, DslE
             // only in 1-D; otherwise it is an error.
             _ if dim == 1 => vec![Rc::clone(&args[0])],
             _ => {
-                error = Some(DslError::Invalid(
-                    "upwind velocity must be a vector (e.g. [Sx[d];Sy[d]])".into(),
+                error = Some(Diagnostic::dsl_expression(
+                    "upwind velocity must be a vector (e.g. [Sx[d];Sy[d]])",
                 ));
                 return Expr::num(0.0);
             }
         };
         if components.len() != dim {
-            error = Some(DslError::Invalid(format!(
+            error = Some(Diagnostic::dsl_expression(format!(
                 "upwind velocity has {} components in a {dim}-D problem",
                 components.len()
             )));
@@ -447,7 +453,7 @@ fn expand_upwind(e: &ExprRef, unknown: &str, dim: usize) -> Result<ExprRef, DslE
         match args[1].as_sym() {
             Some((name, _)) if name == unknown => {}
             _ => {
-                error = Some(DslError::Invalid(format!(
+                error = Some(Diagnostic::dsl_expression(format!(
                     "upwind's second argument must be the unknown `{unknown}`"
                 )));
                 return Expr::num(0.0);
@@ -476,12 +482,12 @@ fn expand_upwind(e: &ExprRef, unknown: &str, dim: usize) -> Result<ExprRef, DslE
 }
 
 /// Extract the integrand from a term of the form `c * surface(inner)`.
-fn extract_surface(term: &ExprRef) -> Result<ExprRef, DslError> {
+fn extract_surface(term: &ExprRef) -> Result<ExprRef, Diagnostic> {
     match term.as_ref() {
         Expr::Call { name, args } if name == "surface" => {
             if args.len() != 1 {
-                return Err(DslError::Invalid(
-                    "surface takes exactly one argument".into(),
+                return Err(Diagnostic::dsl_expression(
+                    "surface takes exactly one argument",
                 ));
             }
             Ok(Rc::clone(&args[0]))
@@ -493,40 +499,40 @@ fn extract_surface(term: &ExprRef) -> Result<ExprRef, DslError> {
                 match f.as_ref() {
                     Expr::Call { name, args } if name == "surface" => {
                         if inner.is_some() {
-                            return Err(DslError::Invalid(
-                                "multiple surface() factors in one term".into(),
+                            return Err(Diagnostic::dsl_expression(
+                                "multiple surface() factors in one term",
                             ));
                         }
                         if args.len() != 1 {
-                            return Err(DslError::Invalid(
-                                "surface takes exactly one argument".into(),
+                            return Err(Diagnostic::dsl_expression(
+                                "surface takes exactly one argument",
                             ));
                         }
                         inner = Some(Rc::clone(&args[0]));
                     }
                     _ if f.contains_call("surface") => {
-                        return Err(DslError::Invalid(
-                            "surface() must appear as a direct factor of a term".into(),
+                        return Err(Diagnostic::dsl_expression(
+                            "surface() must appear as a direct factor of a term",
                         ));
                     }
                     _ => outer.push(Rc::clone(f)),
                 }
             }
             let inner = inner.ok_or_else(|| {
-                DslError::Invalid("term marked as surface but no surface() factor".into())
+                Diagnostic::dsl_expression("term marked as surface but no surface() factor")
             })?;
             outer.push(inner);
             Ok(Expr::mul(outer))
         }
-        _ => Err(DslError::Invalid(
-            "surface() must appear as a direct factor of a term".into(),
+        _ => Err(Diagnostic::dsl_expression(
+            "surface() must appear as a direct factor of a term",
         )),
     }
 }
 
 /// Check every symbol resolves to an index, variable, coefficient, or a
 /// reserved marker, and that subscripts match declarations.
-fn validate_symbols(e: &ExprRef, registry: &Registry, unknown: &str) -> Result<(), DslError> {
+fn validate_symbols(e: &ExprRef, registry: &Registry, unknown: &str) -> Result<(), Diagnostic> {
     let mut problem: Option<String> = None;
     e.visit(&mut |node| {
         if problem.is_some() {
@@ -582,7 +588,7 @@ fn validate_symbols(e: &ExprRef, registry: &Registry, unknown: &str) -> Result<(
         }
     });
     match problem {
-        Some(msg) => Err(DslError::Invalid(msg)),
+        Some(msg) => Err(Diagnostic::dsl_expression(msg)),
         None => Ok(()),
     }
 }

@@ -9,6 +9,7 @@
 //! `conservationForm` input string. `build` runs the symbolic pipeline and
 //! produces an executable [`crate::exec::Solver`] for a chosen target.
 
+use crate::analysis::Diagnostic;
 use crate::entities::{Coefficient, CoefficientValue, Index, Location, Registry, Variable};
 use crate::exec::{ExecTarget, Solver};
 use crate::pipeline::{self, DiscreteSystem};
@@ -523,32 +524,6 @@ impl KernelTier {
     }
 }
 
-/// Errors from building a problem.
-#[derive(Debug, Clone)]
-pub enum DslError {
-    /// The conservation-form expression failed to parse.
-    Parse(pbte_symbolic::ParseError),
-    /// Something referenced is missing or inconsistent.
-    Invalid(String),
-}
-
-impl fmt::Display for DslError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DslError::Parse(e) => write!(f, "parse error: {e}"),
-            DslError::Invalid(s) => write!(f, "invalid problem: {s}"),
-        }
-    }
-}
-
-impl std::error::Error for DslError {}
-
-impl From<pbte_symbolic::ParseError> for DslError {
-    fn from(e: pbte_symbolic::ParseError) -> Self {
-        DslError::Parse(e)
-    }
-}
-
 /// The content a plan is lowered from, as a 128-bit digest
 /// ([`Problem::plan_key`]): two problems of one key lower to the same
 /// plan, so the second takes the first's.
@@ -1009,30 +984,17 @@ impl Problem {
 
     /// Run the symbolic pipeline only (parse → expand → time transform →
     /// classify). Exposed for inspection and tests; `build` calls it.
-    pub fn analyze(&self) -> Result<DiscreteSystem, DslError> {
+    pub fn analyze(&self) -> Result<DiscreteSystem, Diagnostic> {
         let (var, src) = self
             .equation
             .as_ref()
-            .ok_or_else(|| DslError::Invalid("no conservationForm given".into()))?;
+            .ok_or_else(|| Diagnostic::dsl_problem("no conservationForm given"))?;
         pipeline::analyze(self, *var, src)
     }
 
     /// Build an executable solver for `target`.
-    pub fn build(self, target: ExecTarget) -> Result<Solver, DslError> {
+    pub fn build(self, target: ExecTarget) -> Result<Solver, Diagnostic> {
         Solver::build(self, target)
-    }
-
-    /// Compile the problem for `target` and run the full static plan
-    /// verifier (see [`crate::analysis`]): bytecode read/write-set
-    /// derivation, parallel-write disjointness, and transfer-schedule
-    /// proofs. Returns the diagnostics (empty = the plan is clean).
-    /// Consumes the problem like [`Problem::build`].
-    pub fn verify_plan(
-        self,
-        target: &ExecTarget,
-    ) -> Result<Vec<crate::analysis::Diagnostic>, DslError> {
-        let solver = Solver::build(self, target.clone())?;
-        Ok(solver.compiled.verify_plan(&solver.target))
     }
 }
 
@@ -1085,6 +1047,6 @@ mod tests {
     #[test]
     fn analyze_requires_equation() {
         let p = Problem::new("t");
-        assert!(matches!(p.analyze(), Err(DslError::Invalid(_))));
+        assert!(matches!(p.analyze(), Err(d) if d.rule == crate::analysis::rules::DSL_PROBLEM));
     }
 }

@@ -128,7 +128,8 @@ fn declared_plan_is_clean_on_every_target_and_tier() {
         for tier in [KernelTier::Vm, KernelTier::Row] {
             let mut p = declared_problem(6, 2);
             p.kernel_tier(tier);
-            let diags = p.verify_plan(target).unwrap();
+            let solver = p.build(target.clone()).unwrap();
+            let diags = solver.compiled.verify_plan(&solver.target);
             assert!(
                 diags.is_empty(),
                 "{target:?}/{tier:?} should verify clean, got: {:?}",

@@ -7,52 +7,28 @@
 //! physical group become named boundary regions.
 
 use crate::geometry::Point;
-use crate::import::{mesh_from_elements, Elements, Scanner};
+use crate::import::{malformed, mesh_from_elements, Elements, ImportError, Scanner};
 use crate::mesh::Mesh;
 use std::collections::HashMap;
-use std::fmt;
 
-/// Import failure.
-#[derive(Debug)]
-pub enum GmshError {
-    /// Structural problem with the file.
-    Format(String),
-    /// Number parsing failed.
-    Parse(String),
-}
-
-impl fmt::Display for GmshError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GmshError::Format(s) => write!(f, "malformed msh file: {s}"),
-            GmshError::Parse(s) => write!(f, "could not parse `{s}`"),
-        }
-    }
-}
-
-impl std::error::Error for GmshError {}
-
-fn parse_num<T: std::str::FromStr>(s: Option<&str>) -> Result<T, GmshError> {
+fn parse_num<T: std::str::FromStr>(s: Option<&str>) -> Result<T, ImportError> {
     let s = s.unwrap_or("");
-    s.parse().map_err(|_| GmshError::Parse(s.to_string()))
+    s.parse()
+        .map_err(|_| malformed(format!("could not parse `{s}`")))
 }
 
 /// An integer the scanner read ([`Scanner::unsigned`]) as a `T`: the
 /// value when it fits, else what `T::from_str` makes of the token.
-fn int<T: TryFrom<usize> + std::str::FromStr>(read: Result<usize, &str>) -> Result<T, GmshError> {
+fn int<T: TryFrom<usize> + std::str::FromStr>(read: Result<usize, &str>) -> Result<T, ImportError> {
     match read {
-        Ok(v) => T::try_from(v).map_err(|_| GmshError::Parse(v.to_string())),
+        Ok(v) => T::try_from(v).map_err(|_| malformed(format!("could not parse `{v}`"))),
         Err(token) => parse_num(Some(token)),
     }
 }
 
-fn format(msg: impl Into<String>) -> GmshError {
-    GmshError::Format(msg.into())
-}
-
 /// The line after a section header: its count.
-fn count(sc: &mut Scanner, missing: &str) -> Result<usize, GmshError> {
-    parse_num(Some(sc.line().ok_or_else(|| format(missing))?))
+fn count(sc: &mut Scanner, missing: &str) -> Result<usize, ImportError> {
+    parse_num(Some(sc.line().ok_or_else(|| malformed(missing))?))
 }
 
 /// The element types read and written (MSH 2.2), with their dimension and
@@ -73,7 +49,7 @@ const TYPES: [(u32, usize, usize); 6] = [
 /// after the physical name when a `$PhysicalNames` section is present, or
 /// `region_<tag>` otherwise. A point, line, triangle, quad, tetrahedron or
 /// hexahedron must list the nodes its type has; other types are skipped.
-pub fn parse_msh(text: &str) -> Result<Mesh, GmshError> {
+pub fn parse_msh(text: &str) -> Result<Mesh, ImportError> {
     let mut sc = Scanner::new(text, false);
     let mut vertices: Vec<Point> = Vec::new();
     let mut node_ids: Vec<usize> = Vec::new();
@@ -87,10 +63,10 @@ pub fn parse_msh(text: &str) -> Result<Mesh, GmshError> {
     while let Some(line) = sc.line() {
         match line {
             "$MeshFormat" => {
-                let header = sc.line().ok_or_else(|| format("missing format line"))?;
+                let header = sc.line().ok_or_else(|| malformed("missing format line"))?;
                 let version = header.split_whitespace().next().unwrap_or("");
                 if !version.starts_with("2.") {
-                    return Err(format(format!(
+                    return Err(malformed(format!(
                         "unsupported msh version {version} (need 2.x ASCII)"
                     )));
                 }
@@ -98,7 +74,9 @@ pub fn parse_msh(text: &str) -> Result<Mesh, GmshError> {
             }
             "$PhysicalNames" => {
                 for _ in 0..count(&mut sc, "missing count")? {
-                    let l = sc.line().ok_or_else(|| format("truncated PhysicalNames"))?;
+                    let l = sc
+                        .line()
+                        .ok_or_else(|| malformed("truncated PhysicalNames"))?;
                     let mut parts = l.split_whitespace();
                     let _dim: i64 = parse_num(parts.next())?;
                     let tag: i64 = parse_num(parts.next())?;
@@ -110,7 +88,7 @@ pub fn parse_msh(text: &str) -> Result<Mesh, GmshError> {
             "$Nodes" => {
                 for _ in 0..count(&mut sc, "missing node count")? {
                     if sc.at == text.len() {
-                        return Err(format("truncated Nodes"));
+                        return Err(malformed("truncated Nodes"));
                     }
                     node_ids.push(int(sc.unsigned())?);
                     let [x, y, z] = [(); 3].map(|()| parse_num(sc.token()));
@@ -122,7 +100,7 @@ pub fn parse_msh(text: &str) -> Result<Mesh, GmshError> {
             "$Elements" => {
                 for _ in 0..count(&mut sc, "missing element count")? {
                     if sc.at == text.len() {
-                        return Err(format("truncated Elements"));
+                        return Err(malformed("truncated Elements"));
                     }
                     let start = sc.at;
                     let id: usize = int(sc.unsigned())?;
@@ -135,7 +113,7 @@ pub fn parse_msh(text: &str) -> Result<Mesh, GmshError> {
                         let tag = match sc.unsigned() {
                             Err("") => {
                                 let line = text[start..].lines().next().unwrap_or("").trim();
-                                return Err(format(format!(
+                                return Err(malformed(format!(
                                     "element line declares {ntags} tags but ends after {t}: `{line}`"
                                 )));
                             }
@@ -175,7 +153,7 @@ pub fn parse_msh(text: &str) -> Result<Mesh, GmshError> {
     }
 
     if vertices.is_empty() {
-        return Err(format("no $Nodes section"));
+        return Err(malformed("no $Nodes section"));
     }
     // The mesh's dimension is that of its highest-dimensional elements;
     // those one lower bound it.
@@ -195,16 +173,16 @@ pub fn parse_msh(text: &str) -> Result<Mesh, GmshError> {
             None => id.checked_sub(1).filter(|&i| i < n),
             Some(map) => map.get(id).copied(),
         };
-        *id = dense.ok_or_else(|| format(format!("element references node {id}")))?;
+        *id = dense.ok_or_else(|| malformed(format!("element references node {id}")))?;
     }
     if let Some((d, at, what)) = miscounted {
-        return Err(format(match d == dim {
+        return Err(malformed(match d == dim {
             true => format!("cell {at}: {what}; cells are the volume elements in file order"),
             false => what,
         }));
     }
     if cells.cells.is_empty() {
-        return Err(format("no volume elements"));
+        return Err(malformed("no volume elements"));
     }
 
     // Orient, build, and attach boundary regions by matching element
@@ -214,16 +192,16 @@ pub fn parse_msh(text: &str) -> Result<Mesh, GmshError> {
         None => format!("region_{tag}"),
     };
     mesh_from_elements(dim, vertices, cells.cells, [&boundary], region_name)
-        .map_err(GmshError::Format)
+        .map_err(ImportError::Mesh)
 }
 
-fn skip_until(sc: &mut Scanner, end: &str) -> Result<(), GmshError> {
+fn skip_until(sc: &mut Scanner, end: &str) -> Result<(), ImportError> {
     while let Some(l) = sc.line() {
         if l == end {
             return Ok(());
         }
     }
-    Err(format(format!("missing {end}")))
+    Err(malformed(format!("missing {end}")))
 }
 
 /// Serialize a mesh to MSH 2.2 ASCII. Boundary regions are written as

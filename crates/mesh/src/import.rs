@@ -1,10 +1,43 @@
 //! What the Gmsh and MEDIT importers share: one byte scanner over the file,
 //! the flat element lists it fills, and the step from parsed vertices,
-//! volume elements and tagged boundary elements to a [`Mesh`].
+//! volume elements and tagged boundary elements to a [`Mesh`] — and the
+//! one error either importer returns.
 
 use crate::geometry::{polygon_signed_area, Point};
-use crate::mesh::{BoundaryRegion, Cells, Mesh};
+use crate::mesh::{BoundaryRegion, Cells, Mesh, MeshError};
 use std::collections::HashMap;
+use std::fmt;
+
+/// Why a Gmsh or MEDIT file was not imported.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ImportError {
+    /// The text is not a document of its format: what the reader found.
+    Malformed(String),
+    /// The file's volume elements are no finite-volume mesh. Cell numbers
+    /// count the volume elements in file order, from 0.
+    Mesh(MeshError),
+}
+
+impl fmt::Display for ImportError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ImportError::Malformed(s) => write!(f, "malformed mesh file: {s}"),
+            ImportError::Mesh(e) => {
+                write!(
+                    f,
+                    "{e}; cells are the volume elements in file order, from 0"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for ImportError {}
+
+/// An [`ImportError::Malformed`] saying `msg`.
+pub(crate) fn malformed(msg: impl Into<String>) -> ImportError {
+    ImportError::Malformed(msg.into())
+}
 
 /// A cursor over the bytes of a mesh file. A token is a run of bytes
 /// between ASCII whitespace, and a line ends at `\n`.
@@ -122,15 +155,14 @@ fn face_key(ids: impl ExactSizeIterator<Item = usize>) -> Option<[u32; 4]> {
 /// Each boundary element, list by list, then puts the boundary face
 /// around its vertices into the region of its tag — regions number in
 /// first-use order and are named by `region_name` — and an element around
-/// no boundary face is skipped. The error is [`crate::MeshError`]'s text,
-/// saying what its cell numbers count.
+/// no boundary face is skipped.
 pub(crate) fn mesh_from_elements<'a>(
     dim: usize,
     vertices: Vec<Point>,
     mut cells: Cells,
     boundary: impl IntoIterator<Item = &'a Elements>,
     region_name: impl Fn(i64) -> String,
-) -> Result<Mesh, String> {
+) -> Result<Mesh, MeshError> {
     if dim == 2 {
         let mut polygon: Vec<Point> = Vec::new();
         for w in cells.offsets.windows(2) {
@@ -142,8 +174,7 @@ pub(crate) fn mesh_from_elements<'a>(
             }
         }
     }
-    let mut mesh = Mesh::try_from_cells(dim, vertices, cells)
-        .map_err(|e| format!("{e}; cells are the volume elements in file order, from 0"))?;
+    let mut mesh = Mesh::try_from_cells(dim, vertices, cells)?;
 
     // Boundary faces by key, sorted: a lookup is a binary search.
     let mut by_key: Vec<([u32; 4], usize)> = (mesh.faces.iter().enumerate())

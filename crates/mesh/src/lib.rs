@@ -30,5 +30,6 @@ pub mod partition;
 pub use digest::Digest;
 pub use geometry::Point;
 pub use grid::UniformGrid;
+pub use import::ImportError;
 pub use mesh::{Cells, Face, Mesh, MeshError};
 pub use partition::{partition_bands, Partition};

@@ -24,30 +24,15 @@
 //! `ref_<n>`.
 
 use crate::geometry::Point;
-use crate::import::{mesh_from_elements, Elements, Scanner};
+use crate::import::{malformed, mesh_from_elements, Elements, ImportError, Scanner};
 use crate::mesh::{Cells, Mesh};
-use std::fmt;
-
-/// Import failure.
-#[derive(Debug)]
-pub struct MeditError(pub String);
-
-impl fmt::Display for MeditError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "malformed MEDIT mesh: {}", self.0)
-    }
-}
-
-impl std::error::Error for MeditError {}
-
-fn err(msg: impl Into<String>) -> MeditError {
-    MeditError(msg.into())
-}
 
 /// The next token as a count; the errors name `what`.
-fn count(sc: &mut Scanner, what: &str) -> Result<usize, MeditError> {
-    let token = sc.token().ok_or_else(|| err(format!("missing {what}")))?;
-    token.parse().map_err(|_| err(format!("bad {what}")))
+fn count(sc: &mut Scanner, what: &str) -> Result<usize, ImportError> {
+    let token = sc
+        .token()
+        .ok_or_else(|| malformed(format!("missing {what}")))?;
+    token.parse().map_err(|_| malformed(format!("bad {what}")))
 }
 
 /// The element sections read and written, with the vertex count and the
@@ -67,7 +52,7 @@ fn of_dim(dim: usize) -> impl Iterator<Item = usize> {
 
 /// Parse an ASCII MEDIT document. A `#` opens a comment that runs to the
 /// end of its line.
-pub fn parse_mesh(text: &str) -> Result<Mesh, MeditError> {
+pub fn parse_mesh(text: &str) -> Result<Mesh, ImportError> {
     // The format is positional: whitespace-separated tokens.
     let mut sc = Scanner::new(text, true);
     let mut dimension: Option<usize> = None;
@@ -78,27 +63,27 @@ pub fn parse_mesh(text: &str) -> Result<Mesh, MeditError> {
     while let Some(word) = sc.token() {
         match word {
             "MeshVersionFormatted" => {
-                sc.token().ok_or_else(|| err("missing version"))?;
+                sc.token().ok_or_else(|| malformed("missing version"))?;
             }
             "Dimension" => {
                 let d = count(&mut sc, "dimension")?;
                 if d != 2 && d != 3 {
-                    return Err(err(format!("unsupported dimension {d}")));
+                    return Err(malformed(format!("unsupported dimension {d}")));
                 }
                 dimension = Some(d);
             }
             "Vertices" => {
-                let dim = dimension.ok_or_else(|| err("Vertices before Dimension"))?;
+                let dim = dimension.ok_or_else(|| malformed("Vertices before Dimension"))?;
                 for _ in 0..count(&mut sc, "vertex count")? {
                     let mut coords = [0.0f64; 3];
                     for c in coords.iter_mut().take(dim) {
-                        let token = sc.token().ok_or_else(|| err("truncated Vertices"))?;
+                        let token = sc.token().ok_or_else(|| malformed("truncated Vertices"))?;
                         *c = token
                             .parse()
-                            .map_err(|_| err("bad coordinate in Vertices"))?;
+                            .map_err(|_| malformed("bad coordinate in Vertices"))?;
                     }
                     // Trailing reference.
-                    sc.token().ok_or_else(|| err("missing vertex ref"))?;
+                    sc.token().ok_or_else(|| malformed("missing vertex ref"))?;
                     vertices.push(Point::new(coords[0], coords[1], coords[2]));
                 }
             }
@@ -107,31 +92,32 @@ pub fn parse_mesh(text: &str) -> Result<Mesh, MeditError> {
                 // Unknown sections (Corners, Ridges, ...) would need counts
                 // to skip; reject explicitly rather than misparse.
                 let s = (SECTIONS.iter().position(|&(name, _, _)| name == kw))
-                    .ok_or_else(|| err(format!("unsupported section `{kw}`")))?;
-                let truncated = || err(format!("truncated {kw}"));
+                    .ok_or_else(|| malformed(format!("unsupported section `{kw}`")))?;
+                let truncated = || malformed(format!("truncated {kw}"));
                 for _ in 0..count(&mut sc, "element count")? {
                     for _ in 0..SECTIONS[s].1 {
                         let v = match sc.unsigned() {
                             Ok(v) => v,
                             Err("") => return Err(truncated()),
-                            Err(_) => return Err(err(format!("bad vertex id in {kw}"))),
+                            Err(_) => return Err(malformed(format!("bad vertex id in {kw}"))),
                         };
                         if v == 0 || v > vertices.len() {
-                            return Err(err(format!("vertex id {v} out of range")));
+                            return Err(malformed(format!("vertex id {v} out of range")));
                         }
                         sections[s].cells.ids.push(v - 1);
                     }
                     let reference = sc.token().ok_or_else(truncated)?.parse();
-                    let reference = reference.map_err(|_| err(format!("bad element ref in {kw}")));
+                    let reference =
+                        reference.map_err(|_| malformed(format!("bad element ref in {kw}")));
                     sections[s].end(reference?);
                 }
             }
         }
     }
 
-    let dim = dimension.ok_or_else(|| err("no Dimension"))?;
+    let dim = dimension.ok_or_else(|| malformed("no Dimension"))?;
     if vertices.is_empty() {
-        return Err(err("no Vertices"));
+        return Err(malformed("no Vertices"));
     }
     // Cells are the elements of the mesh's dimension, numbered section by
     // section (a section's list is taken whole when it is the first);
@@ -145,13 +131,14 @@ pub fn parse_mesh(text: &str) -> Result<Mesh, MeditError> {
         }
     }
     if cells.is_empty() {
-        return Err(err("no volume elements"));
+        return Err(malformed("no volume elements"));
     }
 
     // Orient (MEDIT does not guarantee CCW), build, and make boundary
     // regions from the referenced lower-dimensional elements.
     let boundary = of_dim(dim - 1).map(|s| &sections[s]);
-    mesh_from_elements(dim, vertices, cells, boundary, |r| format!("ref_{r}")).map_err(MeditError)
+    mesh_from_elements(dim, vertices, cells, boundary, |r| format!("ref_{r}"))
+        .map_err(ImportError::Mesh)
 }
 
 /// Serialize a mesh to ASCII MEDIT: the cells with reference 0, then each

@@ -320,7 +320,10 @@ fn a_declared_tag_count_is_not_an_allocation() {
         let bombed = msh.replace("$Elements\n192\n", &format!("$Elements\n192\n{bomb}\n"));
         assert_ne!(bombed, msh);
         let err = gmsh::parse_msh(&bombed).unwrap_err();
-        assert!(matches!(err, gmsh::GmshError::Format(_)), "{err:?}");
+        assert!(
+            matches!(err, pbte_mesh::ImportError::Malformed(_)),
+            "{err:?}"
+        );
         let e = err.to_string();
         assert!(
             e.contains("tags but ends after 5") && e.contains(bomb),

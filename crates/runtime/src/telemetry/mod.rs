@@ -227,22 +227,24 @@ pub struct Span {
     pub attrs: Vec<(&'static str, String)>,
 }
 
-/// Severity of an [`Event`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventSeverity {
-    /// Something recoverable went wrong (e.g. clock rounding).
+/// How bad a finding is — a run's [`Event`] or a verifier diagnostic.
+/// Ordered: `Warning < Error`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Severity {
+    /// A skipped proof, or something that costs work or precision but not
+    /// correctness (e.g. clock rounding).
     Warning,
-    /// The state is broken (e.g. a NaN intensity).
+    /// A proven violation, or a broken state (e.g. a NaN intensity).
     Error,
 }
 
-impl EventSeverity {
-    /// Lowercase name, as the event frame spells it.
-    pub fn label(self) -> &'static str {
-        match self {
-            EventSeverity::Warning => "warning",
-            EventSeverity::Error => "error",
-        }
+impl std::fmt::Display for Severity {
+    /// Lowercase, as the event frame spells it.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Severity::Warning => "warning",
+            Severity::Error => "error",
+        })
     }
 }
 
@@ -251,7 +253,7 @@ impl EventSeverity {
 #[derive(Debug, Clone)]
 pub struct Event {
     /// Severity for downstream filtering.
-    pub severity: EventSeverity,
+    pub severity: Severity,
     /// Short machine-friendly name, rule-style for structured
     /// diagnostics (e.g. `telemetry/nonmonotonic-timer`).
     pub name: &'static str,
@@ -434,7 +436,7 @@ impl Frame {
             Frame::Event(e) => format!(
                 "{{\"frame\":\"event\",\"severity\":\"{}\",\"name\":{},\"message\":{},\
                  \"time\":{},\"rank\":{}}}",
-                e.severity.label(),
+                e.severity,
                 json_str(e.name),
                 json_str(&e.message),
                 json_f64(e.time),
@@ -749,7 +751,7 @@ impl Recorder {
                 self.dropped_spans += 1;
                 if !self.findings.totals.contains_key(rules::BUFFER_TRUNCATED) {
                     self.warn(
-                        EventSeverity::Warning,
+                        Severity::Warning,
                         rules::BUFFER_TRUNCATED,
                         format!(
                             "in-memory span buffer reached its cap of {}; further spans \
@@ -777,7 +779,7 @@ impl Recorder {
     pub fn phase(&mut self, phase: &str, seconds: f64) {
         let secs = if seconds < 0.0 {
             self.warn(
-                EventSeverity::Warning,
+                Severity::Warning,
                 rules::NONMONOTONIC_TIMER,
                 format!("clamped {seconds:.3e}s for phase '{phase}' to zero"),
             );
@@ -853,7 +855,7 @@ impl Recorder {
     /// [`MAX_WARNS_PER_RULE`] per rule and recorder, the rest only
     /// counted — and a kept one becomes an event frame when a consumer is
     /// live.
-    pub fn warn(&mut self, severity: EventSeverity, rule: &'static str, message: String) {
+    pub fn warn(&mut self, severity: Severity, rule: &'static str, message: String) {
         let total = self.findings.totals.entry(rule).or_insert(0);
         *total += 1;
         if *total > MAX_WARNS_PER_RULE {
@@ -976,7 +978,7 @@ impl Recorder {
             let drift = (observed as f64 - predicted as f64).abs() / predicted as f64;
             if drift > c.tolerance {
                 self.warn(
-                    EventSeverity::Warning,
+                    Severity::Warning,
                     rules::COST_LIVE_DRIFT,
                     format!(
                         "step {step}: observed {observed} {label} vs predicted \
@@ -1004,7 +1006,7 @@ impl Recorder {
         let drift = (observed_bytes as f64 - predicted as f64).abs() / predicted as f64;
         if drift > c.tolerance {
             self.warn(
-                EventSeverity::Warning,
+                Severity::Warning,
                 rules::COST_LIVE_DRIFT,
                 format!(
                     "step {step}: observed {observed_bytes} {dir} bytes vs predicted \
@@ -1174,7 +1176,7 @@ impl Recorder {
                     json_str(e.name),
                     json_f64(e.time * 1e6),
                     e.rank,
-                    e.severity.label(),
+                    e.severity,
                     json_str(&e.message)
                 ),
                 &mut first,
@@ -1233,7 +1235,8 @@ fn work_json(w: &WorkCounters) -> String {
     )
 }
 
-fn json_str(s: &str) -> String {
+/// `s` as a quoted, escaped JSON string.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -1269,7 +1272,7 @@ mod tests {
         r.work.dof_updates += 7;
         r.phase("solve for intensity", 1.5);
         r.span(SpanKind::Step, "step", 0.0, 1.0, Track::Host, vec![]);
-        r.warn(EventSeverity::Warning, "oops", "msg".into());
+        r.warn(Severity::Warning, "oops", "msg".into());
         r.observe_buckets("newton_iters", &[0, 0, 0, 1]);
         r.sample("energy_residual", 0, 1e-12);
         r.step_done(0, &[("a", 1.0)], 0);
@@ -1291,7 +1294,7 @@ mod tests {
         assert_eq!(r.phases.get("communication"), 0.0);
         assert_eq!(r.events().len(), 1);
         assert_eq!(r.events()[0].name, rules::NONMONOTONIC_TIMER);
-        assert!(matches!(r.events()[0].severity, EventSeverity::Warning));
+        assert!(matches!(r.events()[0].severity, Severity::Warning));
         // Positive time still accumulates afterwards.
         r.phase("communication", 2.0);
         assert_eq!(r.phases.get("communication"), 2.0);
@@ -1333,7 +1336,7 @@ mod tests {
             Track::Device(0),
             vec![("tier", "row".into())],
         );
-        r.warn(EventSeverity::Warning, "marker", "hello \"world\"".into());
+        r.warn(Severity::Warning, "marker", "hello \"world\"".into());
         let json = r.chrome_trace();
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""));

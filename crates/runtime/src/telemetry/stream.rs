@@ -438,7 +438,7 @@ impl StreamReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{Event, EventSeverity};
+    use crate::telemetry::{Event, Severity};
 
     #[test]
     fn ring_push_pop_fifo() {
@@ -516,7 +516,7 @@ mod tests {
             jvp_plan: None,
         });
         sink.push(Frame::Event(Event {
-            severity: EventSeverity::Warning,
+            severity: Severity::Warning,
             name: "marker",
             message: "hello \"stream\"".into(),
             time: 0.5,

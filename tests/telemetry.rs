@@ -26,7 +26,7 @@ use pbte_dsl::{BoundaryCondition, ExecTarget, GpuStrategy, KernelTier, Severity}
 use pbte_dsl::{SolveReport, Solver, WorkCounters};
 use pbte_gpu::DeviceSpec;
 use pbte_runtime::telemetry::stream::{StreamConfig, StreamReader, StreamSink, StreamWriter};
-use pbte_runtime::telemetry::{rules as trules, EventSeverity, Span, SpanKind, SPAN_KINDS};
+use pbte_runtime::telemetry::{rules as trules, Span, SpanKind, SPAN_KINDS};
 use serde::Value;
 use std::path::Path;
 
@@ -340,14 +340,14 @@ fn traced_and_untraced_runs_find_the_same() {
 fn findings_are_capped_per_rule_and_counted_in_full() {
     let mut child = Recorder::null();
     for step in 0..11 {
-        child.warn(EventSeverity::Error, "a", format!("step {step}"));
+        child.warn(Severity::Error, "a", format!("step {step}"));
     }
-    child.warn(EventSeverity::Warning, "b", "once".into());
+    child.warn(Severity::Warning, "b", "once".into());
     let kept = |r: &Recorder, rule| r.findings().kept.iter().filter(|e| e.name == rule).count();
     assert_eq!(kept(&child, "a"), 8);
     assert_eq!(child.findings().totals["a"], 11);
     let mut parent = Recorder::buffered();
-    parent.warn(EventSeverity::Warning, "b", "again".into());
+    parent.warn(Severity::Warning, "b", "again".into());
     parent.absorb_rank(child);
     assert_eq!(parent.findings().totals["a"], 11);
     assert_eq!(parent.findings().totals["b"], 2);
@@ -431,7 +431,7 @@ fn chrome_trace_covers_every_span_kind() {
     );
     let mut implicit = Recorder::buffered();
     implicit.warn(
-        EventSeverity::Warning,
+        Severity::Warning,
         "dt/auto-clamp",
         "dt=auto clamped to the CFL bound".to_string(),
     );
@@ -929,7 +929,7 @@ fn run_both_consumers(target: ExecTarget, tag: &str) -> (Recorder, Vec<Value>) {
     let mut rec = Recorder::buffered();
     rec.attach_stream(writer.sink());
     rec.warn(
-        EventSeverity::Warning,
+        Severity::Warning,
         "test/marker",
         "an event frame for both consumers".into(),
     );

@@ -8,6 +8,9 @@
 //! Runs the real binary over a shrunken built-in sweep (`n=6 steps=2`)
 //! with the dimensional-analysis pass enabled; the committed scenario
 //! library rides along at its own (file-defined) sizes.
+//!
+//! The rest pins the command-line contract of all three binaries: the
+//! one exit table (`pbte_apps::status`) and what each refusal says.
 
 use serde::Value;
 use std::process::Command;
@@ -178,7 +181,8 @@ fn pbte_refuses_out_of_range_integrators_and_steps() {
 
 /// The untraced scenario driver prints what its run found: a step far
 /// past the stability wall poisons the energy sums, and the temperature
-/// update's finding reaches stdout. The run still completes (exit 0).
+/// update's finding reaches stdout. The run completes, and the
+/// error-severity finding fails it (exit 1).
 #[test]
 fn pbte_prints_what_an_untraced_run_found() {
     let out = Command::new(env!("CARGO_BIN_EXE_pbte"))
@@ -193,24 +197,27 @@ fn pbte_prints_what_an_untraced_run_found() {
         .output()
         .expect("pbte runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "{stdout}");
-    assert!(stdout.contains("temperature/non-finite-energy"), "{stdout}");
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.contains("error temperature/non-finite-energy"),
+        "{stdout}"
+    );
 }
 
 /// A target the problem refuses — more ranks than cells (refused by the
 /// solve), more ranks than the partitioned index has values (refused by
-/// the build) — is a usage error of the scenario driver, exit 2 with the
-/// DSL's message, as in `pbte-trace`: never a panic.
+/// the build) — is a refused input of the scenario driver, exit 2 with
+/// the DSL's rule and message, as in `pbte-trace`: never a panic.
 #[test]
 fn pbte_reports_a_refused_target_with_the_usage_status() {
     for (args, says) in [
         (
             &["n=4", "steps=1", "target=cells:17"][..],
-            "solve failed: invalid problem: 17 ranks for 16 cells",
+            "error[dsl/target]: 17 ranks for 16 cells",
         ),
         (
             &["n=6", "steps=2", "target=bands:3", "bands=2"][..],
-            "build failed: invalid problem: 3 ranks but index `b` has only 2 values",
+            "error[dsl/target]: 3 ranks but index `b` has only 2 values",
         ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_pbte"))
@@ -303,4 +310,224 @@ fn every_binary_refuses_a_malformed_or_zero_count() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A scratch directory of its own per test.
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("pbte-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The committed hot-spot scenario with its `dt` line replaced.
+fn hotspot_pbte_with_dt(dt: &str) -> String {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/scenarios/hotspot.pbte"
+    );
+    let text = std::fs::read_to_string(path).unwrap();
+    let line = text.lines().find(|l| l.starts_with("dt =")).unwrap();
+    text.replace(line, &format!("dt = {dt}"))
+}
+
+/// One run far past the stability wall — its energy sums are not finite
+/// — fails every binary that runs it: `pbte`, and `pbte-trace` with and
+/// without the health probes, all exit 1.
+#[test]
+fn a_non_finite_energy_sum_fails_every_run_binary() {
+    let dir = scratch("dt1e300");
+    let file = dir.join("hot.pbte");
+    std::fs::write(&file, hotspot_pbte_with_dt("1e300")).unwrap();
+    let scenario = format!("scenario={}", file.display());
+    let out_dir = format!("out={}", dir.display());
+    let trace = [scenario.as_str(), "target=seq", out_dir.as_str()];
+    let runs: [(&str, Vec<&str>); 3] = [
+        (
+            env!("CARGO_BIN_EXE_pbte"),
+            vec!["hotspot", "n=12", "steps=4", "dt=1e300", "target=seq"],
+        ),
+        (env!("CARGO_BIN_EXE_pbte-trace"), trace.to_vec()),
+        (
+            env!("CARGO_BIN_EXE_pbte-trace"),
+            [&trace[..], &["--no-health"]].concat(),
+        ),
+    ];
+    for (bin, args) in runs {
+        let out = Command::new(bin).args(&args).output().expect("runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bin} {args:?}: {stderr}");
+        assert!(
+            stdout.contains("temperature/non-finite-energy"),
+            "{bin} {args:?}: {stdout}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every class of refused input exits 2 before step 0 and names its rule
+/// on stderr — never a panic (101), never a silent default.
+#[test]
+fn every_refusal_class_exits_2_naming_its_rule() {
+    let dir = scratch("refusals");
+    let malformed = dir.join("malformed.pbte");
+    std::fs::write(&malformed, "[scenario]\nname = x\nno equals sign here\n").unwrap();
+    // A 2 x 2 x 2 hex grid whose first hex has its top and bottom quads
+    // exchanged: an inverted cell, negative volume.
+    let grid = pbte_mesh::UniformGrid::new_3d(2, 2, 2, 1e-4, 1e-4, 1e-4).build();
+    let msh = pbte_mesh::gmsh::write_msh(&grid);
+    let hex = msh
+        .lines()
+        .find(|l| l.split_whitespace().nth(1) == Some("5") && l.split_whitespace().count() == 13)
+        .unwrap();
+    let ids: Vec<&str> = hex.split_whitespace().collect();
+    let (head, nodes) = ids.split_at(ids.len() - 8);
+    let inverted = [head, &nodes[4..], &nodes[..4]].concat().join(" ");
+    std::fs::write(dir.join("inverted.msh"), msh.replace(hex, &inverted)).unwrap();
+    let die = dir.join("inverted.pbte");
+    std::fs::write(
+        &die,
+        "[scenario]\nname = inverted\nt_ref = 300\nt_hot = 350\n\
+         [mesh]\nkind = gmsh\nfile = inverted.msh\n\
+         [material]\nmodel = silicon\nn_freq_bands = 2\nn_polar = 2\nn_azimuthal = 4\n\
+         [time]\nsteps = 1\n[boundary]\nbottom = isothermal 300\n",
+    )
+    .unwrap();
+    let scenario = |path: &std::path::Path| format!("scenario={}", path.display());
+    let (pbte, trace, verify) = (
+        env!("CARGO_BIN_EXE_pbte"),
+        env!("CARGO_BIN_EXE_pbte-trace"),
+        env!("CARGO_BIN_EXE_pbte-verify"),
+    );
+    let cases: Vec<(&str, Vec<String>, &str, &str)> = vec![
+        (
+            pbte,
+            vec!["bogus".into()],
+            "input/unknown",
+            "unknown command `bogus`",
+        ),
+        (
+            pbte,
+            ["hotspot", "n=4", "steps=1", "target=seq", "bogus=1"]
+                .map(String::from)
+                .to_vec(),
+            "input/unknown",
+            "unknown key `bogus=1`",
+        ),
+        (
+            verify,
+            vec!["scenario=nope".into()],
+            "input/unknown",
+            "unknown key `scenario=nope`",
+        ),
+        (
+            trace,
+            ["target=seq", "steps=1", "out=/dev/null/x"]
+                .map(String::from)
+                .to_vec(),
+            "input/io",
+            "/dev/null/x",
+        ),
+        (
+            trace,
+            vec![scenario(&dir.join("missing.pbte"))],
+            "input/io",
+            "missing.pbte",
+        ),
+        (
+            trace,
+            vec![scenario(&malformed)],
+            "input/parse",
+            "at line 3",
+        ),
+        (
+            trace,
+            vec![scenario(&die)],
+            "mesh/bad-measure",
+            "inverted.msh",
+        ),
+        (
+            pbte,
+            ["hotspot", "n=4", "steps=1", "target=cells:17"]
+                .map(String::from)
+                .to_vec(),
+            "dsl/target",
+            "17 ranks for 16 cells",
+        ),
+    ];
+    for (bin, args, rule, names) in cases {
+        let out = Command::new(bin)
+            .args(&args)
+            .current_dir(&dir)
+            .output()
+            .expect("the binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error[{rule}]")) && stderr.contains(names),
+            "{bin} {args:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The one exit table of the three binaries: 2 for a refusal, 1 for a
+/// finding at or above the binary's failing severity or a `physics/*`
+/// one, 0 otherwise.
+#[test]
+fn the_exit_table() {
+    use pbte_apps::{status, Outcome};
+    use pbte_dsl::{Diagnostic, Severity};
+    let finding = |severity, rule| Diagnostic {
+        severity,
+        rule,
+        entity: String::new(),
+        location: String::new(),
+        message: String::new(),
+    };
+    let finished = |findings: Vec<Diagnostic>, fails_at| Outcome::Finished { findings, fails_at };
+    let warning = finding(Severity::Warning, "temperature/newton-stalled");
+    let error = finding(Severity::Error, "temperature/non-finite-energy");
+    let physics = finding(Severity::Warning, "physics/energy-budget");
+    let refusal = Diagnostic::input_unknown("unknown key `bogus=1`");
+    for (outcome, expected) in [
+        (Outcome::default(), 0),
+        (finished(vec![warning.clone()], Severity::Error), 0),
+        (finished(vec![error.clone()], Severity::Error), 1),
+        (
+            finished(vec![warning.clone(), error.clone()], Severity::Error),
+            1,
+        ),
+        (finished(vec![physics.clone()], Severity::Error), 1),
+        (finished(vec![], Severity::Warning), 0),
+        (finished(vec![warning.clone()], Severity::Warning), 1),
+        (Outcome::from(refusal.clone()), 2),
+        (Outcome::Refused(vec![warning, refusal]), 2),
+        (Outcome::Refused(vec![error]), 2),
+        (Outcome::Refused(Vec::new()), 2),
+    ] {
+        assert_eq!(status(&outcome), expected, "{outcome:?}");
+    }
+}
+
+/// Every binary checks its arguments against its one list of keys and
+/// flags: anything else is `input/unknown`.
+#[test]
+fn an_argument_outside_the_list_is_refused() {
+    use pbte_apps::check_args;
+    let known = "n= target= --parity";
+    let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+    assert!(check_args(&args(&["n=4", "target=seq", "--parity"]), known).is_ok());
+    assert!(check_args(&[], known).is_ok());
+    for (bad, says) in [
+        ("bogus=1", "unknown key `bogus=1`"),
+        ("--synth", "unknown flag `--synth`"),
+        ("--parity=1", "unknown flag `--parity=1`"),
+        ("n", "unknown argument `n`"),
+        ("steps=2", "unknown key `steps=2`"),
+    ] {
+        let d = check_args(&args(&["n=4", bad]), known).expect_err(bad);
+        assert_eq!(d.rule, pbte_dsl::analysis::rules::INPUT_UNKNOWN);
+        assert!(d.message.contains(says), "{bad}: {d}");
+    }
 }
