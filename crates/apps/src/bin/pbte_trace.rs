@@ -16,14 +16,14 @@
 //!
 //! `scenario=` also accepts a path to a textual `.pbte` scenario file
 //! (anything ending in `.pbte`). The file carries its own mesh, material,
-//! time axis, strategy and integrator, so `n=`, `steps=` and `strategy=`
-//! are ignored for it; `target=` and `tier=` still apply. Because the
-//! file is untrusted input, the compiled plan is run through the
-//! verification gate (`analysis::verify_gate`: plan obligations,
-//! dimensional analysis, interval analysis) first — any error-severity
-//! finding refuses the run before a single step executes. `--parity`
-//! takes a file too; the strategy the counter contract scales by is then
-//! the file's.
+//! time axis, strategy and integrator, so it refuses `n=`, `steps=` and
+//! `strategy=` (exit 2 naming the key); `target=`, `ranks=` and `tier=`
+//! apply. A built-in and a file are one `ScenarioSpec`, run by `pbte`'s
+//! run path (`pbte_apps::run_gated`): every compiled plan passes the
+//! verification gate (plan obligations, dimensional analysis, interval
+//! analysis) first, and any error-severity finding refuses the run before
+//! a single step executes. `--parity` takes a file too; the strategy the
+//! counter contract scales by is the spec's.
 //!
 //! **Default mode** runs one scenario on one target with the buffered
 //! sink and the physics health probes installed, writes `DIR/trace.json`
@@ -110,14 +110,16 @@
 //! Any violated assertion prints a `PARITY MISMATCH` line and fails the
 //! run (exit status 1).
 
-use pbte_apps::{arg_str, arg_usize, check_args, exit, parse_target, parse_tier, Outcome};
-use pbte_bte::health::HealthProbes;
+use pbte_apps::{
+    arg_str, arg_usize, check_args, exit, out, parse_target, parse_tier, run_gated, scenario_file,
+    Outcome,
+};
 use pbte_bte::pbte::ScenarioSpec;
-use pbte_bte::scenario::{elongated, hotspot_2d, BteConfig, BteProblem};
+use pbte_bte::scenario::BteConfig;
 use pbte_bte::temperature::TemperatureStrategy;
 use pbte_dsl::exec::{telemetry_diagnostics, Recorder, SolveReport};
 use pbte_dsl::problem::KernelTier;
-use pbte_dsl::{analysis, Diagnostic, ExecTarget, Severity, Solver, WorkCounters};
+use pbte_dsl::{Diagnostic, ExecTarget, Severity, WorkCounters};
 use pbte_runtime::telemetry::stream::{StreamConfig, StreamReader, StreamWriter};
 use pbte_runtime::telemetry::{Span, SpanKind};
 use serde::Value;
@@ -130,83 +132,29 @@ use std::time::{Duration, Instant};
 const KNOWN: &str = "scenario= target= n= steps= ranks= strategy= tier= out= stream= file= \
     wait= --no-health --parity --follow";
 
-type Scenario = fn(&BteConfig) -> BteProblem;
-
-fn scenario_by_name(name: &str) -> Option<Scenario> {
-    match name {
-        "hotspot" => Some(hotspot_2d as Scenario),
-        "elongated" => Some(elongated as Scenario),
-        _ => None,
-    }
-}
-
-/// Where the traced problem comes from: a built-in builder driven by the
-/// CLI's `n=`/`steps=`/`strategy=` knobs, or a `.pbte` file that carries
-/// its own mesh, material, time axis and strategy (those knobs are
-/// ignored, and the compiled plan must pass the verification gate —
-/// plan obligations, units, intervals — before it is allowed to run).
-enum ScenarioSource {
-    Builtin(Scenario),
-    Pbte(Box<ScenarioSpec>),
-}
-
-/// Build the scenario, optionally install the health probes, solve under
-/// `rec`, and return the report (what the run found included). A `.pbte`
-/// plan the verify gate finds an error in is refused with every gate
-/// finding; the gate's warnings go to stderr and the run goes on.
-fn run_one(
-    source: &ScenarioSource,
-    cfg: &BteConfig,
-    target: ExecTarget,
-    tier: Option<KernelTier>,
-    health: bool,
-    rec: &mut Recorder,
-) -> Result<SolveReport, Outcome> {
-    let mut bte = match source {
-        ScenarioSource::Builtin(scenario) => scenario(cfg),
-        ScenarioSource::Pbte(spec) => spec.build()?,
-    };
-    if let Some(t) = tier {
-        bte.problem.kernel_tier(t);
-    }
-    if health {
-        // After the temperature update (already registered by the
-        // scenario builder) so the probes see the fresh T/Io/beta.
-        HealthProbes::new(bte.material.clone(), bte.vars).install(&mut bte.problem);
-    }
-    let mut solver = Solver::build(bte.problem, target)?;
-    if matches!(source, ScenarioSource::Pbte(_)) {
-        // Untrusted textual input: the exact compiled plan must pass the
-        // verification gate before a single step runs.
-        let gate = analysis::verify_gate(&solver.compiled, &solver.target);
-        if gate.iter().any(|d| d.severity == Severity::Error) {
-            return Err(Outcome::Refused(gate));
-        }
-        for d in &gate {
-            eprintln!("verify: {d}");
-        }
-    }
-    Ok(solver.solve_traced(rec)?)
-}
-
 fn print_report(tname: &str, report: &SolveReport) {
-    println!("target {tname}: {} step(s)", report.steps);
+    out!("target {tname}: {} step(s)", report.steps);
     for (phase, secs) in report.timer.phases() {
-        println!("  {phase:<28} {secs:.6}s");
+        out!("  {phase:<28} {secs:.6}s");
     }
     let w = &report.work;
-    println!(
+    out!(
         "  work: dof={} flux={} ghost={} newton={} solves={}",
-        w.dof_updates, w.flux_evals, w.ghost_evals, w.newton_iters, w.temperature_solves
+        w.dof_updates,
+        w.flux_evals,
+        w.ghost_evals,
+        w.newton_iters,
+        w.temperature_solves
     );
     if report.comm.messages > 0 {
-        println!(
+        out!(
             "  comm: {} message(s), {} byte(s)",
-            report.comm.messages, report.comm.bytes
+            report.comm.messages,
+            report.comm.bytes
         );
     }
     if let Some(dev) = &report.device {
-        println!(
+        out!(
             "  device: kernel {:.6}s transfer {:.6}s sm {:.1}% membw {:.1}% flop {:.1}%",
             dev.kernel_time(),
             dev.transfer_time(),
@@ -312,28 +260,29 @@ fn kernel_cuts(rec: &Recorder) -> Option<Vec<(u64, u64)>> {
 /// cut, and a fanned-out sweep has at least one tile per worker.
 fn cuts_ok(tname: &str, rec: &Recorder) -> bool {
     let Some(cuts) = kernel_cuts(rec) else {
-        println!("PARITY MISMATCH: a {tname} kernel span carries no tiles/workers attribute");
+        out!("PARITY MISMATCH: a {tname} kernel span carries no tiles/workers attribute");
         return false;
     };
     let shown: Vec<String> = cuts
         .iter()
         .map(|(tiles, workers)| format!("tiles={tiles} workers={workers}"))
         .collect();
-    println!("  {tname} sweep cut: {}", shown.join("; "));
+    out!("  {tname} sweep cut: {}", shown.join("; "));
     let starved = cuts
         .iter()
         .any(|&(tiles, workers)| workers > 1 && tiles < workers);
     if starved {
-        println!("PARITY MISMATCH: {tname} fans out to more workers than it has tiles");
+        out!("PARITY MISMATCH: {tname} fans out to more workers than it has tiles");
     }
     !starved
 }
 
+/// Run `spec` on every target shape and check the counter contract;
+/// `builtin` scenarios must also lower every wall.
 fn run_parity(
-    source: &ScenarioSource,
-    cfg: &BteConfig,
+    spec: &ScenarioSpec,
+    builtin: bool,
     ranks: usize,
-    strategy: TemperatureStrategy,
     tier: Option<KernelTier>,
 ) -> Result<bool, Outcome> {
     let names: [&'static str; 7] = [
@@ -346,40 +295,40 @@ fn run_parity(
         "bands-gpu",
     ];
     let mut rec = Recorder::buffered();
-    let seq_report = run_one(source, cfg, ExecTarget::CpuSeq, tier, false, &mut rec)?;
+    let seq_report = run_gated(spec, ExecTarget::CpuSeq, tier, false, &mut rec)?.report;
     print_report("seq", &seq_report);
     let seq = seq_report.work;
     let seq_tiers = kernel_tiers(&rec);
-    println!("  kernel tier attribution: {seq_tiers:?}");
+    out!("  kernel tier attribution: {seq_tiers:?}");
     let seq_run_cells = kernel_run_cells(&rec);
-    println!("  kernel run_cells: {seq_run_cells:?}");
+    out!("  kernel run_cells: {seq_run_cells:?}");
     let mut ok = cuts_ok("seq", &rec);
     let seq_walls = rec.walls().map(str::to_string);
-    println!("  walls: {}", seq_walls.as_deref().unwrap_or("(none)"));
+    out!("  walls: {}", seq_walls.as_deref().unwrap_or("(none)"));
 
     // A wall left to a closure is the only thing that evaluates a ghost.
     let walls_ok = |tname: &str, walls: Option<&str>, work: &WorkCounters| {
         let lowered = walls.is_some_and(|w| w.ends_with("callback:0"));
         let consistent = walls.is_some() && lowered == (work.ghost_evals == 0);
         if !consistent {
-            println!(
+            out!(
                 "PARITY MISMATCH: {tname} walls {walls:?} with {} ghost_evals",
                 work.ghost_evals
             );
         }
-        if matches!(source, ScenarioSource::Builtin(_)) && !lowered {
-            println!("PARITY MISMATCH: {tname} walls {walls:?}, expected callback:0");
+        if builtin && !lowered {
+            out!("PARITY MISMATCH: {tname} walls {walls:?}, expected callback:0");
             return false;
         }
         consistent
     };
     ok &= walls_ok("seq", seq_walls.as_deref(), &seq);
     if seq_run_cells.is_none() {
-        println!("PARITY MISMATCH: a seq kernel span carries no run_cells attribute");
+        out!("PARITY MISMATCH: a seq kernel span carries no run_cells attribute");
         ok = false;
     }
     if seq_tiers.len() != 1 {
-        println!("PARITY MISMATCH: seq kernel spans attribute mixed tiers {seq_tiers:?}");
+        out!("PARITY MISMATCH: seq kernel spans attribute mixed tiers {seq_tiers:?}");
         ok = false;
     }
     for tname in names.into_iter().skip(1) {
@@ -387,15 +336,15 @@ fn run_parity(
         // Only a cell partition changes which cells a rank sweeps.
         let sweeps_all_cells = !matches!(target, ExecTarget::DistCells { .. });
         let mut rec = Recorder::buffered();
-        let report = run_one(source, cfg, target, tier, false, &mut rec)?;
+        let report = run_gated(spec, target, tier, false, &mut rec)?.report;
         print_report(tname, &report);
         let tiers = kernel_tiers(&rec);
-        println!("  kernel tier attribution: {tiers:?}");
+        out!("  kernel tier attribution: {tiers:?}");
         for (counter, expected, actual) in
-            expectations(tname, &seq, &report.work, ranks as u64, strategy)
+            expectations(tname, &seq, &report.work, ranks as u64, spec.strategy)
         {
             if actual != expected {
-                println!("PARITY MISMATCH: {tname}/{counter} expected {expected} got {actual}");
+                out!("PARITY MISMATCH: {tname}/{counter} expected {expected} got {actual}");
                 ok = false;
             }
         }
@@ -404,30 +353,26 @@ fn run_parity(
         // device path runs the same tier's kernels as the host rather than
         // a VM alias, so unequal attribution means different code ran.
         if tiers.len() > 1 {
-            println!("PARITY MISMATCH: {tname} kernel spans attribute mixed tiers {tiers:?}");
+            out!("PARITY MISMATCH: {tname} kernel spans attribute mixed tiers {tiers:?}");
             ok = false;
         }
         if tiers != seq_tiers {
-            println!(
-                "PARITY MISMATCH: {tname} kernel tier attribution {tiers:?} != seq {seq_tiers:?}"
-            );
+            out!("PARITY MISMATCH: {tname} kernel tier attribution {tiers:?} != seq {seq_tiers:?}");
             ok = false;
         }
         // Every sweep says how many of its cells took the stencil runs; a
         // rank that sweeps the whole mesh must say what seq said.
         let walls = rec.walls();
-        println!("  walls: {}", walls.unwrap_or("(none)"));
+        out!("  walls: {}", walls.unwrap_or("(none)"));
         ok &= walls_ok(tname, walls, &report.work);
         if walls != seq_walls.as_deref() {
-            println!("PARITY MISMATCH: {tname} walls {walls:?}, seq {seq_walls:?}");
+            out!("PARITY MISMATCH: {tname} walls {walls:?}, seq {seq_walls:?}");
             ok = false;
         }
         let run_cells = kernel_run_cells(&rec);
-        println!("  kernel run_cells: {run_cells:?}");
+        out!("  kernel run_cells: {run_cells:?}");
         if run_cells.is_none() || (sweeps_all_cells && run_cells != seq_run_cells) {
-            println!(
-                "PARITY MISMATCH: {tname} kernel run_cells {run_cells:?}, seq {seq_run_cells:?}"
-            );
+            out!("PARITY MISMATCH: {tname} kernel run_cells {run_cells:?}, seq {seq_run_cells:?}");
             ok = false;
         }
         ok &= cuts_ok(tname, &rec);
@@ -621,7 +566,7 @@ fn follow(file: &str, wait_s: u64) -> Result<Outcome, Diagnostic> {
             }
         }
     };
-    println!("following {file} (idle timeout {wait_s}s)");
+    out!("following {file} (idle timeout {wait_s}s)");
     let mut agg = StreamAgg::default();
     let mut idle_since = Instant::now();
     let mut prev_time = 0.0f64;
@@ -635,7 +580,7 @@ fn follow(file: &str, wait_s: u64) -> Result<Outcome, Diagnostic> {
             .map_err(|e| Diagnostic::input_io(file, format!("read error: {e}")))?;
         if frames.is_empty() {
             if idle_since.elapsed() >= wait {
-                println!("follow: stream idle for {wait_s}s, stopping");
+                out!("follow: stream idle for {wait_s}s, stopping");
                 return Ok(Outcome::default());
             }
             std::thread::sleep(Duration::from_millis(100));
@@ -650,16 +595,16 @@ fn follow(file: &str, wait_s: u64) -> Result<Outcome, Diagnostic> {
             let events = agg.events.len();
             annotations.extend(agg.ingest(&frame));
             if let Some(event) = agg.events.get(events) {
-                println!("  event {event}");
+                out!("  event {event}");
             }
             if jstr(&frame, "frame") == "run_start" {
-                println!("run: {} {}", agg.label, agg.ran);
+                out!("run: {} {}", agg.label, agg.ran);
             }
         }
         for a in annotations {
             let key = a.split(':').next().unwrap_or(&a).to_string();
             if printed.insert(key, a.clone()).as_ref() != Some(&a) {
-                println!("  {a}");
+                out!("  {a}");
             }
         }
         if agg.steps > prev.0 {
@@ -676,7 +621,7 @@ fn follow(file: &str, wait_s: u64) -> Result<Outcome, Diagnostic> {
                 })
                 .collect();
             let wall = agg.last_step_time - prev_time;
-            println!(
+            out!(
                 "step {:>5} | {}",
                 agg.steps,
                 StreamAgg::rate_line(
@@ -692,7 +637,7 @@ fn follow(file: &str, wait_s: u64) -> Result<Outcome, Diagnostic> {
             prev_phases = agg.phase_total.clone();
         }
         if let Some((frames_written, dropped)) = agg.run_end {
-            println!(
+            out!(
                 "run_end: {} step(s), {frames_written} frame(s), {dropped} dropped",
                 agg.steps
             );
@@ -719,47 +664,49 @@ fn top(file: &str) -> Result<Outcome, Diagnostic> {
         agg.ingest(&frame);
     }
     if !agg.label.is_empty() {
-        println!("run: {} {}", agg.label, agg.ran);
+        out!("run: {} {}", agg.label, agg.ran);
     }
-    println!(
+    out!(
         "{} frame(s), {} step(s), {} event(s)",
         frames.len(),
         agg.steps,
         agg.events.len()
     );
     let busy: f64 = agg.phase_total.iter().map(|(_, t)| t).sum();
-    println!("phases:");
+    out!("phases:");
     let mut phases = agg.phase_total.clone();
     phases.sort_by(|a, b| b.1.total_cmp(&a.1));
     for (name, secs) in &phases {
-        println!(
+        out!(
             "  {name:<28} {secs:>10.6}s  {:>5.1}%",
             100.0 * secs / busy.max(1e-12)
         );
         let [energy, newton, rewrite] = agg.temperature_split;
         if name.starts_with("temperature update") && energy + newton + rewrite > 0.0 {
-            println!("    energy {energy:.6}s  newton {newton:.6}s  rewrite {rewrite:.6}s");
+            out!("    energy {energy:.6}s  newton {newton:.6}s  rewrite {rewrite:.6}s");
         }
     }
     let mut spans: Vec<_> = agg.span_total.iter().collect();
     spans.sort_by(|a, b| b.1 .1.total_cmp(&a.1 .1));
-    println!("hottest spans:");
+    out!("hottest spans:");
     for ((cat, name), (count, secs)) in spans.into_iter().take(10) {
-        println!("  {cat:<10} {name:<24} x{count:<6} {secs:>10.6}s");
+        out!("  {cat:<10} {name:<24} x{count:<6} {secs:>10.6}s");
     }
-    println!(
+    out!(
         "work: {} dof update(s), {} flux eval(s), {} comm byte(s)",
-        agg.dof, agg.flux, agg.comm_bytes
+        agg.dof,
+        agg.flux,
+        agg.comm_bytes
     );
     for line in summaries {
-        println!("{line}");
+        out!("{line}");
     }
     match agg.run_end {
-        Some((f, d)) => println!("run_end: {f} frame(s) written, {d} dropped"),
-        None => println!("no run_end frame: stream truncated or still in progress"),
+        Some((f, d)) => out!("run_end: {f} frame(s) written, {d} dropped"),
+        None => out!("no run_end frame: stream truncated or still in progress"),
     }
     for event in &agg.events {
-        println!("event {event}");
+        out!("event {event}");
     }
     Ok(Outcome::default())
 }
@@ -793,27 +740,24 @@ fn run(args: &[String]) -> Result<Outcome, Outcome> {
     let strategy = pbte_apps::parse_strategy(arg_str(args, "strategy", "redundant"))?;
     let tier = parse_tier(args)?;
 
-    let source = if sname.ends_with(".pbte") {
-        ScenarioSource::Pbte(Box::new(ScenarioSpec::from_file(Path::new(sname))?))
-    } else {
-        let scenario = scenario_by_name(sname).ok_or_else(|| {
-            Diagnostic::input_unknown(format!(
+    let cfg = BteConfig::small(n, 8, 4, steps).with_temperature_strategy(strategy);
+    let builtin = !sname.ends_with(".pbte");
+    let spec = match sname {
+        "hotspot" => ScenarioSpec::hotspot(&cfg),
+        "elongated" => ScenarioSpec::elongated(&cfg),
+        file if !builtin => scenario_file(file, args, "n steps strategy")?,
+        _ => {
+            return Err(Diagnostic::input_unknown(format!(
                 "unknown scenario `{sname}` (use hotspot, elongated or a .pbte file)"
             ))
-        })?;
-        ScenarioSource::Builtin(scenario)
+            .into())
+        }
     };
-    let cfg = BteConfig::small(n, 8, 4, steps).with_temperature_strategy(strategy);
 
     if parity {
-        // A file's own strategy decides how the banded counters scale.
-        let strategy = match &source {
-            ScenarioSource::Builtin(_) => strategy,
-            ScenarioSource::Pbte(spec) => spec.strategy,
-        };
-        println!("parity check: scenario={sname} n={n} steps={steps} ranks={ranks}");
-        if run_parity(&source, &cfg, ranks, strategy, tier)? {
-            println!("parity OK: all targets agree");
+        out!("parity check: scenario={sname} n={n} steps={steps} ranks={ranks}");
+        if run_parity(&spec, builtin, ranks, tier)? {
+            out!("parity OK: all targets agree");
             return Ok(Outcome::default());
         }
         let mismatch = Diagnostic {
@@ -846,12 +790,12 @@ fn run(args: &[String]) -> Result<Outcome, Outcome> {
         rec.attach_stream(w.sink());
         Some(w)
     };
-    let report = run_one(&source, &cfg, target, tier, health, &mut rec)?;
+    let report = run_gated(&spec, target, tier, health, &mut rec)?.report;
     // What the driver recorded it ran (the summary's first line), not what
     // was asked for.
     let summary = rec.summary_jsonl();
     if let Some(Ok(start)) = summary.lines().next().map(serde_json::from_str::<Value>) {
-        println!(
+        out!(
             "run: {} tier={} flux={}",
             jstr(&start, "label"),
             jstr(&start, "tier"),
@@ -862,14 +806,16 @@ fn run(args: &[String]) -> Result<Outcome, Outcome> {
         let stats = w
             .finish()
             .map_err(|e| Diagnostic::input_io(stream_path, format!("stream writer failed: {e}")))?;
-        println!(
+        out!(
             "stream: {} frame(s) written, {} dropped, {} byte(s) -> {stream_path}",
-            stats.frames_written, stats.dropped, stats.bytes
+            stats.frames_written,
+            stats.dropped,
+            stats.bytes
         );
     }
     print_report(tname, &report);
-    println!("  kernel tier attribution: {:?}", kernel_tiers(&rec));
-    println!(
+    out!("  kernel tier attribution: {:?}", kernel_tiers(&rec));
+    out!(
         "trace: {} span(s), {} event(s), {} step record(s)",
         rec.spans().len(),
         rec.events().len(),
@@ -881,7 +827,7 @@ fn run(args: &[String]) -> Result<Outcome, Outcome> {
     for (path, text) in [(&trace_path, rec.chrome_trace()), (&summary_path, summary)] {
         std::fs::write(path, text).map_err(|e| Diagnostic::input_io(path, e))?;
     }
-    println!(
+    out!(
         "wrote {} (open at https://ui.perfetto.dev) and {}",
         trace_path.display(),
         summary_path.display()
@@ -894,12 +840,12 @@ fn run(args: &[String]) -> Result<Outcome, Outcome> {
     let findings = telemetry_diagnostics(&rec);
     for d in &findings {
         match d.rule.starts_with("physics/") {
-            true => println!("health: {d}"),
-            false => println!("telemetry: {d}"),
+            true => out!("health: {d}"),
+            false => out!("telemetry: {d}"),
         }
     }
     if health && !findings.iter().any(|d| d.rule.starts_with("physics/")) {
-        println!("health: all probes clean");
+        out!("health: all probes clean");
     }
     Ok(Outcome::Finished {
         findings,

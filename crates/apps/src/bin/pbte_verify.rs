@@ -26,13 +26,12 @@
 //!    against the access sets those records fold to (GPU targets only —
 //!    no stale reads, no redundant transfers).
 //!
-//! The sweep then repeats over the textual scenario library
-//! (`examples/scenarios/*.pbte`, tagged `pbte:<name>`): every committed
-//! `.pbte` file — including the unstructured-Gmsh and 3-D MEDIT die
-//! scenarios — is parsed and compiled for every target and kernel tier
-//! with the strategy and integrator the file itself declares, so the
-//! textual front-end rides the same proof obligations as the built-in
-//! builders.
+//! The sweep is one list of scenarios, each a `ScenarioSpec`: the
+//! built-in lanes (one spec per scenario × strategy × integrator), then
+//! the textual scenario library (`examples/scenarios/*.pbte`, tagged
+//! `pbte:<name>`; every committed file — including the unstructured-Gmsh
+//! and 3-D MEDIT die scenarios — with the strategy and integrator it
+//! declares). Every spec is compiled for every target and kernel tier.
 //!
 //! Four opt-in passes extend the proof to the lowering pipeline itself:
 //!
@@ -64,9 +63,9 @@
 //! scenario/strategy/target/tier) and per-plan pass timings in
 //! milliseconds.
 
-use pbte_apps::{arg_usize, check_args, exit, parse_target, Outcome};
+use pbte_apps::{arg_usize, check_args, exit, out, parse_target, Outcome};
 use pbte_bte::pbte::ScenarioSpec;
-use pbte_bte::scenario::{elongated, hotspot_2d, BteConfig, BteProblem};
+use pbte_bte::scenario::{BteConfig, BteProblem};
 use pbte_bte::temperature::TemperatureStrategy;
 use pbte_dsl::analysis;
 use pbte_dsl::exec::ExecTarget;
@@ -208,14 +207,15 @@ fn run_plan(
     sw.plans += 1;
     if !flags.json {
         for d in &diags {
-            println!("{}: {}", tags.join("/"), d.render());
+            out!("{}: {}", tags.join("/"), d.render());
         }
     }
     sw.all.extend(diags.into_iter().map(|d| (tags.clone(), d)));
     Ok(())
 }
 
-/// The committed textual scenario library, sorted for stable ordering.
+/// The committed textual scenario library, tagged `pbte:<name>` and
+/// sorted for stable ordering.
 fn scenario_library() -> Result<Vec<(String, ScenarioSpec)>, Diagnostic> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios");
     let unreadable = |e| Diagnostic::input_io(&dir, format!("scenario library unreadable: {e}"));
@@ -230,8 +230,8 @@ fn scenario_library() -> Result<Vec<(String, ScenarioSpec)>, Diagnostic> {
     files
         .into_iter()
         .map(|path| {
-            let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
-            Ok((stem, ScenarioSpec::from_file(&path)?))
+            let stem = path.file_stem().unwrap().to_string_lossy();
+            Ok((format!("pbte:{stem}"), ScenarioSpec::from_file(&path)?))
         })
         .collect()
 }
@@ -255,65 +255,46 @@ fn run(args: &[String]) -> Result<Outcome, Diagnostic> {
     let steps = arg_usize(args, "steps", 4);
     let ranks = arg_usize(args, "ranks", 2);
 
-    type Scenario = fn(&BteConfig) -> BteProblem;
-    let scenarios: [(&str, Scenario); 2] = [("hotspot", hotspot_2d), ("elongated", elongated)];
-    let strategies = [
-        ("redundant", TemperatureStrategy::RedundantNewton),
-        ("divided", TemperatureStrategy::DividedNewton),
-    ];
-    let tiers = KernelTier::ALL.map(|tier| (tier.name(), tier));
     let integrators = [
-        ("explicit", Integrator::Explicit),
-        ("implicit", Integrator::Implicit { theta: 1.0 }),
-        (
-            "steady",
-            Integrator::Steady {
-                tol: 1e-6,
-                growth: 2.0,
-            },
-        ),
+        Integrator::Explicit,
+        Integrator::Implicit { theta: 1.0 },
+        Integrator::Steady {
+            tol: 1e-6,
+            growth: 2.0,
+        },
     ];
-
-    let mut sw = Sweep::default();
-    for (sname, scenario) in scenarios {
-        for (stname, strategy) in strategies {
+    type Scenario = fn(&BteConfig) -> ScenarioSpec;
+    let builtins: [(&str, Scenario); 2] = [
+        ("hotspot", ScenarioSpec::hotspot),
+        ("elongated", ScenarioSpec::elongated),
+    ];
+    let mut lanes = Vec::new();
+    for (name, scenario) in builtins {
+        for strategy in TemperatureStrategy::ALL {
             let cfg = BteConfig::small(n, 8, 4, steps).with_temperature_strategy(strategy);
-            for (tname, target) in targets(ranks) {
-                for (kname, tier) in tiers {
-                    for (iname, integrator) in integrators {
-                        let mut bte = scenario(&cfg);
-                        bte.problem.integrator(integrator);
-                        let tags = [
-                            sname.to_string(),
-                            stname.to_string(),
-                            tname.clone(),
-                            kname.to_string(),
-                            iname.to_string(),
-                        ];
-                        run_plan(Ok(bte), tier, &target, tags, &flags, &mut sw)?;
-                    }
-                }
+            for integrator in integrators {
+                let spec = ScenarioSpec {
+                    integrator,
+                    ..scenario(&cfg)
+                };
+                lanes.push((name.to_string(), spec));
             }
         }
     }
-
     // The textual library: each file carries its own strategy, integrator,
-    // mesh source, and declarations; the sweep still varies target and
-    // kernel tier.
-    for (stem, spec) in scenario_library()? {
-        let stname = match spec.strategy {
-            TemperatureStrategy::RedundantNewton => "redundant",
-            TemperatureStrategy::DividedNewton => "divided",
-        };
-        let iname = spec.integrator.name();
+    // mesh source, and declarations.
+    lanes.extend(scenario_library()?);
+
+    let mut sw = Sweep::default();
+    for (name, spec) in &lanes {
         for (tname, target) in targets(ranks) {
-            for (kname, tier) in tiers {
+            for tier in KernelTier::ALL {
                 let tags = [
-                    format!("pbte:{stem}"),
-                    stname.to_string(),
+                    name.clone(),
+                    spec.strategy.name().to_string(),
                     tname.clone(),
-                    kname.to_string(),
-                    iname.to_string(),
+                    tier.name().to_string(),
+                    spec.integrator.name().to_string(),
                 ];
                 run_plan(spec.build(), tier, &target, tags, &flags, &mut sw)?;
             }
@@ -364,27 +345,27 @@ fn run(args: &[String]) -> Result<Outcome, Diagnostic> {
         } else {
             String::new()
         };
-        println!(
+        out!(
             "{{\"diagnostics\":[{}],\"timings\":[{}]{cost_json}}}",
             diag_items.join(","),
             timing_items.join(",")
         );
     } else {
-        println!(
+        out!(
             "rules checked on every plan: {}",
             analysis::rules::VERIFY_PLAN.join(", ")
         );
         if sw.all.is_empty() {
-            println!("verified {} plans: no diagnostics", sw.plans);
+            out!("verified {} plans: no diagnostics", sw.plans);
         } else {
-            println!(
+            out!(
                 "verified {} plans: {} diagnostic(s)",
                 sw.plans,
                 sw.all.len()
             );
         }
         if flags.cost {
-            println!(
+            out!(
                 "cost model: {} telemetry drift checks, max relative error {:.1}% \
                  (tolerance {:.0}%)",
                 sw.cost_checks,

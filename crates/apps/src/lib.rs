@@ -2,8 +2,9 @@
 //!
 //! Besides what the three binaries share — one CLI vocabulary
 //! ([`parse_target`] and [`parse_strategy`] here, `KernelTier::from_name`
-//! in `pbte-dsl`), one check of their arguments ([`check_args`]) and one
-//! exit table ([`status`], [`exit`]) — this crate exists to host the
+//! in `pbte-dsl`), one check of their arguments ([`check_args`]), one run
+//! path ([`run_gated`]), one way to print ([`out!`]) and one exit table
+//! ([`status`], [`exit`]) — this crate exists to host the
 //! runnable examples in the repository-root `examples/` directory and the
 //! cross-crate integration tests in the root `tests/` directory as cargo
 //! targets:
@@ -18,9 +19,79 @@
 //! cargo test -p pbte-apps
 //! ```
 
-use pbte_bte::temperature::TemperatureStrategy;
-use pbte_dsl::{Diagnostic, ExecTarget, GpuStrategy, KernelTier, Severity};
+use pbte_bte::health::HealthProbes;
+use pbte_bte::pbte::ScenarioSpec;
+use pbte_bte::temperature::{BteVars, TemperatureStrategy};
+use pbte_dsl::exec::{Recorder, SolveReport};
+use pbte_dsl::{Diagnostic, ExecTarget, GpuStrategy, KernelTier, Severity, Solver};
 use pbte_gpu::DeviceSpec;
+use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// `println!` for the three binaries. Once stdout is closed (`pbte info |
+/// head -1`) the rest of the output is dropped instead of panicking, and
+/// the run still ends through [`exit`] with the table's status.
+#[macro_export]
+macro_rules! out {
+    () => {
+        $crate::print_line(format_args!(""))
+    };
+    ($($arg:tt)*) => {
+        $crate::print_line(format_args!($($arg)*))
+    };
+}
+
+/// One line of [`out!`].
+#[doc(hidden)]
+pub fn print_line(line: std::fmt::Arguments) {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if !CLOSED.load(Ordering::Relaxed) && writeln!(std::io::stdout(), "{line}").is_err() {
+        CLOSED.store(true, Ordering::Relaxed);
+    }
+}
+
+/// What a gated run leaves: the solver (its fields), the scenario's
+/// variable handles and the solve's report.
+pub struct Ran {
+    pub solver: Solver,
+    pub vars: BteVars,
+    pub report: SolveReport,
+}
+
+/// The one run path of `pbte` and `pbte-trace`: build `spec`, apply
+/// `tier` (and the physics health probes when `health`), pass the verify
+/// gate (`BteProblem::verified`) on `target`, and solve under `rec`. A
+/// refusal before step 0 — the build's, the gate's error findings, the
+/// target's — is [`Outcome::Refused`]; the gate's warnings go to stderr
+/// and the run goes on.
+pub fn run_gated(
+    spec: &ScenarioSpec,
+    target: ExecTarget,
+    tier: Option<KernelTier>,
+    health: bool,
+    rec: &mut Recorder,
+) -> Result<Ran, Outcome> {
+    let mut bte = spec.build()?;
+    if let Some(tier) = tier {
+        bte.problem.kernel_tier(tier);
+    }
+    if health {
+        // After the temperature update the build installed, so the probes
+        // see the fresh T/Io/beta.
+        HealthProbes::new(bte.material.clone(), bte.vars).install(&mut bte.problem);
+    }
+    let vars = bte.vars;
+    let (mut solver, warnings) = bte.verified(target).map_err(Outcome::Refused)?;
+    for d in &warnings {
+        eprintln!("verify: {d}");
+    }
+    let report = solver.solve_traced(rec)?;
+    Ok(Ran {
+        solver,
+        vars,
+        report,
+    })
+}
 
 /// How a run of a binary ended, as its exit status reads it.
 #[derive(Debug)]
@@ -121,26 +192,47 @@ pub fn arg_usize(args: &[String], key: &str, default: usize) -> usize {
     }
 }
 
+/// The value of a `KEY=value` argument, when given.
+pub fn arg<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
+    let prefix = format!("{key}=");
+    args.iter().find_map(|a| a.strip_prefix(&prefix))
+}
+
 /// Parse a `KEY=value`-style string override from the command line, e.g.
 /// `pbte-trace scenario=elongated target=bands`.
 pub fn arg_str<'a>(args: &'a [String], key: &str, default: &'a str) -> &'a str {
-    let prefix = format!("{key}=");
-    args.iter()
-        .find_map(|a| a.strip_prefix(&prefix))
-        .unwrap_or(default)
+    arg(args, key).unwrap_or(default)
+}
+
+/// Refuse the first of `keys` (space-separated names) given in `args` as
+/// `input/invalid`, naming it and saying `why` it does not apply — a key
+/// is never ignored in silence.
+pub fn refuse_keys(args: &[String], keys: &str, why: &str) -> Result<(), Diagnostic> {
+    match keys.split(' ').find_map(|k| Some((k, arg(args, k)?))) {
+        Some((key, value)) => Err(Diagnostic::input_invalid(format!(
+            "`{key}={value}` does not apply: {why}"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Read the `.pbte` file at `path`, refusing any of `keys` given in
+/// `args`: a file is the whole scenario.
+pub fn scenario_file(path: &str, args: &[String], keys: &str) -> Result<ScenarioSpec, Diagnostic> {
+    let why = "a .pbte file is the whole scenario (it takes target, ranks and tier)";
+    refuse_keys(args, keys, why)?;
+    ScenarioSpec::from_file(path)
 }
 
 /// Parse a `strategy=` value — the temperature Newton of a band-parallel
 /// target, one spelling for `pbte` and `pbte-trace`: `redundant` (every
 /// rank solves every cell) or `divided` (each cell on one rank).
 pub fn parse_strategy(spec: &str) -> Result<TemperatureStrategy, Diagnostic> {
-    match spec {
-        "redundant" => Ok(TemperatureStrategy::RedundantNewton),
-        "divided" => Ok(TemperatureStrategy::DividedNewton),
-        other => Err(Diagnostic::input_unknown(format!(
-            "unknown strategy `{other}` (use redundant or divided)"
-        ))),
-    }
+    TemperatureStrategy::from_name(spec).ok_or_else(|| {
+        Diagnostic::input_unknown(format!(
+            "unknown strategy `{spec}` (use redundant or divided)"
+        ))
+    })
 }
 
 /// Parse a `target=` value — the one spelling table of `pbte`,

@@ -41,18 +41,24 @@ pub fn isothermal(
     })
 }
 
-/// A uniform Gaussian hot spot on an otherwise `t_ref` wall:
-/// `T(x) = t_ref + (t_peak − t_ref)·exp(−2·dist²/width²)` — a peak with a
-/// 1/e² radius of `width`, the paper's "1/e² distance of 10 µm" profile.
-pub fn gaussian_wall(
+/// Gaussian hot spots over a `t_ref` background:
+/// `T(x) = t_ref + Σ (t_peak − t_ref)·exp(−2·dist²/width²)` over the
+/// centres — each a peak with a 1/e² radius of `width`, the paper's "1/e²
+/// distance of 10 µm" profile. A hot-spot wall and a `.pbte` file's
+/// initial pulses are both this field.
+pub fn gaussian_field(
     t_ref: f64,
     t_peak: f64,
-    center: Point,
     width: f64,
+    centers: Vec<Point>,
 ) -> impl Fn(Point) -> f64 + Send + Sync + 'static {
     move |p: Point| {
-        let d2 = (p - center).dot(p - center);
-        t_ref + (t_peak - t_ref) * (-2.0 * d2 / (width * width)).exp()
+        let mut t = t_ref;
+        for &c in &centers {
+            let d2 = (p - c).dot(p - c);
+            t += (t_peak - t_ref) * (-2.0 * d2 / (width * width)).exp();
+        }
+        t
     }
 }
 
@@ -121,7 +127,7 @@ mod tests {
 
     #[test]
     fn gaussian_profile_shape() {
-        let wall = gaussian_wall(300.0, 350.0, Point::xy(0.5, 1.0), 0.1);
+        let wall = gaussian_field(300.0, 350.0, 0.1, vec![Point::xy(0.5, 1.0)]);
         // Peak at the center.
         assert!((wall(Point::xy(0.5, 1.0)) - 350.0).abs() < 1e-12);
         // 1/e² at one width away.
@@ -130,6 +136,15 @@ mod tests {
         assert!((at_width - expected).abs() < 1e-9);
         // Far away: back to the reference.
         assert!((wall(Point::xy(5.0, 1.0)) - 300.0).abs() < 1e-9);
+        // Two centres add their peaks over the one background.
+        let two = gaussian_field(
+            300.0,
+            350.0,
+            0.1,
+            vec![Point::xy(0.0, 0.0), Point::xy(5.0, 0.0)],
+        );
+        assert!((two(Point::xy(0.0, 0.0)) - 350.0).abs() < 1e-9);
+        assert!((two(Point::xy(5.0, 0.0)) - 350.0).abs() < 1e-9);
     }
 
     #[test]

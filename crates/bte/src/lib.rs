@@ -24,12 +24,15 @@
 //! * [`health`] — opt-in per-step physics probes (NaN/negativity
 //!   watchdog, energy-budget residual) emitting structured diagnostics
 //!   through the unified telemetry layer;
-//! * [`boundary`] — the isothermal and symmetry callback functions;
-//! * [`scenario`] — problem builders: the 525 µm hot-spot domain (Figs
-//!   1–2), the elongated corner-heated domain (Fig 10), and a coarse 3-D
-//!   configuration;
-//! * [`pbte`] — the textual `.pbte` scenario front-end (fuzzed parser,
-//!   verified before any plan compiles);
+//! * [`boundary`] — the isothermal and symmetry callback functions and
+//!   the Gaussian hot-spot field;
+//! * [`pbte`] — the one scenario value, `ScenarioSpec`: parsed from a
+//!   `.pbte` file (fuzzed parser) or made by a built-in constructor, and
+//!   its one translation into the DSL;
+//! * [`scenario`] — the built-in problems, built: the 525 µm hot-spot
+//!   domain (Figs 1–2), the elongated corner-heated domain (Fig 10), and
+//!   a coarse 3-D configuration, plus the verify gate every run passes
+//!   (`BteProblem::verified`);
 //! * [`output`] — temperature-field extraction and rendering;
 //! * [`validation`] — kinetic-theory bulk quantities (thermal
 //!   conductivity, dominant mean free path) checked against silicon

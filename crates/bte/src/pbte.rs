@@ -7,9 +7,15 @@
 //! interval and dimensional-analysis proof obligations seed from. It is
 //! the untrusted-input surface for everything above the DSL — CLI users
 //! today, the planned `pbte-serve` service tomorrow — so parsing is
-//! fuzzed (`tests/pbte_fuzz.rs`) and every parsed scenario is verified
-//! (units + the existing obligations) before any plan reaches an
-//! executor ([`ScenarioSpec::build_verified`]).
+//! fuzzed (`tests/pbte_fuzz.rs`).
+//!
+//! A [`ScenarioSpec`] is the one value a run is made from: a parsed file,
+//! or a built-in scenario ([`ScenarioSpec::hotspot`],
+//! [`ScenarioSpec::elongated`], [`ScenarioSpec::coarse_3d`]).
+//! [`ScenarioSpec::build`] is the one translation into a DSL problem, and
+//! the binaries run every problem through the verify gate
+//! ([`BteProblem::verified`]: plan obligations, units, intervals) before a
+//! step executes.
 //!
 //! ## Format
 //!
@@ -61,19 +67,15 @@
 //! Hot spots (`hotspots`) and initial pulses (`pulses`) take
 //! `t_ref t_peak width` followed by `@` and one or more centers in
 //! absolute mesh coordinates; the wall/field temperature is
-//! `t_ref + Σ (t_peak − t_ref)·exp(−2·d²/width²)` over the centers. With
-//! a single center this is exactly [`crate::boundary::gaussian_wall`],
-//! which is what makes the textual hotspot scenario bit-identical to the
-//! hard-coded [`crate::scenario::hotspot_2d`] (pinned by
-//! `tests/pbte_equivalence.rs`).
+//! `t_ref + Σ (t_peak − t_ref)·exp(−2·d²/width²)` over the centers
+//! ([`crate::boundary::gaussian_field`]).
 
-use crate::boundary::{gaussian_wall, isothermal, symmetry};
+use crate::boundary::{gaussian_field, isothermal, symmetry};
 use crate::material::Material;
-use crate::scenario::{build_custom, BteProblem, Scaffold, EQUATION_2D, EQUATION_3D};
-use crate::temperature::TemperatureStrategy;
-use pbte_dsl::exec::{ExecTarget, Solver};
-use pbte_dsl::problem::Integrator;
-use pbte_dsl::{analysis, Diagnostic, Severity};
+use crate::scenario::{BteConfig, BteProblem};
+use crate::temperature::{BteVars, TemperatureStrategy, TemperatureUpdate};
+use pbte_dsl::problem::{Integrator, Problem, TimeStepper};
+use pbte_dsl::Diagnostic;
 use pbte_mesh::grid::UniformGrid;
 use pbte_mesh::{gmsh, medit, ImportError, Mesh, Point};
 use pbte_symbolic::Dim;
@@ -143,8 +145,8 @@ pub struct InitSpec {
     pub centers: Vec<Point>,
 }
 
-/// A parsed, statically validated `.pbte` scenario.
-#[derive(Debug, Clone)]
+/// A scenario: a parsed, statically validated `.pbte` file or a built-in.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     pub name: String,
     pub strategy: TemperatureStrategy,
@@ -344,16 +346,12 @@ pub fn parse_pbte(src: &str) -> Result<ScenarioSpec, Diagnostic> {
             "scenario" => match key {
                 "name" => name = Some(value.to_string()),
                 "strategy" => {
-                    strategy = match value {
-                        "redundant" => TemperatureStrategy::RedundantNewton,
-                        "divided" => TemperatureStrategy::DividedNewton,
-                        other => {
-                            return Err(perr(
-                                ln,
-                                format!("unknown strategy `{other}` (redundant, divided)"),
-                            ))
-                        }
-                    }
+                    strategy = TemperatureStrategy::from_name(value).ok_or_else(|| {
+                        perr(
+                            ln,
+                            format!("unknown strategy `{value}` (redundant, divided)"),
+                        )
+                    })?
                 }
                 "integrator" => integrator = value.parse().map_err(|e: String| perr(ln, e))?,
                 "t_ref" => t_ref = Some(parse_f64(ln, key, value)?),
@@ -537,8 +535,7 @@ pub fn parse_pbte(src: &str) -> Result<ScenarioSpec, Diagnostic> {
         }
     }
     let n_freq_bands = n_freq_bands
-        .filter(|&v| v >= 2)
-        .ok_or_else(|| Diagnostic::input_invalid("[material] needs n_freq_bands >= 2"))?;
+        .ok_or_else(|| Diagnostic::input_invalid("[material] n_freq_bands is required"))?;
     let n_steps = n_steps.ok_or_else(|| Diagnostic::input_invalid("[time] steps is required"))?;
     if boundaries.is_empty() {
         return Err(Diagnostic::input_invalid(
@@ -573,27 +570,115 @@ pub fn parse_pbte(src: &str) -> Result<ScenarioSpec, Diagnostic> {
 // Building
 // ---------------------------------------------------------------------------
 
-/// Multi-center Gaussian temperature field over a `t_ref` background.
-fn pulse_field(
-    t_ref: f64,
-    t_peak: f64,
-    width: f64,
-    centers: Vec<Point>,
-) -> Arc<dyn Fn(Point) -> f64 + Send + Sync> {
-    Arc::new(move |p: Point| {
-        let mut t = t_ref;
-        for c in &centers {
-            let dx = p.x - c.x;
-            let dy = p.y - c.y;
-            let dz = p.z - c.z;
-            let d2 = dx * dx + dy * dy + dz * dz;
-            t += (t_peak - t_ref) * (-2.0 * d2 / (width * width)).exp();
-        }
-        t
-    })
-}
-
 impl ScenarioSpec {
+    /// The paper's Figs 1–2 domain: cold isothermal bottom wall at `t_ref`,
+    /// isothermal top wall with a centered Gaussian hot spot, specular
+    /// symmetry on the left and right sides.
+    pub fn hotspot(cfg: &BteConfig) -> ScenarioSpec {
+        ScenarioSpec::walled_2d("bte-hotspot", cfg, cfg.lx * 0.5)
+    }
+
+    /// The paper's Fig 10 domain: an elongated material with the heat
+    /// source in one corner (left end of the top wall), symmetry on left
+    /// and right, isothermal bottom.
+    pub fn elongated(cfg: &BteConfig) -> ScenarioSpec {
+        ScenarioSpec::walled_2d("bte-elongated", cfg, 0.0)
+    }
+
+    /// A 2-D grid from `cfg` with its hot spot at `hot_x` on the top wall.
+    fn walled_2d(name: &str, cfg: &BteConfig, hot_x: f64) -> ScenarioSpec {
+        let mesh = MeshSpec::Grid2d {
+            nx: cfg.nx,
+            ny: cfg.ny,
+            lx: cfg.lx,
+            ly: cfg.ly,
+        };
+        let material = MaterialSpec {
+            n_freq_bands: cfg.n_freq_bands,
+            ndirs: Some(cfg.ndirs),
+            n_polar: None,
+            n_azimuthal: None,
+        };
+        let walls = ["bottom", "top", "left", "right"];
+        ScenarioSpec::walled(name, cfg, mesh, material, &walls, Point::xy(hot_x, cfg.ly))
+    }
+
+    /// A coarse 3-D configuration (the paper: "some very coarse-grained
+    /// 3-dimensional runs were also performed"): an `n³` grid over a
+    /// 525 µm cube, cold wall at z=0, Gaussian hot spot centered on the
+    /// z=lz face, symmetry on the four sides.
+    pub fn coarse_3d(
+        n: usize,
+        n_polar: usize,
+        n_azimuthal: usize,
+        n_freq_bands: usize,
+        n_steps: usize,
+    ) -> ScenarioSpec {
+        // The small 2-D configuration's temperatures, extent and 50 µm
+        // spot; its in-plane direction count has no use here.
+        let cfg = BteConfig::small(n, 0, n_freq_bands, n_steps);
+        let l = cfg.lx;
+        let mesh = MeshSpec::Grid3d {
+            nx: n,
+            ny: n,
+            nz: n,
+            lx: l,
+            ly: l,
+            lz: l,
+        };
+        let material = MaterialSpec {
+            n_freq_bands,
+            ndirs: None,
+            n_polar: Some(n_polar),
+            n_azimuthal: Some(n_azimuthal),
+        };
+        let walls = ["front", "back", "left", "right", "top", "bottom"];
+        let centre = Point::new(l * 0.5, l * 0.5, l);
+        ScenarioSpec::walled("bte-3d", &cfg, mesh, material, &walls, centre)
+    }
+
+    /// A built-in scenario from `cfg`: `walls[0]` cold at `t_ref`,
+    /// `walls[1]` a Gaussian hot spot at `centre`, the rest symmetric.
+    fn walled(
+        name: &str,
+        cfg: &BteConfig,
+        mesh: MeshSpec,
+        material: MaterialSpec,
+        walls: &[&str],
+        centre: Point,
+    ) -> ScenarioSpec {
+        let hot = BcSpec::Hotspots {
+            t_ref: cfg.t_ref,
+            t_peak: cfg.t_hot,
+            width: cfg.hot_width,
+            centers: vec![centre],
+        };
+        let conditions = [BcSpec::Isothermal { t: cfg.t_ref }, hot]
+            .into_iter()
+            .chain(std::iter::repeat(BcSpec::Symmetry));
+        ScenarioSpec {
+            name: name.into(),
+            strategy: cfg.temperature_strategy,
+            integrator: Integrator::Explicit,
+            t_ref: cfg.t_ref,
+            t_hot: cfg.t_hot,
+            mesh,
+            material,
+            dt: cfg.dt,
+            n_steps: cfg.n_steps,
+            equation: None,
+            boundaries: walls
+                .iter()
+                .map(|w| w.to_string())
+                .zip(conditions)
+                .collect(),
+            initial: None,
+            units: Vec::new(),
+            ranges: Vec::new(),
+            base_dir: PathBuf::from("."),
+        }
+    }
+
     /// Read and parse a `.pbte` file; mesh references resolve relative to
     /// its directory.
     pub fn from_file(path: impl AsRef<Path>) -> Result<ScenarioSpec, Diagnostic> {
@@ -606,11 +691,6 @@ impl ScenarioSpec {
         })?;
         spec.base_dir = path.parent().unwrap_or(Path::new(".")).to_path_buf();
         Ok(spec)
-    }
-
-    /// Temperature-table envelope, matching the hard-coded scenarios.
-    fn table_range(&self) -> (f64, f64) {
-        (self.t_ref - 60.0, self.t_hot + 60.0)
     }
 
     /// Construct the mesh (building the grid or importing the file).
@@ -654,12 +734,15 @@ impl ScenarioSpec {
         Ok(mesh)
     }
 
-    /// Assemble the DSL problem. Everything filesystem- or
-    /// geometry-dependent that `parse_pbte` could not check is checked
-    /// here; the result still has to pass [`Self::build_verified`]'s
-    /// gate (or the `pbte-verify` sweep) before it should be trusted.
+    /// Assemble the DSL problem: the one translation of a scenario, file
+    /// or built-in. Everything filesystem- or geometry-dependent that
+    /// `parse_pbte` could not check, and every shape a constructor can be
+    /// given, is checked here; the result still has to pass
+    /// [`BteProblem::verified`]'s gate (or the `pbte-verify` sweep) before
+    /// it should be trusted. Declaration order is part of the contract:
+    /// the plan key and the trajectory's bits depend on it.
     pub fn build(&self) -> Result<BteProblem, Diagnostic> {
-        let (t_min, t_max) = self.table_range();
+        let (t_min, t_max) = (self.t_ref - 60.0, self.t_hot + 60.0);
         let mesh = self.build_mesh()?;
         let dim = mesh.dim;
 
@@ -672,6 +755,12 @@ impl ScenarioSpec {
             }
         }
 
+        let n_freq_bands = self.material.n_freq_bands;
+        if n_freq_bands < 2 {
+            return Err(Diagnostic::input_invalid(
+                "[material] needs n_freq_bands >= 2",
+            ));
+        }
         let material = match dim {
             2 => {
                 let ndirs = self.material.ndirs.ok_or_else(|| {
@@ -682,12 +771,7 @@ impl ScenarioSpec {
                         "ndirs must be an even number >= 4",
                     ));
                 }
-                Arc::new(Material::silicon_2d(
-                    self.material.n_freq_bands,
-                    ndirs,
-                    t_min,
-                    t_max,
-                ))
+                Arc::new(Material::silicon_2d(n_freq_bands, ndirs, t_min, t_max))
             }
             3 => {
                 let (np, na) = match (self.material.n_polar, self.material.n_azimuthal) {
@@ -703,13 +787,7 @@ impl ScenarioSpec {
                         "need n_polar >= 2 and even n_azimuthal >= 4",
                     ));
                 }
-                Arc::new(Material::silicon_3d(
-                    self.material.n_freq_bands,
-                    np,
-                    na,
-                    t_min,
-                    t_max,
-                ))
+                Arc::new(Material::silicon_3d(n_freq_bands, np, na, t_min, t_max))
             }
             other => {
                 return Err(Diagnostic::input_invalid(format!(
@@ -721,9 +799,8 @@ impl ScenarioSpec {
         let dt = match self.dt {
             Some(dt) => dt,
             None => {
-                // Largest stable step. On grids this matches the
-                // hard-coded builders exactly; on imported meshes the
-                // cell width is estimated as volume^(1/dim).
+                // Largest stable step. On imported meshes the cell width
+                // is estimated as volume^(1/dim).
                 let dx_min = match &self.mesh {
                     MeshSpec::Grid2d { nx, ny, lx, ly } => (lx / *nx as f64).min(ly / *ny as f64),
                     MeshSpec::Grid3d {
@@ -744,92 +821,177 @@ impl ScenarioSpec {
             }
         };
 
-        let equation = match &self.equation {
-            Some(e) => e.clone(),
-            None => if dim == 3 { EQUATION_3D } else { EQUATION_2D }.to_string(),
-        };
-        let init_t = self
-            .initial
-            .as_ref()
-            .map(|init| pulse_field(init.t_ref, init.t_peak, init.width, init.centers.clone()));
+        let mut p = Problem::new(&self.name);
+        p.domain(dim);
+        p.time_stepper(TimeStepper::EulerExplicit);
+        p.set_steps(dt, self.n_steps);
+        p.mesh(mesh);
 
-        let boundaries = self.boundaries.clone();
-        let mut bte = build_custom(
-            Scaffold {
-                name: self.name.clone(),
-                material,
-                mesh,
-                dt,
-                n_steps: self.n_steps,
-                init_t,
-                t_ref: self.t_ref,
-                t_min,
-                t_max,
-                equation,
-                strategy: self.strategy,
-            },
-            move |p, i_var, material| {
-                for (region, bc) in boundaries {
-                    match bc {
-                        BcSpec::Isothermal { t } => {
-                            p.boundary(i_var, &region, isothermal(material.clone(), move |_| t));
-                        }
-                        BcSpec::Hotspots {
-                            t_ref,
-                            t_peak,
-                            width,
-                            centers,
-                        } => {
-                            if let [c] = centers.as_slice() {
-                                // Single center: exactly the hard-coded
-                                // builders' wall (bit-identical).
-                                let hot = gaussian_wall(t_ref, t_peak, *c, width);
-                                p.boundary(i_var, &region, isothermal(material.clone(), hot));
-                            } else {
-                                let field = pulse_field(t_ref, t_peak, width, centers);
-                                p.boundary(
-                                    i_var,
-                                    &region,
-                                    isothermal(material.clone(), move |q| field(q)),
-                                );
-                            }
-                        }
-                        BcSpec::Symmetry => {
-                            p.boundary(i_var, &region, symmetry(material.clone()));
-                        }
-                    }
+        // Indices and variables — the appendix listing.
+        let n_bands = material.n_bands();
+        let d = p.index("d", material.n_dirs());
+        let b = p.index("b", n_bands);
+        let i_var = p.variable("I", &[d, b]);
+        let io_var = p.variable("Io", &[b]);
+        let beta_var = p.variable("beta", &[b]);
+        let t_var = p.variable("T", &[]);
+        p.coefficient_array("Sx", &[d], material.direction_component(0));
+        p.coefficient_array("Sy", &[d], material.direction_component(1));
+        if dim == 3 {
+            p.coefficient_array("Sz", &[d], material.direction_component(2));
+        }
+        p.coefficient_array("vg", &[b], material.vg_array());
+
+        // Initial condition: local equilibrium at the initial temperature
+        // field (uniform `t_ref` unless the scenario supplies pulses).
+        // Every direction of a band starts at the band's equilibrium
+        // intensity, so `I` is the rows of `Io` — the paper script's
+        // `initial(I, "Io[b]")` — and only `Io`, `beta` and `T` are
+        // evaluated from the temperature.
+        p.initial_expr(i_var, "Io[b]");
+        match &self.initial {
+            // A uniform start is the same value in every cell: one table
+            // lookup and one Holland evaluation per band, not per (band,
+            // cell).
+            None => {
+                let t_ref = self.t_ref;
+                let io: Vec<f64> = (0..n_bands)
+                    .map(|b| material.table().io(b, t_ref))
+                    .collect();
+                let beta: Vec<f64> = (0..n_bands)
+                    .map(|b| material.beta_exact(b, t_ref))
+                    .collect();
+                p.initial(io_var, move |_, idx| io[idx[0]]);
+                p.initial(beta_var, move |_, idx| beta[idx[0]]);
+                p.initial(t_var, move |_, _| t_ref);
+            }
+            Some(init) => {
+                let t0 = Arc::new(gaussian_field(
+                    init.t_ref,
+                    init.t_peak,
+                    init.width,
+                    init.centers.clone(),
+                ));
+                let (m, f) = (material.clone(), t0.clone());
+                p.initial(io_var, move |pt, idx| m.table().io(idx[0], f(pt)));
+                let (m, f) = (material.clone(), t0.clone());
+                p.initial(beta_var, move |pt, idx| m.beta_exact(idx[0], f(pt)));
+                p.initial(t_var, move |pt, _| t0(pt));
+            }
+        }
+
+        // Boundary conditions, in the scenario's order.
+        for (region, bc) in &self.boundaries {
+            let condition = match bc {
+                BcSpec::Isothermal { t } => {
+                    let t = *t;
+                    isothermal(material.clone(), move |_| t)
                 }
-            },
-        );
-        bte.problem.integrator(self.integrator);
+                BcSpec::Hotspots {
+                    t_ref,
+                    t_peak,
+                    width,
+                    centers,
+                } => isothermal(
+                    material.clone(),
+                    gaussian_field(*t_ref, *t_peak, *width, centers.clone()),
+                ),
+                BcSpec::Symmetry => symmetry(material.clone()),
+            };
+            p.boundary(i_var, region, condition);
+        }
+
+        // The post-step temperature update.
+        let vars = BteVars {
+            i: i_var,
+            io: io_var,
+            beta: beta_var,
+            t: t_var,
+        };
+        TemperatureUpdate::new(material.clone(), vars)
+            .with_strategy(self.strategy)
+            .install(&mut p);
+
+        // The conservation form — verbatim from the paper unless the file
+        // gives its own PDE string.
+        let equation = match &self.equation {
+            Some(e) => e.as_str(),
+            None if dim == 3 => EQUATION_3D,
+            None => EQUATION_2D,
+        };
+        p.conservation_form(i_var, equation);
+
+        declare_ranges(&mut p, &material, t_min, t_max);
+        declare_units(&mut p);
+        p.integrator(self.integrator);
         // File-level overrides come after the built-in declarations so a
         // scenario can tighten (or, in the negative-seam tests, break)
         // them.
         for (name, lo, hi) in &self.ranges {
-            bte.problem.declare_range(name, *lo, *hi);
+            p.declare_range(name, *lo, *hi);
         }
         for (name, spec) in &self.units {
-            bte.problem.declare_unit(name, spec);
+            p.declare_unit(name, spec);
         }
-        Ok(bte)
-    }
-
-    /// Build and compile for `target`, refusing any scenario that fails
-    /// verification: the standard plan obligations (access, races,
-    /// transfers), the dimensional-analysis pass, and the interval-domain
-    /// safety pass all run before a solver is handed back. Error-severity
-    /// findings reject the scenario; warnings are returned alongside the
-    /// solver.
-    pub fn build_verified(
-        &self,
-        target: ExecTarget,
-    ) -> Result<(Solver, Vec<Diagnostic>), Vec<Diagnostic>> {
-        let bte = self.build().map_err(|d| vec![d])?;
-        let solver = bte.problem.build(target).map_err(|d| vec![d])?;
-        let diags = analysis::verify_gate(&solver.compiled, &solver.target);
-        if diags.iter().any(|d| d.severity == Severity::Error) {
-            return Err(diags);
-        }
-        Ok((solver, diags))
+        Ok(BteProblem {
+            problem: p,
+            material,
+            vars,
+        })
     }
 }
+
+/// Declare the physical ranges the interval-safety pass
+/// (`pbte-verify --intervals`) seeds the kernels from. The envelopes are
+/// derived from the material's equilibrium tables over the temperature
+/// range, with headroom factors for transients; nothing clamps at
+/// runtime.
+fn declare_ranges(p: &mut Problem, material: &Material, t_min: f64, t_max: f64) {
+    let mut io_max = 0.0f64;
+    for band in 0..material.n_bands() {
+        io_max = io_max
+            .max(material.table().io(band, t_min))
+            .max(material.table().io(band, t_max));
+    }
+    let mut beta_lo = f64::INFINITY;
+    let mut beta_hi = 0.0f64;
+    for band in &material.bands {
+        for t in [t_min, t_max] {
+            let rate = crate::scattering::scattering_rate(&band.branch(), band.omega_center, t);
+            beta_lo = beta_lo.min(rate);
+            beta_hi = beta_hi.max(rate);
+        }
+    }
+    // Intensities stay non-negative and bounded by the hottest
+    // equilibrium; factor-2 headroom covers transients.
+    p.declare_range("I", 0.0, 2.0 * io_max);
+    p.declare_range("Io", 0.0, 2.0 * io_max);
+    // Scattering rates are monotone in T over the table range; the
+    // half/double factors absorb interior extrema.
+    p.declare_range("beta", 0.5 * beta_lo, 2.0 * beta_hi);
+    p.declare_range("T", t_min, t_max);
+}
+
+/// Declare the SI units the dimensional-analysis pass
+/// (`pbte-verify --units`) seeds the equation from. Directional
+/// intensities and their equilibria are W·m⁻² (spectrally integrated per
+/// band), scattering rates are s⁻¹, group velocities m·s⁻¹, temperatures
+/// K, and the direction cosines `Sx`/`Sy`/`Sz` are dimensionless.
+fn declare_units(p: &mut Problem) {
+    p.declare_unit("I", "W/m^2");
+    p.declare_unit("Io", "W/m^2");
+    p.declare_unit("beta", "1/s");
+    p.declare_unit("T", "K");
+    p.declare_unit("vg", "m/s");
+    p.declare_unit("Sx", "1");
+    p.declare_unit("Sy", "1");
+    p.declare_unit("Sz", "1");
+}
+
+/// The paper's 2-D conservation form, verbatim.
+const EQUATION_2D: &str =
+    "(Io[b] - I[d,b]) * beta[b] + surface(vg[b]*upwind([Sx[d];Sy[d]], I[d,b]))";
+
+/// The 3-D conservation form (adds the `Sz` direction cosine).
+const EQUATION_3D: &str =
+    "(Io[b] - I[d,b]) * beta[b] + surface(vg[b]*upwind([Sx[d];Sy[d];Sz[d]], I[d,b]))";

@@ -88,6 +88,31 @@ pub enum TemperatureStrategy {
     DividedNewton,
 }
 
+impl TemperatureStrategy {
+    /// Both strategies.
+    pub const ALL: [TemperatureStrategy; 2] = [
+        TemperatureStrategy::RedundantNewton,
+        TemperatureStrategy::DividedNewton,
+    ];
+
+    /// Stable lowercase name: the `strategy` of a `.pbte` file and of the
+    /// command lines.
+    pub fn name(self) -> &'static str {
+        match self {
+            TemperatureStrategy::RedundantNewton => "redundant",
+            TemperatureStrategy::DividedNewton => "divided",
+        }
+    }
+
+    /// Inverse of [`TemperatureStrategy::name`]: the one parser of
+    /// strategy names.
+    pub fn from_name(name: &str) -> Option<TemperatureStrategy> {
+        TemperatureStrategy::ALL
+            .into_iter()
+            .find(|s| s.name() == name)
+    }
+}
+
 /// Configuration of the update.
 #[derive(Debug, Clone)]
 pub struct TemperatureUpdate {

@@ -1,4 +1,4 @@
-//! `build_custom` declares `I` by the expression `Io[b]` — rows copied from
+//! `ScenarioSpec::build` declares `I` by the expression `Io[b]` — rows copied from
 //! `Io`'s rows — where it used to pass a closure interpolating the
 //! equilibrium table per (direction, band, cell). The two are the same
 //! function of the same inputs, so the initial state and the trajectory

@@ -1,14 +1,14 @@
 //! The textual `hotspot.pbte` scenario must be indistinguishable from the
-//! hard-coded `hotspot_2d` builder: same compiled plan parameters and a
-//! bit-identical trajectory. Both paths assemble through
-//! `scenario::build_custom`, so this test pins the `.pbte` front-end's
-//! translation (mesh, material, dt = auto, boundary conditions, their
-//! declaration order) rather than a numerical tolerance.
+//! built-in `hotspot_2d` builder: the same `ScenarioSpec` (mesh, material,
+//! dt = auto, boundary conditions and their order), the same compiled plan
+//! parameters and a bit-identical trajectory — not a numerical tolerance.
 
+use pbte_bte::boundary::gaussian_field;
 use pbte_bte::pbte::ScenarioSpec;
 use pbte_bte::scenario::hotspot_2d;
 use pbte_bte::BteConfig;
 use pbte_dsl::ExecTarget;
+use pbte_mesh::Point;
 use std::path::{Path, PathBuf};
 
 fn scenario_path(name: &str) -> PathBuf {
@@ -30,6 +30,13 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 #[test]
 fn hotspot_pbte_matches_hardcoded_builder_bit_for_bit() {
     let spec = ScenarioSpec::from_file(scenario_path("hotspot.pbte")).unwrap();
+    let builtin = ScenarioSpec::hotspot(&BteConfig::small(12, 8, 4, 4));
+    // Field by field; only where mesh files would resolve differs.
+    let file = ScenarioSpec {
+        base_dir: builtin.base_dir.clone(),
+        ..spec.clone()
+    };
+    assert_eq!(file, builtin);
     let textual = spec.build().unwrap();
     let hardcoded = hotspot_2d(&BteConfig::small(12, 8, 4, 4));
 
@@ -66,6 +73,24 @@ fn hotspot_pbte_matches_hardcoded_builder_bit_for_bit() {
     }
 }
 
+/// One centre of the Gaussian field a hot-spot wall and the initial pulses
+/// share is the single hot spot's arithmetic, bit for bit:
+/// `t_ref + (t_peak − t_ref)·exp(−2·d²/width²)`, `d² = dx² + dy² + dz²`,
+/// along the hot-spot die's top wall and through the centre itself.
+#[test]
+fn one_centre_of_the_gaussian_field_is_the_single_hot_spot() {
+    let (t_ref, t_peak, width, l) = (300.0, 350.0, 50e-6, 525e-6);
+    let centre = Point::xy(l * 0.5, l);
+    let field = gaussian_field(t_ref, t_peak, width, vec![centre]);
+    for i in 0..=96 {
+        let p = Point::xy(i as f64 * l / 96.0, l);
+        let (dx, dy, dz) = (p.x - centre.x, p.y - centre.y, p.z - centre.z);
+        let d2 = dx * dx + dy * dy + dz * dz;
+        let wall = t_ref + (t_peak - t_ref) * (-2.0 * d2 / (width * width)).exp();
+        assert_eq!(field(p).to_bits(), wall.to_bits(), "x = {}", p.x);
+    }
+}
+
 /// Every scenario in the committed library parses, builds, passes the
 /// verification gate, and runs its first steps on the sequential target.
 #[test]
@@ -82,8 +107,8 @@ fn scenario_library_builds_and_verifies() {
         seen += 1;
         let spec =
             ScenarioSpec::from_file(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let (mut solver, diags) = spec
-            .build_verified(ExecTarget::CpuSeq)
+        let (mut solver, diags) = (spec.build().map_err(|d| vec![d]))
+            .and_then(|bte| bte.verified(ExecTarget::CpuSeq))
             .unwrap_or_else(|e| panic!("{}: {e:?}", path.display()));
         assert!(diags.is_empty(), "{}: {diags:?}", path.display());
         solver

@@ -27,7 +27,7 @@ fn units_rules(diags: &[pbte_dsl::Diagnostic]) -> BTreeSet<&str> {
 #[test]
 fn clean_scenario_has_no_units_findings() {
     let spec = parse_pbte(&hotspot_source()).unwrap();
-    let (_, diags) = spec.build_verified(ExecTarget::CpuSeq).unwrap();
+    let (_, diags) = spec.build().unwrap().verified(ExecTarget::CpuSeq).unwrap();
     assert!(units_rules(&diags).is_empty(), "{diags:?}");
 }
 
@@ -38,7 +38,7 @@ fn wrong_declared_dimension_fires_only_units_mismatch() {
     // now adds incompatible dimensions.
     let src = format!("{}\n[units]\nIo = W/m^3\n", hotspot_source());
     let spec = parse_pbte(&src).unwrap();
-    let Err(diags) = spec.build_verified(ExecTarget::CpuSeq) else {
+    let Err(diags) = spec.build().unwrap().verified(ExecTarget::CpuSeq) else {
         panic!("mismatched declaration must be refused");
     };
     assert_eq!(
@@ -62,7 +62,7 @@ fn transcendental_of_dimensionful_arg_fires_only_its_rule() {
         hotspot_source()
     );
     let spec = parse_pbte(&src).unwrap();
-    let Err(diags) = spec.build_verified(ExecTarget::CpuSeq) else {
+    let Err(diags) = spec.build().unwrap().verified(ExecTarget::CpuSeq) else {
         panic!("exp(T) must be refused");
     };
     assert_eq!(

@@ -64,9 +64,9 @@ impl UniformGrid {
     /// `front` (z=0) and `back` (z=lz).
     pub fn build(&self) -> Mesh {
         let mut mesh = if self.is_2d() {
-            self.build_2d()
+            self.mesh_2d()
         } else {
-            self.build_3d()
+            self.mesh_3d()
         };
         let eps_x = 1e-9 * self.lx;
         let eps_y = 1e-9 * self.ly;
@@ -85,7 +85,7 @@ impl UniformGrid {
         mesh
     }
 
-    fn build_2d(&self) -> Mesh {
+    fn mesh_2d(&self) -> Mesh {
         let (nx, ny) = (self.nx, self.ny);
         let dx = self.lx / nx as f64;
         let dy = self.ly / ny as f64;
@@ -106,7 +106,7 @@ impl UniformGrid {
         Mesh::from_cells(2, vertices, cells)
     }
 
-    fn build_3d(&self) -> Mesh {
+    fn mesh_3d(&self) -> Mesh {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let dx = self.lx / nx as f64;
         let dy = self.ly / ny as f64;

@@ -13,7 +13,7 @@
 //! one exit table (`pbte_apps::status`) and what each refusal says.
 
 use serde::Value;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn run_verify() -> Value {
     let out = Command::new(env!("CARGO_BIN_EXE_pbte-verify"))
@@ -331,8 +331,8 @@ fn hotspot_pbte_with_dt(dt: &str) -> String {
 }
 
 /// One run far past the stability wall — its energy sums are not finite
-/// — fails every binary that runs it: `pbte`, and `pbte-trace` with and
-/// without the health probes, all exit 1.
+/// — fails every binary that runs it: `pbte` on the built-in and on the
+/// file, and `pbte-trace` with and without the health probes, all exit 1.
 #[test]
 fn a_non_finite_energy_sum_fails_every_run_binary() {
     let dir = scratch("dt1e300");
@@ -341,10 +341,15 @@ fn a_non_finite_energy_sum_fails_every_run_binary() {
     let scenario = format!("scenario={}", file.display());
     let out_dir = format!("out={}", dir.display());
     let trace = [scenario.as_str(), "target=seq", out_dir.as_str()];
-    let runs: [(&str, Vec<&str>); 3] = [
+    let path = file.display().to_string();
+    let runs: [(&str, Vec<&str>); 4] = [
         (
             env!("CARGO_BIN_EXE_pbte"),
             vec!["hotspot", "n=12", "steps=4", "dt=1e300", "target=seq"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_pbte"),
+            vec![path.as_str(), "target=seq"],
         ),
         (env!("CARGO_BIN_EXE_pbte-trace"), trace.to_vec()),
         (
@@ -393,7 +398,20 @@ fn every_refusal_class_exits_2_naming_its_rule() {
          [time]\nsteps = 1\n[boundary]\nbottom = isothermal 300\n",
     )
     .unwrap();
+    // The committed hot spot with a section appended that the verify gate
+    // refuses: a volumetric unit where an intensity belongs, and an
+    // intensity range whose flux overflows.
+    let hotspot = hotspot_pbte_with_dt("auto");
+    let seam = |name: &str, section: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, format!("{hotspot}\n{section}\n")).unwrap();
+        path.display().to_string()
+    };
+    let units = seam("units.pbte", "[units]\nIo = W/m^3");
+    let ranges = seam("ranges.pbte", "[ranges]\nI = 0 1e308");
+    let file = seam("hot.pbte", "");
     let scenario = |path: &std::path::Path| format!("scenario={}", path.display());
+    let run = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
     let (pbte, trace, verify) = (
         env!("CARGO_BIN_EXE_pbte"),
         env!("CARGO_BIN_EXE_pbte-trace"),
@@ -454,6 +472,88 @@ fn every_refusal_class_exits_2_naming_its_rule() {
             "dsl/target",
             "17 ranks for 16 cells",
         ),
+        // Shape keys are checked, not asserted.
+        (
+            pbte,
+            run(&["hotspot", "n=4", "steps=1", "dirs=3"]),
+            "input/invalid",
+            "ndirs must be an even number >= 4",
+        ),
+        (
+            pbte,
+            run(&["hotspot", "n=4", "steps=1", "bands=1"]),
+            "input/invalid",
+            "n_freq_bands >= 2",
+        ),
+        // No key is ignored in silence: a file is the whole scenario, and
+        // the 3-D angular grid is polar x azimuthal.
+        (
+            pbte,
+            run(&["bte3d", "n=4", "steps=1", "dirs=8"]),
+            "input/invalid",
+            "`dirs=8` does not apply",
+        ),
+        (
+            pbte,
+            run(&[&file, "n=4"]),
+            "input/invalid",
+            "`n=4` does not apply",
+        ),
+        (
+            pbte,
+            run(&[&file, "dt=1e-12"]),
+            "input/invalid",
+            "`dt=1e-12` does not apply",
+        ),
+        (
+            pbte,
+            run(&[&file, "strategy=divided"]),
+            "input/invalid",
+            "`strategy=divided` does not apply",
+        ),
+        (
+            trace,
+            run(&[&format!("scenario={file}"), "n=4"]),
+            "input/invalid",
+            "`n=4` does not apply",
+        ),
+        (
+            trace,
+            run(&[&format!("scenario={file}"), "steps=2"]),
+            "input/invalid",
+            "`steps=2` does not apply",
+        ),
+        (
+            trace,
+            run(&[&format!("scenario={file}"), "strategy=divided"]),
+            "input/invalid",
+            "`strategy=divided` does not apply",
+        ),
+        // Every run passes the verify gate.
+        (
+            pbte,
+            run(&[&units, "target=seq"]),
+            "units/mismatch",
+            "volume term",
+        ),
+        (
+            trace,
+            run(&[&format!("scenario={units}"), "target=seq"]),
+            "units/mismatch",
+            "volume term",
+        ),
+        (
+            pbte,
+            run(&[&ranges, "target=seq"]),
+            "intervals/non-finite",
+            "flux kernel",
+        ),
+        (
+            trace,
+            run(&[&format!("scenario={ranges}"), "target=seq"]),
+            "intervals/non-finite",
+            "flux kernel",
+        ),
     ];
     for (bin, args, rule, names) in cases {
         let out = Command::new(bin)
@@ -467,6 +567,36 @@ fn every_refusal_class_exits_2_naming_its_rule() {
             stderr.contains(&format!("error[{rule}]")) && stderr.contains(names),
             "{bin} {args:?}: {stderr}"
         );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A closed stdout ends the output, not the run: `pbte info` and a traced
+/// run whose reader went away before the first line exit with the table's
+/// status, never a panic (101).
+#[test]
+fn no_binary_panics_on_a_closed_stdout() {
+    let dir = scratch("closed-stdout");
+    let out_dir = format!("out={}", dir.display());
+    let runs: [(&str, Vec<&str>); 2] = [
+        (env!("CARGO_BIN_EXE_pbte"), vec!["info"]),
+        (
+            env!("CARGO_BIN_EXE_pbte-trace"),
+            vec!["target=seq", "steps=1", out_dir.as_str()],
+        ),
+    ];
+    for (bin, args) in runs {
+        let mut child = Command::new(bin)
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("finishes");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
