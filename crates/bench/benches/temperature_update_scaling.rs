@@ -10,7 +10,10 @@
 //!    containers) they measure only the chunking overhead. `serial_die`
 //!    is the serial update on the benchmark's own hot-spot die (64 × 64
 //!    cells, 12 directions × 11 band groups) — what `hotspot_seq` pays
-//!    48 times per run.
+//!    48 times per run; there every solve converges at the lockstep first
+//!    Newton iteration. `serial_die_far` is the same die with `T_old`
+//!    displaced by 7 K, so every solve continues past the first iteration
+//!    in the scalar loop.
 //! 2. **Cell ownership** — `owned_cells_gapped` updates every cell except
 //!    each 37th: an owned-cell list whose runs the kernel must cut into
 //!    blocks without crossing a gap, as a cell-partitioned rank does.
@@ -104,12 +107,20 @@ fn run_update(
 fn bench_threading(c: &mut Criterion) {
     let s = setup(BteConfig::small(64, 8, 10, 1));
     let die = setup(BteConfig::small(64, 12, 8, 1));
+    let mut die_far = setup(BteConfig::small(64, 12, 8, 1));
+    let t = die_far.upd.vars.t;
+    die_far
+        .fields
+        .slice_mut(t)
+        .iter_mut()
+        .for_each(|t| *t += 7.0);
     let gapped: Vec<usize> = (0..s.fields.n_cells).filter(|c| c % 37 != 36).collect();
     let mut group = c.benchmark_group("temperature_update");
     group.sample_size(20);
-    let lanes: [(&str, &Setup, Option<&[usize]>); 3] = [
+    let lanes: [(&str, &Setup, Option<&[usize]>); 4] = [
         ("serial", &s, None),
         ("serial_die", &die, None),
+        ("serial_die_far", &die_far, None),
         ("owned_cells_gapped", &s, Some(&gapped)),
     ];
     for (name, s, owned) in lanes {

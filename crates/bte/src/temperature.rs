@@ -13,20 +13,27 @@
 //! `beta[b] ← β_b(T)` are rewritten for the next step.
 //!
 //! **Blocks.** The update is one kernel over blocks of at most [`BLOCK`]
-//! consecutive cells, three phases per block: *energy*
+//! consecutive cells, three phases per block. *Energy*
 //! (`s = Σ_b β_b(T_old) Σ_d w_d I`: the intensity planes streamed once,
-//! directions then bands ascending from `0.0`), *newton* (the per-cell
-//! solve) and *rewrite* (`Io`, `beta` at `T_new`). A temperature is
-//! located on the material's one grid once per value (`T_old`, `T_new`)
-//! and every table lookup of the block reuses that `(row, fraction)`;
-//! between phases a block lives in ~16 KB of stack scratch, so the fused
-//! path holds no `n_bands × n_cells` energy matrix. Block edges, thread chunks and
-//! gaps in an owned-cell list decide which cells share a loop, never a
-//! cell's arithmetic, so every scope, block length and thread count gives
-//! the same bits (`tests/temperature_blocks.rs` holds the cells-outer
-//! oracle). What stays expensive is the energy phase: it reads the whole
-//! intensity array at memory bandwidth, and only accumulating inside the
-//! intensity sweep (a declared reduction) would remove that.
+//! directions then bands ascending from `0.0`) keeps the `β_b(T_old)` it
+//! looks up as the block's `n_bands × block` β matrix. *Newton* reads that
+//! matrix and runs its first iteration in lockstep: bands outer, cells
+//! inner, every cell's residual and slope an independent chain added in
+//! [`TemperatureUpdate::solve_counted`]'s order; then per cell the bracket
+//! update and step, and a cell not yet converged continues alone in the
+//! same Newton loop `solve_counted` runs. *Rewrite* sets `Io`, `beta` at
+//! `T_new`. A temperature is located on the material's one grid once per
+//! value (`T_old`, `T_new`) and every table lookup of the block reuses
+//! that `(row, fraction)`; between phases a block lives in its task's
+//! scratch (~24 KB of stack plus the β matrix, allocated once per task
+//! and update), so the fused path holds no `n_bands × n_cells` energy
+//! matrix. Block edges, thread chunks and gaps in an owned-cell list
+//! decide which cells share a loop, never a cell's arithmetic, so every
+//! scope, block length and thread count gives the same bits
+//! (`tests/temperature_blocks.rs` holds the cells-outer oracle). What
+//! stays expensive is the energy phase: it reads the whole intensity
+//! array at memory bandwidth, and only accumulating inside the intensity
+//! sweep (a declared reduction) would remove that.
 //!
 //! **Distribution.** All degrees of freedom of a cell couple here — this
 //! is why the paper calls the bands "loosely coupled". Under band
@@ -37,7 +44,9 @@
 //! Fig 3 bottom). The ranks own contiguous band ranges in rank order, so
 //! the fold adds in the fused path's order and every rank gets the
 //! sequential target's bits. The [`TemperatureStrategy`] decides who
-//! solves which cells next. Under cell partitioning each rank updates the
+//! solves which cells next; each solved block fills its β matrix over all
+//! bands (the fold summed only the rank's own) and runs the same block
+//! Newton. Under cell partitioning each rank updates the
 //! cells it owns and no reduction is needed.
 //!
 //! **Threading.** With `ctx.threads > 1` and nothing partitioned the
@@ -55,7 +64,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// Cells per block of the update: the three phases hand a block to each
-/// other through stack scratch, so it must stay cache-resident.
+/// other through their task's scratch, so it must stay cache-resident.
 pub const BLOCK: usize = 512;
 
 /// Handle to the BTE variables inside the DSL problem.
@@ -211,7 +220,7 @@ impl TemperatureUpdate {
             // One pass: each block goes energy → newton → rewrite while
             // it is in cache.
             let task = |chunk: &mut Chunk| {
-                let mut scratch = Scratch::new(material.n_bands());
+                let mut scratch = Scratch::new(material.n_bands(), block.min(n_cells));
                 let mine = chunk.cell0..chunk.cell0 + chunk.t.len();
                 for cells in owned.iter().filter(|cells| mine.contains(&cells.start)) {
                     pass.fused(chunk, cells.clone(), &mut scratch);
@@ -231,7 +240,7 @@ impl TemperatureUpdate {
             let Chunk {
                 t, io, beta, tally, ..
             } = &mut chunks[0];
-            let mut scratch = Scratch::new(material.n_bands());
+            let mut scratch = Scratch::new(material.n_bands(), block.min(n_cells));
             let mut rows = vec![0.0; pass.bands.len() * n_cells];
             for (b, row) in pass.bands.clone().zip(rows.chunks_mut(n_cells.max(1))) {
                 for cells in &owned {
@@ -243,8 +252,12 @@ impl TemperatureUpdate {
             ctx.reducer.fold(&mut s, &mut |s| {
                 for cells in &owned {
                     let at = locate(material, &t[cells.clone()], &mut scratch.at);
+                    // Only the energy sum is wanted here: the solved
+                    // blocks below need β over every band.
+                    let beta = &mut scratch.beta[..cells.len()];
                     for (b, row) in pass.bands.clone().zip(rows.chunks(n_cells.max(1))) {
-                        absorb(material, b, at, &row[cells.clone()], &mut s[cells.clone()]);
+                        let (e, s) = (&row[cells.clone()], &mut s[cells.clone()]);
+                        absorb(material, b, at, e, beta, s);
                     }
                 }
             });
@@ -261,8 +274,13 @@ impl TemperatureUpdate {
             }
             for cells in &solved {
                 let at = locate(material, &t[cells.clone()], &mut scratch.at);
+                let beta = &mut scratch.beta[..material.n_bands() * cells.len()];
+                for (b, row) in beta.chunks_exact_mut(cells.len()).enumerate() {
+                    (row.iter_mut().zip(at))
+                        .for_each(|(beta, &at)| *beta = material.beta_at(b, at));
+                }
                 let (s, t) = (&s[cells.clone()], &mut t[cells.clone()]);
-                pass.newton(at, s, t, &mut scratch.beta_row, tally);
+                self.newton_block(at, beta, s, t, &mut scratch.residual, tally);
             }
             if let Some(slice) = divided {
                 let mine = t[slice.clone()].to_vec();
@@ -341,40 +359,106 @@ impl TemperatureUpdate {
     /// [`solve`](Self::solve), also returning the number of Newton
     /// iterations performed (feeds `WorkCounters::newton_iters`).
     pub fn solve_counted(&self, beta: &[f64], target: f64, t_guess: f64) -> (f64, u32) {
+        let (lo, hi) = (self.material.grid().t_min, self.material.grid().t_max);
+        self.newton_from(beta.iter(), target, t_guess.clamp(lo, hi), lo, hi, 0)
+    }
+
+    /// The Newton loop from iteration `iter0` at `t` inside the bracket
+    /// `[lo, hi]`: the one loop of every solve. `beta` yields `β_b` in
+    /// ascending bands.
+    fn newton_from<'a>(
+        &self,
+        beta: impl Iterator<Item = &'a f64> + Clone,
+        target: f64,
+        mut t: f64,
+        mut lo: f64,
+        mut hi: f64,
+        iter0: usize,
+    ) -> (f64, u32) {
         let material = &self.material;
-        let four_pi = 4.0 * std::f64::consts::PI;
-        let (mut lo, mut hi) = (material.grid().t_min, material.grid().t_max);
-        let residual = |t: f64| -> (f64, f64) {
+        for iter in iter0..self.max_iter {
             let at = material.locate(t);
-            let mut r = -target;
-            let mut dr = 0.0;
-            for (b, &bb) in beta.iter().enumerate() {
-                r += bb * four_pi * material.io_at(b, at);
-                dr += bb * four_pi * material.dio_at(b, at);
+            let (mut r, mut dr) = (-target, 0.0);
+            for (b, &bb) in beta.clone().enumerate() {
+                r += bb * FOUR_PI * material.io_at(b, at);
+                dr += bb * FOUR_PI * material.dio_at(b, at);
             }
-            (r, dr)
-        };
-        let mut t = t_guess.clamp(lo, hi);
-        for iter in 0..self.max_iter {
-            let (r, dr) = residual(t);
-            if r > 0.0 {
-                hi = hi.min(t);
-            } else {
-                lo = lo.max(t);
-            }
-            let step = r / dr;
-            let mut t_next = t - step;
-            if !(lo..=hi).contains(&t_next) {
-                // Newton left the bracket (can only happen near the table
-                // edges): bisect instead.
-                t_next = 0.5 * (lo + hi);
-            }
+            let t_next = bracket_step(t, r, dr, &mut lo, &mut hi);
             if (t_next - t).abs() < self.tol {
                 return (t_next, iter as u32 + 1);
             }
             t = t_next;
         }
         (t, self.max_iter as u32)
+    }
+
+    /// The Newton phase of a block: `t` goes from `T_old` to `T_new`.
+    /// `at` locates `T_old` and `beta` holds `β_b(T_old)` band-major
+    /// (`beta[b·len + c]`), both left by the energy phase. The first
+    /// iteration runs in lockstep — bands outer, cells inner, so each
+    /// cell's residual is its own dependent chain beside the others —
+    /// and adds in [`solve_counted`](Self::solve_counted)'s order; a cell
+    /// it leaves unconverged continues alone in
+    /// [`newton_from`](Self::newton_from).
+    fn newton_block(
+        &self,
+        at: &[Located],
+        beta: &[f64],
+        s: &[f64],
+        t: &mut [f64],
+        residual: &mut Residual,
+        tally: &mut Tally,
+    ) {
+        let material = &self.material;
+        let (t_min, t_max) = (material.grid().t_min, material.grid().t_max);
+        let len = t.len();
+        let (r, dr) = (&mut residual.r[..len], &mut residual.dr[..len]);
+        (r.iter_mut().zip(&mut *dr).zip(s)).for_each(|((r, dr), &s)| (*r, *dr) = (-s, 0.0));
+        for (b, beta) in beta.chunks_exact(len).enumerate() {
+            for (((r, dr), &bb), &at) in r.iter_mut().zip(&mut *dr).zip(beta).zip(at) {
+                *r += bb * FOUR_PI * material.io_at(b, at);
+                *dr += bb * FOUR_PI * material.dio_at(b, at);
+            }
+        }
+        for (c, (t, &s)) in t.iter_mut().zip(s).enumerate() {
+            let t0 = t.clamp(t_min, t_max);
+            let (t_new, it) = match self.max_iter {
+                0 => (t0, 0),
+                _ => {
+                    let (mut lo, mut hi) = (t_min, t_max);
+                    let t1 = bracket_step(t0, r[c], dr[c], &mut lo, &mut hi);
+                    match (t1 - t0).abs() < self.tol {
+                        true => (t1, 1),
+                        false => self.newton_from(beta[c..].iter().step_by(len), s, t1, lo, hi, 1),
+                    }
+                }
+            };
+            tally.iters += it as u64;
+            tally.hist[(it as usize).min(HIST_BUCKETS - 1)] += 1;
+            tally.stalled += (it as usize >= self.max_iter) as u64;
+            tally.non_finite += !s.is_finite() as u64;
+            *t = t_new;
+        }
+    }
+}
+
+/// `4π`, the solid angle every equilibrium intensity is weighted by.
+const FOUR_PI: f64 = 4.0 * std::f64::consts::PI;
+
+/// One Newton step from `t` on the residual `r` with slope `dr`: narrow
+/// the bracket `[lo, hi]` by the residual's sign, step, and bisect instead
+/// when the step leaves the bracket (which can only happen near the table
+/// edges).
+fn bracket_step(t: f64, r: f64, dr: f64, lo: &mut f64, hi: &mut f64) -> f64 {
+    if r > 0.0 {
+        *hi = hi.min(t);
+    } else {
+        *lo = lo.max(t);
+    }
+    let t_next = t - r / dr;
+    match (*lo..=*hi).contains(&t_next) {
+        true => t_next,
+        false => 0.5 * (*lo + *hi),
     }
 }
 
@@ -426,16 +510,29 @@ struct Scratch {
     at: [Located; BLOCK],
     e: [f64; BLOCK],
     s: [f64; BLOCK],
-    beta_row: Vec<f64>,
+    /// `β_b(T_old)` of the block, band-major: `beta[b·len + c]`.
+    beta: Vec<f64>,
+    residual: Residual,
+}
+
+/// The lockstep Newton iteration's residual and slope per cell.
+struct Residual {
+    r: [f64; BLOCK],
+    dr: [f64; BLOCK],
 }
 
 impl Scratch {
-    fn new(n_bands: usize) -> Scratch {
+    /// Scratch for blocks of at most `block` cells.
+    fn new(n_bands: usize, block: usize) -> Scratch {
         Scratch {
             at: [Located::default(); BLOCK],
             e: [0.0; BLOCK],
             s: [0.0; BLOCK],
-            beta_row: vec![0.0; n_bands],
+            beta: vec![0.0; n_bands * block],
+            residual: Residual {
+                r: [0.0; BLOCK],
+                dr: [0.0; BLOCK],
+            },
         }
     }
 }
@@ -449,9 +546,18 @@ fn locate<'a>(material: &Material, t: &[f64], at: &'a mut [Located; BLOCK]) -> &
 
 /// Band `b`'s term of the energy sum over a block: `s += β_b(T_old)·e`,
 /// the one place both the fused and the band-partitioned path add it.
-fn absorb(material: &Material, b: usize, at: &[Located], e: &[f64], s: &mut [f64]) {
-    for ((s, &e), &at) in s.iter_mut().zip(e).zip(at) {
-        *s += material.beta_at(b, at) * e;
+/// The `β_b(T_old)` it looks up are left in `beta` for the Newton phase.
+fn absorb(
+    material: &Material,
+    b: usize,
+    at: &[Located],
+    e: &[f64],
+    beta: &mut [f64],
+    s: &mut [f64],
+) {
+    for (((s, &e), beta), &at) in s.iter_mut().zip(e).zip(beta).zip(at) {
+        *beta = material.beta_at(b, at);
+        *s += *beta * e;
     }
 }
 
@@ -516,10 +622,13 @@ impl Pass<'_> {
         let t0 = self.clock.now();
         let at = locate(material, &chunk.t[local.clone()], &mut scratch.at);
         let s = &mut scratch.s[..cells.len()];
-        self.energy(cells.start, at, &mut scratch.e, s);
+        let beta = &mut scratch.beta[..material.n_bands() * cells.len()];
+        self.energy(cells.start, at, &mut scratch.e, beta, s);
         let t1 = self.clock.now();
-        let (t, beta_row) = (&mut chunk.t[local.clone()], &mut scratch.beta_row);
-        self.newton(at, s, t, beta_row, &mut chunk.tally);
+        let t = &mut chunk.t[local.clone()];
+        let tally = &mut chunk.tally;
+        self.upd
+            .newton_block(at, beta, s, t, &mut scratch.residual, tally);
         let t2 = self.clock.now();
         let at = locate(material, &chunk.t[local.clone()], &mut scratch.at);
         self.rewrite(at, local.start, &mut chunk.io, &mut chunk.beta);
@@ -528,14 +637,15 @@ impl Pass<'_> {
     }
 
     /// The energy phase of the block starting at cell `cell0`:
-    /// `s = Σ_b β_b(T_old) · Σ_d w_d I_{d,b}` over the owned bands,
-    /// ascending from `0.0`.
-    fn energy(&self, cell0: usize, at: &[Located], e: &mut [f64], s: &mut [f64]) {
+    /// `s = Σ_b β_b(T_old) · Σ_d w_d I_{d,b}` over the owned bands (all of
+    /// them on this path), ascending from `0.0`; `beta` keeps the block's
+    /// `β_b(T_old)`, band-major.
+    fn energy(&self, cell0: usize, at: &[Located], e: &mut [f64], beta: &mut [f64], s: &mut [f64]) {
         let e = &mut e[..s.len()];
         s.fill(0.0);
-        for b in self.bands.clone() {
+        for (b, beta) in self.bands.clone().zip(beta.chunks_exact_mut(s.len())) {
             self.direction_sum(b, cell0, e);
-            absorb(&self.upd.material, b, at, e, s);
+            absorb(&self.upd.material, b, at, e, beta, s);
         }
     }
 
@@ -551,30 +661,6 @@ impl Pass<'_> {
             for (e, &v) in e.iter_mut().zip(plane) {
                 *e += w * v;
             }
-        }
-    }
-
-    /// The newton phase of a block: per cell the β row at its located
-    /// `T_old`, the solve, the counts; `t` goes from `T_old` to `T_new`.
-    fn newton(
-        &self,
-        at: &[Located],
-        s: &[f64],
-        t: &mut [f64],
-        beta_row: &mut [f64],
-        tally: &mut Tally,
-    ) {
-        let upd = self.upd;
-        for ((t, &s), &at) in t.iter_mut().zip(s).zip(at) {
-            for (b, beta) in beta_row.iter_mut().enumerate() {
-                *beta = upd.material.beta_at(b, at);
-            }
-            let (t_new, it) = upd.solve_counted(beta_row, s, *t);
-            tally.iters += it as u64;
-            tally.hist[(it as usize).min(HIST_BUCKETS - 1)] += 1;
-            tally.stalled += (it as usize >= upd.max_iter) as u64;
-            tally.non_finite += !s.is_finite() as u64;
-            *t = t_new;
         }
     }
 

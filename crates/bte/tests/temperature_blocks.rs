@@ -17,7 +17,11 @@
 //! Temperatures are drawn inside, at and outside the table range with an
 //! occasional NaN; the block length goes through the kernel's parameter,
 //! so block edges fall everywhere relative to the mesh, the thread chunks
-//! and the owned runs.
+//! and the owned runs. The block Newton runs its first iteration in
+//! lockstep and continues a cell alone after it, so both exits are pinned
+//! under every iteration cap and tolerance that moves them: on blocks
+//! where every cell converges at iteration 1, on blocks where none does,
+//! and on a band range under both strategies.
 
 use pbte_bte::material::Material;
 use pbte_bte::temperature::{BteVars, TemperatureStrategy, TemperatureUpdate, BLOCK};
@@ -83,11 +87,25 @@ impl Rng {
     }
 }
 
+/// What the intensities of a cell are drawn around.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Kind {
+    /// The equilibrium of a random temperature, scaled by `0.5..1.5` per
+    /// degree of freedom; `T_old` drawn independently.
+    Mixed,
+    /// The equilibrium of `T_old` itself: every solve converges at the
+    /// first iteration under the default tolerance.
+    Settled,
+    /// The equilibrium of a temperature 15 K from `T_old`, both inside the
+    /// table: no solve converges at the first iteration under the default
+    /// tolerance.
+    Far,
+}
+
 /// `I[d, b]`, `Io[b]`, `beta[b]`, `T` over `n_cells` cells: intensities
-/// scattered around the equilibrium of a random temperature per cell,
-/// temperatures all over (and beyond) the table, `Io` / `beta` holding a
-/// sentinel so a slot the update must not touch shows if it does.
-fn fields(material: &Material, n_cells: usize, rng: &mut Rng, poison: bool) -> Fields {
+/// and temperatures of `kind`, `Io` / `beta` holding a sentinel so a slot
+/// the update must not touch shows if it does.
+fn fields(material: &Material, n_cells: usize, rng: &mut Rng, kind: Kind, poison: bool) -> Fields {
     let (n_dirs, n_bands) = (material.n_dirs(), material.n_bands());
     let registry = Registry {
         indices: vec![
@@ -117,14 +135,29 @@ fn fields(material: &Material, n_cells: usize, rng: &mut Rng, poison: bool) -> F
     };
     let mut f = Fields::new(&registry, n_cells);
     for cell in 0..n_cells {
-        let around = 260.0 + 130.0 * rng.unit();
+        let (t_old, around) = match kind {
+            Kind::Mixed => (None, 260.0 + 130.0 * rng.unit()),
+            Kind::Settled => {
+                let t = rng.temperature();
+                (Some(t), t)
+            }
+            Kind::Far => {
+                let t = 270.0 + 110.0 * rng.unit();
+                (Some(t), if t < 325.0 { t + 15.0 } else { t - 15.0 })
+            }
+        };
         for d in 0..n_dirs {
             for b in 0..n_bands {
-                let v = material.table().io(b, around) * (0.5 + rng.unit());
+                let scale = match kind {
+                    Kind::Mixed => 0.5 + rng.unit(),
+                    _ => 1.0,
+                };
+                let v = material.table().io(b, around) * scale;
                 f.set(VARS.i, cell, d * n_bands + b, v);
             }
         }
-        f.set(VARS.t, cell, 0, rng.temperature());
+        let t_old = t_old.unwrap_or_else(|| rng.temperature());
+        f.set(VARS.t, cell, 0, t_old);
     }
     f.slice_mut(VARS.io).fill(-1.0);
     f.slice_mut(VARS.beta).fill(-2.0);
@@ -201,6 +234,10 @@ struct Counts {
     newton_iters: u64,
     solves: u64,
     hist: [u64; HIST_BUCKETS],
+    /// Solves that returned at `max_iter`.
+    stalled: u64,
+    /// Solved cells with a non-finite energy sum.
+    non_finite: u64,
 }
 
 /// The naive cells-outer reference: the update as its definition reads,
@@ -250,6 +287,8 @@ fn oracle(
         newton_iters: 0,
         solves: solved.len() as u64,
         hist: [0; HIST_BUCKETS],
+        stalled: 0,
+        non_finite: 0,
     };
     let mut t_new = f.slice(VARS.t).to_vec();
     for &cell in &solved {
@@ -258,6 +297,8 @@ fn oracle(
         let (t, it) = upd.solve_counted(&beta, s[cell], t_old);
         counts.newton_iters += it as u64;
         counts.hist[(it as usize).min(HIST_BUCKETS - 1)] += 1;
+        counts.stalled += (it as usize >= upd.max_iter) as u64;
+        counts.non_finite += !s[cell].is_finite() as u64;
         t_new[cell] = t;
     }
     if divided {
@@ -309,8 +350,22 @@ fn kernel(
         newton_iters: rec.work.newton_iters,
         solves: rec.work.temperature_solves,
         hist: *rec.histogram("newton_iters").expect("histogram observed"),
+        stalled: reported(&rec, rules::NEWTON_STALLED),
+        non_finite: reported(&rec, rules::NON_FINITE_ENERGY),
     };
     (counts, rec)
+}
+
+/// The cells a finding of `rule` counts (`step k: n of m temperature
+/// solves …`); 0 when it did not fire.
+fn reported(rec: &Recorder, rule: &str) -> u64 {
+    let events = rec.events();
+    let Some(event) = events.into_iter().find(|e| e.name == rule) else {
+        return 0;
+    };
+    let n = event.message.split_whitespace().nth(2);
+    n.and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no count in `{}`", event.message))
 }
 
 /// Bitwise equality, with any NaN equal to any NaN (a NaN's payload may
@@ -337,6 +392,14 @@ fn block_for(which: usize) -> usize {
     [1, 2, 3, 5, 8, 16, BLOCK][which % 7]
 }
 
+/// Iteration caps that move the Newton exits: none at all, the lockstep
+/// iteration alone, one continued iteration, the default.
+const MAX_ITERS: [usize; 4] = [0, 1, 2, 50];
+
+/// Tolerances that move them: never met, the default, always met at the
+/// first iteration.
+const TOLS: [f64; 3] = [0.0, 1e-9, 1e3];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(70))]
 
@@ -349,7 +412,7 @@ proptest! {
         let (block, mut rng) = (block_for(block), Rng(seed));
         let material = material(three_d);
         let upd = TemperatureUpdate::new(material.clone(), VARS);
-        let start = fields(&material, n_cells_for(block, size), &mut rng, poison);
+        let start = fields(&material, n_cells_for(block, size), &mut rng, Kind::Mixed, poison);
         let mut expected = start.clone();
         let want = oracle(&upd, &mut expected, None, None, &mut LocalLinks);
         for threads in [1, 2, 3] {
@@ -376,7 +439,7 @@ proptest! {
         };
         let upd = TemperatureUpdate::new(material.clone(), VARS).with_strategy(strategy);
         let n_cells = n_cells_for(block, size);
-        let start = fields(&material, n_cells, &mut rng, poison);
+        let start = fields(&material, n_cells, &mut rng, Kind::Mixed, poison);
         // Rank `rank` of 3 owns a third of the bands.
         let n_bands = material.n_bands();
         let bands = n_bands * rank / 3..n_bands * (rank + 1) / 3;
@@ -404,7 +467,7 @@ proptest! {
         let material = material(three_d);
         let upd = TemperatureUpdate::new(material.clone(), VARS);
         let n_cells = n_cells_for(block, size);
-        let start = fields(&material, n_cells, &mut rng, poison);
+        let start = fields(&material, n_cells, &mut rng, Kind::Mixed, poison);
         // Runs of 1..=2·block+1 owned cells separated by gaps of 1..=3.
         let mut owned = Vec::new();
         let mut cell = rng.next() as usize % 2;
@@ -420,6 +483,65 @@ proptest! {
         let (counts, _) = kernel(&upd, &mut got, None, Some(&owned), &mut LocalLinks, 2, block);
         assert_same_bits(&format!("{} owned block {block}", owned.len()), &got, &expected)?;
         prop_assert_eq!(&counts, &want);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn every_newton_exit_matches_the_oracle(
+        seed in any::<u64>(),
+        shape in (0usize..7, 0usize..5, any::<bool>()),
+        settings in (0usize..4, 0usize..3),
+        kind in 0usize..3,
+        rank in 0usize..3,
+    ) {
+        let (block, size, three_d) = shape;
+        let (block, mut rng) = (block_for(block), Rng(seed));
+        let material = material(three_d);
+        let (max_iter, tol) = (MAX_ITERS[settings.0], TOLS[settings.1]);
+        let upd = TemperatureUpdate {
+            max_iter,
+            tol,
+            ..TemperatureUpdate::new(material.clone(), VARS)
+        };
+        let kind = [Kind::Settled, Kind::Far, Kind::Mixed][kind];
+        let n_cells = n_cells_for(block, size);
+        let start = fields(&material, n_cells, &mut rng, kind, kind == Kind::Mixed);
+        let what = format!("{kind:?} max_iter {max_iter} tol {tol:e} block {block}");
+
+        // Everything owned: the fields decide the first exit.
+        let mut expected = start.clone();
+        let want = oracle(&upd, &mut expected, None, None, &mut LocalLinks);
+        let (at_first, solves) = (want.hist[1.min(max_iter)], want.solves);
+        match kind {
+            Kind::Settled if tol > 0.0 => prop_assert_eq!(at_first, solves, "{}", what),
+            Kind::Far if tol < 1.0 && max_iter >= 2 => prop_assert_eq!(at_first, 0, "{}", what),
+            _ => {}
+        }
+        for threads in [1, 2] {
+            let mut got = start.clone();
+            let (counts, _) = kernel(&upd, &mut got, None, None, &mut LocalLinks, threads, block);
+            assert_same_bits(&format!("{what} threads {threads}"), &got, &expected)?;
+            prop_assert_eq!(&counts, &want);
+        }
+
+        // A band range of rank `rank` of 3, under both strategies.
+        let n_bands = material.n_bands();
+        let bands = n_bands * rank / 3..n_bands * (rank + 1) / 3;
+        for strategy in TemperatureStrategy::ALL {
+            let upd = upd.clone().with_strategy(strategy);
+            let mut world = RecordingReducer::new(rank, 3, n_cells, &mut rng);
+            let mut expected = start.clone();
+            let want = oracle(&upd, &mut expected, Some(bands.clone()), None, &mut world);
+            let oracle_calls = std::mem::take(&mut world.seen);
+            let mut got = start.clone();
+            let (counts, _) = kernel(&upd, &mut got, Some(bands.clone()), None, &mut world, 1, block);
+            assert_same_bits(&format!("{what} rank {rank} {strategy:?}"), &got, &expected)?;
+            prop_assert_eq!(&counts, &want);
+            prop_assert_eq!(&world.seen, &oracle_calls);
+        }
     }
 }
 
@@ -461,7 +583,7 @@ fn a_stalled_newton_solve_is_reported() {
     let material = material(false);
     let mut upd = TemperatureUpdate::new(material.clone(), VARS);
     upd.tol = 0.0; // |ΔT| < 0 never holds: every solve runs to max_iter
-    let mut f = fields(&material, 37, &mut Rng(11), false);
+    let mut f = fields(&material, 37, &mut Rng(11), Kind::Mixed, false);
     let (counts, rec) = kernel(&upd, &mut f, None, None, &mut LocalLinks, 1, BLOCK);
     assert_eq!(counts.newton_iters, 37 * upd.max_iter as u64);
     let stalled: Vec<_> = rec.events().into_iter().collect();
@@ -486,7 +608,7 @@ fn a_stalled_newton_solve_is_reported() {
 fn a_non_finite_energy_sum_is_reported() {
     let material = material(true);
     let upd = TemperatureUpdate::new(material.clone(), VARS);
-    let mut f = fields(&material, 20, &mut Rng(5), false);
+    let mut f = fields(&material, 20, &mut Rng(5), Kind::Mixed, false);
     f.set(VARS.i, 3, 2, f64::NAN);
     f.set(VARS.i, 11, 0, f64::INFINITY);
     let (_, rec) = kernel(&upd, &mut f, None, None, &mut LocalLinks, 1, 8);
@@ -513,7 +635,7 @@ fn a_non_finite_energy_sum_is_reported() {
 fn a_healthy_update_is_quiet_and_its_span_is_split_by_phase() {
     let material = material(false);
     let upd = TemperatureUpdate::new(material.clone(), VARS);
-    let mut f = fields(&material, 50, &mut Rng(3), false);
+    let mut f = fields(&material, 50, &mut Rng(3), Kind::Mixed, false);
     let (_, rec) = kernel(&upd, &mut f, None, None, &mut LocalLinks, 2, 16);
     assert!(rec.events().is_empty(), "{:?}", rec.events());
     let spans = rec.spans();

@@ -354,15 +354,32 @@ impl Interval {
     }
 }
 
+/// Each bound as its shortest round-trip value in exponent form, so a
+/// bound near the edge of the `f64` range prints in a few characters.
 impl fmt::Display for Interval {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}, {}]", self.lo, self.hi)
+        write!(f, "[{:e}, {:e}]", self.lo, self.hi)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bounds_print_short_and_round_trip() {
+        let i = Interval {
+            lo: -f64::INFINITY,
+            hi: 6.5354628640061e-309,
+        };
+        assert_eq!(i.to_string(), "[-inf, 6.5354628640061e-309]");
+        let i = Interval { lo: 0.0, hi: 1.5 };
+        assert_eq!(i.to_string(), "[0e0, 1.5e0]");
+        let x = 0.1 + 0.2;
+        let shown = Interval::point(x).to_string();
+        let lo = shown[1..].split(',').next().unwrap();
+        assert_eq!(lo.parse::<f64>().unwrap().to_bits(), x.to_bits());
+    }
 
     #[test]
     fn widening_is_outward() {

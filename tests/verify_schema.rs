@@ -571,6 +571,29 @@ fn every_refusal_class_exits_2_naming_its_rule() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An interval finding prints its bounds in exponent form: the flux of an
+/// intensity range up to `1e308` overflows, and the refusal names a
+/// subnormal bound in a few characters, not a ~330-digit decimal.
+#[test]
+fn an_interval_finding_prints_its_bounds_short() {
+    let dir = scratch("short-bounds");
+    let ranges = dir.join("ranges.pbte");
+    let text = format!("{}\n[ranges]\nI = 0 1e308\n", hotspot_pbte_with_dt("auto"));
+    std::fs::write(&ranges, text).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_pbte"))
+        .args([ranges.display().to_string().as_str(), "target=seq"])
+        .output()
+        .expect("the binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let lines: Vec<&str> = (stderr.lines())
+        .filter(|l| l.contains("error[intervals/non-finite]"))
+        .collect();
+    assert!(lines.iter().all(|l| l.len() < 200), "{stderr}");
+    assert!(lines.iter().any(|l| l.contains("e-")), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A closed stdout ends the output, not the run: `pbte info` and a traced
 /// run whose reader went away before the first line exit with the table's
 /// status, never a panic (101).
