@@ -38,8 +38,8 @@
 //! otherwise.
 //! With `stream=FILE` the run *also* attaches the stream: every frame the
 //! recorder emits — the ones `summary.jsonl` and `trace.json` are
-//! rendered from — is pushed through the bounded ring onto `FILE` as
-//! length-prefixed JSONL while the solve runs.
+//! rendered from — is sent through a bounded channel onto `FILE`, one
+//! JSON object per line, while the solve runs.
 //!
 //! **`--follow` mode** tails a stream file — typically one being written
 //! by a concurrent `stream=` run — and renders rolling per-phase rates,
@@ -111,8 +111,8 @@
 //! run (exit status 1).
 
 use pbte_apps::{
-    arg_str, arg_usize, check_args, exit, out, parse_target, parse_tier, run_gated, scenario_file,
-    Outcome,
+    arg_str, arg_usize, check_args, exit, out, parse_target, parse_tier, refuse_keys, run_gated,
+    scenario_file, Outcome,
 };
 use pbte_bte::pbte::ScenarioSpec;
 use pbte_bte::scenario::BteConfig;
@@ -128,7 +128,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// The keys and flags `pbte-trace` takes (after `top`, only `file=`);
-/// any other argument is refused.
+/// any other argument is refused, and so is one its mode does not use.
 const KNOWN: &str = "scenario= target= n= steps= ranks= strategy= tier= out= stream= file= \
     wait= --no-health --parity --follow";
 
@@ -725,11 +725,26 @@ fn run(args: &[String]) -> Result<Outcome, Outcome> {
     }
     check_args(args, KNOWN)?;
     if args.iter().any(|a| a == "--follow") {
+        let run_keys =
+            "scenario target n steps ranks strategy tier out stream --no-health --parity";
+        refuse_keys(
+            args,
+            run_keys,
+            "--follow tails a stream (it takes file and wait)",
+        )?;
         let file = required_file(args, "--follow file=STREAM [wait=30]")?;
         let wait = arg_usize(args, "wait", 30) as u64;
         return Ok(follow(file, wait)?);
     }
     let parity = args.iter().any(|a| a == "--parity");
+    let (ignored, why) = match parity {
+        true => (
+            "target out stream file wait --no-health",
+            "--parity runs every target without health probes and writes no file",
+        ),
+        false => ("file wait", "a run reads no stream (use --follow or top)"),
+    };
+    refuse_keys(args, ignored, why)?;
     let health = !args.iter().any(|a| a == "--no-health");
     let sname = arg_str(args, "scenario", "hotspot");
     let tname = arg_str(args, "target", "seq");

@@ -204,13 +204,17 @@ pub fn arg_str<'a>(args: &'a [String], key: &str, default: &'a str) -> &'a str {
     arg(args, key).unwrap_or(default)
 }
 
-/// Refuse the first of `keys` (space-separated names) given in `args` as
-/// `input/invalid`, naming it and saying `why` it does not apply — a key
-/// is never ignored in silence.
+/// Refuse the first of `keys` (space-separated key names and `--flags`)
+/// given in `args` as `input/invalid`, naming it and saying `why` it does
+/// not apply — a key or flag is never ignored in silence.
 pub fn refuse_keys(args: &[String], keys: &str, why: &str) -> Result<(), Diagnostic> {
-    match keys.split(' ').find_map(|k| Some((k, arg(args, k)?))) {
-        Some((key, value)) => Err(Diagnostic::input_invalid(format!(
-            "`{key}={value}` does not apply: {why}"
+    let given = |k: &str| match k.starts_with("--") {
+        true => args.iter().any(|a| a == k).then(|| k.to_string()),
+        false => arg(args, k).map(|value| format!("{k}={value}")),
+    };
+    match keys.split(' ').find_map(given) {
+        Some(arg) => Err(Diagnostic::input_invalid(format!(
+            "`{arg}` does not apply: {why}"
         ))),
         None => Ok(()),
     }

@@ -64,7 +64,7 @@ fn bench_intensity_phase(c: &mut Criterion) {
 /// Whole-solve overhead of the telemetry sinks relative to the null
 /// sink. Same scenario, same target; the rows differ only in where the
 /// record goes: dropped (`null_sink`), retained in memory
-/// (`buffered_sink`), or pushed frame-by-frame into the lock-free ring a
+/// (`buffered_sink`), or pushed frame-by-frame into the bounded channel a
 /// background thread drains to disk (`streaming_sink`). Compare rows —
 /// both non-null sinks must stay within ~2% of `null_sink`.
 fn bench_telemetry_overhead(c: &mut Criterion) {
@@ -92,37 +92,39 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
                     let bte = hotspot_2d(&cfg);
                     let solver = Solver::build(bte.problem, ExecTarget::CpuSeq).expect("builds");
                     // The streaming lane measures the producer side only:
-                    // frame construction + the lock-free ring push the
+                    // frame construction + the channel `try_send` the
                     // solve loop pays. The drainer thread's JSON/IO work
                     // overlaps the solve on its own core in production and
                     // would dominate this single-threaded timing loop, so
-                    // the ring here is allocated in setup and undrained; it
-                    // is dropped in teardown with the rest of the routine
-                    // output, outside the timed section. 1 024 slots hold
-                    // the run's few dozen frames with room to spare; a ring
-                    // far larger than the run (65 536 slots are ~9 MB,
-                    // initialised in setup) evicts the solver's working set
-                    // right before the timed solve, and the lane would
-                    // measure that instead of the sink.
-                    let ring = match sink {
+                    // the channel here is allocated in setup and its
+                    // receiver held unread; both are dropped in teardown
+                    // with the rest of the routine output, outside the
+                    // timed section. 1 024 slots hold the run's few dozen
+                    // frames with room to spare; a channel far larger than
+                    // the run (65 536 slots are ~9 MB, allocated in setup)
+                    // evicts the solver's working set right before the
+                    // timed solve, and the lane would measure that instead
+                    // of the sink.
+                    let stream = match sink {
                         Sink::Streaming => Some(StreamSink::bounded(1 << 10)),
                         _ => None,
                     };
-                    (solver, ring)
+                    (solver, stream)
                 },
-                |(mut solver, ring)| {
+                |(mut solver, stream)| {
                     let mut rec = match sink {
                         Sink::Null => Recorder::null(),
                         Sink::Buffered => Recorder::buffered(),
                         Sink::Streaming => {
                             let mut r = Recorder::null();
-                            r.attach_stream(ring.as_ref().expect("ring").clone());
+                            let (sink, _) = stream.as_ref().expect("stream");
+                            r.attach_stream(sink.clone());
                             r
                         }
                     };
                     let report = solver.solve_traced(&mut rec).expect("solves");
                     black_box((report.work.flux_evals, rec.spans().len()));
-                    ring
+                    stream
                 },
                 BatchSize::LargeInput,
             )

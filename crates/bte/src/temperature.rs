@@ -57,6 +57,7 @@
 
 use crate::equilibrium::Located;
 use crate::material::Material;
+use pbte_dsl::analysis;
 use pbte_dsl::problem::{Problem, StepContext};
 use pbte_runtime::telemetry::{rules, Severity, SpanKind, TraceConfig, Track, HIST_BUCKETS};
 use rayon::prelude::*;
@@ -269,7 +270,7 @@ impl TemperatureUpdate {
             let mut divided = None;
             if self.strategy == TemperatureStrategy::DividedNewton && ctx.owned_cells.is_none() {
                 let (r, p) = (ctx.reducer.rank(), ctx.reducer.n_ranks().max(1));
-                let slice = n_cells * r / p..n_cells * (r + 1) / p;
+                let slice = analysis::divided_slice(n_cells, r, p);
                 (solved, divided) = (blocks(slice.clone(), block), Some(slice));
             }
             for cells in &solved {

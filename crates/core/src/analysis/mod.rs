@@ -89,7 +89,7 @@ pub use cost::{
 };
 pub use intervals::{cfl_bound, check_intervals, CflBound};
 pub use intervals::{recommend_dt, DtRecommendation, ACCURACY_COURANT};
-pub use races::{check_disjoint_writes, check_divided_slices, WriteRegion};
+pub use races::{check_disjoint_writes, check_divided_slices, divided_slice, WriteRegion};
 pub use synth::{interface_send_lists, rank_scopes, synthesize_partition, synthesize_records};
 pub use synth::{Scope, SendList, Tile, TileLabel};
 pub use transfers::check_schedule;

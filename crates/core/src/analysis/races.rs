@@ -114,9 +114,14 @@ pub fn check_disjoint_writes<'a, L: Display + 'a>(
     out
 }
 
-/// Prove the divided-Newton cell slices `n_cells·r/p .. n_cells·(r+1)/p`
-/// pairwise disjoint and covering (the band-parallel temperature update
-/// divides its per-cell Newton solves this way).
+/// The cells rank `rank` of `ranks` solves under the divided Newton of
+/// the band-parallel temperature update: `n_cells·r/p .. n_cells·(r+1)/p`.
+pub fn divided_slice(n_cells: usize, rank: usize, ranks: usize) -> Range<usize> {
+    n_cells * rank / ranks..n_cells * (rank + 1) / ranks
+}
+
+/// Prove the [`divided_slice`]s of `ranks` ranks pairwise disjoint and
+/// covering.
 pub fn check_divided_slices(entity: &str, n_cells: usize, ranks: usize) -> Vec<Diagnostic> {
     let labels: Vec<String> = (0..ranks)
         .map(|r| format!("divided-Newton rank {r}"))
@@ -124,7 +129,7 @@ pub fn check_divided_slices(entity: &str, n_cells: usize, ranks: usize) -> Vec<D
     let regions = labels.iter().enumerate().map(|(r, label)| WriteRegion {
         label,
         flats: &[0],
-        cells: n_cells * r / ranks..n_cells * (r + 1) / ranks,
+        cells: divided_slice(n_cells, r, ranks),
     });
     check_disjoint_writes(entity, 1, n_cells, regions)
 }

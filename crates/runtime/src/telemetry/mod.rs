@@ -6,8 +6,8 @@
 //! feeds, and it has **one record type**: every record call on a
 //! [`Recorder`] builds a [`Frame`] — `run_start`, `span`, `event`, `step`,
 //! `sample`, `histogram`, `device`, `total` — and hands it to one private
-//! `emit`, which stores it when buffering and pushes it on the ring when
-//! streaming. A buffered run and a streamed run therefore carry the same
+//! `emit`, which stores it when buffering and sends it down the stream
+//! when streaming. A buffered run and a streamed run therefore carry the same
 //! frames by construction, and every artifact is a rendering of them
 //! through the one [`Frame::to_json`] (or, for the trace, of the span and
 //! event frames through [`Recorder::chrome_trace`]).
@@ -31,10 +31,10 @@
 //!   [`Recorder::chrome_trace`] the span and event frames. Nothing is
 //!   written during the solve loop.
 //! * The **stream** ([`stream::StreamSink`], attached with
-//!   [`Recorder::attach_stream`]) carries the same frames to a bounded
-//!   lock-free ring drained by a background writer thread; the hot path
-//!   never blocks on I/O — a full ring drops the frame and counts it.
-//!   Both consumers can be live at once.
+//!   [`Recorder::attach_stream`]) carries the same frames over a bounded
+//!   channel to a background writer thread that writes them as JSONL;
+//!   the hot path never blocks on I/O — a full channel drops the frame
+//!   and counts it. Both consumers can be live at once.
 //! * A [`CostExpectation`] (derived from the static cost model) makes
 //!   the recorder annotate `h2d`/`d2h` transfer spans with predicted
 //!   bytes and emit a [`rules::COST_LIVE_DRIFT`] warning when
@@ -372,8 +372,8 @@ pub enum Frame {
         /// Work summed over steps and ranks.
         work: WorkCounters,
     },
-    /// Last frame of a stream file, written by the writer thread after
-    /// the ring drains; never droppable, never buffered.
+    /// Last frame of a stream file, written by the writer thread once the
+    /// stream closes; never droppable, never buffered.
     RunEnd {
         /// Seconds from the epoch at shutdown.
         time: f64,
@@ -689,8 +689,8 @@ impl Recorder {
         r
     }
 
-    /// Attach a streaming sink: every frame is pushed onto its ring from
-    /// now on. Enables recording even if buffering is off.
+    /// Attach a streaming sink: every frame is pushed onto its channel
+    /// from now on. Enables recording even if buffering is off.
     pub fn attach_stream(&mut self, sink: StreamSink) {
         self.stream = Some(sink);
         self.cfg.enabled = true;
@@ -1414,7 +1414,7 @@ mod tests {
 
     #[test]
     fn stream_only_recorder_is_enabled_and_streams_spans() {
-        let sink = stream::StreamSink::bounded(16);
+        let (sink, _rx) = stream::StreamSink::bounded(16);
         let mut r = Recorder::null();
         assert!(!r.enabled());
         r.attach_stream(sink.clone());
@@ -1428,7 +1428,7 @@ mod tests {
 
     #[test]
     fn child_recorder_carries_stream() {
-        let sink = stream::StreamSink::bounded(16);
+        let (sink, _rx) = stream::StreamSink::bounded(16);
         let mut parent = Recorder::buffered();
         parent.attach_stream(sink.clone());
         let mut child = parent.child(3);

@@ -1,232 +1,90 @@
-//! The stream: the second consumer of the frame model. A bounded
-//! lock-free ring carries the [`Frame`]s a [`Recorder`](super::Recorder)
-//! emits to a background writer thread, which renders each through
-//! [`Frame::to_json`] into a length-prefixed JSONL file.
+//! The stream: the second consumer of the frame model. A bounded channel
+//! (`std::sync::mpsc::sync_channel`) carries the [`Frame`]s a
+//! [`Recorder`](super::Recorder) emits to a background writer thread,
+//! which writes each as one line of JSONL through [`Frame::to_json`].
 //!
 //! Design contract (DESIGN.md §6):
 //!
-//! * The **hot path never blocks**: [`StreamSink::push`] is a single
-//!   CAS-loop enqueue onto a fixed-capacity MPMC ring. When the writer
-//!   falls behind and the ring is full, the frame is *dropped* and a
-//!   relaxed atomic drop counter incremented — the solve loop proceeds
-//!   at full speed regardless of disk stalls.
+//! * The **hot path never blocks**: [`StreamSink::push`] is a
+//!   `try_send`. When the writer falls behind and the channel is full
+//!   (or the writer is gone), the frame is *dropped* and a relaxed atomic
+//!   drop counter incremented — the solve loop proceeds at full speed
+//!   regardless of disk stalls.
 //! * Serialization and I/O happen **only on the writer thread**. The
 //!   producer side moves already-owned frames (the same values the
-//!   buffer retains) into the ring.
-//! * Each frame on disk is `XXXXXXXX <json>\n` where `XXXXXXXX` is the
-//!   lowercase-hex byte length of `<json>`. A tail reader
-//!   ([`StreamReader`]) uses the prefix to detect torn writes and only
-//!   yields complete frames, so `pbte-trace --follow` can tail the file
-//!   while the solve is still running.
+//!   buffer retains) into the channel.
+//! * Each frame on disk is `<json>\n`: [`super::json_str`] escapes every
+//!   control character, so a newline only ever ends a frame. A stream
+//!   file is the `summary.jsonl` dialect with the spans included, and a
+//!   tail reader ([`StreamReader`]) yields only the complete lines, so
+//!   `pbte-trace --follow` can tail the file while the solve is still
+//!   running.
 //! * The final [`Frame::RunEnd`] frame is written by the writer thread
-//!   itself after the ring drains on shutdown — it is never droppable
-//!   and carries the total frame/drop accounting, so readers have an
-//!   unambiguous end-of-stream marker.
+//!   itself once [`StreamWriter::finish`] (or dropping the writer) closes
+//!   the stream — it is never droppable and carries the total frame/drop
+//!   accounting, so readers have an unambiguous end-of-stream marker.
 
-use std::cell::UnsafeCell;
 use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
-use std::mem::MaybeUninit;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::io::{BufWriter, Read, Write};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use super::Frame;
 
-// ---------------------------------------------------------------------------
-// Bounded lock-free MPMC ring (Vyukov queue on std atomics).
-// ---------------------------------------------------------------------------
-
-struct Slot<T> {
-    seq: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<T>>,
-}
-
-/// Fixed-capacity multi-producer multi-consumer queue. `try_push` and
-/// `try_pop` are wait-free in the common case (one CAS each) and never
-/// block; a full ring rejects the value instead of waiting.
-struct Ring<T> {
-    slots: Box<[Slot<T>]>,
-    mask: usize,
-    enqueue_pos: AtomicUsize,
-    dequeue_pos: AtomicUsize,
-}
-
-// Safety: slots are handed off between threads through the `seq`
-// acquire/release protocol below; a value is only ever read by the single
-// consumer that won the CAS on `dequeue_pos` for that slot.
-unsafe impl<T: Send> Sync for Ring<T> {}
-unsafe impl<T: Send> Send for Ring<T> {}
-
-impl<T> Ring<T> {
-    fn with_capacity(capacity: usize) -> Ring<T> {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots: Box<[Slot<T>]> = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
-        Ring {
-            slots,
-            mask: cap - 1,
-            enqueue_pos: AtomicUsize::new(0),
-            dequeue_pos: AtomicUsize::new(0),
-        }
-    }
-
-    /// Enqueue without blocking. Returns the value back when the ring is
-    /// full so the caller can account the drop.
-    fn try_push(&self, value: T) -> Result<(), T> {
-        let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - pos as isize;
-            if diff == 0 {
-                match self.enqueue_pos.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // Safety: winning the CAS grants exclusive write
-                        // access to this slot until `seq` is published.
-                        unsafe { (*slot.value.get()).write(value) };
-                        slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if diff < 0 {
-                // Full: the slot still holds an unconsumed value.
-                return Err(value);
-            } else {
-                pos = self.enqueue_pos.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Dequeue without blocking. `None` when empty.
-    fn try_pop(&self) -> Option<T> {
-        let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - pos.wrapping_add(1) as isize;
-            if diff == 0 {
-                match self.dequeue_pos.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // Safety: winning the CAS grants exclusive read
-                        // access; the producer published the value with
-                        // the Release store matched by the Acquire above.
-                        let value = unsafe { (*slot.value.get()).assume_init_read() };
-                        slot.seq.store(
-                            pos.wrapping_add(self.mask).wrapping_add(1),
-                            Ordering::Release,
-                        );
-                        return Some(value);
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if diff < 0 {
-                return None;
-            } else {
-                pos = self.dequeue_pos.load(Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-impl<T> Drop for Ring<T> {
-    fn drop(&mut self) {
-        while self.try_pop().is_some() {}
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sink / writer
-// ---------------------------------------------------------------------------
-
-struct StreamShared {
-    ring: Ring<Frame>,
-    dropped: AtomicU64,
+/// Frames accepted and dropped so far, shared by every clone of a sink.
+#[derive(Debug, Default)]
+struct Counts {
     pushed: AtomicU64,
-    closed: AtomicBool,
+    dropped: AtomicU64,
 }
 
-/// Producer handle for the streaming sink. Cheap to clone (one `Arc`);
-/// every rank's recorder holds one and pushes frames from the solve loop.
-#[derive(Clone)]
+/// Producer handle for the streaming sink. Cheap to clone; every rank's
+/// recorder holds one and pushes frames from the solve loop. `None` on
+/// the channel closes the stream.
+#[derive(Debug, Clone)]
 pub struct StreamSink {
-    shared: Arc<StreamShared>,
-}
-
-impl std::fmt::Debug for StreamSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamSink")
-            .field("pushed", &self.shared.pushed.load(Ordering::Relaxed))
-            .field("dropped", &self.shared.dropped.load(Ordering::Relaxed))
-            .finish()
-    }
+    tx: SyncSender<Option<Frame>>,
+    counts: Arc<Counts>,
 }
 
 impl StreamSink {
-    /// Standalone bounded sink with **no writer thread** — frames
-    /// accumulate in the ring until popped. This models a fully stalled
-    /// writer and backs the never-blocks drop-counter test.
-    pub fn bounded(capacity: usize) -> StreamSink {
-        StreamSink {
-            shared: Arc::new(StreamShared {
-                ring: Ring::with_capacity(capacity),
-                dropped: AtomicU64::new(0),
-                pushed: AtomicU64::new(0),
-                closed: AtomicBool::new(false),
-            }),
-        }
+    /// A sink holding at most `capacity` undelivered frames, and the
+    /// receiving end. A receiver held but never read models a fully
+    /// stalled writer; a dropped one makes every push a drop.
+    pub fn bounded(capacity: usize) -> (StreamSink, Receiver<Option<Frame>>) {
+        let (tx, rx) = sync_channel(capacity.max(1));
+        let counts = Arc::new(Counts::default());
+        (StreamSink { tx, counts }, rx)
     }
 
-    /// Enqueue a frame. Never blocks: a full ring drops the frame and
-    /// increments the drop counter.
+    /// Enqueue a frame. Never blocks: a full or closed channel drops the
+    /// frame and increments the drop counter.
     pub fn push(&self, frame: Frame) {
-        match self.shared.ring.try_push(frame) {
-            Ok(()) => {
-                self.shared.pushed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let counter = match self.tx.try_send(Some(frame)) {
+            Ok(()) => &self.counts.pushed,
+            Err(_) => &self.counts.dropped,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Frames dropped so far under backpressure.
     pub fn dropped(&self) -> u64 {
-        self.shared.dropped.load(Ordering::Relaxed)
+        self.counts.dropped.load(Ordering::Relaxed)
     }
 
-    /// Frames accepted into the ring so far.
+    /// Frames accepted into the channel so far.
     pub fn pushed(&self) -> u64 {
-        self.shared.pushed.load(Ordering::Relaxed)
-    }
-
-    /// Pop one frame (test/drain use).
-    pub fn pop(&self) -> Option<Frame> {
-        self.shared.ring.try_pop()
+        self.counts.pushed.load(Ordering::Relaxed)
     }
 }
 
 /// Configuration for [`StreamWriter`].
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
-    /// Ring capacity in frames (rounded up to a power of two).
+    /// Channel capacity in frames.
     pub capacity: usize,
 }
 
@@ -247,20 +105,13 @@ pub struct StreamStats {
     pub bytes: u64,
 }
 
-/// Background writer draining a [`StreamSink`]'s ring into a
-/// length-prefixed JSONL file.
+/// Background writer draining a [`StreamSink`]'s channel into a JSONL
+/// file. Dropping it without [`StreamWriter::finish`] still closes the
+/// stream, so a run that exits early ends its file with `run_end`.
+#[derive(Debug)]
 pub struct StreamWriter {
     sink: StreamSink,
     handle: Option<JoinHandle<std::io::Result<StreamStats>>>,
-    path: PathBuf,
-}
-
-impl std::fmt::Debug for StreamWriter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamWriter")
-            .field("path", &self.path)
-            .finish()
-    }
 }
 
 impl StreamWriter {
@@ -268,15 +119,14 @@ impl StreamWriter {
     /// [`StreamWriter::sink`] handle is what recorders push into.
     pub fn create(path: &Path, cfg: StreamConfig) -> std::io::Result<StreamWriter> {
         let file = File::create(path)?;
-        let sink = StreamSink::bounded(cfg.capacity);
-        let shared = Arc::clone(&sink.shared);
+        let (sink, rx) = StreamSink::bounded(cfg.capacity);
+        let counts = Arc::clone(&sink.counts);
         let handle = std::thread::Builder::new()
             .name("pbte-stream-writer".into())
-            .spawn(move || writer_loop(shared, file))?;
+            .spawn(move || writer_loop(rx, &counts, file))?;
         Ok(StreamWriter {
             sink,
             handle: Some(handle),
-            path: path.to_path_buf(),
         })
     }
 
@@ -285,85 +135,66 @@ impl StreamWriter {
         self.sink.clone()
     }
 
-    /// Path of the stream file.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Close the stream: write what is queued, then the `run_end` frame,
+    /// and join the writer thread.
+    pub fn finish(mut self) -> std::io::Result<StreamStats> {
+        let joined = self.close().expect("the writer is joined only once");
+        joined.unwrap_or_else(|_| panic!("stream writer thread panicked"))
     }
 
-    /// Close the stream: stop accepting frames, drain the ring, write
-    /// the `run_end` frame, join the writer thread.
-    pub fn finish(mut self) -> std::io::Result<StreamStats> {
-        self.sink.shared.closed.store(true, Ordering::Release);
-        match self.handle.take() {
-            Some(h) => h
-                .join()
-                .unwrap_or_else(|_| panic!("stream writer thread panicked")),
-            None => Ok(StreamStats {
-                frames_written: 0,
-                dropped: 0,
-                bytes: 0,
-            }),
-        }
+    /// Send the closing `None` (waiting for room, not dropping it) and
+    /// join the writer; `None` once joined.
+    fn close(&mut self) -> Option<std::thread::Result<std::io::Result<StreamStats>>> {
+        let handle = self.handle.take()?;
+        // A writer that already stopped on an I/O error has dropped its
+        // receiver; its join below reports the error.
+        let _ = self.sink.tx.send(None);
+        Some(handle.join())
     }
 }
 
 impl Drop for StreamWriter {
     fn drop(&mut self) {
-        self.sink.shared.closed.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        let _ = self.close();
     }
 }
 
-fn write_frame(w: &mut BufWriter<File>, json: &str, bytes: &mut u64) -> std::io::Result<()> {
-    // `{:08x}` hex length prefix + space + payload + newline; the prefix
-    // lets the tail reader distinguish a torn final line from a complete
-    // frame.
-    let line = format!("{:08x} {json}\n", json.len());
-    *bytes += line.len() as u64;
-    w.write_all(line.as_bytes())
-}
-
-fn writer_loop(shared: Arc<StreamShared>, file: File) -> std::io::Result<StreamStats> {
+fn writer_loop(
+    rx: Receiver<Option<Frame>>,
+    counts: &Counts,
+    file: File,
+) -> std::io::Result<StreamStats> {
     let mut w = BufWriter::new(file);
-    let mut frames: u64 = 0;
-    let mut bytes: u64 = 0;
-    let mut since_flush: u32 = 0;
-    loop {
-        let mut drained = false;
-        while let Some(frame) = shared.ring.try_pop() {
-            write_frame(&mut w, &frame.to_json(), &mut bytes)?;
-            frames += 1;
-            since_flush += 1;
-            drained = true;
-            if since_flush >= 64 {
-                w.flush()?;
-                since_flush = 0;
+    let (mut frames, mut bytes) = (0u64, 0u64);
+    let mut write = |w: &mut BufWriter<File>, frame: &Frame| {
+        let line = frame.to_json() + "\n";
+        bytes += line.len() as u64;
+        w.write_all(line.as_bytes())
+    };
+    // Block for the next frame, write the burst queued behind it, and
+    // flush so followers stay current. Frames that raced the closing
+    // `None` into the same burst are still written.
+    let mut open = true;
+    while open {
+        let Ok(first) = rx.recv() else { break };
+        for frame in std::iter::once(first).chain(rx.try_iter()) {
+            match frame {
+                Some(frame) => {
+                    write(&mut w, &frame)?;
+                    frames += 1;
+                }
+                None => open = false,
             }
         }
-        if drained {
-            // Keep followers current: flush once the burst is drained.
-            w.flush()?;
-            since_flush = 0;
-        }
-        if shared.closed.load(Ordering::Acquire) {
-            // One final drain: producers may have raced the close flag.
-            while let Some(frame) = shared.ring.try_pop() {
-                write_frame(&mut w, &frame.to_json(), &mut bytes)?;
-                frames += 1;
-            }
-            break;
-        }
-        std::thread::park_timeout(Duration::from_millis(1));
+        w.flush()?;
     }
-    let dropped = shared.dropped.load(Ordering::Relaxed);
+    let dropped = counts.dropped.load(Ordering::Relaxed);
     let end = Frame::RunEnd {
         time: 0.0,
         frames,
         dropped,
     };
-    write_frame(&mut w, &end.to_json(), &mut bytes)?;
+    write(&mut w, &end)?;
     w.flush()?;
     Ok(StreamStats {
         frames_written: frames,
@@ -372,18 +203,13 @@ fn writer_loop(shared: Arc<StreamShared>, file: File) -> std::io::Result<StreamS
     })
 }
 
-// ---------------------------------------------------------------------------
-// Reader (tailing)
-// ---------------------------------------------------------------------------
-
 /// Incremental reader for a stream file being written concurrently.
-/// [`StreamReader::poll`] returns the JSON payloads of every *complete*
-/// frame appended since the last poll; a torn tail (partial write) is
-/// left in place for the next poll.
+/// [`StreamReader::poll`] returns every *complete* line appended since
+/// the last poll; an unterminated tail (a write in progress) is kept for
+/// the next poll.
 #[derive(Debug)]
 pub struct StreamReader {
     file: File,
-    offset: u64,
     pending: Vec<u8>,
 }
 
@@ -392,46 +218,23 @@ impl StreamReader {
     pub fn open(path: &Path) -> std::io::Result<StreamReader> {
         Ok(StreamReader {
             file: File::open(path)?,
-            offset: 0,
             pending: Vec::new(),
         })
     }
 
-    /// Read newly appended complete frames; returns their JSON payloads.
+    /// Read newly appended complete frames; returns their JSON lines.
     pub fn poll(&mut self) -> std::io::Result<Vec<String>> {
-        self.file.seek(SeekFrom::Start(self.offset))?;
-        let mut buf = Vec::new();
-        let read = self.file.read_to_end(&mut buf)? as u64;
-        self.offset += read;
-        self.pending.extend_from_slice(&buf);
-
-        let mut out = Vec::new();
-        let mut pos = 0usize;
-        while self.pending.len() >= pos + 10 {
-            // Prefix: 8 hex digits + one space.
-            let prefix = &self.pending[pos..pos + 8];
-            let len = match std::str::from_utf8(prefix)
-                .ok()
-                .and_then(|s| usize::from_str_radix(s, 16).ok())
-            {
-                Some(l) => l,
-                None => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "corrupt stream frame prefix",
-                    ))
-                }
-            };
-            let frame_end = pos + 9 + len + 1; // prefix + space + payload + '\n'
-            if self.pending.len() < frame_end {
-                break; // torn tail — wait for the writer
-            }
-            let payload = &self.pending[pos + 9..pos + 9 + len];
-            out.push(String::from_utf8_lossy(payload).into_owned());
-            pos = frame_end;
-        }
-        self.pending.drain(..pos);
-        Ok(out)
+        self.file.read_to_end(&mut self.pending)?;
+        let complete = self.pending.iter().rposition(|&b| b == b'\n');
+        let Some(end) = complete.map(|i| i + 1) else {
+            return Ok(Vec::new());
+        };
+        let lines = String::from_utf8_lossy(&self.pending[..end])
+            .lines()
+            .map(str::to_owned)
+            .collect();
+        self.pending.drain(..end);
+        Ok(lines)
     }
 }
 
@@ -440,60 +243,28 @@ mod tests {
     use super::*;
     use crate::telemetry::{Event, Severity};
 
-    #[test]
-    fn ring_push_pop_fifo() {
-        let ring: Ring<u64> = Ring::with_capacity(8);
-        for i in 0..8 {
-            assert!(ring.try_push(i).is_ok());
+    fn run_start(time: f64) -> Frame {
+        Frame::RunStart {
+            time,
+            label: "unit".into(),
+            tier: "row".into(),
+            flux: "table".into(),
+            walls: "fixed:0 gather:0 callback:0".into(),
+            plan: "lowered".into(),
+            jvp_plan: None,
         }
-        assert!(ring.try_push(99).is_err(), "full ring rejects");
-        for i in 0..8 {
-            assert_eq!(ring.try_pop(), Some(i));
-        }
-        assert_eq!(ring.try_pop(), None);
-        // Wraps around.
-        assert!(ring.try_push(42).is_ok());
-        assert_eq!(ring.try_pop(), Some(42));
     }
 
-    #[test]
-    fn ring_concurrent_producers() {
-        let ring: Arc<Ring<u64>> = Arc::new(Ring::with_capacity(1024));
-        let n_threads = 4;
-        let per = 200;
-        std::thread::scope(|s| {
-            for t in 0..n_threads {
-                let ring = Arc::clone(&ring);
-                s.spawn(move || {
-                    for i in 0..per {
-                        ring.try_push((t * per + i) as u64).unwrap();
-                    }
-                });
-            }
-        });
-        let mut seen = Vec::new();
-        while let Some(v) = ring.try_pop() {
-            seen.push(v);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen.len(), n_threads * per);
-        assert_eq!(seen, (0..(n_threads * per) as u64).collect::<Vec<_>>());
+    fn temp_path(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("pbte-stream-{tag}-{}.pbts", std::process::id()))
     }
 
     #[test]
     fn stalled_writer_drops_never_blocks() {
-        // No writer thread: the ring fills, then every push drops.
-        let sink = StreamSink::bounded(8);
+        // A receiver nobody reads: the channel fills, then every push drops.
+        let (sink, _rx) = StreamSink::bounded(8);
         for i in 0..30 {
-            sink.push(Frame::RunStart {
-                time: i as f64,
-                label: "x".into(),
-                tier: "row".into(),
-                flux: "table".into(),
-                walls: "fixed:0 gather:0 callback:0".into(),
-                plan: "lowered".into(),
-                jvp_plan: None,
-            });
+            sink.push(run_start(i as f64));
         }
         assert_eq!(sink.pushed(), 8);
         assert_eq!(sink.dropped(), 22);
@@ -502,23 +273,14 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "file I/O, which Miri's isolation refuses")]
     fn writer_reader_roundtrip() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("pbte-stream-test-{}.pbts", std::process::id()));
+        let path = temp_path("test");
         let writer = StreamWriter::create(&path, StreamConfig::default()).unwrap();
         let sink = writer.sink();
-        sink.push(Frame::RunStart {
-            time: 0.0,
-            label: "unit".into(),
-            tier: "row".into(),
-            flux: "table".into(),
-            walls: "fixed:0 gather:0 callback:0".into(),
-            plan: "lowered".into(),
-            jvp_plan: None,
-        });
+        sink.push(run_start(0.0));
         sink.push(Frame::Event(Event {
             severity: Severity::Warning,
             name: "marker",
-            message: "hello \"stream\"".into(),
+            message: "hello \"stream\"\n\tnext\u{1}".into(),
             time: 0.5,
             rank: 0,
         }));
@@ -528,9 +290,9 @@ mod tests {
 
         let mut reader = StreamReader::open(&path).unwrap();
         let frames = reader.poll().unwrap();
-        assert_eq!(frames.len(), 3, "2 frames + run_end");
+        assert_eq!(frames.len(), 3, "2 frames + run_end, one line each");
         assert!(frames[0].contains("\"frame\":\"run_start\""));
-        assert!(frames[1].contains("\\\"stream\\\""));
+        assert!(frames[1].contains(r#"hello \"stream\"\n\tnext\u0001"#));
         assert!(frames[2].contains("\"frame\":\"run_end\""));
         assert!(frames[2].contains("\"frames\":2"));
         std::fs::remove_file(&path).ok();
@@ -539,24 +301,34 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "file I/O, which Miri's isolation refuses")]
     fn reader_holds_torn_tail() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("pbte-stream-torn-{}.pbts", std::process::id()));
-        let json = "{\"frame\":\"run_start\",\"time\":0,\"label\":\"t\"}";
-        let line = format!("{:08x} {json}\n", json.len());
-        // Write one complete frame plus a torn prefix of the next.
+        let path = temp_path("torn");
+        let line = "{\"frame\":\"run_start\",\"time\":0,\"label\":\"t\"}\n";
+        // Write one complete frame plus the start of the next, unterminated.
         std::fs::write(&path, format!("{line}{}", &line[..10])).unwrap();
         let mut r = StreamReader::open(&path).unwrap();
-        let frames = r.poll().unwrap();
-        assert_eq!(frames.len(), 1);
-        // Complete the torn frame; the next poll yields it.
+        assert_eq!(r.poll().unwrap(), [line.trim_end()]);
+        // Complete the torn frame; the next poll yields it whole.
         std::fs::OpenOptions::new()
             .append(true)
             .open(&path)
             .unwrap()
             .write_all(&line.as_bytes()[10..])
             .unwrap();
-        let frames = r.poll().unwrap();
-        assert_eq!(frames.len(), 1);
+        assert_eq!(r.poll().unwrap(), [line.trim_end()]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "file I/O, which Miri's isolation refuses")]
+    fn dropped_writer_still_ends_with_run_end() {
+        let path = temp_path("drop");
+        let writer = StreamWriter::create(&path, StreamConfig::default()).unwrap();
+        writer.sink().push(run_start(0.0));
+        drop(writer);
+        let frames = StreamReader::open(&path).unwrap().poll().unwrap();
+        assert_eq!(frames.len(), 2, "the frame + run_end");
+        assert!(frames[1].contains("\"frame\":\"run_end\""));
+        assert!(frames[1].contains("\"frames\":1"));
         std::fs::remove_file(&path).ok();
     }
 }

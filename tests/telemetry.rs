@@ -898,10 +898,10 @@ fn stream_file_round_trips_under_a_concurrent_reader() {
 
 #[test]
 fn stalled_writer_drops_frames_without_blocking_the_solve() {
-    // A bounded sink with no draining thread models a wedged writer:
-    // the ring fills almost immediately, and from then on every push
+    // A bounded sink whose receiver nobody reads models a wedged writer:
+    // the channel fills almost immediately, and from then on every push
     // must return instantly and count a drop instead of blocking.
-    let sink = StreamSink::bounded(8);
+    let (sink, _rx) = StreamSink::bounded(8);
     let mut rec = Recorder::buffered();
     rec.attach_stream(sink.clone());
     let report = run(ExecTarget::CpuSeq, &mut rec);
@@ -909,7 +909,7 @@ fn stalled_writer_drops_frames_without_blocking_the_solve() {
     assert!(sink.dropped() > 0, "backpressure surfaced as drop counts");
     assert!(
         sink.pushed() <= 8,
-        "with nothing draining, accepted frames cannot exceed the ring"
+        "with nothing draining, accepted frames cannot exceed the channel"
     );
     // The buffered twin of the same recorder kept the full record.
     assert!(!rec.spans().is_empty());

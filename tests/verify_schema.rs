@@ -254,6 +254,79 @@ fn pbte_trace_refuses_an_unknown_strategy() {
     assert_eq!(written, 0, "nothing was written");
 }
 
+/// Each `pbte-trace` mode refuses a key or flag it would ignore: exit 2
+/// naming the argument and the mode, before anything runs or is written.
+#[test]
+fn pbte_trace_refuses_what_its_mode_ignores() {
+    let dir = scratch("trace-modes");
+    let cases: [(&[&str], &str, &str); 3] = [
+        (
+            &["scenario=hotspot", "n=4", "steps=1", "wait=5"],
+            "`wait=5` does not apply",
+            "a run reads no stream",
+        ),
+        (
+            &["--follow", "file=stream.pbts", "n=4"],
+            "`n=4` does not apply",
+            "--follow tails a stream",
+        ),
+        (
+            &["--parity", "n=4", "steps=1", "--no-health"],
+            "`--no-health` does not apply",
+            "--parity runs every target",
+        ),
+    ];
+    for (args, names, mode) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_pbte-trace"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("pbte-trace runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("input/invalid"), "{args:?}: {stderr}");
+        assert!(stderr.contains(names), "{args:?}: {stderr}");
+        assert!(stderr.contains(mode), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+    }
+    let written = std::fs::read_dir(&dir).unwrap().count();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(written, 0, "nothing was written");
+}
+
+/// `pbte-trace top` on a stream cut mid-line (a run stopped while its
+/// writer was writing) counts only the complete frames and says that the
+/// stream has no end.
+#[test]
+fn top_reads_a_stream_cut_mid_line() {
+    let dir = scratch("cut-stream");
+    let stream = dir.join("stream.pbts");
+    let trace = env!("CARGO_BIN_EXE_pbte-trace");
+    let out = Command::new(trace)
+        .args(["scenario=hotspot", "n=4", "steps=2"])
+        .arg(format!("out={}", dir.display()))
+        .arg(format!("stream={}", stream.display()))
+        .output()
+        .expect("pbte-trace runs");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let text = std::fs::read_to_string(&stream).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert!(lines.iter().all(|l| l.starts_with('{') && l.ends_with('}')));
+    // Keep every frame before the last two, then half of the next one.
+    let kept = lines.len() - 2;
+    let torn = &lines[kept][..lines[kept].len() / 2];
+    std::fs::write(&stream, format!("{}\n{torn}", lines[..kept].join("\n"))).unwrap();
+    let out = Command::new(trace)
+        .args(["top", &format!("file={}", stream.display())])
+        .output()
+        .expect("pbte-trace top runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains(&format!("\n{kept} frame(s), ")), "{stdout}");
+    assert!(stdout.contains("no run_end frame"), "{stdout}");
+}
+
 /// A count argument that is malformed or zero is a usage error of every
 /// binary — exit 2 naming the key — never a panic deep in the mesh, the
 /// band table or the partitioner, and never a silent default.
