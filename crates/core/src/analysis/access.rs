@@ -20,7 +20,8 @@ use crate::bytecode::{
     MAX_REGS,
 };
 use crate::entities::CoefficientValue;
-use crate::exec::{CompiledProblem, MAX_RUN_FACES, MIN_RUN};
+use crate::exec::walls::GATHER;
+use crate::exec::{CompiledProblem, MAX_RUN_FACES, MIN_RUN, SLOT_GATHER, SLOT_NBR, SLOT_ROW};
 use crate::problem::Initial;
 use std::collections::BTreeSet;
 
@@ -264,7 +265,7 @@ pub(super) fn check_kernels(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) -> 
 }
 
 /// Structural invariants of the CSR face geometry the span kernels index
-/// without further checks at run time, then the stencil run table against
+/// without further checks at run time, then the stencil run tables against
 /// those arrays ([`check_runs`]).
 pub(super) fn check_geometry(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
     let before = out.len();
@@ -275,76 +276,125 @@ pub(super) fn check_geometry(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// The stencil run table is proved, not trusted: every run is re-derived
-/// from the CSR arrays it summarises. Runs are sorted, disjoint, inside
-/// `0..n_cells` and at least `MIN_RUN` long; every cell `c` of a run has
-/// exactly `nf` faces, and its slot `s` has `nbr == c + delta[s]` (an
-/// interior cell, so in `0..n_cells`) and, on a table plan, `class ==
-/// class[s]` (a compiled-flux plan has no classes; its runs are the
-/// connectivity alone).
+/// The stencil run tables are proved, not trusted: every run is re-derived
+/// from the arrays it summarises, the CSR geometry and the walls' `read`
+/// table. The stride-1 runs (`stride` 1) are sorted and disjoint, the
+/// strided ones (`stride` ≥ 2) sorted by first cell; every run lies inside
+/// `0..n_cells`, is at least `MIN_RUN` long and has `3..=MAX_RUN_FACES`
+/// faces. The `j`-th cell `c` of a run has exactly `nf` faces, and its slot
+/// `s` reads what the run says: a neighbor `nbr == c + at[s]`
+/// ([`SLOT_NBR`]), a boundary slot whose `read` is row `at[s] + j·step[s]`
+/// ([`SLOT_ROW`]) or gather column `at[s]` ([`SLOT_GATHER`]), with, on a
+/// table plan, `class == class[s]` (a compiled-flux plan has no classes).
+/// Last, the runs and the remainder list cover every cell exactly once,
+/// the remainder ascending.
 ///
-/// That is all the stencil path needs: inside a proven run it reads
-/// exactly the `u_row` entries, areas and αβγ rows (or, for the compiled
-/// flux, the normals of face slots `offsets[c] .. offsets[c] + nf`) the CSR
-/// walk reads for the same cells, and writes the same `out` entries, so
-/// the access, race and halo proofs — stated over the CSR walk — hold for
-/// it unchanged.
+/// That is all the stencil path needs: inside a proven run it loads
+/// exactly the values the CSR walk loads for the same faces (the neighbor
+/// read, or `Walls::ghost_read`), and the areas and αβγ rows (or, for the
+/// compiled flux, the normals) of face slots `offsets[c] .. offsets[c] +
+/// nf`, and writes each `out` entry once, so the access, race and halo
+/// proofs — stated over the CSR walk — hold for it unchanged.
 fn check_runs(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
     let hot = &cp.hot;
+    let read = &cp.walls.read;
     let n_cells = cp.mesh().n_cells();
-    let mut fail = |message: String| {
-        out.push(Diagnostic {
-            severity: Severity::Error,
-            rule: rules::RUN_MISMATCH,
-            entity: String::new(),
-            location: "stencil run table".into(),
-            message,
-        });
+    let fail = |message: String| Diagnostic {
+        severity: Severity::Error,
+        rule: rules::RUN_MISMATCH,
+        entity: String::new(),
+        location: "stencil run table".into(),
+        message,
     };
-    let mut covered = 0usize;
-    for (r, run) in hot.runs.iter().enumerate() {
-        let (first, end, nf) = (run.first as usize, run.end(), run.nf as usize);
-        if first < covered || end > n_cells {
-            fail(format!(
-                "run {r} covers cells {first}..{end}: not after the previous run (ends {covered}) inside 0..{n_cells}"
-            ));
-            return;
-        }
-        covered = end;
-        if (run.len as usize) < MIN_RUN || !(3..=MAX_RUN_FACES).contains(&nf) {
-            fail(format!(
-                "run {r} has {} cell(s) of {nf} face(s): below {MIN_RUN} cells or outside 3..={MAX_RUN_FACES} faces",
-                run.len
-            ));
-            return;
-        }
-        for c in first..end {
-            let start = hot.offsets[c] as usize;
-            if hot.offsets[c + 1] as usize - start != nf {
-                fail(format!(
-                    "run {r}: cell {c} has {} faces, the run says {nf}",
-                    hot.offsets[c + 1] as usize - start
-                ));
-                return;
+    // What slot `k` of cell `c` reads: its kind and the neighbor offset,
+    // ghost row or gather column.
+    let slot = |c: usize, k: usize| match hot.nbr[k] {
+        nb if nb >= 0 => (SLOT_NBR, nb - c as i64),
+        nb => match read[(-(nb + 1)) as usize] {
+            r if r & GATHER != 0 => (SLOT_GATHER, (r ^ GATHER) as i64),
+            r => (SLOT_ROW, r as i64),
+        },
+    };
+    let mut hits = vec![0u8; n_cells];
+    let tables = [
+        ("run", &hot.runs, 1..=1),
+        ("strided run", &hot.strided, 2..=u32::MAX),
+    ];
+    for (table, runs, strides) in tables {
+        // Where the next run may start: past the previous one's last cell
+        // (stride 1), at or past its first (strided).
+        let mut from = 0usize;
+        for (r, run) in runs.iter().enumerate() {
+            let (first, len, nf) = (run.first as usize, run.len as usize, run.nf as usize);
+            if !strides.contains(&run.stride) || first < from {
+                let stride = run.stride;
+                let message = format!("{table} {r} starts at cell {first} with stride {stride}: not after the previous run (from {from}) or stride outside {strides:?}");
+                return out.push(fail(message));
             }
-            for s in 0..nf {
-                let k = start + s;
-                if hot.nbr[k] < 0 || hot.nbr[k] != c as i64 + run.delta[s] as i64 {
-                    fail(format!(
-                        "run {r}: cell {c} slot {s} has neighbor {}, the run says {c} + {}",
-                        hot.nbr[k], run.delta[s]
-                    ));
-                    return;
+            if len < MIN_RUN || !(3..=MAX_RUN_FACES).contains(&nf) {
+                let message = format!("{table} {r} has {len} cell(s) of {nf} face(s): below {MIN_RUN} cells or outside 3..={MAX_RUN_FACES} faces");
+                return out.push(fail(message));
+            }
+            // The last cell, computed without overflow for any tampered run.
+            let last = (len - 1).checked_mul(run.stride as usize);
+            let last = last.and_then(|offset| offset.checked_add(first));
+            if last.is_none_or(|last| last >= n_cells) {
+                let message = format!(
+                    "{table} {r} ends past cell {first} + {} · {}, outside 0..{n_cells}",
+                    len - 1,
+                    run.stride
+                );
+                return out.push(fail(message));
+            }
+            from = if run.stride == 1 { run.end() } else { first };
+            for j in 0..len {
+                let c = run.cell(j);
+                hits[c] = hits[c].saturating_add(1);
+                let start = hot.offsets[c] as usize;
+                if hot.offsets[c + 1] as usize - start != nf {
+                    let faces = hot.offsets[c + 1] as usize - start;
+                    let message =
+                        format!("{table} {r}: cell {c} has {faces} faces, the run says {nf}");
+                    return out.push(fail(message));
                 }
-                if cp.flux_lin.is_some() && hot.class[k] != run.class[s] {
-                    fail(format!(
-                        "run {r}: cell {c} slot {s} has class {}, the run says {}",
-                        hot.class[k], run.class[s]
-                    ));
-                    return;
+                for s in 0..nf {
+                    let (kind, at) = slot(c, start + s);
+                    let claim = match run.kind[s] {
+                        SLOT_ROW => run.at[s] as i64 + j as i64 * run.step[s] as i64,
+                        _ => run.at[s] as i64,
+                    };
+                    if (kind, at) != (run.kind[s], claim) {
+                        let message = format!("{table} {r}: cell {c} slot {s} reads kind {kind} at {at}, the run says kind {} at {claim}", run.kind[s]);
+                        return out.push(fail(message));
+                    }
+                    if cp.flux_lin.is_some() && hot.class[start + s] != run.class[s] {
+                        let message = format!(
+                            "{table} {r}: cell {c} slot {s} has class {}, the run says {}",
+                            hot.class[start + s],
+                            run.class[s]
+                        );
+                        return out.push(fail(message));
+                    }
                 }
             }
         }
+    }
+    let mut last = None;
+    for &c in &hot.rest {
+        let c = c as usize;
+        if c >= n_cells || last.is_some_and(|last| c <= last) {
+            let message = format!("remainder cell {c} is not ascending inside 0..{n_cells}");
+            return out.push(fail(message));
+        }
+        hits[c] = hits[c].saturating_add(1);
+        last = Some(c);
+    }
+    if let Some(c) = hits.iter().position(|&h| h != 1) {
+        let message = format!(
+            "cell {c} is walked {} times by the runs and the remainder, not once",
+            hits[c]
+        );
+        out.push(fail(message));
     }
 }
 
@@ -498,40 +548,49 @@ mod tests {
         CompiledProblem::compile(p).unwrap().0
     }
 
-    /// A table plan on a 12×4 grid: two interior rows, each one stencil
-    /// run of 10 cells.
+    /// A table plan on a 12×4 grid: four rows, each one stencil run of 10
+    /// cells; its x-end columns are too short for a run.
     fn grid_plan() -> CompiledProblem {
         upwind_plan(UniformGrid::new_2d(12, 4, 1.0, 1.0).build())
     }
 
     /// A compiled-flux plan on the mesh of `jittered_array.pbte` (24×24
-    /// jittered quads, no flux table): 22 interior rows, each one run of 22
-    /// cells found from the connectivity alone.
+    /// jittered quads, no flux table): 24 rows, each one run of 22 cells,
+    /// and two x-end columns of 22, found from the connectivity and the
+    /// walls alone.
     fn jittered_plan() -> CompiledProblem {
         let msh = include_str!("../../../../examples/meshes/jittered_array.msh");
         upwind_plan(pbte_mesh::gmsh::parse_msh(msh).unwrap())
     }
 
     /// The run table is proved, not trusted, on both flux paths: a wrong
-    /// neighbor offset, a wrong class (table plans have them), a run
-    /// stretched over a boundary cell and overlapping or shifted runs are
+    /// neighbor offset, ghost-row step, stride or class (table plans have
+    /// them), a run stretched over a corner and overlapping or shifted runs are
     /// each refused by `verify_plan` under `geometry/run-mismatch` and
     /// nothing else, on the sequential and on the fanned-out scope.
     #[test]
     fn a_tampered_run_table_is_refused() {
         let (table, compiled) = (grid_plan(), jittered_plan());
         assert!(table.flux_lin.is_some() && compiled.compiled_flux());
-        assert_eq!(table.hot.runs.len(), 2);
-        assert_eq!(compiled.hot.run_cells_in(0, 24 * 24), 22 * 22);
+        assert_eq!(table.hot.runs.len(), 4);
+        assert_eq!(compiled.hot.run_cells_in(0, 24 * 24), 24 * 24 - 4);
         assert!(compiled.hot.class.is_empty());
 
         type Tamper = fn(&mut CompiledProblem);
         fn hot(cp: &mut CompiledProblem) -> &mut crate::exec::HotGeometry {
             std::sync::Arc::make_mut(&mut cp.hot)
         }
-        let shape: [(&str, Tamper); 4] = [
-            ("delta", |cp| hot(cp).runs[0].delta[1] += 1),
-            ("boundary cell (len)", |cp| hot(cp).runs[0].len += 1),
+        // The first ghost-row slot of the first run (the bottom wall row).
+        fn ghost_row(cp: &mut CompiledProblem) {
+            let run = &mut hot(cp).runs[0];
+            let s = run.kind.iter().position(|&k| k == SLOT_ROW).unwrap();
+            run.step[s] += 1;
+        }
+        let shape: [(&str, Tamper); 6] = [
+            ("neighbor offset", |cp| hot(cp).runs[1].at[1] += 1),
+            ("ghost row step", ghost_row),
+            ("stride", |cp| hot(cp).runs[1].stride = 2),
+            ("corner (len)", |cp| hot(cp).runs[0].len += 1),
             ("shifted (first)", |cp| hot(cp).runs[1].first += 1),
             ("overlap", |cp| {
                 hot(cp).runs[1].first = cp.hot.runs[0].first + 4

@@ -49,7 +49,7 @@ pub fn check_intervals(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
     for (kernel, program) in [("volume", &cp.volume), ("flux", &cp.flux)] {
         for flat in 0..cp.n_flat {
             let idx = &cp.idx_of_flat[flat];
-            let location = format!("{kernel} kernel (vm, flat {flat})");
+            let location = || format!("{kernel} kernel (vm, flat {flat})");
             let leaf = |o: &Unbound| match o {
                 Unbound::Reg(_) => unreachable!("registers are the walker's"),
                 Unbound::K(k) => Interval::point(*k),
@@ -83,7 +83,7 @@ pub fn check_intervals(cp: &CompiledProblem, out: &mut Vec<Diagnostic>) {
         'kernels: for (kind, name, _) in cp.lowered_kernels() {
             for flat in 0..cp.n_flat {
                 let reg = cp.bind(kind, flat);
-                let loc = format!("{name} kernel (row, flat {flat})");
+                let loc = || format!("{name} kernel (row, flat {flat})");
                 if let Err(d) = run_stmts(&env, reg.stmts(), reg.n_regs(), leaf, &loc) {
                     out.push(d);
                     break 'kernels;
@@ -203,21 +203,25 @@ fn diag(rule: &'static str, location: String, message: String) -> Diagnostic {
     }
 }
 
-fn op_error(err: IntervalError, location: &str, pc: usize) -> Diagnostic {
+fn op_error(err: IntervalError, location: &dyn Fn() -> String, pc: usize) -> Diagnostic {
     let rule = match err {
         IntervalError::DivByZero => rules::INTERVAL_DIV_BY_ZERO,
         IntervalError::Domain(_) => rules::INTERVAL_DOMAIN,
     };
-    diag(rule, format!("{location}, op {pc}"), err.to_string())
+    diag(rule, format!("{}, op {pc}", location()), err.to_string())
 }
 
-fn finite_check(v: Interval, location: &str, pc: usize) -> Result<Interval, Diagnostic> {
+fn finite_check(
+    v: Interval,
+    location: &dyn Fn() -> String,
+    pc: usize,
+) -> Result<Interval, Diagnostic> {
     if v.is_finite() {
         Ok(v)
     } else {
         Err(diag(
             rules::INTERVAL_NON_FINITE,
-            format!("{location}, op {pc}"),
+            format!("{}, op {pc}", location()),
             format!("result range {v} is not finite (overflow or NaN)"),
         ))
     }
@@ -265,13 +269,14 @@ fn select_interval(test: Interval, if_true: Interval, if_false: Interval) -> Int
 }
 
 /// Abstractly execute one statement list over a file of `n_regs`
-/// registers, every non-register operand valued by `leaf`.
+/// registers, every non-register operand valued by `leaf`. `location` is
+/// only rendered for a finding.
 fn run_stmts<O: Alphabet>(
     env: &Env,
     stmts: &[RegStmt<O>],
     n_regs: usize,
     leaf: impl Fn(&O) -> Interval,
-    location: &str,
+    location: &dyn Fn() -> String,
 ) -> Result<(), Diagnostic> {
     let mut regs: Vec<Interval> = vec![Interval::point(0.0); n_regs];
     for (pc, stmt) in stmts.iter().enumerate() {

@@ -15,8 +15,8 @@
 //!    declaration. An expression initial must read only variables
 //!    initialised before it fills (`initial/uninitialised-read`). The CSR
 //!    face geometry the span kernels index is bounds-checked
-//!    too, and the stencil run table the span
-//!    kernels walk is re-derived from it (`geometry/run-mismatch`). The
+//!    too, and the stencil run tables the span
+//!    kernels walk are re-derived from it (`geometry/run-mismatch`). The
 //!    lowered wall tables those kernels read boundary faces through are
 //!    re-derived from the declared boundary forms and held to the closures
 //!    they replace (`boundary`, `boundary/form-mismatch`).
@@ -115,9 +115,10 @@ pub mod rules {
     pub const UNINITIALISED_READ: &str = "initial/uninitialised-read";
     /// The CSR face geometry violates a structural invariant.
     pub const CSR_INVARIANT: &str = "geometry/csr-invariant";
-    /// The stencil run table disagrees with the CSR face geometry it
-    /// summarises (a run's face count, neighbor offset or class does not
-    /// hold for one of its cells, or runs overlap or leave the mesh).
+    /// The stencil run tables disagree with the CSR face geometry and wall
+    /// reads they summarise (a run's face count, slot stream or class does
+    /// not hold for one of its cells, a run leaves the mesh, or the runs
+    /// and the remainder list do not cover every cell exactly once).
     pub const RUN_MISMATCH: &str = "geometry/run-mismatch";
     /// A lowered wall table disagrees with the boundary condition it
     /// replaces: a gather entry is not what the declared source names, an

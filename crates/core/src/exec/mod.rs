@@ -54,6 +54,7 @@ pub(crate) mod seq;
 pub(crate) mod walls;
 
 pub use walls::Walls;
+use walls::GATHER;
 
 use crate::analysis::{Diagnostic, Scope};
 use crate::bytecode::{
@@ -900,49 +901,95 @@ impl CallbackCatalog {
 pub(crate) const MAX_RUN_FACES: usize = 6;
 
 /// Shortest stencil run worth recording: below two 4-lane vectors the
-/// per-segment setup (hoisting `3·nf` coefficients) outweighs what the
-/// straight-line loop saves over the CSR walk.
+/// per-segment setup (hoisting `3·nf` coefficients and `nf` streams)
+/// outweighs what the straight-line loop saves over the CSR walk.
 pub(crate) const MIN_RUN: usize = 8;
 
-/// A maximal run of consecutive all-interior cells `first .. first + len`
-/// that share one face count and one neighbor offset per face slot
-/// (`nbr[k] − cell`) — a shape of the mesh connectivity, what any mesh
-/// numbered row by row is between its walls — and, on a table plan, one
-/// orientation class per face slot as well (what a structured grid adds).
-/// Inside a run the flux sum needs no CSR walk: slot `s` of cell `c` reads
-/// `u_row[c + delta[s]]`, and its area (and, for the compiled flux, its
-/// oriented normal) sits at face slot `offsets[first] + nf·(c − first) + s`;
-/// the table path takes the αβγ of `class[s]`. Areas and normals are
-/// deliberately *not* part of the shape: on a uniform grid the edge lengths
-/// of consecutive cells differ in the last bit, and on a jittered mesh every
-/// face has its own normal, so both stay per-slot loads.
+/// [`StencilRun::kind`] of a slot that reads an interior neighbor.
+pub const SLOT_NBR: u32 = 0;
+/// [`StencilRun::kind`] of a slot that reads a row of the ghost values.
+pub const SLOT_ROW: u32 = 1;
+/// [`StencilRun::kind`] of a slot that reads through a gather column.
+pub const SLOT_GATHER: u32 = 2;
+
+/// A run of cells `first + j·stride`, `j < len`, that share one face count
+/// and, per face slot, one affine stream the slot reads — a shape of the
+/// mesh connectivity and its walls, what any mesh numbered row by row is
+/// between its corners: interior rows and wall rows (`stride` 1), and the
+/// columns at the ends of the rows (`stride` the row length). On a table
+/// plan the slots also share one orientation class each. Slot `s` of the
+/// run's `j`-th cell `c` reads, by `kind[s]`:
+///
+/// * [`SLOT_NBR`]: `u_row[c + at[s]]`, an interior neighbor;
+/// * [`SLOT_ROW`]: row `at[s] + j·step[s]` of the flat's ghost values
+///   (`Walls::at`): a `Value`, Fixed or callback wall;
+/// * [`SLOT_GATHER`]: the unknown at `c` in the source flat gather column
+///   `at[s]` names (`Walls::column`): a lowered Gather wall.
+///
+/// Each is the value `Walls::ghost_read` (or the neighbor read) loads for
+/// that face, so a run's cell sums exactly what the CSR walk sums. Its
+/// areas (and, for the compiled flux, its oriented normals) sit at face
+/// slot `offsets[c] + s`. Areas and normals are deliberately *not* part of
+/// the shape: on a uniform grid the edge lengths of consecutive cells
+/// differ in the last bit, and on a jittered mesh every face has its own
+/// normal, so both stay per-slot loads.
 ///
 /// `#[repr(C)]`: the emitted native source declares the same struct and
-/// reads the table through `NativeArgs::runs`.
+/// reads the tables through `NativeArgs::runs` and `NativeArgs::strided`.
 #[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct StencilRun {
+pub struct StencilRun {
     pub first: u32,
     pub len: u32,
+    /// Cells from one cell of the run to the next.
+    pub stride: u32,
     /// Faces per cell, `≤ MAX_RUN_FACES`; slots past it are zero.
     pub nf: u32,
-    pub delta: [i32; MAX_RUN_FACES],
+    /// What each slot reads: [`SLOT_NBR`], [`SLOT_ROW`] or [`SLOT_GATHER`].
+    pub kind: [u32; MAX_RUN_FACES],
+    /// Per slot: the neighbor offset `nbr − c`, the ghost row of the run's
+    /// first cell, or the gather column.
+    pub at: [i32; MAX_RUN_FACES],
+    /// Per ghost-row slot: rows from one cell of the run to the next; zero
+    /// for the other kinds.
+    pub step: [i32; MAX_RUN_FACES],
     /// Orientation class per slot on a table plan; zero on a plan without
     /// a [`FluxLinearization`], whose geometry has no classes.
     pub class: [u32; MAX_RUN_FACES],
 }
 
 impl StencilRun {
+    /// The run's `j`-th cell.
+    #[inline]
+    pub fn cell(&self, j: usize) -> usize {
+        self.first as usize + j * self.stride as usize
+    }
+
     /// One past the run's last cell.
     #[inline]
     pub fn end(&self) -> usize {
-        self.first as usize + self.len as usize
+        self.cell(self.len as usize - 1) + 1
+    }
+
+    /// Whether every slot reads the unknown at its cell's own pace:
+    /// stride 1 and no ghost row — an interior run, or a row along a
+    /// Gather wall. The native tier reads such a run's slots at fixed
+    /// offsets from the cell's own value, the form the back end
+    /// vectorises.
+    pub fn unit(&self) -> bool {
+        self.stride == 1 && !self.kind[..self.nf as usize].contains(&SLOT_ROW)
     }
 
     /// The run a lone `cell` would start, if it has `3..=MAX_RUN_FACES`
-    /// faces, all interior and within `i32` of it. `class` is per face slot,
-    /// or empty when the plan has no classes.
-    fn of_cell(cell: usize, offsets: &[u32], nbr: &[i64], class: &[u32]) -> Option<StencilRun> {
+    /// faces, its neighbors within `i32` of it. `class` is per face slot,
+    /// or empty when the plan has no classes; `read` is [`Walls::read`].
+    fn of_cell(
+        cell: usize,
+        offsets: &[u32],
+        nbr: &[i64],
+        class: &[u32],
+        read: &[u32],
+    ) -> Option<StencilRun> {
         let (start, end) = (offsets[cell] as usize, offsets[cell + 1] as usize);
         let nf = end - start;
         if !(3..=MAX_RUN_FACES).contains(&nf) {
@@ -951,52 +998,133 @@ impl StencilRun {
         let mut run = StencilRun {
             first: cell as u32,
             len: 1,
+            stride: 1,
             nf: nf as u32,
-            delta: [0; MAX_RUN_FACES],
+            kind: [SLOT_NBR; MAX_RUN_FACES],
+            at: [0; MAX_RUN_FACES],
+            step: [0; MAX_RUN_FACES],
             class: [0; MAX_RUN_FACES],
         };
         for (s, k) in (start..end).enumerate() {
-            if nbr[k] < 0 {
-                return None;
-            }
-            run.delta[s] = i32::try_from(nbr[k] - cell as i64).ok()?;
+            (run.kind[s], run.at[s]) = match nbr[k] {
+                nb if nb >= 0 => (SLOT_NBR, i32::try_from(nb - cell as i64).ok()?),
+                nb => match read[(-(nb + 1)) as usize] {
+                    r if r & GATHER != 0 => (SLOT_GATHER, (r ^ GATHER) as i32),
+                    r => (SLOT_ROW, i32::try_from(r).ok()?),
+                },
+            };
             run.class[s] = class.get(k).copied().unwrap_or(0);
         }
         Some(run)
     }
 
-    /// Whether two runs have the same shape (face count, deltas, classes).
-    pub fn same_shape(&self, other: &StencilRun) -> bool {
-        (self.nf, self.delta, self.class) == (other.nf, other.delta, other.class)
+    /// Append `next` — the lone run of the cell one `stride` past the last
+    /// — if it continues every stream: the same face count, kinds, classes,
+    /// neighbor offsets and gather columns, and each ghost row one `step`
+    /// further (the second cell fixes the steps).
+    fn extend(&mut self, next: &StencilRun) -> bool {
+        if (next.nf, next.kind, next.class) != (self.nf, self.kind, self.class) {
+            return false;
+        }
+        let mut grown = *self;
+        for s in 0..self.nf as usize {
+            let (at, next_at) = (self.at[s] as i64, next.at[s] as i64);
+            let continues = match self.kind[s] {
+                SLOT_ROW if self.len == 1 => i32::try_from(next_at - at)
+                    .map(|step| grown.step[s] = step)
+                    .is_ok(),
+                SLOT_ROW => at + self.len as i64 * self.step[s] as i64 == next_at,
+                _ => at == next_at,
+            };
+            if !continues {
+                return false;
+            }
+        }
+        grown.len += 1;
+        *self = grown;
+        true
     }
 
-    /// The stencil runs of a CSR face geometry, sorted by `first`: one
-    /// pass over the cells, a run kept when it reaches [`MIN_RUN`] cells.
-    /// With an empty `class` the shape is the connectivity alone.
-    /// [`crate::analysis::verify_plan`] re-derives every recorded run
-    /// from the same arrays (`geometry/run-mismatch`).
-    pub(crate) fn detect(offsets: &[u32], nbr: &[i64], class: &[u32]) -> Vec<StencilRun> {
+    /// The stencil runs of a CSR face geometry whose boundary slots read
+    /// `read` ([`Walls::read`]), and the cells they leave to the CSR walk:
+    /// `(runs, strided, rest)`. `runs` are the maximal stride-1 runs, one
+    /// pass over the cells. Then every wall cell no run took, ascending,
+    /// starts the first run along one of its positive neighbor offsets
+    /// (smallest first) over cells no run took yet; `strided` keeps those.
+    /// A run is kept when it reaches [`MIN_RUN`] cells, and a walk that
+    /// stops short of that costs fewer than `MIN_RUN` steps, so detection
+    /// is linear in the cells. `rest` is every cell left, ascending. With
+    /// an empty `class` the shape is the connectivity and the walls alone.
+    /// [`crate::analysis::verify_plan`] re-derives every recorded run from
+    /// the same arrays (`geometry/run-mismatch`).
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn detect(
+        offsets: &[u32],
+        nbr: &[i64],
+        class: &[u32],
+        read: &[u32],
+    ) -> (Vec<StencilRun>, Vec<StencilRun>, Vec<u32>) {
+        let n = offsets.len().saturating_sub(1);
+        let lone = |cell| StencilRun::of_cell(cell, offsets, nbr, class, read);
+        let long = |run: &StencilRun| run.len as usize >= MIN_RUN;
         let mut runs = Vec::new();
         let mut open: Option<StencilRun> = None;
-        let mut close = |run: Option<StencilRun>| {
-            runs.extend(run.filter(|r| r.len as usize >= MIN_RUN));
-        };
-        for cell in 0..offsets.len().saturating_sub(1) {
-            let here = StencilRun::of_cell(cell, offsets, nbr, class);
-            open = match (open, here) {
-                (Some(mut run), Some(here)) if run.same_shape(&here) => {
-                    run.len += 1;
-                    Some(run)
-                }
-                (run, here) => {
-                    close(run);
-                    here
-                }
+        for cell in 0..n {
+            let here = lone(cell);
+            let extended = match (&mut open, &here) {
+                (Some(run), Some(here)) => run.extend(here),
+                _ => false,
             };
+            if !extended {
+                runs.extend(open.take().filter(long));
+                open = here;
+            }
         }
-        close(open);
-        runs
+        runs.extend(open.filter(long));
+        let mut taken = vec![false; n];
+        for run in &runs {
+            taken[run.first as usize..run.end()].fill(true);
+        }
+        let mut strided = Vec::new();
+        for cell in 0..n {
+            let faces = offsets[cell] as usize..offsets[cell + 1] as usize;
+            if taken[cell] || nbr[faces].iter().all(|&nb| nb >= 0) {
+                continue;
+            }
+            let Some(start) = lone(cell) else { continue };
+            let slots = start.kind.iter().zip(start.at).take(start.nf as usize);
+            let mut strides: Vec<usize> = slots
+                .filter(|&(&kind, at)| kind == SLOT_NBR && at >= 2)
+                .map(|(_, at)| at as usize)
+                .collect();
+            strides.sort_unstable();
+            for stride in strides {
+                let mut run = StencilRun {
+                    stride: stride as u32,
+                    ..start
+                };
+                let mut next = cell + stride;
+                while next < n && !taken[next] && lone(next).is_some_and(|h| run.extend(&h)) {
+                    next += stride;
+                }
+                if long(&run) {
+                    (0..run.len as usize).for_each(|j| taken[run.cell(j)] = true);
+                    strided.push(run);
+                    break;
+                }
+            }
+        }
+        let rest = (0..n).filter(|&c| !taken[c]).map(|c| c as u32).collect();
+        (runs, strided, rest)
     }
+}
+
+/// One piece of a span as the span kernels walk it ([`HotGeometry::segments`]).
+pub(crate) enum Segment<'a> {
+    /// The cells `j0 .. j1` of a stencil run.
+    Run(&'a StencilRun, usize, usize),
+    /// One cell of no run, for the CSR walk.
+    Cell(usize),
 }
 
 /// Structure-of-arrays face connectivity the generated CPU code indexes
@@ -1021,19 +1149,27 @@ pub(crate) struct HotGeometry {
     pub dim: usize,
     /// 1 / cell volume.
     pub inv_volume: Vec<f64>,
-    /// Stencil runs over the cells, sorted and disjoint. The span kernels
-    /// of both flux paths walk a span as run segments and CSR remainders.
+    /// Stride-1 stencil runs — interior and wall rows — sorted and
+    /// disjoint.
     pub runs: Vec<StencilRun>,
+    /// Strided stencil runs — the wall cells the rows leave, such as the
+    /// columns at the ends of a grid's rows — sorted by first cell.
+    pub strided: Vec<StencilRun>,
+    /// The cells of no run, ascending: the corners of a grid, every cell
+    /// of a mesh without runs. Together with the runs, every cell once.
+    pub rest: Vec<u32>,
 }
 
 impl HotGeometry {
     /// `lin` on a table plan (each slot's normal is looked up among its
     /// classes); `None` on a compiled-flux plan, whose kernels read
-    /// per-slot normals.
+    /// per-slot normals. `read` is the plan's [`Walls::read`], which the
+    /// stencil runs read their boundary slots through.
     fn build(
         mesh: &pbte_mesh::Mesh,
         bface_slot: &[usize],
         lin: Option<&FluxLinearization>,
+        read: &[u32],
     ) -> HotGeometry {
         let n = mesh.n_cells();
         // Every array is sized once: grown by doubling, each would copy
@@ -1067,7 +1203,7 @@ impl HotGeometry {
             }
             offsets.push(nbr.len() as u32);
         }
-        let runs = StencilRun::detect(&offsets, &nbr, &class);
+        let (runs, strided, rest) = StencilRun::detect(&offsets, &nbr, &class, read);
         HotGeometry {
             offsets,
             nbr,
@@ -1077,19 +1213,51 @@ impl HotGeometry {
             dim: mesh.dim,
             inv_volume: mesh.cell_volumes.iter().map(|v| 1.0 / v).collect(),
             runs,
+            strided,
+            rest,
         }
+    }
+
+    /// The cells `cell0 .. end` as the span kernels walk them, in three
+    /// independent loops: every stride-1 run that overlaps them, then every
+    /// strided run, each clipped to them, then every cell of no run. Each
+    /// cell comes once (`geometry/run-mismatch` proves the tables cover
+    /// every cell once).
+    pub fn segments(&self, cell0: usize, end: usize) -> impl Iterator<Item = Segment<'_>> {
+        let from = self.runs.partition_point(|r| r.end() <= cell0);
+        let runs = self.runs[from..]
+            .iter()
+            .take_while(move |r| (r.first as usize) < end);
+        let runs = runs.map(move |r| {
+            let first = r.first as usize;
+            Segment::Run(
+                r,
+                cell0.saturating_sub(first),
+                (end - first).min(r.len as usize),
+            )
+        });
+        let strided = self
+            .strided
+            .iter()
+            .take_while(move |r| (r.first as usize) < end);
+        let strided = strided.filter_map(move |r| {
+            let (first, stride) = (r.first as usize, r.stride as usize);
+            let j0 = cell0.saturating_sub(first).div_ceil(stride);
+            let j1 = (end - first).div_ceil(stride).min(r.len as usize);
+            (j0 < j1).then_some(Segment::Run(r, j0, j1))
+        });
+        let from = self.rest.partition_point(|&c| (c as usize) < cell0);
+        let rest = self.rest[from..].iter().map(|&c| c as usize);
+        let rest = rest.take_while(move |&c| c < end).map(Segment::Cell);
+        runs.chain(strided).chain(rest)
     }
 
     /// How many of the cells `start .. start + len` lie inside stencil
     /// runs.
     pub fn run_cells_in(&self, start: usize, len: usize) -> usize {
-        let end = start + len;
-        let from = self.runs.partition_point(|r| r.end() <= start);
-        self.runs[from..]
-            .iter()
-            .take_while(|r| (r.first as usize) < end)
-            .map(|r| r.end().min(end) - (r.first as usize).max(start))
-            .sum()
+        let from = self.rest.partition_point(|&c| (c as usize) < start);
+        let to = self.rest.partition_point(|&c| (c as usize) < start + len);
+        len - (to - from)
     }
 
     /// How many of `scope`'s owned cells lie inside stencil runs.
@@ -1214,14 +1382,18 @@ impl CompiledProblem {
         let walls = Walls::lower(mesh, &boundary, &plan.idx_of_flat, &fields);
         let catalog = CallbackCatalog::build(&problem, &boundary, &walls)?;
         // The hot geometry is a function of the mesh, the boundary slots,
-        // the face classes and which flux path reads it.
-        let same_flux_path = |p: &&CompiledProblem| p.flux_lin.is_some() == plan.flux_lin.is_some();
-        let hot = match primal.filter(same_flux_path) {
+        // the face classes, which flux path reads it and what each boundary
+        // slot reads (its stencil runs read the walls).
+        let same_geometry = |p: &&CompiledProblem| {
+            p.flux_lin.is_some() == plan.flux_lin.is_some() && p.walls.read == walls.read
+        };
+        let hot = match primal.filter(same_geometry) {
             Some(primal) => primal.hot.clone(),
             None => Arc::new(HotGeometry::build(
                 mesh,
                 &bface_slot,
                 plan.flux_lin.as_ref(),
+                &walls.read,
             )),
         };
         let cp = CompiledProblem {
@@ -1247,6 +1419,16 @@ impl CompiledProblem {
     #[doc(hidden)]
     pub fn plan_mut(&mut self) -> &mut Plan {
         Arc::make_mut(&mut self.plan)
+    }
+
+    /// The stencil run tables, to edit — the stride-1 runs, then the
+    /// strided: this problem's private copy of the hot geometry from here
+    /// on. For tests that tamper with a run to provoke
+    /// `geometry/run-mismatch`.
+    #[doc(hidden)]
+    pub fn stencil_runs_mut(&mut self) -> (&mut Vec<StencilRun>, &mut Vec<StencilRun>) {
+        let hot = Arc::make_mut(&mut self.hot);
+        (&mut hot.runs, &mut hot.strided)
     }
 
     /// `lowered` or `reused`: where this build's plan came from — the

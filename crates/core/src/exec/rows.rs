@@ -5,10 +5,11 @@
 //! statements, the fused row kernel this module
 //! implements — a [`RegProgram`] for the source
 //! term, then a flux pass over the `hot` SoA geometry (on meshes with few
-//! face orientations the αβγ table, walked as straight-line stencil-run
-//! segments where the mesh is regular and as CSR remainders elsewhere;
-//! the flux's own [`RegProgram`] batched over face slots otherwise — the
-//! native tier walks runs on that path too, this one's lane walk does not),
+//! face orientations the αβγ table, walked in three loops — straight-line
+//! stride-1 and strided stencil runs, which read interior neighbors and
+//! walls alike, then the CSR walk of the cells no run takes; the flux's
+//! own [`RegProgram`] batched over face slots otherwise — the native tier
+//! walks runs on that path too, this one's lane walk does not),
 //! evaluated over a whole contiguous cell span per call — and the native
 //! tier, which AOT-compiles the same two passes to machine code through
 //! [`crate::nativegen`]. All tiers are bit-identical per
@@ -31,7 +32,9 @@
 //! `dlopen`) happens once per compiled problem, and failures degrade to
 //! the row tier with a [`Diagnostic`] instead of erroring.
 
-use super::{seq, CompiledProblem, FluxLinearization, HotGeometry, StencilRun, WorkCounters};
+use super::{
+    seq, CompiledProblem, FluxLinearization, Segment, StencilRun, WorkCounters, SLOT_NBR, SLOT_ROW,
+};
 use crate::analysis::{rules, Diagnostic, Scope, Severity, Tile};
 use crate::bytecode::{
     KernelKind, Operand, RegExpr, RegProgram, FACE_INPUTS, FACE_NORMAL, FACE_U1, FACE_U2, ROW_CHUNK,
@@ -241,107 +244,140 @@ fn finish_dof(
     }
 }
 
-/// The table flux over the cells `cell0 .. cell0 + out.len()` by the CSR
-/// walk: `seq::flux_sum_dof`'s linearized fast path face for face (same
-/// order, same operations), so results are bit-identical to the per-DOF
-/// tiers. Reads boundary faces through `Walls::ghost_read` from `ghosts`
-/// and handles any face count. `u` is the whole unknown, `u_row` its row
-/// `flat`.
-#[allow(clippy::too_many_arguments)]
-fn flux_csr(
-    cp: &CompiledProblem,
-    lin: &FluxLinearization,
-    u: &[f64],
-    u_row: &[f64],
+/// What the table flux of one flat reads: the plan and its αβγ table, the
+/// whole unknown `u` and its row `u_row` of `flat`, the ghost values, and
+/// the fused update's step, if any.
+#[derive(Clone, Copy)]
+struct TableFlux<'a> {
+    cp: &'a CompiledProblem,
+    lin: &'a FluxLinearization,
+    u: &'a [f64],
+    u_row: &'a [f64],
     flat: usize,
-    ghosts: &[f64],
-    cell0: usize,
-    out: &mut [f64],
+    ghosts: &'a [f64],
     fused_dt: Option<f64>,
-) {
-    let hot = &cp.hot;
-    let n_cells = u_row.len();
-    let walls = &cp.walls;
-    for (i, o) in out.iter_mut().enumerate() {
-        let cell = cell0 + i;
-        let u_here = u_row[cell];
-        let start = hot.offsets[cell] as usize;
-        let end = hot.offsets[cell + 1] as usize;
+}
+
+impl TableFlux<'_> {
+    /// The table flux of `cell` by the CSR walk, `o` holding its source on
+    /// entry: `seq::flux_sum_dof`'s linearized fast path face for face
+    /// (same order, same operations), so results are bit-identical to the
+    /// per-DOF tiers. Reads boundary faces through `Walls::ghost_read` and
+    /// handles any face count.
+    fn csr(&self, cell: usize, o: &mut f64) {
+        let hot = &self.cp.hot;
+        let u_here = self.u_row[cell];
         let mut flux_sum = 0.0;
-        for k in start..end {
+        for k in hot.offsets[cell] as usize..hot.offsets[cell + 1] as usize {
             let nb = hot.nbr[k];
             let u2 = if nb >= 0 {
-                u_row[nb as usize]
+                self.u_row[nb as usize]
             } else {
-                walls.ghost_read(ghosts, u, n_cells, (-(nb + 1)) as usize, flat, cell)
+                let (slot, n_cells) = ((-(nb + 1)) as usize, self.u_row.len());
+                let walls = &self.cp.walls;
+                walls.ghost_read(self.ghosts, self.u, n_cells, slot, self.flat, cell)
             };
-            flux_sum += hot.area[k] * lin.eval(flat, hot.class[k], u_here, u2);
+            flux_sum += hot.area[k] * self.lin.eval(self.flat, hot.class[k], u_here, u2);
         }
-        *o = finish_dof(*o, flux_sum, hot.inv_volume[cell], u_here, fused_dt);
+        *o = finish_dof(*o, flux_sum, hot.inv_volume[cell], u_here, self.fused_dt);
     }
-}
 
-/// The table flux over cells `cell0 .. cell0 + out.len()` lying inside
-/// the stencil run `run` of `NF`-face cells: per slot, the αβγ of the
-/// run's class and the neighbor row at the run's delta are hoisted out of
-/// the loop, leaving `flux += area · (γ + α·u + β·u_nbr)` for slots
-/// `0..NF` in order — per dof the operation sequence of [`flux_csr`], so
-/// the same bits. Runs are all-interior, so there is no boundary case.
-#[allow(clippy::too_many_arguments)]
-fn flux_stencil<const NF: usize>(
-    hot: &HotGeometry,
-    lin: &FluxLinearization,
-    run: &StencilRun,
-    u_row: &[f64],
-    flat: usize,
-    cell0: usize,
-    out: &mut [f64],
-    fused_dt: Option<f64>,
-) {
-    let len = out.len();
-    let coef: [[f64; 3]; NF] = std::array::from_fn(|s| {
-        let at = flat * lin.n_classes + run.class[s] as usize;
-        [lin.gamma[at], lin.alpha[at], lin.beta[at]]
-    });
-    let nbr: [&[f64]; NF] = std::array::from_fn(|s| {
-        let at = (cell0 as i64 + run.delta[s] as i64) as usize;
-        &u_row[at..at + len]
-    });
-    let k0 = hot.offsets[cell0] as usize;
-    let area = hot.area[k0..k0 + NF * len].chunks_exact(NF);
-    let u = &u_row[cell0..cell0 + len];
-    let inv_volume = &hot.inv_volume[cell0..cell0 + len];
-    for (j, (o, area)) in out.iter_mut().zip(area).enumerate() {
-        let u_here = u[j];
-        let mut flux_sum = 0.0;
-        for s in 0..NF {
-            let [gamma, alpha, beta] = coef[s];
-            flux_sum += area[s] * (gamma + alpha * u_here + beta * nbr[s][j]);
+    /// Where slot `s` of `run` reads from the run's cell `j0` on: the
+    /// values, the index of cell `j0`'s value, and the index step from one
+    /// cell of the run to the next — the neighbor row, or
+    /// `Walls::ghost_read`'s ghost row or gather column, as one affine
+    /// stream.
+    fn stream(&self, run: &StencilRun, s: usize, j0: usize) -> (&[f64], isize, isize) {
+        let walls = &self.cp.walls;
+        let c = run.cell(j0) as isize;
+        let (at, stride) = (run.at[s] as isize, run.stride as isize);
+        match run.kind[s] {
+            SLOT_NBR => (self.u_row, c + at, stride),
+            SLOT_ROW => {
+                let step = run.step[s] as isize;
+                let row = walls.at(0, self.flat) as isize + at + j0 as isize * step;
+                (self.ghosts, row, step)
+            }
+            _ => {
+                let source = walls.column(at as usize)[self.flat] as isize;
+                (self.u, source * self.u_row.len() as isize + c, stride)
+            }
         }
-        *o = finish_dof(*o, flux_sum, inv_volume[j], u_here, fused_dt);
     }
-}
 
-type StencilFn = fn(
-    &HotGeometry,
-    &FluxLinearization,
-    &StencilRun,
-    &[f64],
-    usize,
-    usize,
-    &mut [f64],
-    Option<f64>,
-);
+    /// The table flux over the cells `j0 .. j1` of the stencil run `run` of
+    /// `NF`-face cells, `out` covering the cells from `cell0`: per slot, the
+    /// αβγ of the run's class and the slot's stream are hoisted out of the
+    /// loop, leaving `flux += area · (γ + α·u + β·u2)` for slots `0..NF` in
+    /// order — per dof the operation sequence of [`Self::csr`] on the same
+    /// values, so the same bits.
+    fn stencil<const NF: usize>(
+        &self,
+        run: &StencilRun,
+        j0: usize,
+        j1: usize,
+        cell0: usize,
+        out: &mut [f64],
+    ) {
+        let (hot, lin) = (&self.cp.hot, self.lin);
+        let coef: [[f64; 3]; NF] = std::array::from_fn(|s| {
+            let at = self.flat * lin.n_classes + run.class[s] as usize;
+            [lin.gamma[at], lin.alpha[at], lin.beta[at]]
+        });
+        let streams: [_; NF] = std::array::from_fn(|s| self.stream(run, s, j0));
+        let (c0, n) = (run.cell(j0), j1 - j0);
+        if streams.iter().all(|&(_, _, step)| step == 1) {
+            // Every stream steps one value per cell, as do the cells (the
+            // stride is 1) and their face slots: all of them are slices.
+            let u2: [&[f64]; NF] = std::array::from_fn(|s| {
+                let (values, at, _) = streams[s];
+                &values[at as usize..at as usize + n]
+            });
+            let k0 = hot.offsets[c0] as usize;
+            let area = hot.area[k0..k0 + NF * n].chunks_exact(NF);
+            let cells = self.u_row[c0..c0 + n]
+                .iter()
+                .zip(&hot.inv_volume[c0..c0 + n]);
+            let out = out[c0 - cell0..c0 - cell0 + n].iter_mut().zip(area);
+            for (j, ((o, area), (&u_here, &inv_volume))) in out.zip(cells).enumerate() {
+                let mut flux_sum = 0.0;
+                for s in 0..NF {
+                    let [gamma, alpha, beta] = coef[s];
+                    flux_sum += area[s] * (gamma + alpha * u_here + beta * u2[s][j]);
+                }
+                *o = finish_dof(*o, flux_sum, inv_volume, u_here, self.fused_dt);
+            }
+            return;
+        }
+        for j in 0..n {
+            let c = run.cell(j0 + j);
+            let u_here = self.u_row[c];
+            let k = hot.offsets[c] as usize;
+            let mut flux_sum = 0.0;
+            for s in 0..NF {
+                let [gamma, alpha, beta] = coef[s];
+                let (values, at, step) = streams[s];
+                let u2 = values[(at + j as isize * step) as usize];
+                flux_sum += hot.area[k + s] * (gamma + alpha * u_here + beta * u2);
+            }
+            let o = &mut out[c - cell0];
+            *o = finish_dof(*o, flux_sum, hot.inv_volume[c], u_here, self.fused_dt);
+        }
+    }
 
-/// [`flux_stencil`] unrolled for a run's face count (triangles to
-/// hexahedra); `None` sends any other count through the CSR walk.
-fn stencil_kernel(nf: u32) -> Option<StencilFn> {
-    match nf {
-        3 => Some(flux_stencil::<3>),
-        4 => Some(flux_stencil::<4>),
-        5 => Some(flux_stencil::<5>),
-        6 => Some(flux_stencil::<6>),
-        _ => None,
+    /// [`Self::stencil`] unrolled for a run's face count (triangles to
+    /// hexahedra); any other count takes the CSR walk cell by cell.
+    fn run(&self, run: &StencilRun, j0: usize, j1: usize, cell0: usize, out: &mut [f64]) {
+        match run.nf {
+            3 => self.stencil::<3>(run, j0, j1, cell0, out),
+            4 => self.stencil::<4>(run, j0, j1, cell0, out),
+            5 => self.stencil::<5>(run, j0, j1, cell0, out),
+            6 => self.stencil::<6>(run, j0, j1, cell0, out),
+            _ => (j0..j1).for_each(|j| {
+                let c = run.cell(j);
+                self.csr(c, &mut out[c - cell0])
+            }),
+        }
     }
 }
 
@@ -350,50 +386,20 @@ fn stencil_kernel(nf: u32) -> Option<StencilFn> {
 /// the source for cell `cell0 + i`; on exit it holds the RHS or the fused
 /// update (see [`finish_dof`]).
 ///
-/// The span is walked as *run segments and CSR remainders*: where it
-/// overlaps a [`StencilRun`] of the plan's geometry the straight-line
-/// [`flux_stencil`] runs, elsewhere (boundary cells, irregular cells, a
-/// mesh without runs) the CSR walk of [`flux_csr`]. A span may start or
-/// end anywhere inside a run; both paths produce the same bits per dof,
-/// so the split never shows in the result.
-#[allow(clippy::too_many_arguments)]
-fn flux_combine(
-    cp: &CompiledProblem,
-    lin: &FluxLinearization,
-    u: &[f64],
-    u_row: &[f64],
-    flat: usize,
-    ghosts: &[f64],
-    cell0: usize,
-    out: &mut [f64],
-    fused_dt: Option<f64>,
-) {
-    let hot = &cp.hot;
-    let end = cell0 + out.len();
-    // The first run ending after `cell0` (runs are sorted and disjoint).
-    let mut next = hot.runs.partition_point(|r| r.end() <= cell0);
-    let mut cell = cell0;
-    while cell < end {
-        // Inside the next run: a stencil segment to its end. Before it (or
-        // past the last): a CSR segment up to it.
-        let (seg_end, stencil) = match hot.runs.get(next) {
-            Some(run) if run.first as usize <= cell => {
-                next += 1;
-                (
-                    run.end(),
-                    stencil_kernel(run.nf).map(|kernel| (run, kernel)),
-                )
-            }
-            Some(run) => (run.first as usize, None),
-            None => (end, None),
-        };
-        let seg_end = seg_end.min(end);
-        let seg = &mut out[cell - cell0..seg_end - cell0];
-        match stencil {
-            Some((run, kernel)) => kernel(hot, lin, run, u_row, flat, cell, seg, fused_dt),
-            None => flux_csr(cp, lin, u, u_row, flat, ghosts, cell, seg, fused_dt),
+/// The span is walked in three independent loops
+/// ([`HotGeometry::segments`]): the stride-1 [`StencilRun`]s overlapping
+/// it, then the strided ones, each clipped to the span and run by the
+/// straight-line [`TableFlux::stencil`], then the cells of no run (a grid's
+/// corners, every cell of a mesh without runs) by the CSR walk of
+/// [`TableFlux::csr`]. A span may start or end anywhere inside a run; both
+/// paths produce the same bits per dof, so the split never shows in the
+/// result.
+fn flux_combine(flux: TableFlux, cell0: usize, out: &mut [f64]) {
+    for segment in flux.cp.hot.segments(cell0, cell0 + out.len()) {
+        match segment {
+            Segment::Run(run, j0, j1) => flux.run(run, j0, j1, cell0, out),
+            Segment::Cell(c) => flux.csr(c, &mut out[c - cell0]),
         }
-        cell = seg_end;
     }
 }
 
@@ -534,7 +540,18 @@ fn rhs_span(
     let u = vars[cp.system.unknown];
     let u_row = &u[flat * n_cells..(flat + 1) * n_cells];
     match &cp.flux_lin {
-        Some(lin) => flux_combine(cp, lin, u, u_row, flat, ghosts, cell0, out, fused_dt),
+        Some(lin) => {
+            let flux = TableFlux {
+                cp,
+                lin,
+                u,
+                u_row,
+                flat,
+                ghosts,
+                fused_dt,
+            };
+            flux_combine(flux, cell0, out)
+        }
         None => flux_combine_compiled(
             &kernels.flux_reg[k],
             cp,
@@ -592,6 +609,10 @@ fn rhs_span_native(
         normals: hot.normals.as_ptr(),
         runs: hot.runs.as_ptr(),
         n_runs: hot.runs.len(),
+        strided: hot.strided.as_ptr(),
+        n_strided: hot.strided.len(),
+        rest: hot.rest.as_ptr(),
+        n_rest: hot.rest.len(),
     };
     // SAFETY: the kernel was generated for this exact plan (same variable
     // layout, same geometry arrays and wall tables, same n_cells baked
@@ -667,6 +688,7 @@ pub(crate) fn rhs_block(
 #[cfg(test)]
 mod tests {
     use super::super::MIN_RUN;
+    use super::super::SLOT_GATHER;
     use super::*;
     use crate::entities::Fields;
     use crate::problem::{BoundaryCondition, Problem};
@@ -701,10 +723,13 @@ mod tests {
         mesh
     }
 
-    /// Four-direction upwind transport with decay on `mesh`, whose whole
-    /// boundary is the region `wall`.
+    /// Four-direction upwind transport with decay on `mesh`. Its boundary
+    /// region `wall` is a fixed value; `mirror`, when the mesh has it, a
+    /// lowered gather — a different permutation of the directions per
+    /// side, so each side reads its own gather column.
     fn upwind_plan(mesh: Mesh) -> (CompiledProblem, Fields) {
         let dim = mesh.dim;
+        let mirrored = mesh.region_id("mirror").is_some();
         let mut p = Problem::new("rows-upwind");
         p.domain(dim);
         p.mesh(mesh);
@@ -717,6 +742,21 @@ mod tests {
             (17.0 * x.x + 5.0 * x.y + 3.0 * x.z + idx[0] as f64).sin()
         });
         p.boundary(i_var, "wall", BoundaryCondition::Value(0.25));
+        if mirrored {
+            let source = |n: Point, d: usize| match n.x < 0.0 {
+                true => 3 - d,
+                false => (d + 1) % 4,
+            };
+            p.boundary(
+                i_var,
+                "mirror",
+                BoundaryCondition::gather(
+                    &["I"],
+                    move |q| q.fields.value(0, q.owner_cell, source(q.normal, q.idx[0])),
+                    move |n, idx| Some(source(n, idx[0])),
+                ),
+            );
+        }
         if dim == 3 {
             p.coefficient_array("Sz", &[d], vec![0.0, 0.0, 0.0, 0.0]);
             p.conservation_form(i_var, "-I[d] + surface(upwind([Sx[d];Sy[d];Sz[d]], I[d]))");
@@ -751,6 +791,8 @@ mod tests {
             .map(|&c| base.cell_vertices(c).to_vec())
             .collect();
         let mut mesh = Mesh::from_cells(base.dim, base.vertices.clone(), &cells);
+        let (eps, lx) = (1e-9 * grid.lx, grid.lx);
+        mesh.add_boundary_region("mirror", |c| c.x < eps || c.x > lx - eps);
         mesh.add_boundary_region("wall", |_| true);
         mesh
     }
@@ -825,7 +867,9 @@ mod tests {
 
     /// Row and Native against `Vm` (the per-dof CSR walk), bit for bit,
     /// with the cell range cut so that spans start, end and straddle
-    /// inside stencil runs, with and without the fused update.
+    /// inside stencil runs — interior and wall rows, and the strided x-end
+    /// columns, which every span shorter than the mesh clips — with and
+    /// without the fused update.
     fn assert_runs_match_the_csr_walk(cp: &CompiledProblem, fields: &Fields, nx: usize) {
         assert!(cp.flux_lin.is_some(), "a table plan");
         let n_cells = fields.n_cells;
@@ -838,6 +882,8 @@ mod tests {
             nx - 2,
             nx - 1,
             nx,
+            nx + 1,
+            2 * nx + 3,
             n_cells,
         ];
         for fused_dt in [None, Some(1e-3)] {
@@ -860,73 +906,104 @@ mod tests {
         }
     }
 
-    /// (cells in runs, run count, distinct shapes) of a plan's run table.
-    fn run_census(cp: &CompiledProblem) -> (usize, usize, usize) {
-        let runs = &cp.hot.runs;
-        let mut shapes: Vec<&StencilRun> = Vec::new();
-        for r in runs {
-            if !shapes.iter().any(|s| s.same_shape(r)) {
-                shapes.push(r);
-            }
-        }
-        let cells = runs.iter().map(|r| r.len as usize).sum();
-        (cells, runs.len(), shapes.len())
+    /// (cells in stride-1 runs, their count, strided runs, the remainder)
+    /// of a plan's run tables.
+    fn run_census(cp: &CompiledProblem) -> (usize, usize, usize, Vec<u32>) {
+        let hot = &cp.hot;
+        let cells = hot.runs.iter().map(|r| r.len as usize).sum();
+        (cells, hot.runs.len(), hot.strided.len(), hot.rest.clone())
+    }
+
+    /// The cells of a grid outside the ends of its rows that run along
+    /// neither end of its columns: the corners of a 2-D grid, the
+    /// x-end∧y-end columns of a 3-D one.
+    fn grid_rest(grid: &UniformGrid) -> Vec<u32> {
+        let (nx, ny) = (grid.nx, grid.ny);
+        let layers = grid.nz.max(1);
+        let corners = [0, nx - 1, nx * (ny - 1), nx * ny - 1];
+        let rest = (0..layers).flat_map(|z| corners.map(|c| (z * nx * ny + c) as u32));
+        rest.collect()
     }
 
     #[test]
     fn stencil_runs_are_bit_identical_to_the_csr_walk_for_any_span_split() {
-        // Interior rows of 18 and 10 cells, both ≥ MIN_RUN.
+        // Rows of 18 and 8 cells, x-end columns of 10 and 8: all ≥ MIN_RUN.
+        // The x ends gather, every other wall is a fixed value, so the runs
+        // read all three slot kinds; the hexes' x∧y edges are 1 cell long.
         let quads = UniformGrid::new_2d(20, 12, 1.0, 0.6);
-        let hexes = UniformGrid::new_3d(12, 5, 4, 1.2, 0.5, 0.4);
-        for (grid, rows, faces, swaps) in [(&quads, 10, 4, 6), (&hexes, 3 * 2, 6, 1)] {
+        let hexes = UniformGrid::new_3d(10, 10, 3, 1.2, 0.5, 0.4);
+        for (grid, faces, swaps) in [(&quads, 4, 6), (&hexes, 6, 2)] {
             let (cp, fields) = upwind_plan(renumbered(grid, 0, 0));
-            let (cells, runs, shapes) = run_census(&cp);
-            assert_eq!((cells, runs, shapes), ((grid.nx - 2) * rows, rows, 1));
-            assert!(cp.hot.runs.iter().all(|r| r.nf == faces));
-            assert_runs_match_the_csr_walk(&cp, &fields, grid.nx);
+            let (nx, ny, layers) = (grid.nx, grid.ny, grid.nz.max(1));
+            let rows = ny * layers;
+            let census = run_census(&cp);
+            assert_eq!(
+                census,
+                ((nx - 2) * rows, rows, 2 * layers, grid_rest(grid)),
+                "{}-D",
+                grid.nz.min(1) + 2
+            );
+            let hot = &cp.hot;
+            assert!(hot.runs.iter().chain(&hot.strided).all(|r| r.nf == faces));
+            assert!(hot
+                .strided
+                .iter()
+                .all(|r| (r.stride, r.len) == (nx as u32, ny as u32 - 2)));
+            // The wall rows read ghost rows, the x-end columns the gathers.
+            assert!(hot
+                .runs
+                .iter()
+                .any(|r| r.kind[..faces as usize].contains(&SLOT_ROW)));
+            assert!(hot.strided.iter().all(|r| r.kind.contains(&SLOT_GATHER)));
+            assert_runs_match_the_csr_walk(&cp, &fields, nx);
 
             // Renumbered: runs cut short or lost, same bits.
             let (shuffled, fields) = upwind_plan(renumbered(grid, 0x5EED, swaps));
-            let (cut_cells, _, _) = run_census(&shuffled);
+            let (cut_cells, _, _, rest) = run_census(&shuffled);
+            let cells = census.0;
             assert!(0 < cut_cells && cut_cells < cells, "{cut_cells} of {cells}");
-            assert_runs_match_the_csr_walk(&shuffled, &fields, grid.nx);
+            assert!(rest.len() > census.3.len());
+            assert_runs_match_the_csr_walk(&shuffled, &fields, nx);
         }
     }
 
     #[test]
-    fn run_table_covers_the_interior_of_a_grid_and_nothing_of_a_jittered_mesh() {
-        let (cp, _) = upwind_plan(renumbered(&UniformGrid::new_2d(64, 64, 1.0, 1.0), 0, 0));
-        assert_eq!(run_census(&cp), (62 * 62, 62, 1));
-        assert_eq!(cp.hot.run_cells_in(0, 64 * 64), 62 * 62);
-        // Row 1 holds cells 64..128, its run 65..127.
-        assert_eq!(cp.hot.run_cells_in(60, 10), 5);
-        assert_eq!(cp.hot.run_cells_in(120, 80), 7 + 62 + 7);
+    fn run_table_covers_a_grid_but_its_corners_and_no_jittered_cell() {
+        let grid = UniformGrid::new_2d(64, 64, 1.0, 1.0);
+        let (cp, _) = upwind_plan(renumbered(&grid, 0, 0));
+        assert_eq!(run_census(&cp), (64 * 62, 64, 2, grid_rest(&grid)));
+        assert_eq!(cp.hot.run_cells_in(0, 64 * 64), 64 * 64 - 4);
+        // Row 0 holds cells 0..64, its run 1..63; cell 64 starts a column.
+        assert_eq!(cp.hot.run_cells_in(60, 10), 9);
+        assert_eq!(cp.hot.run_cells_in(120, 80), 80);
         // A run is a shape of the connectivity, not of the flux path: the
         // jittered triangles have no flux table and no run either, because
         // the two halves of a quad alternate neighbor offsets.
         let (cp, _) = triangle_plan();
-        assert!(cp.compiled_flux() && cp.hot.runs.is_empty());
+        assert!(cp.compiled_flux() && cp.hot.runs.is_empty() && cp.hot.strided.is_empty());
+        assert_eq!(cp.hot.rest.len(), cp.mesh().n_cells());
     }
 
     /// The compiled-flux emission is pinned: it changes only on purpose (a
     /// changed source is a changed cache key, so every cached `.so` is
     /// recompiled), and the streamed hash is the hash of the text a compile
-    /// would write. Last moved when `Args` gained the stage time (`time`),
-    /// which a program reading `t` reads at every call.
+    /// would write. Last moved when the run tables took the boundary cells:
+    /// `Args` gained the strided runs and the remainder list, and the span
+    /// walk became three loops.
     #[test]
     fn compiled_flux_source_is_pinned() {
         let (cp, fields) = triangle_plan();
         let per_flat = nativegen::lower_plan(&cp).unwrap();
         assert_eq!(
             nativegen::source_hash(&cp, &per_flat),
-            0x91bd_0802_2289_0d01
+            0xb2d6_490e_c42d_0d6e
         );
         let mut text = String::new();
         nativegen::emit_source(&cp, fields.n_cells, &per_flat, &mut text).unwrap();
-        assert_eq!(text.len(), 16_686);
+        assert_eq!(text.len(), 20_333);
         let mut hash = nativegen::Fnv1a::new();
         std::fmt::Write::write_str(&mut hash, &text).unwrap();
-        assert_eq!(hash.0, 0x91bd_0802_2289_0d01);
+        assert_eq!(hash.0, 0xb2d6_490e_c42d_0d6e);
     }
 
     /// The table-plan emission is pinned the same way, on a hot-spot-like
@@ -940,14 +1017,14 @@ mod tests {
         let per_flat = nativegen::lower_plan(&cp).unwrap();
         assert_eq!(
             nativegen::source_hash(&cp, &per_flat),
-            0xa825_e979_bf80_0a32
+            0x8f88_8376_8764_ab9f
         );
         let mut text = String::new();
         nativegen::emit_source(&cp, fields.n_cells, &per_flat, &mut text).unwrap();
-        assert_eq!(text.len(), 11_413);
+        assert_eq!(text.len(), 15_434);
         let mut hash = nativegen::Fnv1a::new();
         std::fmt::Write::write_str(&mut hash, &text).unwrap();
-        assert_eq!(hash.0, 0xa825_e979_bf80_0a32);
+        assert_eq!(hash.0, 0x8f88_8376_8764_ab9f);
     }
 
     /// `(cell0, len)` of every tile of the first flat.

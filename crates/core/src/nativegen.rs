@@ -13,33 +13,36 @@
 //! The emitted plan is organised like the Row tier (`eval_row`, then
 //! `flux_combine`). On a **table plan** each per-flat kernel is its source
 //! statements written to `out` followed by one call of `flux_span`, the
-//! flux loop emitted *once per plan*: it walks the span as stencil-run
-//! segments (a straight-line `flux += area·(γ + α·u + β·u_nbr)` per face
-//! slot, face count baked, neighbor deltas and classes read from the run
-//! table in `NativeArgs::runs`) and CSR remainders, with the αβγ rows of
-//! the calling flat passed as pointers, and folds in the fused Euler
-//! update. Emitting that loop per flat instead would cost 132 copies on
-//! the hot-spot file — 3.7× the cold compile time for no run-time gain.
-//! On meshes with too many face orientations for a table (a
-//! **compiled-flux plan**) each per-flat kernel fuses the source, the
-//! flux's own lowered statements per face and the update, and walks its
-//! span the same way: inside a stencil run the flux statements are emitted
-//! once per face slot, straight-line (`u2 = u_row[c + delta[s]]`, the
-//! oriented normal read from the per-slot column `Args::normals`), and the
-//! CSR remainder keeps the per-face loop.
-//! Both loops read a boundary face through the one ghost-read rule,
-//! `Walls::ghost_read`: the slot's row of the ghost values inline, a gather
-//! through its column by the plan's one out-of-line `ghost_gather`. The
-//! branch sits in the CSR remainders only — stencil runs are all-interior.
+//! flux loop emitted *once per plan*: it walks the span in three
+//! independent loops — the stride-1 stencil runs, the strided runs
+//! clipped to the span, the remainder list — with the αβγ rows of the
+//! calling flat passed as pointers, and folds in the fused Euler update.
+//! Inside a run the work is a straight-line `flux += area·(γ + α·u +
+//! β·u2)` per face slot, face count baked, classes and each slot's affine
+//! stream (a neighbor, a ghost row, a gather column) read from the run
+//! tables in `NativeArgs`; the remainder takes the CSR loop. Emitting that
+//! loop per flat instead would cost 132 copies on the hot-spot file —
+//! 3.7× the cold compile time for no run-time gain. On meshes with too
+//! many face orientations for a table (a **compiled-flux plan**) each
+//! per-flat kernel fuses the source, the flux's own lowered statements per
+//! face and the update, and walks its span the same way: inside a stencil
+//! run the flux statements are emitted once per face slot, straight-line
+//! (`u2` read from the slot's stream, the oriented normal from the
+//! per-slot column `Args::normals`), and the remainder keeps the per-face
+//! loop. Every loop reads a boundary face by the one ghost-read rule,
+//! `Walls::ghost_read`: a run hoists its slot's row or gather column once
+//! per segment (`stream`); the CSR loop reads the slot's row of the ghost
+//! values inline and a gather by the plan's one out-of-line
+//! `ghost_gather`.
 //!
 //! Three properties keep this sound and cheap:
 //!
 //! * **Bit identity.** The emitted expressions perform exactly the
 //!   per-lane operations of `RegProgram::eval_row` in exactly the same
 //!   order, and the emitted flux loop replicates `rows::flux_combine`
-//!   (run segments and CSR remainders alike) or
-//!   `rows::flux_combine_compiled` face-for-face (a run segment is the
-//!   same faces in the same order, its neighbor found by offset). Rust
+//!   (runs and remainder alike) or `rows::flux_combine_compiled`
+//!   face-for-face (a run segment is the same faces in the same order,
+//!   each value read through the slot's stream). Rust
 //!   f64 arithmetic is strict IEEE-754 (no fast-math, no implicit FMA
 //!   contraction), so the compiled kernel is bitwise-equal to the
 //!   interpreted tiers — the differential tests assert this.
@@ -77,7 +80,7 @@ use crate::bytecode::{
     Binding, Func, Operand, Program, RegExpr, RegProgram, RegStmt, FACE_NORMAL, FACE_U1, FACE_U2,
 };
 use crate::exec::walls::GATHER;
-use crate::exec::{CompiledProblem, StencilRun, MAX_RUN_FACES};
+use crate::exec::{CompiledProblem, StencilRun, MAX_RUN_FACES, SLOT_NBR, SLOT_ROW};
 use std::collections::HashMap;
 use std::fmt::{self, Write};
 use std::path::PathBuf;
@@ -124,9 +127,16 @@ pub(crate) struct NativeArgs {
     /// Oriented normals of the compiled flux, `dim` per face slot (never
     /// read by the kernels of a table plan).
     pub normals: *const f64,
-    /// The plan's stencil runs, sorted by first cell, and their count.
+    /// The plan's stride-1 stencil runs, sorted by first cell, and their
+    /// count.
     pub runs: *const StencilRun,
     pub n_runs: usize,
+    /// The plan's strided stencil runs, sorted by first cell.
+    pub strided: *const StencilRun,
+    pub n_strided: usize,
+    /// The cells of no run, ascending.
+    pub rest: *const u32,
+    pub n_rest: usize,
 }
 
 /// Signature of every generated per-flat kernel.
@@ -244,17 +254,17 @@ pub(crate) struct FlatPrograms {
 }
 
 /// The emitted `Args` fields shared by every plan, in `NativeArgs` order.
-const ARGS_FIELDS: &str = "    vars: *const *const f64,\n    ghosts: *const f64,\n    wall_read: *const u32,\n    wall_columns: *const u32,\n    offsets: *const u32,\n    nbr: *const i64,\n    area: *const f64,\n    class: *const u32,\n    inv_volume: *const f64,\n    out: *mut f64,\n    cell0: usize,\n    len: usize,\n    fused_dt: f64,\n    fused: u8,\n    time: f64,\n";
+const ARGS_FIELDS: &str = "    vars: *const *const f64,\n    ghosts: *const f64,\n    wall_read: *const u32,\n    wall_columns: *const u32,\n    offsets: *const u32,\n    nbr: *const i64,\n    area: *const f64,\n    class: *const u32,\n    inv_volume: *const f64,\n    out: *mut f64,\n    cell0: usize,\n    len: usize,\n    fused_dt: f64,\n    fused: u8,\n    time: f64,\n    normals: *const f64,\n    runs: *const Run,\n    n_runs: usize,\n    strided: *const Run,\n    n_strided: usize,\n    rest: *const u32,\n    n_rest: usize,\n";
 
 /// The gather half of `Walls::ghost_read`, emitted once per plan as
-/// `ghost_gather(a, read, flat, cell)`: the unknown at the owner cell
-/// `cell` and the source flat the slot's gather column (`read` without its
-/// `GATHER` bit) names for `flat`. Out of line and cold on purpose: a
-/// gathering face is the rare case and its load usually leaves the cache
-/// either way, while inline its three extra live values (the column table,
-/// the unknown's base, the cell count) cost the flux loops — the stencil
-/// segments included — more registers than they have. The row half stays
-/// inline ([`ghost_read`]).
+/// `ghost_gather(a, read, flat, cell)` for the CSR walk: the unknown at the
+/// owner cell `cell` and the source flat the slot's gather column (`read`
+/// without its `GATHER` bit) names for `flat`. Out of line and cold on
+/// purpose: in the CSR walk a gathering face is the rare case, while
+/// inline its three extra live values (the column table, the unknown's
+/// base, the cell count) cost the loop more registers than it has. The row
+/// half stays inline ([`ghost_read`]); a stencil run hoists either kind's
+/// stream once per segment ([`emit_stream`]).
 fn emit_ghost_gather(cp: &CompiledProblem, w: &mut impl Write) -> fmt::Result {
     write!(
         w,
@@ -265,7 +275,63 @@ fn emit_ghost_gather(cp: &CompiledProblem, w: &mut impl Write) -> fmt::Result {
     )
 }
 
-/// `Walls::ghost_read` as both flux loops emit it for the boundary slot
+/// The run table's types and the stream rule, emitted once per plan: the
+/// `Run` struct (`exec::StencilRun`'s layout); `unit`, whether every slot
+/// of a run reads the unknown at its cell's own pace (`StencilRun::unit`);
+/// `stream(a, run, s, flat, u_row, c, j)`, where slot `s` reads from the
+/// run's `j`-th cell `c` on and the element step to the next cell — the
+/// neighbor row, or `Walls::ghost_read`'s ghost row or gather column, as
+/// one affine stream (`rows::TableFlux::stream`); and, for a unit run,
+/// `unit_offset(a, run, s, flat)`, the same stream as an offset from
+/// `u_row` (a gather column's source row lies in the same unknown).
+fn emit_stream(cp: &CompiledProblem, w: &mut impl Write) -> fmt::Result {
+    write!(
+        w,
+        "#[repr(C)]\npub struct Run {{\n    first: u32,\n    len: u32,\n    stride: u32,\n    nf: u32,\n    kind: [u32; {MAX_RUN_FACES}],\n    at: [i32; {MAX_RUN_FACES}],\n    step: [i32; {MAX_RUN_FACES}],\n    class: [u32; {MAX_RUN_FACES}],\n}}\n\n"
+    )?;
+    write!(
+        w,
+        "#[inline(always)]\nfn unit(run: &Run) -> bool {{\n    run.stride == 1 && run.kind[..run.nf as usize].iter().all(|&k| k != {SLOT_ROW})\n}}\n\n"
+    )?;
+    write!(
+        w,
+        r#"#[inline(always)]
+unsafe fn stream(a: &Args, run: &Run, s: usize, flat: usize, u_row: *const f64, c: usize, j: usize) -> (*const f64, isize) {{
+    let at = run.at[s] as isize;
+    match run.kind[s] {{
+        {SLOT_NBR} => (u_row.offset(c as isize + at), run.stride as isize),
+        {SLOT_ROW} => {{
+            let step = run.step[s] as isize;
+            (a.ghosts.offset((flat * {n_rows}) as isize + at + j as isize * step), step)
+        }}
+        _ => {{
+            let source = *a.wall_columns.add(at as usize * {n_flat} + flat) as usize;
+            ((*a.vars.add({unknown})).add(source * {n_cells} + c), run.stride as isize)
+        }}
+    }}
+}}
+
+#[inline(always)]
+unsafe fn unit_offset(a: &Args, run: &Run, s: usize, flat: usize) -> isize {{
+    let at = run.at[s] as isize;
+    match run.kind[s] {{
+        {SLOT_NBR} => at,
+        _ => {{
+            let source = *a.wall_columns.add(at as usize * {n_flat} + flat) as isize;
+            (source - flat as isize) * {n_cells}
+        }}
+    }}
+}}
+
+"#,
+        n_rows = cp.walls.n_rows,
+        n_flat = cp.walls.n_flat,
+        unknown = cp.system.unknown,
+        n_cells = cp.mesh().n_cells(),
+    )
+}
+
+/// `Walls::ghost_read` as the CSR walk emits it for the boundary slot
 /// `-(nb + 1)` of the face owned by `cell`, with `{column}` the start of
 /// the flat's column of the ghost values (`flat · n_rows`): the slot's row
 /// of that column, or [`emit_ghost_gather`]'s call — the same `f64` the
@@ -288,12 +354,11 @@ const HOISTED_ARGS: &str = "    let ghosts = a.ghosts;\n    let wall_read = a.wa
 ///
 /// * A **table plan** is organised like the Row tier: each per-flat
 ///   kernel is its unrolled source statements written to `out` followed
-///   by one call of `flux_span`, the run walk of `rows::flux_combine`
-///   emitted *once per plan* (see [`emit_flux_span`]).
+///   by one call of `flux_span`, the three-loop walk of
+///   `rows::flux_combine` emitted *once per plan* (see [`emit_flux_span`]).
 /// * A **compiled-flux plan** fuses source, the per-face lowered flux
 ///   statements of `rows::flux_combine_compiled` and the Euler update in
-///   each per-flat kernel, over the same span walk (see
-///   [`emit_flat_kernel`]).
+///   each per-flat kernel, over the same walk (see [`emit_flat_kernel`]).
 ///
 /// `w` is a `String` when the text is needed (a compile) and a hashing
 /// sink when only the cache key is.
@@ -311,7 +376,7 @@ pub(crate) fn emit_source(
     w.write_str("#![allow(warnings)]\n#![crate_type = \"cdylib\"]\n\n")?;
     w.write_str("#[repr(C)]\npub struct Args {\n")?;
     w.write_str(ARGS_FIELDS)?;
-    w.write_str("    normals: *const f64,\n    runs: *const Run,\n    n_runs: usize,\n}\n\n")?;
+    w.write_str("}\n\n")?;
     if let Some(lin) = &cp.flux_lin {
         let nc = lin.n_classes;
         for flat in 0..n_flat {
@@ -327,10 +392,7 @@ pub(crate) fn emit_source(
         w.write_str("\n")?;
     }
     emit_ghost_gather(cp, w)?;
-    write!(
-        w,
-        "#[repr(C)]\npub struct Run {{\n    first: u32,\n    len: u32,\n    nf: u32,\n    delta: [i32; {MAX_RUN_FACES}],\n    class: [u32; {MAX_RUN_FACES}],\n}}\n\n"
-    )?;
+    emit_stream(cp, w)?;
     if cp.flux_lin.is_some() {
         emit_flux_span(cp, w)?;
     }
@@ -340,155 +402,272 @@ pub(crate) fn emit_source(
     Ok(())
 }
 
-/// The face counts the plan's run table holds, ascending: one
-/// straight-line loop is emitted per count.
-fn run_face_counts(cp: &CompiledProblem) -> Vec<u32> {
-    let mut face_counts: Vec<u32> = cp.hot.runs.iter().map(|r| r.nf).collect();
-    face_counts.sort_unstable();
-    face_counts.dedup();
-    face_counts
+/// The straight-line run loops a plan's kernels need, ascending: one per
+/// `(face count, StencilRun::unit)` its run tables hold. A `unit` loop
+/// reads slot `s` of cell `c` at `u_row[c + d_s]` and steps through the
+/// face slots; the other, affine one reads its `i`-th cell's at `q_s +
+/// i·dq_s`, with each cell's first face slot read from `offsets`.
+pub(crate) fn run_kernels(cp: &CompiledProblem) -> Vec<(u32, bool)> {
+    let runs = cp.hot.runs.iter().chain(&cp.hot.strided);
+    let mut kernels: Vec<(u32, bool)> = runs.map(|r| (r.nf, r.unit())).collect();
+    kernels.sort_unstable();
+    kernels.dedup();
+    kernels
 }
 
-/// The span walk of both flux loops (`rows::flux_combine`'s), up to the
-/// dispatch on a run's face count: find the first run ending after `cell0`,
-/// then per segment either enter the run at `cell` (the `match` arms the
-/// caller emits next evaluate to whether they handled `cell .. seg_end`) or
-/// stop the CSR remainder at the next run's first cell.
-const SPAN_WALK_HEAD: &str = r#"    let runs = a.runs;
-    let n_runs = a.n_runs;
-    let end_cell = cell0 + len;
-    // The first run ending after `cell0` (runs are sorted and disjoint).
-    let mut next = 0usize;
+/// The name of a run loop.
+fn run_kernel_name((nf, unit): (u32, bool)) -> String {
+    match unit {
+        true => format!("unit_{nf}"),
+        false => format!("affine_{nf}"),
+    }
+}
+
+/// The head of a run loop over the cells `j0 .. j1` of `run`, up to its
+/// `cell` and that cell's first face slot `k`. A unit loop reads slot `s`
+/// at `u_row[cell + d{s}]` ([`emit_stream`]'s `unit_offset`), the form the
+/// back end vectorises; an affine one through the stream `(q{s}, dq{s})`
+/// (`p{v}` name the variables).
+fn run_loop_head(
+    w: &mut (impl Write + ?Sized),
+    nf: u32,
+    unit: bool,
+    flat: &str,
+    indent: &str,
+) -> fmt::Result {
+    if unit {
+        writeln!(
+            w,
+            "{indent}let (c0, end) = (run.first as usize + j0, run.first as usize + j1);"
+        )?;
+        for s in 0..nf {
+            writeln!(w, "{indent}let d{s} = unit_offset(a, run, {s}, {flat});")?;
+        }
+        return write!(
+            w,
+            "{indent}let mut k = *offsets.add(c0) as usize;\n{indent}let mut cell = c0;\n{indent}while cell < end {{\n"
+        );
+    }
+    writeln!(
+        w,
+        "{indent}let stride = run.stride as usize;\n{indent}let c0 = run.first as usize + j0 * stride;"
+    )?;
+    for s in 0..nf {
+        writeln!(
+            w,
+            "{indent}let (q{s}, dq{s}) = stream(a, run, {s}, {flat}, u_row, c0, j0);"
+        )?;
+    }
+    write!(
+        w,
+        "{indent}let mut i = 0usize;\n{indent}while i < j1 - j0 {{\n{indent}    let cell = c0 + i * stride;\n{indent}    let k = *offsets.add(cell) as usize;\n"
+    )
+}
+
+/// Slot `s`'s value in a run loop, as [`run_loop_head`] set it up.
+fn run_slot(s: u32, unit: bool) -> String {
+    match unit {
+        true => format!("*u_row.offset(cell as isize + d{s})"),
+        false => format!("*q{s}.offset(i as isize * dq{s})"),
+    }
+}
+
+/// The tail of a run loop: the next cell (and, in a unit loop, its first
+/// face slot).
+fn run_loop_tail(w: &mut (impl Write + ?Sized), nf: u32, unit: bool, indent: &str) -> fmt::Result {
+    match unit {
+        true => write!(
+            w,
+            "{indent}    cell += 1;\n{indent}    k += {nf};\n{indent}}}\n"
+        ),
+        false => write!(w, "{indent}    i += 1;\n{indent}}}\n"),
+    }
+}
+
+/// The span walk of both flux loops (`rows::flux_combine`'s), three
+/// independent loops over what the `segment(run, j0, j1)` and `csr(cell)`
+/// closures the caller emitted before it evaluate: the stride-1 runs from
+/// the first ending after `cell0` up to the first starting at or past the
+/// span's end, each clipped to the span; every strided run, clipped to it;
+/// the cells of no run inside it.
+const SPAN_WALK: &str = r#"    let end_cell = cell0 + len;
+    let (runs, n_runs) = (a.runs, a.n_runs);
+    let mut r = 0usize;
     let mut hi = n_runs;
-    while next < hi {
-        let mid = (next + hi) / 2;
-        let r = &*runs.add(mid);
-        if r.first as usize + r.len as usize <= cell0 {
-            next = mid + 1;
+    while r < hi {
+        let mid = (r + hi) / 2;
+        let run = &*runs.add(mid);
+        if run.first as usize + run.len as usize <= cell0 {
+            r = mid + 1;
         } else {
             hi = mid;
         }
     }
-    let mut cell = cell0;
-    while cell < end_cell {
-        let mut seg_end = end_cell;
-        if next < n_runs {
-            let run = &*runs.add(next);
-            let first = run.first as usize;
-            if first <= cell {
-                next += 1;
-                let run_end = first + run.len as usize;
-                if run_end < seg_end {
-                    seg_end = run_end;
-                }
-                let stencil = match run.nf {
-"#;
-
-/// [`SPAN_WALK_HEAD`]'s continuation after the `match` arms; the caller
-/// emits the CSR loop over `cell .. seg_end` and closes the walk next.
-const SPAN_WALK_MID: &str = r#"                    _ => false,
-                };
-                if stencil {
-                    cell = seg_end;
-                    continue;
-                }
-            } else if first < seg_end {
-                seg_end = first;
-            }
+    while r < n_runs {
+        let run = &*runs.add(r);
+        let first = run.first as usize;
+        if first >= end_cell {
+            break;
         }
+        let j0 = if cell0 > first { cell0 - first } else { 0 };
+        let j1 = if end_cell - first < run.len as usize { end_cell - first } else { run.len as usize };
+        segment(run, j0, j1);
+        r += 1;
+    }
+    let mut r = 0usize;
+    while r < a.n_strided {
+        let run = &*a.strided.add(r);
+        let first = run.first as usize;
+        if first >= end_cell {
+            break;
+        }
+        let stride = run.stride as usize;
+        let j0 = if cell0 > first { (cell0 - first + stride - 1) / stride } else { 0 };
+        let j1 = (end_cell - first + stride - 1) / stride;
+        let j1 = if j1 < run.len as usize { j1 } else { run.len as usize };
+        if j0 < j1 {
+            segment(run, j0, j1);
+        }
+        r += 1;
+    }
+    let (rest, n_rest) = (a.rest, a.n_rest);
+    let mut r = 0usize;
+    let mut hi = n_rest;
+    while r < hi {
+        let mid = (r + hi) / 2;
+        if (*rest.add(mid) as usize) < cell0 {
+            r = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    while r < n_rest {
+        let cell = *rest.add(r) as usize;
+        if cell >= end_cell {
+            break;
+        }
+        csr(cell);
+        r += 1;
+    }
+}
+
 "#;
 
-/// The table plan's one flux loop: `flux_span` walks the span as run
-/// segments and CSR remainders exactly like `rows::flux_combine`, over
-/// the run table passed through `Args::runs`. One straight-line
-/// `stencil_N` is emitted per face count the plan's table holds (`N`
-/// baked, deltas and classes read from the run); a run of any other count
-/// falls to the CSR loop, which is correct for every cell. The αβγ rows
-/// of the calling flat arrive as pointers.
+/// The `segment` closure's dispatch on a run: one arm per run loop
+/// `kernels` names, each written by `arm`; a run of any other shape takes
+/// `csr` cell by cell, which is correct for every cell. Both closures
+/// capture by value (`move`): a closure holding references to the
+/// kernel's locals reloads every pointer and bound through them on every
+/// iteration, since a store through `out` might alias them, and its loops
+/// run at half speed.
+fn emit_segment(
+    w: &mut impl Write,
+    kernels: &[(u32, bool)],
+    mut arm: impl FnMut(&mut dyn Write, (u32, bool)) -> fmt::Result,
+) -> fmt::Result {
+    w.write_str(
+        "    let segment = move |run: &Run, j0: usize, j1: usize| match (run.nf, unit(run)) {\n",
+    )?;
+    for &kernel in kernels {
+        writeln!(w, "        ({}, {}) => {{", kernel.0, kernel.1)?;
+        arm(w, kernel)?;
+        w.write_str("        }\n")?;
+    }
+    w.write_str(
+        "        _ => {\n            let mut j = j0;\n            while j < j1 {\n                csr(run.first as usize + j * run.stride as usize);\n                j += 1;\n            }\n        }\n    };\n",
+    )
+}
+
+/// The table plan's one flux loop: `flux_span` walks the span like
+/// `rows::flux_combine`, over the run tables passed through `Args`. One
+/// straight-line loop is emitted per [`run_kernels`] entry (face count
+/// baked, classes and streams read from the run); the CSR walk takes the
+/// cells of no run. The αβγ rows of the calling flat arrive as pointers.
 fn emit_flux_span(cp: &CompiledProblem, w: &mut impl Write) -> fmt::Result {
     let ghost_read = ghost_read(
         &format!("flat * {}", cp.walls.n_rows),
         "flat",
-        "                    ",
+        "                ",
     );
-    let face_counts = run_face_counts(cp);
-    for &nf in &face_counts {
+    let kernels = run_kernels(cp);
+    for &(nf, unit) in &kernels {
         write!(
             w,
-            "#[inline(always)]\nunsafe fn stencil_{nf}(a: &Args, run: &Run, al: *const f64, be: *const f64, ga: *const f64, u_row: *const f64, cell: usize, seg_end: usize) {{\n"
+            "#[inline(always)]\nunsafe fn {}(a: &Args, run: &Run, al: *const f64, be: *const f64, ga: *const f64, flat: usize, u_row: *const f64, j0: usize, j1: usize) {{\n",
+            run_kernel_name((nf, unit))
         )?;
         for s in 0..nf {
             write!(
                 w,
-                "    let c{s} = run.class[{s}] as usize;\n    let (g{s}, a{s}, b{s}) = (*ga.add(c{s}), *al.add(c{s}), *be.add(c{s}));\n    let d{s} = run.delta[{s}] as isize;\n"
+                "    let cl{s} = run.class[{s}] as usize;\n    let (g{s}, a{s}, b{s}) = (*ga.add(cl{s}), *al.add(cl{s}), *be.add(cl{s}));\n"
             )?;
         }
         w.write_str(
-            "    let area = a.area;\n    let inv_volume = a.inv_volume;\n    let out = a.out;\n    let cell0 = a.cell0;\n    let fused_dt = a.fused_dt;\n    let fused = a.fused != 0;\n    let mut k = *a.offsets.add(cell) as usize;\n    let mut c = cell;\n    while c < seg_end {\n        let u_here = *u_row.add(c);\n        let mut flux = 0.0f64;\n",
+            "    let offsets = a.offsets;\n    let area = a.area;\n    let inv_volume = a.inv_volume;\n    let out = a.out;\n    let cell0 = a.cell0;\n    let fused_dt = a.fused_dt;\n    let fused = a.fused != 0;\n",
         )?;
+        run_loop_head(w, nf, unit, "flat", "    ")?;
+        w.write_str("        let u_here = *u_row.add(cell);\n        let mut flux = 0.0f64;\n")?;
         for s in 0..nf {
             writeln!(
                 w,
-                "        flux += *area.add(k + {s}) * (g{s} + a{s} * u_here + b{s} * *u_row.offset(c as isize + d{s}));"
+                "        flux += *area.add(k + {s}) * (g{s} + a{s} * u_here + b{s} * {});",
+                run_slot(s, unit)
             )?;
         }
-        write!(
-            w,
-            "        let o = out.add(c - cell0);\n        let rhs = *o - flux * *inv_volume.add(c);\n        *o = if fused {{ u_here + fused_dt * rhs }} else {{ rhs }};\n        c += 1;\n        k += {nf};\n    }}\n}}\n\n"
+        w.write_str(
+            "        let o = out.add(cell - cell0);\n        let rhs = *o - flux * *inv_volume.add(cell);\n        *o = if fused { u_here + fused_dt * rhs } else { rhs };\n",
         )?;
+        run_loop_tail(w, nf, unit, "    ")?;
+        w.write_str("}\n\n")?;
     }
     w.write_str(
         "#[inline(never)]\nunsafe fn flux_span(a: &Args, al: *const f64, be: *const f64, ga: *const f64, flat: usize, u_row: *const f64) {\n",
     )?;
     w.write_str(HOISTED_ARGS)?;
-    w.write_str(SPAN_WALK_HEAD)?;
-    for &nf in &face_counts {
-        writeln!(
-            w,
-            "                    {nf} => {{ stencil_{nf}(a, run, al, be, ga, u_row, cell, seg_end); true }}"
-        )?;
-    }
-    w.write_str(SPAN_WALK_MID)?;
     // The class tables are indexed through raw pointers so the three
     // per-face lookups carry no bounds checks (`c` comes from the
     // verified plan geometry, always < n_classes).
     write!(
         w,
-        r#"        while cell < seg_end {{
-            let u_here = *u_row.add(cell);
-            let mut flux = 0.0f64;
-            let mut k = *offsets.add(cell) as usize;
-            let end = *offsets.add(cell + 1) as usize;
-            while k < end {{
-                let nb = *nbr.add(k);
-                let u2 = if nb >= 0 {{
-                    *u_row.add(nb as usize)
-                }} else {{
+        r#"    let csr = &move |cell: usize| {{
+        let u_here = *u_row.add(cell);
+        let mut flux = 0.0f64;
+        let mut k = *offsets.add(cell) as usize;
+        let end = *offsets.add(cell + 1) as usize;
+        while k < end {{
+            let nb = *nbr.add(k);
+            let u2 = if nb >= 0 {{
+                *u_row.add(nb as usize)
+            }} else {{
 {ghost_read}
-                }};
-                let c = *class.add(k) as usize;
-                flux += *area.add(k) * (*ga.add(c) + *al.add(c) * u_here + *be.add(c) * u2);
-                k += 1;
-            }}
-            let o = out.add(cell - cell0);
-            let rhs = *o - flux * *inv_volume.add(cell);
-            *o = if fused {{ u_here + fused_dt * rhs }} else {{ rhs }};
-            cell += 1;
+            }};
+            let c = *class.add(k) as usize;
+            flux += *area.add(k) * (*ga.add(c) + *al.add(c) * u_here + *be.add(c) * u2);
+            k += 1;
         }}
-    }}
-}}
-
+        let o = out.add(cell - cell0);
+        let rhs = *o - flux * *inv_volume.add(cell);
+        *o = if fused {{ u_here + fused_dt * rhs }} else {{ rhs }};
+    }};
 "#
-    )
+    )?;
+    emit_segment(w, &kernels, |w, kernel| {
+        writeln!(
+            w,
+            "            {}(a, run, al, be, ga, flat, u_row, j0, j1)",
+            run_kernel_name(kernel)
+        )
+    })?;
+    w.write_str(SPAN_WALK)
 }
 
 /// One per-flat kernel: the unrolled source expression per cell, then the
 /// flux — a call of the plan's `flux_span` (table plan), or the per-face
 /// lowered flux statements and the Euler update fused into the same loop
 /// (compiled flux). The compiled kernel walks its span like `flux_span`:
-/// per face count of the plan's run table one straight-line loop with the
-/// flux statements emitted once per slot, and the per-face CSR loop for
-/// boundary, irregular and short-run cells.
+/// per [`run_kernels`] entry one straight-line loop with the flux
+/// statements emitted once per slot, and the per-face CSR loop for the
+/// cells of no run.
 fn emit_flat_kernel(
     cp: &CompiledProblem,
     n_cells: usize,
@@ -548,79 +727,66 @@ fn emit_flat_kernel(
     let ghost_read = ghost_read(
         &(flat * cp.walls.n_rows).to_string(),
         &flat.to_string(),
-        "                    ",
+        "                ",
     );
     w.write_str(HOISTED_ARGS)?;
-    w.write_str("    let normals = a.normals;\n")?;
-    w.write_str(SPAN_WALK_HEAD)?;
-    // Inside a run: the flux statements once per face slot, in slot order,
-    // the neighbor at the run's delta — per dof the operation sequence of
-    // the CSR loop below, so the same bits.
-    for nf in run_face_counts(cp) {
-        writeln!(w, "                    {nf} => {{")?;
-        for s in 0..nf {
-            writeln!(
-                w,
-                "                        let d{s} = run.delta[{s}] as isize;"
-            )?;
-        }
-        w.write_str(
-            "                        let mut k = *offsets.add(cell) as usize;\n                        let mut cell = cell;\n                        while cell < seg_end {\n",
-        )?;
-        write_stmts(w, &programs.volume, 20)?;
-        w.write_str(
-            "                            let src = r0;\n                            let u_here = *u_row.add(cell);\n                            let mut flux = 0.0f64;\n",
-        )?;
-        for s in 0..nf {
-            writeln!(
-                w,
-                "                            {{\n                                let u2 = *u_row.offset(cell as isize + d{s});"
-            )?;
-            write_normal(w, &format!("k + {s}"), 32)?;
-            write_stmts(w, flux, 24)?;
-            writeln!(
-                w,
-                "                                flux += *area.add(k + {s}) * r0;\n                            }}"
-            )?;
-        }
-        write!(
-            w,
-            "                            let rhs = src - flux * *inv_volume.add(cell);\n                            *out.add(cell - cell0) = if fused {{ u_here + fused_dt * rhs }} else {{ rhs }};\n                            cell += 1;\n                            k += {nf};\n                        }}\n                        true\n                    }}\n"
-        )?;
-    }
-    w.write_str(SPAN_WALK_MID)?;
-    w.write_str("        while cell < seg_end {\n")?;
-    write_stmts(w, &programs.volume, 4)?;
+    w.write_str("    let normals = a.normals;\n    let csr = &move |cell: usize| {\n")?;
+    write_stmts(w, &programs.volume, 0)?;
     write!(
         w,
-        r#"            let src = r0;
-            let u_here = *u_row.add(cell);
-            let mut flux = 0.0f64;
-            let mut k = *offsets.add(cell) as usize;
-            let end = *offsets.add(cell + 1) as usize;
-            while k < end {{
-                let nb = *nbr.add(k);
-                let u2 = if nb >= 0 {{
-                    *u_row.add(nb as usize)
-                }} else {{
+        r#"        let src = r0;
+        let u_here = *u_row.add(cell);
+        let mut flux = 0.0f64;
+        let mut k = *offsets.add(cell) as usize;
+        let end = *offsets.add(cell + 1) as usize;
+        while k < end {{
+            let nb = *nbr.add(k);
+            let u2 = if nb >= 0 {{
+                *u_row.add(nb as usize)
+            }} else {{
 {ghost_read}
-                }};
+            }};
 "#
     )?;
-    write_normal(w, "k", 16)?;
-    write_stmts(w, flux, 8)?;
+    write_normal(w, "k", 12)?;
+    write_stmts(w, flux, 4)?;
     w.write_str(
-        r#"                flux += *area.add(k) * r0;
-                k += 1;
-            }
-            let rhs = src - flux * *inv_volume.add(cell);
-            *out.add(cell - cell0) = if fused { u_here + fused_dt * rhs } else { rhs };
-            cell += 1;
+        r#"            flux += *area.add(k) * r0;
+            k += 1;
         }
-    }
-}
+        let rhs = src - flux * *inv_volume.add(cell);
+        *out.add(cell - cell0) = if fused { u_here + fused_dt * rhs } else { rhs };
+    };
 "#,
-    )
+    )?;
+    // Inside a run: the flux statements once per face slot, in slot order,
+    // `u2` read from the slot's stream — per dof the operation sequence of
+    // the CSR loop, so the same bits.
+    emit_segment(w, &run_kernels(cp), |w, (nf, unit)| {
+        run_loop_head(w, nf, unit, &flat.to_string(), "            ")?;
+        write_stmts(w, &programs.volume, 8)?;
+        w.write_str(
+            "                let src = r0;\n                let u_here = *u_row.add(cell);\n                let mut flux = 0.0f64;\n",
+        )?;
+        for s in 0..nf {
+            writeln!(
+                w,
+                "                {{\n                    let u2 = {};",
+                run_slot(s, unit)
+            )?;
+            write_normal(w, &format!("k + {s}"), 20)?;
+            write_stmts(w, flux, 12)?;
+            writeln!(
+                w,
+                "                    flux += *area.add(k + {s}) * r0;\n                }}"
+            )?;
+        }
+        w.write_str(
+            "                let rhs = src - flux * *inv_volume.add(cell);\n                *out.add(cell - cell0) = if fused { u_here + fused_dt * rhs } else { rhs };\n",
+        )?;
+        run_loop_tail(w, nf, unit, "            ")
+    })?;
+    w.write_str(SPAN_WALK)
 }
 
 // ---------------------------------------------------------------------------
@@ -985,16 +1151,22 @@ pub(crate) fn source_hash(cp: &CompiledProblem, per_flat: &[FlatPrograms]) -> u6
     hash.0
 }
 
+/// What an instance's walls make its plan's source bake beyond the plan's
+/// key: `Walls::n_rows` and the [`run_kernels`] its run tables need. The
+/// key folds every wall's *form*; how many faces of a Gather wall its
+/// `source` closure serves — the rest keep a ghost row, and a stencil run
+/// reads them through rows — is the closure's to say.
+fn baked(cp: &CompiledProblem) -> (usize, Vec<(u32, bool)>) {
+    (cp.walls.n_rows, run_kernels(cp))
+}
+
 /// A plan's native kernels as first prepared: the library (or why there is
-/// none), the hash of the source it was loaded from, and the one number
-/// that source bakes which the plan's key does not fix.
+/// none), the hash of the source it was loaded from, and what that source
+/// bakes which the plan's key does not fix.
 #[derive(Clone)]
 pub(crate) struct Prepared {
-    /// `Walls::n_rows` of the instance that prepared the plan. The key
-    /// folds every wall's *form*; how many faces of a Gather wall its
-    /// `source` closure serves — the rest keep a ghost row — is the
-    /// closure's to say.
-    n_rows: usize,
+    /// [`baked`] of the instance that prepared the plan.
+    baked: (usize, Vec<(u32, bool)>),
     /// `None` when the plan did not lower (no source was emitted). Read by
     /// the debug-build reuse guard only.
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
@@ -1007,12 +1179,12 @@ pub(crate) struct Prepared {
 /// failure). `Err` is the structured fallback reason — the caller degrades
 /// to the row tier and records a `native/fallback` diagnostic.
 ///
-/// An instance whose walls lowered to another ghost-row count than the
-/// plan's kernels bake prepares its own — found by source hash like any
-/// other, shared with nobody through the plan.
+/// An instance whose walls bake other numbers than the plan's kernels do
+/// ([`baked`]) prepares its own — found by source hash like any other,
+/// shared with nobody through the plan.
 pub(crate) fn prepare(cp: &CompiledProblem) -> Result<Arc<NativeLib>, String> {
     let prepared = cp.native.get_or_init(|| prepare_plan(cp));
-    match prepared.n_rows == cp.walls.n_rows {
+    match prepared.baked == baked(cp) {
         true => prepared.lib.clone(),
         false => prepare_plan(cp).lib,
     }
@@ -1027,7 +1199,7 @@ pub(crate) fn assert_same_source(cp: &CompiledProblem) {
     let Some(prepared) = cp.native.get() else {
         return;
     };
-    if prepared.n_rows != cp.walls.n_rows {
+    if prepared.baked != baked(cp) {
         return;
     }
     let fresh = lower_plan(cp)
@@ -1060,7 +1232,7 @@ fn prepare_plan(cp: &CompiledProblem) -> Prepared {
         })
     });
     Prepared {
-        n_rows: cp.walls.n_rows,
+        baked: baked(cp),
         hash,
         lib,
     }

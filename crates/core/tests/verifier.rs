@@ -141,10 +141,10 @@ fn declared_plan_is_clean_on_every_target_and_tier() {
 
 /// No false positive from the run proof on a compiled-flux plan: on the
 /// mesh of `jittered_array.pbte` (no flux table, so no orientation
-/// classes) the run table is the connectivity alone — 22 interior rows of
-/// 22 cells — and `geometry/run-mismatch` proves it without them, on the
-/// sequential scope and on the fanned-out one. (The tampered tables are in
-/// `analysis::access`'s unit tests; the geometry is private to the crate.)
+/// classes) the run tables are the connectivity and the walls alone — 24
+/// rows of 22 cells and the two x-end columns of 22, every cell but the 4
+/// corners — and `geometry/run-mismatch` proves them without classes, on
+/// the sequential scope and on the fanned-out one.
 #[test]
 fn compiled_flux_plan_with_runs_verifies_clean_on_seq_and_par() {
     let msh = include_str!("../../../examples/meshes/jittered_array.msh");
@@ -168,9 +168,117 @@ fn compiled_flux_plan_with_runs_verifies_clean_on_seq_and_par() {
             pbte_dsl::exec::FluxPath::Compiled
         );
         let bench = cp.intensity_bench(solver.fields(), KernelTier::Row);
-        assert_eq!(bench.run_cells(), 22 * 22);
+        assert_eq!(bench.run_cells(), 24 * 24 - 4);
         let diags = cp.verify_plan(&target);
         assert!(diags.is_empty(), "{target:?}: {diags:?}");
+    }
+}
+
+/// A table plan whose stencil runs read all three kinds of slot: a 12 × 12
+/// grid, 4 directions × 3 bands, its bottom and top walls fixed values
+/// (ghost rows), its left and right walls gathers, each side its own
+/// permutation of the directions (two gather columns). Its rows and its
+/// x-end columns are runs of 10 cells; only the corners are left.
+fn walled_runs_problem() -> Problem {
+    let mut p = Problem::new("walled-runs");
+    p.domain(2);
+    p.mesh(UniformGrid::new_2d(12, 12, 1.0, 1.0).build());
+    p.set_steps(1e-3, 1);
+    let d = p.index("d", NDIRS);
+    let b = p.index("b", NBANDS);
+    let i_var = p.variable("I", &[d, b]);
+    p.coefficient_array("Sx", &[d], vec![1.0, 0.0, -1.0, 0.0]);
+    p.coefficient_array("Sy", &[d], vec![0.0, 1.0, 0.0, -1.0]);
+    p.initial(i_var, |x, idx| (3.0 * x.x + x.y + idx[0] as f64).sin());
+    p.boundary(i_var, "bottom", BoundaryCondition::Value(1.0));
+    p.boundary(i_var, "top", BoundaryCondition::Value(0.5));
+    for (side, shift) in [("left", 2), ("right", 1)] {
+        let source = move |idx: &[usize]| ((idx[0] + shift) % NDIRS) * NBANDS + idx[1];
+        p.boundary(
+            i_var,
+            side,
+            BoundaryCondition::gather(
+                &["I"],
+                move |q| q.fields.value(0, q.owner_cell, source(q.idx)),
+                move |_, idx| Some(source(idx)),
+            ),
+        );
+    }
+    p.conservation_form(i_var, "-I[d,b] + surface(upwind([Sx[d];Sy[d]], I[d,b]))");
+    p
+}
+
+/// The run descriptors are proved, not trusted, on every target: a ghost
+/// row's step off by one, a gather column swapped for the other side's,
+/// and a changed stride — each on a run drawn from a seed — are each
+/// refused by `verify_plan` under `geometry/run-mismatch` and nothing
+/// else.
+#[test]
+fn tampered_run_descriptors_are_refused_on_every_target() {
+    use pbte_dsl::exec::{StencilRun, SLOT_GATHER, SLOT_ROW};
+    let mut state = 0x5EED_0045_u64;
+    let mut draw = |n: usize| {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (state ^ state >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        ((z ^ z >> 27) >> 16) as usize % n
+    };
+    // A drawn (run, slot) of `kind` over both tables: stride-1 first.
+    fn slots(runs: &[StencilRun], kind: u32) -> Vec<(usize, usize)> {
+        let slots = runs.iter().enumerate().flat_map(|(r, run)| {
+            (0..run.nf as usize)
+                .filter(move |&s| run.kind[s] == kind)
+                .map(move |s| (r, s))
+        });
+        slots.collect()
+    }
+    type Tamper = Box<dyn Fn(&mut Vec<StencilRun>, &mut Vec<StencilRun>)>;
+    let (rows, strided) = {
+        let mut clean = walled_runs_problem().build(ExecTarget::CpuSeq).unwrap();
+        let (rows, strided) = clean.compiled.stencil_runs_mut();
+        (rows.clone(), strided.clone())
+    };
+    assert_eq!((rows.len(), strided.len()), (12, 2));
+    let ghost = slots(&rows, SLOT_ROW);
+    let gather = slots(&strided, SLOT_GATHER);
+    let all = rows.len() + strided.len();
+    let (g, c, r) = (
+        ghost[draw(ghost.len())],
+        gather[draw(gather.len())],
+        draw(all),
+    );
+    let tampers: [(&str, Tamper); 3] = [
+        (
+            "ghost-row step",
+            Box::new(move |rows, _| rows[g.0].step[g.1] += 1),
+        ),
+        (
+            "gather column",
+            Box::new(move |_, strided| strided[c.0].at[c.1] ^= 1),
+        ),
+        (
+            "stride",
+            Box::new(move |rows, strided| match r < rows.len() {
+                true => rows[r].stride += 1,
+                false => strided[r - rows.len()].stride += 1,
+            }),
+        ),
+    ];
+    for target in every_target() {
+        let clean = walled_runs_problem().build(target.clone()).unwrap();
+        let diags = clean.compiled.verify_plan(&target);
+        assert!(diags.is_empty(), "{target:?}: {diags:?}");
+        for (what, tamper) in &tampers {
+            let mut solver = walled_runs_problem().build(target.clone()).unwrap();
+            let (rows, strided) = solver.compiled.stencil_runs_mut();
+            tamper(rows, strided);
+            let diags = solver.compiled.verify_plan(&target);
+            let fired: Vec<_> = diags.iter().map(|d| (d.rule, d.severity)).collect();
+            assert_eq!(
+                fired,
+                [(rules::RUN_MISMATCH, Severity::Error)],
+                "{what} on {target:?}: {diags:?}"
+            );
+        }
     }
 }
 

@@ -12,14 +12,15 @@
 //! 5. A flux program bound like a volume program (row evaluation over
 //!    face inputs) is bit-identical to the `vm` tier on every face,
 //!    special values and the upwind branch edge included.
-//! 6. On a grid of any size, with any renumbering of its cells and any
-//!    cut of the cell range into spans, the three kernel tiers agree bit
-//!    for bit — the stencil runs Row and Native walk are the CSR walk of
-//!    the per-dof tiers.
+//! 6. On a grid of any size, with a fixed-value wall and a gather wall,
+//!    any renumbering of its cells and any cut of the cell range into
+//!    spans, the three kernel tiers agree bit for bit — the stencil runs
+//!    Row and Native walk (rows, wall rows and x-end columns) are the CSR
+//!    walk of the per-dof tiers.
 //! 7. The same on the *compiled* flux (a jittered mesh, more orientations
-//!    than the flux table holds): runs found from the connectivity alone,
-//!    normals read from the per-slot oriented column, quads, triangles and
-//!    hexahedra, with and without runs.
+//!    than the flux table holds): runs found from the connectivity and the
+//!    walls alone, normals read from the per-slot oriented column, quads,
+//!    triangles and hexahedra, with and without runs.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -451,9 +452,10 @@ fn compiled_flux_matches_the_vm_bitwise_for_any_span_split() {
     }
 }
 
-/// An `nx × ny` grid with `swaps` seeded transpositions applied to its
-/// cell numbering: each one cuts the stencil runs through the two cells
-/// and through their neighbors' rows.
+/// An `nx × ny` grid over the unit square with `swaps` seeded
+/// transpositions applied to its cell numbering: each one cuts the stencil
+/// runs through the two cells and through their neighbors' rows. Its x
+/// ends are the region `mirror`, the rest of its boundary `wall`.
 fn renumbered_grid(nx: usize, ny: usize, seed: u64, swaps: usize) -> Mesh {
     let base = UniformGrid::new_2d(nx, ny, 1.0, 1.0).build();
     let mut order: Vec<usize> = (0..base.n_cells()).collect();
@@ -473,6 +475,7 @@ fn renumbered_grid(nx: usize, ny: usize, seed: u64, swaps: usize) -> Mesh {
         .map(|&c| base.cell_vertices(c).to_vec())
         .collect();
     let mut mesh = Mesh::from_cells(2, base.vertices.clone(), &cells);
+    mesh.add_boundary_region("mirror", |c| c.x < 1e-9 || c.x > 1.0 - 1e-9);
     mesh.add_boundary_region("wall", |_| true);
     mesh
 }
@@ -485,7 +488,7 @@ proptest! {
     #[test]
     fn all_tiers_agree_bitwise_on_any_grid_numbering_and_span(
         nx in 9usize..24,
-        ny in 3usize..9,
+        ny in 3usize..13,
         seed in any::<u64>(),
         swaps in 0usize..4,
         span in 1usize..80,
@@ -500,6 +503,17 @@ proptest! {
         p.coefficient_array("Sy", &[d], vec![0.0, 0.8, -0.96]);
         p.initial(i_var, |x, idx| (17.0 * x.x + 5.0 * x.y + idx[0] as f64).sin());
         p.boundary(i_var, "wall", BoundaryCondition::Value(0.25));
+        // Each x end gathers its own permutation of the directions.
+        let source = |n: pbte_mesh::Point, d: usize| if n.x < 0.0 { 2 - d } else { (d + 1) % 3 };
+        p.boundary(
+            i_var,
+            "mirror",
+            BoundaryCondition::gather(
+                &["I"],
+                move |q| q.fields.value(0, q.owner_cell, source(q.normal, q.idx[0])),
+                move |n, idx| Some(source(n, idx[0])),
+            ),
+        );
         p.conservation_form(i_var, "-I[d] + surface(upwind([Sx[d];Sy[d]], I[d]))");
         let solver = p.build(ExecTarget::CpuSeq).unwrap();
         let (cp, fields) = (&solver.compiled, solver.fields());
@@ -510,10 +524,17 @@ proptest! {
             (bench.tier(), bench.run_cells(), rhs)
         };
         let (_, run_cells, reference) = sweep(KernelTier::Vm, nx * ny);
-        // An untouched grid is all runs inside its walls; a renumbered
-        // one has lost some.
-        let interior = (nx - 2) * (ny - 2);
-        prop_assert!(if swaps == 0 { run_cells == interior } else { run_cells <= interior });
+        // An untouched grid is its rows without their ends and its x-end
+        // columns without the corners, each once it reaches MIN_RUN (8)
+        // cells; a renumbered one has lost some. The corners never join a
+        // run.
+        let rows = if nx - 2 >= 8 { ny * (nx - 2) } else { 0 };
+        let columns = if ny - 2 >= 8 { 2 * (ny - 2) } else { 0 };
+        prop_assert!(if swaps == 0 {
+            run_cells == rows + columns
+        } else {
+            run_cells <= nx * ny - 4
+        });
         for tier in [KernelTier::Row, KernelTier::Native] {
             let (resolved, _, got) = sweep(tier, span);
             // Native degrades to Row on a host without `rustc`.
@@ -609,16 +630,20 @@ proptest! {
         let mix = UniformGrid::new_2d(32, 10, 1.6, 0.5);
         let hexes = UniformGrid::new_3d(12, 5, 4, 1.2, 0.5, 0.4);
         // (mesh, cells in stencil runs): the property the fast loop needs.
-        // The jittered quads and hexes are all runs inside their walls; a
-        // pair-swapped numbering has none; the mix has, per interior row,
-        // runs of 14 quads, 15 lower and 15 upper triangles — both face
-        // counts, each run ending where the kind of cell changes.
-        let meshes: [(&str, Mesh, std::ops::RangeInclusive<usize>); 5] = [
-            ("quads", jittered(&quads, seed, |b| grid_cells(b, false)), 240..=240),
-            ("pair-swapped quads", jittered(&quads, seed, |b| grid_cells(b, true)), 0..=0),
-            ("tri + quad mix", jittered(&mix, seed, |b| tri_quad_cells(b, 32)), 8 * 44..=640),
-            ("hexes", jittered(&hexes, seed, |b| grid_cells(b, false)), 60..=60),
-            ("pair-swapped hexes", jittered(&hexes, seed, |b| grid_cells(b, true)), 0..=0),
+        // The jittered quads are all runs but their 4 corners (rows, wall
+        // rows included, and the x-end columns); the hexes are their rows,
+        // their x-end columns too short for a run. A pair-swapped
+        // numbering has none inside its walls: only the quads' x-end
+        // columns, which the swap leaves at a constant stride. The mix
+        // has, per row, runs of quads, lower and upper triangles — both
+        // face counts, each run ending where the kind of cell changes —
+        // and the x-end columns of quads and of lower triangles.
+        let meshes: [(&str, Mesh, usize); 5] = [
+            ("quads", jittered(&quads, seed, |b| grid_cells(b, false)), 26 * 12 - 4),
+            ("pair-swapped quads", jittered(&quads, seed, |b| grid_cells(b, true)), 2 * 10),
+            ("tri + quad mix", jittered(&mix, seed, |b| tri_quad_cells(b, 32)), 458),
+            ("hexes", jittered(&hexes, seed, |b| grid_cells(b, false)), 10 * 5 * 4),
+            ("pair-swapped hexes", jittered(&hexes, seed, |b| grid_cells(b, true)), 0),
         ];
         for (name, mesh, cells_in_runs) in meshes {
             let (dim, n_cells) = (mesh.dim, mesh.n_cells());
@@ -648,7 +673,7 @@ proptest! {
                 (bench.tier(), bench.run_cells(), rhs)
             };
             let (_, run_cells, reference) = sweep(KernelTier::Vm, n_cells);
-            prop_assert!(cells_in_runs.contains(&run_cells), "{}: {}", name, run_cells);
+            prop_assert_eq!(run_cells, cells_in_runs, "{}", name);
             // Tiles of 7 cells start and end inside the 24-cell runs of
             // the quads; 64 and `n_cells` straddle whole runs.
             for tier in [KernelTier::Row, KernelTier::Native] {
