@@ -322,9 +322,14 @@ fn info() -> Result<(), Diagnostic> {
     let report = solver.compiled.memory_report();
     let scale = (cfg.nx * cfg.ny) as f64 / report.n_cells as f64
         * (per_cell as f64 / (report.n_dof / report.n_cells) as f64);
+    let gib = |bytes: usize| bytes as f64 * scale / (1u64 << 30) as f64;
     out!(
         "  memory        : ~{:.2} GiB device at headline scale",
-        report.device_bytes as f64 * scale / (1u64 << 30) as f64
+        gib(report.device_bytes)
+    );
+    out!(
+        "  workspace     : ~{:.2} GiB host integrator buffers per rank",
+        gib(report.workspace_bytes)
     );
     out!(
         "\ntargets: seq | par | gpu[:async|:precompute] | cells:<ranks> | \

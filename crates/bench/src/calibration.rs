@@ -1,8 +1,9 @@
-//! Measured per-unit costs of the real code paths, read off one traced
-//! solve per repeat (best of three: the minimum is the noise-robust
-//! estimator on a shared machine), on this host at reduced scale — per-dof
-//! and per-cell costs do not depend on problem size for these streaming
-//! kernels:
+//! Measured per-unit costs of the real code paths, read off fifteen rounds
+//! that interleave traced one-step DSL solves with steps of the
+//! hand-written code (best round: the minimum is the noise-robust
+//! estimator on a shared machine; `render` prints the rounds' spread), on
+//! this host at reduced scale — per-dof and per-cell costs do not depend
+//! on problem size for these streaming kernels:
 //!
 //! * `c_dsl` — seconds per dof update of the DSL path at the tier the
 //!   benchmark lanes request (`native`): `solve for intensity` over
@@ -74,6 +75,15 @@ fn attr<'s>(span: &'s Span, key: &str) -> Option<&'s str> {
     found.map(|(_, v)| v.as_str())
 }
 
+/// How far apart the interleaved rounds of a measurement ran: per path,
+/// the slowest round's per-dof cost over the fastest one's.
+#[derive(Debug, Clone, Copy, Serialize)]
+pub struct Spread {
+    pub rounds: usize,
+    pub dsl: f64,
+    pub base: f64,
+}
+
 /// The measured constants, seconds.
 #[derive(Debug, Clone, Serialize)]
 pub struct Calibration {
@@ -87,28 +97,43 @@ pub struct Calibration {
     /// Band-parallel: a band rank rewrites its own bands of `Io`, `beta`.
     pub c_temp_rewrite: f64,
     pub ran: Ran,
+    /// The rounds' spread; `None` for [`Calibration::nominal`].
+    pub spread: Option<Spread>,
 }
+
+/// Interleaved rounds [`Calibration::measure`] takes the best of.
+const ROUNDS: usize = 15;
 
 impl Calibration {
     /// Measure on this host: the headline's angular/spectral shape (20
     /// directions, 55 groups) on a 16×16 mesh, so the per-cell temperature
     /// cost has the right band structure.
+    ///
+    /// Each round runs six steps of both paths interleaved step by step
+    /// (a one-step DSL solve, then one step of the hand-written code), so
+    /// a change in the host's load lands on both within one step; each
+    /// constant is its best round.
     pub fn measure() -> Calibration {
-        let mut cfg = BteConfig::small(16, 20, 40, 6);
+        let mut cfg = BteConfig::small(16, 20, 40, 1);
         cfg.hot_width = 100e-6;
-        let cell_steps = (cfg.nx * cfg.ny * cfg.n_steps) as f64;
+        const STEPS: usize = 6;
+        let cell_steps = (cfg.nx * cfg.ny * STEPS) as f64;
         let per_dof_base = cell_steps * cfg.dof().0 as f64;
-        let (mut best, mut ran) = ([f64::INFINITY; 6], None);
-        // Each repeat times both paths back to back, so a change in the
-        // host's load moves both and spares their ratio.
-        for _ in 0..3 {
+        let (mut rounds, mut ran) = (Vec::with_capacity(ROUNDS), None);
+        for _ in 0..ROUNDS {
             let mut bte = hotspot_2d(&cfg);
             bte.problem.kernel_tier(KernelTier::Native);
             let mut solver = bte.solver(ExecTarget::CpuSeq).expect("valid scenario");
-            let mut rec = Recorder::buffered();
-            let report = solver.solve_traced(&mut rec).expect("solve succeeds");
             let mut baseline = BaselineSolver::new(&cfg);
-            baseline.run(cfg.n_steps);
+            let (mut intensity, mut temperature, mut dofs) = (0.0, 0.0, 0);
+            let mut rec = Recorder::buffered();
+            for _ in 0..STEPS {
+                let report = solver.solve_traced(&mut rec).expect("solve succeeds");
+                intensity += report.timer.get(phases::INTENSITY);
+                temperature += report.timer.get(phases::TEMPERATURE);
+                dofs += report.work.dof_updates;
+                baseline.step();
+            }
             let spans = rec.spans();
             let newton = spans.iter().filter(|s| s.kind == SpanKind::NewtonSolve);
             let pass = |key| -> f64 {
@@ -117,28 +142,31 @@ impl Calibration {
                     .filter_map(|s| attr(s, key)?.parse::<f64>().ok());
                 secs.sum()
             };
-            let run = [
-                report.timer.get(phases::INTENSITY) / report.work.dof_updates as f64,
+            rounds.push([
+                intensity / dofs as f64,
                 baseline.timings.intensity / per_dof_base,
-                report.timer.get(phases::TEMPERATURE) / cell_steps,
+                temperature / cell_steps,
                 pass("energy_s") / cell_steps,
                 pass("newton_s") / cell_steps,
                 pass("rewrite_s") / cell_steps,
-            ];
-            for (b, r) in best.iter_mut().zip(run) {
-                *b = b.min(r);
-            }
+            ]);
             ran.get_or_insert_with(|| Ran::of(&rec));
         }
-        let [c_dsl, c_base, c_temp, c_temp_energy, c_temp_newton, c_temp_rewrite] = best;
+        let best = |k: usize| rounds.iter().map(|r| r[k]).fold(f64::INFINITY, f64::min);
+        let worst = |k: usize| rounds.iter().map(|r| r[k]).fold(0.0, f64::max);
         Calibration {
-            c_dsl,
-            c_base,
-            c_temp,
-            c_temp_energy,
-            c_temp_newton,
-            c_temp_rewrite,
-            ran: ran.expect("three solves ran"),
+            c_dsl: best(0),
+            c_base: best(1),
+            c_temp: best(2),
+            c_temp_energy: best(3),
+            c_temp_newton: best(4),
+            c_temp_rewrite: best(5),
+            ran: ran.expect("the rounds ran"),
+            spread: Some(Spread {
+                rounds: ROUNDS,
+                dsl: worst(0) / best(0),
+                base: worst(1) / best(1),
+            }),
         }
     }
 
@@ -165,6 +193,7 @@ impl Calibration {
                 walls: "fixed:32 gather:32 callback:0".into(),
                 rev: "3510961+PR25".into(),
             },
+            spread: None,
         }
     }
 
@@ -180,14 +209,21 @@ impl Calibration {
         self.c_temp - self.c_temp_energy - self.c_temp_newton - self.c_temp_rewrite
     }
 
-    /// The constants and what they were measured on.
+    /// The constants, what they were measured on, and how far apart the
+    /// rounds ran.
     pub fn render(&self) -> String {
         let rest = self.temp_unattributed();
+        let spread = self.spread.map_or(String::new(), |s| {
+            format!(
+                "\n  spread over {} interleaved rounds: DSL {:.2}x, hand-written {:.2}x",
+                s.rounds, s.dsl, s.base
+            )
+        });
         format!(
             "calibration: {}\n  c_dsl  = {:.3e} s/dof  (DSL path)\n  \
              c_base = {:.3e} s/dof  (hand-written; DSL/hand-written {:.2}x)\n  \
              c_temp = {:.3e} s/cell (energy {:.3e} + newton {:.3e} + rewrite {:.3e} \
-             + unattributed {rest:.3e}, {:.1}%)",
+             + unattributed {rest:.3e}, {:.1}%){spread}",
             self.ran.line(),
             self.c_dsl,
             self.c_base,

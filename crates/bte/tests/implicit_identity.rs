@@ -56,22 +56,26 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
     }
 }
 
+/// Backward Euler and Crank–Nicolson: θ < 1 adds the explicit sweep at
+/// `u_n` to every step.
 #[test]
 fn implicit_bit_identical_across_seven_targets() {
-    let solve = |target: ExecTarget| {
-        let bp = coupled(Integrator::Implicit { theta: 1.0 });
-        let vars = bp.vars;
-        let mut s = bp.solver(target).unwrap();
-        s.solve().unwrap();
-        let f = s.fields();
-        [f.slice(vars.i).to_vec(), f.slice(vars.t).to_vec()]
-    };
-    let [i_ref, t_ref] = solve(ExecTarget::CpuSeq);
-    for target in seven_targets().into_iter().skip(1) {
-        let label = format!("implicit {target:?}");
-        let [i, t] = solve(target);
-        assert_bits_eq(&i_ref, &i, &format!("{label}: intensity"));
-        assert_bits_eq(&t_ref, &t, &format!("{label}: temperature"));
+    for theta in [1.0, 0.5] {
+        let solve = |target: ExecTarget| {
+            let bp = coupled(Integrator::Implicit { theta });
+            let vars = bp.vars;
+            let mut s = bp.solver(target).unwrap();
+            s.solve().unwrap();
+            let f = s.fields();
+            [f.slice(vars.i).to_vec(), f.slice(vars.t).to_vec()]
+        };
+        let [i_ref, t_ref] = solve(ExecTarget::CpuSeq);
+        for target in seven_targets().into_iter().skip(1) {
+            let label = format!("implicit θ={theta} {target:?}");
+            let [i, t] = solve(target);
+            assert_bits_eq(&i_ref, &i, &format!("{label}: intensity"));
+            assert_bits_eq(&t_ref, &t, &format!("{label}: temperature"));
+        }
     }
 }
 
@@ -170,6 +174,32 @@ fn residual_series_bits_are_pinned() {
     assert_series(s, &KRYLOV, &NEWTON);
 }
 
+/// The same series under Crank–Nicolson (θ = 1/2), pinned to the bits
+/// the step produced while it kept the Newton RHS in a vector of its own:
+/// the explicit part `dt(1−θ)·f(u_n)` is swept once per step and read by
+/// every Newton residual of it.
+#[test]
+fn crank_nicolson_residual_series_bits_are_pinned() {
+    const KRYLOV: [(usize, u64); 6] = [
+        (0, 0x40115cc0885d964c), // 4.340578203880408e0
+        (0, 0x3f2b90dc75195204), // 2.1031085138879812e-4
+        (0, 0x3e4b0bf433d911e1), // 1.2594598804092335e-8
+        (1, 0x400ec59382bd850e), // 3.8464727605902516e0
+        (1, 0x3f28b7aaa3c68261), // 1.8857915882810036e-4
+        (1, 0x3e48a7ef26f1655b), // 1.1481341403800438e-8
+    ];
+    const NEWTON: [(usize, u64); 4] = [
+        (0, 0x40fd4964f4c999ef), // 1.1995830976257448e5
+        (0, 0x3ece2f24c36e2610), // 3.5982316392610037e-6
+        (1, 0x40f9e27833ee7705), // 1.0602351267858974e5
+        (1, 0x3ed56b40de5d8351), // 5.106677667261081e-6
+    ];
+    let mut bp = hotspot_2d(&BteConfig::small(6, 4, 4, 2));
+    bp.problem.integrator(Integrator::Implicit { theta: 0.5 });
+    let s = bp.solver(ExecTarget::CpuSeq).unwrap();
+    assert_series(s, &KRYLOV, &NEWTON);
+}
+
 /// Solve on the recorder and hold the two residual series to their pins.
 fn assert_series(mut s: pbte_dsl::Solver, krylov: &[(usize, u64)], newton: &[(usize, u64)]) {
     let mut rec = pbte_runtime::telemetry::Recorder::buffered();
@@ -217,4 +247,28 @@ fn die3d_residual_series_bits_are_pinned() {
     let jvp = s.compiled.jvp.as_deref().expect("an implicit scenario");
     assert!(jvp.walls.lowered() && jvp.walls.gather_faces == s.compiled.walls.gather_faces);
     assert_series(s, &KRYLOV, &NEWTON);
+}
+
+/// The integrator's buffers a solve holds are the ones `memory_report`
+/// prices before it allocates them: on the backward-Euler die, the nine
+/// unknown-sized vectors of the θ-step (no `f_n`), and under
+/// Crank–Nicolson ten.
+#[test]
+fn die3d_workspace_is_what_the_memory_report_prices() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples/scenarios/die3d.pbte");
+    let spec = pbte_bte::pbte::ScenarioSpec::from_file(&path).unwrap();
+    for (theta, vectors) in [(None, 9), (Some(0.5), 10)] {
+        let mut bp = spec.build().unwrap();
+        if let Some(theta) = theta {
+            bp.problem.integrator(Integrator::Implicit { theta });
+        }
+        let unknown = bp.vars.i;
+        let mut s = bp.solver(ExecTarget::CpuSeq).unwrap();
+        let mem = s.compiled.memory_report();
+        let unknown_bytes = s.fields().slice(unknown).len() * 8;
+        assert_eq!(mem.workspace_bytes, vectors * unknown_bytes, "θ {theta:?}");
+        let report = s.solve().unwrap();
+        assert_eq!(report.workspace_bytes, mem.workspace_bytes, "θ {theta:?}");
+    }
 }

@@ -220,8 +220,9 @@ fn check_gather_sources(cp: &CompiledProblem, scopes: &[Scope], out: &mut Vec<Di
 /// The implicit driver's Krylov work vectors must tile the dof grid. Each
 /// rank updates its Krylov vectors (the right-hand side `b`, which doubles
 /// as the shadow residual, `r` (which holds the half-step residual `s` in
-/// between), `p`, `v`, `t`, and the preconditioned direction `y` in the
-/// JVP fields' unknown slot) over its own scope's spans — the tiles of the
+/// between), `p`, `v`, `t`, and the preconditioned direction `y`, which
+/// each JVP sweep reads from the unknown's slot) over its own scope's
+/// spans — the tiles of the
 /// unknown's `split` — and contributes an exact-dot partial over exactly
 /// those: an overlap would double-count a dot partial, a gap would drop
 /// one — either silently changes every Krylov scalar on every rank. So the

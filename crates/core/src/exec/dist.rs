@@ -294,6 +294,7 @@ fn reduce_reports(results: Vec<RankResult>, rec: &mut Recorder) -> SolveReport {
         work: WorkCounters::default(),
         device: None,
         findings: Default::default(),
+        workspace_bytes: 0,
     };
     let mut names: Vec<String> = Vec::new();
     for r in &results {
@@ -314,6 +315,7 @@ fn reduce_reports(results: Vec<RankResult>, rec: &mut Recorder) -> SolveReport {
         // Pseudo-transient steady stops early; the exact-reduction SER
         // controller makes the count identical on all ranks.
         merged.steps = merged.steps.max(r.report.steps);
+        merged.workspace_bytes = merged.workspace_bytes.max(r.report.workspace_bytes);
         merged.comm.messages += r.report.comm.messages;
         merged.comm.bytes += r.report.comm.bytes;
         merged.work.merge(&r.report.work);

@@ -404,10 +404,35 @@ enum Scheme<'a> {
     },
 }
 
+impl Scheme<'_> {
+    /// Bytes of the buffers it holds.
+    fn bytes(&self) -> usize {
+        match self {
+            Scheme::Explicit { k1, k2 } => (k1.len() + k2.len()) * 8,
+            Scheme::Theta { ws, .. } => ws.bytes(),
+        }
+    }
+}
+
+/// The unknown-sized vectors the integrator of `cp` holds through a
+/// solve on one rank, known before [`drive`] allocates them: the explicit
+/// stage buffers, or the θ-step's workspace.
+pub(crate) fn workspace_vectors(cp: &CompiledProblem) -> usize {
+    match cp.problem.integrator {
+        Integrator::Explicit => match cp.problem.stepper {
+            TimeStepper::Rk2 => 2,
+            TimeStepper::EulerExplicit => 1,
+        },
+        Integrator::Implicit { theta } => ImplicitWorkspace::vectors(theta),
+        Integrator::Steady { .. } => ImplicitWorkspace::vectors(1.0),
+    }
+}
+
 /// The time loop shared by every target and integrator: pre/post
 /// callbacks around one stage function (`explicit_step` or
 /// [`theta_step`]), with phase, communication and span accounting.
-/// Returns the number of steps actually taken (steady may stop early).
+/// Returns the number of steps actually taken (steady may stop early)
+/// and the bytes of the integrator's buffers.
 ///
 /// Implicit integrators require `cp.jvp` ([`solve`] checks before any
 /// rank starts).
@@ -421,12 +446,12 @@ pub(crate) fn drive(
     links: &mut dyn StepLinks,
     rec: &mut Recorder,
     threads: usize,
-) -> usize {
+) -> (usize, usize) {
     let n = cp.n_flat * d.n_cells;
     let cfg = cp.problem.krylov;
     let theta_scheme = |theta, steady| Scheme::Theta {
         jcp: cp.jvp.as_deref().expect("validated by exec::driver::solve"),
-        ws: Box::new(ImplicitWorkspace::new(fields, n)),
+        ws: Box::new(ImplicitWorkspace::new(theta, n)),
         theta,
         steady,
     };
@@ -595,7 +620,7 @@ pub(crate) fn drive(
             f_prev = Some(fnorm);
         }
     }
-    steps_taken
+    (steps_taken, scheme.bytes())
 }
 
 /// Run one rank's share of the solve in its recorder `r` and close it
@@ -628,7 +653,7 @@ pub(crate) fn run_scope(
             cp.jvp.as_deref().map(CompiledProblem::plan_origin),
         );
     }
-    let steps = drive(cp, &mut engine, fields, d, owned, links, r, threads);
+    let (steps, workspace_bytes) = drive(cp, &mut engine, fields, d, owned, links, r, threads);
     let device = engine.backend.finish(cp, fields);
     if let Some(prof) = &device {
         if cp.problem.integrator.is_implicit() {
@@ -646,6 +671,7 @@ pub(crate) fn run_scope(
         work: r.work,
         device,
         findings: Default::default(),
+        workspace_bytes,
     }
 }
 

@@ -29,6 +29,11 @@
 //! `Reducer`) where it does not. So the whole Krylov trajectory is
 //! bit-identical across targets, rank counts, and kernel tiers.
 //!
+//! A step holds `u_n`, `f_n` (θ < 1 only), `g`, `δ` and BiCGStab's `r`,
+//! `p`, `v`, `t`, `y` and inverse diagonal: nine unknown-sized vectors
+//! under backward Euler, ten under θ < 1, and no copy of the fields (the
+//! JVP sweeps read the live ones, `y` swapped into the unknown's slot).
+//!
 //! For steady problems the same machinery runs in pseudo-transient
 //! continuation: repeated backward-Euler steps whose `dt` grows by
 //! switched evolution relaxation (SER) as the residual falls, so the
@@ -137,54 +142,50 @@ fn exact_dots<const K: usize>(pairs: [(&[f64], &[f64]); K], d: &Scope) -> [Exact
 // written, while the span is still in cache, so a BiCGStab stage reads
 // its vectors from memory once.
 
-/// Newton residual pass: `b = −G(u)` with
-/// `G = u − u_n − c_n·f_n − dtθ·f_np`, `δ = 0`, and the local part of
-/// `‖G‖²` (= `‖b‖²`: negation is exact).
-#[allow(clippy::too_many_arguments)]
+/// Newton residual pass: `b = −G(u)` with `G = u − u_n − c_n·f_n −
+/// dtθ·f(u)`, in place over the sweep `f(u)` left in `b` (`f_n` is read
+/// only when `c_n ≠ 0`), and the local part of `‖G‖²` (= `‖b‖²`).
 fn residual_pass(
     u: &[f64],
     u_n: &[f64],
     f_n: &[f64],
-    f_np: &[f64],
     c_n: f64,
     dt_theta: f64,
     b: &mut [f64],
-    delta: &mut [f64],
     d: &Scope,
 ) -> Dot2 {
     let mut gg = Dot2::new();
     for span in d.spans() {
         let (u, u_n) = (&u[span.clone()], &u_n[span.clone()]);
-        let (f_n, f_np) = (&f_n[span.clone()], &f_np[span.clone()]);
-        let b = &mut b[span.clone()];
-        delta[span].fill(0.0);
+        let f_n = f_n.get(span.clone()).unwrap_or_default();
+        let b = &mut b[span];
         for (i, b) in b.iter_mut().enumerate() {
             let expl = if c_n != 0.0 { c_n * f_n[i] } else { 0.0 };
-            *b = -(u[i] - u_n[i] - expl - dt_theta * f_np[i]);
+            *b = -(u[i] - u_n[i] - expl - dt_theta * *b);
         }
         gg.add_dot(b, b);
     }
     gg
 }
 
-/// BiCGStab start: `r = p = b` and the first preconditioned direction
-/// `y = M⁻¹p`.
-fn start_pass(b: &[f64], inv_diag: &[f64], r: &mut [f64], p: &mut [f64], y: &mut [f64], d: &Scope) {
+/// BiCGStab start: the first preconditioned direction `y = M⁻¹b` (the
+/// first `r` and `p` are `b` itself, read where they would be).
+fn start_pass(b: &[f64], inv_diag: &[f64], y: &mut [f64], d: &Scope) {
     for span in d.spans() {
         let (b, inv_diag) = (&b[span.clone()], &inv_diag[span.clone()]);
-        r[span.clone()].copy_from_slice(b);
-        p[span.clone()].copy_from_slice(b);
         for ((y, &m), &b) in y[span].iter_mut().zip(inv_diag).zip(b) {
             *y = m * b;
         }
     }
 }
 
-/// Search direction: `p = r + β(p − ωv)`, `y = M⁻¹p`.
+/// Search direction: `p = r + β(p − ωv)`, `y = M⁻¹p`. The `FIRST` pass
+/// (iteration 1) reads the old `p` from `b`: it was never stored.
 #[allow(clippy::too_many_arguments)]
-fn direction_pass(
+fn direction_pass<const FIRST: bool>(
     r: &[f64],
     v: &[f64],
+    b: &[f64],
     inv_diag: &[f64],
     beta: f64,
     omega: f64,
@@ -194,9 +195,10 @@ fn direction_pass(
 ) {
     for span in d.spans() {
         let (r, v, inv_diag) = (&r[span.clone()], &v[span.clone()], &inv_diag[span.clone()]);
-        let (p, y) = (&mut p[span.clone()], &mut y[span]);
+        let (b, p, y) = (&b[span.clone()], &mut p[span.clone()], &mut y[span]);
         for (i, (p, y)) in p.iter_mut().zip(y).enumerate() {
-            *p = r[i] + beta * (*p - omega * v[i]);
+            let p_old = if FIRST { b[i] } else { *p };
+            *p = r[i] + beta * (p_old - omega * v[i]);
             *y = inv_diag[i] * *p;
         }
     }
@@ -219,9 +221,13 @@ fn matvec_pass(v: &mut [f64], y: &[f64], r0: &[f64], dt_theta: f64, d: &Scope) -
 /// First half-step update: `s = r − αv` over `r`'s storage (`r` is not
 /// read again before the full step rebuilds it from `s`), `x += αy`, the
 /// next direction `y = M⁻¹s` (harmless when the half-step converges), and
-/// the local part of `‖s‖²`.
-fn half_step_pass(
+/// the local part of `‖s‖²`. The `FIRST` pass (iteration 0) reads `r` from
+/// `b` and writes `x = 0 + αy`: the sum the update makes on a zeroed `x`,
+/// so a `−0.0` product still gives `+0.0`, with no zero-fill before it.
+#[allow(clippy::too_many_arguments)]
+fn half_step_pass<const FIRST: bool>(
     v: &[f64],
+    b: &[f64],
     inv_diag: &[f64],
     alpha: f64,
     r: &mut [f64],
@@ -231,11 +237,12 @@ fn half_step_pass(
 ) -> Dot2 {
     let mut ss = Dot2::new();
     for span in d.spans() {
-        let (v, inv_diag) = (&v[span.clone()], &inv_diag[span.clone()]);
+        let (v, b, inv_diag) = (&v[span.clone()], &b[span.clone()], &inv_diag[span.clone()]);
         let (s, x, y) = (&mut r[span.clone()], &mut x[span.clone()], &mut y[span]);
         for (i, ((s, x), y)) in s.iter_mut().zip(x).zip(y).enumerate() {
-            *s -= alpha * v[i];
-            *x += alpha * *y;
+            let (r_old, x_old) = if FIRST { (b[i], 0.0) } else { (*s, *x) };
+            *s = r_old - alpha * v[i];
+            *x = x_old + alpha * *y;
             *y = inv_diag[i] * *s;
         }
         ss.add_dot(s, s);
@@ -286,47 +293,47 @@ fn full_step_pass(
     [rr, r0r]
 }
 
-/// One JVP sweep `out = J·y` for the direction `y` sitting in the JVP
-/// fields' unknown slot: halo-exchange it (interface neighbours need
-/// direction values too), then sweep the JVP plan.
+/// One JVP sweep `out = J·y`, with `y` swapped into the unknown's slot of
+/// the live `fields` for the halo exchange and the sweep. Within a step
+/// only the unknown changes: the sweep sees the frozen Io, β, ….
 #[allow(clippy::too_many_arguments)]
 fn jvp_sweep(
     engine: &mut Engine,
     jcp: &CompiledProblem,
-    jfields: &mut Fields,
+    fields: &mut Fields,
+    y: &mut Vec<f64>,
     time: f64,
     step: usize,
     links: &mut dyn StepLinks,
     out: &mut Vec<f64>,
     rec: &mut Recorder,
 ) {
-    links.halo_exchange(jfields);
-    engine.sweep(jcp, Plan::Jvp, jfields, time, step, out, rec);
+    fields.swap_storage(jcp.system.unknown, y);
+    links.halo_exchange(fields);
+    engine.sweep(jcp, Plan::Jvp, fields, time, step, out, rec);
+    fields.swap_storage(jcp.system.unknown, y);
     rec.work.jvp_evals += 1;
 }
 
 /// Jacobi diagonal of `A = I − dtθJ`, from the symbolic linearization:
 /// the JVP volume program is linear in the unknown (the derivation gate
-/// enforces it), so evaluating it with `v ≡ 1` yields `∂s/∂u` per dof;
-/// the flux's own-cell slope is the `α` table of the JVP plan's
-/// linearized flux. When the flux didn't linearize the diagonal degrades
-/// to the volume part only — Jacobi is a preconditioner, so this costs
-/// iterations, never correctness.
+/// enforces it), so evaluating it on `vars` with `v ≡ 1` in the unknown's
+/// slot yields `∂s/∂u` per dof; the flux's own-cell slope is the `α`
+/// table of the JVP plan's linearized flux. When the flux didn't
+/// linearize the diagonal degrades to the volume part only — Jacobi is a
+/// preconditioner, so this costs iterations, never correctness.
 ///
 /// The volume part is evaluated a flat row at a time, tile by tile: the
 /// program bound for the flat, the way expression initials are filled
 /// (bit-identical to the `vm` tier per cell).
 fn build_diag(
     jcp: &CompiledProblem,
-    jfields: &mut Fields,
-    unknown: usize,
+    vars: &[&[f64]],
     d: &Scope,
     dt_theta: f64,
     time: f64,
     inv_diag: &mut [f64],
 ) {
-    jfields.slice_mut(unknown).fill(1.0);
-    let vars = jfields.as_slices();
     let centroids = &jcp.mesh().cell_centroids;
     let hot = &jcp.hot;
     let mut regs = Vec::new();
@@ -342,7 +349,7 @@ fn build_diag(
             .map(|lin| &lin.alpha[flat * lin.n_classes..][..lin.n_classes]);
         for tile in row {
             let out = &mut inv_diag[d.at(tile)..][..tile.len];
-            program.eval_row(&vars, tile.cell0, out, centroids, time, &mut regs);
+            program.eval_row(vars, tile.cell0, out, centroids, time, &mut regs);
             for (cell, out) in (tile.cell0..).zip(out) {
                 let faces = hot.offsets[cell] as usize..hot.offsets[cell + 1] as usize;
                 let mut asum = 0.0;
@@ -359,16 +366,16 @@ fn build_diag(
     }
 }
 
-/// Krylov work vectors, allocated once per solve and reused every step.
-/// The shadow residual `r̂₀` is the right-hand side itself, the half-step
-/// residual `s` lives in `r`'s storage, and the preconditioned directions
-/// `M⁻¹p` / `M⁻¹s` live in the JVP fields' unknown slot, where the sweep
-/// reads them.
+/// Krylov work vectors, allocated once per solve and reused every step:
+/// `r`, `p`, `v`, `t`, the direction `y` (`M⁻¹p` / `M⁻¹s`; zero outside
+/// the owned dofs and the halo) and the inverse diagonal. `r̂₀` is `b`,
+/// which also stands for the first `r` and `p`, and `s` lives in `r`.
 pub(crate) struct KrylovVecs {
     r: Vec<f64>,
     p: Vec<f64>,
     v: Vec<f64>,
     t: Vec<f64>,
+    y: Vec<f64>,
     pub inv_diag: Vec<f64>,
 }
 
@@ -379,6 +386,7 @@ impl KrylovVecs {
             p: vec![0.0; n],
             v: vec![0.0; n],
             t: vec![0.0; n],
+            y: vec![0.0; n],
             inv_diag: vec![1.0; n],
         }
     }
@@ -391,10 +399,10 @@ pub(crate) struct KrylovStats {
     pub rnorm: f64,
 }
 
-/// Jacobi-right-preconditioned BiCGStab for `A x = b`,
-/// `A = I − dtθJ`. `x` must come in zeroed, `bb` is the exact `b·b` (the
-/// caller has it from the Newton residual norm), and the owned part of
-/// `jfields`' unknown slot is scratch. Deterministic: all scalars are
+/// Jacobi-right-preconditioned BiCGStab for `A x = b`, `A = I − dtθJ`,
+/// from `x = 0` (written by the first half step, or zero-filled by a
+/// solve that stops before it); `bb` is the exact `b·b` (the caller has
+/// it from the Newton residual norm). Deterministic: all scalars are
 /// exact global dots, breakdown tests compare against exact zero, and the
 /// iteration emits a `krylov_residual` sample per half-step plus one
 /// `krylov_solve` kernel span, which says why the loop stopped (`exit`:
@@ -413,8 +421,7 @@ pub(crate) struct KrylovStats {
 fn bicgstab(
     engine: &mut Engine,
     jcp: &CompiledProblem,
-    jfields: &mut Fields,
-    unknown: usize,
+    fields: &mut Fields,
     b: &[f64],
     bb: f64,
     x: &mut [f64],
@@ -444,33 +451,36 @@ fn bicgstab(
     // Why the loop stopped, and how many of its sums took the limbs.
     let mut exit = "max_iters";
     let mut fallbacks = 0;
+    let KrylovVecs { r, p, v, t, y, .. } = kv;
+    let inv_diag = &kv.inv_diag;
     while !stats.converged && stats.iters < max_iters as u64 {
         if rho_new == 0.0 {
             // Breakdown: return the best iterate found so far.
             exit = "breakdown:rho";
             break;
         }
-        let y = jfields.slice_mut(unknown);
-        if stats.iters == 0 {
-            start_pass(b, &kv.inv_diag, &mut kv.r, &mut kv.p, y, d);
-        } else {
-            let beta = (rho_new / rho) * (alpha / omega);
-            direction_pass(&kv.r, &kv.v, &kv.inv_diag, beta, omega, &mut kv.p, y, d);
+        let beta = (rho_new / rho) * (alpha / omega);
+        match stats.iters {
+            0 => start_pass(b, inv_diag, y, d),
+            1 => direction_pass::<true>(r, v, b, inv_diag, beta, omega, p, y, d),
+            _ => direction_pass::<false>(r, v, b, inv_diag, beta, omega, p, y, d),
         }
-        jvp_sweep(engine, jcp, jfields, time, step, links, &mut kv.v, rec);
-        let r0v = matvec_pass(&mut kv.v, jfields.slice(unknown), b, dt_theta, d);
-        let exact = || exact_dots([(b, &kv.v)], d);
+        jvp_sweep(engine, jcp, fields, y, time, step, links, v, rec);
+        let r0v = matvec_pass(v, y, b, dt_theta, d);
+        let exact = || exact_dots([(b, v)], d);
         let [r0v] = reduce([r0v], exact, links, &mut fallbacks);
         if r0v == 0.0 {
             exit = "breakdown:r0v";
             break;
         }
         alpha = rho_new / r0v;
-        let y = jfields.slice_mut(unknown);
-        let ss = half_step_pass(&kv.v, &kv.inv_diag, alpha, &mut kv.r, x, y, d);
+        let ss = match stats.iters {
+            0 => half_step_pass::<true>(v, b, inv_diag, alpha, r, x, y, d),
+            _ => half_step_pass::<false>(v, b, inv_diag, alpha, r, x, y, d),
+        };
         stats.iters += 1;
         rec.work.krylov_iters += 1;
-        let exact = || exact_dots([(&kv.r, &kv.r)], d);
+        let exact = || exact_dots([(r, r)], d);
         let [ss] = reduce([ss], exact, links, &mut fallbacks);
         let snorm = ss.sqrt();
         rec.sample("krylov_residual", step, snorm);
@@ -479,18 +489,17 @@ fn bicgstab(
             stats.converged = true;
             break;
         }
-        jvp_sweep(engine, jcp, jfields, time, step, links, &mut kv.t, rec);
-        let y = jfields.slice(unknown);
-        let sums = stabilizer_pass(&mut kv.t, y, &kv.r, dt_theta, d);
-        let exact = || exact_dots([(&kv.t, &kv.t), (&kv.t, &kv.r)], d);
+        jvp_sweep(engine, jcp, fields, y, time, step, links, t, rec);
+        let sums = stabilizer_pass(t, y, r, dt_theta, d);
+        let exact = || exact_dots([(t, t), (t, r)], d);
         let [tt, ts] = reduce(sums, exact, links, &mut fallbacks);
         if tt == 0.0 {
             exit = "breakdown:tt";
             break;
         }
         omega = ts / tt;
-        let sums = full_step_pass(&kv.t, y, b, omega, x, &mut kv.r, d);
-        let exact = || exact_dots([(&kv.r, &kv.r), (b, &kv.r)], d);
+        let sums = full_step_pass(t, y, b, omega, x, r, d);
+        let exact = || exact_dots([(r, r), (b, r)], d);
         let [rr, r0r] = reduce(sums, exact, links, &mut fallbacks);
         rho = rho_new;
         rho_new = r0r;
@@ -504,6 +513,10 @@ fn bicgstab(
             exit = "breakdown:omega";
             break;
         }
+    }
+    if stats.iters == 0 {
+        // No half step wrote `x`: the iterate is the start, zero.
+        d.spans().for_each(|span| x[span].fill(0.0));
     }
     if stats.converged {
         exit = "converged";
@@ -541,17 +554,13 @@ fn bicgstab(
     stats
 }
 
-/// Workspace for the θ-step driver, allocated once per solve.
+/// Workspace for the θ-step driver, allocated once per solve: `u_n`,
+/// `f_n` (empty under θ = 1), `g`, `δ` and the six [`KrylovVecs`].
 pub(crate) struct ImplicitWorkspace {
-    /// Fields clone whose unknown slot carries the Krylov direction; all
-    /// other variables are refreshed from the live fields each step so
-    /// the JVP sees the step's frozen coefficients (Io, β, …).
-    pub jfields: Fields,
     pub u_n: Vec<f64>,
     pub f_n: Vec<f64>,
-    pub f_np: Vec<f64>,
-    /// The Newton residual, stored negated: `−G` is the Krylov right-hand
-    /// side.
+    /// The Newton residual, stored negated (`−G` is the Krylov right-hand
+    /// side); each Newton iteration's RHS sweep lands here first.
     pub g: Vec<f64>,
     pub delta: Vec<f64>,
     pub kv: KrylovVecs,
@@ -561,17 +570,28 @@ pub(crate) struct ImplicitWorkspace {
 }
 
 impl ImplicitWorkspace {
-    pub fn new(fields: &Fields, n: usize) -> ImplicitWorkspace {
+    pub fn new(theta: f64, n: usize) -> ImplicitWorkspace {
         ImplicitWorkspace {
-            jfields: fields.clone(),
             u_n: vec![0.0; n],
-            f_n: vec![0.0; n],
-            f_np: vec![0.0; n],
+            f_n: vec![0.0; n * usize::from(theta < 1.0)],
             g: vec![0.0; n],
             delta: vec![0.0; n],
             kv: KrylovVecs::new(n),
             diag_dt_theta: None,
         }
+    }
+
+    /// How many unknown-sized vectors the workspace holds at `theta`.
+    pub fn vectors(theta: f64) -> usize {
+        9 + usize::from(theta < 1.0)
+    }
+
+    /// Bytes of the vectors it holds.
+    pub fn bytes(&self) -> usize {
+        let kv = &self.kv;
+        let vecs = [&self.u_n, &self.f_n, &self.g, &self.delta];
+        let kvs = [&kv.r, &kv.p, &kv.v, &kv.t, &kv.y, &kv.inv_diag];
+        vecs.iter().chain(&kvs).map(|v| v.len() * 8).sum()
     }
 }
 
@@ -630,12 +650,6 @@ pub(crate) fn theta_step(
     let dt_theta = dt * theta;
     let c_n = dt * (1.0 - theta);
     let t_np = time + dt;
-
-    // Freeze the step's coefficient fields into the JVP's evaluation
-    // state; the unknown slot is the Krylov directions' (zeroed below).
-    for var in (0..fields.n_vars()).filter(|&var| var != unknown) {
-        ws.jfields.slice_mut(var).copy_from_slice(fields.slice(var));
-    }
     ws.u_n.copy_from_slice(fields.slice(unknown));
 
     // The explicit part of the θ combination, evaluated once at u_n.
@@ -646,24 +660,17 @@ pub(crate) fn theta_step(
         rec.work.rhs_evals += 1;
     }
 
-    // Refresh the Jacobi diagonal when dtθ changed (steady varies dt).
+    // Refresh the Jacobi diagonal when dtθ changed (steady varies dt),
+    // with `v` (scratch until the first matvec writes it) as the ones.
     let bits = dt_theta.to_bits();
     if ws.diag_dt_theta != Some(bits) {
-        build_diag(
-            jcp,
-            &mut ws.jfields,
-            unknown,
-            d,
-            dt_theta,
-            t_np,
-            &mut ws.kv.inv_diag,
-        );
+        let kv = &mut ws.kv;
+        kv.v.fill(1.0);
+        let mut vars = fields.as_slices();
+        vars[unknown] = &kv.v;
+        build_diag(jcp, &vars, d, dt_theta, t_np, &mut kv.inv_diag);
         ws.diag_dt_theta = Some(bits);
     }
-    // The unknown slot carries the Krylov directions from here on: owned
-    // entries are rewritten per matvec, halo entries by the exchange, and
-    // everything else reads as zero.
-    ws.jfields.slice_mut(unknown).fill(0.0);
 
     let lin_tol = forcing.unwrap_or(cfg.tol);
     let max_newton = if forcing.is_some() {
@@ -675,20 +682,10 @@ pub(crate) fn theta_step(
     let mut fallbacks = 0;
     for newton in 0..max_newton {
         links.halo_exchange(fields);
-        let f_np = &mut ws.f_np;
-        engine.sweep(cp, Plan::Main, fields, t_np, step, f_np, rec);
+        engine.sweep(cp, Plan::Main, fields, t_np, step, &mut ws.g, rec);
         rec.work.rhs_evals += 1;
-        let gg = residual_pass(
-            fields.slice(unknown),
-            &ws.u_n,
-            &ws.f_n,
-            &ws.f_np,
-            c_n,
-            dt_theta,
-            &mut ws.g,
-            &mut ws.delta,
-            d,
-        );
+        let u = fields.slice(unknown);
+        let gg = residual_pass(u, &ws.u_n, &ws.f_n, c_n, dt_theta, &mut ws.g, d);
         let exact = || exact_dots([(&ws.g, &ws.g)], d);
         let [gg] = reduce([gg], exact, links, &mut fallbacks);
         let gnorm = gg.sqrt();
@@ -710,8 +707,7 @@ pub(crate) fn theta_step(
         let stats = bicgstab(
             engine,
             jcp,
-            &mut ws.jfields,
-            unknown,
+            fields,
             &ws.g,
             gg,
             &mut ws.delta,
@@ -852,48 +848,58 @@ mod tests {
     fn residual_pass_matches_unfused_update_and_dot() {
         for_each_scope(|d| {
             for c_n in [0.0, 0.25] {
-                let (u, u_n, f_n, f_np) = (vector(1), vector(2), vector(3), vector(4));
-                let (mut b, mut delta) = (vector(5), vector(6));
-                let (mut b_ref, mut delta_ref) = (b.clone(), delta.clone());
-                let gg = residual_pass(&u, &u_n, &f_n, &f_np, c_n, 0.5, &mut b, &mut delta, d);
+                let (u, u_n, f_u) = (vector(1), vector(2), vector(4));
+                // Backward Euler holds no `f_n`.
+                let f_n = if c_n != 0.0 { vector(3) } else { Vec::new() };
+                // `b` comes in holding the RHS sweep `f(u)`; its unowned
+                // entries stay put.
+                let mut b = f_u.clone();
+                let mut b_ref = b.clone();
+                let gg = residual_pass(&u, &u_n, &f_n, c_n, 0.5, &mut b, d);
                 let [gg] = certified([gg]);
                 let mut g = vec![0.0; N];
                 for i in indices(d) {
                     let expl = if c_n != 0.0 { c_n * f_n[i] } else { 0.0 };
-                    g[i] = u[i] - u_n[i] - expl - 0.5 * f_np[i];
+                    g[i] = u[i] - u_n[i] - expl - 0.5 * f_u[i];
                     b_ref[i] = -g[i];
-                    delta_ref[i] = 0.0;
                 }
                 assert_eq!(gg.to_bits(), exact_dot(&g, &g, d).to_bits());
                 assert_eq!(gg.to_bits(), exact_dot(&b, &b, d).to_bits(), "‖−G‖ = ‖G‖");
                 assert_bits(&b, &b_ref, "b");
-                assert_bits(&delta, &delta_ref, "delta");
             }
         });
     }
 
+    /// The start and direction passes against the textbook updates on
+    /// stored `r = p = b`: the first direction reads the old `p` from
+    /// `b`, the later ones from `p`.
     #[test]
     fn direction_passes_match_unfused_updates() {
         for_each_scope(|d| {
-            let (b, inv_diag, v) = (vector(1), vector(2), vector(3));
-            let (mut r, mut p, mut y) = (vector(4), vector(5), vector(6));
-            let (mut r_ref, mut p_ref, mut y_ref) = (r.clone(), p.clone(), y.clone());
-            start_pass(&b, &inv_diag, &mut r, &mut p, &mut y, d);
+            let (b, inv_diag, v, r) = (vector(1), vector(2), vector(3), vector(4));
+            let (mut p, mut y) = (vector(5), vector(6));
+            let (mut p_ref, mut y_ref) = (p.clone(), y.clone());
+            start_pass(&b, &inv_diag, &mut y, d);
             for i in indices(d) {
-                r_ref[i] = b[i];
-                p_ref[i] = r_ref[i];
+                p_ref[i] = b[i];
                 y_ref[i] = inv_diag[i] * p_ref[i];
             }
-            assert_bits(&r, &r_ref, "r");
-            assert_bits(&p, &p_ref, "p");
             assert_bits(&y, &y_ref, "y");
 
             let (beta, omega) = (0.375, -1.75);
-            direction_pass(&r, &v, &inv_diag, beta, omega, &mut p, &mut y, d);
-            for i in indices(d) {
-                p_ref[i] = r[i] + beta * (p_ref[i] - omega * v[i]);
-                y_ref[i] = inv_diag[i] * p_ref[i];
-            }
+            direction_pass::<true>(&r, &v, &b, &inv_diag, beta, omega, &mut p, &mut y, d);
+            let update = |p_ref: &mut [f64], y_ref: &mut [f64]| {
+                for i in indices(d) {
+                    p_ref[i] = r[i] + beta * (p_ref[i] - omega * v[i]);
+                    y_ref[i] = inv_diag[i] * p_ref[i];
+                }
+            };
+            update(&mut p_ref, &mut y_ref);
+            assert_bits(&p, &p_ref, "p");
+            assert_bits(&y, &y_ref, "y");
+
+            direction_pass::<false>(&r, &v, &b, &inv_diag, beta, omega, &mut p, &mut y, d);
+            update(&mut p_ref, &mut y_ref);
             assert_bits(&p, &p_ref, "p");
             assert_bits(&y, &y_ref, "y");
         });
@@ -937,7 +943,8 @@ mod tests {
             // keeps `r` and `s` apart. Unowned entries of `r` stay put.
             let (mut r_s, mut x, mut y) = (r.clone(), vector(7), vector(8));
             let (mut s_ref, mut x_ref, mut y_ref) = (r.clone(), x.clone(), y.clone());
-            let ss = half_step_pass(&v, &inv_diag, alpha, &mut r_s, &mut x, &mut y, d);
+            let b = vector(9);
+            let ss = half_step_pass::<false>(&v, &b, &inv_diag, alpha, &mut r_s, &mut x, &mut y, d);
             let [ss] = certified([ss]);
             for i in indices(d) {
                 s_ref[i] = r[i] - alpha * v[i];
@@ -974,6 +981,37 @@ mod tests {
             assert_bits(&r_s, &r_ref, "r");
             assert_eq!(rr.to_bits(), exact_dot(&r_ref, &r_ref, d).to_bits());
             assert_eq!(r0r.to_bits(), exact_dot(&r0, &r_ref, d).to_bits());
+        });
+    }
+
+    /// The first half step reads `r` from `b` and adds `αy` to a zero
+    /// it never stored: its `x` is the textbook update's on a zeroed `x`,
+    /// `+0.0` where `αy` is `−0.0`, over garbage in `x`.
+    #[test]
+    fn first_half_step_matches_the_update_on_stored_r_and_zeroed_x() {
+        for_each_scope(|d| {
+            let (b, v, inv_diag) = (vector(1), vector(2), vector(3));
+            let mut y = vector(4);
+            let owned = indices(d);
+            // A negative zero direction entry: `α·y` is `−0.0` there.
+            y[owned[1]] = -0.0;
+            let alpha = 1.5;
+            let (mut r, mut x) = (vector(5), vec![f64::NAN; N]);
+            let (mut s_ref, mut x_ref, mut y_ref) = (r.clone(), x.clone(), y.clone());
+            let ss = half_step_pass::<true>(&v, &b, &inv_diag, alpha, &mut r, &mut x, &mut y, d);
+            let [ss] = certified([ss]);
+            for &i in &owned {
+                s_ref[i] = b[i];
+                s_ref[i] -= alpha * v[i];
+                x_ref[i] = 0.0;
+                x_ref[i] += alpha * y_ref[i];
+                y_ref[i] = inv_diag[i] * s_ref[i];
+            }
+            assert_eq!(x[owned[1]].to_bits(), 0.0f64.to_bits(), "+0.0");
+            assert_bits(&r, &s_ref, "s");
+            assert_bits(&x, &x_ref, "x");
+            assert_bits(&y, &y_ref, "y");
+            assert_eq!(ss.to_bits(), exact_dot(&s_ref, &s_ref, d).to_bits());
         });
     }
 
@@ -1121,6 +1159,64 @@ mod tests {
 
     const TIME: f64 = 0.25;
 
+    /// A BiCGStab that stops before its first half step returns `x = 0`:
+    /// `+0.0` on every owned dof over the garbage `x` held, with the live
+    /// unknown bit for bit as it came in (the direction swapped out
+    /// again). Two such exits, on both scopes: `b = 0`, converged at
+    /// entry, and `r̂₀·v = 0` at iteration 0, forced with `A = I`
+    /// (`dtθ = 0`) and a diagonal of `+1` and `−1` on the two dofs where
+    /// `b` is one.
+    #[test]
+    fn a_solve_that_stops_before_its_first_half_step_returns_zero() {
+        use super::super::driver::engine_for;
+        use super::super::ExecTarget;
+        let (cp, mut fields) = implicit_plan("1.0");
+        let jcp = cp.jvp.as_deref().expect("an implicit plan derives a JVP");
+        let u = fields.slice(cp.system.unknown).to_vec();
+        for (cells, flats) in scopes() {
+            let d = Scope::new(&jcp.hot.offsets, cells, flats, 1);
+            let owned = indices(&d);
+            let (first, last) = (owned[0], owned[owned.len() - 1]);
+            let (mut engine, _) = engine_for(&cp, &fields, &d, &ExecTarget::CpuSeq, false);
+            let mut kv = KrylovVecs::new(N);
+            kv.inv_diag[last] = -1.0;
+            let mut forced = vec![0.0; N];
+            (forced[first], forced[last]) = (1.0, 1.0);
+            for (b, bb, exit) in [
+                (vec![0.0; N], 0.0, "converged"),
+                (forced, 2.0, "breakdown:r0v"),
+            ] {
+                let mut x = vector(7);
+                let mut rec = Recorder::buffered();
+                let stats = bicgstab(
+                    &mut engine,
+                    jcp,
+                    &mut fields,
+                    &b,
+                    bb,
+                    &mut x,
+                    &mut kv,
+                    0.0,
+                    TIME,
+                    &d,
+                    1e-9,
+                    10,
+                    &mut LocalLinks,
+                    &mut rec,
+                    0,
+                );
+                assert_eq!(stats.iters, 0, "{exit}");
+                let spans = rec.spans();
+                let span = spans.iter().find(|s| s.name == "krylov_solve").unwrap();
+                assert!(span.attrs.contains(&("exit", exit.to_string())), "{exit}");
+                for &i in &owned {
+                    assert_eq!(x[i].to_bits(), 0, "{exit}: x[{i}] = {:e}", x[i]);
+                }
+                assert_bits(fields.slice(cp.system.unknown), &u, exit);
+            }
+        }
+    }
+
     /// The diagonal built by rows is the VM's, bit for bit, on a table
     /// plan and on one whose flux did not linearize (the volume part
     /// only), over both scopes cut into one and three tiles per span;
@@ -1128,7 +1224,7 @@ mod tests {
     #[test]
     fn row_built_diagonal_matches_the_vm_dof_by_dof() {
         for (speed, table) in [("1.0", true), ("ramp", false)] {
-            let (cp, mut jfields) = implicit_plan(speed);
+            let (cp, fields) = implicit_plan(speed);
             let jcp = cp.jvp.as_deref().expect("an implicit plan derives a JVP");
             assert_eq!(jcp.flux_lin.is_some(), table, "speed {speed}");
             assert_eq!((jcp.n_flat, jcp.mesh().n_cells()), (N_FLAT, N_CELLS));
@@ -1137,8 +1233,11 @@ mod tests {
                 for workers in [1, 3] {
                     let d = Scope::new(&jcp.hot.offsets, cells.clone(), flats.clone(), workers);
                     let mut got = vec![f64::NAN; N];
-                    build_diag(jcp, &mut jfields, unknown, &d, 0.75, TIME, &mut got);
-                    let want = diag_by_vm(jcp, &jfields.as_slices(), &d, 0.75);
+                    let ones = vec![1.0; N];
+                    let mut vars = fields.as_slices();
+                    vars[unknown] = &ones;
+                    build_diag(jcp, &vars, &d, 0.75, TIME, &mut got);
+                    let want = diag_by_vm(jcp, &vars, &d, 0.75);
                     assert!(
                         indices(&d).iter().all(|&i| got[i] != 1.0),
                         "a live diagonal"

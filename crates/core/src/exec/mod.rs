@@ -239,6 +239,9 @@ pub struct SolveReport {
     pub device: Option<pbte_gpu::ProfileReport>,
     /// What the run found, over every rank: the same on every sink.
     pub findings: Findings,
+    /// Bytes of the integrator's own buffers on one rank (the largest):
+    /// what [`MemoryReport::workspace_bytes`] predicts.
+    pub workspace_bytes: usize,
 }
 
 /// A boundary face with its resolved condition (its region's, shared).
@@ -1597,6 +1600,7 @@ impl CompiledProblem {
             per_variable,
             fields_bytes,
             device_bytes,
+            workspace_bytes: driver::workspace_vectors(self) * unknown_bytes,
         }
     }
 }
@@ -1677,6 +1681,10 @@ pub struct MemoryReport {
     /// Device bytes the hybrid target allocates (all variables + the
     /// kernel's double buffer + the ghost array).
     pub device_bytes: usize,
+    /// Host bytes of the integrator's own buffers per rank: the explicit
+    /// stage buffers (`k1`, and `k2` under RK2), or the θ-step's vectors
+    /// (`f_n` only under θ < 1), each the unknown's size.
+    pub workspace_bytes: usize,
 }
 
 impl MemoryReport {
@@ -1691,6 +1699,11 @@ impl MemoryReport {
         }
         let _ = writeln!(out, "  host fields  {:>10.2} MiB", mib(self.fields_bytes));
         let _ = writeln!(out, "  device total {:>10.2} MiB", mib(self.device_bytes));
+        let _ = writeln!(
+            out,
+            "  workspace    {:>10.2} MiB",
+            mib(self.workspace_bytes)
+        );
         out
     }
 }
