@@ -94,6 +94,7 @@ pub use synth::{interface_send_lists, rank_scopes, synthesize_partition, synthes
 pub use synth::{Scope, SendList, Tile, TileLabel};
 pub use transfers::check_schedule;
 pub use units::check_units;
+pub(crate) use validate::reg_mismatch;
 pub use validate::{check_ir, check_jvp, check_lowered, check_reg, check_translation, check_vm};
 
 use crate::exec::{CompiledProblem, ExecTarget};

@@ -509,7 +509,7 @@ pub fn check_lowered(
 /// and why.
 type Execution = Result<(Vec<ExprRef>, ExprRef), (Option<usize>, String)>;
 
-fn reg_mismatch(location: &str, message: String) -> Diagnostic {
+pub(crate) fn reg_mismatch(location: &str, message: String) -> Diagnostic {
     Diagnostic {
         severity: Severity::Error,
         rule: rules::TRANSLATION_REG,

@@ -590,6 +590,18 @@ fn rhs_span_native(
         vars.iter().map(|s| s.as_ptr()).eq(ptrs.iter().copied()),
         "scratch was built for other variables"
     );
+    // A kernel loads every variable's base pointer at entry.
+    debug_assert_eq!(
+        ptrs.len(),
+        cp.flux.face_base as usize,
+        "one pointer per variable"
+    );
+    let (kernel, row) = lib.kernel(flat);
+    // The flat's row of a flux table (none on a compiled-flux plan).
+    let lin_row = |table: fn(&FluxLinearization) -> &Vec<f64>| match &cp.flux_lin {
+        Some(lin) => table(lin)[flat * lin.n_classes..].as_ptr(),
+        None => std::ptr::null(),
+    };
     let args = NativeArgs {
         vars: ptrs.as_ptr(),
         ghosts: ghosts.as_ptr(),
@@ -613,13 +625,22 @@ fn rhs_span_native(
         n_strided: hot.strided.len(),
         rest: hot.rest.as_ptr(),
         n_rest: hot.rest.len(),
+        flat,
+        row: row.words.as_ptr(),
+        alpha: lin_row(|lin| &lin.alpha),
+        beta: lin_row(|lin| &lin.beta),
+        gamma: lin_row(|lin| &lin.gamma),
+        n_cells: hot.inv_volume.len(),
+        n_rows: cp.walls.n_rows,
+        n_flat: cp.walls.n_flat,
     };
-    // SAFETY: the kernel was generated for this exact plan (same variable
-    // layout, same geometry arrays and wall tables, same n_cells baked
-    // into the load offsets), the span `cell0 .. cell0 + out.len()` is in bounds by the
-    // same contract `rhs_span` relies on, and all pointers outlive the
-    // call.
-    unsafe { (lib.kernel(flat))(&args) };
+    // SAFETY: the kernel was generated for this plan's shapes and proven,
+    // with this row, to compute the flat's program (same variable layout,
+    // one pointer per variable, same geometry arrays and wall tables, the
+    // load offsets in the row),
+    // the span `cell0 .. cell0 + out.len()` is in bounds by the same
+    // contract `rhs_span` relies on, and all pointers outlive the call.
+    unsafe { kernel(&args) };
 }
 
 /// Evaluate the RHS of the scope's `k`-th flat over the contiguous cells
@@ -986,45 +1007,30 @@ mod tests {
 
     /// The compiled-flux emission is pinned: it changes only on purpose (a
     /// changed source is a changed cache key, so every cached `.so` is
-    /// recompiled), and the streamed hash is the hash of the text a compile
-    /// would write. Last moved when the run tables took the boundary cells:
-    /// `Args` gained the strided runs and the remainder list, and the span
-    /// walk became three loops.
+    /// recompiled). Last moved when the flats became one kernel per
+    /// statement shape, reading the flat's constants, load offsets and
+    /// sizes from `Args`.
     #[test]
     fn compiled_flux_source_is_pinned() {
-        let (cp, fields) = triangle_plan();
-        let per_flat = nativegen::lower_plan(&cp).unwrap();
-        assert_eq!(
-            nativegen::source_hash(&cp, &per_flat),
-            0xb2d6_490e_c42d_0d6e
-        );
-        let mut text = String::new();
-        nativegen::emit_source(&cp, fields.n_cells, &per_flat, &mut text).unwrap();
-        assert_eq!(text.len(), 20_333);
-        let mut hash = nativegen::Fnv1a::new();
-        std::fmt::Write::write_str(&mut hash, &text).unwrap();
-        assert_eq!(hash.0, 0xb2d6_490e_c42d_0d6e);
+        let (cp, _) = triangle_plan();
+        let (text, n_shapes, _) = nativegen::lower_source(&cp).unwrap();
+        assert_eq!(n_shapes, 1);
+        assert_eq!(nativegen::fnv1a(&text), 0xeebb_06ba_4e0d_0c69);
+        assert_eq!(text.len(), 6_930);
     }
 
     /// The table-plan emission is pinned the same way, on a hot-spot-like
-    /// uniform grid: per-flat source statements, then the plan's one
+    /// uniform grid: the shape's source statements, then the plan's one
     /// `flux_span`.
     #[test]
     fn table_plan_source_is_pinned() {
         let grid = UniformGrid::new_2d(24, 24, 1.0, 1.0);
-        let (cp, fields) = upwind_plan(renumbered(&grid, 0, 0));
+        let (cp, _) = upwind_plan(renumbered(&grid, 0, 0));
         assert!(cp.flux_lin.is_some(), "a table plan");
-        let per_flat = nativegen::lower_plan(&cp).unwrap();
-        assert_eq!(
-            nativegen::source_hash(&cp, &per_flat),
-            0x8f88_8376_8764_ab9f
-        );
-        let mut text = String::new();
-        nativegen::emit_source(&cp, fields.n_cells, &per_flat, &mut text).unwrap();
-        assert_eq!(text.len(), 15_434);
-        let mut hash = nativegen::Fnv1a::new();
-        std::fmt::Write::write_str(&mut hash, &text).unwrap();
-        assert_eq!(hash.0, 0x8f88_8376_8764_ab9f);
+        let (text, n_shapes, _) = nativegen::lower_source(&cp).unwrap();
+        assert_eq!(n_shapes, 1);
+        assert_eq!(nativegen::fnv1a(&text), 0x2acf_e3e0_ea39_71ff);
+        assert_eq!(text.len(), 10_192);
     }
 
     /// `(cell0, len)` of every tile of the first flat.

@@ -2,79 +2,51 @@
 //!
 //! This is the paper's endgame made concrete — Finch emits *real* code
 //! (CUDA/C) for its targets, and this module does the same for the
-//! intensity phase: every per-flat [`RegProgram`] — the statement list the
-//! row tier interprets — is printed statement for statement as a
-//! fully-unrolled scalar Rust `let` sequence (each operand in its
-//! statement's order, so results stay bit-identical to the row tier),
-//! wrapped in a per-flat `extern "C"` kernel, and compiled out-of-process
-//! by `rustc` into a `cdylib`. There is no second IR between the two
-//! tiers.
-//!
-//! The emitted plan is organised like the Row tier (`eval_row`, then
-//! `flux_combine`). On a **table plan** each per-flat kernel is its source
-//! statements written to `out` followed by one call of `flux_span`, the
-//! flux loop emitted *once per plan*: it walks the span in three
-//! independent loops — the stride-1 stencil runs, the strided runs
-//! clipped to the span, the remainder list — with the αβγ rows of the
-//! calling flat passed as pointers, and folds in the fused Euler update.
-//! Inside a run the work is a straight-line `flux += area·(γ + α·u +
-//! β·u2)` per face slot, face count baked, classes and each slot's affine
-//! stream (a neighbor, a ghost row, a gather column) read from the run
-//! tables in `NativeArgs`; the remainder takes the CSR loop. Emitting that
-//! loop per flat instead would cost 132 copies on the hot-spot file —
-//! 3.7× the cold compile time for no run-time gain. On meshes with too
-//! many face orientations for a table (a **compiled-flux plan**) each
-//! per-flat kernel fuses the source, the flux's own lowered statements per
-//! face and the update, and walks its span the same way: inside a stencil
-//! run the flux statements are emitted once per face slot, straight-line
-//! (`u2` read from the slot's stream, the oriented normal from the
-//! per-slot column `Args::normals`), and the remainder keeps the per-face
-//! loop. Every loop reads a boundary face by the one ghost-read rule,
-//! `Walls::ghost_read`: a run hoists its slot's row or gather column once
-//! per segment (`stream`); the CSR loop reads the slot's row of the ghost
-//! values inline and a gather by the plan's one out-of-line
-//! `ghost_gather`.
+//! intensity phase. The per-flat [`RegProgram`]s — the statement lists the
+//! row tier interprets; there is no second IR — are grouped by *shape*, the
+//! statement list with every constant and load offset masked
+//! (`shape_plan`). Each shape is printed once, statement for statement,
+//! as a fully-unrolled scalar Rust `let` sequence in one `extern "C"`
+//! kernel (see `emit_source` for the loops around it), and the plan is
+//! compiled out-of-process by `rustc` into a `cdylib`. An operand all of a
+//! shape's flats share stays a literal; any other is lifted into a word of
+//! the flat's argument row (`NativeArgs::row`), which the kernel copies
+//! into locals at entry. The flat, its αβγ rows and the plan's sizes arrive
+//! through `NativeArgs` too, so the source holds nothing per flat and does
+//! not grow with the flat or cell count.
 //!
 //! Three properties keep this sound and cheap:
 //!
 //! * **Bit identity.** The emitted expressions perform exactly the
-//!   per-lane operations of `RegProgram::eval_row` in exactly the same
-//!   order, and the emitted flux loop replicates `rows::flux_combine`
-//!   (runs and remainder alike) or `rows::flux_combine_compiled`
-//!   face-for-face (a run segment is the same faces in the same order,
-//!   each value read through the slot's stream). Rust
-//!   f64 arithmetic is strict IEEE-754 (no fast-math, no implicit FMA
-//!   contraction), so the compiled kernel is bitwise-equal to the
-//!   interpreted tiers — the differential tests assert this.
+//!   per-lane operations of `RegProgram::eval_row` in the same order — a
+//!   lifted literal is a load of the same `f64` — and the emitted flux
+//!   loops replicate `rows::flux_combine` or `rows::flux_combine_compiled`
+//!   face for face. Rust f64 arithmetic is strict IEEE-754 (no fast-math,
+//!   no implicit FMA contraction), so the compiled kernel is bitwise-equal
+//!   to the interpreted tiers — the differential tests assert this.
 //! * **Validation before compilation.** Every bound program the emitter
-//!   prints — the volume program, and a compiled flux — is abstractly
-//!   executed over symbolic values and proven raw-structurally equal to
-//!   the execution of its compiled statements under the same fold
-//!   (`analysis::check_reg`, rule `translation/reg-mismatch`) *before* any
-//!   source reaches `rustc`. A corrupted binding is rejected, never
-//!   executed.
-//! * **Content-addressed caching.** The full generated source is hashed
-//!   (FNV-1a 64) as it is emitted — the text itself is materialised only
-//!   when a compile needs it — and the compiled library stored as
-//!   `target/pbte-native-cache/<hash>.so` (override with
-//!   `PBTE_NATIVE_CACHE_DIR`); recompiles are amortized across runs,
-//!   steps, and processes, extending the bind-caching story to machine
-//!   code. In process, loaded handles — and failures, so a broken
-//!   toolchain is probed once — live in a once-per-key cell
-//!   (`pbte_runtime::once::OnceMap`) by source hash: `rustc` runs on the
-//!   key's own cell, never under the map's lock, so two plans compile side
-//!   by side and a panic in one poisons nothing. Each `exec::Plan` keeps
-//!   its `Prepared` kernels, and a plan is the process's per content
-//!   key, so a plan is lowered, validated and hashed once per process —
-//!   not per scope, per solve, or per build of the same content.
+//!   prints is proven equal to the execution of its compiled statements
+//!   under the same fold (`analysis::check_reg`), and every flat's shape
+//!   under its row equal to that program bit for bit (`check_rows`), both
+//!   under rule `translation/reg-mismatch`, before any source reaches
+//!   `rustc`. A corrupted binding or row is rejected, never executed.
+//! * **Content-addressed caching.** The source is emitted once and hashed
+//!   (FNV-1a 64); the library is stored as `<cache>/<hash>.so`
+//!   ([`cache_dir`]), so plans of one physics and mesh class share it
+//!   whatever their values, band count or cell count. In process, loaded
+//!   kernels — and failures, so a broken toolchain is probed once — live
+//!   in a once-per-key cell (`pbte_runtime::once::OnceMap`) by source hash:
+//!   `rustc` runs on the key's own cell, never under the map's lock, so two
+//!   sources compile side by side. Each `exec::Plan` keeps its `Prepared`
+//!   kernels and rows, so a plan is lowered, validated and hashed once per
+//!   process.
 //!
 //! A bound program reads `t` from `Args::time`, so one compiled plan
-//! serves every stage, and a compiled flux reads a cell variable at the
-//! owner cell, as the volume program does. If `rustc` is missing (override
-//! with `PBTE_NATIVE_RUSTC`), compilation fails, or the plan calls a
-//! function coefficient (a host closure the emitted code cannot call),
-//! `prepare` returns `Err` and the caller falls back to the row tier with
-//! a structured diagnostic (`native/fallback`) instead of erroring.
+//! serves every stage. If `rustc` is missing (override with
+//! `PBTE_NATIVE_RUSTC`), compilation fails, or the plan calls a function
+//! coefficient (a host closure the emitted code cannot call), `prepare`
+//! returns `Err` and the caller falls back to the row tier with a
+//! structured diagnostic (`native/fallback`) instead of erroring.
 
 use crate::bytecode::{
     Binding, Func, Operand, Program, RegExpr, RegProgram, RegStmt, FACE_NORMAL, FACE_U1, FACE_U2,
@@ -137,9 +109,20 @@ pub(crate) struct NativeArgs {
     /// The cells of no run, ascending.
     pub rest: *const u32,
     pub n_rest: usize,
+    /// The flat the call evaluates, and its argument row ([`FlatRow`]).
+    pub flat: usize,
+    pub row: *const u64,
+    /// The flat's αβγ rows of the flux table; null on a compiled-flux plan.
+    pub alpha: *const f64,
+    pub beta: *const f64,
+    pub gamma: *const f64,
+    pub n_cells: usize,
+    /// `Walls::n_rows` and `Walls::n_flat`.
+    pub n_rows: usize,
+    pub n_flat: usize,
 }
 
-/// Signature of every generated per-flat kernel.
+/// Signature of every generated per-shape kernel.
 pub(crate) type KernelFn = unsafe extern "C" fn(*const NativeArgs);
 
 // ---------------------------------------------------------------------------
@@ -169,61 +152,60 @@ fn lit(k: f64) -> String {
 /// Render one operand, fully parenthesized. Loads in particular must be
 /// wrapped: `*p.add(i).powf(y)` parses as `*(p.add(i).powf(y))`. Loads of
 /// the face-input pseudo-variables (ids from `face_base`) name the locals
-/// of the emitted per-face loop.
-fn operand(o: &Operand, face_base: u16) -> String {
-    match *o {
-        Operand::Reg(r) => format!("r{r}"),
-        Operand::K(k) => format!("({})", lit(k)),
-        Operand::Load { var, .. } if var >= face_base => match var - face_base {
+/// of the emitted per-face loop. A lifted operand reads word `j` of the
+/// flat's row through a local: `k{j}`, the `f64` a constant's bits hold, or
+/// `o{j}`, a load offset.
+fn operand(o: &Operand, face_base: u16, slot: Option<usize>) -> String {
+    match (*o, slot) {
+        (Operand::K(_), Some(j)) => format!("k{j}"),
+        (Operand::Load { var, .. }, Some(j)) => format!("(*p{var}.add(o{j} + cell))"),
+        (Operand::Reg(r), _) => format!("r{r}"),
+        (Operand::K(k), _) => format!("({})", lit(k)),
+        (Operand::Load { var, .. }, _) if var >= face_base => match var - face_base {
             FACE_U1 => "u_here".into(),
             FACE_U2 => "u2".into(),
             axis => format!("n{}", axis - FACE_NORMAL),
         },
-        Operand::Load { var, offset } => format!("(*p{var}.add({offset} + cell))"),
-        Operand::Time => "time".into(),
+        (Operand::Load { var, offset }, _) => format!("(*p{var}.add({offset} + cell))"),
+        (Operand::Time, _) => "time".into(),
     }
 }
 
 /// One statement as the `let` line the kernel runs, its operands in the
-/// statement's order. A function coefficient has no line: [`lower_checked`]
-/// refuses its program.
-fn stmt_line(s: &RegStmt, face_base: u16) -> String {
-    let operand = |o| operand(o, face_base);
+/// statement's order, the `i`-th through `slots[i]`. A function coefficient
+/// has no line: [`lower_checked`] refuses its program.
+fn stmt_line(s: &RegStmt, face_base: u16, slots: &[Option<usize>]) -> String {
+    let o: Vec<String> = (s.expr.operands().iter().enumerate())
+        .map(|(i, o)| operand(o, face_base, slots.get(i).copied().flatten()))
+        .collect();
     let rhs = match &s.expr {
-        RegExpr::Copy(a) => operand(a),
+        RegExpr::Copy(_) => o[0].clone(),
         RegExpr::CoefFn { .. } => unreachable!("lower_checked refuses function coefficients"),
-        RegExpr::Add([a, b]) => format!("{} + {}", operand(a), operand(b)),
-        RegExpr::Mul([a, b]) => format!("{} * {}", operand(a), operand(b)),
-        RegExpr::Pow([a, b]) => format!("{}.powf({})", operand(a), operand(b)),
-        RegExpr::Recip(a) => format!("1.0f64 / {}", operand(a)),
-        RegExpr::Call(f, a) => format!("{}.{}()", operand(a), rust_method(*f)),
-        RegExpr::Cmp(op, [a, b]) => format!(
+        RegExpr::Add(_) => format!("{} + {}", o[0], o[1]),
+        RegExpr::Mul(_) => format!("{} * {}", o[0], o[1]),
+        RegExpr::Pow(_) => format!("{}.powf({})", o[0], o[1]),
+        RegExpr::Recip(_) => format!("1.0f64 / {}", o[0]),
+        RegExpr::Call(f, _) => format!("{}.{}()", o[0], rust_method(*f)),
+        RegExpr::Cmp(op, _) => format!(
             "if {} {} {} {{ 1.0f64 }} else {{ 0.0f64 }}",
-            operand(a),
+            o[0],
             op.as_str(),
-            operand(b)
+            o[1]
         ),
-        RegExpr::Select([t, a, b]) => format!(
-            "if {} != 0.0f64 {{ {} }} else {{ {} }}",
-            operand(t),
-            operand(a),
-            operand(b)
-        ),
+        RegExpr::Select(_) => format!("if {} != 0.0f64 {{ {} }} else {{ {} }}", o[0], o[1], o[2]),
     };
     format!("        let r{} = {};", s.dst, rhs)
 }
 
-/// Real variable ids (below `face_base`) the programs load from.
-fn vars_used(programs: &FlatPrograms, face_base: u16) -> Vec<u16> {
-    let mut vs: Vec<u16> = operands(programs)
-        .filter_map(|o| match *o {
-            Operand::Load { var, .. } if var < face_base => Some(var),
-            _ => None,
-        })
-        .collect();
-    vs.sort_unstable();
-    vs.dedup();
-    vs
+/// A program's statement lines, its operands' slots taken from the front
+/// of `lifted` in operand order.
+fn program_lines(reg: &RegProgram, face_base: u16, lifted: &mut &[Option<usize>]) -> Vec<String> {
+    let line = |s: &RegStmt| {
+        let slots = *lifted;
+        *lifted = &slots[s.expr.operands().len()..];
+        stmt_line(s, face_base, slots)
+    };
+    reg.stmts().iter().map(line).collect()
 }
 
 /// Every operand of a flat's programs, the volume's first.
@@ -248,13 +230,33 @@ const RUSTC_CODEGEN_FLAGS: &[&str] = &[
 
 /// The lowered programs of one flat: the source term, and the flux when
 /// the plan has no αβγ table.
+#[derive(Clone)]
 pub(crate) struct FlatPrograms {
     pub volume: RegProgram,
     pub flux: Option<RegProgram>,
 }
 
+/// Flats whose programs differ only in constants and real load offsets,
+/// printed as one kernel: the first flat's programs, in which every
+/// operand whose value is not the same, by bits, for all the shape's flats
+/// is lifted into a word of the flat's row.
+pub(crate) struct Shape {
+    programs: FlatPrograms,
+    /// Per operand of `programs`, the volume's first, its word if lifted.
+    lifted: Vec<Option<usize>>,
+}
+
+/// One flat's kernel and argument row: its shape, and a word per column of
+/// that shape's lifted operands — a constant's bits (read as `f64`) or a
+/// load offset (read as `usize`).
+#[derive(Clone, PartialEq)]
+pub(crate) struct FlatRow {
+    pub shape: usize,
+    pub words: Vec<u64>,
+}
+
 /// The emitted `Args` fields shared by every plan, in `NativeArgs` order.
-const ARGS_FIELDS: &str = "    vars: *const *const f64,\n    ghosts: *const f64,\n    wall_read: *const u32,\n    wall_columns: *const u32,\n    offsets: *const u32,\n    nbr: *const i64,\n    area: *const f64,\n    class: *const u32,\n    inv_volume: *const f64,\n    out: *mut f64,\n    cell0: usize,\n    len: usize,\n    fused_dt: f64,\n    fused: u8,\n    time: f64,\n    normals: *const f64,\n    runs: *const Run,\n    n_runs: usize,\n    strided: *const Run,\n    n_strided: usize,\n    rest: *const u32,\n    n_rest: usize,\n";
+const ARGS_FIELDS: &str = "    vars: *const *const f64,\n    ghosts: *const f64,\n    wall_read: *const u32,\n    wall_columns: *const u32,\n    offsets: *const u32,\n    nbr: *const i64,\n    area: *const f64,\n    class: *const u32,\n    inv_volume: *const f64,\n    out: *mut f64,\n    cell0: usize,\n    len: usize,\n    fused_dt: f64,\n    fused: u8,\n    time: f64,\n    normals: *const f64,\n    runs: *const Run,\n    n_runs: usize,\n    strided: *const Run,\n    n_strided: usize,\n    rest: *const u32,\n    n_rest: usize,\n    flat: usize,\n    row: *const u64,\n    alpha: *const f64,\n    beta: *const f64,\n    gamma: *const f64,\n    n_cells: usize,\n    n_rows: usize,\n    n_flat: usize,\n";
 
 /// The gather half of `Walls::ghost_read`, emitted once per plan as
 /// `ghost_gather(a, read, flat, cell)` for the CSR walk: the unknown at the
@@ -268,10 +270,8 @@ const ARGS_FIELDS: &str = "    vars: *const *const f64,\n    ghosts: *const f64,
 fn emit_ghost_gather(cp: &CompiledProblem, w: &mut impl Write) -> fmt::Result {
     write!(
         w,
-        "#[cold]\n#[inline(never)]\nunsafe fn ghost_gather(a: &Args, read: u32, flat: usize, cell: usize) -> f64 {{\n    let s = *a.wall_columns.add((read ^ {GATHER}) as usize * {} + flat);\n    *(*a.vars.add({})).add(s as usize * {} + cell)\n}}\n\n",
-        cp.walls.n_flat,
+        "#[cold]\n#[inline(never)]\nunsafe fn ghost_gather(a: &Args, read: u32, flat: usize, cell: usize) -> f64 {{\n    let s = *a.wall_columns.add((read ^ {GATHER}) as usize * a.n_flat + flat);\n    *(*a.vars.add({})).add(s as usize * a.n_cells + cell)\n}}\n\n",
         cp.system.unknown,
-        cp.mesh().n_cells()
     )
 }
 
@@ -302,11 +302,11 @@ unsafe fn stream(a: &Args, run: &Run, s: usize, flat: usize, u_row: *const f64, 
         {SLOT_NBR} => (u_row.offset(c as isize + at), run.stride as isize),
         {SLOT_ROW} => {{
             let step = run.step[s] as isize;
-            (a.ghosts.offset((flat * {n_rows}) as isize + at + j as isize * step), step)
+            (a.ghosts.offset((flat * a.n_rows) as isize + at + j as isize * step), step)
         }}
         _ => {{
-            let source = *a.wall_columns.add(at as usize * {n_flat} + flat) as usize;
-            ((*a.vars.add({unknown})).add(source * {n_cells} + c), run.stride as isize)
+            let source = *a.wall_columns.add(at as usize * a.n_flat + flat) as usize;
+            ((*a.vars.add({unknown})).add(source * a.n_cells + c), run.stride as isize)
         }}
     }}
 }}
@@ -317,28 +317,25 @@ unsafe fn unit_offset(a: &Args, run: &Run, s: usize, flat: usize) -> isize {{
     match run.kind[s] {{
         {SLOT_NBR} => at,
         _ => {{
-            let source = *a.wall_columns.add(at as usize * {n_flat} + flat) as isize;
-            (source - flat as isize) * {n_cells}
+            let source = *a.wall_columns.add(at as usize * a.n_flat + flat) as isize;
+            (source - flat as isize) * a.n_cells as isize
         }}
     }}
 }}
 
 "#,
-        n_rows = cp.walls.n_rows,
-        n_flat = cp.walls.n_flat,
         unknown = cp.system.unknown,
-        n_cells = cp.mesh().n_cells(),
     )
 }
 
 /// `Walls::ghost_read` as the CSR walk emits it for the boundary slot
-/// `-(nb + 1)` of the face owned by `cell`, with `{column}` the start of
-/// the flat's column of the ghost values (`flat · n_rows`): the slot's row
-/// of that column, or [`emit_ghost_gather`]'s call — the same `f64` the
-/// interpreted tiers load.
-fn ghost_read(column: &str, flat: &str, indent: &str) -> String {
+/// `-(nb + 1)` of the face owned by `cell`: the slot's row of the flat's
+/// column of the ghost values, or [`emit_ghost_gather`]'s call — the same
+/// `f64` the interpreted tiers load.
+fn ghost_read() -> String {
+    let indent = "                ";
     format!(
-        "{indent}let read = *wall_read.add((-(nb + 1)) as usize);\n{indent}if read & {GATHER} == 0 {{\n{indent}    *ghosts.add({column} + read as usize)\n{indent}}} else {{\n{indent}    ghost_gather(a, read, {flat}, cell)\n{indent}}}"
+        "{indent}let read = *wall_read.add((-(nb + 1)) as usize);\n{indent}if read & {GATHER} == 0 {{\n{indent}    *ghosts.add(flat * n_rows + read as usize)\n{indent}}} else {{\n{indent}    ghost_gather(a, read, flat, cell)\n{indent}}}"
     )
 }
 
@@ -346,29 +343,20 @@ fn ghost_read(column: &str, flat: &str, indent: &str) -> String {
 /// stores go through a raw pointer, so without the copies LLVM must
 /// assume they may alias the Args struct itself and reload each field on
 /// every iteration.
-const HOISTED_ARGS: &str = "    let ghosts = a.ghosts;\n    let wall_read = a.wall_read;\n    let offsets = a.offsets;\n    let nbr = a.nbr;\n    let area = a.area;\n    let class = a.class;\n    let inv_volume = a.inv_volume;\n    let out = a.out;\n    let cell0 = a.cell0;\n    let len = a.len;\n    let fused_dt = a.fused_dt;\n    let fused = a.fused != 0;\n";
+const HOISTED_ARGS: &str = "    let ghosts = a.ghosts;\n    let n_rows = a.n_rows;\n    let wall_read = a.wall_read;\n    let offsets = a.offsets;\n    let nbr = a.nbr;\n    let area = a.area;\n    let class = a.class;\n    let inv_volume = a.inv_volume;\n    let out = a.out;\n    let cell0 = a.cell0;\n    let len = a.len;\n    let fused_dt = a.fused_dt;\n    let fused = a.fused != 0;\n";
 
 /// Emit the complete source for one compiled plan into `w`: one
-/// `pbte_flat_N` kernel per flat computing `rows::rhs_span`'s operation
-/// sequence over a cell span.
-///
-/// * A **table plan** is organised like the Row tier: each per-flat
-///   kernel is its unrolled source statements written to `out` followed
-///   by one call of `flux_span`, the three-loop walk of
-///   `rows::flux_combine` emitted *once per plan* (see [`emit_flux_span`]).
-/// * A **compiled-flux plan** fuses source, the per-face lowered flux
-///   statements of `rows::flux_combine_compiled` and the Euler update in
-///   each per-flat kernel, over the same walk (see [`emit_flat_kernel`]).
-///
-/// `w` is a `String` when the text is needed (a compile) and a hashing
-/// sink when only the cache key is.
-pub(crate) fn emit_source(
-    cp: &CompiledProblem,
-    n_cells: usize,
-    per_flat: &[FlatPrograms],
-    w: &mut impl Write,
-) -> fmt::Result {
-    let n_flat = cp.n_flat;
+/// `pbte_shape_N` kernel per [`Shape`], computing `rows::rhs_span`'s
+/// operation sequence over a cell span for the flat `Args::flat` names.
+/// On a **table plan** the kernel is organised like the Row tier: its
+/// source statements written to `out`, then one call of `flux_span`, the
+/// flux loop emitted *once per plan* ([`emit_flux_span`]). On a
+/// **compiled-flux plan** (too many face orientations for a table) it fuses
+/// source, the flux's own statements per face and the Euler update
+/// ([`emit_shape_kernel`]). Both walk a span in three loops — the stride-1
+/// stencil runs, the strided runs, the cells of no run — and read a
+/// boundary face by the one ghost-read rule, `Walls::ghost_read`.
+fn emit_source(cp: &CompiledProblem, shapes: &[Shape], w: &mut impl Write) -> fmt::Result {
     w.write_str("// Generated by pbte-dsl nativegen; do not edit.\n")?;
     // The flag set is part of the emitted header so the content hash (the
     // plan-cache key) changes whenever the codegen options do.
@@ -377,27 +365,13 @@ pub(crate) fn emit_source(
     w.write_str("#[repr(C)]\npub struct Args {\n")?;
     w.write_str(ARGS_FIELDS)?;
     w.write_str("}\n\n")?;
-    if let Some(lin) = &cp.flux_lin {
-        let nc = lin.n_classes;
-        for flat in 0..n_flat {
-            let at = flat * nc;
-            for (name, table) in [("AL", &lin.alpha), ("BE", &lin.beta), ("GA", &lin.gamma)] {
-                write!(w, "static {name}{flat}: [f64; {nc}] = [")?;
-                for c in 0..nc {
-                    write!(w, "{},", lit(table[at + c]))?;
-                }
-                w.write_str("];\n")?;
-            }
-        }
-        w.write_str("\n")?;
-    }
     emit_ghost_gather(cp, w)?;
     emit_stream(cp, w)?;
     if cp.flux_lin.is_some() {
         emit_flux_span(cp, w)?;
     }
-    for (flat, programs) in per_flat.iter().enumerate() {
-        emit_flat_kernel(cp, n_cells, flat, programs, w)?;
+    for (index, shape) in shapes.iter().enumerate() {
+        emit_shape_kernel(cp, index, shape, w)?;
     }
     Ok(())
 }
@@ -407,7 +381,7 @@ pub(crate) fn emit_source(
 /// reads slot `s` of cell `c` at `u_row[c + d_s]` and steps through the
 /// face slots; the other, affine one reads its `i`-th cell's at `q_s +
 /// i·dq_s`, with each cell's first face slot read from `offsets`.
-pub(crate) fn run_kernels(cp: &CompiledProblem) -> Vec<(u32, bool)> {
+fn run_kernels(cp: &CompiledProblem) -> Vec<(u32, bool)> {
     let runs = cp.hot.runs.iter().chain(&cp.hot.strided);
     let mut kernels: Vec<(u32, bool)> = runs.map(|r| (r.nf, r.unit())).collect();
     kernels.sort_unstable();
@@ -417,10 +391,7 @@ pub(crate) fn run_kernels(cp: &CompiledProblem) -> Vec<(u32, bool)> {
 
 /// The name of a run loop.
 fn run_kernel_name((nf, unit): (u32, bool)) -> String {
-    match unit {
-        true => format!("unit_{nf}"),
-        false => format!("affine_{nf}"),
-    }
+    format!("{}_{nf}", if unit { "unit" } else { "affine" })
 }
 
 /// The head of a run loop over the cells `j0 .. j1` of `run`, up to its
@@ -428,20 +399,14 @@ fn run_kernel_name((nf, unit): (u32, bool)) -> String {
 /// at `u_row[cell + d{s}]` ([`emit_stream`]'s `unit_offset`), the form the
 /// back end vectorises; an affine one through the stream `(q{s}, dq{s})`
 /// (`p{v}` name the variables).
-fn run_loop_head(
-    w: &mut (impl Write + ?Sized),
-    nf: u32,
-    unit: bool,
-    flat: &str,
-    indent: &str,
-) -> fmt::Result {
+fn run_loop_head(w: &mut (impl Write + ?Sized), nf: u32, unit: bool, indent: &str) -> fmt::Result {
     if unit {
         writeln!(
             w,
             "{indent}let (c0, end) = (run.first as usize + j0, run.first as usize + j1);"
         )?;
         for s in 0..nf {
-            writeln!(w, "{indent}let d{s} = unit_offset(a, run, {s}, {flat});")?;
+            writeln!(w, "{indent}let d{s} = unit_offset(a, run, {s}, flat);")?;
         }
         return write!(
             w,
@@ -455,7 +420,7 @@ fn run_loop_head(
     for s in 0..nf {
         writeln!(
             w,
-            "{indent}let (q{s}, dq{s}) = stream(a, run, {s}, {flat}, u_row, c0, j0);"
+            "{indent}let (q{s}, dq{s}) = stream(a, run, {s}, flat, u_row, c0, j0);"
         )?;
     }
     write!(
@@ -582,13 +547,9 @@ fn emit_segment(
 /// `rows::flux_combine`, over the run tables passed through `Args`. One
 /// straight-line loop is emitted per [`run_kernels`] entry (face count
 /// baked, classes and streams read from the run); the CSR walk takes the
-/// cells of no run. The αβγ rows of the calling flat arrive as pointers.
+/// cells of no run. The αβγ rows of the calling flat arrive in `Args`.
 fn emit_flux_span(cp: &CompiledProblem, w: &mut impl Write) -> fmt::Result {
-    let ghost_read = ghost_read(
-        &format!("flat * {}", cp.walls.n_rows),
-        "flat",
-        "                ",
-    );
+    let ghost_read = ghost_read();
     let kernels = run_kernels(cp);
     for &(nf, unit) in &kernels {
         write!(
@@ -605,7 +566,7 @@ fn emit_flux_span(cp: &CompiledProblem, w: &mut impl Write) -> fmt::Result {
         w.write_str(
             "    let offsets = a.offsets;\n    let area = a.area;\n    let inv_volume = a.inv_volume;\n    let out = a.out;\n    let cell0 = a.cell0;\n    let fused_dt = a.fused_dt;\n    let fused = a.fused != 0;\n",
         )?;
-        run_loop_head(w, nf, unit, "flat", "    ")?;
+        run_loop_head(w, nf, unit, "    ")?;
         w.write_str("        let u_here = *u_row.add(cell);\n        let mut flux = 0.0f64;\n")?;
         for s in 0..nf {
             writeln!(
@@ -621,7 +582,7 @@ fn emit_flux_span(cp: &CompiledProblem, w: &mut impl Write) -> fmt::Result {
         w.write_str("}\n\n")?;
     }
     w.write_str(
-        "#[inline(never)]\nunsafe fn flux_span(a: &Args, al: *const f64, be: *const f64, ga: *const f64, flat: usize, u_row: *const f64) {\n",
+        "#[inline(never)]\nunsafe fn flux_span(a: &Args, flat: usize, u_row: *const f64) {\n    let (al, be, ga) = (a.alpha, a.beta, a.gamma);\n",
     )?;
     w.write_str(HOISTED_ARGS)?;
     // The class tables are indexed through raw pointers so the three
@@ -661,56 +622,68 @@ fn emit_flux_span(cp: &CompiledProblem, w: &mut impl Write) -> fmt::Result {
     w.write_str(SPAN_WALK)
 }
 
-/// One per-flat kernel: the unrolled source expression per cell, then the
-/// flux — a call of the plan's `flux_span` (table plan), or the per-face
-/// lowered flux statements and the Euler update fused into the same loop
-/// (compiled flux). The compiled kernel walks its span like `flux_span`:
-/// per [`run_kernels`] entry one straight-line loop with the flux
-/// statements emitted once per slot, and the per-face CSR loop for the
-/// cells of no run.
-fn emit_flat_kernel(
+/// One shape's kernel: its argument row copied into locals, then the
+/// unrolled source expression per cell, then the flux — a call of the
+/// plan's `flux_span` (table plan), or the per-face lowered flux statements
+/// and the Euler update fused into the same loop (compiled flux). The
+/// compiled kernel walks its span like `flux_span`: per [`run_kernels`]
+/// entry one straight-line loop with the flux statements emitted once per
+/// slot, and the per-face CSR loop for the cells of no run.
+fn emit_shape_kernel(
     cp: &CompiledProblem,
-    n_cells: usize,
-    flat: usize,
-    programs: &FlatPrograms,
+    index: usize,
+    shape: &Shape,
     w: &mut impl Write,
 ) -> fmt::Result {
-    let unknown = cp.system.unknown;
     let face_base = cp.flux.face_base;
     let dim = cp.hot.dim;
+    let programs = &shape.programs;
+    let lifted = &mut shape.lifted.as_slice();
+    let volume = program_lines(&programs.volume, face_base, lifted);
     write!(
         w,
-        "#[no_mangle]\npub unsafe extern \"C\" fn pbte_flat_{flat}(ap: *const Args) {{\n    let a = &*ap;\n"
+        "#[no_mangle]\npub unsafe extern \"C\" fn pbte_shape_{index}(ap: *const Args) {{\n    let a = &*ap;\n    let flat = a.flat;\n    let time = a.time;\n"
     )?;
-    for v in vars_used(programs, face_base) {
+    // The row into typed locals before the `move` closures capture them:
+    // read through `a` inside a loop, a word would be reloaded per face.
+    let mut locals: Vec<String> = operands(programs)
+        .zip(&shape.lifted)
+        .filter_map(|(o, j)| match (o, j) {
+            (Operand::K(_), Some(j)) => Some(format!("k{j} = f64::from_bits(*a.row.add({j}))")),
+            (_, Some(j)) => Some(format!("o{j} = *a.row.add({j}) as usize")),
+            _ => None,
+        })
+        .collect();
+    locals.sort_unstable();
+    locals.dedup();
+    locals
+        .iter()
+        .try_for_each(|l| writeln!(w, "    let {l};"))?;
+    for v in 0..face_base {
         writeln!(w, "    let p{v}: *const f64 = *a.vars.add({v});")?;
-    }
-    if operands(programs).any(|o| *o == Operand::Time) {
-        w.write_str("    let time = a.time;\n")?;
     }
     writeln!(
         w,
-        "    let u_row: *const f64 = (*a.vars.add({unknown})).add({});",
-        flat * n_cells
+        "    let u_row: *const f64 = (*a.vars.add({})).add(flat * a.n_cells);",
+        cp.system.unknown
     )?;
     let Some(flux) = &programs.flux else {
         w.write_str(
             "    let out = a.out;\n    let cell0 = a.cell0;\n    let len = a.len;\n    let mut i = 0usize;\n    while i < len {\n        let cell = cell0 + i;\n",
         )?;
-        for s in programs.volume.stmts() {
-            writeln!(w, "{}", stmt_line(s, face_base))?;
+        for line in &volume {
+            writeln!(w, "{line}")?;
         }
-        return write!(
-            w,
-            "        *out.add(i) = r0;\n        i += 1;\n    }}\n    flux_span(a, AL{flat}.as_ptr(), BE{flat}.as_ptr(), GA{flat}.as_ptr(), {flat}, u_row);\n}}\n"
+        return w.write_str(
+            "        *out.add(i) = r0;\n        i += 1;\n    }\n    flux_span(a, flat, u_row);\n}\n",
         );
     };
-    // Lines of the volume / flux statements, `extra` spaces deeper than
-    // `stmt_line`'s own eight.
-    let write_stmts = |w: &mut dyn Write, reg: &RegProgram, extra: usize| -> fmt::Result {
-        reg.stmts()
+    let flux = program_lines(flux, face_base, lifted);
+    // Statement lines `extra` spaces deeper than `stmt_line`'s own eight.
+    let write_stmts = |w: &mut dyn Write, lines: &[String], extra: usize| -> fmt::Result {
+        lines
             .iter()
-            .try_for_each(|s| writeln!(w, "{:extra$}{}", "", stmt_line(s, face_base)))
+            .try_for_each(|l| writeln!(w, "{:extra$}{l}", ""))
     };
     // The oriented normal of face slot `{slot}`: `dim` components of the
     // per-slot column, `0.0` past the mesh dimension.
@@ -724,14 +697,10 @@ fn emit_flat_kernel(
             false => writeln!(w, "{:indent$}let n{axis} = 0.0f64;", ""),
         })
     };
-    let ghost_read = ghost_read(
-        &(flat * cp.walls.n_rows).to_string(),
-        &flat.to_string(),
-        "                ",
-    );
+    let ghost_read = ghost_read();
     w.write_str(HOISTED_ARGS)?;
     w.write_str("    let normals = a.normals;\n    let csr = &move |cell: usize| {\n")?;
-    write_stmts(w, &programs.volume, 0)?;
+    write_stmts(w, &volume, 0)?;
     write!(
         w,
         r#"        let src = r0;
@@ -749,7 +718,7 @@ fn emit_flat_kernel(
 "#
     )?;
     write_normal(w, "k", 12)?;
-    write_stmts(w, flux, 4)?;
+    write_stmts(w, &flux, 4)?;
     w.write_str(
         r#"            flux += *area.add(k) * r0;
             k += 1;
@@ -763,8 +732,8 @@ fn emit_flat_kernel(
     // `u2` read from the slot's stream — per dof the operation sequence of
     // the CSR loop, so the same bits.
     emit_segment(w, &run_kernels(cp), |w, (nf, unit)| {
-        run_loop_head(w, nf, unit, &flat.to_string(), "            ")?;
-        write_stmts(w, &programs.volume, 8)?;
+        run_loop_head(w, nf, unit, "            ")?;
+        write_stmts(w, &volume, 8)?;
         w.write_str(
             "                let src = r0;\n                let u_here = *u_row.add(cell);\n                let mut flux = 0.0f64;\n",
         )?;
@@ -775,7 +744,7 @@ fn emit_flat_kernel(
                 run_slot(s, unit)
             )?;
             write_normal(w, &format!("k + {s}"), 20)?;
-            write_stmts(w, flux, 12)?;
+            write_stmts(w, &flux, 12)?;
             writeln!(
                 w,
                 "                    flux += *area.add(k + {s}) * r0;\n                }}"
@@ -793,44 +762,31 @@ fn emit_flat_kernel(
 // Compilation, loading, caching
 // ---------------------------------------------------------------------------
 
-/// A loaded native plan: the per-flat kernel pointers. The library handle
-/// is intentionally leaked (never `dlclose`d) — function pointers may be
-/// cached anywhere for the process lifetime.
-pub(crate) struct NativeLib {
-    fns: Vec<KernelFn>,
-}
+/// The kernels of one library, one per shape. The library handle is
+/// intentionally leaked (never `dlclose`d) — the pointers may be cached
+/// anywhere for the process lifetime.
+type Kernels = Arc<[KernelFn]>;
 
-// The fn pointers reference immutable machine code in a library that is
-// never unloaded.
-unsafe impl Send for NativeLib {}
-unsafe impl Sync for NativeLib {}
+/// A plan's native kernels: its library's kernel per shape, shared with
+/// every plan of the same source, and each flat's argument row.
+pub(crate) struct NativeLib {
+    kernels: Kernels,
+    rows: Vec<FlatRow>,
+}
 
 impl NativeLib {
-    /// Kernel for one flat index.
-    pub fn kernel(&self, flat: usize) -> KernelFn {
-        self.fns[flat]
+    /// One flat's kernel and argument row.
+    pub fn kernel(&self, flat: usize) -> (KernelFn, &FlatRow) {
+        let row = &self.rows[flat];
+        (self.kernels[row.shape], row)
     }
 }
 
-/// FNV-1a 64-bit hash of the generated source — the plan cache key —
-/// folded over the text as [`emit_source`] streams it, so the warm path
-/// never materialises the source.
-pub(crate) struct Fnv1a(pub u64);
-
-impl Fnv1a {
-    pub fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(())
-    }
+/// FNV-1a 64-bit hash of the generated source — the plan cache key.
+pub(crate) fn fnv1a(text: &str) -> u64 {
+    (text.bytes()).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// The on-disk plan cache directory: `PBTE_NATIVE_CACHE_DIR` if set, else
@@ -1021,22 +977,21 @@ mod dl {
 
 /// The libraries this process has loaded (or failed to: a broken toolchain
 /// is probed once per source, not once per plan), by source hash. Two
-/// plans of one source share the handle; two sources compile side by side
+/// plans of one source share the kernels; two sources compile side by side
 /// — the map's lock is never held across `rustc`.
-static LOADED: pbte_runtime::OnceMap<u64, Result<Arc<NativeLib>, String>> =
-    pbte_runtime::OnceMap::new();
+static LOADED: pbte_runtime::OnceMap<u64, Result<Kernels, String>> = pbte_runtime::OnceMap::new();
 
-/// Load the plan `hash` from the disk cache, compiling it first — the
-/// only case that calls `source` for the text — when it is not there.
+/// Load the library of `source` (hash `hash`, `n_shapes` kernels) from the
+/// cache directory `dir`, compiling it first when it is not there.
 #[cfg(all(unix, not(miri)))]
 fn compile_and_load(
-    source: impl FnOnce() -> String,
-    n_flat: usize,
+    dir: &std::path::Path,
+    source: &str,
+    n_shapes: usize,
     hash: u64,
-) -> Result<Arc<NativeLib>, String> {
+) -> Result<Kernels, String> {
     use std::process::Command;
-    let dir = cache_dir();
-    std::fs::create_dir_all(&dir).map_err(|e| format!("cache dir {}: {e}", dir.display()))?;
+    std::fs::create_dir_all(dir).map_err(|e| format!("cache dir {}: {e}", dir.display()))?;
     let so = dir.join(format!("{hash:016x}.so"));
     if so.exists() {
         // Disk hit: refresh the entry's LRU clock so the size-cap sweep
@@ -1045,7 +1000,7 @@ fn compile_and_load(
         touch(&dir.join(format!("{hash:016x}.rs")));
     } else {
         let src_path = dir.join(format!("{hash:016x}.rs"));
-        std::fs::write(&src_path, source())
+        std::fs::write(&src_path, source)
             .map_err(|e| format!("write {}: {e}", src_path.display()))?;
         // Compile to a process-unique temp name, then rename: concurrent
         // processes racing on the same plan both succeed.
@@ -1055,6 +1010,9 @@ fn compile_and_load(
             .arg("--edition=2021")
             .arg("--crate-type=cdylib")
             .args(RUSTC_CODEGEN_FLAGS)
+            // Where the cache lives is no codegen option: the library's
+            // bytes do not depend on it.
+            .arg(format!("--remap-path-prefix={}=", dir.display()))
             .arg("-o")
             .arg(&tmp)
             .arg(&src_path)
@@ -1069,21 +1027,21 @@ fn compile_and_load(
         std::fs::rename(&tmp, &so).map_err(|e| format!("rename {}: {e}", so.display()))?;
     }
     let handle = dl::open(&so)?;
-    let mut fns = Vec::with_capacity(n_flat);
-    for flat in 0..n_flat {
-        let p = dl::sym(handle, &format!("pbte_flat_{flat}"))?;
+    let kernel = |shape| {
+        let p = dl::sym(handle, &format!("pbte_shape_{shape}"))?;
         // SAFETY: the symbol was emitted with exactly this signature.
-        fns.push(unsafe { std::mem::transmute::<*mut std::os::raw::c_void, KernelFn>(p) });
-    }
-    Ok(Arc::new(NativeLib { fns }))
+        Ok(unsafe { std::mem::transmute::<*mut std::os::raw::c_void, KernelFn>(p) })
+    };
+    (0..n_shapes).map(kernel).collect()
 }
 
 #[cfg(not(all(unix, not(miri))))]
 fn compile_and_load(
-    _source: impl FnOnce() -> String,
-    _n_flat: usize,
+    _dir: &std::path::Path,
+    _source: &str,
+    _n_shapes: usize,
     _hash: u64,
-) -> Result<Arc<NativeLib>, String> {
+) -> Result<Kernels, String> {
     Err("native tier requires a unix host (and is disabled under miri)".into())
 }
 
@@ -1121,52 +1079,163 @@ fn lower_checked(
     }
 }
 
-/// The validated register programs of every flat of a plan. `Err` when
-/// a program calls a function coefficient or a lowering fails its proof.
-pub(crate) fn lower_plan(cp: &CompiledProblem) -> Result<Vec<FlatPrograms>, String> {
+/// A flat's statement lists with every constant and real load offset
+/// zeroed: the volume's, and a compiled flux's.
+type Masked = (Vec<RegStmt>, Option<Vec<RegStmt>>);
+
+/// `programs` split into its shape ([`Masked`]) and one word per operand,
+/// the volume's first: a constant's bits, a real load's offset, and 0
+/// for what the shape itself spells (a register, `t`, a face input).
+fn split(programs: &FlatPrograms, face_base: u16) -> (Masked, Vec<u64>) {
+    let word = |o: &mut Operand| match o {
+        Operand::K(k) => std::mem::replace(k, 0.0).to_bits(),
+        Operand::Load { var, offset } if *var < face_base => std::mem::take(offset) as u64,
+        _ => 0,
+    };
+    let mut words = Vec::new();
+    let mut mask = |reg: &RegProgram| {
+        let mut stmts = reg.stmts().to_vec();
+        let operands = stmts.iter_mut().flat_map(|s| s.expr.operands_mut());
+        words.extend(operands.map(word));
+        stmts
+    };
+    let volume = mask(&programs.volume);
+    ((volume, programs.flux.as_ref().map(mask)), words)
+}
+
+/// Group a plan's flats by shape ([`split`]): one [`Shape`] per distinct
+/// mask, lifting every operand whose word is not the same for all its
+/// flats, and each flat's [`FlatRow`].
+fn shape_plan(per_flat: &[FlatPrograms], face_base: u16) -> (Vec<Shape>, Vec<FlatRow>) {
+    let (mut masks, mut members, mut words): (Vec<Masked>, Vec<Vec<usize>>, Vec<_>) =
+        Default::default();
+    let mut shape_of = Vec::with_capacity(per_flat.len());
+    for (flat, programs) in per_flat.iter().enumerate() {
+        let (masked, flat_words) = split(programs, face_base);
+        let shape = match masks.iter().position(|m| *m == masked) {
+            Some(shape) => shape,
+            None => {
+                masks.push(masked);
+                members.push(Vec::new());
+                masks.len() - 1
+            }
+        };
+        members[shape].push(flat);
+        shape_of.push(shape);
+        words.push(flat_words);
+    }
+    // An operand is lifted when its column — its word in each of the
+    // shape's flats — is not constant; operands of one column share a word.
+    let shape = |flats: &Vec<usize>| {
+        let same = |i: usize, k: usize| flats.iter().all(|&f| words[f][i] == words[f][k]);
+        let first = &words[flats[0]];
+        // Each word's first operand.
+        let mut firsts: Vec<usize> = Vec::new();
+        let lifted = (0..first.len()).map(|i| {
+            if flats.iter().all(|&f| words[f][i] == first[i]) {
+                return None;
+            }
+            if let Some(word) = firsts.iter().position(|&k| same(i, k)) {
+                return Some(word);
+            }
+            firsts.push(i);
+            Some(firsts.len() - 1)
+        });
+        let lifted = lifted.collect();
+        Shape {
+            programs: per_flat[flats[0]].clone(),
+            lifted,
+        }
+    };
+    let shapes: Vec<Shape> = members.iter().map(shape).collect();
+    // A word's first operand comes before those of every later word.
+    let row = |(flat, &shape): (usize, &usize)| {
+        let mut row = Vec::new();
+        for (&w, j) in words[flat].iter().zip(&shapes[shape].lifted) {
+            if *j == Some(row.len()) {
+                row.push(w);
+            }
+        }
+        FlatRow { shape, words: row }
+    };
+    let rows = shape_of.iter().enumerate().map(row).collect();
+    (shapes, rows)
+}
+
+/// The translation proof for every flat a library serves: the flat's shape
+/// with its row in the lifted words — what its kernel computes — must be
+/// the flat's proven programs, bit for bit (rule `translation/reg-mismatch`).
+fn check_rows(
+    shapes: &[Shape],
+    rows: &[FlatRow],
+    per_flat: &[FlatPrograms],
+    face_base: u16,
+) -> Result<(), String> {
+    let split_shapes: Vec<_> = shapes
+        .iter()
+        .map(|s| split(&s.programs, face_base))
+        .collect();
+    for (flat, (row, proven)) in rows.iter().zip(per_flat).enumerate() {
+        let served = split_shapes.get(row.shape).map(|(masked, words)| {
+            let lifted = words.iter().zip(&shapes[row.shape].lifted);
+            let words = lifted.map(|(&w, j)| match j {
+                None => Some(w),
+                Some(j) => row.words.get(*j).copied(),
+            });
+            (masked, words.collect::<Option<Vec<u64>>>())
+        });
+        let (masked, words) = split(proven, face_base);
+        if served != Some((&masked, Some(words))) {
+            let message = format!(
+                "shape {} under the flat's argument row is not its proven program",
+                row.shape
+            );
+            let location = format!("native kernel (flat {flat})");
+            let d = crate::analysis::reg_mismatch(&location, message);
+            return Err(format!("argument row failed validation: {}", d.render()));
+        }
+    }
+    Ok(())
+}
+
+/// A plan's native source, its shape count and its flats' rows: every
+/// flat's programs bound and proven ([`lower_checked`]), grouped into
+/// shapes, each flat's row proven ([`check_rows`]) — all before any source
+/// exists — and the shapes printed once. `Err` when a program calls a
+/// function coefficient or a proof fails.
+pub(crate) fn lower_source(cp: &CompiledProblem) -> Result<(String, usize, Vec<FlatRow>), String> {
     let lower = |program: &Program, flat: usize, what: &str| {
         let binding = cp.binding(flat);
-        let reg = program.bind(&binding);
         let what = format!("{what} kernel (native, flat {flat})");
-        lower_checked(program, &binding, reg, &what)
+        lower_checked(program, &binding, program.bind(&binding), &what)
     };
-    let compiled_flux = cp.compiled_flux();
-    (0..cp.n_flat)
-        .map(|flat| {
-            Ok(FlatPrograms {
-                volume: lower(&cp.volume, flat, "volume")?,
-                flux: compiled_flux
-                    .then(|| lower(&cp.flux, flat, "flux"))
-                    .transpose()?,
-            })
+    let per_flat = (0..cp.n_flat).map(|flat| {
+        let volume = lower(&cp.volume, flat, "volume")?;
+        let flux = cp.compiled_flux().then(|| lower(&cp.flux, flat, "flux"));
+        Ok(FlatPrograms {
+            volume,
+            flux: flux.transpose()?,
         })
-        .collect()
+    });
+    let per_flat = per_flat.collect::<Result<Vec<_>, String>>()?;
+    let face_base = cp.flux.face_base;
+    let (shapes, rows) = shape_plan(&per_flat, face_base);
+    check_rows(&shapes, &rows, &per_flat, face_base)?;
+    let mut source = String::new();
+    emit_source(cp, &shapes, &mut source).expect("writing to a String never fails");
+    Ok((source, shapes.len(), rows))
 }
 
-/// The plan cache key: the FNV-1a hash of the source [`emit_source`]
-/// would produce, without producing it.
-pub(crate) fn source_hash(cp: &CompiledProblem, per_flat: &[FlatPrograms]) -> u64 {
-    let mut hash = Fnv1a::new();
-    emit_source(cp, cp.mesh().n_cells(), per_flat, &mut hash).expect("hashing never fails");
-    hash.0
-}
-
-/// What an instance's walls make its plan's source bake beyond the plan's
-/// key: `Walls::n_rows` and the [`run_kernels`] its run tables need. The
-/// key folds every wall's *form*; how many faces of a Gather wall its
-/// `source` closure serves — the rest keep a ghost row, and a stencil run
-/// reads them through rows — is the closure's to say.
-fn baked(cp: &CompiledProblem) -> (usize, Vec<(u32, bool)>) {
-    (cp.walls.n_rows, run_kernels(cp))
-}
-
-/// A plan's native kernels as first prepared: the library (or why there is
-/// none), the hash of the source it was loaded from, and what that source
-/// bakes which the plan's key does not fix.
+/// A plan's native kernels as first prepared: the library with its flats'
+/// rows (or why there is none), the hash of the source it was loaded from,
+/// and the one thing that source bakes which the plan's key does not fix.
 #[derive(Clone)]
 pub(crate) struct Prepared {
-    /// [`baked`] of the instance that prepared the plan.
-    baked: (usize, Vec<(u32, bool)>),
+    /// [`run_kernels`] of the instance that prepared the plan. The key
+    /// folds every wall's *form*; how many faces of a Gather wall its
+    /// `source` closure serves — the rest keep a ghost row, and a stencil
+    /// run reads them through rows — is the closure's to say.
+    baked: Vec<(u32, bool)>,
     /// `None` when the plan did not lower (no source was emitted). Read by
     /// the debug-build reuse guard only.
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
@@ -1179,60 +1248,58 @@ pub(crate) struct Prepared {
 /// failure). `Err` is the structured fallback reason — the caller degrades
 /// to the row tier and records a `native/fallback` diagnostic.
 ///
-/// An instance whose walls bake other numbers than the plan's kernels do
-/// ([`baked`]) prepares its own — found by source hash like any other,
-/// shared with nobody through the plan.
+/// An instance whose run tables need other run loops than the plan's
+/// kernels have ([`Prepared::baked`]) prepares its own — found by source
+/// hash like any other, shared with nobody through the plan.
 pub(crate) fn prepare(cp: &CompiledProblem) -> Result<Arc<NativeLib>, String> {
     let prepared = cp.native.get_or_init(|| prepare_plan(cp));
-    match prepared.baked == baked(cp) {
+    match prepared.baked == run_kernels(cp) {
         true => prepared.lib.clone(),
         false => prepare_plan(cp).lib,
     }
 }
 
-/// Debug builds hold a reused plan's kernels to this instance: the source
-/// a fresh lowering of `cp` would emit hashes to what the plan's library
-/// was loaded from. (Nothing to compare before the plan is first prepared,
-/// or against an instance [`prepare`] would not serve from the plan.)
+/// Debug builds hold a reused plan's kernels to this instance: a fresh
+/// lowering of `cp` emits the source the plan's library was loaded from
+/// and the same rows. (Nothing to compare before the plan is first
+/// prepared, or against an instance [`prepare`] would not serve from the
+/// plan.)
 #[cfg(debug_assertions)]
 pub(crate) fn assert_same_source(cp: &CompiledProblem) {
     let Some(prepared) = cp.native.get() else {
         return;
     };
-    if prepared.baked != baked(cp) {
+    if prepared.baked != run_kernels(cp) {
         return;
     }
-    let fresh = lower_plan(cp)
-        .ok()
-        .map(|per_flat| source_hash(cp, &per_flat));
+    let fresh = lower_source(cp).ok();
     assert_eq!(
-        fresh, prepared.hash,
+        fresh.as_ref().map(|(source, ..)| fnv1a(source)),
+        prepared.hash,
         "a reused plan's native source differs from a fresh lowering of the same key"
     );
+    if let (Some((.., rows)), Ok(lib)) = (fresh, &prepared.lib) {
+        assert!(rows == lib.rows, "a reused plan's argument rows differ");
+    }
 }
 
-/// Lower, validate, hash, and load (compiling on a cache miss) the native
-/// kernels for a plan.
+/// Lower, validate, emit, hash, and load (compiling on a cache miss) the
+/// native kernels for a plan.
 fn prepare_plan(cp: &CompiledProblem) -> Prepared {
-    let lowered = lower_plan(cp).map(|per_flat| (source_hash(cp, &per_flat), per_flat));
-    let hash = lowered.as_ref().ok().map(|(hash, _)| *hash);
-    let lib = lowered.and_then(|(hash, per_flat)| {
-        LOADED.get_or_init(Some(&hash), || {
-            let source = || {
-                let mut text = String::new();
-                emit_source(cp, cp.mesh().n_cells(), &per_flat, &mut text)
-                    .expect("writing to a String never fails");
-                text
-            };
-            let loaded = compile_and_load(source, cp.n_flat, hash);
+    let lowered = lower_source(cp).map(|(source, n, rows)| (fnv1a(&source), source, n, rows));
+    let hash = lowered.as_ref().ok().map(|(hash, ..)| *hash);
+    let lib = lowered.and_then(|(hash, source, n_shapes, rows)| {
+        let kernels = LOADED.get_or_init(Some(&hash), || {
+            let loaded = compile_and_load(&cache_dir(), &source, n_shapes, hash);
             if loaded.is_ok() {
                 sweep_after_load();
             }
             loaded
-        })
+        })?;
+        Ok(Arc::new(NativeLib { kernels, rows }))
     });
     Prepared {
-        baked: baked(cp),
+        baked: run_kernels(cp),
         hash,
         lib,
     }
@@ -1303,11 +1370,6 @@ mod tests {
     fn fnv1a_is_stable() {
         // The FNV-1a offset basis; a change here silently invalidates
         // every on-disk cache entry.
-        let fnv1a = |text: &str| {
-            let mut h = Fnv1a::new();
-            h.write_str(text).unwrap();
-            h.0
-        };
         assert_eq!(fnv1a(""), 0xcbf29ce484222325);
         assert_eq!(fnv1a("a"), 0xaf63dc4c8601ec8c);
         assert_ne!(fnv1a("pbte"), fnv1a("ptbe"));
@@ -1331,7 +1393,7 @@ mod tests {
     fn printed_statements_keep_operand_order() {
         use Operand::{Load, Reg, K};
         let stmt = |expr| RegStmt { dst: 0, expr };
-        let line = |expr| stmt_line(&stmt(expr), 2);
+        let line = |expr| stmt_line(&stmt(expr), 2, &[]);
         let (two, three) = (lit(2.0), lit(3.0));
         assert_eq!(
             line(RegExpr::Add([K(2.0), Reg(0)])),
@@ -1355,11 +1417,16 @@ mod tests {
             line(RegExpr::Mul([Reg(0), normal])),
             "        let r0 = r0 * n1;"
         );
+        // A lifted operand reads its word's local, in place.
+        assert_eq!(
+            stmt_line(&stmt(RegExpr::Mul([load, K(3.0)])), 2, &[Some(0), Some(1)]),
+            "        let r0 = (*p1.add(o0 + cell)) * k1;"
+        );
     }
 
-    /// The flux program of a two-direction upwind problem, and the problem
-    /// whose coefficients its binding folds.
-    fn upwind_flux() -> (crate::problem::Problem, Program) {
+    /// The flux and volume programs of a two-direction upwind problem with
+    /// decay, and the problem whose coefficients their bindings fold.
+    fn upwind_flux() -> (crate::problem::Problem, Program, Program) {
         use crate::bytecode::{Compiler, KernelKind};
         let mut p = crate::problem::Problem::new("flux-gate");
         p.domain(2);
@@ -1367,12 +1434,12 @@ mod tests {
         let i_var = p.variable("I", &[d]);
         p.coefficient_array("Sx", &[d], vec![0.6, -0.8]);
         p.coefficient_array("Sy", &[d], vec![0.8, 0.6]);
-        p.conservation_form(i_var, "surface(upwind([Sx[d];Sy[d]], I[d]))");
+        p.conservation_form(i_var, "-I[d] + surface(upwind([Sx[d];Sy[d]], I[d]))");
         let sys = p.analyze().unwrap();
-        let flux = Compiler::new(&p.registry, i_var, KernelKind::Flux)
-            .compile(&sys.flux_expr)
-            .unwrap();
-        (p, flux)
+        let compile = |kind, expr| Compiler::new(&p.registry, i_var, kind).compile(expr);
+        let flux = compile(KernelKind::Flux, &sys.flux_expr).unwrap();
+        let volume = compile(KernelKind::Volume, &sys.volume_expr).unwrap();
+        (p, flux, volume)
     }
 
     fn binding(p: &crate::problem::Problem) -> Binding<'_> {
@@ -1385,10 +1452,12 @@ mod tests {
     }
 
     /// `prepare`'s gate: a flux statement list that does not prove equal
-    /// to its compiled program is refused before any source is emitted.
+    /// to its compiled program, or an argument row that does not make its
+    /// shape a flat's proven program, is refused before any source is
+    /// emitted.
     #[test]
     fn misfused_flux_lowering_is_refused_before_compilation() {
-        let (p, flux) = upwind_flux();
+        let (p, flux, volume) = upwind_flux();
         let binding = binding(&p);
         let reg = flux.bind(&binding);
         let proven = lower_checked(&flux, &binding, reg.clone(), "flux kernel").unwrap();
@@ -1396,14 +1465,9 @@ mod tests {
         let text: Vec<String> = proven
             .stmts()
             .iter()
-            .map(|s| stmt_line(s, flux.face_base))
+            .map(|s| stmt_line(s, flux.face_base, &[]))
             .collect();
         assert!(text.iter().any(|l| l.contains("n0")) && text.iter().any(|l| l.contains("u2")));
-        let programs = FlatPrograms {
-            volume: RegProgram::from_raw_parts(Vec::new(), 0),
-            flux: Some(proven),
-        };
-        assert!(vars_used(&programs, flux.face_base).is_empty());
 
         let mut stmts = reg.stmts().to_vec();
         let ab = stmts
@@ -1417,11 +1481,110 @@ mod tests {
         let tampered = RegProgram::from_raw_parts(stmts, reg.n_regs());
         let refusal = lower_checked(&flux, &binding, tampered, "flux kernel").unwrap_err();
         assert!(refusal.contains("translation/reg-mismatch"), "{refusal}");
+
+        // Both directions share one shape: the direction's constants and
+        // the row of `I` it loads are lifted into each flat's row.
+        let per_flat: Vec<FlatPrograms> = [0usize, 1]
+            .iter()
+            .map(|d| {
+                let binding = Binding {
+                    idx: std::slice::from_ref(d),
+                    ..binding
+                };
+                let lower = |program: &Program| {
+                    let reg = program.bind(&binding);
+                    lower_checked(program, &binding, reg, "kernel").unwrap()
+                };
+                FlatPrograms {
+                    volume: lower(&volume),
+                    flux: Some(lower(&flux)),
+                }
+            })
+            .collect();
+        let (shapes, rows) = shape_plan(&per_flat, flux.face_base);
+        assert_eq!(shapes.len(), 1);
+        check_rows(&shapes, &rows, &per_flat, flux.face_base).unwrap();
+        // The word of the first lifted constant, or load offset.
+        let word = |constant: bool| {
+            let mut lifted = operands(&shapes[0].programs).zip(&shapes[0].lifted);
+            lifted.find_map(|(o, j)| j.filter(|_| matches!(o, Operand::K(_)) == constant))
+        };
+        let (constant, offset) = (word(true).unwrap(), word(false).unwrap());
+        let (mut flipped, mut shifted) = (rows.clone(), rows);
+        flipped[1].words[constant] ^= 1;
+        shifted[1].words[offset] += 1;
+        for tampered in [flipped, shifted] {
+            let refusal = check_rows(&shapes, &tampered, &per_flat, flux.face_base).unwrap_err();
+            assert!(refusal.contains("translation/reg-mismatch"), "{refusal}");
+        }
+    }
+
+    /// Four-direction upwind transport with decay over `bands` band
+    /// speeds on an `n × n` grid: a table plan.
+    fn band_plan(n: usize, bands: usize) -> crate::exec::CompiledProblem {
+        use crate::problem::{BoundaryCondition, Problem};
+        let mut p = Problem::new("one-shape");
+        p.domain(2);
+        p.mesh(pbte_mesh::UniformGrid::new_2d(n, n, 1.0, 1.0).build());
+        p.set_steps(1e-3, 1);
+        let d = p.index("d", 4);
+        let b = p.index("b", bands);
+        let i_var = p.variable("I", &[d, b]);
+        p.coefficient_array("Sx", &[d], vec![1.0, 0.0, -1.0, 0.0]);
+        p.coefficient_array("Sy", &[d], vec![0.0, 1.0, 0.0, -1.0]);
+        p.coefficient_array("vg", &[b], (1..=bands).map(|k| k as f64).collect());
+        p.initial(i_var, |_, _| 1.0);
+        for side in ["left", "right", "top", "bottom"] {
+            p.boundary(i_var, side, BoundaryCondition::Value(1.0));
+        }
+        let form = "-vg[b]*I[d,b] + surface(vg[b]*upwind([Sx[d];Sy[d]], I[d,b]))";
+        p.conservation_form(i_var, form);
+        let (cp, _) = crate::exec::CompiledProblem::compile(p).unwrap();
+        assert!(cp.flux_lin.is_some(), "a table plan");
+        cp
+    }
+
+    /// A table plan's source is its physics and mesh class, not its flat
+    /// or cell count: one library serves every band count and grid side.
+    #[test]
+    fn table_plan_source_is_independent_of_flat_and_cell_counts() {
+        let source = |n: usize, bands: usize| {
+            let (source, n_shapes, rows) = lower_source(&band_plan(n, bands)).unwrap();
+            assert_eq!((n_shapes, rows.len()), (1, 4 * bands));
+            source
+        };
+        let two_bands = source(12, 2);
+        assert!(!two_bands.contains("static "), "no per-flat table");
+        assert_eq!(source(12, 8), two_bands);
+        assert_eq!(source(20, 2), two_bands);
+    }
+
+    /// Where the cache lives does not reach the library's bytes: two cache
+    /// directories of different path lengths hold libraries of one length,
+    /// and neither names its directory.
+    #[test]
+    #[cfg(all(unix, not(miri)))]
+    fn library_bytes_do_not_depend_on_the_cache_path() {
+        let (source, n_shapes, _) = lower_source(&band_plan(6, 2)).unwrap();
+        let hash = fnv1a(&source);
+        let root = std::env::temp_dir().join(format!("pbte-cache-path-{}", std::process::id()));
+        let mut lengths = Vec::new();
+        for dir in [root.join("a"), root.join("a-longer-cache-directory")] {
+            if compile_and_load(&dir, &source, n_shapes, hash).is_err() {
+                return; // no rustc here: the native tier falls back
+            }
+            let so = std::fs::read(dir.join(format!("{hash:016x}.so"))).unwrap();
+            let path = dir.to_str().unwrap().as_bytes();
+            assert!(!so.windows(path.len()).any(|w| w == path), "{dir:?}");
+            lengths.push(so.len());
+        }
+        assert_eq!(lengths[0], lengths[1]);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn empty_and_r0_less_programs_are_rejected() {
-        let (p, flux) = upwind_flux();
+        let (p, flux, _) = upwind_flux();
         let binding = binding(&p);
         let never_r0 = vec![RegStmt {
             dst: 1,

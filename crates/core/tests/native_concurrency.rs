@@ -1,5 +1,6 @@
 //! The native load goes through the once-per-key cell: two plans of
-//! different source compile side by side, not one behind the other.
+//! different source compile side by side, not one behind the other, and
+//! two plans of one source share one library.
 //!
 //! `PBTE_NATIVE_RUSTC` points at a script that is a two-party barrier in
 //! front of the real `rustc`: each invocation leaves a marker and waits for
@@ -19,9 +20,11 @@ use pbte_dsl::BoundaryCondition;
 use pbte_mesh::grid::UniformGrid;
 use std::os::unix::fs::PermissionsExt;
 
-/// A two-band upwind problem; `speed` is baked into the emitted source, so
-/// two speeds are two plans and two libraries.
-fn plan(speed: f64) -> Problem {
+/// A two-band upwind problem, with a decay term when `decay`. The decay
+/// is a statement of the emitted source, so with and without it are two
+/// shapes and two libraries; `speed` lands in the flux table, so two
+/// speeds are two plans of one source.
+fn plan(speed: f64, decay: bool) -> Problem {
     let mut p = Problem::new("side-by-side");
     p.domain(2);
     p.mesh(UniformGrid::new_2d(6, 6, 1.0, 1.0).build());
@@ -36,7 +39,9 @@ fn plan(speed: f64) -> Problem {
     for side in ["left", "right", "top", "bottom"] {
         p.boundary(i_var, side, BoundaryCondition::Value(1.0));
     }
-    p.conservation_form(i_var, "surface(vg[b]*upwind([Sx[d];Sy[d]], I[d,b]))");
+    let decay = if decay { "-I[d,b] + " } else { "" };
+    let form = format!("{decay}surface(vg[b]*upwind([Sx[d];Sy[d]], I[d,b]))");
+    p.conservation_form(i_var, &form);
     p.kernel_tier(KernelTier::Native);
     p
 }
@@ -63,36 +68,37 @@ fn two_plans_compile_side_by_side() {
     std::env::set_var("PBTE_NATIVE_RUSTC", &script);
     std::env::set_var("PBTE_NATIVE_CACHE_DIR", dir.join("cache"));
 
+    let native = |speed: f64, decay: bool| {
+        let solver = plan(speed, decay).build(ExecTarget::CpuSeq).unwrap();
+        let bench = solver
+            .compiled
+            .intensity_bench(solver.fields(), KernelTier::Native);
+        assert_eq!(
+            bench.tier(),
+            KernelTier::Native,
+            "speed {speed}, decay {decay}: {:?}",
+            bench.native_fallback().map(|d| d.render())
+        );
+        solver.compiled.plan_reused
+    };
+    let libraries = || {
+        let cache = std::fs::read_dir(dir.join("cache")).unwrap();
+        let names = cache.map(|e| e.unwrap().file_name().into_string().unwrap());
+        names.filter(|n| n.ends_with(".so")).count()
+    };
     std::thread::scope(|s| {
-        for speed in [1.0, 2.0] {
-            s.spawn(move || {
-                let solver = plan(speed).build(ExecTarget::CpuSeq).unwrap();
-                let bench = solver
-                    .compiled
-                    .intensity_bench(solver.fields(), KernelTier::Native);
-                assert_eq!(
-                    bench.tier(),
-                    KernelTier::Native,
-                    "speed {speed}: {:?}",
-                    bench.native_fallback().map(|d| d.render())
-                );
-            });
+        for decay in [false, true] {
+            s.spawn(move || native(1.0, decay));
         }
     });
+    assert_eq!(libraries(), 2);
 
     // The same content again: the plan and its library are the process's.
-    let compiled = std::fs::read_dir(dir.join("cache")).unwrap().count();
     let before = pbte_dsl::exec::plans_lowered();
-    let solver = plan(1.0).build(ExecTarget::CpuSeq).unwrap();
-    assert!(solver.compiled.plan_reused);
-    let bench = solver
-        .compiled
-        .intensity_bench(solver.fields(), KernelTier::Native);
-    assert_eq!(bench.tier(), KernelTier::Native);
+    assert!(native(1.0, false));
     assert_eq!(pbte_dsl::exec::plans_lowered(), before);
-    assert_eq!(
-        std::fs::read_dir(dir.join("cache")).unwrap().count(),
-        compiled
-    );
+    // Another speed is another plan of the same shape: one library.
+    assert!(!native(2.0, false));
+    assert_eq!(libraries(), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
