@@ -651,17 +651,30 @@ impl Pass<'_> {
     }
 
     /// Band `b`'s direction sum over the cells `cell0 .. cell0 + e.len()`:
-    /// `e = Σ_d w_d I_{d,b}`. Swept plane-by-plane (fixed (d, b),
-    /// streaming over the cells) so the big intensity array is read
-    /// sequentially, once.
+    /// `e = Σ_d w_d I_{d,b}`, each cell's sum from `0.0` in `d` order.
+    /// `LANES` cells at a time, their sums held in registers while the
+    /// directions stream past, so each of the cells' intensity planes is
+    /// read once and `e` written once.
     fn direction_sum(&self, b: usize, cell0: usize, e: &mut [f64]) {
+        const LANES: usize = 8;
         let material = &self.upd.material;
-        e.fill(0.0);
-        for (d, &w) in material.angles.weights.iter().enumerate() {
-            let plane = &self.i[(d * material.n_bands() + b) * self.n_cells + cell0..][..e.len()];
-            for (e, &v) in e.iter_mut().zip(plane) {
-                *e += w * v;
+        let row = |d: usize| (d * material.n_bands() + b) * self.n_cells + cell0;
+        let weights = material.angles.weights.iter().enumerate();
+        let at = e.len() / LANES * LANES;
+        let mut lanes = e.chunks_exact_mut(LANES);
+        for (j, e) in (&mut lanes).enumerate() {
+            let mut acc = [0.0f64; LANES];
+            for (d, &w) in weights.clone() {
+                let plane = &self.i[row(d) + j * LANES..][..LANES];
+                for (acc, &v) in acc.iter_mut().zip(plane) {
+                    *acc += w * v;
+                }
             }
+            e.copy_from_slice(&acc);
+        }
+        for (c, e) in lanes.into_remainder().iter_mut().enumerate() {
+            let sum = |sum, (d, &w): (usize, &f64)| sum + w * self.i[row(d) + at + c];
+            *e = weights.clone().fold(0.0, sum);
         }
     }
 

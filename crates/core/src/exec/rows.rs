@@ -819,7 +819,8 @@ mod tests {
     }
 
     /// One sweep over all dofs at `tier`, every flat's cell range cut into
-    /// spans of `span` cells.
+    /// spans of `span` cells. `out` starts as NaN, so a dof the kernel
+    /// never writes fails every bitwise comparison.
     fn sweep(
         cp: &CompiledProblem,
         fields: &Fields,
@@ -835,7 +836,7 @@ mod tests {
         assert_eq!(kernels.tier, tier);
         let vars = fields.as_slices();
         let mut scratch = kernels.scratch(&vars);
-        let mut out = vec![0.0; cp.n_flat * n_cells];
+        let mut out = vec![f64::NAN; cp.n_flat * n_cells];
         for k in 0..cp.n_flat {
             for cell0 in (0..n_cells).step_by(span) {
                 let len = span.min(n_cells - cell0);
@@ -1020,8 +1021,8 @@ mod tests {
     }
 
     /// The table-plan emission is pinned the same way, on a hot-spot-like
-    /// uniform grid: the shape's source statements, then the plan's one
-    /// `flux_span`.
+    /// uniform grid. Last moved when its source statements joined the flux
+    /// loops, one pass per flat row.
     #[test]
     fn table_plan_source_is_pinned() {
         let grid = UniformGrid::new_2d(24, 24, 1.0, 1.0);
@@ -1029,8 +1030,8 @@ mod tests {
         assert!(cp.flux_lin.is_some(), "a table plan");
         let (text, n_shapes, _) = nativegen::lower_source(&cp).unwrap();
         assert_eq!(n_shapes, 1);
-        assert_eq!(nativegen::fnv1a(&text), 0x2acf_e3e0_ea39_71ff);
-        assert_eq!(text.len(), 10_192);
+        assert_eq!(nativegen::fnv1a(&text), 0xcdd0_178c_1861_ec24);
+        assert_eq!(text.len(), 10_281);
     }
 
     /// `(cell0, len)` of every tile of the first flat.

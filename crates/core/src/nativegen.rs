@@ -339,7 +339,7 @@ fn ghost_read() -> String {
     )
 }
 
-/// The `Args` locals a flux loop hoists before it starts: the `out`
+/// The `Args` locals a kernel hoists before its loops start: the `out`
 /// stores go through a raw pointer, so without the copies LLVM must
 /// assume they may alias the Args struct itself and reload each field on
 /// every iteration.
@@ -348,13 +348,13 @@ const HOISTED_ARGS: &str = "    let ghosts = a.ghosts;\n    let n_rows = a.n_row
 /// Emit the complete source for one compiled plan into `w`: one
 /// `pbte_shape_N` kernel per [`Shape`], computing `rows::rhs_span`'s
 /// operation sequence over a cell span for the flat `Args::flat` names.
-/// On a **table plan** the kernel is organised like the Row tier: its
-/// source statements written to `out`, then one call of `flux_span`, the
-/// flux loop emitted *once per plan* ([`emit_flux_span`]). On a
-/// **compiled-flux plan** (too many face orientations for a table) it fuses
-/// source, the flux's own statements per face and the Euler update
-/// ([`emit_shape_kernel`]). Both walk a span in three loops — the stride-1
-/// stencil runs, the strided runs, the cells of no run — and read a
+/// Each kernel is one pass per flat row ([`emit_shape_kernel`]): a cell's
+/// source statements, its flux and the Euler update in one loop body,
+/// `out` written once per cell. Only the face term differs by plan: a
+/// **table plan** reads its class's αβγ entries, a **compiled-flux plan**
+/// (too many face orientations for a table) runs the flux's own
+/// statements. Every kernel walks a span in three loops — the stride-1
+/// stencil runs, the strided runs, the cells of no run — and reads a
 /// boundary face by the one ghost-read rule, `Walls::ghost_read`.
 fn emit_source(cp: &CompiledProblem, shapes: &[Shape], w: &mut impl Write) -> fmt::Result {
     w.write_str("// Generated by pbte-dsl nativegen; do not edit.\n")?;
@@ -367,9 +367,6 @@ fn emit_source(cp: &CompiledProblem, shapes: &[Shape], w: &mut impl Write) -> fm
     w.write_str("}\n\n")?;
     emit_ghost_gather(cp, w)?;
     emit_stream(cp, w)?;
-    if cp.flux_lin.is_some() {
-        emit_flux_span(cp, w)?;
-    }
     for (index, shape) in shapes.iter().enumerate() {
         emit_shape_kernel(cp, index, shape, w)?;
     }
@@ -387,11 +384,6 @@ fn run_kernels(cp: &CompiledProblem) -> Vec<(u32, bool)> {
     kernels.sort_unstable();
     kernels.dedup();
     kernels
-}
-
-/// The name of a run loop.
-fn run_kernel_name((nf, unit): (u32, bool)) -> String {
-    format!("{}_{nf}", if unit { "unit" } else { "affine" })
 }
 
 /// The head of a run loop over the cells `j0 .. j1` of `run`, up to its
@@ -449,7 +441,7 @@ fn run_loop_tail(w: &mut (impl Write + ?Sized), nf: u32, unit: bool, indent: &st
     }
 }
 
-/// The span walk of both flux loops (`rows::flux_combine`'s), three
+/// The span walk of every kernel (`rows::flux_combine`'s), three
 /// independent loops over what the `segment(run, j0, j1)` and `csr(cell)`
 /// closures the caller emitted before it evaluate: the stride-1 runs from
 /// the first ending after `cell0` up to the first starting at or past the
@@ -543,92 +535,15 @@ fn emit_segment(
     )
 }
 
-/// The table plan's one flux loop: `flux_span` walks the span like
-/// `rows::flux_combine`, over the run tables passed through `Args`. One
-/// straight-line loop is emitted per [`run_kernels`] entry (face count
-/// baked, classes and streams read from the run); the CSR walk takes the
-/// cells of no run. The αβγ rows of the calling flat arrive in `Args`.
-fn emit_flux_span(cp: &CompiledProblem, w: &mut impl Write) -> fmt::Result {
-    let ghost_read = ghost_read();
-    let kernels = run_kernels(cp);
-    for &(nf, unit) in &kernels {
-        write!(
-            w,
-            "#[inline(always)]\nunsafe fn {}(a: &Args, run: &Run, al: *const f64, be: *const f64, ga: *const f64, flat: usize, u_row: *const f64, j0: usize, j1: usize) {{\n",
-            run_kernel_name((nf, unit))
-        )?;
-        for s in 0..nf {
-            write!(
-                w,
-                "    let cl{s} = run.class[{s}] as usize;\n    let (g{s}, a{s}, b{s}) = (*ga.add(cl{s}), *al.add(cl{s}), *be.add(cl{s}));\n"
-            )?;
-        }
-        w.write_str(
-            "    let offsets = a.offsets;\n    let area = a.area;\n    let inv_volume = a.inv_volume;\n    let out = a.out;\n    let cell0 = a.cell0;\n    let fused_dt = a.fused_dt;\n    let fused = a.fused != 0;\n",
-        )?;
-        run_loop_head(w, nf, unit, "    ")?;
-        w.write_str("        let u_here = *u_row.add(cell);\n        let mut flux = 0.0f64;\n")?;
-        for s in 0..nf {
-            writeln!(
-                w,
-                "        flux += *area.add(k + {s}) * (g{s} + a{s} * u_here + b{s} * {});",
-                run_slot(s, unit)
-            )?;
-        }
-        w.write_str(
-            "        let o = out.add(cell - cell0);\n        let rhs = *o - flux * *inv_volume.add(cell);\n        *o = if fused { u_here + fused_dt * rhs } else { rhs };\n",
-        )?;
-        run_loop_tail(w, nf, unit, "    ")?;
-        w.write_str("}\n\n")?;
-    }
-    w.write_str(
-        "#[inline(never)]\nunsafe fn flux_span(a: &Args, flat: usize, u_row: *const f64) {\n    let (al, be, ga) = (a.alpha, a.beta, a.gamma);\n",
-    )?;
-    w.write_str(HOISTED_ARGS)?;
-    // The class tables are indexed through raw pointers so the three
-    // per-face lookups carry no bounds checks (`c` comes from the
-    // verified plan geometry, always < n_classes).
-    write!(
-        w,
-        r#"    let csr = &move |cell: usize| {{
-        let u_here = *u_row.add(cell);
-        let mut flux = 0.0f64;
-        let mut k = *offsets.add(cell) as usize;
-        let end = *offsets.add(cell + 1) as usize;
-        while k < end {{
-            let nb = *nbr.add(k);
-            let u2 = if nb >= 0 {{
-                *u_row.add(nb as usize)
-            }} else {{
-{ghost_read}
-            }};
-            let c = *class.add(k) as usize;
-            flux += *area.add(k) * (*ga.add(c) + *al.add(c) * u_here + *be.add(c) * u2);
-            k += 1;
-        }}
-        let o = out.add(cell - cell0);
-        let rhs = *o - flux * *inv_volume.add(cell);
-        *o = if fused {{ u_here + fused_dt * rhs }} else {{ rhs }};
-    }};
-"#
-    )?;
-    emit_segment(w, &kernels, |w, kernel| {
-        writeln!(
-            w,
-            "            {}(a, run, al, be, ga, flat, u_row, j0, j1)",
-            run_kernel_name(kernel)
-        )
-    })?;
-    w.write_str(SPAN_WALK)
-}
-
-/// One shape's kernel: its argument row copied into locals, then the
-/// unrolled source expression per cell, then the flux — a call of the
-/// plan's `flux_span` (table plan), or the per-face lowered flux statements
-/// and the Euler update fused into the same loop (compiled flux). The
-/// compiled kernel walks its span like `flux_span`: per [`run_kernels`]
-/// entry one straight-line loop with the flux statements emitted once per
-/// slot, and the per-face CSR loop for the cells of no run.
+/// One shape's kernel: its argument row copied into locals, then the span
+/// walk ([`SPAN_WALK`]) — per [`run_kernels`] entry one straight-line loop
+/// with the face term emitted once per slot, and the per-face CSR loop for
+/// the cells of no run. Every loop body is the unrolled source expression,
+/// the flux sum and the Euler update of one cell, so the walk, which
+/// covers each cell of the span once, is the kernel's only write of `out`.
+/// The face term is the flux table's `γ + α·u + β·u2` of the face's class
+/// (table plan; a run's classes loaded once per run) or the lowered flux
+/// statements at the face's normal (compiled flux).
 fn emit_shape_kernel(
     cp: &CompiledProblem,
     index: usize,
@@ -667,18 +582,7 @@ fn emit_shape_kernel(
         "    let u_row: *const f64 = (*a.vars.add({})).add(flat * a.n_cells);",
         cp.system.unknown
     )?;
-    let Some(flux) = &programs.flux else {
-        w.write_str(
-            "    let out = a.out;\n    let cell0 = a.cell0;\n    let len = a.len;\n    let mut i = 0usize;\n    while i < len {\n        let cell = cell0 + i;\n",
-        )?;
-        for line in &volume {
-            writeln!(w, "{line}")?;
-        }
-        return w.write_str(
-            "        *out.add(i) = r0;\n        i += 1;\n    }\n    flux_span(a, flat, u_row);\n}\n",
-        );
-    };
-    let flux = program_lines(flux, face_base, lifted);
+    let flux = (programs.flux.as_ref()).map(|f| program_lines(f, face_base, lifted));
     // Statement lines `extra` spaces deeper than `stmt_line`'s own eight.
     let write_stmts = |w: &mut dyn Write, lines: &[String], extra: usize| -> fmt::Result {
         lines
@@ -697,9 +601,27 @@ fn emit_shape_kernel(
             false => writeln!(w, "{:indent$}let n{axis} = 0.0f64;", ""),
         })
     };
+    // What face slot `{slot}` adds to the flux sum, its far value in `u2`:
+    // the lowered flux statements at the slot's normal, or, on a table
+    // plan, `γ + α·u_here + β·u2` with `class` naming the class's `[γ, α,
+    // β]`. The face term is the only difference between the two kernels.
+    let face = |w: &mut dyn Write, slot: &str, class: [String; 3], indent: usize| {
+        let Some(flux) = &flux else {
+            let [g, al, be] = class;
+            let term = format!("{g} + {al} * u_here + {be} * u2");
+            return writeln!(w, "{:indent$}flux += *area.add({slot}) * ({term});", "");
+        };
+        write_normal(w, slot, indent)?;
+        write_stmts(w, flux, indent - 8)?;
+        writeln!(w, "{:indent$}flux += *area.add({slot}) * r0;", "")
+    };
     let ghost_read = ghost_read();
     w.write_str(HOISTED_ARGS)?;
-    w.write_str("    let normals = a.normals;\n    let csr = &move |cell: usize| {\n")?;
+    w.write_str(match flux {
+        Some(_) => "    let normals = a.normals;\n",
+        None => "    let (al, be, ga) = (a.alpha, a.beta, a.gamma);\n",
+    })?;
+    w.write_str("    let csr = &move |cell: usize| {\n")?;
     write_stmts(w, &volume, 0)?;
     write!(
         w,
@@ -717,21 +639,30 @@ fn emit_shape_kernel(
             }};
 "#
     )?;
-    write_normal(w, "k", 12)?;
-    write_stmts(w, &flux, 4)?;
+    if flux.is_none() {
+        w.write_str("            let c = *class.add(k) as usize;\n")?;
+    }
+    let class = ["ga", "al", "be"].map(|t| format!("*{t}.add(c)"));
+    face(w, "k", class, 12)?;
     w.write_str(
-        r#"            flux += *area.add(k) * r0;
-            k += 1;
+        r#"            k += 1;
         }
         let rhs = src - flux * *inv_volume.add(cell);
         *out.add(cell - cell0) = if fused { u_here + fused_dt * rhs } else { rhs };
     };
 "#,
     )?;
-    // Inside a run: the flux statements once per face slot, in slot order,
-    // `u2` read from the slot's stream — per dof the operation sequence of
-    // the CSR loop, so the same bits.
+    // Inside a run: the face term once per face slot, in slot order, `u2`
+    // read from the slot's stream (a table plan's class entries loaded
+    // once per run) — per dof the operation sequence of the CSR loop, so
+    // the same bits.
     emit_segment(w, &run_kernels(cp), |w, (nf, unit)| {
+        for s in (0..nf).filter(|_| flux.is_none()) {
+            write!(
+                w,
+                "            let cl{s} = run.class[{s}] as usize;\n            let (g{s}, a{s}, b{s}) = (*ga.add(cl{s}), *al.add(cl{s}), *be.add(cl{s}));\n"
+            )?;
+        }
         run_loop_head(w, nf, unit, "            ")?;
         write_stmts(w, &volume, 8)?;
         w.write_str(
@@ -743,12 +674,9 @@ fn emit_shape_kernel(
                 "                {{\n                    let u2 = {};",
                 run_slot(s, unit)
             )?;
-            write_normal(w, &format!("k + {s}"), 20)?;
-            write_stmts(w, &flux, 12)?;
-            writeln!(
-                w,
-                "                    flux += *area.add(k + {s}) * r0;\n                }}"
-            )?;
+            let class = ["g", "a", "b"].map(|t| format!("{t}{s}"));
+            face(w, &format!("k + {s}"), class, 20)?;
+            w.write_str("                }\n")?;
         }
         w.write_str(
             "                let rhs = src - flux * *inv_volume.add(cell);\n                *out.add(cell - cell0) = if fused { u_here + fused_dt * rhs } else { rhs };\n",
@@ -1013,6 +941,10 @@ fn compile_and_load(
             // Where the cache lives is no codegen option: the library's
             // bytes do not depend on it.
             .arg(format!("--remap-path-prefix={}=", dir.display()))
+            // Dropping the standard library's debug sections, nine tenths
+            // of the file, changes no machine code either, so it stays
+            // out of the hashed flag header too.
+            .arg("-Cstrip=debuginfo")
             .arg("-o")
             .arg(&tmp)
             .arg(&src_path)
@@ -1580,6 +1512,42 @@ mod tests {
         }
         assert_eq!(lengths[0], lengths[1]);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The section names of an ELF64 little-endian file.
+    #[cfg(all(target_os = "linux", not(miri)))]
+    fn elf_sections(elf: &[u8]) -> Vec<String> {
+        let word =
+            |at: usize, n: usize| (0..n).fold(0, |v, i| v | (elf[at + i] as usize) << (8 * i));
+        let (table, size, count) = (word(0x28, 8), word(0x3a, 2), word(0x3c, 2));
+        let header = |i: usize| table + i * size;
+        let names = word(header(word(0x3e, 2)) + 0x18, 8);
+        let name = |i: usize| {
+            let name = &elf[names + word(header(i), 4)..];
+            let end = name.iter().position(|&b| b == 0).unwrap();
+            String::from_utf8_lossy(&name[..end]).into_owned()
+        };
+        (0..count).map(name).collect()
+    }
+
+    /// A compiled library carries no debug sections: `-Cdebuginfo=0` alone
+    /// still links in the standard library's, ten times the kernels' code.
+    #[test]
+    #[cfg(all(target_os = "linux", not(miri)))]
+    fn library_has_no_debug_sections() {
+        let (source, n_shapes, _) = lower_source(&band_plan(6, 2)).unwrap();
+        let hash = fnv1a(&source);
+        let dir = std::env::temp_dir().join(format!("pbte-cache-strip-{}", std::process::id()));
+        if compile_and_load(&dir, &source, n_shapes, hash).is_err() {
+            return; // no rustc here: the native tier falls back
+        }
+        let sections = elf_sections(&std::fs::read(dir.join(format!("{hash:016x}.so"))).unwrap());
+        assert!(sections.iter().any(|s| s == ".text"), "{sections:?}");
+        assert!(
+            !sections.iter().any(|s| s.starts_with(".debug")),
+            "{sections:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
