@@ -8,8 +8,7 @@
 //!            [target=seq|par|cells[:<r>]|bands[:<r>]|
 //!            gpu[:async|:precompute]|bands-gpu[:<r>]] [n=12] [steps=3]
 //!            [ranks=2] [strategy=redundant|divided]
-//!            [tier=vm|row|native] [out=DIR] [stream=FILE]
-//!            [--no-health] [--parity]
+//!            [tier=vm|row|native] [out=DIR] [stream=FILE] [--parity]
 //! pbte-trace --follow file=FILE [wait=30]
 //! pbte-trace top file=FILE
 //! ```
@@ -26,7 +25,8 @@
 //! counter contract scales by is the spec's.
 //!
 //! **Default mode** runs one scenario on one target with the buffered
-//! sink and the physics health probes installed, writes `DIR/trace.json`
+//! sink (the temperature update's physics health probes are on in every
+//! mode), writes `DIR/trace.json`
 //! (load it at <https://ui.perfetto.dev>) and `DIR/summary.jsonl`, and
 //! prints the phase/work/device summary and what the run found.
 //!
@@ -130,7 +130,7 @@ use std::time::{Duration, Instant};
 /// The keys and flags `pbte-trace` takes (after `top`, only `file=`);
 /// any other argument is refused, and so is one its mode does not use.
 const KNOWN: &str = "scenario= target= n= steps= ranks= strategy= tier= out= stream= file= \
-    wait= --no-health --parity --follow";
+    wait= --parity --follow";
 
 fn print_report(tname: &str, report: &SolveReport) {
     out!("target {tname}: {} step(s)", report.steps);
@@ -295,7 +295,7 @@ fn run_parity(
         "bands-gpu",
     ];
     let mut rec = Recorder::buffered();
-    let seq_report = run_gated(spec, ExecTarget::CpuSeq, tier, false, &mut rec)?.report;
+    let seq_report = run_gated(spec, ExecTarget::CpuSeq, tier, &mut rec)?.report;
     print_report("seq", &seq_report);
     let seq = seq_report.work;
     let seq_tiers = kernel_tiers(&rec);
@@ -336,7 +336,7 @@ fn run_parity(
         // Only a cell partition changes which cells a rank sweeps.
         let sweeps_all_cells = !matches!(target, ExecTarget::DistCells { .. });
         let mut rec = Recorder::buffered();
-        let report = run_gated(spec, target, tier, false, &mut rec)?.report;
+        let report = run_gated(spec, target, tier, &mut rec)?.report;
         print_report(tname, &report);
         let tiers = kernel_tiers(&rec);
         out!("  kernel tier attribution: {tiers:?}");
@@ -725,8 +725,7 @@ fn run(args: &[String]) -> Result<Outcome, Outcome> {
     }
     check_args(args, KNOWN)?;
     if args.iter().any(|a| a == "--follow") {
-        let run_keys =
-            "scenario target n steps ranks strategy tier out stream --no-health --parity";
+        let run_keys = "scenario target n steps ranks strategy tier out stream --parity";
         refuse_keys(
             args,
             run_keys,
@@ -739,13 +738,12 @@ fn run(args: &[String]) -> Result<Outcome, Outcome> {
     let parity = args.iter().any(|a| a == "--parity");
     let (ignored, why) = match parity {
         true => (
-            "target out stream file wait --no-health",
-            "--parity runs every target without health probes and writes no file",
+            "target out stream file wait",
+            "--parity runs every target and writes no file",
         ),
         false => ("file wait", "a run reads no stream (use --follow or top)"),
     };
     refuse_keys(args, ignored, why)?;
-    let health = !args.iter().any(|a| a == "--no-health");
     let sname = arg_str(args, "scenario", "hotspot");
     let tname = arg_str(args, "target", "seq");
     let n = arg_usize(args, "n", 12);
@@ -805,7 +803,7 @@ fn run(args: &[String]) -> Result<Outcome, Outcome> {
         rec.attach_stream(w.sink());
         Some(w)
     };
-    let report = run_gated(&spec, target, tier, health, &mut rec)?.report;
+    let report = run_gated(&spec, target, tier, &mut rec)?.report;
     // What the driver recorded it ran (the summary's first line), not what
     // was asked for.
     let summary = rec.summary_jsonl();
@@ -859,7 +857,7 @@ fn run(args: &[String]) -> Result<Outcome, Outcome> {
             false => out!("telemetry: {d}"),
         }
     }
-    if health && !findings.iter().any(|d| d.rule.starts_with("physics/")) {
+    if !findings.iter().any(|d| d.rule.starts_with("physics/")) {
         out!("health: all probes clean");
     }
     Ok(Outcome::Finished {

@@ -19,7 +19,6 @@
 //! cargo test -p pbte-apps
 //! ```
 
-use pbte_bte::health::HealthProbes;
 use pbte_bte::pbte::ScenarioSpec;
 use pbte_bte::temperature::{BteVars, TemperatureStrategy};
 use pbte_dsl::exec::{Recorder, SolveReport};
@@ -59,8 +58,8 @@ pub struct Ran {
 }
 
 /// The one run path of `pbte` and `pbte-trace`: build `spec`, apply
-/// `tier` (and the physics health probes when `health`), pass the verify
-/// gate (`BteProblem::verified`) on `target`, and solve under `rec`. A
+/// `tier`, turn on the physics health probes, pass the verify gate
+/// (`BteProblem::verified`) on `target`, and solve under `rec`. A
 /// refusal before step 0 — the build's, the gate's error findings, the
 /// target's — is [`Outcome::Refused`]; the gate's warnings go to stderr
 /// and the run goes on.
@@ -68,18 +67,13 @@ pub fn run_gated(
     spec: &ScenarioSpec,
     target: ExecTarget,
     tier: Option<KernelTier>,
-    health: bool,
     rec: &mut Recorder,
 ) -> Result<Ran, Outcome> {
     let mut bte = spec.build()?;
     if let Some(tier) = tier {
         bte.problem.kernel_tier(tier);
     }
-    if health {
-        // After the temperature update the build installed, so the probes
-        // see the fresh T/Io/beta.
-        HealthProbes::new(bte.material.clone(), bte.vars).install(&mut bte.problem);
-    }
+    bte.enable_probes();
     let vars = bte.vars;
     let (mut solver, warnings) = bte.verified(target).map_err(Outcome::Refused)?;
     for d in &warnings {

@@ -176,7 +176,7 @@ fn run_scenario(command: &str, args: &[String]) -> Result<Findings, Outcome> {
         solver,
         vars,
         report,
-    } = run_gated(&spec, target, tier, false, &mut Recorder::null())?;
+    } = run_gated(&spec, target, tier, &mut Recorder::null())?;
     let wall = start.elapsed().as_secs_f64();
     let t = solver.fields().slice(vars.t);
     out!(

@@ -17,6 +17,29 @@ use pbte_bte::scenario::{hotspot_2d, BteConfig};
 use pbte_dsl::exec::{ExecTarget, Recorder};
 use pbte_dsl::GpuStrategy;
 use pbte_gpu::DeviceSpec;
+use serde::{Serialize, Value};
+
+/// What `results/profile_table.json` holds.
+struct Row {
+    sm_utilization: f64,
+    memory_fraction: f64,
+    flop_fraction: f64,
+}
+
+impl Serialize for Row {
+    fn to_value(&self) -> Value {
+        let Row {
+            sm_utilization,
+            memory_fraction,
+            flop_fraction,
+        } = self;
+        Value::Obj(vec![
+            ("sm_utilization".into(), sm_utilization.to_value()),
+            ("memory_fraction".into(), memory_fraction.to_value()),
+            ("flop_fraction".into(), flop_fraction.to_value()),
+        ])
+    }
+}
 
 fn main() {
     let mut cfg = BteConfig::small(60, 20, 40, 3);
@@ -58,16 +81,29 @@ fn main() {
         profile.transfer_time() * 1e3
     );
 
-    #[derive(serde::Serialize)]
-    struct Row {
-        sm_utilization: f64,
-        memory_fraction: f64,
-        flop_fraction: f64,
-    }
     let row = Row {
         sm_utilization: profile.sm_utilization(),
         memory_fraction: profile.memory_fraction(),
         flop_fraction: profile.flop_fraction(),
     };
     save("profile_table", &row);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Row;
+
+    /// The row's JSON text, pinned.
+    #[test]
+    fn row_json() {
+        let row = Row {
+            sm_utilization: 0.5,
+            memory_fraction: 0.25,
+            flop_fraction: 0.125,
+        };
+        assert_eq!(
+            serde_json::to_string(&row).expect("renders"),
+            r#"{"sm_utilization":0.5,"memory_fraction":0.25,"flop_fraction":0.125}"#
+        );
+    }
 }

@@ -23,10 +23,10 @@ use pbte_bte::scenario::{hotspot_2d, BteConfig};
 use pbte_dsl::exec::{phases, ExecTarget, Recorder};
 use pbte_dsl::KernelTier;
 use pbte_runtime::telemetry::{Span, SpanKind};
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 /// What a measured run executed, and at which commit.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Ran {
     /// The tier the sweeps ran (a `native` request may fall back).
     pub tier: String,
@@ -35,6 +35,23 @@ pub struct Ran {
     pub walls: String,
     /// `git rev-parse HEAD` of the source checkout, or `unknown`.
     pub rev: String,
+}
+
+impl Serialize for Ran {
+    fn to_value(&self) -> Value {
+        let Ran {
+            tier,
+            flux,
+            walls,
+            rev,
+        } = self;
+        Value::Obj(vec![
+            ("tier".into(), tier.to_value()),
+            ("flux".into(), flux.to_value()),
+            ("walls".into(), walls.to_value()),
+            ("rev".into(), rev.to_value()),
+        ])
+    }
 }
 
 impl Ran {
@@ -77,15 +94,26 @@ fn attr<'s>(span: &'s Span, key: &str) -> Option<&'s str> {
 
 /// How far apart the interleaved rounds of a measurement ran: per path,
 /// the slowest round's per-dof cost over the fastest one's.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Spread {
     pub rounds: usize,
     pub dsl: f64,
     pub base: f64,
 }
 
+impl Serialize for Spread {
+    fn to_value(&self) -> Value {
+        let Spread { rounds, dsl, base } = self;
+        Value::Obj(vec![
+            ("rounds".into(), rounds.to_value()),
+            ("dsl".into(), dsl.to_value()),
+            ("base".into(), base.to_value()),
+        ])
+    }
+}
+
 /// The measured constants, seconds.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Calibration {
     pub c_dsl: f64,
     pub c_base: f64,
@@ -99,6 +127,31 @@ pub struct Calibration {
     pub ran: Ran,
     /// The rounds' spread; `None` for [`Calibration::nominal`].
     pub spread: Option<Spread>,
+}
+
+impl Serialize for Calibration {
+    fn to_value(&self) -> Value {
+        let Calibration {
+            c_dsl,
+            c_base,
+            c_temp,
+            c_temp_energy,
+            c_temp_newton,
+            c_temp_rewrite,
+            ran,
+            spread,
+        } = self;
+        Value::Obj(vec![
+            ("c_dsl".into(), c_dsl.to_value()),
+            ("c_base".into(), c_base.to_value()),
+            ("c_temp".into(), c_temp.to_value()),
+            ("c_temp_energy".into(), c_temp_energy.to_value()),
+            ("c_temp_newton".into(), c_temp_newton.to_value()),
+            ("c_temp_rewrite".into(), c_temp_rewrite.to_value()),
+            ("ran".into(), ran.to_value()),
+            ("spread".into(), spread.to_value()),
+        ])
+    }
 }
 
 /// Interleaved rounds [`Calibration::measure`] takes the best of.

@@ -3,7 +3,7 @@
 use crate::calibration::Calibration;
 use crate::model::{FigureModel, PhasedTime};
 use crate::workload::Workload;
-use serde::Serialize;
+use serde::{Serialize, Value};
 use std::fmt::Write as _;
 
 /// Process counts used on the paper's x axes.
@@ -16,21 +16,50 @@ pub const FIG5_COUNTS: [usize; 6] = [1, 5, 10, 20, 40, 55];
 pub const FIG8_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// One labeled strong-scaling curve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingSeries {
     pub label: String,
     /// `(processes, seconds)`.
     pub points: Vec<(usize, f64)>,
 }
 
+impl Serialize for ScalingSeries {
+    fn to_value(&self) -> Value {
+        let ScalingSeries { label, points } = self;
+        Value::Obj(vec![
+            ("label".into(), label.to_value()),
+            ("points".into(), points.to_value()),
+        ])
+    }
+}
+
 /// A breakdown column: phase percentages at one process count.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BreakdownColumn {
     pub processes: usize,
     pub intensity_pct: f64,
     pub temperature_pct: f64,
     pub communication_pct: f64,
     pub total_seconds: f64,
+}
+
+impl Serialize for BreakdownColumn {
+    fn to_value(&self) -> Value {
+        let BreakdownColumn {
+            processes,
+            intensity_pct,
+            temperature_pct,
+            communication_pct,
+            total_seconds,
+        } = self;
+        Value::Obj(vec![
+            ("processes".into(), processes.to_value()),
+            ("intensity_pct".into(), intensity_pct.to_value()),
+            ("temperature_pct".into(), temperature_pct.to_value()),
+            ("communication_pct".into(), communication_pct.to_value()),
+            ("total_seconds".into(), total_seconds.to_value()),
+        ])
+    }
 }
 
 fn column(p: usize, t: PhasedTime) -> BreakdownColumn {
@@ -45,11 +74,29 @@ fn column(p: usize, t: PhasedTime) -> BreakdownColumn {
 }
 
 /// Fig 3 data: communication volume per step of the two partitionings.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CommVolumeRow {
     pub processes: usize,
     pub halo_bytes_per_step: u64,
     pub reduction_bytes_per_step: u64,
+}
+
+impl Serialize for CommVolumeRow {
+    fn to_value(&self) -> Value {
+        let CommVolumeRow {
+            processes,
+            halo_bytes_per_step,
+            reduction_bytes_per_step,
+        } = self;
+        Value::Obj(vec![
+            ("processes".into(), processes.to_value()),
+            ("halo_bytes_per_step".into(), halo_bytes_per_step.to_value()),
+            (
+                "reduction_bytes_per_step".into(),
+                reduction_bytes_per_step.to_value(),
+            ),
+        ])
+    }
 }
 
 /// Fig 3: cell-partition halo volume vs band-partition reduction volume.

@@ -18,14 +18,29 @@ use pbte_dsl::ExecTarget;
 use pbte_gpu::{Device, DeviceSpec};
 use pbte_runtime::comm::CommModel;
 use pbte_runtime::machine::MachineSpec;
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 /// Predicted per-phase times, seconds (whole run, all steps).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PhasedTime {
     pub intensity: f64,
     pub temperature: f64,
     pub communication: f64,
+}
+
+impl Serialize for PhasedTime {
+    fn to_value(&self) -> Value {
+        let PhasedTime {
+            intensity,
+            temperature,
+            communication,
+        } = self;
+        Value::Obj(vec![
+            ("intensity".into(), intensity.to_value()),
+            ("temperature".into(), temperature.to_value()),
+            ("communication".into(), communication.to_value()),
+        ])
+    }
 }
 
 impl PhasedTime {

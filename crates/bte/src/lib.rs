@@ -20,10 +20,9 @@
 //!   index maps (needed by the symmetry boundary);
 //! * [`temperature`] — the nonlinear per-cell temperature update (the CPU
 //!   callback the paper's hybrid codegen is designed around), including
-//!   the cross-rank energy reduction for band-parallel runs;
-//! * [`health`] — opt-in per-step physics probes (NaN/negativity
-//!   watchdog, energy-budget residual) emitting structured diagnostics
-//!   through the unified telemetry layer;
+//!   the cross-rank energy reduction for band-parallel runs and the
+//!   opt-in physics health probes (NaN/negativity watchdog, energy-budget
+//!   residual) its passes compute;
 //! * [`boundary`] — the isothermal and symmetry callback functions and
 //!   the Gaussian hot-spot field;
 //! * [`pbte`] — the one scenario value, `ScenarioSpec`: parsed from a
@@ -44,7 +43,6 @@ pub mod boundary;
 pub mod constants;
 pub mod dispersion;
 pub mod equilibrium;
-pub mod health;
 pub mod material;
 pub mod output;
 pub mod pbte;

@@ -908,9 +908,8 @@ impl ScenarioSpec {
             beta: beta_var,
             t: t_var,
         };
-        TemperatureUpdate::new(material.clone(), vars)
-            .with_strategy(self.strategy)
-            .install(&mut p);
+        let update = TemperatureUpdate::new(material.clone(), vars).with_strategy(self.strategy);
+        update.clone().install(&mut p);
 
         // The conservation form — verbatim from the paper unless the file
         // gives its own PDE string.
@@ -937,6 +936,7 @@ impl ScenarioSpec {
             problem: p,
             material,
             vars,
+            update,
         })
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::material::Material;
 use crate::pbte::ScenarioSpec;
-use crate::temperature::{BteVars, TemperatureStrategy};
+use crate::temperature::{BteVars, TemperatureStrategy, TemperatureUpdate};
 use pbte_dsl::exec::{ExecTarget, Solver};
 use pbte_dsl::problem::Problem;
 use pbte_dsl::{analysis, Diagnostic, Severity};
@@ -106,9 +106,24 @@ pub struct BteProblem {
     pub problem: Problem,
     pub material: Arc<Material>,
     pub vars: BteVars,
+    /// The temperature update the build installed.
+    pub(crate) update: TemperatureUpdate,
 }
 
 impl BteProblem {
+    /// Turn on the installed temperature update's physics health probes
+    /// ([`TemperatureUpdate::probes`]).
+    pub fn enable_probes(&mut self) {
+        let update = TemperatureUpdate {
+            probes: true,
+            ..self.update.clone()
+        };
+        let installed = (self.problem.post_steps.iter_mut())
+            .find(|cb| cb.name == TemperatureUpdate::NAME)
+            .expect("the build installs the temperature update");
+        installed.f = Arc::new(move |ctx| update.run(ctx));
+    }
+
     /// Build the executable solver for a target.
     pub fn solver(self, target: ExecTarget) -> Result<Solver, Diagnostic> {
         self.problem.build(target)

@@ -59,7 +59,9 @@ use crate::equilibrium::Located;
 use crate::material::Material;
 use pbte_dsl::analysis;
 use pbte_dsl::problem::{Problem, StepContext};
-use pbte_runtime::telemetry::{rules, Severity, SpanKind, TraceConfig, Track, HIST_BUCKETS};
+use pbte_runtime::telemetry::{
+    rules, Recorder, Severity, SpanKind, TraceConfig, Track, HIST_BUCKETS,
+};
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::Arc;
@@ -134,9 +136,20 @@ pub struct TemperatureUpdate {
     pub max_iter: usize,
     /// Newton distribution under band partitioning.
     pub strategy: TemperatureStrategy,
+    /// Run the physics health probes (module docs, **Probes**).
+    pub probes: bool,
 }
 
+/// Largest relative energy residual the budget probe accepts. The update
+/// solves the budget to `|ΔT| < 1e-9 K`, which leaves residuals around
+/// 1e-12; `1e-6` keeps a wide margin above float noise while catching any
+/// genuinely broken state.
+pub const ENERGY_TOL: f64 = 1e-6;
+
 impl TemperatureUpdate {
+    /// The name [`install`](Self::install) registers the update under.
+    pub const NAME: &str = "temperature_update";
+
     /// Standard settings.
     pub fn new(material: Arc<Material>, vars: BteVars) -> TemperatureUpdate {
         TemperatureUpdate {
@@ -145,6 +158,7 @@ impl TemperatureUpdate {
             tol: 1e-9,
             max_iter: 50,
             strategy: TemperatureStrategy::default(),
+            probes: false,
         }
     }
 
@@ -164,7 +178,7 @@ impl TemperatureUpdate {
         let [i, t, io, beta] = [self.vars.i, self.vars.t, self.vars.io, self.vars.beta]
             .map(|v| problem.registry.variables[v].name.clone());
         problem.post_step(
-            "temperature_update",
+            TemperatureUpdate::NAME,
             &[&i, &t],
             &[&t, &io, &beta],
             move |ctx| self.run(ctx),
@@ -245,7 +259,7 @@ impl TemperatureUpdate {
             let mut rows = vec![0.0; pass.bands.len() * n_cells];
             for (b, row) in pass.bands.clone().zip(rows.chunks_mut(n_cells.max(1))) {
                 for cells in &owned {
-                    pass.direction_sum(b, cells.start, &mut row[cells.clone()]);
+                    pass.band_sum(b, cells.clone(), &mut row[cells.clone()], tally);
                 }
             }
             tally.phase_s[0] = clock.now() - span_t0;
@@ -294,6 +308,28 @@ impl TemperatureUpdate {
             for cells in &owned {
                 let at = locate(material, &t[cells.clone()], &mut scratch.at);
                 pass.rewrite(at, cells.start, io, beta);
+            }
+            if self.probes {
+                // The budget sums every band: a fold in rank order adds
+                // this rank's bands at the new `T` (collective, so every
+                // rank with the probes on reaches it every step).
+                let mut acc = vec![0.0; 2 * n_cells];
+                ctx.reducer.fold(&mut acc, &mut |acc| {
+                    let (em, ab) = acc.split_at_mut(n_cells);
+                    for cells in &owned {
+                        let planes = io.iter().zip(&*beta).zip(rows.chunks(n_cells.max(1)));
+                        for ((io, beta), e) in planes {
+                            let c = cells.clone();
+                            let (em, ab) = (&mut em[c.clone()], &mut ab[c.clone()]);
+                            budget(&io[c.clone()], &beta[c.clone()], &e[c], em, ab);
+                        }
+                    }
+                });
+                let (em, ab) = acc.split_at(n_cells);
+                for cells in &owned {
+                    let c = cells.clone();
+                    residual(c.start, &em[c.clone()], &ab[c], tally);
+                }
             }
             (tally.phase_s[1], tally.phase_s[2]) = (span_dur, clock.now() - t0);
         }
@@ -348,6 +384,9 @@ impl TemperatureUpdate {
             tally.non_finite,
             "had a non-finite energy sum",
         );
+        if self.probes {
+            report_probes(ctx.rec, step, &tally);
+        }
     }
 
     /// Solve `Σ_b β_b 4π I⁰_b(T) = target` for `T`, starting from
@@ -494,6 +533,13 @@ struct Tally {
     non_finite: u64,
     /// Seconds in energy, newton, rewrite (zero under the null sink).
     phase_s: [f64; 3],
+    /// The probes' NaN and negative intensities.
+    nan: Flagged,
+    negative: Flagged,
+    /// The probes' largest relative energy residual and its cell, the
+    /// earlier cell on a tie.
+    max_rel: f64,
+    worst_cell: usize,
 }
 
 impl Tally {
@@ -503,17 +549,110 @@ impl Tally {
         self.non_finite += other.non_finite;
         (self.hist.iter_mut().zip(other.hist)).for_each(|(a, b)| *a += b);
         (self.phase_s.iter_mut().zip(other.phase_s)).for_each(|(a, b)| *a += b);
+        self.nan.merge(&other.nan);
+        self.negative.merge(&other.negative);
+        if other.max_rel > self.max_rel {
+            (self.max_rel, self.worst_cell) = (other.max_rel, other.worst_cell);
+        }
+    }
+}
+
+/// Intensities a probe flagged: how many, and the least `(d, b, cell)` of
+/// them with its value.
+#[derive(Clone, Copy, Default)]
+struct Flagged {
+    count: u64,
+    least: Option<((usize, usize, usize), f64)>,
+}
+
+impl Flagged {
+    fn add(&mut self, key: (usize, usize, usize), v: f64) {
+        self.merge(&Flagged {
+            count: 1,
+            least: Some((key, v)),
+        });
+    }
+
+    fn merge(&mut self, other: &Flagged) {
+        self.count += other.count;
+        if let Some((key, v)) = other.least {
+            if self.least.is_none_or(|(least, _)| key < least) {
+                self.least = Some((key, v));
+            }
+        }
+    }
+}
+
+/// What the probes look for: a NaN or negative intensity (`-0.0` is
+/// neither).
+fn flagged(v: f64) -> bool {
+    v.is_nan() || v < 0.0
+}
+
+/// Band `b`'s term of the energy budget over a block, at the rewritten
+/// `Io` and `beta`: `em += β·4π·Io`, `ab += β·e`.
+fn budget(io: &[f64], beta: &[f64], e: &[f64], em: &mut [f64], ab: &mut [f64]) {
+    for ((((em, ab), &io), &beta), &e) in em.iter_mut().zip(ab).zip(io).zip(beta).zip(e) {
+        *em += beta * FOUR_PI * io;
+        *ab += beta * e;
+    }
+}
+
+/// The budget probe over the cells `cell0 .. cell0 + em.len()`: the
+/// largest relative residual so far and its cell, the earlier on a tie.
+fn residual(cell0: usize, em: &[f64], ab: &[f64], tally: &mut Tally) {
+    for (c, (&em, &ab)) in em.iter().zip(ab).enumerate() {
+        let rel = (em - ab).abs() / em.abs().max(f64::MIN_POSITIVE);
+        if rel > tally.max_rel {
+            (tally.max_rel, tally.worst_cell) = (rel, cell0 + c);
+        }
+    }
+}
+
+/// The probes' findings of one update, after its own: a NaN hides the
+/// budget verdict (its sums are NaN, and NaN compares false).
+fn report_probes(rec: &mut Recorder, step: usize, tally: &Tally) {
+    if let Some(((d, b, cell), _)) = tally.nan.least {
+        let message = format!(
+            "{} NaN intensity value(s) at step {step}; first at \
+             direction {d}, band {b}, cell {cell}",
+            tally.nan.count
+        );
+        rec.warn(Severity::Error, rules::NAN_INTENSITY, message);
+    }
+    if let Some(((d, b, cell), v)) = tally.negative.least {
+        let message = format!(
+            "{} negative intensity value(s) at step {step}; first is \
+             {v:.3e} at direction {d}, band {b}, cell {cell}",
+            tally.negative.count
+        );
+        rec.warn(Severity::Warning, rules::NEGATIVE_INTENSITY, message);
+    }
+    if tally.nan.count == 0 {
+        let (max_rel, cell) = (tally.max_rel, tally.worst_cell);
+        rec.sample("energy_residual", step, max_rel);
+        if max_rel > ENERGY_TOL {
+            let message = format!(
+                "energy budget violated at step {step}: max relative residual \
+                 {max_rel:.3e} (tol {ENERGY_TOL:.1e}) at cell {cell}"
+            );
+            rec.warn(Severity::Warning, rules::ENERGY_BUDGET, message);
+        }
     }
 }
 
 /// One block between its phases.
 struct Scratch {
     at: [Located; BLOCK],
-    e: [f64; BLOCK],
+    /// `Σ_d w_d I_{d,b}` of the block, band-major like `beta`.
+    e: Vec<f64>,
     s: [f64; BLOCK],
     /// `β_b(T_old)` of the block, band-major: `beta[b·len + c]`.
     beta: Vec<f64>,
     residual: Residual,
+    /// The block's emission and absorption (the probes only).
+    em: [f64; BLOCK],
+    ab: [f64; BLOCK],
 }
 
 /// The lockstep Newton iteration's residual and slope per cell.
@@ -527,13 +666,15 @@ impl Scratch {
     fn new(n_bands: usize, block: usize) -> Scratch {
         Scratch {
             at: [Located::default(); BLOCK],
-            e: [0.0; BLOCK],
+            e: vec![0.0; n_bands * block],
             s: [0.0; BLOCK],
             beta: vec![0.0; n_bands * block],
             residual: Residual {
                 r: [0.0; BLOCK],
                 dr: [0.0; BLOCK],
             },
+            em: [0.0; BLOCK],
+            ab: [0.0; BLOCK],
         }
     }
 }
@@ -622,31 +763,77 @@ impl Pass<'_> {
         let local = cells.start - chunk.cell0..cells.end - chunk.cell0;
         let t0 = self.clock.now();
         let at = locate(material, &chunk.t[local.clone()], &mut scratch.at);
-        let s = &mut scratch.s[..cells.len()];
-        let beta = &mut scratch.beta[..material.n_bands() * cells.len()];
-        self.energy(cells.start, at, &mut scratch.e, beta, s);
+        let (len, tally) = (cells.len(), &mut chunk.tally);
+        let s = &mut scratch.s[..len];
+        let e = &mut scratch.e[..material.n_bands() * len];
+        let beta = &mut scratch.beta[..material.n_bands() * len];
+        self.energy(cells.clone(), at, e, beta, s, tally);
         let t1 = self.clock.now();
         let t = &mut chunk.t[local.clone()];
-        let tally = &mut chunk.tally;
         self.upd
             .newton_block(at, beta, s, t, &mut scratch.residual, tally);
         let t2 = self.clock.now();
         let at = locate(material, &chunk.t[local.clone()], &mut scratch.at);
         self.rewrite(at, local.start, &mut chunk.io, &mut chunk.beta);
+        if self.upd.probes {
+            let (em, ab) = (&mut scratch.em[..len], &mut scratch.ab[..len]);
+            em.fill(0.0);
+            ab.fill(0.0);
+            let rows = chunk.io.iter().zip(&chunk.beta).zip(e.chunks_exact(len));
+            for ((io, beta), e) in rows {
+                budget(&io[local.clone()], &beta[local.clone()], e, em, ab);
+            }
+            residual(cells.start, em, ab, &mut chunk.tally);
+        }
         let (t3, sum) = (self.clock.now(), &mut chunk.tally.phase_s);
         (sum[0], sum[1], sum[2]) = (sum[0] + (t1 - t0), sum[1] + (t2 - t1), sum[2] + (t3 - t2));
     }
 
-    /// The energy phase of the block starting at cell `cell0`:
-    /// `s = Σ_b β_b(T_old) · Σ_d w_d I_{d,b}` over the owned bands (all of
-    /// them on this path), ascending from `0.0`; `beta` keeps the block's
-    /// `β_b(T_old)`, band-major.
-    fn energy(&self, cell0: usize, at: &[Located], e: &mut [f64], beta: &mut [f64], s: &mut [f64]) {
-        let e = &mut e[..s.len()];
+    /// The energy phase of the block `cells`: `s = Σ_b β_b(T_old) ·
+    /// Σ_d w_d I_{d,b}` over the owned bands (all of them on this path),
+    /// ascending from `0.0`; `e` keeps the block's direction sums and
+    /// `beta` its `β_b(T_old)`, both band-major.
+    fn energy(
+        &self,
+        cells: Range<usize>,
+        at: &[Located],
+        e: &mut [f64],
+        beta: &mut [f64],
+        s: &mut [f64],
+        tally: &mut Tally,
+    ) {
         s.fill(0.0);
-        for (b, beta) in self.bands.clone().zip(beta.chunks_exact_mut(s.len())) {
-            self.direction_sum(b, cell0, e);
+        let rows = e
+            .chunks_exact_mut(s.len())
+            .zip(beta.chunks_exact_mut(s.len()));
+        for (b, (e, beta)) in self.bands.clone().zip(rows) {
+            self.band_sum(b, cells.clone(), e, tally);
             absorb(&self.upd.material, b, at, e, beta, s);
+        }
+    }
+
+    /// Band `b`'s direction sum over `cells` into `e`. With the probes on,
+    /// a block whose intensities the sum flagged is scanned again, exactly,
+    /// for its NaN and negative values.
+    fn band_sum(&self, b: usize, cells: Range<usize>, e: &mut [f64], tally: &mut Tally) {
+        if !self.upd.probes {
+            self.direction_sum::<false>(b, cells.start, e);
+            return;
+        }
+        if !self.direction_sum::<true>(b, cells.start, e) {
+            return;
+        }
+        let material = &self.upd.material;
+        for d in 0..material.n_dirs() {
+            let plane = &self.i[(d * material.n_bands() + b) * self.n_cells..];
+            for cell in cells.clone() {
+                let v = plane[cell];
+                if v.is_nan() {
+                    tally.nan.add((d, b, cell), v);
+                } else if v < 0.0 {
+                    tally.negative.add((d, b, cell), v);
+                }
+            }
         }
     }
 
@@ -654,20 +841,24 @@ impl Pass<'_> {
     /// `e = Σ_d w_d I_{d,b}`, each cell's sum from `0.0` in `d` order.
     /// `LANES` cells at a time, their sums held in registers while the
     /// directions stream past, so each of the cells' intensity planes is
-    /// read once and `e` written once.
-    fn direction_sum(&self, b: usize, cell0: usize, e: &mut [f64]) {
+    /// read once and `e` written once. With `PROBE`, also whether any of
+    /// those intensities is NaN or negative: a flag beside each lane's
+    /// sum, never in it.
+    fn direction_sum<const PROBE: bool>(&self, b: usize, cell0: usize, e: &mut [f64]) -> bool {
         const LANES: usize = 8;
         let material = &self.upd.material;
         let row = |d: usize| (d * material.n_bands() + b) * self.n_cells + cell0;
         let weights = material.angles.weights.iter().enumerate();
         let at = e.len() / LANES * LANES;
         let mut lanes = e.chunks_exact_mut(LANES);
+        let mut flags = [false; LANES];
         for (j, e) in (&mut lanes).enumerate() {
             let mut acc = [0.0f64; LANES];
             for (d, &w) in weights.clone() {
                 let plane = &self.i[row(d) + j * LANES..][..LANES];
-                for (acc, &v) in acc.iter_mut().zip(plane) {
+                for ((acc, flag), &v) in acc.iter_mut().zip(&mut flags).zip(plane) {
                     *acc += w * v;
+                    *flag |= PROBE && flagged(v);
                 }
             }
             e.copy_from_slice(&acc);
@@ -675,7 +866,12 @@ impl Pass<'_> {
         for (c, e) in lanes.into_remainder().iter_mut().enumerate() {
             let sum = |sum, (d, &w): (usize, &f64)| sum + w * self.i[row(d) + at + c];
             *e = weights.clone().fold(0.0, sum);
+            flags[0] |= PROBE
+                && weights
+                    .clone()
+                    .any(|(d, _)| flagged(self.i[row(d) + at + c]));
         }
+        flags.contains(&true)
     }
 
     /// The rewrite phase: `Io` and `beta` of the owned bands at the

@@ -22,16 +22,23 @@
 //! under every iteration cap and tolerance that moves them: on blocks
 //! where every cell converges at iteration 1, on blocks where none does,
 //! and on a band range under both strategies.
+//!
+//! The physics health probes have an oracle of their own, `check`: a
+//! separate pass after the update, as the probes ran when they were a
+//! post-step callback. With the probes on, the update must find what
+//! `check` finds — rule, severity and message bytes, and the bits of the
+//! `energy_residual` sample — in every scope, and leave the bits of the
+//! update with them off.
 
 use pbte_bte::material::Material;
-use pbte_bte::temperature::{BteVars, TemperatureStrategy, TemperatureUpdate, BLOCK};
+use pbte_bte::temperature::{BteVars, TemperatureStrategy, TemperatureUpdate, BLOCK, ENERGY_TOL};
 use pbte_dsl::entities::{Index, Location, Registry, Variable};
 use pbte_dsl::exec::{LocalLinks, Recorder};
 use pbte_dsl::problem::{Reducer, StepContext};
 use pbte_dsl::Fields;
 use pbte_mesh::grid::UniformGrid;
 use pbte_mesh::Mesh;
-use pbte_runtime::telemetry::{rules, HIST_BUCKETS};
+use pbte_runtime::telemetry::{rules, Severity, HIST_BUCKETS};
 use proptest::prelude::*;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -175,31 +182,45 @@ fn fields(material: &Material, n_cells: usize, rng: &mut Rng, kind: Kind, poison
     f
 }
 
-/// Stands in for the other ranks of a band-partitioned world. Fold `k`
-/// hands a rank after the first the running buffer `before[k]` of the
-/// ranks before it, records the bits `add` made of it, and lets the ranks
-/// after it finish: the first fold is the energy sum (they add positive
-/// energies), the second — under `DividedNewton` only — shares `T` (they
-/// write temperatures past this rank's slice).
+/// Stands in for the other ranks of a band-partitioned world. A fold of
+/// kind `k` hands a rank after the first the running buffer `before[k]`
+/// of the ranks before it, records the bits `add` made of it, and lets
+/// the ranks after it finish. Kind 0 is the energy sum (they add positive
+/// energies), kind 1 — under `DividedNewton` only — shares `T` (they
+/// write temperatures past this rank's slice), kind 2 is the probes'
+/// budget, `2·n_cells` long (they add positive emissions and
+/// absorptions).
+#[derive(Clone)]
 struct RecordingReducer {
     rank: usize,
     n_ranks: usize,
+    n_cells: usize,
     slice_end: usize,
-    before: [Vec<f64>; 2],
-    after: [Vec<f64>; 2],
+    before: [Vec<f64>; 3],
+    after: [Vec<f64>; 3],
     seen: Vec<Vec<u64>>,
 }
 
 impl RecordingReducer {
     /// Rank `rank` of `n_ranks` over `n_cells` cells.
     fn new(rank: usize, n_ranks: usize, n_cells: usize, rng: &mut Rng) -> RecordingReducer {
-        let mut draw = |lo: f64, span: f64| (0..n_cells).map(|_| lo + span * rng.unit()).collect();
+        let mut draw =
+            |n: usize, lo: f64, span: f64| (0..n).map(|_| lo + span * rng.unit()).collect();
         RecordingReducer {
             rank,
             n_ranks,
+            n_cells,
             slice_end: n_cells * (rank + 1) / n_ranks,
-            before: [draw(0.0, 1e9), draw(255.0, 140.0)],
-            after: [draw(0.0, 1e9), draw(255.0, 140.0)],
+            before: [
+                draw(n_cells, 0.0, 1e9),
+                draw(n_cells, 255.0, 140.0),
+                draw(2 * n_cells, 0.0, 1e9),
+            ],
+            after: [
+                draw(n_cells, 0.0, 1e9),
+                draw(n_cells, 255.0, 140.0),
+                draw(2 * n_cells, 0.0, 1e9),
+            ],
             seen: Vec::new(),
         }
     }
@@ -207,7 +228,10 @@ impl RecordingReducer {
 
 impl Reducer for RecordingReducer {
     fn fold(&mut self, buf: &mut [f64], add: &mut dyn FnMut(&mut [f64])) {
-        let k = self.seen.len();
+        let k = match self.seen.len() {
+            _ if buf.len() != self.n_cells => 2,
+            k => k.min(1),
+        };
         if self.rank > 0 {
             buf.copy_from_slice(&self.before[k]);
         }
@@ -216,8 +240,8 @@ impl Reducer for RecordingReducer {
         let bits = |v: &f64| if v.is_nan() { u64::MAX } else { v.to_bits() };
         self.seen.push(buf.iter().map(bits).collect());
         match k {
-            0 => (buf.iter_mut().zip(&self.after[0])).for_each(|(v, o)| *v += o),
-            _ => buf[self.slice_end..].copy_from_slice(&self.after[1][self.slice_end..]),
+            1 => buf[self.slice_end..].copy_from_slice(&self.after[1][self.slice_end..]),
+            _ => (buf.iter_mut().zip(&self.after[k])).for_each(|(v, o)| *v += o),
         }
     }
     fn rank(&self) -> usize {
@@ -329,6 +353,30 @@ fn kernel(
     threads: usize,
     block: usize,
 ) -> (Counts, Recorder) {
+    let scope = (bands, owned_cells, threads, block);
+    let rec = update(upd, f, scope, reducer, |_, _| {});
+    let counts = Counts {
+        newton_iters: rec.work.newton_iters,
+        solves: rec.work.temperature_solves,
+        hist: *rec.histogram("newton_iters").expect("histogram observed"),
+        stalled: reported(&rec, rules::NEWTON_STALLED),
+        non_finite: reported(&rec, rules::NON_FINITE_ENERGY),
+    };
+    (counts, rec)
+}
+
+/// Owned bands, owned cells, threads and block length of an update.
+type Scope<'a> = (Option<Range<usize>>, Option<&'a [usize]>, usize, usize);
+
+/// One kernel update on `f` in `scope`, then `after` on the same step
+/// context, with a buffered recorder.
+fn update(
+    upd: &TemperatureUpdate,
+    f: &mut Fields,
+    (bands, owned_cells, threads, block): Scope,
+    reducer: &mut dyn Reducer,
+    after: fn(&TemperatureUpdate, &mut StepContext),
+) -> Recorder {
     let mut rec = Recorder::buffered();
     let mut ctx = StepContext {
         fields: f,
@@ -346,14 +394,8 @@ fn kernel(
         .build()
         .unwrap();
     pool.install(|| upd.run_blocked(&mut ctx, block));
-    let counts = Counts {
-        newton_iters: rec.work.newton_iters,
-        solves: rec.work.temperature_solves,
-        hist: *rec.histogram("newton_iters").expect("histogram observed"),
-        stalled: reported(&rec, rules::NEWTON_STALLED),
-        non_finite: reported(&rec, rules::NON_FINITE_ENERGY),
-    };
-    (counts, rec)
+    after(upd, &mut ctx);
+    rec
 }
 
 /// The cells a finding of `rule` counts (`step k: n of m temperature
@@ -380,6 +422,19 @@ fn assert_same_bits(what: &str, a: &Fields, b: &Fields) -> Result<(), TestCaseEr
         }
     }
     Ok(())
+}
+
+/// An owned-cell list: runs of 1..=2·block+1 cells separated by gaps of
+/// 1..=3.
+fn gapped(n_cells: usize, block: usize, rng: &mut Rng) -> Vec<usize> {
+    let mut owned = Vec::new();
+    let mut cell = rng.next() as usize % 2;
+    while cell < n_cells {
+        let run = 1 + rng.next() as usize % (2 * block + 1);
+        owned.extend(cell..(cell + run).min(n_cells));
+        cell += run + 1 + rng.next() as usize % 3;
+    }
+    owned
 }
 
 /// The mesh sizes that put a block edge everywhere it can go.
@@ -468,14 +523,7 @@ proptest! {
         let upd = TemperatureUpdate::new(material.clone(), VARS);
         let n_cells = n_cells_for(block, size);
         let start = fields(&material, n_cells, &mut rng, Kind::Mixed, poison);
-        // Runs of 1..=2·block+1 owned cells separated by gaps of 1..=3.
-        let mut owned = Vec::new();
-        let mut cell = rng.next() as usize % 2;
-        while cell < n_cells {
-            let run = 1 + rng.next() as usize % (2 * block + 1);
-            owned.extend(cell..(cell + run).min(n_cells));
-            cell += run + 1 + rng.next() as usize % 3;
-        }
+        let owned = gapped(n_cells, block, &mut rng);
         let mut expected = start.clone();
         let want = oracle(&upd, &mut expected, None, Some(&owned), &mut LocalLinks);
         let mut got = start.clone();
@@ -653,5 +701,233 @@ fn a_healthy_update_is_quiet_and_its_span_is_split_by_phase() {
             "span lacks `{key}`: {:?}",
             spans[0].attrs
         );
+    }
+}
+
+/// The physics health probes as a separate pass after the update — the
+/// post-step callback they once were — and the oracle of the probes the
+/// update runs itself. NaN and negative intensities are scanned over the
+/// owned dofs, `d`, `b`, then cell ascending; the energy budget sums the
+/// owned bands ascending per cell, in one fold in rank order under band
+/// partitioning.
+fn check(upd: &TemperatureUpdate, ctx: &mut StepContext) {
+    let material = &upd.material;
+    let (n_bands, n_dirs) = (material.n_bands(), material.n_dirs());
+    let n_cells = ctx.fields.n_cells;
+    let weights = &material.angles.weights;
+    let all: Vec<usize> = (0..n_cells).collect();
+    let owned = ctx.owned_cells.unwrap_or(&all);
+    let (banded, owned_b) = match &ctx.owned_index_range {
+        Some((_, range)) => (true, range.clone()),
+        None => (false, 0..n_bands),
+    };
+
+    let i = ctx.fields.slice(VARS.i);
+    let (mut nan_count, mut neg_count) = (0u64, 0u64);
+    let mut first_nan: Option<(usize, usize, usize)> = None;
+    let mut first_neg: Option<(usize, usize, usize, f64)> = None;
+    for d in 0..n_dirs {
+        for b in owned_b.clone() {
+            for &cell in owned {
+                let v = i[(d * n_bands + b) * n_cells + cell];
+                if v.is_nan() {
+                    nan_count += 1;
+                    first_nan.get_or_insert((d, b, cell));
+                } else if v < 0.0 {
+                    neg_count += 1;
+                    first_neg.get_or_insert((d, b, cell, v));
+                }
+            }
+        }
+    }
+
+    let four_pi = 4.0 * std::f64::consts::PI;
+    let (io, beta) = (ctx.fields.slice(VARS.io), ctx.fields.slice(VARS.beta));
+    let mut acc = vec![0.0; 2 * n_cells];
+    let mut add = |acc: &mut [f64]| {
+        let (emission, absorption) = acc.split_at_mut(n_cells);
+        for &cell in owned {
+            for b in owned_b.clone() {
+                let bb = beta[b * n_cells + cell];
+                emission[cell] += bb * four_pi * io[b * n_cells + cell];
+                let mut s = 0.0;
+                for (d, &w) in weights.iter().enumerate().take(n_dirs) {
+                    s += w * i[(d * n_bands + b) * n_cells + cell];
+                }
+                absorption[cell] += bb * s;
+            }
+        }
+    };
+    match banded {
+        true => ctx.reducer.fold(&mut acc, &mut add),
+        false => add(&mut acc),
+    }
+    let (emission, absorption) = acc.split_at(n_cells);
+    let (mut max_rel, mut worst_cell) = (0.0f64, 0usize);
+    for &cell in owned {
+        let residual = emission[cell] - absorption[cell];
+        let rel = residual.abs() / emission[cell].abs().max(f64::MIN_POSITIVE);
+        if rel > max_rel {
+            (max_rel, worst_cell) = (rel, cell);
+        }
+    }
+
+    let step = ctx.step;
+    if let Some((d, b, cell)) = first_nan {
+        let message = format!(
+            "{nan_count} NaN intensity value(s) at step {step}; first at \
+             direction {d}, band {b}, cell {cell}"
+        );
+        ctx.rec.warn(Severity::Error, rules::NAN_INTENSITY, message);
+    }
+    if let Some((d, b, cell, v)) = first_neg {
+        let message = format!(
+            "{neg_count} negative intensity value(s) at step {step}; first is \
+             {v:.3e} at direction {d}, band {b}, cell {cell}"
+        );
+        ctx.rec
+            .warn(Severity::Warning, rules::NEGATIVE_INTENSITY, message);
+    }
+    if nan_count == 0 {
+        ctx.rec.sample("energy_residual", step, max_rel);
+        if max_rel > ENERGY_TOL {
+            let message = format!(
+                "energy budget violated at step {step}: max relative residual \
+                 {max_rel:.3e} (tol {ENERGY_TOL:.1e}) at cell {worst_cell}"
+            );
+            ctx.rec
+                .warn(Severity::Warning, rules::ENERGY_BUDGET, message);
+        }
+    }
+}
+
+/// What an update found: every finding's rule, severity and message, and
+/// the bits of every `energy_residual` sample.
+type Found = (Vec<(&'static str, Severity, String)>, Vec<u64>);
+
+fn found(rec: &Recorder) -> Found {
+    let events = rec.events().into_iter();
+    let samples = rec.samples().into_iter();
+    (
+        events
+            .map(|e| (e.name, e.severity, e.message.clone()))
+            .collect(),
+        (samples.filter(|s| s.name == "energy_residual"))
+            .map(|s| s.value.to_bits())
+            .collect(),
+    )
+}
+
+/// The states the probes are held to `check` on.
+#[derive(Clone, Copy, Debug)]
+enum Seeded {
+    /// Settled intensities: nothing to find.
+    Clean,
+    /// Settled, with one to three NaN intensities.
+    Nan,
+    /// Settled, with one to three intensities made negative, each one's
+    /// weighted energy moved into another direction of its band and cell.
+    Negative,
+    /// `T_old` 15 K from the intensities' temperature and a Newton that
+    /// returns after one step (`tol = 1e3`): the budget is off.
+    FarOff,
+}
+
+/// A seeded state and the Newton tolerance it is updated with.
+fn seeded(material: &Material, n_cells: usize, rng: &mut Rng, seed: Seeded) -> (Fields, f64) {
+    let kind = match seed {
+        Seeded::FarOff => Kind::Far,
+        _ => Kind::Settled,
+    };
+    let mut f = fields(material, n_cells, rng, kind, false);
+    let (n_dirs, n_bands) = (material.n_dirs(), material.n_bands());
+    let w = &material.angles.weights;
+    for _ in 0..1 + rng.next() % 3 {
+        let (cell, d, b) = (
+            rng.next() as usize % n_cells,
+            rng.next() as usize % n_dirs,
+            rng.next() as usize % n_bands,
+        );
+        match seed {
+            Seeded::Nan => f.set(VARS.i, cell, d * n_bands + b, f64::NAN),
+            Seeded::Negative => {
+                let (old, tiny) = (f.value(VARS.i, cell, d * n_bands + b), 1e-300);
+                let other = (d + 1) % n_dirs * n_bands + b;
+                let moved =
+                    f.value(VARS.i, cell, other) + (w[d] / w[(d + 1) % n_dirs]) * (old + tiny);
+                f.set(VARS.i, cell, d * n_bands + b, -tiny);
+                f.set(VARS.i, cell, other, moved);
+            }
+            Seeded::Clean | Seeded::FarOff => {}
+        }
+    }
+    let tol = match seed {
+        Seeded::FarOff => 1e3,
+        _ => 1e-9,
+    };
+    (f, tol)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// With the probes on, the update finds what `check` finds after it,
+    /// and leaves the bits it leaves with them off: everything owned at 1
+    /// and 2 threads, a band range under both strategies (the same folds
+    /// too), and an owned-cell list.
+    #[test]
+    fn the_probes_find_what_a_pass_after_the_update_finds(
+        seed in any::<u64>(),
+        shape in (0usize..7, 0usize..5, any::<bool>()),
+        state in 0usize..4,
+        rank in 0usize..3,
+    ) {
+        let (block, size, three_d) = shape;
+        let (block, mut rng) = (block_for(block), Rng(seed));
+        let material = material(three_d);
+        let n_cells = n_cells_for(block, size);
+        let state = [Seeded::Clean, Seeded::Nan, Seeded::Negative, Seeded::FarOff][state];
+        let (start, tol) = seeded(&material, n_cells, &mut rng, state);
+        let plain = TemperatureUpdate { tol, ..TemperatureUpdate::new(material.clone(), VARS) };
+        let probed = TemperatureUpdate { probes: true, ..plain.clone() };
+        let n_bands = material.n_bands();
+        let bands = n_bands * rank / 3..n_bands * (rank + 1) / 3;
+        let owned = gapped(n_cells, block, &mut rng);
+        let world = RecordingReducer::new(rank, 3, n_cells, &mut rng);
+
+        let [redundant, divided] = TemperatureStrategy::ALL;
+        let scopes: [(Scope, TemperatureStrategy); 5] = [
+            ((None, None, 1, block), redundant),
+            ((None, None, 2, block), redundant),
+            ((Some(bands.clone()), None, 1, block), redundant),
+            ((Some(bands), None, 1, block), divided),
+            ((None, Some(&owned[..]), 2, block), redundant),
+        ];
+        for (scope, strategy) in scopes {
+            let (bands, owned, threads) = (&scope.0, scope.1.map(<[usize]>::len), scope.2);
+            let what = format!("{state:?} bands {bands:?} owned {owned:?} threads {threads}");
+            let what = format!("{what} {strategy:?} block {block}");
+            let owns_all = matches!(scope, (None, None, ..));
+            let (mut got, mut want) = (start.clone(), start.clone());
+            let (mut got_world, mut want_world) = (world.clone(), world.clone());
+            let probed = probed.clone().with_strategy(strategy);
+            let plain = plain.clone().with_strategy(strategy);
+            let got_rec = update(&probed, &mut got, scope.clone(), &mut got_world, |_, _| {});
+            let want_rec = update(&plain, &mut want, scope, &mut want_world, check);
+            assert_same_bits(&what, &got, &want)?;
+            let findings = found(&got_rec);
+            prop_assert_eq!(&findings, &found(&want_rec), "{}", what);
+            prop_assert_eq!(&got_world.seen, &want_world.seen, "{}", what);
+            // Owning every dof, the seeded probe fires.
+            let rule = match state {
+                Seeded::Clean => None,
+                Seeded::Nan => Some(rules::NAN_INTENSITY),
+                Seeded::Negative => Some(rules::NEGATIVE_INTENSITY),
+                Seeded::FarOff => Some(rules::ENERGY_BUDGET),
+            };
+            if let (Some(rule), true) = (rule, owns_all) {
+                prop_assert!(findings.0.iter().any(|f| f.0 == rule), "{}: {:?}", what, findings);
+            }
+        }
     }
 }

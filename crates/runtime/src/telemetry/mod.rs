@@ -70,6 +70,15 @@ pub mod rules {
     /// Cells whose energy sum was NaN or infinite: the Newton solve
     /// bisects such a target to a table edge, hiding it from the field.
     pub const NON_FINITE_ENERGY: &str = "temperature/non-finite-energy";
+    /// The temperature update's probes found a NaN in the intensity field
+    /// (severity: error).
+    pub const NAN_INTENSITY: &str = "physics/nan-intensity";
+    /// The probes found a negative intensity (severity: warning — the
+    /// upwind scheme should be positivity-preserving).
+    pub const NEGATIVE_INTENSITY: &str = "physics/negative-intensity";
+    /// The probes found a per-cell energy-conservation residual above
+    /// tolerance (severity: warning).
+    pub const ENERGY_BUDGET: &str = "physics/energy-budget";
     /// A BiCGStab solve broke down (a zero `rho`, `r0·v`, `t·t` or
     /// `omega`) and returned its best iterate.
     pub const KRYLOV_BREAKDOWN: &str = "solve/krylov-breakdown";

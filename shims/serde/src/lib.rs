@@ -5,8 +5,8 @@
 //! result records to JSON files, so the shim goes through an owned value
 //! tree instead: `Serialize` lowers to [`Value`], `Deserialize` lifts
 //! from it, and `serde_json` (the sibling shim) renders/parses the tree.
-//! The `derive` feature re-exports the `serde_derive` proc-macros, which
-//! generate impls of these traits for named-field structs.
+//! There are no derives: a record implements `to_value` by hand, one
+//! `Value::Obj` entry per field in declaration order.
 
 /// An owned JSON-like value tree. Object entries preserve insertion order
 /// so derived output matches field declaration order (as serde_json does).
@@ -81,9 +81,6 @@ impl Deserialize for Value {
 pub trait Deserialize: Sized {
     fn from_value(value: &Value) -> Result<Self, String>;
 }
-
-#[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
 
 macro_rules! impl_float {
     ($($t:ty),*) => {$(

@@ -8,16 +8,16 @@
 //!    Chrome-trace-event JSON (the exact format `pbte-trace` writes to
 //!    `trace.json`): every complete event carries `ph`/`ts`/`dur`/
 //!    `pid`/`tid`, and GPU runs produce spans on a device track.
-//! 3. **Health probes** — seeded NaN intensity and a violated energy
-//!    budget each yield exactly their diagnostic rule id, and a clean
-//!    solve with the probes installed yields nothing.
+//! 3. **Health probes** — the temperature update with its probes on
+//!    finds a seeded NaN intensity, a negative one and a violated energy
+//!    budget, each under its own rule id, and a clean solve with the
+//!    probes on finds nothing.
 //! 4. **One frame model** — the buffer and the stream of one run carry
 //!    the same frames in the same order.
 
-use pbte_bte::health::{rules, HealthProbes};
 use pbte_bte::pbte::ScenarioSpec;
 use pbte_bte::scenario::{hotspot_2d, BteConfig, BteProblem};
-use pbte_bte::temperature::TemperatureStrategy;
+use pbte_bte::temperature::{TemperatureStrategy, TemperatureUpdate};
 use pbte_dsl::analysis::{sweep_price, Scope};
 use pbte_dsl::dataflow::{Kernel, Place, Plan, Stage};
 use pbte_dsl::exec::{phases, CompiledProblem, CostExpectation, LocalLinks, Recorder, TraceConfig};
@@ -26,7 +26,7 @@ use pbte_dsl::{BoundaryCondition, ExecTarget, GpuStrategy, KernelTier, Severity}
 use pbte_dsl::{SolveReport, Solver, WorkCounters};
 use pbte_gpu::DeviceSpec;
 use pbte_runtime::telemetry::stream::{StreamConfig, StreamReader, StreamSink, StreamWriter};
-use pbte_runtime::telemetry::{rules as trules, Span, SpanKind, SPAN_KINDS};
+use pbte_runtime::telemetry::{rules, Span, SpanKind, SPAN_KINDS};
 use serde::Value;
 use std::path::Path;
 
@@ -193,15 +193,19 @@ fn summary_jsonl_lines_parse_and_total_matches_report() {
 }
 
 /// Build the hot-spot problem and a standalone [`StepContext`] over its
-/// compiled fields, run the probes once under the null recorder, and
-/// return the diagnostics of what it kept.
+/// compiled fields, run the temperature update (Newton tolerance `tol`,
+/// probes on) once under the null recorder, and return the diagnostics of
+/// what it kept.
 fn probe_diagnostics(
+    tol: f64,
     poison: impl FnOnce(&mut pbte_dsl::Fields, &BteProblem),
 ) -> Vec<pbte_dsl::Diagnostic> {
     let bte = hotspot_2d(&config());
-    let material = bte.material.clone();
-    let vars = bte.vars;
-    let probes = HealthProbes::new(material, vars);
+    let update = TemperatureUpdate {
+        tol,
+        probes: true,
+        ..TemperatureUpdate::new(bte.material.clone(), bte.vars)
+    };
     let bte2 = hotspot_2d(&config());
     let (cp, mut fields) = CompiledProblem::compile(bte2.problem).expect("compiles");
     poison(&mut fields, &bte);
@@ -218,29 +222,32 @@ fn probe_diagnostics(
         threads: 1,
         rec: &mut rec,
     };
-    probes.check(&mut ctx);
+    update.run(&mut ctx);
     pbte_dsl::exec::telemetry_diagnostics(&rec)
 }
 
 #[test]
 fn clean_state_yields_no_diagnostics() {
-    let diags = probe_diagnostics(|_, _| {});
+    let diags = probe_diagnostics(1e-9, |_, _| {});
     assert!(diags.is_empty(), "clean state flagged: {diags:?}");
 }
 
+/// A NaN intensity is the NaN rule's, and the energy sum it poisons is
+/// the update's own `temperature/non-finite-energy`.
 #[test]
-fn seeded_nan_yields_exactly_the_nan_rule() {
-    let diags = probe_diagnostics(|fields, bte| {
+fn seeded_nan_yields_the_nan_rule_and_the_non_finite_energy_sum() {
+    let diags = probe_diagnostics(1e-9, |fields, bte| {
         fields.slice_mut(bte.vars.i)[3] = f64::NAN;
     });
-    assert_eq!(diags.len(), 1, "exactly one diagnostic: {diags:?}");
-    assert_eq!(diags[0].rule, rules::NAN_INTENSITY);
-    assert_eq!(diags[0].severity, Severity::Error);
+    assert_eq!(diags.len(), 2, "exactly two diagnostics: {diags:?}");
+    assert_eq!(diags[0].rule, rules::NON_FINITE_ENERGY);
+    assert_eq!(diags[1].rule, rules::NAN_INTENSITY);
+    assert!(diags.iter().all(|d| d.severity == Severity::Error));
 }
 
 #[test]
 fn negative_intensity_yields_exactly_the_negativity_rule() {
-    let diags = probe_diagnostics(|fields, bte| {
+    let diags = probe_diagnostics(1e-9, |fields, bte| {
         // Make one entry negative but move its direction-weighted energy
         // into another direction of the same (band, cell), so the energy
         // budget stays intact and only the negativity probe fires.
@@ -258,11 +265,13 @@ fn negative_intensity_yields_exactly_the_negativity_rule() {
     assert_eq!(diags[0].severity, Severity::Warning);
 }
 
+/// A temperature far from the intensity's, and a Newton loose enough to
+/// return after one step: the budget the update leaves is off.
 #[test]
 fn violated_energy_budget_yields_exactly_the_energy_rule() {
-    let diags = probe_diagnostics(|fields, bte| {
-        for v in fields.slice_mut(bte.vars.io) {
-            *v *= 2.0;
+    let diags = probe_diagnostics(1e3, |fields, bte| {
+        for t in fields.slice_mut(bte.vars.t) {
+            *t += 40.0;
         }
     });
     assert_eq!(diags.len(), 1, "exactly one diagnostic: {diags:?}");
@@ -273,7 +282,7 @@ fn violated_energy_budget_yields_exactly_the_energy_rule() {
 #[test]
 fn installed_probes_stay_clean_over_a_full_solve() {
     let mut bte = hotspot_2d(&config());
-    HealthProbes::new(bte.material.clone(), bte.vars).install(&mut bte.problem);
+    bte.enable_probes();
     let mut solver = Solver::build(bte.problem, ExecTarget::CpuSeq).expect("builds");
     let mut rec = Recorder::buffered();
     let report = solver.solve_traced(&mut rec).expect("solves");
@@ -293,7 +302,7 @@ fn installed_probes_stay_clean_over_a_full_solve() {
 }
 
 /// Traced and untraced runs find the same. The hot-spot die at a step
-/// far past its stability wall, with the health probes installed: on
+/// far past its stability wall, with the health probes on: on
 /// every target, the report of an untraced solve carries the rule ids
 /// and per-rule totals of a buffered one, and the buffered recorder's
 /// diagnostics name all three physics rules.
@@ -304,7 +313,7 @@ fn traced_and_untraced_runs_find_the_same() {
     spec.dt = Some(1e300);
     let solver = |target: &str| {
         let mut bte = spec.build().expect("scenario builds");
-        HealthProbes::new(bte.material.clone(), bte.vars).install(&mut bte.problem);
+        bte.enable_probes();
         let target = pbte_apps::parse_target(target, 2).expect("known target");
         Solver::build(bte.problem, target).expect("builds")
     };
@@ -915,7 +924,7 @@ fn stalled_writer_drops_frames_without_blocking_the_solve() {
     assert!(!rec.spans().is_empty());
 }
 
-/// Solve the hot spot (health probes installed, so `energy_residual`
+/// Solve the hot spot (health probes on, so `energy_residual`
 /// samples flow; one warning up front, so an event does) on `target` with
 /// the buffer *and* a stream attached; return the recorder and the stream
 /// file's frames.
@@ -933,9 +942,7 @@ fn run_both_consumers(target: ExecTarget, tag: &str) -> (Recorder, Vec<Value>) {
         "test/marker",
         "an event frame for both consumers".into(),
     );
-    run_custom(target, &mut rec, |bte| {
-        HealthProbes::new(bte.material.clone(), bte.vars).install(&mut bte.problem);
-    });
+    run_custom(target, &mut rec, BteProblem::enable_probes);
     let stats = writer.finish().expect("writer finishes");
     assert_eq!(stats.dropped, 0, "ample ring: the stream is complete");
     let frames = StreamReader::open(&path)
@@ -1113,7 +1120,7 @@ fn buffer_and_stream_carry_the_same_frames() {
 }
 
 /// Every streamed frame keeps its kind's schema, and one run streams
-/// every kind: the device target with the health probes installed draws
+/// every kind: the device target with the health probes on draws
 /// the `device` and `sample` frames.
 #[test]
 fn stream_frame_schema() {
@@ -1157,12 +1164,12 @@ fn buffered_sink_cap_surfaces_truncation_diagnostic() {
     assert!(
         rec.events()
             .iter()
-            .any(|e| e.name == trules::BUFFER_TRUNCATED),
+            .any(|e| e.name == rules::BUFFER_TRUNCATED),
         "truncation surfaced as a structured event"
     );
     let diags = pbte_dsl::exec::telemetry_diagnostics(&rec);
     assert!(
-        diags.iter().any(|d| d.rule == trules::BUFFER_TRUNCATED),
+        diags.iter().any(|d| d.rule == rules::BUFFER_TRUNCATED),
         "and as a Diagnostic with the stable rule id: {diags:?}"
     );
 }
@@ -1191,7 +1198,7 @@ fn cost_drift_fires_beyond_tolerance_and_stays_quiet_within() {
         !quiet
             .events()
             .iter()
-            .any(|e| e.name == trules::COST_LIVE_DRIFT),
+            .any(|e| e.name == rules::COST_LIVE_DRIFT),
         "matching observation must not warn: {:?}",
         quiet.events()
     );
@@ -1205,7 +1212,7 @@ fn cost_drift_fires_beyond_tolerance_and_stays_quiet_within() {
     let drift: Vec<_> = loud
         .events()
         .into_iter()
-        .filter(|e| e.name == trules::COST_LIVE_DRIFT)
+        .filter(|e| e.name == rules::COST_LIVE_DRIFT)
         .collect();
     assert_eq!(drift.len(), 1, "exactly one drift warning: {drift:?}");
     assert!(drift[0].message.contains("dof_updates"));
@@ -1218,10 +1225,10 @@ fn cost_drift_fires_beyond_tolerance_and_stays_quiet_within() {
         bytes
             .events()
             .iter()
-            .any(|e| e.name == trules::COST_LIVE_DRIFT),
+            .any(|e| e.name == rules::COST_LIVE_DRIFT),
         "doubled transfer volume fires the byte drift check"
     );
     // Drift warnings map to structured diagnostics for `pbte-trace`.
     let diags = pbte_dsl::exec::telemetry_diagnostics(&bytes);
-    assert!(diags.iter().any(|d| d.rule == trules::COST_LIVE_DRIFT));
+    assert!(diags.iter().any(|d| d.rule == rules::COST_LIVE_DRIFT));
 }
