@@ -6,9 +6,9 @@
 //! ```text
 //! pbte-trace [scenario=hotspot|elongated|FILE.pbte]
 //!            [target=seq|par|cells[:<r>]|bands[:<r>]|
-//!            gpu[:async|:precompute]|bands-gpu[:<r>]] [n=12] [steps=3]
+//!            gpu[:async]|bands-gpu[:<r>]] [n=12] [steps=3]
 //!            [ranks=2] [strategy=redundant|divided]
-//!            [tier=vm|row|native] [out=DIR] [stream=FILE] [--parity]
+//!            [tier=native|row|vm] [out=DIR] [stream=FILE] [--parity]
 //! pbte-trace --follow file=FILE [wait=30]
 //! pbte-trace top file=FILE
 //! ```
@@ -17,7 +17,7 @@
 //! (anything ending in `.pbte`). The file carries its own mesh, material,
 //! time axis, strategy and integrator, so it refuses `n=`, `steps=` and
 //! `strategy=` (exit 2 naming the key); `target=`, `ranks=` and `tier=`
-//! apply. A built-in and a file are one `ScenarioSpec`, run by `pbte`'s
+//! apply (`tier=` defaults to `native`, as in `pbte`). A built-in and a file are one `ScenarioSpec`, run by `pbte`'s
 //! run path (`pbte_apps::run_gated`): every compiled plan passes the
 //! verification gate (plan obligations, dimensional analysis, interval
 //! analysis) first, and any error-severity finding refuses the run before
@@ -283,17 +283,9 @@ fn run_parity(
     spec: &ScenarioSpec,
     builtin: bool,
     ranks: usize,
-    tier: Option<KernelTier>,
+    tier: KernelTier,
 ) -> Result<bool, Outcome> {
-    let names: [&'static str; 7] = [
-        "seq",
-        "par",
-        "cells",
-        "bands",
-        "gpu:async",
-        "gpu:precompute",
-        "bands-gpu",
-    ];
+    let names = ["seq", "par", "cells", "bands", "gpu:async", "bands-gpu"];
     let mut rec = Recorder::buffered();
     let seq_report = run_gated(spec, ExecTarget::CpuSeq, tier, &mut rec)?.report;
     print_report("seq", &seq_report);

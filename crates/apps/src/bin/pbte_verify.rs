@@ -7,8 +7,8 @@
 //!
 //! For each scenario (the hot-spot domain of Figs 1–4 and the elongated
 //! domain of Fig 10), each temperature strategy (redundant / divided
-//! Newton), each target (seq, par, `cells:<r>`, `bands:<r>`, gpu async,
-//! gpu precompute, bands+gpu), each kernel tier (vm, row, native)
+//! Newton), each target (seq, par, `cells:<r>`, `bands:<r>`, gpu,
+//! bands+gpu), each kernel tier (vm, row, native)
 //! and each time integrator (explicit, implicit θ=1, steady), the
 //! problem is compiled and `verify_plan` checks:
 //!
@@ -74,23 +74,15 @@ use pbte_dsl::{Diagnostic, Severity};
 use std::path::Path;
 use std::time::Instant;
 
-/// The seven target shapes, tagged by their canonical `target=` spelling.
+/// The six target shapes, tagged by their canonical `target=` spelling.
 fn targets(ranks: usize) -> Vec<(String, ExecTarget)> {
-    [
-        "seq",
-        "par",
-        "cells",
-        "bands",
-        "gpu:async",
-        "gpu:precompute",
-        "bands-gpu",
-    ]
-    .into_iter()
-    .map(|spec| {
-        let target = parse_target(spec, ranks).expect("a target spelling");
-        (target.label(), target)
-    })
-    .collect()
+    ["seq", "par", "cells", "bands", "gpu:async", "bands-gpu"]
+        .into_iter()
+        .map(|spec| {
+            let target = parse_target(spec, ranks).expect("a target spelling");
+            (target.label(), target)
+        })
+        .collect()
 }
 
 /// Timing of the passes run on one plan, milliseconds.

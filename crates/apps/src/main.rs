@@ -3,12 +3,12 @@
 //!
 //! ```text
 //! pbte hotspot    [n=48] [steps=2000] [dirs=8] [bands=10] [target=par] [ranks=2]
-//!                 [strategy=redundant] [tier=row] [dt=auto|<seconds>]
+//!                 [strategy=redundant] [tier=native] [dt=auto|<seconds>]
 //!                 [integrator=explicit|implicit|steady]
 //! pbte elongated  [n=24] [steps=3000] [dirs=8] [bands=10] …the same keys
 //! pbte bte3d      [n=8]  [steps=400]  [bands=8] …the same keys but dirs
-//! pbte FILE.pbte  [target=par] [ranks=2] [tier=row]
-//! pbte codegen    [target=seq|par|gpu[:async|:precompute]|cells:<r>|bands:<r>|bands-gpu:<r>]
+//! pbte FILE.pbte  [target=par] [ranks=2] [tier=native]
+//! pbte codegen    [target=seq|par|gpu[:async]|cells:<r>|bands:<r>|bands-gpu:<r>]
 //! pbte info
 //! ```
 //!
@@ -23,17 +23,16 @@
 //! means, an imported mesh neither; then the mean/min/max line and the
 //! run's counters.
 //!
-//! `target` values: `seq`, `par` (threads), `gpu` (hybrid, simulated
-//! A6000; `gpu:async` / `gpu:precompute` name the paper's two boundary
-//! strategies, which run one schedule),
+//! `target` values: `seq`, `par` (threads), `gpu` or `gpu:async` (hybrid,
+//! simulated A6000),
 //! `cells:<r>` / `bands:<r>` / `bands-gpu:<r>` (distributed ranks) — the
 //! spellings `pbte-trace` takes.
 //! `strategy` values (effective under `bands:<r>`):
 //! `redundant` (every rank solves all cells, the paper's behaviour) or
 //! `divided` (per-rank cell slices plus a second fold sharing `T`).
-//! `tier` values: `vm`, `row`, `native` (AOT-compiled plan
-//! kernels; falls back to `row` with a diagnostic when `rustc` is
-//! unavailable).
+//! `tier` values: `vm`, `row`, `native` (AOT-compiled plan kernels, the
+//! default; falls back to `row` with a `native/fallback` finding when
+//! `rustc` is unavailable).
 //! `dt`: a literal step in seconds, or `auto` to let the interval pass
 //! pick the step — the advective CFL bound under explicit stepping, an
 //! accuracy-scaled multiple of it under the unconditionally stable
@@ -71,10 +70,10 @@ const USAGE: &str =
     "usage: pbte <hotspot|elongated|bte3d|FILE.pbte|codegen|info> [key=value ...]\n\
      keys: n, steps, dirs, bands, ranks, target, strategy, tier, dt, integrator\n\
      \x20     (a .pbte file is the whole scenario: it takes target, ranks and tier)\n\
-     targets: seq | par | gpu[:async|:precompute] | cells:<ranks> | bands:<ranks> |\n\
+     targets: seq | par | gpu[:async] | cells:<ranks> | bands:<ranks> |\n\
      \x20        bands-gpu:<ranks>\n\
      strategies (temperature Newton under bands:<ranks>): redundant | divided\n\
-     tiers: vm | row | native (AOT; falls back to row without rustc)\n\
+     tiers: vm | row | native (AOT, the default; falls back to row without rustc)\n\
      dt: <seconds> | auto (interval-pass recommendation: CFL bound when\n\
          explicit, accuracy-scaled when unconditionally stable)\n\
      integrators: explicit | implicit[:<theta>] | steady[:<tol>:<growth>]";
@@ -332,7 +331,7 @@ fn info() -> Result<(), Diagnostic> {
         gib(report.workspace_bytes)
     );
     out!(
-        "\ntargets: seq | par | gpu[:async|:precompute] | cells:<ranks> | \
+        "\ntargets: seq | par | gpu[:async] | cells:<ranks> | \
          bands:<ranks> | bands-gpu:<ranks>"
     );
     Ok(())

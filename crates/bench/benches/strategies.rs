@@ -40,13 +40,13 @@ fn bench_solvers(c: &mut Criterion) {
         )
     });
 
-    group.bench_function("dsl_gpu_hybrid_precompute", |b| {
+    group.bench_function("dsl_gpu_hybrid", |b| {
         b.iter_batched(
             || {
                 hotspot_2d(&cfg(5))
                     .solver(ExecTarget::GpuHybrid {
                         spec: DeviceSpec::a6000(),
-                        strategy: GpuStrategy::PrecomputeBoundary,
+                        strategy: GpuStrategy::AsyncBoundary,
                     })
                     .unwrap()
             },

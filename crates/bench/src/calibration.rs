@@ -5,8 +5,8 @@
 //! this host at reduced scale — per-dof and per-cell costs do not depend
 //! on problem size for these streaming kernels:
 //!
-//! * `c_dsl` — seconds per dof update of the DSL path at the tier the
-//!   benchmark lanes request (`native`): `solve for intensity` over
+//! * `c_dsl` — seconds per dof update of the DSL path at the default
+//!   tier (`native`, which the benchmark lanes request): `solve for intensity` over
 //!   `work.dof_updates`;
 //! * `c_base` — the same for the hand-written baseline (`pbte-baseline`, a
 //!   fixed comparator timed by its own phase clocks);
@@ -21,7 +21,6 @@
 use pbte_baseline::BaselineSolver;
 use pbte_bte::scenario::{hotspot_2d, BteConfig};
 use pbte_dsl::exec::{phases, ExecTarget, Recorder};
-use pbte_dsl::KernelTier;
 use pbte_runtime::telemetry::{Span, SpanKind};
 use serde::{Serialize, Value};
 
@@ -174,8 +173,7 @@ impl Calibration {
         let per_dof_base = cell_steps * cfg.dof().0 as f64;
         let (mut rounds, mut ran) = (Vec::with_capacity(ROUNDS), None);
         for _ in 0..ROUNDS {
-            let mut bte = hotspot_2d(&cfg);
-            bte.problem.kernel_tier(KernelTier::Native);
+            let bte = hotspot_2d(&cfg);
             let mut solver = bte.solver(ExecTarget::CpuSeq).expect("valid scenario");
             let mut baseline = BaselineSolver::new(&cfg);
             let (mut intensity, mut temperature, mut dofs) = (0.0, 0.0, 0);

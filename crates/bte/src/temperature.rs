@@ -54,6 +54,12 @@
 //! chunks and each task runs the three phases on its own cells of `T`,
 //! `Io` and `beta`. Band-partitioned ranks run serially — the ranks are
 //! the parallelism, and the fold separates the phases.
+//!
+//! **Span.** One `newton solve` span covers the whole update, entry to
+//! exit, on every scope; its `energy_s` / `newton_s` / `rewrite_s`
+//! attributes split it by phase. On one task they add to at most the
+//! span; on a threaded run they sum the tasks' seconds, so they can add
+//! to more.
 
 use crate::equilibrium::Located;
 use crate::material::Material;
@@ -195,6 +201,8 @@ impl TemperatureUpdate {
     /// tests can put block edges anywhere.
     pub fn run_blocked(&self, ctx: &mut StepContext, block: usize) {
         assert!((1..=BLOCK).contains(&block), "block length {block}");
+        let clock = ctx.rec.config();
+        let span_t0 = clock.now();
         let material = &*self.material;
         let n_cells = ctx.fields.n_cells;
         // Ownership: a band range under band partitioning, a cell list
@@ -208,7 +216,6 @@ impl TemperatureUpdate {
             Some(cells) => owned_blocks(cells, block),
             None => blocks(0..n_cells, block),
         };
-        let clock = ctx.rec.config();
         let vars = self.vars;
         let [i, t, io, beta] = ctx.fields.slices_mut([vars.i, vars.t, vars.io, vars.beta]);
         let owned_rows = bands.start * n_cells..bands.end * n_cells;
@@ -228,8 +235,7 @@ impl TemperatureUpdate {
         };
         let chunk_len = n_cells.div_ceil(tasks).next_multiple_of(block);
         let mut chunks = carve(t, io, beta, n_cells, chunk_len);
-        let (mut solved, mut span_t0) = (owned.clone(), clock.now());
-        let span_dur;
+        let mut solved = owned.clone();
 
         if !banded {
             // One pass: each block goes energy → newton → rewrite while
@@ -245,7 +251,6 @@ impl TemperatureUpdate {
                 [whole] => task(whole),
                 many => many.par_iter_mut().for_each(task),
             }
-            span_dur = clock.now() - span_t0;
         } else {
             // Band-partitioned: the energy sum needs every rank's bands.
             // Each rank sums its bands' directions into rows (the
@@ -280,7 +285,7 @@ impl TemperatureUpdate {
             // `DividedNewton`: this rank solves its slice of the cells and
             // a fold in rank order writes each rank's slice into `T`.
             // Otherwise every rank solves all its cells in place.
-            span_t0 = clock.now();
+            let newton_t0 = clock.now();
             let mut divided = None;
             if self.strategy == TemperatureStrategy::DividedNewton && ctx.owned_cells.is_none() {
                 let (r, p) = (ctx.reducer.rank(), ctx.reducer.n_ranks().max(1));
@@ -302,7 +307,7 @@ impl TemperatureUpdate {
                 ctx.reducer
                     .fold(t, &mut |t| t[slice.clone()].copy_from_slice(&mine));
             }
-            span_dur = clock.now() - span_t0;
+            let newton_s = clock.now() - newton_t0;
 
             let t0 = clock.now();
             for cells in &owned {
@@ -331,11 +336,12 @@ impl TemperatureUpdate {
                     residual(c.start, &em[c.clone()], &ab[c], tally);
                 }
             }
-            (tally.phase_s[1], tally.phase_s[2]) = (span_dur, clock.now() - t0);
+            (tally.phase_s[1], tally.phase_s[2]) = (newton_s, clock.now() - t0);
         }
         let mut tally = Tally::default();
         chunks.iter().for_each(|chunk| tally.merge(&chunk.tally));
         let solves = solved.iter().map(|cells| cells.len() as u64).sum::<u64>();
+        let span_dur = clock.now() - span_t0;
 
         // The recorder lent through `ctx.rec` is the one accounting path:
         // counters, the iteration histogram, the span and the warnings all

@@ -44,17 +44,17 @@ fn kernel_tiers_are_bit_identical_on_cpu() {
 }
 
 /// The device evaluates the same per-dof arithmetic as the CPU on every
-/// tier (reciprocal-volume multiply, linearized flux), so under the
-/// precompute strategy all tiers agree with each other and with the
-/// sequential target bit for bit. A differently associated evaluation
+/// tier (reciprocal-volume multiply, linearized flux), so on the device
+/// all tiers agree with each other and with the sequential target bit for
+/// bit. A differently associated evaluation
 /// (divide by volume, un-hoisted flux) differs by an ulp of the RHS,
 /// which the update absorbs on most dofs: 12 off-axis directions and 40
 /// steps are what it takes for some dof to round the other way.
 #[test]
-fn kernel_tiers_are_bit_identical_on_gpu_precompute() {
+fn kernel_tiers_are_bit_identical_on_the_gpu() {
     let gpu = || ExecTarget::GpuHybrid {
         spec: DeviceSpec::a6000(),
-        strategy: GpuStrategy::PrecomputeBoundary,
+        strategy: GpuStrategy::AsyncBoundary,
     };
     let cfg = BteConfig::small(9, 12, 4, 40);
     let vm = run_tier(gpu(), &cfg, KernelTier::Vm);
@@ -68,9 +68,8 @@ fn kernel_tiers_are_bit_identical_on_gpu_precompute() {
 /// no flux table. Every tier must resolve to itself and agree
 /// with the `vm` tier bit for bit: on `CpuSeq` for all three tiers, and for
 /// the row tier on the rayon split (spans that start mid-mesh) and on the
-/// device under both boundary strategies, which run one stage: this file
-/// lowers every wall, and a callback wall would only add host ghosts the
-/// sweep reads like the lowered ones.
+/// device: this file lowers every wall, and a callback wall would only add
+/// host ghosts the sweep reads like the lowered ones.
 #[test]
 fn kernel_tiers_are_bit_identical_on_an_unstructured_mesh() {
     let file = concat!(
@@ -93,9 +92,9 @@ fn kernel_tiers_are_bit_identical_on_an_unstructured_mesh() {
         solver.solve().unwrap();
         solver.fields().slice(vars.i).to_vec()
     };
-    let gpu = |strategy| ExecTarget::GpuHybrid {
+    let gpu = || ExecTarget::GpuHybrid {
         spec: DeviceSpec::a6000(),
-        strategy,
+        strategy: GpuStrategy::AsyncBoundary,
     };
 
     let vm = run(ExecTarget::CpuSeq, KernelTier::Vm);
@@ -105,10 +104,8 @@ fn kernel_tiers_are_bit_identical_on_an_unstructured_mesh() {
     }
     let par = run(ExecTarget::CpuParallel, KernelTier::Row);
     assert_bits_eq(&vm, &par, "seq vm vs par row");
-    let precompute = run(gpu(GpuStrategy::PrecomputeBoundary), KernelTier::Row);
-    assert_bits_eq(&vm, &precompute, "seq vm vs gpu precompute row");
-    let async_row = run(gpu(GpuStrategy::AsyncBoundary), KernelTier::Row);
-    assert_bits_eq(&vm, &async_row, "seq vm vs gpu async row");
+    let gpu_row = run(gpu(), KernelTier::Row);
+    assert_bits_eq(&vm, &gpu_row, "seq vm vs gpu row");
 }
 
 /// A two-direction, two-band transport problem on an 8 × 8 grid over 12
@@ -175,12 +172,12 @@ fn a_flux_reading_a_cell_variable_is_bit_identical_on_every_tier() {
 #[test]
 fn programs_reading_t_are_bit_identical_on_every_tier_and_target() {
     let problem = || transport("-I[d,b] + t*beta[b]", "(1 + 8*t)");
-    let precompute = || ExecTarget::GpuHybrid {
+    let gpu = || ExecTarget::GpuHybrid {
         spec: DeviceSpec::a6000(),
-        strategy: GpuStrategy::PrecomputeBoundary,
+        strategy: GpuStrategy::AsyncBoundary,
     };
     let vm = solve_at(problem(), ExecTarget::CpuSeq, KernelTier::Vm);
-    for target in [ExecTarget::CpuSeq, ExecTarget::CpuParallel, precompute()] {
+    for target in [ExecTarget::CpuSeq, ExecTarget::CpuParallel, gpu()] {
         for tier in KernelTier::ALL {
             let label = format!("seq vm vs {} {tier:?}", target.label());
             let got = solve_at(problem(), target.clone(), tier);

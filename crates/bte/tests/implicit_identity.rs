@@ -31,11 +31,11 @@ fn seven_targets() -> Vec<ExecTarget> {
             ranks: 2,
             index: "b".into(),
             spec: DeviceSpec::a6000(),
-            strategy: GpuStrategy::PrecomputeBoundary,
+            strategy: GpuStrategy::AsyncBoundary,
         },
         ExecTarget::GpuHybrid {
             spec: DeviceSpec::a6000(),
-            strategy: GpuStrategy::PrecomputeBoundary,
+            strategy: GpuStrategy::AsyncBoundary,
         },
     ]
 }

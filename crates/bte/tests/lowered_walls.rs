@@ -229,7 +229,6 @@ fn mixed_plan_agrees_on_every_tier_and_target_and_counts_its_callbacks() {
             },
             1,
         ),
-        (gpu(GpuStrategy::PrecomputeBoundary), 1),
         (gpu(GpuStrategy::AsyncBoundary), 1),
     ];
     let mut reference: Option<u64> = None;

@@ -73,6 +73,24 @@ fn hotspot_pbte_matches_hardcoded_builder_bit_for_bit() {
     }
 }
 
+/// `headline.pbte` is the paper's headline plan as a file: the spec the
+/// built-in hot spot makes of `BteConfig::paper_headline` at two steps,
+/// field by field. Parsed only; the library test below builds and solves
+/// it.
+#[test]
+fn headline_pbte_is_the_paper_headline_config() {
+    let spec = ScenarioSpec::from_file(scenario_path("headline.pbte")).unwrap();
+    let builtin = ScenarioSpec::hotspot(&BteConfig {
+        n_steps: 2,
+        ..BteConfig::paper_headline()
+    });
+    let file = ScenarioSpec {
+        base_dir: builtin.base_dir.clone(),
+        ..spec
+    };
+    assert_eq!(file, builtin);
+}
+
 /// One centre of the Gaussian field a hot-spot wall and the initial pulses
 /// share is the single hot spot's arithmetic, bit for bit:
 /// `t_ref + (t_peak − t_ref)·exp(−2·d²/width²)`, `d² = dx² + dy² + dz²`,

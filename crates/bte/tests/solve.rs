@@ -118,19 +118,17 @@ fn bte_cross_target_agreement() {
         assert_eq!(d, 0.0, "band-dist variable {v} differs by {d}");
     }
 
-    // GPU hybrid, both strategies: exact.
-    for strategy in [GpuStrategy::PrecomputeBoundary, GpuStrategy::AsyncBoundary] {
-        let mut gpu = make()
-            .solver(ExecTarget::GpuHybrid {
-                spec: DeviceSpec::a6000(),
-                strategy,
-            })
-            .unwrap();
-        gpu.solve().unwrap();
-        for v in 0..reference.n_vars() {
-            let d = max_diff(reference.slice(v), gpu.fields().slice(v));
-            assert_eq!(d, 0.0, "{strategy:?} variable {v} differs by {d}");
-        }
+    // GPU hybrid: exact.
+    let mut gpu = make()
+        .solver(ExecTarget::GpuHybrid {
+            spec: DeviceSpec::a6000(),
+            strategy: GpuStrategy::AsyncBoundary,
+        })
+        .unwrap();
+    gpu.solve().unwrap();
+    for v in 0..reference.n_vars() {
+        let d = max_diff(reference.slice(v), gpu.fields().slice(v));
+        assert_eq!(d, 0.0, "gpu variable {v} differs by {d}");
     }
 }
 
@@ -189,7 +187,7 @@ fn band_parallel_gpu_runs_the_paper_configuration_shape() {
             ranks: 2,
             index: "b".into(),
             spec: DeviceSpec::a6000(),
-            strategy: GpuStrategy::PrecomputeBoundary,
+            strategy: GpuStrategy::AsyncBoundary,
         })
         .unwrap();
     let report = multi.solve().unwrap();

@@ -1,7 +1,7 @@
 //! Property tests for the schedule synthesis pass.
 //!
 //! Across the full verification sweep (both scenarios, both temperature
-//! strategies, all seven targets, all four kernel tiers, all three
+//! strategies, all six targets, all three kernel tiers, all three
 //! integrators) the plan — its synthesized transfer schedule included —
 //! must verify clean. On top of the static property, every target driven
 //! by the synthesized schedule must reproduce the sequential trajectory —
@@ -35,13 +35,6 @@ fn targets(ranks: usize) -> Vec<(String, ExecTarget)> {
             },
         ),
         (
-            "gpu:precompute".into(),
-            ExecTarget::GpuHybrid {
-                spec: DeviceSpec::a6000(),
-                strategy: GpuStrategy::PrecomputeBoundary,
-            },
-        ),
-        (
             format!("bands-gpu:{ranks}"),
             ExecTarget::DistBandsGpu {
                 ranks,
@@ -53,7 +46,7 @@ fn targets(ranks: usize) -> Vec<(String, ExecTarget)> {
     ]
 }
 
-/// The full 252-combo sweep: every plan verifies clean, and on the 108
+/// The full 216-combo sweep: every plan verifies clean, and on the 72
 /// GPU-lineage plans that includes the transfer proof of the synthesized
 /// schedule (no stale read, no redundant copy).
 #[test]
@@ -105,9 +98,9 @@ fn synthesis_is_certified_and_minimal_across_the_sweep() {
             }
         }
     }
-    // 2 scenarios × 2 strategies × 3 GPU-lineage targets × 3 tiers × 3
+    // 2 scenarios × 2 strategies × 2 GPU-lineage targets × 3 tiers × 3
     // integrators.
-    assert_eq!(synthesized, 108, "every GPU-lineage plan synthesizes");
+    assert_eq!(synthesized, 72, "every GPU-lineage plan synthesizes");
 }
 
 /// Every target, moving exactly what the synthesized schedule says,

@@ -677,30 +677,57 @@ fn a_non_finite_energy_sum_is_reported() {
     assert_eq!(diags[0].severity, pbte_dsl::Severity::Error);
 }
 
-/// A healthy update raises neither warning, and its span carries the
-/// three phase times.
+/// A healthy update raises neither warning, and its one span covers the
+/// whole update and carries the three phase times, in every ownership
+/// scope: everything owned at one and two threads, a band range under
+/// both strategies, an owned-cell list. On one task the phases add to at
+/// most the span (within the attributes' 9-decimal print); threaded, they
+/// sum task seconds and are only checked to be there.
 #[test]
 fn a_healthy_update_is_quiet_and_its_span_is_split_by_phase() {
     let material = material(false);
-    let upd = TemperatureUpdate::new(material.clone(), VARS);
-    let mut f = fields(&material, 50, &mut Rng(3), Kind::Mixed, false);
-    let (_, rec) = kernel(&upd, &mut f, None, None, &mut LocalLinks, 2, 16);
-    assert!(rec.events().is_empty(), "{:?}", rec.events());
-    let spans = rec.spans();
-    assert_eq!(spans.len(), 1, "one NewtonSolve span per update");
-    for key in [
-        "energy_s",
-        "newton_s",
-        "rewrite_s",
-        "solves",
-        "iters",
-        "step",
-    ] {
-        assert!(
-            spans[0].attrs.iter().any(|(k, _)| *k == key),
-            "span lacks `{key}`: {:?}",
-            spans[0].attrs
-        );
+    let n_cells = 2048;
+    let start = fields(&material, n_cells, &mut Rng(3), Kind::Mixed, false);
+    let owned = gapped(n_cells, 16, &mut Rng(4));
+    let bands = Some(0..material.n_bands());
+    let redundant = TemperatureStrategy::RedundantNewton;
+    let divided = TemperatureStrategy::DividedNewton;
+    let cases = [
+        ("2 threads", redundant, None, None, 2),
+        ("1 thread", redundant, None, None, 1),
+        ("band range, redundant", redundant, bands.clone(), None, 1),
+        ("band range, divided", divided, bands, None, 1),
+        ("owned cells", redundant, None, Some(&owned[..]), 1),
+    ];
+    for (what, strategy, bands, owned_cells, threads) in cases {
+        let upd = TemperatureUpdate::new(material.clone(), VARS).with_strategy(strategy);
+        let mut f = start.clone();
+        let scope = (bands, owned_cells, threads, 16);
+        let rec = update(&upd, &mut f, scope, &mut LocalLinks, |_, _| {});
+        assert!(rec.events().is_empty(), "{what}: {:?}", rec.events());
+        let spans = rec.spans();
+        assert_eq!(spans.len(), 1, "{what}: one NewtonSolve span per update");
+        let attr = |key: &str| {
+            let found = spans[0].attrs.iter().find(|(k, _)| *k == key);
+            found
+                .unwrap_or_else(|| panic!("{what}: span lacks `{key}`: {:?}", spans[0].attrs))
+                .1
+                .clone()
+        };
+        for key in ["solves", "iters", "step"] {
+            attr(key);
+        }
+        let phases: f64 = ["energy_s", "newton_s", "rewrite_s"]
+            .map(|key| attr(key).parse::<f64>().expect("a phase time"))
+            .iter()
+            .sum();
+        if threads == 1 {
+            assert!(
+                spans[0].dur >= phases - 1e-8,
+                "{what}: span {:e} s < phases {phases:e} s",
+                spans[0].dur
+            );
+        }
     }
 }
 

@@ -94,8 +94,8 @@ fn observed_matches_schedule(strategy: GpuStrategy) {
     }
 }
 
-/// The two strategies are one plan: the same schedule, the same copies,
-/// and the same bits as the sequential target.
+/// The device target runs the sequential target's plan: the same bits,
+/// and the value every target reaches is pinned.
 #[test]
 fn both_strategies_run_the_same_stage_bit_identical_to_seq() {
     let run = |target: ExecTarget| {
@@ -120,15 +120,10 @@ fn both_strategies_run_the_same_stage_bit_identical_to_seq() {
     };
     let (seq, seq_report) = run(ExecTarget::CpuSeq);
     assert_eq!(seq_report.work.ghost_evals, 0, "no wall is a callback");
-    let (asynchronous, a) = run(gpu(GpuStrategy::AsyncBoundary));
-    let (precompute, p) = run(gpu(GpuStrategy::PrecomputeBoundary));
+    let (asynchronous, _) = run(gpu(GpuStrategy::AsyncBoundary));
     assert_eq!(asynchronous, seq, "gpu:async is bit-identical to seq");
-    assert_eq!(precompute, seq, "gpu:precompute is bit-identical to seq");
     // Pinned: the value every target reaches.
     assert_eq!(seq, PINNED_FIELD_HASH, "{seq:#x}");
-    let (a, p) = (a.device.unwrap(), p.device.unwrap());
-    assert_eq!((a.h2d.count, a.h2d.bytes), (p.h2d.count, p.h2d.bytes));
-    assert_eq!((a.d2h.count, a.d2h.bytes), (p.d2h.count, p.d2h.bytes));
 }
 
 /// FNV-style fold of the final `I` and `T` bits of the 8×8 hot spot after
@@ -138,11 +133,6 @@ const PINNED_FIELD_HASH: u64 = 0x0b61_53a6_e65c_dca0;
 #[test]
 fn async_boundary_schedule_covers_observed_transfers() {
     observed_matches_schedule(GpuStrategy::AsyncBoundary);
-}
-
-#[test]
-fn precompute_schedule_covers_observed_transfers() {
-    observed_matches_schedule(GpuStrategy::PrecomputeBoundary);
 }
 
 #[test]

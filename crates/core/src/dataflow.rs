@@ -128,8 +128,7 @@ fn per_sweep(cp: &CompiledProblem, which: Plan) -> bool {
 /// * a wall left to a closure puts a `GhostEval` on the host before the
 ///   sweep, and the sweep reads the ghosts it fills — on the device they
 ///   go up with it; a lowered plan has no `GhostEval`, and its sweep reads
-///   the lowered image. Every sweep reads every boundary face, so both GPU
-///   strategies run this one list;
+///   the lowered image. Every sweep reads every boundary face;
 /// * an implicit solve sweeps un-fused, per evaluation. Its un-fused sweep
 ///   still lists the unknown as written: the RHS rows it produces have
 ///   that shape. A JVP plan registers no step callbacks.
@@ -411,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn precompute_keeps_unknown_device_resident() {
+    fn a_post_step_keeps_the_unknown_device_resident() {
         let s = schedule(true, true);
         let h2d = s.each_step_h2d();
         assert!(!h2d.contains(&"I"), "unknown must stay on the device");
@@ -435,21 +434,18 @@ mod tests {
     }
 
     /// With every wall lowered no host code touches the boundary: the
-    /// unknown and the ghost image go up once. Both strategies build this
-    /// one stage (the strategy is a label only).
+    /// unknown and the ghost image go up once, and the device stage
+    /// carries the plan's one schedule.
     #[test]
     fn lowered_walls_leave_both_strategies_one_schedule() {
         let cp = bte_like(true, false);
         let scope = Scope::whole(&cp);
-        let stage = |strategy| {
-            let spec = pbte_gpu::DeviceSpec::a6000();
-            let target = ExecTarget::GpuHybrid { spec, strategy };
-            let stage = Stage::build(&cp, Plan::Main, &target, &scope);
-            stage.schedule.unwrap()
-        };
-        let a = stage(GpuStrategy::AsyncBoundary);
-        let p = stage(GpuStrategy::PrecomputeBoundary);
-        assert_eq!(a.transfers, p.transfers);
+        let spec = pbte_gpu::DeviceSpec::a6000();
+        let strategy = GpuStrategy::AsyncBoundary;
+        let target = ExecTarget::GpuHybrid { spec, strategy };
+        let a = Stage::build(&cp, Plan::Main, &target, &scope)
+            .schedule
+            .unwrap();
         assert_eq!(a.transfers, cp.transfer_schedule().transfers);
         let h2d = a.each_step_h2d();
         assert!(!h2d.contains(&"I") && !h2d.contains(&"ghosts"));

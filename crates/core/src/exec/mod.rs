@@ -119,10 +119,7 @@ impl ExecTarget {
             ExecTarget::CpuParallel => "par".into(),
             ExecTarget::DistCells { ranks } => format!("cells:{ranks}"),
             ExecTarget::DistBands { ranks, .. } => format!("bands:{ranks}"),
-            ExecTarget::GpuHybrid { strategy, .. } => match strategy {
-                GpuStrategy::AsyncBoundary => "gpu:async".into(),
-                GpuStrategy::PrecomputeBoundary => "gpu:precompute".into(),
-            },
+            ExecTarget::GpuHybrid { .. } => "gpu:async".into(),
             ExecTarget::DistBandsGpu { ranks, .. } => format!("bands-gpu:{ranks}"),
         }
     }
@@ -1513,17 +1510,14 @@ impl CompiledProblem {
         program.bind(&self.binding(flat))
     }
 
-    /// The kernel tier the problem asks for, defaulting to `Row` (the
-    /// hidden `Bound` is a `Row` request): every plan lowers on every
-    /// tier. The one way off it is a `Native` request whose preparation
-    /// fails at scope construction (missing `rustc`, failed compilation,
-    /// a function coefficient, which is a host closure): that scope runs
-    /// `Row` and carries a `native/fallback` diagnostic.
+    /// The kernel tier the problem asks for, `Native` unless it names
+    /// another (the hidden `Bound` is a `Row` request): every plan lowers
+    /// on every tier. The one way off it is a `Native` request whose
+    /// preparation fails at scope construction (missing `rustc`, failed
+    /// compilation, a function coefficient, which is a host closure): that
+    /// scope runs `Row` and carries a `native/fallback` diagnostic.
     pub fn resolved_tier(&self) -> KernelTier {
-        self.problem
-            .kernel_tier
-            .unwrap_or(KernelTier::Row)
-            .requested()
+        self.problem.kernel_tier.requested()
     }
 
     /// Benchmark harness for the intensity phase in isolation: RHS

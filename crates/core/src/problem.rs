@@ -162,19 +162,14 @@ impl Default for KrylovConfig {
     }
 }
 
-/// The paper's two names for how the hybrid GPU target handles boundary
-/// work (§III-D): combine host-computed boundary faces with the device's
-/// interior result (Fig 6), or pre-compute ghost values on the host and
-/// let the kernel compute the full flux. The simulated device models no
-/// host/device overlap, so both run the second: the strategy is a label
-/// of the target (`gpu:async` / `gpu:precompute`) and selects nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How the hybrid GPU target handles boundary work (§III-D). The
+/// simulated device models no host/device overlap, so there is one way,
+/// and it selects nothing: the host computes a callback wall's ghosts
+/// before the device sweep reads them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GpuStrategy {
-    /// Fig 6's asynchronous host boundary (`gpu:async`).
-    #[default]
+    /// The paper's Fig 6 name for it (`gpu:async`).
     AsyncBoundary,
-    /// Ghost values pre-computed on the host (`gpu:precompute`).
-    PrecomputeBoundary,
 }
 
 /// Everything a boundary callback may inspect.
@@ -471,10 +466,11 @@ pub type OperatorFn = Arc<
 /// orientations, and from the flux's own bound program otherwise (a cell
 /// variable the flux reads is the owner cell's, a function coefficient is
 /// evaluated at the face centroid, `t` is read when the kernel runs). The
-/// tier requested is the tier that runs, with one exception: `Native`
-/// falls back to `Row` (with a structured diagnostic) when `rustc` is
-/// unavailable, compilation fails, or the plan calls a function
-/// coefficient (a host closure the emitted code cannot call).
+/// tier requested is the tier that runs, with one exception: `Native`,
+/// the tier of a problem that names none, falls back to `Row` (with a
+/// structured diagnostic) when `rustc` is unavailable, compilation
+/// fails, or the plan calls a function coefficient (a host closure the
+/// emitted code cannot call).
 // `Bound` is hidden, not a non-exhaustive marker: `#[non_exhaustive]`
 // would break the exhaustive matches it is kept for.
 #[allow(clippy::manual_non_exhaustive)]
@@ -569,9 +565,9 @@ pub struct Problem {
     /// Registered custom symbolic operators, expanded by the pipeline
     /// before the built-in `upwind`.
     pub custom_operators: Vec<(String, OperatorFn)>,
-    /// Which kernel tier evaluates the intensity phase; `None` selects
-    /// `Row`.
-    pub kernel_tier: Option<KernelTier>,
+    /// Which kernel tier evaluates the intensity phase; starts at
+    /// `Native`.
+    pub kernel_tier: KernelTier,
     /// Declared physical ranges `(entity name, lo, hi)` for variables and
     /// function coefficients, consumed by the interval-domain safety pass
     /// (`crate::analysis::check_intervals`). Purely declarative: nothing
@@ -605,7 +601,7 @@ impl Problem {
             pre_steps: Vec::new(),
             post_steps: Vec::new(),
             custom_operators: Vec::new(),
-            kernel_tier: None,
+            kernel_tier: KernelTier::Native,
             ranges: Vec::new(),
             units: Vec::new(),
         }
@@ -640,9 +636,10 @@ impl Problem {
         self
     }
 
-    /// Pin the intensity phase to a specific kernel tier (default: auto).
+    /// Pin the intensity phase to a specific kernel tier (default:
+    /// `Native`).
     pub fn kernel_tier(&mut self, tier: KernelTier) -> &mut Self {
-        self.kernel_tier = Some(tier);
+        self.kernel_tier = tier;
         self
     }
 

@@ -156,7 +156,7 @@ fn gpu_target_rejects_rk2() {
     let mut solver = p
         .build(ExecTarget::GpuHybrid {
             spec: pbte_gpu::DeviceSpec::a6000(),
-            strategy: pbte_dsl::GpuStrategy::PrecomputeBoundary,
+            strategy: pbte_dsl::GpuStrategy::AsyncBoundary,
         })
         .unwrap();
     let err = solver.solve().expect_err("must fail").to_string();

@@ -12,17 +12,13 @@
 //! because the in-process plan cache also memoizes *failures* per hash.
 
 use pbte_dsl::analysis::rules;
-use pbte_dsl::exec::ExecTarget;
+use pbte_dsl::exec::{ExecTarget, Recorder};
 use pbte_dsl::problem::{KernelTier, Problem};
 use pbte_dsl::BoundaryCondition;
 use pbte_mesh::grid::UniformGrid;
 
-fn mini_bte(tier: KernelTier) -> Problem {
-    mini_bte_with_speed(tier, "vg[b]")
-}
-
-/// `speed` multiplies the upwind flux.
-fn mini_bte_with_speed(tier: KernelTier, speed: &str) -> Problem {
+/// `speed` multiplies the upwind flux; the problem names no tier.
+fn mini_bte_with_speed(speed: &str) -> Problem {
     let mut p = Problem::new("fallback-mini");
     p.domain(2);
     p.mesh(UniformGrid::new_2d(6, 6, 1.0, 1.0).build());
@@ -45,7 +41,6 @@ fn mini_bte_with_speed(tier: KernelTier, speed: &str) -> Problem {
         i_var,
         &format!("(Io[b] - I[d,b]) / tau + surface({speed}*upwind([Sx[d];Sy[d]], I[d,b]))"),
     );
-    p.kernel_tier(tier);
     p
 }
 
@@ -59,9 +54,11 @@ fn missing_rustc_degrades_to_row_tier_with_a_diagnostic() {
     std::env::set_var("PBTE_NATIVE_RUSTC", "/nonexistent/pbte-no-such-rustc");
     std::env::set_var("PBTE_NATIVE_CACHE_DIR", &cache);
 
-    let mut solver = mini_bte(KernelTier::Native)
+    // A run that names no tier asks for the native one.
+    let mut solver = mini_bte_with_speed("vg[b]")
         .build(ExecTarget::CpuSeq)
         .unwrap();
+    assert_eq!(solver.compiled.resolved_tier(), KernelTier::Native);
     let fields = solver.fields().clone();
     let bench = solver.compiled.intensity_bench(&fields, KernelTier::Native);
 
@@ -83,11 +80,25 @@ fn missing_rustc_degrades_to_row_tier_with_a_diagnostic() {
     );
     drop(bench);
 
-    // A full solve on the degraded tier still completes.
+    // A full solve on the degraded tier still completes, says it ran
+    // `row`, and finds nothing that would fail the run.
+    let mut rec = Recorder::buffered();
     let report = solver
-        .solve()
+        .solve_traced(&mut rec)
         .expect("solve must complete on the fallback tier");
     assert_eq!(report.steps, 2);
+    let run_start = rec.summary_jsonl().lines().next().map(str::to_string);
+    assert!(
+        run_start
+            .as_deref()
+            .is_some_and(|l| l.contains(r#""tier":"row""#)),
+        "{run_start:?}"
+    );
+    assert!(
+        report.findings.kept.is_empty(),
+        "{:?}",
+        report.findings.kept
+    );
 
     let _ = std::fs::remove_dir_all(&cache);
 }
@@ -101,9 +112,9 @@ fn missing_rustc_degrades_to_row_tier_with_a_diagnostic() {
 #[test]
 fn function_coefficient_in_the_flux_degrades_with_a_named_reason() {
     let solve = |tier: KernelTier| {
-        let mut solver = mini_bte_with_speed(tier, "ramp")
-            .build(ExecTarget::CpuSeq)
-            .unwrap();
+        let mut problem = mini_bte_with_speed("ramp");
+        problem.kernel_tier(tier);
+        let mut solver = problem.build(ExecTarget::CpuSeq).unwrap();
         assert_eq!(solver.compiled.resolved_tier(), tier);
         assert!(solver.compiled.flux_lin.is_none(), "no table for a closure");
         let fields = solver.fields().clone();

@@ -1,8 +1,7 @@
 //! The one builder of a step's stage records, over the whole matrix:
-//! {Euler, RK2, implicit θ=1, steady} × the seven targets × {all walls
+//! {Euler, RK2, implicit θ=1, steady} × the six targets × {all walls
 //! lowered, one callback wall}. The list has the kinds and places the
-//! (device?) × walls × integrator policy says — the two GPU strategies
-//! one list —, the schedule folded from it is the one the executors
+//! (device?) × walls × integrator policy says, the schedule folded from it is the one the executors
 //! follow, and a list with one access tampered yields a schedule the
 //! transfer proof refuses.
 
@@ -69,7 +68,6 @@ fn targets() -> Vec<ExecTarget> {
             index: "b".into(),
         },
         gpu(GpuStrategy::AsyncBoundary),
-        gpu(GpuStrategy::PrecomputeBoundary),
         ExecTarget::DistBandsGpu {
             ranks: 2,
             index: "b".into(),

