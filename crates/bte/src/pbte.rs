@@ -74,7 +74,7 @@ use crate::boundary::{gaussian_field, isothermal, symmetry};
 use crate::material::Material;
 use crate::scenario::{BteConfig, BteProblem};
 use crate::temperature::{BteVars, TemperatureStrategy, TemperatureUpdate};
-use pbte_dsl::problem::{Integrator, Problem, TimeStepper};
+use pbte_dsl::problem::{Integrator, Problem};
 use pbte_dsl::Diagnostic;
 use pbte_mesh::grid::UniformGrid;
 use pbte_mesh::{gmsh, medit, ImportError, Mesh, Point};
@@ -823,7 +823,6 @@ impl ScenarioSpec {
 
         let mut p = Problem::new(&self.name);
         p.domain(dim);
-        p.time_stepper(TimeStepper::EulerExplicit);
         p.set_steps(dt, self.n_steps);
         p.mesh(mesh);
 

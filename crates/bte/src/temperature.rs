@@ -142,7 +142,7 @@ pub struct TemperatureUpdate {
     pub max_iter: usize,
     /// Newton distribution under band partitioning.
     pub strategy: TemperatureStrategy,
-    /// Run the physics health probes (module docs, **Probes**).
+    /// Run the physics health probes (DESIGN.md, "Physics health probes").
     pub probes: bool,
 }
 

@@ -12,7 +12,7 @@
 use pbte_bte::scenario::{hotspot_2d, BteConfig, BteProblem};
 use pbte_bte::temperature::TemperatureStrategy;
 use pbte_dsl::exec::ExecTarget;
-use pbte_dsl::problem::{Integrator, TimeStepper};
+use pbte_dsl::problem::Integrator;
 use pbte_dsl::GpuStrategy;
 use pbte_gpu::DeviceSpec;
 
@@ -32,15 +32,10 @@ fn bands_gpu(ranks: usize) -> ExecTarget {
     }
 }
 
-fn hotspot(
-    strategy: TemperatureStrategy,
-    integrator: Integrator,
-    stepper: TimeStepper,
-) -> BteProblem {
+fn hotspot(strategy: TemperatureStrategy, integrator: Integrator) -> BteProblem {
     let cfg = BteConfig::small(6, 4, 4, 6).with_temperature_strategy(strategy);
     let mut bp = hotspot_2d(&cfg);
     bp.problem.integrator(integrator);
-    bp.problem.time_stepper(stepper);
     bp
 }
 
@@ -95,7 +90,7 @@ fn every_band_target_gives_seq_bits_under_every_integrator_and_strategy() {
         TemperatureStrategy::DividedNewton,
     ] {
         for (name, integrator) in integrators {
-            let make = || hotspot(strategy, integrator, TimeStepper::EulerExplicit);
+            let make = || hotspot(strategy, integrator);
             assert_seq_bits(make, &targets, &format!("{name} {strategy:?}"));
         }
     }
@@ -107,7 +102,7 @@ fn rk2_on_the_cpu_band_targets_gives_seq_bits() {
         TemperatureStrategy::RedundantNewton,
         TemperatureStrategy::DividedNewton,
     ] {
-        let make = || hotspot(strategy, Integrator::Explicit, TimeStepper::Rk2);
+        let make = || hotspot(strategy, Integrator::Rk2);
         assert_seq_bits(make, &[bands(2), bands(3)], &format!("rk2 {strategy:?}"));
     }
 }

@@ -164,6 +164,12 @@ fn the_key_moves_with_what_lowering_reads_and_nothing_else() {
                 b.problem.integrator(Integrator::Implicit { theta: 1.0 });
             }),
         ),
+        (
+            "Euler or RK2",
+            Box::new(|b| {
+                b.problem.integrator(Integrator::Rk2);
+            }),
+        ),
     ];
     for (what, change) in &same {
         let mut other = build(&fixture);
@@ -237,6 +243,42 @@ fn a_reused_plan_gives_the_bits_of_a_first_lowering() {
             }
         }
     }
+}
+
+/// Euler and RK2 sweep one plan: after an Euler build, an RK2 build of the
+/// same file lowers nothing, and its run has the bits of an RK2 build with
+/// nothing stored.
+#[test]
+fn euler_and_rk2_lower_one_plan() {
+    let _stores = stores();
+    let text = sweep_file(2, 8, 0.5 * DIE, 340.0, "explicit");
+    let rk2 = |reused: bool| {
+        let mut bte = build(&text);
+        bte.problem.integrator(Integrator::Rk2);
+        let vars = bte.vars;
+        let mut solver = bte.solver(ExecTarget::CpuSeq).unwrap();
+        assert_eq!(solver.compiled.plan_reused, reused);
+        solver.solve().unwrap();
+        let bits = |var: usize| solver.fields().slice(var).iter().map(|v| v.to_bits());
+        (
+            bits(vars.t).collect::<Vec<_>>(),
+            bits(vars.i).collect::<Vec<_>>(),
+        )
+    };
+    forget_plans();
+    let alone = rk2(false);
+    forget_plans();
+    let before = plans_lowered();
+    assert!(
+        !build(&text)
+            .solver(ExecTarget::CpuSeq)
+            .unwrap()
+            .compiled
+            .plan_reused
+    );
+    let reused = rk2(true);
+    assert_eq!(plans_lowered() - before, 1, "one plan for both schemes");
+    assert!(alone == reused, "a reused plan moved the RK2 result");
 }
 
 #[test]

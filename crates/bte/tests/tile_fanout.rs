@@ -13,7 +13,7 @@
 use pbte_bte::pbte::ScenarioSpec;
 use pbte_bte::scenario::{hotspot_2d, BteConfig, BteProblem};
 use pbte_dsl::exec::{ExecTarget, Recorder};
-use pbte_dsl::problem::{Integrator, TimeStepper};
+use pbte_dsl::problem::Integrator;
 use pbte_dsl::KernelTier;
 use pbte_runtime::telemetry::SpanKind;
 use std::path::Path;
@@ -34,13 +34,9 @@ fn lanes() -> Vec<(&'static str, Build)> {
             let mut spec = scenario(name);
             spec.n_steps = 2;
             if rk2 {
-                spec.integrator = Integrator::Explicit;
+                spec.integrator = Integrator::Rk2;
             }
-            let mut bp = spec.build().unwrap();
-            if rk2 {
-                bp.problem.time_stepper(TimeStepper::Rk2);
-            }
-            bp
+            spec.build().unwrap()
         })
     };
     vec![

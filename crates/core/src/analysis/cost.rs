@@ -19,7 +19,7 @@ use super::{rules, Diagnostic, Scope, Severity};
 use crate::bytecode::KernelKind;
 use crate::dataflow::{Entity, Plan, Policy, Stage};
 use crate::exec::{CompiledProblem, ExecTarget, FluxPath, SolveReport};
-use crate::problem::{KernelTier, TimeStepper};
+use crate::problem::{Integrator, KernelTier};
 use pbte_gpu::KernelCost;
 use pbte_runtime::telemetry::CostExpectation;
 
@@ -235,11 +235,12 @@ pub fn sweep_price(cp: &CompiledProblem) -> KernelCost {
     }
 }
 
-/// Explicit stages per time step.
+/// Explicit stages per time step (an implicit scheme's sweeps are priced
+/// per Krylov iteration instead).
 fn stages_per_step(cp: &CompiledProblem) -> u64 {
-    match cp.problem.stepper {
-        TimeStepper::EulerExplicit => 1,
-        TimeStepper::Rk2 => 2,
+    match cp.problem.integrator {
+        Integrator::Rk2 => 2,
+        _ => 1,
     }
 }
 

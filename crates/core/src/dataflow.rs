@@ -16,7 +16,7 @@
 use crate::analysis::{synthesize_records, Scope};
 use crate::entities::Registry;
 use crate::exec::{CompiledProblem, ExecTarget};
-use crate::problem::TimeStepper;
+use crate::problem::Integrator;
 
 /// Name of the boundary-ghost pseudo-entity in schedules.
 pub const GHOSTS: &str = "ghosts";
@@ -147,7 +147,7 @@ pub fn step_records<'a>(
         ids.map(|v| (Entity::Variable(v), access)).collect()
     };
     let callback_wall = !cp.walls.lowered();
-    let fused = !per_sweep(cp, which) && cp.problem.stepper == TimeStepper::EulerExplicit;
+    let fused = !per_sweep(cp, which) && cp.problem.integrator == Integrator::Explicit;
 
     let record = |kernel, place, args| Record {
         kernel,

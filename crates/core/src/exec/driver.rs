@@ -34,7 +34,7 @@ use super::{
 use crate::analysis::{sweep_price, Diagnostic, Scope};
 use crate::dataflow::{Kernel, Plan, Record, Stage};
 use crate::entities::Fields;
-use crate::problem::{Integrator, KernelTier, TimeStepper};
+use crate::problem::Integrator;
 use pbte_runtime::telemetry::{Recorder, SpanKind, Track};
 use std::time::Instant;
 
@@ -65,8 +65,10 @@ pub(crate) struct StepTimes {
 /// All implementations are bit-identical per dof: every sweep bottoms out
 /// in [`super::rows::rhs_block`].
 pub(crate) trait Backend {
-    /// The kernel tier the sweeps run at (span attribution).
-    fn tier(&self) -> KernelTier;
+    /// The kernels the sweeps run, the main plan's first and then the
+    /// JVP plan's: what tier they resolved to and why a native request
+    /// fell back.
+    fn kernels(&self) -> Vec<&IntensityKernels>;
 
     /// Run record `at` of `stage` on `plan` at `time`: make the copies the
     /// stage attaches to it, execute it, span it. A sweep writes the RHS
@@ -264,8 +266,9 @@ impl CpuBackend {
 }
 
 impl Backend for CpuBackend {
-    fn tier(&self) -> KernelTier {
-        self.main.kernels.tier
+    fn kernels(&self) -> Vec<&IntensityKernels> {
+        let plans = std::iter::once(&self.main).chain(&self.jvp);
+        plans.map(|p| &p.kernels).collect()
     }
 
     /// A fused sweep is one pass: it writes `u + dt·rhs` — the expression
@@ -379,7 +382,7 @@ fn explicit_step(
     let unknown = cp.system.unknown;
     links.halo_exchange(fields);
     let times = engine.sweep(cp, Plan::Main, fields, time, step, k1, rec);
-    if cp.problem.stepper == TimeStepper::Rk2 {
+    if cp.problem.integrator == Integrator::Rk2 {
         axpy(fields, unknown, d, dt, k1);
         links.halo_exchange(fields);
         engine.sweep(cp, Plan::Main, fields, time + dt, step, k2, rec);
@@ -419,10 +422,8 @@ impl Scheme<'_> {
 /// stage buffers, or the θ-step's workspace.
 pub(crate) fn workspace_vectors(cp: &CompiledProblem) -> usize {
     match cp.problem.integrator {
-        Integrator::Explicit => match cp.problem.stepper {
-            TimeStepper::Rk2 => 2,
-            TimeStepper::EulerExplicit => 1,
-        },
+        Integrator::Explicit => 1,
+        Integrator::Rk2 => 2,
         Integrator::Implicit { theta } => ImplicitWorkspace::vectors(theta),
         Integrator::Steady { .. } => ImplicitWorkspace::vectors(1.0),
     }
@@ -456,12 +457,9 @@ pub(crate) fn drive(
         steady,
     };
     let mut scheme = match cp.problem.integrator {
-        Integrator::Explicit => Scheme::Explicit {
+        Integrator::Explicit | Integrator::Rk2 => Scheme::Explicit {
             k1: vec![0.0; n],
-            k2: match cp.problem.stepper {
-                TimeStepper::Rk2 => vec![0.0; n],
-                TimeStepper::EulerExplicit => Vec::new(),
-            },
+            k2: vec![0.0; n * (workspace_vectors(cp) - 1)],
         },
         Integrator::Implicit { theta } => theta_scheme(theta, None),
         Integrator::Steady { tol, growth } => theta_scheme(1.0, Some((tol, growth))),
@@ -625,8 +623,8 @@ pub(crate) fn drive(
 
 /// Run one rank's share of the solve in its recorder `r` and close it
 /// into a report (`comm` is left for distributed callers to fill). Rank 0
-/// opens the run's record: it is the rank that knows what its kernels
-/// resolved to.
+/// opens the run's record and records each plan whose native request fell
+/// back: it is the rank that knows what its kernels resolved to.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_scope(
     cp: &CompiledProblem,
@@ -642,16 +640,23 @@ pub(crate) fn run_scope(
         // The live cost expectation of the stage this rank is about to run.
         r.set_cost_expectation(crate::analysis::expectation(cp, &engine.main, d));
     }
-    if r.enabled() && r.rank() == 0 {
-        let tier = engine.backend.tier();
-        r.run_start(
-            format!("{}/{}", cp.problem.name, target.label()),
-            tier.name(),
-            cp.flux_path(tier).name(),
-            &cp.walls.label(),
-            cp.plan_origin(),
-            cp.jvp.as_deref().map(CompiledProblem::plan_origin),
-        );
+    if r.rank() == 0 {
+        let kernels = engine.backend.kernels();
+        if r.enabled() {
+            let tier = kernels[0].tier;
+            r.run_start(
+                format!("{}/{}", cp.problem.name, target.label()),
+                tier.name(),
+                cp.flux_path(tier).name(),
+                &cp.walls.label(),
+                cp.plan_origin(),
+                cp.jvp.as_deref().map(CompiledProblem::plan_origin),
+            );
+        }
+        // A plan that fell back is a finding of the run, on every sink.
+        for diag in kernels.iter().filter_map(|k| k.native_fallback()) {
+            r.warn(diag.severity, diag.rule, diag.message.clone());
+        }
     }
     let (steps, workspace_bytes) = drive(cp, &mut engine, fields, d, owned, links, r, threads);
     let device = engine.backend.finish(cp, fields);
@@ -691,7 +696,7 @@ pub(crate) fn solve(
         target,
         ExecTarget::GpuHybrid { .. } | ExecTarget::DistBandsGpu { .. }
     );
-    if device && cp.problem.stepper != TimeStepper::EulerExplicit {
+    if device && cp.problem.integrator == Integrator::Rk2 {
         return Err(Diagnostic::dsl_target(
             "the GPU target supports the Euler stepper only",
         ));

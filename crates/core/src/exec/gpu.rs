@@ -21,7 +21,6 @@ use super::CompiledProblem;
 use crate::analysis::{sweep_price, Scope};
 use crate::dataflow::{Entity, Kernel, Plan, Policy, Stage, GHOSTS};
 use crate::entities::Fields;
-use crate::problem::KernelTier;
 use pbte_gpu::{Device, DeviceBuffer, DeviceSpec, KernelCost};
 use pbte_runtime::telemetry::{DeviceSummary, Recorder, SpanKind, Track};
 use std::time::Instant;
@@ -327,8 +326,9 @@ impl GpuBackend<'_> {
 }
 
 impl Backend for GpuBackend<'_> {
-    fn tier(&self) -> KernelTier {
-        self.main.kernels.tier
+    fn kernels(&self) -> Vec<&IntensityKernels> {
+        let plans = std::iter::once(&self.main).chain(&self.jvp);
+        plans.map(|p| &p.kernels).collect()
     }
 
     fn run(

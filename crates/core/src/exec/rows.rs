@@ -98,7 +98,8 @@ impl IntensityKernels {
                         ),
                     };
                     // Warn on stderr once per process; every scope still
-                    // carries the structured diagnostic for inspection.
+                    // carries the diagnostic, which a solve records as a
+                    // finding (`driver::run_scope`).
                     static ONCE: std::sync::Once = std::sync::Once::new();
                     ONCE.call_once(|| eprintln!("{}", diag.render()));
                     native_fallback = Some(diag);

@@ -17,7 +17,7 @@
 use crate::analysis::Scope;
 use crate::dataflow::{Kernel, Place, Plan, Policy, Record, Stage, Transfer};
 use crate::exec::{CompiledProblem, ExecTarget};
-use crate::problem::TimeStepper;
+use crate::problem::Integrator;
 
 /// One dimension of a rendered loop nest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -242,9 +242,15 @@ pub fn build_ir(cp: &CompiledProblem, target: &ExecTarget) -> IrNode {
     step.push(IrNode::Stmt("time += dt".into()));
 
     let mut nodes: Vec<IrNode> = cut.into_iter().map(IrNode::Comment).collect();
-    nodes.push(IrNode::Comment(match cp.problem.stepper {
-        TimeStepper::EulerExplicit => "time integration: forward Euler".to_string(),
-        TimeStepper::Rk2 => "time integration: explicit RK2 (Heun)".to_string(),
+    nodes.push(IrNode::Comment(match cp.problem.integrator {
+        Integrator::Explicit => "time integration: forward Euler".to_string(),
+        Integrator::Rk2 => "time integration: explicit RK2 (Heun)".to_string(),
+        Integrator::Implicit { theta } => {
+            format!("time integration: implicit θ-scheme (θ = {theta}), Newton–Krylov")
+        }
+        Integrator::Steady { tol, growth } => format!(
+            "time integration: steady state, pseudo-transient backward Euler (tol {tol:e}, growth {growth})"
+        ),
     }));
     nodes.extend(stage.moves(Policy::Once, true).map(transfer));
     nodes.push(IrNode::TimeLoop(step));

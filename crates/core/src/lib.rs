@@ -63,4 +63,4 @@ pub mod problem;
 pub use analysis::{Diagnostic, Severity};
 pub use entities::{Coefficient, CoefficientValue, Fields, Index, Location, Variable};
 pub use exec::{ExecTarget, SolveReport, Solver, WorkCounters};
-pub use problem::{BoundaryCondition, GpuStrategy, KernelTier, Problem, TimeStepper};
+pub use problem::{BoundaryCondition, GpuStrategy, Integrator, KernelTier, Problem};

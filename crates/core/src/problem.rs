@@ -18,28 +18,21 @@ use pbte_symbolic::Dim;
 use std::fmt;
 use std::sync::Arc;
 
-/// Time integration scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimeStepper {
-    /// Forward Euler, the scheme the paper derives in §II.
-    EulerExplicit,
-    /// Heun's two-stage explicit Runge–Kutta (second order). Mentioned in
-    /// the paper as "a similar treatment applies to explicit methods in
-    /// general"; provided to demonstrate that the transform generalizes.
-    Rk2,
-}
-
-/// Time-integration transform applied by the symbolic pipeline on top of
-/// the spatial discretization. Orthogonal to [`TimeStepper`] (which picks
-/// the *explicit* scheme): a non-explicit integrator replaces the stepper
-/// with an implicit θ-scheme or a pseudo-transient steady-state iteration,
-/// both driven by a symbolically generated Jacobian-vector product and a
-/// matrix-free Krylov solve (see `crate::exec::implicit`).
+/// The time-integration transform the symbolic pipeline applies on top of
+/// the spatial discretization (the paper's `timeStepper`): one of two
+/// explicit schemes, which step on RHS sweeps alone, or an implicit
+/// θ-scheme or pseudo-transient steady-state iteration, both driven by a
+/// symbolically generated Jacobian-vector product and a matrix-free
+/// Krylov solve (see `crate::exec::implicit`).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Integrator {
-    /// Use the configured explicit [`TimeStepper`] (the default).
+    /// Forward Euler, the scheme the paper derives in §II (the default).
     #[default]
     Explicit,
+    /// Heun's two-stage explicit Runge–Kutta (second order). Mentioned in
+    /// the paper as "a similar treatment applies to explicit methods in
+    /// general"; a library-API choice with no `.pbte` or CLI spelling.
+    Rk2,
     /// θ-scheme: `u − u_n = dt·[(1−θ)·f(u_n, t) + θ·f(u, t+dt)]`.
     /// θ = 1 is backward Euler (unconditionally stable, first order);
     /// θ = ½ is Crank–Nicolson (A-stable, second order).
@@ -53,9 +46,8 @@ pub enum Integrator {
 }
 
 /// `explicit`, `implicit[:theta]` or `steady[:tol:growth]` — the one
-/// spelling `.pbte` files and the `pbte` CLI share. Refuses every value
-/// [`Problem::integrator`] asserts on (θ outside (0, 1], a steady tolerance
-/// outside (0, 1)), a growth factor ≤ 1, and non-finite numbers.
+/// spelling `.pbte` files and the `pbte` CLI share. Refuses non-finite
+/// numbers and every value [`Integrator::check`] refuses.
 impl std::str::FromStr for Integrator {
     type Err = String;
 
@@ -68,37 +60,31 @@ impl std::str::FromStr for Integrator {
         let mut parts = spec.split(':');
         let head = parts.next().unwrap_or("");
         let rest: Vec<&str> = parts.collect();
-        match (head, rest.as_slice()) {
-            ("explicit", []) => Ok(Integrator::Explicit),
-            ("explicit", _) => Err("`explicit` takes no parameters".into()),
-            ("implicit", rest) => {
-                let theta = match rest {
-                    [] => 1.0,
-                    [t] => number("theta", t)?,
-                    _ => return Err("`implicit` takes at most one `:theta`".into()),
-                };
-                if !(theta > 0.0 && theta <= 1.0) {
-                    return Err(format!("theta must be in (0, 1], got {theta}"));
-                }
-                Ok(Integrator::Implicit { theta })
+        let integrator = match (head, rest.as_slice()) {
+            ("explicit", []) => Integrator::Explicit,
+            ("explicit", _) => return Err("`explicit` takes no parameters".into()),
+            ("implicit", []) => Integrator::Implicit { theta: 1.0 },
+            ("implicit", [t]) => Integrator::Implicit {
+                theta: number("theta", t)?,
+            },
+            ("implicit", _) => return Err("`implicit` takes at most one `:theta`".into()),
+            ("steady", []) => Integrator::Steady {
+                tol: 1e-6,
+                growth: 2.0,
+            },
+            ("steady", [t, g]) => Integrator::Steady {
+                tol: number("tol", t)?,
+                growth: number("growth", g)?,
+            },
+            ("steady", _) => return Err("`steady` takes `:tol:growth` or nothing".into()),
+            (other, _) => {
+                return Err(format!(
+                    "unknown integrator `{other}` (explicit, implicit[:theta], steady[:tol:growth])"
+                ))
             }
-            ("steady", rest) => {
-                let (tol, growth) = match rest {
-                    [] => (1e-6, 2.0),
-                    [t, g] => (number("tol", t)?, number("growth", g)?),
-                    _ => return Err("`steady` takes `:tol:growth` or nothing".into()),
-                };
-                if !(tol > 0.0 && tol < 1.0 && growth > 1.0) {
-                    return Err(format!(
-                        "steady needs 0 < tol < 1 and growth > 1, got tol {tol} and growth {growth}"
-                    ));
-                }
-                Ok(Integrator::Steady { tol, growth })
-            }
-            (other, _) => Err(format!(
-                "unknown integrator `{other}` (explicit, implicit[:theta], steady[:tol:growth])"
-            )),
-        }
+        };
+        integrator.check()?;
+        Ok(integrator)
     }
 }
 
@@ -107,15 +93,37 @@ impl Integrator {
     pub fn name(&self) -> &'static str {
         match self {
             Integrator::Explicit => "explicit",
+            Integrator::Rk2 => "rk2",
             Integrator::Implicit { .. } => "implicit",
             Integrator::Steady { .. } => "steady",
+        }
+    }
+
+    /// The one parameter rule, which the `FromStr` spelling and
+    /// [`Problem::integrator`] share: θ in (0, 1] (θ = 0 *is* forward
+    /// Euler — use [`Integrator::Explicit`], which skips the Krylov
+    /// machinery), a steady tolerance in (0, 1) and a finite growth
+    /// factor above 1.
+    pub fn check(&self) -> Result<(), String> {
+        match *self {
+            Integrator::Implicit { theta } if !(theta > 0.0 && theta <= 1.0) => {
+                Err(format!("theta must be in (0, 1], got {theta}"))
+            }
+            Integrator::Steady { tol, growth }
+                if !(tol > 0.0 && tol < 1.0 && growth > 1.0 && growth.is_finite()) =>
+            {
+                Err(format!(
+                    "steady needs 0 < tol < 1 and a finite growth > 1, got tol {tol} and growth {growth}"
+                ))
+            }
+            _ => Ok(()),
         }
     }
 
     /// Whether this integrator solves an implicit system (and therefore
     /// needs the JVP program and the Krylov machinery).
     pub fn is_implicit(&self) -> bool {
-        !matches!(self, Integrator::Explicit)
+        !matches!(self, Integrator::Explicit | Integrator::Rk2)
     }
 
     /// Whether the scheme is unconditionally stable for any `dt > 0`
@@ -123,7 +131,7 @@ impl Integrator {
     /// guideline, not a stability requirement).
     pub fn unconditionally_stable(&self) -> bool {
         match self {
-            Integrator::Explicit => false,
+            Integrator::Explicit | Integrator::Rk2 => false,
             Integrator::Implicit { theta } => *theta >= 0.5,
             Integrator::Steady { .. } => true,
         }
@@ -539,8 +547,7 @@ impl PlanKey {
 pub struct Problem {
     pub name: String,
     pub dim: usize,
-    pub stepper: TimeStepper,
-    /// Time-integration transform (explicit stepper / implicit θ-scheme /
+    /// Time-integration transform (Euler / RK2 / implicit θ-scheme /
     /// pseudo-transient steady state).
     pub integrator: Integrator,
     /// Krylov settings for the implicit integrators.
@@ -587,7 +594,6 @@ impl Problem {
         Problem {
             name: name.to_string(),
             dim: 2,
-            stepper: TimeStepper::EulerExplicit,
             integrator: Integrator::Explicit,
             krylov: KrylovConfig::default(),
             dt: 1e-3,
@@ -650,29 +656,12 @@ impl Problem {
         self
     }
 
-    /// `timeStepper(EULER_EXPLICIT)`.
-    pub fn time_stepper(&mut self, t: TimeStepper) -> &mut Self {
-        self.stepper = t;
-        self
-    }
-
-    /// Select the time-integration transform (default: explicit).
-    /// `Implicit { theta }` requires `0 ≤ θ ≤ 1` and θ > 0 (θ = 0 *is*
-    /// forward Euler — use [`Integrator::Explicit`], which skips the
-    /// Krylov machinery entirely).
+    /// `timeStepper(...)`: select the time-integration transform
+    /// (default: forward Euler). Panics on a parameter
+    /// [`Integrator::check`] refuses.
     pub fn integrator(&mut self, integrator: Integrator) -> &mut Self {
-        match integrator {
-            Integrator::Implicit { theta } => {
-                assert!(
-                    theta > 0.0 && theta <= 1.0,
-                    "implicit theta must lie in (0, 1], got {theta}"
-                );
-            }
-            Integrator::Steady { tol, growth } => {
-                assert!(tol > 0.0 && tol < 1.0, "steady tol must lie in (0, 1)");
-                assert!(growth >= 1.0, "SER growth factor must be ≥ 1");
-            }
-            Integrator::Explicit => {}
+        if let Err(e) = integrator.check() {
+            panic!("{e}");
         }
         self.integrator = integrator;
         self
@@ -918,8 +907,8 @@ impl Problem {
     ///   index lengths, variable and coefficient shapes, coefficient
     ///   *values* by their bits (lowered programs and the flux table fold
     ///   them into constants);
-    /// * the explicit stepper and `dt` (the flux table is probed with it
-    ///   and the native kernels bake it);
+    /// * `dt` (the flux table is probed with it and the native kernels
+    ///   bake it);
     /// * per boundary region the *form* of its condition — constant,
     ///   callback with which reads, Fixed, Gather — never the
     ///   closure or the constant's value: those fill the walls' image,
@@ -933,8 +922,9 @@ impl Problem {
     ///   and cell counts are functions of it.
     ///
     /// Deliberately absent: the name, `n_steps`, the Krylov settings, the
-    /// kernel tier and the integrator — an explicit and an implicit
-    /// scenario share the primal plan, and every tier runs from one — and
+    /// kernel tier and the integrator — Euler, RK2 and the implicit
+    /// schemes all sweep the one primal plan (the fused `u + dt·rhs` is a
+    /// kernel argument), and every tier runs from it — and
     /// declared ranges and units, which only the verifier passes read, per
     /// instance. `None` ("lower as ever, keep nothing") without an
     /// equation or a mesh, and for a problem with a custom operator.
@@ -942,10 +932,6 @@ impl Problem {
         let mesh = self.mesh.as_ref()?;
         let mut d = Digest::new();
         pipeline::fold_inputs(self, &mut d)?;
-        d.size(match self.stepper {
-            TimeStepper::EulerExplicit => 0,
-            TimeStepper::Rk2 => 1,
-        });
         d.f64(self.dt);
         d.size(self.boundary_conditions.len());
         for (var, region, bc) in &self.boundary_conditions {

@@ -147,11 +147,38 @@ fn too_many_cell_ranks_fails_at_solve() {
     assert!(err.contains("17 ranks"), "{err}");
 }
 
+/// The `.pbte`/CLI spelling and the API setter accept and refuse the same
+/// edge values: the one rule is `Integrator::check`.
+#[test]
+fn the_spelling_and_the_setter_share_one_parameter_rule() {
+    use pbte_dsl::problem::Integrator;
+    let implicit = |theta| Integrator::Implicit { theta };
+    let steady = |tol, growth| Integrator::Steady { tol, growth };
+    let cases = [
+        (implicit(0.0), "implicit:0", false),
+        (implicit(1.0), "implicit:1", true),
+        (implicit(f64::NAN), "implicit:NaN", false),
+        (steady(0.0, 2.0), "steady:0:2", false),
+        (steady(1.0, 2.0), "steady:1:2", false),
+        (steady(1e-6, 1.0), "steady:1e-6:1", false),
+        (steady(1e-6, f64::INFINITY), "steady:1e-6:inf", false),
+        (steady(1e-6, 2.0), "steady:1e-6:2", true),
+    ];
+    for (integrator, spelling, valid) in cases {
+        assert_eq!(integrator.check().is_ok(), valid, "{integrator:?}");
+        assert_eq!(spelling.parse::<Integrator>().is_ok(), valid, "{spelling}");
+        let set = std::panic::catch_unwind(|| {
+            Problem::new("t").integrator(integrator);
+        });
+        assert_eq!(set.is_ok(), valid, "setter on {integrator:?}");
+    }
+}
+
 #[test]
 fn gpu_target_rejects_rk2() {
-    use pbte_dsl::problem::TimeStepper;
+    use pbte_dsl::problem::Integrator;
     let mut p = valid_base();
-    p.time_stepper(TimeStepper::Rk2);
+    p.integrator(Integrator::Rk2);
     p.conservation_form(0, "-k*u");
     let mut solver = p
         .build(ExecTarget::GpuHybrid {

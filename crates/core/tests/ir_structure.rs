@@ -2,13 +2,14 @@
 //! the IR "includes metadata about the parts of the computation and
 //! comment nodes to facilitate generation of easily readable code").
 
+use pbte_dsl::codegen;
 use pbte_dsl::exec::{CompiledProblem, ExecTarget};
 use pbte_dsl::ir::{build_ir, IrNode, LoopDim};
-use pbte_dsl::problem::{BoundaryCondition, GpuStrategy, Problem};
+use pbte_dsl::problem::{BoundaryCondition, GpuStrategy, Integrator, Problem};
 use pbte_gpu::DeviceSpec;
 use pbte_mesh::grid::UniformGrid;
 
-fn compiled() -> CompiledProblem {
+fn problem() -> Problem {
     let mut p = Problem::new("ir");
     p.domain(2);
     p.mesh(UniformGrid::new_2d(4, 4, 1.0, 1.0).build());
@@ -36,7 +37,11 @@ fn compiled() -> CompiledProblem {
         i,
         "(Io[b] - I[d,b]) * beta[b] + surface(vg[b]*upwind([Sx[d];Sy[d]], I[d,b]))",
     );
-    CompiledProblem::compile(p).unwrap().0
+    p
+}
+
+fn compiled() -> CompiledProblem {
+    CompiledProblem::compile(problem()).unwrap().0
 }
 
 /// Count nodes matching a predicate anywhere in the tree.
@@ -125,4 +130,34 @@ fn distributed_irs_carry_their_communication_nodes() {
         }
     }
     assert_eq!(first_loop(&bands), Some(&LoopDim::Index("b".into())));
+}
+
+/// The generated source names the scheme the problem runs, once: each of
+/// the four integrators renders its own time-integration comment.
+#[test]
+fn the_rendered_source_names_the_scheme_it_runs() {
+    let schemes = [
+        (Integrator::Explicit, "time integration: forward Euler\n"),
+        (Integrator::Rk2, "time integration: explicit RK2 (Heun)\n"),
+        (
+            Integrator::Implicit { theta: 0.5 },
+            "time integration: implicit θ-scheme (θ = 0.5), Newton–Krylov\n",
+        ),
+        (
+            Integrator::Steady {
+                tol: 1e-6,
+                growth: 2.0,
+            },
+            "time integration: steady state, pseudo-transient backward Euler (tol 1e-6, growth 2)\n",
+        ),
+    ];
+    for (integrator, name) in schemes {
+        let mut p = problem();
+        p.integrator(integrator);
+        let cp = CompiledProblem::compile(p).unwrap().0;
+        let source = codegen::render(&cp, &ExecTarget::CpuSeq);
+        let lines: Vec<&str> = source.matches("time integration:").collect();
+        assert_eq!(lines.len(), 1, "{integrator:?}:\n{source}");
+        assert!(source.contains(name), "{integrator:?}:\n{source}");
+    }
 }

@@ -14,7 +14,7 @@
 use pbte_dsl::analysis::rules;
 use pbte_dsl::exec::{ExecTarget, Recorder};
 use pbte_dsl::problem::{KernelTier, Problem};
-use pbte_dsl::BoundaryCondition;
+use pbte_dsl::{BoundaryCondition, Severity};
 use pbte_mesh::grid::UniformGrid;
 
 /// `speed` multiplies the upwind flux; the problem names no tier.
@@ -81,7 +81,8 @@ fn missing_rustc_degrades_to_row_tier_with_a_diagnostic() {
     drop(bench);
 
     // A full solve on the degraded tier still completes, says it ran
-    // `row`, and finds nothing that would fail the run.
+    // `row`, and keeps the fallback as its one finding, a warning: nothing
+    // that would fail the run.
     let mut rec = Recorder::buffered();
     let report = solver
         .solve_traced(&mut rec)
@@ -94,11 +95,11 @@ fn missing_rustc_degrades_to_row_tier_with_a_diagnostic() {
             .is_some_and(|l| l.contains(r#""tier":"row""#)),
         "{run_start:?}"
     );
-    assert!(
-        report.findings.kept.is_empty(),
-        "{:?}",
-        report.findings.kept
-    );
+    let kept = &report.findings.kept;
+    assert_eq!(kept.len(), 1, "{kept:?}");
+    assert_eq!(kept[0].name, rules::NATIVE_FALLBACK, "{kept:?}");
+    assert_eq!(kept[0].severity, Severity::Warning, "{kept:?}");
+    assert_eq!(report.findings.totals.values().sum::<u64>(), 1);
 
     let _ = std::fs::remove_dir_all(&cache);
 }

@@ -10,7 +10,7 @@ use pbte_dsl::dataflow::{
     step_records, Access, Entity, Kernel, Place, Plan, Policy, Record, Stage,
 };
 use pbte_dsl::exec::ExecTarget;
-use pbte_dsl::problem::{BoundaryCondition, Integrator, Problem, TimeStepper};
+use pbte_dsl::problem::{BoundaryCondition, Integrator, Problem};
 use pbte_dsl::{GpuStrategy, Severity};
 use pbte_gpu::DeviceSpec;
 use pbte_mesh::grid::UniformGrid;
@@ -96,35 +96,27 @@ fn the_record_list_is_the_policy_for_every_target_walls_and_integrator() {
         growth: 2.0,
     };
     let schemes = [
-        (Integrator::Explicit, TimeStepper::EulerExplicit),
-        (Integrator::Explicit, TimeStepper::Rk2),
-        (
-            Integrator::Implicit { theta: 1.0 },
-            TimeStepper::EulerExplicit,
-        ),
-        (steady, TimeStepper::EulerExplicit),
+        Integrator::Explicit,
+        Integrator::Rk2,
+        Integrator::Implicit { theta: 1.0 },
+        steady,
     ];
     for target in targets() {
         let device = target.on_device();
-        for (integrator, stepper) in schemes {
-            if device && stepper == TimeStepper::Rk2 {
-                continue; // the device lineage steps by Euler only
+        for integrator in schemes {
+            if device && integrator == Integrator::Rk2 {
+                continue; // the device lineage does not run RK2
             }
             for callback_wall in [false, true] {
-                let case = format!(
-                    "{} {integrator:?} {stepper:?} {callback_wall}",
-                    target.label()
-                );
+                let case = format!("{} {integrator:?} {callback_wall}", target.label());
                 let mut p = problem(callback_wall, true);
                 p.integrator(integrator);
-                p.time_stepper(stepper);
                 let solver = p.build(target.clone()).expect(&case);
                 let cp = &solver.compiled;
                 let scope = Scope::whole(cp);
                 let stage = Stage::build(cp, Plan::Main, &target, &scope);
 
-                let explicit = integrator == Integrator::Explicit;
-                let fused = explicit && stepper == TimeStepper::EulerExplicit;
+                let fused = integrator == Integrator::Explicit;
                 let sweep_at = if device { Device } else { Host };
                 let mut want = Vec::new();
                 if callback_wall {
@@ -179,7 +171,7 @@ fn the_record_list_is_the_policy_for_every_target_walls_and_integrator() {
                 let once_h2d = names(&stage, Policy::Once, true);
                 let each_d2h = names(&stage, Policy::EveryStep, false);
                 let on = |list: &[String], name: &str| list.iter().any(|n| n == name);
-                if explicit {
+                if !integrator.is_implicit() {
                     // The stage carries the step schedule, and that
                     // schedule is clean.
                     let schedule = analysis::synthesize_records(cp, &stage.records);

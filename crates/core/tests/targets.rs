@@ -11,7 +11,7 @@
 //! band-major loops, the sequential order.
 
 use pbte_dsl::exec::ExecTarget;
-use pbte_dsl::problem::{BoundaryCondition, Problem, StepContext, TimeStepper};
+use pbte_dsl::problem::{BoundaryCondition, Integrator, Problem, StepContext};
 use pbte_dsl::{Fields, GpuStrategy};
 use pbte_gpu::DeviceSpec;
 use pbte_mesh::grid::UniformGrid;
@@ -28,11 +28,11 @@ const SY: [f64; 4] = [0.0, 1.0, 0.0, -1.0];
 /// ranks when band-partitioned), derive a "temperature", and rewrite the
 /// per-band equilibrium `Io` and rate `beta` — exercising exactly the
 /// CPU-callback coupling the paper builds the hybrid codegen around.
-fn build_problem(n: usize, steps: usize, stepper: TimeStepper) -> Problem {
+fn build_problem(n: usize, steps: usize, integrator: Integrator) -> Problem {
     let mut p = Problem::new("mini-bte");
     p.domain(2);
     p.mesh(UniformGrid::new_2d(n, n, 1.0, 1.0).build());
-    p.time_stepper(stepper);
+    p.integrator(integrator);
     p.set_steps(0.01, steps);
     let d = p.index("d", NDIRS);
     let b = p.index("b", NBANDS);
@@ -141,8 +141,8 @@ fn build_problem(n: usize, steps: usize, stepper: TimeStepper) -> Problem {
     p
 }
 
-fn run(target: ExecTarget, n: usize, steps: usize, stepper: TimeStepper) -> Fields {
-    let mut solver = build_problem(n, steps, stepper).build(target).unwrap();
+fn run(target: ExecTarget, n: usize, steps: usize, integrator: Integrator) -> Fields {
+    let mut solver = build_problem(n, steps, integrator).build(target).unwrap();
     solver.solve().unwrap();
     solver.fields().clone()
 }
@@ -169,7 +169,7 @@ fn assert_identical(a: &Fields, b: &Fields, what: &str) {
 #[test]
 fn initial_fill_calls_each_cell_and_flat_once_with_its_tuple() {
     use std::sync::{Arc, Mutex};
-    let mut p = build_problem(3, 1, TimeStepper::EulerExplicit);
+    let mut p = build_problem(3, 1, Integrator::Explicit);
     let i_var = p.registry.variable_id("I").unwrap();
     let calls = Arc::new(Mutex::new(Vec::new()));
     let log = calls.clone();
@@ -195,21 +195,16 @@ fn initial_fill_calls_each_cell_and_flat_once_with_its_tuple() {
 
 #[test]
 fn threaded_matches_sequential_exactly() {
-    let seq = run(ExecTarget::CpuSeq, 6, 5, TimeStepper::EulerExplicit);
-    let par = run(ExecTarget::CpuParallel, 6, 5, TimeStepper::EulerExplicit);
+    let seq = run(ExecTarget::CpuSeq, 6, 5, Integrator::Explicit);
+    let par = run(ExecTarget::CpuParallel, 6, 5, Integrator::Explicit);
     assert_identical(&seq, &par, "cpu-parallel");
 }
 
 #[test]
 fn cell_distribution_matches_sequential_exactly() {
-    let seq = run(ExecTarget::CpuSeq, 6, 5, TimeStepper::EulerExplicit);
+    let seq = run(ExecTarget::CpuSeq, 6, 5, Integrator::Explicit);
     for ranks in [2, 3, 4] {
-        let dist = run(
-            ExecTarget::DistCells { ranks },
-            6,
-            5,
-            TimeStepper::EulerExplicit,
-        );
+        let dist = run(ExecTarget::DistCells { ranks }, 6, 5, Integrator::Explicit);
         assert_identical(&seq, &dist, &format!("dist-cells ranks={ranks}"));
     }
 }
@@ -218,7 +213,7 @@ fn cell_distribution_matches_sequential_exactly() {
 fn band_distribution_matches_sequential_exactly() {
     // The cross-rank energy sum is a fold in rank order over band-major
     // loops: the sequential additions, in the sequential order.
-    let seq = run(ExecTarget::CpuSeq, 6, 5, TimeStepper::EulerExplicit);
+    let seq = run(ExecTarget::CpuSeq, 6, 5, Integrator::Explicit);
     for ranks in [2, 3] {
         let dist = run(
             ExecTarget::DistBands {
@@ -227,7 +222,7 @@ fn band_distribution_matches_sequential_exactly() {
             },
             6,
             5,
-            TimeStepper::EulerExplicit,
+            Integrator::Explicit,
         );
         assert_identical(&seq, &dist, &format!("dist-bands ranks={ranks}"));
     }
@@ -238,13 +233,13 @@ fn band_distribution_matches_sequential_exactly() {
 /// callbacks: the host evaluates their ghosts and the device sweep reads
 /// them, so agreement is bitwise, not just to rounding.
 fn assert_gpu_matches_sequential(strategy: GpuStrategy) {
-    let seq = run(ExecTarget::CpuSeq, 6, 5, TimeStepper::EulerExplicit);
+    let seq = run(ExecTarget::CpuSeq, 6, 5, Integrator::Explicit);
     let target = ExecTarget::GpuHybrid {
         spec: DeviceSpec::a6000(),
         strategy,
     };
     let label = target.label();
-    let gpu = run(target, 6, 5, TimeStepper::EulerExplicit);
+    let gpu = run(target, 6, 5, Integrator::Explicit);
     assert_identical(&seq, &gpu, &label);
 }
 
@@ -258,7 +253,7 @@ fn flux_linearization_is_active_and_matches_the_vm() {
     // The mini-BTE's upwind flux is affine in (CELL1, CELL2): the CPU
     // generator must take the hoisted path, and its coefficients must
     // reproduce the VM's values at rounding level.
-    let solver = build_problem(4, 1, TimeStepper::EulerExplicit)
+    let solver = build_problem(4, 1, Integrator::Explicit)
         .build(ExecTarget::CpuSeq)
         .unwrap();
     let cp = &solver.compiled;
@@ -300,7 +295,7 @@ fn flux_linearization_is_active_and_matches_the_vm() {
 
 #[test]
 fn multi_gpu_band_distribution_agrees() {
-    let seq = run(ExecTarget::CpuSeq, 5, 4, TimeStepper::EulerExplicit);
+    let seq = run(ExecTarget::CpuSeq, 5, 4, Integrator::Explicit);
     let gpu = run(
         ExecTarget::DistBandsGpu {
             ranks: 3,
@@ -310,17 +305,17 @@ fn multi_gpu_band_distribution_agrees() {
         },
         5,
         4,
-        TimeStepper::EulerExplicit,
+        Integrator::Explicit,
     );
     assert_identical(&seq, &gpu, "dist-bands-gpu");
 }
 
 #[test]
 fn rk2_matches_across_cpu_targets() {
-    let seq = run(ExecTarget::CpuSeq, 5, 4, TimeStepper::Rk2);
-    let par = run(ExecTarget::CpuParallel, 5, 4, TimeStepper::Rk2);
+    let seq = run(ExecTarget::CpuSeq, 5, 4, Integrator::Rk2);
+    let par = run(ExecTarget::CpuParallel, 5, 4, Integrator::Rk2);
     assert_identical(&seq, &par, "rk2 cpu-parallel");
-    let dist = run(ExecTarget::DistCells { ranks: 3 }, 5, 4, TimeStepper::Rk2);
+    let dist = run(ExecTarget::DistCells { ranks: 3 }, 5, 4, Integrator::Rk2);
     assert_identical(&seq, &dist, "rk2 dist-cells");
     let bands = run(
         ExecTarget::DistBands {
@@ -329,7 +324,7 @@ fn rk2_matches_across_cpu_targets() {
         },
         5,
         4,
-        TimeStepper::Rk2,
+        Integrator::Rk2,
     );
     assert_identical(&seq, &bands, "rk2 dist-bands");
     // The device's explicit stage is Euler-only; pin it across its two
@@ -343,7 +338,7 @@ fn rk2_matches_across_cpu_targets() {
         },
         5,
         4,
-        TimeStepper::EulerExplicit,
+        Integrator::Explicit,
     );
     let bands_gpu = run(
         ExecTarget::DistBandsGpu {
@@ -354,7 +349,7 @@ fn rk2_matches_across_cpu_targets() {
         },
         5,
         4,
-        TimeStepper::EulerExplicit,
+        Integrator::Explicit,
     );
     assert_identical(&gpu, &bands_gpu, "euler dist-bands-gpu vs gpu");
 }
@@ -411,7 +406,7 @@ fn equilibrium_is_preserved() {
 
 #[test]
 fn report_counts_work_and_communication() {
-    let mut solver = build_problem(6, 3, TimeStepper::EulerExplicit)
+    let mut solver = build_problem(6, 3, Integrator::Explicit)
         .build(ExecTarget::CpuSeq)
         .unwrap();
     let report = solver.solve().unwrap();
@@ -423,7 +418,7 @@ fn report_counts_work_and_communication() {
     assert_eq!(report.comm.bytes, 0);
 
     // The cell-distributed run communicates.
-    let mut dsolver = build_problem(6, 3, TimeStepper::EulerExplicit)
+    let mut dsolver = build_problem(6, 3, Integrator::Explicit)
         .build(ExecTarget::DistCells { ranks: 4 })
         .unwrap();
     let dreport = dsolver.solve().unwrap();
@@ -433,7 +428,7 @@ fn report_counts_work_and_communication() {
 
 #[test]
 fn gpu_report_exposes_device_profile() {
-    let mut solver = build_problem(6, 3, TimeStepper::EulerExplicit)
+    let mut solver = build_problem(6, 3, Integrator::Explicit)
         .build(ExecTarget::GpuHybrid {
             spec: DeviceSpec::a6000(),
             strategy: GpuStrategy::AsyncBoundary,
@@ -451,11 +446,11 @@ fn gpu_report_exposes_device_profile() {
 #[test]
 fn band_distribution_counts_reduction_traffic_only() {
     // The headline property of Fig 3: band partitioning needs no halo.
-    let mut cells = build_problem(6, 3, TimeStepper::EulerExplicit)
+    let mut cells = build_problem(6, 3, Integrator::Explicit)
         .build(ExecTarget::DistCells { ranks: 3 })
         .unwrap();
     let creport = cells.solve().unwrap();
-    let mut bands = build_problem(6, 3, TimeStepper::EulerExplicit)
+    let mut bands = build_problem(6, 3, Integrator::Explicit)
         .build(ExecTarget::DistBands {
             ranks: 3,
             index: "b".into(),
@@ -474,7 +469,7 @@ fn band_distribution_counts_reduction_traffic_only() {
 
 #[test]
 fn memory_report_accounts_for_every_variable() {
-    let solver = build_problem(6, 1, TimeStepper::EulerExplicit)
+    let solver = build_problem(6, 1, Integrator::Explicit)
         .build(ExecTarget::CpuSeq)
         .unwrap();
     let report = solver.compiled.memory_report();
@@ -496,7 +491,7 @@ fn gpu_target_reports_oom_for_an_undersized_device() {
     // a real cudaMalloc would — loudly, at allocation time.
     let mut spec = DeviceSpec::a6000();
     spec.mem_capacity = 4 * 1024; // 4 KiB: nothing fits
-    let mut solver = build_problem(6, 1, TimeStepper::EulerExplicit)
+    let mut solver = build_problem(6, 1, Integrator::Explicit)
         .build(ExecTarget::GpuHybrid {
             spec,
             strategy: GpuStrategy::AsyncBoundary,

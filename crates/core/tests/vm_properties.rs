@@ -30,7 +30,7 @@ use pbte_dsl::bytecode::{
 };
 use pbte_dsl::entities::Fields;
 use pbte_dsl::exec::{ExecTarget, FluxPath};
-use pbte_dsl::problem::{BoundaryCondition, KernelTier, Problem, TimeStepper};
+use pbte_dsl::problem::{BoundaryCondition, Integrator, KernelTier, Problem};
 use pbte_mesh::grid::UniformGrid;
 use pbte_mesh::Mesh;
 use pbte_symbolic::expr::{CmpOp, Expr, ExprRef};
@@ -309,12 +309,12 @@ proptest! {
 #[test]
 fn rk2_is_second_order_on_exponential_decay() {
     // du/dt = -k u with flux-free dynamics: exact solution u0·exp(-k t).
-    let run = |stepper: TimeStepper, dt: f64, t_end: f64| -> f64 {
+    let run = |integrator: Integrator, dt: f64, t_end: f64| -> f64 {
         let steps = (t_end / dt).round() as usize;
         let mut p = Problem::new("decay");
         p.domain(2);
         p.mesh(UniformGrid::new_2d(2, 2, 1.0, 1.0).build());
-        p.time_stepper(stepper);
+        p.integrator(integrator);
         p.set_steps(dt, steps);
         let u = p.variable("u", &[]);
         p.coefficient_scalar("k", 3.0);
@@ -330,13 +330,13 @@ fn rk2_is_second_order_on_exponential_decay() {
         solver.fields().value(0, 0, 0)
     };
     let exact = (-3.0f64 * 0.5).exp();
-    let order = |stepper: TimeStepper| {
-        let e1 = (run(stepper, 0.025, 0.5) - exact).abs();
-        let e2 = (run(stepper, 0.0125, 0.5) - exact).abs();
+    let order = |integrator: Integrator| {
+        let e1 = (run(integrator, 0.025, 0.5) - exact).abs();
+        let e2 = (run(integrator, 0.0125, 0.5) - exact).abs();
         (e1 / e2).log2()
     };
-    let euler_order = order(TimeStepper::EulerExplicit);
-    let rk2_order = order(TimeStepper::Rk2);
+    let euler_order = order(Integrator::Explicit);
+    let rk2_order = order(Integrator::Rk2);
     assert!(
         (0.8..1.3).contains(&euler_order),
         "Euler must be first order, got {euler_order}"

@@ -17,14 +17,14 @@
 //! Run: `cargo run --release -p pbte-apps --example quickstart`
 
 use pbte_dsl::exec::ExecTarget;
-use pbte_dsl::problem::{BoundaryCondition, Problem, TimeStepper};
+use pbte_dsl::problem::{BoundaryCondition, Integrator, Problem};
 use pbte_mesh::grid::UniformGrid;
 
 fn main() {
     // ---- describe the problem (the paper's §II listing) ----------------
     let mut p = Problem::new("quickstart");
     p.domain(2);
-    p.time_stepper(TimeStepper::EulerExplicit);
+    p.integrator(Integrator::Explicit);
     p.set_steps(2e-3, 200);
     p.mesh(UniformGrid::new_2d(48, 48, 1.0, 1.0).build());
 

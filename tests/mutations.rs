@@ -1,7 +1,8 @@
 //! The committed mutation checks: each `tests/mutations/*.patch` breaks
 //! the code on purpose and names, on a `Must fail: <package> <test
 //! target> <test name>` line before its diff, the test that must catch
-//! the break. The runner copies the tracked files of the working tree to
+//! the break (the target `lib` names the package's unit tests, the name
+//! then being the test's path, e.g. `nativegen::tests::…`). The runner copies the tracked files of the working tree to
 //! a scratch directory, applies each patch there (and takes it back
 //! after), builds the copy into a target directory of its own, runs the
 //! named test, and asserts that the build succeeded and the test failed.
@@ -74,8 +75,13 @@ fn every_committed_mutation_fails_its_test() {
             assert!(ok, "{}: git apply: {out}", patch.display());
         };
         apply(false);
+        let target = match test_target {
+            "lib" => vec!["--lib"],
+            test => vec!["--test", test],
+        };
         let (passed, out) = run(Command::new(env!("CARGO"))
-            .args(["test", "--offline", "-p", package, "--test", test_target])
+            .args(["test", "--offline", "-p", package])
+            .args(target)
             .args(["--", "--exact", name])
             .env("CARGO_TARGET_DIR", copy.join("target"))
             .current_dir(&copy));
